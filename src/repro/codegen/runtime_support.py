@@ -326,10 +326,23 @@ m_tan = math.tan
 m_atan = math.atan
 m_floor = math.floor
 m_ceil = math.ceil
-c_sqrt = cmath.sqrt
 c_exp = cmath.exp
-c_log = cmath.log
 c_abs = abs
+
+
+def _real_nan(x) -> bool:
+    """A real NaN must stay real under the complex-widening helpers: the
+    interpreter widens on ``view < 0``, which is false for NaN, where
+    ``cmath`` alone would answer ``nan+nanj``."""
+    return x != x and not isinstance(x, complex)
+
+
+def c_sqrt(x):
+    return x if _real_nan(x) else cmath.sqrt(x)
+
+
+def c_log(x):
+    return x if _real_nan(x) else cmath.log(x)
 
 
 def m_round(x: float) -> float:

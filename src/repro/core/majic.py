@@ -90,7 +90,6 @@ class MajicSession:
         sandbox_timeout: float | None = None,
         diagnostics_capacity: int | None = None,
         parallel: int | None = None,
-        parallel_transport: str = "file",
         flight=None,
         serve_metrics: int | None = None,
     ):
@@ -205,7 +204,7 @@ class MajicSession:
                 fault_plan=fault_plan,
                 obs=self.obs,
                 policy=policy,
-                submit=self._submit_native_task,
+                submit=self._submit_background_task,
                 sync=native_sync,
                 hot_threshold=native_hot_threshold,
                 min_elems=native_min_elems,
@@ -265,18 +264,11 @@ class MajicSession:
             self.parallel = ParallelExecutor(
                 self,
                 workers=int(parallel),
-                transport=parallel_transport,
                 fault_plan=fault_plan,
                 obs=self.obs,
             )
         if background:
-            self.engine = SpeculationEngine(
-                self.repository,
-                workers=self._workers,
-                fault_plan=fault_plan,
-                obs=self.obs,
-                policy=policy,
-            )
+            self._pool()
         if seed is not None:
             GLOBAL_RANDOM.seed(seed)
         # Live observability endpoint: serve_metrics=PORT exposes
@@ -339,6 +331,15 @@ class MajicSession:
         worker pool on first use when the session was not constructed
         with ``background=True``.
         """
+        engine = self._pool()
+        tracer = self.obs.tracer
+        if not tracer.enabled:
+            return engine.submit_all()
+        with tracer.span("speculate_async", "speculation"):
+            return engine.submit_all()
+
+    def _pool(self) -> SpeculationEngine:
+        """The supervised worker pool, started on first use."""
         if self.engine is None:
             self.engine = SpeculationEngine(
                 self.repository,
@@ -347,31 +348,14 @@ class MajicSession:
                 obs=self.obs,
                 policy=self.resilience,
             )
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            return self.engine.submit_all()
-        with tracer.span("speculate_async", "speculation"):
-            return self.engine.submit_all()
-
-    def _submit_native_task(self, fn, label: str) -> bool:
-        """Native compiles ride the supervised speculation worker pool
-        (started lazily), so the foreground never blocks on a C compile."""
-        return self._submit_background_task(fn, label)
+        return self.engine
 
     def _submit_background_task(self, fn, label: str, on_done=None) -> bool:
         """Queue one out-of-band task (native compile, tier promotion) on
-        the supervised worker pool, starting it lazily."""
+        the supervised worker pool, so the foreground never blocks on it."""
         if self._closed:
             return False
-        if self.engine is None:
-            self.engine = SpeculationEngine(
-                self.repository,
-                workers=self._workers,
-                fault_plan=self._fault_plan,
-                obs=self.obs,
-                policy=self.resilience,
-            )
-        return self.engine.submit_task(fn, label, on_done=on_done)
+        return self._pool().submit_task(fn, label, on_done=on_done)
 
     def pending_speculation(self) -> int:
         """Background compiles still queued or in flight."""

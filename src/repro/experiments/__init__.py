@@ -7,9 +7,7 @@
 * :mod:`~repro.experiments.figure7` — disabling JIT optimizations;
 * :mod:`~repro.experiments.table2` — JIT vs. speculative type inference;
 * :mod:`~repro.experiments.responsiveness` — foreground-visible compile
-  cost: cold vs. background vs. warm disk cache;
-* :mod:`~repro.experiments.adaptive` — profile-guided adaptive tiering
-  vs. each static tier over a mixed call stream.
+  cost: cold vs. background vs. warm disk cache.
 """
 
 from repro.experiments.harness import (

@@ -32,9 +32,12 @@ Usage::
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from unittest import mock
 
 from repro.benchsuite.registry import benchmark, benchmark_names, source_of
 from repro.benchsuite.workloads import boxed_workload, checksum
@@ -169,139 +172,121 @@ def run_with_faults(
     return digest, session
 
 
-def default_plans() -> dict[str, FaultPlan]:
+@dataclass(frozen=True)
+class Lane:
+    """One row of a sweep: a fault schedule plus the session knobs and
+    the preparation that arm the matching recovery mechanism."""
+
+    label: str
+    specs: tuple[FaultSpec, ...] = ()
+    session_kwargs: dict = field(default_factory=dict)
+    #: Run the speculative pass before the call (so spec-tier sites fire).
+    speculate: bool = False
+    #: ... through the worker pool: faults fire inside worker threads.
+    background: bool = False
+    #: Pre-populate a disk cache with a clean pass so the faulted session
+    #: has entries to corrupt.
+    warm_cache: bool = False
+    #: Environment overrides held for the duration of the run.
+    env: dict = field(default_factory=dict)
+
+    def plan(self) -> FaultPlan | None:
+        return FaultPlan(list(self.specs)) if self.specs else None
+
+
+def _one(plan: FaultPlan) -> tuple[FaultSpec, ...]:
+    return tuple(plan.specs)
+
+
+def default_lanes() -> list[Lane]:
     """The standard sweep: one compile-time and one runtime fault each,
     against both tiers of the compiled path, plus faults in the fused
     elementwise kernel compiler and the kernels it emits."""
     from repro.faults.plan import SITE_KERNEL_COMPILE, SITE_KERNEL_RUN
+    from repro.tiering import TieringPolicy
 
-    return {
-        "jit-compile": FaultPlan.compile_fault(site="jit", hit=1),
-        "spec-compile": FaultPlan.compile_fault(site="spec", hit=1),
-        "runtime-hit1": FaultPlan.runtime_fault(helper="*", hit=1),
-        "runtime-hit7": FaultPlan.runtime_fault(helper="*", hit=7),
-        "kernel-compile": FaultPlan.kernel_fault(site=SITE_KERNEL_COMPILE, hit=1),
-        "kernel-run": FaultPlan.kernel_fault(site=SITE_KERNEL_RUN, hit=1),
-        # Adaptive-tiering lane: the first background promotion compile
-        # dies; the function must keep serving from its current tier.
-        "tier-promote": FaultPlan.tiering_fault(hit=1),
-    }
+    return [
+        Lane("jit-compile", _one(FaultPlan.compile_fault(site="jit", hit=1))),
+        Lane("spec-compile", _one(FaultPlan.compile_fault(site="spec", hit=1)),
+             speculate=True),
+        Lane("runtime-hit1", _one(FaultPlan.runtime_fault(helper="*", hit=1))),
+        Lane("runtime-hit7", _one(FaultPlan.runtime_fault(helper="*", hit=7))),
+        Lane("kernel-compile",
+             _one(FaultPlan.kernel_fault(site=SITE_KERNEL_COMPILE, hit=1))),
+        Lane("kernel-run",
+             _one(FaultPlan.kernel_fault(site=SITE_KERNEL_RUN, hit=1))),
+        # Adaptive-tiering lane: the first promotion compile dies; the
+        # function must keep serving from its current tier.  The site only
+        # exists under the adaptive controller; hair-trigger thresholds +
+        # sync mode make the injected fault fire deterministically on the
+        # first promotion attempt.
+        Lane("tier-promote", _one(FaultPlan.tiering_fault(hit=1)),
+             session_kwargs={
+                 "adaptive": True,
+                 "adaptive_sync": True,
+                 "tiering": TieringPolicy(jit_threshold=1.0, spec_threshold=2.0),
+             }),
+    ]
 
 
-def background_plans() -> dict[str, FaultPlan]:
+def background_lanes() -> list[Lane]:
     """The worker-thread sweep: faults firing inside (or around) the
     background speculation pool."""
-    return {
-        "worker-hit1": FaultPlan.worker_fault(hit=1),
-        "worker-hit2": FaultPlan.worker_fault(hit=2),
-        "spec-in-worker": FaultPlan.compile_fault(site="spec", hit=1),
-        "runtime-hit1": FaultPlan.runtime_fault(helper="*", hit=1),
-    }
+    return [
+        Lane(label, _one(plan), background=True)
+        for label, plan in (
+            ("worker-hit1", FaultPlan.worker_fault(hit=1)),
+            ("worker-hit2", FaultPlan.worker_fault(hit=2)),
+            ("spec-in-worker", FaultPlan.compile_fault(site="spec", hit=1)),
+            ("runtime-hit1", FaultPlan.runtime_fault(helper="*", hit=1)),
+        )
+    ]
 
 
-def native_plans() -> dict[str, FaultPlan]:
+def native_lanes() -> list[Lane]:
     """The native-tier sweep: faults against the C compile, the ``.so``
-    load and the first native run.  Every one must deoptimize back onto
-    the Python fused kernels without changing a single bit."""
-    return {
-        "native-compile": FaultPlan.native_fault(site=SITE_NATIVE_COMPILE, hit=1),
-        "native-load": FaultPlan.native_fault(site=SITE_NATIVE_LOAD, hit=1),
-        "native-run": FaultPlan.native_fault(site=SITE_NATIVE_RUN, hit=1),
-    }
-
-
-def run_native(
-    names: list[str] | None = None,
-    scales: dict[str, tuple] | None = None,
-) -> list[DifferentialOutcome]:
-    """The native sweep: every benchmark under each native fault plan,
-    plus one fault-free run with the toolchain disabled entirely
-    (``MAJIC_NATIVE_DISABLE``).  Sessions run with ``native_sync`` so the
-    compile happens on the hot path and the injected fault is guaranteed
-    to fire before the checksum is taken."""
-    import os
-
-    names = names or benchmark_names()
-    scales = scales or SMALL_SCALES
+    load and the first native run — every one must deoptimize back onto
+    the Python fused kernels without changing a single bit — plus one
+    fault-free lane with the toolchain disabled entirely.  Sessions run
+    with ``native_sync`` so the compile happens on the hot path and the
+    injected fault is guaranteed to fire before the checksum is taken."""
     kwargs = {
         "native": True, "native_sync": True, "native_hot_threshold": 1,
         # The sweep's small scales would mostly duck under the size
         # cutoff; forcing it to 1 keeps real native runs in the loop.
         "native_min_elems": 1,
     }
-    outcomes: list[DifferentialOutcome] = []
-    for name in names:
-        baseline = interpreter_baseline(name, scales.get(name))
-        for label, plan in native_plans().items():
-            plan.reset()
-            faulted, session = run_with_faults(
-                name, plan, scales.get(name), **kwargs,
-            )
-            outcomes.append(
-                DifferentialOutcome(
-                    benchmark=name,
-                    plan=label,
-                    matches=(faulted == baseline),
-                    baseline=baseline,
-                    faulted=faulted,
-                    faults_fired=len(plan.fired),
-                    events=session.diagnostics.counts(),
-                )
-            )
-        # No-toolchain lane: the probe must come back empty and the
-        # session must serve every call from the Python kernels.
-        os.environ["MAJIC_NATIVE_DISABLE"] = "1"
-        try:
-            faulted, session = run_with_faults(
-                name, None, scales.get(name), **kwargs,
-            )
-        finally:
-            del os.environ["MAJIC_NATIVE_DISABLE"]
-        outcomes.append(
-            DifferentialOutcome(
-                benchmark=name,
-                plan="no-toolchain",
-                matches=(faulted == baseline),
-                baseline=baseline,
-                faulted=faulted,
-                faults_fired=0,
-                events=session.diagnostics.counts(),
-            )
+    return [
+        Lane(f"native-{what}", _one(FaultPlan.native_fault(site=site, hit=1)),
+             session_kwargs=kwargs)
+        for what, site in (
+            ("compile", SITE_NATIVE_COMPILE),
+            ("load", SITE_NATIVE_LOAD),
+            ("run", SITE_NATIVE_RUN),
         )
-    return outcomes
+    ] + [
+        # The probe must come back empty and the session must serve every
+        # call from the Python kernels.
+        Lane("no-toolchain", session_kwargs=kwargs,
+             env={"MAJIC_NATIVE_DISABLE": "1"}),
+    ]
 
 
-@dataclass(frozen=True)
-class ChaosScenario:
-    """One supervision fault schedule plus the session knobs that arm the
-    matching recovery mechanism."""
-
-    label: str
-    specs: tuple[FaultSpec, ...]
-    session_kwargs: dict = field(default_factory=dict)
-    #: Pre-populate a disk cache with a clean pass so the faulted session
-    #: has entries to corrupt.
-    warm_cache: bool = False
-
-    def plan(self) -> FaultPlan:
-        return FaultPlan(list(self.specs))
-
-
-def chaos_scenarios() -> list[ChaosScenario]:
+def chaos_scenarios() -> list[Lane]:
     """The chaos sweep: hang/crash/oom/corruption against every recovery
     tier.  Deadlines are short so the 64-run sweep stays CI-sized."""
     return [
-        ChaosScenario(
+        Lane(
             label="hang-run",
             specs=(FaultSpec(site=SITE_HANG, hits=(1,), behavior=BEHAVIOR_HANG),),
             session_kwargs={"run_deadline": 0.25},
         ),
-        ChaosScenario(
+        Lane(
             label="hang-compile",
             specs=(FaultSpec(site=SITE_JIT, hits=(1,), behavior=BEHAVIOR_HANG),),
             session_kwargs={"compile_deadline": 0.25},
         ),
-        ChaosScenario(
+        Lane(
             label="sandbox-crash-oom",
             specs=(
                 FaultSpec(site=SITE_CRASH, hits=(1,), behavior=BEHAVIOR_CRASH),
@@ -309,18 +294,19 @@ def chaos_scenarios() -> list[ChaosScenario]:
             ),
             session_kwargs={"sandbox": True, "sandbox_timeout": 15.0},
         ),
-        ChaosScenario(
+        Lane(
             label="cache-corrupt",
             specs=(
                 FaultSpec(site=SITE_CACHE_CORRUPT, hits=(1,)),
                 FaultSpec(site=SITE_CACHE_PARTIAL, hits=(1,)),
             ),
+            speculate=True,
             warm_cache=True,
         ),
     ]
 
 
-def parallel_scenarios() -> list[ChaosScenario]:
+def parallel_scenarios() -> list[Lane]:
     """The parallel sweep: MatlabMPI-backend faults against every
     benchmark with two worker ranks.  Dropped messages surface as recv
     timeouts, hung ranks are killed and respawned, crashed ranks die for
@@ -329,117 +315,74 @@ def parallel_scenarios() -> list[ChaosScenario]:
     from repro.resilience import ResiliencePolicy
 
     policy = ResiliencePolicy(parallel_recv_timeout=1.5)
-    kwargs = {"parallel": 2, "resilience": policy}
     return [
-        ChaosScenario(
-            label="msg-dropped",
-            specs=(FaultSpec(site=SITE_PARALLEL_SEND, hits=(1,)),),
-            session_kwargs=dict(kwargs),
-        ),
-        ChaosScenario(
-            label="worker-hang",
-            specs=(FaultSpec(site=SITE_PARALLEL_WORKER, hits=(1,),
-                             behavior=BEHAVIOR_HANG),),
-            session_kwargs=dict(kwargs),
-        ),
-        ChaosScenario(
-            label="worker-crash",
-            specs=(FaultSpec(site=SITE_PARALLEL_WORKER, hits=(1,),
-                             behavior=BEHAVIOR_CRASH),),
-            session_kwargs=dict(kwargs),
-        ),
-        ChaosScenario(
-            label="worker-oom",
-            specs=(FaultSpec(site=SITE_PARALLEL_WORKER, hits=(1,),
-                             behavior=BEHAVIOR_OOM),),
-            session_kwargs=dict(kwargs),
-        ),
+        Lane(label, (spec,), session_kwargs={"parallel": 2, "resilience": policy})
+        for label, spec in (
+            ("msg-dropped", FaultSpec(site=SITE_PARALLEL_SEND, hits=(1,))),
+            ("worker-hang", FaultSpec(site=SITE_PARALLEL_WORKER, hits=(1,),
+                                      behavior=BEHAVIOR_HANG)),
+            ("worker-crash", FaultSpec(site=SITE_PARALLEL_WORKER, hits=(1,),
+                                       behavior=BEHAVIOR_CRASH)),
+            ("worker-oom", FaultSpec(site=SITE_PARALLEL_WORKER, hits=(1,),
+                                     behavior=BEHAVIOR_OOM)),
+        )
     ]
 
 
-def run_parallel_chaos(
+#: Sweep name -> its lanes (the CLI flag of the same name selects it).
+SWEEPS = {
+    "default": default_lanes,
+    "background": background_lanes,
+    "chaos": chaos_scenarios,
+    "parallel": parallel_scenarios,
+    "native": native_lanes,
+}
+
+
+def run_lanes(
+    lanes: list[Lane],
     names: list[str] | None = None,
     scales: dict[str, tuple] | None = None,
     trace: bool = False,
 ) -> list[DifferentialOutcome]:
-    """Every benchmark × every parallel fault scenario, with two worker
-    ranks, asserted bit-identical against the pure interpreter.
+    """Every benchmark × every lane, each compared with the pure
+    interpreter's checksum.
 
-    ``trace=True`` runs the faulted sessions with distributed tracing
-    and metrics on — results must stay bit-identical with the ranks
-    shipping spans back, or observability is changing behavior."""
+    ``trace=True`` runs the faulted sessions with (distributed) tracing
+    and metrics on — results must stay bit-identical with spans being
+    recorded and shipped, or observability is changing behaviour."""
     names = names or benchmark_names()
     scales = scales or SMALL_SCALES
     outcomes: list[DifferentialOutcome] = []
     for name in names:
-        baseline = interpreter_baseline(name, scales.get(name))
-        for scenario in parallel_scenarios():
-            plan = scenario.plan()
-            kwargs = dict(scenario.session_kwargs)
+        scale = scales.get(name)
+        baseline = interpreter_baseline(name, scale)
+        for lane in lanes:
+            plan = lane.plan()
+            kwargs = dict(lane.session_kwargs)
             if trace:
                 kwargs.update(trace=True, metrics=True)
-            faulted, session = run_with_faults(
-                name, plan, scales.get(name), **kwargs,
-            )
-            outcomes.append(
-                DifferentialOutcome(
-                    benchmark=name,
-                    plan=scenario.label,
-                    matches=(faulted == baseline),
-                    baseline=baseline,
-                    faulted=faulted,
-                    faults_fired=len(plan.fired),
-                    events=session.diagnostics.counts(),
-                )
-            )
-    return outcomes
-
-
-def run_chaos(
-    names: list[str] | None = None,
-    scales: dict[str, tuple] | None = None,
-    trace: bool = False,
-) -> list[DifferentialOutcome]:
-    """The chaos sweep: every benchmark × every supervision scenario,
-    asserted bit-identical against the pure interpreter.  ``trace=True``
-    runs the faulted sessions with tracing and metrics on."""
-    names = names or benchmark_names()
-    scales = scales or SMALL_SCALES
-    outcomes: list[DifferentialOutcome] = []
-    for name in names:
-        baseline = interpreter_baseline(name, scales.get(name))
-        for scenario in chaos_scenarios():
-            plan = scenario.plan()
-            kwargs = dict(scenario.session_kwargs)
-            if trace:
-                kwargs.update(trace=True, metrics=True)
-            tmpdir = None
-            if scenario.warm_cache:
-                tmpdir = tempfile.mkdtemp(prefix="majic-chaos-")
-                run_with_faults(
-                    name, None, scales.get(name), speculate=True,
-                    cache_dir=tmpdir,
-                )
-                kwargs["cache_dir"] = tmpdir
-            try:
+            with ExitStack() as cleanup:
+                if lane.warm_cache:
+                    tmpdir = tempfile.mkdtemp(prefix="majic-chaos-")
+                    cleanup.callback(shutil.rmtree, tmpdir, ignore_errors=True)
+                    run_with_faults(
+                        name, None, scale, speculate=True, cache_dir=tmpdir
+                    )
+                    kwargs["cache_dir"] = tmpdir
+                cleanup.enter_context(mock.patch.dict(os.environ, lane.env))
                 faulted, session = run_with_faults(
-                    name,
-                    plan,
-                    scales.get(name),
-                    speculate=scenario.warm_cache,
-                    **kwargs,
+                    name, plan, scale, speculate=lane.speculate,
+                    background=lane.background, **kwargs,
                 )
-            finally:
-                if tmpdir is not None:
-                    shutil.rmtree(tmpdir, ignore_errors=True)
             outcomes.append(
                 DifferentialOutcome(
                     benchmark=name,
-                    plan=scenario.label,
+                    plan=lane.label,
                     matches=(faulted == baseline),
                     baseline=baseline,
                     faulted=faulted,
-                    faults_fired=len(plan.fired),
+                    faults_fired=len(plan.fired) if plan is not None else 0,
                     events=session.diagnostics.counts(),
                 )
             )
@@ -448,56 +391,21 @@ def run_chaos(
 
 def run_differential(
     names: list[str] | None = None,
-    plans: dict[str, FaultPlan] | None = None,
     scales: dict[str, tuple] | None = None,
     background: bool = False,
 ) -> list[DifferentialOutcome]:
-    """Compare every benchmark × fault plan against the interpreter."""
-    names = names or benchmark_names()
-    if plans is None:
-        plans = background_plans() if background else default_plans()
-    scales = scales or SMALL_SCALES
-    outcomes: list[DifferentialOutcome] = []
-    for name in names:
-        baseline = interpreter_baseline(name, scales.get(name))
-        for label, plan in plans.items():
-            plan.reset()
-            speculate = label.startswith("spec")
-            extra = {}
-            if label.startswith("tier"):
-                # The promotion site only exists under the adaptive
-                # controller; hair-trigger thresholds + sync mode make
-                # the injected fault fire deterministically on the first
-                # promotion attempt.
-                from repro.tiering import TieringPolicy
+    """The default (or worker-thread) sweep."""
+    lanes = background_lanes() if background else default_lanes()
+    return run_lanes(lanes, names, scales)
 
-                extra = {
-                    "adaptive": True,
-                    "adaptive_sync": True,
-                    "tiering": TieringPolicy(
-                        jit_threshold=1.0, spec_threshold=2.0
-                    ),
-                }
-            faulted, session = run_with_faults(
-                name,
-                plan,
-                scales.get(name),
-                speculate=speculate,
-                background=background,
-                **extra,
-            )
-            outcomes.append(
-                DifferentialOutcome(
-                    benchmark=name,
-                    plan=label,
-                    matches=(faulted == baseline),
-                    baseline=baseline,
-                    faulted=faulted,
-                    faults_fired=len(plan.fired),
-                    events=session.diagnostics.counts(),
-                )
-            )
-    return outcomes
+
+def run_chaos(
+    names: list[str] | None = None,
+    scales: dict[str, tuple] | None = None,
+    trace: bool = False,
+) -> list[DifferentialOutcome]:
+    """The supervision chaos sweep."""
+    return run_lanes(chaos_scenarios(), names, scales, trace)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -562,14 +470,15 @@ def main(argv: list[str] | None = None) -> int:
             names = ["orbec", "sor", "fibonacci", "fractal"]
         else:
             names = ["fibonacci", "dirich", "cgopt", "fractal"]
-    if options.native:
-        outcomes = run_native(names=names)
-    elif options.parallel:
-        outcomes = run_parallel_chaos(names=names, trace=options.trace)
-    elif options.chaos:
-        outcomes = run_chaos(names=names, trace=options.trace)
-    else:
-        outcomes = run_differential(names=names, background=options.background)
+    sweep = next(
+        (flag for flag in ("native", "parallel", "chaos", "background")
+         if getattr(options, flag)),
+        "default",
+    )
+    outcomes = run_lanes(
+        SWEEPS[sweep](), names=names,
+        trace=options.trace and sweep in ("chaos", "parallel"),
+    )
     failures = 0
     for outcome in outcomes:
         print(outcome)
@@ -582,13 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         import json
 
         payload = {
-            "sweep": "native" if options.native else (
-                "parallel" if options.parallel else (
-                    "chaos" if options.chaos else (
-                        "background" if options.background else "default"
-                    )
-                )
-            ),
+            "sweep": sweep,
             "bit_identical": len(outcomes) - failures,
             "total": len(outcomes),
             "outcomes": [

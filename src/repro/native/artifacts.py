@@ -16,23 +16,20 @@ they are an output of the first compile, not an input to the key, which
 is what lets a warm session find the artifact before knowing the winner.
 
 Integrity: the meta stores the ``.so``'s SHA-256; a load whose bytes
-disagree (bit rot, torn write, a truncated copy) **quarantines** the key
-— both files are deleted, the key is remembered so repeated probes
-short-circuit, and the caller recompiles.  A later successful
-:meth:`store` of the same key lifts the quarantine, mirroring the
-self-healing :class:`~repro.repository.cache.RepositoryCache`.
+disagree (bit rot, torn write, a truncated copy) fails the decode, which
+the underlying :class:`~repro.repository.store.DiskStore` answers by
+quarantining the key until a later :meth:`store` rebuilds it — the same
+atomic-write, retry and healing path compiled objects take.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
-import threading
 from pathlib import Path
 
 from repro.native.toolchain import SAFETY_FLAGS
+from repro.repository.store import DiskStore
 
 #: Bumped whenever the C lowering or the artifact layout changes shape.
 NATIVE_FORMAT_VERSION = 1
@@ -55,128 +52,50 @@ def artifact_key(kernel_key: str, toolchain_ident: str) -> str:
     return digest.hexdigest()
 
 
-class NativeArtifactStore:
-    """One directory of ``.so`` + meta pairs, with quarantine healing."""
+class NativeArtifactStore(DiskStore):
+    """One directory of ``.so`` + meta pairs: the native typed view of a
+    :class:`~repro.repository.store.DiskStore`."""
 
-    def __init__(self, directory: str | os.PathLike):
-        self.directory = Path(os.path.expanduser(os.fspath(directory)))
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._quarantined: set[str] = set()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.corruption_detected = 0
+    _SUFFIXES = (".so", ".json")
 
-    # ------------------------------------------------------------------
-    def _so_path(self, key: str) -> Path:
-        return self.directory / f"{key}.so"
-
-    def _meta_path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    @property
-    def quarantined_keys(self) -> set[str]:
-        with self._lock:
-            return set(self._quarantined)
-
-    # ------------------------------------------------------------------
     def load(self, key: str) -> tuple[Path, dict] | None:
-        """Return ``(so_path, meta)`` for a verified artifact, or ``None``.
+        """Return ``(so_path, meta)`` for a verified artifact, or ``None``
+        (missing file, unparseable meta and digest mismatch all read as
+        a miss; the latter two quarantine the key)."""
 
-        Any inconsistency — missing file, unparseable meta, digest
-        mismatch — quarantines the key and reads as a miss.
-        """
-        with self._lock:
-            if key in self._quarantined:
-                self.misses += 1
-                return None
-        so_path = self._so_path(key)
-        meta_path = self._meta_path(key)
-        try:
-            meta = json.loads(meta_path.read_text())
-            so_bytes = so_path.read_bytes()
-        except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return None
-        except (OSError, ValueError):
-            self._quarantine(key)
-            return None
-        digest = hashlib.sha256(so_bytes).hexdigest()
-        if not isinstance(meta, dict) or meta.get("so_sha256") != digest:
-            self._quarantine(key)
-            return None
-        with self._lock:
-            self.hits += 1
-        return so_path, meta
+        def decode(so_bytes: bytes, meta_bytes: bytes) -> dict:
+            meta = json.loads(meta_bytes)
+            if meta["so_sha256"] != hashlib.sha256(so_bytes).hexdigest():
+                raise ValueError("artifact digest mismatch")
+            return meta
+
+        meta = self._load(key, self._SUFFIXES, decode)
+        return None if meta is None else (self._path(key, ".so"), meta)
 
     def store(self, key: str, so_bytes: bytes, meta: dict) -> Path | None:
-        """Persist one artifact atomically; returns the final ``.so``
-        path (``None`` on IO failure — persistence is best-effort)."""
+        """Persist one artifact; returns the final ``.so`` path (``None``
+        on IO failure — persistence is best-effort)."""
         meta = dict(meta)
         meta["so_sha256"] = hashlib.sha256(so_bytes).hexdigest()
         meta["format"] = NATIVE_FORMAT_VERSION
-        try:
-            so_path = self._write_atomic(self._so_path(key), so_bytes)
-            self._write_atomic(
-                self._meta_path(key),
-                json.dumps(meta, indent=1, sort_keys=True).encode("ascii"),
-            )
-        except OSError:
-            return None
-        with self._lock:
-            self.stores += 1
-            self._quarantined.discard(key)
-        return so_path
-
-    def _write_atomic(self, path: Path, payload: bytes) -> Path:
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=path.suffix
+        text = json.dumps(meta, indent=1, sort_keys=True).encode("ascii")
+        stored = self._store(
+            key, key[:12], lambda: {".so": so_bytes, ".json": text}
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-            return path
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _quarantine(self, key: str) -> None:
-        with self._lock:
-            self.misses += 1
-            self.corruption_detected += 1
-            self._quarantined.add(key)
-        for path in (self._so_path(key), self._meta_path(key)):
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
+        return self._path(key, ".so") if stored else None
 
     def evict(self, key: str) -> bool:
         """Remove one artifact (a crashing ``.so`` must not resurrect)."""
-        removed = False
-        for path in (self._so_path(key), self._meta_path(key)):
-            try:
-                path.unlink()
-                removed = True
-            except OSError:
-                pass
-        return removed
+        return self._evict(key, self._SUFFIXES)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.so"))
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "artifacts": len(self),
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "corruption_detected": self.corruption_detected,
-            }
+        return {
+            "artifacts": len(self),
+            "hits": self.hits,
+            "misses": self.misses,
+            "stores": self.stores,
+            "corruption_detected": self.corruption_detected,
+        }

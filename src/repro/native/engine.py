@@ -54,6 +54,7 @@ from repro.native.artifacts import NativeArtifactStore, artifact_key
 from repro.native.clower import VARIANTS, generate_c, native_eligible
 from repro.native.toolchain import Toolchain, detect_toolchain
 from repro.obs import DISABLED as DISABLED_OBS
+from repro.repository.background import run_out_of_band
 from repro.runtime.mxarray import IntrinsicClass, MxArray
 from repro.runtime.values import from_ndarray
 
@@ -193,23 +194,12 @@ class NativeEngine:
             if count < self.hot_threshold or not kernel.key:
                 return None
             self._state[name] = "queued"
-        self._schedule(name, kernel.key)
+        key = kernel.key
+        run_out_of_band(
+            self.submit, self.sync,
+            lambda: self.compile_now(name, key), f"native:{name}",
+        )
         return None
-
-    def _schedule(self, name: str, key: str) -> None:
-        if self.sync or self.submit is None:
-            self.compile_now(name, key)
-            return
-        try:
-            queued = self.submit(
-                lambda: self.compile_now(name, key), f"native:{name}"
-            )
-        except Exception:
-            queued = False
-        if not queued:
-            # A dead/degraded worker pool must not lose the kernel: the
-            # tier just compiles inline, once, on this (cold) dispatch.
-            self.compile_now(name, key)
 
     # ------------------------------------------------------------------
     # Compilation (out-of-band; only ``sync`` sessions run it inline)

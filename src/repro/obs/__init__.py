@@ -20,7 +20,8 @@ Three pillars share one wiring point, the :class:`Observability` facade:
 
 Both recorders are **null objects when disabled** (the default): the
 instrumented hot paths pay one attribute check and allocate nothing, a
-property guarded by tests and the recorded ``BENCH_obs.json`` baseline.
+property guarded by tests; the benchmark's ``obs.trace_metrics_ratio``
+is the cost of switching them on.
 Enable per session with ``MajicSession(trace=True, metrics=True)``.
 """
 

@@ -5,7 +5,7 @@ nothing else; this module turns every supervised failure into a
 debuggable artifact.  The :class:`FlightRecorder` keeps an always-on
 bounded ring of recent breadcrumbs (one tuple append per note — the
 overhead budget is the same ≤5% hot-path bar the PR 3 null-object work
-established, recorded in ``BENCH_obs.json``), subscribes to the session's
+established), subscribes to the session's
 :class:`~repro.repository.diagnostics.DiagnosticsLog`, and on a faulting
 event — worker crash, watchdog timeout, guarded deopt, parallel fallback —
 writes a **postmortem bundle** to the dump directory.

@@ -4,9 +4,9 @@ The package layers three pieces, bottom-up:
 
 * :mod:`~repro.parallel.message` / :mod:`~repro.parallel.transport` /
   :mod:`~repro.parallel.mpi` — a pure-library messaging core in the
-  MatlabMPI mold: pickled envelopes moved by atomic file renames (or a
-  pipe mesh), with ``MPI_Send`` / ``MPI_Recv`` / ``MPI_Bcast`` semantics
-  over (source rank, tag) matching;
+  MatlabMPI mold: pickled envelopes moved by atomic file renames, with
+  ``MPI_Send`` / ``MPI_Recv`` / ``MPI_Bcast`` semantics over (source
+  rank, tag) matching;
 * :mod:`~repro.parallel.maps` — pMatlab-style block maps: 1-D row or
   column decompositions of MxArray values with scatter/gather
   collectives and halo exchange for stencil workloads;
@@ -51,7 +51,6 @@ from repro.parallel.transport import (
     ChannelDead,
     FileTransport,
     LoopbackTransport,
-    PipeTransport,
     Transport,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "MessageError",
     "ParallelExecutor",
     "ParallelFault",
-    "PipeTransport",
     "REPLICATE",
     "RecvTimeout",
     "ReplicatePlan",

@@ -51,7 +51,7 @@ from repro.obs import DISABLED
 from repro.parallel.maps import Map, block_ranges
 from repro.parallel.mpi import Communicator, RecvTimeout
 from repro.parallel.plans import plan_for, tile_sources
-from repro.parallel.transport import FileTransport, PipeTransport
+from repro.parallel.transport import FileTransport
 from repro.repository.diagnostics import (
     PARALLEL_DEGRADED,
     PARALLEL_FALLBACK,
@@ -163,15 +163,10 @@ class _ObsShipper:
 # ----------------------------------------------------------------------
 # Worker-side main loop
 # ----------------------------------------------------------------------
-def _worker_main(rank: int, size: int, transport_spec, config: WorkerConfig):
+def _worker_main(rank: int, size: int, spool, config: WorkerConfig):
     """One rank's lifetime: build a disarmed session, serve tasks."""
     boot_started = time.perf_counter()
-    kind, payload = transport_spec
-    if kind == "file":
-        transport = FileTransport(payload)  # shared spool, own seq counter
-    else:
-        transport = payload
-        transport.attach(rank)
+    transport = FileTransport(spool)  # shared spool, own seq counter
     plan = None
     if config.fault_specs:
         plan = FaultPlan(list(config.fault_specs), seed=config.fault_seed)
@@ -292,7 +287,7 @@ def _worker_main(rank: int, size: int, transport_spec, config: WorkerConfig):
             if batch:
                 reply["obs"] = batch
             comm.send(0, reply_tag, reply)
-    except BaseException as exc:  # noqa: BLE001 - SimulatedCrash / torn pipe
+    except BaseException as exc:  # noqa: BLE001 - SimulatedCrash / torn spool
         # The dying rank's own postmortem: its last spans, breadcrumbs and
         # diagnostics land in the shared dump directory before the parent
         # even notices the death.
@@ -315,7 +310,6 @@ class ParallelExecutor:
         self,
         session,
         workers: int,
-        transport: str = "file",
         fault_plan=None,
         obs=None,
     ):
@@ -333,18 +327,7 @@ class ParallelExecutor:
         self._tag = TAG_REPLY_BASE
         self._stale: list[tuple[int, int]] = []
         self._ctx = multiprocessing.get_context("fork")
-        self._transport_kind = transport
-        if transport == "pipe":
-            self._transport = PipeTransport(self.size)
-            self._spec = ("pipe", self._transport)
-        elif transport == "file":
-            self._transport = FileTransport()
-            self._spec = ("file", self._transport.directory)
-        else:
-            raise ValueError(
-                f"unknown parallel transport {transport!r} "
-                "(want 'file' or 'pipe')"
-            )
+        self._transport = FileTransport()
         self.comm = Communicator(
             0, self.size, self._transport,
             fault_plan=fault_plan, obs=self.obs,
@@ -388,7 +371,7 @@ class ParallelExecutor:
         )
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(rank, self.size, self._spec, self._config),
+            args=(rank, self.size, self._transport.directory, self._config),
             name=f"majic-parallel-{rank}",
             daemon=True,
         )
@@ -418,15 +401,6 @@ class ParallelExecutor:
         )
         self.restarts += 1
         time.sleep(delay)
-        if self._transport_kind == "pipe":
-            # A fresh rank cannot inherit the old pipe ends; degrade.
-            self.enabled = False
-            self.diagnostics.record(
-                PARALLEL_DEGRADED, "parallel",
-                detail="pipe transport cannot respawn ranks",
-                cause=cause, rank=rank,
-            )
-            return
         self._spawn(rank)
         self.diagnostics.record(
             PARALLEL_RESTART, "parallel",

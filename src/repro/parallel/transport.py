@@ -1,6 +1,6 @@
 """Point-to-point transports for the MatlabMPI-style messaging core.
 
-Three interchangeable transports move :class:`~repro.parallel.message.
+Two interchangeable transports move :class:`~repro.parallel.message.
 Envelope` frames between ranks:
 
 * :class:`FileTransport` — the authentic MatlabMPI mechanism: the sender
@@ -10,16 +10,11 @@ Envelope` frames between ranks:
   atomic rename plays the role of MatlabMPI's lock files: a receiver can
   never observe a half-written message.  Works across any process
   boundary that shares a filesystem.
-* :class:`PipeTransport` — a full mesh of ``multiprocessing.Pipe``
-  duplex channels, one per unordered rank pair, created before the
-  worker processes fork so every rank inherits its ends.  Much lower
-  latency than the spool; EOF on a channel doubles as rank-death
-  detection.
 * :class:`LoopbackTransport` — an in-process queue mesh for tests: lets
   hypothesis drive multi-rank communicators on threads with no processes
   involved.
 
-All transports speak the same tiny interface: ``send(envelope)`` and
+Both speak the same tiny interface: ``send(envelope)`` and
 ``recv_any(rank, timeout)`` returning the next frame addressed to
 ``rank`` (in per-sender FIFO order) or ``None`` on timeout.
 """
@@ -32,14 +27,12 @@ import os
 import tempfile
 import threading
 import time
-from multiprocessing import Pipe
-from multiprocessing.connection import wait as _conn_wait
 
 from repro.parallel.message import Envelope, pack, unpack
 
 
 class ChannelDead(RuntimeError):
-    """The peer on a channel is gone (process died, pipe closed)."""
+    """The peer on a channel is gone (process died, spool removed)."""
 
 
 class Transport:
@@ -72,7 +65,7 @@ class LoopbackTransport(Transport):
 
     def send(self, envelope: Envelope) -> None:
         # Round-trip through the wire format so loopback exercises the
-        # same framing the file/pipe transports do.
+        # same framing the file transport does.
         frame = pack(envelope)
         with self._ready:
             self._boxes[envelope.dst].append(frame)
@@ -168,96 +161,3 @@ class FileTransport(Transport):
             import shutil
 
             shutil.rmtree(self.directory, ignore_errors=True)
-
-
-# ----------------------------------------------------------------------
-# Pipe mesh
-# ----------------------------------------------------------------------
-class PipeTransport(Transport):
-    """A full mesh of duplex pipes, one per unordered rank pair.
-
-    Built in the parent before forking so each rank inherits every
-    channel end it needs.  ``attach(rank)`` must be called in the process
-    that will use the transport as that rank; it records which ends the
-    process owns (the others are left untouched — closing them here
-    would tear down channels sibling ranks still use).
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        # ends[(i, j)] = (end used by i, end used by j) for i < j
-        self.ends: dict[tuple[int, int], tuple] = {}
-        for i in range(size):
-            for j in range(i + 1, size):
-                self.ends[(i, j)] = Pipe(duplex=True)
-        self._rank: int | None = None
-        self._mine: dict = {}       # connection -> peer rank
-        self._stash: collections.deque = collections.deque()
-
-    def _end_for(self, rank: int, peer: int):
-        pair = (rank, peer) if rank < peer else (peer, rank)
-        ends = self.ends[pair]
-        return ends[0] if rank < peer else ends[1]
-
-    def attach(self, rank: int) -> None:
-        self._rank = rank
-        self._mine = {
-            self._end_for(rank, peer): peer
-            for peer in range(self.size)
-            if peer != rank
-        }
-
-    def send(self, envelope: Envelope) -> None:
-        conn = self._end_for(envelope.src, envelope.dst)
-        try:
-            conn.send_bytes(pack(envelope))
-        except (BrokenPipeError, OSError) as exc:
-            raise ChannelDead(
-                f"pipe to rank {envelope.dst} is closed"
-            ) from exc
-
-    def recv_any(self, rank: int, timeout: float | None = None):
-        if self._rank != rank:
-            self.attach(rank)
-        if self._stash:
-            return unpack(self._stash.popleft())
-        conns = list(self._mine)
-        ready = _conn_wait(conns, timeout)
-        for conn in ready:
-            try:
-                frame = conn.recv_bytes()
-            except (EOFError, OSError) as exc:
-                raise ChannelDead(
-                    f"pipe from rank {self._mine[conn]} hit EOF"
-                ) from exc
-            self._stash.append(frame)
-        if self._stash:
-            return unpack(self._stash.popleft())
-        return None
-
-    def close_rank(self, rank: int) -> None:
-        """Close both ends of every channel touching ``rank`` (the parent
-        does this when respawning a dead worker; fresh pipes replace
-        them)."""
-        for (i, j), (a, b) in list(self.ends.items()):
-            if rank in (i, j):
-                for end in (a, b):
-                    try:
-                        end.close()
-                    except OSError:  # pragma: no cover - already closed
-                        pass
-
-    def replace_channel(self, i: int, j: int) -> None:
-        """Install a fresh pipe for one pair (worker respawn)."""
-        pair = (i, j) if i < j else (j, i)
-        self.ends[pair] = Pipe(duplex=True)
-        if self._rank is not None:
-            self.attach(self._rank)
-
-    def close(self) -> None:
-        for a, b in self.ends.values():
-            for end in (a, b):
-                try:
-                    end.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass

@@ -4,20 +4,24 @@ MaJIC's responsiveness story is that speculative compile time is *hidden*:
 "the compiler runs in the background, during user think-time", so the
 interactive prompt never blocks on the optimizing pipeline.  A
 :class:`SpeculationEngine` reproduces that mechanism: a daemon worker
-pool drains a thread-safe queue of (function, generation) work items,
-compiling each through :meth:`CodeRepository.speculate` while the
-foreground session keeps interpreting and JIT-compiling.
+pool drains a thread-safe queue of tasks while the foreground session
+keeps interpreting and JIT-compiling.  Every work item is a task — a
+labelled callable; a speculation is the task whose body compiles one
+function through :meth:`CodeRepository.speculate` unless its generation
+went stale, and native C compiles and tier promotions ride the same
+queue — so dedup, heartbeats, requeue, poison quarantine and completion
+callbacks exist once.
 
 Lifecycle of one work item
 --------------------------
 * :meth:`submit` enqueues a function under its *current* repository
   generation; a name already queued or in flight at the same generation
   is deduplicated.
-* A worker dequeues the item, re-checks the generation (a redefinition
-  while queued cancels the task) and runs the repository's speculative
-  pipeline.  The repository re-checks the generation once more before
-  storing, so a redefinition *mid-compile* discards the stale object
-  rather than letting it serve the new source's calls.
+* A worker dequeues the task, whose body re-checks the generation (a
+  redefinition while queued cancels it) and runs the repository's
+  speculative pipeline.  The repository re-checks the generation once
+  more before storing, so a redefinition *mid-compile* discards the
+  stale object rather than letting it serve the new source's calls.
 * Any exception inside a worker — injected faults included — is absorbed
   and recorded; the function simply stays interpreter/JIT-served.  A
   worker can fail, the queue cannot deadlock.
@@ -72,20 +76,24 @@ DEFAULT_WORKERS = 2
 
 
 class _Task:
-    """An arbitrary callable riding the worker queue in a generation slot.
+    """One work item: a labelled callable plus its queue bookkeeping.
 
-    The native tier submits its out-of-band C compiles this way
-    (:meth:`SpeculationEngine.submit_task`): the task reuses the pool's
-    supervision — heartbeats, dead-worker restarts, poison quarantine —
-    without the generation/redefinition machinery, which only makes sense
-    for function compiles.
+    ``token`` scopes deduplication — a label already queued under an
+    equal token is not queued again (a speculation passes its generation,
+    so a redefined function may re-queue; everything else passes
+    ``None``).  ``parent`` is the submitting thread's innermost span and
+    ``attempts`` how many workers the task has already killed.
     """
 
-    __slots__ = ("fn", "on_done")
+    __slots__ = ("label", "fn", "token", "on_done", "parent", "attempts")
 
-    def __init__(self, fn, on_done=None):
+    def __init__(self, label, fn, token, on_done, parent):
+        self.label = label
         self.fn = fn
+        self.token = token
         self.on_done = on_done
+        self.parent = parent
+        self.attempts = 0
 
     def finish(self, success: bool) -> None:
         """Fire the completion callback exactly once (then disarm it)."""
@@ -96,6 +104,24 @@ class _Task:
             callback(success)
         except Exception:  # noqa: BLE001 - callbacks must not kill workers
             pass
+
+
+def run_out_of_band(submit, sync: bool, fn, label: str, on_done=None) -> None:
+    """Where an out-of-band compile (native kernel, tier promotion) runs.
+
+    ``submit`` is the session's bridge to the supervised worker pool.
+    The work runs inline — at the decision point, which the
+    deterministic harnesses rely on — when ``sync`` is set or there is no
+    bridge, and also when the pool refuses it (shut down, degraded,
+    duplicate label): a dead pool must not lose the work.
+    """
+    if not sync and submit is not None:
+        try:
+            if submit(fn, label, on_done):
+                return
+        except Exception:  # noqa: BLE001 - a broken bridge means inline
+            pass
+    fn()
 
 
 class SpeculationEngine:
@@ -126,8 +152,8 @@ class SpeculationEngine:
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._quiet = threading.Condition(self._lock)
-        # name -> generation queued (dedup of identical submissions)
-        self._queued: dict[str, int] = {}
+        # label -> queued task (dedup of identical submissions)
+        self._queued: dict[str, _Task] = {}
         self._in_flight = 0
         self._shutdown = False
         # Outcome tallies (inspected by tests and the experiment report).
@@ -140,7 +166,7 @@ class SpeculationEngine:
         self.degraded = False
         self._hearts: dict[int, float] = {}
         self._idents: dict[int, int] = {}
-        self._current: dict[int, tuple] = {}
+        self._current: dict[int, _Task] = {}
         self._restart_counts: dict[int, int] = {}
         self._next_restart: dict[int, float] = {}
         self._threads: dict[int, threading.Thread] = {}
@@ -170,39 +196,53 @@ class SpeculationEngine:
         queued or compiling at the same generation) or the engine is
         shut down.
         """
-        generation = self.repository.generation_of(name)
-        with self._lock:
-            if self._shutdown or self.degraded:
-                return False
-            if self._queued.get(name) == generation:
-                return False
-            self._queued[name] = generation
+        repo = self.repository
+        generation = repo.generation_of(name)
+
+        def speculation():
+            obj = repo.speculate(name, generation=generation)
+            if obj is None:
+                # Redefined while queued or mid-compile (the repository
+                # checks the generation before compiling and again before
+                # storing), or a compile failure it has already recorded.
+                stale = repo.generation_of(name) != generation
+                return self.cancelled if stale else self.failed
+            with repo._lock:
+                repo.stats.background_compiles += 1
+            repo.diagnostics.record(
+                SPECULATE_ASYNC, name,
+                detail="speculative version compiled in the background",
+                signature=obj.signature,
+            )
+            return None
+
+        return self.submit_task(speculation, name, token=generation)
+
+    def submit_task(self, fn, label: str, on_done=None, token=None) -> bool:
+        """Queue one callable on the supervised worker pool.
+
+        Returns False when the engine is shut down or degraded, or when
+        ``label`` is already queued under an equal ``token`` (callers
+        then run the work inline or drop it).  ``label`` names the task
+        in diagnostics, dedup and poison quarantine.  ``fn`` may return
+        the tally (``self.cancelled`` / ``self.failed``) its label belongs
+        on; any other value means it completed.  ``on_done`` (if given) is
+        invoked
+        with ``True``/``False`` once the task finishes or is abandoned
+        (failure, cancellation, poison quarantine).
+        """
         # Capture the submitting thread's innermost span (typically the
         # session's ``speculate_async`` span) so the worker's spans hang
         # off it in the trace tree despite running on another thread.
-        parent = self.obs.tracer.current_id()
-        self._queue.put((name, generation, parent))
-        self.obs.set_queue_depth(self.pending())
-        return True
-
-    def submit_task(self, fn, label: str, on_done=None) -> bool:
-        """Queue one arbitrary callable on the supervised worker pool.
-
-        Returns False when the engine is shut down or degraded (callers
-        then run the work inline or drop it).  ``label`` names the task
-        in diagnostics, dedup and poison quarantine.  ``on_done`` (if
-        given) is invoked with ``True``/``False`` once the task finishes
-        or is abandoned (failure, cancellation, poison quarantine).
-        """
-        task = _Task(fn, on_done)
+        task = _Task(label, fn, token, on_done, self.obs.tracer.current_id())
         with self._lock:
             if self._shutdown or self.degraded:
                 return False
-            if label in self._queued:
+            queued = self._queued.get(label)
+            if queued is not None and queued.token == token:
                 return False
             self._queued[label] = task
-        parent = self.obs.tracer.current_id()
-        self._queue.put((label, task, parent))
+        self._queue.put(task)
         self.obs.set_queue_depth(self.pending())
         return True
 
@@ -261,33 +301,22 @@ class SpeculationEngine:
     # ------------------------------------------------------------------
     # The worker loop
     # ------------------------------------------------------------------
-    @staticmethod
-    def _unpack(item):
-        # Items are (name, generation, parent-span, attempts); tolerate
-        # shorter tuples for direct queue injection in tests.
-        name, generation, *rest = item
-        parent = rest[0] if rest else None
-        attempts = rest[1] if len(rest) > 1 else 0
-        return name, generation, parent, attempts
-
     def _worker(self, index: int = 0) -> None:
-        repo = self.repository
         with self._lock:
             self._idents[index] = threading.get_ident()
         while True:
-            item = self._queue.get()
-            if item is _STOP:
+            task = self._queue.get()
+            if task is _STOP:
                 return
-            name, generation, parent, attempts = self._unpack(item)
             with self._lock:
-                if self._queued.get(name) == generation:
-                    del self._queued[name]
+                if self._queued.get(task.label) is task:
+                    del self._queued[task.label]
                 self._in_flight += 1
                 self._hearts[index] = time.monotonic()
-                self._current[index] = (name, generation, parent, attempts)
+                self._current[index] = task
             died = False
             try:
-                self._run_one(repo, name, generation, parent)
+                self._run_one(task)
             except BaseException as exc:  # noqa: BLE001 - simulated worker death
                 # Only a SimulatedCrash (or a stray async cancellation
                 # landing between the narrower nets) reaches here: the
@@ -295,7 +324,7 @@ class SpeculationEngine:
                 # supervisor's retry/poison policy, then let the thread
                 # exit so the supervisor can respawn it.
                 died = True
-                self._note_worker_death(name, generation, parent, attempts, exc)
+                self._note_worker_death(task, exc)
             finally:
                 with self._quiet:
                     self._current.pop(index, None)
@@ -310,25 +339,23 @@ class SpeculationEngine:
             if died:
                 return
 
-    def _note_worker_death(self, name, generation, parent, attempts, exc) -> None:
+    def _note_worker_death(self, task: _Task, exc) -> None:
         """A task killed its worker: requeue it (bounded) or poison it."""
-        repo = self.repository
-        retries = self.policy.worker_max_task_retries
-        if attempts < retries and not self._shutdown:
+        if task.attempts < self.policy.worker_max_task_retries and not self._shutdown:
+            task.attempts += 1
             with self._lock:
-                self._queued[name] = generation
-            self._queue.put((name, generation, parent, attempts + 1))
+                self._queued[task.label] = task
+            self._queue.put(task)
             return
-        self.failed.append(name)
-        self.poisoned.append(name)
-        repo.diagnostics.record(
-            POISON_TASK, name,
-            detail=f"task killed {attempts + 1} worker(s); "
+        self.failed.append(task.label)
+        self.poisoned.append(task.label)
+        self.repository.diagnostics.record(
+            POISON_TASK, task.label,
+            detail=f"task killed {task.attempts + 1} worker(s); "
             "quarantined as poison",
             cause=exc,
         )
-        if isinstance(generation, _Task):
-            generation.finish(False)
+        task.finish(False)
 
     # ------------------------------------------------------------------
     # The supervisor loop
@@ -359,7 +386,7 @@ class SpeculationEngine:
                     with self._lock:
                         self._hearts[index] = now  # one injection per period
                     repo.diagnostics.record(
-                        WATCHDOG_TIMEOUT, current[0],
+                        WATCHDOG_TIMEOUT, current.label,
                         detail="speculation worker heartbeat stale "
                         f"(> {policy.worker_heartbeat_timeout:.4f}s); "
                         "cancellation injected",
@@ -409,84 +436,45 @@ class SpeculationEngine:
             )
         while True:
             try:
-                item = self._queue.get_nowait()
+                task = self._queue.get_nowait()
             except queue.Empty:
                 return
-            if item is _STOP:
+            if task is _STOP:
                 continue
-            name, generation = self._unpack(item)[:2]
             with self._quiet:
-                self._queued.pop(name, None)
-                self.cancelled.append(name)
+                self._queued.pop(task.label, None)
+                self.cancelled.append(task.label)
                 if not self._queued and not self._in_flight:
                     self._quiet.notify_all()
-            if isinstance(generation, _Task):
-                generation.finish(False)
-
-    def _run_one(self, repo, name: str, generation, parent=None) -> None:
-        tracer = self.obs.tracer
-        if isinstance(generation, _Task):
-            if not tracer.enabled:
-                return self._run_task(repo, name, generation)
-            with tracer.adopt(parent):
-                with tracer.span(name, "background", task=name):
-                    return self._run_task(repo, name, generation)
-        if not tracer.enabled:
-            return self._run_one_raw(repo, name, generation)
-        with tracer.adopt(parent):
-            with tracer.span(name, "background", function=name,
-                             generation=generation):
-                return self._run_one_raw(repo, name, generation)
-
-    def _run_task(self, repo, label: str, task: _Task) -> None:
-        """One submitted callable; failures are absorbed and recorded."""
-        try:
-            if self.fault_plan is not None:
-                self.fault_plan.check("worker", label)
-            task.fn()
-        except Exception as exc:  # noqa: BLE001 - workers must not die loudly
-            self.failed.append(label)
-            repo.diagnostics.record(
-                COMPILE_FAILURE, label,
-                detail="background task failed",
-                cause=exc,
-            )
             task.finish(False)
-            return
-        self.compiled.append(label)
-        task.finish(True)
 
-    def _run_one_raw(self, repo, name: str, generation: int) -> None:
+    def _run_one(self, task: _Task) -> None:
+        tracer = self.obs.tracer
+        if not tracer.enabled:
+            return self._run_one_raw(task)
+        with tracer.adopt(task.parent):
+            with tracer.span(task.label, "background", task=task.label):
+                return self._run_one_raw(task)
+
+    def _run_one_raw(self, task: _Task) -> None:
+        """One task body; failures are absorbed and recorded."""
+        repo = self.repository
         try:
-            if repo.generation_of(name) != generation:
-                self.cancelled.append(name)
-                return
             if self.fault_plan is not None:
                 # The dedicated worker site: a fault here models a dying
                 # worker (OOM, runaway codegen) rather than a compiler bug.
-                self.fault_plan.check("worker", name)
-            obj = repo.speculate(name, generation=generation)
+                self.fault_plan.check("worker", task.label)
+            tally = task.fn()
         except Exception as exc:  # noqa: BLE001 - workers must not die loudly
-            self.failed.append(name)
+            tally = self.failed
             with repo._lock:
                 repo.stats.compile_failures += 1
             repo.diagnostics.record(
-                COMPILE_FAILURE, name,
-                detail="background speculation worker failed",
+                COMPILE_FAILURE, task.label,
+                detail="background worker task failed",
                 cause=exc,
             )
-            return
-        if obj is None:
-            if repo.generation_of(name) != generation:
-                self.cancelled.append(name)
-            else:
-                self.failed.append(name)
-            return
-        self.compiled.append(name)
-        with repo._lock:
-            repo.stats.background_compiles += 1
-        repo.diagnostics.record(
-            SPECULATE_ASYNC, name,
-            detail="speculative version compiled in the background",
-            signature=obj.signature,
-        )
+        if tally is not self.cancelled and tally is not self.failed:
+            tally = self.compiled  # whatever else an arbitrary callable returns
+        tally.append(task.label)
+        task.finish(tally is self.compiled)

@@ -231,8 +231,8 @@ class CodeRepository:
         self._fast_cache: dict[str, CompiledObject] = {}
         # Adaptive-tiering controller (repro.tiering); attached by
         # TierController.bind() after construction so neither module
-        # imports the other.  When set, execute() routes through the
-        # observed adaptive path instead of hot-path JIT compilation.
+        # imports the other.  When set, it supplies execute()'s miss
+        # policy (interpret now, promote out-of-band) and post-call hook.
         self.tiering = None
         # Deopt strike counts per function (quarantine at max_strikes).
         self._strikes: dict[str, int] = {}
@@ -775,26 +775,69 @@ class CodeRepository:
     # Execution
     # ------------------------------------------------------------------
     def execute(self, invocation) -> list[MxArray]:
-        """Serve one invocation: locate, else JIT-compile, then run.
+        """Serve one invocation: locate, else the miss policy, then run.
 
         Every compiled execution is *guarded*: an unexpected (non-MATLAB)
         exception deoptimizes — the failing version is quarantined and the
         invocation transparently re-executes through the interpreter.
         MATLAB-level errors (``error(...)``, subscript violations) are the
         program's own behaviour and propagate unchanged.
+
+        Under an adaptive controller (``self.tiering``) every served call
+        is also observed — tier plus wall time — which is the
+        controller's entire input signal.
+        """
+        obj = self._fast_cache.get(invocation.name)
+        if obj is not None and obj.fast_accepts(invocation.args):
+            if self.tiering is None:
+                return self._guarded_invoke(invocation, obj)
+        else:
+            obj = self._resolve(invocation)
+        controller = self.tiering
+        if controller is not None:
+            deopts_before = self.stats.deopts
+            start = time.perf_counter()
+        if obj is None:
+            tier = TIER_INTERPRETER
+            results = self._interpret(invocation)
+        else:
+            tier = obj.mode
+            results = self._guarded_invoke(invocation, obj)
+        if controller is not None:
+            if self.stats.deopts != deopts_before:
+                # The compiled run failed mid-call and the interpreter
+                # served the answer; attribute the observation honestly.
+                tier = TIER_INTERPRETER
+            controller.observe(invocation, tier, time.perf_counter() - start)
+        return results
+
+    def _resolve(self, invocation) -> CompiledObject | None:
+        """The hot-call cache missed: find the version to serve, or
+        ``None`` for the interpreter.
+
+        The miss policy is the one place static and adaptive sessions
+        differ: without a controller a repository miss JIT-compiles *now*
+        (the paper's locate-else-compile); with one the call is
+        interpreted now (responsiveness) and the controller promotes the
+        function out-of-band once it proves hot.
         """
         name = invocation.name
-        if self.tiering is not None:
-            return self._execute_adaptive(invocation)
-        cached = self._fast_cache.get(name)
-        if cached is not None and cached.fast_accepts(invocation.args):
-            return self._guarded_invoke(invocation, cached)
         if not self.knows(name):
             raise RepositoryError(f"unknown function '{name}'")
+        controller = self.tiering
+        if controller is not None:
+            if controller.suppressed(name):
+                return None
+            # First dispatch restores any persisted profile inline, so a
+            # warm session's first call already runs at its learned tier
+            # (the restore compiles are disk-cache hits).
+            controller.prepare(name)
         if name in self._uncompilable:
-            return self._interpret(invocation)
+            return None
         obj = self.locate(invocation)
         if obj is None:
+            if controller is not None:
+                return None
             if name in self._budget_flagged:
                 # Over-budget function with no usable version: stay in the
                 # interpreter rather than stall this call on a compile
@@ -804,7 +847,7 @@ class CodeRepository:
                     BUDGET_SKIP, name,
                     detail="jit skipped: function over compile budget",
                 )
-                return self._interpret(invocation)
+                return None
             try:
                 obj = self.jit_compile(name, invocation.signature)
             except MatlabError as exc:
@@ -813,7 +856,7 @@ class CodeRepository:
                 self._record_compile_failure(
                     name, "jit", exc, invocation.signature
                 )
-                return self._interpret(invocation)
+                return None
             except Exception as exc:  # noqa: BLE001 - compiler crash
                 # Unexpected compiler crash: interpret now, count a
                 # strike (a deterministic crasher gets quarantined, a
@@ -822,53 +865,9 @@ class CodeRepository:
                     name, "jit", exc, invocation.signature
                 )
                 self._note_strike(name)
-                return self._interpret(invocation)
+                return None
         self._fast_cache[name] = obj
-        return self._guarded_invoke(invocation, obj)
-
-    def _execute_adaptive(self, invocation) -> list[MxArray]:
-        """Serve one invocation under the adaptive tier controller.
-
-        Unlike the static path, a repository miss never JIT-compiles on
-        the hot path: the call is interpreted *now* (responsiveness) and
-        the controller promotes the function out-of-band once it proves
-        hot.  Every served call is observed — tier plus wall time — which
-        is the controller's entire input signal.
-        """
-        controller = self.tiering
-        name = invocation.name
-        obj = None
-        if not controller.suppressed(name):
-            cached = self._fast_cache.get(name)
-            if cached is not None and cached.fast_accepts(invocation.args):
-                obj = cached
-            else:
-                if not self.knows(name):
-                    raise RepositoryError(f"unknown function '{name}'")
-                # First dispatch restores any persisted profile inline, so
-                # a warm session's first call already runs at its learned
-                # tier (the restore compiles are disk-cache hits).
-                controller.prepare(name)
-                if name not in self._uncompilable:
-                    obj = self.locate(invocation)
-                    if obj is not None:
-                        self._fast_cache[name] = obj
-        elif not self.knows(name):
-            raise RepositoryError(f"unknown function '{name}'")
-        deopts_before = self.stats.deopts
-        start = time.perf_counter()
-        if obj is not None:
-            tier = obj.mode
-            results = self._guarded_invoke(invocation, obj)
-            if self.stats.deopts != deopts_before:
-                # The compiled run failed mid-call and the interpreter
-                # served the answer; attribute the observation honestly.
-                tier = TIER_INTERPRETER
-        else:
-            tier = TIER_INTERPRETER
-            results = self._interpret(invocation)
-        controller.observe(invocation, tier, time.perf_counter() - start)
-        return results
+        return obj
 
     # ------------------------------------------------------------------
     # Guarded deoptimization

@@ -38,6 +38,7 @@ from repro.errors import MatlabError
 from repro.faults.plan import SITE_TIERING_PROMOTE
 from repro.obs import DISABLED as DISABLED_OBS
 from repro.obs import TIER_INTERPRETER, TIER_JIT, TIER_SPEC
+from repro.repository.background import run_out_of_band
 from repro.repository.cache import cache_key, function_source_text
 from repro.repository.diagnostics import (
     QUARANTINE,
@@ -149,7 +150,7 @@ class TierController:
         repo.diagnostics.add_listener(self._on_event)
 
     # ------------------------------------------------------------------
-    # The per-call hook (called by CodeRepository._execute_adaptive)
+    # The per-call hooks (called by CodeRepository.execute)
     # ------------------------------------------------------------------
     def suppressed(self, name: str) -> bool:
         state = self._states.get(name)
@@ -267,13 +268,8 @@ class TierController:
             state.inflight.add(target)
             if signature is not None:
                 state.signature = signature
-        label = f"tier:{target}:{name}"
-        if inline or self.sync or self._submit is None:
-            self._landed(name, target,
-                         self._run_promotion(name, target, signature))
-            return
 
-        def task():
+        def promote():
             self._landed(name, target,
                          self._run_promotion(name, target, signature))
 
@@ -283,11 +279,10 @@ class TierController:
             if not success:
                 self._landed(name, target, False)
 
-        if not self._submit(task, label, abandoned):
-            # Pool shut down or degraded: fall back inline, like the
-            # native engine does for its out-of-band compiles.
-            self._landed(name, target,
-                         self._run_promotion(name, target, signature))
+        run_out_of_band(
+            self._submit, inline or self.sync, promote,
+            f"tier:{target}:{name}", abandoned,
+        )
 
     # ------------------------------------------------------------------
     # Promotion execution (worker thread in async mode)
@@ -360,6 +355,9 @@ class TierController:
                 state.pinned = True
             pinned = state.pinned
             self.demotions += 1
+        # The repository consults ``suppressed`` only when its hot-call
+        # cache misses, so the demoted version must leave that cache.
+        self.repo._fast_cache.pop(name, None)
         self.hotness.forget(name)
         self.repo.diagnostics.record(
             TIER_DEMOTE, name,

@@ -102,17 +102,31 @@ def test_redefinition_cancels_in_flight_work():
 
 def test_stale_queue_entry_is_cancelled_before_compiling():
     repo = CodeRepository()
+    release = threading.Event()
+    original_prepared = repo._prepared
+    prepared_calls = []
+
+    def stalled_prepared(name):
+        prepared_calls.append(name)
+        release.wait(timeout=30)
+        return original_prepared(name)
+
     repo.add_source(INC)
+    repo.add_source(DOUBLE)
+    repo._prepared = stalled_prepared
     engine = SpeculationEngine(repo, workers=1)
     try:
-        generation = repo.generation_of("inc")
-        # Redefine first, then hand the worker the stale generation.
+        # The single worker stalls on 'dbl' while 'inc' waits in the queue;
+        # redefining 'inc' makes its queued entry stale.
+        assert engine.submit("dbl") is True
+        assert engine.submit("inc") is True
         repo.add_source("function y = inc(x)\ny = x + 100;\n")
-        engine._queued["inc"] = generation
-        engine._queue.put(("inc", generation))
+        release.set()
         assert engine.drain(timeout=30)
-        assert "inc" in engine.cancelled
+        assert engine.cancelled == ["inc"]
+        assert prepared_calls == ["dbl"], "stale entry must not compile"
     finally:
+        release.set()
         engine.shutdown()
 
 

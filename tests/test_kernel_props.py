@@ -225,13 +225,24 @@ def test_dimension_error_message_parity(rows, cols, other):
     assert len(set(outcomes.values())) == 1, outcomes
 
 
-def test_empty_and_scalar_fixed_points():
-    """Deterministic spot checks of the hairiest shapes."""
+FIXED_POINTS = [
+    ("sqrt(a .* b) + abs(b) .^ a", np.full(shape_a, 2.0), np.full(shape_b, -3.0))
     for shape_a, shape_b in [((0, 0), (0, 0)), ((1, 1), (2, 2)),
-                             ((2, 2), (1, 1)), ((1, 1), (1, 1))]:
-        a = from_python(np.full(shape_a, 2.0))
-        b = from_python(np.full(shape_b, -3.0))
-        source = SOURCE_TEMPLATE.format(expr="sqrt(a .* b) + abs(b) .^ a")
-        truth = run_engine(run_interp, source, [a, b, a], fusion=False)
-        fused = run_engine(run_jit, source, [a, b, a], fusion=True)
-        assert digest(fused, canonical=True) == digest(truth, canonical=True)
+                             ((2, 2), (1, 1)), ((1, 1), (1, 1))]
+] + [
+    # A real scalar NaN whose sign range inference cannot prove: the
+    # complex-widening scalar helpers (rt.c_log / rt.c_sqrt) must answer
+    # the interpreter's real NaN, not cmath's nan+nanj.
+    ("log(abs(a) + 1.0) .* b - c", float("nan"), 0.0),
+    ("log(a) + sqrt(a) .* b", float("nan"), 0.0),
+]
+
+
+@pytest.mark.parametrize("expr,a,b", FIXED_POINTS)
+def test_empty_and_scalar_fixed_points(expr, a, b):
+    """Deterministic spot checks of the hairiest shapes and payloads."""
+    a, b = from_python(a), from_python(b)
+    source = SOURCE_TEMPLATE.format(expr=expr)
+    truth = run_engine(run_interp, source, [a, b, b], fusion=False)
+    fused = run_engine(run_jit, source, [a, b, b], fusion=True)
+    assert digest(fused, canonical=True) == digest(truth, canonical=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -276,95 +277,127 @@ def test_frame_round_trip_and_failure_modes():
         unframe_payload(bytes(flipped))
 
 
-def test_truncated_entry_is_quarantined_and_rebuilt(tmp_path):
-    cache = RepositoryCache(tmp_path)
+# The heal contract is the DiskStore's, so it runs once over every typed
+# view of it: (make a store, put one entry, load it back -> truthy when
+# valid, suffix of the entry's primary file).
+def _object_view():
     obj = _cached_object()
-    key = "b" * 64
-    assert cache.put(key, obj)
-    path = tmp_path / f"{key}.pkl"
-    path.write_bytes(path.read_bytes()[: 40])  # torn mid-digest
+    return (
+        RepositoryCache,
+        lambda store, key: store.put(key, obj),
+        lambda store, key: getattr(store.get(key), "name", None) == "inc",
+        ".pkl",
+    )
 
-    assert cache.get(key) is None
-    assert cache.corruption_detected == 1
-    assert key in cache.quarantined_keys
+
+def _blob_view():
+    value = {"tier": "spec", "hotness": 3.5}
+    return (
+        RepositoryCache,
+        lambda store, key: store.put_blob(key, value),
+        lambda store, key: store.get_blob(key) == value,
+        ".blob",
+    )
+
+
+def _native_view(suffix=".so"):
+    from repro.native import NativeArtifactStore
+
+    so_bytes = bytes(range(256)) * 8
+
+    def load(store, key):
+        found = store.load(key)
+        return (
+            found is not None
+            and found[0].read_bytes() == so_bytes
+            and found[1]["variant"] == "plain"
+        )
+
+    return (
+        NativeArtifactStore,
+        lambda store, key: store.store(key, so_bytes, {"variant": "plain"}),
+        load,
+        suffix,
+    )
+
+
+VIEWS = pytest.mark.parametrize(
+    "view",
+    [_object_view, _blob_view, _native_view, lambda: _native_view(".json")],
+    ids=["object", "blob", "native-so", "native-meta"],
+)
+
+CORRUPTIONS = {
+    "torn-write": lambda data: data[:40],
+    "garbage": lambda data: b"\x00\xffnot a frame at all",
+    "stale-format": lambda data: b"MAJC1" + data[5:],
+    "digest-flip": lambda data: data[:-1] + bytes([data[-1] ^ 0xFF]),
+}
+
+
+@VIEWS
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_entry_is_quarantined_until_rebuilt(tmp_path, view, corruption):
+    make, put, load, suffix = view()
+    store = make(tmp_path)
+    key = "b" * 64
+    assert put(store, key) and load(store, key)
+    path = tmp_path / f"{key}{suffix}"
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+
+    assert not load(store, key)
+    assert store.corruption_detected == 1
+    assert key in store.quarantined_keys
     assert not path.exists(), "corrupt file must be dropped"
 
     # Quarantined keys short-circuit: no disk access, still a miss.
-    misses = cache.misses
-    assert cache.get(key) is None
-    assert cache.misses == misses + 1
-    assert cache.load_failures == 1, "fast-miss must not re-count a failure"
+    path.write_bytes(b"never read")
+    misses = store.misses
+    assert not load(store, key)
+    assert store.misses == misses + 1
+    assert store.load_failures == 1, "fast-miss must not re-count a failure"
 
     # A successful re-put is the rebuild and lifts the quarantine.
-    assert cache.put(key, obj)
-    assert cache.rebuilds == 1
-    assert key not in cache.quarantined_keys
-    assert cache.get(key).name == "inc"
+    assert put(store, key)
+    assert store.rebuilds == 1
+    assert key not in store.quarantined_keys
+    assert load(store, key)
+    assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
 
 
-def test_garbage_bytes_are_quarantined(tmp_path):
-    cache = RepositoryCache(tmp_path)
-    key = "c" * 64
-    (tmp_path / f"{key}.pkl").write_bytes(b"\x00\xffnot a frame at all")
-    assert cache.get(key) is None
-    assert cache.corruption_detected == 1
-    assert key in cache.quarantined_keys
+@VIEWS
+def test_transient_io_faults_are_retried_never_condemned(tmp_path, view):
+    from repro.faults.plan import BEHAVIOR_IO, FaultPlan, FaultSpec
+
+    make, put, load, suffix = view()
+    key = "e" * 64
+    assert put(make(tmp_path), key)
+
+    def faulty(hits, **kwargs):
+        spec = FaultSpec(site="cache.load", hits=hits, behavior=BEHAVIOR_IO)
+        return make(tmp_path, fault_plan=FaultPlan([spec]),
+                    io_backoff=0.001, **kwargs)
+
+    store = faulty((1, 2))
+    assert load(store, key), "third read attempt must succeed"
+    assert store.io_retried == 2
+    assert store.corruption_detected == 0
+
+    store = faulty((1, 2, 3), io_retries=2)
+    assert not load(store, key)
+    assert store.load_failures == 1 and not store.quarantined_keys
+    # Transient faults don't condemn the file: a later session reads it.
+    assert (tmp_path / f"{key}{suffix}").exists()
+    assert load(make(tmp_path), key)
 
 
-def test_version_mismatch_header_is_stale_not_fatal(tmp_path):
+def test_fresh_stores_write_format_2_frames(tmp_path):
     from repro.repository.cache import frame_payload
 
     cache = RepositoryCache(tmp_path)
-    obj = _cached_object()
-    key = "d" * 64
-    assert cache.put(key, obj)
-    path = tmp_path / f"{key}.pkl"
-    framed = path.read_bytes()
-    assert framed.startswith(b"MAJC2\n")
-    path.write_bytes(b"MAJC1" + framed[5:])  # an older compiler's frame
-
-    assert cache.get(key) is None
-    assert cache.corruption_detected == 1
-    # The stale entry was dropped; a fresh store serves format-2 again.
-    assert cache.put(key, obj)
-    assert cache.get(key).name == "inc"
+    assert cache.put("d" * 64, _cached_object())
+    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC2\n")
     assert frame_payload(b"x").startswith(b"MAJC2\n")
-
-
-def test_transient_io_faults_are_retried(tmp_path):
-    from repro.faults.plan import BEHAVIOR_IO, FaultPlan, FaultSpec
-
-    plan = FaultPlan(
-        [FaultSpec(site="cache.load", hits=(1, 2), behavior=BEHAVIOR_IO)]
-    )
-    seeded = RepositoryCache(tmp_path)
-    key = "e" * 64
-    assert seeded.put(key, _cached_object())
-
-    cache = RepositoryCache(tmp_path, fault_plan=plan, io_backoff=0.001)
-    assert cache.get(key).name == "inc", "third read attempt must succeed"
-    assert cache.io_retried == 2
-    assert cache.corruption_detected == 0
-
-
-def test_io_retries_exhausted_is_miss_without_unlink(tmp_path):
-    from repro.faults.plan import BEHAVIOR_IO, FaultPlan, FaultSpec
-
-    plan = FaultPlan(
-        [FaultSpec(site="cache.load", hits=(1, 2, 3), behavior=BEHAVIOR_IO)]
-    )
-    seeded = RepositoryCache(tmp_path)
-    key = "f" * 64
-    assert seeded.put(key, _cached_object())
-
-    cache = RepositoryCache(
-        tmp_path, fault_plan=plan, io_retries=2, io_backoff=0.001
-    )
-    assert cache.get(key) is None
-    assert cache.load_failures == 1
-    # Transient faults don't condemn the file: a later session reads it.
-    assert (tmp_path / f"{key}.pkl").exists()
-    assert RepositoryCache(tmp_path).get(key).name == "inc"
 
 
 def test_partial_write_race_detected_on_next_load(tmp_path):
@@ -414,8 +447,6 @@ def test_concurrent_readers_and_writers_never_raise(tmp_path):
     ]
     for thread in threads:
         thread.start()
-    import time
-
     time.sleep(0.3)
     stop.set()
     for thread in threads:
@@ -424,6 +455,52 @@ def test_concurrent_readers_and_writers_never_raise(tmp_path):
     # After the dust settles a clean put must heal whatever state remains.
     assert cache.put(key, obj)
     assert cache.get(key).name == "inc"
+
+
+def _hammer(directory, role, keys, obj, seconds, results):
+    """One process of the second-writer test: put or get in a loop."""
+    cache = RepositoryCache(directory)
+    invalid = 0
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        for key in keys:
+            if role == "put":
+                cache.put(key, obj)
+            else:
+                got = cache.get(key)
+                invalid += got is not None and got.name != "inc"
+    results.put((role, cache.stores, cache.hits, invalid,
+                 cache.corruption_detected, sorted(cache.quarantined_keys)))
+
+
+def test_second_writer_process_never_tears_an_entry(tmp_path):
+    """Two forked processes put the same keys into one directory while a
+    third gets: atomic rename means every read is a miss or a valid
+    object, and nothing is ever quarantined."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    obj = _cached_object()
+    keys = [f"{n:x}" * 64 for n in range(4)]
+    results = ctx.Queue()
+    procs = [
+        ctx.Process(target=_hammer,
+                    args=(tmp_path, role, keys, obj, 0.5, results))
+        for role in ("put", "put", "get")
+    ]
+    for proc in procs:
+        proc.start()
+    reports = [results.get(timeout=60) for _ in procs]
+    for proc in procs:
+        proc.join(timeout=30)
+        assert not proc.is_alive() and proc.exitcode == 0
+    for role, stores, hits, invalid, corrupt, quarantined in reports:
+        assert (stores if role == "put" else hits) > 0, (role, reports)
+        assert invalid == 0 and corrupt == 0 and quarantined == [], reports
+    assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
+    final = RepositoryCache(tmp_path)
+    assert all(final.get(key).name == "inc" for key in keys)
+    assert final.corruption_detected == 0
 
 
 def test_corruption_emits_diagnostics(tmp_path):

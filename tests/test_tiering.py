@@ -119,6 +119,7 @@ class FakeRepo:
         self.diagnostics = DiagnosticsLog()
         self.cache = None
         self._uncompilable = set()
+        self._fast_cache = {}
         self._lock = threading.Lock()
         self.jit_calls = []
         self.spec_calls = []
@@ -439,21 +440,6 @@ class TestProfilePersistence:
         session.call("fib", 8.0)
         assert session.tiering.save() == 0
 
-    def test_blob_roundtrip(self, tmp_path):
-        cache = RepositoryCache(tmp_path)
-        assert cache.put_blob("k" * 64, {"tier": "spec", "hotness": 3.5})
-        assert cache.get_blob("k" * 64) == {"tier": "spec", "hotness": 3.5}
-        assert cache.get_blob("m" * 64) is None
-
-    def test_corrupt_blob_dropped(self, tmp_path):
-        cache = RepositoryCache(tmp_path)
-        key = "k" * 64
-        cache.put_blob(key, [1, 2, 3])
-        path = cache._blob_path(key)
-        path.write_bytes(b"garbage")
-        assert cache.get_blob(key) is None
-        assert not path.exists(), "corrupt blob removed"
-
     def test_clear_removes_blobs(self, tmp_path):
         cache = RepositoryCache(tmp_path)
         cache.put_blob("k" * 64, 1)
@@ -470,7 +456,8 @@ class TestSubmitTaskCallbacks:
         session.add_source(POLY)
         results = []
         ok = session.engine.submit_task(
-            lambda: None, "task-ok", on_done=results.append
+            lambda: "a return value is not an outcome", "task-ok",
+            on_done=results.append,
         )
         assert ok
         assert session.engine.drain(10)
@@ -481,6 +468,8 @@ class TestSubmitTaskCallbacks:
         session.engine.submit_task(boom, "task-boom", on_done=results.append)
         assert session.engine.drain(10)
         assert results == [True, False]
+        assert session.engine.compiled == ["task-ok"]
+        assert session.engine.restarts == 0 and session.engine.poisoned == []
 
 
 # ----------------------------------------------------------------------
