@@ -12,7 +12,6 @@ import time
 
 from repro import MajicSession
 from repro.benchsuite.registry import source_of
-from repro.experiments.harness import _run_interp
 from repro.frontend.parser import parse
 from repro.interp.interpreter import Interpreter
 from repro.runtime.values import from_python

@@ -29,9 +29,12 @@ w("and which optimization matters where.  The test suite asserts the")
 w("load-bearing shape claims automatically")
 w("(`tests/test_experiments.py`, `tests/test_benchsuite.py`).")
 w("")
-w("Determinism: every engine run reseeds the shared random stream, and")
-w("all five engines must produce identical result checksums before any")
-w("timing is trusted (enforced in `tests/test_benchsuite.py`).")
+w("Determinism: every timed call goes through `repro.backends`, which")
+w("reseeds the shared random stream first and returns the call's")
+w("`Observation` (every output's dtype, shape and raw bytes; the display")
+w("transcript; the error text; the random stream's post-state).  All five")
+w("engines' timed calls must equal the interpreter's observation exactly")
+w("before any timing is trusted (`tests/test_benchsuite.py`).")
 w("")
 
 w("## Table 1 — benchmark inventory")
@@ -209,7 +212,7 @@ w("")
 w("```bash")
 w("python scripts_run_experiments.py          # regenerates experiment_results.json")
 w("python scripts_write_experiments_md.py     # regenerates this file")
-w("pytest benchmarks/ --benchmark-only        # pytest-benchmark harness")
+w("python3 perfbench/bench.py                 # the benchmark (BENCHMARK.json)")
 w("```")
 
 with open("EXPERIMENTS.md", "w") as fh:

@@ -17,7 +17,7 @@ from repro.benchsuite.registry import (
     benchmark_names,
     CATEGORY,
 )
-from repro.benchsuite.workloads import workload_for, checksum
+from repro.benchsuite.workloads import workload_for
 
 __all__ = [
     "Benchmark",
@@ -26,5 +26,4 @@ __all__ = [
     "benchmark_names",
     "CATEGORY",
     "workload_for",
-    "checksum",
 ]

@@ -1,17 +1,16 @@
-"""Workload construction and result canonicalization.
+"""Workload construction.
 
 ``workload_for`` turns a benchmark name + scale into the argument list the
 benchmark function is called with (building deterministic SPD matrices for
-the linear-solver benchmarks); ``checksum`` canonicalizes outputs so that
-results from different engines can be compared exactly or within floating
-tolerance.
+the linear-solver benchmarks).  Results are compared by
+:class:`repro.backends.Observation`, never by a digest.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.benchsuite.registry import Benchmark, benchmark
+from repro.benchsuite.registry import benchmark
 from repro.runtime.mxarray import MxArray
 from repro.runtime.values import from_python
 
@@ -71,25 +70,3 @@ def workload_for(name: str, scale: tuple | None = None) -> list:
 
 def boxed_workload(name: str, scale: tuple | None = None) -> list[MxArray]:
     return [from_python(value) for value in workload_for(name, scale)]
-
-
-def checksum(value) -> float:
-    """A scalar digest of a benchmark result (host value or MxArray)."""
-    if isinstance(value, MxArray):
-        from repro.runtime.values import to_python
-
-        value = to_python(value)
-    if isinstance(value, str):
-        return float(sum(ord(c) for c in value))
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, complex):
-        return float(value.real + 0.5 * value.imag)
-    data = np.asarray(value)
-    if np.iscomplexobj(data):
-        data = data.real + 0.5 * data.imag
-    finite = np.where(np.isfinite(data), data, 0.0)
-    weights = np.cos(np.arange(finite.size, dtype=np.float64)).reshape(
-        finite.shape, order="F"
-    )
-    return float(np.sum(finite * weights))

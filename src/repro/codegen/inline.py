@@ -45,6 +45,7 @@ class Inliner:
         self.max_lines = max_lines
         self.max_depth = max_depth
         self._counter = 0
+        self._caller_assigned: set[str] = set()
         self.inlined_calls = 0
         # Names of every function whose body was embedded (dependency
         # tracking: the caller must be recompiled when these change).
@@ -64,10 +65,19 @@ class Inliner:
     # ------------------------------------------------------------------
     def _fresh(self, base: str) -> str:
         self._counter += 1
-        return f"{base}__il{self._counter}"
+        name = f"{base}__il{self._counter}"
+        self._caller_assigned.add(name)
+        return name
+
+    def _settled(self, expr: ast.Expr) -> bool:
+        """Evaluating ``expr`` cannot draw, print or fail: a literal or a
+        variable (a bare ``rand`` is an :class:`~ast.Ident` too)."""
+        if isinstance(expr, ast.Ident):
+            return expr.name in self._caller_assigned
+        return isinstance(expr, (ast.Number, ast.ImagNumber, ast.StringLit))
 
     def _eligible(self, name: str, depth_map: dict[str, int]) -> ast.FunctionDef | None:
-        if name in getattr(self, "_caller_assigned", ()):
+        if name in self._caller_assigned:
             return None
         callee = self.lookup(name)
         if callee is None:
@@ -115,11 +125,11 @@ class Inliner:
                 callee = self._eligible(call.name, depth_map)
                 if callee is not None and len(stmt.targets) <= len(callee.outputs) \
                         and all(not t.is_indexed for t in stmt.targets):
-                    args, pre = self._hoist_args(call, depth_map)
+                    call, pre = self._hoist_calls(call, depth_map, top=True)
                     out.extend(pre)
                     out.extend(
                         self._expand(
-                            callee, args,
+                            callee, call.args,
                             [t.name for t in stmt.targets], depth_map,
                         )
                     )
@@ -135,9 +145,13 @@ class Inliner:
         if isinstance(stmt, ast.If):
             new_branches = []
             for cond, branch in stmt.branches:
-                cond2, pre = self._hoist_calls(cond, depth_map)
-                out.extend(pre)  # condition hoists execute before the if
-                new_branches.append((cond2, self._inline_body(branch, depth_map)))
+                if not new_branches:
+                    # Hoists execute before the if; an ``elseif`` condition
+                    # only runs when the earlier ones fail, so its calls
+                    # stay dynamic.
+                    cond, pre = self._hoist_calls(cond, depth_map)
+                    out.extend(pre)
+                new_branches.append((cond, self._inline_body(branch, depth_map)))
             stmt.branches = new_branches
             stmt.orelse = self._inline_body(stmt.orelse, depth_map)
             out.append(stmt)
@@ -170,17 +184,8 @@ class Inliner:
         callee = self._eligible(value.name, depth_map)
         if callee is None or not callee.outputs:
             return None
-        args, pre = self._hoist_args(value, depth_map)
-        return pre + self._expand(callee, args, [stmt.target.name], depth_map)
-
-    def _hoist_args(self, call: ast.Apply, depth_map):
-        args = []
-        pre: list[ast.Stmt] = []
-        for arg in call.args:
-            arg2, pre2 = self._hoist_calls(arg, depth_map)
-            pre.extend(pre2)
-            args.append(arg2)
-        return args, pre
+        # ``value`` is already hoisted (top level), arguments included.
+        return self._expand(callee, value.args, [stmt.target.name], depth_map)
 
     def _hoist_calls(
         self, expr: ast.Expr, depth_map: dict[str, int], top: bool = False
@@ -188,40 +193,63 @@ class Inliner:
         """Hoist nested inlinable calls into temp assignments."""
         pre: list[ast.Stmt] = []
 
-        def rewrite(node: ast.Expr, is_top: bool) -> ast.Expr:
+        def each(nodes: list[ast.Expr], frozen: bool) -> list[ast.Expr]:
+            """Rewrite operands in evaluation order.  A hoisted call runs
+            ahead of the whole statement, so every operand evaluated
+            before it is pinned to a temporary first — else the callee's
+            draws, output and errors would overtake the operand's.  After
+            an operand that cannot be pinned (``end`` and ``:`` only mean
+            something inside their subscript) calls stay where they are."""
+            done: list[ast.Expr] = []
+            for node in nodes:
+                mark = len(pre)
+                node = rewrite(node, False, frozen)
+                if len(pre) > mark:
+                    pins = []
+                    for i, earlier in enumerate(done):
+                        if not self._settled(earlier):
+                            temp = self._fresh("t_pin")
+                            pins.append(ast.Assign(
+                                target=ast.LValue(name=temp), value=earlier,
+                                display=False,
+                            ))
+                            done[i] = ast.Ident(
+                                name=temp, location=earlier.location
+                            )
+                    pre[mark:mark] = pins
+                done.append(node)
+                frozen = frozen or _positional(node)
+            return done
+
+        def rewrite(node: ast.Expr, is_top: bool, frozen: bool = False) -> ast.Expr:
             if isinstance(node, ast.Apply):
-                node.args = [rewrite(a, False) for a in node.args]
-                if node.kind in (
+                node.args = each(node.args, frozen)
+                if not frozen and not is_top and node.kind in (
                     ast.ApplyKind.USER_FUNCTION,
                     ast.ApplyKind.UNRESOLVED,
                 ):
                     callee = self._eligible(node.name, depth_map)
-                    if callee is not None and callee.outputs and not is_top:
+                    if callee is not None and callee.outputs:
                         temp = self._fresh(f"t_{node.name}")
                         pre.extend(
                             self._expand(callee, list(node.args), [temp], depth_map)
                         )
                         return ast.Ident(name=temp, location=node.location)
-                return node
-            if isinstance(node, ast.BinaryOp):
-                node.left = rewrite(node.left, False)
-                node.right = rewrite(node.right, False)
-                return node
-            if isinstance(node, ast.UnaryOp):
-                node.operand = rewrite(node.operand, False)
-                return node
-            if isinstance(node, ast.Transpose):
-                node.operand = rewrite(node.operand, False)
-                return node
-            if isinstance(node, ast.Range):
-                node.start = rewrite(node.start, False)
+            elif isinstance(node, ast.BinaryOp):
+                node.left, node.right = each([node.left, node.right], frozen)
+            elif isinstance(node, (ast.UnaryOp, ast.Transpose)):
+                node.operand = rewrite(node.operand, False, frozen)
+            elif isinstance(node, ast.Range):
+                # Evaluated start, stop, step.
+                parts = [node.start, node.stop]
                 if node.step is not None:
-                    node.step = rewrite(node.step, False)
-                node.stop = rewrite(node.stop, False)
-                return node
-            if isinstance(node, ast.MatrixLit):
-                node.rows = [[rewrite(e, False) for e in row] for row in node.rows]
-                return node
+                    parts.append(node.step)
+                node.start, node.stop, *step = each(parts, frozen)
+                if step:
+                    node.step = step[0]
+            elif isinstance(node, ast.MatrixLit):
+                flat = iter(each([e for row in node.rows for e in row], frozen))
+                node.rows = [[next(flat) for _ in row] for row in node.rows]
             return node
 
         return rewrite(expr, top), pre
@@ -312,6 +340,14 @@ def _has_blockers(fn: ast.FunctionDef) -> bool:
         if isinstance(stmt, ast.Return) and stmt is not tail:
             return True
     return returns_in(fn.body, False)
+
+
+def _positional(expr: ast.Expr) -> bool:
+    """Does ``expr`` mention ``end`` or a bare ``:``?"""
+    return any(
+        isinstance(node, (ast.EndMarker, ast.ColonAll))
+        for node in ast.walk_expr(expr)
+    )
 
 
 def _assigned_names(body: list[ast.Stmt]) -> set[str]:

@@ -8,7 +8,7 @@ from repro.core.platformcfg import (
     MIPS,
     platform_by_name,
 )
-from repro.core.timing import Stopwatch, ExecutionBreakdown
+from repro.core.timing import ExecutionBreakdown
 
 __all__ = [
     "MajicSession",
@@ -17,6 +17,5 @@ __all__ = [
     "SPARC",
     "MIPS",
     "platform_by_name",
-    "Stopwatch",
     "ExecutionBreakdown",
 ]

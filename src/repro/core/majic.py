@@ -21,7 +21,6 @@ from __future__ import annotations
 import sys
 
 from repro.codegen.jitgen import JitOptions
-from repro.codegen.srcgen import SrcOptions
 from repro.core.platformcfg import AblationFlags, PlatformConfig, platform_by_name
 from repro.interp.frontend import Invocation, MajicFrontEnd
 from repro.obs import (
@@ -63,7 +62,6 @@ class MajicSession:
         platform: str | PlatformConfig = "sparc",
         ablation: AblationFlags | None = None,
         jit_options: JitOptions | None = None,
-        src_options: SrcOptions | None = None,
         inline_enabled: bool = True,
         seed: int | None = 0,
         recursion_limit: int | None = None,
@@ -215,7 +213,7 @@ class MajicSession:
             )
         self.repository = CodeRepository(
             jit_options=resolved_jit,
-            src_options=src_options or platform.src_options(ablation=self.ablation),
+            src_options=platform.src_options(ablation=self.ablation),
             sink=self.sink,
             inline_enabled=inline_enabled,
             compile_budget=compile_budget,

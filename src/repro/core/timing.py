@@ -2,24 +2,7 @@
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
-
-class Stopwatch:
-    """A context-manager stopwatch."""
-
-    def __init__(self):
-        self.elapsed = 0.0
-        self._start: float | None = None
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed += time.perf_counter() - self._start
-        self._start = None
+from dataclasses import dataclass
 
 
 @dataclass

@@ -29,12 +29,6 @@ ABLATIONS = {
 }
 
 
-def _execution_time(result) -> float:
-    if result.breakdown is not None:
-        return result.breakdown.execution
-    return result.runtime_s
-
-
 def generate(
     names: list[str] | None = None,
     repeats: int = 3,
@@ -48,14 +42,14 @@ def generate(
         full = run_benchmark(
             name, "jit", platform=SPARC, scale=scale, repeats=repeats
         )
-        full_time = _execution_time(full)
+        full_time = full.breakdown.execution
         row: dict[str, float] = {}
         for label, flags in ABLATIONS.items():
             ablated = run_benchmark(
                 name, "jit", platform=SPARC, scale=scale,
                 repeats=repeats, ablation=flags,
             )
-            ablated_time = _execution_time(ablated)
+            ablated_time = ablated.breakdown.execution
             row[label] = full_time / ablated_time if ablated_time > 0 else 1.0
         rows[name] = row
     return rows

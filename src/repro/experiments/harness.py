@@ -8,30 +8,31 @@
 * mcc and FALCON are batch compilers measured with compilation excluded;
 * times are "best of N runs".
 
-The shared random stream is reseeded identically before every run so
-randomized benchmarks compute identical results under every engine.
+Every engine is a row of :data:`repro.backends.BACKENDS` and every timed
+call goes through one :func:`best_of` loop over a
+:class:`repro.backends.Handle`, which reseeds the shared random stream
+identically before every call and returns the call's
+:class:`~repro.backends.Observation` — so a measurement can always be
+checked against the interpreter's.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.baselines.falcon import FalconCompilerEngine
-from repro.baselines.mcc import MccCompilerEngine
-from repro.benchsuite.registry import benchmark, source_of
-from repro.benchsuite.workloads import boxed_workload, checksum
-from repro.core.majic import MajicSession, ensure_recursion_limit
+from repro import backends
+from repro.backends import Observation, Program
+from repro.benchsuite.registry import benchmark
 from repro.core.platformcfg import AblationFlags, PlatformConfig, SPARC
 from repro.core.timing import ExecutionBreakdown
-from repro.frontend.parser import parse
-from repro.interp.interpreter import Interpreter
-from repro.runtime.builtins import GLOBAL_RANDOM
-from repro.runtime.display import OutputSink
+from repro.obs import write_chrome_trace, write_prometheus
 
 ENGINES = ("interp", "mcc", "falcon", "jit", "spec")
 
-_SEED = 12345
+#: Engine name -> :data:`repro.backends.BACKENDS` label where they differ.
+#: The paper's JIT bar is the default session (fused kernels on), which
+#: the table calls ``fused``; its ``jit`` row is the fusion-off variant.
+_BACKEND_OF = {"interp": "interpreter", "jit": "fused"}
 
 
 @dataclass
@@ -42,145 +43,57 @@ class RunResult:
     engine: str
     platform: str
     runtime_s: float
-    checksum: float
+    #: What the best timed call was seen to do — equal to
+    #: ``backends.reference(program)`` or the time means nothing.
+    observation: Observation
     repeats: int
     compile_s: float = 0.0           # excluded (batch/speculative) compile
     breakdown: ExecutionBreakdown | None = None
     scale: tuple = ()
-    #: The measured session, kept only when observability was requested
-    #: (``run_benchmark(trace=..., metrics=...)``) so callers can export
-    #: the trace/metrics of the best run.
+    #: The measured (closed) session, kept only when observability was
+    #: requested (``run_benchmark(trace=..., metrics=...)``) so callers
+    #: can export the trace/metrics of the best run.
     session: object = None
 
 
-def _sources(name: str) -> list[str]:
-    spec = benchmark(name)
-    return [source_of(name)] + [source_of(h) for h in spec.helpers]
+def best_of(program: Program, backend, repeats: int, fresh: bool = False,
+            **overrides):
+    """The one timing loop: best of ``repeats`` calls of ``program``.
+
+    ``fresh=True`` opens a new handle per repeat, so every timed call
+    starts from an empty repository (JIT: compile time included).
+    Otherwise one handle serves every repeat; a batch compiler's handle is
+    warmed by one untimed call first (it compiles on first execution;
+    excluded).  Returns ``(seconds, observation, handle)`` of the best
+    call; the handle comes back closed."""
+    best = (float("inf"), None, None)
+    handle = None
+    try:
+        for _ in range(repeats):
+            if fresh or handle is None:
+                if handle is not None:
+                    handle.close()
+                handle = backends.open(program, backend, **overrides)
+                if handle.engine is not None:
+                    handle.call()
+            seen = handle.call()
+            if handle.elapsed < best[0]:
+                best = (handle.elapsed, seen, handle)
+    finally:
+        if handle is not None:
+            handle.close()
+    return best
 
 
-def _result_digest(outputs) -> float:
-    return checksum(outputs[0]) if outputs else 0.0
-
-
-# ----------------------------------------------------------------------
-# Engine runners
-# ----------------------------------------------------------------------
-def _run_interp(name: str, args, nargout: int, repeats: int):
-    table = {}
-    for text in _sources(name):
-        program = parse(text)
-        for fn in program.functions:
-            table[fn.name] = fn
-    interp = Interpreter(function_lookup=table.get, sink=OutputSink())
-    best = float("inf")
-    digest = 0.0
-    for _ in range(repeats):
-        GLOBAL_RANDOM.seed(_SEED)
-        fresh_args = [a.copy() for a in args]
-        start = time.perf_counter()
-        outputs = interp.call_function(table[name], fresh_args, nargout)
-        best = min(best, time.perf_counter() - start)
-        digest = _result_digest(outputs)
-    return best, digest, 0.0, None
-
-
-def _run_jit(
-    name: str, args, nargout: int, repeats: int,
-    platform: PlatformConfig, ablation: AblationFlags,
-    trace: bool = False, metrics: bool = False,
-):
-    best = float("inf")
-    digest = 0.0
-    breakdown = None
-    kept = None
-    for _ in range(repeats):
-        session = MajicSession(
-            platform=platform, ablation=ablation, seed=None,
-            trace=trace, metrics=metrics,
-        )
-        for text in _sources(name):
-            session.add_source(text)
-        GLOBAL_RANDOM.seed(_SEED)
-        fresh_args = [a.copy() for a in args]
-        start = time.perf_counter()
-        outputs = session.call_boxed(name, fresh_args, nargout=nargout)
-        elapsed = time.perf_counter() - start
-        digest = _result_digest(outputs)
-        if elapsed < best:
-            best = elapsed
-            if trace:
-                # Spans carry the full phase/execution attribution, so the
-                # Figure 6 breakdown comes straight from the trace.
-                breakdown = ExecutionBreakdown.from_spans(
-                    session.obs.tracer.spans()
-                )
-            else:
-                breakdown = ExecutionBreakdown()
-                for _, mode, phases in session.repository.compile_log:
-                    if mode == "jit":
-                        breakdown.add_phases(phases)
-                breakdown.execution = max(elapsed - breakdown.compile, 0.0)
-            if trace or metrics:
-                kept = session
-    return best, digest, 0.0, breakdown, kept
-
-
-def _run_spec(
-    name: str, args, nargout: int, repeats: int,
-    platform: PlatformConfig, ablation: AblationFlags,
-    trace: bool = False, metrics: bool = False,
-):
-    session = MajicSession(
-        platform=platform, ablation=ablation, seed=None,
-        trace=trace, metrics=metrics,
-    )
-    for text in _sources(name):
-        session.add_source(text)
-    compile_start = time.perf_counter()
-    session.speculate_all()
-    hidden_compile = time.perf_counter() - compile_start
-    best = float("inf")
-    digest = 0.0
-    for _ in range(repeats):
-        GLOBAL_RANDOM.seed(_SEED)
-        fresh_args = [a.copy() for a in args]
-        start = time.perf_counter()
-        outputs = session.call_boxed(name, fresh_args, nargout=nargout)
-        best = min(best, time.perf_counter() - start)
-        digest = _result_digest(outputs)
-    breakdown = (
-        ExecutionBreakdown.from_spans(session.obs.tracer.spans())
-        if trace else None
-    )
-    kept = session if (trace or metrics) else None
-    return best, digest, hidden_compile, breakdown, kept
-
-
-def _run_baseline(
-    engine_name: str, name: str, args, nargout: int, repeats: int,
-    platform: PlatformConfig,
-):
-    if engine_name == "mcc":
-        engine = MccCompilerEngine()
-    else:
-        engine = FalconCompilerEngine(
-            native_opt_level=platform.native_opt_level
-        )
-    for text in _sources(name):
-        engine.add_source(text)
-    # Warm-up call performs batch compilation (excluded from runtime).
-    GLOBAL_RANDOM.seed(_SEED)
-    engine.execute(name, [a.copy() for a in args], nargout)
-    best = float("inf")
-    digest = 0.0
-    for _ in range(repeats):
-        GLOBAL_RANDOM.seed(_SEED)
-        fresh_args = [a.copy() for a in args]
-        start = time.perf_counter()
-        outputs = engine.execute(name, fresh_args, nargout)
-        best = min(best, time.perf_counter() - start)
-        digest = _result_digest(outputs)
-    return best, digest, engine.compile_seconds, None
+def _jit_breakdown(session, elapsed: float) -> ExecutionBreakdown:
+    """Figure 6 without a trace: the JIT's logged phase times, the rest of
+    the call being execution."""
+    breakdown = ExecutionBreakdown()
+    for _, mode, phases in session.repository.compile_log:
+        if mode == "jit":
+            breakdown.add_phases(phases)
+    breakdown.execution = max(elapsed - breakdown.compile, 0.0)
+    return breakdown
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +104,6 @@ def run_benchmark(
     scale: tuple | None = None,
     repeats: int = 3,
     ablation: AblationFlags | None = None,
-    nargout: int = 1,
     trace: bool = False,
     metrics: bool = False,
 ) -> RunResult:
@@ -204,44 +116,37 @@ def run_benchmark(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r} (choose from {ENGINES})")
-    # The bare-interpreter and baseline engines run without a MajicSession,
-    # so request the recursion headroom (ackermann) explicitly here.
-    ensure_recursion_limit(platform.host_recursion_limit)
-    spec = benchmark(name)
-    scale = tuple(scale if scale is not None else spec.default_scale)
-    args = boxed_workload(name, scale)
-    ablation = ablation or AblationFlags()
-    session = None
-
-    if engine == "interp":
-        best, digest, hidden, breakdown = _run_interp(
-            name, args, nargout, repeats
-        )
+    scale = tuple(scale if scale is not None else benchmark(name).default_scale)
+    label = _BACKEND_OF.get(engine, engine)
+    overrides = {}
+    if backends.BACKENDS[label].session is not None:
+        overrides = {"ablation": ablation, "trace": trace, "metrics": metrics}
+    best, seen, handle = best_of(
+        Program.benchmark(name, scale), label, repeats,
+        fresh=(engine == "jit"), platform=platform, **overrides,
+    )
+    session = handle.session
+    breakdown = None
+    if session is not None and trace:
+        # Spans carry the full phase/execution attribution, so the
+        # Figure 6 breakdown comes straight from the trace.
+        breakdown = ExecutionBreakdown.from_spans(session.obs.tracer.spans())
     elif engine == "jit":
-        best, digest, hidden, breakdown, session = _run_jit(
-            name, args, nargout, repeats, platform, ablation,
-            trace=trace, metrics=metrics,
-        )
-    elif engine == "spec":
-        best, digest, hidden, breakdown, session = _run_spec(
-            name, args, nargout, repeats, platform, ablation,
-            trace=trace, metrics=metrics,
-        )
-    else:
-        best, digest, hidden, breakdown = _run_baseline(
-            engine, name, args, nargout, repeats, platform
-        )
+        breakdown = _jit_breakdown(session, best)
+    compile_s = handle.prepare_s
+    if handle.engine is not None:
+        compile_s += handle.engine.compile_seconds
     return RunResult(
         benchmark=name,
         engine=engine,
         platform=platform.name,
         runtime_s=best,
-        checksum=digest,
+        observation=seen,
         repeats=repeats,
-        compile_s=hidden,
+        compile_s=compile_s,
         breakdown=breakdown,
         scale=scale,
-        session=session,
+        session=session if (trace or metrics) else None,
     )
 
 
@@ -286,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         f"{result.benchmark} [{result.engine}] best of {result.repeats}: "
-        f"{result.runtime_s:.6f}s (checksum {result.checksum})"
+        f"{result.runtime_s:.6f}s"
     )
     if result.breakdown is not None:
         shares = result.breakdown.fractions()
@@ -299,14 +204,11 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print(session.summary())
         if options.trace_out:
-            with open(options.trace_out, "w", encoding="utf-8") as handle:
-                handle.write(session.trace_json())
+            write_chrome_trace(session.obs.tracer, options.trace_out)
             print(f"trace written to {options.trace_out}")
         if options.metrics_out:
-            with open(options.metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(session.metrics_text())
+            write_prometheus(session.obs.metrics, options.metrics_out)
             print(f"metrics written to {options.metrics_out}")
-        session.close()
     return 0
 
 

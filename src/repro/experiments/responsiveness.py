@@ -27,7 +27,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 
-from repro.benchsuite.registry import benchmark, benchmark_names, source_of
+from repro.benchsuite.registry import benchmark_names, sources_of
 from repro.core.majic import MajicSession
 from repro.experiments.report import format_table
 
@@ -45,18 +45,6 @@ class Phase:
     total_s: float  #: wall clock until all compilation had finished
     compiles: int  #: functions actually compiled in this phase
     cache_hits: int  #: compiled objects served from the disk cache
-
-
-def _sources(names: tuple[str, ...] | list[str]) -> list[str]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for name in names:
-        spec = benchmark(name)
-        for item in (name, *spec.helpers):
-            if item not in seen:
-                seen.add(item)
-                out.append(source_of(item))
-    return out
 
 
 def _cold(sources: list[str], cache_dir) -> Phase:
@@ -125,7 +113,8 @@ def generate(
     unknown = set(names) - set(benchmark_names())
     if unknown:
         raise ValueError(f"unknown benchmarks: {sorted(unknown)}")
-    sources = _sources(names)
+    # A helper shared by two programs is registered once.
+    sources = list(dict.fromkeys(t for n in names for t in sources_of(n)))
     if cache_dir is None:
         with tempfile.TemporaryDirectory(prefix="pymajic-resp-") as tmp:
             cold = _cold(sources, tmp)

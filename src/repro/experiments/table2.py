@@ -18,28 +18,27 @@ Compile time is excluded (batch warm-up before timing).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
+from repro.backends import Backend, Program
 from repro.baselines.engine import BaselineEngine
-from repro.benchsuite.registry import benchmark_names
+from repro.benchsuite.registry import benchmark, benchmark_names
 from repro.codegen.jitgen import CompiledObject
 from repro.codegen.srcgen import SourceCompiler, SrcOptions
-from repro.experiments.harness import _SEED, _sources, run_benchmark
+from repro.experiments.harness import best_of, run_benchmark
 from repro.experiments.report import format_table
 from repro.frontend import ast_nodes as ast
 from repro.inference.speculation import Speculator
-from repro.runtime.builtins import GLOBAL_RANDOM
 from repro.runtime.mxarray import MxArray
 from repro.typesys.signature import Signature, signature_of_values
-from repro.benchsuite.workloads import boxed_workload
 
 
 class AnnotationEngine(BaselineEngine):
     """Optimizing codegen fed by either JIT or speculative annotations."""
 
-    def __init__(self, use_speculation: bool, native_opt_level: int = 1):
-        super().__init__()
+    def __init__(self, use_speculation: bool, native_opt_level: int = 1,
+                 sink=None):
+        super().__init__(sink=sink)
         self.use_speculation = use_speculation
         self.options = SrcOptions(
             native_opt_level=native_opt_level, majic_opts=True
@@ -99,17 +98,11 @@ class Table2Row:
     spec_missed: bool  # runtime recompilation was required
 
 
-def _measure(engine: AnnotationEngine, name: str, args, repeats: int) -> float:
-    GLOBAL_RANDOM.seed(_SEED)
-    engine.execute(name, [a.copy() for a in args], 1)  # warm-up compile
-    best = float("inf")
-    for _ in range(repeats):
-        GLOBAL_RANDOM.seed(_SEED)
-        fresh = [a.copy() for a in args]
-        start = time.perf_counter()
-        engine.execute(name, fresh, 1)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _annotation_backend(use_speculation: bool) -> Backend:
+    """A one-off row for the shared timing loop (not in ``BACKENDS``: it
+    is an experiment's instrument, not a way MaJIC serves programs)."""
+    return Backend(engine=lambda platform, sink: AnnotationEngine(
+        use_speculation, platform.native_opt_level, sink=sink))
 
 
 def generate(
@@ -120,23 +113,17 @@ def generate(
     overrides = scale_overrides or {}
     rows = []
     for name in names or benchmark_names():
-        scale = overrides.get(name)
+        scale = overrides.get(name, benchmark(name).default_scale)
         interp = run_benchmark(name, "interp", scale=scale, repeats=repeats)
-        args = boxed_workload(name, scale)
-
-        jit_engine = AnnotationEngine(use_speculation=False)
-        spec_engine = AnnotationEngine(use_speculation=True)
-        for text in _sources(name):
-            jit_engine.add_source(text)
-            spec_engine.add_source(text)
-        jit_time = _measure(jit_engine, name, args, repeats)
-        spec_time = _measure(spec_engine, name, args, repeats)
+        program = Program.benchmark(name, scale)
+        jit_time, _, _ = best_of(program, _annotation_backend(False), repeats)
+        spec_time, _, spec = best_of(program, _annotation_backend(True), repeats)
         rows.append(
             Table2Row(
                 benchmark=name,
                 spec_speedup=interp.runtime_s / spec_time if spec_time else 0.0,
                 jit_speedup=interp.runtime_s / jit_time if jit_time else 0.0,
-                spec_missed=bool(spec_engine.spec_misses),
+                spec_missed=bool(spec.engine.spec_misses),
             )
         )
     return rows

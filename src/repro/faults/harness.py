@@ -1,12 +1,15 @@
 """Differential fault-injection harness.
 
 Runs benchsuite programs under injected compile-time and runtime faults
-and asserts the outputs stay **bit-identical** to the pure interpreter
-baseline.  This is the executable statement of the paper's safety
-property: compilation is an optimization, so no injected failure of the
-compiled tier may change a program's result — the guarded repository must
-absorb it (quarantine + interpreter re-execution) and record what
-happened in ``session.diagnostics``.
+and asserts each run's whole :class:`~repro.backends.Observation` —
+output bytes, display transcript, error text, random-stream post-state —
+stays **identical** to the pure interpreter's.  A sweep is a list of
+:class:`Lane` rows, each a fault schedule laid over one row of
+:data:`repro.backends.BACKENDS`.  This is the executable statement of the
+paper's safety property: compilation is an optimization, so no injected
+failure of the compiled tier may change a program's result — the guarded
+repository must absorb it (quarantine + interpreter re-execution) and
+record what happened in ``session.diagnostics``.
 
 The same sweep also runs with the **background speculation engine**
 enabled (``--background``): faults injected inside worker threads — a
@@ -39,9 +42,9 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from unittest import mock
 
-from repro.benchsuite.registry import benchmark, benchmark_names, source_of
-from repro.benchsuite.workloads import boxed_workload, checksum
-from repro.core.majic import MajicSession, ensure_recursion_limit
+from repro import backends
+from repro.backends import Program, reference
+from repro.benchsuite.registry import benchmark_names
 from repro.faults.plan import (
     BEHAVIOR_CRASH,
     BEHAVIOR_HANG,
@@ -60,33 +63,15 @@ from repro.faults.plan import (
     SITE_PARALLEL_SEND,
     SITE_PARALLEL_WORKER,
 )
-from repro.frontend.parser import parse
-from repro.interp.interpreter import Interpreter
-from repro.runtime.builtins import GLOBAL_RANDOM
-from repro.runtime.display import OutputSink
+from repro.kernels import KERNEL_CACHE
+from repro.obs import write_chrome_trace, write_prometheus
+from repro.repository.diagnostics import PARALLEL_RESTART
 
-_SEED = 12345
-
-#: Benchmark scales small enough for a harness sweep to finish in seconds
-#: (mirrors tests/conftest.py's TINY_SCALES without importing test code).
-SMALL_SCALES = {
-    "adapt": (8, 1e-4),
-    "cgopt": (40, 1e-8, 60),
-    "crnich": (15, 15, 1.0),
-    "dirich": (10, 0.5, 4),
-    "finedif": (16, 16, 1.0),
-    "galrkn": (60,),
-    "icn": (14,),
-    "mei": (12, 6),
-    "orbec": (150, 0.0005),
-    "orbrk": (60, 0.002),
-    "qmr": (40, 1e-8, 60),
-    "sor": (30, 1.5, 1e-6, 80),
-    "ackermann": (2, 2),
-    "fractal": (200,),
-    "mandel": (10, 12),
-    "fibonacci": (10,),
-}
+#: The ``--smoke`` subset: recursion, scalar loops, a builtin solver, the
+#: one ``rand`` user, and ``orbrk`` — two functions (so a second worker
+#: task exists), fused kernels that reach the native tier — so that every
+#: lane of every sweep has a program it can fire on.
+SMOKE_NAMES = ("fibonacci", "dirich", "cgopt", "fractal", "orbrk")
 
 
 @dataclass
@@ -95,81 +80,29 @@ class DifferentialOutcome:
 
     benchmark: str
     plan: str
-    matches: bool
-    baseline: float
-    faulted: float
+    #: The :class:`~repro.backends.Observation` fields on which the
+    #: faulted run differs from the interpreter's.
+    diverged: tuple[str, ...]
     faults_fired: int
     events: dict[str, int] = field(default_factory=dict)
 
+    @property
+    def matches(self) -> bool:
+        return not self.diverged
+
+    @property
+    def exercised(self) -> bool:
+        """Was a fault actually injected?  A rank that crashes or hangs
+        cannot report its own fired record, so its restart counts."""
+        return bool(self.faults_fired or self.events.get(PARALLEL_RESTART))
+
     def __str__(self) -> str:
         status = "OK " if self.matches else "FAIL"
+        where = "" if self.matches else f" diverged={','.join(self.diverged)}"
         return (
             f"{status} {self.benchmark:<10} plan={self.plan:<14} "
-            f"fired={self.faults_fired} events={self.events}"
+            f"fired={self.faults_fired} events={self.events}{where}"
         )
-
-
-def _sources(name: str) -> list[str]:
-    spec = benchmark(name)
-    return [source_of(name)] + [source_of(h) for h in spec.helpers]
-
-
-def interpreter_baseline(name: str, scale: tuple | None = None) -> float:
-    """Checksum of one benchmark under the pure interpreter (ground truth)."""
-    table = {}
-    for text in _sources(name):
-        for fn in parse(text).functions:
-            table[fn.name] = fn
-    interp = Interpreter(function_lookup=table.get, sink=OutputSink())
-    ensure_recursion_limit(100_000)
-    GLOBAL_RANDOM.seed(_SEED)
-    args = boxed_workload(name, scale or SMALL_SCALES.get(name))
-    outputs = interp.call_function(table[name], args, 1)
-    return checksum(outputs[0]) if outputs else 0.0
-
-
-def run_with_faults(
-    name: str,
-    plan: FaultPlan | None,
-    scale: tuple | None = None,
-    speculate: bool = False,
-    background: bool = False,
-    trace: bool = False,
-    metrics: bool = False,
-    **session_kwargs,
-) -> tuple[float, MajicSession]:
-    """Checksum of one benchmark under a (possibly faulted) session.
-
-    ``background=True`` routes the speculative pass through the worker
-    pool: faults then fire *inside worker threads*, and the bounded drain
-    doubles as the no-deadlock assertion.  ``trace``/``metrics`` switch
-    the session's observability recorders on (exported by ``main``).
-    Extra keyword arguments pass through to :class:`MajicSession` — the
-    chaos sweep uses this for ``sandbox``, ``run_deadline``,
-    ``compile_deadline`` and ``cache_dir``.
-    """
-    session = MajicSession(
-        seed=None,
-        fault_plan=plan,
-        background=background,
-        trace=trace,
-        metrics=metrics,
-        **session_kwargs,
-    )
-    for text in _sources(name):
-        session.add_source(text)
-    if background:
-        session.speculate_async()
-        drained = session.drain_speculation(timeout=120)
-        assert drained, f"background speculation deadlocked on '{name}'"
-    elif speculate:
-        session.speculate_all()
-    GLOBAL_RANDOM.seed(_SEED)
-    args = boxed_workload(name, scale or SMALL_SCALES.get(name))
-    outputs = session.call_boxed(name, args, nargout=1)
-    digest = checksum(outputs[0]) if outputs else 0.0
-    session.close()
-    return digest, session
 
 
 @dataclass(frozen=True)
@@ -180,10 +113,11 @@ class Lane:
     label: str
     specs: tuple[FaultSpec, ...] = ()
     session_kwargs: dict = field(default_factory=dict)
-    #: Run the speculative pass before the call (so spec-tier sites fire).
-    speculate: bool = False
-    #: ... through the worker pool: faults fire inside worker threads.
-    background: bool = False
+    #: The :data:`repro.backends.BACKENDS` row the lane overrides: ``spec``
+    #: runs the speculative pass first (so spec-tier sites fire),
+    #: ``background`` runs it in the worker pool (faults fire inside
+    #: worker threads; the bounded drain is the no-deadlock assertion).
+    backend: str = "fused"
     #: Pre-populate a disk cache with a clean pass so the faulted session
     #: has entries to corrupt.
     warm_cache: bool = False
@@ -203,12 +137,11 @@ def default_lanes() -> list[Lane]:
     against both tiers of the compiled path, plus faults in the fused
     elementwise kernel compiler and the kernels it emits."""
     from repro.faults.plan import SITE_KERNEL_COMPILE, SITE_KERNEL_RUN
-    from repro.tiering import TieringPolicy
 
     return [
         Lane("jit-compile", _one(FaultPlan.compile_fault(site="jit", hit=1))),
         Lane("spec-compile", _one(FaultPlan.compile_fault(site="spec", hit=1)),
-             speculate=True),
+             backend="spec"),
         Lane("runtime-hit1", _one(FaultPlan.runtime_fault(helper="*", hit=1))),
         Lane("runtime-hit7", _one(FaultPlan.runtime_fault(helper="*", hit=7))),
         Lane("kernel-compile",
@@ -217,15 +150,11 @@ def default_lanes() -> list[Lane]:
              _one(FaultPlan.kernel_fault(site=SITE_KERNEL_RUN, hit=1))),
         # Adaptive-tiering lane: the first promotion compile dies; the
         # function must keep serving from its current tier.  The site only
-        # exists under the adaptive controller; hair-trigger thresholds +
-        # sync mode make the injected fault fire deterministically on the
-        # first promotion attempt.
+        # exists under the adaptive controller; the ``adaptive`` row's
+        # hair-trigger thresholds + sync mode make the injected fault fire
+        # deterministically on the first promotion attempt.
         Lane("tier-promote", _one(FaultPlan.tiering_fault(hit=1)),
-             session_kwargs={
-                 "adaptive": True,
-                 "adaptive_sync": True,
-                 "tiering": TieringPolicy(jit_threshold=1.0, spec_threshold=2.0),
-             }),
+             backend="adaptive"),
     ]
 
 
@@ -233,7 +162,7 @@ def background_lanes() -> list[Lane]:
     """The worker-thread sweep: faults firing inside (or around) the
     background speculation pool."""
     return [
-        Lane(label, _one(plan), background=True)
+        Lane(label, _one(plan), backend="background")
         for label, plan in (
             ("worker-hit1", FaultPlan.worker_fault(hit=1)),
             ("worker-hit2", FaultPlan.worker_fault(hit=2)),
@@ -249,7 +178,7 @@ def native_lanes() -> list[Lane]:
     the Python fused kernels without changing a single bit — plus one
     fault-free lane with the toolchain disabled entirely.  Sessions run
     with ``native_sync`` so the compile happens on the hot path and the
-    injected fault is guaranteed to fire before the checksum is taken."""
+    injected fault is guaranteed to fire before the call is observed."""
     kwargs = {
         "native": True, "native_sync": True, "native_hot_threshold": 1,
         # The sweep's small scales would mostly duck under the size
@@ -300,7 +229,7 @@ def chaos_scenarios() -> list[Lane]:
                 FaultSpec(site=SITE_CACHE_CORRUPT, hits=(1,)),
                 FaultSpec(site=SITE_CACHE_PARTIAL, hits=(1,)),
             ),
-            speculate=True,
+            backend="spec",
             warm_cache=True,
         ),
     ]
@@ -316,7 +245,7 @@ def parallel_scenarios() -> list[Lane]:
 
     policy = ResiliencePolicy(parallel_recv_timeout=1.5)
     return [
-        Lane(label, (spec,), session_kwargs={"parallel": 2, "resilience": policy})
+        Lane(label, (spec,), {"resilience": policy}, backend="parallel")
         for label, spec in (
             ("msg-dropped", FaultSpec(site=SITE_PARALLEL_SEND, hits=(1,))),
             ("worker-hang", FaultSpec(site=SITE_PARALLEL_WORKER, hits=(1,),
@@ -342,21 +271,18 @@ SWEEPS = {
 def run_lanes(
     lanes: list[Lane],
     names: list[str] | None = None,
-    scales: dict[str, tuple] | None = None,
     trace: bool = False,
 ) -> list[DifferentialOutcome]:
-    """Every benchmark × every lane, each compared with the pure
-    interpreter's checksum.
+    """Every benchmark × every lane, each compared — as a whole
+    :class:`~repro.backends.Observation` — with the pure interpreter's.
 
     ``trace=True`` runs the faulted sessions with (distributed) tracing
     and metrics on — results must stay bit-identical with spans being
     recorded and shipped, or observability is changing behaviour."""
-    names = names or benchmark_names()
-    scales = scales or SMALL_SCALES
     outcomes: list[DifferentialOutcome] = []
-    for name in names:
-        scale = scales.get(name)
-        baseline = interpreter_baseline(name, scale)
+    for name in names or benchmark_names():
+        program = Program.benchmark(name)
+        expected = reference(program)
         for lane in lanes:
             plan = lane.plan()
             kwargs = dict(lane.session_kwargs)
@@ -366,46 +292,43 @@ def run_lanes(
                 if lane.warm_cache:
                     tmpdir = tempfile.mkdtemp(prefix="majic-chaos-")
                     cleanup.callback(shutil.rmtree, tmpdir, ignore_errors=True)
-                    run_with_faults(
-                        name, None, scale, speculate=True, cache_dir=tmpdir
-                    )
+                    backends.observe(program, "spec", cache_dir=tmpdir)
                     kwargs["cache_dir"] = tmpdir
                 cleanup.enter_context(mock.patch.dict(os.environ, lane.env))
-                faulted, session = run_with_faults(
-                    name, plan, scale, speculate=lane.speculate,
-                    background=lane.background, **kwargs,
-                )
+                # Every lane starts from a cold process-wide kernel cache:
+                # the kernel-compile site only exists while a kernel is
+                # being compiled, and the reference run and earlier lanes
+                # would otherwise have compiled them all.
+                KERNEL_CACHE.clear()
+                with backends.open(
+                    program, lane.backend, fault_plan=plan, **kwargs
+                ) as handle:
+                    diverged = expected.diff(handle.call())
             outcomes.append(
                 DifferentialOutcome(
                     benchmark=name,
                     plan=lane.label,
-                    matches=(faulted == baseline),
-                    baseline=baseline,
-                    faulted=faulted,
+                    diverged=diverged,
                     faults_fired=len(plan.fired) if plan is not None else 0,
-                    events=session.diagnostics.counts(),
+                    events=handle.session.diagnostics.counts(),
                 )
             )
     return outcomes
 
 
 def run_differential(
-    names: list[str] | None = None,
-    scales: dict[str, tuple] | None = None,
-    background: bool = False,
+    names: list[str] | None = None, background: bool = False
 ) -> list[DifferentialOutcome]:
     """The default (or worker-thread) sweep."""
     lanes = background_lanes() if background else default_lanes()
-    return run_lanes(lanes, names, scales)
+    return run_lanes(lanes, names)
 
 
 def run_chaos(
-    names: list[str] | None = None,
-    scales: dict[str, tuple] | None = None,
-    trace: bool = False,
+    names: list[str] | None = None, trace: bool = False
 ) -> list[DifferentialOutcome]:
     """The supervision chaos sweep."""
-    return run_lanes(chaos_scenarios(), names, scales, trace)
+    return run_lanes(chaos_scenarios(), names, trace)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -464,19 +387,15 @@ def main(argv: list[str] | None = None) -> int:
     options = parser.parse_args(argv)
     names = options.benchmarks
     if names is None and options.smoke:
-        # The native smoke list leads with benchmarks whose fused kernels
-        # actually reach the native tier, so the injected faults fire.
-        if options.native:
-            names = ["orbec", "sor", "fibonacci", "fractal"]
-        else:
-            names = ["fibonacci", "dirich", "cgopt", "fractal"]
+        names = list(SMOKE_NAMES)
     sweep = next(
         (flag for flag in ("native", "parallel", "chaos", "background")
          if getattr(options, flag)),
         "default",
     )
+    lanes = SWEEPS[sweep]()
     outcomes = run_lanes(
-        SWEEPS[sweep](), names=names,
+        lanes, names=names,
         trace=options.trace and sweep in ("chaos", "parallel"),
     )
     failures = 0
@@ -487,6 +406,15 @@ def main(argv: list[str] | None = None) -> int:
         f"{len(outcomes) - failures}/{len(outcomes)} differential runs "
         f"bit-identical to the interpreter"
     )
+    # A lane whose faults never fire proves nothing about recovery: every
+    # lane that carries fault specs must inject on some program of the run.
+    exercised = {o.plan for o in outcomes if o.exercised}
+    dead = [
+        lane.label for lane in lanes
+        if lane.specs and lane.label not in exercised
+    ]
+    if dead:
+        print(f"lanes that injected no fault on any program: {dead}")
     if options.json_out:
         import json
 
@@ -514,21 +442,22 @@ def main(argv: list[str] | None = None) -> int:
         # One fault-free observed pass (background so worker spans show),
         # then the one-screen health report and the requested exports.
         observed = (names or benchmark_names())[0]
-        digest, session = run_with_faults(
-            observed, plan=None, background=True, trace=trace, metrics=metrics
-        )
+        with backends.open(
+            Program.benchmark(observed), "background",
+            trace=trace, metrics=metrics,
+        ) as handle:
+            handle.call()
+        session = handle.session
         print()
-        print(f"observed pass: {observed} (checksum {digest})")
+        print(f"observed pass: {observed}")
         print(session.summary())
         if options.trace_out:
-            with open(options.trace_out, "w", encoding="utf-8") as handle:
-                handle.write(session.trace_json())
+            write_chrome_trace(session.obs.tracer, options.trace_out)
             print(f"trace written to {options.trace_out}")
         if options.metrics_out:
-            with open(options.metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(session.metrics_text())
+            write_prometheus(session.obs.metrics, options.metrics_out)
             print(f"metrics written to {options.metrics_out}")
-    return 1 if failures else 0
+    return 1 if failures or dead else 0
 
 
 if __name__ == "__main__":

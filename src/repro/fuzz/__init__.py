@@ -3,11 +3,11 @@
 A seeded generator (:mod:`repro.fuzz.grammar`) produces random MATLAB
 programs — scalar and matrix arithmetic, elementwise operators, ``for``
 / ``while`` / ``if`` control flow, slicing, stores and a curated builtin
-set — and the runner (:mod:`repro.fuzz.runner`) executes each program on
-every backend (interpreter, JIT, fused-kernel JIT, speculative,
-background-speculative, the FALCON and mcc baselines, and the
-MatlabMPI-style parallel driver), asserting that outputs, display text
-and error messages are **bit-identical** to the interpreter's.
+set, ``rand``/``randn`` draws, and side effects before a failure — and
+the runner (:mod:`repro.fuzz.runner`) checks each program on every row of
+:data:`repro.backends.BACKENDS`, asserting that the whole
+:class:`~repro.backends.Observation` — output bytes, display text, error
+message, random-stream post-state — is **identical** to the interpreter's.
 
 Use as a library (the differential pytest suite), or as a CLI::
 
@@ -18,18 +18,11 @@ Use as a library (the differential pytest suite), or as a CLI::
 from __future__ import annotations
 
 from repro.fuzz.grammar import GeneratedProgram, generate_program
-from repro.fuzz.runner import (
-    BACKENDS,
-    RunResult,
-    check_program,
-    fuzz,
-    run_backend,
-)
+from repro.fuzz.runner import BACKENDS, check_program, fuzz, run_backend
 
 __all__ = [
     "BACKENDS",
     "GeneratedProgram",
-    "RunResult",
     "check_program",
     "fuzz",
     "generate_program",

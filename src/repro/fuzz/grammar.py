@@ -13,7 +13,10 @@ boundary it reaches for the constructs that historically break
 compilers: matrices that change shape in loops, elementwise operator
 chains (the fused-kernel path), slicing and linear stores (subscript
 check elision), scalar/matrix overloads of the same variable, bool/char
-values, and guaranteed out-of-range reads (error-path identity).
+values, guaranteed out-of-range reads (error-path identity), reads of the
+shared random stream (scalar, matrix, inside an elementwise chain, inside
+a callee) and side effects *before* a failure — text already displayed, a
+draw already taken — which a failing backend must neither lose nor repeat.
 """
 
 from __future__ import annotations
@@ -33,8 +36,18 @@ MATRIX_FUNCS = ("abs", "floor", "round", "cos", "sin", "sign")
 #: Reductions folding a matrix into a scalar-ish value.
 REDUCE_FUNCS = ("sum", "numel", "length", "min", "max")
 
+#: Builtins reading the shared random stream.
+RAND_FUNCS = ("rand", "randn")
+
 SCALAR_VARS = ("s", "t", "u")
 MATRIX_VARS = ("A", "B")
+
+#: Callee bodies (``{name}`` is the program's): a draw inside a callee,
+#: and a subscript violation inside a callee.
+HELPERS = {
+    "draw": "function r = {name}_draw(k)\nr = rand * k + randn;\n",
+    "fail": "function r = {name}_fail(M)\nr = M(numel(M) + 7);\n",
+}
 
 
 @dataclass(frozen=True)
@@ -53,12 +66,31 @@ class _Gen:
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
         self.seed = seed
+        self.name = f"fuzz{seed}"
         self.features: list[str] = []
+        #: :data:`HELPERS` the program calls, appended to its source.
+        self.helpers: set[str] = set()
+        #: ``"rows, cols"`` of the matrix parameter (set by ``program``).
+        self.shape = ""
+
+    def draw(self, shape: str = "") -> str:
+        """A read of the random stream: a matrix of ``shape``, else a
+        scalar drawn here or inside a callee."""
+        self.features.append("rand")
+        fn = self.rng.choice(RAND_FUNCS)
+        if shape:
+            return f"{fn}({shape})"
+        if self.rng.random() < 0.3:
+            self.helpers.add("draw")
+            return f"{self.name}_draw({self.rng.randrange(1, 4)})"
+        return fn
 
     # -- scalar expressions -------------------------------------------
     def scalar_atom(self) -> str:
         r = self.rng
-        choice = r.randrange(6)
+        choice = r.randrange(7)
+        if choice == 6:
+            return self.draw()
         if choice == 0:
             return r.choice(SCALAR_PARAMS)
         if choice == 1:
@@ -95,7 +127,9 @@ class _Gen:
     # -- matrix expressions -------------------------------------------
     def matrix_atom(self) -> str:
         r = self.rng
-        choice = r.randrange(4)
+        choice = r.randrange(5)
+        if choice == 4:
+            return self.draw(self.shape)
         if choice == 0:
             return MATRIX_PARAM
         if choice in (1, 2):
@@ -167,10 +201,25 @@ class _Gen:
         body = self.statement(0)
         return f"for k = 1:{stop},\n  {body}\n  s = s + k;\nend"
 
+    def failure(self, oob: str) -> str:
+        """A guaranteed MATLAB error — the bare out-of-range read ``oob``,
+        or one raised after a side effect."""
+        kind = self.rng.randrange(4)
+        if kind == 0:
+            return oob
+        self.features.append("effects-then-error")
+        if kind == 1:
+            return f"disp({self.scalar_expr(1)});\nerror('fuzz: gave up');"
+        if kind == 2:
+            self.features.append("rand")
+            return f"t = rand;\n{oob}"
+        self.helpers.add("fail")
+        return f"disp(t);\ns = {self.name}_fail(M);"
+
     # ------------------------------------------------------------------
     def program(self) -> GeneratedProgram:
         r = self.rng
-        name = f"fuzz{self.seed}"
+        name = self.name
         rows = r.randrange(2, 5)
         cols = r.randrange(2, 5)
         lines = [
@@ -183,17 +232,20 @@ class _Gen:
             self.features.append("transpose")
             # transpose only squares cleanly; force square matrices
             cols = rows
+        self.shape = f"{rows}, {cols}"
         for _ in range(r.randrange(2, 7)):
             lines.append(self.statement())
-        expects_error = r.random() < 0.12
+        expects_error = r.random() < 0.2
         if expects_error:
             self.features.append("error")
-            # A guaranteed out-of-range read: every backend must raise
-            # the same MATLAB error text.
-            lines.append(f"s = M({rows + 7}, {cols + 7});")
+            # Every backend must raise the same MATLAB error text, having
+            # shown and drawn exactly what the interpreter did first.
+            lines.append(self.failure(f"s = M({rows + 7}, {cols + 7});"))
         lines.append("r1 = s + t + u + sum(v);")
         lines.append("r2 = A + B .* 0 + sum(sum(A));")
-        source = "\n".join(lines) + "\n"
+        source = "\n".join(lines) + "\n" + "".join(
+            HELPERS[h].format(name=name) for h in sorted(self.helpers)
+        )
         # Concrete arguments: quarter-integer scalars and matrix entries
         # keep intermediate values exactly representable, so differences
         # can only come from diverging operation order — the thing the

@@ -1,61 +1,19 @@
-"""Execute generated programs on every backend and compare bit-for-bit.
+"""Check generated programs on every backend, bit for bit.
 
-The interpreter is ground truth (the paper's Section 2.2.1 contract).
-For each backend we canonicalize the run into a :class:`RunResult`:
-
-* every output as ``(shape, dtype, raw little-endian bytes)`` — byte
-  equality is NaN-payload- and signed-zero-exact;
-* the display sink's text;
-* the MATLAB error message, when the program raised.
-
-A backend matches iff all three are equal.  Anything else — a different
-result bit, a differently formatted ``disp``, a different error string —
-is a :class:`Mismatch`.
+The running and the comparing live in :mod:`repro.backends` (one
+backend table, one :class:`~repro.backends.Observation`); this module
+only walks seeds and reports every field on which a backend diverged
+from the interpreter as a :class:`Mismatch`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.baselines.falcon import FalconCompilerEngine
-from repro.baselines.mcc import MccCompilerEngine
-from repro.core.majic import MajicSession
-from repro.errors import MatlabError
-from repro.frontend.parser import parse
+from repro.backends import BACKENDS, Observation, Program, observe
 from repro.fuzz.grammar import GeneratedProgram, generate_program
-from repro.interp.interpreter import Interpreter
-from repro.runtime.builtins import GLOBAL_RANDOM
-from repro.runtime.display import OutputSink
-from repro.runtime.mxarray import MxArray
-from repro.runtime.values import from_python
-from repro.tiering import TieringPolicy
 
-#: RNG seed applied before every backend run (programs using ``rand``
-#: must read the same stream everywhere).
-RNG_SEED = 20020617
-
-#: Hair-trigger thresholds for the adaptive backend: the top-level call's
-#: callees promote after a single observation, so generated programs with
-#: loops/recursion exercise interpreter->jit->spec switches mid-run.
-_AGGRESSIVE_TIERING = TieringPolicy(jit_threshold=1.0, spec_threshold=2.0)
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """Canonicalized observable behaviour of one program run."""
-
-    outputs: tuple
-    display: str
-    error: str | None
-
-    def matches(self, other: "RunResult") -> bool:
-        return (
-            self.outputs == other.outputs
-            and self.display == other.display
-            and self.error == other.error
-        )
+DEFAULT_BACKENDS = tuple(label for label in BACKENDS if label != "interpreter")
 
 
 @dataclass(frozen=True)
@@ -73,107 +31,23 @@ class Mismatch:
         )
 
 
-def _canon_value(value) -> tuple:
-    if isinstance(value, MxArray):
-        if value.is_string:
-            return ("char", value.text)
-        data = np.ascontiguousarray(value.view())
-        return ("mat", data.shape, str(data.dtype), data.tobytes())
-    return ("host", repr(value))
+def run_backend(label: str, program: GeneratedProgram) -> Observation:
+    return observe(Program.generated(program), label)
 
 
-def _canonical(outputs, sink: OutputSink, error) -> RunResult:
-    return RunResult(
-        outputs=tuple(_canon_value(v) for v in (outputs or ())),
-        display=sink.getvalue(),
-        error=str(error) if error is not None else None,
-    )
-
-
-def _boxed_args(program: GeneratedProgram):
-    return [from_python(a) for a in program.args]
-
-
-# ----------------------------------------------------------------------
-# Backend runners
-# ----------------------------------------------------------------------
-def _run_interpreter(program: GeneratedProgram) -> RunResult:
-    table = {fn.name: fn for fn in parse(program.source).functions}
-    sink = OutputSink()
-    interp = Interpreter(function_lookup=table.get, sink=sink)
-    GLOBAL_RANDOM.seed(RNG_SEED)
-    outputs = error = None
-    try:
-        outputs = interp.call_function(
-            table[program.name], _boxed_args(program), 2
-        )
-    except MatlabError as exc:
-        error = exc
-    return _canonical(outputs, sink, error)
-
-
-def _run_session(program: GeneratedProgram, **kwargs) -> RunResult:
-    speculate = kwargs.pop("speculate", False)
-    background = kwargs.pop("background", False)
-    session = MajicSession(seed=None, **kwargs)
-    try:
-        session.add_source(program.source)
-        if background:
-            session.speculate_async()
-            if not session.drain_speculation(timeout=60):
-                raise RuntimeError("background speculation queue hung")
-        elif speculate:
-            session.speculate_all()
-        GLOBAL_RANDOM.seed(RNG_SEED)
-        outputs = error = None
-        try:
-            outputs = session.call_boxed(
-                program.name, _boxed_args(program), nargout=2
-            )
-        except MatlabError as exc:
-            error = exc
-        return _canonical(outputs, session.sink, error)
-    finally:
-        session.close()
-
-
-def _run_baseline(program: GeneratedProgram, factory) -> RunResult:
-    sink = OutputSink()
-    engine = factory(sink=sink)
-    engine.add_source(program.source)
-    GLOBAL_RANDOM.seed(RNG_SEED)
-    outputs = error = None
-    try:
-        outputs = engine.execute(program.name, _boxed_args(program), 2)
-    except MatlabError as exc:
-        error = exc
-    return _canonical(outputs, sink, error)
-
-
-#: Label -> runner.  ``interpreter`` is the ground truth every other
-#: backend is compared against.
-BACKENDS = {
-    "interpreter": _run_interpreter,
-    "jit": lambda p: _run_session(p, fusion=False),
-    "fused": lambda p: _run_session(p),
-    "spec": lambda p: _run_session(p, speculate=True),
-    "background": lambda p: _run_session(p, background=True),
-    "falcon": lambda p: _run_baseline(p, FalconCompilerEngine),
-    "mcc": lambda p: _run_baseline(p, MccCompilerEngine),
-    "parallel": lambda p: _run_session(p, parallel=2),
-    # Adaptive tiering with promotion thresholds low enough that tier
-    # switches happen *mid-program* (sync mode keeps runs deterministic):
-    # the continuous bit-identity check for the online controller.
-    "adaptive": lambda p: _run_session(
-        p, adaptive=True, adaptive_sync=True, tiering=_AGGRESSIVE_TIERING
-    ),
-}
-
-DEFAULT_BACKENDS = tuple(label for label in BACKENDS if label != "interpreter")
-
-
-def run_backend(label: str, program: GeneratedProgram) -> RunResult:
-    return BACKENDS[label](program)
+def _check(program: GeneratedProgram, backends) -> tuple[Observation, list]:
+    expected = run_backend("interpreter", program)
+    mismatches: list[Mismatch] = []
+    for label in backends:
+        if label == "interpreter":
+            continue
+        actual = run_backend(label, program)
+        for name in expected.diff(actual):
+            mismatches.append(Mismatch(
+                seed=program.seed, backend=label, field=name,
+                expected=getattr(expected, name), actual=getattr(actual, name),
+            ))
+    return expected, mismatches
 
 
 def check_program(
@@ -181,32 +55,14 @@ def check_program(
 ) -> list[Mismatch]:
     """Run one program everywhere; report every divergence from the
     interpreter."""
-    expected = _run_interpreter(program)
-    mismatches: list[Mismatch] = []
-    for label in backends:
-        if label == "interpreter":
-            continue
-        actual = run_backend(label, program)
-        for field_name in ("outputs", "display", "error"):
-            want = getattr(expected, field_name)
-            got = getattr(actual, field_name)
-            if want != got:
-                mismatches.append(Mismatch(
-                    seed=program.seed, backend=label, field=field_name,
-                    expected=want, actual=got,
-                ))
-    return mismatches
+    return _check(program, backends)[1]
 
 
 @dataclass
 class FuzzReport:
     checked: int = 0
     errored_programs: int = 0
-    mismatches: list = None
-
-    def __post_init__(self):
-        if self.mismatches is None:
-            self.mismatches = []
+    mismatches: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -223,9 +79,8 @@ def fuzz(
     report = FuzzReport()
     for case_seed in range(seed, seed + count):
         program = generate_program(case_seed)
-        found = check_program(program, backends)
+        expected, found = _check(program, backends)
         report.checked += 1
-        expected = _run_interpreter(program)
         if expected.error is not None:
             report.errored_programs += 1
         report.mismatches.extend(found)

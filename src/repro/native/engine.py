@@ -288,7 +288,8 @@ class NativeEngine:
             winner_tag, winner_flags, winner_so, timings = self._pick(
                 name, descs, candidates
             )
-            so_bytes = open(winner_so, "rb").read()
+            with open(winner_so, "rb") as handle:
+                so_bytes = handle.read()
             stored = None
             if self.store is not None:
                 stored = self.store.store(akey, so_bytes, {

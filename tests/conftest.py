@@ -1,4 +1,4 @@
-"""Shared fixtures and tiny benchmark scales for fast test runs."""
+"""Shared fixtures."""
 
 from __future__ import annotations
 
@@ -8,26 +8,6 @@ import numpy as np
 import pytest
 
 from repro.runtime.builtins import GLOBAL_RANDOM
-
-#: Scales small enough that a full engine sweep of a benchmark stays fast.
-TINY_SCALES = {
-    "adapt": (8, 1e-4),
-    "cgopt": (40, 1e-8, 60),
-    "crnich": (15, 15, 1.0),
-    "dirich": (10, 0.5, 4),
-    "finedif": (16, 16, 1.0),
-    "galrkn": (60,),
-    "icn": (14,),
-    "mei": (12, 6),
-    "orbec": (150, 0.0005),
-    "orbrk": (60, 0.002),
-    "qmr": (40, 1e-8, 60),
-    "sor": (30, 1.5, 1e-6, 80),
-    "ackermann": (2, 2),
-    "fractal": (200,),
-    "mandel": (10, 12),
-    "fibonacci": (10,),
-}
 
 
 @pytest.fixture(autouse=True)

@@ -1,10 +1,11 @@
-"""Benchmark suite integration tests: every Table 1 program computes the
-same result under every engine (interpreter, mcc, FALCON, JIT,
-speculative) at tiny problem sizes."""
-
-import math
+"""Benchmark suite integration tests: the registry, known answers, and
+that every call the experiment harness *times* — on every engine
+(interpreter, mcc, FALCON, JIT, speculative), at smoke problem sizes —
+is observed to do exactly what the interpreter does."""
 
 import pytest
+
+from repro.backends import Program, reference
 
 from repro.benchsuite.registry import (
     BENCHMARKS,
@@ -14,7 +15,6 @@ from repro.benchsuite.registry import (
     source_of,
 )
 from repro.experiments.harness import ENGINES, run_benchmark
-from tests.conftest import TINY_SCALES
 
 
 class TestRegistry:
@@ -57,21 +57,22 @@ class TestRegistry:
                 assert source_of(helper)
 
 
+def _timed_call_diverges(name, engine, **kwargs):
+    """Fields on which the call ``run_benchmark`` timed — the *second*
+    call of a warmed batch compiler, unlike the matrix's first calls —
+    differs from the interpreter's reference."""
+    result = run_benchmark(
+        name, engine, scale=benchmark(name).smoke_scale, repeats=1, **kwargs
+    )
+    return reference(Program.benchmark(name)).diff(result.observation)
+
+
 @pytest.mark.parametrize("name", benchmark_names())
 def test_engines_agree(name):
-    """The headline correctness property: all five engines compute the
-    same checksum on every benchmark."""
-    scale = TINY_SCALES[name]
-    results = {}
+    """The headline correctness property: what all five engines are timed
+    doing is what the interpreter does, on every benchmark."""
     for engine in ENGINES:
-        result = run_benchmark(name, engine, scale=scale, repeats=1)
-        results[engine] = result.checksum
-    base = results["interp"]
-    for engine, digest in results.items():
-        assert math.isclose(digest, base, rel_tol=1e-6, abs_tol=1e-6), (
-            engine,
-            results,
-        )
+        assert not _timed_call_diverges(name, engine), engine
 
 
 @pytest.mark.parametrize("name", ["dirich", "orbec", "fibonacci"])
@@ -79,15 +80,8 @@ def test_engines_agree_on_mips(name):
     """The MIPS configuration changes code quality, never results."""
     from repro.core.platformcfg import MIPS
 
-    scale = TINY_SCALES[name]
-    interp = run_benchmark(name, "interp", scale=scale, repeats=1)
     for engine in ("jit", "spec", "falcon"):
-        result = run_benchmark(
-            name, engine, platform=MIPS, scale=scale, repeats=1
-        )
-        assert math.isclose(
-            result.checksum, interp.checksum, rel_tol=1e-6, abs_tol=1e-6
-        ), engine
+        assert not _timed_call_diverges(name, engine, platform=MIPS), engine
 
 
 class TestKnownValues:

@@ -4,28 +4,26 @@ Two generations of the same idea live here:
 
 * The **grammar fuzzer** (:mod:`repro.fuzz`): seeded random programs —
   scalars and matrices, elementwise chains, ``for``/``while``/``if``,
-  slicing, stores, a curated builtin set — run on *every* backend
-  (interpreter, JIT, fused, spec, background, FALCON, mcc, parallel)
-  asserting bit-identical outputs, display text and error messages.
-  The fast lane checks a bounded seed range; the slow lane
+  slicing, stores, a curated builtin set, ``rand`` draws, side effects
+  before a failure — run on *every* backend (interpreter, JIT, fused,
+  spec, background, FALCON, mcc, parallel, adaptive) asserting
+  identical outputs, display text, error messages and random-stream
+  post-state.  The fast lane checks a bounded seed range; the slow lane
   (``-m slow``) goes deep.  Reproduce any failure with
   ``python -m repro.fuzz --seed N --count 1``.
 * The original **hypothesis properties**, kept as a second independent
   generator over the interpreter/JIT/spec trio.
-"""
 
-import math
+Both compare whole :class:`repro.backends.Observation` values.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MajicSession
-from repro.benchsuite.workloads import checksum
-from repro.frontend.parser import parse
+from repro.backends import Program, observe, reference
 from repro.fuzz import check_program, generate_program
 from repro.fuzz.runner import DEFAULT_BACKENDS
-from repro.interp.interpreter import Interpreter
 from repro.runtime.values import from_python
 
 # ----------------------------------------------------------------------
@@ -130,21 +128,14 @@ def programs(draw):
     return "\n".join(lines) + "\n"
 
 
-def run_interp(source, args):
-    program = parse(source)
-    fn = program.primary
-    interp = Interpreter(function_lookup=lambda n: None)
-    outs = interp.call_function(fn, [a.copy() for a in args], 2)
-    return [checksum(o) for o in outs]
-
-
-def run_session(source, args, speculative):
-    session = MajicSession()
-    session.add_source(source)
-    if speculative:
-        session.speculate_all()
-    outs = session.call_boxed("randprog", [a.copy() for a in args], nargout=2)
-    return [checksum(o) for o in outs]
+def assert_backends_agree(source, entry, host_args, nargout=1,
+                          backends=("fused", "spec")):
+    program = Program(
+        (source,), entry, lambda: [from_python(a) for a in host_args], nargout
+    )
+    for backend in backends:
+        diverged = reference(program).diff(observe(program, backend))
+        assert not diverged, (backend, diverged, source, host_args)
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,16 +145,7 @@ def run_session(source, args, speculative):
     st.floats(min_value=-20, max_value=20, allow_nan=False),
 )
 def test_interpreter_jit_speculative_agree(source, x, y):
-    args = [from_python(x), from_python(y)]
-    expected = run_interp(source, args)
-    jit = run_session(source, args, speculative=False)
-    spec = run_session(source, args, speculative=True)
-    for label, got in (("jit", jit), ("spec", spec)):
-        assert len(got) == len(expected)
-        for e, g in zip(expected, got):
-            assert math.isclose(e, g, rel_tol=1e-9, abs_tol=1e-9), (
-                label, source, x, y, expected, got,
-            )
+    assert_backends_agree(source, "randprog", (x, y), nargout=2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -179,16 +161,7 @@ def test_growth_pattern_agrees(rows, cols):
         "for i = 1:r,\n  for j = 1:c,\n    A(i, j) = i * 10 + j;\n"
         "  end\nend\n"
     )
-    args = [from_python(rows), from_python(cols)]
-    program = parse(source)
-    interp = Interpreter(function_lookup=lambda n: None)
-    expected = checksum(
-        interp.call_function(program.primary, [a.copy() for a in args], 1)[0]
-    )
-    session = MajicSession()
-    session.add_source(source)
-    got = checksum(session.call_boxed("growit", args, nargout=1)[0])
-    assert math.isclose(expected, got, rel_tol=1e-9)
+    assert_backends_agree(source, "growit", (rows, cols), backends=("fused",))
 
 
 @settings(max_examples=20, deadline=None)
@@ -199,13 +172,4 @@ def test_vector_argument_agrees(values):
         "s = 0;\n"
         "for i = 1:length(v),\n  s = s + v(i) * i;\nend\n"
     )
-    args = [from_python([values])]
-    program = parse(source)
-    interp = Interpreter(function_lookup=lambda n: None)
-    expected = checksum(
-        interp.call_function(program.primary, [a.copy() for a in args], 1)[0]
-    )
-    session = MajicSession()
-    session.add_source(source)
-    got = checksum(session.call_boxed("vecsum", [a.copy() for a in args], 1)[0])
-    assert math.isclose(expected, got, rel_tol=1e-9, abs_tol=1e-12)
+    assert_backends_agree(source, "vecsum", ([values],), backends=("fused",))

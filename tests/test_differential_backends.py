@@ -1,132 +1,118 @@
-"""Cross-backend differential test suite.
+"""The backend matrix, and proof that its oracle bites.
 
-Every program in ``benchsuite/programs`` runs through every execution
-backend — MaJIC JIT, MaJIC speculative, MaJIC with *background*
-speculation, FALCON and mcc — and each result must be **bit-identical**
-to the pure interpreter's (the paper's ground truth).  Any unsound type
+Every Table-1 program runs on every row of
+:data:`repro.backends.BACKENDS` (plus MIPS-platform runs of the MaJIC
+tiers) and its whole :class:`~repro.backends.Observation` — output bytes,
+display transcript, error text, random-stream post-state — must equal
+the interpreter's :func:`~repro.backends.reference`.  Any unsound type
 annotation, removed subscript check, miscompiled selection or
-thread-unsafe repository mutation shows up here as a checksum mismatch.
+thread-unsafe repository mutation shows up here.
 
-Adding a backend is one line in :data:`BACKENDS`: map a label to a
-callable ``(benchmark_name, scale) -> checksum``.
+A new backend is one row in ``repro.backends.BACKENDS``; this file needs
+no change.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.baselines.falcon import FalconCompilerEngine
-from repro.baselines.mcc import MccCompilerEngine
-from repro.benchsuite.registry import benchmark, benchmark_names, source_of
-from repro.benchsuite.workloads import boxed_workload, checksum
-from repro.core.majic import MajicSession, ensure_recursion_limit
-from repro.frontend.parser import parse
-from repro.interp.interpreter import Interpreter
+from repro.backends import BACKENDS, Program, observation, observe, reference
+from repro.benchsuite.registry import benchmark_names
+from repro.core.platformcfg import MIPS
 from repro.runtime.builtins import GLOBAL_RANDOM
-from repro.runtime.display import OutputSink
-from repro.tiering import TieringPolicy
-
-from tests.conftest import TINY_SCALES
-
-_SEED = 20020617  # PLDI 2002
+from repro.runtime.values import from_ndarray
 
 #: Benchmarks exercised in the fast (-m "not slow") lane; the rest of the
 #: matrix runs in the slow lane.
 FAST_NAMES = ("fibonacci", "dirich", "fractal", "cgopt")
 
-
-def _sources(name: str) -> list[str]:
-    spec = benchmark(name)
-    return [source_of(name)] + [source_of(h) for h in spec.helpers]
-
-
-def _fresh_args(name: str):
-    GLOBAL_RANDOM.seed(_SEED)
-    return boxed_workload(name, TINY_SCALES[name])
-
-
-def _digest(outputs) -> float:
-    return checksum(outputs[0]) if outputs else 0.0
-
-
-# ----------------------------------------------------------------------
-# Backend runners: (benchmark name, scale) -> result checksum
-# ----------------------------------------------------------------------
-def run_interpreter(name: str) -> float:
-    table = {}
-    for text in _sources(name):
-        for fn in parse(text).functions:
-            table[fn.name] = fn
-    interp = Interpreter(function_lookup=table.get, sink=OutputSink())
-    ensure_recursion_limit(100_000)
-    args = _fresh_args(name)
-    return _digest(interp.call_function(table[name], args, 1))
-
-
-def run_session(name: str, speculate=False, background=False, **kwargs) -> float:
-    session = MajicSession(seed=None, **kwargs)
-    for text in _sources(name):
-        session.add_source(text)
-    if background:
-        session.speculate_async()
-        assert session.drain_speculation(timeout=60), "speculation queue hung"
-    elif speculate:
-        session.speculate_all()
-    args = _fresh_args(name)
-    digest = _digest(session.call_boxed(name, args, nargout=1))
-    session.close()
-    return digest
-
-
-def run_baseline(engine_factory, name: str) -> float:
-    engine = engine_factory()
-    for text in _sources(name):
-        engine.add_source(text)
-    ensure_recursion_limit(100_000)
-    args = _fresh_args(name)
-    return _digest(engine.execute(name, args, 1))
-
-
-#: The backend matrix.  A new backend is one line: label -> runner.
-BACKENDS = {
-    "jit": lambda name: run_session(name),
-    "spec": lambda name: run_session(name, speculate=True),
-    "background": lambda name: run_session(name, background=True),
-    "falcon": lambda name: run_baseline(FalconCompilerEngine, name),
-    "mcc": lambda name: run_baseline(MccCompilerEngine, name),
-    # Adaptive tiering with hair-trigger thresholds: functions promote
-    # interpreter -> jit -> spec *during* the benchmark run, so mid-stream
-    # tier switches are continuously checked against the interpreter.
-    "adaptive": lambda name: run_session(
-        name,
-        adaptive=True,
-        adaptive_sync=True,
-        tiering=TieringPolicy(jit_threshold=1.0, spec_threshold=2.0),
-    ),
-}
-
-_BASELINES: dict[str, float] = {}
-
-
-def interpreter_digest(name: str) -> float:
-    if name not in _BASELINES:
-        _BASELINES[name] = run_interpreter(name)
-    return _BASELINES[name]
+#: (backend label, overrides, id suffix).  The MIPS platform changes code
+#: quality (fewer registers, no unrolling, a stronger native backend),
+#: never results.
+ROWS = [
+    (label, {}, "") for label in sorted(BACKENDS) if label != "interpreter"
+] + [
+    (label, {"platform": MIPS}, "-mips") for label in ("jit", "fused", "spec")
+]
 
 
 def _matrix():
     for name in benchmark_names():
-        for backend in sorted(BACKENDS):
-            fast = name in FAST_NAMES
-            marks = () if fast else (pytest.mark.slow,)
-            yield pytest.param(name, backend, marks=marks, id=f"{name}-{backend}")
+        marks = () if name in FAST_NAMES else (pytest.mark.slow,)
+        for backend, overrides, suffix in ROWS:
+            yield pytest.param(
+                name, backend, overrides, marks=marks,
+                id=f"{name}-{backend}{suffix}",
+            )
 
 
-@pytest.mark.parametrize(("name", "backend"), list(_matrix()))
-def test_backend_bit_identical_to_interpreter(name, backend):
-    expected = interpreter_digest(name)
-    actual = BACKENDS[backend](name)
-    assert actual == expected, (
-        f"{backend} result for {name} diverged from the interpreter "
-        f"({actual!r} != {expected!r})"
+@pytest.mark.parametrize(("name", "backend", "overrides"), list(_matrix()))
+def test_backend_bit_identical_to_interpreter(name, backend, overrides):
+    program = Program.benchmark(name)
+    diverged = reference(program).diff(observe(program, backend, **overrides))
+    assert not diverged, (
+        f"{backend} run of {name} diverged from the interpreter on {diverged}"
     )
+
+
+# ----------------------------------------------------------------------
+# The oracle itself: one difference, one named field
+# ----------------------------------------------------------------------
+def _mat(data, dtype=np.float64):
+    return from_ndarray(np.array(data, dtype=dtype))
+
+
+def _seen(outputs=None, display="", error=None, draws=0):
+    GLOBAL_RANDOM.seed(1)
+    for _ in range(draws):
+        GLOBAL_RANDOM.uniform(1, 1)
+    return observation(outputs, display, error)
+
+
+#: case -> (the one field that differs, kwargs of the two calls seen).
+#: Every ``outputs`` pair is *equal* under the digest this oracle
+#: replaced — a cosine-weighted (column-major) float sum of the first
+#: output, non-finite entries zeroed — and the other three fields were
+#: never looked at.
+ONE_DIFFERENCE = {
+    "signed zero": (
+        "outputs", {"outputs": [_mat(0.0)]}, {"outputs": [_mat(-0.0)]}),
+    "nan": (
+        "outputs",
+        {"outputs": [_mat([0.0, 1.0])]}, {"outputs": [_mat([np.nan, 1.0])]}),
+    "inf": (
+        "outputs",
+        {"outputs": [_mat([0.0, 1.0])]}, {"outputs": [_mat([np.inf, 1.0])]}),
+    "storage dtype": (
+        "outputs",
+        {"outputs": [_mat([1.5, 2.0])]},
+        {"outputs": [_mat([1.5, 2.0], dtype=np.complex128)]},
+    ),
+    "shape": (
+        "outputs",
+        {"outputs": [_mat([1.0, 2.0, 3.0, 4.0])]},
+        {"outputs": [_mat([[1.0, 3.0], [2.0, 4.0]])]},
+    ),
+    "second output": (
+        "outputs",
+        {"outputs": [_mat(1.0), _mat(2.0)]},
+        {"outputs": [_mat(1.0), _mat(3.0)]},
+    ),
+    "trailing transcript character": (
+        "display", {"display": "1\n"}, {"display": "1\n "}),
+    "error text": (
+        "error",
+        {"error": "Index exceeds matrix dimensions."},
+        {"error": "Index exceeds matrix dimensions"},
+    ),
+    "one extra rand draw": ("rng", {"draws": 1}, {"draws": 2}),
+}
+
+
+@pytest.mark.parametrize("case", ONE_DIFFERENCE)
+def test_oracle_names_the_one_field_that_differs(case):
+    field, left, right = ONE_DIFFERENCE[case]
+    assert _seen(**left) == _seen(**left)
+    assert _seen(**left) != _seen(**right)
+    assert _seen(**left).diff(_seen(**right)) == (field,)

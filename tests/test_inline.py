@@ -1,8 +1,12 @@
 """Inliner tests (Section 2.6.1's inlining rules)."""
 
+import pytest
+
+from repro.backends import Program, observe, reference
 from repro.codegen.inline import Inliner, inline_function
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
+from repro.runtime.values import from_python
 
 
 def table_of(*sources):
@@ -170,3 +174,32 @@ class TestSemantics:
         inliner = Inliner(table.get)
         inliner.run(table["main"])
         assert inliner.inlined_names == {"helper"}
+
+
+class TestEvaluationOrder:
+    """A call hoisted out of the middle of an expression runs ahead of its
+    whole statement; what the interpreter evaluates *before* the call — a
+    draw, an operand that fails — must still come first.  (Found by the
+    fuzzer's ``rand`` / ``effects-then-error`` shapes.)"""
+
+    CALLEES = (
+        "function d = draw(k)\nd = rand * k;\n"
+        "function d = shout(k)\ndisp(k);\nd = k;\n"
+        "function d = pair(a, b)\nd = a - b;\n"
+    )
+
+    @pytest.mark.parametrize("statement", [
+        "r = rand(2, 2) * draw(3);",          # draw order
+        "r = pair(rand + 1, draw(2));",       # ... among arguments
+        "r = [rand, draw(2); rand, 1];",      # ... inside a matrix literal
+        "r = M(9) + shout(1);",               # error before output
+        "r = M(end) + shout(M(end - 1));",    # `end` cannot be pinned
+        "if M(1) > 0, r = 1; elseif shout(2) > 0, r = 2; end",  # not reached
+    ])
+    def test_hoisting_keeps_the_interpreters_order(self, statement):
+        program = Program(
+            (f"function r = order(M)\n{statement}\n" + self.CALLEES,),
+            "order", lambda: [from_python([[1.0, 2.0, 3.0]])],
+        )
+        for backend in ("fused", "spec", "falcon"):
+            assert not reference(program).diff(observe(program, backend))

@@ -107,9 +107,9 @@ def canon_bits(value) -> tuple:
     The pre-existing JIT raw-scalar boundary normalizes intrinsic
     classes the interpreter preserves (``make_scalar`` demotes
     zero-imag complex to real, raw ints box as INT, raw comparisons
-    produce REAL where the interpreter makes BOOL) — which is why the
-    repo's own differential harness compares canonicalized checksums,
-    not klass tags.  Cross-engine identity is therefore stated over
+    produce REAL where the interpreter makes BOOL) — which is why
+    ``repro.backends.Observation`` compares storage bytes, not klass
+    tags.  Cross-engine identity is therefore stated over
     shape + exact complex values (bitwise, NaN payloads included);
     klass/dtype bit-identity is asserted within each consumer, where
     fusion is the only variable.

@@ -182,6 +182,11 @@ def _operands():
 
 
 @needs_cc
+@pytest.mark.filterwarnings(
+    # A file left for the collector to close warns from its finalizer,
+    # where an exception can only be reported as unraisable.
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
 def test_so_cache_revival_across_sessions(tmp_path):
     """Session two loads session one's autotuned ``.so`` and compiles
     nothing — the warm-start acceptance gate."""

@@ -369,6 +369,7 @@ def test_close_shuts_the_ranks_down():
 
 
 def test_chaos_harness_covers_the_parallel_sites():
+    from repro.backends import BACKENDS
     from repro.faults.harness import parallel_scenarios
 
     scenarios = parallel_scenarios()
@@ -376,4 +377,4 @@ def test_chaos_harness_covers_the_parallel_sites():
     assert SITE_PARALLEL_SEND in sites
     assert sites.count(SITE_PARALLEL_WORKER) == 3
     for scenario in scenarios:
-        assert scenario.session_kwargs.get("parallel") == 2
+        assert BACKENDS[scenario.backend].session["parallel"] == 2

@@ -5,12 +5,10 @@ code and the direct IR interpreter must compute identical results — under
 the normal allocator *and* under spill-everything.
 """
 
-import math
-
 import pytest
 
 from repro.analysis.disambiguate import Disambiguator
-from repro.benchsuite.workloads import checksum
+from repro.backends import canon_value
 from repro.codegen.jitgen import JitOptions, _Lowerer
 from repro.codegen.runtime_support import RuntimeSupport
 from repro.frontend.parser import parse
@@ -87,7 +85,7 @@ def test_vm_matches_emitted_code(source, values):
 
     assert len(vm_result) == len(host_result)
     for a, b in zip(vm_result, host_result):
-        assert math.isclose(checksum(a), checksum(b), rel_tol=1e-12)
+        assert canon_value(a) == canon_value(b)
 
 
 @pytest.mark.parametrize("source,values", PROGRAMS)
@@ -106,7 +104,7 @@ def test_vm_matches_spilled_code(source, values):
         *raw_args(lowerer, [a.copy() for a in args]), rt
     )
     for a, b in zip(vm_result, host_result):
-        assert math.isclose(checksum(a), checksum(b), rel_tol=1e-12)
+        assert canon_value(a) == canon_value(b)
 
 
 @pytest.mark.parametrize("nregs", [2, 4, 6, 16])
@@ -123,4 +121,4 @@ def test_vm_matches_under_any_register_pressure(nregs):
         *raw_args(lowerer, [a.copy() for a in args]), rt
     )
     for a, b in zip(vm_result, host_result):
-        assert math.isclose(checksum(a), checksum(b), rel_tol=1e-12)
+        assert canon_value(a) == canon_value(b)
