@@ -23,7 +23,11 @@ through this module and nothing else:
   tiers may tag an all-integral result INT or REAL — the display
   transcript, the MATLAB error text and where the call left the shared
   random stream.  A backend matches iff all four are equal; no digest,
-  no tolerance.
+  no tolerance;
+* :func:`check` holds one fault-free call against the interpreter and
+  also asks what an observation cannot show — whether a compiled tier
+  silently stopped *serving* (a deopt or a failed compile is rescued by
+  the interpreter, so the answer is still right).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from repro.core.platformcfg import SPARC, PlatformConfig
 from repro.errors import MatlabError
 from repro.frontend.parser import parse
 from repro.interp.interpreter import Interpreter
+from repro.repository.diagnostics import COMPILE_FAILURE, DEOPT
 from repro.runtime.builtins import GLOBAL_RANDOM
 from repro.runtime.display import OutputSink
 from repro.runtime.mxarray import MxArray
@@ -194,6 +199,17 @@ class Handle:
         self.elapsed = time.perf_counter() - start
         return observation(outputs, self.sink.getvalue()[shown:], error)
 
+    def fallbacks(self) -> tuple[str, ...]:
+        """Every deopt and failed compile the session recorded, cause
+        included.  The interpreter rescues both, so the observation stays
+        right while a tier is lost; a fault-free run must leave none."""
+        if self.session is None:
+            return ()
+        return tuple(
+            str(event) for event in self.session.diagnostics.events()
+            if event.kind in (DEOPT, COMPILE_FAILURE)
+        )
+
     def close(self) -> None:
         if self.session is not None:
             self.session.close()
@@ -277,3 +293,24 @@ def reference(program: Program) -> Observation:
     """The interpreter's observation of ``program`` — what every backend
     must reproduce."""
     return observe(program, "interpreter")
+
+
+def check(program: Program, backend: str | Backend = "fused",
+          expected: Observation | None = None,
+          **overrides) -> list[tuple[str, object, object]]:
+    """One fault-free call of ``program`` on a fresh ``backend``, held
+    against ``expected`` (default: the interpreter's :func:`reference`):
+    ``(field, expected, actual)`` for every field that diverged, plus a
+    ``"fallbacks"`` entry when a compiled tier silently gave up."""
+    if expected is None:
+        expected = reference(program)
+    with open(program, backend, **overrides) as handle:
+        actual = handle.call()
+        fallbacks = handle.fallbacks()
+    found = [
+        (name, getattr(expected, name), getattr(actual, name))
+        for name in expected.diff(actual)
+    ]
+    if fallbacks:
+        found.append(("fallbacks", (), fallbacks))
+    return found

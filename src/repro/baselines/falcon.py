@@ -44,7 +44,6 @@ class FalconCompilerEngine(BaselineEngine):
         options = SrcOptions(
             native_opt_level=self.native_opt_level,
             majic_opts=False,       # FALCON has no MaJIC-specific selection
-            versioning=True,        # subscript checks eliminated where safe
         )
         compiler = SourceCompiler(options)
         # "Peeking": type information equivalent to the invocation values.

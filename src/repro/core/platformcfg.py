@@ -98,7 +98,6 @@ class PlatformConfig:
         return SrcOptions(
             native_opt_level=self.native_opt_level,
             majic_opts=majic_opts and not flags.no_min_shapes,
-            versioning=True,
             inference=inference,
         )
 

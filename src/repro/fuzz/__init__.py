@@ -18,7 +18,7 @@ Use as a library (the differential pytest suite), or as a CLI::
 from __future__ import annotations
 
 from repro.fuzz.grammar import GeneratedProgram, generate_program
-from repro.fuzz.runner import BACKENDS, check_program, fuzz, run_backend
+from repro.fuzz.runner import BACKENDS, check_program, fuzz
 
 __all__ = [
     "BACKENDS",
@@ -26,5 +26,4 @@ __all__ = [
     "check_program",
     "fuzz",
     "generate_program",
-    "run_backend",
 ]

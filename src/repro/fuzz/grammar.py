@@ -15,8 +15,10 @@ chains (the fused-kernel path), slicing and linear stores (subscript
 check elision), scalar/matrix overloads of the same variable, bool/char
 values, guaranteed out-of-range reads (error-path identity), reads of the
 shared random stream (scalar, matrix, inside an elementwise chain, inside
-a callee) and side effects *before* a failure — text already displayed, a
-draw already taken — which a failing backend must neither lose nor repeat.
+a callee), side effects *before* a failure — text already displayed, a
+draw already taken — which a failing backend must neither lose nor repeat,
+and multi-value assignments into subscripted targets (``end`` included),
+whose stores every compiler routes through its generic path.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ SCALAR_VARS = ("s", "t", "u")
 MATRIX_VARS = ("A", "B")
 
 #: Callee bodies (``{name}`` is the program's): a draw inside a callee,
-#: and a subscript violation inside a callee.
+#: a subscript violation inside a callee, and a two-output callee.
 HELPERS = {
     "draw": "function r = {name}_draw(k)\nr = rand * k + randn;\n",
     "fail": "function r = {name}_fail(M)\nr = M(numel(M) + 7);\n",
+    "pair": "function [a, b] = {name}_pair(k)\na = k + 1;\nb = k * 2;\n",
 }
 
 
@@ -158,12 +161,38 @@ class _Gen:
         return f"({self.matrix_expr(depth - 1)} {op} {self.scalar_expr(1)})"
 
     # -- statements ----------------------------------------------------
+    def multi_assign(self) -> str:
+        """``[t1, t2] = call(...)`` with a subscripted target (never ``w``,
+        the ``while`` counter)."""
+        r = self.rng
+        self.features.append("multi-assign-indexed")
+        matrix = r.choice(MATRIX_VARS)
+        indexed = r.choice((
+            "v(end)", "v(end - 1)", f"v({r.randrange(1, 6)})",
+            f"{matrix}(end, 1)", f"{matrix}(1, end)", f"{matrix}(end)",
+            f"{matrix}({r.randrange(1, 4)}, {r.randrange(1, 4)})",
+        ))
+        other = r.choice(SCALAR_VARS + (f"v({r.randrange(1, 6)})",))
+        targets = [indexed, other] if r.random() < 0.7 else [other, indexed]
+        call = r.randrange(3)
+        if call == 0:
+            source = f"size({r.choice(MATRIX_VARS + (MATRIX_PARAM,))})"
+        elif call == 1:
+            source = f"{r.choice(('max', 'min'))}(v)"
+        else:
+            self.helpers.add("pair")
+            source = f"{self.name}_pair({self.scalar_expr(1)})"
+        return f"[{', '.join(targets)}] = {source};"
+
     def statement(self, depth: int = 1) -> str:
         r = self.rng
-        kinds = ["sassign", "sassign", "massign", "store", "slice_assign"]
+        kinds = ["sassign", "sassign", "massign", "store", "slice_assign",
+                 "multi"]
         if depth > 0:
             kinds += ["if", "for", "while", "disp"]
         kind = r.choice(kinds)
+        if kind == "multi":
+            return self.multi_assign()
         if kind == "sassign":
             return f"{r.choice(SCALAR_VARS)} = {self.scalar_expr()};"
         if kind == "massign":

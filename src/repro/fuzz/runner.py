@@ -1,16 +1,17 @@
 """Check generated programs on every backend, bit for bit.
 
 The running and the comparing live in :mod:`repro.backends` (one
-backend table, one :class:`~repro.backends.Observation`); this module
-only walks seeds and reports every field on which a backend diverged
-from the interpreter as a :class:`Mismatch`.
+backend table, one :class:`~repro.backends.Observation`, one
+:func:`~repro.backends.check`); this module only walks seeds and reports
+every field on which a backend diverged from the interpreter — or
+silently fell back to it (field ``fallbacks``) — as a :class:`Mismatch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backends import BACKENDS, Observation, Program, observe
+from repro.backends import BACKENDS, Observation, Program, check, observe
 from repro.fuzz.grammar import GeneratedProgram, generate_program
 
 DEFAULT_BACKENDS = tuple(label for label in BACKENDS if label != "interpreter")
@@ -31,22 +32,14 @@ class Mismatch:
         )
 
 
-def run_backend(label: str, program: GeneratedProgram) -> Observation:
-    return observe(Program.generated(program), label)
-
-
 def _check(program: GeneratedProgram, backends) -> tuple[Observation, list]:
-    expected = run_backend("interpreter", program)
-    mismatches: list[Mismatch] = []
-    for label in backends:
-        if label == "interpreter":
-            continue
-        actual = run_backend(label, program)
-        for name in expected.diff(actual):
-            mismatches.append(Mismatch(
-                seed=program.seed, backend=label, field=name,
-                expected=getattr(expected, name), actual=getattr(actual, name),
-            ))
+    case = Program.generated(program)
+    expected = observe(case, "interpreter")
+    mismatches = [
+        Mismatch(program.seed, label, name, want, got)
+        for label in backends if label != "interpreter"
+        for name, want, got in check(case, label, expected)
+    ]
     return expected, mismatches
 
 
@@ -54,7 +47,7 @@ def check_program(
     program: GeneratedProgram, backends=DEFAULT_BACKENDS
 ) -> list[Mismatch]:
     """Run one program everywhere; report every divergence from the
-    interpreter."""
+    interpreter, a silent fallback to it included."""
     return _check(program, backends)[1]
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.analysis.cfg import Atom, CondAtom, ForIterAtom, StmtAtom
 from repro.analysis.disambiguate import DisambiguationResult, Disambiguator
@@ -36,9 +35,6 @@ from repro.typesys.shape import Shape
 from repro.typesys.signature import Signature
 
 Env = dict[str, MType]
-
-#: Oracle for user-function calls: (name, arg_types, nargout) -> list[MType]
-CalleeOracle = Callable[[str, list[MType], int], "list[MType] | None"]
 
 
 @dataclass
@@ -58,11 +54,9 @@ class TypeInferenceEngine:
         self,
         calculator: TypeCalculator | None = None,
         options: InferenceOptions | None = None,
-        callee_oracle: CalleeOracle | None = None,
     ):
         self.calculator = calculator or default_calculator()
         self.options = options or InferenceOptions()
-        self.callee_oracle = callee_oracle
 
     # ------------------------------------------------------------------
     # Entry points
@@ -388,6 +382,10 @@ class TypeInferenceEngine:
                     if (hi is None or array.maxshape.cols is None)
                     else max(array.maxshape.cols, hi),
                 )
+            elif (array.minshape.cols or 0) > 1:
+                # A matrix keeps its shape: a linear subscript addresses
+                # an existing element or the store is an error.
+                mx = array.maxshape
             else:
                 mx = array.maxshape.join(Shape(hi, 1) if hi else Shape.bottom())
                 mn = Shape(max(array.minshape.rows or 0, lo), array.minshape.cols)
@@ -547,10 +545,6 @@ class TypeInferenceEngine:
             return self.calculator.forward(
                 ("builtin", expr.name), self._ctx([])
             )[0]
-        if kind is SymbolKind.USER_FUNCTION and self.callee_oracle is not None:
-            result = self.callee_oracle(expr.name, [], 1)
-            if result:
-                return result[0]
         return MType.top()
 
     def _type_index_arg(
@@ -599,14 +593,9 @@ class TypeInferenceEngine:
                 ("builtin", expr.name), self._ctx(arg_types, nargout=nargout)
             )
         else:
-            arg_types = [
-                self._type_expr(arg, env, record) for arg in expr.args
-            ]
-            out = None
-            if kind is ast.ApplyKind.USER_FUNCTION and self.callee_oracle is not None:
-                out = self.callee_oracle(expr.name, arg_types, nargout)
-            if out is None:
-                out = [MType.top() for _ in range(nargout)]
+            for arg in expr.args:
+                self._type_expr(arg, env, record)  # annotates the arguments
+            out = [MType.top() for _ in range(nargout)]
         while len(out) < nargout:
             out.append(MType.top())
         if record is not None and out:
@@ -619,8 +608,6 @@ def infer_function(
     signature: Signature,
     options: InferenceOptions | None = None,
     disambiguation: DisambiguationResult | None = None,
-    callee_oracle: CalleeOracle | None = None,
 ) -> Annotations:
     """Convenience wrapper: JIT-style forward inference for one function."""
-    engine = TypeInferenceEngine(options=options, callee_oracle=callee_oracle)
-    return engine.infer(fn, signature, disambiguation)
+    return TypeInferenceEngine(options=options).infer(fn, signature, disambiguation)

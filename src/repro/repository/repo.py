@@ -42,7 +42,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.disambiguate import Disambiguator
 from repro.errors import CodegenError, MatlabError, RepositoryError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
@@ -50,7 +49,6 @@ from repro.codegen.inline import Inliner
 from repro.codegen.jitgen import CompiledObject, JitCompiler, JitOptions
 from repro.codegen.runtime_support import RuntimeSupport
 from repro.codegen.srcgen import SourceCompiler, SrcOptions
-from repro.inference.speculation import Speculator
 from repro.interp.interpreter import Interpreter
 from repro.faults.plan import SITE_HANG, SITE_OOM
 from repro.obs import DISABLED as DISABLED_OBS
@@ -522,8 +520,11 @@ class CodeRepository:
         name: str,
         signature: Signature,
         budget: float | None = None,
-    ) -> CompiledObject:
+    ) -> CompiledObject | None:
         """Compile one function for one signature with the JIT pipeline.
+
+        Returns ``None`` when the function was redefined while it
+        compiled (the result describes dead source and is dropped).
 
         ``budget`` (default: the repository-wide per-function budget) is a
         wall-clock target, not a hard deadline: the compile it bounds has
@@ -532,172 +533,143 @@ class CodeRepository:
         and flags the function so speculative passes skip it up front.
         """
         with self.obs.tracer.span("jit_compile", "compile", function=name):
-            return self._jit_compile(name, signature, budget)
-
-    def _jit_compile(
-        self,
-        name: str,
-        signature: Signature,
-        budget: float | None = None,
-    ) -> CompiledObject:
-        fn = self._prepared(name)
-        with self._compile_lock(name):
-            if self._has_dynamic_calls(fn) or self._range_only_miss(name, signature):
-                # Two situations call for range widening (paper Figure 3:
-                # poly1_sig1 with limits(x) = top exists alongside the
-                # constant-specialized sig0):
-                #  * remaining dynamic calls (recursion past the inlining
-                #    depth) would recompile for every distinct constant;
-                #  * a repository miss whose only difference from an existing
-                #    version is the value ranges — the same call site is being
-                #    fed varying values, so stop specializing on them.
-                signature = Signature.of(t.widen_range() for t in signature)
-                existing = self._find_version(name, signature)
-                if existing is not None:
-                    return existing
-            key = self._cache_key(fn, signature)
-            cached = self._cache_probe(name, key)
-            if cached is not None:
+            generation = self.generation_of(name)
+            fn = self._prepared(name)
+            with self._compile_lock(name):
+                if self._has_dynamic_calls(fn) or self._range_only_miss(
+                    name, signature
+                ):
+                    # Two situations call for range widening (paper Figure
+                    # 3: poly1_sig1 with limits(x) = top exists alongside
+                    # the constant-specialized sig0):
+                    #  * remaining dynamic calls (recursion past the
+                    #    inlining depth) would recompile for every distinct
+                    #    constant;
+                    #  * a repository miss whose only difference from an
+                    #    existing version is the value ranges — the same
+                    #    call site is being fed varying values, so stop
+                    #    specializing on them.
+                    signature = Signature.of(t.widen_range() for t in signature)
+                    existing = self._find_version(name, signature)
+                    if existing is not None:
+                        return existing
+                obj, duration = self._compile_and_store(
+                    name, "jit", self._cache_key(fn, signature), generation,
+                    lambda: JitCompiler(
+                        self.jit_options, fault_plan=self.fault_plan,
+                        tracer=self.obs.tracer, obs=self.obs,
+                    ).compile(
+                        fn, signature, mode="jit", is_user_function=self.knows
+                    ),
+                )
+            if budget is None:
+                budget = self.compile_budget.per_function
+            # duration is None when no compile ran (cache hit, or dropped).
+            if budget is not None and duration is not None and duration > budget:
                 with self._lock:
-                    self.stats.cache_hits += 1
+                    self._budget_flagged.add(name)
+                    self.stats.budget_skips += 1
                 self.diagnostics.record(
-                    CACHE_HIT, name,
-                    detail="jit compile served from the persistent cache",
-                    signature=cached.signature,
+                    BUDGET_SKIP, name,
+                    detail=f"jit compile took {duration:.4f}s "
+                    f"(budget {budget:.4f}s); flagged for speculative skips",
+                    signature=signature,
                 )
-                self.store(cached)
-                return cached
-            compiler = JitCompiler(
-                self.jit_options,
-                fault_plan=self.fault_plan,
-                tracer=self.obs.tracer,
-                obs=self.obs,
-            )
-            start = time.perf_counter()
-            with self.guard.compile_guard(name):
-                obj = compiler.compile(
-                    fn, signature, mode="jit", is_user_function=self.knows
-                )
-            duration = time.perf_counter() - start
-            with self._lock:
-                self.stats.jit_compiles += 1
-                self.stats.jit_compile_seconds += duration
-                self.compile_log.append((name, "jit", obj.phase_times))
-            self.obs.record_compile("jit", obj.phase_times)
-            self.store(obj)
-            self._cache_store(key, obj)
-        if budget is None:
-            budget = self.compile_budget.per_function
-        if budget is not None and duration > budget:
-            with self._lock:
-                self._budget_flagged.add(name)
-                self.stats.budget_skips += 1
-            self.diagnostics.record(
-                BUDGET_SKIP, name,
-                detail=f"jit compile took {duration:.4f}s "
-                f"(budget {budget:.4f}s); flagged for speculative skips",
-                signature=signature,
-            )
-        return obj
+            return obj
 
     def speculate(
         self, name: str, generation: int | None = None
     ) -> CompiledObject | None:
         """Speculatively compile one function ahead of time.
 
-        ``generation`` is the invalidation token background workers pass:
-        when it no longer matches the function's current generation (the
-        source was redefined or removed mid-flight), the result is
-        discarded instead of stored.
+        ``generation`` is the invalidation token background workers pass
+        (captured when the task was queued; default: now): when it no
+        longer matches the function's current generation — the source was
+        redefined or removed mid-flight — the result is discarded instead
+        of stored.  Failures are recorded, never raised: the "hidden"
+        ahead-of-time pass must survive any one function.
         """
-        if generation is not None and self.generation_of(name) != generation:
+        if generation is None:
+            generation = self.generation_of(name)
+        elif self.generation_of(name) != generation:
             return None
         with self.obs.tracer.span("speculate", "compile", function=name):
-            return self._speculate(name, generation)
-
-    def _speculate(
-        self, name: str, generation: int | None = None
-    ) -> CompiledObject | None:
-        fn = self._prepared(name)
-        key = self._cache_key(fn, "spec")
-        with self._compile_lock(name):
-            cached = self._cache_probe(name, key)
-            if cached is not None:
-                with self._lock:
-                    if (
-                        generation is not None
-                        and self._generations.get(name, 0) != generation
-                    ):
-                        return None
-                    self.stats.cache_hits += 1
-                self.diagnostics.record(
-                    CACHE_HIT, name,
-                    detail="speculative compile served from the persistent cache",
-                    signature=cached.signature,
-                )
-                self.store(cached)
-                return cached
-            tracer = self.obs.tracer
+            fn = self._prepared(name)
             try:
-                # One deadline covers the whole speculative pipeline: its
-                # analysis phases (disambiguation, inference) can hang
-                # just as hard as codegen.
-                with self.guard.compile_guard(name):
-                    phase_start = time.perf_counter()
-                    with tracer.span("disambiguation", "disambiguation",
-                                     function=name, mode="spec"):
-                        disambiguation = Disambiguator(self.knows).run_function(fn)
-                    disamb_elapsed = time.perf_counter() - phase_start
-                    phase_start = time.perf_counter()
-                    with tracer.span("type_inference", "type_inference",
-                                     function=name, mode="spec"):
-                        speculator = Speculator(options=self.src_options.inference)
-                        result = speculator.speculate(fn, disambiguation)
-                    inference_elapsed = time.perf_counter() - phase_start
-                    compiler = SourceCompiler(
-                        self.src_options, fault_plan=self.fault_plan,
-                        tracer=tracer
-                    )
-                    start = time.perf_counter()
-                    obj = compiler.compile(
-                        fn,
-                        result.signature,
-                        disambiguation=disambiguation,
-                        annotations=result.annotations,
-                        mode="spec",
-                    )
-                    elapsed = time.perf_counter() - start
+                with self._compile_lock(name):
+                    return self._compile_and_store(
+                        name, "spec", self._cache_key(fn, "spec"), generation,
+                        lambda: SourceCompiler(
+                            self.src_options, fault_plan=self.fault_plan,
+                            tracer=self.obs.tracer,
+                        ).compile(
+                            fn, None, mode="spec", is_user_function=self.knows
+                        ),
+                    )[0]
             except CodegenError as exc:
                 # Expected "cannot compile this construct": interpreter-only.
                 with self._lock:
                     self._uncompilable.add(name)
                 self._record_compile_failure(name, "spec", exc)
-                return None
             except Exception as exc:  # noqa: BLE001 - the AOT pass must survive
                 # Unexpected compiler crash (inference bug, injected fault):
                 # record it, but leave the function eligible for the JIT — the
                 # concrete call-site types may well compile fine.
                 self._record_compile_failure(name, "spec", exc)
-                return None
-            # Credit the repository-side analysis phases (the compiler
-            # received them precomputed, so its own clocks read zero).
-            obj.phase_times.disambiguation += disamb_elapsed
-            obj.phase_times.type_inference += inference_elapsed
-            with self._lock:
-                if (
-                    generation is not None
-                    and self._generations.get(name, 0) != generation
-                ):
-                    # Redefined while compiling: the object describes dead
-                    # source; drop it (the new source gets its own pass).
-                    return None
-                self.stats.speculative_compiles += 1
-                self.stats.speculative_compile_seconds += elapsed
-                self.compile_log.append((name, "spec", obj.phase_times))
-                self.store(obj)
-            self.obs.record_compile("spec", obj.phase_times)
+            return None
+
+    def _compile_and_store(
+        self, name: str, mode: str, key: str | None, generation: int, build
+    ) -> tuple[CompiledObject | None, float | None]:
+        """The one tail behind :meth:`jit_compile` and :meth:`speculate`:
+        probe the persistent cache, else ``build()`` under the compile
+        deadline; account, store, persist.  Returns the object and the
+        seconds its compile took (``None``: served from the cache).
+
+        ``generation`` is the function's redefinition counter from before
+        its source was read: if it moved, the object describes dead source
+        and is dropped — ``(None, None)`` — instead of stored (the new
+        source gets its own compile).
+        """
+        obj = self._cache_probe(name, key)
+        seconds = None
+        if obj is None:
+            start = time.perf_counter()
+            # One deadline covers the whole pipeline: the analysis phases
+            # (disambiguation, inference) can hang just as hard as codegen.
+            with self.guard.compile_guard(name):
+                obj = build()
+            seconds = time.perf_counter() - start
+        with self._lock:
+            if self._generations.get(name, 0) != generation:
+                return None, None
+            if seconds is None:
+                self.stats.cache_hits += 1
+            else:
+                if mode == "jit":
+                    self.stats.jit_compiles += 1
+                    self.stats.jit_compile_seconds += seconds
+                else:
+                    # The speculative figure is the code generator alone,
+                    # as it always was: its analysis is the speculator's
+                    # (phase_times.type_inference has it).
+                    self.stats.speculative_compiles += 1
+                    self.stats.speculative_compile_seconds += (
+                        obj.phase_times.codegen
+                    )
+                self.compile_log.append((name, mode, obj.phase_times))
+            self.store(obj)
+        if seconds is None:
+            self.diagnostics.record(
+                CACHE_HIT, name,
+                detail=f"{'speculative' if mode == 'spec' else mode} compile "
+                "served from the persistent cache",
+                signature=obj.signature,
+            )
+        else:
+            self.obs.record_compile(mode, obj.phase_times)
             self._cache_store(key, obj)
-        return obj
+        return obj, seconds
 
     def speculate_all(
         self, budget: float | CompileBudget | None = None
@@ -850,6 +822,10 @@ class CodeRepository:
                 return None
             try:
                 obj = self.jit_compile(name, invocation.signature)
+                if obj is None:
+                    # Redefined mid-compile: interpret this one call (the
+                    # new source), compile it on the next.
+                    return None
             except MatlabError as exc:
                 # Expected compile rejection (unsupported construct).
                 self._uncompilable.add(name)

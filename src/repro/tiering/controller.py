@@ -296,10 +296,13 @@ class TierController:
                 if self.fault_plan is not None:
                     self.fault_plan.check(SITE_TIERING_PROMOTE, name)
                 if target == TIER_JIT:
-                    repo.jit_compile(name, signature)
+                    obj = repo.jit_compile(name, signature)
                 else:
-                    if repo.speculate(name) is None:
-                        return False
+                    obj = repo.speculate(name)
+                if obj is None:
+                    # Failed, or dropped because the source was redefined
+                    # mid-compile: not landed.
+                    return False
         except MatlabError as exc:
             # Expected compile rejection (unsupported construct): the
             # function can never hold a compiled version, so stop trying.

@@ -100,6 +100,51 @@ def test_redefinition_cancels_in_flight_work():
         engine.shutdown()
 
 
+def test_redefinition_during_jit_compile_drops_the_stale_version(monkeypatch):
+    """A JIT compile in flight when its function is redefined (what every
+    adaptive session's promotion worker can meet) must not land after the
+    purge: the object describes the dead source."""
+    from repro.codegen.jitgen import JitCompiler
+    from repro.interp.frontend import Invocation
+    from repro.runtime.values import from_python, to_python
+    from repro.typesys.signature import signature_of_values
+
+    started = threading.Event()
+    release = threading.Event()
+    original_compile = JitCompiler.compile
+
+    def stalled_compile(self, fn, signature, **kwargs):
+        obj = original_compile(self, fn, signature, **kwargs)
+        started.set()
+        release.wait(timeout=30)
+        return obj
+
+    monkeypatch.setattr(JitCompiler, "compile", stalled_compile)
+    repo = CodeRepository()
+    repo.add_source("function y = f(x)\ny = x + 1;\n")
+    args = [from_python(2.0)]
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.append(
+            repo.jit_compile("f", signature_of_values(args))
+        )
+    )
+    worker.start()
+    try:
+        assert started.wait(timeout=30)
+        repo.add_source("function y = f(x)\ny = x + 100;\n")
+    finally:
+        release.set()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    monkeypatch.undo()
+    assert repo.versions_of("f") == []
+    out = repo.execute(Invocation(name="f", args=args, nargout=1))
+    assert to_python(out[0]) == 102.0
+    assert results == [None], "a dropped compile returns None"
+    assert repo.stats.deopts == 0 and repo.stats.compile_failures == 0
+
+
 def test_stale_queue_entry_is_cancelled_before_compiling():
     repo = CodeRepository()
     release = threading.Event()

@@ -253,6 +253,67 @@ class TestSourceGenerator:
         assert np.array_equal(run(obj, args), [[1, 2, 3, 4, 5]])
 
 
+class TestOneWalkTwoTargets:
+    """Constructs the two hand-parallel walks once disagreed on: both
+    compilers are invoked directly (no deopt net to hide a host error
+    behind) and must return the interpreter's value."""
+
+    @staticmethod
+    def interpret(source, *values):
+        from repro.interp.interpreter import Interpreter
+
+        fn = parse(source).primary
+        outs = Interpreter().call_function(
+            fn, [from_python(v) for v in values], 1
+        )
+        return to_python(outs[0])
+
+    #: ``end`` inside a multi-assignment's indexed target.
+    MULTI_ASSIGN = {
+        "linear": (
+            "function r = f(x)\nv = zeros(1, 3);\n"
+            "[v(end), w] = max(x);\nr = v(3) * 10 + w;\n"
+        ),
+        "two-d": (
+            "function r = f(x)\nM = zeros(2, 2);\n"
+            "[M(end, 1), w] = max(x);\nr = M(2, 1) * 10 + w;\n"
+        ),
+        "colon": (
+            "function r = f(x)\nM = zeros(2, 2);\n"
+            "[M(:, end), w] = max(x);\nr = M(1, 2) * 10 + w;\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("compiler", [compile_jit, compile_src])
+    @pytest.mark.parametrize("case", MULTI_ASSIGN)
+    def test_end_in_multi_assign_target(self, case, compiler):
+        source = self.MULTI_ASSIGN[case]
+        x = np.array([[3.0, 7.0, 5.0]])
+        obj, args = compiler(source, x)
+        assert run(obj, args) == self.interpret(source, x) == 72.0
+
+    @pytest.mark.parametrize("compiler", [compile_jit, compile_src])
+    def test_implicit_ans_is_a_variable(self, compiler):
+        # The symbol table never sees ``ans`` assigned (an expression
+        # statement is not an assignment); the walk has.
+        source = "function r = f(x)\nx + 1;\nr = ans * 2;\n"
+        obj, args = compiler(source, 3.0)
+        assert run(obj, args) == self.interpret(source, 3.0) == 8.0
+
+    @pytest.mark.parametrize("compiler", [compile_jit, compile_src])
+    def test_boxed_scalar_subscript_under_a_bounds_check(self, compiler):
+        # ``k`` is scalar where it subscripts but a matrix later, so it
+        # lives boxed; the checked load/store helpers take raw scalars.
+        source = (
+            "function r = f(A)\nk = A(2) * 3;\nA(k) = A(k) + 1;\nr = A(k);\n"
+            "k = [1 2 3];\nr = r + sum(k);\n"
+        )
+        A = np.array([[1.0, 1.0, 3.0, 4.0]])
+        obj, args = compiler(source, A)
+        assert "checked_load1" in obj.source
+        assert run(obj, args) == self.interpret(source, A) == 10.0
+
+
 class TestSelector:
     def test_mutated_names(self):
         fn = parse(

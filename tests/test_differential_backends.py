@@ -6,7 +6,10 @@ tiers) and its whole :class:`~repro.backends.Observation` — output bytes,
 display transcript, error text, random-stream post-state — must equal
 the interpreter's :func:`~repro.backends.reference`.  Any unsound type
 annotation, removed subscript check, miscompiled selection or
-thread-unsafe repository mutation shows up here.
+thread-unsafe repository mutation shows up here — and so does a compiled
+tier that stopped serving: these runs inject no fault, so a deopt or a
+failed compile (which the interpreter rescues, keeping the answer right)
+fails the cell with its cause.
 
 A new backend is one row in ``repro.backends.BACKENDS``; this file needs
 no change.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import BACKENDS, Program, observation, observe, reference
+from repro.backends import BACKENDS, Program, check, observation
 from repro.benchsuite.registry import benchmark_names
 from repro.core.platformcfg import MIPS
 from repro.runtime.builtins import GLOBAL_RANDOM
@@ -49,11 +52,16 @@ def _matrix():
 
 @pytest.mark.parametrize(("name", "backend", "overrides"), list(_matrix()))
 def test_backend_bit_identical_to_interpreter(name, backend, overrides):
-    program = Program.benchmark(name)
-    diverged = reference(program).diff(observe(program, backend, **overrides))
-    assert not diverged, (
-        f"{backend} run of {name} diverged from the interpreter on {diverged}"
-    )
+    problems = check(Program.benchmark(name), backend, **overrides)
+    fields = [field for field, _, _ in problems]
+    causes = [
+        line for field, _, got in problems if field == "fallbacks"
+        for line in got
+    ]
+    assert not problems, "\n  ".join([
+        f"{backend} run of {name} diverged from the interpreter on {fields}",
+        *causes,
+    ])
 
 
 # ----------------------------------------------------------------------

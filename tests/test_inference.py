@@ -105,6 +105,16 @@ class TestShapeInference:
         out = ann.output_types["A"]
         assert (out.minshape.cols or 0) >= 7
 
+    def test_linear_store_keeps_a_matrix_shape(self):
+        """`B(4) = ...` addresses an element of a 2x2 matrix; it is not a
+        store into row 4 (fuzz seed 165: the unroller then read past the
+        buffer)."""
+        _, ann = infer(
+            "function B = f(n)\nB = zeros(2, 2);\nB(end) = n;\n", 1
+        )
+        shape = ann.output_types["B"].exact_shape
+        assert shape is not None and (shape.rows, shape.cols) == (2, 2)
+
     def test_matrix_literal_exact(self):
         _, ann = infer("function v = f(x)\nv = [x, x, x];\n", 1.0)
         assert ann.output_types["v"].exact_shape.numel == 3

@@ -336,6 +336,39 @@ class TestAdaptiveSession:
         assert report["functions"]["fib"] in (TIER_JIT, TIER_SPEC)
         assert report["promotions"] >= 1
 
+    def test_redefinition_during_async_promotion_is_not_landed(
+        self, fresh_session, monkeypatch
+    ):
+        """Redefine between promotion launch and drain: the worker's JIT
+        compile of the old body must be dropped, not stored after the
+        purge (it would answer 3 where the new source says 102)."""
+        import threading
+
+        from repro.codegen.jitgen import JitCompiler
+
+        started, release = threading.Event(), threading.Event()
+        original_compile = JitCompiler.compile
+
+        def stalled_compile(self, fn, signature, **kwargs):
+            obj = original_compile(self, fn, signature, **kwargs)
+            started.set()
+            release.wait(timeout=30)
+            return obj
+
+        monkeypatch.setattr(JitCompiler, "compile", stalled_compile)
+        session = fresh_session(adaptive=True, tiering=AGGRESSIVE)
+        session.add_source("function y = f(x)\ny = x + 1;\n")
+        try:
+            assert session.call("f", 2.0) == 3.0  # interpreted; launches jit
+            assert started.wait(timeout=30)
+            session.add_source("function y = f(x)\ny = x + 100;\n")
+        finally:
+            release.set()
+        assert session.drain_speculation(timeout=30)
+        assert session.tiering.report()["promotions"] == 0, "dropped: not landed"
+        assert session.call("f", 2.0) == 102.0
+        assert session.stats.deopts == 0
+
     def test_non_adaptive_session_unchanged(self, fresh_session):
         session = fresh_session()
         assert session.tiering is None
