@@ -16,7 +16,6 @@ substitution.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,7 +53,7 @@ class Inliner:
     # ------------------------------------------------------------------
     def run(self, fn: ast.FunctionDef) -> ast.FunctionDef:
         """Return a copy of ``fn`` with eligible calls inlined."""
-        clone = copy.deepcopy(fn)
+        clone = ast.clone(fn)
         # Names assigned in the caller may shadow function names at
         # runtime; the inliner runs before disambiguation, so it must not
         # inline anything a local assignment could shadow.
@@ -265,7 +264,7 @@ class Inliner:
         """Substitute one call: bind params, rename locals, copy body."""
         self.inlined_calls += 1
         self.inlined_names.add(callee.name)
-        body = copy.deepcopy(callee.body)
+        body = ast.clone(callee.body)
         rename: dict[str, str] = {}
         mutated = _mutated_names(callee.body)
 

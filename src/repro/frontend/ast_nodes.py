@@ -327,3 +327,30 @@ def stmt_exprs(stmt: Stmt):
         yield stmt.cond
     elif isinstance(stmt, For):
         yield stmt.iterable
+
+
+def clone(node):
+    """A structural copy of an AST subtree (a node, or a list of nodes).
+
+    The AST is a tree — no node has two parents, nothing points upward —
+    so the copy needs no memo.  Everything that is not a node or a
+    container of nodes (names, numbers, enum members, the frozen
+    :class:`SourceLocation`) is immutable and shared with the original.
+    """
+    if isinstance(node, _NODES):
+        twin = object.__new__(node.__class__)
+        fields = twin.__dict__
+        for name, value in node.__dict__.items():
+            fields[name] = (
+                clone(value) if isinstance(value, _CLONED) else value
+            )
+        return twin
+    if isinstance(node, list):
+        return [clone(item) for item in node]
+    if isinstance(node, tuple):  # an ``If`` branch: (condition, body)
+        return tuple([clone(item) for item in node])
+    return node
+
+
+_NODES = (Expr, Stmt, LValue, FunctionDef)
+_CLONED = _NODES + (list, tuple)

@@ -13,6 +13,8 @@ Handles the lexical quirks that make MATLAB scanning context-sensitive:
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import LexError, SourceLocation
 from repro.frontend.tokens import KEYWORDS, Token, TokenKind
 
@@ -64,6 +66,10 @@ _ONE_CHAR = {
 }
 
 
+# ``\w`` is ``str.isalnum() or "_"``, character for character.
+_WORD = re.compile(r"\w+")
+
+
 class Lexer:
     """Streaming scanner over one source string."""
 
@@ -86,24 +92,34 @@ class Lexer:
         index = self.pos + offset
         return self.source[index] if index < len(self.source) else ""
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.pos += 1
+    def _skip(self, count: int) -> None:
+        """Step over ``count`` characters known to hold no newline."""
+        self.pos += count
+        self.column += count
 
-    def _emit(self, kind: TokenKind, text: str, location: SourceLocation) -> None:
-        if kind is TokenKind.LBRACKET:
-            self._groups.append("[")
-        elif kind is TokenKind.LPAREN:
-            self._groups.append("(")
-        elif kind in (TokenKind.RBRACKET, TokenKind.RPAREN) and self._groups:
-            self._groups.pop()
-        self.tokens.append(Token(kind, text, location))
+    def _skip_line(self) -> None:
+        """Step to the end of the current line (not over its newline)."""
+        end = self.source.find("\n", self.pos)
+        self._skip((len(self.source) if end < 0 else end) - self.pos)
+
+    def _skip_newline(self) -> None:
+        self.pos += 1
+        self.line += 1
+        self.column = 1
+
+    def _run(self, index: int, accept) -> int:
+        """The index just past the run of ``accept``-ed characters that
+        starts at ``index``."""
+        source, size = self.source, len(self.source)
+        while index < size and accept(source[index]):
+            index += 1
+        return index
+
+    def _emit(self, kind: TokenKind, text: str, length: int) -> None:
+        """Append a token located here and step over its ``length``
+        characters (none of them a newline)."""
+        self.tokens.append(Token(kind, text, self._location()))
+        self._skip(length)
 
     @property
     def _in_bracket(self) -> bool:
@@ -114,81 +130,68 @@ class Lexer:
 
     # ------------------------------------------------------------------
     def tokenize(self) -> list[Token]:
-        while self.pos < len(self.source):
-            ch = self._peek()
+        source = self.source
+        while self.pos < len(source):
+            ch = source[self.pos]
             if ch in " \t\r":
-                if self._in_bracket and self._bracket_space_separates():
-                    location = self._location()
-                    while self._peek() in " \t\r":
-                        self._advance()
-                    self._emit(TokenKind.COMMA, ",", location)
-                    continue
-                self._advance()
-                continue
-            if ch == "%":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-                continue
-            if ch == "." and self.source.startswith("...", self.pos):
+                blank = self._run(self.pos, " \t\r".__contains__) - self.pos
+                if self._in_bracket and self._bracket_space_separates(blank):
+                    self._emit(TokenKind.COMMA, ",", 0)
+                self._skip(blank)
+            elif ch == "%":
+                self._skip_line()
+            elif ch == "." and source.startswith("...", self.pos):
                 # Continuation: swallow through end of line.
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-                self._advance()  # the newline itself
-                continue
-            if ch == "\n":
-                location = self._location()
-                self._advance()
+                self._skip_line()
+                if self.pos < len(source):
+                    self._skip_newline()
+            elif ch == "\n":
                 if self._in_bracket:
                     # A newline inside brackets is a row separator.
                     if self._previous_kind() not in (
                         TokenKind.SEMICOLON,
                         TokenKind.LBRACKET,
                     ):
-                        self._emit(TokenKind.SEMICOLON, ";", location)
+                        self._emit(TokenKind.SEMICOLON, ";", 0)
                 elif self._previous_kind() not in (None, TokenKind.NEWLINE):
-                    self._emit(TokenKind.NEWLINE, "\n", location)
-                continue
-            if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
+                    self._emit(TokenKind.NEWLINE, "\n", 0)
+                self._skip_newline()
+            elif ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
                 self._scan_number()
-                continue
-            if ch.isalpha() or ch == "_":
-                self._scan_identifier()
-                continue
-            if ch == "'":
+            elif ch.isalpha() or ch == "_":
+                text = _WORD.match(source, self.pos).group()
+                self._emit(
+                    TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT,
+                    text, len(text),
+                )
+            elif ch == "'":
                 if self._previous_kind() in _TRANSPOSE_CONTEXT:
-                    location = self._location()
-                    self._advance()
-                    self._emit(TokenKind.QUOTE, "'", location)
+                    self._emit(TokenKind.QUOTE, "'", 1)
                 else:
                     self._scan_string()
-                continue
-            two = self.source[self.pos: self.pos + 2]
-            if two in _TWO_CHAR:
-                location = self._location()
-                self._advance(2)
-                self._emit(_TWO_CHAR[two], two, location)
-                continue
-            if ch in _ONE_CHAR:
-                location = self._location()
-                self._advance()
-                self._emit(_ONE_CHAR[ch], ch, location)
-                continue
-            raise LexError(f"unexpected character {ch!r}", self._location())
-        self._emit(TokenKind.EOF, "", self._location())
+            elif (two := source[self.pos: self.pos + 2]) in _TWO_CHAR:
+                self._emit(_TWO_CHAR[two], two, 2)
+            elif ch in _ONE_CHAR:
+                if ch in "([":
+                    self._groups.append(ch)
+                elif ch in ")]" and self._groups:
+                    self._groups.pop()
+                self._emit(_ONE_CHAR[ch], ch, 1)
+            else:
+                raise LexError(f"unexpected character {ch!r}", self._location())
+        self._emit(TokenKind.EOF, "", 0)
         return self.tokens
 
-    def _bracket_space_separates(self) -> bool:
+    def _bracket_space_separates(self, offset: int) -> bool:
         """MATLAB's whitespace rule inside ``[...]``.
 
-        A run of spaces separates two elements when the previous token ends
-        an expression and the upcoming text starts one.  ``[1 -2]`` has two
-        elements; ``[1 - 2]`` has one.
+        A run of spaces (``offset`` of them, from here) separates two
+        elements when the previous token ends an expression and the
+        upcoming text starts one.  ``[1 -2]`` has two elements; ``[1 - 2]``
+        has one.
         """
         if self._previous_kind() not in _TRANSPOSE_CONTEXT:
             return False
-        offset = 0
-        while self._peek(offset) in " \t\r":
-            offset += 1
         nxt = self._peek(offset)
         if not nxt or nxt in "*/\\^=<>&|,;:)]%\n":
             return False
@@ -206,59 +209,46 @@ class Lexer:
 
     # ------------------------------------------------------------------
     def _scan_number(self) -> None:
-        location = self._location()
+        source = self.source
         start = self.pos
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1) != "." and not self._peek(1).isalpha():
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
+        end = self._run(start, str.isdigit)
+        if (
+            source.startswith(".", end)
+            and not source.startswith(".", end + 1)
+            and not source[end + 1: end + 2].isalpha()
         ):
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start: self.pos]
-        if self._peek() and self._peek() in "ij" and not (
-            self._peek(1).isalnum() or self._peek(1) == "_"
+            end = self._run(end + 1, str.isdigit)
+        if source[end: end + 1] in ("e", "E"):
+            digits = end + 2 if source[end + 1: end + 2] in ("+", "-") else end + 1
+            if source[digits: digits + 1].isdigit():
+                end = self._run(digits, str.isdigit)
+        suffix = source[end: end + 2]
+        if suffix[:1] in ("i", "j") and not (
+            suffix[1:].isalnum() or suffix[1:] == "_"
         ):
-            self._advance()
-            self._emit(TokenKind.IMAGINARY, text, location)
-            return
-        self._emit(TokenKind.NUMBER, text, location)
-
-    def _scan_identifier(self) -> None:
-        location = self._location()
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start: self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        self._emit(kind, text, location)
+            self._emit(TokenKind.IMAGINARY, source[start:end], end + 1 - start)
+        else:
+            self._emit(TokenKind.NUMBER, source[start:end], end - start)
 
     def _scan_string(self) -> None:
         location = self._location()
-        self._advance()  # opening quote
+        source = self.source
+        line_end = source.find("\n", self.pos)
+        if line_end < 0:
+            line_end = len(source)
+        index = self.pos + 1  # past the opening quote
         chunks: list[str] = []
         while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
+            quote = source.find("'", index, line_end)
+            if quote < 0:
                 raise LexError("unterminated string literal", location)
-            if ch == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    chunks.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
+            chunks.append(source[index:quote])
+            index = quote + 1
+            if not source.startswith("'", index, line_end):
                 break
-            chunks.append(ch)
-            self._advance()
-        self._emit(TokenKind.STRING, "".join(chunks), location)
+            chunks.append("'")  # escaped quote
+            index += 1
+        self._emit(TokenKind.STRING, "".join(chunks), index - self.pos)
 
 
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:

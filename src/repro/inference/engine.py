@@ -12,9 +12,12 @@ inference, although simple, is very precise (Section 2.4).  The same engine
 run with a speculated signature implements the forward half of speculative
 inference.
 
-After the fixpoint is reached, a final annotation pass re-walks every atom
-recording per-expression types and classifying every subscript as
-SAFE / GROW_ONLY / CHECKED (Section 2.4, "Subscript check removal").
+The solver sweeps the blocks round-robin in reverse postorder, but only
+re-evaluates a block whose input state differs from the one it was last
+evaluated with.  Every evaluation records per-expression types and
+classifies every subscript as SAFE / GROW_ONLY / CHECKED (Section 2.4,
+"Subscript check removal"); a block's last record was made on its final
+input state, so the records of all blocks together are the annotations.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.cfg import Atom, CondAtom, ForIterAtom, StmtAtom
 from repro.analysis.disambiguate import DisambiguationResult, Disambiguator
+from repro.analysis.symtab import SymbolKind
 from repro.frontend import ast_nodes as ast
 from repro.inference.annotations import Annotations, SubscriptSafety
 from repro.inference.calculator import RuleContext, TypeCalculator, default_calculator
@@ -109,6 +113,10 @@ class TypeInferenceEngine:
         block_in: dict[int, Env] = {}
         block_out: dict[int, Env] = {}
         visits: dict[int, int] = {}
+        # What each block's latest transfer recorded.  A block is only
+        # transferred again when its input changed, so once the sweeps
+        # stop this is what a walk over the final states would record.
+        records: dict[int, Annotations] = {}
         converged = True
         iterations = 0
 
@@ -137,29 +145,48 @@ class TypeInferenceEngine:
                     if incoming is None:
                         continue  # unreachable so far
                 old_in = block_in.get(block.index)
-                if old_in is not None and widen:
-                    incoming = self._widen_env(old_in, incoming)
+                if old_in is not None:
+                    if widen:
+                        incoming = self._widen_env(old_in, incoming)
+                    if incoming == old_in:
+                        # A transfer is a pure function of the input
+                        # state: the output it would compute is the one
+                        # already in ``block_out``.
+                        continue
                 block_in[block.index] = incoming
                 env = dict(incoming)
+                record = records[block.index] = Annotations()
                 for atom in block.atoms:
-                    self._transfer(atom, env, record=None)
+                    self._transfer(atom, env, record)
                 if env != block_out.get(block.index):
                     block_out[block.index] = env
                     visits[block.index] = visits.get(block.index, 0) + 1
                     changed = True
 
         # ------------------------------------------------------------------
-        # Annotation pass with the converged states.
+        # Merge the per-block records, in block order.
         # ------------------------------------------------------------------
         annotations = Annotations(converged=converged, iterations=iterations)
         if not converged:
             # Fall back to safe-but-useless: everything top.  The default
             # rule keeps generated code correct, just generic.
-            block_in = {b.index: self._top_env(block_in) for b in cfg.blocks}
+            top_env = self._top_env(block_in)
+            block_in = {b.index: top_env for b in cfg.blocks}
+            records.clear()
         for block in cfg.blocks:
-            env = dict(block_in.get(block.index, {}))
-            for atom in block.atoms:
-                self._transfer(atom, env, record=annotations)
+            record = records.get(block.index)
+            if record is None:
+                # Never transferred (unreachable: empty state) or not to
+                # be trusted (not converged: the ⊤ state): walk it now.
+                record = Annotations()
+                env = dict(block_in.get(block.index, {}))
+                for atom in block.atoms:
+                    self._transfer(atom, env, record)
+            annotations.expr_types.update(record.expr_types)
+            annotations.load_safety.update(record.load_safety)
+            annotations.store_safety.update(record.store_safety)
+            for name, mtype in record.var_types.items():
+                annotations.note_var(name, mtype)
         self._exit_env = block_in.get(cfg.exit.index, {})
         return annotations
 
@@ -173,17 +200,25 @@ class TypeInferenceEngine:
         result = dict(a)
         for name, mtype in b.items():
             existing = result.get(name)
-            result[name] = mtype if existing is None else existing.join(mtype)
+            if existing is None:
+                result[name] = mtype
+            elif existing is not mtype and existing != mtype:
+                result[name] = existing.join(mtype)
         return result
 
     def _widen_env(self, old: Env, new: Env) -> Env:
         result: Env = {}
         for name, mtype in new.items():
             previous = old.get(name)
-            if previous is None:
+            if previous is None or (
+                # Widening a type by itself only rewrites an unbounded
+                # minimum extent (``shrink_dim`` maps ∞ to 0).
+                (previous is mtype or previous == mtype)
+                and mtype.minshape.is_finite
+            ):
                 result[name] = mtype
-                continue
-            result[name] = self._widen_type(previous, mtype)
+            else:
+                result[name] = self._widen_type(previous, mtype)
         return result
 
     def _widen_type(self, old: MType, new: MType) -> MType:
@@ -536,8 +571,6 @@ class TypeInferenceEngine:
         return MType.top()
 
     def _type_ident(self, expr: ast.Ident, env: Env) -> MType:
-        from repro.analysis.symtab import SymbolKind
-
         kind = self._dis.kind_of(expr) if self._dis else None
         if kind is SymbolKind.VARIABLE or expr.name in env:
             return env.get(expr.name, MType.top())

@@ -448,9 +448,7 @@ class _EndSubstituted:
     """Rewrites ``end`` markers in a subscript to their numeric value."""
 
     def __init__(self, index, array, position, arity, interp):
-        import copy
-
-        self.index = copy.deepcopy(index)
+        self.index = ast.clone(index)
         if arity == 1:
             end_value = array.numel
         else:

@@ -36,7 +36,7 @@ class MType:
 
     @staticmethod
     def top() -> "MType":
-        return MType(Intrinsic.TOP, Shape.bottom(), Shape.top(), Interval.top())
+        return _TOP
 
     @staticmethod
     def scalar(
@@ -221,6 +221,11 @@ class MType:
             f"MType({self.intrinsic!r}, min{self.minshape!r}, "
             f"max{self.maxshape!r}, rng{self.range!r})"
         )
+
+
+# ⊤ is immutable and by far the most requested element (the default of
+# every rule, table lookup and padded output list): every caller shares one.
+_TOP = MType(Intrinsic.TOP, Shape.bottom(), Shape.top(), Interval.top())
 
 
 def join_types(items) -> MType:

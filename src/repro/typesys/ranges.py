@@ -23,14 +23,28 @@ class Interval:
     lo: float
     hi: float
 
+    # ``nan != nan``, and the generated tuple comparison only hides that
+    # while both sides hold the *same* nan object — which an interval that
+    # went through pickle (disk cache, parallel rank) no longer does.  All
+    # empty intervals are one lattice element: equal, with one hash.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo == other.lo and self.hi == other.hi) or (
+            self.is_bottom and other.is_bottom
+        )
+
+    def __hash__(self) -> int:
+        return hash(None if self.is_bottom else (self.lo, self.hi))
+
     # ------------------------------------------------------------------
     @staticmethod
     def bottom() -> "Interval":
-        return Interval(math.nan, math.nan)
+        return _BOTTOM
 
     @staticmethod
     def top() -> "Interval":
-        return Interval(-math.inf, math.inf)
+        return _TOP
 
     @staticmethod
     def constant(value: float) -> "Interval":
@@ -199,3 +213,8 @@ class Interval:
         if self.is_bottom:
             return "<nan,nan>"
         return f"<{self.lo},{self.hi}>"
+
+
+# The canonical elements are immutable, so every caller shares one.
+_BOTTOM = Interval(math.nan, math.nan)
+_TOP = Interval(-math.inf, math.inf)

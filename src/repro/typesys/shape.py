@@ -46,15 +46,15 @@ class Shape:
     # ------------------------------------------------------------------
     @staticmethod
     def bottom() -> "Shape":
-        return Shape(0, 0)
+        return _BOTTOM
 
     @staticmethod
     def top() -> "Shape":
-        return Shape(INF, INF)
+        return _TOP
 
     @staticmethod
     def scalar() -> "Shape":
-        return Shape(1, 1)
+        return _SCALAR
 
     @staticmethod
     def exact(rows: int, cols: int) -> "Shape":
@@ -104,3 +104,9 @@ class Shape:
             return "inf" if dim is INF else str(dim)
 
         return f"<{show(self.rows)},{show(self.cols)}>"
+
+
+# The canonical elements are immutable, so every caller shares one.
+_BOTTOM = Shape(0, 0)
+_TOP = Shape(INF, INF)
+_SCALAR = Shape(1, 1)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
 from repro.inference.annotations import SubscriptSafety
 from repro.inference.calculator import RuleContext, default_calculator
@@ -251,3 +252,78 @@ class TestConvergence:
         )
         assert ann.converged
         assert ann.output_types["z"].intrinsic is Intrinsic.COMPLEX
+
+
+class TestSolverFallbacks:
+    """The two cases where annotations do not come from a block's last
+    evaluation during the solve: the iteration cap was hit, or the block
+    was never reached."""
+
+    NESTED = (
+        "function s = f(n)\ns = zeros(n, n);\n"
+        "for i = 1:n,\n  for j = 1:n,\n"
+        "    s(i, j) = s(j, i) + i * j;\n  end\nend\n"
+    )
+
+    def test_iteration_cap_falls_back_to_top(self):
+        fn, ann = infer(
+            self.NESTED, 4, options=InferenceOptions(max_iterations=2)
+        )
+        assert not ann.converged
+        assert ann.iterations == 3
+        # Every block is annotated from the all-⊤ state: no variable read
+        # knows anything (each one here is defined in another block) ...
+        idents = [
+            node
+            for stmt in ast.walk_stmts(fn.body)
+            for expr in ast.stmt_exprs(stmt)
+            for node in ast.walk_expr(expr)
+            if isinstance(node, ast.Ident)
+        ]
+        assert {node.name for node in idents} == {"n", "i", "j"}
+        assert all(ann.type_of(node) == MType.top() for node in idents)
+        # ... so no subscript check can be dropped ...
+        assert ann.load_safety and ann.store_safety
+        assert set(ann.load_safety.values()) == {SubscriptSafety.CHECKED}
+        assert set(ann.store_safety.values()) == {SubscriptSafety.CHECKED}
+        # ... and nothing is promised about the result.
+        assert ann.output_types == {"s": MType.top()}
+        # The same function does converge when allowed to.
+        assert infer(self.NESTED, 4)[1].converged
+
+    def test_jit_compiles_unconverged_inference_correctly(self):
+        from repro.codegen.jitgen import JitCompiler, JitOptions
+        from repro.codegen.runtime_support import RuntimeSupport
+        from repro.interp.interpreter import Interpreter
+
+        fn = fn_of(self.NESTED)
+        args = [from_python(4)]
+        options = JitOptions(inference=InferenceOptions(max_iterations=2))
+        obj = JitCompiler(options).compile(fn, signature_of_values(args))
+        assert not obj.annotations.converged
+        compiled = obj.invoke(args, 1, RuntimeSupport())[0]
+        expected = Interpreter().call_function(fn, [from_python(4)], 1)[0]
+        assert compiled.view().tolist() == expected.view().tolist()
+
+    def test_unreachable_code_is_annotated_from_the_empty_state(self):
+        fn, ann = infer(
+            "function y = f(x)\ny = x + 1;\n"
+            "for k = 1:3,\n  break;\n  y = k;\nend\n"
+            "return\ny = y * 2;\n",
+            5,
+        )
+        assert ann.converged
+        after_break, after_return = [
+            stmt for stmt in ast.walk_stmts(fn.body)
+            if isinstance(stmt, ast.Assign)
+        ][1:]
+        # Both dead statements are typed (code generation walks them) ...
+        assert id(after_break.value) in ann.expr_types
+        assert id(after_return.value) in ann.expr_types
+        # ... from a state that holds no variable: reads are ⊤.
+        assert ann.type_of(after_break.value) == MType.top()
+        assert ann.type_of(after_return.value.left) == MType.top()
+        # Dead definitions widen the variable's summary, not what flows
+        # to the exit.
+        assert ann.output_types["y"].constant_value == 6.0
+        assert not ann.var_type("y").is_constant

@@ -176,6 +176,41 @@ class TestSemantics:
         assert inliner.inlined_names == {"helper"}
 
 
+class TestInputUntouched:
+    def test_run_leaves_its_input_as_it_found_it(self):
+        """``Inliner.run`` rewrites a copy: the repository keeps handing
+        the original to the interpreter and to later compiles."""
+        from repro.analysis.disambiguate import disambiguate_function
+        from repro.benchsuite.registry import benchmark_names, sources_of
+        from repro.frontend.pretty import pretty_function
+        from repro.fuzz import generate_program
+
+        programs = [sources_of(name) for name in benchmark_names()]
+        programs += [(generate_program(seed).source,) for seed in range(60)]
+        inlined = 0
+        for sources in programs:
+            table = table_of(*sources)
+            for fn in table.values():
+                disambiguate_function(fn, table.__contains__)  # sets kinds
+
+            def state():
+                return [
+                    (pretty_function(fn),
+                     [node.kind for stmt in ast.walk_stmts(fn.body)
+                      for e in ast.stmt_exprs(stmt) for node in ast.walk_expr(e)
+                      if isinstance(node, ast.Apply)])
+                    for fn in table.values()
+                ]
+
+            before = state()
+            for fn in table.values():
+                inliner = Inliner(table.get)
+                inliner.run(fn)
+                inlined += inliner.inlined_calls
+            assert state() == before
+        assert inlined >= 40  # the check above saw real rewriting
+
+
 class TestEvaluationOrder:
     """A call hoisted out of the middle of an expression runs ahead of its
     whole statement; what the interpreter evaluates *before* the call — a

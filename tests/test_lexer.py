@@ -173,6 +173,10 @@ class TestBracketWhitespace:
     def test_not_separator_before_close(self):
         assert "," not in texts("[1 ]")
 
+    def test_trailing_blanks_in_an_open_bracket_end_the_scan(self):
+        # Used to look for the next non-blank character forever.
+        assert texts("[1 \t") == ["[", "1"]
+
 
 class TestKeywords:
     @pytest.mark.parametrize(
@@ -188,3 +192,19 @@ class TestKeywords:
         toks = tokenize("a\nbb")
         assert toks[0].location.line == 1
         assert toks[2].location.line == 2
+
+    def test_columns_after_bulk_skips(self):
+        # Comments, continuations, blank runs, strings and multi-character
+        # tokens are stepped over in one go; columns must still add up.
+        source = "ab  = 'x''y' + 1.5e3i ... rest\n  .* c % note\n[d   e]"
+        where = {
+            t.text: (t.location.line, t.location.column)
+            for t in tokenize(source)
+        }
+        assert where["ab"] == (1, 1) and where["="] == (1, 5)
+        assert where["x'y"] == (1, 7) and where["+"] == (1, 14)
+        assert where["1.5e3"] == (1, 16)
+        assert where[".*"] == (2, 3) and where["c"] == (2, 6)
+        assert where["\n"] == (2, 14)
+        assert where["d"] == (3, 2) and where[","] == (3, 3)
+        assert where["e"] == (3, 6)

@@ -227,3 +227,61 @@ class TestRoundTrip:
         first = pretty(parse(source))
         second = pretty(parse(first))
         assert first == second
+
+
+def corpus_functions():
+    """Every function of the 16 Table-1 programs and 200 fuzz programs."""
+    from repro.benchsuite.registry import benchmark_names, sources_of
+    from repro.fuzz import generate_program
+
+    sources = [s for name in benchmark_names() for s in sources_of(name)]
+    sources += [generate_program(seed).source for seed in range(200)]
+    return [fn for source in sources for fn in parse(source).functions]
+
+
+def objects_under(root):
+    """Every node and every list under ``root``, preorder, found through
+    the objects' own fields (not through the walkers ``clone`` could
+    share a blind spot with)."""
+    found = []
+
+    def visit(value):
+        if isinstance(value, (ast.Expr, ast.Stmt, ast.LValue, ast.FunctionDef)):
+            found.append(value)
+            for field in vars(value).values():
+                visit(field)
+        elif isinstance(value, (list, tuple)):
+            if isinstance(value, list):
+                found.append(value)
+            for item in value:
+                visit(item)
+
+    visit(root)
+    return found
+
+
+class TestClone:
+    def test_clone_is_equal_in_structure_and_shares_nothing_mutable(self):
+        from repro.frontend.pretty import pretty_function
+
+        functions = corpus_functions()
+        assert len(functions) > 216
+        for fn in functions:
+            twin = ast.clone(fn)
+            assert pretty_function(twin) == pretty_function(fn)
+            ours, theirs = objects_under(fn), objects_under(twin)
+            assert [type(o) for o in ours] == [type(o) for o in theirs]
+            # A tree: nothing is reachable twice, so no memo is needed ...
+            assert len({id(o) for o in ours}) == len(ours)
+            # ... and the copy can be rewritten without touching the original.
+            assert not {id(o) for o in ours} & {id(o) for o in theirs}
+
+    def test_clone_copies_whatever_fields_a_node_carries(self):
+        node = parse_expression("a(end)")
+        node.kind = ast.ApplyKind.INDEX
+        marker = node.args[0]
+        marker.__class__, marker.value = ast.Number, 3.0  # as the interpreter
+        twin = ast.clone(node)
+        assert twin.kind is ast.ApplyKind.INDEX
+        assert type(twin.args[0]) is ast.Number and twin.args[0].value == 3.0
+        assert twin.location is node.location  # immutable: shared

@@ -1,6 +1,7 @@
 """Type lattice tests: Li, Ls, Ll laws (property-based) and signatures."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,19 @@ class TestIntervalLattice:
     def test_constant(self):
         c = Interval.constant(5.0)
         assert c.is_constant and c.constant_value == 5.0
+
+    @pytest.mark.parametrize("value", [
+        Interval.bottom(),
+        MType.bottom(),
+        Signature.of([MType.bottom(), MType.scalar()]),
+    ], ids=lambda value: type(value).__name__)
+    def test_empty_interval_equal_however_it_was_built(self, value):
+        # A disk-cache load or a parallel rank hands back a *different*
+        # nan object; the empty interval is still one lattice element.
+        revived = pickle.loads(pickle.dumps(value))
+        assert revived == value and hash(revived) == hash(value)
+        assert Interval(float("nan"), float("nan")) == Interval.bottom()
+        assert Interval.bottom() != Interval.top()
 
     def test_nan_constant_widens(self):
         assert Interval.constant(float("nan")).is_top
