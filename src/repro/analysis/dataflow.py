@@ -2,9 +2,9 @@
 
 Section 2.3 describes the type-inference engine as "an iterative
 join-of-all-paths monotonic data analysis framework"; this module provides
-that framework in a reusable form, shared by reaching definitions, the
-disambiguator's definite-assignment analysis and the type-inference engine
-itself.
+that framework in a reusable form, shared by reaching definitions and the
+disambiguator's definite-assignment analysis.  (The type-inference engine
+has its own change-driven solver, ``TypeInferenceEngine._solve``.)
 
 States are opaque to the framework; clients supply ``join``, ``equals``,
 ``copy`` and a per-atom ``transfer`` function.  A ``max_iterations`` cap

@@ -83,11 +83,14 @@ class BaselineEngine:
 
     # ------------------------------------------------------------------
     def execute(self, name: str, args: list[MxArray], nargout: int = 1):
-        obj = self._objects.get(name)
-        if obj is None and name not in self._uncompilable:
-            obj = self.compile_function(name, args)
+        fn = self._functions[name]
+        if len(args) > len(fn.params):
+            obj = None  # the interpreter's to refuse, with its error text
+        else:
+            obj = self._objects.get(name)
+            if obj is None and name not in self._uncompilable:
+                obj = self.compile_function(name, args)
         if obj is None:
-            fn = self._functions[name]
             return self._interpreter.call_function(fn, args, nargout)
         return obj.invoke(args, nargout, self._rt)
 

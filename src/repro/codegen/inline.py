@@ -75,11 +75,15 @@ class Inliner:
             return expr.name in self._caller_assigned
         return isinstance(expr, (ast.Number, ast.ImagNumber, ast.StringLit))
 
-    def _eligible(self, name: str, depth_map: dict[str, int]) -> ast.FunctionDef | None:
+    def _eligible(
+        self, name: str, nargs: int, depth_map: dict[str, int]
+    ) -> ast.FunctionDef | None:
         if name in self._caller_assigned:
             return None
         callee = self.lookup(name)
-        if callee is None:
+        if callee is None or nargs > len(callee.params):
+            # Too many actuals is a run-time error: leave the call to be
+            # dispatched, where it raises after the effects before it.
             return None
         if _function_lines(callee) > self.max_lines:
             return None
@@ -121,7 +125,7 @@ class Inliner:
         if isinstance(stmt, ast.MultiAssign):
             call = stmt.call
             if isinstance(call, ast.Apply):
-                callee = self._eligible(call.name, depth_map)
+                callee = self._eligible(call.name, len(call.args), depth_map)
                 if callee is not None and len(stmt.targets) <= len(callee.outputs) \
                         and all(not t.is_indexed for t in stmt.targets):
                     call, pre = self._hoist_calls(call, depth_map, top=True)
@@ -180,7 +184,7 @@ class Inliner:
             return None
         if value.kind not in (ast.ApplyKind.USER_FUNCTION, ast.ApplyKind.UNRESOLVED):
             return None
-        callee = self._eligible(value.name, depth_map)
+        callee = self._eligible(value.name, len(value.args), depth_map)
         if callee is None or not callee.outputs:
             return None
         # ``value`` is already hoisted (top level), arguments included.
@@ -227,7 +231,7 @@ class Inliner:
                     ast.ApplyKind.USER_FUNCTION,
                     ast.ApplyKind.UNRESOLVED,
                 ):
-                    callee = self._eligible(node.name, depth_map)
+                    callee = self._eligible(node.name, len(node.args), depth_map)
                     if callee is not None and callee.outputs:
                         temp = self._fresh(f"t_{node.name}")
                         pre.extend(

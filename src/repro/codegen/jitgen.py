@@ -461,16 +461,18 @@ class _Lowerer(Walk):
         ))
 
     def counted_for(self, stmt: ast.For, start, stop, step, direction) -> None:
-        if direction == 0:
-            # Variable-step numeric loop through the frange helper.
+        if direction == 0 or self.var_kind(stmt.var) != RAW_INT:
+            # Real-stepped (or unknown-sign) loop: the frange helper
+            # yields the interpreter's values.
+            if step is None:
+                step = self.const(1.0, RAW_REAL)
             iterable = self.call("frange", [start, step, stop], BOXED)
             self.for_each(stmt, iterable, raw=True)
             return
-        if self.var_kind(stmt.var) == RAW_INT:
-            # Integer counters iterate host range(): integral operands.
-            if step is not None:
-                step = self._to_int(step)
-            start, stop = self._to_int(start), self._to_int(stop)
+        # Integer counters iterate host range(): integral operands.
+        if step is not None:
+            step = self._to_int(step)
+        start, stop = self._to_int(start), self._to_int(stop)
         body = self._body(stmt.body)
         self._region(ForRegion(
             init=Block(), var=self.var(stmt.var), start=start, stop=stop,

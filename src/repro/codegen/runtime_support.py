@@ -237,16 +237,15 @@ def colon3(a, step, b) -> MxArray:
 
 
 def frange(start: float, step: float, stop: float):
-    """Generic numeric loop range (unknown step sign)."""
-    value = start
-    if step > 0:
-        while value <= stop:
-            yield value
-            value += step
-    elif step < 0:
-        while value >= stop:
-            yield value
-            value += step
+    """The values of a real-stepped ``for`` — the interpreter's own
+    arithmetic (``mlf_colon``: a count, then ``start + step * i``, never
+    repeated addition), as a generator so that no host ``continue`` can
+    skip the advance."""
+    if step == 0:
+        return
+    count = int(math.floor((stop - start) / step + 1e-10)) + 1
+    for i in range(count):
+        yield start + step * i
 
 
 def columns(value):

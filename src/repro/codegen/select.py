@@ -439,6 +439,11 @@ class Walk:
                 copy=kind == BOXED and not self.selector.is_read_only(name),
             )
         self.output_reprs = [self.var_kind(name) for name in self.fn.outputs]
+        # rt.ambiguous_lookup(name, current) takes "no assignment has
+        # executed yet" as None: an ambiguous symbol's variable starts so.
+        for info in self.dis.symbols:
+            if info.is_ambiguous and info.assigned and not info.is_param:
+                self.assign(info.name, self.const(None, BOXED))
 
     # ------------------------------------------------------------------
     # Statements

@@ -155,11 +155,9 @@ class _SrcEmitter(Walk):
             self.line("pass")
         self.stmts(body)
 
-    def _suite(self, body: list[ast.Stmt], tail: str | None = None) -> None:
+    def _suite(self, body: list[ast.Stmt]) -> None:
         self.depth += 1
         self._block(body)
-        if tail is not None:
-            self.line(tail)
         self.depth -= 1
 
     # ------------------------------------------------------------------
@@ -339,13 +337,15 @@ class _SrcEmitter(Walk):
         saved_alias = dict(self.data_alias)
         if self.options.native_opt_level >= 2:
             self._hoist_data_pointers(stmt)
-        if direction == 0:
-            # Unknown step sign: the frange helper iterates either way.
+        if direction == 0 or self.var_kind(stmt.var) != RAW_INT:
+            # Real-stepped (or unknown-sign) loop: the frange helper
+            # yields the interpreter's values.
             self.line(
-                f"for {var} in {self.helper('frange')}({start}, {step}, {stop}):"
+                f"for {var} in {self.helper('frange')}"
+                f"({start}, {'1.0' if step is None else step}, {stop}):"
             )
             self._suite(stmt.body)
-        elif self.var_kind(stmt.var) == RAW_INT:
+        else:
             # Integer counters iterate host range() with an immediate step.
             edge = f" + {direction}"
             stride = "" if step is None else (
@@ -355,13 +355,6 @@ class _SrcEmitter(Walk):
                 f"for {var} in range(int({start}), int({stop}){edge}{stride}):"
             )
             self._suite(stmt.body)
-        else:
-            compare = ">=" if direction < 0 else "<="
-            self.line(f"{var} = {start}")
-            self.line(f"while {var} {compare} {stop}:")
-            self._suite(
-                stmt.body, tail=f"{var} = {var} + {'1.0' if step is None else step}"
-            )
         self.data_alias = saved_alias
 
     def _hoist_data_pointers(self, stmt: ast.For) -> None:

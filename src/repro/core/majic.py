@@ -227,14 +227,6 @@ class MajicSession:
         )
         if self.tiering is not None:
             self.tiering.bind(self.repository)
-            if self.native is None or not self.native.enabled:
-                # Nothing else is counting fused-kernel dispatches; let
-                # the interpreter feed the shared kernel counter so the
-                # summary still surfaces kernel hotness without a
-                # toolchain.
-                self.repository._interpreter.kernel_hotness = (
-                    self.tiering.kernel_hotness
-                )
         self.frontend = MajicFrontEnd(self.repository, sink=self.sink)
         # The flight recorder breadcrumbs every diagnostic and writes a
         # postmortem bundle on deopts, watchdog timeouts, sandbox deaths,
@@ -330,10 +322,7 @@ class MajicSession:
         with ``background=True``.
         """
         engine = self._pool()
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            return engine.submit_all()
-        with tracer.span("speculate_async", "speculation"):
+        with self.obs.tracer.span("speculate_async", "speculation"):
             return engine.submit_all()
 
     def _pool(self) -> SpeculationEngine:
@@ -393,13 +382,7 @@ class MajicSession:
             # every later dispatch back to the Python kernels (a closed
             # session runs unsupervised, so no native code either).
             self.native.enabled = False
-        repo = self.repository
-        guard = getattr(repo, "guard", None)
-        if guard is not None:
-            guard.compile_deadline = None
-            guard.run_deadline = None
-        repo._run_guard_enabled = False
-        repo.sandbox = None
+        self.repository.disarm()
 
     @property
     def closed(self) -> bool:

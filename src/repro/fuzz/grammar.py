@@ -17,8 +17,10 @@ values, guaranteed out-of-range reads (error-path identity), reads of the
 shared random stream (scalar, matrix, inside an elementwise chain, inside
 a callee), side effects *before* a failure — text already displayed, a
 draw already taken — which a failing backend must neither lose nor repeat,
-and multi-value assignments into subscripted targets (``end`` included),
-whose stores every compiler routes through its generic path.
+multi-value assignments into subscripted targets (``end`` included),
+whose stores every compiler routes through its generic path, and builtin
+names assigned on one path only, which compiled code must resolve at run
+time the way the interpreter does.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ REDUCE_FUNCS = ("sum", "numel", "length", "min", "max")
 RAND_FUNCS = ("rand", "randn")
 
 SCALAR_VARS = ("s", "t", "u")
+#: Zero-argument builtins a program may shadow on one path only.
+SHADOWED_BUILTINS = ("pi", "eps")
 MATRIX_VARS = ("A", "B")
 
 #: Callee bodies (``{name}`` is the program's): a draw inside a callee,
@@ -189,8 +193,17 @@ class _Gen:
         kinds = ["sassign", "sassign", "massign", "store", "slice_assign",
                  "multi"]
         if depth > 0:
-            kinds += ["if", "for", "while", "disp"]
+            kinds += ["if", "for", "while", "disp", "ambiguous"]
         kind = r.choice(kinds)
+        if kind == "ambiguous":
+            # Variable if the branch ran, builtin if not: decided per run.
+            self.features.append("ambiguous-builtin")
+            name, var = r.choice(SHADOWED_BUILTINS), r.choice(SCALAR_VARS)
+            cond = f"{self.scalar_expr(1)} > {self.scalar_expr(0)}"
+            return (
+                f"if {cond},\n  {name} = {self.scalar_expr(0)};\nend\n"
+                f"{var} = {var} + {name};"
+            )
         if kind == "multi":
             return self.multi_assign()
         if kind == "sassign":

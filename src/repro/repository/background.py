@@ -60,7 +60,6 @@ import time
 
 from repro.obs import DISABLED as DISABLED_OBS
 from repro.repository.diagnostics import (
-    COMPILE_FAILURE,
     POISON_TASK,
     SPECULATE_ASYNC,
     WATCHDOG_TIMEOUT,
@@ -207,7 +206,7 @@ class SpeculationEngine:
                 # storing), or a compile failure it has already recorded.
                 stale = repo.generation_of(name) != generation
                 return self.cancelled if stale else self.failed
-            with repo._lock:
+            with self._lock:  # workers are this counter's only writers
                 repo.stats.background_compiles += 1
             repo.diagnostics.record(
                 SPECULATE_ASYNC, name,
@@ -291,12 +290,6 @@ class SpeculationEngine:
             for thread in self._threads.values():
                 thread.join(timeout=10)
             self._supervisor.join(timeout=10)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.shutdown()
 
     # ------------------------------------------------------------------
     # The worker loop
@@ -449,31 +442,22 @@ class SpeculationEngine:
             task.finish(False)
 
     def _run_one(self, task: _Task) -> None:
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            return self._run_one_raw(task)
-        with tracer.adopt(task.parent):
-            with tracer.span(task.label, "background", task=task.label):
-                return self._run_one_raw(task)
-
-    def _run_one_raw(self, task: _Task) -> None:
-        """One task body; failures are absorbed and recorded."""
+        """One task body, under the submitter's span; failures are
+        absorbed and recorded."""
         repo = self.repository
-        try:
-            if self.fault_plan is not None:
-                # The dedicated worker site: a fault here models a dying
-                # worker (OOM, runaway codegen) rather than a compiler bug.
-                self.fault_plan.check("worker", task.label)
-            tally = task.fn()
-        except Exception as exc:  # noqa: BLE001 - workers must not die loudly
-            tally = self.failed
-            with repo._lock:
-                repo.stats.compile_failures += 1
-            repo.diagnostics.record(
-                COMPILE_FAILURE, task.label,
-                detail="background worker task failed",
-                cause=exc,
-            )
+        tracer = self.obs.tracer
+        with tracer.adopt(task.parent), tracer.span(
+            task.label, "background", task=task.label
+        ):
+            try:
+                if self.fault_plan is not None:
+                    # The dedicated worker site: a fault here models a dying
+                    # worker (OOM, runaway codegen) rather than a compiler bug.
+                    self.fault_plan.check("worker", task.label)
+                tally = task.fn()
+            except Exception as exc:  # noqa: BLE001 - workers must not die loudly
+                tally = self.failed
+                repo.compile_failed(task.label, "worker", exc)
         if tally is not self.cancelled and tally is not self.failed:
             tally = self.compiled  # whatever else an arbitrary callable returns
         tally.append(task.label)

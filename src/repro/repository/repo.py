@@ -16,28 +16,23 @@ Responsibilities:
   (performed before the user needs the code);
 * recompilation triggers when snooped sources change.
 
-Robustness layer (tiered execution)
------------------------------------
-Compiled code is an optimization, never a semantic requirement, so the
-repository treats the interpreter as its safety net:
-
-* **guarded deoptimization** — any non-:class:`~repro.errors.MatlabError`
-  exception escaping a compiled object (a miscompile, an inference bug, a
-  host ``TypeError`` in generated source) quarantines that version,
-  records a deopt event and transparently re-executes the invocation
-  through the interpreter; side effects of the half-run compiled call
-  (random-stream draws, printed output) are rolled back first;
-* **strike counter** — a function whose compiled versions keep failing is
-  demoted to interpreter-only after ``max_strikes`` quarantines;
-* **compile budgets** — :meth:`speculate_all` and :meth:`jit_compile`
-  accept wall-clock budgets that skip-and-record instead of raising, so
-  one pathological function cannot stall the "hidden" ahead-of-time pass;
-* **diagnostics** — every degradation lands in :attr:`diagnostics` as a
-  structured event.
+One book (tiered execution)
+---------------------------
+Compiled code is an optimization, never a semantic requirement, and the
+repository is the one place that knows what a function holds (DESIGN.md,
+*Robustness layer*, is the full account): every function has a **bottom
+version** it cannot lose — its source, run by the interpreter — so
+:meth:`_resolve` always finds something to serve and :meth:`_serve` is
+the one path every version runs through, its deopt net armed for compiled
+modes only; :meth:`jit_compile` and :meth:`speculate` are two spellings of
+one entry that never raises, because :meth:`compile_failed` is the one
+verdict on a failed compile; budgets skip-and-record; and every
+degradation lands in :attr:`diagnostics` as a structured event.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -49,15 +44,17 @@ from repro.codegen.inline import Inliner
 from repro.codegen.jitgen import CompiledObject, JitCompiler, JitOptions
 from repro.codegen.runtime_support import RuntimeSupport
 from repro.codegen.srcgen import SourceCompiler, SrcOptions
+from repro.interp.frontend import Invocation
 from repro.interp.interpreter import Interpreter
 from repro.faults.plan import SITE_HANG, SITE_OOM
 from repro.obs import DISABLED as DISABLED_OBS
-from repro.obs import TIER_INTERPRETER
+from repro.obs import TIER_INTERPRETER, TIER_JIT, TIER_SPEC
 from repro.resilience import (
     DEFAULT_POLICY,
     ExecutionGuard,
     ResiliencePolicy,
     SandboxExecutor,
+    SandboxFailure,
 )
 from repro.runtime.builtins import GLOBAL_RANDOM
 from repro.runtime.display import OutputSink
@@ -87,7 +84,6 @@ class RepositoryStats:
     hits: int = 0
     jit_compiles: int = 0
     speculative_compiles: int = 0
-    fallback_interpreted: int = 0
     jit_compile_seconds: float = 0.0
     speculative_compile_seconds: float = 0.0
     # Robustness counters (mirrored by the diagnostics event log).
@@ -103,6 +99,11 @@ class RepositoryStats:
     calls_jit: int = 0
     calls_spec: int = 0
     calls_interpreted: int = 0
+
+    @property
+    def fallback_interpreted(self) -> int:
+        """Calls the bottom version served (one count, two names)."""
+        return self.calls_interpreted
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,6 @@ class CompileBudget:
 
 
 def _as_budget(budget) -> CompileBudget:
-    if budget is None:
-        return CompileBudget()
     if isinstance(budget, CompileBudget):
         return budget
     return CompileBudget(per_pass=float(budget))
@@ -138,6 +137,26 @@ class SpeculationReport(list):
         self.skipped: list[tuple[str, str]] = []  # (function, reason)
         self.failed: list[str] = []
         self.elapsed: float = 0.0
+
+
+#: Compile mode -> the error class that is an *expected* rejection there
+#: ("cannot compile this construct") rather than a compiler crash.
+_REJECTIONS = {"jit": MatlabError, "spec": CodegenError}
+
+
+@dataclass(frozen=True)
+class _Interpreted:
+    """The bottom version of a function: its source, run by the
+    interpreter.  It answers ``invoke`` like a compiled version but is
+    never among :meth:`CodeRepository.versions_of` (nor located, nor in
+    the hot-call cache)."""
+
+    fn: ast.FunctionDef
+    interpreter: Interpreter
+    mode = TIER_INTERPRETER
+
+    def invoke(self, arg_values, nargout: int, rt):
+        return self.interpreter.call_function(self.fn, arg_values, nargout)
 
 
 class CodeRepository:
@@ -199,9 +218,6 @@ class CodeRepository:
             )
             if self.resilience.sandbox else None
         )
-        # Precomputed hot-path switches: the common no-supervision call
-        # pays two attribute checks, nothing more.
-        self._run_guard_enabled = self.resilience.run_deadline is not None
         # In-process chaos probes (hang/oom on the guarded run path); when
         # the sandbox tier is on, first runs check these sites in the
         # child instead, so the in-process probe stays off.
@@ -212,11 +228,18 @@ class CodeRepository:
                 spec.site in (SITE_HANG, SITE_OOM) for spec in fault_plan.specs
             )
         )
+        # Precomputed hot-path switch: the common no-supervision call
+        # pays one attribute check for the watchdog, nothing more.
+        self._watched = (
+            self.resilience.run_deadline is not None or self._chaos_run_checks
+        )
         # The cache heals itself; give it the session's flight recorder.
         if cache is not None and getattr(cache, "diagnostics", None) is None:
             cache.diagnostics = self.diagnostics
         # name -> FunctionDef (raw, as parsed)
         self._functions: dict[str, ast.FunctionDef] = {}
+        # name -> the bottom version (the interpreter over that FunctionDef)
+        self._bottom: dict[str, _Interpreted] = {}
         # name -> inlined FunctionDef cache
         self._inlined: dict[str, ast.FunctionDef] = {}
         # name -> list of compiled versions
@@ -227,10 +250,9 @@ class CodeRepository:
         self.compile_log: list[tuple[str, str, object]] = []
         # Hot-call cache: last object that served each function name.
         self._fast_cache: dict[str, CompiledObject] = {}
-        # Adaptive-tiering controller (repro.tiering); attached by
-        # TierController.bind() after construction so neither module
-        # imports the other.  When set, it supplies execute()'s miss
-        # policy (interpret now, promote out-of-band) and post-call hook.
+        # Adaptive-tiering controller (repro.tiering); see attach().  When
+        # set, it supplies _resolve()'s miss policy (interpret now, promote
+        # out-of-band) and execute()'s post-call hook.
         self.tiering = None
         # Deopt strike counts per function (quarantine at max_strikes).
         self._strikes: dict[str, int] = {}
@@ -305,6 +327,7 @@ class CodeRepository:
     def _register(self, fn: ast.FunctionDef) -> None:
         with self._lock:
             self._functions[fn.name] = fn
+            self._bottom[fn.name] = _Interpreted(fn, self._interpreter)
             # Invalidate the function itself and everything that inlined
             # it; each gets a new generation so in-flight background
             # compiles of the old source are dropped at store time.
@@ -314,6 +337,7 @@ class CodeRepository:
     def _unregister(self, name: str) -> None:
         with self._lock:
             self._functions.pop(name, None)
+            self._bottom.pop(name, None)
             # Same purge as _register: a removed function must not keep
             # serving a stale cached object, stay wrongly blacklisted, or
             # carry strike and budget state over to an unrelated future
@@ -336,9 +360,82 @@ class CodeRepository:
             self._generations[name] = self._generations.get(name, 0) + 1
 
     def generation_of(self, name: str) -> int:
-        """Redefinition counter for ``name`` (background-compile tokens)."""
+        """Redefinition counter for ``name``: what was learned about it
+        (an in-flight compile, the tier controller's measurements) holds
+        while this stands.  An atomic dict read; no lock."""
+        return self._generations.get(name, 0)
+
+    # ------------------------------------------------------------------
+    # The book, as the tier controller, worker pool and session read it
+    # ------------------------------------------------------------------
+    def held_mode(self, name: str) -> str:
+        """The best mode among the versions ``name`` holds now (spec over
+        jit), else ``"interpreter"`` — the bottom version."""
+        best = TIER_INTERPRETER
+        for version in self._objects.get(name, ()):
+            if version.mode == TIER_SPEC:
+                return TIER_SPEC
+            best = TIER_JIT
+        return best
+
+    def compile_verdict(self, name: str) -> str | None:
+        """Why ``name`` should not be compiled now, or ``None`` (ask):
+        ``"uncompilable"`` (a compiler rejected it or its versions struck
+        out; final until redefined) or ``"over-budget"`` (speculative
+        passes and foreground misses skip it)."""
+        if name in self._uncompilable:
+            return "uncompilable"
+        return "over-budget" if name in self._budget_flagged else None
+
+    def compile_failed(self, name: str, mode: str, exc, signature="") -> None:
+        """The one verdict on a failed compile: always recorded; an
+        expected rejection (:data:`_REJECTIONS`) makes the function
+        uncompilable; a JIT crash counts a strike (a deterministic crasher
+        ends quarantined, a transient one is retried on a later call);
+        anything else — a speculative crash, a dead worker task — leaves
+        it eligible: the concrete call-site types may well compile."""
         with self._lock:
-            return self._generations.get(name, 0)
+            self.stats.compile_failures += 1
+        self.diagnostics.record(
+            COMPILE_FAILURE, name,
+            detail=f"{mode} compile failed",
+            cause=exc,
+            signature=signature,
+        )
+        if isinstance(exc, _REJECTIONS.get(mode, ())):
+            with self._lock:
+                self._uncompilable.add(name)
+        elif mode == "jit":
+            self._note_strike(name)
+
+    def unbind(self, name: str) -> None:
+        """Send the next call of ``name`` through :meth:`_resolve` (the
+        controller's suppression is consulted only there)."""
+        self._fast_cache.pop(name, None)
+
+    def profile_key(self, name: str, tag: str) -> str | None:
+        """Content address for a blob *about* ``name`` (a compile's key
+        under the caller's ``tag``); ``None`` without a cache."""
+        try:
+            return self._cache_key(self._prepared(name), tag)
+        except Exception:  # noqa: BLE001 - unparseable/unknown: no profile
+            return None
+
+    def attach(self, controller) -> None:
+        """Install the adaptive-tiering controller.  With no native
+        engine counting fused-kernel dispatches, the interpreter feeds
+        the controller's kernel counter instead."""
+        self.tiering = controller
+        if self.native is None or not self.native.enabled:
+            self._interpreter.kernel_hotness = controller.kernel_hotness
+
+    def disarm(self) -> None:
+        """Session close: later calls run unsupervised — no watchdog
+        registration leaks into the process-wide monitor, no child forks."""
+        self.guard.compile_deadline = None
+        self.guard.run_deadline = None
+        self._watched = self._chaos_run_checks
+        self.sandbox = None
 
     def knows(self, name: str) -> bool:
         return name in self._functions
@@ -384,10 +481,7 @@ class CodeRepository:
         time (its prepared AST is annotated in place by disambiguation),
         while distinct functions compile in parallel."""
         with self._lock:
-            lock = self._compile_locks.get(name)
-            if lock is None:
-                lock = self._compile_locks[name] = threading.Lock()
-            return lock
+            return self._compile_locks.setdefault(name, threading.Lock())
 
     # ------------------------------------------------------------------
     # The function locator (Section 2.2.1)
@@ -452,12 +546,9 @@ class CodeRepository:
     # ------------------------------------------------------------------
     # Persistent cache plumbing
     # ------------------------------------------------------------------
+    @functools.cached_property
     def _options_fingerprint(self) -> str:
-        fingerprint = getattr(self, "_options_fp", None)
-        if fingerprint is None:
-            fingerprint = options_fingerprint(self.jit_options, self.src_options)
-            self._options_fp = fingerprint
-        return fingerprint
+        return options_fingerprint(self.jit_options, self.src_options)
 
     def _cache_key(self, fn: ast.FunctionDef, signature_tag) -> str | None:
         """Content address of one compile (None without a cache).
@@ -469,7 +560,7 @@ class CodeRepository:
         if self.cache is None:
             return None
         return cache_key(
-            function_source_text(fn), signature_tag, self._options_fingerprint()
+            function_source_text(fn), signature_tag, self._options_fingerprint
         )
 
     def _cache_probe(self, name: str, key: str | None) -> CompiledObject | None:
@@ -523,8 +614,10 @@ class CodeRepository:
     ) -> CompiledObject | None:
         """Compile one function for one signature with the JIT pipeline.
 
-        Returns ``None`` when the function was redefined while it
-        compiled (the result describes dead source and is dropped).
+        Returns ``None`` when there is no version to serve from this
+        compile: the function was redefined while it compiled (the result
+        describes dead source and is dropped), or the compile failed
+        (:meth:`compile_failed` has recorded the verdict).
 
         ``budget`` (default: the repository-wide per-function budget) is a
         wall-clock target, not a hard deadline: the compile it bounds has
@@ -532,50 +625,7 @@ class CodeRepository:
         and returns the object (this call needs it) but records the event
         and flags the function so speculative passes skip it up front.
         """
-        with self.obs.tracer.span("jit_compile", "compile", function=name):
-            generation = self.generation_of(name)
-            fn = self._prepared(name)
-            with self._compile_lock(name):
-                if self._has_dynamic_calls(fn) or self._range_only_miss(
-                    name, signature
-                ):
-                    # Two situations call for range widening (paper Figure
-                    # 3: poly1_sig1 with limits(x) = top exists alongside
-                    # the constant-specialized sig0):
-                    #  * remaining dynamic calls (recursion past the
-                    #    inlining depth) would recompile for every distinct
-                    #    constant;
-                    #  * a repository miss whose only difference from an
-                    #    existing version is the value ranges — the same
-                    #    call site is being fed varying values, so stop
-                    #    specializing on them.
-                    signature = Signature.of(t.widen_range() for t in signature)
-                    existing = self._find_version(name, signature)
-                    if existing is not None:
-                        return existing
-                obj, duration = self._compile_and_store(
-                    name, "jit", self._cache_key(fn, signature), generation,
-                    lambda: JitCompiler(
-                        self.jit_options, fault_plan=self.fault_plan,
-                        tracer=self.obs.tracer, obs=self.obs,
-                    ).compile(
-                        fn, signature, mode="jit", is_user_function=self.knows
-                    ),
-                )
-            if budget is None:
-                budget = self.compile_budget.per_function
-            # duration is None when no compile ran (cache hit, or dropped).
-            if budget is not None and duration is not None and duration > budget:
-                with self._lock:
-                    self._budget_flagged.add(name)
-                    self.stats.budget_skips += 1
-                self.diagnostics.record(
-                    BUDGET_SKIP, name,
-                    detail=f"jit compile took {duration:.4f}s "
-                    f"(budget {budget:.4f}s); flagged for speculative skips",
-                    signature=signature,
-                )
-            return obj
+        return self._compile(name, "jit", signature, budget=budget)
 
     def speculate(
         self, name: str, generation: int | None = None
@@ -589,34 +639,84 @@ class CodeRepository:
         of stored.  Failures are recorded, never raised: the "hidden"
         ahead-of-time pass must survive any one function.
         """
+        return self._compile(name, "spec", generation=generation)
+
+    def _compile(
+        self, name, mode, signature=None, generation=None, budget=None
+    ) -> CompiledObject | None:
+        """The one compile entry (foreground miss, speculative pass,
+        background worker, tier promotion).  ``None`` means "not now" —
+        stale generation, dropped, or failed with the verdict recorded —
+        so no caller needs a handler of its own."""
         if generation is None:
             generation = self.generation_of(name)
         elif self.generation_of(name) != generation:
             return None
-        with self.obs.tracer.span("speculate", "compile", function=name):
+        span = "jit_compile" if mode == "jit" else "speculate"
+        with self.obs.tracer.span(span, "compile", function=name):
             fn = self._prepared(name)
             try:
                 with self._compile_lock(name):
-                    return self._compile_and_store(
-                        name, "spec", self._cache_key(fn, "spec"), generation,
-                        lambda: SourceCompiler(
+                    if mode == "jit" and (
+                        self._has_dynamic_calls(fn)
+                        or self._range_only_miss(name, signature)
+                    ):
+                        # Two situations call for range widening (paper
+                        # Figure 3: poly1_sig1 with limits(x) = top exists
+                        # alongside the constant-specialized sig0):
+                        #  * remaining dynamic calls (recursion past the
+                        #    inlining depth) would recompile for every
+                        #    distinct constant;
+                        #  * a repository miss whose only difference from an
+                        #    existing version is the value ranges — the same
+                        #    call site is being fed varying values, so stop
+                        #    specializing on them.
+                        signature = Signature.of(t.widen_range() for t in signature)
+                        existing = self._find_version(name, signature)
+                        if existing is not None:
+                            return existing
+                    if mode == "jit":
+                        compiler, tag = JitCompiler(
+                            self.jit_options, fault_plan=self.fault_plan,
+                            tracer=self.obs.tracer, obs=self.obs,
+                        ), signature
+                    else:
+                        # The speculator derives a spec version's signature,
+                        # so its cache entry is addressed by the mode tag.
+                        compiler, tag = SourceCompiler(
                             self.src_options, fault_plan=self.fault_plan,
                             tracer=self.obs.tracer,
-                        ).compile(
-                            fn, None, mode="spec", is_user_function=self.knows
+                        ), mode
+                    obj, duration = self._compile_and_store(
+                        name, mode, self._cache_key(fn, tag), generation,
+                        lambda: compiler.compile(
+                            fn, signature, mode=mode,
+                            is_user_function=self.knows,
                         ),
-                    )[0]
-            except CodegenError as exc:
-                # Expected "cannot compile this construct": interpreter-only.
-                with self._lock:
-                    self._uncompilable.add(name)
-                self._record_compile_failure(name, "spec", exc)
-            except Exception as exc:  # noqa: BLE001 - the AOT pass must survive
-                # Unexpected compiler crash (inference bug, injected fault):
-                # record it, but leave the function eligible for the JIT — the
-                # concrete call-site types may well compile fine.
-                self._record_compile_failure(name, "spec", exc)
-            return None
+                    )
+            except Exception as exc:  # noqa: BLE001 - rejection or compiler crash
+                self.compile_failed(name, mode, exc, signature)
+                return None
+            if budget is None and mode == "jit":
+                budget = self.compile_budget.per_function
+            # duration is None when no compile ran (cache hit, or dropped).
+            if budget is not None and duration is not None and duration > budget:
+                self._budget_skip(
+                    name,
+                    f"jit compile took {duration:.4f}s (budget {budget:.4f}s); "
+                    "flagged for speculative skips",
+                    signature, flag=True,
+                )
+            return obj
+
+    def _budget_skip(self, name, detail, signature="", flag=False) -> None:
+        """Record one budget skip; ``flag`` also marks ``name`` as over the
+        per-function budget, to be skipped up front from now on."""
+        with self._lock:
+            self.stats.budget_skips += 1
+            if flag:
+                self._budget_flagged.add(name)
+        self.diagnostics.record(BUDGET_SKIP, name, detail=detail, signature=signature)
 
     def _compile_and_store(
         self, name: str, mode: str, key: str | None, generation: int, build
@@ -684,62 +784,53 @@ class CodeRepository:
         :class:`SpeculationReport` subclass also carries ``skipped``,
         ``failed`` and ``elapsed``.
         """
-        with self.obs.tracer.span("speculate_all", "speculation"):
-            return self._speculate_all(budget)
-
-    def _speculate_all(
-        self, budget: float | CompileBudget | None = None
-    ) -> SpeculationReport:
         budget = _as_budget(budget) if budget is not None else self.compile_budget
         report = SpeculationReport()
         names = self.function_names()
         start = time.perf_counter()
-        for position, name in enumerate(names):
-            elapsed = time.perf_counter() - start
-            if budget.per_pass is not None and elapsed >= budget.per_pass:
-                for skipped in names[position:]:
-                    report.skipped.append((skipped, "pass-budget"))
-                    self.stats.budget_skips += 1
-                    self.diagnostics.record(
-                        BUDGET_SKIP, skipped,
-                        detail=f"speculative pass budget "
-                        f"({budget.per_pass:.4f}s) exhausted "
-                        f"after {elapsed:.4f}s",
+        with self.obs.tracer.span("speculate_all", "speculation"):
+            for position, name in enumerate(names):
+                elapsed = time.perf_counter() - start
+                if budget.per_pass is not None and elapsed >= budget.per_pass:
+                    for skipped in names[position:]:
+                        report.skipped.append((skipped, "pass-budget"))
+                        self._budget_skip(
+                            skipped,
+                            f"speculative pass budget ({budget.per_pass:.4f}s) "
+                            f"exhausted after {elapsed:.4f}s",
+                        )
+                    break
+                if name in self._budget_flagged:
+                    report.skipped.append((name, "function-budget"))
+                    self._budget_skip(
+                        name,
+                        "previously flagged as over the per-function compile "
+                        "budget",
                     )
-                break
-            if name in self._budget_flagged:
-                report.skipped.append((name, "function-budget"))
-                self.stats.budget_skips += 1
-                self.diagnostics.record(
-                    BUDGET_SKIP, name,
-                    detail="previously flagged as over the per-function "
-                    "compile budget",
-                )
-                continue
-            fn_start = time.perf_counter()
-            obj = self.speculate(name)
-            fn_elapsed = time.perf_counter() - fn_start
-            if obj is None:
-                report.failed.append(name)
-                continue
-            if (
-                budget.per_function is not None
-                and fn_elapsed > budget.per_function
-            ):
-                # The compile finished but proved pathological: drop the
-                # object and flag the function so the pass stays cheap.
-                self._remove_version(name, obj)
-                self._budget_flagged.add(name)
-                report.skipped.append((name, "function-budget"))
-                self.stats.budget_skips += 1
-                self.diagnostics.record(
-                    BUDGET_SKIP, name,
-                    detail=f"speculative compile took {fn_elapsed:.4f}s "
-                    f"(budget {budget.per_function:.4f}s); discarded",
-                    signature=obj.signature,
-                )
-                continue
-            report.append(name)
+                    continue
+                fn_start = time.perf_counter()
+                obj = self.speculate(name)
+                fn_elapsed = time.perf_counter() - fn_start
+                if obj is None:
+                    report.failed.append(name)
+                    continue
+                if (
+                    budget.per_function is not None
+                    and fn_elapsed > budget.per_function
+                ):
+                    # The compile finished but proved pathological: drop the
+                    # object (a persisted copy may stay, it is cheap to reload)
+                    # and flag the function so the pass stays cheap.
+                    self._remove_version(name, obj, evict=False)
+                    report.skipped.append((name, "function-budget"))
+                    self._budget_skip(
+                        name,
+                        f"speculative compile took {fn_elapsed:.4f}s "
+                        f"(budget {budget.per_function:.4f}s); discarded",
+                        obj.signature, flag=True,
+                    )
+                    continue
+                report.append(name)
         report.elapsed = time.perf_counter() - start
         return report
 
@@ -747,45 +838,31 @@ class CodeRepository:
     # Execution
     # ------------------------------------------------------------------
     def execute(self, invocation) -> list[MxArray]:
-        """Serve one invocation: locate, else the miss policy, then run.
-
-        Every compiled execution is *guarded*: an unexpected (non-MATLAB)
-        exception deoptimizes — the failing version is quarantined and the
-        invocation transparently re-executes through the interpreter.
-        MATLAB-level errors (``error(...)``, subscript violations) are the
-        program's own behaviour and propagate unchanged.
-
-        Under an adaptive controller (``self.tiering``) every served call
-        is also observed — tier plus wall time — which is the
-        controller's entire input signal.
-        """
-        obj = self._fast_cache.get(invocation.name)
-        if obj is not None and obj.fast_accepts(invocation.args):
-            if self.tiering is None:
-                return self._guarded_invoke(invocation, obj)
-        else:
-            obj = self._resolve(invocation)
+        """Serve one invocation: the hot-call cache or :meth:`_resolve`
+        picks a version, :meth:`_serve` runs it.  An adaptive controller
+        also observes every served call — the mode that answered plus
+        wall time — which is its entire input signal."""
+        version = self._fast_cache.get(invocation.name)
+        if version is None or not version.fast_accepts(invocation.args):
+            version = self._resolve(invocation)
         controller = self.tiering
-        if controller is not None:
-            deopts_before = self.stats.deopts
-            start = time.perf_counter()
-        if obj is None:
-            tier = TIER_INTERPRETER
-            results = self._interpret(invocation)
-        else:
-            tier = obj.mode
-            results = self._guarded_invoke(invocation, obj)
-        if controller is not None:
-            if self.stats.deopts != deopts_before:
-                # The compiled run failed mid-call and the interpreter
-                # served the answer; attribute the observation honestly.
-                tier = TIER_INTERPRETER
-            controller.observe(invocation, tier, time.perf_counter() - start)
+        if controller is None:
+            return self._serve(invocation, version)
+        deopts_before = self.stats.deopts
+        start = time.perf_counter()
+        results = self._serve(invocation, version)
+        seconds = time.perf_counter() - start
+        # A deopt mid-call means the bottom version produced the answer;
+        # attribute the observation to the mode that served it.
+        served = self.stats.deopts == deopts_before
+        controller.observe(
+            invocation, version.mode if served else TIER_INTERPRETER, seconds
+        )
         return results
 
-    def _resolve(self, invocation) -> CompiledObject | None:
-        """The hot-call cache missed: find the version to serve, or
-        ``None`` for the interpreter.
+    def _resolve(self, invocation):
+        """The hot-call cache missed: choose the version to serve — there
+        always is one, the bottom version.
 
         The miss policy is the one place static and adaptive sessions
         differ: without a controller a repository miss JIT-compiles *now*
@@ -794,117 +871,97 @@ class CodeRepository:
         function out-of-band once it proves hot.
         """
         name = invocation.name
-        if not self.knows(name):
+        bottom = self._bottom.get(name)
+        if bottom is None:
             raise RepositoryError(f"unknown function '{name}'")
         controller = self.tiering
         if controller is not None:
-            if controller.suppressed(name):
-                return None
             # First dispatch restores any persisted profile inline, so a
             # warm session's first call already runs at its learned tier
             # (the restore compiles are disk-cache hits).
             controller.prepare(name)
-        if name in self._uncompilable:
-            return None
-        obj = self.locate(invocation)
-        if obj is None:
+            if controller.suppressed(name):
+                return bottom
+        if name in self._uncompilable or len(invocation.args) > len(bottom.fn.params):
+            # More actuals than formals is the interpreter's to refuse,
+            # with its error text (locate() would pad, not reject).
+            return bottom
+        version = self.locate(invocation)
+        if version is None:
             if controller is not None:
-                return None
+                return bottom
             if name in self._budget_flagged:
                 # Over-budget function with no usable version: stay in the
                 # interpreter rather than stall this call on a compile
                 # known to be pathological.
-                self.stats.budget_skips += 1
-                self.diagnostics.record(
-                    BUDGET_SKIP, name,
-                    detail="jit skipped: function over compile budget",
-                )
-                return None
-            try:
-                obj = self.jit_compile(name, invocation.signature)
-                if obj is None:
-                    # Redefined mid-compile: interpret this one call (the
-                    # new source), compile it on the next.
-                    return None
-            except MatlabError as exc:
-                # Expected compile rejection (unsupported construct).
-                self._uncompilable.add(name)
-                self._record_compile_failure(
-                    name, "jit", exc, invocation.signature
-                )
-                return None
-            except Exception as exc:  # noqa: BLE001 - compiler crash
-                # Unexpected compiler crash: interpret now, count a
-                # strike (a deterministic crasher gets quarantined, a
-                # transient fault gets retried on a later call).
-                self._record_compile_failure(
-                    name, "jit", exc, invocation.signature
-                )
-                self._note_strike(name)
-                return None
-        self._fast_cache[name] = obj
-        return obj
+                self._budget_skip(name, "jit skipped: function over compile budget")
+                return bottom
+            version = self.jit_compile(name, invocation.signature)
+            if version is None:
+                return bottom  # not now; a later call asks again if it may
+        self._fast_cache[name] = version
+        return version
 
     # ------------------------------------------------------------------
-    # Guarded deoptimization
+    # The one serve path, and guarded deoptimization
     # ------------------------------------------------------------------
-    def _guarded_invoke(self, invocation, obj: CompiledObject) -> list[MxArray]:
-        """Run one compiled object with the deopt safety net armed."""
-        tier = obj.mode
-        if tier == "spec":
+    def _serve(self, invocation, version, spanned=False) -> list[MxArray]:
+        """Run one version — the only function that invokes one.
+
+        Every *compiled* execution is guarded: an unexpected (non-MATLAB)
+        exception deoptimizes.  MATLAB-level errors (``error(...)``,
+        subscript violations) are the program's own behaviour and
+        propagate unchanged; so does anything the bottom version raises:
+        there is nothing below the interpreter.
+        """
+        mode = version.mode
+        tracer = self.obs.tracer
+        if tracer.enabled and not spanned:
+            with tracer.span(invocation.name, "execution", tier=mode):
+                return self._serve(invocation, version, spanned=True)
+        compiled = mode != TIER_INTERPRETER
+        if not compiled:
+            self.stats.calls_interpreted += 1
+        elif mode == TIER_SPEC:
             self.stats.calls_spec += 1
         else:
             self.stats.calls_jit += 1
-        self.obs.record_call(tier)
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            return self._guarded_invoke_raw(invocation, obj)
-        with tracer.span(invocation.name, "execution", tier=tier):
-            return self._guarded_invoke_raw(invocation, obj)
-
-    def _guarded_invoke_raw(
-        self, invocation, obj: CompiledObject
-    ) -> list[MxArray]:
-        rng_state = GLOBAL_RANDOM.snapshot()
-        sink_mark = self.sink.mark()
+        self.obs.record_call(mode)
+        if compiled:
+            rng_state = GLOBAL_RANDOM.snapshot()
+            sink_mark = self.sink.mark()
         try:
-            if self.sandbox is not None and not getattr(
-                obj, "sandbox_promoted", False
+            if compiled and self.sandbox is not None and not getattr(
+                version, "sandbox_promoted", False
             ):
-                return self._sandbox_trial(invocation, obj, rng_state, sink_mark)
-            if self._run_guard_enabled or self._chaos_run_checks:
-                return self._supervised_invoke(invocation, obj)
-            return obj.invoke(invocation.args, invocation.nargout, self._rt)
+                outputs = self._sandbox_trial(invocation, version, rng_state)
+                if outputs is not None:
+                    return outputs
+            if compiled and self._watched:
+                # The chaos probes live *inside* the guard: an injected
+                # hang must be cancelled by the watchdog exactly like a
+                # miscompiled infinite loop.  A fired DeadlineExceeded
+                # lands in the net below and deoptimizes.
+                with self.guard.run_guard(invocation.name):
+                    if self._chaos_run_checks:
+                        self.fault_plan.check(SITE_HANG, invocation.name)
+                        self.fault_plan.check(SITE_OOM, invocation.name)
+                    return version.invoke(invocation.args, invocation.nargout, self._rt)
+            return version.invoke(invocation.args, invocation.nargout, self._rt)
         except MatlabError:
             raise
         except Exception as exc:  # noqa: BLE001 - this is the safety net
-            return self._deoptimize(invocation, obj, exc, rng_state, sink_mark)
+            if not compiled:
+                raise
+            return self._deoptimize(invocation, version, exc, rng_state, sink_mark)
 
-    def _supervised_invoke(self, invocation, obj: CompiledObject):
-        """One compiled run under the watchdog deadline.
-
-        The chaos probes live *inside* the guard: an injected hang must be
-        cancelled by the watchdog exactly like a miscompiled infinite
-        loop.  A fired :class:`~repro.resilience.DeadlineExceeded` lands
-        in the caller's ``except Exception`` net and deoptimizes.
-        """
-        name = invocation.name
-        with self.guard.run_guard(name):
-            if self._chaos_run_checks:
-                plan = self.fault_plan
-                plan.check(SITE_HANG, name)
-                plan.check(SITE_OOM, name)
-            return obj.invoke(invocation.args, invocation.nargout, self._rt)
-
-    def _sandbox_trial(
-        self, invocation, obj: CompiledObject, rng_state, sink_mark
-    ) -> list[MxArray]:
+    def _sandbox_trial(self, invocation, obj: CompiledObject, rng_state):
         """First run of a fresh compile, supervised in a forked child.
 
         Success applies the child's side effects (transcript, RNG
-        advance) and promotes the object in-process; any sandbox death
-        deoptimizes through the standard chain — the session never sees
-        the crash.
+        advance) and promotes the object in-process; a sandbox death
+        raises into :meth:`_serve`'s net — the session never sees the
+        crash.  ``None``: no fork here, promoted untried, caller runs it.
         """
         name = invocation.name
         with self._lock:
@@ -913,46 +970,40 @@ class CodeRepository:
             verdict = self.sandbox.trial(
                 obj, functions, invocation.args, invocation.nargout, rng_state
             )
-        if verdict.ok:
-            obj.sandbox_promoted = True
+        if not verdict.ok:
             self.diagnostics.record(
-                SANDBOX_TRIAL, name,
-                detail=verdict.reason
-                or "first run succeeded in the sandbox; promoted in-process",
+                SANDBOX_FAILURE, name,
+                detail=verdict.reason,
                 signature=obj.signature,
             )
-            if not verdict.executed:
-                # No fork on this platform: promoted untried, run here.
-                return obj.invoke(invocation.args, invocation.nargout, self._rt)
-            if verdict.rng_state is not None:
-                GLOBAL_RANDOM.restore(verdict.rng_state)
-            if verdict.sink_text:
-                self.sink.write(verdict.sink_text)
-            if verdict.matlab_error is not None:
-                # The program's own error, replayed with its transcript.
-                raise verdict.matlab_error
-            return verdict.outputs
-        from repro.resilience import SandboxFailure
-
+            raise SandboxFailure(verdict.reason)
+        obj.sandbox_promoted = True
         self.diagnostics.record(
-            SANDBOX_FAILURE, name,
-            detail=verdict.reason,
+            SANDBOX_TRIAL, name,
+            detail=verdict.reason
+            or "first run succeeded in the sandbox; promoted in-process",
             signature=obj.signature,
         )
-        return self._deoptimize(
-            invocation, obj, SandboxFailure(verdict.reason), rng_state,
-            sink_mark,
-        )
+        if not verdict.executed:
+            return None
+        if verdict.rng_state is not None:
+            GLOBAL_RANDOM.restore(verdict.rng_state)
+        if verdict.sink_text:
+            self.sink.write(verdict.sink_text)
+        if verdict.matlab_error is not None:
+            # The program's own error, replayed with its transcript.
+            raise verdict.matlab_error
+        return verdict.outputs
 
     def _deoptimize(
         self, invocation, obj: CompiledObject, exc, rng_state, sink_mark
     ) -> list[MxArray]:
-        """Quarantine a failing compiled version and re-execute through
-        the interpreter, rolling back observable side effects of the
-        half-run compiled call first."""
+        """Quarantine a failing compiled version (memory *and* disk: a
+        cached crasher must not resurrect in a later session), roll back
+        the half-run call's side effects, then serve the bottom version."""
         name = invocation.name
         self.stats.deopts += 1
-        self._evict_version(name, obj)
+        self._remove_version(name, obj, evict=True)
         self.diagnostics.record(
             DEOPT, name,
             detail=f"quarantined {obj.mode} version; re-executing "
@@ -963,74 +1014,46 @@ class CodeRepository:
         self._note_strike(name)
         GLOBAL_RANDOM.restore(rng_state)
         self.sink.truncate(sink_mark)
-        return self._interpret(invocation)
+        return self._serve(invocation, self._bottom[name])
 
     def _note_strike(self, name: str) -> None:
         with self._lock:
-            strikes = self._strikes.get(name, 0) + 1
-            self._strikes[name] = strikes
+            strikes = self._strikes[name] = self._strikes.get(name, 0) + 1
             quarantine = (
                 strikes >= self.max_strikes and name not in self._uncompilable
             )
-            dropped = ()
             if quarantine:
                 self._uncompilable.add(name)
-                dropped = tuple(self._objects.pop(name, ()))
-                self._fast_cache.pop(name, None)
                 self.stats.quarantines += 1
         if quarantine:
-            for obj in dropped:
-                self._evict_cached(name, obj)
+            for version in self.versions_of(name):
+                self._remove_version(name, version, evict=True)
             self.diagnostics.record(
                 QUARANTINE, name,
                 detail=f"demoted to interpreter-only after {strikes} "
                 "failed compiled executions",
             )
 
-    def _evict_version(self, name: str, obj: CompiledObject) -> None:
-        """Quarantine one version everywhere — memory *and* disk, so a
-        cached crasher can never resurrect in a later session."""
-        self._drop_version(name, obj)
-        self._evict_cached(name, obj)
-
-    def _drop_version(self, name: str, obj: CompiledObject) -> None:
+    def _remove_version(self, name: str, obj: CompiledObject, evict: bool) -> None:
+        """The one way a version leaves: out of the function's list and
+        the hot-call cache and — ``evict`` — the persistent cache."""
         with self._lock:
-            versions = self._objects.get(name)
-            if versions:
-                remaining = [v for v in versions if v is not obj]
-                if remaining:
-                    self._objects[name] = remaining
-                else:
-                    del self._objects[name]
+            remaining = [v for v in self._objects.get(name, ()) if v is not obj]
+            if remaining:
+                self._objects[name] = remaining
+            else:
+                self._objects.pop(name, None)
             if self._fast_cache.get(name) is obj:
                 del self._fast_cache[name]
-
-    def _evict_cached(self, name: str, obj: CompiledObject) -> None:
         key = getattr(obj, "cache_key", None)
-        if self.cache is None or key is None:
-            return
-        if self.cache.evict(key):
-            self.diagnostics.record(
-                CACHE_EVICT, name,
-                detail=f"removed cache entry {key[:12]} (version quarantined)",
-                signature=obj.signature,
-            )
-
-    def _remove_version(self, name: str, obj: CompiledObject) -> None:
-        """Drop one stored version from memory (budget discard; not a
-        failure — a persisted copy may stay, it is cheap to reload)."""
-        self._drop_version(name, obj)
-
-    def _record_compile_failure(
-        self, name: str, mode: str, exc, signature=""
-    ) -> None:
-        self.stats.compile_failures += 1
-        self.diagnostics.record(
-            COMPILE_FAILURE, name,
-            detail=f"{mode} compile failed",
-            cause=exc,
-            signature=signature,
-        )
+        if evict and self.cache is not None and key is not None:
+            if self.cache.evict(key):
+                self.diagnostics.record(
+                    CACHE_EVICT, name,
+                    detail=f"removed cache entry {key[:12]} "
+                    "(version quarantined)",
+                    signature=obj.signature,
+                )
 
     def _range_only_miss(self, name: str, signature: Signature) -> bool:
         """True when an existing version matches this signature in every
@@ -1060,25 +1083,8 @@ class CodeRepository:
                 return version
         return None
 
-    def _interpret(self, invocation) -> list[MxArray]:
-        self.stats.fallback_interpreted += 1
-        self.stats.calls_interpreted += 1
-        self.obs.record_call(TIER_INTERPRETER)
-        fn = self._functions[invocation.name]
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            return self._interpreter.call_function(
-                fn, invocation.args, invocation.nargout
-            )
-        with tracer.span(invocation.name, "execution", tier=TIER_INTERPRETER):
-            return self._interpreter.call_function(
-                fn, invocation.args, invocation.nargout
-            )
-
     def _call_user(self, name: str, args: list[MxArray], nargout: int):
         """Re-entry point for compiled code calling user functions."""
-        from repro.interp.frontend import Invocation
-
         return tuple(
             self.execute(Invocation(name=name, args=args, nargout=nargout))
         )
@@ -1088,8 +1094,6 @@ class CodeRepository:
         single uncompilable function doesn't drag its callees down."""
         if not self.knows(name):
             return None
-        from repro.interp.frontend import Invocation
-
         return self.execute(Invocation(name=name, args=args, nargout=nargout))
 
 

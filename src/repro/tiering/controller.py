@@ -13,13 +13,18 @@ in the background, out-of-band on the :class:`SpeculationEngine` worker
 pool, while the native C kernel tier rides the same hotness substrate
 inside :class:`~repro.native.engine.NativeEngine`.  Demotion is measured,
 not assumed: a compiled tier whose EWMA latency is worse than the
-interpreter's is suppressed, and the PR 1 strike/deopt chain (quarantine
-events) pins misbehaving functions to the interpreter outright.
+interpreter's is suppressed.
+
+The controller keeps no copy of the repository's book: which versions a
+function holds (:meth:`CodeRepository.held_mode`) and whether it may be
+compiled (:meth:`CodeRepository.compile_verdict`) are asked per decision,
+and what it does keep — latencies, measured demotions, the tiers it has
+asked for — is discarded when the function's generation moves.  So a
+redefinition, a deopt or a quarantine needs no notification.
 
 Every switch stays behind the guarded-deopt chain — the controller only
-decides *which* version the repository serves; correctness is still
-enforced per call, so results remain bit-identical to the interpreter
-mid-stream.
+decides *when to ask* for a version; correctness is still enforced per
+call, so results remain bit-identical to the interpreter mid-stream.
 
 Learned profiles (hotness score + winning tier + the promoting signature)
 persist as blobs in the content-addressed :class:`RepositoryCache`: a warm
@@ -32,14 +37,13 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 
-from repro.errors import MatlabError
 from repro.faults.plan import SITE_TIERING_PROMOTE
 from repro.obs import DISABLED as DISABLED_OBS
 from repro.obs import TIER_INTERPRETER, TIER_JIT, TIER_SPEC
 from repro.repository.background import run_out_of_band
-from repro.repository.cache import cache_key, function_source_text
 from repro.repository.diagnostics import (
     QUARANTINE,
     TIER_DEMOTE,
@@ -54,7 +58,6 @@ PROFILE_TAG = "tiering-profile"
 #: it rides inside compiled objects via the NativeEngine and shares the
 #: controller's kernel hotness counter).
 LADDER = (TIER_INTERPRETER, TIER_JIT, TIER_SPEC)
-_RANK = {tier: rank for rank, tier in enumerate(LADDER)}
 
 
 @dataclass(frozen=True)
@@ -82,27 +85,28 @@ class TieringPolicy:
 
 
 class _FunctionState:
-    """Controller-side view of one function (guarded by the controller
-    lock; ``tier`` is the highest tier whose compile has *landed*, which
-    can trail what the repository is already serving)."""
+    """What only the controller can know about one function, valid for
+    one repository ``generation`` (guarded by the controller lock).
+
+    ``asked`` holds the tiers requested that have not landed — in flight,
+    or answered "not now": each is asked for once per generation.  A
+    landing clears its entry, so a version later lost to a deopt is asked
+    for again.
+    """
 
     __slots__ = (
-        "tier", "inflight", "failed", "ewma", "samples", "demotions",
-        "suppressed", "pinned", "profiled", "signature", "from_profile",
+        "generation", "asked", "ewma", "samples", "demotions", "suppressed",
+        "signature",
     )
 
-    def __init__(self):
-        self.tier = TIER_INTERPRETER
-        self.inflight: set[str] = set()
-        self.failed: set[str] = set()
+    def __init__(self, generation: int = 0):
+        self.generation = generation
+        self.asked: set[str] = set()
         self.ewma: dict[str, float] = {}
         self.samples: dict[str, int] = {}
         self.demotions = 0
         self.suppressed = False
-        self.pinned = False
-        self.profiled = False
         self.signature = None
-        self.from_profile = False
 
 
 class TierController:
@@ -132,7 +136,6 @@ class TierController:
         self.hotness = HotnessCounter(interval, factor)
         self.kernel_hotness = HotnessCounter(interval, factor)
         self.repo = None
-        self.cache = None
         self._states: dict[str, _FunctionState] = {}
         self._lock = threading.RLock()
         self.promotions = 0
@@ -145,85 +148,81 @@ class TierController:
         """Attach to a repository (done by the session after both exist,
         so neither module imports the other)."""
         self.repo = repo
-        self.cache = repo.cache
-        repo.tiering = self
-        repo.diagnostics.add_listener(self._on_event)
+        repo.attach(self)
+        repo.diagnostics.add_listener(self._count_quarantine)
+
+    def _count_quarantine(self, event) -> None:
+        """A quarantine counts as a demotion; what it *means* (nothing
+        held, never compiled again) is read from the repository."""
+        if event.kind == QUARANTINE:
+            with self._lock:
+                self.demotions += 1
+            self.obs.record_demotion("quarantine")
+
+    def _state(self, name: str, create: bool = False):
+        """The state learned under ``name``'s current generation; a moved
+        generation discards it (measurements of dead source).  Hotness
+        stays: it counts calls of the name, which keep coming."""
+        generation = self.repo.generation_of(name)
+        state = self._states.get(name)
+        if state is None or state.generation != generation:
+            if not create:
+                return None
+            with self._lock:
+                state = self._states[name] = _FunctionState(generation)
+        return state
 
     # ------------------------------------------------------------------
     # The per-call hooks (called by CodeRepository.execute)
     # ------------------------------------------------------------------
     def suppressed(self, name: str) -> bool:
-        state = self._states.get(name)
+        state = self._state(name)
         return state is not None and state.suppressed
 
     def prepare(self, name: str) -> None:
-        """Warm-path hook, called by the repository on the first dispatch
-        of ``name``: restore any persisted profile *inline* so the very
-        first call is already served at the learned tier.  The restore's
-        compiles are persistent-cache hits, so the foreground cost is a
-        disk load, not a compile."""
-        with self._lock:
-            state = self._states.get(name)
-            if state is None:
-                state = self._states[name] = _FunctionState()
-            if state.profiled:
-                return
-            state.profiled = True
-        self._restore_profile(name, state, inline=True)
-
-    def restore_all(self) -> int:
-        """Eagerly restore persisted profiles for every known function —
-        the warm-session analogue of ``speculate_all``, except every
-        relaunched compile is a disk-cache hit.  Lazy first-dispatch
-        restoration makes this optional; calling it up front just moves
-        the (small) restore cost off the first call of each function.
-        Returns the number of profiles restored."""
-        if self.repo is None or self.cache is None:
-            return 0
-        before = self.profile_restores
-        for name in self.repo.function_names():
-            self.prepare(name)
-        return self.profile_restores - before
+        """Warm-path hook, called by the repository when ``name`` misses
+        the hot-call cache: on first sight of a generation, restore any
+        persisted profile *inline* so the very first call is already
+        served at the learned tier.  The restore's compiles are
+        persistent-cache hits, so the foreground cost is a disk load, not
+        a compile."""
+        if self._state(name) is None:
+            state = self._state(name, create=True)
+            self._restore_profile(name, state, inline=True)
 
     def observe(self, invocation, tier: str, seconds: float) -> None:
         """Record one served call: which tier ran it, and how long."""
         name = invocation.name
         alpha = self.policy.ewma_alpha
+        state = self._state(name, create=True)
         with self._lock:
-            state = self._states.get(name)
-            if state is None:
-                state = self._states[name] = _FunctionState()
             prev = state.ewma.get(tier)
             state.ewma[tier] = (
                 seconds if prev is None else prev + alpha * (seconds - prev)
             )
             state.samples[tier] = state.samples.get(tier, 0) + 1
-            probe = not state.profiled
-            state.profiled = True
-        score = self.hotness.record(name)
-        if probe:
-            self._restore_profile(name, state)
-            score = self.hotness.score(name)
-        self._consider(name, state, tier, score, invocation)
+        self._consider(name, state, tier, self.hotness.record(name), invocation)
 
     # ------------------------------------------------------------------
     # Decisions
     # ------------------------------------------------------------------
     def _consider(self, name, state, tier, score, invocation) -> None:
         policy = self.policy
-        demote = None
-        target = None
+        repo = self.repo
         with self._lock:
-            if state.pinned:
-                return
             backoff = policy.redemote_backoff ** state.demotions
             if state.suppressed:
                 # A demoted function can earn its way back, but the bar
-                # rises with every measured demotion.
-                if score >= policy.jit_threshold * backoff:
+                # rises with every measured demotion — and after
+                # ``max_demotions`` of them it stays down.
+                if (
+                    state.demotions <= policy.max_demotions
+                    and score >= policy.jit_threshold * backoff
+                ):
                     state.suppressed = False
                 return
-            if tier in (TIER_JIT, TIER_SPEC):
+            demote = None
+            if tier != TIER_INTERPRETER:
                 interp = state.ewma.get(TIER_INTERPRETER)
                 compiled = state.ewma.get(tier)
                 if (
@@ -235,49 +234,43 @@ class TierController:
                     and compiled > interp * policy.demote_margin
                 ):
                     demote = (tier, compiled, interp)
-            if demote is None:
-                if (
-                    state.tier == TIER_INTERPRETER
-                    and TIER_JIT not in state.inflight
-                    and TIER_JIT not in state.failed
-                    and score >= policy.jit_threshold * backoff
-                ):
-                    target = TIER_JIT
-                elif (
-                    state.tier == TIER_JIT
-                    and TIER_SPEC not in state.inflight
-                    and TIER_SPEC not in state.failed
-                    and score >= policy.spec_threshold * backoff
-                ):
-                    target = TIER_SPEC
         if demote is not None:
             self._demote(name, state, *demote)
             return
-        if target is None:
+        # The next rung above what the repository holds *now*.
+        rung = LADDER.index(repo.held_mode(name)) + 1
+        if rung == len(LADDER):
             return
-        repo = self.repo
-        if repo is None or name in repo._uncompilable:
-            return
-        signature = invocation.signature if target == TIER_JIT else None
-        self._begin(name, state, target, signature)
+        target = LADDER[rung]
+        threshold = (
+            policy.jit_threshold if target == TIER_JIT
+            else policy.spec_threshold
+        )
+        if (
+            score >= threshold * backoff
+            and target not in state.asked
+            and repo.compile_verdict(name) != "uncompilable"
+        ):
+            signature = invocation.signature if target == TIER_JIT else None
+            self._begin(name, state, target, signature)
 
     def _begin(self, name, state, target, signature, inline=False) -> None:
         with self._lock:
-            if target in state.inflight or target in state.failed:
+            if target in state.asked:
                 return
-            state.inflight.add(target)
+            state.asked.add(target)
             if signature is not None:
                 state.signature = signature
 
         def promote():
-            self._landed(name, target,
+            self._landed(name, state, target,
                          self._run_promotion(name, target, signature))
 
         def abandoned(success: bool) -> None:
             # Fires when the pool dropped the task (cancel, poison, or a
             # crash that exhausted its retries) before it could land.
             if not success:
-                self._landed(name, target, False)
+                self._landed(name, state, target, False)
 
         run_out_of_band(
             self._submit, inline or self.sync, promote,
@@ -288,79 +281,52 @@ class TierController:
     # Promotion execution (worker thread in async mode)
     # ------------------------------------------------------------------
     def _run_promotion(self, name, target, signature) -> bool:
+        """Ask the repository for one version; ``None`` means not now
+        (its verdict is recorded there).  The only failure handled here
+        is the promotion's own fault site."""
         repo = self.repo
-        try:
-            with self.obs.tracer.span(
-                name, "tiering", function=name, tier=target
-            ):
+        with self.obs.tracer.span(name, "tiering", function=name, tier=target):
+            try:
                 if self.fault_plan is not None:
                     self.fault_plan.check(SITE_TIERING_PROMOTE, name)
-                if target == TIER_JIT:
-                    obj = repo.jit_compile(name, signature)
-                else:
-                    obj = repo.speculate(name)
-                if obj is None:
-                    # Failed, or dropped because the source was redefined
-                    # mid-compile: not landed.
-                    return False
-        except MatlabError as exc:
-            # Expected compile rejection (unsupported construct): the
-            # function can never hold a compiled version, so stop trying.
-            with repo._lock:
-                repo._uncompilable.add(name)
-            repo._record_compile_failure(name, target, exc, signature)
-            return False
-        except Exception as exc:  # noqa: BLE001 - promotion is best-effort
-            repo.diagnostics.record(
-                TIER_PROMOTE, name,
-                detail=f"promotion to {target} aborted; staying on the "
-                "current tier",
-                cause=exc,
-            )
-            return False
-        return True
+            except Exception as exc:  # noqa: BLE001 - promotion is best-effort
+                repo.diagnostics.record(
+                    TIER_PROMOTE, name,
+                    detail=f"promotion to {target} aborted; staying on the "
+                    "current tier",
+                    cause=exc,
+                )
+                return False
+            if target == TIER_JIT:
+                return repo.jit_compile(name, signature) is not None
+            return repo.speculate(name) is not None
 
-    def _landed(self, name, target, ok: bool) -> None:
-        promoted = False
+    def _landed(self, name, state, target, ok: bool) -> None:
         with self._lock:
-            state = self._states.get(name)
-            if state is None or target not in state.inflight:
+            if not ok or target not in state.asked:
                 return
-            state.inflight.discard(target)
-            if not ok:
-                state.failed.add(target)
-            else:
-                if (
-                    _RANK.get(target, 0) > _RANK.get(state.tier, 0)
-                    and not state.suppressed
-                ):
-                    state.tier = target
-                self.promotions += 1
-                promoted = True
-        if promoted:
-            self.repo.diagnostics.record(
-                TIER_PROMOTE, name,
-                detail=f"promoted to {target} "
-                f"(hotness {self.hotness.score(name):.1f})",
-            )
-            self.obs.record_promotion(target)
+            state.asked.discard(target)
+            self.promotions += 1
+        self.repo.diagnostics.record(
+            TIER_PROMOTE, name,
+            detail=f"promoted to {target} "
+            f"(hotness {self.hotness.score(name):.1f})",
+        )
+        self.obs.record_promotion(target)
 
     def _demote(self, name, state, tier, compiled, interp) -> None:
         with self._lock:
-            if state.suppressed or state.pinned:
+            if state.suppressed:
                 return
             state.demotions += 1
             state.suppressed = True
-            state.tier = TIER_INTERPRETER
             state.ewma.pop(tier, None)
             state.samples[tier] = 0
-            if state.demotions > self.policy.max_demotions:
-                state.pinned = True
-            pinned = state.pinned
+            pinned = state.demotions > self.policy.max_demotions
             self.demotions += 1
         # The repository consults ``suppressed`` only when its hot-call
         # cache misses, so the demoted version must leave that cache.
-        self.repo._fast_cache.pop(name, None)
+        self.repo.unbind(name)
         self.hotness.forget(name)
         self.repo.diagnostics.record(
             TIER_DEMOTE, name,
@@ -371,41 +337,13 @@ class TierController:
         self.obs.record_demotion("slower")
 
     # ------------------------------------------------------------------
-    # Strike/deopt chain feedback
-    # ------------------------------------------------------------------
-    def _on_event(self, event) -> None:
-        if event.kind != QUARANTINE:
-            return
-        with self._lock:
-            state = self._states.get(event.function)
-            if state is None or state.pinned:
-                return
-            state.tier = TIER_INTERPRETER
-            state.suppressed = True
-            state.pinned = True
-            self.demotions += 1
-        self.obs.record_demotion("quarantine")
-
-    # ------------------------------------------------------------------
     # Persistent profiles
     # ------------------------------------------------------------------
-    def _profile_key(self, name: str) -> str | None:
-        repo, cache = self.repo, self.cache
-        if repo is None or cache is None:
-            return None
-        try:
-            fn = repo._prepared(name)
-        except Exception:  # noqa: BLE001 - unparseable/unknown: no profile
-            return None
-        return cache_key(
-            function_source_text(fn), PROFILE_TAG, repo._options_fingerprint()
-        )
-
     def _restore_profile(self, name, state, inline=False) -> None:
-        key = self._profile_key(name)
+        key = self.repo.profile_key(name, PROFILE_TAG)
         if key is None:
             return
-        blob = self.cache.get_blob(key)
+        blob = self.repo.cache.get_blob(key)
         if not isinstance(blob, dict):
             return
         tier = blob.get("tier")
@@ -413,7 +351,6 @@ class TierController:
         signature = blob.get("signature")
         self.hotness.seed(name, score)
         with self._lock:
-            state.from_profile = True
             self.profile_restores += 1
         self.obs.record_profile_restore()
         self.repo.diagnostics.record(
@@ -425,8 +362,7 @@ class TierController:
         # persistent-cache hits, so the warm session pays no recompiles.
         # Only the *winning* tier is restored inline (it decides what the
         # next call serves); the jit fallback behind a spec winner can
-        # land out-of-band — _landed is rank-monotonic, so a late jit
-        # never downgrades the tier.
+        # land out-of-band.
         if tier == TIER_SPEC:
             self._begin(name, state, TIER_SPEC, None, inline=inline)
             if signature is not None:
@@ -436,28 +372,26 @@ class TierController:
 
     def save(self) -> int:
         """Persist hotness + winning-tier verdicts; returns blobs written."""
-        if self.cache is None or self.repo is None:
+        if self.repo is None or self.repo.cache is None:
             return 0
         with self._lock:
-            items = list(self._states.items())
+            names = list(self._states)
         saved = 0
-        for name, state in items:
-            if (
-                state.suppressed
-                or state.pinned
-                or state.tier == TIER_INTERPRETER
-            ):
+        for name in names:
+            state = self._state(name)
+            tier = self.tier_of(name)
+            if state is None or tier == TIER_INTERPRETER:
                 continue
-            key = self._profile_key(name)
+            key = self.repo.profile_key(name, PROFILE_TAG)
             if key is None:
                 continue
             payload = {
-                "tier": state.tier,
+                "tier": tier,
                 "hotness": self.hotness.score(name),
                 "signature": state.signature,
                 "saved_at": time.time(),
             }
-            if self.cache.put_blob(key, payload):
+            if self.repo.cache.put_blob(key, payload):
                 saved += 1
         self.profiles_saved = saved
         return saved
@@ -466,31 +400,21 @@ class TierController:
     # Introspection (MajicSession.summary())
     # ------------------------------------------------------------------
     def tier_of(self, name: str) -> str:
-        with self._lock:
-            state = self._states.get(name)
-            if state is None or state.suppressed:
-                return TIER_INTERPRETER
-            return state.tier
+        """The tier serving ``name``: the interpreter while a measured
+        demotion suppresses it, else the best mode the repository holds."""
+        if self.suppressed(name):
+            return TIER_INTERPRETER
+        return self.repo.held_mode(name)
 
     def report(self) -> dict:
         with self._lock:
-            tiers = {
-                name: (
-                    TIER_INTERPRETER if state.suppressed else state.tier
-                )
-                for name, state in self._states.items()
-            }
-            restored = sum(
-                1 for state in self._states.values() if state.from_profile
-            )
-        counts: dict[str, int] = {}
-        for tier in tiers.values():
-            counts[tier] = counts.get(tier, 0) + 1
+            names = list(self._states)
+        tiers = {name: self.tier_of(name) for name in names}
         return {
             "functions": tiers,
-            "counts": counts,
+            "counts": dict(Counter(tiers.values())),
             "promotions": self.promotions,
             "demotions": self.demotions,
-            "profile_restores": restored,
+            "profile_restores": self.profile_restores,
             "kernels_tracked": len(self.kernel_hotness),
         }

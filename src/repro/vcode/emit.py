@@ -188,29 +188,19 @@ class _Emitter:
         self.emit_region(region.init)
         var = self.loc(region.var)
         start, stop = self.loc(region.start), self.loc(region.stop)
-        if self.ir_kind(region.var) == "i":
-            if region.step is None:
-                header = f"for {var} in range({start}, {stop} + 1):"
-            else:
-                edge = "- 1" if region.descending else "+ 1"
-                header = (
-                    f"for {var} in range({start}, {stop} {edge}, "
-                    f"{self.loc(region.step)}):"
-                )
-            self.line(header)
-            self.depth += 1
-            self.emit_region(region.body)
-            if not _region_emits(region.body):
-                self.line("pass")
-            self.depth -= 1
-            return
-        step = "1.0" if region.step is None else self.loc(region.step)
-        compare = ">=" if region.descending else "<="
-        self.line(f"{var} = {start}")
-        self.line(f"while {var} {compare} {stop}:")
+        if region.step is None:
+            header = f"for {var} in range({start}, {stop} + 1):"
+        else:
+            edge = "- 1" if region.descending else "+ 1"
+            header = (
+                f"for {var} in range({start}, {stop} {edge}, "
+                f"{self.loc(region.step)}):"
+            )
+        self.line(header)
         self.depth += 1
         self.emit_region(region.body)
-        self.line(f"{var} = {var} + {step}")
+        if not _region_emits(region.body):
+            self.line("pass")
         self.depth -= 1
 
     # ------------------------------------------------------------------

@@ -97,7 +97,8 @@ class WhileRegion:
 
 @dataclass(eq=False)
 class ForRegion:
-    """Ascending/descending numeric loop over raw scalars.
+    """Ascending/descending loop of an integer counter (host ``range``;
+    a real-stepped loop is a :class:`ForEachRegion` over ``rt.frange``).
 
     ``var`` takes start, start+step, ... while ``(var - stop) * sign <= 0``.
     ``init`` computes the start/stop/step registers once.

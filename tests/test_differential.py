@@ -60,7 +60,8 @@ def test_fuzz_grammar_reaches_key_features():
     for seed in range(0, 60):
         seen.update(generate_program(seed).features)
     for feature in ("elementwise", "slice", "store", "while", "display",
-                    "error", "reduce", "multi-assign-indexed"):
+                    "error", "reduce", "multi-assign-indexed",
+                    "ambiguous-builtin"):
         assert feature in seen, f"grammar never produced {feature!r}"
 
 

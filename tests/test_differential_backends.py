@@ -12,10 +12,14 @@ failed compile (which the interpreter rescues, keeping the answer right)
 fails the cell with its cause.
 
 A new backend is one row in ``repro.backends.BACKENDS``; this file needs
-no change.
+no change.  ``PROBES`` holds hand-written programs for divergences no
+Table-1 program reaches; they run through the same ``check`` on the same
+rows.
 """
 
 from __future__ import annotations
+
+import signal
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from repro.backends import BACKENDS, Program, check, observation
 from repro.benchsuite.registry import benchmark_names
 from repro.core.platformcfg import MIPS
 from repro.runtime.builtins import GLOBAL_RANDOM
-from repro.runtime.values import from_ndarray
+from repro.runtime.values import from_ndarray, from_python
 
 #: Benchmarks exercised in the fast (-m "not slow") lane; the rest of the
 #: matrix runs in the slow lane.
@@ -62,6 +66,66 @@ def test_backend_bit_identical_to_interpreter(name, backend, overrides):
         f"{backend} run of {name} diverged from the interpreter on {fields}",
         *causes,
     ])
+
+
+# ----------------------------------------------------------------------
+# Probes: one program per divergence found by hand
+# ----------------------------------------------------------------------
+AMBIGUOUS = "function r = amb(c)\nif c, pi = 2; end\nr = pi + 1;\n"
+CONTINUE = (
+    "function s = cont(x)\ns = 0;\n"
+    "for k = 1:0.5:x, if k == 2, continue; end, s = s + k; end\n"
+)
+STEPPED = "function s = stepped(x)\ns = 0;\nfor k = 0:0.1:x, s = s + k; end\n"
+TOO_MANY = (
+    "function r = outer(x)\ndisp(x);\nr = inner(x, 2, 3);\n"
+    "function y = inner(a, b)\ny = a + b;\n"
+)
+
+
+def _scalar(value):
+    return lambda: [from_python(value)]
+
+
+#: name -> program.  What each must do is whatever the interpreter does:
+#: ``pi`` is the builtin when the branch did not run (JIT code answered
+#: 1.0, spec code deoptimized); a ``continue`` in a real-stepped ``for``
+#: still advances it (compiled code hung), through the interpreter's
+#: values ``lo + st * i`` (compiled code added ``st`` repeatedly: other
+#: bits, and a different count at some bounds); too many actuals raise ``inner: too many input arguments``
+#: after the caller's display (compiled code answered 3).
+PROBES = {
+    "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
+    "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
+    "continue-real-step": Program((CONTINUE,), "cont", _scalar(3.0)),
+    "real-step-values": Program((STEPPED,), "stepped", _scalar(1.0)),
+    "too-many-actuals": Program((TOO_MANY,), "outer", _scalar(1.0)),
+}
+
+
+def _relapse(signum, frame):
+    raise TimeoutError("probe still running after 60 s (a hang relapsed)")
+
+
+@pytest.mark.parametrize(
+    ("backend", "overrides"),
+    [pytest.param(label, kw, id=f"{label}{suffix}") for label, kw, suffix in ROWS],
+)
+@pytest.mark.parametrize("probe", PROBES)
+def test_probe_bit_identical_to_interpreter(probe, backend, overrides):
+    # A hang must fail in seconds: sessions get the run watchdog (the
+    # deopt it forces fails the cell as a fallback); the batch compilers
+    # have none, so an alarm bounds them.
+    if BACKENDS[backend].session is not None:
+        overrides = {**overrides, "run_deadline": 5.0}
+    previous = signal.signal(signal.SIGALRM, _relapse)
+    signal.alarm(60)
+    try:
+        problems = check(PROBES[probe], backend, **overrides)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not problems, f"{backend} run of {probe}: {problems}"
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from repro import CompileBudget, FaultPlan, InjectedFault, MajicSession, SPARC
-from repro.errors import MatlabError, SubscriptError
+from repro.errors import CodegenError, MatlabError, SubscriptError
 from repro.faults.harness import run_differential
 from repro.faults.plan import FaultSpec
 from repro.repository.diagnostics import (
@@ -84,7 +84,7 @@ class TestGuardedDeoptimization:
             assert session.call("usevec", 2.0) == 6.0
         assert session.stats.deopts == 3
         assert session.stats.quarantines == 1
-        assert "usevec" in session.repository._uncompilable
+        assert session.repository.compile_verdict("usevec") == "uncompilable"
         assert session.diagnostics.events(QUARANTINE)
         # Quarantined: later calls interpret without recompiling.
         jit_before = session.stats.jit_compiles
@@ -186,7 +186,7 @@ class TestFaultInjection:
         session.add_source(POLY)
         report = session.speculate_all()
         assert report.failed == ["poly"]
-        assert "poly" not in session.repository._uncompilable
+        assert session.repository.compile_verdict("poly") is None
         assert session.call("poly", 4) == 1038.0
         assert session.stats.jit_compiles == 1
 
@@ -263,7 +263,9 @@ class TestInterpreterFallbackPaths:
         session = MajicSession(inline_enabled=False)
         session.add_source("function y = callee(x)\ny = x * 2;\n")
         session.add_source("function y = caller(x)\ny = callee(x) + 1;\n")
-        session.repository._uncompilable.add("caller")
+        session.repository.compile_failed(
+            "caller", "jit", CodegenError("scripted rejection")
+        )
         assert session.call("caller", 3.0) == 7.0
         assert session.stats.fallback_interpreted >= 1
         # The callee was still served by compiled code via _interp_dispatch.
@@ -274,7 +276,7 @@ class TestInterpreterFallbackPaths:
             "function y = withglob(x)\nglobal g\ng = x;\ny = x + 1;\n"
         )
         assert session.call("withglob", 2.0) == 3.0
-        assert "withglob" in session.repository._uncompilable
+        assert session.repository.compile_verdict("withglob") == "uncompilable"
         assert session.stats.fallback_interpreted == 1
         # The rejection is observable.
         assert session.diagnostics.events(COMPILE_FAILURE)
@@ -287,18 +289,26 @@ class TestRepositoryHygiene:
         session.add_path(tmp_path)
         assert session.call("temp", 5.0) == 5.0
         repo = session.repository
-        repo._uncompilable.add("temp")
-        repo._strikes["temp"] = 2
-        repo._budget_flagged.add("temp")
+        signature = repo.versions_of("temp")[0].signature
+        repo.jit_compile("temp", signature, budget=0.0)  # flags over-budget
+        assert repo.compile_verdict("temp") == "over-budget"
+        for _ in range(2):  # two strikes: one short of max_strikes
+            repo.compile_failed("temp", "jit", RuntimeError("scripted crash"))
+        repo.compile_failed("temp", "jit", CodegenError("scripted rejection"))
+        assert repo.compile_verdict("temp") == "uncompilable"
         assert "temp" in repo._fast_cache
         (tmp_path / "temp.m").unlink()
         session.rescan()
         assert not repo.knows("temp")
-        assert "temp" not in repo._uncompilable
+        assert repo.compile_verdict("temp") is None  # neither blacklist
         assert "temp" not in repo._fast_cache
-        assert "temp" not in repo._strikes
-        assert "temp" not in repo._budget_flagged
         assert repo.versions_of("temp") == []
+        # The strikes went too: a same-named newcomer survives a crash
+        # that would have been the old function's third strike.
+        (tmp_path / "temp.m").write_text("function y = temp(x)\ny = x;\n")
+        session.rescan()
+        repo.compile_failed("temp", "jit", RuntimeError("scripted crash"))
+        assert repo.compile_verdict("temp") is None
 
     def test_store_replacement_updates_fast_cache(self, session):
         session.add_source(POLY)

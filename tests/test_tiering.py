@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FaultPlan, MajicSession, TieringPolicy
+from repro.faults.plan import FaultSpec
 from repro.frontend.parser import parse
 from repro.interp.interpreter import Interpreter
 from repro.obs import TIER_INTERPRETER, TIER_JIT, TIER_SPEC
@@ -111,41 +112,64 @@ class TestHotnessCounter:
 # Controller decisions against a scripted repository
 # ----------------------------------------------------------------------
 class FakeRepo:
-    """The slice of CodeRepository the controller touches, scripted."""
+    """The slice of CodeRepository the controller asks, scripted: the
+    public book (``held_mode``, ``compile_verdict``, ``generation_of``)
+    and the two compile spellings, which answer ``None`` for "not now"."""
 
     def __init__(self, jit_ok=True, spec_ok=True):
-        import threading
-
         self.diagnostics = DiagnosticsLog()
         self.cache = None
-        self._uncompilable = set()
-        self._fast_cache = {}
-        self._lock = threading.Lock()
+        self.held = {}            # name -> set of modes
+        self.uncompilable = set()
+        self.unbound = []
         self.jit_calls = []
         self.spec_calls = []
-        self.failures = []
         self.jit_ok = jit_ok
         self.spec_ok = spec_ok
         self.tiering = None
 
+    def attach(self, controller):
+        self.tiering = controller
+
+    def generation_of(self, name):
+        return 0
+
+    def held_mode(self, name):
+        modes = self.held.get(name, ())
+        if TIER_SPEC in modes:
+            return TIER_SPEC
+        return TIER_JIT if modes else TIER_INTERPRETER
+
+    def compile_verdict(self, name):
+        return "uncompilable" if name in self.uncompilable else None
+
+    def _compile(self, name, mode, ok):
+        if not ok:
+            # A rejection: the repository's own verdict, not the caller's.
+            self.uncompilable.add(name)
+            return None
+        self.held.setdefault(name, set()).add(mode)
+        return object()
+
     def jit_compile(self, name, signature, budget=None):
         self.jit_calls.append((name, signature))
-        if not self.jit_ok:
-            raise RuntimeError("scripted jit failure")
-        return object()
+        return self._compile(name, TIER_JIT, self.jit_ok)
 
     def speculate(self, name, generation=None):
         self.spec_calls.append(name)
-        return object() if self.spec_ok else None
+        return self._compile(name, TIER_SPEC, self.spec_ok)
 
-    def _record_compile_failure(self, name, mode, exc, signature=None):
-        self.failures.append((name, mode))
+    def quarantine(self, name):
+        """What CodeRepository._note_strike does at ``max_strikes``."""
+        self.uncompilable.add(name)
+        self.held.pop(name, None)
+        self.diagnostics.record(QUARANTINE, name, detail="strike chain")
 
-    def _prepared(self, name):
-        raise KeyError(name)  # no profile store in these tests
+    def unbind(self, name):
+        self.unbound.append(name)
 
-    def _options_fingerprint(self):
-        return "fake"
+    def profile_key(self, name, tag):
+        return None  # no profile store in these tests
 
 
 class FakeInvocation:
@@ -183,7 +207,7 @@ class TestControllerThresholds:
 
     def test_uncompilable_functions_never_promote(self):
         controller, repo = make_controller()
-        repo._uncompilable.add("f")
+        repo.uncompilable.add("f")
         inv = FakeInvocation("f")
         for _ in range(5):
             controller.observe(inv, TIER_INTERPRETER, 0.001)
@@ -264,7 +288,7 @@ class TestControllerDemotion:
         controller.observe(inv, TIER_JIT, 0.1)          # demotion 2: pinned
         assert controller.suppressed("f")
         state = controller._states["f"]
-        assert state.pinned
+        assert state.demotions > policy.max_demotions  # pinned
         for _ in range(10):
             controller.observe(inv, TIER_INTERPRETER, 0.001)
         assert controller.suppressed("f"), "pinned functions stay down"
@@ -274,9 +298,12 @@ class TestControllerDemotion:
         inv = FakeInvocation("f")
         controller.observe(inv, TIER_INTERPRETER, 0.001)
         assert controller.tier_of("f") == TIER_JIT
-        repo.diagnostics.record(QUARANTINE, "f", detail="strike chain")
-        assert controller.suppressed("f")
-        assert controller._states["f"].pinned
+        repo.quarantine("f")
+        assert controller.tier_of("f") == TIER_INTERPRETER
+        assert controller.demotions == 1
+        for _ in range(10):
+            controller.observe(inv, TIER_INTERPRETER, 0.001)
+        assert len(repo.jit_calls) == 1, "quarantined functions stay down"
         assert controller.tier_of("f") == TIER_INTERPRETER
 
     def test_report_shape(self):
@@ -292,8 +319,11 @@ class TestControllerDemotion:
 class TestFunctionStateDefaults:
     def test_fresh_state(self):
         state = _FunctionState()
-        assert state.tier == TIER_INTERPRETER
-        assert not state.suppressed and not state.pinned
+        assert not state.suppressed and state.demotions == 0
+        assert not state.asked
+        # Which versions a function holds and whether it may be compiled
+        # are the repository's facts: the controller keeps no copy.
+        assert not {"tier", "failed", "pinned"} & set(_FunctionState.__slots__)
 
 
 # ----------------------------------------------------------------------
@@ -426,6 +456,84 @@ class TestAdaptiveSession:
         assert report["functions"]["fib"] == TIER_INTERPRETER
         kinds = [e.kind for e in session.diagnostics.events()]
         assert TIER_PROMOTE in kinds  # the abort is recorded
+
+
+# ----------------------------------------------------------------------
+# Histories: the controller keeps no copy of the repository's book
+# ----------------------------------------------------------------------
+class TestOneBook:
+    """Each sequence drifted at ef98943: the controller's shadow copy of
+    "which versions does f hold / may f be compiled" outlived the facts.
+    After *every* call the value must be the interpreter's and
+    ``tier_of`` must read the repository."""
+
+    POLICY = TieringPolicy()  # the defaults: jit at 3, spec at 12
+
+    def _session(self, fresh_session, **kwargs):
+        return fresh_session(adaptive=True, adaptive_sync=True, **kwargs)
+
+    def _call(self, session, source, name, arg):
+        """One checked call; returns the letter of the tier that served
+        it (D: a compiled version deoptimized mid-call)."""
+        stats = session.stats
+        before = (stats.deopts, stats.calls_jit, stats.calls_spec)
+        assert session.call(name, arg) == interpreter_result(source, name, arg)
+        modes = {v.mode for v in session.repository.versions_of(name)}
+        expected = (
+            TIER_INTERPRETER if session.tiering.suppressed(name)
+            else TIER_SPEC if TIER_SPEC in modes
+            else TIER_JIT if modes else TIER_INTERPRETER
+        )
+        assert session.tiering.tier_of(name) == expected
+        assert session.tiering.report()["functions"][name] == expected
+        after = (stats.deopts, stats.calls_jit, stats.calls_spec)
+        served = [now - then for now, then in zip(after, before)]
+        return "D" if served[0] else "J" if served[1] else "S" if served[2] else "I"
+
+    def _promotions(self, session):
+        return [
+            event.detail.split()[2] for event in session.diagnostics.events(TIER_PROMOTE)
+            if event.detail.startswith("promoted to")
+        ]
+
+    def test_redefined_function_is_offered_the_jit_rung_again(self, fresh_session):
+        first = "function y = f(x)\ny = x + 1;\n"
+        second = "function y = f(x)\ny = x * 100;\n"
+        session = self._session(fresh_session)
+        session.add_source(first)
+        served = "".join(self._call(session, first, "f", 2.0) for _ in range(8))
+        assert served == "IIIJJJJJ"
+        session.add_source(second)
+        assert session.tiering.tier_of("f") == TIER_INTERPRETER
+        threshold = int(self.POLICY.jit_threshold)
+        served = "".join(
+            self._call(session, second, "f", 2.0) for _ in range(threshold + 1)
+        )
+        assert served.endswith("J"), served
+        assert self._promotions(session)[:2] == [TIER_JIT, TIER_JIT]
+
+    def test_redefined_uncompilable_function_compiles_again(self, fresh_session):
+        rejected = "function y = g(x)\nglobal G\ny = x + 1;\n"
+        compilable = "function y = g(x)\ny = x + 100;\n"
+        session = self._session(fresh_session)
+        session.add_source(rejected)
+        served = "".join(self._call(session, rejected, "g", 2.0) for _ in range(6))
+        assert served == "IIIIII"
+        assert session.stats.compile_failures == 1, "rejected once, not re-asked"
+        session.add_source(compilable)
+        for _ in range(int(self.POLICY.jit_threshold) + 1):
+            self._call(session, compilable, "g", 2.0)
+        assert session.repository.versions_of("g"), "never compiled again"
+
+    def test_transient_deopt_is_followed_by_a_jit_repromotion(self, fresh_session):
+        source = "function y = h(x)\nv = [x, 2*x];\ny = sum(v);\n"
+        plan = FaultPlan([FaultSpec(site="rt.*", hits=(3,))])
+        session = self._session(fresh_session, fault_plan=plan)
+        session.add_source(source)
+        served = "".join(self._call(session, source, "h", 2.0) for _ in range(10))
+        assert plan.fired and session.stats.deopts == 1
+        assert "DJ" in served, f"{served}: interpreted after one transient deopt"
+        assert self._promotions(session)[:2] == [TIER_JIT, TIER_JIT]
 
 
 # ----------------------------------------------------------------------
