@@ -22,7 +22,12 @@ from repro.errors import RuntimeMatlabError
 from repro.runtime import builtins as rt_builtins
 from repro.runtime import checks, display, elementwise as ew, linalg
 from repro.runtime.mxarray import IntrinsicClass, MxArray
-from repro.runtime.values import from_ndarray, make_scalar
+from repro.runtime.values import (
+    box_result,
+    from_ndarray,
+    make_scalar,
+    scalar_payload,
+)
 
 import numpy as np
 
@@ -94,13 +99,11 @@ g_eldiv = _generic(lambda a, b: b / a, ew.mlf_ldivide)
 
 
 def _raw_pow(a, b):
-    if (
-        not isinstance(a, complex)
-        and not isinstance(b, complex)
-        and a < 0
-        and b != int(b)
-    ):
-        return complex(a) ** b
+    """Raw scalar power.  The host's complex ``**`` is 1 ulp off
+    ``np.power``, so a complex operand — or a negative base, which a
+    fractional exponent turns complex — takes the boxed operator."""
+    if isinstance(a, complex) or isinstance(b, complex) or a < 0:
+        return unbox(ew.mlf_power(box(a), box(b)))
     return a ** b
 
 
@@ -236,6 +239,14 @@ def colon3(a, step, b) -> MxArray:
     return ew.mlf_colon(box(a), box(step), box(b))
 
 
+def colon_real(value) -> float:
+    """What ``mlf_colon`` reads of a ``:`` operand: the real part of its
+    first element."""
+    if isinstance(value, MxArray):
+        value = ew.colon_operand(value)
+    return float(value.real)
+
+
 def frange(start: float, step: float, stop: float):
     """The values of a real-stepped ``for`` — the interpreter's own
     arithmetic (``mlf_colon``: a count, then ``start + step * i``, never
@@ -266,7 +277,7 @@ def columns(value):
 
 def build_matrix(rows) -> MxArray:
     """Bracket operator over evaluated (raw or boxed) elements."""
-    boxed_rows = [ew.mlf_horzcat([box(item) for item in row]) for row in rows]
+    boxed_rows = [hcat(*row) for row in rows]
     if len(boxed_rows) == 1:
         return boxed_rows[0]
     return ew.mlf_vertcat(boxed_rows)
@@ -428,6 +439,16 @@ def index_whole(a) -> MxArray:
 
 
 def hcat(*items) -> MxArray:
+    """Bracket row ``[a b c]``.  A row of raw scalars is built directly:
+    the array ``hstack`` would make of their boxes, without the boxes."""
+    row = []
+    for item in items:
+        if not isinstance(item, Raw):
+            break
+        row.append(scalar_payload(item))
+    else:
+        if row:
+            return box_result(np.array([row]))
     return ew.mlf_horzcat([box(item) for item in items])
 
 
@@ -486,6 +507,7 @@ class RuntimeSupport:
     grow_store2 = staticmethod(grow_store2)
     colon2 = staticmethod(colon2)
     colon3 = staticmethod(colon3)
+    colon_real = staticmethod(colon_real)
     frange = staticmethod(frange)
     columns = staticmethod(columns)
     build_matrix = staticmethod(build_matrix)
@@ -654,7 +676,7 @@ class RuntimeSupport:
         """Single-output builtin dispatch."""
         boxed = [box(a) for a in args]
         result = rt_builtins.call_builtin(name, boxed, 1, sink=self.sink)
-        return result[0] if result else box(0.0)
+        return result[0] if result else empty_matrix()
 
     def call_user(self, name: str, nargout: int, *args):
         """Re-enter the execution engine for a user-function call."""

@@ -425,6 +425,15 @@ class Walk:
     def real(self, node: ast.Expr, end_array=None, end_dim=0):
         return self.coerce(*self.expr(node, end_array, end_dim), RAW_REAL)
 
+    def colon_operand(self, node: ast.Expr, end_array=None, end_dim=0):
+        """A ``:`` operand as a raw real.  MATLAB reads the real part of
+        its first element (``mlf_colon``), so a complex or boxed operand is
+        not an error here, as it is under :meth:`real`."""
+        value, kind = self.expr(node, end_array, end_dim)
+        if kind in (RAW_REAL, RAW_INT):
+            return value
+        return self.call("colon_real", [value], RAW_REAL)
+
     # ------------------------------------------------------------------
     # Function entry
     # ------------------------------------------------------------------
@@ -585,11 +594,11 @@ class Walk:
             return
         # A numeric loop over raw scalars; bounds are evaluated once, in
         # the interpreter's order (start, stop, step).
-        start = self.bind(self.real(rng.start), "lo")
-        stop = self.bind(self.real(rng.stop), "hi")
+        start = self.bind(self.colon_operand(rng.start), "lo")
+        stop = self.bind(self.colon_operand(rng.stop), "hi")
         step, direction = None, 1
         if rng.step is not None:
-            step = self.bind(self.real(rng.step), "st")
+            step = self.bind(self.colon_operand(rng.step), "st")
             step_type = self.ann.type_of(rng.step)
             if not step_type.is_constant or step_type.constant_value == 0:
                 direction = 0  # unknown sign: the target iterates frange()
@@ -638,7 +647,7 @@ class Walk:
             parts = [node.start] + (
                 [node.step] if node.step is not None else []
             ) + [node.stop]
-            values = [self.real(p, end_array, end_dim) for p in parts]
+            values = [self.colon_operand(p, end_array, end_dim) for p in parts]
             helper = "colon3" if len(values) == 3 else "colon2"
             return self.call(helper, values, BOXED), BOXED
         if isinstance(node, ast.MatrixLit):
@@ -742,6 +751,11 @@ class Walk:
                     kind = RAW_INT  # host int arithmetic stays int
                 if self.ann.type_of(node).is_complex:
                     kind = RAW_COMPLEX
+                if kind == RAW_COMPLEX and node.op in ("^", ".^"):
+                    # Not inlined: the host's complex ``**`` is 1 ulp off
+                    # np.power; the helper keeps raw operands raw.
+                    helper = _BINOP_HELPER[node.op]
+                    return self.call(helper, [left, right], kind), kind
                 return self.binary(_NUMERIC_PY[node.op], left, right, kind), kind
             if node.op in _COMPARE_PY:
                 value = self.binary(_COMPARE_PY[node.op], left, right, RAW_REAL)

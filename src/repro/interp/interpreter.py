@@ -356,7 +356,9 @@ class Interpreter:
             result = self.native.dispatch(kernel, values)
             if result is not None:
                 return result
-        elif self.kernel_hotness is not None:
+        # Set only while no native engine counts dispatches itself (none
+        # exists, or the one that does is disabled).
+        if self.kernel_hotness is not None:
             self.kernel_hotness.record(kernel.name)
         return kernel.fn(*values)
 

@@ -29,7 +29,7 @@ import numpy as np
 from repro.errors import DimensionError
 from repro.kernels.fusion import DESC_SCALAR, Leaf, Node
 from repro.runtime.mxarray import IntrinsicClass
-from repro.runtime.values import from_ndarray
+from repro.runtime.values import box_result, scalar_payload as _scal
 
 #: Operators whose result is logical (boxed with ``klass = BOOL``).
 _BOOL_OPS = {"==", "~=", "<", "<=", ">", ">=", "&", "|", "u~"}
@@ -76,20 +76,13 @@ def _cc(a, b, opname: str) -> None:
     )
 
 
-def _scal(x):
-    """Normalize a raw host scalar the way ``make_scalar`` would before
-    boxing: bools/ints become floats, and a complex with zero imaginary
-    part demotes to its real part — keeping NumPy dtype promotion
-    identical to the unfused boxed path."""
-    if isinstance(x, complex):
-        return x.real if x.imag == 0.0 else x
-    return float(x)
-
-
-#: Globals namespace shared by all generated kernels.
+#: Globals namespace shared by all generated kernels.  A kernel's root is
+#: always an operator, so what its epilogue boxes is a fresh ufunc result:
+#: the ``from_ndarray`` it names is the adopting ``box_result`` (bound here,
+#: so kernel source text, names and cache keys are what they always were).
 KERNEL_GLOBALS = {
     "np": np,
-    "from_ndarray": from_ndarray,
+    "from_ndarray": box_result,
     "IntrinsicClass": IntrinsicClass,
     "DimensionError": DimensionError,
     "_cc": _cc,

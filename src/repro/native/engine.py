@@ -56,7 +56,6 @@ from repro.native.toolchain import Toolchain, detect_toolchain
 from repro.obs import DISABLED as DISABLED_OBS
 from repro.repository.background import run_out_of_band
 from repro.runtime.mxarray import IntrinsicClass, MxArray
-from repro.runtime.values import from_ndarray
 
 #: Operators whose result is logical (mirrors the Python codegen).
 from repro.kernels.codegen import _BOOL_OPS
@@ -480,10 +479,9 @@ class NativeEngine:
                 return None
             record.strikes = 0
             self.counts["runs"] += 1
-            boxed = from_ndarray(out)
-            if record.bool_root:
-                boxed.klass = IntrinsicClass.BOOL
-            return boxed
+            return MxArray(
+                IntrinsicClass.BOOL if record.bool_root else None, out
+            )
         except Exception:  # noqa: BLE001 - any native defect is a fallback
             self.counts["fallbacks"] += 1
             self.obs.record_native_fallback("run_fault")

@@ -267,7 +267,7 @@ def _worker_main(rank: int, size: int, spool, config: WorkerConfig):
                         lo, hi = extract
                         full = outputs[0]
                         chunk = np.ascontiguousarray(full.view()[lo:hi, :])
-                        outputs = [MxArray(full.klass, chunk)]
+                        outputs = [MxArray(full.part_tag, chunk)]
                     reply = {
                         "status": "ok",
                         "value": outputs,

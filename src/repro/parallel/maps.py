@@ -116,7 +116,7 @@ class Map:
                 chunk = full[start:stop, :]
             else:
                 chunk = full[:, start:stop]
-            blocks.append(MxArray(value.klass, chunk.copy()))
+            blocks.append(MxArray(value.part_tag, chunk.copy()))
         return blocks
 
     def reassemble(self, blocks: list[MxArray]) -> MxArray:
@@ -130,10 +130,14 @@ class Map:
             raise ValueError(
                 f"map has {self.size} ranks, got {len(blocks)} blocks"
             )
-        klass = IntrinsicClass.BOOL
-        for block in blocks:
-            if block.klass > klass:
-                klass = block.klass
+        # BOOL only if every block is; INT-vs-REAL is asked of the whole.
+        tags = {block.tag for block in blocks}
+        if IntrinsicClass.COMPLEX in tags:
+            klass = IntrinsicClass.COMPLEX
+        elif tags == {IntrinsicClass.BOOL}:
+            klass = IntrinsicClass.BOOL
+        else:
+            klass = None
         dtype = (
             np.complex128 if klass is IntrinsicClass.COMPLEX else np.float64
         )
@@ -202,7 +206,7 @@ class DistributedMx:
                               timeout=timeout)
             pads.append(ghost)
         stacked = np.vstack(pads) if dim == 0 else np.hstack(pads)
-        return MxArray(self.local.klass, stacked)
+        return MxArray(self.local.part_tag, stacked)
 
 
 # ----------------------------------------------------------------------

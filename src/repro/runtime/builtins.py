@@ -183,19 +183,19 @@ _NEGATIVE_DOMAIN = {"sqrt": 0.0, "log": 0.0, "log2": 0.0, "log10": 0.0, "asin": 
 @register("zeros", 0, 2, int_scalar_affinity=True, doc="matrix of zeros")
 def _zeros(args, nargout):
     r, c = _dims_from_args(args)
-    return [MxArray(IntrinsicClass.INT, np.zeros((max(r, 0), max(c, 0))))]
+    return [MxArray(None, np.zeros((max(r, 0), max(c, 0))))]
 
 
 @register("ones", 0, 2, int_scalar_affinity=True, doc="matrix of ones")
 def _ones(args, nargout):
     r, c = _dims_from_args(args)
-    return [MxArray(IntrinsicClass.INT, np.ones((max(r, 0), max(c, 0))))]
+    return [MxArray(None, np.ones((max(r, 0), max(c, 0))))]
 
 
 @register("eye", 0, 2, int_scalar_affinity=True, doc="identity matrix")
 def _eye(args, nargout):
     r, c = _dims_from_args(args)
-    return [MxArray(IntrinsicClass.INT, np.eye(max(r, 0), max(c, 0)))]
+    return [MxArray(None, np.eye(max(r, 0), max(c, 0)))]
 
 
 @register("rand", 0, 2, pure=False, int_scalar_affinity=True,
@@ -285,7 +285,7 @@ def _isempty(args, nargout):
 
 @register("isreal", 1, 1, doc="true unless the array is complex")
 def _isreal(args, nargout):
-    return [make_bool(args[0].klass is not IntrinsicClass.COMPLEX)]
+    return [make_bool(args[0].tag is not IntrinsicClass.COMPLEX)]
 
 
 @register("isscalar", 1, 1, doc="true for 1x1 arrays")

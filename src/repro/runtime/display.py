@@ -70,7 +70,7 @@ def format_value(value: MxArray, name: str | None = None) -> str:
     view = value.view()
     lines = []
     for r in range(value.rows):
-        cells = [format_scalar(complex(view[r, c]) if value.klass is IntrinsicClass.COMPLEX else float(view[r, c]))
+        cells = [format_scalar(complex(view[r, c]) if value.tag is IntrinsicClass.COMPLEX else float(view[r, c]))
                  for c in range(value.cols)]
         lines.append("     " + "   ".join(cells))
     return header + "\n".join(lines) + "\n"

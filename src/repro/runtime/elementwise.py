@@ -6,6 +6,11 @@ Figure 3).  They perform full runtime dispatch: class checks, shape
 conformance checks, scalar broadcasting, and complex widening.  Both the
 interpreter and the mcc baseline route *every* operation through this layer;
 that per-operation overhead is precisely what MaJIC's compiled code removes.
+
+Results are boxed with ``box_result``, which adopts the buffer: every
+argument it is given here is the fresh result of a ufunc, a BLAS / LAPACK
+call, a fancy index or a ``copy()``.  The one NumPy call that can hand an
+operand back (``matrix_power(A, 1)``) is boxed by ``from_ndarray``'s copy.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from repro.errors import DimensionError, RuntimeMatlabError
 from repro.runtime.mxarray import IntrinsicClass, MxArray
-from repro.runtime.values import from_ndarray, make_bool, make_scalar
+from repro.runtime.values import box_result, from_ndarray, make_bool, make_scalar
 
 
 def _string_to_numeric(a: MxArray) -> MxArray:
@@ -27,17 +32,21 @@ def _string_to_numeric(a: MxArray) -> MxArray:
     return MxArray(IntrinsicClass.INT, codes)
 
 
+_STRING = IntrinsicClass.STRING
+
+
 def _numeric(a: MxArray) -> MxArray:
-    if a.is_string:
+    if a.tag is _STRING:
         return _string_to_numeric(a)
     return a
 
 
 def _binary_views(a: MxArray, b: MxArray, opname: str):
     """Conformance-check two operands, returning broadcastable views."""
-    a, b = _numeric(a), _numeric(b)
+    if a.tag is _STRING or b.tag is _STRING:
+        a, b = _numeric(a), _numeric(b)
     av, bv = a.view(), b.view()
-    if a.is_scalar or b.is_scalar or a.shape == b.shape:
+    if av.shape == bv.shape or a.is_scalar or b.is_scalar:
         return av, bv
     raise DimensionError(
         f"matrix dimensions must agree in '{opname}' "
@@ -45,14 +54,15 @@ def _binary_views(a: MxArray, b: MxArray, opname: str):
     )
 
 
-def _result_box(data: np.ndarray) -> MxArray:
-    return from_ndarray(data)
+def _bool_box(truth: np.ndarray) -> MxArray:
+    """Box a relational / logical result as a tagged logical array."""
+    return MxArray(IntrinsicClass.BOOL, truth.astype(np.float64))
 
 
 def _elementwise(opname: str, fn: Callable) -> Callable[[MxArray, MxArray], MxArray]:
     def op(a: MxArray, b: MxArray) -> MxArray:
         av, bv = _binary_views(a, b, opname)
-        return _result_box(fn(av, bv))
+        return box_result(fn(av, bv))
 
     op.__name__ = f"mlf_{opname}"
     return op
@@ -66,7 +76,7 @@ mlf_times = _elementwise("times", np.multiply)          # .*
 def mlf_rdivide(a: MxArray, b: MxArray) -> MxArray:     # ./
     av, bv = _binary_views(a, b, "rdivide")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _result_box(np.true_divide(av, bv))
+        return box_result(np.true_divide(av, bv))
 
 
 def mlf_ldivide(a: MxArray, b: MxArray) -> MxArray:     # .\
@@ -80,7 +90,7 @@ def mlf_power(a: MxArray, b: MxArray) -> MxArray:       # .^
     if negative_base and fractional_exp:
         av = av.astype(np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _result_box(np.power(av, bv))
+        return box_result(np.power(av, bv))
 
 
 def mlf_mtimes(a: MxArray, b: MxArray) -> MxArray:      # *
@@ -92,7 +102,7 @@ def mlf_mtimes(a: MxArray, b: MxArray) -> MxArray:      # *
             f"inner matrix dimensions must agree in '*' "
             f"({a.rows}x{a.cols} vs {b.rows}x{b.cols})"
         )
-    return _result_box(a.view() @ b.view())
+    return box_result(a.view() @ b.view())
 
 
 def mlf_mrdivide(a: MxArray, b: MxArray) -> MxArray:    # /
@@ -120,7 +130,7 @@ def mlf_mldivide(a: MxArray, b: MxArray) -> MxArray:    # \
             solution, *_ = np.linalg.lstsq(av, bv, rcond=None)
     except np.linalg.LinAlgError as exc:
         raise RuntimeMatlabError(f"mldivide failed: {exc}") from exc
-    return _result_box(solution)
+    return box_result(solution)
 
 
 def mlf_mpower(a: MxArray, b: MxArray) -> MxArray:      # ^
@@ -130,7 +140,7 @@ def mlf_mpower(a: MxArray, b: MxArray) -> MxArray:      # ^
     if a.rows == a.cols and b.is_scalar:
         exponent = b.scalar()
         if exponent == int(np.real(exponent)):
-            return _result_box(
+            return from_ndarray(
                 np.linalg.matrix_power(a.view(), int(np.real(exponent)))
             )
     raise DimensionError("unsupported operands for '^'")
@@ -138,7 +148,7 @@ def mlf_mpower(a: MxArray, b: MxArray) -> MxArray:      # ^
 
 def mlf_uminus(a: MxArray) -> MxArray:
     a = _numeric(a)
-    return _result_box(-a.view())
+    return box_result(-a.view())
 
 
 def mlf_uplus(a: MxArray) -> MxArray:
@@ -148,13 +158,13 @@ def mlf_uplus(a: MxArray) -> MxArray:
 def mlf_transpose(a: MxArray) -> MxArray:               # .'
     if a.is_string:
         a = _string_to_numeric(a)
-    return _result_box(a.view().T.copy())
+    return box_result(a.view().T.copy())
 
 
 def mlf_ctranspose(a: MxArray) -> MxArray:              # '
     if a.is_string:
         a = _string_to_numeric(a)
-    return _result_box(np.conj(a.view()).T.copy())
+    return box_result(np.conj(a.view()).T.copy())
 
 
 # ----------------------------------------------------------------------
@@ -169,10 +179,7 @@ def _relational(opname: str, fn: Callable) -> Callable:
             if opname == "ne":
                 return make_bool(a.text != b.text)
         av, bv = _binary_views(a, b, opname)
-        result = fn(np.real(av), np.real(bv))
-        boxed = _result_box(result.astype(np.float64))
-        boxed.klass = IntrinsicClass.BOOL
-        return boxed
+        return _bool_box(fn(np.real(av), np.real(bv)))
 
     op.__name__ = f"mlf_{opname}"
     return op
@@ -188,18 +195,14 @@ def mlf_eq(a: MxArray, b: MxArray) -> MxArray:
     if a.is_string and b.is_string:
         return make_bool(a.text == b.text)
     av, bv = _binary_views(a, b, "eq")
-    boxed = _result_box(np.equal(av, bv).astype(np.float64))
-    boxed.klass = IntrinsicClass.BOOL
-    return boxed
+    return _bool_box(np.equal(av, bv))
 
 
 def mlf_ne(a: MxArray, b: MxArray) -> MxArray:
     if a.is_string and b.is_string:
         return make_bool(a.text != b.text)
     av, bv = _binary_views(a, b, "ne")
-    boxed = _result_box(np.not_equal(av, bv).astype(np.float64))
-    boxed.klass = IntrinsicClass.BOOL
-    return boxed
+    return _bool_box(np.not_equal(av, bv))
 
 
 # ----------------------------------------------------------------------
@@ -209,10 +212,7 @@ def mlf_ne(a: MxArray, b: MxArray) -> MxArray:
 def _logical(opname: str, fn: Callable) -> Callable:
     def op(a: MxArray, b: MxArray) -> MxArray:
         av, bv = _binary_views(a, b, opname)
-        result = fn(av != 0, bv != 0).astype(np.float64)
-        boxed = _result_box(result)
-        boxed.klass = IntrinsicClass.BOOL
-        return boxed
+        return _bool_box(fn(av != 0, bv != 0))
 
     op.__name__ = f"mlf_{opname}"
     return op
@@ -224,34 +224,35 @@ mlf_or = _logical("or", np.logical_or)
 
 def mlf_not(a: MxArray) -> MxArray:
     a = _numeric(a)
-    boxed = _result_box((a.view() == 0).astype(np.float64))
-    boxed.klass = IntrinsicClass.BOOL
-    return boxed
+    return _bool_box(a.view() == 0)
 
 
 # ----------------------------------------------------------------------
 # Range (colon) and concatenation
 # ----------------------------------------------------------------------
-def mlf_colon(start: MxArray, step: MxArray, stop: MxArray | None = None) -> MxArray:
-    """``start:stop`` or ``start:step:stop``.
+def colon_operand(a: MxArray) -> float:
+    """MATLAB silently uses only the real part of the first element of a
+    ``:`` operand (the behaviour Section 2.5 turns into a speculation
+    hint)."""
+    return float(np.real(_numeric(a).view().flat[0]))
 
-    MATLAB silently uses only the real part of the first element of each
-    operand (the behaviour Section 2.5 turns into a speculation hint).
-    """
+
+def mlf_colon(start: MxArray, step: MxArray, stop: MxArray | None = None) -> MxArray:
+    """``start:stop`` or ``start:step:stop``."""
     if stop is None:
         start, stop = start, step
         step_value = 1.0
     else:
-        step_value = float(np.real(_numeric(step).view().flat[0]))
-    lo = float(np.real(_numeric(start).view().flat[0]))
-    hi = float(np.real(_numeric(stop).view().flat[0]))
+        step_value = colon_operand(step)
+    lo = colon_operand(start)
+    hi = colon_operand(stop)
     if step_value == 0:
         return from_ndarray(np.zeros((1, 0)))
     count = int(np.floor((hi - lo) / step_value + 1e-10)) + 1
     if count <= 0:
         return from_ndarray(np.zeros((1, 0)))
     data = lo + step_value * np.arange(count, dtype=np.float64)
-    return _result_box(data.reshape(1, -1))
+    return box_result(data.reshape(1, -1))
 
 
 def mlf_horzcat(parts: list[MxArray]) -> MxArray:
@@ -265,7 +266,7 @@ def mlf_horzcat(parts: list[MxArray]) -> MxArray:
     height = views[0].shape[0]
     if any(v.shape[0] != height for v in views):
         raise DimensionError("horizontal concatenation: row counts differ")
-    return _result_box(np.hstack(views))
+    return box_result(np.hstack(views))
 
 
 def mlf_vertcat(rows: list[MxArray]) -> MxArray:
@@ -277,7 +278,7 @@ def mlf_vertcat(rows: list[MxArray]) -> MxArray:
     width = views[0].shape[1]
     if any(v.shape[1] != width for v in views):
         raise DimensionError("vertical concatenation: column counts differ")
-    return _result_box(np.vstack(views))
+    return box_result(np.vstack(views))
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +286,7 @@ def mlf_vertcat(rows: list[MxArray]) -> MxArray:
 # Scalar subscripts go through MxArray.get*/set* directly.
 # ----------------------------------------------------------------------
 def _linear_positions(index: MxArray, limit: int, grow: bool) -> np.ndarray:
-    if index.klass is IntrinsicClass.BOOL:
+    if index.tag is IntrinsicClass.BOOL:
         positions = np.flatnonzero(index.view().T.ravel() != 0) + 1
     else:
         positions = np.real(index.view().T.ravel())
@@ -320,7 +321,7 @@ def mlf_index(a: MxArray, *indices: MxArray) -> MxArray:
         idx = indices[0]
         positions = _linear_positions(idx, a.numel, grow=False)
         flat = view.T.ravel()[positions - 1]
-        if idx.klass is IntrinsicClass.BOOL or a.is_vector and a.rows > 1:
+        if idx.tag is IntrinsicClass.BOOL or a.is_vector and a.rows > 1:
             shaped = flat.reshape(-1, 1)
         elif idx.rows > 1 and not a.is_vector:
             shaped = flat.reshape(-1, 1)
@@ -330,15 +331,15 @@ def mlf_index(a: MxArray, *indices: MxArray) -> MxArray:
             shaped = flat.reshape(1, 1)
         elif not a.is_vector and idx.rows > 1 and idx.cols > 1:
             shaped = flat.reshape(idx.cols, idx.rows).T
-        return _result_box(shaped)
+        return box_result(shaped)
     rows = _linear_positions(indices[0], a.rows, grow=False)
     cols = _linear_positions(indices[1], a.cols, grow=False)
-    return _result_box(view[np.ix_(rows - 1, cols - 1)])
+    return box_result(view[np.ix_(rows - 1, cols - 1)])
 
 
 def mlf_index_all(a: MxArray) -> MxArray:
     """``A(:)`` — column-major flattening."""
-    return _result_box(a.view().T.reshape(-1, 1).copy())
+    return box_result(a.view().T.reshape(-1, 1).copy())
 
 
 def mlf_store(a: MxArray, value: MxArray, *indices: MxArray) -> MxArray:
@@ -361,7 +362,7 @@ def mlf_store(a: MxArray, value: MxArray, *indices: MxArray) -> MxArray:
             else:
                 a._grow(max(a.rows, 1), top)
         values = _store_values(value, positions.size)
-        if np.iscomplexobj(values) and a.klass is not IntrinsicClass.COMPLEX:
+        if np.iscomplexobj(values) and a.tag is not IntrinsicClass.COMPLEX:
             a._widen_to_complex()
         rows_idx = (positions - 1) % a.rows
         cols_idx = (positions - 1) // a.rows
@@ -374,10 +375,10 @@ def mlf_store(a: MxArray, value: MxArray, *indices: MxArray) -> MxArray:
         if rows.max() > a.rows or cols.max() > a.cols:
             a._grow(max(int(rows.max()), a.rows), max(int(cols.max()), a.cols))
         values = _store_values(value, rows.size * cols.size)
-        if np.iscomplexobj(values) and a.klass is not IntrinsicClass.COMPLEX:
+        if np.iscomplexobj(values) and a.tag is not IntrinsicClass.COMPLEX:
             a._widen_to_complex()
         a.data[np.ix_(rows - 1, cols - 1)] = values.reshape(rows.size, cols.size)
-    a.refresh_class()
+    a.forget_class()
     return a
 
 

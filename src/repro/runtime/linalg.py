@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import DimensionError, RuntimeMatlabError
 from repro.runtime.mxarray import IntrinsicClass, MxArray
-from repro.runtime.values import from_ndarray
+from repro.runtime.values import box_result, from_ndarray
 
 
 def dgemv(alpha: float, a: MxArray, x: MxArray, beta: float, y: MxArray) -> MxArray:
@@ -23,10 +23,10 @@ def dgemv(alpha: float, a: MxArray, x: MxArray, beta: float, y: MxArray) -> MxAr
     if av.shape[1] != xv.shape[0]:
         raise DimensionError("dgemv: inner dimensions must agree")
     if beta == 0.0:
-        return from_ndarray(alpha * (av @ xv))
+        return box_result(alpha * (av @ xv))
     if (av.shape[0], xv.shape[1]) != yv.shape:
         raise DimensionError("dgemv: result and y dimensions must agree")
-    return from_ndarray(alpha * (av @ xv) + beta * yv)
+    return box_result(alpha * (av @ xv) + beta * yv)
 
 
 def dgemm(alpha: float, a: MxArray, b: MxArray, beta: float, c: MxArray) -> MxArray:
@@ -35,8 +35,8 @@ def dgemm(alpha: float, a: MxArray, b: MxArray, beta: float, c: MxArray) -> MxAr
     if av.shape[1] != bv.shape[0]:
         raise DimensionError("dgemm: inner dimensions must agree")
     if beta == 0.0:
-        return from_ndarray(alpha * (av @ bv))
-    return from_ndarray(alpha * (av @ bv) + beta * c.view())
+        return box_result(alpha * (av @ bv))
+    return box_result(alpha * (av @ bv) + beta * c.view())
 
 
 def eig_values(a: MxArray) -> MxArray:
@@ -101,7 +101,7 @@ def inv(a: MxArray) -> MxArray:
     if av.shape[0] != av.shape[1]:
         raise DimensionError("inv: matrix must be square")
     try:
-        return from_ndarray(np.linalg.inv(av))
+        return box_result(np.linalg.inv(av))
     except np.linalg.LinAlgError as exc:
         raise RuntimeMatlabError(f"inv failed: {exc}") from exc
 

@@ -19,6 +19,11 @@ Design notes
 * Values are conceptually immutable-by-value (MATLAB is call-by-value); the
   engines enforce copy-on-assignment where required, the box itself offers
   :meth:`copy`.
+* The class tag is lazy in one respect (DESIGN.md, *Value runtime*): BOOL,
+  COMPLEX and STRING are explicit tags, but *INT or REAL?* is a question
+  about the data that only a signature read asks, so a box of real data is
+  built with :attr:`MxArray.tag` ``None`` and :attr:`MxArray.klass` answers
+  on first read.
 """
 
 from __future__ import annotations
@@ -74,12 +79,9 @@ def classify_ndarray(data: np.ndarray) -> IntrinsicClass:
         return IntrinsicClass.BOOL
     if data.size == 0:
         return IntrinsicClass.REAL
-    finite = np.isfinite(data)
-    if np.all(finite) and np.all(data == np.floor(data)):
-        if np.all((data == 0.0) | (data == 1.0)):
-            # Integral 0/1 data is reported as INT, not BOOL: MATLAB bools
-            # only arise from logical operators, which tag them explicitly.
-            return IntrinsicClass.INT
+    if np.all(np.isfinite(data)) and np.all(data == np.floor(data)):
+        # Integral 0/1 data is INT too, not BOOL: MATLAB bools only arise
+        # from logical operators, which tag them explicitly.
         return IntrinsicClass.INT
     return IntrinsicClass.REAL
 
@@ -89,8 +91,16 @@ class MxArray:
 
     Attributes
     ----------
+    tag:
+        The explicit :class:`IntrinsicClass` tag — BOOL, COMPLEX or STRING,
+        or an INT / REAL answer a constructor or an earlier :attr:`klass`
+        read supplied — or ``None`` while INT-vs-REAL is unanswered.  Code
+        that asks only BOOL? / COMPLEX? / STRING? reads this.
     klass:
-        The runtime :class:`IntrinsicClass` tag.
+        The runtime :class:`IntrinsicClass`: :attr:`tag`, answered from
+        the data (:func:`classify_ndarray`) and cached when it is ``None``.
+        Every store drops a cached INT / REAL answer, so at each read it
+        describes the current data.
     rows, cols:
         Logical dimensions.  The backing numpy buffer may be larger
         (oversizing); use :meth:`view` for the logically valid region.
@@ -100,17 +110,17 @@ class MxArray:
         For ``STRING`` values only, the character payload.
     """
 
-    __slots__ = ("klass", "rows", "cols", "data", "text")
+    __slots__ = ("tag", "rows", "cols", "data", "text")
 
     def __init__(
         self,
-        klass: IntrinsicClass,
+        klass: IntrinsicClass | None,
         data: np.ndarray | None = None,
         text: str | None = None,
         rows: int | None = None,
         cols: int | None = None,
     ):
-        self.klass = klass
+        self.tag = klass
         if klass is IntrinsicClass.STRING:
             self.text = text if text is not None else ""
             self.data = np.empty((0, 0))
@@ -129,6 +139,38 @@ class MxArray:
     # ------------------------------------------------------------------
     # Basic queries
     # ------------------------------------------------------------------
+    @property
+    def klass(self) -> IntrinsicClass:
+        """The intrinsic class; answers INT-vs-REAL from the data when the
+        tag does not say (a 1x1 by scalar arithmetic), and caches it."""
+        tag = self.tag
+        if tag is None:
+            if self.rows == 1 and self.cols == 1:
+                value = self.data.item(0)
+                if type(value) is float:
+                    tag = (
+                        IntrinsicClass.INT
+                        if value.is_integer()
+                        else IntrinsicClass.REAL
+                    )
+            if tag is None:
+                tag = classify_ndarray(self.view())
+            self.tag = tag
+        return tag
+
+    @klass.setter
+    def klass(self, klass: IntrinsicClass | None) -> None:
+        self.tag = klass
+
+    @property
+    def part_tag(self) -> IntrinsicClass | None:
+        """The tag a slice of this box inherits: BOOL and COMPLEX describe
+        every part, INT-vs-REAL has to be asked of the part's own data."""
+        tag = self.tag
+        if tag is IntrinsicClass.BOOL or tag is IntrinsicClass.COMPLEX:
+            return tag
+        return None
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -151,7 +193,7 @@ class MxArray:
 
     @property
     def is_string(self) -> bool:
-        return self.klass is IntrinsicClass.STRING
+        return self.tag is IntrinsicClass.STRING
 
     def view(self) -> np.ndarray:
         """The logically valid region of the backing buffer."""
@@ -166,7 +208,7 @@ class MxArray:
                 f"expected a scalar, got a {self.rows}x{self.cols} array"
             )
         value = self.data[0, 0]
-        if self.klass is IntrinsicClass.COMPLEX:
+        if self.tag is IntrinsicClass.COMPLEX:
             return complex(value)
         return float(value)
 
@@ -182,22 +224,16 @@ class MxArray:
         """A by-value copy (drops capacity slack)."""
         if self.is_string:
             return MxArray(IntrinsicClass.STRING, text=self.text)
-        return MxArray(self.klass, self.view().copy())
+        return MxArray(self.tag, self.view().copy())
 
-    def refresh_class(self) -> None:
-        """Re-derive the intrinsic class tag from current data.
-
-        Used after in-place stores that may widen (real into int array) or
-        narrow (complex array whose imaginary parts vanished stays complex:
-        MATLAB does not narrow implicitly, and neither do we).
-        """
-        if self.is_string:
-            return
-        if self.klass is IntrinsicClass.COMPLEX:
-            return
-        observed = classify_ndarray(self.view())
-        if observed > self.klass:
-            self.klass = observed
+    def forget_class(self) -> None:
+        """After a store of values nobody examined: INT-vs-REAL is
+        unanswered again and a mask is no longer known to be logical.  A
+        complex array whose imaginary parts vanished stays complex (MATLAB
+        does not narrow implicitly, and neither do we)."""
+        tag = self.tag
+        if tag is not IntrinsicClass.COMPLEX and tag is not IntrinsicClass.STRING:
+            self.tag = None
 
     # ------------------------------------------------------------------
     # Subscripting (1-based, column-major, checked)
@@ -255,22 +291,23 @@ class MxArray:
         self._store(ri - 1, ci - 1, value)
 
     def _store(self, r: int, c: int, value) -> None:
-        if isinstance(value, complex) and value.imag != 0.0:
-            if self.klass is not IntrinsicClass.COMPLEX:
+        if isinstance(value, complex):
+            if value.imag == 0.0:
+                value = value.real
+            elif self.tag is not IntrinsicClass.COMPLEX:
                 self._widen_to_complex()
-        elif isinstance(value, complex):
-            value = value.real
-        if self.klass is not IntrinsicClass.COMPLEX:
-            if self.klass in (IntrinsicClass.BOOL, IntrinsicClass.INT):
-                if value != int(value):
-                    self.klass = IntrinsicClass.REAL
-                elif self.klass is IntrinsicClass.BOOL and value not in (0, 1):
-                    self.klass = IntrinsicClass.INT
+        # The stored value is not examined: a cached answer is dropped for
+        # the next klass read.  A mask stays logical under a 0/1 store only.
+        tag = self.tag
+        if tag is not None and not (
+            tag is IntrinsicClass.BOOL and value in (0, 1)
+        ):
+            self.forget_class()
         self.data[r, c] = value
 
     def _widen_to_complex(self) -> None:
         self.data = self.data.astype(np.complex128)
-        self.klass = IntrinsicClass.COMPLEX
+        self.tag = IntrinsicClass.COMPLEX
 
     # ------------------------------------------------------------------
     # Growth with oversizing (Section 2.6.1)

@@ -8,6 +8,15 @@ from repro.errors import DimensionError
 from repro.runtime.mxarray import IntrinsicClass, MxArray, classify_ndarray
 
 
+def scalar_payload(value: float | int | complex | bool) -> float | complex:
+    """What :func:`make_scalar` stores for a raw host scalar: bools and
+    ints as floats, a complex with zero imaginary part as its real part —
+    so raw operands promote NumPy dtypes exactly as their boxes would."""
+    if isinstance(value, complex):
+        return value.real if value.imag == 0.0 else value
+    return float(value)
+
+
 def make_scalar(value: float | int | complex) -> MxArray:
     """Box a host scalar with the most precise intrinsic class."""
     if isinstance(value, bool):
@@ -21,12 +30,8 @@ def make_scalar(value: float | int | complex) -> MxArray:
                 np.array([[value]], dtype=np.complex128),
             )
     value = float(value)
-    klass = (
-        IntrinsicClass.INT
-        if np.isfinite(value) and value == int(value)
-        else IntrinsicClass.REAL
-    )
-    return MxArray(klass, np.array([[value]], dtype=np.float64))
+    klass = IntrinsicClass.INT if value.is_integer() else IntrinsicClass.REAL
+    return MxArray(klass, np.array(value, ndmin=2))
 
 
 def make_bool(value: bool) -> MxArray:
@@ -58,18 +63,37 @@ def empty() -> MxArray:
 
 
 def from_ndarray(data: np.ndarray, klass: IntrinsicClass | None = None) -> MxArray:
-    """Box a numpy array, classifying it unless a class is forced."""
+    """Box a numpy array of unknown provenance: always a copy, as 2-D
+    ``float64`` / ``complex128``.  Unless a class is forced, real data is
+    boxed with INT-vs-REAL unanswered (``MxArray.klass`` asks the data)."""
     data = np.atleast_2d(np.asarray(data))
     if data.dtype == np.bool_:
-        return MxArray(IntrinsicClass.BOOL, data.astype(np.float64))
-    if data.dtype.kind in "iu":
-        data = data.astype(np.float64)
-    if data.dtype.kind == "c" and klass is None:
-        return MxArray(IntrinsicClass.COMPLEX, data.astype(np.complex128))
-    if klass is None:
-        klass = classify_ndarray(data)
+        klass = IntrinsicClass.BOOL
+    elif klass is None and data.dtype.kind == "c":
+        klass = IntrinsicClass.COMPLEX
     dtype = np.complex128 if klass is IntrinsicClass.COMPLEX else np.float64
     return MxArray(klass, data.astype(dtype))
+
+
+_FLOAT64 = np.dtype(np.float64)
+_COMPLEX128 = np.dtype(np.complex128)
+
+
+def box_result(data) -> MxArray:
+    """Box what a ufunc, a BLAS call or a fused kernel just returned.
+
+    Nothing else holds such a buffer, so a 2-D ``float64`` / ``complex128``
+    array is adopted as it is; anything else (a 0-d result of all-scalar
+    operands, another dtype) takes :func:`from_ndarray`'s normalizing copy.
+    Never pass a view of an operand: the box would alias it.
+    """
+    if type(data) is np.ndarray and data.ndim == 2:
+        dtype = data.dtype
+        if dtype is _FLOAT64:
+            return MxArray(None, data)
+        if dtype is _COMPLEX128:
+            return MxArray(IntrinsicClass.COMPLEX, data)
+    return from_ndarray(data)
 
 
 def from_python(value) -> MxArray:
@@ -110,7 +134,7 @@ def to_python(value: MxArray):
     if value.is_string:
         return value.text
     if value.is_scalar:
-        if value.klass is IntrinsicClass.BOOL:
+        if value.tag is IntrinsicClass.BOOL:
             return bool(value.data[0, 0])
         return value.scalar()
     return value.view().copy()

@@ -81,6 +81,18 @@ TOO_MANY = (
     "function r = outer(x)\ndisp(x);\nr = inner(x, 2, 3);\n"
     "function y = inner(a, b)\ny = a + b;\n"
 )
+COMPLEX_POWER = "function r = cpw(a, b, c)\nr = (a - b) .^ c;\n"
+BARE_DISP = "function r = shown(s)\ndisp(s)\nr = 1;\n"
+COMPLEX_BOUND = (
+    "function s = cfor(n)\ns = 0;\nfor k = 1i:n, s = s + 1; end\n"
+    "x = 2i:0.5:n;\ns = s + x(2);\n"
+)
+RESULT_CLASS = (
+    "function s = classy(v)\nw = v * 2;\nu = w / 2;\n"
+    "s = inner(u) + 10 * inner(w);\n"
+    "function t = inner(w)\nt = 0;\n"
+    "for k = w(1):w(2), t = t + k; if t > 99, return; end, end\n"
+)
 
 
 def _scalar(value):
@@ -93,13 +105,35 @@ def _scalar(value):
 #: still advances it (compiled code hung), through the interpreter's
 #: values ``lo + st * i`` (compiled code added ``st`` repeatedly: other
 #: bits, and a different count at some bounds); too many actuals raise ``inner: too many input arguments``
-#: after the caller's display (compiled code answered 3).
+#: after the caller's display (compiled code answered 3); a raw complex
+#: ``.^`` is NumPy's power, not the host's (1 ulp apart in both parts); a
+#: statement call with no output echoes ``ans = []`` (compiled code
+#: echoed 0); a ``:`` operand contributes the real part of its first
+#: element, in a ``for`` header as elsewhere (compiled code raised
+#: "expected a real value").  ``result-class`` is the net under the lazily
+#: answered INT-vs-REAL class, which an observation does not show: ``w``
+#: (ten elements: past the unroller, so a boxed result) is an all-integer
+#: product of non-integer factors and ``u`` = ``w / 2`` is not, so the two
+#: calls of ``inner`` need two signatures.  A ``u`` wrongly answered INT
+#: gets ``range(0, 2)`` and sums 0 + 1 where the answer is 0.5 + 1.5 (the
+#: ``return`` in the loop blocks inlining, keeping ``inner`` a call; the
+#: one-version batch compilers see the REAL call first).
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
     "continue-real-step": Program((CONTINUE,), "cont", _scalar(3.0)),
     "real-step-values": Program((STEPPED,), "stepped", _scalar(1.0)),
     "too-many-actuals": Program((TOO_MANY,), "outer", _scalar(1.0)),
+    "complex-scalar-power": Program(
+        (COMPLEX_POWER,), "cpw",
+        lambda: [from_python(1j), from_python(1.0), from_python(2.5)],
+    ),
+    "bare-disp-echo": Program((BARE_DISP,), "shown", _scalar(3.0)),
+    "complex-colon-bound": Program((COMPLEX_BOUND,), "cfor", _scalar(3.0)),
+    "result-class": Program(
+        (RESULT_CLASS,), "classy",
+        lambda: [from_python(np.arange(0.5, 10.0))],
+    ),
 }
 
 

@@ -165,7 +165,7 @@ def digest(outcome, canonical: bool = False) -> tuple:
     return ("ok", (canon_bits if canonical else bits)(outcome[1]))
 
 
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_fused_bit_identical_across_engines(data):

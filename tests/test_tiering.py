@@ -441,6 +441,22 @@ class TestAdaptiveSession:
             is session.tiering.kernel_hotness
         )
 
+    def test_interpreter_feeds_kernel_counter_past_a_disabled_native_engine(
+        self, fresh_session, monkeypatch
+    ):
+        """``native=True`` without a toolchain leaves an engine that
+        declines every dispatch: the interpreter's fused fast path must
+        count the kernels it then runs itself."""
+        monkeypatch.setenv("MAJIC_NATIVE_DISABLE", "1")
+        session = fresh_session(adaptive=True, adaptive_sync=True, native=True)
+        assert session.native is not None and not session.native.enabled
+        session.add_source(POLY)
+        import numpy as np
+
+        session.call("poly", np.arange(1.0, 200.0))
+        assert session.stats.calls_interpreted == 1
+        assert session.tiering.report()["kernels_tracked"] == 1
+
     def test_promotion_fault_leaves_results_bit_identical(self, fresh_session):
         plan = FaultPlan.tiering_fault(hit=1)
         session = fresh_session(
