@@ -3,7 +3,8 @@
 A :class:`BaselineEngine` owns a function table, compiles whole programs
 ahead of time (batch), and executes invocations against its compiled
 objects.  Unlike the MaJIC repository there is no locator ladder: a batch
-compiler produces exactly one version per function.
+compiler produces exactly one version per function, and a call that
+version's signature does not accept runs in the interpreter.
 """
 
 from __future__ import annotations
@@ -90,9 +91,23 @@ class BaselineEngine:
             obj = self._objects.get(name)
             if obj is None and name not in self._uncompilable:
                 obj = self.compile_function(name, args)
+            elif obj is not None and not self._compiled_for(obj, args):
+                obj = None
         if obj is None:
             return self._interpreter.call_function(fn, args, nargout)
         return obj.invoke(args, nargout, self._rt)
+
+    @staticmethod
+    def _compiled_for(obj: CompiledObject, args: list[MxArray]) -> bool:
+        """One version, compiled for the first call's types and ranges: a
+        call it was not compiled for is interpreted.  (⊤ formals — mcc's —
+        were compiled for every call, so they are not re-derived per call.)"""
+        signature = obj.signature
+        return (
+            all(formal.is_top_like for formal in signature)
+            or obj.fast_accepts(args)
+            or signature.accepts(signature_of_values(args))
+        )
 
     def _call_user(self, name: str, args: list[MxArray], nargout: int):
         return tuple(self.execute(name, args, nargout))

@@ -20,9 +20,10 @@ from __future__ import annotations
 from repro.baselines.engine import BaselineEngine
 from repro.codegen.jitgen import CompiledObject
 from repro.codegen.srcgen import SourceCompiler, SrcOptions
+from repro.frontend import ast_nodes as ast
 from repro.runtime.display import OutputSink
 from repro.runtime.mxarray import MxArray
-from repro.typesys.signature import signature_of_values
+from repro.typesys.signature import Signature, signature_of_values
 
 
 class FalconCompilerEngine(BaselineEngine):
@@ -48,6 +49,10 @@ class FalconCompilerEngine(BaselineEngine):
         compiler = SourceCompiler(options)
         # "Peeking": type information equivalent to the invocation values.
         signature = signature_of_values(example_args)
+        if ast.called_names(fn) & set(self._functions):
+            # Calls that survive inlining (recursion) feed the one version
+            # other constants: do not specialize it on this call's ranges.
+            signature = Signature.of(t.widen_range() for t in signature)
         return compiler.compile(
             fn, signature, mode="falcon", is_user_function=self.knows
         )

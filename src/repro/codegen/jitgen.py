@@ -244,12 +244,10 @@ class JitCompiler:
         options: JitOptions | None = None,
         fault_plan=None,
         tracer=None,
-        obs=None,
     ):
         self.options = options or JitOptions()
         self.fault_plan = fault_plan
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.obs = obs
 
     def compile(
         self,
@@ -271,7 +269,7 @@ class JitCompiler:
     def _build(self, fn, annotations, disambiguation):
         lowerer = _Lowerer(
             fn, annotations, disambiguation, self.options,
-            fault_plan=self.fault_plan, tracer=self.tracer, obs=self.obs,
+            fault_plan=self.fault_plan, tracer=self.tracer,
         )
         ir = lowerer.lower()
         intervals = compute_intervals(ir)
@@ -294,7 +292,6 @@ class _Lowerer(Walk):
         options: JitOptions,
         fault_plan=None,
         tracer=None,
-        obs=None,
     ):
         super().__init__(
             fn, annotations, disambiguation,
@@ -304,7 +301,6 @@ class _Lowerer(Walk):
         self.options = options
         self.fault_plan = fault_plan
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.obs = obs
         self.vregs = VRegAllocator()
         self.var_regs: dict[str, int] = {}
         self.reg_kinds: dict[int, str] = {}
@@ -555,7 +551,7 @@ class _Lowerer(Walk):
                 leaves.append(value)
             kernel = KERNEL_CACHE.get_or_compile(
                 plan.root, tuple(descs),
-                fault_plan=self.fault_plan, obs=self.obs,
+                fault_plan=self.fault_plan,
             )
         self.kernel_sources[kernel.name] = kernel.source
         self.kernel_keys[kernel.name] = kernel.key

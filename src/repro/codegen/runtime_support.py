@@ -587,12 +587,14 @@ class RuntimeSupport:
         if kernel is None:
             raise AttributeError(f"unknown fused kernel '{name}'")
         fn = kernel.fn
-        obs = self.obs
-        if obs is not None and obs.metrics.enabled:
-            def timed(*args, _fn=fn, _name=name, _obs=obs):
+        observe = None if self.obs is None else self.obs.push(
+            "majic_kernel_run_seconds", kernel=name
+        )
+        if observe is not None:
+            def timed(*args, _fn=fn, _observe=observe):
                 start = time.perf_counter()
                 result = _fn(*args)
-                _obs.record_kernel_run(_name, time.perf_counter() - start)
+                _observe(time.perf_counter() - start)
                 return result
 
             fn = timed

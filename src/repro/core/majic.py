@@ -465,9 +465,6 @@ class MajicSession:
         action = action.lower()
         if action == "on":
             self._profiler.on()
-            # The diagnostics bridge no-ops while everything is disabled,
-            # so (re)bind now that a live tracer exists.
-            self.obs.bind_diagnostics(self.repository.diagnostics)
             return None
         if action == "off":
             self._profiler.off()

@@ -329,6 +329,17 @@ def stmt_exprs(stmt: Stmt):
         yield stmt.iterable
 
 
+def called_names(fn: "FunctionDef") -> set[str]:
+    """Every name ``fn``'s body applies (calls or indexes)."""
+    return {
+        node.name
+        for stmt in walk_stmts(fn.body)
+        for expr in stmt_exprs(stmt)
+        for node in walk_expr(expr)
+        if isinstance(node, Apply)
+    }
+
+
 def clone(node):
     """A structural copy of an AST subtree (a node, or a list of nodes).
 

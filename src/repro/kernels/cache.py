@@ -79,7 +79,9 @@ class KernelCache:
     reference — live ``DynamicPlan.kernel`` memos and ``RuntimeSupport``
     instance bindings keep working, and the next cold lookup of the same
     tree simply recompiles (``evictions`` counts how often that tax was
-    paid; sessions mirror it into ``majic_kernel_cache_evictions_total``).
+    paid).  ``hits`` / ``misses`` / ``evictions`` are the only count of
+    these facts: ``stats()`` and every session's
+    ``majic_kernel_cache_*_total`` read them, process-wide like the cache.
     """
 
     def __init__(self, capacity: int | None = None):
@@ -96,22 +98,20 @@ class KernelCache:
         del self._kernels[name]
         self._kernels[name] = kernel
 
-    def _insert(self, name: str, kernel: CompiledKernel) -> tuple:
-        """Insert under the lock; returns (winner, evicted_count)."""
+    def _insert(self, name: str, kernel: CompiledKernel) -> CompiledKernel:
+        """Insert under the lock; returns the winner."""
         existing = self._kernels.get(name)
         if existing is not None:
             # A racing compile of the same tree is harmless: both
             # functions are identical, first one in wins.
             self._touch(name, existing)
-            return existing, 0
+            return existing
         self._kernels[name] = kernel
-        evicted = 0
         while len(self._kernels) > self.capacity:
             oldest = next(iter(self._kernels))
             del self._kernels[oldest]
-            evicted += 1
-        self.evictions += evicted
-        return kernel, evicted
+            self.evictions += 1
+        return kernel
 
     # ------------------------------------------------------------------
     def get_or_compile(
@@ -119,7 +119,6 @@ class KernelCache:
         root: Node,
         descs: tuple,
         fault_plan=None,
-        obs=None,
     ) -> CompiledKernel:
         """Return the kernel for ``(root, descs)``, compiling on miss."""
         key = encode(root, descs)
@@ -129,14 +128,8 @@ class KernelCache:
             if kernel is not None:
                 self.hits += 1
                 self._touch(name, kernel)
-                hit = True
-            else:
-                self.misses += 1
-                hit = False
-        if obs is not None:
-            obs.record_kernel_cache(hit)
-        if hit:
-            return kernel
+                return kernel
+            self.misses += 1
         if fault_plan is not None:
             fault_plan.check(SITE_KERNEL_COMPILE, name)
         source = generate_source(name, root, descs)
@@ -144,10 +137,7 @@ class KernelCache:
             name=name, key=key, source=source, fn=compile_kernel(name, source)
         )
         with self._lock:
-            kernel, evicted = self._insert(name, kernel)
-        if obs is not None and evicted:
-            obs.record_kernel_cache_eviction(evicted)
-        return kernel
+            return self._insert(name, kernel)
 
     # ------------------------------------------------------------------
     def lookup(self, name: str) -> CompiledKernel | None:

@@ -40,6 +40,7 @@ import signal
 import tempfile
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -80,11 +81,11 @@ class _ReadyKernel:
 
     __slots__ = (
         "name", "key", "descs", "bool_root", "cfn", "lib",
-        "variant", "flags", "artifact", "strikes",
+        "variant", "flags", "artifact", "strikes", "observe",
     )
 
     def __init__(self, name, key, descs, bool_root, cfn, lib,
-                 variant, flags, artifact):
+                 variant, flags, artifact, observe=None):
         self.name = name
         self.key = key
         self.descs = descs
@@ -95,6 +96,7 @@ class _ReadyKernel:
         self.flags = flags
         self.artifact = artifact
         self.strikes = 0
+        self.observe = observe  # run-latency push; None with metrics off
 
 
 class NativeEngine:
@@ -148,13 +150,15 @@ class NativeEngine:
 
             hotness = HotnessCounter()
         self.hotness = hotness
-        # Outcome tallies (tests, the bench script and the harness read
-        # these; "cached" loads in a warm session must be > 0 with zero
+        # Outcome tallies, the one count of each fact: ``stats()`` and
+        # the session's ``majic_native_*`` / watchdog views read them
+        # ("cached" loads in a warm session must be > 0 with zero
         # "compiled" for the warm-start acceptance gate).
-        self.counts = {
-            "compiled": 0, "cached": 0, "failed": 0,
-            "ineligible": 0, "runs": 0, "fallbacks": 0,
-        }
+        self.compiles = Counter()          # by result
+        self.fallbacks = Counter()         # by reason
+        self.compile_timeouts = Counter()  # by watchdog kind
+        self.runs = 0
+        self.obs.attach(native=self)
         self.errors: list[tuple[str, str]] = []
         # Hot-path switch: only check the native.run site when a spec
         # actually addresses it (plan.check takes a lock).
@@ -247,14 +251,12 @@ class NativeEngine:
         with self._lock:
             self._ready[name] = record
             self._state[name] = "ready"
-            self.counts[result] += 1
-        self.obs.record_native_compile(result)
+            self.compiles[result] += 1
 
     def _finish(self, name: str, state: str) -> None:
         with self._lock:
             self._state[name] = state
-            self.counts[state] += 1
-        self.obs.record_native_compile(state)
+            self.compiles[state] += 1
 
     # ------------------------------------------------------------------
     def _autotune(self, name, key, root, descs, akey):
@@ -279,7 +281,7 @@ class NativeEngine:
                     from repro.native.toolchain import CompileTimeout
 
                     if isinstance(exc, CompileTimeout):
-                        self.obs.record_watchdog_timeout("native-compile")
+                        self.compile_timeouts["native-compile"] += 1
                     continue
                 candidates.append((tag, flags, so_path))
             if not candidates:
@@ -396,7 +398,8 @@ class NativeEngine:
         if fresh:
             self._trial(name, cfn, descs, akey)
         return _ReadyKernel(
-            name, key, descs, bool_root, cfn, lib, variant, flags, akey
+            name, key, descs, bool_root, cfn, lib, variant, flags, akey,
+            observe=self.obs.push("majic_native_run_seconds", kernel=name),
         )
 
     def _trial(self, name, cfn, descs, akey) -> None:
@@ -444,13 +447,11 @@ class NativeEngine:
             if self._run_fault:
                 self.fault_plan.check(SITE_NATIVE_RUN, record.name)
             if self._first_size(args) < self.min_elems:
-                self.counts["fallbacks"] += 1
-                self.obs.record_native_fallback("small")
+                self.fallbacks["small"] += 1
                 return None
             prepared = self._prepare(record.descs, args)
             if prepared is None:
-                self.counts["fallbacks"] += 1
-                self.obs.record_native_fallback("guard")
+                self.fallbacks["guard"] += 1
                 return None
             buffers, shape = prepared
             n = shape[0] * shape[1]
@@ -463,28 +464,25 @@ class NativeEngine:
                 else:
                     argv.append(value)
             argv.append(out.ctypes.data)
-            if self.obs.metrics.enabled:
+            observe = record.observe
+            if observe is not None:
                 start = time.perf_counter()
                 status = record.cfn(*argv)
-                self.obs.record_native_run(
-                    record.name, time.perf_counter() - start
-                )
+                observe(time.perf_counter() - start)
             else:
                 status = record.cfn(*argv)
             if status != 0:
                 # sqrt negative-domain: MATLAB widens the whole result to
                 # complex; only the Python kernel replays that.
-                self.counts["fallbacks"] += 1
-                self.obs.record_native_fallback("domain")
+                self.fallbacks["domain"] += 1
                 return None
             record.strikes = 0
-            self.counts["runs"] += 1
+            self.runs += 1
             return MxArray(
                 IntrinsicClass.BOOL if record.bool_root else None, out
             )
         except Exception:  # noqa: BLE001 - any native defect is a fallback
-            self.counts["fallbacks"] += 1
-            self.obs.record_native_fallback("run_fault")
+            self.fallbacks["run_fault"] += 1
             record.strikes += 1
             if record.strikes >= MAX_RUN_STRIKES:
                 with self._lock:
@@ -547,7 +545,12 @@ class NativeEngine:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         with self._lock:
-            summary = dict(self.counts)
+            summary = {
+                result: self.compiles[result]
+                for result in ("compiled", "cached", "failed", "ineligible")
+            }
+            summary["runs"] = self.runs
+            summary["fallbacks"] = sum(self.fallbacks.values())
         summary["enabled"] = self.enabled
         summary["toolchain"] = (
             self.toolchain.ident if self.toolchain is not None else None

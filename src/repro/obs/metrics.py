@@ -37,7 +37,7 @@ DEFAULT_BUCKETS = (
 
 class _Instrument:
     """Common label plumbing: a parent instrument owns one child per
-    label-value combination; an unlabelled instrument is its own child."""
+    label-value combination; an unlabelled instrument has the ``()`` child."""
 
     kind = "untyped"
 
@@ -61,14 +61,6 @@ class _Instrument:
                 child = self._children[key] = self._make_child()
             return child
 
-    def _self_child(self):
-        """The single child of an unlabelled instrument."""
-        if self.labelnames:
-            raise ValueError(
-                f"{self.name} is labelled {self.labelnames}; use .labels()"
-            )
-        return self.labels()
-
     def _make_child(self):
         raise NotImplementedError
 
@@ -91,6 +83,9 @@ class _CounterChild:
         with self._lock:
             self.value += amount
 
+    def state(self) -> float:
+        return self.value
+
 
 class Counter(_Instrument):
     kind = "counter"
@@ -99,15 +94,7 @@ class Counter(_Instrument):
         return _CounterChild(self._lock)
 
     def inc(self, amount: float = 1.0, **labelvalues) -> None:
-        if labelvalues or not self.labelnames:
-            target = self.labels(**labelvalues)
-        else:
-            target = self._self_child()
-        target.inc(amount)
-
-    @property
-    def value(self) -> float:
-        return self._self_child().value
+        self.labels(**labelvalues).inc(amount)
 
 
 class _GaugeChild:
@@ -126,8 +113,10 @@ class _GaugeChild:
             self.value += amount
 
     def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
+        self.inc(-amount)
+
+    def state(self) -> float:
+        return self.value
 
 
 class Gauge(_Instrument):
@@ -135,19 +124,6 @@ class Gauge(_Instrument):
 
     def _make_child(self):
         return _GaugeChild(self._lock)
-
-    def set(self, value: float, **labelvalues) -> None:
-        self.labels(**labelvalues).set(value)
-
-    def inc(self, amount: float = 1.0, **labelvalues) -> None:
-        self.labels(**labelvalues).inc(amount)
-
-    def dec(self, amount: float = 1.0, **labelvalues) -> None:
-        self.labels(**labelvalues).dec(amount)
-
-    @property
-    def value(self) -> float:
-        return self._self_child().value
 
 
 class _HistogramChild:
@@ -179,9 +155,14 @@ class _HistogramChild:
     def cumulative(self) -> list[tuple[float, int]]:
         """(upper-bound, cumulative count) pairs, ``+Inf`` last."""
         with self._lock:
-            pairs = list(zip(self.buckets, self.counts))
-            pairs.append((float("inf"), self.count))
-            return pairs
+            return [*zip(self.buckets, self.counts), (float("inf"), self.count)]
+
+    def state(self) -> dict:
+        with self._lock:
+            return {
+                "counts": list(self.counts), "sum": self.sum,
+                "count": self.count,
+            }
 
 
 class Histogram(_Instrument):
@@ -196,6 +177,55 @@ class Histogram(_Instrument):
 
     def observe(self, value: float, **labelvalues) -> None:
         self.labels(**labelvalues).observe(value)
+
+
+class _Reading:
+    """One sample of a :class:`View`: a value read, not stored."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def state(self):
+        return self.value
+
+
+class View(_Instrument):
+    """A counter nobody increments.
+
+    ``read()`` returns the owning components' plain tallies — each a
+    number (an unlabelled series, exposed once it has moved), a mapping
+    of label value to number (every key is a series) or ``None`` (no
+    such component in this session) — and :meth:`samples` adds them up
+    per series, together with what worker ranks shipped (:meth:`fold`).
+    Nothing else is stored here, so a view cannot drift from its source.
+    """
+
+    def __init__(self, name, kind, help="", labelnames=(), read=tuple):
+        super().__init__(name, help, labelnames)
+        self.kind = kind
+        self._read = read
+        # ``_children`` holds only what ranks shipped: series -> amount.
+
+    def fold(self, key: tuple, amount: float) -> None:
+        """Add a rank's shipped movement of one series (cross-rank merge)."""
+        with self._lock:
+            self._children[key] = self._children.get(key, 0.0) + amount
+
+    def samples(self) -> list[tuple[tuple, object]]:
+        values: dict[tuple, float] = {}
+        for tally in (*self._read(), self._children):
+            if tally is None:
+                continue
+            if not isinstance(tally, dict):
+                tally = {(): tally} if tally else {}
+            # dict() of a dict is one atomic copy: writers never block.
+            for key, value in dict(tally).items():
+                if not isinstance(key, tuple):
+                    key = (str(key),)
+                values[key] = values.get(key, 0.0) + value
+        return [(key, _Reading(value)) for key, value in values.items()]
 
 
 class MetricsRegistry:
@@ -233,6 +263,11 @@ class MetricsRegistry:
             Histogram, name, help, labelnames, buckets=buckets
         )
 
+    def view(self, name, kind, help="", labelnames=(), read=tuple) -> View:
+        return self._get_or_create(
+            View, name, help, labelnames, kind=kind, read=read
+        )
+
     def collect(self) -> list[_Instrument]:
         with self._lock:
             return list(self._metrics.values())
@@ -247,30 +282,16 @@ class MetricsRegistry:
         histogram bucket counts included, so bucket-level deltas fold into
         the parent exactly.
         """
-        if not structured:
-            out: dict[str, dict[tuple, float]] = {}
-            for metric in self.collect():
-                values: dict[tuple, float] = {}
-                for key, child in metric.samples():
-                    values[key] = (
-                        child.sum if metric.kind == "histogram" else child.value
-                    )
-                out[metric.name] = values
-            return out
         state: dict[str, dict] = {}
         for metric in self.collect():
-            children: dict[tuple, object] = {}
-            for key, child in metric.samples():
-                if metric.kind == "histogram":
-                    with child._lock:
-                        children[key] = {
-                            "counts": list(child.counts),
-                            "sum": child.sum,
-                            "count": child.count,
-                        }
-                else:
-                    children[key] = child.value
-            entry: dict = {
+            children = {key: child.state() for key, child in metric.samples()}
+            if not structured:
+                state[metric.name] = {
+                    key: value["sum"] if isinstance(value, dict) else value
+                    for key, value in children.items()
+                }
+                continue
+            entry = state[metric.name] = {
                 "kind": metric.kind,
                 "help": metric.help,
                 "labelnames": list(metric.labelnames),
@@ -278,7 +299,6 @@ class MetricsRegistry:
             }
             if metric.kind == "histogram":
                 entry["buckets"] = list(metric.buckets)
-            state[metric.name] = entry
         return state
 
     @staticmethod
@@ -326,20 +346,16 @@ class MetricsRegistry:
     def merge(self, delta: dict) -> None:
         """Fold a structured delta (from :meth:`delta`) into this registry.
 
-        Instruments are created on demand with the shipped kind, help,
-        labelnames and buckets; counter deltas ``inc`` and histogram
-        deltas land bucket-by-bucket, so the merged exposition is exactly
-        what one process observing both streams would have recorded.
+        A metric this registry holds as a view folds into it; others are
+        created on demand with the shipped kind, help, labelnames and
+        buckets.  Counter deltas ``inc`` and histogram deltas land
+        bucket-by-bucket, so the merged exposition is exactly what one
+        process observing both streams would have recorded.
         """
         for name, entry in delta.items():
             labelnames = tuple(entry.get("labelnames", ()))
             kind = entry["kind"]
-            if kind == "counter":
-                metric = self.counter(name, entry.get("help", ""), labelnames)
-                for key, value in entry["children"].items():
-                    if value > 0:
-                        metric.labels(**dict(zip(labelnames, key))).inc(value)
-            elif kind == "histogram":
+            if kind == "histogram":
                 metric = self.histogram(
                     name, entry.get("help", ""), labelnames,
                     buckets=tuple(entry.get("buckets", DEFAULT_BUCKETS)),
@@ -349,56 +365,43 @@ class MetricsRegistry:
                     child.absorb(
                         value["counts"], value["sum"], value["count"]
                     )
+            elif kind == "counter":
+                with self._lock:
+                    held = self._metrics.get(name)
+                if not isinstance(held, View):
+                    held = self.counter(name, entry.get("help", ""), labelnames)
+                for key, value in entry["children"].items():
+                    if value <= 0:
+                        continue
+                    if isinstance(held, View):
+                        held.fold(tuple(key), value)
+                    else:
+                        held.labels(**dict(zip(labelnames, key))).inc(value)
             # Gauges never travel (see delta()); unknown kinds are skipped
             # rather than raised — a merge must not break the reply path.
 
 
-class _NullChild:
-    __slots__ = ()
-    value = 0.0
-    sum = 0.0
-    count = 0
+class _Null:
+    """The disabled instrument, and its own child: absorbs everything."""
 
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def dec(self, amount: float = 1.0) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-
-_NULL_CHILD = _NullChild()
-
-
-class _NullInstrument:
     __slots__ = ()
     kind = "null"
+    value = sum = 0.0
+    count = 0
 
     def labels(self, **labelvalues):
-        return _NULL_CHILD
+        return self
 
-    def inc(self, amount: float = 1.0, **labelvalues) -> None:
+    def inc(self, *args, **labelvalues) -> None:
         return None
 
-    def dec(self, amount: float = 1.0, **labelvalues) -> None:
-        return None
-
-    def set(self, value: float, **labelvalues) -> None:
-        return None
-
-    def observe(self, value: float, **labelvalues) -> None:
-        return None
+    dec = set = observe = inc
 
     def samples(self) -> list:
         return []
 
 
-_NULL_INSTRUMENT = _NullInstrument()
+_NULL = _Null()
 
 
 class NullMetrics:
@@ -406,14 +409,10 @@ class NullMetrics:
 
     enabled = False
 
-    def counter(self, name, help="", labelnames=()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
+    def counter(self, *args, **kwargs) -> _Null:
+        return _NULL
 
-    def gauge(self, name, help="", labelnames=()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name, help="", labelnames=(), buckets=()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
+    gauge = histogram = view = counter
 
     def collect(self) -> list:
         return []

@@ -154,17 +154,7 @@ class Tracer:
 
     def instant(self, name: str, category: str, **args) -> Span:
         """Record a zero-duration event (deopts, quarantines, ...)."""
-        span = Span(self, name, category, args)
-        span.span_id = next(self._ids)
-        stack = self._stack()
-        span.parent_id = stack[-1] if stack else None
-        current = threading.current_thread()
-        span.thread = current.name
-        span.tid = current.ident or 0
-        span.start = time.perf_counter() - self.epoch
-        with self._lock:
-            self._spans.append(span)
-        return span
+        return self.complete(name, category, self.rel_now(), 0.0, **args)
 
     def complete(
         self, name: str, category: str, start: float, duration: float, **args

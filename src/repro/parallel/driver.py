@@ -38,6 +38,7 @@ import hashlib
 import multiprocessing
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,9 +195,10 @@ def _worker_main(rank: int, size: int, spool, config: WorkerConfig):
     if config.flight_dir:
         flight = FlightRecorder(dump_dir=config.flight_dir, rank=rank)
         flight.attach(session.obs, session.repository.diagnostics)
-    # The communicator traces its own MPI_Send/MPI_Recv spans and counts
-    # message traffic through the rank's session recorders.
+    # The communicator traces its own MPI_Send/MPI_Recv spans into the
+    # rank's tracer; the rank's metrics read its message tallies.
     comm = Communicator(rank, size, transport, obs=session.obs)
+    session.obs.attach(comm=comm)
     shipper = _ObsShipper(session, rank)
     seen = set()
     for text in config.sources:
@@ -324,6 +326,7 @@ class ParallelExecutor:
         self.diagnostics = session.repository.diagnostics
         self.enabled = True
         self.restarts = 0
+        self.calls = Counter()  # sharded calls completed, by plan kind
         self._tag = TAG_REPLY_BASE
         self._stale: list[tuple[int, int]] = []
         self._ctx = multiprocessing.get_context("fork")
@@ -332,6 +335,7 @@ class ParallelExecutor:
             0, self.size, self._transport,
             fault_plan=fault_plan, obs=self.obs,
         )
+        self.obs.attach(parallel=self, comm=self.comm)
         worker_specs = tuple(
             spec for spec in getattr(fault_plan, "specs", ())
             if spec.site == SITE_PARALLEL_WORKER
@@ -407,7 +411,6 @@ class ParallelExecutor:
             detail=f"rank {rank} respawned (restart {self.restarts})",
             cause=cause, rank=rank,
         )
-        self.obs.record_parallel_restart()
 
     def shutdown(self) -> None:
         # When observability is on, the shutdown carries a reply tag: each
@@ -524,7 +527,7 @@ class ParallelExecutor:
         )
         if plan.rng_from_last and last_rng is not None:
             GLOBAL_RANDOM.restore(last_rng)
-        self.obs.record_parallel_call("tile")
+        self.calls["tile"] += 1
         self.obs.record_parallel_seconds(
             name, time.perf_counter() - started
         )
@@ -584,7 +587,7 @@ class ParallelExecutor:
                     f"rank {rank} cross-check mismatch on rows "
                     f"{lo}:{hi} of '{name}'"
                 )
-        self.obs.record_parallel_call("replicate")
+        self.calls["replicate"] += 1
         self.obs.record_parallel_seconds(
             name, time.perf_counter() - started
         )
@@ -697,4 +700,3 @@ class ParallelExecutor:
         self.diagnostics.record(
             PARALLEL_FALLBACK, name, detail=detail, cause=exc, rank=rank,
         )
-        self.obs.record_parallel_fallback()

@@ -61,7 +61,12 @@ class Communicator:
         self.size = size
         self.transport = transport
         self.fault_plan = fault_plan
+        # Read for its (swappable) tracer only; ``None`` = untraced.
         self.obs = obs
+        # Message traffic by outcome (sent / received / dropped) — the
+        # one count; ``majic_parallel_{messages,bytes}_total`` read it.
+        self.messages = collections.Counter()
+        self.bytes = collections.Counter()
         # Buffered out-of-order arrivals: (src, tag) -> FIFO of envelopes
         # (the envelope is kept whole so its trace context survives
         # buffering and the receive span can still emit its flow event).
@@ -75,6 +80,11 @@ class Communicator:
     def _tracer(self):
         tracer = getattr(self.obs, "tracer", None)
         return tracer if tracer is not None and tracer.enabled else None
+
+    def _count(self, kind: str, nbytes: int) -> None:
+        self.messages[kind] += 1
+        if nbytes:
+            self.bytes[kind] += nbytes
 
     def send(self, dst: int, tag: int, value) -> None:
         """Ship ``value`` to ``dst`` under ``tag`` (MPI_Send)."""
@@ -92,8 +102,7 @@ class Communicator:
             # The spool file was lost in flight: the sender believes the
             # send succeeded, the receiver never sees it.  The driver's
             # recv timeout is what detects and absorbs this.
-            if self.obs is not None:
-                self.obs.record_parallel_message("dropped", envelope.nbytes)
+            self._count("dropped", envelope.nbytes)
             return
         started = tracer.rel_now() if tracer is not None else 0.0
         self.transport.send(envelope)
@@ -103,8 +112,7 @@ class Communicator:
                 dst=dst, tag=tag, nbytes=envelope.nbytes,
                 flow="s", flow_id=trace.msg_id,
             )
-        if self.obs is not None:
-            self.obs.record_parallel_message("sent", envelope.nbytes)
+        self._count("sent", envelope.nbytes)
 
     def recv(self, src: int, tag: int, timeout: float | None = None,
              fault_check: bool = True):
@@ -157,8 +165,7 @@ class Communicator:
                 "MPI_Recv", "mpi", started, tracer.rel_now() - started,
                 **args,
             )
-        if self.obs is not None:
-            self.obs.record_parallel_message("received", envelope.nbytes)
+        self._count("received", envelope.nbytes)
         return decode_value(envelope.payload)
 
     # ------------------------------------------------------------------

@@ -148,6 +148,10 @@ class SpeculationEngine:
         if obs is None:
             obs = getattr(repository, "obs", None) or DISABLED_OBS
         self.obs = obs
+        # ``restarts`` below is what majic_worker_restarts_total reads;
+        # the queue depth is a level, so it is pushed (bound once, here).
+        obs.attach(speculation=self)
+        self._push_depth = obs.push("majic_speculation_queue_depth")
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._quiet = threading.Condition(self._lock)
@@ -242,7 +246,8 @@ class SpeculationEngine:
                 return False
             self._queued[label] = task
         self._queue.put(task)
-        self.obs.set_queue_depth(self.pending())
+        if self._push_depth is not None:
+            self._push_depth(self.pending())
         return True
 
     def submit_all(self) -> int:
@@ -324,9 +329,8 @@ class SpeculationEngine:
                     self._in_flight -= 1
                     # Gauge update inside the lock, *before* notifying:
                     # a drained foreground must observe the settled depth.
-                    self.obs.set_queue_depth(
-                        len(self._queued) + self._in_flight
-                    )
+                    if self._push_depth is not None:
+                        self._push_depth(len(self._queued) + self._in_flight)
                     if not self._queued and not self._in_flight:
                         self._quiet.notify_all()
             if died:
@@ -410,7 +414,6 @@ class SpeculationEngine:
                     detail=f"dead worker respawned (restart {self.restarts}/"
                     f"{policy.worker_max_restarts})",
                 )
-                self.obs.record_worker_restart()
 
     def _enter_degraded(self) -> None:
         """The restart budget is spent: flush the queue and stop accepting

@@ -86,12 +86,20 @@ class DiagnosticsLog:
 
     Recording is thread-safe: background speculation workers, the
     watchdog monitor and the foreground session share one log.
+
+    :attr:`totals` is the ledger: events ever recorded, per kind.  It
+    survives ring eviction and :meth:`clear`, and it is what
+    ``majic_events_total`` and the robustness counts of ``session.stats``
+    read (:meth:`local`), so neither is counted a second time anywhere.
     """
 
     capacity: int = 10_000
     _events: deque = field(default_factory=deque)
     _seq: int = 0
     _dropped: int = 0
+    totals: dict = field(default_factory=dict)
+    # The share of ``totals`` recorded on behalf of a worker rank.
+    _from_ranks: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _listeners: list = field(default_factory=list, repr=False)
 
@@ -114,6 +122,9 @@ class DiagnosticsLog:
     ) -> DiagnosticEvent:
         with self._lock:
             self._seq += 1
+            self.totals[kind] = self.totals.get(kind, 0) + 1
+            if rank:
+                self._from_ranks[kind] = self._from_ranks.get(kind, 0) + 1
             event = DiagnosticEvent(
                 kind=kind,
                 function=function,
@@ -159,6 +170,11 @@ class DiagnosticsLog:
             for event in self._events:
                 tally[event.kind] = tally.get(event.kind, 0) + 1
             return tally
+
+    def local(self, kind: str) -> int:
+        """Events of ``kind`` this process recorded for itself (ever; not
+        the ones surfaced from a worker rank's log)."""
+        return self.totals.get(kind, 0) - self._from_ranks.get(kind, 0)
 
     @property
     def dropped(self) -> int:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import CodegenError, MatlabError, RepositoryError
@@ -46,6 +47,7 @@ from repro.codegen.runtime_support import RuntimeSupport
 from repro.codegen.srcgen import SourceCompiler, SrcOptions
 from repro.interp.frontend import Invocation
 from repro.interp.interpreter import Interpreter
+from repro.kernels.cache import KERNEL_CACHE
 from repro.faults.plan import SITE_HANG, SITE_OOM
 from repro.obs import DISABLED as DISABLED_OBS
 from repro.obs import TIER_INTERPRETER, TIER_JIT, TIER_SPEC
@@ -86,24 +88,37 @@ class RepositoryStats:
     speculative_compiles: int = 0
     jit_compile_seconds: float = 0.0
     speculative_compile_seconds: float = 0.0
-    # Robustness counters (mirrored by the diagnostics event log).
-    deopts: int = 0
-    quarantines: int = 0
-    budget_skips: int = 0
-    compile_failures: int = 0
     # Responsiveness counters (background speculation + persistent cache).
     background_compiles: int = 0
     cache_hits: int = 0
     cache_stores: int = 0
+    # Persistent-cache probes by result ("hit" / "miss"), first seen first.
+    cache_requests: Counter = field(default_factory=Counter)
     # Observability: executions by tier (summary()/profiler cross-checks).
     calls_jit: int = 0
     calls_spec: int = 0
     calls_interpreted: int = 0
+    # The session's event log.  The robustness counts are its per-kind
+    # totals — each is one ``diagnostics.record`` and nothing else.
+    events: DiagnosticsLog = field(default_factory=DiagnosticsLog, repr=False)
+
+    deopts = property(lambda self: self.events.local(DEOPT))
+    quarantines = property(lambda self: self.events.local(QUARANTINE))
+    budget_skips = property(lambda self: self.events.local(BUDGET_SKIP))
+    compile_failures = property(lambda self: self.events.local(COMPILE_FAILURE))
 
     @property
     def fallback_interpreted(self) -> int:
         """Calls the bottom version served (one count, two names)."""
         return self.calls_interpreted
+
+    @property
+    def calls_by_tier(self) -> dict[str, int]:
+        return {
+            TIER_INTERPRETER: self.calls_interpreted,
+            TIER_JIT: self.calls_jit,
+            TIER_SPEC: self.calls_spec,
+        }
 
 
 @dataclass(frozen=True)
@@ -192,13 +207,14 @@ class CodeRepository:
         self.cache = cache
         self.snoop = DirectorySnoop()
         self.depgraph = DependencyGraph()
-        self.stats = RepositoryStats()
         self.diagnostics = DiagnosticsLog(
             capacity=diagnostics_capacity
             if diagnostics_capacity is not None else 10_000
         )
-        # Robustness events mirror into the metrics registry and the
-        # trace stream for free (deopts, quarantines, budget skips, ...).
+        self.stats = RepositoryStats(events=self.diagnostics)
+        # The metrics registry reads these tallies (repro.obs.instruments)
+        # and robustness events reach the trace stream for free.
+        self.obs.attach(repository=self, kernels=KERNEL_CACHE)
         self.obs.bind_diagnostics(self.diagnostics)
         # Supervision tier (repro.resilience): watchdog deadlines around
         # compiles/runs, and optionally a sandbox for first runs.
@@ -207,14 +223,12 @@ class CodeRepository:
             compile_deadline=self.resilience.compile_deadline,
             run_deadline=self.resilience.run_deadline,
             diagnostics=self.diagnostics,
-            obs=self.obs,
         )
         self.sandbox = (
             SandboxExecutor(
                 timeout=self.resilience.sandbox_timeout,
                 fault_plan=fault_plan,
                 diagnostics=self.diagnostics,
-                obs=self.obs,
             )
             if self.resilience.sandbox else None
         )
@@ -394,8 +408,6 @@ class CodeRepository:
         ends quarantined, a transient one is retried on a later call);
         anything else — a speculative crash, a dead worker task — leaves
         it eligible: the concrete call-site types may well compile."""
-        with self._lock:
-            self.stats.compile_failures += 1
         self.diagnostics.record(
             COMPILE_FAILURE, name,
             detail=f"{mode} compile failed",
@@ -471,7 +483,7 @@ class CodeRepository:
             self._inlined[name] = prepared
             used = (
                 inliner.inlined_names
-                | (_called_names(prepared) & set(self._functions))
+                | (ast.called_names(prepared) & set(self._functions))
             )
             self.depgraph.set_dependencies(name, used - {name})
         return prepared
@@ -543,6 +555,12 @@ class CodeRepository:
         with self._lock:
             return list(self._objects.get(name, ()))
 
+    @property
+    def compiles_by_mode(self) -> Counter:
+        """Completed compiles per mode, first seen first (one
+        :attr:`compile_log` entry each)."""
+        return Counter(mode for _, mode, _ in list(self.compile_log))
+
     # ------------------------------------------------------------------
     # Persistent cache plumbing
     # ------------------------------------------------------------------
@@ -569,19 +587,19 @@ class CodeRepository:
             return None
         with self.obs.tracer.span("cache.load", "cache", function=name):
             obj = self.cache.get(key)
+        with self._lock:
+            hit = obj is not None and obj.name == name
+            self.stats.cache_requests["hit" if hit else "miss"] += 1
         if obj is None:
-            self.obs.record_cache("miss")
             return None
-        if obj.name != name:
+        if not hit:
             # Hash collision or tampering: refuse the entry.
-            self.obs.record_cache("miss")
             self.cache.evict(key)
             self.diagnostics.record(
                 CACHE_LOAD, name,
                 detail=f"rejected cache entry {key[:12]} naming '{obj.name}'",
             )
             return None
-        self.obs.record_cache("hit")
         self.diagnostics.record(
             CACHE_LOAD, name,
             detail=f"loaded {obj.mode} version from cache entry {key[:12]}",
@@ -678,7 +696,7 @@ class CodeRepository:
                     if mode == "jit":
                         compiler, tag = JitCompiler(
                             self.jit_options, fault_plan=self.fault_plan,
-                            tracer=self.obs.tracer, obs=self.obs,
+                            tracer=self.obs.tracer,
                         ), signature
                     else:
                         # The speculator derives a spec version's signature,
@@ -712,9 +730,8 @@ class CodeRepository:
     def _budget_skip(self, name, detail, signature="", flag=False) -> None:
         """Record one budget skip; ``flag`` also marks ``name`` as over the
         per-function budget, to be skipped up front from now on."""
-        with self._lock:
-            self.stats.budget_skips += 1
-            if flag:
+        if flag:
+            with self._lock:
                 self._budget_flagged.add(name)
         self.diagnostics.record(BUDGET_SKIP, name, detail=detail, signature=signature)
 
@@ -848,13 +865,14 @@ class CodeRepository:
         controller = self.tiering
         if controller is None:
             return self._serve(invocation, version)
-        deopts_before = self.stats.deopts
+        totals = self.diagnostics.totals
+        deopts_before = totals.get(DEOPT)
         start = time.perf_counter()
         results = self._serve(invocation, version)
         seconds = time.perf_counter() - start
         # A deopt mid-call means the bottom version produced the answer;
         # attribute the observation to the mode that served it.
-        served = self.stats.deopts == deopts_before
+        served = totals.get(DEOPT) == deopts_before
         controller.observe(
             invocation, version.mode if served else TIER_INTERPRETER, seconds
         )
@@ -926,7 +944,6 @@ class CodeRepository:
             self.stats.calls_spec += 1
         else:
             self.stats.calls_jit += 1
-        self.obs.record_call(mode)
         if compiled:
             rng_state = GLOBAL_RANDOM.snapshot()
             sink_mark = self.sink.mark()
@@ -1002,7 +1019,6 @@ class CodeRepository:
         cached crasher must not resurrect in a later session), roll back
         the half-run call's side effects, then serve the bottom version."""
         name = invocation.name
-        self.stats.deopts += 1
         self._remove_version(name, obj, evict=True)
         self.diagnostics.record(
             DEOPT, name,
@@ -1024,7 +1040,6 @@ class CodeRepository:
             )
             if quarantine:
                 self._uncompilable.add(name)
-                self.stats.quarantines += 1
         if quarantine:
             for version in self.versions_of(name):
                 self._remove_version(name, version, evict=True)
@@ -1075,7 +1090,7 @@ class CodeRepository:
     def _has_dynamic_calls(self, fn: ast.FunctionDef) -> bool:
         with self._lock:
             known = set(self._functions)
-        return bool(_called_names(fn) & known)
+        return bool(ast.called_names(fn) & known)
 
     def _find_version(self, name: str, signature: Signature):
         for version in self.versions_of(name):
@@ -1095,13 +1110,3 @@ class CodeRepository:
         if not self.knows(name):
             return None
         return self.execute(Invocation(name=name, args=args, nargout=nargout))
-
-
-def _called_names(fn: ast.FunctionDef) -> set[str]:
-    names: set[str] = set()
-    for stmt in ast.walk_stmts(fn.body):
-        for expr in ast.stmt_exprs(stmt):
-            for node in ast.walk_expr(expr):
-                if isinstance(node, ast.Apply):
-                    names.add(node.name)
-    return names

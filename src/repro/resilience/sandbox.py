@@ -174,12 +174,10 @@ class SandboxExecutor:
         timeout: float = 30.0,
         fault_plan=None,
         diagnostics=None,
-        obs=None,
     ):
         self.timeout = timeout
         self.fault_plan = fault_plan
         self.diagnostics = diagnostics
-        self.obs = obs
         self.trials = 0
         self.failures = 0
         self._lock = threading.Lock()

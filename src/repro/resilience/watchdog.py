@@ -45,6 +45,7 @@ import ctypes
 import itertools
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 #: Deadline kinds (label the diagnostics and pick the policy timeout).
@@ -248,7 +249,7 @@ class _GuardContext:
 class ExecutionGuard:
     """Per-repository watchdog facade over the shared monitor.
 
-    Carries the policy timeouts and the diagnostics/metrics wiring; hands
+    Carries the policy timeouts and the diagnostics wiring; hands
     out deadline contexts for the two guarded operation kinds.  A kind
     with no timeout yields a shared no-op context, so disabled guards add
     one attribute check to the hot path.
@@ -259,12 +260,10 @@ class ExecutionGuard:
         compile_deadline: float | None = None,
         run_deadline: float | None = None,
         diagnostics=None,
-        obs=None,
     ):
         self.compile_deadline = compile_deadline
         self.run_deadline = run_deadline
         self.diagnostics = diagnostics
-        self.obs = obs
         self.timeouts: list[tuple[str, str, float]] = []  # (label, kind, overrun)
         self._tls = threading.local()
         self._lock = threading.Lock()
@@ -297,5 +296,10 @@ class ExecutionGuard:
                 detail=f"{kind} overran its {deadline:.4f}s deadline; "
                 "cancelled by the watchdog",
             )
-        if self.obs is not None:
-            self.obs.record_watchdog_timeout(kind)
+
+    @property
+    def timeouts_by_kind(self) -> Counter:
+        """Cancellations per operation kind (what
+        ``majic_watchdog_timeouts_total`` reads)."""
+        with self._lock:
+            return Counter(kind for _, kind, _ in self.timeouts)

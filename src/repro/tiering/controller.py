@@ -138,9 +138,12 @@ class TierController:
         self.repo = None
         self._states: dict[str, _FunctionState] = {}
         self._lock = threading.RLock()
-        self.promotions = 0
-        self.demotions = 0
+        # What the controller did, counted once: ``report()`` and the
+        # session's ``majic_tier_*`` views read these.
+        self.promoted = Counter()   # promotions landed, by destination tier
+        self.demoted = Counter()    # demotions, by reason
         self.profile_restores = 0
+        self.obs.attach(tiering=self)
         self.profiles_saved = 0
 
     # ------------------------------------------------------------------
@@ -156,8 +159,7 @@ class TierController:
         held, never compiled again) is read from the repository."""
         if event.kind == QUARANTINE:
             with self._lock:
-                self.demotions += 1
-            self.obs.record_demotion("quarantine")
+                self.demoted["quarantine"] += 1
 
     def _state(self, name: str, create: bool = False):
         """The state learned under ``name``'s current generation; a moved
@@ -306,13 +308,12 @@ class TierController:
             if not ok or target not in state.asked:
                 return
             state.asked.discard(target)
-            self.promotions += 1
+            self.promoted[target] += 1
         self.repo.diagnostics.record(
             TIER_PROMOTE, name,
             detail=f"promoted to {target} "
             f"(hotness {self.hotness.score(name):.1f})",
         )
-        self.obs.record_promotion(target)
 
     def _demote(self, name, state, tier, compiled, interp) -> None:
         with self._lock:
@@ -323,7 +324,7 @@ class TierController:
             state.ewma.pop(tier, None)
             state.samples[tier] = 0
             pinned = state.demotions > self.policy.max_demotions
-            self.demotions += 1
+            self.demoted["slower"] += 1
         # The repository consults ``suppressed`` only when its hot-call
         # cache misses, so the demoted version must leave that cache.
         self.repo.unbind(name)
@@ -334,7 +335,6 @@ class TierController:
             f"{interp * 1e3:.3f}ms; serving from the interpreter"
             + (" (pinned)" if pinned else ""),
         )
-        self.obs.record_demotion("slower")
 
     # ------------------------------------------------------------------
     # Persistent profiles
@@ -352,7 +352,6 @@ class TierController:
         self.hotness.seed(name, score)
         with self._lock:
             self.profile_restores += 1
-        self.obs.record_profile_restore()
         self.repo.diagnostics.record(
             TIER_PROMOTE, name,
             detail=f"warm profile restored (tier {tier}, "
@@ -405,6 +404,14 @@ class TierController:
         if self.suppressed(name):
             return TIER_INTERPRETER
         return self.repo.held_mode(name)
+
+    @property
+    def promotions(self) -> int:
+        return sum(self.promoted.values())
+
+    @property
+    def demotions(self) -> int:
+        return sum(self.demoted.values())
 
     def report(self) -> dict:
         with self._lock:

@@ -116,8 +116,10 @@ def _scalar(value):
 #: product of non-integer factors and ``u`` = ``w / 2`` is not, so the two
 #: calls of ``inner`` need two signatures.  A ``u`` wrongly answered INT
 #: gets ``range(0, 2)`` and sums 0 + 1 where the answer is 0.5 + 1.5 (the
-#: ``return`` in the loop blocks inlining, keeping ``inner`` a call; the
-#: one-version batch compilers see the REAL call first).
+#: ``return`` in the loop blocks inlining, keeping ``inner`` a call).
+#: ``result-class-int-first`` calls ``inner`` with the INT vector first: a
+#: one-version batch compiler must not serve the REAL call from the object
+#: it compiled for INT (FALCON did, and summed ``range(0, 2)``).
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -132,6 +134,12 @@ PROBES = {
     "complex-colon-bound": Program((COMPLEX_BOUND,), "cfor", _scalar(3.0)),
     "result-class": Program(
         (RESULT_CLASS,), "classy",
+        lambda: [from_python(np.arange(0.5, 10.0))],
+    ),
+    "result-class-int-first": Program(
+        (RESULT_CLASS.replace(
+            "inner(u) + 10 * inner(w)", "10 * inner(w) + inner(u)"),),
+        "classy",
         lambda: [from_python(np.arange(0.5, 10.0))],
     ),
 }

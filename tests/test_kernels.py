@@ -127,16 +127,17 @@ def test_cache_capacity_env_knob(monkeypatch):
 
 
 def test_cache_eviction_metric(fresh_session, monkeypatch):
-    """Session evictions surface as majic_kernel_cache_evictions_total."""
-    from repro.kernels.cache import KernelCache
-
-    cache = KernelCache(capacity=1)
+    """Evictions surface as majic_kernel_cache_evictions_total — read
+    from the process-wide cache's own tally, not reported to the session."""
+    KERNEL_CACHE.clear()
+    monkeypatch.setattr(KERNEL_CACHE, "capacity", 1)
     session = fresh_session(metrics=True)
     descs = (DESC_BOXED, DESC_BOXED)
-    cache.get_or_compile(_distinct_tree(0), descs, obs=session.obs)
-    cache.get_or_compile(_distinct_tree(1), descs, obs=session.obs)
+    KERNEL_CACHE.get_or_compile(_distinct_tree(0), descs)
+    KERNEL_CACHE.get_or_compile(_distinct_tree(1), descs)
     text = session.metrics_text()
     session.close()
+    KERNEL_CACHE.clear()
     assert "majic_kernel_cache_evictions_total 1" in text
 
 
