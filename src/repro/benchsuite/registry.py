@@ -192,6 +192,17 @@ _add(Benchmark(
     smoke_scale=(10,),
 ))
 
+#: The paper's Table 2: benchmark -> (speculative, JIT) speedup of the same
+#: code generator fed either origin of type annotations.
+PAPER_TABLE2 = {
+    "crnich": (181, 181), "dirich": (817, 817), "finedif": (412, 413),
+    "icn": (48, 51), "mandel": (36, 54.0), "cgopt": (1, 1.16),
+    "mei": (4.24, 5.67), "qmr": (4.52, 5.68), "sor": (1.68, 1.79),
+    "adapt": (4.09, 4.16), "orbec": (146, 174), "orbrk": (465, 465),
+    "fractal": (663, 664), "galrkn": (61.7, 72.9), "ackermann": (4.04, 6.00),
+    "fibonacci": (3.49, 5.16),
+}
+
 
 def benchmark(name: str) -> Benchmark:
     try:

@@ -243,13 +243,12 @@ class Inliner:
             elif isinstance(node, (ast.UnaryOp, ast.Transpose)):
                 node.operand = rewrite(node.operand, False, frozen)
             elif isinstance(node, ast.Range):
-                # Evaluated start, stop, step.
-                parts = [node.start, node.stop]
-                if node.step is not None:
-                    parts.append(node.step)
-                node.start, node.stop, *step = each(parts, frozen)
-                if step:
-                    node.step = step[0]
+                # Evaluated in source order: start, step, stop.
+                if node.step is None:
+                    node.start, node.stop = each([node.start, node.stop], frozen)
+                else:
+                    node.start, node.step, node.stop = each(
+                        [node.start, node.step, node.stop], frozen)
             elif isinstance(node, ast.MatrixLit):
                 flat = iter(each([e for row in node.rows for e in row], frozen))
                 node.rows = [[next(flat) for _ in row] for row in node.rows]

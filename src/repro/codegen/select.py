@@ -593,9 +593,8 @@ class Walk:
             self.for_each(stmt, self.boxed(rng))
             return
         # A numeric loop over raw scalars; bounds are evaluated once, in
-        # the interpreter's order (start, stop, step).
+        # source order (start, step, stop).
         start = self.bind(self.colon_operand(rng.start), "lo")
-        stop = self.bind(self.colon_operand(rng.stop), "hi")
         step, direction = None, 1
         if rng.step is not None:
             step = self.bind(self.colon_operand(rng.step), "st")
@@ -604,6 +603,7 @@ class Walk:
                 direction = 0  # unknown sign: the target iterates frange()
             elif step_type.constant_value < 0:
                 direction = -1
+        stop = self.bind(self.colon_operand(rng.stop), "hi")
         self.counted_for(stmt, start, stop, step, direction)
 
     def condition(self, cond: ast.Expr):

@@ -142,12 +142,7 @@ class MajicSession:
             if cache_dir is True:
                 cache_dir = DEFAULT_CACHE_DIR
             self.cache_dir = cache_dir
-            cache = RepositoryCache(
-                cache_dir,
-                fault_plan=fault_plan,
-                io_retries=policy.cache_io_retries,
-                io_backoff=policy.cache_io_backoff,
-            )
+            cache = RepositoryCache(cache_dir, fault_plan=fault_plan)
         # fusion=False is the escape hatch disabling fused elementwise
         # kernels in both consumers (JIT codegen and the interpreter's
         # fast path); an explicit jit_options.fusion is respected.
@@ -177,7 +172,6 @@ class MajicSession:
                 submit=self._submit_background_task,
             )
             native = True
-            native_hot_threshold = policy_t.native_hot_threshold
             if adaptive_sync:
                 native_sync = True
         # The native (C) tier: native=True probes for a toolchain and, if

@@ -1,20 +1,14 @@
-"""Experiment harnesses: one module per table/figure of the paper.
+"""The paper's evaluation: one measurement matrix, every table and figure
+a view of it.
 
-* :mod:`~repro.experiments.table1` — benchmark inventory;
-* :mod:`~repro.experiments.figure4` — speedups, SPARC platform;
-* :mod:`~repro.experiments.figure5` — speedups, MIPS platform;
-* :mod:`~repro.experiments.figure6` — composition of JIT execution time;
-* :mod:`~repro.experiments.figure7` — disabling JIT optimizations;
-* :mod:`~repro.experiments.table2` — JIT vs. speculative type inference;
-* :mod:`~repro.experiments.responsiveness` — foreground-visible compile
-  cost: cold vs. background vs. warm disk cache.
+* :mod:`~repro.experiments.matrix` — the clock (one ``best_of`` loop), the
+  cells, the refusal of diverged runs, the result file;
+* :mod:`~repro.experiments.figures` — Table 1, Figures 4–7, Table 2,
+  Section 5 and responsiveness as views, each with its shape claims;
+* ``python -m repro.experiments {measure --out F | render F | show NAME |
+  run BENCH ...}`` — the one entry point.
 """
 
-from repro.experiments.harness import (
-    ENGINES,
-    RunResult,
-    run_benchmark,
-    speedup_table,
-)
+from repro.experiments.matrix import ENGINES, RunResult, run_benchmark
 
-__all__ = ["ENGINES", "RunResult", "run_benchmark", "speedup_table"]
+__all__ = ["ENGINES", "RunResult", "run_benchmark"]

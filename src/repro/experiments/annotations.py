@@ -1,14 +1,14 @@
-"""Table 2: JIT vs. speculative type inference.
+"""Table 2's instruments: one code generator, two origins of types.
 
 "[Table 2] compares the speedups produced by the same code generator using
 type annotations generated with either speculation or JIT type inference
 (the speedups were calculated without considering compile time)."
 
-Both columns therefore run the *same* (optimizing) code generator on the
-SPARC configuration; only the origin of the type annotations differs:
+Both engines therefore run the *same* (optimizing) code generator; only
+the origin of the type annotations differs:
 
-* **JIT** — forward inference from the invocation's actual signature;
-* **spec** — the speculator's backward/forward alternation, no calling
+* ``jit-ann`` — forward inference from the invocation's actual signature;
+* ``spec-ann`` — the speculator's backward/forward alternation, no calling
   context.  When the speculated signature does not accept the actual
   invocation, the JIT kicks in and the run uses invocation-derived
   annotations (the paper's recursive-benchmark case).
@@ -18,15 +18,10 @@ Compile time is excluded (batch warm-up before timing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.backends import Backend, Program
+from repro.backends import Backend
 from repro.baselines.engine import BaselineEngine
-from repro.benchsuite.registry import benchmark, benchmark_names
 from repro.codegen.jitgen import CompiledObject
 from repro.codegen.srcgen import SourceCompiler, SrcOptions
-from repro.experiments.harness import best_of, run_benchmark
-from repro.experiments.report import format_table
 from repro.frontend import ast_nodes as ast
 from repro.inference.speculation import Speculator
 from repro.runtime.mxarray import MxArray
@@ -90,68 +85,11 @@ def _has_dynamic_calls(fn: ast.FunctionDef, knows) -> bool:
     return False
 
 
-@dataclass
-class Table2Row:
-    benchmark: str
-    spec_speedup: float
-    jit_speedup: float
-    spec_missed: bool  # runtime recompilation was required
-
-
-def _annotation_backend(use_speculation: bool) -> Backend:
-    """A one-off row for the shared timing loop (not in ``BACKENDS``: it
-    is an experiment's instrument, not a way MaJIC serves programs)."""
-    return Backend(engine=lambda platform, sink: AnnotationEngine(
-        use_speculation, platform.native_opt_level, sink=sink))
-
-
-def generate(
-    names: list[str] | None = None,
-    repeats: int = 3,
-    scale_overrides: dict[str, tuple] | None = None,
-) -> list[Table2Row]:
-    overrides = scale_overrides or {}
-    rows = []
-    for name in names or benchmark_names():
-        scale = overrides.get(name, benchmark(name).default_scale)
-        interp = run_benchmark(name, "interp", scale=scale, repeats=repeats)
-        program = Program.benchmark(name, scale)
-        jit_time, _, _ = best_of(program, _annotation_backend(False), repeats)
-        spec_time, _, spec = best_of(program, _annotation_backend(True), repeats)
-        rows.append(
-            Table2Row(
-                benchmark=name,
-                spec_speedup=interp.runtime_s / spec_time if spec_time else 0.0,
-                jit_speedup=interp.runtime_s / jit_time if jit_time else 0.0,
-                spec_missed=bool(spec.engine.spec_misses),
-            )
-        )
-    return rows
-
-
-def render(rows: list[Table2Row]) -> str:
-    header = "Table 2: JIT vs. speculative type inference (compile time excluded)"
-    table = format_table(
-        ["benchmark", "spec.", "JIT", "spec/JIT", "runtime recompile"],
-        [
-            [
-                r.benchmark,
-                r.spec_speedup,
-                r.jit_speedup,
-                r.spec_speedup / r.jit_speedup if r.jit_speedup else 0.0,
-                "yes" if r.spec_missed else "",
-            ]
-            for r in rows
-        ],
-    )
-    return header + "\n" + table
-
-
-def main() -> str:  # pragma: no cover - CLI convenience
-    text = render(generate(repeats=1))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+#: engine name -> a one-off row for the shared timing loop (not in
+#: ``repro.backends.BACKENDS``: these are an experiment's instruments, not
+#: ways MaJIC serves programs).
+BACKENDS = {
+    name: Backend(engine=lambda platform, sink, spec=(name == "spec-ann"):
+                  AnnotationEngine(spec, platform.native_opt_level, sink=sink))
+    for name in ("jit-ann", "spec-ann")
+}

@@ -291,12 +291,12 @@ class Interpreter:
                 return ew.mlf_ctranspose(operand)
             return ew.mlf_transpose(operand)
         if isinstance(expr, ast.Range):
+            # Operands in source order (MATLAB's, and compiled code's).
             start = self.eval_expr(expr.start, env)
-            stop = self.eval_expr(expr.stop, env)
-            if expr.step is not None:
-                step = self.eval_expr(expr.step, env)
-                return ew.mlf_colon(start, step, stop)
-            return ew.mlf_colon(start, stop)
+            if expr.step is None:
+                return ew.mlf_colon(start, self.eval_expr(expr.stop, env))
+            step = self.eval_expr(expr.step, env)
+            return ew.mlf_colon(start, step, self.eval_expr(expr.stop, env))
         if isinstance(expr, ast.MatrixLit):
             rows = [
                 ew.mlf_horzcat([self.eval_expr(item, env) for item in row])

@@ -25,7 +25,7 @@ Lifecycle of one kernel:
    construction), times them on synthetic data, persists the winner's
    ``.so`` and flags, and loads it.
 4. Before first in-process use the fresh ``.so`` runs once in a forked
-   trial child (``policy.native_trial``): a crashing artifact kills the
+   trial child (where ``os.fork`` exists): a crashing artifact kills the
    fork, is evicted from the store, and the kernel is marked failed.
 5. Ready dispatches revalidate operands per call (float64, conforming
    shapes, real scalars) and fall back on any mismatch — a shape error
@@ -63,6 +63,10 @@ from repro.kernels.codegen import _BOOL_OPS
 
 #: How many consecutive run failures demote a ready kernel to failed.
 MAX_RUN_STRIKES = 3
+
+#: Hard subprocess timeout (seconds) on one out-of-band C compile: the
+#: watchdog for work that happens in a child process.
+COMPILE_DEADLINE = 60.0
 
 #: Element count and repetitions for the autotune timing loop.
 AUTOTUNE_N = 4096
@@ -265,7 +269,6 @@ class NativeEngine:
         All variants are bit-identical by construction (shared IEEE
         safety flags), so the tuner is free to pick purely on speed.
         """
-        deadline = self.policy.native_compile_deadline
         with tempfile.TemporaryDirectory(prefix="majic-native-") as tmp:
             candidates = []
             for tag, unroll, flags in VARIANTS:
@@ -275,7 +278,7 @@ class NativeEngine:
                     handle.write(generate_c(name, root, descs, unroll=unroll))
                 try:
                     self.toolchain.compile_shared(
-                        c_path, so_path, flags=flags, timeout=deadline
+                        c_path, so_path, flags=flags, timeout=COMPILE_DEADLINE
                     )
                 except Exception as exc:  # noqa: BLE001 - variant-local failure
                     from repro.native.toolchain import CompileTimeout
@@ -404,7 +407,7 @@ class NativeEngine:
 
     def _trial(self, name, cfn, descs, akey) -> None:
         """Sandbox the first run of a fresh ``.so`` in a forked child."""
-        if not self.policy.native_trial or not hasattr(os, "fork"):
+        if not hasattr(os, "fork"):
             return
         pid = os.fork()
         if pid == 0:

@@ -8,7 +8,7 @@ returns ``None`` on a machine with no toolchain, which disables the tier
 without disabling anything else.
 
 Compiles run in a child process with a hard timeout
-(``ResiliencePolicy.native_compile_deadline``) — the watchdog for work
+(``engine.COMPILE_DEADLINE``) — the watchdog for work
 that cannot be cancelled by in-process exception injection.  Every
 invocation carries :data:`SAFETY_FLAGS`: the fused Python kernels are the
 bit-identity reference, so the C side must stay plain IEEE-754 — no

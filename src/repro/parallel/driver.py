@@ -69,6 +69,10 @@ TAG_REPLY_BASE = 10_000
 #: How often the await loop wakes up to check worker liveness (s).
 ALIVE_POLL = 0.05
 
+#: Base of the dead-rank respawn backoff (s), doubled per restart, capped
+#: at 1 s.
+RESTART_BACKOFF = 0.02
+
 #: Replicate cross-checks only fire for results at least this large;
 #: smaller results are not worth a round trip per rank.
 MIN_CROSSCHECK_ROWS = 2
@@ -400,9 +404,7 @@ class ParallelExecutor:
                 cause=cause, rank=rank,
             )
             return
-        delay = min(
-            1.0, self.policy.parallel_restart_backoff * (2 ** self.restarts)
-        )
+        delay = min(1.0, RESTART_BACKOFF * (2 ** self.restarts))
         self.restarts += 1
         time.sleep(delay)
         self._spawn(rank)

@@ -73,20 +73,6 @@ class ResiliencePolicy:
     #: How many times a task that killed its worker is retried before it
     #: is quarantined as poison.
     worker_max_task_retries: int = 2
-    #: Wall-clock deadline on one out-of-band native (C) kernel compile.
-    #: Enforced as a hard subprocess timeout on the toolchain invocation —
-    #: the watchdog equivalent for work that happens in a child process.
-    native_compile_deadline: float | None = 60.0
-    #: Smoke-test a freshly compiled (not cache-revived) ``.so`` in a
-    #: forked child before trusting it in-process — the sandbox tier for
-    #: native code.  On by default: the trial runs once per compile, off
-    #: the hot path, and a crashing artifact then kills the fork, never
-    #: the session.  Skipped automatically where ``os.fork`` is missing.
-    native_trial: bool = True
-    #: Transient-IO retry budget for one cache read/write.
-    cache_io_retries: int = 3
-    #: Base of the cache retry backoff (seconds), doubled per attempt.
-    cache_io_backoff: float = 0.005
     #: How long the parallel driver waits for one worker rank's reply
     #: before declaring the message lost and falling back to serial
     #: execution (:mod:`repro.parallel`).
@@ -94,9 +80,6 @@ class ResiliencePolicy:
     #: Dead parallel-worker respawns paid for before the parallel backend
     #: degrades to serial execution for the rest of the session.
     parallel_max_restarts: int = 4
-    #: Base of the parallel-worker respawn backoff (seconds), doubled per
-    #: restart of the same rank, capped at 1s.
-    parallel_restart_backoff: float = 0.02
 
     def with_overrides(self, **kwargs) -> "ResiliencePolicy":
         """A copy with the given fields replaced (None values kept)."""

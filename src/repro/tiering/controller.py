@@ -59,6 +59,9 @@ PROFILE_TAG = "tiering-profile"
 #: controller's kernel hotness counter).
 LADDER = (TIER_INTERPRETER, TIER_JIT, TIER_SPEC)
 
+#: Smoothing of the per-function, per-tier latency EWMA.
+EWMA_ALPHA = 0.3
+
 
 @dataclass(frozen=True)
 class TieringPolicy:
@@ -74,10 +77,8 @@ class TieringPolicy:
 
     jit_threshold: float = 3.0       # hotness before interpreter -> jit
     spec_threshold: float = 12.0     # hotness before jit -> spec
-    native_hot_threshold: int = 2    # kernel dispatches before a C compile
     decay_interval: int = 512        # observations between decay sweeps
     decay_factor: float = 0.5        # score multiplier per sweep
-    ewma_alpha: float = 0.3          # per-tier latency smoothing
     min_samples: int = 4             # samples per tier before demoting
     demote_margin: float = 1.5       # compiled slower than interp by this
     redemote_backoff: float = 2.0    # threshold growth per demotion
@@ -195,12 +196,11 @@ class TierController:
     def observe(self, invocation, tier: str, seconds: float) -> None:
         """Record one served call: which tier ran it, and how long."""
         name = invocation.name
-        alpha = self.policy.ewma_alpha
         state = self._state(name, create=True)
         with self._lock:
             prev = state.ewma.get(tier)
             state.ewma[tier] = (
-                seconds if prev is None else prev + alpha * (seconds - prev)
+                seconds if prev is None else prev + EWMA_ALPHA * (seconds - prev)
             )
             state.samples[tier] = state.samples.get(tier, 0) + 1
         self._consider(name, state, tier, self.hotness.record(name), invocation)

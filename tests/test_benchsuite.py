@@ -14,7 +14,7 @@ from repro.benchsuite.registry import (
     benchmark_names,
     source_of,
 )
-from repro.experiments.harness import ENGINES, run_benchmark
+from repro.experiments.matrix import ENGINES, run_benchmark
 
 
 class TestRegistry:
@@ -55,6 +55,30 @@ class TestRegistry:
         for name in benchmark_names():
             for helper in benchmark(name).helpers:
                 assert source_of(helper)
+
+    def test_package_data_ships_every_data_file(self):
+        """pyproject.toml is the one packaging spelling: every non-Python
+        file under src/repro is matched by a package-data glob, and every
+        glob matches a file."""
+        import tomllib
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        globs = tomllib.loads((root / "pyproject.toml").read_text())[
+            "tool"]["setuptools"]["package-data"]
+        assert not (root / "setup.py").exists()
+        shipped = set()
+        for package, patterns in globs.items():
+            base = root / "src" / package.replace(".", "/")
+            for pattern in patterns:
+                matched = set(base.glob(pattern))
+                assert matched, f"{package}: {pattern} matches nothing"
+                shipped |= matched
+        data_files = {
+            path for path in (root / "src" / "repro").rglob("*")
+            if path.is_file() and path.suffix not in (".py", ".pyc")
+        }
+        assert data_files == shipped
 
 
 def _timed_call_diverges(name, engine, **kwargs):

@@ -93,6 +93,13 @@ RESULT_CLASS = (
     "function t = inner(w)\nt = 0;\n"
     "for k = w(1):w(2), t = t + k; if t > 99, return; end, end\n"
 )
+COLON_ORDER = (
+    "function r = colord(n)\nv = lo(n):st(n):hi(n);\nr = sum(v);\n"
+    "for k = lo(n):st(n):hi(n), r = r + k; end\n"
+    "function a = lo(n)\ndisp(1);\na = n;\n"
+    "function s = st(n)\ndisp(2);\ns = n + 1;\n"
+    "function b = hi(n)\ndisp(3);\nb = 4 * n + 5;\n"
+)
 
 
 def _scalar(value):
@@ -120,6 +127,12 @@ def _scalar(value):
 #: ``result-class-int-first`` calls ``inner`` with the INT vector first: a
 #: one-version batch compiler must not serve the REAL call from the object
 #: it compiled for INT (FALCON did, and summed ``range(0, 2)``).
+#: ``a:s:b`` evaluates its operands in source order, as an expression and
+#: as a ``for`` header; the three operands ``disp`` so the transcript
+#: shows it (the interpreter and the inliner went start, stop, step, and
+#: so did a compiled ``for`` header — while a compiled expression and mcc
+#: went start, step, stop).  ``-called`` gives each callee a mid-body
+#: ``return``, which blocks inlining and keeps the operands real calls.
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -141,6 +154,11 @@ PROBES = {
             "inner(u) + 10 * inner(w)", "10 * inner(w) + inner(u)"),),
         "classy",
         lambda: [from_python(np.arange(0.5, 10.0))],
+    ),
+    "colon-operand-order": Program((COLON_ORDER,), "colord", _scalar(1.0)),
+    "colon-operand-order-called": Program(
+        (COLON_ORDER.replace(");\n", ");\nif n < 0, return; end\n"),),
+        "colord", _scalar(1.0),
     ),
 }
 
