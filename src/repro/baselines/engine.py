@@ -100,14 +100,8 @@ class BaselineEngine:
     @staticmethod
     def _compiled_for(obj: CompiledObject, args: list[MxArray]) -> bool:
         """One version, compiled for the first call's types and ranges: a
-        call it was not compiled for is interpreted.  (⊤ formals — mcc's —
-        were compiled for every call, so they are not re-derived per call.)"""
-        signature = obj.signature
-        return (
-            all(formal.is_top_like for formal in signature)
-            or obj.fast_accepts(args)
-            or signature.accepts(signature_of_values(args))
-        )
+        call it was not compiled for is interpreted."""
+        return len(args) == len(obj.signature) and obj.accepts(args)
 
     def _call_user(self, name: str, args: list[MxArray], nargout: int):
         return tuple(self.execute(name, args, nargout))

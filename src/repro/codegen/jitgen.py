@@ -13,6 +13,7 @@ function's AST to a compiled object.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ from repro.frontend import ast_nodes as ast
 from repro.inference.annotations import Annotations
 from repro.inference.engine import InferenceOptions, TypeInferenceEngine
 from repro.inference.speculation import Speculator
+from repro.codegen.runtime_support import box, unbox
 from repro.codegen.select import (
     BOXED,
     RAW_COMPLEX,
@@ -30,7 +32,8 @@ from repro.codegen.select import (
     Walk,
 )
 from repro.obs.trace import NULL_TRACER
-from repro.typesys.signature import Signature
+from repro.runtime.mxarray import IntrinsicClass
+from repro.typesys.signature import INTRINSIC_OF_CLASS, Signature
 from repro.vcode.emit import EmittedFunction, emit_python
 from repro.vcode.icode import (
     Block,
@@ -102,69 +105,134 @@ class CompiledObject:
     def source(self) -> str:
         return self.emitted.source
 
-    # Lazily built fast-path acceptance table: for signatures made purely
-    # of scalar formals with top ranges, safety can be checked per argument
-    # with two precomputed booleans instead of full MType construction.
-    _fast_table = None
+    # Built once per version, on first use (never pickled: the disk cache
+    # stores a field-by-field copy).  ``_formals``: per formal, what
+    # :meth:`accepts` compares a value against.  ``_pins``: per formal, the
+    # class of an actual at distance 0, or 0 — no class — when the formal
+    # admits none (:meth:`exact_for`).  ``_unbox``: per formal, whether the
+    # emitted code takes the argument as a raw host scalar; empty when it
+    # takes every one boxed.
+    _formals = None
+    _pins = None
+    _unbox = None
 
-    def fast_accepts(self, arg_values) -> bool:
-        """Cheap sufficient (not necessary) safety check for hot calls."""
-        table = self._fast_table
-        if table is None:
-            table = self._build_fast_table()
-            self._fast_table = table
-        if table is False or len(arg_values) != len(table):
+    def _bind(self) -> None:
+        formals, pins = [], []
+        for formal in self.signature.types:
+            classes = [False] * (max(IntrinsicClass) + 1)
+            pin = 0
+            for klass, intrinsic in INTRINSIC_OF_CLASS.items():
+                classes[klass] = intrinsic.leq(formal.intrinsic)
+                if intrinsic is formal.intrinsic:
+                    pin = int(klass)
+            minshape, maxshape, rng = formal.minshape, formal.maxshape, formal.range
+            formals.append((
+                tuple(classes),
+                _dim(minshape.rows), _dim(minshape.cols),
+                _dim(maxshape.rows), _dim(maxshape.cols),
+                rng.is_top, rng.lo, rng.hi,
+            ))
+            # ``Signature.distance`` is 0 for the formal's own class at its
+            # exact shape when the range penalty is 0: a constant against
+            # the same constant, or ⊤ against an actual whose range is
+            # always ⊤ (complex, string, empty).
+            pinned = formal.has_exact_shape and (
+                rng.is_constant
+                or rng.is_top and (pin >= _COMPLEX or minshape.numel == 0)
+            )
+            pins.append(pin if pinned else 0)
+        self._pins = tuple(pins)
+        unbox_flags = tuple(
+            kind in (RAW_REAL, RAW_INT, RAW_COMPLEX) for kind in self.param_reprs
+        )
+        self._unbox = unbox_flags if any(unbox_flags) else ()
+        # Last: a thread that sees the rows sees all three.
+        self._formals = tuple(formals)
+
+    def accepts(self, arg_values) -> bool:
+        """Safety of running this version on these values (§2.2.1):
+        exactly ``signature.accepts`` of the invocation signature
+        ``signature_of_values(arg_values)`` padded with ⊥ to this arity,
+        answered from the values without building it.  The repository's
+        one acceptance predicate: the hot-call cache and ``locate`` both
+        ask it."""
+        formals = self._formals
+        if formals is None:
+            self._bind()
+            formals = self._formals
+        if len(arg_values) > len(formals):
             return False
-        from repro.runtime.mxarray import IntrinsicClass
-
-        for value, (accepts_int, accepts_real) in zip(arg_values, table):
-            if value.rows != 1 or value.cols != 1:
+        for value, (classes, min_rows, min_cols, max_rows, max_cols,
+                    any_range, lo, hi) in zip(arg_values, formals):
+            klass = value.tag
+            if klass is None:
+                klass = value.klass
+            if not classes[klass]:
                 return False
-            klass = value.klass
-            if klass is IntrinsicClass.REAL:
-                if not accepts_real:
-                    return False
-            elif klass in (IntrinsicClass.INT, IntrinsicClass.BOOL):
-                if not accepts_int:
+            rows, cols = value.rows, value.cols
+            if (rows < min_rows or cols < min_cols
+                    or rows > max_rows or cols > max_cols):
+                return False
+            if any_range:
+                continue
+            # A finite-range formal: the actual's range is ⊤ for complex,
+            # string, empty and NaN-holding values (``type_of_value``),
+            # which only a ⊤ formal contains; NaN fails both comparisons.
+            if klass >= _COMPLEX or rows == 0 or cols == 0:
+                return False
+            if rows == 1 and cols == 1:
+                scalar = value.data.item(0).real
+                if not lo <= scalar <= hi:
                     return False
             else:
+                view = value.view().real
+                if not (lo <= view.min() and view.max() <= hi):
+                    return False
+        return True
+
+    def exact_for(self, arg_values) -> bool:
+        """Given :meth:`accepts`: is the invocation provably at distance 0
+        from this signature?  Signatures of held versions are distinct, so
+        no other version can then be as close, and the hot-call cache may
+        serve this one without ranking."""
+        pins = self._pins
+        if len(arg_values) != len(pins):
+            return False
+        for value, pin in zip(arg_values, pins):
+            if value.klass != pin:
                 return False
         return True
 
-    def _build_fast_table(self):
-        from repro.typesys.intrinsic import Intrinsic
-        from repro.typesys.mtype import MType
-
-        int_scalar = MType.scalar(Intrinsic.INT)
-        real_scalar = MType.scalar(Intrinsic.REAL)
-        table = []
-        for formal in self.signature.types:
-            accepts_int = int_scalar.leq(formal)
-            accepts_real = real_scalar.leq(formal)
-            if not accepts_int and not accepts_real:
-                return False
-            table.append((accepts_int, accepts_real))
-        return table
-
     def invoke(self, arg_values, nargout: int, rt):
         """Execute with boxed arguments; returns boxed outputs."""
-        from repro.codegen.runtime_support import box, unbox
-
-        raw_args = []
-        for value, kind in zip(arg_values, self.param_reprs):
-            if kind in (RAW_REAL, RAW_INT, RAW_COMPLEX):
-                raw_args.append(unbox(value))
-            else:
-                raw_args.append(value)
-        results = self.emitted.callable(*raw_args, rt)
+        flags = self._unbox
+        if flags is None:
+            self._bind()
+            flags = self._unbox
+        if flags:
+            arg_values = [
+                unbox(value) if raw else value
+                for value, raw in zip(arg_values, flags)
+            ]
+        results = self.emitted.callable(*arg_values, rt)
         outputs = []
-        for value in results[: max(nargout, 1) if self.output_reprs else 0]:
+        for value in results[: nargout if nargout > 1 else 1]:
             if value is None:
                 raise CodegenError(
                     f"output of '{self.name}' was never assigned"
                 )
             outputs.append(box(value))
         return outputs
+
+
+def _dim(dim) -> float:
+    """A shape bound as a number (``None`` is the lattice's ∞)."""
+    return math.inf if dim is None else dim
+
+
+#: The classes whose values carry no range (``type_of_value`` gives them
+#: ⊤) are COMPLEX and, above it in the enum, STRING: ``klass >= _COMPLEX``.
+_COMPLEX = IntrinsicClass.COMPLEX
 
 
 def compile_function(

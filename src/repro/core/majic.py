@@ -417,7 +417,7 @@ class MajicSession:
         """
         if self.parallel is not None and self.parallel.enabled:
             return self.parallel.call(name, list(args), nargout=nargout)
-        return self.frontend.call(name, list(args), nargout=nargout)
+        return self.frontend.call(name, args, nargout)
 
     def get(self, name: str):
         """Read a workspace variable as a host value."""
@@ -502,6 +502,8 @@ class MajicSession:
             f"calls            {calls} total: {stats.calls_jit} jit, "
             f"{stats.calls_spec} spec, {stats.calls_interpreted} interpreted "
             f"({compiled_pct:.1f}% compiled)",
+            f"dispatch         {stats.lookups} locates in {calls} calls "
+            "(the rest: hot-call cache hits, or the bottom version unasked)",
             f"compiles         {stats.jit_compiles} jit, "
             f"{stats.speculative_compiles} speculative "
             f"({stats.background_compiles} in background), "

@@ -9,7 +9,7 @@ repository, which locates or compiles suitable code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
@@ -20,14 +20,14 @@ from repro.runtime.mxarray import MxArray
 from repro.typesys.signature import Signature, signature_of_values
 
 
-@dataclass
+@dataclass(slots=True)
 class Invocation:
     """A deferred function call passed from the front end to the
     repository (Section 2: "an invocation containing the name of a MATLAB
     function and the values of the parameters")."""
 
     name: str
-    args: list[MxArray] = field(default_factory=list)
+    args: list[MxArray]
     nargout: int = 1
 
     @property
@@ -60,17 +60,16 @@ class MajicFrontEnd:
         self.interpreter.run_statements(program.script, self.workspace)
 
     def call(self, name: str, args: list[MxArray], nargout: int = 1):
-        """Invoke a function by name through the repository."""
-        invocation = Invocation(name=name, args=list(args), nargout=nargout)
-        return self.repository.execute(invocation)
+        """Invoke a function by name through the repository (which gets
+        its own list of the arguments)."""
+        return self.repository.execute(Invocation(name, list(args), nargout))
 
     # ------------------------------------------------------------------
     def _dispatch(self, name: str, args: list[MxArray], nargout: int):
         """Front-end deferral hook: route user calls to the repository."""
         if self.repository is None or not self.repository.knows(name):
             return None
-        invocation = Invocation(name=name, args=args, nargout=nargout)
-        return self.repository.execute(invocation)
+        return self.repository.execute(Invocation(name, args, nargout))
 
     def _lookup_source(self, name: str) -> ast.FunctionDef | None:
         if self.repository is None:

@@ -143,9 +143,9 @@ def unframe_payload(data: bytes) -> bytes:
 
 def serialize_object(obj: CompiledObject) -> bytes:
     """Pickle a compiled object with its host callable stripped."""
+    # ``replace`` copies fields only: what a version binds lazily for the
+    # serve path (``CompiledObject._bind``) never reaches the payload.
     stripped = replace(obj, emitted=replace(obj.emitted, callable=None))
-    # Drop the lazily built fast-accept table: it is rebuilt on demand.
-    stripped.__dict__.pop("_fast_table", None)
     return serialize_payload(stripped)
 
 

@@ -77,13 +77,15 @@ from repro.repository.diagnostics import (
     DiagnosticsLog,
 )
 from repro.repository.snoop import DirectorySnoop
+from repro.typesys.mtype import MType
 from repro.typesys.signature import Signature
 
 
 @dataclass
 class RepositoryStats:
+    # Runs of the function locator; a steady call is a hot-call cache hit
+    # and moves it by 0 (tests/test_serve_path.py pins that).
     lookups: int = 0
-    hits: int = 0
     jit_compiles: int = 0
     speculative_compiles: int = 0
     jit_compile_seconds: float = 0.0
@@ -499,32 +501,22 @@ class CodeRepository:
     # The function locator (Section 2.2.1)
     # ------------------------------------------------------------------
     def locate(self, invocation) -> CompiledObject | None:
-        """Find the best safe compiled version for an invocation."""
+        """Find the best safe compiled version for an invocation: safety
+        is :meth:`CompiledObject.accepts` on the values; the invocation's
+        signature is derived only to rank two or more safe versions."""
         self.stats.lookups += 1
         with self._lock:
-            versions = list(self._objects.get(invocation.name, ()))
-        if not versions:
-            return None
-        inv_sig = invocation.signature
-        best: CompiledObject | None = None
-        best_distance = float("inf")
-        for version in versions:
-            if len(version.signature) < len(invocation.args):
-                continue
-            padded = self._pad_signature(inv_sig, len(version.signature))
-            if not version.signature.accepts(padded):
-                continue
-            distance = version.signature.distance(padded)
-            if distance < best_distance:
-                best, best_distance = version, distance
-        if best is not None:
-            self.stats.hits += 1
-        return best
+            versions = tuple(self._objects.get(invocation.name, ()))
+        safe = [v for v in versions if v.accepts(invocation.args)]
+        if len(safe) < 2:
+            return safe[0] if safe else None
+        signature = invocation.signature
+        return min(safe, key=lambda version: version.signature.distance(
+            self._pad_signature(signature, len(version.signature))
+        ))
 
     @staticmethod
     def _pad_signature(signature: Signature, arity: int) -> Signature:
-        from repro.typesys.mtype import MType
-
         if len(signature) == arity:
             return signature
         return Signature.of(
@@ -859,8 +851,18 @@ class CodeRepository:
         picks a version, :meth:`_serve` runs it.  An adaptive controller
         also observes every served call — the mode that answered plus
         wall time — which is its entire input signal."""
-        version = self._fast_cache.get(invocation.name)
-        if version is None or not version.fast_accepts(invocation.args):
+        name, args = invocation.name, invocation.args
+        version = self._fast_cache.get(name)
+        if (
+            version is None
+            or not version.accepts(args)
+            # The version served is the one locate() would choose: that is
+            # the cached one when it is the only one held, or at distance 0.
+            or (
+                len(self._objects.get(name, ())) > 1
+                and not version.exact_for(args)
+            )
+        ):
             version = self._resolve(invocation)
         controller = self.tiering
         if controller is None:
@@ -934,42 +936,43 @@ class CodeRepository:
         """
         mode = version.mode
         tracer = self.obs.tracer
-        if tracer.enabled and not spanned:
+        supervised = tracer.enabled or self._watched or self.sandbox is not None
+        if supervised and not spanned and tracer.enabled:
             with tracer.span(invocation.name, "execution", tier=mode):
                 return self._serve(invocation, version, spanned=True)
-        compiled = mode != TIER_INTERPRETER
-        if not compiled:
+        if mode == TIER_INTERPRETER:
             self.stats.calls_interpreted += 1
-        elif mode == TIER_SPEC:
+            return version.invoke(invocation.args, invocation.nargout, self._rt)
+        if mode == TIER_SPEC:
             self.stats.calls_spec += 1
         else:
             self.stats.calls_jit += 1
-        if compiled:
-            rng_state = GLOBAL_RANDOM.snapshot()
-            sink_mark = self.sink.mark()
+        rng_state = GLOBAL_RANDOM.snapshot()
+        sink_mark = self.sink.mark()
         try:
-            if compiled and self.sandbox is not None and not getattr(
-                version, "sandbox_promoted", False
-            ):
-                outputs = self._sandbox_trial(invocation, version, rng_state)
-                if outputs is not None:
-                    return outputs
-            if compiled and self._watched:
-                # The chaos probes live *inside* the guard: an injected
-                # hang must be cancelled by the watchdog exactly like a
-                # miscompiled infinite loop.  A fired DeadlineExceeded
-                # lands in the net below and deoptimizes.
-                with self.guard.run_guard(invocation.name):
-                    if self._chaos_run_checks:
-                        self.fault_plan.check(SITE_HANG, invocation.name)
-                        self.fault_plan.check(SITE_OOM, invocation.name)
-                    return version.invoke(invocation.args, invocation.nargout, self._rt)
+            if supervised:
+                if self.sandbox is not None and not getattr(
+                    version, "sandbox_promoted", False
+                ):
+                    outputs = self._sandbox_trial(invocation, version, rng_state)
+                    if outputs is not None:
+                        return outputs
+                if self._watched:
+                    # The chaos probes live *inside* the guard: an injected
+                    # hang must be cancelled by the watchdog exactly like a
+                    # miscompiled infinite loop.  A fired DeadlineExceeded
+                    # lands in the net below and deoptimizes.
+                    with self.guard.run_guard(invocation.name):
+                        if self._chaos_run_checks:
+                            self.fault_plan.check(SITE_HANG, invocation.name)
+                            self.fault_plan.check(SITE_OOM, invocation.name)
+                        return version.invoke(
+                            invocation.args, invocation.nargout, self._rt
+                        )
             return version.invoke(invocation.args, invocation.nargout, self._rt)
         except MatlabError:
             raise
         except Exception as exc:  # noqa: BLE001 - this is the safety net
-            if not compiled:
-                raise
             return self._deoptimize(invocation, version, exc, rng_state, sink_mark)
 
     def _sandbox_trial(self, invocation, obj: CompiledObject, rng_state):
@@ -1100,13 +1103,11 @@ class CodeRepository:
 
     def _call_user(self, name: str, args: list[MxArray], nargout: int):
         """Re-entry point for compiled code calling user functions."""
-        return tuple(
-            self.execute(Invocation(name=name, args=args, nargout=nargout))
-        )
+        return self.execute(Invocation(name, args, nargout))
 
     def _interp_dispatch(self, name, args, nargout):
         """The fallback interpreter also routes calls through us, so a
         single uncompilable function doesn't drag its callees down."""
         if not self.knows(name):
             return None
-        return self.execute(Invocation(name=name, args=args, nargout=nargout))
+        return self.execute(Invocation(name, args, nargout))

@@ -39,28 +39,38 @@ class MatlabRandom:
     """Global random stream, reseedable like ``rand('seed', n)``."""
 
     def __init__(self, seed: int = 0):
-        self._rng = np.random.default_rng(seed)
-        self._seed = seed
+        self.seed(seed)
 
     def seed(self, value: int) -> None:
         self._seed = int(value)
         self._rng = np.random.default_rng(self._seed)
+        self._captured = None
 
     def snapshot(self):
         """Capture the stream state (deoptimization re-execution support:
         a half-run compiled call must not advance the stream the
-        interpreter re-run will read)."""
-        return (self._seed, self._rng.bit_generator.state)
+        interpreter re-run will read).  The capture is kept until the
+        stream next moves — every method that moves it drops it — so a
+        call that draws nothing snapshots for the price of a read."""
+        captured = self._captured
+        if captured is None:
+            captured = self._captured = (
+                self._seed, self._rng.bit_generator.state
+            )
+        return captured
 
     def restore(self, state) -> None:
         self._seed, bitgen_state = state
         self._rng = np.random.default_rng(self._seed)
         self._rng.bit_generator.state = bitgen_state
+        self._captured = None
 
     def uniform(self, rows: int, cols: int) -> np.ndarray:
+        self._captured = None
         return self._rng.random((rows, cols))
 
     def normal(self, rows: int, cols: int) -> np.ndarray:
+        self._captured = None
         return self._rng.standard_normal((rows, cols))
 
 

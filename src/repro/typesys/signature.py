@@ -21,7 +21,7 @@ from repro.typesys.mtype import MType
 from repro.typesys.ranges import Interval
 from repro.typesys.shape import Shape
 
-_INTRINSIC_OF_CLASS = {
+INTRINSIC_OF_CLASS = {
     IntrinsicClass.BOOL: Intrinsic.BOOL,
     IntrinsicClass.INT: Intrinsic.INT,
     IntrinsicClass.REAL: Intrinsic.REAL,
@@ -41,7 +41,7 @@ def type_of_value(value: MxArray) -> MType:
     (Section 2.4): exact intrinsic class, exact shape (min == max) and the
     tight value range — for a scalar, a constant.
     """
-    intrinsic = _INTRINSIC_OF_CLASS[value.klass]
+    intrinsic = INTRINSIC_OF_CLASS[value.klass]
     if value.is_string:
         return MType(
             Intrinsic.STRING,

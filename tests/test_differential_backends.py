@@ -100,6 +100,21 @@ COLON_ORDER = (
     "function s = st(n)\ndisp(2);\ns = n + 1;\n"
     "function b = hi(n)\ndisp(3);\nb = 4 * n + 5;\n"
 )
+HOT_RANGES = (
+    "function r = hot(x)\nr = 0;\n"
+    "for k = 1:3, r = r + spec(5); end\n"
+    "r = r + spec(6) + spec(5) + spec(7) + spec(5);\n"
+    "v = [1 2 3] * x;\nr = r + sum(spec(v)) + sum(spec(v));\n"
+    "w = [1 2 9] * x;\nr = r + sum(spec(w)) + sum(spec(v));\n"
+    "r = r + spec(x > 0) + spec(1) + spec(x > 0);\ndisp(r);\nr = spec(0);\n"
+    "function y = spec(a)\nif a == -1, y = a; return; end\n"
+    "t = [10 20 30 40 50 60 70 80 90];\ny = a .* 2 + t(a(1));\n"
+)
+HIT_THEN_TOO_MANY = (
+    "function r = hits(x)\nr = inner(x, 2) + inner(x, 2);\ndisp(r);\n"
+    "r = inner(x, 2, 3);\n"
+    "function y = inner(a, b)\nif a == -1, y = a; return; end\ny = a + b;\n"
+)
 
 
 def _scalar(value):
@@ -133,6 +148,15 @@ def _scalar(value):
 #: so did a compiled ``for`` header — while a compiled expression and mcc
 #: went start, step, stop).  ``-called`` gives each callee a mid-body
 #: ``return``, which blocks inlining and keeps the operands real calls.
+#: ``hot-call-ranges``: since PR 24 the hot-call cache holds versions
+#: compiled for the observed value *ranges* (``spec(5)`` loads ``t(5)``
+#: unchecked), so a version kept for a value outside them answers wrong —
+#: ``spec(0)`` would read ``t(end)`` where the interpreter raises: the
+#: constant, the widened, the array whose maximum leaves the compiled
+#: range and the BOOL / INT pair each have to come back to their own
+#: version.
+#: ``hit-then-too-many``: the arity error must be the interpreter's even
+#: when the callee's version sits in the hot-call cache.
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -160,6 +184,8 @@ PROBES = {
         (COLON_ORDER.replace(");\n", ");\nif n < 0, return; end\n"),),
         "colord", _scalar(1.0),
     ),
+    "hot-call-ranges": Program((HOT_RANGES,), "hot", _scalar(2.0)),
+    "hit-then-too-many": Program((HIT_THEN_TOO_MANY,), "hits", _scalar(1.0)),
 }
 
 

@@ -277,3 +277,212 @@ class TestSignatures:
     def test_value_signature_accepts_itself(self, values):
         sig = signature_of_values([from_python(v) for v in values])
         assert sig.accepts(sig)
+
+
+# ----------------------------------------------------------------------
+# The repository's one acceptance predicate, against the lattice's
+# ----------------------------------------------------------------------
+def _version(signature):
+    """A version holding ``signature`` and nothing else (``accepts`` and
+    ``exact_for`` read only the signature)."""
+    from repro.codegen.jitgen import CompiledObject
+
+    return CompiledObject(
+        name="f", signature=signature, emitted=None, annotations=None,
+        param_reprs=["boxed"] * len(signature), output_reprs=[],
+    )
+
+
+def _values():
+    import numpy as np
+
+    from repro.runtime.mxarray import IntrinsicClass, MxArray
+    from repro.runtime.values import make_bool, make_string
+
+    special = st.sampled_from(
+        [0.0, -0.0, 1.0, 2.0, 5.0, -3.0, 0.5, 2.5, 1e6,
+         math.nan, math.inf, -math.inf]
+    )
+    shape = st.sampled_from(
+        [(1, 1), (1, 1), (1, 3), (3, 1), (2, 2), (0, 0), (0, 3), (1, 0)]
+    )
+
+    def real(shape, elements):
+        rows, cols = shape
+        data = np.array(
+            (elements * (rows * cols))[: rows * cols], dtype=float
+        ).reshape(rows, cols)
+        return data
+
+    reals = st.builds(real, shape, st.lists(special, min_size=1, max_size=4))
+
+    def boxed(data, how):
+        if how == "classified":
+            return from_python(data)
+        if how == "unanswered":
+            return MxArray(None, data)
+        if how == "oversized":   # capacity beyond the logical size
+            buffer = np.full((data.shape[0] + 2, data.shape[1] + 1), 99.0)
+            buffer[: data.shape[0], : data.shape[1]] = data
+            return MxArray(None, buffer, rows=data.shape[0], cols=data.shape[1])
+        if how == "bool":
+            return MxArray(IntrinsicClass.BOOL, (data > 0).astype(float))
+        if how == "complex":
+            return MxArray(IntrinsicClass.COMPLEX, data.astype(complex) + 1j)
+        if how == "complex-tagged-real":
+            return MxArray(IntrinsicClass.COMPLEX, data.astype(complex))
+        return MxArray(None, data.astype(complex))   # "complex-dtype-real"
+
+    arrays = st.builds(boxed, reals, st.sampled_from([
+        "classified", "classified", "unanswered", "oversized", "bool",
+        "complex", "complex-tagged-real", "complex-dtype-real",
+    ]))
+    return st.one_of(
+        arrays,
+        st.sampled_from([True, False]).map(make_bool),
+        st.sampled_from(["", "a", "abc"]).map(make_string),
+    )
+
+
+def _formal_for(value_type, how, other):
+    """A formal near an actual's own type, so acceptance is not a
+    foregone ``False``."""
+    if how == "own":
+        return value_type
+    if how == "widen-range":
+        return value_type.widen_range()
+    if how == "widen-shape":
+        return value_type.widen_shape()
+    if how == "top-intrinsic":
+        return value_type.with_intrinsic(Intrinsic.TOP)
+    if how == "half-open":
+        return value_type.with_range(Interval(value_type.range.lo, math.inf))
+    if how == "joined":
+        return value_type.join(other)
+    if how == "other-range":
+        return value_type.with_range(other.range)
+    return other
+
+
+half_open = st.one_of(
+    st.builds(lambda a: Interval(a, math.inf), finite),
+    st.builds(lambda a: Interval(-math.inf, a), finite),
+    st.builds(lambda a: Interval.constant(float(int(a) % 7)), finite),
+)
+formal_types = st.builds(
+    MType, intrinsics, shapes, shapes, st.one_of(intervals, half_open)
+)
+
+
+class TestAcceptsIsTheLatticeOrder:
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_accepts_equals_signature_accepts(self, data):
+        """``version.accepts(args)`` — classes, shapes and values read
+        straight off the boxes — is *exactly* ``signature.accepts`` of the
+        derived, ⊥-padded invocation signature; and where ``exact_for``
+        says so the distance is 0."""
+        from repro.repository.repo import CodeRepository
+
+        args = data.draw(st.lists(_values(), min_size=0, max_size=3))
+        arity = data.draw(st.integers(
+            min_value=max(len(args) - 1, 0), max_value=len(args) + 1
+        ))
+        formals = []
+        for position in range(arity):
+            other = data.draw(formal_types)
+            if position < len(args):
+                how = data.draw(st.sampled_from([
+                    "own", "own", "widen-range", "widen-shape",
+                    "top-intrinsic", "half-open", "joined", "other-range",
+                    "other-range", "other",
+                ]))
+                formals.append(
+                    _formal_for(type_of_value(args[position]), how, other)
+                )
+            else:
+                formals.append(other)
+        signature = Signature.of(formals)
+        version = _version(signature)
+        accepted = version.accepts(args)
+        if len(args) > arity:
+            assert not accepted
+            return
+        padded = CodeRepository._pad_signature(
+            signature_of_values(args), arity
+        )
+        assert accepted == signature.accepts(padded), (signature, padded)
+        if accepted and version.exact_for(args):
+            assert signature.distance(padded) == 0.0, (signature, padded)
+
+    def test_every_edge_value_against_every_edge_formal(self):
+        """The same equivalence, exhaustively, where the edges are: NaN,
+        ±Inf, -0.0, empties, strings, complex-tagged reals and oversized
+        buffers against constant / finite / half-open / ⊤ / ⊥ ranges at
+        the value's own class and shape, one class up, and ⊤."""
+        import numpy as np
+
+        from repro.runtime.mxarray import IntrinsicClass, MxArray
+        from repro.runtime.values import make_bool, make_string
+
+        scalars = [0.0, -0.0, 1.0, 5.0, 2.5, -3.0, math.nan, math.inf, -math.inf]
+        values = [from_python(v) for v in scalars]
+        values += [MxArray(None, np.array([[v]])) for v in scalars]
+        values += [make_bool(True), make_bool(False), from_python(2 + 1j),
+                   MxArray(IntrinsicClass.COMPLEX, np.array([[2 + 0j]])),
+                   make_string(""), make_string("ab")]
+        for row in ([1.0, 2.0, 3.0], [0.5, math.nan, 1.0], [-math.inf, 0.0, math.inf],
+                    [-0.0, 0.0, 0.0], [5.0, 5.0, 5.0]):
+            values.append(from_python(np.array([row])))
+            buffer = np.full((3, 5), 99.0)
+            buffer[0, :3] = row
+            values.append(MxArray(None, buffer, rows=1, cols=3))
+        values += [from_python(np.zeros((0, 0))), from_python(np.zeros((0, 3))),
+                   MxArray(IntrinsicClass.BOOL, np.array([[1.0, 0.0, 1.0]]))]
+        ranges = [Interval.top(), Interval.bottom(), Interval(-math.inf, 0.0),
+                  Interval(0.0, math.inf), Interval(math.inf, math.inf),
+                  Interval(0.0, 0.0), Interval(5.0, 5.0), Interval(1.0, 3.0),
+                  Interval(-3.0, 2.5), Interval(0.0, 1.0)]
+        checked = accepted = 0
+        for value in values:
+            own = type_of_value(value)
+            up = {Intrinsic.BOOL: Intrinsic.INT, Intrinsic.INT: Intrinsic.REAL,
+                  Intrinsic.REAL: Intrinsic.COMPLEX}.get(own.intrinsic, Intrinsic.TOP)
+            for intrinsic in {own.intrinsic, up, Intrinsic.TOP, Intrinsic.BOTTOM,
+                              Intrinsic.STRING, Intrinsic.BOOL}:
+                for shaped in (own, own.widen_shape(),
+                               own.with_shape(Shape(1, 1), Shape(1, None)),
+                               own.with_shape(Shape(None, 1), Shape(None, None))):
+                    for rng in ranges + [own.range]:
+                        formal = shaped.with_intrinsic(intrinsic).with_range(rng)
+                        signature = Signature.of([formal])
+                        version = _version(signature)
+                        actual = signature_of_values([value])
+                        expected = signature.accepts(actual)
+                        assert version.accepts([value]) == expected, (value.shape, own, formal)
+                        if expected and version.exact_for([value]):
+                            assert signature.distance(actual) == 0.0, (own, formal)
+                        checked += 1
+                        accepted += expected
+        assert checked > 5000 and checked // 10 < accepted < checked - checked // 10
+
+    @pytest.mark.parametrize(("value", "provable"), [
+        (4.0, True), (True, True), (2.5, True), (-0.0, True),
+        (1 + 2j, True), ("abc", True), ("", True),
+        # distance 0 too, but not cheaply provable: locate() ranks these
+        (math.nan, False),
+        # <inf,inf> is not a constant (Interval.is_constant): distance 1
+        (math.inf, False),
+    ])
+    def test_own_signature_is_exact_where_distance_zero_is_provable(
+        self, value, provable
+    ):
+        import numpy as np
+
+        boxes = [from_python(value)]
+        if not isinstance(value, (str, bool)):
+            boxes.append(from_python(np.full((2, 3), value)))
+        for boxed in boxes:
+            version = _version(Signature.of([type_of_value(boxed)]))
+            assert version.accepts([boxed])
+            assert version.exact_for([boxed]) == provable
