@@ -85,23 +85,22 @@ class BaselineEngine:
     # ------------------------------------------------------------------
     def execute(self, name: str, args: list[MxArray], nargout: int = 1):
         fn = self._functions[name]
-        if len(args) > len(fn.params):
-            obj = None  # the interpreter's to refuse, with its error text
+        if len(args) != len(fn.params):
+            # Too many actuals is the interpreter's to refuse, with its
+            # error text; too few is its to run (emitted code takes every
+            # formal).
+            obj = None
         else:
             obj = self._objects.get(name)
             if obj is None and name not in self._uncompilable:
                 obj = self.compile_function(name, args)
-            elif obj is not None and not self._compiled_for(obj, args):
+            elif obj is not None and not obj.accepts(args):
+                # One version, compiled for the first call's types and
+                # ranges: a call it was not compiled for is interpreted.
                 obj = None
         if obj is None:
             return self._interpreter.call_function(fn, args, nargout)
         return obj.invoke(args, nargout, self._rt)
-
-    @staticmethod
-    def _compiled_for(obj: CompiledObject, args: list[MxArray]) -> bool:
-        """One version, compiled for the first call's types and ranges: a
-        call it was not compiled for is interpreted."""
-        return len(args) == len(obj.signature) and obj.accepts(args)
 
     def _call_user(self, name: str, args: list[MxArray], nargout: int):
         return tuple(self.execute(name, args, nargout))

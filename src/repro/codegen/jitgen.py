@@ -152,15 +152,16 @@ class CompiledObject:
     def accepts(self, arg_values) -> bool:
         """Safety of running this version on these values (§2.2.1):
         exactly ``signature.accepts`` of the invocation signature
-        ``signature_of_values(arg_values)`` padded with ⊥ to this arity,
-        answered from the values without building it.  The repository's
-        one acceptance predicate: the hot-call cache and ``locate`` both
-        ask it."""
+        ``signature_of_values(arg_values)``, answered from the values
+        without building it — for a call that supplies every formal, since
+        the emitted function takes each one positionally; any other arity
+        is refused.  The repository's one acceptance predicate: the
+        hot-call cache and ``locate`` both ask it."""
         formals = self._formals
         if formals is None:
             self._bind()
             formals = self._formals
-        if len(arg_values) > len(formals):
+        if len(arg_values) != len(formals):
             return False
         for value, (classes, min_rows, min_cols, max_rows, max_cols,
                     any_range, lo, hi) in zip(arg_values, formals):
@@ -359,16 +360,16 @@ class _Lowerer(Walk):
         disambiguation: DisambiguationResult,
         options: JitOptions,
         fault_plan=None,
-        tracer=None,
+        tracer=NULL_TRACER,
     ):
         super().__init__(
             fn, annotations, disambiguation,
             unroll_enabled=options.unroll_enabled,
             dgemv_enabled=options.dgemv_enabled,
+            fusion=options.fusion,
+            fault_plan=fault_plan,
+            tracer=tracer,
         )
-        self.options = options
-        self.fault_plan = fault_plan
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.vregs = VRegAllocator()
         self.var_regs: dict[str, int] = {}
         self.reg_kinds: dict[int, str] = {}
@@ -583,44 +584,3 @@ class _Lowerer(Walk):
             header=Block(), cond=left, then=then, orelse=orelse
         ))
         return result, RAW_REAL
-
-    # ------------------------------------------------------------------
-    # Elementwise fusion: collapse a whole array-typed operator tree into
-    # one content-addressed kernel call (repro.kernels).  Deep trees over
-    # exactly-known small shapes stay with the unroller — per-element
-    # host arithmetic beats a NumPy kernel below ~4 collapsed ops.
-    _FUSE_OVER_UNROLL_OPS = 4
-
-    def try_fuse(
-        self, node, end_array=None, end_dim=0
-    ) -> tuple[int, str] | None:
-        if not self.options.fusion:
-            return None
-        from repro.kernels import KERNEL_CACHE, match_typed
-
-        plan = match_typed(node, self.ann, self.dis)
-        if plan is None:
-            return None
-        if (
-            self.options.unroll_enabled
-            and plan.op_count < self._FUSE_OVER_UNROLL_OPS
-            and self.selector.unroll_shape(node) is not None
-        ):
-            return None
-        with self.tracer.span(
-            "fusion", "fusion",
-            function=self.fn.name, ops=plan.op_count,
-        ):
-            leaves = []
-            descs = []
-            for leaf in plan.leaves:
-                value, kind = self.expr(leaf, end_array, end_dim)
-                descs.append("b" if kind == BOXED else "s")
-                leaves.append(value)
-            kernel = KERNEL_CACHE.get_or_compile(
-                plan.root, tuple(descs),
-                fault_plan=self.fault_plan,
-            )
-        self.kernel_sources[kernel.name] = kernel.source
-        self.kernel_keys[kernel.name] = kernel.key
-        return self.annotated(self.call(kernel.name, leaves, BOXED), BOXED, node)

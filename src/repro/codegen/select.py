@@ -20,6 +20,9 @@ are the paper's selection rules:
   shapes (≤ 3×3) are completely unrolled, with pre-allocated temporaries;
 * **dgemv fusion** — expression trees of the form ``a*X + b*C*Y`` collapse
   into a single BLAS call;
+* **elementwise fusion** — a whole array-typed elementwise tree becomes
+  one generated kernel (:mod:`repro.kernels`), unless it is a shallow tree
+  the unroller handles better;
 * **read-only parameters** — call-by-value copies are elided for
   parameters (and variables) that are never mutated.
 """
@@ -34,6 +37,7 @@ from repro.codegen.runtime_support import SCALAR_MATH
 from repro.errors import CodegenError
 from repro.frontend import ast_nodes as ast
 from repro.inference.annotations import Annotations, SubscriptSafety
+from repro.obs.trace import NULL_TRACER
 from repro.typesys.intrinsic import Intrinsic
 from repro.typesys.mtype import MType
 
@@ -314,11 +318,13 @@ class Walk:
       ``jump`` (break/continue/return) and ``short_circuit``, which call
       back into ``condition`` and ``stmts`` for the pieces they nest.
 
-    Two hooks are empty unless a target fills them: ``try_fuse`` (collapse
-    an elementwise tree into one kernel call, recording the kernel in
-    ``kernel_sources``/``kernel_keys``) and the loop hook's state —
-    ``hoisted`` (loop-invariant expressions already named) and
-    ``forced_safe`` (subscripts a loop-entry guard has proven in range).
+    Elementwise fusion is part of the walk, for both targets: with
+    ``fusion`` on, :meth:`try_fuse` collapses an elementwise tree into one
+    kernel call and records the kernel in ``kernel_sources`` /
+    ``kernel_keys``.  The loop hook's state is empty unless a target fills
+    it: ``hoisted`` (loop-invariant expressions already named) and
+    ``forced_safe`` (subscripts a loop-entry guard has proven in range;
+    ``forcing_used`` records whether that proof changed a selected mode).
     """
 
     def __init__(
@@ -328,16 +334,23 @@ class Walk:
         disambiguation: DisambiguationResult,
         unroll_enabled: bool = True,
         dgemv_enabled: bool = True,
+        fusion: bool = False,
+        fault_plan=None,
+        tracer=NULL_TRACER,
     ):
         self.fn = fn
         self.ann = annotations
         self.dis = disambiguation
         self.selector = Selector(fn, annotations, unroll_enabled, dgemv_enabled)
+        self.fusion = fusion
+        self.fault_plan = fault_plan
+        self.tracer = tracer
         self.var_kinds: dict[str, str] = {}
         self.param_reprs: list[str] = []
         self.output_reprs: list[str] = []
         self.hoisted: dict[int, object] = {}
         self.forced_safe: set[int] = set()
+        self.forcing_used = False
         self.kernel_sources: dict[str, str] = {}
         self.kernel_keys: dict[str, str] = {}
         self._int_counters = self._find_int_loop_counters()
@@ -527,15 +540,18 @@ class Walk:
         ):
             # Subscript inlining: a scalar store goes straight to the
             # buffer, guarded only as far as inference could not prove.
-            safety = (
-                SubscriptSafety.SAFE if id(target) in self.forced_safe
-                else self.ann.safety_of_store(target)
+            def store_mode(safety):
+                mode = _STORE_MODE[safety]
+                if value_kind == RAW_COMPLEX and mode == "unchecked":
+                    # Complex stores may need to widen the buffer; the
+                    # checked and grow helpers handle that, the direct
+                    # path cannot.
+                    mode = "checked"
+                return mode
+
+            mode = self.subscript_mode(
+                target, self.ann.safety_of_store(target), store_mode
             )
-            mode = _STORE_MODE[safety]
-            if value_kind == RAW_COMPLEX and mode == "unchecked":
-                # Complex stores may need to widen the buffer; the checked
-                # and grow helpers handle that, the direct path cannot.
-                mode = "checked"
             if mode == "unchecked" and len(indices) == 1:
                 # Orientation lets the target index without divmod.
                 shape = self.ann.var_type(name).maxshape
@@ -703,10 +719,46 @@ class Walk:
         return self.call("ambiguous_lookup", [name, current], BOXED), BOXED
 
     # ------------------------------------------------------------------
+    # Elementwise fusion: collapse a whole array-typed operator tree into
+    # one content-addressed kernel call (repro.kernels).  Deep trees over
+    # exactly-known small shapes stay with the unroller — per-element
+    # host arithmetic beats a NumPy kernel below ~4 collapsed ops.
+    _FUSE_OVER_UNROLL_OPS = 4
+
     def try_fuse(self, node: ast.Expr, end_array=None, end_dim=0):
-        """Hook: ``(value, kind)`` if the target collapsed the whole
-        elementwise tree rooted at ``node`` into one call, else None."""
-        return None
+        """``(value, kind)`` if the whole elementwise tree rooted at
+        ``node`` became one kernel call, else None."""
+        if not self.fusion:
+            return None
+        # Imported here: the matcher itself reads this module.
+        from repro.kernels import KERNEL_CACHE, match_typed
+
+        plan = match_typed(node, self.ann, self.dis)
+        if plan is None:
+            return None
+        if (
+            self.selector.unroll_enabled
+            and plan.op_count < self._FUSE_OVER_UNROLL_OPS
+            and self.selector.unroll_shape(node) is not None
+        ):
+            return None
+        with self.tracer.span(
+            "fusion", "fusion",
+            function=self.fn.name, ops=plan.op_count,
+        ):
+            leaves = []
+            descs = []
+            for leaf in plan.leaves:
+                value, kind = self.expr(leaf, end_array, end_dim)
+                descs.append("b" if kind == BOXED else "s")
+                leaves.append(value)
+            kernel = KERNEL_CACHE.get_or_compile(
+                plan.root, tuple(descs),
+                fault_plan=self.fault_plan,
+            )
+        self.kernel_sources[kernel.name] = kernel.source
+        self.kernel_keys[kernel.name] = kernel.key
+        return self.annotated(self.call(kernel.name, leaves, BOXED), BOXED, node)
 
     def unary_op(self, node: ast.UnaryOp, end_array, end_dim):
         fused = self.try_fuse(node, end_array, end_dim)
@@ -758,6 +810,11 @@ class Walk:
                     return self.call(helper, [left, right], kind), kind
                 return self.binary(_NUMERIC_PY[node.op], left, right, kind), kind
             if node.op in _COMPARE_PY:
+                if complex_kind == RAW_COMPLEX and node.op[0] in "<>":
+                    # MATLAB orders complex operands by their real parts;
+                    # the host refuses to order them at all.
+                    helper = _BINOP_HELPER[node.op]
+                    return self.call(helper, [left, right], RAW_REAL), RAW_REAL
                 value = self.binary(_COMPARE_PY[node.op], left, right, RAW_REAL)
                 return value, RAW_REAL
             if node.op in ("\\", ".\\"):
@@ -848,6 +905,19 @@ class Walk:
     # ------------------------------------------------------------------
     # Subscripts
     # ------------------------------------------------------------------
+    def subscript_mode(self, node, safety: SubscriptSafety, mode_of) -> str:
+        """The access mode ``mode_of(safety)`` selects for the subscript
+        at ``node``, or the proven-safe one where a loop-entry guard put it
+        in ``forced_safe``; ``forcing_used`` records that the guard
+        changed a selection."""
+        mode = mode_of(safety)
+        if id(node) in self.forced_safe:
+            forced = mode_of(SubscriptSafety.SAFE)
+            if forced != mode:
+                self.forcing_used = True
+                return forced
+        return mode
+
     def _scalar_subscripts(self, indices) -> bool:
         return all(
             not isinstance(i, (ast.ColonAll, ast.Range))
@@ -894,11 +964,12 @@ class Walk:
         ):
             # Subscript inlining: proven-safe scalar loads are direct
             # buffer accesses, the rest keep their bounds check.
-            safe = (
-                id(node) in self.forced_safe
-                or self.ann.safety_of_load(node) is SubscriptSafety.SAFE
+            mode = self.subscript_mode(
+                node, self.ann.safety_of_load(node),
+                lambda safety: (
+                    "unchecked" if safety is SubscriptSafety.SAFE else "checked"
+                ),
             )
-            mode = "unchecked" if safe else "checked"
             return self.load(
                 name, self._scalar_indices(name, indices), mode, kind
             ), kind

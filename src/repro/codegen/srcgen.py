@@ -9,13 +9,16 @@ optimizations the paper reserves for ahead-of-time compilation:
 * expression-style emission (the "native compiler" quality effect);
 * loop versioning: subscript checks hoisted into a single loop-entry guard
   (:mod:`repro.codegen.optimizations`) — the static counterpart of the
-  JIT's range-based check removal;
+  JIT's range-based check removal; a guard that would change no selected
+  access mode is not emitted, and neither is its second arm;
 * loop-invariant hoisting of pure scalar subexpressions and of array data
   pointers (enabled when the modelled native backend is strong, i.e.
   ``native_opt_level >= 2`` — the MIPS configuration);
 * the shared selection rules: small-vector unrolling with pre-allocated
-  temporaries and dgemv fusion (``majic_opts`` — disabled for the FALCON
-  baseline, which relies on its backend instead).
+  temporaries, dgemv fusion and elementwise fusion into the JIT's kernels
+  (``majic_opts`` — disabled for the FALCON baseline, which relies on its
+  backend instead; elementwise fusion also follows the session's
+  ``fusion`` switch).
 
 Compilation through this pipeline is deliberately the slow path ("can take
 several seconds" on the paper's machines): it runs several analysis passes
@@ -60,14 +63,23 @@ class SrcOptions:
 
 
 class SourceCompiler:
-    """The ahead-of-time (speculative / FALCON-style) pipeline."""
+    """The ahead-of-time (speculative / FALCON-style) pipeline.
+
+    ``fusion`` is the session's one elementwise-fusion switch
+    (``JitOptions.fusion``); it applies where ``options.majic_opts`` does,
+    so the FALCON baseline stays unfused."""
 
     def __init__(
-        self, options: SrcOptions | None = None, fault_plan=None, tracer=None
+        self,
+        options: SrcOptions | None = None,
+        fault_plan=None,
+        tracer=None,
+        fusion: bool = True,
     ):
         self.options = options or SrcOptions()
         self.fault_plan = fault_plan
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.fusion = fusion and self.options.majic_opts
 
     def compile(
         self,
@@ -88,7 +100,10 @@ class SourceCompiler:
         )
 
     def _build(self, fn, annotations, disambiguation):
-        emitter = _SrcEmitter(fn, annotations, disambiguation, self.options)
+        emitter = _SrcEmitter(
+            fn, annotations, disambiguation, self.options,
+            fusion=self.fusion, fault_plan=self.fault_plan, tracer=self.tracer,
+        )
         source = emitter.emit()
         namespace: dict = {}
         exec(compile(source, f"<src:{fn.name}>", "exec"), namespace)
@@ -111,11 +126,17 @@ class _SrcEmitter(Walk):
         annotations: Annotations,
         disambiguation: DisambiguationResult,
         options: SrcOptions,
+        fusion: bool = False,
+        fault_plan=None,
+        tracer=NULL_TRACER,
     ):
         super().__init__(
             fn, annotations, disambiguation,
             unroll_enabled=options.majic_opts,
             dgemv_enabled=options.majic_opts,
+            fusion=fusion,
+            fault_plan=fault_plan,
+            tracer=tracer,
         )
         self.options = options
         self.fn_name = f"src_{fn.name}"
@@ -317,6 +338,11 @@ class _SrcEmitter(Walk):
         plan = plan_versioning(stmt, self.ann)
         if plan.worthwhile:
             lo, hi = (stop, start) if direction < 0 else (start, stop)
+            mark = (
+                len(self.lines), len(self.prologue), self._temp,
+                set(self.helpers),
+            )
+            outer_used, self.forcing_used = self.forcing_used, False
             self.line(f"if {self._guard_code(plan, lo, hi)}:")
             self.depth += 1
             saved_forced = set(self.forced_safe)
@@ -324,10 +350,18 @@ class _SrcEmitter(Walk):
             self._emit_counted_loop(stmt, start, stop, step, direction)
             self.forced_safe = saved_forced
             self.depth -= 1
-            self.line("else:")
-            self.depth += 1
-            self._emit_counted_loop(stmt, start, stop, step, direction)
-            self.depth -= 1
+            if self.forcing_used:
+                self.line("else:")
+                self.depth += 1
+                self._emit_counted_loop(stmt, start, stop, step, direction)
+                self.depth -= 1
+            else:
+                # The guard changed no selection, so both arms would be the
+                # same loop: drop the guarded one and emit the loop once.
+                lines, prologue, self._temp, self.helpers = mark
+                del self.lines[lines:], self.prologue[prologue:]
+                self._emit_counted_loop(stmt, start, stop, step, direction)
+            self.forcing_used |= outer_used
         else:
             self._emit_counted_loop(stmt, start, stop, step, direction)
         self.hoisted = saved_hoisted

@@ -144,8 +144,9 @@ class MajicSession:
             self.cache_dir = cache_dir
             cache = RepositoryCache(cache_dir, fault_plan=fault_plan)
         # fusion=False is the escape hatch disabling fused elementwise
-        # kernels in both consumers (JIT codegen and the interpreter's
-        # fast path); an explicit jit_options.fusion is respected.
+        # kernels in every consumer (both code generators and the
+        # interpreter's fast path); an explicit jit_options.fusion is
+        # respected.
         resolved_jit = jit_options or platform.jit_options(self.ablation)
         if not fusion:
             from dataclasses import replace as _replace

@@ -100,7 +100,7 @@ class DifferentialOutcome:
         status = "OK " if self.matches else "FAIL"
         where = "" if self.matches else f" diverged={','.join(self.diverged)}"
         return (
-            f"{status} {self.benchmark:<10} plan={self.plan:<14} "
+            f"{status} {self.benchmark:<10} plan={self.plan:<19} "
             f"fired={self.faults_fired} events={self.events}{where}"
         )
 
@@ -135,7 +135,8 @@ def _one(plan: FaultPlan) -> tuple[FaultSpec, ...]:
 def default_lanes() -> list[Lane]:
     """The standard sweep: one compile-time and one runtime fault each,
     against both tiers of the compiled path, plus faults in the fused
-    elementwise kernel compiler and the kernels it emits."""
+    elementwise kernel compiler and the kernels it emits — for JIT code
+    and, since both code generators fuse, for speculative code."""
     from repro.faults.plan import SITE_KERNEL_COMPILE, SITE_KERNEL_RUN
 
     return [
@@ -144,10 +145,14 @@ def default_lanes() -> list[Lane]:
              backend="spec"),
         Lane("runtime-hit1", _one(FaultPlan.runtime_fault(helper="*", hit=1))),
         Lane("runtime-hit7", _one(FaultPlan.runtime_fault(helper="*", hit=7))),
-        Lane("kernel-compile",
-             _one(FaultPlan.kernel_fault(site=SITE_KERNEL_COMPILE, hit=1))),
-        Lane("kernel-run",
-             _one(FaultPlan.kernel_fault(site=SITE_KERNEL_RUN, hit=1))),
+    ] + [
+        Lane(f"{prefix}kernel-{what}",
+             _one(FaultPlan.kernel_fault(site=site, hit=1)), backend=backend)
+        for prefix, backend in (("", "fused"), ("spec-", "spec"))
+        for what, site in (
+            ("compile", SITE_KERNEL_COMPILE), ("run", SITE_KERNEL_RUN),
+        )
+    ] + [
         # Adaptive-tiering lane: the first promotion compile dies; the
         # function must keep serving from its current tier.  The site only
         # exists under the adaptive controller; the ``adaptive`` row's

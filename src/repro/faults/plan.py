@@ -30,7 +30,8 @@ SITE_WORKER = "worker"
 SITE_CACHE_STORE = "cache.store"
 SITE_CACHE_LOAD = "cache.load"
 #: Fused-kernel sites: compilation of a fused elementwise kernel (inside
-#: JIT lowering) and its dispatch from generated code (``rt.kernel_*``).
+#: code selection, for either code generator) and its dispatch from
+#: generated code (``rt.kernel_*``).
 SITE_KERNEL_COMPILE = "kernel.compile"
 SITE_KERNEL_RUN = "kernel.run"
 #: Resilience (chaos) sites — see :mod:`repro.resilience`.  ``hang`` and

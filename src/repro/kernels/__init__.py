@@ -11,7 +11,8 @@ intermediate ``MxArray`` boxing.
 Layout:
 
 * :mod:`repro.kernels.fusion` — tree matchers.  ``match_typed`` walks a
-  type-annotated expression after inference (the JIT consumer);
+  type-annotated expression after inference (the code-selection walk,
+  for both code generators);
   ``match_dynamic`` is the structural matcher behind the interpreter's
   fast path (descriptors resolved per call).
 * :mod:`repro.kernels.codegen` — turns a matched tree into Python source

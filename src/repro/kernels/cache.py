@@ -6,16 +6,16 @@ and a format version, so two textually different expressions with the same
 fused structure share one compiled function — across functions, sessions
 and both consumers (JIT and interpreter).
 
-Persistence: the JIT records every kernel a compiled object references in
-``CompiledObject.kernel_sources``; the disk-backed
+Persistence: both code generators record every kernel a compiled object
+references in ``CompiledObject.kernel_sources``; the disk-backed
 :class:`~repro.repository.cache.RepositoryCache` re-registers those
 sources through :meth:`KernelCache.register_source` when it revives an
 object in a fresh process, so ``rt.kernel_<hash>`` dispatch never misses
 for disk-cached code.
 
 Fault injection: the ``kernel.compile`` site fires inside
-:meth:`get_or_compile` (a miss during JIT lowering then aborts that
-compile, and the repository falls back to the interpreter); the
+:meth:`get_or_compile` (a miss during code generation then aborts that
+whole compile, and the next version down serves the call); the
 ``kernel.run`` site is checked by the ``rt`` dispatch shim in
 :mod:`repro.codegen.runtime_support`, where the guarded-deopt machinery
 absorbs it.

@@ -77,7 +77,6 @@ from repro.repository.diagnostics import (
     DiagnosticsLog,
 )
 from repro.repository.snoop import DirectorySnoop
-from repro.typesys.mtype import MType
 from repro.typesys.signature import Signature
 
 
@@ -511,18 +510,7 @@ class CodeRepository:
         if len(safe) < 2:
             return safe[0] if safe else None
         signature = invocation.signature
-        return min(safe, key=lambda version: version.signature.distance(
-            self._pad_signature(signature, len(version.signature))
-        ))
-
-    @staticmethod
-    def _pad_signature(signature: Signature, arity: int) -> Signature:
-        if len(signature) == arity:
-            return signature
-        return Signature.of(
-            list(signature.types)
-            + [MType.bottom() for _ in range(arity - len(signature))]
-        )
+        return min(safe, key=lambda version: version.signature.distance(signature))
 
     def store(self, obj: CompiledObject) -> None:
         """Add (or replace) a compiled version in the database.
@@ -665,6 +653,10 @@ class CodeRepository:
         span = "jit_compile" if mode == "jit" else "speculate"
         with self.obs.tracer.span(span, "compile", function=name):
             fn = self._prepared(name)
+            if signature is not None and len(signature) != len(fn.params):
+                # Only a call that supplies every formal is compiled for
+                # (see _resolve); an adaptive promotion may still ask.
+                return None
             try:
                 with self._compile_lock(name):
                     if mode == "jit" and (
@@ -696,6 +688,7 @@ class CodeRepository:
                         compiler, tag = SourceCompiler(
                             self.src_options, fault_plan=self.fault_plan,
                             tracer=self.obs.tracer,
+                            fusion=self.jit_options.fusion,
                         ), mode
                     obj, duration = self._compile_and_store(
                         name, mode, self._cache_key(fn, tag), generation,
@@ -902,9 +895,10 @@ class CodeRepository:
             controller.prepare(name)
             if controller.suppressed(name):
                 return bottom
-        if name in self._uncompilable or len(invocation.args) > len(bottom.fn.params):
-            # More actuals than formals is the interpreter's to refuse,
-            # with its error text (locate() would pad, not reject).
+        if name in self._uncompilable or len(invocation.args) != len(bottom.fn.params):
+            # More actuals than formals is the interpreter's to refuse, with
+            # its error text; fewer is the interpreter's to run (emitted
+            # code takes every formal), neither is compiled for.
             return bottom
         version = self.locate(invocation)
         if version is None:

@@ -115,6 +115,13 @@ HIT_THEN_TOO_MANY = (
     "r = inner(x, 2, 3);\n"
     "function y = inner(a, b)\nif a == -1, y = a; return; end\ny = a + b;\n"
 )
+COMPLEX_ORDER = (
+    "function r = ccmp(a)\nz = sqrt(a);\nw = sqrt(4 * a);\nr = 0;\n"
+    "if z < 2, r = r + 1; end\nif z >= 0, r = r + 2; end\n"
+    "if z > w, r = r + 4; end\nif w <= z, r = r + 8; end\n"
+    "if z == 1i, r = r + 16; end\nif z ~= w, r = r + 32; end\n"
+)
+FEWER = "function y = short(a, b)\nif a > 5, y = b; else y = a * 2; end\n"
 
 
 def _scalar(value):
@@ -157,6 +164,12 @@ def _scalar(value):
 #: version.
 #: ``hit-then-too-many``: the arity error must be the interpreter's even
 #: when the callee's version sits in the hot-call cache.
+#: ``complex-order``: ``<`` ``<=`` ``>`` ``>=`` order raw complex scalars by
+#: their real parts, ``==`` / ``~=`` compare them whole (compiled code
+#: used the host's operator, which refuses to order complex numbers).
+#: ``fewer-actuals``: a call that leaves formals unset is the
+#: interpreter's, value and error text (compiled code was built for the
+#: short signature and then missed a positional).
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -186,6 +199,9 @@ PROBES = {
     ),
     "hot-call-ranges": Program((HOT_RANGES,), "hot", _scalar(2.0)),
     "hit-then-too-many": Program((HIT_THEN_TOO_MANY,), "hits", _scalar(1.0)),
+    "complex-order": Program((COMPLEX_ORDER,), "ccmp", _scalar(-1.0)),
+    "fewer-actuals": Program((FEWER,), "short", _scalar(2.0)),
+    "fewer-actuals-error": Program((FEWER,), "short", _scalar(7.0)),
 }
 
 

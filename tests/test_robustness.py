@@ -15,7 +15,7 @@ import pytest
 
 from repro import CompileBudget, FaultPlan, InjectedFault, MajicSession, SPARC
 from repro.errors import CodegenError, MatlabError, SubscriptError
-from repro.faults.harness import run_differential
+from repro.faults.harness import default_lanes, run_differential, run_lanes
 from repro.faults.plan import FaultSpec
 from repro.repository.diagnostics import (
     BUDGET_SKIP,
@@ -237,12 +237,14 @@ class TestDifferentialHarness:
         assert outcomes and all(o.matches for o in outcomes)
         kernel_fired = 0
         for outcome in outcomes:
-            if outcome.plan.startswith("kernel"):
+            if "kernel" in outcome.plan:
                 # Kernel sites exist only where the matcher fuses a tree
-                # (sor does; fibonacci/dirich have no elementwise chains).
+                # (sor's JIT code does; fibonacci/dirich have no
+                # elementwise chains, sor's speculated ⊤ matrix none).
                 kernel_fired += outcome.faults_fired
                 if outcome.faults_fired:
-                    key = (COMPILE_FAILURE if outcome.plan == "kernel-compile"
+                    key = (COMPILE_FAILURE
+                           if outcome.plan.endswith("kernel-compile")
                            else DEOPT)
                     assert outcome.events.get(key, 0) >= 1
                 continue
@@ -256,6 +258,20 @@ class TestDifferentialHarness:
             else:
                 assert outcome.events.get(COMPILE_FAILURE, 0) >= 1
         assert kernel_fired >= 1
+
+    def test_speculative_kernels_are_fault_sites(self):
+        """Speculative code fuses like JIT code, so both kernel sites fire
+        under ``speculate_all()``: a failed kernel compile fails the whole
+        spec compile (the JIT then serves), a failed kernel run deopts."""
+        lanes = [lane for lane in default_lanes()
+                 if lane.label.startswith("spec-kernel")]
+        outcomes = run_lanes(lanes, names=["orbrk"])
+        assert [o.plan for o in outcomes] == [
+            "spec-kernel-compile", "spec-kernel-run",
+        ]
+        for outcome, key in zip(outcomes, (COMPILE_FAILURE, DEOPT)):
+            assert outcome.matches and outcome.faults_fired == 1, outcome
+            assert outcome.events.get(key) == 1, outcome
 
 
 class TestInterpreterFallbackPaths:

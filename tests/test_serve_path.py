@@ -288,6 +288,26 @@ class TestHotCacheStaleness:
         duo.call("sp", 5.0)
         assert duo.session.stats.deopts == 0
 
+    def test_fewer_actuals_after_a_hit(self, twin):
+        """A call that leaves a formal unset is the interpreter's, value
+        and error text, even with the full call's version in the hot-call
+        cache — and nothing is compiled for its short signature."""
+        duo = twin()
+        duo.add_source(
+            "function y = short(a, b)\nif a > 5, y = b; else y = a * 2; end\n"
+        )
+        duo.call("short", 2.0, 3.0)
+        duo.call("short", 2.0, 3.0)
+        assert duo.call("short", 2.0) == [canon_value(from_python(4.0))]
+        assert "undefined function or variable 'b'" in duo.call("short", 7.0)
+        duo.call("short", 2.0, 3.0)
+        stats = duo.session.stats
+        assert stats.deopts == 0 and stats.jit_compiles == 1
+        assert all(
+            len(version.signature) == 2
+            for version in duo.session.repository.versions_of("short")
+        )
+
 
 # ----------------------------------------------------------------------
 # Rollback under the cached capture

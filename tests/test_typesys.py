@@ -380,13 +380,12 @@ class TestAcceptsIsTheLatticeOrder:
     def test_accepts_equals_signature_accepts(self, data):
         """``version.accepts(args)`` — classes, shapes and values read
         straight off the boxes — is *exactly* ``signature.accepts`` of the
-        derived, ⊥-padded invocation signature; and where ``exact_for``
-        says so the distance is 0."""
-        from repro.repository.repo import CodeRepository
-
+        derived invocation signature; and where ``exact_for`` says so the
+        distance is 0.  A call of any other arity is refused: the emitted
+        function takes every formal positionally."""
         args = data.draw(st.lists(_values(), min_size=0, max_size=3))
-        arity = data.draw(st.integers(
-            min_value=max(len(args) - 1, 0), max_value=len(args) + 1
+        arity = data.draw(st.sampled_from(
+            [len(args)] * 4 + [len(args) + 1] + [len(args) - 1] * bool(args)
         ))
         formals = []
         for position in range(arity):
@@ -405,15 +404,13 @@ class TestAcceptsIsTheLatticeOrder:
         signature = Signature.of(formals)
         version = _version(signature)
         accepted = version.accepts(args)
-        if len(args) > arity:
+        if len(args) != arity:
             assert not accepted
             return
-        padded = CodeRepository._pad_signature(
-            signature_of_values(args), arity
-        )
-        assert accepted == signature.accepts(padded), (signature, padded)
+        actual = signature_of_values(args)
+        assert accepted == signature.accepts(actual), (signature, actual)
         if accepted and version.exact_for(args):
-            assert signature.distance(padded) == 0.0, (signature, padded)
+            assert signature.distance(actual) == 0.0, (signature, actual)
 
     def test_every_edge_value_against_every_edge_formal(self):
         """The same equivalence, exhaustively, where the edges are: NaN,
