@@ -164,7 +164,7 @@ BACKENDS: dict[str, Backend] = {
     # Sync mode keeps runs deterministic: the continuous bit-identity
     # check for the online controller.
     "adaptive": Backend(session={
-        "adaptive": True, "adaptive_sync": True, "tiering": AGGRESSIVE_TIERING,
+        "adaptive": True, "sync": True, "tiering": AGGRESSIVE_TIERING,
     }),
 }
 

@@ -19,8 +19,8 @@ repository and a platform configuration::
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
-from repro.codegen.jitgen import JitOptions
 from repro.core.platformcfg import AblationFlags, PlatformConfig, platform_by_name
 from repro.interp.frontend import Invocation, MajicFrontEnd
 from repro.obs import (
@@ -38,34 +38,34 @@ from repro.runtime.display import OutputSink
 from repro.resilience import DEFAULT_POLICY, ResiliencePolicy
 from repro.runtime.values import from_python, to_python
 
-#: Sentinel distinguishing "not passed" from an explicit None (= disable).
-_UNSET = object()
-
 
 def ensure_recursion_limit(limit: int) -> None:
     """Raise (never lower) the host recursion limit.
 
     Recursive MATLAB benchmarks (ackermann) interpret/execute through deep
     host recursion.  Sessions call this with their platform's
-    ``host_recursion_limit``; pass ``recursion_limit=0`` to
-    :class:`MajicSession` to opt out of the process-wide mutation.
+    ``host_recursion_limit``; a platform with ``host_recursion_limit=0``
+    opts out of the process-wide mutation.
     """
     if limit and sys.getrecursionlimit() < limit:
         sys.setrecursionlimit(limit)
 
 
 class MajicSession:
-    """The user-facing MaJIC system (front end + repository)."""
+    """The user-facing MaJIC system (front end + repository).
+
+    Each setting has one spelling (DESIGN.md, *Session knobs*): the
+    platform carries the JIT's tuning and the recursion headroom, a
+    :class:`ResiliencePolicy` the supervision deadlines and the sandbox,
+    ``speculate_all(budget=)`` the compile budget.
+    """
 
     def __init__(
         self,
         platform: str | PlatformConfig = "sparc",
         ablation: AblationFlags | None = None,
-        jit_options: JitOptions | None = None,
         inline_enabled: bool = True,
         seed: int | None = 0,
-        recursion_limit: int | None = None,
-        compile_budget: CompileBudget | None = None,
         max_strikes: int = 3,
         fault_plan=None,
         cache_dir=None,
@@ -75,48 +75,29 @@ class MajicSession:
         metrics: bool = False,
         fusion: bool = True,
         native: bool = False,
-        native_sync: bool = False,
+        sync: bool = False,
         native_hot_threshold: int = 2,
         native_min_elems: int | None = None,
         adaptive: bool = False,
-        adaptive_sync: bool = False,
         tiering=None,
-        resilience=None,
-        sandbox: bool | None = None,
+        resilience: ResiliencePolicy | None = None,
         run_deadline: float | None = None,
-        compile_deadline: float | object = _UNSET,
-        sandbox_timeout: float | None = None,
-        diagnostics_capacity: int | None = None,
         parallel: int | None = None,
         flight=None,
-        serve_metrics: int | None = None,
     ):
         if isinstance(platform, str):
             platform = platform_by_name(platform)
         self.platform = platform
         self.ablation = ablation or AblationFlags()
-        # Host recursion headroom: None = the platform default; 0 opts out
-        # of touching the process-wide limit entirely.
-        if recursion_limit is None:
-            recursion_limit = platform.host_recursion_limit
-        ensure_recursion_limit(recursion_limit)
+        ensure_recursion_limit(platform.host_recursion_limit)
         self.sink = OutputSink()
-        # Supervision policy (repro.resilience): a ResiliencePolicy, with
-        # the common knobs liftable as direct kwargs (sandbox=True,
-        # run_deadline=..., compile_deadline=...; an explicit
-        # compile_deadline=None disarms the compile watchdog).
+        # Supervision policy (repro.resilience).  ``run_deadline`` is the
+        # one field still lifted to a kwarg, because the benchmark passes
+        # it; it goes when the benchmark moves onto the policy (ROADMAP
+        # item 8(i)).
         policy = resilience if resilience is not None else DEFAULT_POLICY
-        overrides = {}
-        if sandbox is not None:
-            overrides["sandbox"] = bool(sandbox)
         if run_deadline is not None:
-            overrides["run_deadline"] = run_deadline
-        if compile_deadline is not _UNSET:
-            overrides["compile_deadline"] = compile_deadline
-        if sandbox_timeout is not None:
-            overrides["sandbox_timeout"] = sandbox_timeout
-        if overrides:
-            policy = policy.with_overrides(**overrides)
+            policy = replace(policy, run_deadline=run_deadline)
         self.resilience: ResiliencePolicy = policy
         # Observability: a per-session switchboard (null recorders unless
         # trace/metrics asked for them), shared by the repository, the
@@ -145,17 +126,14 @@ class MajicSession:
             cache = RepositoryCache(cache_dir, fault_plan=fault_plan)
         # fusion=False is the escape hatch disabling fused elementwise
         # kernels in every consumer (both code generators and the
-        # interpreter's fast path); an explicit jit_options.fusion is
-        # respected.
-        resolved_jit = jit_options or platform.jit_options(self.ablation)
+        # interpreter's fast path).
+        jit_options = platform.jit_options(self.ablation)
         if not fusion:
-            from dataclasses import replace as _replace
-
-            resolved_jit = _replace(resolved_jit, fusion=False)
+            jit_options = replace(jit_options, fusion=False)
         # Profile-guided adaptive tiering: adaptive=True builds the online
         # tier controller (repro.tiering) that watches every served call
         # and promotes hot functions interpreter -> jit -> spec in the
-        # background (adaptive_sync=True compiles at the decision point —
+        # background (sync=True compiles at the decision point —
         # deterministic tests, fuzzing and the faults harness).  ``tiering``
         # accepts a TieringPolicy overriding the thresholds.  The native
         # kernel tier rides the same controller: adaptive implies native
@@ -169,15 +147,13 @@ class MajicSession:
                 policy=policy_t,
                 obs=self.obs,
                 fault_plan=fault_plan,
-                sync=adaptive_sync,
+                sync=sync,
                 submit=self._submit_background_task,
             )
             native = True
-            if adaptive_sync:
-                native_sync = True
         # The native (C) tier: native=True probes for a toolchain and, if
         # one exists, compiles hot fused kernels to autotuned ``.so``s
-        # out-of-band (native_sync=True compiles inline — deterministic
+        # out-of-band (sync=True compiles inline — deterministic
         # tests and the faults harness).  Artifacts live next to the
         # repository cache when one is configured, else under
         # ~/.pymajic/native, so warm sessions recompile nothing.  With no
@@ -198,7 +174,7 @@ class MajicSession:
                 obs=self.obs,
                 policy=policy,
                 submit=self._submit_background_task,
-                sync=native_sync,
+                sync=sync,
                 hot_threshold=native_hot_threshold,
                 min_elems=native_min_elems,
                 hotness=(
@@ -207,17 +183,15 @@ class MajicSession:
                 ),
             )
         self.repository = CodeRepository(
-            jit_options=resolved_jit,
+            jit_options=jit_options,
             src_options=platform.src_options(ablation=self.ablation),
             sink=self.sink,
             inline_enabled=inline_enabled,
-            compile_budget=compile_budget,
             max_strikes=max_strikes,
             fault_plan=fault_plan,
             cache=cache,
             obs=self.obs,
             resilience=policy,
-            diagnostics_capacity=diagnostics_capacity,
             native=self.native,
         )
         if self.tiering is not None:
@@ -256,14 +230,6 @@ class MajicSession:
             self._pool()
         if seed is not None:
             GLOBAL_RANDOM.seed(seed)
-        # Live observability endpoint: serve_metrics=PORT exposes
-        # /metrics, /healthz and /trace on a loopback daemon thread
-        # (port 0 picks an ephemeral port; see session.obs_server.port).
-        self.obs_server = None
-        if serve_metrics is not None:
-            from repro.obs.server import ObsServer
-
-            self.obs_server = ObsServer(self, port=int(serve_metrics))
 
     # ------------------------------------------------------------------
     # Source management
@@ -359,9 +325,6 @@ class MajicSession:
         if self._closed:
             return
         self._closed = True
-        if self.obs_server is not None:
-            self.obs_server.close()
-            self.obs_server = None
         if self.parallel is not None:
             self.parallel.shutdown()
             self.parallel = None

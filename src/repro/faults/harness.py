@@ -66,6 +66,7 @@ from repro.faults.plan import (
 from repro.kernels import KERNEL_CACHE
 from repro.obs import write_chrome_trace, write_prometheus
 from repro.repository.diagnostics import PARALLEL_RESTART
+from repro.resilience import ResiliencePolicy
 
 #: The ``--smoke`` subset: recursion, scalar loops, a builtin solver, the
 #: one ``rand`` user, and ``orbrk`` — two functions (so a second worker
@@ -182,10 +183,10 @@ def native_lanes() -> list[Lane]:
     load and the first native run — every one must deoptimize back onto
     the Python fused kernels without changing a single bit — plus one
     fault-free lane with the toolchain disabled entirely.  Sessions run
-    with ``native_sync`` so the compile happens on the hot path and the
+    with ``sync`` so the compile happens on the hot path and the
     injected fault is guaranteed to fire before the call is observed."""
     kwargs = {
-        "native": True, "native_sync": True, "native_hot_threshold": 1,
+        "native": True, "sync": True, "native_hot_threshold": 1,
         # The sweep's small scales would mostly duck under the size
         # cutoff; forcing it to 1 keeps real native runs in the loop.
         "native_min_elems": 1,
@@ -213,12 +214,13 @@ def chaos_scenarios() -> list[Lane]:
         Lane(
             label="hang-run",
             specs=(FaultSpec(site=SITE_HANG, hits=(1,), behavior=BEHAVIOR_HANG),),
-            session_kwargs={"run_deadline": 0.25},
+            session_kwargs={"resilience": ResiliencePolicy(run_deadline=0.25)},
         ),
         Lane(
             label="hang-compile",
             specs=(FaultSpec(site=SITE_JIT, hits=(1,), behavior=BEHAVIOR_HANG),),
-            session_kwargs={"compile_deadline": 0.25},
+            session_kwargs={
+                "resilience": ResiliencePolicy(compile_deadline=0.25)},
         ),
         Lane(
             label="sandbox-crash-oom",
@@ -226,7 +228,8 @@ def chaos_scenarios() -> list[Lane]:
                 FaultSpec(site=SITE_CRASH, hits=(1,), behavior=BEHAVIOR_CRASH),
                 FaultSpec(site=SITE_OOM, hits=(2,), behavior=BEHAVIOR_OOM),
             ),
-            session_kwargs={"sandbox": True, "sandbox_timeout": 15.0},
+            session_kwargs={"resilience": ResiliencePolicy(
+                sandbox=True, sandbox_timeout=15.0)},
         ),
         Lane(
             label="cache-corrupt",

@@ -24,7 +24,6 @@ absorbs it.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from dataclasses import dataclass
 
@@ -40,18 +39,8 @@ KERNEL_FORMAT_VERSION = 1
 #: unbounded stream of distinct trees; past this the least recently used
 #: kernel is dropped (consumers memoize their own bindings, so an evicted
 #: kernel keeps serving existing plans and simply recompiles on the next
-#: cold lookup).  Overridable per process via
-#: ``MAJIC_KERNEL_CACHE_CAPACITY``.
+#: cold lookup).
 DEFAULT_KERNEL_CACHE_CAPACITY = 256
-
-
-def _default_capacity() -> int:
-    raw = os.environ.get("MAJIC_KERNEL_CACHE_CAPACITY", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_KERNEL_CACHE_CAPACITY
-    return value if value > 0 else DEFAULT_KERNEL_CACHE_CAPACITY
 
 
 @dataclass
@@ -87,7 +76,7 @@ class KernelCache:
     def __init__(self, capacity: int | None = None):
         self._lock = threading.Lock()
         self._kernels: dict[str, CompiledKernel] = {}
-        self.capacity = capacity if capacity else _default_capacity()
+        self.capacity = capacity if capacity else DEFAULT_KERNEL_CACHE_CAPACITY
         self.hits = 0
         self.misses = 0
         self.evictions = 0

@@ -61,7 +61,6 @@ from repro.obs.profiler import (
     rank_attribution,
     report_from_spans,
 )
-from repro.obs.server import ObsServer
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -279,7 +278,6 @@ __all__ = [
     "FlightRecorder",
     "NullFlightRecorder",
     "NULL_FLIGHT",
-    "ObsServer",
     "RankAttribution",
     "load_bundle",
     "merge_remote_spans",

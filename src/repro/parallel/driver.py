@@ -25,11 +25,12 @@ executor degrades to serial-only for the rest of the session
 (:data:`PARALLEL_DEGRADED`).
 
 Worker ranks are forked *disarmed*: each child builds a fresh
-``MajicSession`` with ``compile_deadline=None, sandbox=False,
-background=False`` so it never touches the parent's watchdog monitor or
-sandbox machinery inherited across ``fork()``; the in-memory
-``KERNEL_CACHE`` and any shared disk ``RepositoryCache`` directory *are*
-inherited, so children start with warm caches.
+``MajicSession`` whose policy has no compile deadline and no sandbox,
+with no background pool and a platform that leaves the recursion limit
+alone (``host_recursion_limit=0``), so it never touches the parent's
+watchdog monitor or sandbox machinery inherited across ``fork()``; the
+in-memory ``KERNEL_CACHE`` and any shared disk ``RepositoryCache``
+directory *are* inherited, so children start with warm caches.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import multiprocessing
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -179,15 +180,14 @@ def _worker_main(rank: int, size: int, spool, config: WorkerConfig):
 
     from repro.core.majic import MajicSession
     from repro.obs import FlightRecorder
+    from repro.resilience import ResiliencePolicy
 
     session = MajicSession(
-        platform=config.platform,
+        platform=replace(config.platform, host_recursion_limit=0),
         seed=None,
         background=False,
-        sandbox=False,
-        compile_deadline=None,
+        resilience=ResiliencePolicy(compile_deadline=None),
         cache_dir=config.cache_dir,
-        recursion_limit=0,
         trace=config.trace,
         metrics=config.metrics,
     )

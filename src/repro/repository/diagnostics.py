@@ -79,9 +79,9 @@ class DiagnosticsLog:
 
     The ring is a :class:`collections.deque`, so a chaos storm that fires
     thousands of events costs O(1) per drop rather than a list shuffle.
-    The ``capacity`` is configurable per session
-    (``MajicSession(diagnostics_capacity=...)``); drops are surfaced
-    through the :attr:`dropped` counter — a nonzero value is itself a
+    A session's log keeps the last 10 000 events (``capacity`` is a
+    constructor parameter for tests); drops are surfaced through the
+    :attr:`dropped` counter — a nonzero value is itself a
     health signal worth alerting on.
 
     Recording is thread-safe: background speculation workers, the

@@ -139,6 +139,8 @@ class CompileBudget:
 
 
 def _as_budget(budget) -> CompileBudget:
+    if budget is None:
+        return CompileBudget()
     if isinstance(budget, CompileBudget):
         return budget
     return CompileBudget(per_pass=float(budget))
@@ -184,20 +186,17 @@ class CodeRepository:
         src_options: SrcOptions | None = None,
         sink: OutputSink | None = None,
         inline_enabled: bool = True,
-        compile_budget: CompileBudget | None = None,
         max_strikes: int = 3,
         fault_plan=None,
         cache=None,
         obs=None,
         resilience: ResiliencePolicy | None = None,
-        diagnostics_capacity: int | None = None,
         native=None,
     ):
         self.jit_options = jit_options or JitOptions()
         self.src_options = src_options or SrcOptions()
         self.sink = sink if sink is not None else OutputSink()
         self.inline_enabled = inline_enabled
-        self.compile_budget = compile_budget or CompileBudget()
         self.max_strikes = max_strikes
         self.fault_plan = fault_plan
         # Observability switchboard (tracing + metrics; a shared null
@@ -208,10 +207,7 @@ class CodeRepository:
         self.cache = cache
         self.snoop = DirectorySnoop()
         self.depgraph = DependencyGraph()
-        self.diagnostics = DiagnosticsLog(
-            capacity=diagnostics_capacity
-            if diagnostics_capacity is not None else 10_000
-        )
+        self.diagnostics = DiagnosticsLog()
         self.stats = RepositoryStats(events=self.diagnostics)
         # The metrics registry reads these tallies (repro.obs.instruments)
         # and robustness events reach the trace stream for free.
@@ -617,11 +613,11 @@ class CodeRepository:
         describes dead source and is dropped), or the compile failed
         (:meth:`compile_failed` has recorded the verdict).
 
-        ``budget`` (default: the repository-wide per-function budget) is a
-        wall-clock target, not a hard deadline: the compile it bounds has
-        already run by the time it can be measured, so an overrun stores
-        and returns the object (this call needs it) but records the event
-        and flags the function so speculative passes skip it up front.
+        ``budget`` (seconds; default: none) is a wall-clock target, not a
+        hard deadline: the compile it bounds has already run by the time it
+        can be measured, so an overrun stores and returns the object (this
+        call needs it) but records the event and flags the function so
+        speculative passes skip it up front.
         """
         return self._compile(name, "jit", signature, budget=budget)
 
@@ -700,8 +696,6 @@ class CodeRepository:
             except Exception as exc:  # noqa: BLE001 - rejection or compiler crash
                 self.compile_failed(name, mode, exc, signature)
                 return None
-            if budget is None and mode == "jit":
-                budget = self.compile_budget.per_function
             # duration is None when no compile ran (cache hit, or dropped).
             if budget is not None and duration is not None and duration > budget:
                 self._budget_skip(
@@ -786,7 +780,7 @@ class CodeRepository:
         :class:`SpeculationReport` subclass also carries ``skipped``,
         ``failed`` and ``elapsed``.
         """
-        budget = _as_budget(budget) if budget is not None else self.compile_budget
+        budget = _as_budget(budget)
         report = SpeculationReport()
         names = self.function_names()
         start = time.perf_counter()

@@ -23,7 +23,7 @@ disk cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.resilience.sandbox import (
     SandboxExecutor,
@@ -80,10 +80,6 @@ class ResiliencePolicy:
     #: Dead parallel-worker respawns paid for before the parallel backend
     #: degrades to serial execution for the rest of the session.
     parallel_max_restarts: int = 4
-
-    def with_overrides(self, **kwargs) -> "ResiliencePolicy":
-        """A copy with the given fields replaced (None values kept)."""
-        return replace(self, **kwargs)
 
 
 #: The default policy (module-level so callers can compare identity).

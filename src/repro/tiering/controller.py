@@ -253,7 +253,14 @@ class TierController:
             and target not in state.asked
             and repo.compile_verdict(name) != "uncompilable"
         ):
-            signature = invocation.signature if target == TIER_JIT else None
+            signature = None
+            if target == TIER_JIT:
+                # Nothing is compiled for a call that leaves a formal
+                # unset: leave the ask to the next full call.
+                fn = repo.lookup_function(name)
+                if fn is not None and len(invocation.args) != len(fn.params):
+                    return
+                signature = invocation.signature
             self._begin(name, state, target, signature)
 
     def _begin(self, name, state, target, signature, inline=False) -> None:

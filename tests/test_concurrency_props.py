@@ -16,12 +16,14 @@ Two properties, both stated by ISSUE 2:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import MajicSession
+from repro import SPARC, MajicSession
 from repro.repository.cache import deserialize_payload, serialize_payload
 from repro.runtime.mxarray import IntrinsicClass, MxArray
 from repro.runtime.values import from_ndarray, from_python, make_string
@@ -30,6 +32,8 @@ from repro.runtime.values import from_ndarray, from_python, make_string
 # Property 1: define/redefine/call/speculate interleavings converge
 # ----------------------------------------------------------------------
 NAMES = ("f0", "f1", "f2")
+#: Hypothesis runs hundreds of sessions: leave the host recursion limit be.
+KEEP_LIMIT = replace(SPARC, host_recursion_limit=0)
 
 #: Source template variants; redefinition picks a different variant.
 TEMPLATES = (
@@ -93,9 +97,11 @@ def _apply(session: MajicSession, script, background: bool):
 )
 @given(script=ops, workers=st.integers(1, 3))
 def test_interleavings_converge_to_synchronous_results(script, workers):
-    sync = MajicSession(recursion_limit=0)
+    sync = MajicSession(platform=KEEP_LIMIT)
     expected = _apply(sync, script, background=False)
-    with MajicSession(background=True, workers=workers, recursion_limit=0) as session:
+    with MajicSession(
+        background=True, workers=workers, platform=KEEP_LIMIT
+    ) as session:
         actual = _apply(session, script, background=True)
     assert actual == expected
 
@@ -108,9 +114,11 @@ def test_interleavings_converge_to_synchronous_results(script, workers):
 )
 @given(script=ops, workers=st.integers(1, 4))
 def test_interleavings_converge_exhaustive(script, workers):
-    sync = MajicSession(recursion_limit=0)
+    sync = MajicSession(platform=KEEP_LIMIT)
     expected = _apply(sync, script, background=False)
-    with MajicSession(background=True, workers=workers, recursion_limit=0) as session:
+    with MajicSession(
+        background=True, workers=workers, platform=KEEP_LIMIT
+    ) as session:
         actual = _apply(session, script, background=True)
     assert actual == expected
 

@@ -122,6 +122,12 @@ COMPLEX_ORDER = (
     "if z == 1i, r = r + 16; end\nif z ~= w, r = r + 32; end\n"
 )
 FEWER = "function y = short(a, b)\nif a > 5, y = b; else y = a * 2; end\n"
+SHORT_FIRST = (
+    "function r = promo(x)\nr = short(x);\n"
+    "for k = 1:4, r = r + short(x, k); end\n"
+    "function y = short(a, b)\nif a == -1, y = a; return; end\n"
+    "if a > 5, y = b; else y = a * 2; end\n"
+)
 
 
 def _scalar(value):
@@ -170,6 +176,10 @@ def _scalar(value):
 #: ``fewer-actuals``: a call that leaves formals unset is the
 #: interpreter's, value and error text (compiled code was built for the
 #: short signature and then missed a positional).
+#: ``short-call-promotes``: the first call of ``short`` is a short one and
+#: reaches the adaptive row's JIT threshold; the full calls after it must
+#: still be promoted (the controller asked once from the short call, got
+#: "not now" and never asked again), with every value the interpreter's.
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -202,6 +212,7 @@ PROBES = {
     "complex-order": Program((COMPLEX_ORDER,), "ccmp", _scalar(-1.0)),
     "fewer-actuals": Program((FEWER,), "short", _scalar(2.0)),
     "fewer-actuals-error": Program((FEWER,), "short", _scalar(7.0)),
+    "short-call-promotes": Program((SHORT_FIRST,), "promo", _scalar(2.0)),
 }
 
 

@@ -14,12 +14,14 @@ shapes do not conform.  Four engines run every example:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import MajicSession
+from repro import SPARC, MajicSession
 from repro.errors import MatlabError
 from repro.frontend.parser import parse
 from repro.interp.interpreter import Interpreter
@@ -125,19 +127,16 @@ def run_interp(source: str, args, fusion: bool):
     return interp.call_function(table["f"], list(args), 1)[0]
 
 
+#: Unrolling is disabled so the unfused comparator is the ``g_*`` chain
+#: the fusion guarantee is stated against.  (The unroller is a *third*
+#: pre-existing codegen path with its own klass normalization: it builds
+#: results element-by-element and boxes them REAL where ``from_ndarray``
+#: classifies integral values INT.)
+NO_UNROLL = replace(SPARC, jit_unroll=False)
+
+
 def run_jit(source: str, args, fusion: bool):
-    # Unrolling is disabled so the unfused comparator is the ``g_*``
-    # chain the fusion guarantee is stated against.  (The unroller is a
-    # *third* pre-existing codegen path with its own klass
-    # normalization: it builds results element-by-element and boxes
-    # them REAL where ``from_ndarray`` classifies integral values INT.)
-    from dataclasses import replace
-
-    from repro.core.platformcfg import platform_by_name
-
-    jit = replace(platform_by_name("sparc").jit_options(None),
-                  unroll_enabled=False, fusion=fusion)
-    session = MajicSession(jit_options=jit)
+    session = MajicSession(platform=NO_UNROLL, fusion=fusion)
     session.add_source(source)
     outputs = session.call_boxed("f", list(args), nargout=1)
     session.close()

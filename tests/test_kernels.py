@@ -110,19 +110,13 @@ def test_cache_lru_eviction_with_counter():
     assert cache.stats()["evictions"] == 2  # k0 went this time
 
 
-def test_cache_capacity_env_knob(monkeypatch):
+def test_cache_capacity():
     from repro.kernels.cache import (
         DEFAULT_KERNEL_CACHE_CAPACITY,
         KernelCache,
     )
 
-    monkeypatch.setenv("MAJIC_KERNEL_CACHE_CAPACITY", "7")
-    assert KernelCache().capacity == 7
-    monkeypatch.setenv("MAJIC_KERNEL_CACHE_CAPACITY", "not-a-number")
     assert KernelCache().capacity == DEFAULT_KERNEL_CACHE_CAPACITY
-    monkeypatch.setenv("MAJIC_KERNEL_CACHE_CAPACITY", "-3")
-    assert KernelCache().capacity == DEFAULT_KERNEL_CACHE_CAPACITY
-    monkeypatch.delenv("MAJIC_KERNEL_CACHE_CAPACITY")
     assert KernelCache(capacity=11).capacity == 11
 
 

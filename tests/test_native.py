@@ -40,6 +40,7 @@ from repro.native import detect_toolchain, generate_c, native_eligible
 from repro.runtime.values import from_python
 
 from .test_kernel_props import (
+    NO_UNROLL,
     SPECIALS,
     NONZERO_SPECIALS,
     bits,
@@ -76,19 +77,6 @@ SOURCE_TEMPLATE = "function y = f(a, b, c)\ny = {expr};\n"
 dtypes = st.sampled_from(["real", "complex", "bool"])
 
 
-def _jit_options():
-    """Unrolling off, like ``test_kernel_props.run_jit``: the unroller is
-    a pre-existing third codegen path with its own scalar math (1-ulp
-    ``cmath`` vs numpy differences on 1x1 complex operands) — not what
-    this suite compares."""
-    from dataclasses import replace
-
-    from repro.core.platformcfg import platform_by_name
-
-    return replace(platform_by_name("sparc").jit_options(None),
-                   unroll_enabled=False, fusion=True)
-
-
 def run_native(source, args, store_dir, **session_kwargs):
     """Two calls through a native-tier session; both digests returned.
 
@@ -96,9 +84,9 @@ def run_native(source, args, store_dir, **session_kwargs):
     compile; the second call is the one a ready ``.so`` serves.
     """
     session = MajicSession(
-        native=True, native_sync=True, native_hot_threshold=1,
+        native=True, sync=True, native_hot_threshold=1,
         native_min_elems=1, cache_dir=store_dir,
-        jit_options=_jit_options(), **session_kwargs,
+        platform=NO_UNROLL, **session_kwargs,
     )
     session.add_source(source)
     try:
@@ -263,7 +251,7 @@ def test_repeated_run_faults_demote_kernel(tmp_path):
     hits = tuple(range(1, MAX_RUN_STRIKES + 1))
     plan = FaultPlan([FaultSpec(site=SITE_NATIVE_RUN, hits=hits)])
     session = MajicSession(
-        native=True, native_sync=True, native_hot_threshold=1,
+        native=True, sync=True, native_hot_threshold=1,
         native_min_elems=1, cache_dir=str(tmp_path), fault_plan=plan,
     )
     session.add_source(NATIVE_SRC)

@@ -1,7 +1,6 @@
-"""Distributed tracing, the crash flight recorder and the /metrics
-endpoint (ISSUE 8's tentpole).
+"""Distributed tracing and the crash flight recorder.
 
-The acceptance criteria exercised here:
+What is exercised here:
 
 * a ``parallel=2`` traced run exports ONE Chrome trace: every rank gets
   its own pid row, and every MPI send flow event has a matching receive
@@ -12,8 +11,6 @@ The acceptance criteria exercised here:
 * an injected ``parallel.worker`` crash produces a postmortem bundle
   matching the documented ``majic-postmortem/1`` schema, containing the
   dead rank's own last spans;
-* ``serve_metrics`` serves parseable Prometheus exposition under
-  concurrent scrapes;
 * ``profile("report")`` attributes per-rank time to the MatlabMPI
   launch/communication/computation columns;
 * parallel results stay bit-identical with tracing enabled.
@@ -22,8 +19,6 @@ The acceptance criteria exercised here:
 from __future__ import annotations
 
 import json
-import threading
-import urllib.request
 
 import numpy as np
 import pytest
@@ -391,73 +386,3 @@ def test_worker_crash_writes_dead_ranks_postmortem(fresh_session, tmp_path):
     fallback = session.diagnostics.events(PARALLEL_FALLBACK)
     assert fallback and fallback[0].rank >= 1
     assert "site=" in fallback[0].detail
-
-
-# ----------------------------------------------------------------------
-# The live endpoint
-# ----------------------------------------------------------------------
-@pytest.fixture
-def served_session(fresh_session):
-    session = fresh_session(trace=True, metrics=True, serve_metrics=0)
-    session.add_source(SHEET)
-    return session
-
-
-def fetch(url: str):
-    with urllib.request.urlopen(url, timeout=5) as response:
-        return response.status, response.read().decode()
-
-
-def test_endpoint_serves_prometheus_and_health_and_trace(served_session):
-    session = served_session
-    session.call("sheet", 4.0)
-    base = session.obs_server.url
-    status, text = fetch(base + "/metrics")
-    assert status == 200
-    assert "# TYPE majic_calls_total counter" in text
-    status, body = fetch(base + "/healthz")
-    health = json.loads(body)
-    assert status == 200 and health["status"] == "ok"
-    assert health["trace"] and health["metrics"]
-    status, body = fetch(base + "/trace")
-    assert status == 200
-    assert {e["name"] for e in json.loads(body)["traceEvents"]
-            if e.get("ph") == "X"} >= {"sheet"}
-    with pytest.raises(urllib.error.HTTPError):
-        fetch(base + "/nope")
-
-
-def test_metrics_endpoint_survives_concurrent_scrapes(served_session):
-    """Exposition stays parseable while the session is executing."""
-    session = served_session
-    url = session.obs_server.url + "/metrics"
-    errors: list[Exception] = []
-
-    def scrape():
-        try:
-            for _ in range(10):
-                status, text = fetch(url)
-                assert status == 200
-                for line in text.splitlines():
-                    assert line.startswith("#") or " " in line
-        except Exception as exc:  # noqa: BLE001 - re-raised below
-            errors.append(exc)
-
-    scrapers = [threading.Thread(target=scrape) for _ in range(4)]
-    for thread in scrapers:
-        thread.start()
-    for _ in range(10):
-        session.call("sheet", 4.0)
-    for thread in scrapers:
-        thread.join(timeout=30)
-    assert not errors
-
-
-def test_endpoint_closes_with_session(fresh_session):
-    session = fresh_session(metrics=True, serve_metrics=0)
-    url = session.obs_server.url + "/healthz"
-    assert fetch(url)[0] == 200
-    session.close()
-    assert session.obs_server is None
-    with pytest.raises(Exception):  # noqa: B017 - connection refused
-        fetch(url)

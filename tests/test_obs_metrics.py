@@ -32,6 +32,7 @@ from repro.obs.instruments import (
     PUSHED,
     catalogue,
 )
+from repro.repository import diagnostics
 from repro.repository.diagnostics import DiagnosticsLog
 from repro.resilience import ResiliencePolicy
 
@@ -195,7 +196,7 @@ def _adaptive_history(tmp_path_factory):
     sessions = []
     for faults in (FaultPlan([FaultSpec("rt.*", hits=(1, 2, 3))]), None):
         session = MajicSession(
-            metrics=True, adaptive=True, adaptive_sync=True, max_strikes=2,
+            metrics=True, adaptive=True, sync=True, max_strikes=2,
             cache_dir=cache_dir, tiering=policy, fault_plan=faults,
         )
         for text in (POLY, MSUM, SPIN):
@@ -238,7 +239,7 @@ def _native_history(tmp_path_factory):
     if detect_toolchain() is None:
         return []
     session = MajicSession(
-        metrics=True, native=True, native_sync=True, native_hot_threshold=1,
+        metrics=True, native=True, sync=True, native_hot_threshold=1,
         native_min_elems=4, cache_dir=tmp_path_factory.mktemp("ledger-native"),
     )
     session.add_source(AXPY)
@@ -372,6 +373,24 @@ def test_design_catalogue_is_the_table():
     begin, end = "<!-- catalogue:begin -->\n", "\n<!-- catalogue:end -->"
     rendered = design[design.index(begin) + len(begin):design.index(end)]
     assert rendered == catalogue()
+
+
+def test_design_catalogue_lists_every_diagnostic_kind():
+    """Every kind constant of ``repository.diagnostics`` has a row in
+    DESIGN.md's catalogue, and every row is a kind."""
+    kinds = {
+        value for name, value in vars(diagnostics).items()
+        if name.isupper() and isinstance(value, str)
+    }
+    assert len(kinds) == 21
+    design = (Path(__file__).parent.parent / "DESIGN.md").read_text()
+    begin, end = "<!-- diagnostics:begin -->\n", "\n<!-- diagnostics:end -->"
+    rows = design[design.index(begin) + len(begin):design.index(end)]
+    listed = {
+        line.split("|")[1].strip().strip("`")
+        for line in rows.splitlines()[2:]
+    }
+    assert listed == kinds
 
 
 def test_event_derived_rows_are_computed_from_the_table():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -41,6 +42,7 @@ from repro.resilience import (
 
 POLY = "function p = poly5(x)\np = x.^5 + 3*x + 2;\n"
 INC = "function y = inc(x)\ny = x + 1;\n"
+SANDBOXED = ResiliencePolicy(sandbox=True)
 
 
 # ----------------------------------------------------------------------
@@ -62,7 +64,9 @@ class TestWatchdog:
     def test_hung_compile_is_cancelled(self):
         plan = FaultPlan([FaultSpec(site=SITE_JIT, hits=(1,),
                                     behavior=BEHAVIOR_HANG)])
-        session = MajicSession(fault_plan=plan, compile_deadline=0.2)
+        session = MajicSession(
+            fault_plan=plan, resilience=ResiliencePolicy(compile_deadline=0.2)
+        )
         session.add_source(POLY)
         assert session.call("poly5", 3.0) == 254.0
         assert session.stats.compile_failures == 1
@@ -108,7 +112,7 @@ class TestWatchdog:
 # ----------------------------------------------------------------------
 class TestSandbox:
     def test_clean_first_run_promotes(self):
-        session = MajicSession(sandbox=True)
+        session = MajicSession(resilience=SANDBOXED)
         session.add_source(POLY)
         assert session.call("poly5", 3.0) == 254.0
         sandbox = session.repository.sandbox
@@ -131,7 +135,8 @@ class TestSandbox:
     def test_dying_trial_deopts_and_session_survives(self, site, behavior):
         plan = FaultPlan([FaultSpec(site=site, hits=(1,), behavior=behavior)])
         session = MajicSession(
-            fault_plan=plan, sandbox=True, sandbox_timeout=2.0
+            fault_plan=plan,
+            resilience=ResiliencePolicy(sandbox=True, sandbox_timeout=2.0),
         )
         session.add_source(POLY)
         if not session.repository.sandbox.available:  # pragma: no cover
@@ -145,7 +150,7 @@ class TestSandbox:
 
     def test_matlab_error_in_trial_is_the_programs_own(self):
         source = "function y = boom(x)\nerror('bad thing');\ny = x;\n"
-        session = MajicSession(sandbox=True)
+        session = MajicSession(resilience=SANDBOXED)
         session.add_source(source)
         if not session.repository.sandbox.available:  # pragma: no cover
             pytest.skip("no fork start method")
@@ -261,16 +266,18 @@ class TestPolicyAndTeardown:
         assert DEFAULT_POLICY.run_deadline is None
         assert not DEFAULT_POLICY.sandbox
 
-    def test_with_overrides_returns_new_policy(self):
-        tweaked = DEFAULT_POLICY.with_overrides(run_deadline=1.5)
+    def test_replace_returns_new_policy(self):
+        tweaked = replace(DEFAULT_POLICY, run_deadline=1.5)
         assert tweaked.run_deadline == 1.5
         assert DEFAULT_POLICY.run_deadline is None
         assert tweaked.compile_deadline == DEFAULT_POLICY.compile_deadline
 
     def test_session_kwargs_build_the_policy(self):
         session = MajicSession(
-            run_deadline=2.0, compile_deadline=7.0, sandbox=True,
-            sandbox_timeout=3.0,
+            resilience=ResiliencePolicy(
+                compile_deadline=7.0, sandbox=True, sandbox_timeout=3.0,
+            ),
+            run_deadline=2.0,
         )
         policy = session.resilience
         assert policy.run_deadline == 2.0
@@ -281,13 +288,16 @@ class TestPolicyAndTeardown:
         assert session.repository.sandbox is not None
 
     def test_explicit_none_disarms_compile_deadline(self):
-        session = MajicSession(compile_deadline=None)
+        session = MajicSession(
+            resilience=ResiliencePolicy(compile_deadline=None)
+        )
         assert session.resilience.compile_deadline is None
         assert session.repository.guard.compile_deadline is None
 
     def test_close_is_idempotent_and_tears_down(self):
         session = MajicSession(
-            background=True, workers=1, sandbox=True, run_deadline=5.0
+            background=True, workers=1,
+            resilience=ResiliencePolicy(sandbox=True, run_deadline=5.0),
         )
         session.add_source(INC)
         session.speculate_async()
@@ -305,13 +315,6 @@ class TestPolicyAndTeardown:
         with MajicSession(background=True, workers=1) as session:
             session.add_source(INC)
         assert session.closed
-
-    def test_diagnostics_capacity_kwarg(self):
-        session = MajicSession(diagnostics_capacity=2)
-        log = session.diagnostics
-        for index in range(5):
-            log.record("deopt", f"f{index}")
-        assert len(log) == 2 and log.dropped == 3
 
 
 # ----------------------------------------------------------------------

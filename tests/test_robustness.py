@@ -152,12 +152,6 @@ class TestCompileBudgets:
         session.speculate_all(budget=0.0)
         assert session.call("fn3", 1.0) == 4.0
 
-    def test_session_wide_budget_default(self):
-        session = MajicSession(compile_budget=CompileBudget(per_pass=0.0))
-        session.add_source(POLY)
-        report = session.speculate_all()
-        assert report.skipped and not list(report)
-
     def test_speculation_report_is_a_list(self, session):
         """Backward compatibility: callers that treat the result as the
         plain list of compiled names keep working."""
@@ -347,7 +341,9 @@ class TestRecursionLimitSetting:
         saved = sys.getrecursionlimit()
         try:
             sys.setrecursionlimit(5_000)
-            MajicSession(recursion_limit=0)
+            MajicSession(
+                platform=dataclasses.replace(SPARC, host_recursion_limit=0)
+            )
             assert sys.getrecursionlimit() == 5_000
         finally:
             sys.setrecursionlimit(saved)

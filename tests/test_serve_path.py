@@ -38,6 +38,7 @@ from repro.faults.plan import FaultSpec
 from repro.frontend.parser import parse
 from repro.interp.interpreter import Interpreter
 from repro.obs import TIER_INTERPRETER
+from repro.resilience import ResiliencePolicy
 from repro.runtime.builtins import GLOBAL_RANDOM, MatlabRandom
 from repro.runtime.display import OutputSink
 from repro.runtime.values import from_python
@@ -243,7 +244,7 @@ class TestHotCacheStaleness:
             jit_threshold=3.0, spec_threshold=6.0, min_samples=2,
             demote_margin=1e-9, redemote_backoff=1.0, max_demotions=2,
         )
-        duo = twin(adaptive=True, adaptive_sync=True, tiering=churn)
+        duo = twin(adaptive=True, sync=True, tiering=churn)
         duo.add_source(SPECIAL)
         session = duo.session
         for round_ in range(12):
@@ -307,6 +308,23 @@ class TestHotCacheStaleness:
             len(version.signature) == 2
             for version in duo.session.repository.versions_of("short")
         )
+
+    def test_short_call_at_the_threshold_then_full_calls_promote(self, twin):
+        """The call that reaches the JIT threshold leaves a formal unset:
+        nothing is compiled for it, and the next full call still asks."""
+        policy = TieringPolicy(jit_threshold=3.0, spec_threshold=1e9)
+        duo = twin(adaptive=True, sync=True, tiering=policy)
+        duo.add_source(
+            "function y = short(a, b)\nif a > 5, y = b; else y = a * 2; end\n"
+        )
+        duo.call("short", 2.0, 3.0)
+        duo.call("short", 2.0, 3.0)
+        duo.call("short", 2.0)
+        assert duo.session.tiering.tier_of("short") == TIER_INTERPRETER
+        for _ in range(3):
+            duo.call("short", 2.0, 3.0)
+        assert duo.session.tiering.tier_of("short") == "jit"
+        assert duo.session.stats.calls_jit >= 1
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +406,8 @@ class TestRollbackCapture:
     def test_sandbox_verdict_applies_the_childs_stream(self):
         program = Program((self.NESTED,), "outer", lambda: [from_python(2.0)])
         want = backends.reference(program)
-        with backends.open(program, "fused", sandbox=True) as handle:
+        sandboxed = ResiliencePolicy(sandbox=True)
+        with backends.open(program, "fused", resilience=sandboxed) as handle:
             for _ in range(3):      # the trial, then two in-process hits
                 assert not want.diff(handle.call())
             assert handle.session.stats.deopts == 0

@@ -1,9 +1,13 @@
 """End-to-end MajicSession tests (the public API)."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from repro import MajicSession, MIPS, SPARC, platform_by_name
+from repro.resilience import ResiliencePolicy
 
 POLY = "function p = poly(x)\np = x.^5 + 3*x + 2;\n"
 
@@ -132,3 +136,34 @@ class TestResponsiveness:
         session.call("poly", 3.0)
         versions = session.repository.versions_of("poly")
         assert {v.mode for v in versions} == {"spec"}
+
+
+class TestSurface:
+    """The configuration surface, pinned.  Each setting has one spelling
+    (DESIGN.md, *Session knobs*); a new entry in either list needs a
+    caller outside ``tests/`` — a knob only a test sets is a test seam,
+    not an option."""
+
+    SESSION_KWARGS = [
+        "platform", "ablation", "inline_enabled", "seed", "max_strikes",
+        "fault_plan", "cache_dir", "background", "workers", "trace",
+        "metrics", "fusion", "native", "sync", "native_hot_threshold",
+        "native_min_elems", "adaptive", "tiering", "resilience",
+        "run_deadline", "parallel", "flight",
+    ]
+    POLICY_FIELDS = [
+        "compile_deadline", "run_deadline", "sandbox", "sandbox_timeout",
+        "worker_heartbeat_timeout", "worker_max_restarts",
+        "worker_restart_backoff", "worker_max_task_retries",
+        "parallel_recv_timeout", "parallel_max_restarts",
+    ]
+
+    def test_session_kwargs(self):
+        assert list(inspect.signature(MajicSession).parameters) == (
+            self.SESSION_KWARGS
+        )
+
+    def test_resilience_policy_fields(self):
+        assert [f.name for f in dataclasses.fields(ResiliencePolicy)] == (
+            self.POLICY_FIELDS
+        )

@@ -171,6 +171,9 @@ class FakeRepo:
     def profile_key(self, name, tag):
         return None  # no profile store in these tests
 
+    def lookup_function(self, name):
+        return None  # no sources: every call counts as a full one
+
 
 class FakeInvocation:
     def __init__(self, name, signature="sig"):
@@ -343,7 +346,7 @@ def interpreter_result(source, name, *args):
 class TestAdaptiveSession:
     def test_promotes_without_manual_tuning(self, fresh_session):
         session = fresh_session(
-            adaptive=True, adaptive_sync=True, tiering=AGGRESSIVE
+            adaptive=True, sync=True, tiering=AGGRESSIVE
         )
         session.add_source(FIB)
         expected = interpreter_result(FIB, "fib", 10.0)
@@ -409,13 +412,13 @@ class TestAdaptiveSession:
         from repro.errors import RepositoryError
 
         session = fresh_session(
-            adaptive=True, adaptive_sync=True, tiering=AGGRESSIVE
+            adaptive=True, sync=True, tiering=AGGRESSIVE
         )
         with pytest.raises(RepositoryError):
             session.call_boxed("nonesuch", [])
 
     def test_kernel_hotness_is_shared_with_native_engine(self, fresh_session):
-        session = fresh_session(adaptive=True, adaptive_sync=True)
+        session = fresh_session(adaptive=True, sync=True)
         if session.native is not None and session.native.enabled:
             assert session.native.hotness is session.tiering.kernel_hotness
         else:
@@ -429,7 +432,7 @@ class TestAdaptiveSession:
     ):
         monkeypatch.setenv("MAJIC_NATIVE_DISABLE", "1")
         session = fresh_session(
-            adaptive=True, adaptive_sync=True, tiering=AGGRESSIVE
+            adaptive=True, sync=True, tiering=AGGRESSIVE
         )
         session.add_source(POLY)
         import numpy as np
@@ -448,7 +451,7 @@ class TestAdaptiveSession:
         declines every dispatch: the interpreter's fused fast path must
         count the kernels it then runs itself."""
         monkeypatch.setenv("MAJIC_NATIVE_DISABLE", "1")
-        session = fresh_session(adaptive=True, adaptive_sync=True, native=True)
+        session = fresh_session(adaptive=True, sync=True, native=True)
         assert session.native is not None and not session.native.enabled
         session.add_source(POLY)
         import numpy as np
@@ -460,7 +463,7 @@ class TestAdaptiveSession:
     def test_promotion_fault_leaves_results_bit_identical(self, fresh_session):
         plan = FaultPlan.tiering_fault(hit=1)
         session = fresh_session(
-            adaptive=True, adaptive_sync=True, tiering=AGGRESSIVE,
+            adaptive=True, sync=True, tiering=AGGRESSIVE,
             fault_plan=plan,
         )
         session.add_source(FIB)
@@ -486,7 +489,7 @@ class TestOneBook:
     POLICY = TieringPolicy()  # the defaults: jit at 3, spec at 12
 
     def _session(self, fresh_session, **kwargs):
-        return fresh_session(adaptive=True, adaptive_sync=True, **kwargs)
+        return fresh_session(adaptive=True, sync=True, **kwargs)
 
     def _call(self, session, source, name, arg):
         """One checked call; returns the letter of the tier that served
@@ -559,7 +562,7 @@ class TestProfilePersistence:
     def test_warm_session_zero_promotion_recompiles(self, fresh_session, tmp_path):
         policy = TieringPolicy(jit_threshold=2.0, spec_threshold=4.0)
         cold = fresh_session(
-            adaptive=True, adaptive_sync=True, cache_dir=tmp_path,
+            adaptive=True, sync=True, cache_dir=tmp_path,
             tiering=policy,
         )
         cold.add_source(FIB)
@@ -571,7 +574,7 @@ class TestProfilePersistence:
         assert cold.tiering.profiles_saved == 1
 
         warm = fresh_session(
-            adaptive=True, adaptive_sync=True, cache_dir=tmp_path,
+            adaptive=True, sync=True, cache_dir=tmp_path,
             tiering=policy,
         )
         warm.add_source(FIB)
@@ -591,7 +594,7 @@ class TestProfilePersistence:
 
     def test_sessions_without_cache_skip_persistence(self, fresh_session):
         session = fresh_session(
-            adaptive=True, adaptive_sync=True, tiering=AGGRESSIVE
+            adaptive=True, sync=True, tiering=AGGRESSIVE
         )
         session.add_source(FIB)
         session.call("fib", 8.0)
@@ -667,7 +670,7 @@ def test_interleaved_tier_switches_bit_identical(policy, stream):
     table = _expected_table()
     interp = Interpreter(function_lookup=table.get, sink=OutputSink())
     session = MajicSession(
-        seed=None, adaptive=True, adaptive_sync=True, tiering=policy
+        seed=None, adaptive=True, sync=True, tiering=policy
     )
     try:
         for source in SOURCES:
