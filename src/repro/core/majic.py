@@ -24,7 +24,6 @@ from dataclasses import replace
 from repro.core.platformcfg import AblationFlags, PlatformConfig, platform_by_name
 from repro.interp.frontend import Invocation, MajicFrontEnd
 from repro.obs import (
-    FlightRecorder,
     Observability,
     Profiler,
     chrome_trace_json,
@@ -83,7 +82,6 @@ class MajicSession:
         resilience: ResiliencePolicy | None = None,
         run_deadline: float | None = None,
         parallel: int | None = None,
-        flight=None,
     ):
         if isinstance(platform, str):
             platform = platform_by_name(platform)
@@ -102,18 +100,7 @@ class MajicSession:
         # Observability: a per-session switchboard (null recorders unless
         # trace/metrics asked for them), shared by the repository, the
         # compilers it constructs and the background workers.
-        # The crash flight recorder: flight=True keeps breadcrumbs and
-        # dumps postmortem bundles into the default ~/.pymajic/postmortem
-        # directory; a path dumps there instead; None/False disables it
-        # (the null recorder costs one attribute check).
-        flight_recorder = None
-        if flight:
-            flight_recorder = FlightRecorder(
-                dump_dir=None if flight is True else flight
-            )
-        self.obs = Observability(
-            trace=trace, metrics=metrics, flight=flight_recorder
-        )
+        self.obs = Observability(trace=trace, metrics=metrics)
         self._profiler = Profiler(self.obs)
         # Disk persistence: cache_dir=True selects ~/.pymajic/cache; a
         # path (str/Path) selects that directory; None disables it.
@@ -197,10 +184,6 @@ class MajicSession:
         if self.tiering is not None:
             self.tiering.bind(self.repository)
         self.frontend = MajicFrontEnd(self.repository, sink=self.sink)
-        # The flight recorder breadcrumbs every diagnostic and writes a
-        # postmortem bundle on deopts, watchdog timeouts, sandbox deaths,
-        # poison tasks and parallel-rank failures (repro.obs.flight).
-        self.obs.flight.attach(self.obs, self.repository.diagnostics)
         # Background speculation: a daemon worker pool (lazily started by
         # speculate_async when background=False was given here).
         self._workers = workers or platform.speculation_workers

@@ -284,9 +284,9 @@ def run_lanes(
     """Every benchmark × every lane, each compared — as a whole
     :class:`~repro.backends.Observation` — with the pure interpreter's.
 
-    ``trace=True`` runs the faulted sessions with (distributed) tracing
-    and metrics on — results must stay bit-identical with spans being
-    recorded and shipped, or observability is changing behaviour."""
+    ``trace=True`` runs the faulted sessions with tracing and metrics on
+    — results must stay bit-identical with spans being recorded, or
+    observability is changing behaviour."""
     outcomes: list[DifferentialOutcome] = []
     for name in names or benchmark_names():
         program = Program.benchmark(name)
@@ -378,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         help="run a final observed (fault-free) pass with span tracing on "
              "and print the session summary; with --chaos/--parallel the "
              "sweep's faulted sessions also run traced (bit-identity must "
-             "hold with distributed tracing enabled)",
+             "hold with the session's tracer on)",
     )
     parser.add_argument(
         "--metrics", action="store_true",

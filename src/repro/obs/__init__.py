@@ -20,6 +20,11 @@ Three pillars share one wiring point, the :class:`Observability` facade:
   per-function report split by execution tier, derived from the same
   spans as the Figure 6 breakdown.
 
+All three describe one process.  A ``parallel=N`` session's worker ranks
+ship back their result and their new diagnostics, nothing else; the
+session's own ``parallel_*`` spans and ``majic_parallel_*`` metrics time
+and count the calls from outside.
+
 Both recorders are **null objects when disabled** (the default): the
 instrumented hot paths pay one attribute check and allocate nothing, a
 property guarded by tests; the benchmark's ``obs.trace_metrics_ratio``
@@ -37,14 +42,7 @@ from repro.obs.export_chrome import (
     write_chrome_trace,
 )
 from repro.obs.export_prom import prometheus_text, write_prometheus
-from repro.obs.flight import (
-    DUMP_KINDS,
-    FlightRecorder,
-    NULL_FLIGHT,
-    NullFlightRecorder,
-    load_bundle,
-)
-from repro.obs.instruments import EVENT_DERIVED, INSTRUMENTS, PUSHED, paths
+from repro.obs.instruments import INSTRUMENTS, PUSHED, paths
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -57,19 +55,9 @@ from repro.obs.profiler import (
     FunctionProfile,
     Profiler,
     ProfileReport,
-    RankAttribution,
-    rank_attribution,
     report_from_spans,
 )
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    merge_remote_spans,
-    self_times,
-    serialize_spans,
-)
+from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer, self_times
 
 #: Execution-tier label values used across spans, metrics and reports.
 TIER_INTERPRETER = "interpreter"
@@ -89,22 +77,9 @@ class Observability:
     the trace stream without any extra call sites.
     """
 
-    def __init__(
-        self,
-        trace: bool = False,
-        metrics: bool = False,
-        flight=None,
-        trace_id: str | None = None,
-    ):
-        self.tracer = Tracer(trace_id=trace_id) if trace else NULL_TRACER
+    def __init__(self, trace: bool = False, metrics: bool = False):
+        self.tracer = Tracer() if trace else NULL_TRACER
         self.metrics = MetricsRegistry() if metrics else NULL_METRICS
-        # The crash flight recorder (repro.obs.flight); NULL_FLIGHT keeps
-        # the disabled path a no-op attribute away.
-        self.flight = flight if flight is not None else NULL_FLIGHT
-        # Per-rank remote->local span id maps for merged distributed
-        # traces (persistent, so later batches can reference earlier
-        # parents).
-        self._rank_idmaps: dict[int, dict[int, int]] = {}
         # name -> component whose tallies the table's views read.
         self.sources: dict[str, object] = {}
         self._pushed = {}
@@ -121,10 +96,6 @@ class Observability:
                 )
 
     # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled or self.metrics.enabled
-
     def enable_tracing(self) -> None:
         """Swap the null tracer for a live one (``profile on``)."""
         if not self.tracer.enabled:
@@ -198,54 +169,6 @@ class Observability:
         )
 
     # ------------------------------------------------------------------
-    # Cross-rank absorption (the distributed-tracing merge point)
-    # ------------------------------------------------------------------
-    def absorb_rank(self, batch: dict, diagnostics=None,
-                    default_parent: int | None = None) -> None:
-        """Fold one worker rank's shipped observability payload in.
-
-        ``batch`` is the dict a rank attaches to its task reply: a span
-        buffer (:func:`~repro.obs.trace.serialize_spans`), a structured
-        metrics delta (:meth:`MetricsRegistry.delta`) and the rank's new
-        :class:`DiagnosticEvent` records.  Spans merge into the parent
-        tracer under ``default_parent`` (the parent-side span that
-        dispatched the task), metric deltas fold into the parent registry
-        without double counting, and diagnostics surface into the parent
-        log with the originating ``rank`` attached.
-        """
-        if not batch:
-            return
-        rank = int(batch.get("rank", 0))
-        if self.tracer.enabled and batch.get("spans"):
-            idmap = self._rank_idmaps.setdefault(rank, {})
-            merge_remote_spans(
-                self.tracer, batch, idmap, default_parent=default_parent
-            )
-        if self.metrics.enabled and batch.get("metrics"):
-            delta = batch["metrics"]
-            if diagnostics is not None:
-                # Surfacing the rank's diagnostics below lands them in
-                # the parent's event log, which the event-derived views
-                # read; merging the rank's own copy of those views too
-                # would count every event twice.
-                delta = {
-                    name: entry for name, entry in delta.items()
-                    if name not in EVENT_DERIVED
-                }
-            self.metrics.merge(delta)
-        if diagnostics is not None:
-            for event in batch.get("diagnostics", ()):
-                diagnostics.record(
-                    event.get("kind", "unknown"),
-                    event.get("function", ""),
-                    detail=event.get("detail", ""),
-                    cause=event.get("cause", ""),
-                    signature=event.get("signature", ""),
-                    rank=rank,
-                    wall_time=event.get("wall_time"),
-                )
-
-    # ------------------------------------------------------------------
     # Diagnostics bridge
     # ------------------------------------------------------------------
     def bind_diagnostics(self, log) -> None:
@@ -274,15 +197,6 @@ DISABLED = Observability()
 __all__ = [
     "Observability",
     "DISABLED",
-    "DUMP_KINDS",
-    "FlightRecorder",
-    "NullFlightRecorder",
-    "NULL_FLIGHT",
-    "RankAttribution",
-    "load_bundle",
-    "merge_remote_spans",
-    "rank_attribution",
-    "serialize_spans",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",

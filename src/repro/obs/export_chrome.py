@@ -5,22 +5,13 @@ Perfetto "JSON object" flavour): a top-level object with a
 ``traceEvents`` array of complete-duration events (``ph == "X"``) carrying
 ``pid``/``tid``/``ts``/``dur`` in microseconds, instant events
 (``ph == "i"``) for zero-duration diagnostics (deopts, quarantines), and
-thread-name metadata events (``ph == "M"``).  Each event's ``args`` embeds
-the span's own id and parent id, so the hierarchical tree — including
-cross-thread parent links from background speculation workers back to the
-foreground ``speculate_async`` span — survives the export losslessly and
-can be reassembled from the JSON alone.
-
-Distributed traces (``MajicSession(parallel=N, trace=True)``) add two
-constructs on top:
-
-* spans merged from worker ranks carry their own ``pid`` (the forked
-  rank's OS pid), so each rank renders as its own process row; a
-  ``process_name`` metadata event labels the row ``rank N``;
-* a matched ``MPI_Send``/``MPI_Recv`` pair shares a ``flow_id`` argument,
-  which the export turns into Chrome flow events (``ph == "s"`` at the
-  send, ``ph == "f"`` at the receive) — the arrows connecting each send
-  to its receive across rank rows.
+thread-name metadata events (``ph == "M"``).  Every span was recorded in
+this process, so all events share its ``pid``; threads — the foreground
+session and the background speculation workers — are the rows.  Each
+event's ``args`` embeds the span's own id and parent id, so the
+hierarchical tree — including cross-thread parent links from background
+workers back to the foreground ``speculate_async`` span — survives the
+export losslessly and can be reassembled from the JSON alone.
 """
 
 from __future__ import annotations
@@ -31,23 +22,15 @@ import os
 
 def chrome_trace(tracer) -> dict:
     """The tracer's spans as a Trace-Event-Format compatible dict."""
-    own_pid = os.getpid()
+    pid = os.getpid()
     events: list[dict] = []
-    threads_seen: dict[tuple[int, int], str] = {}
-    ranks_seen: dict[int, int] = {}
+    threads_seen: dict[int, str] = {}
     for span in tracer.spans():
-        rank = getattr(span, "rank", 0)
-        pid = getattr(span, "pid", 0) or own_pid
-        if pid not in ranks_seen:
-            ranks_seen[pid] = rank
-        if (pid, span.tid) not in threads_seen:
-            threads_seen[(pid, span.tid)] = span.thread
+        threads_seen.setdefault(span.tid, span.thread)
         args = dict(span.args)
         args["span_id"] = span.span_id
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id
-        if rank:
-            args["rank"] = rank
         event = {
             "name": span.name,
             "cat": span.category,
@@ -63,24 +46,6 @@ def chrome_trace(tracer) -> dict:
             event["ph"] = "i"
             event["s"] = "t"
         events.append(event)
-        flow = span.args.get("flow")
-        flow_id = span.args.get("flow_id")
-        if flow in ("s", "f") and flow_id is not None:
-            flow_event = {
-                "name": "mpi_msg",
-                "cat": "mpi",
-                "ph": flow,
-                "id": str(flow_id),
-                "pid": pid,
-                "tid": span.tid,
-                # Bind the arrow endpoints inside their slices: the start
-                # anchors at the end of the send, the finish at the end of
-                # the matching receive.
-                "ts": (span.start + span.duration) * 1e6,
-            }
-            if flow == "f":
-                flow_event["bp"] = "e"
-            events.append(flow_event)
     metadata = [
         {
             "name": "thread_name",
@@ -89,26 +54,12 @@ def chrome_trace(tracer) -> dict:
             "tid": tid,
             "args": {"name": thread_name},
         }
-        for (pid, tid), thread_name in threads_seen.items()
+        for tid, thread_name in threads_seen.items()
     ]
-    metadata.extend(
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": f"rank {rank}"},
-        }
-        for pid, rank in ranks_seen.items()
-    )
     return {
         "traceEvents": metadata + events,
         "displayTimeUnit": "ms",
-        "otherData": {
-            "producer": "pymajic",
-            "wall_epoch": getattr(tracer, "wall_epoch", 0.0),
-            "trace_id": getattr(tracer, "trace_id", ""),
-        },
+        "otherData": {"producer": "pymajic"},
     }
 
 

@@ -105,15 +105,6 @@ def paths(source: str) -> list[list[str]]:
     return [path.strip().split(".") for path in source.split("+")]
 
 
-#: Views over the event log.  A rank's diagnostics are surfaced into the
-#: parent's log, which these rows read — so a cross-rank fold that also
-#: merged the rank's own copy of them would count every event twice.
-EVENT_DERIVED = frozenset(
-    row.name for row in INSTRUMENTS
-    if any(path[0] == "diagnostics" for path in paths(row.source))
-)
-
-
 def catalogue() -> str:
     """The table as the Markdown DESIGN.md carries."""
     lines = [

@@ -83,9 +83,6 @@ class _CounterChild:
         with self._lock:
             self.value += amount
 
-    def state(self) -> float:
-        return self.value
-
 
 class Counter(_Instrument):
     kind = "counter"
@@ -115,9 +112,6 @@ class _GaugeChild:
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
-    def state(self) -> float:
-        return self.value
-
 
 class Gauge(_Instrument):
     kind = "gauge"
@@ -144,25 +138,10 @@ class _HistogramChild:
                 if value <= bound:
                     self.counts[index] += 1
 
-    def absorb(self, counts, sum_delta: float, count_delta: int) -> None:
-        """Fold a shipped bucket-count delta in (cross-rank merge)."""
-        with self._lock:
-            for index, delta in enumerate(counts[: len(self.counts)]):
-                self.counts[index] += delta
-            self.sum += sum_delta
-            self.count += count_delta
-
     def cumulative(self) -> list[tuple[float, int]]:
         """(upper-bound, cumulative count) pairs, ``+Inf`` last."""
         with self._lock:
             return [*zip(self.buckets, self.counts), (float("inf"), self.count)]
-
-    def state(self) -> dict:
-        with self._lock:
-            return {
-                "counts": list(self.counts), "sum": self.sum,
-                "count": self.count,
-            }
 
 
 class Histogram(_Instrument):
@@ -187,9 +166,6 @@ class _Reading:
     def __init__(self, value: float):
         self.value = value
 
-    def state(self):
-        return self.value
-
 
 class View(_Instrument):
     """A counter nobody increments.
@@ -198,24 +174,18 @@ class View(_Instrument):
     number (an unlabelled series, exposed once it has moved), a mapping
     of label value to number (every key is a series) or ``None`` (no
     such component in this session) — and :meth:`samples` adds them up
-    per series, together with what worker ranks shipped (:meth:`fold`).
-    Nothing else is stored here, so a view cannot drift from its source.
+    per series.  Nothing is stored here, so a view cannot drift from its
+    source.
     """
 
     def __init__(self, name, kind, help="", labelnames=(), read=tuple):
         super().__init__(name, help, labelnames)
         self.kind = kind
         self._read = read
-        # ``_children`` holds only what ranks shipped: series -> amount.
-
-    def fold(self, key: tuple, amount: float) -> None:
-        """Add a rank's shipped movement of one series (cross-rank merge)."""
-        with self._lock:
-            self._children[key] = self._children.get(key, 0.0) + amount
 
     def samples(self) -> list[tuple[tuple, object]]:
         values: dict[tuple, float] = {}
-        for tally in (*self._read(), self._children):
+        for tally in self._read():
             if tally is None:
                 continue
             if not isinstance(tally, dict):
@@ -272,113 +242,16 @@ class MetricsRegistry:
         with self._lock:
             return list(self._metrics.values())
 
-    def snapshot(self, structured: bool = False) -> dict:
+    def snapshot(self) -> dict:
         """Plain numbers for assertions: counters/gauges map label tuples
-        to values, histograms to their running sums.
-
-        ``structured=True`` returns the full-fidelity form used by the
-        cross-rank delta/merge protocol: per metric, its kind/help/
-        labelnames (and buckets), plus every child's complete state —
-        histogram bucket counts included, so bucket-level deltas fold into
-        the parent exactly.
-        """
-        state: dict[str, dict] = {}
-        for metric in self.collect():
-            children = {key: child.state() for key, child in metric.samples()}
-            if not structured:
-                state[metric.name] = {
-                    key: value["sum"] if isinstance(value, dict) else value
-                    for key, value in children.items()
-                }
-                continue
-            entry = state[metric.name] = {
-                "kind": metric.kind,
-                "help": metric.help,
-                "labelnames": list(metric.labelnames),
-                "children": children,
+        to values, histograms to their running sums."""
+        return {
+            metric.name: {
+                key: child.sum if metric.kind == "histogram" else child.value
+                for key, child in metric.samples()
             }
-            if metric.kind == "histogram":
-                entry["buckets"] = list(metric.buckets)
-        return state
-
-    @staticmethod
-    def delta(base: dict, current: dict) -> dict:
-        """``current - base`` over two structured snapshots.
-
-        This is what a forked rank ships with each task reply: only what
-        changed since the previous shipment, so the parent's ``merge``
-        never double-counts fork-inherited or already-shipped values.
-        Gauges are point-in-time readings, not accumulations, and are
-        excluded (a rank's queue depth has no meaning added to the
-        parent's).
-        """
-        out: dict[str, dict] = {}
-        for name, entry in current.items():
-            if entry["kind"] == "gauge":
-                continue
-            base_children = base.get(name, {}).get("children", {})
-            children: dict[tuple, object] = {}
-            for key, value in entry["children"].items():
-                before = base_children.get(key)
-                if entry["kind"] == "histogram":
-                    if before is None:
-                        before = {"counts": [], "sum": 0.0, "count": 0}
-                    counts = [
-                        c - (before["counts"][i] if i < len(before["counts"])
-                             else 0)
-                        for i, c in enumerate(value["counts"])
-                    ]
-                    diff = {
-                        "counts": counts,
-                        "sum": value["sum"] - before["sum"],
-                        "count": value["count"] - before["count"],
-                    }
-                    if diff["count"] or any(counts) or diff["sum"]:
-                        children[key] = diff
-                else:
-                    moved = value - (before or 0.0)
-                    if moved:
-                        children[key] = moved
-            if children:
-                out[name] = {**entry, "children": children}
-        return out
-
-    def merge(self, delta: dict) -> None:
-        """Fold a structured delta (from :meth:`delta`) into this registry.
-
-        A metric this registry holds as a view folds into it; others are
-        created on demand with the shipped kind, help, labelnames and
-        buckets.  Counter deltas ``inc`` and histogram deltas land
-        bucket-by-bucket, so the merged exposition is exactly what one
-        process observing both streams would have recorded.
-        """
-        for name, entry in delta.items():
-            labelnames = tuple(entry.get("labelnames", ()))
-            kind = entry["kind"]
-            if kind == "histogram":
-                metric = self.histogram(
-                    name, entry.get("help", ""), labelnames,
-                    buckets=tuple(entry.get("buckets", DEFAULT_BUCKETS)),
-                )
-                for key, value in entry["children"].items():
-                    child = metric.labels(**dict(zip(labelnames, key)))
-                    child.absorb(
-                        value["counts"], value["sum"], value["count"]
-                    )
-            elif kind == "counter":
-                with self._lock:
-                    held = self._metrics.get(name)
-                if not isinstance(held, View):
-                    held = self.counter(name, entry.get("help", ""), labelnames)
-                for key, value in entry["children"].items():
-                    if value <= 0:
-                        continue
-                    if isinstance(held, View):
-                        held.fold(tuple(key), value)
-                    else:
-                        held.labels(**dict(zip(labelnames, key))).inc(value)
-            # Gauges never travel (see delta()); unknown kinds are skipped
-            # rather than raised — a merge must not break the reply path.
+            for metric in self.collect()
+        }
 
 
 class _Null:
@@ -417,15 +290,8 @@ class NullMetrics:
     def collect(self) -> list:
         return []
 
-    def snapshot(self, structured: bool = False) -> dict:
+    def snapshot(self) -> dict:
         return {}
-
-    @staticmethod
-    def delta(base: dict, current: dict) -> dict:
-        return {}
-
-    def merge(self, delta: dict) -> None:
-        return None
 
 
 NULL_METRICS = NullMetrics()

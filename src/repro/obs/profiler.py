@@ -20,58 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.trace import NULL_TRACER, self_times
+from repro.obs.trace import self_times
 
 #: Span category recorded around every function execution (compiled or
 #: interpreted) by the repository.
 EXECUTION = "execution"
-#: Span categories the per-rank attribution buckets (MatlabMPI splits a
-#: parallel run's time the same way: launch / communication / computation).
-LAUNCH = "launch"
-MPI = "mpi"
-
-
-@dataclass
-class RankAttribution:
-    """One rank's launch/communication/computation split (MatlabMPI-style)."""
-
-    rank: int
-    launch_s: float = 0.0   # rank boot: fork + session construction
-    comm_s: float = 0.0     # MPI_Send/MPI_Recv time attached to real work
-    comp_s: float = 0.0     # execution-span self time on that rank
-
-    @property
-    def total_s(self) -> float:
-        return self.launch_s + self.comm_s + self.comp_s
-
-
-def rank_attribution(spans) -> list[RankAttribution]:
-    """Split the span window's time per rank into the MatlabMPI columns.
-
-    *Launch* is the ``launch``-category spans (each rank records one
-    ``rank_boot``).  *Communication* is ``mpi``-category spans **with a
-    parent** — a worker's idle wait for its next task is a parentless
-    ``MPI_Recv`` and counts as neither communication nor computation.
-    *Computation* is the exclusive (self) time of ``execution`` spans.
-    """
-    exclusive = self_times(spans)
-    rows: dict[int, RankAttribution] = {}
-
-    def row(rank: int) -> RankAttribution:
-        entry = rows.get(rank)
-        if entry is None:
-            entry = rows[rank] = RankAttribution(rank=rank)
-        return entry
-
-    for span in spans:
-        rank = getattr(span, "rank", 0)
-        if span.category == LAUNCH:
-            row(rank).launch_s += span.duration
-        elif span.category == MPI and span.parent_id is not None:
-            row(rank).comm_s += span.duration
-        elif span.category == EXECUTION:
-            row(rank).comp_s += exclusive[span.span_id]
-    return sorted(rows.values(), key=lambda entry: entry.rank)
 
 
 @dataclass
@@ -88,17 +41,11 @@ class FunctionProfile:
 class ProfileReport:
     """The ``profile report`` result: rows sorted by self time."""
 
-    def __init__(
-        self,
-        entries: list[FunctionProfile],
-        window_s: float = 0.0,
-        ranks: list[RankAttribution] | None = None,
-    ):
+    def __init__(self, entries: list[FunctionProfile], window_s: float = 0.0):
         self.entries = sorted(
             entries, key=lambda e: (-e.self_s, e.function, e.tier)
         )
         self.window_s = window_s
-        self.ranks = list(ranks or ())
 
     @property
     def total_self_s(self) -> float:
@@ -132,31 +79,7 @@ class ProfileReport:
             f"{'TOTAL':<20} {'':<12} {self.total_calls:>7} "
             f"{'':>11} {self.total_self_s:>11.6f}"
         )
-        # The per-rank section only appears when the window shows actual
-        # distributed activity: several ranks, or launch/comm time on one.
-        distributed = len(self.ranks) > 1 or any(
-            entry.launch_s or entry.comm_s for entry in self.ranks
-        )
-        if distributed:
-            rank_header = (
-                f"{'rank':>4} {'launch (s)':>11} {'comm (s)':>11} "
-                f"{'comp (s)':>11} {'total (s)':>11}"
-            )
-            lines += ["", "Per-rank attribution (MatlabMPI columns)",
-                      rank_header, "-" * len(rank_header)]
-            for entry in self.ranks:
-                lines.append(
-                    f"{entry.rank:>4} {entry.launch_s:>11.6f} "
-                    f"{entry.comm_s:>11.6f} {entry.comp_s:>11.6f} "
-                    f"{entry.total_s:>11.6f}"
-                )
         return "\n".join(lines)
-
-    def rank_row(self, rank: int) -> RankAttribution | None:
-        for entry in self.ranks:
-            if entry.rank == rank:
-                return entry
-        return None
 
     def __str__(self) -> str:
         return self.render()
@@ -180,10 +103,7 @@ def report_from_spans(spans, window_s: float = 0.0) -> ProfileReport:
         entry.calls += 1
         entry.total_s += span.duration
         entry.self_s += exclusive[span.span_id]
-    return ProfileReport(
-        list(rows.values()), window_s=window_s,
-        ranks=rank_attribution(spans),
-    )
+    return ProfileReport(list(rows.values()), window_s=window_s)
 
 
 class Profiler:

@@ -31,10 +31,8 @@ Design constraints
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
-import uuid
 
 
 class Span:
@@ -49,7 +47,6 @@ class Span:
     __slots__ = (
         "tracer", "name", "category", "args",
         "span_id", "parent_id", "start", "duration", "thread", "tid",
-        "rank", "pid",
     )
 
     def __init__(self, tracer: "Tracer", name: str, category: str, args: dict):
@@ -63,10 +60,6 @@ class Span:
         self.duration = 0.0
         self.thread = ""
         self.tid = 0
-        # Process identity for merged cross-rank traces: rank 0 / pid 0
-        # mean "this process" (the exporter substitutes os.getpid()).
-        self.rank = 0
-        self.pid = 0
 
     def __enter__(self) -> "Span":
         tracer = self.tracer
@@ -125,19 +118,13 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, trace_id: str | None = None):
+    def __init__(self):
         self._lock = threading.Lock()
         self._spans: list[Span] = []
         self._ids = itertools.count(1)
         self._local = threading.local()
-        # perf_counter epoch for span timestamps plus the wall-clock
-        # instant it corresponds to (Chrome traces want absolute-ish ts).
+        # perf_counter epoch for span timestamps.
         self.epoch = time.perf_counter()
-        self.wall_epoch = time.time()
-        # Distributed trace identity: propagated to parallel worker ranks
-        # through the message envelope so every process's spans carry the
-        # same id and can be correlated after the merge.
-        self.trace_id = trace_id or uuid.uuid4().hex[:16]
 
     def _stack(self) -> list[int]:
         stack = getattr(self._local, "stack", None)
@@ -154,15 +141,6 @@ class Tracer:
 
     def instant(self, name: str, category: str, **args) -> Span:
         """Record a zero-duration event (deopts, quarantines, ...)."""
-        return self.complete(name, category, self.rel_now(), 0.0, **args)
-
-    def complete(
-        self, name: str, category: str, start: float, duration: float, **args
-    ) -> Span:
-        """Record an already-measured region (``start`` is an epoch-relative
-        perf_counter value as produced by ``rel_now``).  Used where a
-        context manager does not fit — e.g. the communicator records a
-        receive only once a message was actually delivered."""
         span = Span(self, name, category, args)
         span.span_id = next(self._ids)
         stack = self._stack()
@@ -170,15 +148,10 @@ class Tracer:
         current = threading.current_thread()
         span.thread = current.name
         span.tid = current.ident or 0
-        span.start = start
-        span.duration = duration
+        span.start = time.perf_counter() - self.epoch
         with self._lock:
             self._spans.append(span)
         return span
-
-    def rel_now(self) -> float:
-        """The current instant on the tracer's epoch-relative clock."""
-        return time.perf_counter() - self.epoch
 
     def current_id(self) -> int | None:
         """Token identifying the innermost open span on this thread
@@ -240,78 +213,6 @@ class Tracer:
         return "\n".join(lines)
 
 
-def serialize_spans(spans) -> list[dict]:
-    """Spans as plain dicts: the wire format worker ranks ship back to the
-    parent with every task reply (pickled inside the reply envelope)."""
-    return [
-        {
-            "name": span.name,
-            "category": span.category,
-            "args": dict(span.args),
-            "span_id": span.span_id,
-            "parent_id": span.parent_id,
-            "start": span.start,
-            "duration": span.duration,
-            "thread": span.thread,
-            "tid": span.tid,
-        }
-        for span in spans
-    ]
-
-
-def merge_remote_spans(
-    tracer: Tracer,
-    batch: dict,
-    idmap: dict[int, int],
-    default_parent: int | None = None,
-) -> int:
-    """Fold one rank's shipped span buffer into ``tracer``.
-
-    ``batch`` carries ``rank``, ``pid``, ``wall_epoch`` and a ``spans``
-    list from :func:`serialize_spans`.  Remote span ids are remapped into
-    the parent tracer's id space through the per-rank ``idmap`` (persistent
-    across batches, so a later batch can still reference an earlier
-    parent); spans whose parent is unknown on this side are re-parented
-    under ``default_parent`` — the parent-side span that dispatched the
-    task — which is how a rank's tree hangs off the session's tree.
-    Timestamps are rebased through the wall-clock epochs of the two
-    tracers, so rank rows line up on one timeline.  Returns the number of
-    spans merged.
-    """
-    rank = int(batch.get("rank", 0))
-    pid = int(batch.get("pid", 0))
-    offset = float(batch.get("wall_epoch", tracer.wall_epoch)) - tracer.wall_epoch
-    records = batch.get("spans", ())
-    if not records:
-        return 0
-    # Two passes: ids first (children close before their parents, so a
-    # child's parent may appear later in the same batch), then links.
-    for record in records:
-        remote_id = record["span_id"]
-        if remote_id not in idmap:
-            idmap[remote_id] = next(tracer._ids)
-    merged: list[Span] = []
-    for record in records:
-        span = Span(tracer, record["name"], record["category"],
-                    dict(record["args"]))
-        span.span_id = idmap[record["span_id"]]
-        remote_parent = record["parent_id"]
-        if remote_parent is not None and remote_parent in idmap:
-            span.parent_id = idmap[remote_parent]
-        else:
-            span.parent_id = default_parent
-        span.start = record["start"] + offset
-        span.duration = record["duration"]
-        span.thread = f"rank{rank}:{record['thread']}"
-        span.tid = record["tid"]
-        span.rank = rank
-        span.pid = pid or os.getpid()
-        merged.append(span)
-    with tracer._lock:
-        tracer._spans.extend(merged)
-    return len(merged)
-
-
 class _NullSpan:
     """The shared do-nothing context manager of the disabled tracer."""
 
@@ -333,8 +234,6 @@ class NullTracer:
     method call and nothing else (and allocates no spans)."""
 
     enabled = False
-    trace_id = ""
-    wall_epoch = 0.0
     epoch = 0.0
 
     def span(self, name: str, category: str, **args) -> _NullSpan:
@@ -342,12 +241,6 @@ class NullTracer:
 
     def instant(self, name: str, category: str, **args) -> None:
         return None
-
-    def complete(self, name, category, start, duration, **args) -> None:
-        return None
-
-    def rel_now(self) -> float:
-        return 0.0
 
     def current_id(self) -> None:
         return None

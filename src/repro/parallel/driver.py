@@ -30,7 +30,10 @@ with no background pool and a platform that leaves the recursion limit
 alone (``host_recursion_limit=0``), so it never touches the parent's
 watchdog monitor or sandbox machinery inherited across ``fork()``; the
 in-memory ``KERNEL_CACHE`` and any shared disk ``RepositoryCache``
-directory *are* inherited, so children start with warm caches.
+directory *are* inherited, so children start with warm caches.  Ranks
+record no spans and keep no metrics: a reply carries the result, the RNG
+post-state, the faults fired and the task's new diagnostics, which the
+parent's log records with ``rank=`` attached.
 """
 
 from __future__ import annotations
@@ -94,84 +97,19 @@ class WorkerConfig:
     cache_dir: object = None
     fault_specs: tuple = ()
     fault_seed: int = 0
-    # Observability wiring: ranks join the parent's distributed trace
-    # (same trace_id), run their own metrics registry, and — when the
-    # parent has a flight recorder — dump crash postmortems into the
-    # same directory.
-    trace: bool = False
-    metrics: bool = False
-    trace_id: str = ""
-    flight_dir: object = None
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-class _ObsShipper:
-    """Worker-side bookkeeping: what has already shipped to rank 0.
-
-    Replies carry *deltas* — the spans recorded since the last reply, the
-    metrics movement since the last snapshot, the diagnostics appended
-    since the last send — so absorbing every reply in order reconstructs
-    the rank's full story without double counting anything.
-    """
-
-    def __init__(self, session, rank: int):
-        self.session = session
-        self.rank = rank
-        self._spans_sent = 0
-        self._diag_sent = 0
-        metrics = session.obs.metrics
-        self._base = (
-            metrics.snapshot(structured=True) if metrics.enabled else {}
-        )
-
-    def batch(self) -> dict | None:
-        """The rank's observability delta, or None when nothing moved."""
-        from repro.obs.trace import serialize_spans
-
-        obs = self.session.obs
-        batch: dict = {"rank": self.rank, "pid": os.getpid()}
-        if obs.tracer.enabled:
-            spans = obs.tracer.spans()
-            fresh = spans[self._spans_sent:]
-            self._spans_sent = len(spans)
-            if fresh:
-                batch["wall_epoch"] = obs.tracer.wall_epoch
-                batch["spans"] = serialize_spans(fresh)
-        if obs.metrics.enabled:
-            current = obs.metrics.snapshot(structured=True)
-            delta = obs.metrics.delta(self._base, current)
-            self._base = current
-            if delta:
-                batch["metrics"] = delta
-        events = self.session.repository.diagnostics.events()
-        fresh_events = events[self._diag_sent:]
-        self._diag_sent = len(events)
-        if fresh_events:
-            batch["diagnostics"] = [
-                {
-                    "kind": e.kind,
-                    "function": e.function,
-                    "detail": e.detail,
-                    "cause": e.cause,
-                    "signature": e.signature,
-                    "wall_time": e.wall_time,
-                }
-                for e in fresh_events
-            ]
-        if len(batch) == 2:  # only rank + pid: nothing to ship
-            return None
-        return batch
-
-
 # ----------------------------------------------------------------------
 # Worker-side main loop
 # ----------------------------------------------------------------------
 def _worker_main(rank: int, size: int, spool, config: WorkerConfig):
-    """One rank's lifetime: build a disarmed session, serve tasks."""
-    boot_started = time.perf_counter()
+    """One rank's lifetime: build a disarmed, unobserved session, serve
+    tasks.  A reply carries the result, the RNG post-state, the faults
+    fired and the diagnostics the task logged — nothing else."""
     transport = FileTransport(spool)  # shared spool, own seq counter
     plan = None
     if config.fault_specs:
@@ -179,7 +117,6 @@ def _worker_main(rank: int, size: int, spool, config: WorkerConfig):
     fired_sent = 0
 
     from repro.core.majic import MajicSession
-    from repro.obs import FlightRecorder
     from repro.resilience import ResiliencePolicy
 
     session = MajicSession(
@@ -188,22 +125,12 @@ def _worker_main(rank: int, size: int, spool, config: WorkerConfig):
         background=False,
         resilience=ResiliencePolicy(compile_deadline=None),
         cache_dir=config.cache_dir,
-        trace=config.trace,
-        metrics=config.metrics,
+        trace=False,
+        metrics=False,
     )
-    tracer = session.obs.tracer
-    if tracer.enabled and config.trace_id:
-        # One distributed trace: the rank's spans carry the parent's id.
-        tracer.trace_id = config.trace_id
-    flight = None
-    if config.flight_dir:
-        flight = FlightRecorder(dump_dir=config.flight_dir, rank=rank)
-        flight.attach(session.obs, session.repository.diagnostics)
-    # The communicator traces its own MPI_Send/MPI_Recv spans into the
-    # rank's tracer; the rank's metrics read its message tallies.
-    comm = Communicator(rank, size, transport, obs=session.obs)
-    session.obs.attach(comm=comm)
-    shipper = _ObsShipper(session, rank)
+    log = session.repository.diagnostics
+    shipped_seq = 0  # the last diagnostic already sent to rank 0
+    comm = Communicator(rank, size, transport)
     seen = set()
     for text in config.sources:
         try:
@@ -216,92 +143,56 @@ def _worker_main(rank: int, size: int, spool, config: WorkerConfig):
             session.add_path(path)
         except Exception:  # noqa: BLE001
             pass
-    if tracer.enabled:
-        # MatlabMPI's "launch" column: fork + session build + source load.
-        tracer.complete(
-            "rank_boot", "launch", 0.0,
-            time.perf_counter() - boot_started, rank=rank,
-        )
 
     try:
         while True:
-            # The idle wait for the next task is deliberately *parentless*
-            # MPI_Recv time: the per-rank profile attribution counts only
-            # parented mpi spans as communication.
             task = comm.recv(0, TAG_TASK)
             if task.get("op") == "shutdown":
-                flush_tag = task.get("reply_tag")
-                if flush_tag:
-                    # Final observability flush: ships the spans recorded
-                    # since the last reply (including its MPI_Send, which
-                    # closes the last send->recv flow pair).  The flush
-                    # itself is untraced so it cannot dangle a new flow.
-                    comm.obs = None
-                    try:
-                        comm.send(
-                            0, flush_tag,
-                            {"status": "obs", "obs": shipper.batch()},
-                        )
-                    except Exception:  # noqa: BLE001 - dying transport
-                        pass
                 break
             reply_tag = task["reply_tag"]
             mark = session.sink.mark()
-            with tracer.span(
-                "parallel_task", "parallel",
-                function=task["function"], rank=rank,
-            ):
-                try:
-                    for text in task.get("sources", ()):
-                        digest = _sha(text)
-                        if digest not in seen:
-                            session.add_source(text)
-                            seen.add(digest)
-                    for path in task.get("paths", ()):
-                        session.add_path(path)
-                    GLOBAL_RANDOM.restore(task["rng"])
-                    if plan is not None:
-                        # May raise (error reply), hang (parent recv
-                        # timeout) or crash (the process exit below).
-                        plan.check(SITE_PARALLEL_WORKER, task["function"])
-                    outputs = session.call_boxed(
-                        task["function"], task["args"],
-                        nargout=task["nargout"],
-                    )
-                    extract = task.get("extract")
-                    if extract is not None and outputs:
-                        lo, hi = extract
-                        full = outputs[0]
-                        chunk = np.ascontiguousarray(full.view()[lo:hi, :])
-                        outputs = [MxArray(full.part_tag, chunk)]
-                    reply = {
-                        "status": "ok",
-                        "value": outputs,
-                        "rng": GLOBAL_RANDOM.snapshot(),
-                    }
-                except Exception as exc:  # noqa: BLE001 - error reply
-                    reply = {"status": "error", "error": repr(exc)}
-                finally:
-                    session.sink.truncate(mark)  # worker output discarded
+            try:
+                for text in task.get("sources", ()):
+                    digest = _sha(text)
+                    if digest not in seen:
+                        session.add_source(text)
+                        seen.add(digest)
+                for path in task.get("paths", ()):
+                    session.add_path(path)
+                GLOBAL_RANDOM.restore(task["rng"])
+                if plan is not None:
+                    # May raise (error reply), hang (parent recv timeout)
+                    # or crash (the process exit below).
+                    plan.check(SITE_PARALLEL_WORKER, task["function"])
+                outputs = session.call_boxed(
+                    task["function"], task["args"], nargout=task["nargout"],
+                )
+                extract = task.get("extract")
+                if extract is not None and outputs:
+                    lo, hi = extract
+                    full = outputs[0]
+                    chunk = np.ascontiguousarray(full.view()[lo:hi, :])
+                    outputs = [MxArray(full.part_tag, chunk)]
+                reply = {
+                    "status": "ok",
+                    "value": outputs,
+                    "rng": GLOBAL_RANDOM.snapshot(),
+                }
+            except Exception as exc:  # noqa: BLE001 - error reply
+                reply = {"status": "error", "error": repr(exc)}
+            finally:
+                session.sink.truncate(mark)  # worker output discarded
             if plan is not None:
                 reply["fired"] = list(plan.fired[fired_sent:])
                 fired_sent = len(plan.fired)
-            # The task span above is closed, so it ships with THIS reply;
-            # the reply's own MPI_Send span ships with the next one (or
-            # with the shutdown flush).
-            batch = shipper.batch()
-            if batch:
-                reply["obs"] = batch
+            # Everything logged since the last reply rides on this one; a
+            # rank logs nothing between tasks, so nothing waits for exit.
+            fresh = [e for e in log.events() if e.seq > shipped_seq]
+            if fresh:
+                reply["diagnostics"] = fresh
+                shipped_seq = fresh[-1].seq
             comm.send(0, reply_tag, reply)
-    except BaseException as exc:  # noqa: BLE001 - SimulatedCrash / torn spool
-        # The dying rank's own postmortem: its last spans, breadcrumbs and
-        # diagnostics land in the shared dump directory before the parent
-        # even notices the death.
-        if flight is not None:
-            flight.dump(
-                "worker_crash", fault_site="parallel.worker",
-                rank=rank, error=repr(exc),
-            )
+    except BaseException:  # noqa: BLE001 - SimulatedCrash / torn spool
         os._exit(17)
     os._exit(0)
 
@@ -336,15 +227,13 @@ class ParallelExecutor:
         self._ctx = multiprocessing.get_context("fork")
         self._transport = FileTransport()
         self.comm = Communicator(
-            0, self.size, self._transport,
-            fault_plan=fault_plan, obs=self.obs,
+            0, self.size, self._transport, fault_plan=fault_plan,
         )
         self.obs.attach(parallel=self, comm=self.comm)
         worker_specs = tuple(
             spec for spec in getattr(fault_plan, "specs", ())
             if spec.site == SITE_PARALLEL_WORKER
         )
-        flight = getattr(self.obs, "flight", None)
         self._config = WorkerConfig(
             platform=session.platform,
             sources=list(session.shipped_sources()) + tile_sources(),
@@ -352,13 +241,6 @@ class ParallelExecutor:
             cache_dir=session.cache_dir,
             fault_specs=worker_specs,
             fault_seed=getattr(fault_plan, "seed", 0),
-            trace=self.obs.tracer.enabled,
-            metrics=self.obs.metrics.enabled,
-            trace_id=getattr(self.obs.tracer, "trace_id", ""),
-            flight_dir=(
-                str(flight.dump_dir)
-                if flight is not None and flight.enabled else None
-            ),
         )
         self._baseline: dict[int, tuple[int, int]] = {}
         self.procs: dict[int, multiprocessing.Process] = {}
@@ -415,32 +297,12 @@ class ParallelExecutor:
         )
 
     def shutdown(self) -> None:
-        # When observability is on, the shutdown carries a reply tag: each
-        # rank answers with a final span/metrics/diagnostics flush (which
-        # includes its last reply's MPI_Send span, closing the final
-        # send->recv flow pair) before exiting.
-        flush_tag = self._next_tag() if self.obs.enabled else None
-        flushing = []
         for rank, proc in list(self.procs.items()):
             if proc.is_alive():
-                task = {"op": "shutdown"}
-                if flush_tag is not None:
-                    task["reply_tag"] = flush_tag
                 try:
-                    self.comm.send(rank, TAG_TASK, task)
-                    if flush_tag is not None:
-                        flushing.append(rank)
+                    self.comm.send(rank, TAG_TASK, {"op": "shutdown"})
                 except Exception:  # noqa: BLE001 - dying transport
                     pass
-        for rank in flushing:
-            try:
-                reply = self.comm.recv(
-                    rank, flush_tag, timeout=1.0, fault_check=False
-                )
-                if isinstance(reply, dict) and reply.get("obs"):
-                    self.obs.absorb_rank(reply["obs"], self.diagnostics)
-            except Exception:  # noqa: BLE001 - best-effort flush
-                pass
         for proc in self.procs.values():
             proc.join(timeout=2.0)
             if proc.is_alive():
@@ -475,11 +337,9 @@ class ParallelExecutor:
         mark = self.session.sink.mark()
         started = time.perf_counter()
         try:
-            # The dispatch span is the merge anchor: every rank's shipped
-            # spans attach under it, turning N process timelines into one
-            # scatter/compute/gather tree in the Chrome trace.  The
-            # serial fallback below runs *outside* it — its execution
-            # spans belong to rank 0's ordinary timeline.
+            # The dispatch span times scatter/compute/gather as this
+            # process sees it.  The serial fallback below runs *outside*
+            # it, so its execution spans are the session's ordinary ones.
             with self.obs.tracer.span(
                 "parallel_tile", "parallel", function=name, rows=rows,
             ):
@@ -657,16 +517,11 @@ class ParallelExecutor:
                 continue
             if reply.get("fired") and self.fault_plan is not None:
                 self.fault_plan.absorb_fired(reply["fired"])
-            # Fold the rank's shipped observability in *before* judging
-            # the status: an error reply's spans and diagnostics are
-            # exactly the ones worth having.  The enclosing dispatch span
-            # (still open on this thread) anchors the merged spans.
-            batch = reply.pop("obs", None)
-            if batch:
-                self.obs.absorb_rank(
-                    batch, self.diagnostics,
-                    default_parent=self.obs.tracer.current_id(),
-                )
+            # Surface the rank's diagnostics *before* judging the status:
+            # an error reply's events are exactly the ones worth having
+            # (``backends.Handle.fallbacks`` reads deopts from this log).
+            if reply.get("diagnostics"):
+                self.diagnostics.surface(reply["diagnostics"], rank)
             if reply["status"] != "ok":
                 raise self._fault(
                     f"rank {rank} reported: {reply.get('error', 'unknown')}",
@@ -678,8 +533,8 @@ class ParallelExecutor:
     def _fault(message: str, rank: int = 0,
                site: str = "") -> "ParallelFault":
         """A ParallelFault annotated with the failing rank and fault
-        site, so the fallback diagnostic (and its postmortem bundle) can
-        say *which* rank failed and *where*."""
+        site, so the fallback diagnostic can say *which* rank failed and
+        *where*."""
         fault = ParallelFault(message)
         fault.rank = rank
         fault.site = site

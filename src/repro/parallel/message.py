@@ -20,30 +20,14 @@ from dataclasses import dataclass
 
 #: Wire-format version; bumped when the envelope layout changes so a
 #: stale spool directory can never be misread by a newer receiver.
-#: v2 added the optional distributed-tracing context to the header.
-WIRE_VERSION = 2
+#: v3 dropped v2's optional trace fields: the header is ``src dst tag``.
+WIRE_VERSION = 3
 
 _HEADER = b"MAJP%d\n" % WIRE_VERSION
 
 
 class MessageError(RuntimeError):
     """A malformed or version-mismatched message frame."""
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """Distributed-tracing context riding the envelope header.
-
-    ``trace_id`` is the session tracer's id (one per distributed trace);
-    ``parent_span`` the sender-side span id that was open at send time;
-    ``msg_id`` a globally unique message id (``"<rank>.<seq>"``) shared by
-    the matched ``MPI_Send``/``MPI_Recv`` span pair — the handle Chrome
-    flow events use to draw the arrow between them.
-    """
-
-    trace_id: str
-    parent_span: int
-    msg_id: str
 
 
 @dataclass(frozen=True)
@@ -54,7 +38,6 @@ class Envelope:
     dst: int
     tag: int
     payload: bytes
-    trace: TraceContext | None = None
 
     @property
     def nbytes(self) -> int:
@@ -71,17 +54,9 @@ def decode_value(data: bytes):
 
 
 def pack(envelope: Envelope) -> bytes:
-    """Frame an envelope for the wire (header + addressing + payload).
-
-    The header line is ``src dst tag`` optionally followed by the three
-    trace-context fields (``trace_id parent_span msg_id``); an untraced
-    sender pays zero extra bytes.
-    """
-    fields = [str(envelope.src), str(envelope.dst), str(envelope.tag)]
-    if envelope.trace is not None:
-        ctx = envelope.trace
-        fields += [ctx.trace_id or "-", str(ctx.parent_span), ctx.msg_id]
-    head = (" ".join(fields) + "\n").encode()
+    """Frame an envelope for the wire: the version line, a ``src dst
+    tag`` line, then the payload."""
+    head = f"{envelope.src} {envelope.dst} {envelope.tag}\n".encode()
     return _HEADER + head + envelope.payload
 
 
@@ -94,27 +69,14 @@ def unpack(data: bytes) -> Envelope:
     body = data[len(_HEADER):]
     newline = body.index(b"\n")
     fields = body[:newline].split()
-    if len(fields) not in (3, 6):
+    if len(fields) != 3:
         raise MessageError(f"bad envelope header {body[:newline]!r}")
-    src, dst, tag = (int(f) for f in fields[:3])
-    trace = None
-    if len(fields) == 6:
-        trace = TraceContext(
-            trace_id=fields[3].decode(),
-            parent_span=int(fields[4]),
-            msg_id=fields[5].decode(),
-        )
-    return Envelope(
-        src=src, dst=dst, tag=tag, payload=body[newline + 1:], trace=trace
-    )
+    src, dst, tag = (int(f) for f in fields)
+    return Envelope(src=src, dst=dst, tag=tag, payload=body[newline + 1:])
 
 
-def make(
-    src: int, dst: int, tag: int, value, trace: TraceContext | None = None
-) -> Envelope:
+def make(src: int, dst: int, tag: int, value) -> Envelope:
     """Build an envelope around an arbitrary payload value."""
     if tag < 0:
         raise ValueError("message tags are non-negative integers")
-    return Envelope(
-        src=src, dst=dst, tag=tag, payload=encode_value(value), trace=trace
-    )
+    return Envelope(src=src, dst=dst, tag=tag, payload=encode_value(value))

@@ -29,14 +29,13 @@ and the docs; real code holds a :class:`Communicator`.
 from __future__ import annotations
 
 import collections
-import itertools
 import time
 
 from repro.faults.plan import (
     SITE_PARALLEL_RECV,
     SITE_PARALLEL_SEND,
 )
-from repro.parallel.message import TraceContext, make
+from repro.parallel.message import decode_value, make
 from repro.parallel.transport import Transport
 
 
@@ -53,7 +52,6 @@ class Communicator:
         size: int,
         transport: Transport,
         fault_plan=None,
-        obs=None,
     ):
         if not 0 <= rank < size:
             raise ValueError(f"rank {rank} outside world of size {size}")
@@ -61,26 +59,17 @@ class Communicator:
         self.size = size
         self.transport = transport
         self.fault_plan = fault_plan
-        # Read for its (swappable) tracer only; ``None`` = untraced.
-        self.obs = obs
         # Message traffic by outcome (sent / received / dropped) — the
         # one count; ``majic_parallel_{messages,bytes}_total`` read it.
         self.messages = collections.Counter()
         self.bytes = collections.Counter()
-        # Buffered out-of-order arrivals: (src, tag) -> FIFO of envelopes
-        # (the envelope is kept whole so its trace context survives
-        # buffering and the receive span can still emit its flow event).
+        # Buffered out-of-order arrivals: (src, tag) -> FIFO of envelopes,
+        # unpickled only when delivered (a drained stale reply never is).
         self._buffer: dict[tuple[int, int], collections.deque] = (
             collections.defaultdict(collections.deque)
         )
-        # Per-sender message sequence for globally unique flow ids.
-        self._msg_seq = itertools.count(1)
 
     # ------------------------------------------------------------------
-    def _tracer(self):
-        tracer = getattr(self.obs, "tracer", None)
-        return tracer if tracer is not None and tracer.enabled else None
-
     def _count(self, kind: str, nbytes: int) -> None:
         self.messages[kind] += 1
         if nbytes:
@@ -88,15 +77,7 @@ class Communicator:
 
     def send(self, dst: int, tag: int, value) -> None:
         """Ship ``value`` to ``dst`` under ``tag`` (MPI_Send)."""
-        tracer = self._tracer()
-        trace = None
-        if tracer is not None:
-            trace = TraceContext(
-                trace_id=tracer.trace_id,
-                parent_span=tracer.current_id() or 0,
-                msg_id=f"{self.rank}.{next(self._msg_seq)}",
-            )
-        envelope = make(self.rank, dst, tag, value, trace=trace)
+        envelope = make(self.rank, dst, tag, value)
         plan = self.fault_plan
         if plan is not None and plan.fires(SITE_PARALLEL_SEND):
             # The spool file was lost in flight: the sender believes the
@@ -104,14 +85,7 @@ class Communicator:
             # recv timeout is what detects and absorbs this.
             self._count("dropped", envelope.nbytes)
             return
-        started = tracer.rel_now() if tracer is not None else 0.0
         self.transport.send(envelope)
-        if tracer is not None:
-            tracer.complete(
-                "MPI_Send", "mpi", started, tracer.rel_now() - started,
-                dst=dst, tag=tag, nbytes=envelope.nbytes,
-                flow="s", flow_id=trace.msg_id,
-            )
         self._count("sent", envelope.nbytes)
 
     def recv(self, src: int, tag: int, timeout: float | None = None,
@@ -127,12 +101,10 @@ class Communicator:
         plan = self.fault_plan
         if plan is not None and fault_check:
             plan.check(SITE_PARALLEL_RECV)
-        tracer = self._tracer()
-        started = tracer.rel_now() if tracer is not None else 0.0
         key = (src, tag)
         box = self._buffer.get(key)
         if box:
-            return self._deliver(box.popleft(), tracer, started)
+            return self._deliver(box.popleft())
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             remaining = None
@@ -147,24 +119,10 @@ class Communicator:
             if envelope is None:
                 continue  # loop re-checks the deadline
             if (envelope.src, envelope.tag) == key:
-                return self._deliver(envelope, tracer, started)
+                return self._deliver(envelope)
             self._buffer[(envelope.src, envelope.tag)].append(envelope)
 
-    def _deliver(self, envelope, tracer=None, started: float = 0.0):
-        from repro.parallel.message import decode_value
-
-        if tracer is not None:
-            args = {
-                "src": envelope.src, "tag": envelope.tag,
-                "nbytes": envelope.nbytes,
-            }
-            if envelope.trace is not None:
-                args["flow"] = "f"
-                args["flow_id"] = envelope.trace.msg_id
-            tracer.complete(
-                "MPI_Recv", "mpi", started, tracer.rel_now() - started,
-                **args,
-            )
+    def _deliver(self, envelope):
         self._count("received", envelope.nbytes)
         return decode_value(envelope.payload)
 

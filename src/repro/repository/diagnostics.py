@@ -6,9 +6,12 @@ every failure of the compiled tier must degrade into interpretation, not
 into a user-visible crash.  That only works in production if the
 degradations are *observable* — a session that silently interprets
 everything is indistinguishable from a healthy one until the latency graphs
-say otherwise.  :class:`DiagnosticsLog` is the flight recorder: every
+say otherwise.  :class:`DiagnosticsLog` records them: every
 deoptimization, quarantine, budget skip and compile failure lands here as a
-structured event that tests and operators can assert on.
+structured event that tests and operators can assert on.  A parallel
+session's worker ranks ship their new events back with each reply, and
+:meth:`DiagnosticsLog.surface` records them here with the ``rank``
+attached.
 """
 
 from __future__ import annotations
@@ -142,14 +145,26 @@ class DiagnosticsLog:
                 self._dropped += 1
             listeners = tuple(self._listeners)
         # Listeners (the metrics/trace bridge) run outside the lock: they
-        # may take their own locks, and the flight recorder must never
-        # deadlock or crash the execution path it is recording.
+        # may take their own locks, and the log must never deadlock or
+        # crash the execution path it is recording.
         for listener in listeners:
             try:
                 listener(event)
             except Exception:  # noqa: BLE001 - observers cannot break execution
                 pass
         return event
+
+    def surface(self, events, rank: int) -> None:
+        """Record ``events`` — the :class:`DiagnosticEvent` records a
+        worker rank logged for its last task — as this log's own,
+        attributed to ``rank`` (sequence numbers are this log's; wall
+        times are kept)."""
+        for event in events:
+            self.record(
+                event.kind, event.function, detail=event.detail,
+                cause=event.cause, signature=event.signature, rank=rank,
+                wall_time=event.wall_time,
+            )
 
     def add_listener(self, listener) -> None:
         """Subscribe ``listener(event)`` to every future record."""

@@ -244,7 +244,7 @@ class CodeRepository:
         self._watched = (
             self.resilience.run_deadline is not None or self._chaos_run_checks
         )
-        # The cache heals itself; give it the session's flight recorder.
+        # The cache heals itself; give it the session's event log.
         if cache is not None and getattr(cache, "diagnostics", None) is None:
             cache.diagnostics = self.diagnostics
         # name -> FunctionDef (raw, as parsed)

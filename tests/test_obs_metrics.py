@@ -26,12 +26,7 @@ from repro.faults.plan import FaultSpec
 from repro.kernels import KERNEL_CACHE
 from repro.native import detect_toolchain
 from repro.obs import NULL_METRICS, MetricsRegistry, prometheus_text
-from repro.obs.instruments import (
-    EVENT_DERIVED,
-    INSTRUMENTS,
-    PUSHED,
-    catalogue,
-)
+from repro.obs.instruments import INSTRUMENTS, PUSHED, catalogue
 from repro.repository import diagnostics
 from repro.repository.diagnostics import DiagnosticsLog
 from repro.resilience import ResiliencePolicy
@@ -348,12 +343,10 @@ def test_every_instrument_reads_the_one_ledger(ledger, row):
             continue
         values = {key: child.value for key, child in samples.items()}
         moved += sum(1 for value in values.values() if value)
-        # The kernel cache is process-wide and the ranks of a parallel
-        # session fold their own share in: only rank-free, single-owner
-        # rows can be held against a per-session public reader.
-        ranked = "parallel" in session.obs.sources or "parallel" in row.name
+        # The kernel cache is process-wide: its rows cannot be held
+        # against a per-session public reader.
         expected = PUBLIC[row.name]
-        if expected is not None and not ranked and "kernel_cache" not in row.name:
+        if expected is not None and "kernel_cache" not in row.name:
             assert values == expected(session), (row.name, row.source)
         if row.name in PUBLIC_SUMS:
             assert sum(values.values()) == PUBLIC_SUMS[row.name](session)
@@ -391,14 +384,6 @@ def test_design_catalogue_lists_every_diagnostic_kind():
         for line in rows.splitlines()[2:]
     }
     assert listed == kinds
-
-
-def test_event_derived_rows_are_computed_from_the_table():
-    assert EVENT_DERIVED == {
-        row.name for row in INSTRUMENTS if "diagnostics." in row.source
-    }
-    assert {"majic_events_total", "majic_deopt_total",
-            "majic_quarantine_total"} <= EVENT_DERIVED
 
 
 # ----------------------------------------------------------------------

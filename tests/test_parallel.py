@@ -20,6 +20,7 @@ import pytest
 from repro.benchsuite.registry import source_of
 from repro.core.majic import MajicSession
 from repro.faults.plan import (
+    BEHAVIOR_CRASH,
     BEHAVIOR_HANG,
     FaultPlan,
     SITE_PARALLEL_SEND,
@@ -37,10 +38,13 @@ from repro.parallel import (
     unpack,
 )
 from repro.parallel.plans import REPLICATE
+from repro.parallel.message import WIRE_VERSION
 from repro.repository.diagnostics import (
     PARALLEL_DEGRADED,
     PARALLEL_FALLBACK,
     PARALLEL_RESTART,
+    DiagnosticEvent,
+    DiagnosticsLog,
 )
 from repro.resilience import ResiliencePolicy
 from repro.runtime.builtins import GLOBAL_RANDOM
@@ -91,6 +95,19 @@ def test_make_rejects_negative_tags():
 def test_unpack_rejects_truncated_header():
     with pytest.raises(MessageError):
         unpack(b"garbage")
+
+
+@pytest.mark.parametrize("frame", [
+    b"MAJP2\n0 1 5\n",
+    b"MAJP2\n0 1 5 abcd 7 0.1\n",
+    b"MAJP3\n0 1 5 abcd 7 0.1\n",
+])
+def test_unpack_refuses_stale_v2_frames(frame):
+    """A spool left by a v2 sender — with or without its three trace
+    fields — is refused, never misread; a v3 header is ``src dst tag``."""
+    assert WIRE_VERSION == 3
+    with pytest.raises(MessageError):
+        unpack(frame + b"payload")
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +358,57 @@ def test_hung_worker_degrades_to_serial_and_stays_correct():
         assert [bits(o) for o in second] == expected
     finally:
         session.close()
+
+
+def test_parallel_results_bit_identical_with_tracing_enabled(fresh_session):
+    """The parent traces its own dispatch; the ranks record nothing, and
+    the result is what an untraced parallel session computes."""
+    plain = fresh_session(parallel=2, seed=0)
+    plain.add_source(FILL)
+    expected = plain.call_boxed("fill", [from_python(8.0)], nargout=1)
+    traced = fresh_session(parallel=2, trace=True, metrics=True, seed=0)
+    traced.add_source(FILL)
+    got = traced.call_boxed("fill", [from_python(8.0)], nargout=1)
+    assert [bits(o) for o in got] == [bits(o) for o in expected]
+    assert not traced.diagnostics.events(PARALLEL_FALLBACK)
+    names = {span.name for span in traced.obs.tracer.spans()}
+    assert "parallel_replicate" in names
+
+
+def test_crashed_rank_falls_back_serially_and_names_the_rank(fresh_session):
+    expected, _ = serial_reference([FILL], "fill", [from_python(8.0)])
+    session = fresh_session(
+        parallel=2, trace=True, metrics=True, seed=0,
+        fault_plan=FaultPlan.parallel_fault(
+            site=SITE_PARALLEL_WORKER, behavior=BEHAVIOR_CRASH, hit=1,
+        ),
+    )
+    session.add_source(FILL)
+    outputs = session.call_boxed("fill", [from_python(8.0)], nargout=1)
+    assert [bits(o) for o in outputs] == expected
+    fallback = session.diagnostics.events(PARALLEL_FALLBACK)
+    assert len(fallback) == 1
+    assert fallback[0].rank >= 1
+    assert f"rank {fallback[0].rank}" in fallback[0].detail
+    assert "site=parallel.worker" in fallback[0].detail
+
+
+def test_rank_diagnostics_surface_with_rank():
+    """What a rank logged for a task lands in the parent's log with the
+    rank attached; the parent's own counts exclude it."""
+    log = DiagnosticsLog()
+    seen = []
+    log.add_listener(seen.append)
+    log.surface(
+        [DiagnosticEvent(kind="deopt", function="f", detail="boom",
+                         cause="InjectedFault()", seq=4, wall_time=123.0)],
+        rank=3,
+    )
+    (event,) = log.events("deopt")
+    assert (event.rank, event.wall_time, event.seq) == (3, 123.0, 1)
+    assert "rank=3" in str(event)
+    assert seen == [event]
+    assert log.totals == {"deopt": 1} and log.local("deopt") == 0
 
 
 def test_parallel_metrics_are_exported():

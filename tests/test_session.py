@@ -149,7 +149,7 @@ class TestSurface:
         "fault_plan", "cache_dir", "background", "workers", "trace",
         "metrics", "fusion", "native", "sync", "native_hot_threshold",
         "native_min_elems", "adaptive", "tiering", "resilience",
-        "run_deadline", "parallel", "flight",
+        "run_deadline", "parallel",
     ]
     POLICY_FIELDS = [
         "compile_deadline", "run_deadline", "sandbox", "sandbox_timeout",
