@@ -91,14 +91,15 @@ class CompiledObject:
     mode: str = "jit"
     phase_times: PhaseTimes = field(default_factory=PhaseTimes)
     #: Source of every fused kernel the emitted code references, keyed by
-    #: kernel name — rides the pickle into the persistent cache so a
-    #: fresh process can re-register them (``rt.kernel_<hash>`` dispatch
-    #: must never miss for disk-revived objects).
+    #: kernel name — rides the persistent cache entry, beside each
+    #: kernel's module code, so a fresh process can re-register them
+    #: (``rt.kernel_<hash>`` dispatch must never miss for disk-revived
+    #: objects).
     kernel_sources: dict = field(default_factory=dict)
     #: Canonical tree encoding of each referenced kernel (same keys as
     #: ``kernel_sources``) — the native tier decodes these to rebuild
     #: trees for disk-revived kernels, so warm sessions can still promote
-    #: them to C.  Older pickles lack the field; revival tolerates that.
+    #: them to C.
     kernel_keys: dict = field(default_factory=dict)
 
     @property

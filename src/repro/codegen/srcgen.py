@@ -43,7 +43,7 @@ from repro.codegen.optimizations import (
 )
 from repro.obs.trace import NULL_TRACER
 from repro.typesys.signature import Signature
-from repro.vcode.emit import EmittedFunction
+from repro.vcode.emit import EmittedFunction, bind_function
 
 _UNARY_SRC = {
     "-": "(-{a})", "+": "{a}", "~": "(0.0 if {a} != 0 else 1.0)",
@@ -105,12 +105,12 @@ class SourceCompiler:
             fusion=self.fusion, fault_plan=self.fault_plan, tracer=self.tracer,
         )
         source = emitter.emit()
-        namespace: dict = {}
-        exec(compile(source, f"<src:{fn.name}>", "exec"), namespace)
+        code = compile(source, f"<src:{fn.name}>", "exec")
         return emitter, EmittedFunction(
             name=emitter.fn_name,
             source=source,
-            callable=namespace[emitter.fn_name],
+            code=code,
+            callable=bind_function(code, emitter.fn_name),
             spill_count=0,
             instruction_count=source.count("\n"),
         )

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the MATLAB subset.
+"""Recursive-descent parser for the MATLAB subset; binary operators are
+parsed by precedence climbing.
 
 Produces the AST of :mod:`repro.frontend.ast_nodes`.  The grammar follows
 MATLAB 6 semantics for everything the paper's benchmarks exercise:
@@ -20,20 +21,23 @@ from repro.frontend import ast_nodes as ast
 from repro.frontend.lexer import tokenize
 from repro.frontend.tokens import Token, TokenKind
 
-# Precedence levels for the climbing parser (higher binds tighter).
-_PRECEDENCE: dict[str, int] = {
-    "||": 1,
-    "&&": 2,
-    "|": 3,
-    "&": 4,
-    "==": 5, "~=": 5, "<": 5, "<=": 5, ">": 5, ">=": 5,
-    # colon ranges live between relational and additive, handled separately
-    "+": 7, "-": 7,
-    "*": 8, "/": 8, "\\": 8, ".*": 8, "./": 8, ".\\": 8,
-    "^": 10, ".^": 10,
+# Binary operators by precedence level (higher binds tighter), in the two
+# bands colon ranges separate: the loose band's operands are ranges, and
+# the tight band's (additive, multiplicative) are unary expressions.
+# Unary operators, power and postfix transposes have functions of their own.
+_LOOSE: dict[TokenKind, int] = {
+    TokenKind.OROR: 1,
+    TokenKind.ANDAND: 2,
+    TokenKind.OR: 3,
+    TokenKind.AND: 4,
+    TokenKind.EQ: 5, TokenKind.NE: 5, TokenKind.LT: 5, TokenKind.LE: 5,
+    TokenKind.GT: 5, TokenKind.GE: 5,
 }
-
-_RANGE_LEVEL = 6
+_TIGHT: dict[TokenKind, int] = {
+    TokenKind.PLUS: 1, TokenKind.MINUS: 1,
+    TokenKind.STAR: 2, TokenKind.SLASH: 2, TokenKind.BACKSLASH: 2,
+    TokenKind.DOT_STAR: 2, TokenKind.DOT_SLASH: 2, TokenKind.DOT_BACKSLASH: 2,
+}
 
 _SEPARATORS = (TokenKind.NEWLINE, TokenKind.SEMICOLON, TokenKind.COMMA)
 
@@ -54,8 +58,10 @@ class Parser:
     # Token plumbing
     # ------------------------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if offset:
+            return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        # ``advance`` never moves past the closing EOF token.
+        return self.tokens[self.index]
 
     def advance(self) -> Token:
         token = self.tokens[self.index]
@@ -64,7 +70,7 @@ class Parser:
         return token
 
     def check(self, kind: TokenKind) -> bool:
-        return self.peek().kind is kind
+        return self.tokens[self.index].kind is kind
 
     def accept(self, kind: TokenKind) -> Token | None:
         if self.check(kind):
@@ -354,60 +360,50 @@ class Parser:
         return self._parse_loose(1)
 
     def _parse_loose(self, min_level: int) -> ast.Expr:
-        """Levels 1–5: short-circuit, elementwise logical, relational."""
-        if min_level > 5:
-            return self._parse_range()
-        left = self._parse_loose(min_level + 1)
+        """Short-circuit, elementwise logical and relational operators
+        binding at least as tight as ``min_level``, by precedence climbing
+        over ranges; every level is left-associative."""
+        left = self._parse_range()
+        tokens = self.tokens
         while True:
-            token = self.peek()
-            op = token.text if token.kind.value in _PRECEDENCE else None
-            if op is None or _PRECEDENCE[op] != min_level:
+            token = tokens[self.index]
+            level = _LOOSE.get(token.kind)
+            if level is None or level < min_level:
                 return left
-            self.advance()
-            right = self._parse_loose(min_level + 1)
-            left = ast.BinaryOp(op=op, left=left, right=right, location=token.location)
+            self.index += 1  # an operator is never the EOF token
+            right = self._parse_loose(level + 1)
+            left = ast.BinaryOp(
+                op=token.text, left=left, right=right, location=token.location
+            )
 
     def _parse_range(self) -> ast.Expr:
         """Colon level: ``a : b`` and ``a : s : b``."""
-        start = self._parse_additive()
+        start = self._parse_tight(1)
         if not self.check(TokenKind.COLON):
             return start
         location = self.advance().location
-        second = self._parse_additive()
+        second = self._parse_tight(1)
         if self.check(TokenKind.COLON):
             self.advance()
-            stop = self._parse_additive()
+            stop = self._parse_tight(1)
             return ast.Range(start=start, step=second, stop=stop, location=location)
         return ast.Range(start=start, stop=second, location=location)
 
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
-            token = self.advance()
-            right = self._parse_multiplicative()
-            left = ast.BinaryOp(
-                op=token.text, left=left, right=right, location=token.location
-            )
-        return left
-
-    _MUL_KINDS = (
-        TokenKind.STAR,
-        TokenKind.SLASH,
-        TokenKind.BACKSLASH,
-        TokenKind.DOT_STAR,
-        TokenKind.DOT_SLASH,
-        TokenKind.DOT_BACKSLASH,
-    )
-
-    def _parse_multiplicative(self) -> ast.Expr:
+    def _parse_tight(self, min_level: int) -> ast.Expr:
+        """Additive and multiplicative operators over unary expressions:
+        the loose band's climb, one band tighter."""
         left = self._parse_unary()
-        while self.peek().kind in self._MUL_KINDS:
-            token = self.advance()
-            right = self._parse_unary()
+        tokens = self.tokens
+        while True:
+            token = tokens[self.index]
+            level = _TIGHT.get(token.kind)
+            if level is None or level < min_level:
+                return left
+            self.index += 1
+            right = self._parse_tight(level + 1)
             left = ast.BinaryOp(
                 op=token.text, left=left, right=right, location=token.location
             )
-        return left
 
     def _parse_unary(self) -> ast.Expr:
         token = self.peek()

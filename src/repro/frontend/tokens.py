@@ -74,33 +74,6 @@ KEYWORDS = frozenset(
     }
 )
 
-# Binary operator token kinds, used by the parser's precedence climber.
-BINARY_OPS = frozenset(
-    {
-        TokenKind.PLUS,
-        TokenKind.MINUS,
-        TokenKind.STAR,
-        TokenKind.SLASH,
-        TokenKind.BACKSLASH,
-        TokenKind.CARET,
-        TokenKind.DOT_STAR,
-        TokenKind.DOT_SLASH,
-        TokenKind.DOT_BACKSLASH,
-        TokenKind.DOT_CARET,
-        TokenKind.EQ,
-        TokenKind.NE,
-        TokenKind.LT,
-        TokenKind.LE,
-        TokenKind.GT,
-        TokenKind.GE,
-        TokenKind.AND,
-        TokenKind.OR,
-        TokenKind.ANDAND,
-        TokenKind.OROR,
-    }
-)
-
-
 @dataclass(frozen=True)
 class Token:
     """One lexical token with its source location."""

@@ -8,10 +8,11 @@ and both consumers (JIT and interpreter).
 
 Persistence: both code generators record every kernel a compiled object
 references in ``CompiledObject.kernel_sources``; the disk-backed
-:class:`~repro.repository.cache.RepositoryCache` re-registers those
-sources through :meth:`KernelCache.register_source` when it revives an
-object in a fresh process, so ``rt.kernel_<hash>`` dispatch never misses
-for disk-cached code.
+:class:`~repro.repository.cache.RepositoryCache` stores each kernel's
+module code beside it and re-registers the kernels through
+:meth:`KernelCache.register` when it revives an object in a fresh
+process, so ``rt.kernel_<hash>`` dispatch never misses for disk-cached
+code and reviving one compiles nothing.
 
 Fault injection: the ``kernel.compile`` site fires inside
 :meth:`get_or_compile` (a miss during code generation then aborts that
@@ -28,7 +29,7 @@ import threading
 from dataclasses import dataclass
 
 from repro.faults.plan import SITE_KERNEL_COMPILE
-from repro.kernels.codegen import compile_kernel, generate_source
+from repro.kernels.codegen import bind_kernel, compile_kernel, generate_source
 from repro.kernels.fusion import Node, encode
 
 #: Bumped whenever generated kernel code changes shape — keys (and thus
@@ -45,11 +46,13 @@ DEFAULT_KERNEL_CACHE_CAPACITY = 256
 
 @dataclass
 class CompiledKernel:
-    """One cached kernel: content key, source text, live function."""
+    """One cached kernel: content key, source text, its module code and
+    the live function."""
 
     name: str
     key: str
     source: str
+    code: object
     fn: object
 
 
@@ -122,8 +125,10 @@ class KernelCache:
         if fault_plan is not None:
             fault_plan.check(SITE_KERNEL_COMPILE, name)
         source = generate_source(name, root, descs)
+        code = compile_kernel(name, source)
         kernel = CompiledKernel(
-            name=name, key=key, source=source, fn=compile_kernel(name, source)
+            name=name, key=key, source=source, code=code,
+            fn=bind_kernel(name, code),
         )
         with self._lock:
             return self._insert(name, kernel)
@@ -136,21 +141,16 @@ class KernelCache:
                 self._touch(name, kernel)
             return kernel
 
-    def register_source(self, name: str, source: str, key: str = "") -> None:
-        """Revive a kernel from persisted source (disk-cache load path).
-
-        ``key`` carries the canonical tree encoding when the persisting
-        session recorded it (``CompiledObject.kernel_keys``); the native
-        tier needs it to rebuild the tree, but revival works without it.
-        """
+    def register(self, name: str, key: str, source: str, code) -> None:
+        """Revive a kernel from a disk-cache entry — its canonical tree
+        encoding (which the native tier decodes), source and module code —
+        without compiling anything."""
         with self._lock:
-            existing = self._kernels.get(name)
-            if existing is not None:
-                if key and not existing.key:
-                    existing.key = key
+            if name in self._kernels:
                 return
         kernel = CompiledKernel(
-            name=name, key=key, source=source, fn=compile_kernel(name, source)
+            name=name, key=key, source=source, code=code,
+            fn=bind_kernel(name, code),
         )
         with self._lock:
             self._insert(name, kernel)

@@ -223,8 +223,13 @@ def generate_source(name: str, root: Node, descs) -> str:
 
 
 def compile_kernel(name: str, source: str):
-    """Exec ``source`` against the shared kernel globals; return the
-    function object."""
+    """The module code of one kernel's ``source``."""
+    return compile(source, f"<kernel {name}>", "exec")
+
+
+def bind_kernel(name: str, code):
+    """Exec kernel module ``code`` against the shared kernel globals;
+    return the function object."""
     namespace: dict = {}
-    exec(compile(source, f"<kernel {name}>", "exec"), KERNEL_GLOBALS, namespace)
+    exec(code, KERNEL_GLOBALS, namespace)
     return namespace[name]

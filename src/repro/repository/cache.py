@@ -11,8 +11,10 @@ Content addressing
 An entry's key is a SHA-256 over everything that could change the
 generated code:
 
-* the **compiler version** (:data:`CACHE_FORMAT_VERSION` plus the package
-  version) — a new compiler silently invalidates every old entry;
+* the **compiler version** (:data:`CACHE_FORMAT_VERSION`, the package
+  version and the host's bytecode magic number) — a new compiler, or a
+  host interpreter whose bytecode differs, silently misses every old
+  entry instead of failing to load it;
 * the **prepared source text** of the function (pretty-printed *after*
   inlining, so an edit to an inlined callee changes the caller's key too);
 * the **type-disambiguation signature** of the compile — the invocation
@@ -26,13 +28,21 @@ options; identical sessions deterministically share entries.
 
 Serialization
 -------------
-A :class:`~repro.codegen.jitgen.CompiledObject` is pickled with its
-emitted host callable stripped (functions built by ``exec`` cannot be
-pickled); loading re-``exec``-utes the stored generated source to rebuild
-the callable.  Entries are *framed*: a magic + format-version header and
-a SHA-256 digest of the payload precede the pickle, so a torn, rotted or
-stale-format entry is rejected *before* ``pickle`` ever sees
-attacker-shaped bytes.
+An entry is a pickle of the :class:`~repro.codegen.jitgen.CompiledObject`
+beside a :mod:`marshal` of compiled bytecode: the module code of the
+emitted function and of every fused kernel it references.  Loading
+executes that code to bind the callable and re-register the kernels; it
+never compiles (``put`` compiles a kernel only if the process-wide
+kernel cache has dropped it).  The pickled object keeps its generated
+source (explain, the goldens and tests read it), its signature and
+kernel tables, and from its annotations ``var_types``, ``output_types``,
+``converged`` and ``iterations``.  The identity-keyed tables
+(``expr_types``, ``load_safety``, ``store_safety``) are stored empty:
+they are keyed by ``id`` of the compiling process's AST nodes, which
+means nothing in another process.  Entries are *framed*: a magic +
+format-version header and a SHA-256 digest of the payload precede it, so
+a torn, rotted or stale-format entry is rejected *before* ``pickle`` or
+``marshal`` ever sees attacker-shaped bytes.
 
 Durability, the quarantine-until-rebuilt healing of entries that fail
 the frame, transient-IO retries and the ``cache.*`` fault sites are the
@@ -50,16 +60,22 @@ can never resurrect in a later session.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import marshal
 import pickle
 from dataclasses import replace
 
 from repro.codegen.jitgen import CompiledObject
 from repro.frontend.pretty import pretty_function
+from repro.kernels.cache import KERNEL_CACHE
+from repro.kernels.codegen import compile_kernel
 from repro.repository.store import DiskStore
+from repro.vcode.emit import bind_function
 
 #: Bumped whenever the pickle layout or keying scheme changes.  Format 2
-#: introduced the integrity frame (magic + digest header).
-CACHE_FORMAT_VERSION = "2"
+#: introduced the integrity frame (magic + digest header); format 3
+#: stores bytecode and drops the identity-keyed annotation tables.
+CACHE_FORMAT_VERSION = "3"
 
 #: Frame header magic; the version digit follows so a stale-format entry
 #: is distinguishable from garbage.
@@ -77,7 +93,8 @@ DEFAULT_CACHE_DIR = "~/.pymajic/cache"
 def compiler_version() -> str:
     from repro import __version__
 
-    return f"{__version__}+fmt{CACHE_FORMAT_VERSION}"
+    return (f"{__version__}+fmt{CACHE_FORMAT_VERSION}"
+            f"+pyc{importlib.util.MAGIC_NUMBER.hex()}")
 
 
 def options_fingerprint(jit_options, src_options) -> str:
@@ -142,33 +159,38 @@ def unframe_payload(data: bytes) -> bytes:
 
 
 def serialize_object(obj: CompiledObject) -> bytes:
-    """Pickle a compiled object with its host callable stripped."""
+    """Pickle a compiled object — host callable and module code stripped,
+    identity-keyed annotation tables emptied — beside a ``marshal`` of
+    the module code of its function and of each of its kernels."""
+    kernels = {}
+    for name, source in obj.kernel_sources.items():
+        kernel = KERNEL_CACHE.lookup(name)
+        kernels[name] = (
+            kernel.code if kernel is not None else compile_kernel(name, source)
+        )
+    code = marshal.dumps((obj.emitted.code, kernels))
     # ``replace`` copies fields only: what a version binds lazily for the
     # serve path (``CompiledObject._bind``) never reaches the payload.
-    stripped = replace(obj, emitted=replace(obj.emitted, callable=None))
-    return serialize_payload(stripped)
+    stripped = replace(
+        obj,
+        emitted=replace(obj.emitted, code=None, callable=None),
+        annotations=replace(
+            obj.annotations, expr_types={}, load_safety={}, store_safety={}
+        ),
+    )
+    return serialize_payload((stripped, code))
 
 
 def deserialize_object(payload: bytes) -> CompiledObject:
-    """Unpickle and revive: re-exec the generated source for the callable."""
-    obj = deserialize_payload(payload)
-    namespace: dict = {}
-    code = compile(obj.emitted.source, f"<cache:{obj.name}>", "exec")
-    exec(code, namespace)
-    obj.emitted.callable = namespace[obj.emitted.name]
-    # Revive any fused kernels the emitted code references so the
-    # ``rt.kernel_<hash>`` dispatch never misses in a fresh process.
-    kernel_sources = getattr(obj, "kernel_sources", None)
-    if kernel_sources:
-        from repro.kernels.cache import KERNEL_CACHE
-
-        # kernel_keys arrived with the native tier; older pickles lack it
-        # (revived kernels then simply stay on the Python tier).
-        kernel_keys = getattr(obj, "kernel_keys", None) or {}
-        for kernel, source in kernel_sources.items():
-            KERNEL_CACHE.register_source(
-                kernel, source, key=kernel_keys.get(kernel, "")
-            )
+    """Unpickle and revive: bind the callable from the stored module code
+    and re-register the kernels the emitted code references, so the
+    ``rt.kernel_<hash>`` dispatch never misses in a fresh process."""
+    obj, code = deserialize_payload(payload)
+    emitted = obj.emitted
+    emitted.code, kernels = marshal.loads(code)
+    emitted.callable = bind_function(emitted.code, emitted.name)
+    for name, source in obj.kernel_sources.items():
+        KERNEL_CACHE.register(name, obj.kernel_keys[name], source, kernels[name])
     return obj
 
 

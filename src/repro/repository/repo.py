@@ -251,8 +251,8 @@ class CodeRepository:
         self._functions: dict[str, ast.FunctionDef] = {}
         # name -> the bottom version (the interpreter over that FunctionDef)
         self._bottom: dict[str, _Interpreted] = {}
-        # name -> inlined FunctionDef cache
-        self._inlined: dict[str, ast.FunctionDef] = {}
+        # name -> (inlined FunctionDef, every name it still applies)
+        self._inlined: dict[str, tuple[ast.FunctionDef, set[str]]] = {}
         # name -> list of compiled versions
         self._objects: dict[str, list[CompiledObject]] = {}
         # functions that failed to compile (fall back to interpretation)
@@ -426,7 +426,7 @@ class CodeRepository:
         """Content address for a blob *about* ``name`` (a compile's key
         under the caller's ``tag``); ``None`` without a cache."""
         try:
-            return self._cache_key(self._prepared(name), tag)
+            return self._cache_key(self._prepared(name)[0], tag)
         except Exception:  # noqa: BLE001 - unparseable/unknown: no profile
             return None
 
@@ -459,13 +459,16 @@ class CodeRepository:
     # ------------------------------------------------------------------
     # Inlining pass (Figure 1, pass 2)
     # ------------------------------------------------------------------
-    def _prepared(self, name: str) -> ast.FunctionDef:
+    def _prepared(self, name: str) -> tuple[ast.FunctionDef, set[str]]:
+        """The function as compiled (inlined, unless inlining is off) and
+        every name it still applies — a call or an index; intersect with
+        the known functions to get the calls left dynamic."""
         with self._lock:
             fn = self._functions.get(name)
             if fn is None:
                 raise RepositoryError(f"unknown function '{name}'")
             if not self.inline_enabled:
-                return fn
+                return fn, ast.called_names(fn)
             cached = self._inlined.get(name)
             if cached is not None:
                 return cached
@@ -473,17 +476,15 @@ class CodeRepository:
         # a concurrent redefinition simply wins the re-check below.
         inliner = Inliner(self.lookup_function)
         prepared = inliner.run(fn)
+        applied = ast.called_names(prepared)
         with self._lock:
             if self._functions.get(name) is not fn:
                 # Redefined mid-prepare: recurse onto the fresh source.
                 return self._prepared(name)
-            self._inlined[name] = prepared
-            used = (
-                inliner.inlined_names
-                | (ast.called_names(prepared) & set(self._functions))
-            )
+            self._inlined[name] = prepared, applied
+            used = inliner.inlined_names | (applied & set(self._functions))
             self.depgraph.set_dependencies(name, used - {name})
-        return prepared
+        return prepared, applied
 
     def _compile_lock(self, name: str) -> threading.Lock:
         """Per-name compile lock: one compile of a given function at a
@@ -648,7 +649,7 @@ class CodeRepository:
             return None
         span = "jit_compile" if mode == "jit" else "speculate"
         with self.obs.tracer.span(span, "compile", function=name):
-            fn = self._prepared(name)
+            fn, applied = self._prepared(name)
             if signature is not None and len(signature) != len(fn.params):
                 # Only a call that supplies every formal is compiled for
                 # (see _resolve); an adaptive promotion may still ask.
@@ -656,7 +657,7 @@ class CodeRepository:
             try:
                 with self._compile_lock(name):
                     if mode == "jit" and (
-                        self._has_dynamic_calls(fn)
+                        self._has_dynamic_calls(applied)
                         or self._range_only_miss(name, signature)
                     ):
                         # Two situations call for range widening (paper
@@ -1078,10 +1079,9 @@ class CodeRepository:
                 return True
         return False
 
-    def _has_dynamic_calls(self, fn: ast.FunctionDef) -> bool:
+    def _has_dynamic_calls(self, applied: set[str]) -> bool:
         with self._lock:
-            known = set(self._functions)
-        return bool(ast.called_names(fn) & known)
+            return not self._functions.keys().isdisjoint(applied)
 
     def _find_version(self, name: str, signature: Signature):
         for version in self.versions_of(name):

@@ -60,10 +60,13 @@ _UN = {
 
 @dataclass
 class EmittedFunction:
-    """Source text plus the compiled callable."""
+    """Source text, the module code it compiles to, and the callable
+    that code defines.  The disk cache stores ``code`` so that a later
+    session binds the callable without compiling."""
 
     name: str
     source: str
+    code: object
     callable: object
     spill_count: int
     instruction_count: int
@@ -342,17 +345,24 @@ def _region_emits(region) -> bool:
     return True
 
 
+def bind_function(code, name: str):
+    """Run module ``code`` in a fresh namespace; return the function
+    ``name`` it defines."""
+    namespace: dict = {}
+    exec(code, namespace)
+    return namespace[name]
+
+
 def emit_python(ir: FunctionIR, assignment: Assignment) -> EmittedFunction:
     """Emit and compile one ICODE function."""
     emitter = _Emitter(ir, assignment)
     source = emitter.emit_function()
-    namespace: dict = {}
     code = compile(source, f"<jit:{ir.name}>", "exec")
-    exec(code, namespace)
     return EmittedFunction(
         name=ir.name,
         source=source,
-        callable=namespace[ir.name],
+        code=code,
+        callable=bind_function(code, ir.name),
         spill_count=assignment.spill_count,
         instruction_count=emitter.instruction_count,
     )

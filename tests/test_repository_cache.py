@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import os
 import pickle
 import time
@@ -16,7 +17,12 @@ from repro.repository.cache import (
     deserialize_object,
     serialize_object,
 )
-from repro.repository.diagnostics import CACHE_EVICT, CACHE_HIT, CACHE_STORE
+from repro.repository.diagnostics import (
+    CACHE_CORRUPT,
+    CACHE_EVICT,
+    CACHE_HIT,
+    CACHE_STORE,
+)
 
 INC = "function y = inc(x)\ny = x + 1;\n"
 POLY = "function p = poly5(x)\np = x.^5 + 3*x + 2;\n"
@@ -145,7 +151,7 @@ def test_wrong_function_name_in_entry_is_rejected(tmp_path):
     (inc_obj,) = repo.versions_of("inc")
     poly_key = inc_obj.cache_key  # steal inc's payload under poly's key?
     # Overwrite poly's entry with inc's payload to model tampering.
-    fn = repo._prepared("poly5")
+    fn, _ = repo._prepared("poly5")
     key = repo._cache_key(fn, "spec")
     (tmp_path / f"{key}.pkl").write_bytes(serialize_object(inc_obj))
 
@@ -199,9 +205,123 @@ def test_background_speculation_populates_cache(tmp_path):
     assert warm.stats.cache_hits == 2
 
 
+@pytest.mark.parametrize("name", ["orbec", "dirich"])
+def test_warm_first_call_compiles_no_python(tmp_path, monkeypatch, name):
+    """A warm first call binds the entry's bytecode — the function's and,
+    on ``orbec``, its fused kernels' — so it runs with ``compile``
+    unavailable, and its observation is the interpreter's."""
+    from repro import backends
+    from repro.backends import Program
+    from repro.kernels import KERNEL_CACHE
+
+    program = Program.benchmark(name)
+    expected = backends.reference(program)
+    with backends.open(program, "fused", cache_dir=tmp_path) as cold:
+        assert cold.call() == expected
+        kernels = {
+            kernel for version in cold.session.repository.versions_of(name)
+            for kernel in version.kernel_sources
+        }
+    assert bool(kernels) == (name == "orbec")
+    # As in a fresh process: a kernel comes back only from an entry.
+    KERNEL_CACHE.clear()
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("a warm first call compiled Python source")
+
+    with backends.open(program, "fused", cache_dir=tmp_path) as warm:
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "compile", no_compile)
+            observed = warm.call()
+        stats = warm.session.stats
+        assert warm.fallbacks() == ()
+    assert observed == expected
+    assert stats.jit_compiles == 0 and stats.cache_hits > 0
+    assert stats.calls_interpreted == 0
+    # Every kernel is back, and none was generated.
+    assert all(KERNEL_CACHE.lookup(kernel) for kernel in kernels)
+    assert KERNEL_CACHE.stats()["misses"] == 0
+
+
+def test_entry_of_another_bytecode_version_is_a_plain_miss(
+    tmp_path, monkeypatch
+):
+    """The host's bytecode magic number is part of every key: an entry
+    written under another one is never read, so it is a miss and one
+    compile, never a corrupt entry."""
+    import importlib.util
+
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.util, "MAGIC_NUMBER", b"\x00\x00\r\n")
+        other = MajicSession(cache_dir=tmp_path)
+        other.add_source(INC)
+        assert other.call("inc", 41) == 42.0
+    assert other.stats.cache_stores == 1 and len(_entries(tmp_path)) == 1
+
+    warm = MajicSession(cache_dir=tmp_path)
+    warm.add_source(INC)
+    assert warm.call("inc", 41) == 42.0
+    assert warm.stats.cache_hits == 0
+    assert warm.stats.jit_compiles == 1
+    assert warm.repository.cache.load_failures == 0
+    assert warm.diagnostics.events(CACHE_CORRUPT) == []
+    assert len(_entries(tmp_path)) == 2
+
+
 # ----------------------------------------------------------------------
 # Serialization layer
 # ----------------------------------------------------------------------
+def test_revived_annotations_keep_what_outlives_the_process(tmp_path):
+    """The identity-keyed tables (``id()`` of the compiling process's AST
+    nodes) are stored empty; the name-keyed facts survive."""
+    session = MajicSession(cache_dir=tmp_path)
+    session.add_source(
+        "function s = total(v)\ns = 0;\nfor i = 1:numel(v)\n"
+        "  s = s + v(i);\n  v(i) = s;\nend\n"
+    )
+    assert session.call("total", np.arange(1.0, 5.0)) == 10.0
+    (obj,) = session.repository.versions_of("total")
+    compiled = obj.annotations
+    assert compiled.expr_types and compiled.load_safety
+    assert compiled.store_safety
+
+    revived = RepositoryCache(tmp_path).get(obj.cache_key).annotations
+    assert revived.expr_types == revived.load_safety == {}
+    assert revived.store_safety == {}
+    assert revived.output_types == compiled.output_types
+    assert revived.var_types == compiled.var_types
+    assert (revived.converged, revived.iterations) == (
+        compiled.converged, compiled.iterations)
+    # Storing left the live version's tables alone.
+    assert compiled.expr_types and compiled.load_safety
+
+
+def test_put_compiles_a_kernel_the_kernel_cache_dropped(tmp_path):
+    """The entry carries every kernel's bytecode even when the
+    process-wide kernel cache evicted the kernel after the compile."""
+    from repro.kernels import KERNEL_CACHE
+
+    session = MajicSession()
+    session.add_source(
+        "function y = axpy(a, x, b)\ny = a .* x + b .* x - x ./ 4;\n")
+    x = np.arange(1.0, 65.0).reshape(1, 64)
+    expected = session.call("axpy", 2.0, x, 3.0)
+    (obj,) = session.repository.versions_of("axpy")
+    assert obj.kernel_sources
+    KERNEL_CACHE.clear()
+    cache = RepositoryCache(tmp_path)
+    assert cache.put("c" * 64, obj)
+
+    KERNEL_CACHE.clear()
+    revived = cache.get("c" * 64)
+    assert all(KERNEL_CACHE.lookup(name) for name in obj.kernel_sources)
+    assert KERNEL_CACHE.stats()["misses"] == 0
+    from repro.codegen.runtime_support import RuntimeSupport
+    from repro.runtime.values import from_python, to_python
+
+    rt = RuntimeSupport(call_user=None, sink=session.sink)
+    out = revived.invoke([from_python(v) for v in (2.0, x, 3.0)], 1, rt)
+    assert np.array_equal(to_python(out[0]), expected)
 def test_serialized_object_round_trips_and_executes(tmp_path):
     session = MajicSession(cache_dir=tmp_path)
     session.add_source(POLY)
@@ -245,7 +365,7 @@ def test_atomic_writes_leave_no_temp_droppings(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Self-healing: integrity frame, quarantine, rebuild (format 2)
+# Self-healing: integrity frame, quarantine, rebuild
 # ----------------------------------------------------------------------
 def _cached_object():
     session = MajicSession()
@@ -391,13 +511,13 @@ def test_transient_io_faults_are_retried_never_condemned(tmp_path, view):
     assert load(make(tmp_path), key)
 
 
-def test_fresh_stores_write_format_2_frames(tmp_path):
+def test_fresh_stores_write_format_3_frames(tmp_path):
     from repro.repository.cache import frame_payload
 
     cache = RepositoryCache(tmp_path)
     assert cache.put("d" * 64, _cached_object())
-    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC2\n")
-    assert frame_payload(b"x").startswith(b"MAJC2\n")
+    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC3\n")
+    assert frame_payload(b"x").startswith(b"MAJC3\n")
 
 
 def test_partial_write_race_detected_on_next_load(tmp_path):
@@ -431,7 +551,7 @@ def test_concurrent_readers_and_writers_never_raise(tmp_path):
             while not stop.is_set():
                 cache.put(key, obj)
                 # A rude foreign writer tearing the file in place.
-                path.write_bytes(b"MAJC2\ntorn")
+                path.write_bytes(b"MAJC3\ntorn")
         except BaseException as exc:  # noqa: BLE001
             errors.append(exc)
 
