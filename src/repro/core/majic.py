@@ -299,7 +299,7 @@ class MajicSession:
     def close(self) -> None:
         """Tear the session down; idempotent.
 
-        Stops the background workers and their supervisor, disarms the
+        Stops the background workers, disarms the
         repository's watchdog deadlines (no registrations leak into the
         process-wide monitor after close) and disables the sandbox tier.
         A closed session can still evaluate code — it simply runs without

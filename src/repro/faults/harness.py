@@ -62,6 +62,7 @@ from repro.faults.plan import (
     SITE_OOM,
     SITE_PARALLEL_SEND,
     SITE_PARALLEL_WORKER,
+    SITE_WORKER,
 )
 from repro.kernels import KERNEL_CACHE
 from repro.obs import write_chrome_trace, write_prometheus
@@ -166,14 +167,21 @@ def default_lanes() -> list[Lane]:
 
 def background_lanes() -> list[Lane]:
     """The worker-thread sweep: faults firing inside (or around) the
-    background speculation pool."""
+    background speculation pool.  ``worker-crash`` kills the worker that
+    picks up the first task (it restarts in place and retries the task);
+    ``worker-hang`` wedges it until the compile watchdog cancels it."""
+    hang_deadline = {"resilience": ResiliencePolicy(compile_deadline=0.25)}
     return [
-        Lane(label, _one(plan), backend="background")
-        for label, plan in (
-            ("worker-hit1", FaultPlan.worker_fault(hit=1)),
-            ("worker-hit2", FaultPlan.worker_fault(hit=2)),
-            ("spec-in-worker", FaultPlan.compile_fault(site="spec", hit=1)),
-            ("runtime-hit1", FaultPlan.runtime_fault(helper="*", hit=1)),
+        Lane(label, _one(plan), kwargs, backend="background")
+        for label, plan, kwargs in (
+            ("worker-hit1", FaultPlan.worker_fault(hit=1), {}),
+            ("worker-hit2", FaultPlan.worker_fault(hit=2), {}),
+            ("spec-in-worker", FaultPlan.compile_fault(site="spec", hit=1), {}),
+            ("runtime-hit1", FaultPlan.runtime_fault(helper="*", hit=1), {}),
+            ("worker-crash",
+             FaultPlan.chaos_fault(SITE_WORKER, BEHAVIOR_CRASH), {}),
+            ("worker-hang",
+             FaultPlan.chaos_fault(SITE_WORKER, BEHAVIOR_HANG), hang_deadline),
         )
     ]
 

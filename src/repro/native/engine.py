@@ -25,8 +25,9 @@ Lifecycle of one kernel:
    construction), times them on synthetic data, persists the winner's
    ``.so`` and flags, and loads it.
 4. Before first in-process use the fresh ``.so`` runs once in a forked
-   trial child (where ``os.fork`` exists): a crashing artifact kills the
-   fork, is evicted from the store, and the kernel is marked failed.
+   trial child (:func:`~repro.resilience.sandbox.fork_call`): an artifact
+   that crashes, hangs or computes garbage kills only the fork, is
+   evicted from the store, and the kernel is marked failed.
 5. Ready dispatches revalidate operands per call (float64, conforming
    shapes, real scalars) and fall back on any mismatch — a shape error
    must surface from the Python kernel with its exact message.
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import signal
 import tempfile
 import threading
 import time
@@ -56,6 +56,7 @@ from repro.native.clower import VARIANTS, generate_c, native_eligible
 from repro.native.toolchain import Toolchain, detect_toolchain
 from repro.obs import DISABLED as DISABLED_OBS
 from repro.repository.background import run_out_of_band
+from repro.resilience.sandbox import FORK_AVAILABLE, fork_call
 from repro.runtime.mxarray import IntrinsicClass, MxArray
 
 #: Operators whose result is logical (mirrors the Python codegen).
@@ -101,6 +102,18 @@ class _ReadyKernel:
         self.artifact = artifact
         self.strikes = 0
         self.observe = observe  # run-latency push; None with metrics off
+
+
+def _trial_child(conn, cfn, descs) -> None:
+    """The trial child: run a fresh kernel once on synthetic operands and
+    report whether it returned a known status and no infinities."""
+    try:
+        args_np, out = NativeEngine._synthetic_args(descs, 8)
+        status = cfn(*NativeEngine._argv(descs, args_np, 8, out))
+        ok = status in (0, 1) and bool(np.all(np.isfinite(out) | np.isnan(out)))
+    except Exception:  # noqa: BLE001 - a failed trial is a verdict
+        ok = False
+    conn.send(ok)
 
 
 class NativeEngine:
@@ -407,40 +420,18 @@ class NativeEngine:
 
     def _trial(self, name, cfn, descs, akey) -> None:
         """Sandbox the first run of a fresh ``.so`` in a forked child."""
-        if not hasattr(os, "fork"):
+        if not FORK_AVAILABLE:
             return
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                args_np, out = self._synthetic_args(descs, 8)
-                status = cfn(*self._argv(descs, args_np, 8, out))
-                if status in (0, 1) and np.all(np.isfinite(out) | np.isnan(out)):
-                    code = 0
-            except BaseException:
-                code = 1
-            os._exit(code)
-        deadline = time.monotonic() + self.policy.sandbox_timeout
-        while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            if time.monotonic() > deadline:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                except OSError:
-                    pass
-                if self.store is not None:
-                    self.store.evict(akey)
-                raise RuntimeError(f"native trial of {name} timed out")
-            time.sleep(0.001)
-        if not (os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0):
-            if self.store is not None:
-                self.store.evict(akey)
-            raise RuntimeError(
-                f"native trial of {name} died (wait status {status})"
-            )
+        passed, exitcode = fork_call(
+            _trial_child, (cfn, descs), self.policy.sandbox_timeout,
+            f"majic-native-trial-{name}",
+        )
+        if passed:
+            return
+        if self.store is not None:
+            self.store.evict(akey)
+        why = "timed out" if exitcode is None else f"failed (exit {exitcode})"
+        raise RuntimeError(f"native trial of {name} {why}")
 
     # ------------------------------------------------------------------
     # The ready-path run: guard, call, box — or fall back

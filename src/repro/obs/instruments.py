@@ -71,7 +71,7 @@ INSTRUMENTS = tuple(Instrument(*row) for row in (
     ("majic_quarantine_total", "counter", (), "diagnostics.totals.quarantine",
      "Functions demoted to interpreter-only after repeated strikes."),
     ("majic_worker_restarts_total", "counter", (), "speculation.restarts",
-     "Dead speculation workers respawned by the supervisor."),
+     "Crashed speculation workers restarted in place."),
     ("majic_watchdog_timeouts_total", "counter", ("kind",),
      "repository.guard.timeouts_by_kind + native.compile_timeouts",
      "Watchdog deadline cancellations by operation kind."),

@@ -9,7 +9,7 @@ keeps interpreting and JIT-compiling.  Every work item is a task — a
 labelled callable; a speculation is the task whose body compiles one
 function through :meth:`CodeRepository.speculate` unless its generation
 went stale, and native C compiles and tier promotions ride the same
-queue — so dedup, heartbeats, requeue, poison quarantine and completion
+queue — so dedup, deadlines, requeue, poison quarantine and completion
 callbacks exist once.
 
 Lifecycle of one work item
@@ -26,24 +26,26 @@ Lifecycle of one work item
   and recorded; the function simply stays interpreter/JIT-served.  A
   worker can fail, the queue cannot deadlock.
 
-Supervision
------------
-Workers are *supervised* (``repro.resilience``): each dequeue stamps a
-heartbeat, and a dedicated supervisor thread
+Failures
+--------
+The pool has no supervisor thread: each kind of failure goes to the one
+detector the rest of the session already uses for it.
 
-* **restarts dead workers** — a :class:`~repro.faults.plan.SimulatedCrash`
-  (or any ``BaseException``) kills the worker thread; the supervisor
-  respawns it with exponential backoff, up to
-  ``policy.worker_max_restarts`` total, then degrades the engine to
-  foreground-only compilation (the queue is flushed so :meth:`drain`
-  stays bounded);
-* **requeues the victim's task** with an attempt counter; a task that has
-  killed ``policy.worker_max_task_retries + 1`` workers is quarantined as
-  **poison** rather than retried forever;
-* **cancels hung workers** — a heartbeat older than
-  ``policy.worker_heartbeat_timeout`` gets a
+* **A hung task is the watchdog's.**  Each task body runs inside the
+  repository's compile guard, onto which the repository's own nested
+  compile guard collapses.  An overrun gets a
   :class:`~repro.resilience.DeadlineExceeded` injected, which the worker
-  absorbs as an ordinary failed compile and lives on.
+  absorbs as an ordinary failed compile: one ``watchdog_timeout`` event,
+  one ``majic_watchdog_timeouts_total`` count.  An injection that fired
+  but never landed is revoked when the guard exits.
+* **A crashed worker restarts in place.**  A
+  :class:`~repro.faults.plan.SimulatedCrash` escaping a task is caught
+  by the worker loop, which requeues the task (one that has killed
+  ``policy.worker_max_task_retries + 1`` workers is quarantined as
+  **poison** instead) and carries on as the restarted worker.  After
+  ``policy.worker_max_restarts`` restarts the engine degrades to
+  foreground-only compilation; queued tasks are cancelled as the
+  workers reach them, so :meth:`drain` stays bounded.
 
 The foreground can :meth:`drain` (bounded wait for quiet), poll
 :meth:`pending`, or simply keep calling functions: an invocation arriving
@@ -62,10 +64,8 @@ from repro.obs import DISABLED as DISABLED_OBS
 from repro.repository.diagnostics import (
     POISON_TASK,
     SPECULATE_ASYNC,
-    WATCHDOG_TIMEOUT,
     WORKER_RESTART,
 )
-from repro.resilience.watchdog import DeadlineExceeded, async_raise
 
 _STOP = object()
 
@@ -164,30 +164,18 @@ class SpeculationEngine:
         self.failed: list[str] = []
         self.cancelled: list[str] = []
         self.poisoned: list[str] = []
-        # Supervision state: heartbeats, live work, restart bookkeeping.
+        # In-place restarts paid so far (majic_worker_restarts_total).
         self.restarts = 0
         self.degraded = False
-        self._hearts: dict[int, float] = {}
-        self._idents: dict[int, int] = {}
-        self._current: dict[int, _Task] = {}
-        self._restart_counts: dict[int, int] = {}
-        self._next_restart: dict[int, float] = {}
-        self._threads: dict[int, threading.Thread] = {}
-        for index in range(workers):
-            self._threads[index] = self._spawn(index)
-        self._stop_supervisor = threading.Event()
-        self._supervisor = threading.Thread(
-            target=self._supervise, name="majic-spec-supervisor", daemon=True
-        )
-        self._supervisor.start()
-
-    def _spawn(self, index: int) -> threading.Thread:
-        thread = threading.Thread(
-            target=self._worker, args=(index,),
-            name=f"majic-spec-{index}", daemon=True,
-        )
-        thread.start()
-        return thread
+        self._threads = [
+            threading.Thread(
+                target=self._worker, args=(index,),
+                name=f"majic-spec-{index}", daemon=True,
+            )
+            for index in range(workers)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     # ------------------------------------------------------------------
     # Submission
@@ -288,20 +276,16 @@ class SpeculationEngine:
         """Stop accepting work and (optionally) join the workers."""
         with self._lock:
             self._shutdown = True
-        self._stop_supervisor.set()
         for _ in self._threads:
             self._queue.put(_STOP)
         if wait:
-            for thread in self._threads.values():
+            for thread in self._threads:
                 thread.join(timeout=10)
-            self._supervisor.join(timeout=10)
 
     # ------------------------------------------------------------------
     # The worker loop
     # ------------------------------------------------------------------
-    def _worker(self, index: int = 0) -> None:
-        with self._lock:
-            self._idents[index] = threading.get_ident()
+    def _worker(self, index: int) -> None:
         while True:
             task = self._queue.get()
             if task is _STOP:
@@ -310,22 +294,21 @@ class SpeculationEngine:
                 if self._queued.get(task.label) is task:
                     del self._queued[task.label]
                 self._in_flight += 1
-                self._hearts[index] = time.monotonic()
-                self._current[index] = task
-            died = False
             try:
-                self._run_one(task)
+                if self.degraded:
+                    # The restart budget is spent: queued work is dropped
+                    # as the workers reach it, so drain() stays bounded.
+                    self.cancelled.append(task.label)
+                    task.finish(False)
+                else:
+                    self._run_one(task)
             except BaseException as exc:  # noqa: BLE001 - simulated worker death
-                # Only a SimulatedCrash (or a stray async cancellation
-                # landing between the narrower nets) reaches here: the
-                # worker is considered dead.  Hand the task to the
-                # supervisor's retry/poison policy, then let the thread
-                # exit so the supervisor can respawn it.
-                died = True
-                self._note_worker_death(task, exc)
+                # Only a SimulatedCrash gets past _run_one's net: this
+                # worker died.  Settle its task, then carry on as the
+                # restarted worker.
+                self._restart(index, task, exc)
             finally:
                 with self._quiet:
-                    self._current.pop(index, None)
                     self._in_flight -= 1
                     # Gauge update inside the lock, *before* notifying:
                     # a drained foreground must observe the settled depth.
@@ -333,116 +316,54 @@ class SpeculationEngine:
                         self._push_depth(len(self._queued) + self._in_flight)
                     if not self._queued and not self._in_flight:
                         self._quiet.notify_all()
-            if died:
-                return
 
-    def _note_worker_death(self, task: _Task, exc) -> None:
-        """A task killed its worker: requeue it (bounded) or poison it."""
-        if task.attempts < self.policy.worker_max_task_retries and not self._shutdown:
+    def _restart(self, index: int, task: _Task, exc) -> None:
+        """A task killed worker ``index``: requeue the task (bounded) or
+        poison it, then restart the worker in place — or, once
+        ``worker_max_restarts`` restarts are spent, degrade the engine."""
+        policy = self.policy
+        if task.attempts < policy.worker_max_task_retries and not self._shutdown:
             task.attempts += 1
             with self._lock:
                 self._queued[task.label] = task
             self._queue.put(task)
-            return
-        self.failed.append(task.label)
-        self.poisoned.append(task.label)
-        self.repository.diagnostics.record(
-            POISON_TASK, task.label,
-            detail=f"task killed {task.attempts + 1} worker(s); "
-            "quarantined as poison",
-            cause=exc,
-        )
-        task.finish(False)
-
-    # ------------------------------------------------------------------
-    # The supervisor loop
-    # ------------------------------------------------------------------
-    def _supervise(self) -> None:
-        """Heal the pool: restart dead workers, cancel hung ones."""
-        repo = self.repository
-        policy = self.policy
-        interval = 0.02
-        while not self._stop_supervisor.wait(interval):
-            now = time.monotonic()
-            with self._lock:
-                stale = [
-                    (index, self._current[index], self._idents.get(index))
-                    for index, beat in self._hearts.items()
-                    if index in self._current
-                    and now - beat > policy.worker_heartbeat_timeout
-                ]
-                dead = [
-                    index
-                    for index, thread in self._threads.items()
-                    if not thread.is_alive() and not self._shutdown
-                ]
-            for index, current, ident in stale:
-                # A hung worker absorbs the injected DeadlineExceeded as
-                # an ordinary failed compile and keeps its thread.
-                if ident is not None and async_raise(ident, DeadlineExceeded):
-                    with self._lock:
-                        self._hearts[index] = now  # one injection per period
-                    repo.diagnostics.record(
-                        WATCHDOG_TIMEOUT, current.label,
-                        detail="speculation worker heartbeat stale "
-                        f"(> {policy.worker_heartbeat_timeout:.4f}s); "
-                        "cancellation injected",
-                    )
-            for index in dead:
-                if self.restarts >= policy.worker_max_restarts:
-                    self._enter_degraded()
-                    break
-                due = self._next_restart.get(index)
-                if due is None:
-                    count = self._restart_counts.get(index, 0)
-                    delay = min(
-                        policy.worker_restart_backoff * (2 ** count), 1.0
-                    )
-                    self._next_restart[index] = now + delay
-                    continue
-                if now < due:
-                    continue
-                self._next_restart.pop(index, None)
-                self._restart_counts[index] = (
-                    self._restart_counts.get(index, 0) + 1
-                )
+        else:
+            self.failed.append(task.label)
+            self.poisoned.append(task.label)
+            self.repository.diagnostics.record(
+                POISON_TASK, task.label,
+                detail=f"task killed {task.attempts + 1} worker(s); "
+                "quarantined as poison",
+                cause=exc,
+            )
+            task.finish(False)
+        with self._lock:
+            spent = self.restarts >= policy.worker_max_restarts
+            if not spent:
                 self.restarts += 1
-                with self._lock:
-                    self._threads[index] = self._spawn(index)
-                repo.diagnostics.record(
-                    WORKER_RESTART, f"worker-{index}",
-                    detail=f"dead worker respawned (restart {self.restarts}/"
-                    f"{policy.worker_max_restarts})",
-                )
+                count = self.restarts
+        if spent:
+            self._enter_degraded()
+            return
+        self.repository.diagnostics.record(
+            WORKER_RESTART, f"worker-{index}",
+            detail=f"dead worker restarted in place (restart {count}/"
+            f"{policy.worker_max_restarts})",
+        )
 
     def _enter_degraded(self) -> None:
-        """The restart budget is spent: flush the queue and stop accepting
-        work so ``drain()`` stays bounded; the session continues with
-        foreground JIT compilation only."""
-        first = False
+        """The restart budget is spent: stop accepting work (what is still
+        queued is cancelled as the workers reach it); the session
+        continues with foreground JIT compilation only."""
         with self._lock:
-            if not self.degraded:
-                self.degraded = True
-                first = True
-        if first:
-            self.repository.diagnostics.record(
-                WORKER_RESTART, "engine",
-                detail="restart budget exhausted; speculation degraded to "
-                "foreground-only",
-            )
-        while True:
-            try:
-                task = self._queue.get_nowait()
-            except queue.Empty:
+            if self.degraded:
                 return
-            if task is _STOP:
-                continue
-            with self._quiet:
-                self._queued.pop(task.label, None)
-                self.cancelled.append(task.label)
-                if not self._queued and not self._in_flight:
-                    self._quiet.notify_all()
-            task.finish(False)
+            self.degraded = True
+        self.repository.diagnostics.record(
+            WORKER_RESTART, "engine",
+            detail="restart budget exhausted; speculation degraded to "
+            "foreground-only",
+        )
 
     def _run_one(self, task: _Task) -> None:
         """One task body, under the submitter's span; failures are
@@ -453,11 +374,14 @@ class SpeculationEngine:
             task.label, "background", task=task.label
         ):
             try:
-                if self.fault_plan is not None:
-                    # The dedicated worker site: a fault here models a dying
-                    # worker (OOM, runaway codegen) rather than a compiler bug.
-                    self.fault_plan.check("worker", task.label)
-                tally = task.fn()
+                # The watchdog owns a hung task; an injection that fired
+                # but never landed is revoked here, not in queue.get().
+                with repo.guard.compile_guard(task.label):
+                    if self.fault_plan is not None:
+                        # The dedicated worker site: a fault here models a
+                        # dying or wedged worker rather than a compiler bug.
+                        self.fault_plan.check("worker", task.label)
+                    tally = task.fn()
             except Exception as exc:  # noqa: BLE001 - workers must not die loudly
                 tally = self.failed
                 repo.compile_failed(task.label, "worker", exc)

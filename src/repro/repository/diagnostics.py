@@ -36,7 +36,7 @@ CACHE_EVICT = "cache_evict"          # cached entry removed (deopt/quarantine)
 WATCHDOG_TIMEOUT = "watchdog_timeout"  # a deadline fired; operation cancelled
 SANDBOX_TRIAL = "sandbox_trial"        # first run executed in a sandbox fork
 SANDBOX_FAILURE = "sandbox_failure"    # the sandbox died; session survived
-WORKER_RESTART = "worker_restart"      # a dead speculation worker respawned
+WORKER_RESTART = "worker_restart"      # a crashed worker restarted in place
 POISON_TASK = "poison_task"            # a task quarantined after killing workers
 CACHE_CORRUPT = "cache_corrupt"        # a corrupted cache entry quarantined
 CACHE_RETRY = "cache_retry"            # a transient cache IO fault retried

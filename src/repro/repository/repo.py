@@ -225,7 +225,6 @@ class CodeRepository:
             SandboxExecutor(
                 timeout=self.resilience.sandbox_timeout,
                 fault_plan=fault_plan,
-                diagnostics=self.diagnostics,
             )
             if self.resilience.sandbox else None
         )

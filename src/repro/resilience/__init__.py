@@ -6,19 +6,20 @@
   and compiled runs, cancelled by asynchronous exception injection from a
   single process-wide monitor thread;
 * :mod:`~repro.resilience.sandbox` — a freshly compiled object's first
-  run executes in a supervised fork; a crash/OOM/hang kills the sandbox,
-  never the session;
+  run (and a fresh native ``.so``'s) executes in a supervised fork; a
+  crash/OOM/hang kills the sandbox, never the session;
 * worker supervision lives in
-  :mod:`repro.repository.background` (heartbeats, dead-worker restarts
-  with exponential backoff, poison-task quarantine) and cache
-  self-healing in :mod:`repro.repository.cache` (corruption detection,
-  IO retries, quarantine-and-rebuild) — both are steered by the
-  :class:`ResiliencePolicy` knobs defined here.
+  :mod:`repro.repository.background` and adds no detector of its own: a
+  hung task is cancelled by the compile watchdog, a crashed worker
+  restarts in place (its task retried, then quarantined as poison), and
+  cache self-healing lives in :mod:`repro.repository.cache` (corruption
+  detection, IO retries, quarantine-and-rebuild) — both are steered by
+  the :class:`ResiliencePolicy` knobs defined here.
 
 Everything is policy-driven: a single frozen :class:`ResiliencePolicy`
-carries the deadlines, backoffs and retry budgets, and a session passes
-one policy down through the repository, the speculation engine and the
-disk cache.
+carries the deadlines and the restart and retry budgets, and a session
+passes one policy down through the repository, the speculation engine
+and the disk cache.
 """
 
 from __future__ import annotations
@@ -61,15 +62,10 @@ class ResiliencePolicy:
     sandbox: bool = False
     #: Hard timeout on one sandbox trial before the child is killed.
     sandbox_timeout: float = 30.0
-    #: A worker whose heartbeat is older than this is presumed hung and
-    #: gets a DeadlineExceeded injected.
-    worker_heartbeat_timeout: float = 30.0
-    #: Total dead-worker restarts the supervisor will pay for before the
-    #: engine degrades to foreground-only compilation.
+    #: Total in-place restarts of crashed speculation workers paid for
+    #: before the engine degrades to foreground-only compilation.  (A hung
+    #: worker task is cancelled by ``compile_deadline``.)
     worker_max_restarts: int = 8
-    #: Base of the exponential restart backoff (seconds); restart *n*
-    #: waits ``backoff * 2**n`` capped at 1s.
-    worker_restart_backoff: float = 0.01
     #: How many times a task that killed its worker is retried before it
     #: is quarantined as poison.
     worker_max_task_retries: int = 2

@@ -28,7 +28,9 @@ Protocol
 The executor uses the ``fork`` start method (cheap, inherits the compiled
 callable and kernel cache without serialization); on platforms without
 ``fork`` the trial degrades to immediate promotion, recorded once in the
-diagnostics.
+diagnostics.  :func:`fork_call` (fork → pipe → timeout → kill) is the one
+trial fork in the code base: the native tier's first run of a fresh
+``.so`` goes through it too.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ class SandboxVerdict:
     sink_text: str = ""
     rng_state: object = None
     matlab_error: BaseException | None = None
-    fired: list = field(default_factory=list)
     #: False when no trial actually ran (fork unavailable): the caller
     #: promotes the object and executes it in-process instead.
     executed: bool = True
@@ -129,11 +130,7 @@ def _child_main(conn, obj, functions, args, nargout, rng_state,
                 reply(status="crash", fired=list(fault_plan.fired))
                 conn.close()
                 os._exit(CRASH_EXIT_CODE)
-            except MemoryError as exc:
-                reply(status="fault", reason=repr(exc),
-                      fired=list(fault_plan.fired))
-                return
-            except InjectedFault as exc:
+            except (MemoryError, InjectedFault) as exc:
                 reply(status="fault", reason=repr(exc),
                       fired=list(fault_plan.fired))
                 return
@@ -166,6 +163,40 @@ def _child_main(conn, obj, functions, args, nargout, rng_state,
             pass
 
 
+#: Whether this platform can fork a trial child at all.
+FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
+
+
+def fork_call(target, args, timeout: float, name: str):
+    """Run ``target(conn, *args)`` in a forked child; kill it at ``timeout``.
+
+    Returns ``(message, exitcode)``: what the child sent over ``conn``
+    (``None`` if it sent nothing) and its exit code (``None`` if it had
+    to be killed).  The child is always reaped.
+    """
+    ctx = multiprocessing.get_context("fork")
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    process = ctx.Process(
+        target=target, args=(child_conn, *args), daemon=True, name=name
+    )
+    process.start()
+    child_conn.close()
+    message = None
+    try:
+        if parent_conn.poll(timeout):
+            message = parent_conn.recv()
+    except (EOFError, OSError):
+        pass  # the child died mid-send (crash exit)
+    finally:
+        parent_conn.close()
+        process.join(timeout=1.0)
+        killed = process.is_alive()
+        if killed:
+            process.kill()
+            process.join(timeout=5.0)
+    return message, None if killed else process.exitcode
+
+
 class SandboxExecutor:
     """Supervised first-run trials for freshly compiled objects."""
 
@@ -173,23 +204,15 @@ class SandboxExecutor:
         self,
         timeout: float = 30.0,
         fault_plan=None,
-        diagnostics=None,
     ):
         self.timeout = timeout
         self.fault_plan = fault_plan
-        self.diagnostics = diagnostics
         self.trials = 0
         self.failures = 0
         self._lock = threading.Lock()
-        self._context = None
-        self.available = "fork" in multiprocessing.get_all_start_methods()
+        self.available = FORK_AVAILABLE
 
     # ------------------------------------------------------------------
-    def _ctx(self):
-        if self._context is None:
-            self._context = multiprocessing.get_context("fork")
-        return self._context
-
     @staticmethod
     def _resolve_kernels(obj) -> dict:
         """Bind the object's fused kernels in the parent, pre-fork, so the
@@ -217,34 +240,16 @@ class SandboxExecutor:
             )
         with self._lock:
             self.trials += 1
-        kernels = self._resolve_kernels(obj)
-        ctx = self._ctx()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_child_main,
-            args=(child_conn, obj, functions, list(args), nargout,
-                  rng_state, self.fault_plan, kernels),
-            daemon=True,
-            name=f"majic-sandbox-{obj.name}",
+        message, exitcode = fork_call(
+            _child_main,
+            (obj, functions, list(args), nargout, rng_state,
+             self.fault_plan, self._resolve_kernels(obj)),
+            self.timeout, f"majic-sandbox-{obj.name}",
         )
-        process.start()
-        child_conn.close()
-        message = None
-        try:
-            if parent_conn.poll(self.timeout):
-                message = parent_conn.recv()
-        except (EOFError, OSError):
-            message = None  # child died mid-send (crash exit)
-        finally:
-            parent_conn.close()
-            process.join(timeout=1.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5.0)
-        return self._verdict(obj, process, message)
+        return self._verdict(message, exitcode)
 
     # ------------------------------------------------------------------
-    def _verdict(self, obj, process, message) -> SandboxVerdict:
+    def _verdict(self, message, exitcode) -> SandboxVerdict:
         if message is not None and message.get("status") == "ok":
             return SandboxVerdict(
                 ok=True,
@@ -268,7 +273,6 @@ class SandboxExecutor:
             already = len(self.fault_plan.fired)
             self.fault_plan.absorb_fired(fired[already:])
         if message is None:
-            exitcode = process.exitcode
             if exitcode is None:
                 reason = f"sandbox timed out after {self.timeout:.4f}s; killed"
             elif exitcode == CRASH_EXIT_CODE:
@@ -279,4 +283,4 @@ class SandboxExecutor:
             reason = "sandbox crashed (injected crash exit)"
         else:
             reason = message.get("reason", "sandbox trial failed")
-        return SandboxVerdict(ok=False, reason=reason, fired=list(fired))
+        return SandboxVerdict(ok=False, reason=reason)

@@ -63,8 +63,8 @@ class DeadlineExceeded(RuntimeError):
     """
 
 
-def async_raise(thread_id: int, exc_type=DeadlineExceeded) -> bool:
-    """Schedule ``exc_type`` to be raised in another thread.
+def async_raise(thread_id: int) -> bool:
+    """Schedule :class:`DeadlineExceeded` to be raised in another thread.
 
     Returns True when exactly one thread state was modified.  CPython
     only; on failure (or a non-CPython host) returns False and the caller
@@ -72,7 +72,7 @@ def async_raise(thread_id: int, exc_type=DeadlineExceeded) -> bool:
     """
     try:
         res = ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(thread_id), ctypes.py_object(exc_type)
+            ctypes.c_ulong(thread_id), ctypes.py_object(DeadlineExceeded)
         )
     except Exception:  # noqa: BLE001 - non-CPython / restricted host
         return False
@@ -146,10 +146,6 @@ class _WatchdogMonitor:
         with self._cond:
             entry = self._entries.pop(token, None)
             return entry.fired if entry is not None else False
-
-    def active(self) -> int:
-        with self._cond:
-            return len(self._entries)
 
     # ------------------------------------------------------------------
     def _loop(self) -> None:

@@ -20,7 +20,9 @@ kernel answer.  The suite covers:
 from __future__ import annotations
 
 import glob
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -37,6 +39,9 @@ from repro.faults.plan import (
 )
 from repro.kernels.fusion import Leaf, Node, decode, encode
 from repro.native import detect_toolchain, generate_c, native_eligible
+from repro.native import engine as native_engine
+from repro.resilience import ResiliencePolicy
+from repro.resilience.sandbox import FORK_AVAILABLE
 from repro.runtime.values import from_python
 
 from .test_kernel_props import (
@@ -267,6 +272,57 @@ def test_repeated_run_faults_demote_kernel(tmp_path):
     assert stats["ready"] == 0, stats
     assert stats["fallbacks"] >= MAX_RUN_STRIKES, stats
     assert stats["store"]["artifacts"] == 0, stats
+
+
+# ----------------------------------------------------------------------
+# The first-run trial of a fresh ``.so`` (a forked child)
+# ----------------------------------------------------------------------
+needs_fork = pytest.mark.skipif(not FORK_AVAILABLE, reason="no fork")
+
+
+def _assert_trial_failure_falls_back(tmp_path, monkeypatch, child):
+    """Run the kernel with ``child`` as its trial; the trial must fail
+    the kernel, evict its artifact and leave no child process."""
+    monkeypatch.setattr(native_engine, "_trial_child", child)
+    session = MajicSession(
+        native=True, sync=True, native_hot_threshold=1, native_min_elems=1,
+        cache_dir=str(tmp_path),
+        resilience=ResiliencePolicy(sandbox_timeout=0.5),
+    )
+    session.add_source(NATIVE_SRC)
+    try:
+        outs = [session.call_boxed("f", _operands(), nargout=1)[0]
+                for _ in range(3)]
+        states = set(session.native._state.values())
+        stats = session.native.stats()
+    finally:
+        session.close()
+    assert states == {"failed"}, states
+    assert stats["failed"] == 1 and stats["runs"] == 0, stats
+    assert stats["store"]["artifacts"] == 0, stats
+    truth = run_interp(NATIVE_SRC, _operands(), fusion=False)
+    for out in outs:
+        assert canon_bits(out) == canon_bits(truth)
+        assert bits(out) == bits(outs[0])
+    assert multiprocessing.active_children() == []
+
+
+@needs_cc
+@needs_fork
+def test_dying_trial_child_fails_the_kernel(tmp_path, monkeypatch):
+    def dies(conn, cfn, descs):
+        os._exit(3)
+
+    _assert_trial_failure_falls_back(tmp_path, monkeypatch, dies)
+
+
+@needs_cc
+@needs_fork
+def test_hung_trial_child_is_killed_at_the_timeout(tmp_path, monkeypatch):
+    def hangs(conn, cfn, descs):
+        time.sleep(60)
+
+    _assert_trial_failure_falls_back(tmp_path, monkeypatch, hangs)
 
 
 # ----------------------------------------------------------------------

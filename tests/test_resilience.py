@@ -7,6 +7,7 @@ answer stayed bit-identical to the interpreter (the recovery worked).
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -168,10 +169,7 @@ class TestWorkerSupervision:
     def test_crashed_worker_is_restarted_and_task_retried(self):
         plan = FaultPlan([FaultSpec(site=SITE_WORKER, hits=(1,),
                                     behavior=BEHAVIOR_CRASH)])
-        session = MajicSession(
-            fault_plan=plan, background=True, workers=1,
-            resilience=ResiliencePolicy(worker_restart_backoff=0.005),
-        )
+        session = MajicSession(fault_plan=plan, background=True, workers=1)
         session.add_source(POLY)
         try:
             session.speculate_async()
@@ -191,9 +189,7 @@ class TestWorkerSupervision:
                                     function="poly5")])
         session = MajicSession(
             fault_plan=plan, background=True, workers=1,
-            resilience=ResiliencePolicy(
-                worker_restart_backoff=0.005, worker_max_task_retries=2,
-            ),
+            resilience=ResiliencePolicy(worker_max_task_retries=2),
         )
         session.add_source(POLY)
         session.add_source(INC)
@@ -216,8 +212,7 @@ class TestWorkerSupervision:
         session = MajicSession(
             fault_plan=plan, background=True, workers=1,
             resilience=ResiliencePolicy(
-                worker_restart_backoff=0.001, worker_max_restarts=2,
-                worker_max_task_retries=50,
+                worker_max_restarts=2, worker_max_task_retries=50,
             ),
         )
         session.add_source(POLY)
@@ -238,22 +233,84 @@ class TestWorkerSupervision:
         finally:
             session.close()
 
-    def test_hung_worker_is_healed_by_heartbeat(self):
+    def test_hung_worker_is_cancelled_by_the_watchdog(self):
+        """A wedged worker task is the compile watchdog's: one
+        cancellation, counted once on the event log and once on the
+        metric, and the function still answers."""
         plan = FaultPlan([FaultSpec(site=SITE_WORKER, hits=(1,),
                                     behavior=BEHAVIOR_HANG)])
         session = MajicSession(
-            fault_plan=plan, background=True, workers=1,
-            resilience=ResiliencePolicy(
-                worker_heartbeat_timeout=0.2, worker_restart_backoff=0.005,
-            ),
+            fault_plan=plan, background=True, workers=1, metrics=True,
+            resilience=ResiliencePolicy(compile_deadline=0.2),
         )
         session.add_source(POLY)
         try:
             session.speculate_async()
             assert session.drain_speculation(timeout=30)
-            assert session.diagnostics.events(WATCHDOG_TIMEOUT)
+            text = session.metrics_text()
+            assert 'majic_watchdog_timeouts_total{kind="compile"} 1' in text
+            metric = session.obs.metrics.snapshot()[
+                "majic_watchdog_timeouts_total"
+            ]
+            events = session.diagnostics.events(WATCHDOG_TIMEOUT)
+            assert len(events) == sum(metric.values())
             assert session.call("poly5", 3.0) == 254.0
         finally:
+            session.close()
+
+    def test_a_pool_is_its_workers_before_and_after_a_crash(self):
+        """A background session adds exactly ``workers`` threads, none of
+        them a supervisor, and a crashed worker restarts in place: the
+        same threads are alive afterwards."""
+        # The crashed task's compile guard would start the process-wide
+        # watchdog monitor mid-census; start it first.
+        with ExecutionGuard(compile_deadline=60.0).compile_guard("census"):
+            pass
+        before = set(threading.enumerate())
+        plan = FaultPlan([FaultSpec(site=SITE_WORKER, hits=(1,),
+                                    behavior=BEHAVIOR_CRASH)])
+        session = MajicSession(fault_plan=plan, background=True, workers=2)
+        session.add_source(POLY)
+        try:
+            added = set(threading.enumerate()) - before
+            assert len(added) == 2
+            assert not [t.name for t in added if "supervisor" in t.name]
+            session.speculate_async()
+            assert session.drain_speculation(timeout=30)
+            assert session.engine.restarts == 1
+            assert set(threading.enumerate()) - before == added
+        finally:
+            session.close()
+
+    def test_concurrent_crashes_count_every_restart(self):
+        """More workers than cores, crashing under a short switch
+        interval: every crash is one restart and one event (no lost
+        update), and every task still lands."""
+        crashes = 6
+        plan = FaultPlan([FaultSpec(site=SITE_WORKER,
+                                    hits=tuple(range(1, crashes + 1)),
+                                    behavior=BEHAVIOR_CRASH)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        session = MajicSession(
+            fault_plan=plan, background=True, workers=4,
+            resilience=ResiliencePolicy(
+                worker_max_restarts=crashes, worker_max_task_retries=crashes,
+            ),
+        )
+        try:
+            names = [f"f{i}" for i in range(4)]
+            for i, name in enumerate(names):
+                session.add_source(f"function y = {name}(x)\ny = x + {i};\n")
+            session.speculate_async()
+            assert session.drain_speculation(timeout=30)
+            engine = session.engine
+            assert engine.restarts == crashes
+            assert len(session.diagnostics.events(WORKER_RESTART)) == crashes
+            assert not engine.degraded
+            assert sorted(engine.compiled) == names
+        finally:
+            sys.setswitchinterval(interval)
             session.close()
 
 
@@ -339,7 +396,6 @@ class TestResilienceMetrics:
                                     behavior=BEHAVIOR_CRASH)])
         session = MajicSession(
             fault_plan=plan, background=True, workers=1, metrics=True,
-            resilience=ResiliencePolicy(worker_restart_backoff=0.005),
         )
         session.add_source(POLY)
         try:

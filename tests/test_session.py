@@ -153,8 +153,7 @@ class TestSurface:
     ]
     POLICY_FIELDS = [
         "compile_deadline", "run_deadline", "sandbox", "sandbox_timeout",
-        "worker_heartbeat_timeout", "worker_max_restarts",
-        "worker_restart_backoff", "worker_max_task_retries",
+        "worker_max_restarts", "worker_max_task_retries",
         "parallel_recv_timeout", "parallel_max_restarts",
     ]
 
