@@ -9,14 +9,19 @@ persistence layer for :class:`~repro.repository.repo.CodeRepository`.
 Content addressing
 ------------------
 An entry's key is a SHA-256 over everything that could change the
-generated code:
+generated code, all of it known *before* the front end runs — so a hit
+tokenizes, parses and inlines nothing:
 
 * the **compiler version** (:data:`CACHE_FORMAT_VERSION`, the package
   version and the host's bytecode magic number) — a new compiler, or a
   host interpreter whose bytecode differs, silently misses every old
   entry instead of failing to load it;
-* the **prepared source text** of the function (pretty-printed *after*
-  inlining, so an edit to an inlined callee changes the caller's key too);
+* the **source identity** of the function: its name, the SHA-256 of the
+  raw text of the source unit (one ``add_source`` text) that defines it,
+  the sorted ``(name, unit digest)`` of every known function reachable
+  through identifiers in those texts (a regex scan: a superset of what
+  the inliner can embed, so an edit to an inlined callee changes the
+  caller's key too), the inline switch and the inliner's limits;
 * the **type-disambiguation signature** of the compile — the invocation
   signature for JIT compiles, the compile mode tag for speculative ones
   (a speculative compile derives its signature itself, so the mode is the
@@ -25,6 +30,14 @@ generated code:
 
 Keys never collide across sessions with different compilers, sources or
 options; identical sessions deterministically share entries.
+
+A **parse record** is what lets ``add_source`` skip the parse of a text
+seen before: a blob keyed by compiler version + ``"source-unit"`` + the
+text's digest, listing each function's name, formal count and output
+count in source order.  It is written once the text parsed as function
+definitions, so a syntax error or a script still raises at
+``add_source``; a record that fails its frame is a miss, and the text is
+parsed eagerly again.
 
 Serialization
 -------------
@@ -48,7 +61,7 @@ Durability, the quarantine-until-rebuilt healing of entries that fail
 the frame, transient-IO retries and the ``cache.*`` fault sites are the
 :class:`~repro.repository.store.DiskStore` this class is a typed view
 of; tiering profiles (``<key>.blob``) are a second view of the same
-directory.
+directory, and so are parse records.
 
 Eviction
 --------
@@ -66,7 +79,6 @@ import pickle
 from dataclasses import replace
 
 from repro.codegen.jitgen import CompiledObject
-from repro.frontend.pretty import pretty_function
 from repro.kernels.cache import KERNEL_CACHE
 from repro.kernels.codegen import compile_kernel
 from repro.repository.store import DiskStore
@@ -74,8 +86,12 @@ from repro.vcode.emit import bind_function
 
 #: Bumped whenever the pickle layout or keying scheme changes.  Format 2
 #: introduced the integrity frame (magic + digest header); format 3
-#: stores bytecode and drops the identity-keyed annotation tables.
-CACHE_FORMAT_VERSION = "3"
+#: stores bytecode and drops the identity-keyed annotation tables;
+#: format 4 keys on raw source text and adds parse records.
+CACHE_FORMAT_VERSION = "4"
+
+#: The signature slot of a parse record's key.
+UNIT_TAG = "source-unit"
 
 #: Frame header magic; the version digit follows so a stale-format entry
 #: is distinguishable from garbage.
@@ -105,8 +121,10 @@ def options_fingerprint(jit_options, src_options) -> str:
 def cache_key(source_text: str, signature: object, fingerprint: str) -> str:
     """Content address of one compile.
 
-    ``signature`` is the type-disambiguation component: the invocation
-    signature for a JIT compile, or the mode tag for a speculative one.
+    ``source_text`` identifies what is compiled (the repository passes a
+    function's source identity); ``signature`` is the type-disambiguation
+    component: the invocation signature for a JIT compile, or the mode
+    tag for a speculative one.
     """
     digest = hashlib.sha256()
     for part in (compiler_version(), source_text, str(signature), fingerprint):
@@ -115,9 +133,18 @@ def cache_key(source_text: str, signature: object, fingerprint: str) -> str:
     return digest.hexdigest()
 
 
-def function_source_text(fn) -> str:
-    """Canonical (pretty-printed) source of a prepared FunctionDef."""
-    return pretty_function(fn)
+def source_digest(text: str) -> str:
+    """SHA-256 of one source text, the name of its unit in every key."""
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+def _is_record(value) -> bool:
+    return isinstance(value, tuple) and all(
+        isinstance(entry, tuple) and len(entry) == 3
+        and isinstance(entry[0], str)
+        and type(entry[1]) is int and type(entry[2]) is int
+        for entry in value
+    )
 
 
 def serialize_payload(value) -> bytes:
@@ -243,6 +270,17 @@ class RepositoryCache(DiskStore):
             key, key[:12],
             lambda: {".blob": frame_payload(serialize_payload(value))},
         )
+
+    def get_unit(self, digest: str) -> tuple[tuple[str, int, int], ...] | None:
+        """The parse record of the source text with this digest —
+        ``(name, formals, outputs)`` per function, in source order — or
+        ``None`` on a miss, a failed frame or a malformed payload."""
+        record = self.get_blob(cache_key(digest, UNIT_TAG, ""))
+        return record if _is_record(record) else None
+
+    def put_unit(self, digest: str, record) -> bool:
+        """Persist the parse record of one source text."""
+        return self.put_blob(cache_key(digest, UNIT_TAG, ""), record)
 
     def clear(self) -> int:
         """Remove every entry; returns how many were deleted."""

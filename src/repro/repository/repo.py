@@ -33,6 +33,7 @@ degradation lands in :attr:`diagnostics` as a structured event.
 from __future__ import annotations
 
 import functools
+import re
 import threading
 import time
 from collections import Counter
@@ -41,6 +42,8 @@ from dataclasses import dataclass, field
 from repro.errors import CodegenError, MatlabError, RepositoryError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
+from repro.frontend.pretty import pretty_function
+from repro.codegen import inline
 from repro.codegen.inline import Inliner
 from repro.codegen.jitgen import CompiledObject, JitCompiler, JitOptions
 from repro.codegen.runtime_support import RuntimeSupport
@@ -62,7 +65,7 @@ from repro.runtime.builtins import GLOBAL_RANDOM
 from repro.runtime.display import OutputSink
 from repro.runtime.mxarray import MxArray
 from repro.repository.depgraph import DependencyGraph
-from repro.repository.cache import cache_key, function_source_text, options_fingerprint
+from repro.repository.cache import cache_key, options_fingerprint, source_digest
 from repro.repository.diagnostics import (
     BUDGET_SKIP,
     CACHE_EVICT,
@@ -146,6 +149,11 @@ def _as_budget(budget) -> CompileBudget:
     return CompileBudget(per_pass=float(budget))
 
 
+def _widened(signature: Signature) -> Signature:
+    """The signature with every value range widened to ⊤."""
+    return Signature.of(t.widen_range() for t in signature)
+
+
 class SpeculationReport(list):
     """Names compiled by a speculative pass (list subclass for backward
     compatibility) plus what the pass *didn't* do and why."""
@@ -162,19 +170,75 @@ class SpeculationReport(list):
 _REJECTIONS = {"jit": MatlabError, "spec": CodegenError}
 
 
+#: What the source-identity scan counts as a possible reference to a
+#: function: every MATLAB identifier in the text, comments included.
+_IDENTIFIER = re.compile(r"[A-Za-z]\w*")
+
+
+class _SourceUnit:
+    """One registered source: the text of one ``add_source`` call (or,
+    for a program registered as an AST, its functions) and what is known
+    of it without parsing — the parse record, ``(name, formals,
+    outputs)`` per function in source order.
+
+    ``functions`` is ``None`` until :meth:`CodeRepository._parsed` parses
+    the text, which happens on first touch when the unit registered from
+    a stored parse record."""
+
+    def __init__(self, text, record, functions=None, digest=None):
+        self.text = text
+        self.record = record
+        self.formals = {name: formals for name, formals, _ in record}
+        self.functions = functions
+        self.lock = threading.Lock()
+        self._digest = digest
+
+    @classmethod
+    def of(cls, functions, text=None, digest=None) -> "_SourceUnit":
+        record = tuple(
+            (fn.name, len(fn.params), len(fn.outputs)) for fn in functions
+        )
+        return cls(text, record, {fn.name: fn for fn in functions}, digest)
+
+    @functools.cached_property
+    def source(self) -> str:
+        """The text the keys hash: as given, else the pretty-printed AST."""
+        if self.text is not None:
+            return self.text
+        return "\n".join(map(pretty_function, self.functions.values()))
+
+    @property
+    def digest(self) -> str:
+        if self._digest is None:
+            self._digest = source_digest(self.source)
+        return self._digest
+
+    @functools.cached_property
+    def identifiers(self) -> frozenset[str]:
+        return frozenset(_IDENTIFIER.findall(self.source))
+
+
 @dataclass(frozen=True)
 class _Interpreted:
     """The bottom version of a function: its source, run by the
     interpreter.  It answers ``invoke`` like a compiled version but is
     never among :meth:`CodeRepository.versions_of` (nor located, nor in
-    the hot-call cache)."""
+    the hot-call cache).  Its definition is the one ``unit`` holds under
+    ``name``, parsed on first run if the unit has not been."""
 
-    fn: ast.FunctionDef
-    interpreter: Interpreter
+    name: str
+    unit: _SourceUnit
+    repository: "CodeRepository"
     mode = TIER_INTERPRETER
 
+    @property
+    def formals(self) -> int:
+        return self.unit.formals[self.name]
+
     def invoke(self, arg_values, nargout: int, rt):
-        return self.interpreter.call_function(self.fn, arg_values, nargout)
+        repository = self.repository
+        fn = repository._parsed(self.unit)[self.name]
+        return repository._interpreter.call_function(fn, arg_values, nargout)
 
 
 class CodeRepository:
@@ -246,11 +310,12 @@ class CodeRepository:
         # The cache heals itself; give it the session's event log.
         if cache is not None and getattr(cache, "diagnostics", None) is None:
             cache.diagnostics = self.diagnostics
-        # name -> FunctionDef (raw, as parsed)
-        self._functions: dict[str, ast.FunctionDef] = {}
-        # name -> the bottom version (the interpreter over that FunctionDef)
+        # name -> the source unit defining it now (its FunctionDef is
+        # parsed from there, on first touch for a unit read from a record)
+        self._units: dict[str, _SourceUnit] = {}
+        # name -> the bottom version (the interpreter over that definition)
         self._bottom: dict[str, _Interpreted] = {}
-        # name -> (inlined FunctionDef, every name it still applies)
+        # name -> (prepared FunctionDef, every name it still applies)
         self._inlined: dict[str, tuple[ast.FunctionDef, set[str]]] = {}
         # name -> list of compiled versions
         self._objects: dict[str, list[CompiledObject]] = {}
@@ -300,19 +365,51 @@ class CodeRepository:
     # ------------------------------------------------------------------
     def add_source(self, source: str | ast.Program) -> list[str]:
         """Register function definitions from source text or a parsed
-        program; returns the names registered."""
+        program; returns the names registered.
+
+        With a persistent cache, a text whose parse record is stored
+        registers from the record and is parsed only when something
+        needs its definitions — which a cache hit never does."""
         if isinstance(source, str):
-            with self.obs.tracer.span("parse", "parse"):
-                program = parse(source)
+            unit = self._unit_of(source)
+        elif source.is_script:
+            raise RepositoryError("scripts cannot be added to the repository")
         else:
-            program = source
+            unit = _SourceUnit.of(source.functions)
+        self._register(unit)
+        return [name for name, _, _ in unit.record]
+
+    def _unit_of(self, text: str) -> _SourceUnit:
+        """The unit of one source text: from its parse record when the
+        cache holds one, else parsed now (so a syntax error or a script
+        raises here) and recorded."""
+        digest = None
+        if self.cache is not None:
+            digest = source_digest(text)
+            record = self.cache.get_unit(digest)
+            if record is not None:
+                return _SourceUnit(text, record, digest=digest)
+        with self.obs.tracer.span("parse", "parse"):
+            program = parse(text)
         if program.is_script:
             raise RepositoryError("scripts cannot be added to the repository")
-        names = []
-        for fn in program.functions:
-            self._register(fn)
-            names.append(fn.name)
-        return names
+        unit = _SourceUnit.of(program.functions, text, digest)
+        if digest is not None:
+            self.cache.put_unit(digest, unit.record)
+        return unit
+
+    def _parsed(self, unit: _SourceUnit) -> dict[str, ast.FunctionDef]:
+        """The unit's definitions, parsing its text on first touch — once,
+        under the unit's own lock, never the state lock."""
+        functions = unit.functions
+        if functions is None:
+            with unit.lock:
+                if unit.functions is None:
+                    with self.obs.tracer.span("parse", "parse"):
+                        program = parse(unit.text)
+                    unit.functions = {fn.name: fn for fn in program.functions}
+                functions = unit.functions
+        return functions
 
     def add_path(self, directory) -> list[str]:
         """Snoop a directory of .m files; returns newly seen functions."""
@@ -327,26 +424,28 @@ class CodeRepository:
         for name in report.added + report.changed:
             fn = table.get(name)
             if fn is not None:
-                self._register(fn)
+                self._register(_SourceUnit.of([fn]))
                 touched.append(name)
         for name in report.removed:
             if name not in table:
                 self._unregister(name)
         return touched
 
-    def _register(self, fn: ast.FunctionDef) -> None:
+    def _register(self, unit: _SourceUnit) -> None:
         with self._lock:
-            self._functions[fn.name] = fn
-            self._bottom[fn.name] = _Interpreted(fn, self._interpreter)
-            # Invalidate the function itself and everything that inlined
-            # it; each gets a new generation so in-flight background
-            # compiles of the old source are dropped at store time.
-            for stale in self.depgraph.dependents_of(fn.name):
-                self._purge_compiled_state(stale)
+            for name in unit.formals:
+                self._units[name] = unit
+                self._bottom[name] = _Interpreted(name, unit, self)
+                # Invalidate the function itself and everything that
+                # inlined (or may call) it; each gets a new generation so
+                # in-flight background compiles of the old source are
+                # dropped at store time.
+                for stale in self.depgraph.dependents_of(name):
+                    self._purge_compiled_state(stale)
 
     def _unregister(self, name: str) -> None:
         with self._lock:
-            self._functions.pop(name, None)
+            self._units.pop(name, None)
             self._bottom.pop(name, None)
             # Same purge as _register: a removed function must not keep
             # serving a stale cached object, stay wrongly blacklisted, or
@@ -423,10 +522,11 @@ class CodeRepository:
 
     def profile_key(self, name: str, tag: str) -> str | None:
         """Content address for a blob *about* ``name`` (a compile's key
-        under the caller's ``tag``); ``None`` without a cache."""
+        under the caller's ``tag``); ``None`` without a cache or for an
+        unknown function."""
         try:
-            return self._cache_key(self._prepared(name)[0], tag)
-        except Exception:  # noqa: BLE001 - unparseable/unknown: no profile
+            return self._cache_key(name, tag)
+        except RepositoryError:
             return None
 
     def attach(self, controller) -> None:
@@ -446,14 +546,21 @@ class CodeRepository:
         self.sandbox = None
 
     def knows(self, name: str) -> bool:
-        return name in self._functions
+        return name in self._units
 
     def function_names(self) -> list[str]:
         with self._lock:
-            return sorted(self._functions)
+            return sorted(self._units)
+
+    def formal_count(self, name: str) -> int | None:
+        """How many formals ``name`` declares (``None``: unknown), read
+        from its parse record — no parse."""
+        unit = self._units.get(name)
+        return None if unit is None else unit.formals[name]
 
     def lookup_function(self, name: str) -> ast.FunctionDef | None:
-        return self._functions.get(name)
+        unit = self._units.get(name)
+        return None if unit is None else self._parsed(unit).get(name)
 
     # ------------------------------------------------------------------
     # Inlining pass (Figure 1, pass 2)
@@ -461,28 +568,36 @@ class CodeRepository:
     def _prepared(self, name: str) -> tuple[ast.FunctionDef, set[str]]:
         """The function as compiled (inlined, unless inlining is off) and
         every name it still applies — a call or an index; intersect with
-        the known functions to get the calls left dynamic."""
+        the known functions to get the calls left dynamic.
+
+        Its dependencies are what it embeds plus every name it applies,
+        known or not: a function defined later under one of those names
+        would be inlined (or called) there, so it purges this one."""
         with self._lock:
-            fn = self._functions.get(name)
-            if fn is None:
+            unit = self._units.get(name)
+            if unit is None:
                 raise RepositoryError(f"unknown function '{name}'")
-            if not self.inline_enabled:
-                return fn, ast.called_names(fn)
             cached = self._inlined.get(name)
             if cached is not None:
                 return cached
-        # Inlining (a deep copy + transform) runs outside the state lock;
-        # a concurrent redefinition simply wins the re-check below.
-        inliner = Inliner(self.lookup_function)
-        prepared = inliner.run(fn)
+        # Parsing and inlining (a deep copy + transform) run outside the
+        # state lock; a concurrent redefinition wins the re-check below.
+        fn = self._parsed(unit)[name]
+        if self.inline_enabled:
+            inliner = Inliner(
+                self.lookup_function,
+                inline.MAX_INLINE_LINES, inline.MAX_RECURSION_DEPTH,
+            )
+            prepared, embedded = inliner.run(fn), inliner.inlined_names
+        else:
+            prepared, embedded = fn, set()
         applied = ast.called_names(prepared)
         with self._lock:
-            if self._functions.get(name) is not fn:
+            if self._units.get(name) is not unit:
                 # Redefined mid-prepare: recurse onto the fresh source.
                 return self._prepared(name)
             self._inlined[name] = prepared, applied
-            used = inliner.inlined_names | (applied & set(self._functions))
-            self.depgraph.set_dependencies(name, used - {name})
+            self.depgraph.set_dependencies(name, (embedded | applied) - {name})
         return prepared, applied
 
     def _compile_lock(self, name: str) -> threading.Lock:
@@ -544,8 +659,9 @@ class CodeRepository:
     def _options_fingerprint(self) -> str:
         return options_fingerprint(self.jit_options, self.src_options)
 
-    def _cache_key(self, fn: ast.FunctionDef, signature_tag) -> str | None:
-        """Content address of one compile (None without a cache).
+    def _cache_key(self, name: str, signature_tag) -> str | None:
+        """Content address of one compile of ``name`` (None without a
+        cache).
 
         ``signature_tag`` disambiguates versions of one source: the
         invocation signature for JIT compiles, the mode tag for
@@ -553,16 +669,55 @@ class CodeRepository:
         """
         if self.cache is None:
             return None
-        return cache_key(
-            function_source_text(fn), signature_tag, self._options_fingerprint
-        )
+        identity, _ = self._source_identity(name)
+        return cache_key(identity, signature_tag, self._options_fingerprint)
 
-    def _cache_probe(self, name: str, key: str | None) -> CompiledObject | None:
-        """Look one compile up in the disk cache; validate before trusting."""
-        if key is None:
+    def _source_identity(self, name: str) -> tuple[str, set[str]]:
+        """What a compile of ``name`` reads, as raw text — no parse: its
+        unit's digest, the ``(name, unit digest)`` of every known function
+        reachable through identifiers in those texts, and the inliner's
+        switch and limits.  Also returns every identifier scanned, which a
+        cache hit records as the function's dependencies."""
+        with self._lock:
+            units = dict(self._units)
+        unit = units.get(name)
+        if unit is None:
+            raise RepositoryError(f"unknown function '{name}'")
+        identifiers: set[str] = set()
+        scanned, frontier = {unit}, [unit]
+        while frontier:
+            for ident in frontier.pop().identifiers - identifiers:
+                identifiers.add(ident)
+                found = units.get(ident)
+                if found is not None and found not in scanned:
+                    scanned.add(found)
+                    frontier.append(found)
+        identity = "\n".join([
+            name, unit.digest,
+            *(f"{callee} {units[callee].digest}"
+              for callee in sorted(identifiers & units.keys())),
+            f"inline={self.inline_enabled} lines={inline.MAX_INLINE_LINES} "
+            f"depth={inline.MAX_RECURSION_DEPTH}",
+        ])
+        return identity, identifiers - {name}
+
+    def _cache_probe(self, name: str, tags) -> tuple[CompiledObject, set[str]] | None:
+        """Look one compile of ``name`` up in the disk cache under the key
+        of each of ``tags`` in turn — one request however many it tries —
+        and validate before trusting.  A hit comes with the identifiers
+        its key scanned."""
+        if self.cache is None:
             return None
+        identity, identifiers = self._source_identity(name)
+        obj = None
         with self.obs.tracer.span("cache.load", "cache", function=name):
-            obj = self.cache.get(key)
+            for key in dict.fromkeys(
+                cache_key(identity, tag, self._options_fingerprint)
+                for tag in tags
+            ):
+                obj = self.cache.get(key)
+                if obj is not None:
+                    break
         with self._lock:
             hit = obj is not None and obj.name == name
             self.stats.cache_requests["hit" if hit else "miss"] += 1
@@ -581,7 +736,7 @@ class CodeRepository:
             detail=f"loaded {obj.mode} version from cache entry {key[:12]}",
             signature=obj.signature,
         )
-        return obj
+        return obj, identifiers
 
     def _cache_store(self, key: str | None, obj: CompiledObject) -> None:
         if key is None:
@@ -648,28 +803,40 @@ class CodeRepository:
             return None
         span = "jit_compile" if mode == "jit" else "speculate"
         with self.obs.tracer.span(span, "compile", function=name):
-            fn, applied = self._prepared(name)
-            if signature is not None and len(signature) != len(fn.params):
+            formals = self.formal_count(name)
+            if formals is None:
+                raise RepositoryError(f"unknown function '{name}'")
+            if signature is not None and len(signature) != formals:
                 # Only a call that supplies every formal is compiled for
                 # (see _resolve); an adaptive promotion may still ask.
                 return None
             try:
                 with self._compile_lock(name):
-                    if mode == "jit" and (
-                        self._has_dynamic_calls(applied)
-                        or self._range_only_miss(name, signature)
-                    ):
-                        # Two situations call for range widening (paper
-                        # Figure 3: poly1_sig1 with limits(x) = top exists
-                        # alongside the constant-specialized sig0):
-                        #  * remaining dynamic calls (recursion past the
-                        #    inlining depth) would recompile for every
-                        #    distinct constant;
-                        #  * a repository miss whose only difference from an
-                        #    existing version is the value ranges — the same
-                        #    call site is being fed varying values, so stop
-                        #    specializing on them.
-                        signature = Signature.of(t.widen_range() for t in signature)
+                    # Two situations call for range widening (paper Figure
+                    # 3: poly1_sig1 with limits(x) = top exists alongside
+                    # the constant-specialized sig0):
+                    #  * a repository miss whose only difference from an
+                    #    existing version is the value ranges — the same
+                    #    call site is being fed varying values, so stop
+                    #    specializing on them;
+                    #  * remaining dynamic calls (recursion past the
+                    #    inlining depth) would recompile for every distinct
+                    #    constant.  Only the prepared function shows them,
+                    #    so the disk cache is probed first under both keys.
+                    if mode == "jit" and self._range_only_miss(name, signature):
+                        signature = _widened(signature)
+                        existing = self._find_version(name, signature)
+                        if existing is not None:
+                            return existing
+                    hit = self._cache_probe(name, (
+                        (signature, _widened(signature)) if mode == "jit"
+                        else (mode,)
+                    ))
+                    if hit is not None:
+                        return self._admit_cached(name, mode, generation, *hit)
+                    fn, applied = self._prepared(name)
+                    if mode == "jit" and self._has_dynamic_calls(applied):
+                        signature = _widened(signature)
                         existing = self._find_version(name, signature)
                         if existing is not None:
                             return existing
@@ -687,7 +854,7 @@ class CodeRepository:
                             fusion=self.jit_options.fusion,
                         ), mode
                     obj, duration = self._compile_and_store(
-                        name, mode, self._cache_key(fn, tag), generation,
+                        name, mode, self._cache_key(name, tag), generation,
                         lambda: compiler.compile(
                             fn, signature, mode=mode,
                             is_user_function=self.knows,
@@ -696,7 +863,7 @@ class CodeRepository:
             except Exception as exc:  # noqa: BLE001 - rejection or compiler crash
                 self.compile_failed(name, mode, exc, signature)
                 return None
-            # duration is None when no compile ran (cache hit, or dropped).
+            # duration is None when the result was dropped.
             if budget is not None and duration is not None and duration > budget:
                 self._budget_skip(
                     name,
@@ -714,57 +881,63 @@ class CodeRepository:
                 self._budget_flagged.add(name)
         self.diagnostics.record(BUDGET_SKIP, name, detail=detail, signature=signature)
 
+    def _admit_cached(
+        self, name: str, mode: str, generation: int, obj: CompiledObject,
+        identifiers: set[str],
+    ) -> CompiledObject | None:
+        """Serve a compile from a disk-cache hit: store the version and
+        record every identifier its key scanned as a dependency, so a
+        later (re)definition of any of them purges it.  ``None``: the
+        function was redefined meanwhile and the hit is dropped."""
+        with self._lock:
+            if self._generations.get(name, 0) != generation:
+                return None
+            self.stats.cache_hits += 1
+            self.store(obj)
+            self.depgraph.set_dependencies(name, identifiers)
+        self.diagnostics.record(
+            CACHE_HIT, name,
+            detail=f"{'speculative' if mode == 'spec' else mode} compile "
+            "served from the persistent cache",
+            signature=obj.signature,
+        )
+        return obj
+
     def _compile_and_store(
         self, name: str, mode: str, key: str | None, generation: int, build
     ) -> tuple[CompiledObject | None, float | None]:
-        """The one tail behind :meth:`jit_compile` and :meth:`speculate`:
-        probe the persistent cache, else ``build()`` under the compile
+        """The one tail behind :meth:`jit_compile` and :meth:`speculate`
+        once the persistent cache missed: ``build()`` under the compile
         deadline; account, store, persist.  Returns the object and the
-        seconds its compile took (``None``: served from the cache).
+        seconds its compile took.
 
         ``generation`` is the function's redefinition counter from before
         its source was read: if it moved, the object describes dead source
         and is dropped — ``(None, None)`` — instead of stored (the new
         source gets its own compile).
         """
-        obj = self._cache_probe(name, key)
-        seconds = None
-        if obj is None:
-            start = time.perf_counter()
-            # One deadline covers the whole pipeline: the analysis phases
-            # (disambiguation, inference) can hang just as hard as codegen.
-            with self.guard.compile_guard(name):
-                obj = build()
-            seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        # One deadline covers the whole pipeline: the analysis phases
+        # (disambiguation, inference) can hang just as hard as codegen.
+        with self.guard.compile_guard(name):
+            obj = build()
+        seconds = time.perf_counter() - start
         with self._lock:
             if self._generations.get(name, 0) != generation:
                 return None, None
-            if seconds is None:
-                self.stats.cache_hits += 1
+            if mode == "jit":
+                self.stats.jit_compiles += 1
+                self.stats.jit_compile_seconds += seconds
             else:
-                if mode == "jit":
-                    self.stats.jit_compiles += 1
-                    self.stats.jit_compile_seconds += seconds
-                else:
-                    # The speculative figure is the code generator alone,
-                    # as it always was: its analysis is the speculator's
-                    # (phase_times.type_inference has it).
-                    self.stats.speculative_compiles += 1
-                    self.stats.speculative_compile_seconds += (
-                        obj.phase_times.codegen
-                    )
-                self.compile_log.append((name, mode, obj.phase_times))
+                # The speculative figure is the code generator alone, as it
+                # always was: its analysis is the speculator's
+                # (phase_times.type_inference has it).
+                self.stats.speculative_compiles += 1
+                self.stats.speculative_compile_seconds += obj.phase_times.codegen
+            self.compile_log.append((name, mode, obj.phase_times))
             self.store(obj)
-        if seconds is None:
-            self.diagnostics.record(
-                CACHE_HIT, name,
-                detail=f"{'speculative' if mode == 'spec' else mode} compile "
-                "served from the persistent cache",
-                signature=obj.signature,
-            )
-        else:
-            self.obs.record_compile(mode, obj.phase_times)
-            self._cache_store(key, obj)
+        self.obs.record_compile(mode, obj.phase_times)
+        self._cache_store(key, obj)
         return obj, seconds
 
     def speculate_all(
@@ -889,7 +1062,7 @@ class CodeRepository:
             controller.prepare(name)
             if controller.suppressed(name):
                 return bottom
-        if name in self._uncompilable or len(invocation.args) != len(bottom.fn.params):
+        if name in self._uncompilable or len(invocation.args) != bottom.formals:
             # More actuals than formals is the interpreter's to refuse, with
             # its error text; fewer is the interpreter's to run (emitted
             # code takes every formal), neither is compiled for.
@@ -972,8 +1145,12 @@ class CodeRepository:
         crash.  ``None``: no fork here, promoted untried, caller runs it.
         """
         name = invocation.name
-        with self._lock:
-            functions = dict(self._functions)
+        # The child interprets user callees from this table, so every
+        # unit is parsed first (outside the state lock).
+        functions = {
+            callee: self.lookup_function(callee)
+            for callee in self.function_names()
+        }
         with self.obs.tracer.span("sandbox_trial", "execution", function=name):
             verdict = self.sandbox.trial(
                 obj, functions, invocation.args, invocation.nargout, rng_state
@@ -1080,7 +1257,7 @@ class CodeRepository:
 
     def _has_dynamic_calls(self, applied: set[str]) -> bool:
         with self._lock:
-            return not self._functions.keys().isdisjoint(applied)
+            return not self._units.keys().isdisjoint(applied)
 
     def _find_version(self, name: str, signature: Signature):
         for version in self.versions_of(name):

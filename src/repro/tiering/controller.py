@@ -257,8 +257,8 @@ class TierController:
             if target == TIER_JIT:
                 # Nothing is compiled for a call that leaves a formal
                 # unset: leave the ask to the next full call.
-                fn = repo.lookup_function(name)
-                if fn is not None and len(invocation.args) != len(fn.params):
+                formals = repo.formal_count(name)
+                if formals is not None and len(invocation.args) != formals:
                     return
                 signature = invocation.signature
             self._begin(name, state, target, signature)

@@ -151,8 +151,7 @@ def test_wrong_function_name_in_entry_is_rejected(tmp_path):
     (inc_obj,) = repo.versions_of("inc")
     poly_key = inc_obj.cache_key  # steal inc's payload under poly's key?
     # Overwrite poly's entry with inc's payload to model tampering.
-    fn, _ = repo._prepared("poly5")
-    key = repo._cache_key(fn, "spec")
+    key = repo._cache_key("poly5", "spec")
     (tmp_path / f"{key}.pkl").write_bytes(serialize_object(inc_obj))
 
     warm = MajicSession(cache_dir=tmp_path)
@@ -164,7 +163,8 @@ def test_wrong_function_name_in_entry_is_rejected(tmp_path):
 
 
 def test_cache_store_fault_is_absorbed(tmp_path):
-    plan = FaultPlan.cache_fault(site="cache.store", hit=1)
+    # Store 1 is add_source's parse record; store 2 the compiled object.
+    plan = FaultPlan.cache_fault(site="cache.store", hit=2)
     session = MajicSession(cache_dir=tmp_path, fault_plan=plan)
     session.add_source(INC)
     session.speculate_all()
@@ -178,7 +178,8 @@ def test_cache_load_fault_is_absorbed(tmp_path):
     cold.add_source(INC)
     cold.speculate_all()
 
-    plan = FaultPlan.cache_fault(site="cache.load", hit=1)
+    # Load 1 is add_source's parse record; load 2 the compiled object.
+    plan = FaultPlan.cache_fault(site="cache.load", hit=2)
     warm = MajicSession(cache_dir=tmp_path, fault_plan=plan)
     warm.add_source(INC)
     warm.speculate_all()
@@ -511,13 +512,13 @@ def test_transient_io_faults_are_retried_never_condemned(tmp_path, view):
     assert load(make(tmp_path), key)
 
 
-def test_fresh_stores_write_format_3_frames(tmp_path):
+def test_fresh_stores_write_current_format_frames(tmp_path):
     from repro.repository.cache import frame_payload
 
     cache = RepositoryCache(tmp_path)
     assert cache.put("d" * 64, _cached_object())
-    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC3\n")
-    assert frame_payload(b"x").startswith(b"MAJC3\n")
+    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC4\n")
+    assert frame_payload(b"x").startswith(b"MAJC4\n")
 
 
 def test_partial_write_race_detected_on_next_load(tmp_path):

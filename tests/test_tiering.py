@@ -171,7 +171,7 @@ class FakeRepo:
     def profile_key(self, name, tag):
         return None  # no profile store in these tests
 
-    def lookup_function(self, name):
+    def formal_count(self, name):
         return None  # no sources: every call counts as a full one
 
 
