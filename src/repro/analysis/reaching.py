@@ -59,9 +59,6 @@ class AssignmentSets:
         return self.may.state_before(atom)
 
 
-_ALL = None  # sentinel unused; kept for readability
-
-
 def _transfer_assigned(atom: Atom, state: frozenset[str]) -> frozenset[str]:
     kills = atom_kills(atom)
     if kills is None:

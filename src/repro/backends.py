@@ -45,7 +45,7 @@ from repro.baselines.mcc import MccCompilerEngine
 from repro.benchsuite.registry import benchmark, sources_of
 from repro.benchsuite.workloads import boxed_workload
 from repro.core.majic import MajicSession, ensure_recursion_limit
-from repro.core.platformcfg import SPARC, PlatformConfig
+from repro.core.platformcfg import SPARC, AblationFlags, PlatformConfig
 from repro.errors import MatlabError
 from repro.frontend.parser import parse
 from repro.interp.interpreter import Interpreter
@@ -154,6 +154,11 @@ class Backend:
 BACKENDS: dict[str, Backend] = {
     "interpreter": Backend(),
     "jit": Backend(session={"fusion": False}),
+    # Figure 7's "no regalloc" code: every virtual register lives in the
+    # spill frame, so the emitter's spilled operand forms serve every call.
+    "spill": Backend(session={
+        "fusion": False, "ablation": AblationFlags(no_regalloc=True),
+    }),
     "fused": Backend(session={}),
     "spec": Backend(session={}, prepare="speculate"),
     "background": Backend(session={"background": True}, prepare="background"),

@@ -18,7 +18,6 @@ from repro.frontend.parser import parse
 from repro.interp.interpreter import Interpreter
 from repro.runtime.display import OutputSink
 from repro.runtime.mxarray import MxArray
-from repro.typesys.signature import Signature, signature_of_values
 
 
 class BaselineEngine:
@@ -109,7 +108,3 @@ class BaselineEngine:
         if not self.knows(name):
             return None
         return self.execute(name, args, nargout)
-
-    # ------------------------------------------------------------------
-    def invocation_signature(self, args: list[MxArray]) -> Signature:
-        return signature_of_values(args)

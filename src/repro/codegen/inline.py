@@ -16,19 +16,12 @@ substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.frontend import ast_nodes as ast
 
 MAX_INLINE_LINES = 200
 MAX_RECURSION_DEPTH = 3
-
-
-@dataclass
-class InlineResult:
-    body: list[ast.Stmt]
-    inlined_calls: int = 0
 
 
 class Inliner:

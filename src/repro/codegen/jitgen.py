@@ -388,11 +388,8 @@ class _Lowerer(Walk):
         return FunctionIR(
             name=f"mjc_{self.fn.name}",
             params=self.params,
-            param_names=list(self.fn.params),
             body=body,
             outputs=outputs,
-            output_names=tuple(self.fn.outputs),
-            nregs=self.vregs.count,
             variable_regs=frozenset(self.var_regs.values())
             | frozenset(self._buffer_regs),
             reg_kinds=self.reg_kinds,
@@ -522,7 +519,7 @@ class _Lowerer(Walk):
     def for_each(self, stmt: ast.For, iterable: int, raw: bool = False) -> None:
         body = self._body(stmt.body)
         self._region(ForEachRegion(
-            init=Block(), var=self.var(stmt.var), iterable=iterable,
+            var=self.var(stmt.var), iterable=iterable,
             body=body, raw_iterable=raw,
         ))
 
@@ -541,7 +538,7 @@ class _Lowerer(Walk):
         start, stop = self._to_int(start), self._to_int(stop)
         body = self._body(stmt.body)
         self._region(ForRegion(
-            init=Block(), var=self.var(stmt.var), start=start, stop=stop,
+            var=self.var(stmt.var), start=start, stop=stop,
             step=step, body=body, descending=direction < 0,
         ))
 

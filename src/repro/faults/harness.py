@@ -49,6 +49,7 @@ from repro.faults.plan import (
     BEHAVIOR_CRASH,
     BEHAVIOR_HANG,
     BEHAVIOR_OOM,
+    RT_ANY,
     FaultPlan,
     FaultSpec,
     SITE_CACHE_CORRUPT,
@@ -56,12 +57,16 @@ from repro.faults.plan import (
     SITE_CRASH,
     SITE_HANG,
     SITE_JIT,
+    SITE_KERNEL_COMPILE,
+    SITE_KERNEL_RUN,
     SITE_NATIVE_COMPILE,
     SITE_NATIVE_LOAD,
     SITE_NATIVE_RUN,
     SITE_OOM,
     SITE_PARALLEL_SEND,
     SITE_PARALLEL_WORKER,
+    SITE_SPEC,
+    SITE_TIERING_PROMOTE,
     SITE_WORKER,
 )
 from repro.kernels import KERNEL_CACHE
@@ -130,26 +135,18 @@ class Lane:
         return FaultPlan(list(self.specs)) if self.specs else None
 
 
-def _one(plan: FaultPlan) -> tuple[FaultSpec, ...]:
-    return tuple(plan.specs)
-
-
 def default_lanes() -> list[Lane]:
     """The standard sweep: one compile-time and one runtime fault each,
     against both tiers of the compiled path, plus faults in the fused
     elementwise kernel compiler and the kernels it emits — for JIT code
     and, since both code generators fuse, for speculative code."""
-    from repro.faults.plan import SITE_KERNEL_COMPILE, SITE_KERNEL_RUN
-
     return [
-        Lane("jit-compile", _one(FaultPlan.compile_fault(site="jit", hit=1))),
-        Lane("spec-compile", _one(FaultPlan.compile_fault(site="spec", hit=1)),
-             backend="spec"),
-        Lane("runtime-hit1", _one(FaultPlan.runtime_fault(helper="*", hit=1))),
-        Lane("runtime-hit7", _one(FaultPlan.runtime_fault(helper="*", hit=7))),
+        Lane("jit-compile", (FaultSpec(SITE_JIT),)),
+        Lane("spec-compile", (FaultSpec(SITE_SPEC),), backend="spec"),
+        Lane("runtime-hit1", (FaultSpec(RT_ANY),)),
+        Lane("runtime-hit7", (FaultSpec(RT_ANY, hits=(7,)),)),
     ] + [
-        Lane(f"{prefix}kernel-{what}",
-             _one(FaultPlan.kernel_fault(site=site, hit=1)), backend=backend)
+        Lane(f"{prefix}kernel-{what}", (FaultSpec(site),), backend=backend)
         for prefix, backend in (("", "fused"), ("spec-", "spec"))
         for what, site in (
             ("compile", SITE_KERNEL_COMPILE), ("run", SITE_KERNEL_RUN),
@@ -160,7 +157,7 @@ def default_lanes() -> list[Lane]:
         # exists under the adaptive controller; the ``adaptive`` row's
         # hair-trigger thresholds + sync mode make the injected fault fire
         # deterministically on the first promotion attempt.
-        Lane("tier-promote", _one(FaultPlan.tiering_fault(hit=1)),
+        Lane("tier-promote", (FaultSpec(SITE_TIERING_PROMOTE),),
              backend="adaptive"),
     ]
 
@@ -172,16 +169,16 @@ def background_lanes() -> list[Lane]:
     ``worker-hang`` wedges it until the compile watchdog cancels it."""
     hang_deadline = {"resilience": ResiliencePolicy(compile_deadline=0.25)}
     return [
-        Lane(label, _one(plan), kwargs, backend="background")
-        for label, plan, kwargs in (
-            ("worker-hit1", FaultPlan.worker_fault(hit=1), {}),
-            ("worker-hit2", FaultPlan.worker_fault(hit=2), {}),
-            ("spec-in-worker", FaultPlan.compile_fault(site="spec", hit=1), {}),
-            ("runtime-hit1", FaultPlan.runtime_fault(helper="*", hit=1), {}),
+        Lane(label, (spec,), kwargs, backend="background")
+        for label, spec, kwargs in (
+            ("worker-hit1", FaultSpec(SITE_WORKER), {}),
+            ("worker-hit2", FaultSpec(SITE_WORKER, hits=(2,)), {}),
+            ("spec-in-worker", FaultSpec(SITE_SPEC), {}),
+            ("runtime-hit1", FaultSpec(RT_ANY), {}),
             ("worker-crash",
-             FaultPlan.chaos_fault(SITE_WORKER, BEHAVIOR_CRASH), {}),
+             FaultSpec(SITE_WORKER, behavior=BEHAVIOR_CRASH), {}),
             ("worker-hang",
-             FaultPlan.chaos_fault(SITE_WORKER, BEHAVIOR_HANG), hang_deadline),
+             FaultSpec(SITE_WORKER, behavior=BEHAVIOR_HANG), hang_deadline),
         )
     ]
 
@@ -200,8 +197,7 @@ def native_lanes() -> list[Lane]:
         "native_min_elems": 1,
     }
     return [
-        Lane(f"native-{what}", _one(FaultPlan.native_fault(site=site, hit=1)),
-             session_kwargs=kwargs)
+        Lane(f"native-{what}", (FaultSpec(site),), session_kwargs=kwargs)
         for what, site in (
             ("compile", SITE_NATIVE_COMPILE),
             ("load", SITE_NATIVE_LOAD),
@@ -257,8 +253,6 @@ def parallel_scenarios() -> list[Lane]:
     timeouts, hung ranks are killed and respawned, crashed ranks die for
     real (``os._exit``) and OOM kills are absorbed as error replies —
     all four must degrade into the serial fallback bit-identically."""
-    from repro.resilience import ResiliencePolicy
-
     policy = ResiliencePolicy(parallel_recv_timeout=1.5)
     return [
         Lane(label, (spec,), {"resilience": policy}, backend="parallel")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Compile-time sites (checked at compiler entry).
 SITE_JIT = "jit"
@@ -84,6 +84,16 @@ BEHAVIOR_CORRUPT = "corrupt"  # mangle bytes passing through filter_bytes
 HANG_LIMIT_SECONDS = 15.0
 
 
+#: What a site does when a spec names no behaviour of its own (see
+#: :meth:`FaultPlan.at`); absent sites raise.
+_NATURAL_BEHAVIOR = {
+    SITE_HANG: BEHAVIOR_HANG,
+    SITE_CRASH: BEHAVIOR_CRASH,
+    SITE_OOM: BEHAVIOR_OOM,
+    SITE_CACHE_CORRUPT: BEHAVIOR_CORRUPT,
+}
+
+
 class InjectedFault(RuntimeError):
     """An artificial host-level failure (never a MatlabError)."""
 
@@ -145,99 +155,22 @@ class FaultPlan:
         # so replays stay deterministic under any single-site schedule.
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
     @classmethod
-    def compile_fault(
-        cls, site: str = SITE_JIT, hit: int = 1,
-        function: str | None = None, seed: int = 0,
-    ) -> "FaultPlan":
-        """Fail the Nth entry into one compiler."""
-        return cls([FaultSpec(site=site, hits=(hit,), function=function)], seed=seed)
-
-    @classmethod
-    def runtime_fault(
-        cls, helper: str = "*", hit: int = 1, seed: int = 0,
-    ) -> "FaultPlan":
-        """Fail the Nth call of one runtime helper (``"*"`` = any helper)."""
-        return cls([FaultSpec(site=RT_PREFIX + helper, hits=(hit,))], seed=seed)
-
-    @classmethod
-    def worker_fault(
-        cls, hit: int = 1, function: str | None = None, seed: int = 0,
-    ) -> "FaultPlan":
-        """Fail the Nth task a background speculation worker picks up."""
-        return cls(
-            [FaultSpec(site=SITE_WORKER, hits=(hit,), function=function)],
-            seed=seed,
-        )
-
-    @classmethod
-    def cache_fault(
-        cls, site: str = SITE_CACHE_STORE, hit: int = 1, seed: int = 0,
-    ) -> "FaultPlan":
-        """Fail the Nth cache (de)serialization."""
-        return cls([FaultSpec(site=site, hits=(hit,))], seed=seed)
-
-    @classmethod
-    def kernel_fault(
-        cls, site: str = SITE_KERNEL_RUN, hit: int = 1, seed: int = 0,
-    ) -> "FaultPlan":
-        """Fail the Nth fused-kernel compile or dispatch."""
-        return cls([FaultSpec(site=site, hits=(hit,))], seed=seed)
-
-    @classmethod
-    def native_fault(
-        cls, site: str = SITE_NATIVE_RUN, hit: int = 1, seed: int = 0,
-    ) -> "FaultPlan":
-        """Fail the Nth native-tier compile, ``.so`` load or dispatch."""
-        return cls([FaultSpec(site=site, hits=(hit,))], seed=seed)
-
-    @classmethod
-    def parallel_fault(
-        cls,
-        site: str = SITE_PARALLEL_WORKER,
-        behavior: str = BEHAVIOR_RAISE,
-        hit: int = 1,
-        seed: int = 0,
-    ) -> "FaultPlan":
-        """Fail the Nth parallel-backend send/recv/worker task."""
-        return cls(
-            [FaultSpec(site=site, hits=(hit,), behavior=behavior)], seed=seed
-        )
-
-    @classmethod
-    def tiering_fault(
-        cls, hit: int = 1, function: str | None = None, seed: int = 0,
-    ) -> "FaultPlan":
-        """Fail the Nth adaptive-tiering promotion attempt."""
-        return cls(
-            [FaultSpec(site=SITE_TIERING_PROMOTE, hits=(hit,),
-                       function=function)],
-            seed=seed,
-        )
-
-    @classmethod
-    def chaos_fault(
+    def at(
         cls,
         site: str,
-        behavior: str | None = None,
         hit: int = 1,
         function: str | None = None,
+        behavior: str | None = None,
         seed: int = 0,
     ) -> "FaultPlan":
-        """One resilience fault: site + failure mode.  The behaviour
-        defaults to the site's natural mode (``hang`` hangs, ``crash``
-        crashes, ``oom`` raises MemoryError, cache sites corrupt/tear)."""
+        """Fail the ``hit``-th hit of ``site`` (a compiler, ``"rt.<helper>"``
+        or ``"rt.*"``, a worker, cache, kernel, native, parallel or tiering
+        site).  The behaviour defaults to the site's natural mode: ``hang``
+        hangs, ``crash`` crashes, ``oom`` raises MemoryError,
+        ``cache.corrupt`` corrupts; every other site raises."""
         if behavior is None:
-            behavior = {
-                SITE_HANG: BEHAVIOR_HANG,
-                SITE_CRASH: BEHAVIOR_CRASH,
-                SITE_OOM: BEHAVIOR_OOM,
-                SITE_CACHE_CORRUPT: BEHAVIOR_CORRUPT,
-                SITE_CACHE_PARTIAL: BEHAVIOR_RAISE,
-            }.get(site, BEHAVIOR_RAISE)
+            behavior = _NATURAL_BEHAVIOR.get(site, BEHAVIOR_RAISE)
         return cls(
             [FaultSpec(site=site, hits=(hit,), function=function,
                        behavior=behavior)],

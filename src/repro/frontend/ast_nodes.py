@@ -240,10 +240,6 @@ class FunctionDef:
     location: SourceLocation = field(default=_LOC, kw_only=True)
 
     @property
-    def nargin(self) -> int:
-        return len(self.params)
-
-    @property
     def nargout(self) -> int:
         return len(self.outputs)
 

@@ -23,7 +23,7 @@ input state, so the records of all blocks together are the annotations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.cfg import Atom, CondAtom, ForIterAtom, StmtAtom
 from repro.analysis.disambiguate import DisambiguationResult, Disambiguator
@@ -84,14 +84,6 @@ class TypeInferenceEngine:
         for output in fn.outputs:
             annotations.output_types[output] = exit_env.get(output, MType.top())
         return annotations
-
-    def infer_body(
-        self,
-        disambiguation: DisambiguationResult,
-        entry: Env,
-    ) -> Annotations:
-        """Infer types for a script body with a given starting workspace."""
-        return self._solve(disambiguation, dict(entry))
 
     def _sanitize(self, mtype: MType) -> MType:
         if not self.options.range_propagation:

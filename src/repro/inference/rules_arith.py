@@ -46,10 +46,6 @@ def is_vector(t: MType) -> bool:
     ) and not t.is_scalar
 
 
-def is_matrix_like(t: MType) -> bool:
-    return not t.is_scalar
-
-
 # ----------------------------------------------------------------------
 # Shape combination for elementwise operators
 # ----------------------------------------------------------------------

@@ -44,10 +44,6 @@ class SpeculationResult:
     narrowed: dict[str, bool] = field(default_factory=dict)
     passes: int = 0
 
-    @property
-    def fully_narrowed(self) -> bool:
-        return all(self.narrowed.values()) if self.narrowed else True
-
 
 class Speculator:
     """Alternating backward/forward speculative type inference."""

@@ -27,9 +27,6 @@ class DependencyGraph:
             self._reverse.setdefault(dep, set()).add(name)
         self._deps[name] = set(depends_on)
 
-    def dependencies_of(self, name: str) -> set[str]:
-        return set(self._deps.get(name, ()))
-
     def dependents_of(self, name: str) -> set[str]:
         """Everything that must be invalidated when ``name`` changes
         (transitive closure including ``name`` itself)."""

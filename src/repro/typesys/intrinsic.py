@@ -82,11 +82,3 @@ _HEIGHT = {
     Intrinsic.STRING: 1,
     Intrinsic.TOP: 5,
 }
-
-
-def join_all(items) -> Intrinsic:
-    """Join of an iterable of intrinsic types (bottom for empty)."""
-    result = Intrinsic.BOTTOM
-    for item in items:
-        result = result.join(item)
-    return result

@@ -226,11 +226,3 @@ class MType:
 # ⊤ is immutable and by far the most requested element (the default of
 # every rule, table lookup and padded output list): every caller shares one.
 _TOP = MType(Intrinsic.TOP, Shape.bottom(), Shape.top(), Interval.top())
-
-
-def join_types(items) -> MType:
-    """Join of an iterable of types (bottom for empty)."""
-    result = MType.bottom()
-    for item in items:
-        result = result.join(item)
-    return result

@@ -5,17 +5,22 @@ tcc's ICODE intermediate language and a re-implementation of the
 linear-scan register allocator [19].  This package is the Python analogue:
 
 * :mod:`~repro.vcode.icode` — an ICODE-style instruction set over infinite
-  virtual registers, organized into structured regions (host emission has
-  no goto, so control flow stays structured);
+  virtual registers (``CONST`` ``MOV`` ``BIN`` ``UN`` ``CALLRT`` ``UNPACK``
+  ``LOAD1`` ``LOAD2`` ``STORE1`` ``STORE2``: exactly what the JIT lowering
+  emits), organized into structured regions (host emission has no goto,
+  so control flow stays structured);
 * :mod:`~repro.vcode.liveness` — live-interval construction over the
   linearized instruction stream, with loop-extent extension;
 * :mod:`~repro.vcode.regalloc` — the Poletto–Sarkar linear-scan allocator;
 * :mod:`~repro.vcode.emit` — lowering of register-allocated ICODE to a
   host-executable Python function: physical registers become local
   variables, spilled registers live in an explicit frame list (so spilling
-  has a real cost, which the Figure 7 "no regalloc" ablation measures);
-* :mod:`~repro.vcode.vm` — a reference evaluator used by tests to validate
-  the emitter.
+  has a real cost, which the Figure 7 "no regalloc" ablation measures).
+
+The emitter is the one reader of ICODE.  Its spilled and register-starved
+code is checked against the interpreter like every other tier: the
+``spill`` row of :data:`repro.backends.BACKENDS` and a two-register
+``jit`` run in the differential matrix.
 """
 
 from repro.vcode.icode import (

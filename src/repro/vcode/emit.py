@@ -8,7 +8,7 @@ list ``sp`` — a genuinely slower access path, which is what makes the
 Figure 7 "no regalloc" ablation measurable.
 
 Runtime-support helpers are hoisted into locals at the top of the emitted
-function (``_h_plus = rt.generic_plus``), the host equivalent of keeping
+function (``_h_g_add = rt.g_add``), the host equivalent of keeping
 library entry points in registers.
 """
 
@@ -37,7 +37,6 @@ _BIN_NUMERIC = {
     "-": "({a} - {b})",
     "*": "({a} * {b})",
     "/": "({a} / {b})",
-    "%": "({a} % {b})",
     "**": "({a} ** {b})",
 }
 _BIN_COMPARE = {
@@ -95,8 +94,7 @@ class _Emitter:
         return f"int({self.loc(reg)})"
 
     def ir_kind(self, reg: int) -> str:
-        kinds = getattr(self.ir, "reg_kinds", None)
-        return kinds.get(reg, "f") if kinds else "f"
+        return self.ir.reg_kinds.get(reg, "f")
 
     def helper(self, name: str) -> str:
         self.helpers.add(name)
@@ -113,8 +111,7 @@ class _Emitter:
             if reg not in self.ir.params:
                 self.line(f"{self.loc(reg)} = None")
         self.emit_region(self.ir.body)
-        rets = ", ".join(self.loc(r) for r in self.ir.outputs)
-        self.line(f"return ({rets}{',' if len(self.ir.outputs) == 1 else ''})")
+        self.emit_return()
 
         header = [f"def {self.ir.name}({', '.join(params + ['rt'])}):"]
         prologue = []
@@ -161,7 +158,6 @@ class _Emitter:
             self.emit_for(region)
             return
         if isinstance(region, ForEachRegion):
-            self.emit_region(region.init)
             if region.raw_iterable:
                 source = self.loc(region.iterable)
             else:
@@ -180,15 +176,15 @@ class _Emitter:
             self.line("continue")
             return
         if isinstance(region, ReturnRegion):
-            rets = ", ".join(self.loc(r) for r in self.ir.outputs)
-            self.line(
-                f"return ({rets}{',' if len(self.ir.outputs) == 1 else ''})"
-            )
+            self.emit_return()
             return
         raise CodegenError(f"unknown region {type(region).__name__}")
 
+    def emit_return(self) -> None:
+        rets = ", ".join(self.loc(r) for r in self.ir.outputs)
+        self.line(f"return ({rets}{',' if len(self.ir.outputs) == 1 else ''})")
+
     def emit_for(self, region: ForRegion) -> None:
-        self.emit_region(region.init)
         var = self.loc(region.var)
         start, stop = self.loc(region.start), self.loc(region.stop)
         if region.step is None:
@@ -320,18 +316,6 @@ class _Emitter:
                     f"{helper}({self.loc(arr)}, {self.loc(i)}, "
                     f"{self.loc(j)}, {self.loc(value)})"
                 )
-            return
-        if op == "BOX":
-            helper = self.helper("box")
-            self.line(
-                f"{self.loc(instr.dst)} = {helper}({self.loc(instr.args[0])})"
-            )
-            return
-        if op == "UNBOX":
-            helper = self.helper("unbox")
-            self.line(
-                f"{self.loc(instr.dst)} = {helper}({self.loc(instr.args[0])})"
-            )
             return
         raise CodegenError(f"unknown ICODE op {op!r}")
 

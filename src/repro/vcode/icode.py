@@ -6,26 +6,27 @@ the final target (host Python) has no goto; the linearized instruction
 order used for liveness and register allocation is the left-to-right walk
 of this tree.
 
-Instruction set (op → operands):
+Instruction set (op → operands), exactly what the JIT lowering emits:
 
 ======== ====================================================================
 ``CONST``   dst, aux=literal — load an immediate
 ``MOV``     dst, (src,)
-``BIN``     dst, (a, b), aux=operator — raw scalar op (``+ - * / % **``,
-            comparisons, ``and`` ``or``)
-``UN``      dst, (a,), aux=operator (``-``, ``not``, ``~``)
+``BIN``     dst, (a, b), aux=operator — raw scalar op (``+ - * / **``,
+            comparisons, ``&`` ``|``)
+``UN``      dst, (a,), aux=operator (``-``, ``+``, ``~``, ``abs``)
 ``CALLRT``  dst?, args, aux=helper name — call a runtime-support helper
+``UNPACK``  dst, (values,), aux=position — one element of a helper's
+            multiple results
 ``LOAD1``   dst, (arr, i), aux=mode — linear element load
 ``LOAD2``   dst, (arr, i, j), aux=mode — 2-D element load
 ``STORE1``  None, (arr, i, val), aux=mode
 ``STORE2``  None, (arr, i, j, val), aux=mode
-``BOX``     dst, (src,), aux=kind — wrap raw scalar into an MxArray
-``UNBOX``   dst, (src,), aux=kind — extract raw scalar (dynamic check)
-``RET``     None, (r1, ..., rn) — return the listed registers
 ======== ====================================================================
 
 Load/store ``mode`` is ``"checked"``, ``"grow"`` or ``"unchecked"`` — the
-materialization of the subscript-safety classes of Section 2.4.
+materialization of the subscript-safety classes of Section 2.4 (a linear
+unchecked store also has ``"unchecked_row"`` / ``"unchecked_col"`` forms
+for operands known to be a row or a column).
 """
 
 from __future__ import annotations
@@ -100,11 +101,10 @@ class ForRegion:
     """Ascending/descending loop of an integer counter (host ``range``;
     a real-stepped loop is a :class:`ForEachRegion` over ``rt.frange``).
 
-    ``var`` takes start, start+step, ... while ``(var - stop) * sign <= 0``.
-    ``init`` computes the start/stop/step registers once.
+    ``var`` takes start, start+step, ... while ``(var - stop) * sign <= 0``;
+    the start/stop/step registers are computed before the region.
     """
 
-    init: Block
     var: int
     start: int
     stop: int
@@ -125,7 +125,7 @@ class ContinueRegion:
 
 @dataclass(eq=False)
 class ReturnRegion:
-    values: tuple[int, ...] = ()
+    """Return the function's output registers."""
 
 
 @dataclass(eq=False)
@@ -137,14 +137,10 @@ class ForEachRegion:
     ``columns`` helper.
     """
 
-    init: Block
     var: int          # boxed register receiving each column
     iterable: int
     body: Seq
     raw_iterable: bool = False
-
-
-Region = object  # union of the classes above; kept loose for simplicity
 
 
 @dataclass(eq=False)
@@ -153,41 +149,14 @@ class FunctionIR:
 
     name: str
     params: list[int]                # registers holding incoming arguments
-    param_names: list[str]
     body: Seq
     outputs: tuple[int, ...] = ()    # registers returned at the end
-    output_names: tuple[str, ...] = ()
-    nregs: int = 0
     # Registers holding MATLAB variables (may be live across loop back
     # edges); everything else is a single-statement temporary.
     variable_regs: frozenset[int] = frozenset()
     # Representation kind per register: 'f' raw float, 'i' raw int,
     # 'c' raw complex, 'b' boxed MxArray.  Defaults to 'f'.
     reg_kinds: dict[int, str] = field(default_factory=dict)
-
-    def all_blocks(self):
-        yield from _blocks_of(self.body)
-
-
-def _blocks_of(region):
-    if isinstance(region, Block):
-        yield region
-    elif isinstance(region, Seq):
-        for part in region.parts:
-            yield from _blocks_of(part)
-    elif isinstance(region, IfRegion):
-        yield from _blocks_of(region.header)
-        yield from _blocks_of(region.then)
-        yield from _blocks_of(region.orelse)
-    elif isinstance(region, WhileRegion):
-        yield from _blocks_of(region.header)
-        yield from _blocks_of(region.body)
-    elif isinstance(region, ForRegion):
-        yield region.init
-        yield from _blocks_of(region.body)
-    elif isinstance(region, ForEachRegion):
-        yield region.init
-        yield from _blocks_of(region.body)
 
 
 class VRegAllocator:

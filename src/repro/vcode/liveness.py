@@ -76,7 +76,6 @@ class _Walker:
             self.loops.append((start, self.position))
             return
         if isinstance(region, ForRegion):
-            self.walk(region.init)
             start = self.position
             self.position += 1
             self.touch(region.var)
@@ -93,7 +92,6 @@ class _Walker:
             self.loops.append((start, self.position))
             return
         if isinstance(region, ForEachRegion):
-            self.walk(region.init)
             start = self.position
             self.position += 1
             self.touch(region.var)
@@ -103,27 +101,23 @@ class _Walker:
             self.loops.append((start, self.position))
             return
         if isinstance(region, ReturnRegion):
+            # One position of its own; the outputs it returns are live
+            # to the end already.
             self.position += 1
-            for reg in region.values:
-                self.touch(reg)
             return
         # Break/Continue regions touch nothing.
 
 
-def compute_intervals(
-    ir: FunctionIR, variable_regs: frozenset[int] | None = None
-) -> list[Interval]:
+def compute_intervals(ir: FunctionIR) -> list[Interval]:
     """Intervals for every register, sorted by start position.
 
-    ``variable_regs`` marks registers holding MATLAB *variables* — the only
-    registers whose values can cross a loop back edge under the lowering
-    discipline (expression temporaries are always defined and consumed
-    within one statement).  Only those intervals are extended to the loop
-    end; extending everything would inflate register pressure for no
-    correctness gain.
+    ``ir.variable_regs`` marks registers holding MATLAB *variables* — the
+    only registers whose values can cross a loop back edge under the
+    lowering discipline (expression temporaries are always defined and
+    consumed within one statement).  Only those intervals are extended to
+    the loop end; extending everything would inflate register pressure for
+    no correctness gain.
     """
-    if variable_regs is None:
-        variable_regs = getattr(ir, "variable_regs", frozenset()) or frozenset()
     walker = _Walker()
     # Parameters are defined at position 0; outputs are None-initialized
     # there too (the emitter writes them in the prologue), so both sets
@@ -145,7 +139,7 @@ def compute_intervals(
     # the loop's back edge.
     for loop_start, loop_end in walker.loops:
         for interval in intervals.values():
-            if interval.reg not in variable_regs:
+            if interval.reg not in ir.variable_regs:
                 continue
             overlaps = interval.start <= loop_end and interval.end >= loop_start
             if overlaps and interval.end < loop_end:

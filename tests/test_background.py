@@ -176,7 +176,7 @@ def test_stale_queue_entry_is_cancelled_before_compiling():
 
 
 def test_worker_fault_is_absorbed_and_recorded():
-    plan = FaultPlan.worker_fault(hit=1)
+    plan = FaultPlan.at("worker")
     with MajicSession(background=True, workers=1, fault_plan=plan) as session:
         session.add_source(INC)
         session.add_source(DOUBLE)

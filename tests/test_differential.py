@@ -67,8 +67,8 @@ def test_fuzz_grammar_reaches_key_features():
 
 def test_fuzz_backend_labels_cover_every_engine():
     assert set(DEFAULT_BACKENDS) == {
-        "jit", "fused", "spec", "background", "falcon", "mcc", "parallel",
-        "adaptive",
+        "jit", "spill", "fused", "spec", "background", "falcon", "mcc",
+        "parallel", "adaptive",
     }
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Every Table-1 program runs on every row of
 :data:`repro.backends.BACKENDS` (plus MIPS-platform runs of the MaJIC
-tiers) and its whole :class:`~repro.backends.Observation` — output bytes,
+tiers and a two-register JIT run) and its whole :class:`~repro.backends.Observation` — output bytes,
 display transcript, error text, random-stream post-state — must equal
 the interpreter's :func:`~repro.backends.reference`.  Any unsound type
 annotation, removed subscript check, miscompiled selection or
@@ -20,13 +20,14 @@ rows.
 from __future__ import annotations
 
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.backends import BACKENDS, Program, check, observation
 from repro.benchsuite.registry import benchmark_names
-from repro.core.platformcfg import MIPS
+from repro.core.platformcfg import MIPS, SPARC
 from repro.runtime.builtins import GLOBAL_RANDOM
 from repro.runtime.values import from_ndarray, from_python
 
@@ -36,11 +37,15 @@ FAST_NAMES = ("fibonacci", "dirich", "fractal", "cgopt")
 
 #: (backend label, overrides, id suffix).  The MIPS platform changes code
 #: quality (fewer registers, no unrolling, a stronger native backend),
-#: never results.
+#: never results.  Two registers starve the linear scan, so its spill and
+#: steal-the-furthest paths serve code that twelve registers never reach
+#: (the ``spill`` row is the other extreme: every register spilled).
 ROWS = [
     (label, {}, "") for label in sorted(BACKENDS) if label != "interpreter"
 ] + [
     (label, {"platform": MIPS}, "-mips") for label in ("jit", "fused", "spec")
+] + [
+    ("jit", {"platform": replace(SPARC, jit_num_registers=2)}, "-2regs"),
 ]
 
 
@@ -128,6 +133,24 @@ SHORT_FIRST = (
     "function y = short(a, b)\nif a == -1, y = a; return; end\n"
     "if a > 5, y = b; else y = a * 2; end\n"
 )
+SHORT_CIRCUIT = (
+    "function r = sc(v)\nr = 0;\nfor k = 1:5\n"
+    "  if k <= 3 && v(k) > 1, r = r + k; end\n"
+    "  if k > 3 || g(k) > 1, r = r + 10 * k; end\nend\n"
+    "function y = g(k)\ndisp(k);\nif k < 0, y = 0; return; end\ny = k;\n"
+)
+FOR_COLUMNS = (
+    "function s = cols(M, v)\ns = 0;\n"
+    "for c = M, s = s * 10 + c(1) * 3 + c(2); end\n"
+    "for x = v, s = s * 2 + x; end\n"
+)
+LINEAR_STORES = (
+    "function r = lin(n)\n"
+    "c = zeros(n, 1);\nM = zeros(n, n);\nw = zeros(1, n);\n"
+    "for k = 1:n, c(k) = k; w(k) = 2 * k; end\n"
+    "for k = 1:n*n, M(k) = k * 3; end\n"
+    "r = [c' w M(1, :) M(:, 2)'];\n"
+)
 
 
 def _scalar(value):
@@ -180,6 +203,13 @@ def _scalar(value):
 #: reaches the adaptive row's JIT threshold; the full calls after it must
 #: still be promoted (the controller asked once from the short call, got
 #: "not now" and never asked again), with every value the interpreter's.
+#: The last three reach emission paths no Table-1 program does:
+#: ``short-circuit-operands`` — ``&&`` must not read ``v(4)`` past the end
+#: and ``||`` must not call (and display from) ``g`` once ``k > 3``;
+#: ``for-over-columns`` — a ``for`` over a matrix takes its columns, over
+#: a row its elements; ``linear-store-shapes`` — safe linear stores into
+#: a column, a row and a matrix (the matrix's needs the column-major
+#: divide).
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -213,6 +243,16 @@ PROBES = {
     "fewer-actuals": Program((FEWER,), "short", _scalar(2.0)),
     "fewer-actuals-error": Program((FEWER,), "short", _scalar(7.0)),
     "short-call-promotes": Program((SHORT_FIRST,), "promo", _scalar(2.0)),
+    "short-circuit-operands": Program(
+        (SHORT_CIRCUIT,), "sc",
+        lambda: [from_ndarray(np.array([[1.0, 2.0, 3.0]]))],
+    ),
+    "for-over-columns": Program(
+        (FOR_COLUMNS,), "cols",
+        lambda: [from_ndarray(np.array([[1.0, 2.0], [3.0, 4.0]])),
+                 from_ndarray(np.array([[5.0, 6.0, 7.0]]))],
+    ),
+    "linear-store-shapes": Program((LINEAR_STORES,), "lin", _scalar(3.0)),
 }
 
 

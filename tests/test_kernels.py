@@ -270,7 +270,7 @@ def test_unknown_kernel_attribute_error():
 # ----------------------------------------------------------------------
 
 def test_kernel_compile_fault_falls_back_to_interpreter(fresh_session):
-    plan = FaultPlan.kernel_fault(site=SITE_KERNEL_COMPILE, hit=1)
+    plan = FaultPlan.at(SITE_KERNEL_COMPILE)
     KERNEL_CACHE.clear()
     session = fresh_session(fault_plan=plan)
     session.add_source(AXPY)
@@ -279,7 +279,7 @@ def test_kernel_compile_fault_falls_back_to_interpreter(fresh_session):
 
 
 def test_kernel_run_fault_deopts(fresh_session):
-    plan = FaultPlan.kernel_fault(site=SITE_KERNEL_RUN, hit=1)
+    plan = FaultPlan.at(SITE_KERNEL_RUN)
     session = fresh_session(fault_plan=plan)
     session.add_source(AXPY)
     assert call_axpy(session) == EXPECTED

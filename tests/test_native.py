@@ -233,7 +233,7 @@ def test_no_toolchain_graceful_fallback(tmp_path, monkeypatch):
 )
 def test_native_fault_sites_fall_back(tmp_path, site):
     """A fault at any native site lands on the Python kernel path."""
-    plan = FaultPlan.native_fault(site=site, hit=1)
+    plan = FaultPlan.at(site)
     first, second, stats = run_native(
         NATIVE_SRC, _operands(), str(tmp_path), fault_plan=plan,
     )

@@ -199,7 +199,7 @@ def test_dropped_send_fault_is_silent_on_the_sender():
     returns normally, the receiver never sees the message."""
     transport = FileTransport()
     try:
-        plan = FaultPlan.parallel_fault(site=SITE_PARALLEL_SEND, hit=1)
+        plan = FaultPlan.at(SITE_PARALLEL_SEND)
         a = Communicator(0, 2, transport, fault_plan=plan)
         b = Communicator(1, 2, transport)
         a.send(1, 5, "lost")
@@ -334,9 +334,7 @@ def test_hung_worker_degrades_to_serial_and_stays_correct():
     )
     session = MajicSession(
         parallel=2,
-        fault_plan=FaultPlan.parallel_fault(
-            site=SITE_PARALLEL_WORKER, behavior=BEHAVIOR_HANG, hit=1,
-        ),
+        fault_plan=FaultPlan.at(SITE_PARALLEL_WORKER, behavior=BEHAVIOR_HANG),
         resilience=ResiliencePolicy(
             parallel_recv_timeout=1.0, parallel_max_restarts=0,
         ),
@@ -379,9 +377,7 @@ def test_crashed_rank_falls_back_serially_and_names_the_rank(fresh_session):
     expected, _ = serial_reference([FILL], "fill", [from_python(8.0)])
     session = fresh_session(
         parallel=2, trace=True, metrics=True, seed=0,
-        fault_plan=FaultPlan.parallel_fault(
-            site=SITE_PARALLEL_WORKER, behavior=BEHAVIOR_CRASH, hit=1,
-        ),
+        fault_plan=FaultPlan.at(SITE_PARALLEL_WORKER, behavior=BEHAVIOR_CRASH),
     )
     session.add_source(FILL)
     outputs = session.call_boxed("fill", [from_python(8.0)], nargout=1)

@@ -164,7 +164,7 @@ def test_wrong_function_name_in_entry_is_rejected(tmp_path):
 
 def test_cache_store_fault_is_absorbed(tmp_path):
     # Store 1 is add_source's parse record; store 2 the compiled object.
-    plan = FaultPlan.cache_fault(site="cache.store", hit=2)
+    plan = FaultPlan.at("cache.store", hit=2)
     session = MajicSession(cache_dir=tmp_path, fault_plan=plan)
     session.add_source(INC)
     session.speculate_all()
@@ -179,7 +179,7 @@ def test_cache_load_fault_is_absorbed(tmp_path):
     cold.speculate_all()
 
     # Load 1 is add_source's parse record; load 2 the compiled object.
-    plan = FaultPlan.cache_fault(site="cache.load", hit=2)
+    plan = FaultPlan.at("cache.load", hit=2)
     warm = MajicSession(cache_dir=tmp_path, fault_plan=plan)
     warm.add_source(INC)
     warm.speculate_all()
@@ -525,7 +525,7 @@ def test_partial_write_race_detected_on_next_load(tmp_path):
     from repro.faults.plan import FaultPlan
 
     obj = _cached_object()
-    plan = FaultPlan.chaos_fault("cache.partial_write")
+    plan = FaultPlan.at("cache.partial_write")
     writer = RepositoryCache(tmp_path, fault_plan=plan)
     key = "a1" * 32
     assert writer.put(key, obj), "the dying writer thinks it succeeded"

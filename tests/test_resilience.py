@@ -51,7 +51,7 @@ SANDBOXED = ResiliencePolicy(sandbox=True)
 # ----------------------------------------------------------------------
 class TestWatchdog:
     def test_hung_run_is_cancelled_and_reexecuted(self):
-        plan = FaultPlan.chaos_fault(SITE_HANG)
+        plan = FaultPlan.at(SITE_HANG)
         session = MajicSession(fault_plan=plan, run_deadline=0.2)
         session.add_source(POLY)
         start = time.perf_counter()
@@ -382,7 +382,7 @@ class TestResilienceMetrics:
         # USEVEC's compiled form always calls a runtime helper, so the
         # injected helper fault is guaranteed to fire a deopt.
         usevec = "function y = usevec(x)\nv = [x, 2*x];\ny = sum(v);\n"
-        plan = FaultPlan.runtime_fault()
+        plan = FaultPlan.at("rt.*")
         session = MajicSession(fault_plan=plan, metrics=True, max_strikes=1)
         session.add_source(usevec)
         assert session.call("usevec", 3.0) == 9.0
@@ -406,7 +406,7 @@ class TestResilienceMetrics:
             session.close()
 
     def test_watchdog_timeout_counter_has_kind_label(self):
-        plan = FaultPlan.chaos_fault(SITE_HANG)
+        plan = FaultPlan.at(SITE_HANG)
         session = MajicSession(
             fault_plan=plan, metrics=True, run_deadline=0.2
         )

@@ -103,7 +103,7 @@ class TestGuardedDeoptimization:
         clean.add_source(noisy)
         expected = clean.call("noisy", 1.0)
         # Fault the second builtin dispatch: rand() has already drawn.
-        plan = FaultPlan.runtime_fault(helper="builtin1", hit=2)
+        plan = FaultPlan.at("rt.builtin1", hit=2)
         faulted = MajicSession(seed=0, fault_plan=plan)
         faulted.add_source(noisy)
         assert faulted.call("noisy", 1.0) == expected
@@ -161,7 +161,7 @@ class TestCompileBudgets:
 
 class TestFaultInjection:
     def test_jit_compile_fault_interprets_then_recovers(self):
-        plan = FaultPlan.compile_fault(site="jit", hit=1)
+        plan = FaultPlan.at("jit")
         session = MajicSession(fault_plan=plan)
         session.add_source(POLY)
         # Acceptance: the call succeeds via interpreter fallback and
@@ -175,7 +175,7 @@ class TestFaultInjection:
         assert session.stats.jit_compiles == 1
 
     def test_spec_compile_fault_leaves_jit_eligible(self):
-        plan = FaultPlan.compile_fault(site="spec", hit=1)
+        plan = FaultPlan.at("spec")
         session = MajicSession(fault_plan=plan)
         session.add_source(POLY)
         report = session.speculate_all()
@@ -211,7 +211,7 @@ class TestFaultInjection:
         assert fire_pattern(7) != fire_pattern(8)
 
     def test_plan_reset_replays_identically(self):
-        plan = FaultPlan.runtime_fault(helper="*", hit=3)
+        plan = FaultPlan.at("rt.*", hit=3)
         session = MajicSession(fault_plan=plan)
         session.add_source(USEVEC)
         session.call("usevec", 2.0)

@@ -461,7 +461,7 @@ class TestAdaptiveSession:
         assert session.tiering.report()["kernels_tracked"] == 1
 
     def test_promotion_fault_leaves_results_bit_identical(self, fresh_session):
-        plan = FaultPlan.tiering_fault(hit=1)
+        plan = FaultPlan.at("tiering.promote")
         session = fresh_session(
             adaptive=True, sync=True, tiering=AGGRESSIVE,
             fault_plan=plan,

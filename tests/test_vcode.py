@@ -32,11 +32,8 @@ def build_straightline(ops):
     return FunctionIR(
         name="chain",
         params=[],
-        param_names=[],
         body=Seq(parts=[block]),
         outputs=(current,),
-        output_names=("y",),
-        nregs=regs.count,
     )
 
 
@@ -52,8 +49,8 @@ class TestLiveness:
         block = Block()
         block.emit(Instr("BIN", 1, (0, 0), "+"))
         ir = FunctionIR(
-            name="f", params=[0], param_names=["x"],
-            body=Seq(parts=[block]), outputs=(1,), output_names=("y",),
+            name="f", params=[0],
+            body=Seq(parts=[block]), outputs=(1,),
         )
         intervals = {iv.reg: iv for iv in compute_intervals(ir)}
         assert intervals[0].start == 0
@@ -65,8 +62,8 @@ class TestLiveness:
         block = Block()
         block.emit(Instr("MOV", 1, (0,)))
         ir = FunctionIR(
-            name="f", params=[0], param_names=["x"],
-            body=Seq(parts=[block]), outputs=(1,), output_names=("y",),
+            name="f", params=[0],
+            body=Seq(parts=[block]), outputs=(1,),
         )
         intervals = {iv.reg: iv for iv in compute_intervals(ir)}
         assert intervals[1].start == 0
@@ -82,8 +79,8 @@ class TestLiveness:
         body_block.emit(Instr("CONST", 2, (), 0.0))  # temp inside loop
         loop = WhileRegion(header=header, cond=1, body=Seq(parts=[body_block]))
         ir = FunctionIR(
-            name="f", params=[], param_names=[],
-            body=Seq(parts=[pre, loop]), outputs=(0,), output_names=("y",),
+            name="f", params=[],
+            body=Seq(parts=[pre, loop]), outputs=(0,),
             variable_regs=frozenset({0}),
         )
         intervals = {iv.reg: iv for iv in compute_intervals(ir)}
@@ -212,8 +209,8 @@ class TestEmission:
             then=Seq(parts=[then_b]), orelse=Seq(parts=[else_b]),
         )
         ir = FunctionIR(
-            name="pick", params=[p], param_names=["c"],
-            body=Seq(parts=[region]), outputs=(out,), output_names=("y",),
+            name="pick", params=[p],
+            body=Seq(parts=[region]), outputs=(out,),
         )
         emitted = emit_python(
             ir, LinearScanAllocator().allocate(compute_intervals(ir))
@@ -233,12 +230,12 @@ class TestEmission:
         body = Block()
         body.emit(Instr("BIN", total, (total, var), "+"))
         loop = ForRegion(
-            init=init, var=var, start=start, stop=stop, step=None,
+            var=var, start=start, stop=stop, step=None,
             body=Seq(parts=[body]),
         )
         ir = FunctionIR(
-            name="sum4", params=[], param_names=[],
-            body=Seq(parts=[loop]), outputs=(total,), output_names=("s",),
+            name="sum4", params=[],
+            body=Seq(parts=[init, loop]), outputs=(total,),
             variable_regs=frozenset({total, var}),
             reg_kinds={var: "i", start: "i", stop: "i", total: "i"},
         )

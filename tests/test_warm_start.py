@@ -215,7 +215,7 @@ def test_a_deopt_on_a_warm_hit_reexecutes_through_the_interpreter(tmp_path):
     program = _program("axpy", AXPY, args=(2.0, x, 3.0))
     _fill(program, tmp_path)
     KERNEL_CACHE.clear()
-    plan = FaultPlan.kernel_fault(site=SITE_KERNEL_RUN, hit=1)
+    plan = FaultPlan.at(SITE_KERNEL_RUN)
     with backends.open(program, "fused", cache_dir=tmp_path, fault_plan=plan) as warm:
         assert warm.call() == backends.reference(program)
         stats = warm.session.stats
