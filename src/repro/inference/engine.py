@@ -18,6 +18,8 @@ evaluated with.  Every evaluation records per-expression types and
 classifies every subscript as SAFE / GROW_ONLY / CHECKED (Section 2.4,
 "Subscript check removal"); a block's last record was made on its final
 input state, so the records of all blocks together are the annotations.
+Within a re-evaluated block, an atom whose read names kept their types
+is not transferred again: its last outputs are replayed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.analysis.cfg import Atom, CondAtom, ForIterAtom, StmtAtom
+from repro.analysis.cfg import Atom, BasicBlock, CondAtom, ForIterAtom, StmtAtom
 from repro.analysis.disambiguate import DisambiguationResult, Disambiguator
 from repro.analysis.symtab import SymbolKind
 from repro.frontend import ast_nodes as ast
@@ -105,10 +107,14 @@ class TypeInferenceEngine:
         block_in: dict[int, Env] = {}
         block_out: dict[int, Env] = {}
         visits: dict[int, int] = {}
-        # What each block's latest transfer recorded.  A block is only
-        # transferred again when its input changed, so once the sweeps
+        # What each block's latest evaluation recorded.  A block is only
+        # evaluated again when its input changed, so once the sweeps
         # stop this is what a walk over the final states would record.
         records: dict[int, Annotations] = {}
+        # Per block that may be evaluated twice, per atom: what it reads
+        # and writes, and what its last transfer read and wrote.
+        revisitable = _revisitable(order)
+        memos: dict[int, list] = {}
         converged = True
         iterations = 0
 
@@ -121,8 +127,10 @@ class TypeInferenceEngine:
             changed = False
             for block in order:
                 widen = visits.get(block.index, 0) >= self.options.widen_after
+                # No state is changed once made: the input may be the
+                # entry state or a predecessor's output itself.
                 if block is cfg.entry:
-                    incoming = dict(entry)
+                    incoming = entry
                 else:
                     incoming = None
                     for pred in block.predecessors:
@@ -130,7 +138,7 @@ class TypeInferenceEngine:
                         if out is None:
                             continue
                         incoming = (
-                            dict(out)
+                            out
                             if incoming is None
                             else self._join_env(incoming, out)
                         )
@@ -147,9 +155,21 @@ class TypeInferenceEngine:
                         continue
                 block_in[block.index] = incoming
                 env = dict(incoming)
-                record = records[block.index] = Annotations()
-                for atom in block.atoms:
-                    self._transfer(atom, env, record)
+                if block.index not in revisitable:
+                    record = records[block.index] = Annotations()
+                    for atom in block.atoms:
+                        self._transfer(atom, env, record)
+                else:
+                    memo = memos.get(block.index)
+                    if memo is None:
+                        memo = memos[block.index] = [
+                            _memo_slot(atom) for atom in block.atoms
+                        ]
+                        record = records[block.index] = Annotations()
+                    else:
+                        record = records[block.index]
+                        record.var_types = {}
+                    self._evaluate(block, env, record, memo)
                 if env != block_out.get(block.index):
                     block_out[block.index] = env
                     visits[block.index] = visits.get(block.index, 0) + 1
@@ -182,6 +202,34 @@ class TypeInferenceEngine:
         self._exit_env = block_in.get(cfg.exit.index, {})
         return annotations
 
+    def _evaluate(
+        self, block: BasicBlock, env: Env, record: Annotations, memo: list
+    ) -> None:
+        """Evaluate a block that may be evaluated again, into the record
+        of its previous evaluation (if any).
+
+        An atom whose read names have the types its last transfer saw
+        would compute what that transfer computed: its expression types
+        and subscript safety are still in ``record`` (every transfer of
+        an atom writes the same keys), and its writes are replayed from
+        the memo.  Every other atom is transferred and memoised.
+        """
+        get = env.get
+        for atom, slot in zip(block.atoms, memo):
+            if slot is None:
+                self._transfer(atom, env, record)
+                continue
+            reads, writes, seen, wrote = slot
+            now = tuple([get(name) for name in reads])
+            if now == seen:
+                for name, mtype in zip(writes, wrote):
+                    env[name] = mtype
+                    record.note_var(name, mtype)
+                continue
+            self._transfer(atom, env, record)
+            slot[2] = now
+            slot[3] = [env[name] for name in writes]
+
     def _top_env(self, block_in: dict[int, Env]) -> Env:
         names: set[str] = set()
         for env in block_in.values():
@@ -189,17 +237,27 @@ class TypeInferenceEngine:
         return {name: MType.top() for name in names}
 
     def _join_env(self, a: Env, b: Env) -> Env:
-        result = dict(a)
+        """``a ⊔ b``; ``a`` itself when ``b`` adds nothing to it."""
+        result = a
         for name, mtype in b.items():
-            existing = result.get(name)
+            existing = a.get(name)
             if existing is None:
-                result[name] = mtype
-            elif existing is not mtype and existing != mtype:
-                result[name] = existing.join(mtype)
+                joined = mtype
+            elif existing is mtype or existing == mtype:
+                continue
+            else:
+                joined = existing.join(mtype)
+                if joined is existing:
+                    continue
+            if result is a:
+                result = dict(a)
+            result[name] = joined
         return result
 
     def _widen_env(self, old: Env, new: Env) -> Env:
-        result: Env = {}
+        """``new`` widened against ``old``; ``new`` itself when widening
+        changes none of its entries."""
+        result = new
         for name, mtype in new.items():
             previous = old.get(name)
             if previous is None or (
@@ -208,9 +266,14 @@ class TypeInferenceEngine:
                 (previous is mtype or previous == mtype)
                 and mtype.minshape.is_finite
             ):
-                result[name] = mtype
-            else:
-                result[name] = self._widen_type(previous, mtype)
+                continue
+            widened = self._widen_type(previous, mtype)
+            # Equal means bit for bit here: the widened bounds are
+            # ``mtype``'s own floats or infinities.
+            if widened != mtype:
+                if result is new:
+                    result = dict(new)
+                result[name] = widened
         return result
 
     def _widen_type(self, old: MType, new: MType) -> MType:
@@ -244,7 +307,7 @@ class TypeInferenceEngine:
     # ------------------------------------------------------------------
     # Transfer functions
     # ------------------------------------------------------------------
-    def _transfer(self, atom: Atom, env: Env, record: Annotations | None) -> None:
+    def _transfer(self, atom: Atom, env: Env, record: Annotations) -> None:
         if isinstance(atom, StmtAtom):
             stmt = atom.stmt
             if isinstance(stmt, ast.Assign):
@@ -259,8 +322,7 @@ class TypeInferenceEngine:
             elif isinstance(stmt, ast.ExprStmt):
                 value = self._type_expr(stmt.value, env, record)
                 env["ans"] = value
-                if record is not None:
-                    record.note_var("ans", value)
+                record.note_var("ans", value)
             elif isinstance(stmt, ast.Clear):
                 if stmt.names:
                     for name in stmt.names:
@@ -276,8 +338,7 @@ class TypeInferenceEngine:
             iterable = self._type_expr(atom.stmt.iterable, env, record)
             var_type = self._sanitize(self._loop_var_type(iterable))
             env[atom.stmt.var] = var_type
-            if record is not None:
-                record.note_var(atom.stmt.var, var_type)
+            record.note_var(atom.stmt.var, var_type)
 
     def _loop_var_type(self, iterable: MType) -> MType:
         """Type of a ``for`` variable: one column of the iterable."""
@@ -313,12 +374,11 @@ class TypeInferenceEngine:
         target: ast.LValue,
         value: MType,
         env: Env,
-        record: Annotations | None,
+        record: Annotations,
     ) -> None:
         if not target.is_indexed:
             env[target.name] = value
-            if record is not None:
-                record.note_var(target.name, value)
+            record.note_var(target.name, value)
             return
 
         array = env.get(target.name)
@@ -337,14 +397,11 @@ class TypeInferenceEngine:
             self._type_index_arg(arg, array, position, len(target.indices), env, record)
             for position, arg in enumerate(target.indices)
         ]
-        safety = self._classify_store(array, index_types)
-        if record is not None:
-            record.store_safety[id(target)] = safety
+        record.store_safety[id(target)] = self._classify_store(array, index_types)
 
         new_type = self._array_after_store(array, value, index_types, creating)
         env[target.name] = new_type
-        if record is not None:
-            record.note_var(target.name, new_type)
+        record.note_var(target.name, new_type)
 
     def _array_after_store(
         self,
@@ -489,80 +546,69 @@ class TypeInferenceEngine:
         self,
         expr: ast.Expr,
         env: Env,
-        record: Annotations | None,
+        record: Annotations,
         end_context: tuple[MType, int] | None = None,
     ) -> MType:
-        mtype = self._type_expr_inner(expr, env, record, end_context)
-        mtype = self._sanitize(mtype)
-        if record is not None:
-            record.set_type(expr, mtype)
+        if expr.__class__ is ast.Apply:
+            return self._type_call(expr, env, record, nargout=1)[0]
+        typer = _EXPR_TYPERS.get(expr.__class__)
+        mtype = (
+            MType.top() if typer is None
+            else self._sanitize(typer(self, expr, env, record, end_context))
+        )
+        record.set_type(expr, mtype)
         return mtype
 
-    def _type_expr_inner(
-        self,
-        expr: ast.Expr,
-        env: Env,
-        record: Annotations | None,
-        end_context: tuple[MType, int] | None,
-    ) -> MType:
-        if isinstance(expr, ast.Number):
-            return MType.constant(expr.value)
-        if isinstance(expr, ast.ImagNumber):
-            return MType.scalar(Intrinsic.COMPLEX)
-        if isinstance(expr, ast.StringLit):
-            return MType.exact(Intrinsic.STRING, 1, len(expr.text))
-        if isinstance(expr, ast.Ident):
-            return self._type_ident(expr, env)
-        if isinstance(expr, ast.UnaryOp):
-            operand = self._type_expr(expr.operand, env, record, end_context)
-            return self.calculator.forward(
-                ("unary", expr.op.value), self._ctx([operand])
-            )[0]
-        if isinstance(expr, ast.BinaryOp):
-            left = self._type_expr(expr.left, env, record, end_context)
-            right = self._type_expr(expr.right, env, record, end_context)
-            return self.calculator.forward(
-                ("binop", expr.op), self._ctx([left, right])
-            )[0]
-        if isinstance(expr, ast.Transpose):
-            operand = self._type_expr(expr.operand, env, record, end_context)
-            mark = "'" if expr.conjugate else ".'"
-            return self.calculator.forward(
-                ("transpose", mark), self._ctx([operand])
-            )[0]
-        if isinstance(expr, ast.Range):
-            parts = [self._type_expr(expr.start, env, record, end_context)]
-            if expr.step is not None:
-                parts.append(self._type_expr(expr.step, env, record, end_context))
-            parts.append(self._type_expr(expr.stop, env, record, end_context))
-            return self.calculator.forward(("colon", ":"), self._ctx(parts))[0]
-        if isinstance(expr, ast.MatrixLit):
-            flat = [
-                self._type_expr(item, env, record, end_context)
-                for row in expr.rows
-                for item in row
-            ]
-            if not flat:
-                return self.calculator.forward(
-                    ("matrix", "[]"), self._ctx([], nargout=1)
-                )[0]
-            return self.calculator.forward(
-                ("matrix", "[]"), self._ctx(flat, nargout=len(expr.rows))
-            )[0]
-        if isinstance(expr, ast.EndMarker):
-            if end_context is None:
-                return MType.scalar(Intrinsic.INT, Interval.of(0.0, math.inf))
-            array, dim = end_context
-            return self.calculator.forward(
-                ("index", "end"), self._ctx([array], nargout=dim)
-            )[0]
-        if isinstance(expr, ast.ColonAll):
-            return COLON_MARKER
-        if isinstance(expr, ast.Apply):
-            return self._type_call(expr, env, record, nargout=1)[0]
-        return MType.top()
+    # One typer per node class, called as ``typer(self, expr, env, record,
+    # end_context)`` from ``_EXPR_TYPERS``.
+    def _type_unary(self, expr, env, record, end_context) -> MType:
+        operand = self._type_expr(expr.operand, env, record, end_context)
+        return self.calculator.forward(
+            ("unary", expr.op.value), self._ctx([operand])
+        )[0]
 
-    def _type_ident(self, expr: ast.Ident, env: Env) -> MType:
+    def _type_binary(self, expr, env, record, end_context) -> MType:
+        left = self._type_expr(expr.left, env, record, end_context)
+        right = self._type_expr(expr.right, env, record, end_context)
+        return self.calculator.forward(
+            ("binop", expr.op), self._ctx([left, right])
+        )[0]
+
+    def _type_transpose(self, expr, env, record, end_context) -> MType:
+        operand = self._type_expr(expr.operand, env, record, end_context)
+        mark = "'" if expr.conjugate else ".'"
+        return self.calculator.forward(("transpose", mark), self._ctx([operand]))[0]
+
+    def _type_range(self, expr, env, record, end_context) -> MType:
+        parts = [self._type_expr(expr.start, env, record, end_context)]
+        if expr.step is not None:
+            parts.append(self._type_expr(expr.step, env, record, end_context))
+        parts.append(self._type_expr(expr.stop, env, record, end_context))
+        return self.calculator.forward(("colon", ":"), self._ctx(parts))[0]
+
+    def _type_matrix(self, expr, env, record, end_context) -> MType:
+        flat = [
+            self._type_expr(item, env, record, end_context)
+            for row in expr.rows
+            for item in row
+        ]
+        if not flat:
+            return self.calculator.forward(
+                ("matrix", "[]"), self._ctx([], nargout=1)
+            )[0]
+        return self.calculator.forward(
+            ("matrix", "[]"), self._ctx(flat, nargout=len(expr.rows))
+        )[0]
+
+    def _type_end(self, expr, env, record, end_context) -> MType:
+        if end_context is None:
+            return MType.scalar(Intrinsic.INT, Interval.of(0.0, math.inf))
+        array, dim = end_context
+        return self.calculator.forward(
+            ("index", "end"), self._ctx([array], nargout=dim)
+        )[0]
+
+    def _type_ident(self, expr, env, record, end_context) -> MType:
         kind = self._dis.kind_of(expr) if self._dis else None
         if kind is SymbolKind.VARIABLE or expr.name in env:
             return env.get(expr.name, MType.top())
@@ -579,7 +625,7 @@ class TypeInferenceEngine:
         position: int,
         arity: int,
         env: Env,
-        record: Annotations | None,
+        record: Annotations,
     ) -> MType:
         dim = 0 if arity == 1 else position + 1
         return self._type_expr(arg, env, record, end_context=(array, dim))
@@ -588,7 +634,7 @@ class TypeInferenceEngine:
         self,
         expr: ast.Expr,
         env: Env,
-        record: Annotations | None,
+        record: Annotations,
         nargout: int,
     ) -> list[MType]:
         if not isinstance(expr, ast.Apply):
@@ -602,9 +648,7 @@ class TypeInferenceEngine:
                 self._type_index_arg(arg, array, i, len(expr.args), env, record)
                 for i, arg in enumerate(expr.args)
             ]
-            safety = self._classify_load(array, index_types)
-            if record is not None:
-                record.load_safety[id(expr)] = safety
+            record.load_safety[id(expr)] = self._classify_load(array, index_types)
             key = ("index", "linear" if len(expr.args) == 1 else "2d")
             result = self.calculator.forward(
                 key, self._ctx([array] + index_types)
@@ -623,9 +667,80 @@ class TypeInferenceEngine:
             out = [MType.top() for _ in range(nargout)]
         while len(out) < nargout:
             out.append(MType.top())
-        if record is not None and out:
-            record.set_type(expr, self._sanitize(out[0]))
-        return [self._sanitize(t) for t in out]
+        out = [self._sanitize(t) for t in out]
+        record.set_type(expr, out[0])
+        return out
+
+
+#: ``_type_expr`` by node class (``Apply`` is ``_type_call``'s).  The
+#: typers of literals ignore the state; the rest recurse.
+_EXPR_TYPERS = {
+    ast.Number: lambda self, expr, *_: MType.constant(expr.value),
+    ast.ImagNumber: lambda self, expr, *_: MType.scalar(Intrinsic.COMPLEX),
+    ast.StringLit: lambda self, expr, *_: MType.exact(
+        Intrinsic.STRING, 1, len(expr.text)
+    ),
+    ast.ColonAll: lambda *_: COLON_MARKER,
+    ast.Ident: TypeInferenceEngine._type_ident,
+    ast.UnaryOp: TypeInferenceEngine._type_unary,
+    ast.BinaryOp: TypeInferenceEngine._type_binary,
+    ast.Transpose: TypeInferenceEngine._type_transpose,
+    ast.Range: TypeInferenceEngine._type_range,
+    ast.MatrixLit: TypeInferenceEngine._type_matrix,
+    ast.EndMarker: TypeInferenceEngine._type_end,
+}
+
+
+def _revisitable(order: list[BasicBlock]) -> set[int]:
+    """The blocks the solver may evaluate more than once.
+
+    Swept in reverse postorder, a block whose reachable predecessors all
+    come before it and are themselves evaluated once has its final input
+    the first time it is reached, so it is evaluated once.  The rest — a
+    loop and every block a loop reaches — are worth a memo.
+    """
+    reachable = {block.index for block in order}
+    once: set[int] = set()
+    for block in order:
+        if all(
+            pred.index in once or pred.index not in reachable
+            for pred in block.predecessors
+        ):
+            once.add(block.index)
+    return reachable - once
+
+
+def _memo_slot(atom: Atom) -> list | None:
+    """``[reads, writes, None, None]`` for an atom whose transfer reads
+    the state only at ``reads`` and writes (and notes) each of ``writes``
+    once, in order; ``None`` for an atom to transfer every time."""
+    targets: list[ast.LValue] = []
+    if isinstance(atom, CondAtom):
+        exprs, writes = [atom.cond], []
+    elif isinstance(atom, ForIterAtom):
+        exprs, writes = [atom.stmt.iterable], [atom.stmt.var]
+    elif isinstance(atom.stmt, ast.ExprStmt):
+        exprs, writes = [atom.stmt.value], ["ans"]
+    elif isinstance(atom.stmt, ast.Assign):
+        exprs, targets = [atom.stmt.value], [atom.stmt.target]
+    elif isinstance(atom.stmt, ast.MultiAssign):
+        exprs, targets = [atom.stmt.call], atom.stmt.targets
+    else:
+        return None  # clear / global: the whole state is read and written
+    reads: dict[str, None] = {}
+    for target in targets:
+        if target.is_indexed:  # a store reads the array it grows
+            reads[target.name] = None
+            exprs.extend(target.indices)
+    if targets:
+        writes = [target.name for target in targets]
+        if len(set(writes)) < len(writes):
+            return None  # `[a, a] = f()` notes two types for one name
+    for expr in exprs:
+        for node in ast.walk_expr(expr):
+            if node.__class__ is ast.Ident or node.__class__ is ast.Apply:
+                reads[node.name] = None
+    return [tuple(reads), tuple(writes), None, None]
 
 
 def infer_function(

@@ -30,24 +30,21 @@ class Intrinsic(enum.Enum):
     TOP = "top"
 
     # ------------------------------------------------------------------
+    # ``leq`` is the hottest question inference asks (tens of thousands
+    # per compile), so each member carries its answers as attributes:
+    # reading them hashes nothing, unlike a lookup keyed by the member.
     @property
     def is_numeric(self) -> bool:
-        return self in _NUMERIC
+        return self._numeric
 
     @property
     def height(self) -> int:
         """Distance from bottom; used by the Manhattan distance metric."""
-        return _HEIGHT[self]
+        return self._height
 
     def leq(self, other: "Intrinsic") -> bool:
         """The partial order ⊑i."""
-        if self is other or self is Intrinsic.BOTTOM or other is Intrinsic.TOP:
-            return True
-        if self is Intrinsic.TOP or other is Intrinsic.BOTTOM:
-            return False
-        if self is Intrinsic.STRING or other is Intrinsic.STRING:
-            return False  # incomparable with the numeric chain
-        return _HEIGHT[self] <= _HEIGHT[other]
+        return other in self._above
 
     def join(self, other: "Intrinsic") -> "Intrinsic":
         """Least upper bound ⊔i."""
@@ -69,10 +66,6 @@ class Intrinsic(enum.Enum):
         return self.value
 
 
-_NUMERIC = frozenset(
-    {Intrinsic.BOOL, Intrinsic.INT, Intrinsic.REAL, Intrinsic.COMPLEX}
-)
-
 _HEIGHT = {
     Intrinsic.BOTTOM: 0,
     Intrinsic.BOOL: 1,
@@ -82,3 +75,25 @@ _HEIGHT = {
     Intrinsic.STRING: 1,
     Intrinsic.TOP: 5,
 }
+
+
+def _leq_rule(a: Intrinsic, b: Intrinsic) -> bool:
+    """The Hasse diagram above: heights on the numeric chain, ``strg``
+    comparable only with ⊥, ⊤ and itself."""
+    if a is b or a is Intrinsic.BOTTOM or b is Intrinsic.TOP:
+        return True
+    if a is Intrinsic.TOP or b is Intrinsic.BOTTOM:
+        return False
+    if a is Intrinsic.STRING or b is Intrinsic.STRING:
+        return False  # incomparable with the numeric chain
+    return _HEIGHT[a] <= _HEIGHT[b]
+
+
+for _member in Intrinsic:
+    _member._height = _HEIGHT[_member]
+    _member._numeric = _member in (
+        Intrinsic.BOOL, Intrinsic.INT, Intrinsic.REAL, Intrinsic.COMPLEX
+    )
+    # Tuple membership compares by identity first: no hashing.
+    _member._above = tuple(b for b in Intrinsic if _leq_rule(_member, b))
+del _member

@@ -25,14 +25,30 @@ class MType:
     maxshape: Shape
     range: Interval
 
+    # Inference compares states far more often than it builds types, and
+    # most compared entries are one shared object: ask identity first.
+    # Componentwise otherwise, so every empty range is one ⊥ (``Interval``).
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not MType:
+            return NotImplemented
+        return (
+            self.intrinsic is other.intrinsic
+            and self.minshape == other.minshape
+            and self.maxshape == other.maxshape
+            and self.range == other.range
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.intrinsic, self.minshape, self.maxshape, self.range))
+
     # ------------------------------------------------------------------
     # Canonical elements
     # ------------------------------------------------------------------
     @staticmethod
     def bottom() -> "MType":
-        return MType(
-            Intrinsic.BOTTOM, Shape.bottom(), Shape.bottom(), Interval.bottom()
-        )
+        return _BOTTOM
 
     @staticmethod
     def top() -> "MType":
@@ -104,7 +120,8 @@ class MType:
     @property
     def is_scalar(self) -> bool:
         """Shape exactly determined as 1x1."""
-        return self.minshape.is_scalar and self.maxshape.is_scalar
+        lo, hi = self.minshape, self.maxshape
+        return lo.rows == 1 and lo.cols == 1 and hi.rows == 1 and hi.cols == 1
 
     @property
     def could_be_scalar(self) -> bool:
@@ -129,8 +146,7 @@ class MType:
         return (
             self.is_scalar
             and self.range.is_constant
-            and self.intrinsic.leq(Intrinsic.REAL)
-            and self.intrinsic is not Intrinsic.BOTTOM
+            and self.intrinsic in _REAL_LIKE
         )
 
     @property
@@ -142,11 +158,11 @@ class MType:
     @property
     def is_real_like(self) -> bool:
         """Intrinsic within the real chain (no complex/string possible)."""
-        return self.intrinsic.leq(Intrinsic.REAL) and self.intrinsic is not Intrinsic.BOTTOM
+        return self.intrinsic in _REAL_LIKE
 
     @property
     def is_integer_like(self) -> bool:
-        return self.intrinsic.leq(Intrinsic.INT) and self.intrinsic is not Intrinsic.BOTTOM
+        return self.intrinsic in _INTEGER_LIKE
 
     @property
     def is_complex(self) -> bool:
@@ -182,12 +198,21 @@ class MType:
             return other
         if other.is_bottom:
             return self
-        return MType(
-            self.intrinsic.join(other.intrinsic),
-            self.minshape.meet(other.minshape),
-            self.maxshape.join(other.maxshape),
-            self.range.join(other.range),
-        )
+        # Each component join hands back an operand when it adds nothing;
+        # so does this one, so a join that changes nothing allocates nothing.
+        intrinsic = self.intrinsic.join(other.intrinsic)
+        minshape = self.minshape.meet(other.minshape)
+        maxshape = self.maxshape.join(other.maxshape)
+        rng = self.range.join(other.range)
+        for operand in (self, other):
+            if (
+                intrinsic is operand.intrinsic
+                and minshape is operand.minshape
+                and maxshape is operand.maxshape
+                and rng is operand.range
+            ):
+                return operand
+        return MType(intrinsic, minshape, maxshape, rng)
 
     def meet(self, other: "MType") -> "MType":
         """Greatest lower bound — the type of values fitting *both*
@@ -225,4 +250,13 @@ class MType:
 
 # ⊤ is immutable and by far the most requested element (the default of
 # every rule, table lookup and padded output list): every caller shares one.
+# So does ⊥.
 _TOP = MType(Intrinsic.TOP, Shape.bottom(), Shape.top(), Interval.top())
+_BOTTOM = MType(
+    Intrinsic.BOTTOM, Shape.bottom(), Shape.bottom(), Interval.bottom()
+)
+
+# The intrinsics above ⊥ and at most ``real`` / ``int``: what
+# ``intrinsic.leq(REAL) and not bottom`` asks, as one identity scan.
+_REAL_LIKE = (Intrinsic.BOOL, Intrinsic.INT, Intrinsic.REAL)
+_INTEGER_LIKE = (Intrinsic.BOOL, Intrinsic.INT)

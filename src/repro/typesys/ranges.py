@@ -65,7 +65,7 @@ class Interval:
     # ------------------------------------------------------------------
     @property
     def is_bottom(self) -> bool:
-        return math.isnan(self.lo)
+        return self.lo != self.lo  # nan: the one float unequal to itself
 
     @property
     def is_top(self) -> bool:
@@ -114,7 +114,15 @@ class Interval:
             return other
         if other.is_bottom:
             return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        # ``min`` / ``max`` return one of their arguments, so identity
+        # tells which operand already is the hull — bit for bit, which
+        # matters where ``-0.0`` and ``0.0`` tie.
+        lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
+        if lo is self.lo and hi is self.hi:
+            return self
+        if lo is other.lo and hi is other.hi:
+            return other
+        return Interval(lo, hi)
 
     def meet(self, other: "Interval") -> "Interval":
         """Intersection."""

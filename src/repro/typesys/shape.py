@@ -43,6 +43,13 @@ class Shape:
     rows: int | None
     cols: int | None
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Shape:
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols
+
     # ------------------------------------------------------------------
     @staticmethod
     def bottom() -> "Shape":
@@ -90,11 +97,23 @@ class Shape:
 
     def join(self, other: "Shape") -> "Shape":
         """⊔s — componentwise max."""
-        return Shape(_max_dim(self.rows, other.rows), _max_dim(self.cols, other.cols))
+        return self._either(
+            _max_dim(self.rows, other.rows), _max_dim(self.cols, other.cols), other
+        )
 
     def meet(self, other: "Shape") -> "Shape":
         """Componentwise min."""
-        return Shape(_min_dim(self.rows, other.rows), _min_dim(self.cols, other.cols))
+        return self._either(
+            _min_dim(self.rows, other.rows), _min_dim(self.cols, other.cols), other
+        )
+
+    def _either(self, rows: int | None, cols: int | None, other: "Shape") -> "Shape":
+        """⟨rows, cols⟩, as whichever operand already is it."""
+        if rows == self.rows and cols == self.cols:
+            return self
+        if rows == other.rows and cols == other.cols:
+            return other
+        return Shape(rows, cols)
 
     def transposed(self) -> "Shape":
         return Shape(self.cols, self.rows)

@@ -1,12 +1,23 @@
 """Type-inference engine and calculator tests (Sections 2.3–2.4)."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
+from repro.analysis.cfg import ForIterAtom
+from repro.analysis.disambiguate import Disambiguator
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
+from repro.fuzz.grammar import generate_program
 from repro.inference.annotations import SubscriptSafety
 from repro.inference.calculator import RuleContext, default_calculator
-from repro.inference.engine import InferenceOptions, infer_function
+from repro.inference.engine import (
+    InferenceOptions,
+    TypeInferenceEngine,
+    infer_function,
+)
 from repro.typesys.intrinsic import Intrinsic
 from repro.typesys.mtype import MType
 from repro.typesys.ranges import Interval
@@ -327,3 +338,89 @@ class TestSolverFallbacks:
         # to the exit.
         assert ann.output_types["y"].constant_value == 6.0
         assert not ann.var_type("y").is_constant
+
+
+class EveryAtom(TypeInferenceEngine):
+    """The solver without its atom memo: every atom of an evaluated block
+    is transferred, whatever it reads."""
+
+    def _evaluate(self, block, env, record, memo):
+        for atom in block.atoms:
+            self._transfer(atom, env, record)
+
+
+def _tables(annotations):
+    """Everything an ``Annotations`` says, as comparable text (``repr``
+    tells ``-0.0`` from ``0.0``; ``==`` does not)."""
+    return (
+        {key: repr(value) for key, value in annotations.expr_types.items()},
+        annotations.load_safety,
+        annotations.store_safety,
+        repr(sorted(annotations.var_types.items())),
+        repr(sorted(annotations.output_types.items())),
+        annotations.converged,
+        annotations.iterations,
+    )
+
+
+class TestSparseSolve:
+    """An atom whose read names kept their types is replayed, not
+    transferred; that must conclude exactly what transferring it does."""
+
+    SOURCES = {
+        "clear-in-loop": (
+            "function s = f(n)\ns = 0;\nfor k = 1:n,\n  t = s;\n"
+            "  clear t\n  u = t;\n  s = s + k;\nend\n", (4,)),
+        "global-in-loop": (
+            "function s = f(n)\ns = 0;\nwhile s < n,\n  global G\n"
+            "  s = s + 1;\nend\n", (4,)),
+        "multi-assign": (
+            "function s = f(M)\ns = 0;\nfor k = 1:3,\n"
+            "  [r, c] = size(M);\n  [q, q] = size(M);\n"
+            "  s = s + r * c + k;\nend\n", (np.ones((2, 3)),)),
+        "growing-store": (
+            "function v = f(n)\nv = [];\nfor k = 1:n,\n"
+            "  v(k) = k * 2;\n  w = v(end);\nend\n", (5,)),
+    }
+
+    @staticmethod
+    def both(fn, signature):
+        dis = Disambiguator(lambda name: False).run_function(fn)
+        sparse = TypeInferenceEngine().infer(fn, signature, dis)
+        dense = EveryAtom().infer(fn, signature, dis)
+        return sparse, dense
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_handwritten(self, name):
+        source, values = self.SOURCES[name]
+        fn = fn_of(source)
+        sparse, dense = self.both(fn, sig(*values))
+        assert _tables(sparse) == _tables(dense)
+
+    def test_fuzz_programs(self):
+        for seed in range(120):
+            program = generate_program(seed)
+            fn = parse(program.source).primary
+            sparse, dense = self.both(fn, sig(*program.args))
+            assert _tables(sparse) == _tables(dense), program.source
+
+    def test_inference_keeps_no_ast_alive(self):
+        # Every memo of a solve lives in that solve: nothing outside the
+        # returned annotations (keyed by id, holding only types) may
+        # still reach the function or its CFG.
+        fn = fn_of(
+            "function s = f(n)\ns = 0;\nfor k = 1:n,\n  s = s + k;\nend\n"
+        )
+        dis = Disambiguator(lambda name: False).run_function(fn)
+        # The loop's atom: its block is evaluated more than once, so the
+        # solve memoises it.
+        atom = next(
+            a for b in dis.cfg.blocks for a in b.atoms
+            if isinstance(a, ForIterAtom)
+        )
+        annotations = infer_function(fn, sig(4), disambiguation=dis)
+        assert annotations.converged
+        refs = weakref.ref(fn), weakref.ref(atom)
+        del fn, dis, atom
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]

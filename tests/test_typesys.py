@@ -228,6 +228,84 @@ class TestMType:
         assert m.leq(b) or m.is_bottom
 
 
+class TestFastPaths:
+    """The lattice answers order and equality without hashing or
+    allocating; these pin the shortcuts to the definitions they replace."""
+
+    @pytest.mark.parametrize("a", list(Intrinsic), ids=repr)
+    @pytest.mark.parametrize("b", list(Intrinsic), ids=repr)
+    def test_intrinsic_leq_is_the_height_rule(self, a, b):
+        if a is b or a is Intrinsic.BOTTOM or b is Intrinsic.TOP:
+            expected = True
+        elif a is Intrinsic.TOP or b is Intrinsic.BOTTOM:
+            expected = False
+        elif Intrinsic.STRING in (a, b):
+            expected = False
+        else:
+            expected = a.height <= b.height
+        assert a.leq(b) is expected
+
+    @pytest.mark.parametrize("intrinsic", list(Intrinsic), ids=repr)
+    def test_real_and_integer_like_are_the_order(self, intrinsic):
+        t = MType.scalar(intrinsic)
+        not_bottom = intrinsic is not Intrinsic.BOTTOM
+        assert t.is_real_like == (intrinsic.leq(Intrinsic.REAL) and not_bottom)
+        assert t.is_integer_like == (intrinsic.leq(Intrinsic.INT) and not_bottom)
+
+    @given(mtypes, mtypes)
+    def test_equality_is_componentwise(self, a, b):
+        same = (
+            a.intrinsic is b.intrinsic and a.minshape == b.minshape
+            and a.maxshape == b.maxshape and a.range == b.range
+        )
+        assert (a == b) is same and (a != b) is not same
+        copy = MType(a.intrinsic, Shape(a.minshape.rows, a.minshape.cols),
+                     Shape(a.maxshape.rows, a.maxshape.cols),
+                     Interval(a.range.lo, a.range.hi))
+        assert copy == a and hash(copy) == hash(a)
+        if same:
+            assert hash(a) == hash(b)
+
+    def test_equality_across_pickle_and_signed_zero(self):
+        empty = MType.scalar(Intrinsic.REAL, Interval.bottom())
+        revived = pickle.loads(pickle.dumps(empty))
+        assert revived.range.lo is not empty.range.lo
+        assert revived == empty and hash(revived) == hash(empty)
+        negative = MType.scalar(Intrinsic.REAL, Interval(-0.0, 1.0))
+        positive = MType.scalar(Intrinsic.REAL, Interval(0.0, 1.0))
+        assert negative == positive and hash(negative) == hash(positive)
+        assert MType.bottom() is MType.bottom()
+        assert MType.bottom() == MType(
+            Intrinsic.BOTTOM, Shape.bottom(), Shape.bottom(), Interval.bottom()
+        )
+
+    @given(mtypes, mtypes)
+    def test_join_is_componentwise_and_reuses_an_unchanged_operand(self, a, b):
+        j = a.join(b)
+        if not a.is_bottom and not b.is_bottom:
+            assert j == MType(
+                a.intrinsic.join(b.intrinsic), a.minshape.meet(b.minshape),
+                a.maxshape.join(b.maxshape), a.range.join(b.range),
+            )
+        assert a.join(a) is a
+        if j == a:
+            assert j is a or a.is_bottom
+
+    @given(intervals, intervals,
+           st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+           st.sampled_from([0.0, -0.0, 2.0]))
+    def test_interval_join_keeps_the_bits_of_the_hull(self, a, b, lo, hi):
+        # ``-0.0 == 0.0``: reusing an operand must not change which zero
+        # the hull's bound is.
+        for x, y in ((a, b), (Interval.of(lo, 2.0), Interval.of(-1.0, hi))):
+            if x.is_bottom or y.is_bottom:
+                continue
+            hull = x.join(y)
+            assert repr(hull) == repr(
+                Interval(min(x.lo, y.lo), max(x.hi, y.hi))
+            )
+
+
 class TestSignatures:
     def test_type_of_value_is_exact(self):
         t = type_of_value(from_python(4.0))
