@@ -1,12 +1,14 @@
 """The optimizing source-code generator (Section 2.6, "speculative mode").
 
-Where the JIT emits three-address code through the vcode layer, this
-target of the shared code-selection walk (:class:`repro.codegen.select.Walk`)
-builds *source* for the host toolchain — idiomatic, expression-style code
-the host compiler optimizes further — and applies the expensive
-optimizations the paper reserves for ahead-of-time compilation:
+Where the JIT lowers to ICODE and allocates registers through the vcode
+layer, this target of the shared code-selection walk
+(:class:`repro.codegen.select.Walk`) builds *source* for the host
+toolchain — idiomatic, expression-style code the host compiler optimizes
+further — and applies the expensive optimizations the paper reserves for
+ahead-of-time compilation:
 
-* expression-style emission (the "native compiler" quality effect);
+* expression-style emission with every variable a host local, never a
+  spill slot (the "native compiler" quality effect);
 * loop versioning: subscript checks hoisted into a single loop-entry guard
   (:mod:`repro.codegen.optimizations`) — the static counterpart of the
   JIT's range-based check removal; a guard that would change no selected
@@ -51,6 +53,13 @@ _UNARY_SRC = {
 }
 _LOGICAL_SRC = {"&": "and", "|": "or"}
 _COMPARE_SRC = ("==", "!=", "<", "<=", ">", ">=")
+#: Left-associative operators by host precedence level.  A chain of one
+#: level longer than ``_FLAT_AFTER`` operators is continued without a
+#: parenthesis per operator (``(a + b + c)`` is the host AST of
+#: ``((a + b) + c)``), so a long source sum stays inside the host
+#: tokenizer's limit of 200 nested parentheses.
+_CHAIN_LEVEL = {"+": 0, "-": 0, "*": 1, "/": 1}
+_FLAT_AFTER = 32
 
 
 @dataclass
@@ -146,6 +155,8 @@ class _SrcEmitter(Walk):
         self.data_alias: dict[str, str] = {}
         self.prologue: list[str] = []
         self._temp = 0
+        # id(code) -> (code, precedence level, operators) of each chain.
+        self._chains: dict[int, tuple[str, int, int]] = {}
 
     def emit(self) -> str:
         self.entry()
@@ -205,17 +216,32 @@ class _SrcEmitter(Walk):
 
     def binary(self, op: str, a: str, b: str, kind: str) -> str:
         if op in _LOGICAL_SRC:
-            return (
-                f"(1.0 if (({a}) != 0 {_LOGICAL_SRC[op]} ({b}) != 0) else 0.0)"
-            )
+            if "_h_" in b:
+                # ``&`` / ``|`` evaluate both operands: the host's lazy
+                # ``and`` / ``or`` would skip a call (a draw, a display,
+                # a checked load's error) in the right one.
+                return f"(1.0 if (({a}) != 0) {op} (({b}) != 0) else 0.0)"
+            return _lazy_logical(op, a, b)
         if op in _COMPARE_SRC:
             return f"(1.0 if {a} {op} {b} else 0.0)"
-        return f"({a} {op} {b})"
+        level = _CHAIN_LEVEL.get(op)
+        if level is None:
+            return f"({a} {op} {b})"
+        chain = self._chains.get(id(a))
+        length = 1
+        if chain is not None and chain[0] is a and chain[1] == level:
+            length = chain[2] + 1
+        if length > _FLAT_AFTER:
+            code = f"{a[:-1]} {op} {b})"
+        else:
+            code = f"({a} {op} {b})"
+        self._chains[id(code)] = (code, level, length)
+        return code
 
     def short_circuit(self, node: ast.BinaryOp) -> tuple[str, str]:
         # The host's and/or are lazy already.
         left, right = self.condition(node.left), self.condition(node.right)
-        return self.binary(node.op[0], left, right, RAW_REAL), RAW_REAL
+        return _lazy_logical(node.op[0], left, right), RAW_REAL
 
     def bind(self, value: str, base: str, reused: bool = False) -> str:
         """Name ``value`` so it is evaluated here, once (``reused``: only
@@ -264,6 +290,11 @@ class _SrcEmitter(Walk):
     def store(self, name: str, indices, value: str, mode: str) -> None:
         if not mode.startswith("unchecked"):
             codes = [code for code, _ in indices]
+            if "_h_" in value and any("_h_" in code for code in codes):
+                # The value was selected first and is evaluated first,
+                # as in the interpreter, not after the helper's index
+                # arguments.
+                value = self.bind(value, "v")
             self.call(
                 f"{mode}_store{len(indices)}",
                 [self.var(name), *codes, value], None,
@@ -458,6 +489,10 @@ class _SrcEmitter(Walk):
             parts.append(f"{lo} >= 1")
             parts.append(f"{hi} <= {extent}")
         return " and ".join(dict.fromkeys(parts)) or "False"
+
+
+def _lazy_logical(op: str, a: str, b: str) -> str:
+    return f"(1.0 if (({a}) != 0 {_LOGICAL_SRC[op]} ({b}) != 0) else 0.0)"
 
 
 def _is_simple_code(code: str) -> bool:

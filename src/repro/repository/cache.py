@@ -84,11 +84,14 @@ from repro.kernels.codegen import compile_kernel
 from repro.repository.store import DiskStore
 from repro.vcode.emit import bind_function
 
-#: Bumped whenever the pickle layout or keying scheme changes.  Format 2
-#: introduced the integrity frame (magic + digest header); format 3
-#: stores bytecode and drops the identity-keyed annotation tables;
-#: format 4 keys on raw source text and adds parse records.
-CACHE_FORMAT_VERSION = "4"
+#: Bumped whenever the pickle layout or keying scheme changes, or the
+#: emitters change the bytecode an entry stores.  Format 2 introduced
+#: the integrity frame (magic + digest header); format 3 stores bytecode
+#: and drops the identity-keyed annotation tables; format 4 keys on raw
+#: source text and adds parse records; format 5 stores JIT code emitted
+#: as expression trees (single-use temporaries folded), so an entry of
+#: the three-address emitter misses rather than being served.
+CACHE_FORMAT_VERSION = "5"
 
 #: The signature slot of a parse record's key.
 UNIT_TAG = "source-unit"

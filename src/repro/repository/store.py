@@ -16,7 +16,7 @@ Durable
 
 Trusted
     Loads are *paranoid*.  The view's ``decode`` verifies its own digest
-    (the ``MAJC4`` frame, the ``so_sha256`` sidecar) before anything
+    (the ``MAJC<format>`` frame, the ``so_sha256`` sidecar) before anything
     interprets the payload; any failure there — torn write, bit rot, a
     stale format, an injected ``cache.corrupt`` — **quarantines** the
     key: its files are deleted and the key is remembered, so repeated

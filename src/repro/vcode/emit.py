@@ -7,6 +7,14 @@ with :func:`compile`.  Physical registers map to host local variables
 list ``sp`` — a genuinely slower access path, which is what makes the
 Figure 7 "no regalloc" ablation measurable.
 
+A register the allocator *folded* has no location at all: its def emits
+no statement, and its text is written as a nested expression where it is
+read (a folded ``CONST`` is a literal at every read; a folded comparison
+that an ``if`` or ``while`` tests is the bare host test).  With nothing
+folded the output is plain three-address code.  Which operand positions
+may hold a folded def is :func:`eager_operands`, next to the templates
+that decide it.
+
 Runtime-support helpers are hoisted into locals at the top of the emitted
 function (``_h_g_add = rt.g_add``), the host equivalent of keeping
 library entry points in registers.
@@ -15,6 +23,7 @@ library entry points in registers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import CodegenError
 from repro.vcode.icode import (
@@ -30,7 +39,9 @@ from repro.vcode.icode import (
     Seq,
     WhileRegion,
 )
-from repro.vcode.regalloc import Assignment
+
+if TYPE_CHECKING:
+    from repro.vcode.regalloc import Assignment
 
 _BIN_NUMERIC = {
     "+": "({a} + {b})",
@@ -39,15 +50,20 @@ _BIN_NUMERIC = {
     "/": "({a} / {b})",
     "**": "({a} ** {b})",
 }
+#: A comparison as the host test an ``if`` / ``while`` evaluates, and as
+#: the 1.0 / 0.0 value anything else reads.
+_BIN_TEST = {
+    "<": "{a} < {b}",
+    "<=": "{a} <= {b}",
+    ">": "{a} > {b}",
+    ">=": "{a} >= {b}",
+    "==": "{a} == {b}",
+    "!=": "{a} != {b}",
+    "&": "({a} != 0 and {b} != 0)",
+    "|": "({a} != 0 or {b} != 0)",
+}
 _BIN_COMPARE = {
-    "<": "(1.0 if {a} < {b} else 0.0)",
-    "<=": "(1.0 if {a} <= {b} else 0.0)",
-    ">": "(1.0 if {a} > {b} else 0.0)",
-    ">=": "(1.0 if {a} >= {b} else 0.0)",
-    "==": "(1.0 if {a} == {b} else 0.0)",
-    "!=": "(1.0 if {a} != {b} else 0.0)",
-    "&": "(1.0 if ({a} != 0 and {b} != 0) else 0.0)",
-    "|": "(1.0 if ({a} != 0 or {b} != 0) else 0.0)",
+    op: f"(1.0 if {test} else 0.0)" for op, test in _BIN_TEST.items()
 }
 _UN = {
     "-": "(-{a})",
@@ -55,6 +71,34 @@ _UN = {
     "~": "(0.0 if {a} != 0 else 1.0)",
     "abs": "abs({a})",
 }
+
+#: Operand positions that the templates evaluate exactly once, eagerly
+#: and in operand order: the only places a folded def may stand.  The
+#: right operand of ``&`` / ``|`` is evaluated lazily; a store's array
+#: and index are not eager, because the host evaluates an assignment's
+#: value before its target and the unchecked linear store reads the
+#: array twice.
+_EAGER = {
+    "CONST": slice(0),
+    "MOV": slice(None),
+    "BIN": slice(None),
+    "UN": slice(None),
+    "CALLRT": slice(None),
+    "UNPACK": slice(None),
+    "LOAD1": slice(None),
+    "LOAD2": slice(None),
+    "STORE1": slice(2, None),
+    "STORE2": slice(3, None),
+}
+_LAZY_RIGHT = frozenset({"&", "|"})
+
+
+def eager_operands(instr: Instr) -> tuple[int, ...]:
+    """The registers of ``instr`` a folded def may stand for, in the
+    order the host evaluates them."""
+    if instr.op == "BIN" and instr.aux in _LAZY_RIGHT:
+        return instr.args[:1]
+    return instr.args[_EAGER[instr.op]]
 
 
 @dataclass
@@ -75,14 +119,31 @@ class _Emitter:
     def __init__(self, ir: FunctionIR, assignment: Assignment):
         self.ir = ir
         self.assignment = assignment
+        self.folded = assignment.folded
         self.lines: list[str] = []
         self.depth = 1
         self.helpers: set[str] = set()
         self.instruction_count = 0
+        # Host text of each folded register, and of each folded
+        # comparison as a bare test.
+        self.exprs: dict[int, str] = {}
+        self.tests: dict[int, str] = {}
 
     # ------------------------------------------------------------------
     def loc(self, reg: int) -> str:
-        return self.assignment.location(reg)
+        """The host text that reads ``reg``."""
+        text = self.exprs.get(reg)
+        return self.assignment.location(reg) if text is None else text
+
+    def define(self, dst: int, expr: str) -> None:
+        if dst in self.folded:
+            self.exprs[dst] = expr
+        else:
+            self.line(f"{self.assignment.location(dst)} = {expr}")
+
+    def test(self, reg: int) -> str:
+        """``reg`` as the condition of an ``if``."""
+        return self.tests.get(reg) or self.loc(reg)
 
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
@@ -122,6 +183,21 @@ class _Emitter:
         return "\n".join(header + prologue + body_lines) + "\n"
 
     # ------------------------------------------------------------------
+    def emit_body(self, region) -> bool:
+        """``region`` one level deeper; whether it emitted a statement."""
+        mark = len(self.lines)
+        self.depth += 1
+        self.emit_region(region)
+        self.depth -= 1
+        return len(self.lines) > mark
+
+    def emit_suite(self, region) -> None:
+        """``region`` as the indented suite of a compound statement."""
+        if not self.emit_body(region):
+            self.depth += 1
+            self.line("pass")
+            self.depth -= 1
+
     def emit_region(self, region) -> None:
         if isinstance(region, Block):
             for instr in region.instrs:
@@ -133,23 +209,17 @@ class _Emitter:
             return
         if isinstance(region, IfRegion):
             self.emit_region(region.header)
-            self.line(f"if {self.loc(region.cond)}:")
-            self.depth += 1
-            self.emit_region(region.then)
-            if not _region_emits(region.then):
-                self.line("pass")
-            self.depth -= 1
-            if _region_emits(region.orelse):
-                self.line("else:")
-                self.depth += 1
-                self.emit_region(region.orelse)
-                self.depth -= 1
+            self.line(f"if {self.test(region.cond)}:")
+            self.emit_suite(region.then)
+            self.line("else:")
+            if not self.emit_body(region.orelse):
+                self.lines.pop()
             return
         if isinstance(region, WhileRegion):
             self.line("while True:")
             self.depth += 1
             self.emit_region(region.header)
-            self.line(f"if not {self.loc(region.cond)}:")
+            self.line(f"if not {self.test(region.cond)}:")
             self.line("    break")
             self.emit_region(region.body)
             self.depth -= 1
@@ -163,11 +233,7 @@ class _Emitter:
             else:
                 source = f"{self.helper('columns')}({self.loc(region.iterable)})"
             self.line(f"for {self.loc(region.var)} in {source}:")
-            self.depth += 1
-            self.emit_region(region.body)
-            if not _region_emits(region.body):
-                self.line("pass")
-            self.depth -= 1
+            self.emit_suite(region.body)
             return
         if isinstance(region, BreakRegion):
             self.line("break")
@@ -196,75 +262,76 @@ class _Emitter:
                 f"{self.loc(region.step)}):"
             )
         self.line(header)
-        self.depth += 1
-        self.emit_region(region.body)
-        if not _region_emits(region.body):
-            self.line("pass")
-        self.depth -= 1
+        self.emit_suite(region.body)
 
     # ------------------------------------------------------------------
     def emit_instr(self, instr: Instr) -> None:
         self.instruction_count += 1
         op = instr.op
         if op == "CONST":
-            self.line(f"{self.loc(instr.dst)} = {instr.aux!r}")
+            text = repr(instr.aux)
+            if instr.dst in self.folded and text.startswith("-"):
+                text = f"({text})"
+            self.define(instr.dst, text)
             return
         if op == "MOV":
-            self.line(f"{self.loc(instr.dst)} = {self.loc(instr.args[0])}")
+            self.define(instr.dst, self.loc(instr.args[0]))
             return
         if op == "BIN":
             a, b = (self.loc(r) for r in instr.args)
-            template = _BIN_NUMERIC.get(instr.aux) or _BIN_COMPARE.get(instr.aux)
+            template = _BIN_NUMERIC.get(instr.aux)
             if template is None:
-                raise CodegenError(f"unknown BIN operator {instr.aux!r}")
-            self.line(f"{self.loc(instr.dst)} = " + template.format(a=a, b=b))
+                test = _BIN_TEST.get(instr.aux)
+                if test is None:
+                    raise CodegenError(f"unknown BIN operator {instr.aux!r}")
+                template = _BIN_COMPARE[instr.aux]
+                if instr.dst in self.folded:
+                    self.tests[instr.dst] = test.format(a=a, b=b)
+            self.define(instr.dst, template.format(a=a, b=b))
             return
         if op == "UN":
             template = _UN.get(instr.aux)
             if template is None:
                 raise CodegenError(f"unknown UN operator {instr.aux!r}")
-            a = self.loc(instr.args[0])
-            self.line(f"{self.loc(instr.dst)} = " + template.format(a=a))
+            self.define(instr.dst, template.format(a=self.loc(instr.args[0])))
             return
         if op == "CALLRT":
             helper = self.helper(instr.aux)
             args = ", ".join(self.loc(r) for r in instr.args)
             if instr.dst is not None:
-                self.line(f"{self.loc(instr.dst)} = {helper}({args})")
+                self.define(instr.dst, f"{helper}({args})")
             else:
                 self.line(f"{helper}({args})")
             return
         if op == "UNPACK":
-            self.line(
-                f"{self.loc(instr.dst)} = {self.loc(instr.args[0])}[{instr.aux}]"
-            )
+            self.define(instr.dst, f"{self.loc(instr.args[0])}[{instr.aux}]")
             return
         if op == "LOAD1":
             arr, index = instr.args
             if instr.aux == "unchecked":
-                self.line(
-                    f"{self.loc(instr.dst)} = "
-                    f"{self.loc(arr)}.data.item({self.idx(index)} - 1)"
+                self.define(
+                    instr.dst,
+                    f"{self.loc(arr)}.data.item({self.idx(index)} - 1)",
                 )
             else:
                 helper = self.helper("checked_load1")
-                self.line(
-                    f"{self.loc(instr.dst)} = "
-                    f"{helper}({self.loc(arr)}, {self.loc(index)})"
+                self.define(
+                    instr.dst, f"{helper}({self.loc(arr)}, {self.loc(index)})"
                 )
             return
         if op == "LOAD2":
             arr, i, j = instr.args
             if instr.aux == "unchecked":
-                self.line(
-                    f"{self.loc(instr.dst)} = {self.loc(arr)}.data.item("
-                    f"{self.idx(i)} - 1, {self.idx(j)} - 1)"
+                self.define(
+                    instr.dst,
+                    f"{self.loc(arr)}.data.item("
+                    f"{self.idx(i)} - 1, {self.idx(j)} - 1)",
                 )
             else:
                 helper = self.helper("checked_load2")
-                self.line(
-                    f"{self.loc(instr.dst)} = {helper}({self.loc(arr)}, "
-                    f"{self.loc(i)}, {self.loc(j)})"
+                self.define(
+                    instr.dst,
+                    f"{helper}({self.loc(arr)}, {self.loc(i)}, {self.loc(j)})",
                 )
             return
         if op == "STORE1":
@@ -318,15 +385,6 @@ class _Emitter:
                 )
             return
         raise CodegenError(f"unknown ICODE op {op!r}")
-
-
-def _region_emits(region) -> bool:
-    """Whether a region produces at least one statement."""
-    if isinstance(region, Block):
-        return bool(region.instrs)
-    if isinstance(region, Seq):
-        return any(_region_emits(part) for part in region.parts)
-    return True
 
 
 def bind_function(code, name: str):

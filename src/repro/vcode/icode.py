@@ -27,6 +27,11 @@ Load/store ``mode`` is ``"checked"``, ``"grow"`` or ``"unchecked"`` — the
 materialization of the subscript-safety classes of Section 2.4 (a linear
 unchecked store also has ``"unchecked_row"`` / ``"unchecked_col"`` forms
 for operands known to be a row or a column).
+
+Every literal is a ``CONST`` and every result has a register of its own:
+the lowering stays three-address.  Which temporaries the host sees as
+nested expressions instead is decided after it, by liveness and the
+allocator (:mod:`repro.vcode.liveness`).
 """
 
 from __future__ import annotations
@@ -40,12 +45,6 @@ class Instr:
     dst: int | None
     args: tuple[int, ...] = ()
     aux: object = None
-
-    def registers(self) -> list[int]:
-        regs = list(self.args)
-        if self.dst is not None:
-            regs.append(self.dst)
-        return regs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dst = f"r{self.dst} = " if self.dst is not None else ""

@@ -5,8 +5,14 @@ algorithm: intervals sorted by start point, an active list sorted by end
 point, expiry of dead intervals, and spill-furthest-end when the register
 file is exhausted.
 
-``spill_everything`` forces every interval to a spill slot — the Figure 7
-"no regalloc" ablation ("roughly equivalent to compiling with -g").
+Allocation also decides folding.  An interval the liveness walk marked
+``foldable`` is a temporary the emitter can write as a nested expression
+at its one read (or a literal at its reads): it lives on the host's
+operand stack, so it takes no physical register and no spill slot.
+
+``spill_everything`` forces every interval to a spill slot, folding none
+— the Figure 7 "no regalloc" ablation ("roughly equivalent to compiling
+with -g"), whose code stays plain three-address code.
 """
 
 from __future__ import annotations
@@ -23,10 +29,12 @@ DEFAULT_NUM_REGISTERS = 12
 
 @dataclass
 class Assignment:
-    """Result of allocation: vreg → physical register or spill slot."""
+    """Result of allocation: vreg → physical register, spill slot, or
+    folded into its reads."""
 
     physical: dict[int, int] = field(default_factory=dict)  # vreg -> preg
     spills: dict[int, int] = field(default_factory=dict)    # vreg -> slot
+    folded: set[int] = field(default_factory=set)
     num_registers: int = DEFAULT_NUM_REGISTERS
 
     @property
@@ -68,6 +76,9 @@ class LinearScanAllocator:
         next_slot = 0
 
         for interval in intervals:
+            if interval.foldable:
+                assignment.folded.add(interval.reg)
+                continue
             # Expire old intervals.
             while active and active[0][0] < interval.start:
                 _, expired = active.pop(0)

@@ -151,6 +151,26 @@ LINEAR_STORES = (
     "for k = 1:n*n, M(k) = k * 3; end\n"
     "r = [c' w M(1, :) M(:, 2)'];\n"
 )
+EAGER_AND_OR = (
+    "function r = eo(x)\nr = 0;\n"
+    "for k = 0:1\n"
+    "  if (x * k > 0) & (rand > 0.5), r = r + 1; end\n"
+    "  if (x * k > 0) | (shown(k) > 0), r = r + 10; end\n"
+    "end\nn = 0;\n"
+    "while (n < 2) & (rand < 2), n = n + 1; end\n"
+    "while (n < 4) | (shown(n) > 5), n = n + 1; end\n"
+    "r = r + n + rand;\n"
+    "function y = shown(k)\ndisp(k);\nif k < 0, y = 0; return; end\ny = k;\n"
+)
+DEEP_SUM = "function r = deep(x)\nr = {};\n".format(
+    " + ".join(f"x*{k}" for k in range(1, 301))
+)
+STORE_ORDER = (
+    "function r = so(n)\nr = zeros(1, n);\nM = zeros(n, n);\n"
+    "for k = 1:n\n  r(k + (rand > 2)) = rand;\n"
+    "  M(k, k + (rand > 2)) = rand;\nend\n"
+    "r = [r M(1, :) M(2, :) M(3, :)];\n"
+)
 
 
 def _scalar(value):
@@ -210,6 +230,18 @@ def _scalar(value):
 #: a row its elements; ``linear-store-shapes`` — safe linear stores into
 #: a column, a row and a matrix (the matrix's needs the column-major
 #: divide).
+#: The next three guard emission as expression trees (a single-use
+#: temporary folded into its one use): ``eager-and-or`` — ``&`` / ``|``
+#: evaluate their right operand (a ``rand`` draw, a displaying call)
+#: whatever the left one is, in ``if`` and ``while`` conditions (a fold
+#: into the host's lazy ``and`` / ``or`` skips the draw, and optimized
+#: code did skip it); ``deep-expression`` — a 300-term sum is served
+#: compiled, with no fallback (a tree deeper than the host tokenizer's
+#: 200 nested parentheses is a ``SyntaxError``, which the interpreter
+#: quietly rescues: optimized code raised it); ``store-operand-order`` —
+#: a store's value is drawn before its subscript, as the interpreter
+#: does (optimized code passed both to its store helper and drew the
+#: subscript first).
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -253,6 +285,9 @@ PROBES = {
                  from_ndarray(np.array([[5.0, 6.0, 7.0]]))],
     ),
     "linear-store-shapes": Program((LINEAR_STORES,), "lin", _scalar(3.0)),
+    "eager-and-or": Program((EAGER_AND_OR,), "eo", _scalar(1.0)),
+    "deep-expression": Program((DEEP_SUM,), "deep", _scalar(2.0)),
+    "store-operand-order": Program((STORE_ORDER,), "so", _scalar(3.0)),
 }
 
 

@@ -270,9 +270,12 @@ class TestFinedifHand:
         assert np.allclose(a, b)
 
     def test_experiment_runs_and_reports(self, live):
-        # On the Python host the JIT-to-AOT gap comes from three-address
-        # emission rather than redundant loads, so source-level unrolling
-        # +CSE recovers far less than the paper's ~2x; EXPERIMENTS.md
+        # On the Python host source-level unrolling + CSE recovers far
+        # less than the paper's ~2x: the JIT already emits each statement
+        # as one host expression, and the hand version's extra variables
+        # spill `U` out of the 12-register file and pay int() on its
+        # real-typed subscripts (0.75-0.84x plain JIT code at 48x48,
+        # before and after expression-tree emission); EXPERIMENTS.md
         # prints that verdict.  Here: the replay runs, through the one
         # timer, and reports sane numbers.
         assert Cell("finedif_hand", "jit") in live.cells

@@ -517,8 +517,8 @@ def test_fresh_stores_write_current_format_frames(tmp_path):
 
     cache = RepositoryCache(tmp_path)
     assert cache.put("d" * 64, _cached_object())
-    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC4\n")
-    assert frame_payload(b"x").startswith(b"MAJC4\n")
+    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC5\n")
+    assert frame_payload(b"x").startswith(b"MAJC5\n")
 
 
 def test_partial_write_race_detected_on_next_load(tmp_path):

@@ -243,3 +243,215 @@ class TestEmission:
             ir, LinearScanAllocator().allocate(compute_intervals(ir))
         )
         assert emitted.callable(None) == (10,)
+
+
+# ----------------------------------------------------------------------
+# Folding: a single-use temporary is written as an expression at its use
+# ----------------------------------------------------------------------
+class _Recorder:
+    """A runtime whose helpers record the order they are called in."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        def helper(*args):
+            self.calls.append(name)
+            return 1.0
+        return helper
+
+
+def _fold(instrs, params=(0,), outputs=(), variables=(), **alloc):
+    ir = FunctionIR(
+        name="f", params=list(params),
+        body=Seq(parts=[Block(list(instrs))]), outputs=tuple(outputs),
+        variable_regs=frozenset(variables),
+    )
+    assignment = LinearScanAllocator(**alloc).allocate(compute_intervals(ir))
+    return assignment, emit_python(ir, assignment)
+
+
+def _statements(emitted):
+    """Body statements other than the prologue's and the return."""
+    return [
+        line.strip() for line in emitted.source.splitlines()[1:]
+        if not line.strip().startswith(("_h_", "return", "sp = "))
+        and not line.strip().endswith(("= p_0", "= None"))
+    ]
+
+
+class TestFolding:
+    def test_single_use_chain_is_one_statement(self):
+        assignment, emitted = _fold([
+            Instr("BIN", 1, (0, 0), "+"),
+            Instr("BIN", 2, (1, 0), "*"),
+            Instr("UN", 3, (2,), "-"),
+            Instr("MOV", 4, (3,)),
+        ], outputs=(4,))
+        assert assignment.folded == {1, 2, 3}
+        assert _statements(emitted) == ["pr1 = (-((pr0 + pr0) * pr0))"]
+        assert emitted.callable(3.0, None) == (-18.0,)
+        assert emitted.instruction_count == 4
+
+    def test_const_is_a_literal_at_every_read(self):
+        assignment, emitted = _fold([
+            Instr("CONST", 1, (), -2.0),
+            Instr("BIN", 2, (0, 1), "**"),
+            Instr("BIN", 3, (2, 1), "*"),
+            Instr("MOV", 4, (3,)),
+        ], outputs=(4,))
+        assert 1 in assignment.folded
+        # A negative literal keeps its sign inside ``**``.
+        assert _statements(emitted) == ["pr1 = ((pr0 ** (-2.0)) * (-2.0))"]
+        assert emitted.callable(2.0, None) == (-0.5,)
+
+    def test_operands_fold_in_evaluation_order(self):
+        assignment, emitted = _fold([
+            Instr("CALLRT", 1, (0,), "first"),
+            Instr("CALLRT", 2, (0,), "second"),
+            Instr("BIN", 3, (1, 2), "-"),
+            Instr("MOV", 4, (3,)),
+        ], outputs=(4,))
+        assert {1, 2, 3} <= assignment.folded
+        rt = _Recorder()
+        emitted.callable(0.0, rt)
+        assert rt.calls == ["first", "second"]
+
+    def test_pending_def_materialises_before_a_statement(self):
+        # A call with no result is a statement of its own: the def
+        # before it cannot move past it.
+        assignment, emitted = _fold([
+            Instr("CALLRT", 1, (0,), "first"),
+            Instr("CALLRT", None, (0,), "second"),
+            Instr("MOV", 2, (1,)),
+        ], outputs=(2,))
+        assert 1 not in assignment.folded
+        rt = _Recorder()
+        emitted.callable(0.0, rt)
+        assert rt.calls == ["first", "second"]
+
+    def test_pending_defs_materialise_out_of_operand_order(self):
+        assignment, emitted = _fold([
+            Instr("CALLRT", 1, (0,), "first"),
+            Instr("CALLRT", 2, (0,), "second"),
+            Instr("BIN", 3, (2, 1), "-"),
+            Instr("MOV", 4, (3,)),
+        ], outputs=(4,))
+        assert not {1, 2} & assignment.folded
+        rt = _Recorder()
+        emitted.callable(0.0, rt)
+        assert rt.calls == ["first", "second"]
+
+    def test_lazy_right_operand_never_folds(self):
+        for op in ("&", "|"):
+            assignment, emitted = _fold([
+                Instr("CALLRT", 1, (0,), "right"),
+                Instr("CALLRT", 2, (0,), "left"),
+                Instr("BIN", 3, (2, 1), op),
+                Instr("MOV", 4, (3,)),
+            ], outputs=(4,))
+            assert 1 not in assignment.folded and 2 in assignment.folded
+            rt = _Recorder()
+            emitted.callable(0.0, rt)
+            assert rt.calls == ["right", "left"]
+
+    def test_store_array_and_index_never_fold(self):
+        for op, args in (("STORE1", (1, 2, 3)), ("STORE2", (1, 2, 2, 3))):
+            assignment, emitted = _fold([
+                Instr("CALLRT", 1, (0,), "array"),
+                Instr("CALLRT", 2, (0,), "index"),
+                Instr("CALLRT", 3, (0,), "value"),
+                Instr(op, None, args, "checked"),
+            ])
+            assert assignment.folded == {3}
+            rt = _Recorder()
+            emitted.callable(0.0, rt)
+            assert rt.calls[:3] == ["array", "index", "value"]
+
+    def test_a_value_read_twice_stays_a_register(self):
+        assignment, _ = _fold([
+            Instr("CALLRT", 1, (0,), "once"),
+            Instr("BIN", 2, (1, 1), "+"),
+            Instr("MOV", 3, (2,)),
+        ], outputs=(3,))
+        assert 1 not in assignment.folded and 2 in assignment.folded
+
+    def test_variables_never_fold(self):
+        assignment, _ = _fold([
+            Instr("BIN", 1, (0, 0), "+"),
+            Instr("MOV", 2, (1,)),
+        ], outputs=(2,), variables=(1,))
+        assert 1 not in assignment.folded
+
+    def test_folded_register_has_no_location(self):
+        ir = build_straightline(1)
+        ir.body.parts[0].instrs.append(Instr("BIN", 2, (1, 0), "+"))
+        ir.outputs = (2,)
+        intervals = {iv.reg: iv for iv in compute_intervals(ir)}
+        assignment = LinearScanAllocator().allocate(list(intervals.values()))
+        assert intervals[0].foldable  # the CONST: a literal
+        for reg in assignment.folded:
+            assert reg not in assignment.physical
+            assert reg not in assignment.spills
+
+    def test_spill_everything_folds_nothing(self):
+        assignment, emitted = _fold([
+            Instr("CONST", 1, (), 2.0),
+            Instr("BIN", 2, (0, 1), "+"),
+            Instr("BIN", 3, (2, 0), "<"),
+            Instr("MOV", 4, (3,)),
+        ], outputs=(4,), spill_everything=True)
+        assert not assignment.folded
+        assert emitted.source == (
+            "def f(p_0, rt):\n"
+            "    sp = [None] * 5\n"
+            "    sp[0] = p_0\n"
+            "    sp[1] = None\n"
+            "    sp[2] = 2.0\n"
+            "    sp[3] = (sp[0] + sp[2])\n"
+            "    sp[4] = (1.0 if sp[3] < sp[0] else 0.0)\n"
+            "    sp[1] = sp[4]\n"
+            "    return (sp[1],)\n"
+        )
+
+    def test_folded_comparison_is_the_bare_test(self):
+        regs = VRegAllocator()
+        p, out, cond = regs.fresh(), regs.fresh(), regs.fresh()
+        header = Block([Instr("BIN", cond, (p, p), "==")])
+        then_b = Block([Instr("MOV", out, (p,))])
+        ir = FunctionIR(
+            name="f", params=[p],
+            body=Seq(parts=[IfRegion(header=header, cond=cond,
+                                     then=Seq(parts=[then_b]),
+                                     orelse=Seq(parts=[]))]),
+            outputs=(out,),
+        )
+        emitted = emit_python(
+            ir, LinearScanAllocator().allocate(compute_intervals(ir))
+        )
+        assert "    if pr0 == pr0:\n" in emitted.source
+        assert emitted.callable(1.0, None) == (1.0,)
+
+    def test_deep_tree_materialises_within_the_host_limit(self):
+        block = Block()
+        regs = VRegAllocator()
+        x = regs.fresh()
+        total = x
+        for _ in range(300):
+            nxt = regs.fresh()
+            block.emit(Instr("BIN", nxt, (total, x), "+"))
+            total = nxt
+        out = regs.fresh()
+        block.emit(Instr("MOV", out, (total,)))
+        ir = FunctionIR(name="f", params=[x], body=Seq(parts=[block]),
+                        outputs=(out,))
+        emitted = emit_python(
+            ir, LinearScanAllocator().allocate(compute_intervals(ir))
+        )
+        assert emitted.callable(1.0, None) == (301.0,)
+        for line in emitted.source.splitlines():
+            depth = deepest = 0
+            for char in line:
+                depth += (char == "(") - (char == ")")
+                deepest = max(deepest, depth)
+            assert deepest < 200
