@@ -22,6 +22,8 @@ from repro.frontend import ast_nodes as ast
 
 MAX_INLINE_LINES = 200
 MAX_RECURSION_DEPTH = 3
+# The call kinds the inliner may substitute.
+_DYNAMIC = (ast.ApplyKind.USER_FUNCTION, ast.ApplyKind.UNRESOLVED)
 
 
 class Inliner:
@@ -51,7 +53,15 @@ class Inliner:
         # runtime; the inliner runs before disambiguation, so it must not
         # inline anything a local assignment could shadow.
         self._caller_assigned = _assigned_names(fn.body) | set(fn.params)
-        clone.body = self._inline_body(clone.body, {fn.name: 1})
+        depth_map = {fn.name: 1}
+        # With no eligible callee the rewrite maps every node to itself:
+        # skip it, asking only about the calls it would ask about (a lookup
+        # may parse a unit).  The copy stays: disambiguation annotates it.
+        asked: list[ast.Apply] = []
+        _asked(fn.body, asked)
+        if any(self._eligible(call.name, len(call.args), depth_map)
+               for call in asked):
+            clone.body = self._inline_body(clone.body, depth_map)
         return clone
 
     # ------------------------------------------------------------------
@@ -175,7 +185,7 @@ class Inliner:
         """Inline ``x = f(...)`` without a temporary."""
         if stmt.target.is_indexed or not isinstance(value, ast.Apply):
             return None
-        if value.kind not in (ast.ApplyKind.USER_FUNCTION, ast.ApplyKind.UNRESOLVED):
+        if value.kind not in _DYNAMIC:
             return None
         callee = self._eligible(value.name, len(value.args), depth_map)
         if callee is None or not callee.outputs:
@@ -220,10 +230,7 @@ class Inliner:
         def rewrite(node: ast.Expr, is_top: bool, frozen: bool = False) -> ast.Expr:
             if isinstance(node, ast.Apply):
                 node.args = each(node.args, frozen)
-                if not frozen and not is_top and node.kind in (
-                    ast.ApplyKind.USER_FUNCTION,
-                    ast.ApplyKind.UNRESOLVED,
-                ):
+                if not frozen and not is_top and node.kind in _DYNAMIC:
                     callee = self._eligible(node.name, len(node.args), depth_map)
                     if callee is not None and callee.outputs:
                         temp = self._fresh(f"t_{node.name}")
@@ -335,6 +342,60 @@ def _has_blockers(fn: ast.FunctionDef) -> bool:
         if isinstance(stmt, ast.Return) and stmt is not tail:
             return True
     return returns_in(fn.body, False)
+
+
+def _asked(body: list[ast.Stmt], out: list[ast.Apply]) -> None:
+    """Append the calls the rewrite asks :meth:`Inliner._eligible` about,
+    in its order, while none is eligible (nothing is hoisted or pinned)."""
+    for stmt in body:
+        if isinstance(stmt, ast.Assign):
+            _asked_in(stmt.value, out, top=True)
+            for index in stmt.target.indices or ():
+                _asked_in(index, out)
+            if (not stmt.target.is_indexed and isinstance(stmt.value, ast.Apply)
+                    and stmt.value.kind in _DYNAMIC):
+                out.append(stmt.value)  # ``_try_direct_inline``
+        elif isinstance(stmt, ast.MultiAssign):
+            if isinstance(stmt.call, ast.Apply):
+                out.append(stmt.call)
+        elif isinstance(stmt, ast.ExprStmt):
+            _asked_in(stmt.value, out)
+        elif isinstance(stmt, ast.If):
+            _asked_in(stmt.branches[0][0], out)  # not an ``elseif``
+            for _, branch in stmt.branches:
+                _asked(branch, out)
+            _asked(stmt.orelse, out)
+        elif isinstance(stmt, ast.While):  # not its condition
+            _asked(stmt.body, out)
+        elif isinstance(stmt, ast.For):
+            _asked_in(stmt.iterable, out)
+            _asked(stmt.body, out)
+
+
+def _asked_in(expr: ast.Expr, out: list[ast.Apply], top: bool = False,
+              frozen: bool = False) -> bool:
+    """:func:`_asked` within one expression, as ``_hoist_calls`` walks it;
+    returns :func:`_positional` of ``expr``."""
+    if isinstance(expr, ast.Apply):
+        operands = expr.args
+    elif isinstance(expr, ast.BinaryOp):
+        operands = [expr.left, expr.right]
+    elif isinstance(expr, (ast.UnaryOp, ast.Transpose)):
+        operands = [expr.operand]
+    elif isinstance(expr, ast.Range):
+        operands = [expr.start, expr.step, expr.stop]
+    elif isinstance(expr, ast.MatrixLit):
+        operands = [e for row in expr.rows for e in row]
+    else:
+        return isinstance(expr, (ast.EndMarker, ast.ColonAll))
+    positional = False
+    for operand in operands:
+        if operand is not None:  # a range without a step
+            positional |= _asked_in(operand, out, False, frozen or positional)
+    if (isinstance(expr, ast.Apply) and not frozen and not top
+            and expr.kind in _DYNAMIC):
+        out.append(expr)
+    return positional
 
 
 def _positional(expr: ast.Expr) -> bool:

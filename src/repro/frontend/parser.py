@@ -16,34 +16,46 @@ MATLAB 6 semantics for everything the paper's benchmarks exercise:
 
 from __future__ import annotations
 
-from repro.errors import ParseError
+from repro.errors import ParseError, SourceLocation
 from repro.frontend import ast_nodes as ast
 from repro.frontend.lexer import tokenize
-from repro.frontend.tokens import Token, TokenKind
+from repro.frontend.tokens import (
+    AND, ANDAND, ASSIGN, BACKSLASH, CARET, COLON, COMMA, DOT_BACKSLASH,
+    DOT_CARET, DOT_QUOTE, DOT_SLASH, DOT_STAR, EOF, EQ, GE, GT, IDENT,
+    IMAGINARY, KEYWORD, LBRACKET, LE, LPAREN, LT, MINUS, NE, NEWLINE, NOT,
+    NUMBER, OR, OROR, PLUS, QUOTE, RBRACKET, RPAREN, SEMICOLON, SLASH, STAR,
+    STRING, Token, TokenKind,
+)
 
 # Binary operators by precedence level (higher binds tighter), in the two
 # bands colon ranges separate: the loose band's operands are ranges, and
 # the tight band's (additive, multiplicative) are unary expressions.
-# Unary operators, power and postfix transposes have functions of their own.
+# Unary operators, power and postfix transposes have tables of their own.
 _LOOSE: dict[TokenKind, int] = {
-    TokenKind.OROR: 1,
-    TokenKind.ANDAND: 2,
-    TokenKind.OR: 3,
-    TokenKind.AND: 4,
-    TokenKind.EQ: 5, TokenKind.NE: 5, TokenKind.LT: 5, TokenKind.LE: 5,
-    TokenKind.GT: 5, TokenKind.GE: 5,
+    OROR: 1, ANDAND: 2, OR: 3, AND: 4,
+    EQ: 5, NE: 5, LT: 5, LE: 5, GT: 5, GE: 5,
 }
 _TIGHT: dict[TokenKind, int] = {
-    TokenKind.PLUS: 1, TokenKind.MINUS: 1,
-    TokenKind.STAR: 2, TokenKind.SLASH: 2, TokenKind.BACKSLASH: 2,
-    TokenKind.DOT_STAR: 2, TokenKind.DOT_SLASH: 2, TokenKind.DOT_BACKSLASH: 2,
+    PLUS: 1, MINUS: 1,
+    STAR: 2, SLASH: 2, BACKSLASH: 2, DOT_STAR: 2, DOT_SLASH: 2,
+    DOT_BACKSLASH: 2,
 }
+_UNARY = {
+    MINUS: ast.UnaryKind.NEG, PLUS: ast.UnaryKind.POS, NOT: ast.UnaryKind.NOT,
+}
+_TRANSPOSES = {QUOTE: True, DOT_QUOTE: False}  # kind -> conjugate
 
-_SEPARATORS = (TokenKind.NEWLINE, TokenKind.SEMICOLON, TokenKind.COMMA)
+_SEPARATORS = frozenset({NEWLINE, SEMICOLON, COMMA})
+# Keywords that close a statement list.
+_BLOCK_ENDS = frozenset({"end", "elseif", "else", "otherwise", "case"})
 
 
 class Parser:
-    """One-token-lookahead recursive-descent parser."""
+    """One-token-lookahead recursive-descent parser.
+
+    The hot paths read ``self.tokens[self.index]`` and step ``self.index``
+    themselves; the closing EOF token is never stepped over.
+    """
 
     def __init__(self, tokens: list[Token], source: str = "", filename: str = "<input>"):
         self.tokens = tokens
@@ -57,54 +69,46 @@ class Parser:
     # ------------------------------------------------------------------
     # Token plumbing
     # ------------------------------------------------------------------
-    def peek(self, offset: int = 0) -> Token:
-        if offset:
-            return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
-        # ``advance`` never moves past the closing EOF token.
-        return self.tokens[self.index]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.index]
-        if self.index < len(self.tokens) - 1:
-            self.index += 1
-        return token
-
-    def check(self, kind: TokenKind) -> bool:
-        return self.tokens[self.index].kind is kind
-
-    def accept(self, kind: TokenKind) -> Token | None:
-        if self.check(kind):
-            return self.advance()
-        return None
+    def accept(self, kind: TokenKind) -> bool:
+        if self.tokens[self.index].kind is kind:
+            self.index += 1  # ``kind`` is never EOF
+            return True
+        return False
 
     def expect(self, kind: TokenKind, what: str = "") -> Token:
-        if not self.check(kind):
-            token = self.peek()
+        token = self.tokens[self.index]
+        if token.kind is not kind:
             raise ParseError(
                 f"expected {what or kind.value!r}, found {token.text!r}",
                 token.location,
             )
-        return self.advance()
+        self.index += 1
+        return token
 
-    def accept_kw(self, word: str) -> bool:
-        if self.peek().is_kw(word):
-            self.advance()
-            return True
-        return False
+    def _at_keyword(self, word: str) -> bool:
+        token = self.tokens[self.index]
+        return token.kind is KEYWORD and token.text == word
 
     def expect_kw(self, word: str) -> None:
-        if not self.accept_kw(word):
-            token = self.peek()
+        if not self._at_keyword(word):
+            token = self.tokens[self.index]
             raise ParseError(
                 f"expected '{word}', found {token.text!r}", token.location
             )
+        self.index += 1
+
+    def _keyword_location(self) -> SourceLocation:
+        """Step over the keyword a statement was dispatched on; where it is."""
+        self.index += 1
+        return self.tokens[self.index - 1].location
 
     def _skip_separators(self) -> None:
-        while self.peek().kind in _SEPARATORS:
-            self.advance()
+        tokens = self.tokens
+        while tokens[self.index].kind in _SEPARATORS:
+            self.index += 1
 
     def at_eof(self) -> bool:
-        return self.check(TokenKind.EOF)
+        return self.tokens[self.index].kind is EOF
 
     # ------------------------------------------------------------------
     # Top level
@@ -112,51 +116,52 @@ class Parser:
     def parse_program(self) -> ast.Program:
         self._skip_separators()
         program = ast.Program(source=self.source, filename=self.filename)
-        if self.peek().is_kw("function"):
+        if self._at_keyword("function"):
             while not self.at_eof():
                 program.functions.append(self.parse_function())
                 self._skip_separators()
         else:
             program.script = self.parse_statements(stop_keywords=frozenset())
             if not self.at_eof():
-                token = self.peek()
+                token = self.tokens[self.index]
                 raise ParseError(
                     f"unexpected {token.text!r} at top level", token.location
                 )
         return program
 
     def parse_function(self) -> ast.FunctionDef:
-        location = self.peek().location
+        location = self.tokens[self.index].location
         self.expect_kw("function")
         outputs: list[str] = []
         # Three header shapes: f(...), o = f(...), [o1, o2] = f(...)
-        if self.accept(TokenKind.LBRACKET):
-            while not self.check(TokenKind.RBRACKET):
-                outputs.append(self.expect(TokenKind.IDENT, "output name").text)
-                if not self.accept(TokenKind.COMMA):
+        if self.accept(LBRACKET):
+            while self.tokens[self.index].kind is not RBRACKET:
+                outputs.append(self.expect(IDENT, "output name").text)
+                if not self.accept(COMMA):
                     break
-            self.expect(TokenKind.RBRACKET)
-            self.expect(TokenKind.ASSIGN)
-            name = self.expect(TokenKind.IDENT, "function name").text
+            self.expect(RBRACKET)
+            self.expect(ASSIGN)
+            name = self.expect(IDENT, "function name").text
         else:
-            first = self.expect(TokenKind.IDENT, "function name").text
-            if self.accept(TokenKind.ASSIGN):
+            first = self.expect(IDENT, "function name").text
+            if self.accept(ASSIGN):
                 outputs = [first]
-                name = self.expect(TokenKind.IDENT, "function name").text
+                name = self.expect(IDENT, "function name").text
             else:
                 name = first
         params: list[str] = []
-        if self.accept(TokenKind.LPAREN):
-            while not self.check(TokenKind.RPAREN):
-                params.append(self.expect(TokenKind.IDENT, "parameter").text)
-                if not self.accept(TokenKind.COMMA):
+        if self.accept(LPAREN):
+            while self.tokens[self.index].kind is not RPAREN:
+                params.append(self.expect(IDENT, "parameter").text)
+                if not self.accept(COMMA):
                     break
-            self.expect(TokenKind.RPAREN)
+            self.expect(RPAREN)
         body = self.parse_statements(
             stop_keywords=frozenset({"function", "end"})
         )
         # Optional `end` that terminates the function definition.
-        self.accept_kw("end")
+        if self._at_keyword("end"):
+            self.index += 1
         return ast.FunctionDef(
             name=name, params=params, outputs=outputs, body=body,
             location=location,
@@ -166,38 +171,32 @@ class Parser:
     # Statements
     # ------------------------------------------------------------------
     def parse_statements(self, stop_keywords: frozenset[str]) -> list[ast.Stmt]:
-        stop = stop_keywords | {"elseif", "else", "otherwise", "case"}
+        """Statements up to EOF or a keyword that ends the list: ``end``
+        always (a caller that takes it consumes it), ``elseif`` / ``else``
+        / ``otherwise`` / ``case``, and ``stop_keywords``."""
+        stop = stop_keywords | _BLOCK_ENDS
+        tokens = self.tokens
         body: list[ast.Stmt] = []
         self._skip_separators()
-        while not self.at_eof():
-            token = self.peek()
-            if token.is_keyword and token.text in stop:
-                break
-            if token.is_kw("end") and "end" not in stop_keywords:
-                break
+        while True:
+            token = tokens[self.index]
+            if token.kind is EOF or (
+                token.kind is KEYWORD and token.text in stop
+            ):
+                return body
             body.append(self.parse_statement())
             self._skip_separators()
-        return body
 
     def parse_statement(self) -> ast.Stmt:
-        token = self.peek()
-        if token.is_keyword:
-            handler = {
-                "if": self._parse_if,
-                "while": self._parse_while,
-                "for": self._parse_for,
-                "break": self._parse_break,
-                "continue": self._parse_continue,
-                "return": self._parse_return,
-                "global": self._parse_global,
-                "clear": self._parse_clear,
-            }.get(token.text)
+        token = self.tokens[self.index]
+        if token.kind is KEYWORD:
+            handler = self._KEYWORD_STATEMENTS.get(token.text)
             if handler is None:
                 raise ParseError(
                     f"unexpected keyword '{token.text}'", token.location
                 )
-            return handler()
-        if token.kind is TokenKind.LBRACKET:
+            return handler(self)
+        if token.kind is LBRACKET:
             multi = self._try_parse_multi_assign()
             if multi is not None:
                 return multi
@@ -205,26 +204,27 @@ class Parser:
 
     def _statement_display_flag(self) -> bool:
         """Consume the statement terminator; ``;`` suppresses display."""
-        if self.accept(TokenKind.SEMICOLON):
+        token = self.tokens[self.index]
+        kind = token.kind
+        if kind is SEMICOLON:
+            self.index += 1
             return False
-        if self.peek().kind in (TokenKind.NEWLINE, TokenKind.COMMA, TokenKind.EOF):
-            if not self.at_eof():
-                self.advance()
+        if kind is NEWLINE or kind is COMMA:
+            self.index += 1
             return True
-        # Statements directly followed by a block keyword (e.g. `end`).
-        if self.peek().is_keyword:
+        # At EOF, or directly followed by a block keyword (e.g. `end`).
+        if kind is EOF or kind is KEYWORD:
             return True
-        token = self.peek()
         raise ParseError(
             f"expected end of statement, found {token.text!r}", token.location
         )
 
     def _parse_expression_statement(self) -> ast.Stmt:
-        location = self.peek().location
+        location = self.tokens[self.index].location
         expr = self.parse_expression()
-        if self.check(TokenKind.ASSIGN):
+        if self.tokens[self.index].kind is ASSIGN:
             target = self._expr_to_lvalue(expr)
-            self.advance()
+            self.index += 1
             value = self.parse_expression()
             display = self._statement_display_flag()
             return ast.Assign(
@@ -244,39 +244,39 @@ class Parser:
 
     def _try_parse_multi_assign(self) -> ast.MultiAssign | None:
         """Attempt ``[a, b] = f(...)``; backtrack if it is a matrix literal."""
+        tokens = self.tokens
         saved = self.index
-        location = self.peek().location
-        self.advance()  # consume '['
+        self.index += 1  # consume '['
         targets: list[ast.LValue] = []
         while True:
-            if not self.check(TokenKind.IDENT):
+            token = tokens[self.index]
+            if token.kind is not IDENT:
                 self.index = saved
                 return None
-            name = self.advance().text
+            self.index += 1
             indices: list[ast.Expr] | None = None
-            if self.check(TokenKind.LPAREN):
+            if tokens[self.index].kind is LPAREN:
                 try:
                     indices = self._parse_subscript_args()
                 except ParseError:
                     self.index = saved
                     return None
-            targets.append(ast.LValue(name=name, indices=indices))
-            if self.accept(TokenKind.COMMA):
-                continue
-            break
-        if not (self.accept(TokenKind.RBRACKET) and self.check(TokenKind.ASSIGN)):
+            targets.append(ast.LValue(name=token.text, indices=indices))
+            if not self.accept(COMMA):
+                break
+        if not (self.accept(RBRACKET) and tokens[self.index].kind is ASSIGN):
             self.index = saved
             return None
-        self.advance()  # '='
+        self.index += 1  # '='
         call = self.parse_expression()
         display = self._statement_display_flag()
         return ast.MultiAssign(
-            targets=targets, call=call, display=display, location=location
+            targets=targets, call=call, display=display,
+            location=tokens[saved].location,
         )
 
     def _parse_if(self) -> ast.Stmt:
-        location = self.peek().location
-        self.expect_kw("if")
+        location = self._keyword_location()
         branches: list[tuple[ast.Expr, list[ast.Stmt]]] = []
         cond = self.parse_expression()
         self._skip_separators()
@@ -284,12 +284,14 @@ class Parser:
         branches.append((cond, body))
         orelse: list[ast.Stmt] = []
         while True:
-            if self.accept_kw("elseif"):
+            if self._at_keyword("elseif"):
+                self.index += 1
                 cond = self.parse_expression()
                 self._skip_separators()
                 branches.append((cond, self.parse_statements(frozenset())))
                 continue
-            if self.accept_kw("else"):
+            if self._at_keyword("else"):
+                self.index += 1
                 self._skip_separators()
                 orelse = self.parse_statements(frozenset())
             break
@@ -297,8 +299,7 @@ class Parser:
         return ast.If(branches=branches, orelse=orelse, location=location)
 
     def _parse_while(self) -> ast.Stmt:
-        location = self.peek().location
-        self.expect_kw("while")
+        location = self._keyword_location()
         cond = self.parse_expression()
         self._skip_separators()
         body = self.parse_statements(frozenset())
@@ -306,10 +307,9 @@ class Parser:
         return ast.While(cond=cond, body=body, location=location)
 
     def _parse_for(self) -> ast.Stmt:
-        location = self.peek().location
-        self.expect_kw("for")
-        var = self.expect(TokenKind.IDENT, "loop variable").text
-        self.expect(TokenKind.ASSIGN)
+        location = self._keyword_location()
+        var = self.expect(IDENT, "loop variable").text
+        self.expect(ASSIGN)
         iterable = self.parse_expression()
         self._skip_separators()
         body = self.parse_statements(frozenset())
@@ -317,41 +317,47 @@ class Parser:
         return ast.For(var=var, iterable=iterable, body=body, location=location)
 
     def _parse_break(self) -> ast.Stmt:
-        location = self.peek().location
-        self.expect_kw("break")
+        location = self._keyword_location()
         self._statement_display_flag()
         return ast.Break(location=location)
 
     def _parse_continue(self) -> ast.Stmt:
-        location = self.peek().location
-        self.expect_kw("continue")
+        location = self._keyword_location()
         self._statement_display_flag()
         return ast.Continue(location=location)
 
     def _parse_return(self) -> ast.Stmt:
-        location = self.peek().location
-        self.expect_kw("return")
+        location = self._keyword_location()
         self._statement_display_flag()
         return ast.Return(location=location)
 
     def _parse_global(self) -> ast.Stmt:
-        location = self.peek().location
-        self.expect_kw("global")
+        location = self._keyword_location()
         names = []
-        while self.check(TokenKind.IDENT):
-            names.append(self.advance().text)
-            self.accept(TokenKind.COMMA)
+        while self.tokens[self.index].kind is IDENT:
+            names.append(self.expect(IDENT).text)
+            self.accept(COMMA)
         self._statement_display_flag()
         return ast.Global(names=names, location=location)
 
     def _parse_clear(self) -> ast.Stmt:
-        location = self.peek().location
-        self.expect_kw("clear")
+        location = self._keyword_location()
         names = []
-        while self.check(TokenKind.IDENT):
-            names.append(self.advance().text)
+        while self.tokens[self.index].kind is IDENT:
+            names.append(self.expect(IDENT).text)
         self._statement_display_flag()
         return ast.Clear(names=names, location=location)
+
+    _KEYWORD_STATEMENTS = {
+        "if": _parse_if,
+        "while": _parse_while,
+        "for": _parse_for,
+        "break": _parse_break,
+        "continue": _parse_continue,
+        "return": _parse_return,
+        "global": _parse_global,
+        "clear": _parse_clear,
+    }
 
     # ------------------------------------------------------------------
     # Expressions
@@ -379,15 +385,19 @@ class Parser:
     def _parse_range(self) -> ast.Expr:
         """Colon level: ``a : b`` and ``a : s : b``."""
         start = self._parse_tight(1)
-        if not self.check(TokenKind.COLON):
+        tokens = self.tokens
+        colon = tokens[self.index]
+        if colon.kind is not COLON:
             return start
-        location = self.advance().location
+        self.index += 1
         second = self._parse_tight(1)
-        if self.check(TokenKind.COLON):
-            self.advance()
+        if tokens[self.index].kind is COLON:
+            self.index += 1
             stop = self._parse_tight(1)
-            return ast.Range(start=start, step=second, stop=stop, location=location)
-        return ast.Range(start=start, stop=second, location=location)
+            return ast.Range(
+                start=start, step=second, stop=stop, location=colon.location
+            )
+        return ast.Range(start=start, stop=second, location=colon.location)
 
     def _parse_tight(self, min_level: int) -> ast.Expr:
         """Additive and multiplicative operators over unary expressions:
@@ -406,146 +416,129 @@ class Parser:
             )
 
     def _parse_unary(self) -> ast.Expr:
-        token = self.peek()
-        if token.kind is TokenKind.MINUS:
-            self.advance()
-            return ast.UnaryOp(
-                op=ast.UnaryKind.NEG, operand=self._parse_unary(),
-                location=token.location,
-            )
-        if token.kind is TokenKind.PLUS:
-            self.advance()
-            return ast.UnaryOp(
-                op=ast.UnaryKind.POS, operand=self._parse_unary(),
-                location=token.location,
-            )
-        if token.kind is TokenKind.NOT:
-            self.advance()
-            return ast.UnaryOp(
-                op=ast.UnaryKind.NOT, operand=self._parse_unary(),
-                location=token.location,
-            )
-        return self._parse_power()
+        token = self.tokens[self.index]
+        op = _UNARY.get(token.kind)
+        if op is None:
+            return self._parse_power()
+        self.index += 1
+        return ast.UnaryOp(
+            op=op, operand=self._parse_unary(), location=token.location
+        )
 
     def _parse_power(self) -> ast.Expr:
-        base = self._parse_postfix()
-        token = self.peek()
-        if token.kind in (TokenKind.CARET, TokenKind.DOT_CARET):
-            self.advance()
-            # MATLAB power is left-associative; exponent may be unary.
-            exponent = self._parse_power_operand()
+        """``^`` and ``.^`` over postfix expressions; MATLAB power is
+        left-associative, and an exponent may be unary."""
+        result = self._parse_postfix()
+        tokens = self.tokens
+        token = tokens[self.index]
+        while token.kind is CARET or token.kind is DOT_CARET:
+            self.index += 1
             result = ast.BinaryOp(
-                op=token.text, left=base, right=exponent, location=token.location
+                op=token.text, left=result,
+                right=self._parse_power_operand(), location=token.location,
             )
-            while self.peek().kind in (TokenKind.CARET, TokenKind.DOT_CARET):
-                op_token = self.advance()
-                result = ast.BinaryOp(
-                    op=op_token.text,
-                    left=result,
-                    right=self._parse_power_operand(),
-                    location=op_token.location,
-                )
-            return result
-        return base
+            token = tokens[self.index]
+        return result
 
     def _parse_power_operand(self) -> ast.Expr:
-        token = self.peek()
-        if token.kind in (TokenKind.MINUS, TokenKind.PLUS, TokenKind.NOT):
-            self.advance()
-            kind = {
-                TokenKind.MINUS: ast.UnaryKind.NEG,
-                TokenKind.PLUS: ast.UnaryKind.POS,
-                TokenKind.NOT: ast.UnaryKind.NOT,
-            }[token.kind]
-            return ast.UnaryOp(
-                op=kind, operand=self._parse_power_operand(),
-                location=token.location,
-            )
-        return self._parse_postfix()
+        token = self.tokens[self.index]
+        op = _UNARY.get(token.kind)
+        if op is None:
+            return self._parse_postfix()
+        self.index += 1
+        return ast.UnaryOp(
+            op=op, operand=self._parse_power_operand(), location=token.location
+        )
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            token = self.peek()
-            if token.kind is TokenKind.QUOTE:
-                self.advance()
-                expr = ast.Transpose(
-                    operand=expr, conjugate=True, location=token.location
-                )
-            elif token.kind is TokenKind.DOT_QUOTE:
-                self.advance()
-                expr = ast.Transpose(
-                    operand=expr, conjugate=False, location=token.location
-                )
-            else:
+            token = tokens[self.index]
+            conjugate = _TRANSPOSES.get(token.kind)
+            if conjugate is None:
                 return expr
+            self.index += 1
+            expr = ast.Transpose(
+                operand=expr, conjugate=conjugate, location=token.location
+            )
 
     def _parse_primary(self) -> ast.Expr:
-        token = self.peek()
-        if token.kind is TokenKind.NUMBER:
-            self.advance()
-            return ast.Number(value=float(token.text), location=token.location)
-        if token.kind is TokenKind.IMAGINARY:
-            self.advance()
-            return ast.ImagNumber(value=float(token.text), location=token.location)
-        if token.kind is TokenKind.STRING:
-            self.advance()
-            return ast.StringLit(text=token.text, location=token.location)
-        if token.kind is TokenKind.IDENT:
-            self.advance()
-            if self.check(TokenKind.LPAREN):
+        token = self.tokens[self.index]
+        kind = token.kind
+        if kind is IDENT:
+            self.index += 1
+            if self.tokens[self.index].kind is LPAREN:
                 args = self._parse_subscript_args()
                 return ast.Apply(name=token.text, args=args, location=token.location)
             return ast.Ident(name=token.text, location=token.location)
-        if token.is_kw("end") and self._subscript_depth > 0:
-            self.advance()
+        if kind is NUMBER:
+            self.index += 1
+            return ast.Number(value=float(token.text), location=token.location)
+        if kind is IMAGINARY:
+            self.index += 1
+            return ast.ImagNumber(value=float(token.text), location=token.location)
+        if kind is STRING:
+            self.index += 1
+            return ast.StringLit(text=token.text, location=token.location)
+        if kind is KEYWORD and token.text == "end" and self._subscript_depth:
+            self.index += 1
             return ast.EndMarker(location=token.location)
-        if token.kind is TokenKind.LPAREN:
-            self.advance()
+        if kind is LPAREN:
+            self.index += 1
             inner = self.parse_expression()
-            self.expect(TokenKind.RPAREN)
+            self.expect(RPAREN)
             return inner
-        if token.kind is TokenKind.LBRACKET:
+        if kind is LBRACKET:
             return self._parse_matrix()
         raise ParseError(f"unexpected token {token.text!r}", token.location)
 
     def _parse_subscript_args(self) -> list[ast.Expr]:
-        """Parse ``( ... )`` where ``end`` and bare ``:`` are permitted."""
-        self.expect(TokenKind.LPAREN)
+        """Parse ``( ... )`` where ``end`` and bare ``:`` are permitted;
+        the caller has seen the ``(``."""
+        tokens = self.tokens
+        self.index += 1
         self._subscript_depth += 1
         args: list[ast.Expr] = []
         try:
-            if not self.check(TokenKind.RPAREN):
+            if tokens[self.index].kind is not RPAREN:
                 while True:
-                    if self.check(TokenKind.COLON) and self.peek(1).kind in (
-                        TokenKind.COMMA,
-                        TokenKind.RPAREN,
-                    ):
-                        location = self.advance().location
-                        args.append(ast.ColonAll(location=location))
+                    token = tokens[self.index]
+                    if token.kind is COLON and \
+                            tokens[self.index + 1].kind in (COMMA, RPAREN):
+                        self.index += 1
+                        args.append(ast.ColonAll(location=token.location))
                     else:
                         args.append(self.parse_expression())
-                    if not self.accept(TokenKind.COMMA):
+                    if tokens[self.index].kind is not COMMA:
                         break
-            self.expect(TokenKind.RPAREN)
+                    self.index += 1
+            self.expect(RPAREN)
         finally:
             self._subscript_depth -= 1
         return args
 
     def _parse_matrix(self) -> ast.Expr:
-        location = self.expect(TokenKind.LBRACKET).location
+        """Parse ``[ ... ]``; the caller has seen the ``[``."""
+        tokens = self.tokens
+        location = tokens[self.index].location
+        self.index += 1
         rows: list[list[ast.Expr]] = []
         current: list[ast.Expr] = []
-        while not self.check(TokenKind.RBRACKET):
-            if self.accept(TokenKind.SEMICOLON) or self.accept(TokenKind.NEWLINE):
+        while True:
+            kind = tokens[self.index].kind
+            if kind is RBRACKET:
+                break
+            if kind is SEMICOLON or kind is NEWLINE:
+                self.index += 1
                 if current:
                     rows.append(current)
                     current = []
-                continue
-            if self.accept(TokenKind.COMMA):
-                continue
-            current.append(self.parse_expression())
-        self.expect(TokenKind.RBRACKET)
+            elif kind is COMMA:
+                self.index += 1
+            else:
+                current.append(self.parse_expression())
+        self.index += 1
         if current:
             rows.append(current)
         return ast.MatrixLit(rows=rows, location=location)
@@ -571,6 +564,6 @@ def parse_expression(source: str) -> ast.Expr:
     expr = parser.parse_expression()
     parser._skip_separators()
     if not parser.at_eof():
-        token = parser.peek()
+        token = parser.tokens[parser.index]
         raise ParseError(f"trailing input {token.text!r}", token.location)
     return expr

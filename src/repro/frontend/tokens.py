@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.errors import SourceLocation
 
@@ -53,6 +52,21 @@ class TokenKind(enum.Enum):
 
     EOF = "eof"
 
+    # Members compare by identity; hashing by identity too keeps dict and
+    # set lookups keyed on kinds in C (``Enum.__hash__`` is Python code).
+    __hash__ = object.__hash__
+
+
+# Every kind as a module global too: ``TokenKind.IDENT`` goes through the
+# enum's metaclass on each read, and the scanner and parser read kinds once
+# or more per token.  In definition order; ``tests/test_lexer.py`` checks
+# that each name is bound to its own member.
+(NUMBER, IMAGINARY, STRING, IDENT, KEYWORD,
+ PLUS, MINUS, STAR, SLASH, BACKSLASH, CARET,
+ DOT_STAR, DOT_SLASH, DOT_BACKSLASH, DOT_CARET, QUOTE, DOT_QUOTE,
+ EQ, NE, LT, LE, GT, GE, AND, OR, ANDAND, OROR, NOT,
+ ASSIGN, LPAREN, RPAREN, LBRACKET, RBRACKET, COMMA, SEMICOLON, COLON,
+ NEWLINE, EOF) = TokenKind
 
 KEYWORDS = frozenset(
     {
@@ -74,20 +88,26 @@ KEYWORDS = frozenset(
     }
 )
 
-@dataclass(frozen=True)
 class Token:
-    """One lexical token with its source location."""
+    """One lexical token: its kind, its text and where it starts.
 
-    kind: TokenKind
-    text: str
-    location: SourceLocation
+    The :class:`SourceLocation` is built only when something reads
+    :attr:`location` (the parser, once per AST node, and error reports).
+    """
+
+    __slots__ = ("kind", "text", "line", "column", "filename")
+
+    def __init__(self, kind: TokenKind, text: str, line: int, column: int,
+                 filename: str = "<input>"):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+        self.filename = filename
 
     @property
-    def is_keyword(self) -> bool:
-        return self.kind is TokenKind.KEYWORD
-
-    def is_kw(self, word: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.text == word
+    def location(self) -> SourceLocation:
+        return SourceLocation(self.line, self.column, self.filename)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.name}, {self.text!r})"

@@ -403,6 +403,11 @@ class Interpreter:
         # Dynamic resolution (Section 2.1): variable > builtin > function.
         array = env.get(expr.name)
         if array is not None:
+            if (
+                len(expr.args) == 1 and isinstance(expr.args[0], ast.ColonAll)
+                and not array.is_string
+            ):
+                return [ew.mlf_index_all(array)]  # ``A(:)`` is a column
             indices = [
                 self._eval_index(index, array, position, len(expr.args), env)
                 for position, index in enumerate(expr.args)

@@ -171,6 +171,13 @@ STORE_ORDER = (
     "  M(k, k + (rand > 2)) = rand;\nend\n"
     "r = [r M(1, :) M(2, :) M(3, :)];\n"
 )
+COLON_ALL = (
+    "function r = ca(n)\nM = zeros(n, n);\n"
+    "for k = 1:n*n, M(k) = k; end\n"
+    "v = 1:n;\nc = v(:);\n"
+    "r = [size(M(:)) size(c) sum(M(:))];\n"
+    "r = [r M(:)' c'];\n"
+)
 
 
 def _scalar(value):
@@ -242,6 +249,8 @@ def _scalar(value):
 #: a store's value is drawn before its subscript, as the interpreter
 #: does (optimized code passed both to its store helper and drew the
 #: subscript first).
+#: ``colon-all-column``: ``A(:)`` with one subscript is a column, of a
+#: matrix and of a row vector alike (the interpreter gave a row).
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -288,6 +297,7 @@ PROBES = {
     "eager-and-or": Program((EAGER_AND_OR,), "eo", _scalar(1.0)),
     "deep-expression": Program((DEEP_SUM,), "deep", _scalar(2.0)),
     "store-operand-order": Program((STORE_ORDER,), "so", _scalar(3.0)),
+    "colon-all-column": Program((COLON_ALL,), "ca", _scalar(3.0)),
 }
 
 

@@ -1,12 +1,16 @@
 """Inliner tests (Section 2.6.1's inlining rules)."""
 
+import hashlib
+
 import pytest
 
 from repro.backends import Program, observe, reference
-from repro.codegen.inline import Inliner, inline_function
+from repro.codegen.inline import MAX_INLINE_LINES, Inliner, inline_function
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
 from repro.runtime.values import from_python
+
+from .test_parse_golden import dump
 
 
 def table_of(*sources):
@@ -238,3 +242,73 @@ class TestEvaluationOrder:
         )
         for backend in ("fused", "spec", "falcon"):
             assert not reference(program).diff(observe(program, backend))
+
+
+class TestNothingEligible:
+    """With no eligible callee ``run`` returns a plain copy: the rewrite,
+    which would map every node to itself, never runs."""
+
+    BIG = "\n".join(f"a{i} = {i};" for i in range(MAX_INLINE_LINES + 50))
+
+    @pytest.mark.parametrize("sources", [
+        ("function y = main(x)\ny = x * 2;\n",),
+        ("function y = main(x)\ny = sum(x) + mystery(x);\n",),
+        ("function y = main(x)\nhelper = 3;\ny = helper(1) + x;\n",
+         "function z = helper(a)\nz = a * 100;\n"),
+        ("function y = main(x)\ny = big(x);\n",
+         f"function z = big(a)\n{BIG}\nz = a;\n"),
+        ("function y = main(x)\ny = helper(x);\n",
+         "function z = helper(a)\nglobal g\nz = a + g;\n"),
+    ], ids=["no-call", "unknown-callees", "shadowed", "too-long", "blocker"])
+    def test_skip_returns_a_copy_of_the_parse(self, sources, monkeypatch):
+        table = table_of(*sources)
+
+        def entered(*args):
+            raise AssertionError("the rewrite ran")
+
+        monkeypatch.setattr(Inliner, "_inline_body", entered)
+        inliner = Inliner(table.get)
+        result = inliner.run(table["main"])
+        assert result is not table["main"]
+        assert dump(result) == dump(table_of(*sources)["main"])
+        assert inliner.inlined_calls == 0
+        assert inliner.inlined_names == set()
+
+    @pytest.mark.parametrize("body", [
+        "while helper(x) > 0\n  x = x - 1;\nend\ny = x;",
+        "if x > 5\n  y = 1;\nelseif helper(x) > 0\n  y = 2;\nelse\n"
+        "  y = 3;\nend",
+        "y = x(end, helper(1));",
+        "y = x;\ny(2) = helper(x);",
+    ], ids=["while-condition", "elseif-condition", "after-end", "indexed-store"])
+    def test_calls_the_rewrite_never_inlines_are_never_looked_up(
+            self, body, monkeypatch):
+        table = table_of(f"function y = main(x)\n{body}\n",
+                         "function z = helper(a)\nz = a + 1;\n")
+        asked = []
+
+        def lookup(name):
+            asked.append(name)
+            return table.get(name)
+
+        def entered(*args):
+            raise AssertionError("the rewrite ran")
+
+        monkeypatch.setattr(Inliner, "_inline_body", entered)
+        result = Inliner(lookup).run(table["main"])
+        assert "helper" not in asked
+        assert dump(result) == dump(table["main"])
+
+    def test_one_eligible_call_still_inlines(self):
+        table = table_of(
+            "function y = main(x)\ny = 1 + helper(x) * 3;\n",
+            "function z = helper(a)\nz = a + 1;\n",
+        )
+        inliner = Inliner(table.get)
+        result = inliner.run(table["main"])
+        assert inliner.inlined_calls == 1
+        assert inliner.inlined_names == {"helper"}
+        # The rewrite's tree for this call, dumped field by field.
+        assert hashlib.sha256(dump(result).encode()).hexdigest() == (
+            "664cf94a2c6e80a90345ac1e98b32b9b1c5415adeec0abd862d267b34f88e49b"
+        )

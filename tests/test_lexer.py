@@ -1,5 +1,8 @@
 """Scanner tests: token kinds, MATLAB's context-sensitive quirks."""
 
+import re
+import sys
+
 import pytest
 
 from repro.errors import LexError
@@ -208,3 +211,115 @@ class TestKeywords:
         assert where["\n"] == (2, 14)
         assert where["d"] == (3, 2) and where[","] == (3, 3)
         assert where["e"] == (3, 6)
+
+
+def stream(source):
+    """Every token as (kind, text, line, column), EOF included."""
+    return [
+        (t.kind.name, t.text, t.location.line, t.location.column)
+        for t in tokenize(source)
+    ]
+
+
+class TestPinnedStreams:
+    """Kind, text and location of every token on the scanner's edges:
+    non-ASCII letters and digits, number and imaginary boundaries, tabs
+    and CRLF, continuations, and error locations."""
+
+    @pytest.mark.parametrize("source,expected", [
+        # Non-ASCII letters and digits follow ``str.isalpha`` /
+        # ``str.isdigit`` / ``\w``.
+        ("é", [("IDENT", "é", 1, 1), ("EOF", "", 1, 2)]),
+        ("xé1", [("IDENT", "xé1", 1, 1), ("EOF", "", 1, 4)]),
+        ("²", [("NUMBER", "²", 1, 1), ("EOF", "", 1, 2)]),
+        ("٣", [("NUMBER", "٣", 1, 1), ("EOF", "", 1, 2)]),
+        ("1²", [("NUMBER", "1²", 1, 1), ("EOF", "", 1, 3)]),
+        ("x²", [("IDENT", "x²", 1, 1), ("EOF", "", 1, 3)]),
+        (".5i", [("IMAGINARY", ".5", 1, 1), ("EOF", "", 1, 4)]),
+        ("3ix", [("NUMBER", "3", 1, 1), ("IDENT", "ix", 1, 2),
+                 ("EOF", "", 1, 4)]),
+        ("3i_", [("NUMBER", "3", 1, 1), ("IDENT", "i_", 1, 2),
+                 ("EOF", "", 1, 4)]),
+        ("y = 2.5e+3j;\r\n", [
+            ("IDENT", "y", 1, 1), ("ASSIGN", "=", 1, 3),
+            ("IMAGINARY", "2.5e+3", 1, 5), ("SEMICOLON", ";", 1, 12),
+            ("NEWLINE", "\n", 1, 14), ("EOF", "", 2, 1)]),
+        ("x.'", [("IDENT", "x", 1, 1), ("DOT_QUOTE", ".'", 1, 2),
+                 ("EOF", "", 1, 4)]),
+        ("x(end)'", [
+            ("IDENT", "x", 1, 1), ("LPAREN", "(", 1, 2),
+            ("KEYWORD", "end", 1, 3), ("RPAREN", ")", 1, 6),
+            ("QUOTE", "'", 1, 7), ("EOF", "", 1, 8)]),
+        ("a\t=\tb'", [
+            ("IDENT", "a", 1, 1), ("ASSIGN", "=", 1, 3),
+            ("IDENT", "b", 1, 5), ("QUOTE", "'", 1, 6), ("EOF", "", 1, 7)]),
+        ("[1 \t2]", [
+            ("LBRACKET", "[", 1, 1), ("NUMBER", "1", 1, 2),
+            ("COMMA", ",", 1, 3), ("NUMBER", "2", 1, 5),
+            ("RBRACKET", "]", 1, 6), ("EOF", "", 1, 7)]),
+        ("a = 1;\r\nb = 2;\r\n", [
+            ("IDENT", "a", 1, 1), ("ASSIGN", "=", 1, 3),
+            ("NUMBER", "1", 1, 5), ("SEMICOLON", ";", 1, 6),
+            ("NEWLINE", "\n", 1, 8), ("IDENT", "b", 2, 1),
+            ("ASSIGN", "=", 2, 3), ("NUMBER", "2", 2, 5),
+            ("SEMICOLON", ";", 2, 6), ("NEWLINE", "\n", 2, 8),
+            ("EOF", "", 3, 1)]),
+        ("[a\r\nb]", [
+            ("LBRACKET", "[", 1, 1), ("IDENT", "a", 1, 2),
+            ("SEMICOLON", ";", 1, 4), ("IDENT", "b", 2, 1),
+            ("RBRACKET", "]", 2, 2), ("EOF", "", 2, 3)]),
+        # A continuation inside brackets, and after a string.
+        ("[1 ...\n 2]", [
+            ("LBRACKET", "[", 1, 1), ("NUMBER", "1", 1, 2),
+            ("COMMA", ",", 2, 1), ("NUMBER", "2", 2, 2),
+            ("RBRACKET", "]", 2, 3), ("EOF", "", 2, 4)]),
+        ("[a' ...\r\n b]", [
+            ("LBRACKET", "[", 1, 1), ("IDENT", "a", 1, 2),
+            ("QUOTE", "'", 1, 3), ("COMMA", ",", 2, 1),
+            ("IDENT", "b", 2, 2), ("RBRACKET", "]", 2, 3),
+            ("EOF", "", 2, 4)]),
+        ("['ab' ...\n 'cd']", [
+            ("LBRACKET", "[", 1, 1), ("STRING", "ab", 1, 2),
+            ("COMMA", ",", 2, 1), ("STRING", "cd", 2, 2),
+            ("RBRACKET", "]", 2, 6), ("EOF", "", 2, 7)]),
+        ("s = 'ab' ...\n+ 1", [
+            ("IDENT", "s", 1, 1), ("ASSIGN", "=", 1, 3),
+            ("STRING", "ab", 1, 5), ("PLUS", "+", 2, 1),
+            ("NUMBER", "1", 2, 3), ("EOF", "", 2, 4)]),
+    ])
+    def test_stream(self, source, expected):
+        assert stream(source) == expected
+
+    @pytest.mark.parametrize("source,message,line,column", [
+        ("1.e3", "unexpected character '.'", 1, 2),
+        ("1..2", "unexpected character '.'", 1, 2),
+        ("x = ½", "unexpected character '½'", 1, 5),
+        ("a = 1 + ...\n2;\nb = ...\n  c $", "unexpected character '$'", 4, 5),
+        ("a = ...\n1;\nb = 'oops\n", "unterminated string literal", 3, 5),
+        ("a = ...\n1;\nb = 'it''s\nc = 1;", "unterminated string literal",
+         3, 5),
+    ])
+    def test_error(self, source, message, line, column):
+        with pytest.raises(LexError) as info:
+            tokenize(source)
+        assert str(info.value) == f"<input>:{line}:{column}: {message}"
+        location = info.value.location
+        assert (location.line, location.column) == (line, column)
+
+
+def test_digit_class_is_str_isdigit():
+    """The scanner's digit class is ``str.isdigit``, code point for code
+    point, on the running Python's Unicode tables."""
+    # A private name, imported here so the pinned rows above run against
+    # any scanner.
+    from repro.frontend.lexer import _DIGIT
+
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(_DIGIT, every) == [c for c in every if c.isdigit()]
+
+
+def test_kind_globals_name_their_own_members():
+    from repro.frontend import tokens
+
+    for name, kind in TokenKind.__members__.items():
+        assert getattr(tokens, name) is kind

@@ -197,6 +197,26 @@ def test_a_later_unit_redefines_a_callee_of_a_lazy_unit(tmp_path, front_end):
         _program("f", UNIT_FG)).outputs
 
 
+def test_preparing_a_caller_parses_no_callee_it_would_not_inline(
+        tmp_path, front_end):
+    """A callee named only in a ``while`` condition is never inlined, so
+    preparing a changed caller over a warm cache leaves its unit
+    unparsed: the inliner looks up only the calls its rewrite would ask
+    about."""
+    callee = "function y = f(x)\ny = x - 1;\n"
+    caller = ("function r = g(x)\nr = 0;\nwhile f(x) > 0\n"
+              "  x = x - 1;\n  r = r + 1;\nend\n")
+    _fill(_program("g", callee, caller, args=(5.0,)), tmp_path)
+    program = _program("g", callee, caller + "% changed\n", args=(5.0,))
+    expected = backends.reference(program)
+    front_end.clear()
+    with backends.open(program, "fused", cache_dir=tmp_path) as warm:
+        assert warm.call() == expected
+        assert warm.session.stats.jit_compiles == 1
+    assert front_end["Inliner.run"] == 1
+    assert front_end["Parser.parse_program"] == 1  # the changed caller
+
+
 def test_redefining_a_callee_after_a_warm_hit_purges_the_caller(tmp_path):
     program = _program("outer", OUTER, INNER)
     _fill(program, tmp_path)
