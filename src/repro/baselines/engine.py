@@ -37,7 +37,9 @@ class BaselineEngine:
             sink=self.sink,
             call_dispatcher=self._dispatch,
         )
-        self._rt = RuntimeSupport(call_user=self._call_user, sink=self.sink)
+        self._rt = RuntimeSupport(
+            call_user=self._call_user, sink=self.sink, knows=self.knows
+        )
 
     # ------------------------------------------------------------------
     def add_source(self, text: str) -> list[str]:

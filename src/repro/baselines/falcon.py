@@ -7,8 +7,8 @@ from there" (Section 4) — which gives it type information equivalent to
 the actual invocation's signature.  Its code quality comes from the native
 Fortran compiler ("FALCON relies heavily on the native Fortran compiler to
 generate good code"), so it inherits the platform's native optimization
-level but *not* MaJIC's own selection tricks (small-vector unrolling,
-pre-allocated temporaries, dgemv fusion).
+level but *not* MaJIC's own selection tricks (small-vector unrolling and
+scalar replacement, dgemv fusion).
 
 Per the paper's methodology, subscript checks are eliminated wherever safe
 (we run the same range analysis plus loop versioning) and compile time is

@@ -80,7 +80,7 @@ class MccCompilerEngine(BaselineEngine):
     def __init__(self, sink=None):
         super().__init__(sink=sink)
         self._rt = MccRuntimeSupport(
-            call_user=self._call_user, sink=self.sink
+            call_user=self._call_user, sink=self.sink, knows=self.knows
         )
 
     def _compile(self, name: str, example_args: list[MxArray]) -> CompiledObject:

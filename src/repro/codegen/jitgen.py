@@ -378,7 +378,8 @@ class _Lowerer(Walk):
         self.prologue = Block()
         self.block: Block | None = None
         self.seq: Seq | None = None
-        self._buffer_regs: list[int] = []
+        #: (name, position) -> register of a scalar-replaced element.
+        self.elem_regs: dict[tuple[str, int], int] = {}
 
     def lower(self) -> FunctionIR:
         self.block = self.prologue
@@ -391,7 +392,7 @@ class _Lowerer(Walk):
             body=body,
             outputs=outputs,
             variable_regs=frozenset(self.var_regs.values())
-            | frozenset(self._buffer_regs),
+            | frozenset(self.elem_regs.values()),
             reg_kinds=self.reg_kinds,
         )
 
@@ -461,17 +462,26 @@ class _Lowerer(Walk):
         args = (array, *self._at(r, c))
         return self.emit("LOAD2", self.fresh(RAW_REAL), args, "unchecked")
 
-    def set_element(self, buffer: int, r: int, c: int, value: int) -> None:
-        self.emit("STORE2", None, (buffer, *self._at(r, c), value), "unchecked")
+    def elem(self, name: str, position: int) -> int:
+        reg = self.elem_regs.get((name, position))
+        if reg is None:
+            reg = self.elem_regs[name, position] = self.fresh(RAW_REAL)
+        return reg
 
-    def site_buffer(self, rows: int, cols: int) -> int:
-        """Per-site pre-allocated result buffer (allocated once at entry)."""
-        saved, self.block = self.block, self.prologue
-        shape = [self.const(rows, RAW_INT), self.const(cols, RAW_INT)]
-        buffer = self.call("alloc", shape, BOXED)
-        self.block = saved
-        self._buffer_regs.append(buffer)
-        return buffer
+    def assign_elements(self, name: str, values: list[int]) -> None:
+        targets = [self.elem(name, position) for position in range(len(values))]
+        # An element read after an earlier one is written is read into a
+        # copy first (``v = [v(2), v(1)]``).
+        written: set[int] = set()
+        moves = []
+        for target, value in zip(targets, values):
+            if value in written:
+                value = self.emit("MOV", self.fresh(RAW_REAL), (value,))
+            written.add(target)
+            moves.append((target, value))
+        for target, value in moves:
+            if target != value:
+                self.emit("MOV", target, (value,))
 
     # ------------------------------------------------------------------
     # Control primitives: structured regions

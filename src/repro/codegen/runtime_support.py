@@ -18,7 +18,7 @@ import cmath
 import math
 import time
 
-from repro.errors import RuntimeMatlabError
+from repro.errors import RuntimeMatlabError, UndefinedSymbolError
 from repro.runtime import builtins as rt_builtins
 from repro.runtime import checks, display, elementwise as ew, linalg
 from repro.runtime.mxarray import IntrinsicClass, MxArray
@@ -283,9 +283,10 @@ def build_matrix(rows) -> MxArray:
     return ew.mlf_vertcat(boxed_rows)
 
 
-def alloc(rows: int, cols: int) -> MxArray:
-    """Pre-allocated temporary buffer (Section 2.6.1)."""
-    return MxArray(IntrinsicClass.REAL, np.zeros((rows, cols)))
+def pack(rows: int, cols: int, *elements) -> MxArray:
+    """A fresh ``rows x cols`` array of raw real ``elements``, row-major:
+    an unrolled value where it escapes (Section 2.6.1)."""
+    return MxArray(None, np.array(elements, dtype=np.float64).reshape(rows, cols))
 
 
 def dgemv(alpha, a, x, beta, y) -> MxArray:
@@ -392,6 +393,12 @@ SCALAR_MATH = {
     "fix": ("m_fix", None),
     "sign": ("m_sign", None),
 }
+
+
+def rand_scalar() -> float:
+    """``rand`` / ``rand(1)`` / ``rand(1, 1)`` in a raw-real position: the
+    draw the builtin makes, without its boxes."""
+    return rt_builtins.GLOBAL_RANDOM.draw()
 
 
 def make_string_value(text: str) -> MxArray:
@@ -511,7 +518,7 @@ class RuntimeSupport:
     frange = staticmethod(frange)
     columns = staticmethod(columns)
     build_matrix = staticmethod(build_matrix)
-    alloc = staticmethod(alloc)
+    pack = staticmethod(pack)
     dgemv = staticmethod(dgemv)
     COLON = COLON
     m_sqrt = staticmethod(m_sqrt)
@@ -533,6 +540,7 @@ class RuntimeSupport:
     c_log = staticmethod(c_log)
     c_abs = staticmethod(c_abs)
     make_string = staticmethod(make_string_value)
+    rand_scalar = staticmethod(rand_scalar)
     to_int = staticmethod(to_int)
     end_dim = staticmethod(end_dim)
     colon_marker = staticmethod(colon_marker)
@@ -551,9 +559,12 @@ class RuntimeSupport:
         fault_plan=None,
         obs=None,
         native=None,
+        knows=None,
     ):
         self.sink = sink if sink is not None else display.OutputSink()
         self._call_user = call_user
+        # Whether a user function exists (None: assume it does).
+        self._knows = knows
         self.fault_plan = fault_plan
         self.obs = obs
         # The native tier (repro.native): when armed, every fused-kernel
@@ -652,18 +663,23 @@ class RuntimeSupport:
         label = name.text if isinstance(name, MxArray) else str(name)
         self.sink.write(display.format_value(box(value), label))
 
-    def ambiguous_lookup(self, name, current):
+    def ambiguous_lookup(self, name, current, where=None):
         """Runtime resolution of an ambiguous symbol (Section 2.1).
 
         If the variable register holds a value, the symbol is a variable
         on this execution path; otherwise fall back to builtin, then user
-        function — exactly the interpreter's dynamic rule.
+        function — exactly the interpreter's dynamic rule, and its error
+        (at source location ``where``) when there is neither.
         """
         if current is not None:
             return current
         label = name.text if isinstance(name, MxArray) else str(name)
         if rt_builtins.is_builtin(label):
             return self.builtin1(label)
+        if self._knows is not None and not self._knows(label):
+            raise UndefinedSymbolError(
+                f"undefined function or variable '{label}'", where
+            )
         return self.call_user(label, 1)[0]
 
     # ------------------------------------------------------------------

@@ -16,13 +16,16 @@ are the paper's selection rules:
   everything else stays a boxed MxArray handled by library calls;
 * **subscript inlining** — scalar index operations proven safe compile to
   direct buffer accesses;
-* **unrolling** — elementary vector operations with exactly known small
-  shapes (≤ 3×3) are completely unrolled, with pre-allocated temporaries;
+* **unrolling and scalar replacement** — elementary vector operations
+  with exactly known small real shapes (≤ 3×3) are completely unrolled,
+  and a local variable that only ever holds such a shape lives as one raw
+  host scalar per element; a fresh array is built only where a value
+  escapes (a call, a display, a matrix product, a non-constant subscript);
 * **dgemv fusion** — expression trees of the form ``a*X + b*C*Y`` collapse
   into a single BLAS call;
 * **elementwise fusion** — a whole array-typed elementwise tree becomes
-  one generated kernel (:mod:`repro.kernels`), unless it is a shallow tree
-  the unroller handles better;
+  one generated kernel (:mod:`repro.kernels`), unless the unroller takes
+  it;
 * **read-only parameters** — call-by-value copies are elided for
   parameters (and variables) that are never mutated.
 """
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.cfg import StmtAtom
 from repro.analysis.disambiguate import DisambiguationResult
 from repro.analysis.symtab import SymbolKind
 from repro.codegen.runtime_support import SCALAR_MATH
@@ -50,6 +54,8 @@ RAW_REAL = "f"
 RAW_INT = "i"
 RAW_COMPLEX = "c"
 BOXED = "b"
+#: A scalar-replaced variable: one raw real per element, never one value.
+ELEMENTS = "e"
 
 _ELEMENTWISE_OPS = {"+", "-", ".*", "./", ".^"}
 
@@ -116,15 +122,23 @@ class Selector:
     # ------------------------------------------------------------------
     # Unrolling (elementary vector operations, exact small shapes)
     # ------------------------------------------------------------------
+    @staticmethod
+    def small_shape(mtype: MType):
+        """(rows, cols) of an exact INT / REAL shape of 2..UNROLL_LIMIT
+        elements, else None.  BOOL stays boxed: its class is its tag."""
+        if not mtype.has_exact_shape or mtype.intrinsic not in _UNROLLED:
+            return None
+        shape = mtype.exact_shape
+        if shape.numel < 2 or shape.numel > UNROLL_LIMIT:
+            return None
+        return (shape.rows, shape.cols)
+
     def unroll_shape(self, node: ast.Expr):
         """(rows, cols) if the node's result should be built unrolled."""
         if not self.unroll_enabled:
             return None
-        mtype = self.annotations.type_of(node)
-        if not mtype.has_exact_shape or not mtype.is_real_like:
-            return None
-        shape = mtype.exact_shape
-        if shape.numel == 0 or shape.numel > UNROLL_LIMIT or shape.is_scalar:
+        shape = self.small_shape(self.annotations.type_of(node))
+        if shape is None:
             return None
         if isinstance(node, ast.MatrixLit):
             flat = [item for row in node.rows for item in row]
@@ -132,19 +146,19 @@ class Selector:
                 repr_of_type(self.annotations.type_of(e)) in (RAW_REAL, RAW_INT)
                 for e in flat
             ):
-                return (shape.rows, shape.cols)
+                return shape
             return None
         if isinstance(node, ast.BinaryOp) and (
             node.op in _ELEMENTWISE_OPS
             or (node.op in ("*", "/") and self._one_side_scalar(node))
         ):
-            if self._unrollable_operand(node.left) and self._unrollable_operand(
-                node.right
-            ):
-                return (shape.rows, shape.cols)
+            if self._unrollable_operand(
+                node.left, shape
+            ) and self._unrollable_operand(node.right, shape):
+                return shape
         if isinstance(node, ast.UnaryOp) and node.op is ast.UnaryKind.NEG:
-            if self._unrollable_operand(node.operand):
-                return (shape.rows, shape.cols)
+            if self._unrollable_operand(node.operand, shape):
+                return shape
         return None
 
     def _one_side_scalar(self, node: ast.BinaryOp) -> bool:
@@ -154,18 +168,103 @@ class Selector:
             return left.is_scalar or right.is_scalar
         return right.is_scalar  # '/' by a scalar only
 
-    def _unrollable_operand(self, node: ast.Expr) -> bool:
-        """Operand readable element-by-element without a library call."""
+    def _unrollable_operand(self, node: ast.Expr, shape) -> bool:
+        """Operand readable element-by-element without a library call:
+        a real scalar, or a real array of the result's exact shape
+        (unrolled itself, scalar-replaced, or a boxed value whose
+        elements are read at constant positions)."""
         mtype = self.annotations.type_of(node)
-        if mtype.is_scalar and mtype.is_real_like:
+        if not mtype.is_real_like:
+            return False
+        if mtype.is_scalar:
             return True
-        if not mtype.has_exact_shape or not mtype.is_real_like:
-            return False
-        if mtype.exact_shape.numel > UNROLL_LIMIT:
-            return False
-        # Variables and nested unrollable expressions both qualify; the
-        # generators materialize nested results into site buffers.
-        return True
+        exact = mtype.exact_shape
+        return exact is not None and (exact.rows, exact.cols) == shape
+
+    # ------------------------------------------------------------------
+    # Scalar replacement
+    # ------------------------------------------------------------------
+    def scalar_replaced(self, dis: DisambiguationResult) -> dict:
+        """``name -> (rows, cols)`` for the variables that live as one raw
+        real per element: locals (no formal, output, global or ``ans``)
+        whose every definition has the same :meth:`small_shape`, that are
+        definitely assigned wherever read or stored into, and that are
+        stored into only one element at a time, at constant subscripts in
+        range.  A ``for`` variable, a multi-assignment target and a
+        ``clear``ed name never qualify."""
+        if not self.unroll_enabled:
+            return {}
+        shapes = {}
+        for info in dis.symbols:
+            if (
+                info.is_param or info.is_output or info.is_global
+                or info.name == "ans"
+                or info.kinds != {SymbolKind.VARIABLE}
+            ):
+                continue
+            shape = self.small_shape(self.annotations.var_type(info.name))
+            if shape is not None:
+                shapes[info.name] = shape
+        if not shapes:
+            return shapes
+        # Element stores into a name assigned on every path to them.
+        defined_stores = {
+            id(atom.stmt)
+            for block in dis.cfg.blocks
+            for atom in block.atoms
+            if isinstance(atom, StmtAtom)
+            and isinstance(atom.stmt, ast.Assign)
+            and atom.stmt.target.name in shapes
+            and atom.stmt.target.name in dis.assignments.must_before(atom)
+        }
+        for stmt in ast.walk_stmts(self.fn.body):
+            if isinstance(stmt, ast.Assign):
+                target = stmt.target
+                shape = shapes.get(target.name)
+                if shape is not None and target.is_indexed and (
+                    id(stmt) not in defined_stores
+                    or self.element_position(target.indices, shape, dis) is None
+                    or not self._real_scalar(stmt.value)
+                ):
+                    del shapes[target.name]
+            elif isinstance(stmt, ast.MultiAssign):
+                for target in stmt.targets:
+                    shapes.pop(target.name, None)
+            elif isinstance(stmt, ast.For):
+                shapes.pop(stmt.var, None)
+            elif isinstance(stmt, ast.Clear):
+                if not stmt.names:
+                    return {}
+                for name in stmt.names:
+                    shapes.pop(name, None)
+        return shapes
+
+    def _real_scalar(self, node: ast.Expr) -> bool:
+        mtype = self.annotations.type_of(node)
+        return mtype.is_scalar and mtype.is_real_like
+
+    def element_position(self, indices, shape, dis: DisambiguationResult):
+        """The column-major position that constant, in-range ``indices``
+        name in an array of ``shape``, else None."""
+        rows, cols = shape
+        values = [self.constant_index(index, dis) for index in indices]
+        if None in values:
+            return None
+        if len(values) == 1:
+            return values[0] - 1 if 1 <= values[0] <= rows * cols else None
+        if len(values) == 2:
+            row, col = values
+            if 1 <= row <= rows and 1 <= col <= cols:
+                return (row - 1) + (col - 1) * rows
+        return None
+
+    def constant_index(self, node: ast.Expr, dis: DisambiguationResult):
+        """An integral constant subscript whose reading has no effect."""
+        mtype = self.annotations.type_of(node)
+        if not mtype.is_constant or not _pure(node, dis):
+            return None
+        value = mtype.constant_value
+        return int(value) if value == int(value) else None
 
     # ------------------------------------------------------------------
     # dgemv fusion
@@ -260,6 +359,23 @@ class Selector:
 #: Sentinel for a literal -1.0 beta in dgemv matches.
 _NEG_ONE = ast.Number(value=-1.0)
 
+#: Element classes of unrolled values and scalar-replaced variables.
+_UNROLLED = (Intrinsic.INT, Intrinsic.REAL)
+
+
+def _pure(node: ast.Expr, dis: DisambiguationResult) -> bool:
+    """Evaluating ``node`` has no effect and cannot fail: literals,
+    ``end``, variables, and operators over them."""
+    if isinstance(node, (ast.Number, ast.EndMarker)):
+        return True
+    if isinstance(node, ast.Ident):
+        return dis.kind_of(node) is SymbolKind.VARIABLE
+    if isinstance(node, ast.UnaryOp):
+        return _pure(node.operand, dis)
+    if isinstance(node, ast.BinaryOp):
+        return _pure(node.left, dis) and _pure(node.right, dis)
+    return False
+
 
 # ----------------------------------------------------------------------
 # The walk
@@ -300,8 +416,12 @@ class Walk:
     expression) and is opaque here; ``kind`` is its representation.
     Representation discipline: every MATLAB variable has exactly one
     representation for the whole compiled function, chosen from its
-    inferred type summary — a raw host float (real scalar), raw complex, or
-    a boxed MxArray; ``coerce`` mediates at the few boundaries.
+    inferred type summary — a raw host float (real scalar), raw complex, a
+    boxed MxArray, or, for a scalar-replaced variable
+    (:meth:`Selector.scalar_replaced`), one raw host float per element;
+    ``coerce`` mediates at the few boundaries.  :meth:`elements` is the
+    unrolled view of an expression (its element values, column-major);
+    ``expr`` never returns it, but boxes it into a fresh array (``pack``).
 
     Output is reached only through the emission primitives a target
     implements:
@@ -311,9 +431,10 @@ class Walk:
       position)``, ``unary``/``binary(op, ..., kind)`` on raw scalars,
       ``bind(value, base, reused=False)`` (evaluate here, exactly once);
     * memory — ``load``/``store(name, indices, ..., mode)`` for scalar
-      subscripts with their safety mode, ``element``/``set_element`` at
-      constant positions of unrolled operands, ``site_buffer(rows, cols)``,
-      ``assign(name, value)``, ``param(name, position, copy)``;
+      subscripts with their safety mode, ``element(array, r, c)`` at a
+      constant position of a boxed operand, ``elem(name, position)`` (an
+      element of a scalar-replaced variable) and ``assign_elements(name,
+      values)``, ``assign(name, value)``, ``param(name, position, copy)``;
     * control — ``if_``, ``while_``, ``for_each``, ``counted_for``,
       ``jump`` (break/continue/return) and ``short_circuit``, which call
       back into ``condition`` and ``stmts`` for the pieces they nest.
@@ -354,6 +475,8 @@ class Walk:
         self.kernel_sources: dict[str, str] = {}
         self.kernel_keys: dict[str, str] = {}
         self._int_counters = self._find_int_loop_counters()
+        #: Scalar-replaced variables: name -> (rows, cols).
+        self.replaced = self.selector.scalar_replaced(disambiguation)
 
     # ------------------------------------------------------------------
     # Representations
@@ -361,7 +484,9 @@ class Walk:
     def var_kind(self, name: str) -> str:
         kind = self.var_kinds.get(name)
         if kind is None:
-            if name in self._int_counters:
+            if name in self.replaced:
+                kind = ELEMENTS
+            elif name in self._int_counters:
                 kind = RAW_INT
             else:
                 kind = self.selector.var_repr(name)
@@ -435,6 +560,14 @@ class Walk:
     def boxed(self, node: ast.Expr):
         return self.coerce(*self.expr(node), BOXED)
 
+    def boxed_var(self, name: str):
+        """Variable ``name`` as an MxArray (a scalar-replaced one in a
+        fresh array)."""
+        shape = self.replaced.get(name)
+        if shape is not None:
+            return self.pack(self._var_elements(name), shape)
+        return self.coerce(self.var(name), self.var_kind(name), BOXED)
+
     def real(self, node: ast.Expr, end_array=None, end_dim=0):
         return self.coerce(*self.expr(node, end_array, end_dim), RAW_REAL)
 
@@ -506,27 +639,40 @@ class Walk:
             raise CodegenError(f"cannot compile {type(stmt).__name__}")
 
     def display(self, name: str) -> None:
-        boxed = self.coerce(self.var(name), self.var_kind(name), BOXED)
+        boxed = self.boxed_var(name)
         self.call("display_value", [self.const(name, BOXED), boxed], None)
 
     def assign_stmt(self, stmt: ast.Assign) -> None:
         target = stmt.target
-        if target.is_indexed:
-            self.indexed_store(target, stmt.value)
-            return
-        kind = self.var_kind(target.name)
-        value = self.coerce(*self.expr(stmt.value), kind)
-        if (
-            kind == BOXED
-            and isinstance(stmt.value, ast.Ident)
-            and (
-                target.name in self.selector.mutated_names
-                or stmt.value.name in self.selector.mutated_names
+        shape = self.replaced.get(target.name)
+        if shape is not None and target.is_indexed:
+            # A constant in-range subscript (scalar_replaced saw to it).
+            values = self._var_elements(target.name)
+            position = self.selector.element_position(
+                target.indices, shape, self.dis
             )
-        ):
-            # Aliasing a name that is (or will be) written in place.
-            value = self.call("copy_value", [value], BOXED)
-        self.assign(target.name, value)
+            values[position] = self.real(stmt.value)
+            self.assign_elements(target.name, values)
+        elif shape is not None:
+            self.assign_elements(
+                target.name, self._operand_elements(stmt.value, shape)
+            )
+        elif target.is_indexed:
+            self.indexed_store(target, stmt.value)
+        else:
+            kind = self.var_kind(target.name)
+            value = self.coerce(*self.expr(stmt.value), kind)
+            if (
+                kind == BOXED
+                and isinstance(stmt.value, ast.Ident)
+                and (
+                    target.name in self.selector.mutated_names
+                    or stmt.value.name in self.selector.mutated_names
+                )
+            ):
+                # Aliasing a name that is (or will be) written in place.
+                value = self.call("copy_value", [value], BOXED)
+            self.assign(target.name, value)
         if stmt.display:
             self.display(target.name)
 
@@ -669,6 +815,11 @@ class Walk:
         if isinstance(node, ast.MatrixLit):
             return self.matrix(node)
         if isinstance(node, ast.EndMarker):
+            shape = self.replaced.get(end_array)
+            if shape is not None:
+                rows, cols = shape
+                extent = {1: rows, 2: cols}.get(end_dim, rows * cols)
+                return self.const(extent, RAW_INT), RAW_INT
             arr = self.var(end_array) if end_array else self.const(None, BOXED)
             dim = self.const(end_dim, RAW_INT)
             return self.call("end_dim", [arr, dim], RAW_INT), RAW_INT
@@ -690,6 +841,10 @@ class Walk:
 
     def ident(self, node: ast.Ident):
         kind = self.dis.kind_of(node)
+        if node.name in self.replaced:
+            # Every reached read resolves VARIABLE (scalar_replaced); one
+            # that does not is in code no path reaches.
+            return self.boxed_var(node.name), BOXED
         if kind is SymbolKind.VARIABLE:
             return self.var(node.name), self.var_kind(node.name)
         if kind is SymbolKind.BUILTIN:
@@ -698,6 +853,8 @@ class Walk:
                 return self.const(mtype.constant_value, RAW_REAL), RAW_REAL
             if node.name in ("i", "j"):
                 return self.const(1j, RAW_COMPLEX), RAW_COMPLEX
+            if node.name == "rand" and repr_of_type(mtype) == RAW_REAL:
+                return self.call("rand_scalar", [], RAW_REAL), RAW_REAL
             name = self.const(node.name, BOXED)
             return self.annotated(
                 self.call("builtin1", [name], BOXED), BOXED, node
@@ -716,15 +873,15 @@ class Walk:
             )
         else:
             current = self.const(None, BOXED)
-        return self.call("ambiguous_lookup", [name, current], BOXED), BOXED
+        where = self.const(str(node.location), BOXED)
+        return self.call(
+            "ambiguous_lookup", [name, current, where], BOXED
+        ), BOXED
 
     # ------------------------------------------------------------------
     # Elementwise fusion: collapse a whole array-typed operator tree into
-    # one content-addressed kernel call (repro.kernels).  Deep trees over
-    # exactly-known small shapes stay with the unroller — per-element
-    # host arithmetic beats a NumPy kernel below ~4 collapsed ops.
-    _FUSE_OVER_UNROLL_OPS = 4
-
+    # one content-addressed kernel call (repro.kernels).  A tree of an
+    # exact small real shape never gets here: the unroller takes it first.
     def try_fuse(self, node: ast.Expr, end_array=None, end_dim=0):
         """``(value, kind)`` if the whole elementwise tree rooted at
         ``node`` became one kernel call, else None."""
@@ -735,12 +892,6 @@ class Walk:
 
         plan = match_typed(node, self.ann, self.dis)
         if plan is None:
-            return None
-        if (
-            self.selector.unroll_enabled
-            and plan.op_count < self._FUSE_OVER_UNROLL_OPS
-            and self.selector.unroll_shape(node) is not None
-        ):
             return None
         with self.tracer.span(
             "fusion", "fusion",
@@ -761,12 +912,12 @@ class Walk:
         return self.annotated(self.call(kernel.name, leaves, BOXED), BOXED, node)
 
     def unary_op(self, node: ast.UnaryOp, end_array, end_dim):
+        shape = self.selector.unroll_shape(node)
+        if shape is not None:
+            return self.pack(self.elements(node), shape), BOXED
         fused = self.try_fuse(node, end_array, end_dim)
         if fused is not None:
             return fused
-        shape = self.selector.unroll_shape(node)
-        if shape is not None and node.op is ast.UnaryKind.NEG:
-            return self.unrolled(node, shape)
         value, kind = self.expr(node.operand, end_array, end_dim)
         if kind == BOXED:
             return self.call(_UNARY_HELPER[node.op.value], [value], BOXED), BOXED
@@ -780,12 +931,12 @@ class Walk:
         match = self.selector.match_dgemv(node)
         if match is not None:
             return self.dgemv(match)
+        shape = self.selector.unroll_shape(node)
+        if shape is not None:
+            return self.pack(self.elements(node), shape), BOXED
         fused = self.try_fuse(node, end_array, end_dim)
         if fused is not None:
             return fused
-        shape = self.selector.unroll_shape(node)
-        if shape is not None:
-            return self.unrolled(node, shape)
         left, lkind = self.expr(node.left, end_array, end_dim)
         right, rkind = self.expr(node.right, end_array, end_dim)
         if lkind != BOXED and rkind != BOXED:
@@ -825,7 +976,7 @@ class Walk:
     def matrix(self, node: ast.MatrixLit):
         shape = self.selector.unroll_shape(node)
         if shape is not None:
-            return self.unrolled(node, shape)
+            return self.pack(self.elements(node), shape), BOXED
         if not node.rows:
             return self.call("empty_matrix", [], BOXED), BOXED
         rows = [
@@ -857,50 +1008,68 @@ class Walk:
         return self.call("dgemv", args, BOXED), BOXED
 
     # ------------------------------------------------------------------
-    # Unrolled small-vector operations with pre-allocated site buffers
+    # Unrolled small-vector operations and scalar-replaced variables
     # ------------------------------------------------------------------
-    def unrolled(self, node: ast.Expr, shape: tuple[int, int]):
-        rows, cols = shape
-        buffer = self.site_buffer(rows, cols)
+    def elements(self, node: ast.Expr):
+        """The element values of ``node``, column-major raw reals, if it
+        is a scalar-replaced variable or an unrollable operation, else
+        None.  Operands are evaluated in source order; a value with an
+        effect is ``settle``d where MATLAB evaluates it."""
+        if isinstance(node, ast.Ident) and node.name in self.replaced:
+            return self._var_elements(node.name)
+        shape = self.selector.unroll_shape(node)
+        if shape is None:
+            return None
         if isinstance(node, ast.MatrixLit):
-            # Every element is evaluated before the first is stored: the
-            # buffer may be what an element reads.
+            rows, cols = shape
             cells = [
-                (r, c, self.real(item))
-                for r, row in enumerate(node.rows)
-                for c, item in enumerate(row)
+                [self.settle(self.real(item)) for item in row]
+                for row in node.rows
             ]
-            cells = [(r, c, self.bind(value, "e")) for r, c, value in cells]
-            for r, c, value in cells:
-                self.set_element(buffer, r, c, value)
-            return buffer, BOXED
+            return [cells[r][c] for c in range(cols) for r in range(rows)]
         if isinstance(node, ast.UnaryOp):
-            operands = [self._unroll_operand(node.operand)]
-        else:
-            operands = [
-                self._unroll_operand(node.left),
-                self._unroll_operand(node.right),
+            return [
+                self.unary("-", value, RAW_REAL)
+                for value in self._operand_elements(node.operand, shape)
             ]
-        for r in range(rows):
-            for c in range(cols):
-                elems = [
-                    value if scalar else self.element(value, r, c)
-                    for scalar, value in operands
-                ]
-                if isinstance(node, ast.UnaryOp):
-                    result = self.unary("-", elems[0], RAW_REAL)
-                else:
-                    result = self.binary(
-                        _NUMERIC_PY[node.op], elems[0], elems[1], RAW_REAL
-                    )
-                self.set_element(buffer, r, c, result)
-        return buffer, BOXED
+        left = self._operand_elements(node.left, shape)
+        right = self._operand_elements(node.right, shape)
+        op = _NUMERIC_PY[node.op]
+        return [self.binary(op, a, b, RAW_REAL) for a, b in zip(left, right)]
 
-    def _unroll_operand(self, node: ast.Expr):
-        """``(is_scalar, value)`` of an operand read once per element."""
+    def _operand_elements(self, node: ast.Expr, shape) -> list:
+        """``node`` read once per element of ``shape``: a scalar is
+        evaluated once and repeated, an array is unrolled or, when boxed,
+        read at each position."""
         if self.ann.type_of(node).is_scalar:
-            return True, self.bind(self.real(node), "s", reused=True)
-        return False, self.bind(self.boxed(node), "a", reused=True)
+            value = self.bind(self.real(node), "s", reused=True)
+            return [value] * (shape[0] * shape[1])
+        values = self.elements(node)
+        if values is not None:
+            return values
+        array = self.bind(self.boxed(node), "a", reused=True)
+        rows, cols = shape
+        return [
+            self.element(array, r, c) for c in range(cols) for r in range(rows)
+        ]
+
+    def _var_elements(self, name: str) -> list:
+        rows, cols = self.replaced[name]
+        return [self.elem(name, position) for position in range(rows * cols)]
+
+    def pack(self, values: list, shape):
+        """A fresh array of column-major ``values`` (where an unrolled
+        value escapes)."""
+        rows, cols = shape
+        row_major = [values[r + c * rows] for r in range(rows) for c in range(cols)]
+        head = [self.const(rows, RAW_INT), self.const(cols, RAW_INT)]
+        return self.call("pack", head + row_major, BOXED)
+
+    def settle(self, value):
+        """``value``, evaluated here if evaluating it later could move an
+        effect (a target whose values are evaluated where they are
+        emitted returns it as it is)."""
+        return value
 
     # ------------------------------------------------------------------
     # Subscripts
@@ -955,6 +1124,11 @@ class Walk:
 
     def index_load(self, node: ast.Apply):
         name, indices = node.name, node.args
+        shape = self.replaced.get(name)
+        if shape is not None:
+            position = self.selector.element_position(indices, shape, self.dis)
+            if position is not None:
+                return self.elem(name, position), RAW_REAL
         arr_kind = self.var_kind(name)
         kind = repr_of_type(self.ann.type_of(node))
         if (
@@ -975,7 +1149,7 @@ class Walk:
             ), kind
         # Generic indexing through helpers (handles ':' and vector
         # indices; a raw scalar "array" is boxed for full semantics).
-        arr = self.coerce(self.var(name), arr_kind, BOXED)
+        arr = self.boxed_var(name)
         colons = [
             position for position, index in enumerate(indices)
             if isinstance(index, ast.ColonAll)
@@ -1015,6 +1189,16 @@ class Walk:
             and not node.args
         ):
             return self.const(mtype.constant_value, RAW_REAL), RAW_REAL
+        if (
+            node.name == "rand"
+            and repr_of_type(mtype) == RAW_REAL
+            and all(
+                self.selector.constant_index(arg, self.dis) == 1
+                for arg in node.args
+            )
+        ):
+            # One draw as a host float (``rand(1)``, ``rand(1, 1)``).
+            return self.call("rand_scalar", [], RAW_REAL), RAW_REAL
         # Builtin-rooted fused trees (e.g. ``exp(a .* b)``).
         fused = self.try_fuse(node)
         if fused is not None:

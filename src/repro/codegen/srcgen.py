@@ -16,8 +16,8 @@ ahead-of-time compilation:
 * loop-invariant hoisting of pure scalar subexpressions and of array data
   pointers (enabled when the modelled native backend is strong, i.e.
   ``native_opt_level >= 2`` — the MIPS configuration);
-* the shared selection rules: small-vector unrolling with pre-allocated
-  temporaries, dgemv fusion and elementwise fusion into the JIT's kernels
+* the shared selection rules: small-vector unrolling and scalar
+  replacement, dgemv fusion and elementwise fusion into the JIT's kernels
   (``majic_opts`` — disabled for the FALCON baseline, which relies on its
   backend instead; elementwise fusion also follows the session's
   ``fusion`` switch).
@@ -67,7 +67,7 @@ class SrcOptions:
     """Knobs distinguishing platforms and baselines."""
 
     native_opt_level: int = 1     # 1 = weak backend (SPARC), 2 = strong (MIPS)
-    majic_opts: bool = True       # unrolling/prealloc/dgemv (off for FALCON)
+    majic_opts: bool = True       # unrolling/dgemv (off for FALCON)
     inference: InferenceOptions = field(default_factory=InferenceOptions)
 
 
@@ -314,15 +314,28 @@ class _SrcEmitter(Walk):
     def element(self, array: str, r: int, c: int) -> str:
         return f"{array}.data.item({r}, {c})"
 
-    def set_element(self, buffer: str, r: int, c: int, value: str) -> None:
-        self.line(f"{buffer}.data[{r}, {c}] = {value}")
+    def elem(self, name: str, position: int) -> str:
+        # Temporaries are ``_<base><n>``: no base starts with ``x``.
+        return f"_x{position}_{name}"
 
-    def site_buffer(self, rows: int, cols: int) -> str:
-        buffer = self.fresh("buf")
-        self.prologue.append(
-            f"    {buffer} = {self.helper('alloc')}({rows}, {cols})"
-        )
-        return buffer
+    def assign_elements(self, name: str, values: list[str]) -> None:
+        targets = [self.elem(name, position) for position in range(len(values))]
+        pairs = [(t, v) for t, v in zip(targets, values) if t != v]
+        if any(
+            earlier in value
+            for index, (_, value) in enumerate(pairs)
+            for earlier, _ in pairs[:index]
+        ):
+            # A value reads an element written before it: assign at once.
+            left = ", ".join(t for t, _ in pairs)
+            self.line(f"{left} = {', '.join(v for _, v in pairs)}")
+            return
+        for target, value in pairs:
+            self.line(f"{target} = {value}")
+
+    def settle(self, value: str) -> str:
+        # A host expression runs where its text lands: name a call here.
+        return self.bind(value, "e") if "_h_" in value else value
 
     # ------------------------------------------------------------------
     # Control primitives
@@ -468,7 +481,12 @@ class _SrcEmitter(Walk):
         parts: list[str] = []
         for term in plan.guard_terms:
             arr = self.var(term.array)
-            if term.dim == 0:
+            shape = self.replaced.get(term.array)
+            if shape is not None:
+                extent = str({1: shape[0], 2: shape[1]}.get(
+                    term.dim, shape[0] * shape[1]
+                ))
+            elif term.dim == 0:
                 extent = f"({arr}.rows * {arr}.cols)"
             elif term.dim == 1:
                 extent = f"{arr}.rows"

@@ -73,12 +73,42 @@ from repro.kernels import KERNEL_CACHE
 from repro.obs import write_chrome_trace, write_prometheus
 from repro.repository.diagnostics import PARALLEL_RESTART
 from repro.resilience import ResiliencePolicy
+from repro.runtime.values import from_python
+
+#: The sweep's one program outside Table 1: ``orbec``'s update over
+#: twelve coordinates.  Table 1's small vectors are scalar-replaced and
+#: its solvers are speculated with ⊤ matrix formals, so no Table-1
+#: program has a speculative version that fuses; 1x12 vectors are past
+#: the unroll limit, and this program fuses on both tiers, so every
+#: kernel lane has a program to fire on.
+WIDE_ORBIT = Program(
+    (
+        "function R = orbit12(nstep, tau)\n"
+        "r = 1:12;\nv = zeros(1, 12);\nR = zeros(nstep, 12);\n"
+        "for istep = 1:nstep\n"
+        "  a = -r ./ (r .* r + 1);\n  v = v + tau * a;\n"
+        "  r = r + tau * v;\n  R(istep, :) = r;\nend\n",
+    ),
+    "orbit12",
+    lambda: [from_python(30.0), from_python(0.001)],
+)
+EXTRA_PROGRAMS = {WIDE_ORBIT.entry: WIDE_ORBIT}
 
 #: The ``--smoke`` subset: recursion, scalar loops, a builtin solver, the
-#: one ``rand`` user, and ``orbrk`` — two functions (so a second worker
-#: task exists), fused kernels that reach the native tier — so that every
-#: lane of every sweep has a program it can fire on.
-SMOKE_NAMES = ("fibonacci", "dirich", "cgopt", "fractal", "orbrk")
+#: one ``rand`` user, ``orbrk`` — two functions, so a second worker task
+#: exists — and ``orbit12``, whose fused kernels (JIT and speculative)
+#: reach the native tier, so that every lane of every sweep has a program
+#: it can fire on.
+SMOKE_NAMES = ("fibonacci", "dirich", "cgopt", "fractal", "orbrk", "orbit12")
+
+
+def sweep_names() -> list[str]:
+    """The default programs of a sweep: Table 1, then the extra ones."""
+    return benchmark_names() + list(EXTRA_PROGRAMS)
+
+
+def sweep_program(name: str) -> Program:
+    return EXTRA_PROGRAMS.get(name) or Program.benchmark(name)
 
 
 @dataclass
@@ -290,8 +320,8 @@ def run_lanes(
     — results must stay bit-identical with spans being recorded, or
     observability is changing behaviour."""
     outcomes: list[DifferentialOutcome] = []
-    for name in names or benchmark_names():
-        program = Program.benchmark(name)
+    for name in names or sweep_names():
+        program = sweep_program(name)
         expected = reference(program)
         for lane in lanes:
             plan = lane.plan()
@@ -451,9 +481,9 @@ def main(argv: list[str] | None = None) -> int:
     if trace or metrics:
         # One fault-free observed pass (background so worker spans show),
         # then the one-screen health report and the requested exports.
-        observed = (names or benchmark_names())[0]
+        observed = (names or sweep_names())[0]
         with backends.open(
-            Program.benchmark(observed), "background",
+            sweep_program(observed), "background",
             trace=trace, metrics=metrics,
         ) as handle:
             handle.call()

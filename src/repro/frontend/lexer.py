@@ -36,21 +36,9 @@ _OPERATORS = {
     if kind.value[0] in "+-*/\\^.'=~<>&|()[],;:"
 }
 
-# ``str.isdigit``: the decimal digits ``\d`` matches, plus the superscript,
-# subscript and circled digits that are not decimal.
-# ``tests/test_lexer.py`` checks the class against every code point.
-_DIGIT = (
-    r"[\d\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079"
-    r"\u2080-\u2089\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea"
-    r"\u24f5-\u24fd\u24ff\u2776-\u277e\u2780-\u2788\u278a-\u2792"
-    r"\U00010a40-\U00010a43\U00010e60-\U00010e68\U00011052-\U0001105a"
-    r"\U0001f100-\U0001f10a]"
-)
 # A letter after a number's ``.`` ends the number before it: ``1.e3`` is
-# ``1`` then a stray ``.``.  (``\w`` less digits and ``_`` also holds the
-# numerals ``str.isalpha`` refuses, such as ``½``; an error follows
-# either way, at the ``.`` rather than at the numeral.)
-_LETTER = rf"(?!{_DIGIT})[^\W_]"
+# ``1`` then a stray ``.``.
+_LETTER = r"[^\W\d_]"
 
 # One token and the blanks before it; inside brackets the loop checks
 # those blanks against the element rule.
@@ -60,8 +48,8 @@ _PATTERN = re.compile(rf"""[ \t\r]*(?:
   | (?P<newline>\n)
   | (?P<open>[(\[])
   | (?P<close>[)\]])
-  | (?P<number>(?=\.?{_DIGIT}){_DIGIT}*(?:\.(?!\.|{_LETTER}){_DIGIT}*)?
-        (?:[eE][+-]?{_DIGIT}+)?(?P<imaginary>[ij](?!\w))?)
+  | (?P<number>(?=\.?\d)\d*(?:\.(?!\.|{_LETTER})\d*)?
+        (?:[eE][+-]?\d+)?(?P<imaginary>[ij](?!\w))?)
   | (?P<quote>')
   | (?P<comment>%[^\n]*)
   | (?P<continuation>\.\.\.[^\n]*\n?)
@@ -70,7 +58,7 @@ _PATTERN = re.compile(rf"""[ \t\r]*(?:
 )""", re.VERBOSE)
 
 # What may follow a blank inside brackets and start a new element.
-_STARTS_ELEMENT = re.compile(rf"\.{_DIGIT}|[+-][^ \t\r=]|~(?!=)|'|[\w(\[]")
+_STARTS_ELEMENT = re.compile(r"\.\d|[+-][^ \t\r=]|~(?!=)|'|[\w(\[]")
 
 # A string literal from its opening quote; ``''`` is an escaped quote, so
 # the closing quote is the first one not followed by another.

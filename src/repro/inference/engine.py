@@ -42,6 +42,8 @@ from repro.typesys.signature import Signature
 
 Env = dict[str, MType]
 
+_NONNEGATIVE = Interval.of(0.0, math.inf)
+
 
 @dataclass
 class InferenceOptions:
@@ -570,9 +572,49 @@ class TypeInferenceEngine:
     def _type_binary(self, expr, env, record, end_context) -> MType:
         left = self._type_expr(expr.left, env, record, end_context)
         right = self._type_expr(expr.right, env, record, end_context)
-        return self.calculator.forward(
+        result = self.calculator.forward(
             ("binop", expr.op), self._ctx([left, right])
         )[0]
+        if (
+            (expr.op == ".*" or expr.op == "*" and left.is_scalar)
+            and left.is_real_like
+            and result.is_real_like
+            and self._same_value(expr.left, expr.right, record)
+        ):
+            # A real value times itself is never negative.  (Ranges do not
+            # bound NaN, here as in ``Interval.mul``.)
+            result = result.with_range(result.range.meet(_NONNEGATIVE))
+        return result
+
+    def _same_value(self, a: ast.Expr, b: ast.Expr, record: Annotations) -> bool:
+        """Do ``a`` and ``b``, the operands of one operator, read the same
+        value: the same variable, or the same variable at identical
+        constant subscripts?  Nothing can store between the two reads."""
+        if a.__class__ is ast.Ident:
+            return (
+                b.__class__ is ast.Ident
+                and a.name == b.name
+                and self._dis is not None
+                and self._dis.kind_of(a) is SymbolKind.VARIABLE
+                and self._dis.kind_of(b) is SymbolKind.VARIABLE
+            )
+        if (
+            a.__class__ is not ast.Apply
+            or b.__class__ is not ast.Apply
+            or a.kind is not ast.ApplyKind.INDEX
+            or b.kind is not ast.ApplyKind.INDEX
+            or a.name != b.name
+            or len(a.args) != len(b.args)
+        ):
+            return False
+        for x, y in zip(a.args, b.args):
+            tx, ty = record.type_of(x), record.type_of(y)
+            if not (
+                tx.is_constant and ty.is_constant
+                and tx.constant_value == ty.constant_value
+            ):
+                return False
+        return True
 
     def _type_transpose(self, expr, env, record, end_context) -> MType:
         operand = self._type_expr(expr.operand, env, record, end_context)

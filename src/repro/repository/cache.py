@@ -90,8 +90,10 @@ from repro.vcode.emit import bind_function
 #: and drops the identity-keyed annotation tables; format 4 keys on raw
 #: source text and adds parse records; format 5 stores JIT code emitted
 #: as expression trees (single-use temporaries folded), so an entry of
-#: the three-address emitter misses rather than being served.
-CACHE_FORMAT_VERSION = "5"
+#: the three-address emitter misses rather than being served; format 6
+#: stores code with small vectors scalar-replaced, so the per-site
+#: buffers of format 5 code (which aliased) are never revived.
+CACHE_FORMAT_VERSION = "6"
 
 #: The signature slot of a parse record's key.
 UNIT_TAG = "source-unit"

@@ -357,7 +357,7 @@ class CodeRepository:
         )
         self._rt = RuntimeSupport(
             call_user=self._call_user, sink=self.sink, fault_plan=fault_plan,
-            obs=self.obs, native=native,
+            obs=self.obs, native=native, knows=self.knows,
         )
 
     # ------------------------------------------------------------------

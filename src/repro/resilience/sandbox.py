@@ -112,7 +112,9 @@ def _child_main(conn, obj, functions, args, nargout, rng_state,
                 )
             return tuple(interp.call_function(fn, call_args, call_nargout))
 
-        rt = RuntimeSupport(call_user=call_user, sink=sink)
+        rt = RuntimeSupport(
+            call_user=call_user, sink=sink, knows=functions.__contains__
+        )
         # Pre-resolved fused kernels: bound here instead of through the
         # process-wide kernel cache, whose lock state after fork is
         # unknowable (a parent worker may have held it mid-compile).

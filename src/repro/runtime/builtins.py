@@ -69,6 +69,12 @@ class MatlabRandom:
         self._captured = None
         return self._rng.random((rows, cols))
 
+    def draw(self) -> float:
+        """``uniform(1, 1)``'s one value, as a host float: the same value
+        and the same step of the stream."""
+        self._captured = None
+        return self._rng.random()
+
     def normal(self, rows: int, cols: int) -> np.ndarray:
         self._captured = None
         return self._rng.standard_normal((rows, cols))

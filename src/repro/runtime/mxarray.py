@@ -239,7 +239,10 @@ class MxArray:
     # Subscripting (1-based, column-major, checked)
     # ------------------------------------------------------------------
     def _check_subscript(self, value: float, limit: int, grow: bool) -> int:
-        index = int(value)
+        try:
+            index = int(value)
+        except (ValueError, OverflowError):  # NaN, Inf
+            index = 0
         if index != value or index < 1:
             raise SubscriptError(
                 "subscript indices must be positive integers"

@@ -130,7 +130,7 @@ class TestJitSelection:
     def test_small_vector_unrolling(self):
         src = "function v = f(a)\nv = [a, a] + [1, 2];\n"
         obj, args = compile_jit(src, 1.0)
-        assert "alloc" in obj.source            # pre-allocated temporary
+        assert "pack" in obj.source             # one fresh output array
         assert "hcat" not in obj.source          # literal fully unrolled
         assert np.array_equal(run(obj, args), [[2.0, 3.0]])
 
@@ -139,7 +139,7 @@ class TestJitSelection:
         obj, args = compile_jit(
             src, 1.0, options=JitOptions(unroll_enabled=False)
         )
-        assert "alloc" not in obj.source
+        assert "pack" not in obj.source
         assert np.array_equal(run(obj, args), [[2.0, 3.0]])
 
     def test_dgemv_fusion(self):
@@ -241,7 +241,7 @@ class TestSourceGenerator:
         obj, args = compile_src(
             src, 1.0, options=SrcOptions(majic_opts=False)
         )
-        assert "alloc" not in obj.source
+        assert "pack" not in obj.source
         assert np.array_equal(run(obj, args), [[2.0, 3.0]])
 
     def test_descending_loop(self):

@@ -178,6 +178,60 @@ COLON_ALL = (
     "r = [size(M(:)) size(c) sum(M(:))];\n"
     "r = [r M(:)' c'];\n"
 )
+ALIAS_LITERAL = (
+    "function B = al(n)\nB = 0;\n"
+    "for k = 1:n\n  A = [k, k + 1];\n  if k == 1, B = A; end\nend\n"
+)
+ALIAS_OP = (
+    "function W = ao(n)\nv = [1, 2];\nW = 0;\n"
+    "for k = 1:n\n  w = v + k;\n  if k == 1, W = w; end\nend\n"
+)
+SWAP = (
+    "function r = sw(x)\nv = [x, 2 * x];\nu = [x, x + 1, x + 2];\n"
+    "for k = 1:3\n  v = [v(2), v(1)];\n  u = [u(3), u(1), u(2) + k];\nend\n"
+    "r = [v, u];\n"
+)
+ESCAPES = (
+    "function r = esc(x)\nv = [x, x + 1, x + 2];\nv = v * 2\nv(1) = v(3) - 1\n"
+    "t = inner(v);\nc = v(:);\nk = 1 + (x > 100);\ne = v(k + 1);\n"
+    "g = [x, 2 * x];\ng = g + 1;\ng(4) = 7;\n"
+    "r = [t, c', g, e, ret(x)];\n"
+    "function y = inner(a)\nif a(1) < -1e9, y = 0; return; end\n"
+    "disp(a);\ny = sum(a) + a(2);\n"
+    "function y = ret(x)\nw = [x, 1];\nw = w + 1;\n"
+    "if x < -1e9, y = 0; return; end\ny = w;\n"
+)
+UNROLLED_MATRIX = (
+    "function r = mx(x, F)\nA = [1 2 3; 4 5 6; 7 8 10];\nB = A * x;\n"
+    "A(2, 3) = B(3, 2);\nC = A .* B - A ./ 2 + (-A) .^ 2;\n"
+    "D = [C(3, 3), C(1, 1); C(2, 1), x];\nk = 0;\n"
+    "while k < 5\n  k = k + 1;\n"
+    "  D = [D(2, 2), D(1, 2); D(2, 1) + k, D(1, 1)];\n"
+    "  if D(1, 1) > 1e6, break; end\nend\n"
+    "G = F + D;\nH = G .* F;\n"
+    "r = [A(:)', C(:)', D(:)', G(:)', H(:)', k];\n"
+)
+MAYBE_UNDEFINED = "function r = mu(x)\nif x > 0, v = [x, 1]; end\nr = v + 1;\n"
+ZERO_NAN = (
+    "function r = zn(x, y)\nv = [x, y, 1];\nw = v * 2;\nu = -v;\n"
+    "s = v .* v;\nz = [w(1), u(2), s(1)];\nz(2) = u(1);\n"
+    "r = [v, w, u, s, z];\n"
+)
+SIGN_COMPLEX = "function r = sc(x)\nz = x * 1i;\nr = sqrt(z * z);\n"
+SIGN_NAN = "function r = sn(x)\nt = x * x;\nr = [sqrt(t), sqrt(x .* x)];\n"
+SIGN_STORE = (
+    "function s = ss(x)\nr = [x, 3];\nt = r(1);\nr(1) = -2;\n"
+    "s = sqrt(t * r(1));\n"
+)
+SIGN_SUBSCRIPT = "function r = sx(x)\nv = [10, 20, 30];\nr = v(x * x);\n"
+RAND_DRAWS = (
+    "function r = rd(n)\nr = 0;\n"
+    "for k = 1:n\n  a = rand;\n  b = rand(1);\n  c = rand(1, 1);\n"
+    "  if (a > 2) & (rand(1) > 0.5), r = r + 1; end\n"
+    "  v = [rand, rand(1, 1)] + rand;\n"
+    "  r = r * 10 + a + 2 * b + 3 * c + v(1) - v(2) - rand(1) * rand;\n"
+    "end\n"
+)
 
 
 def _scalar(value):
@@ -251,6 +305,30 @@ def _scalar(value):
 #: subscript first).
 #: ``colon-all-column``: ``A(:)`` with one subscript is a column, of a
 #: matrix and of a row vector alike (the interpreter gave a row).
+#: Scalar replacement (small vectors held as one raw real per element):
+#: ``unrolled-alias-literal`` / ``unrolled-alias-op`` — a small vector
+#: copied out of a loop keeps the value it had (unrolled results went
+#: into one buffer per site, so ``B`` read ``[3 4]`` where the
+#: interpreter gives ``[1 2]``); ``unrolled-swap`` — ``v = [v(2), v(1)]``
+#: reads both elements before writing either; ``unrolled-escapes`` — a
+#: replaced vector passed to a function, displayed (after an assignment
+#: and after an element store: compiled code echoed no indexed store),
+#: read as ``v(:)`` and at a non-constant subscript, returned, and one
+#: grown by an out-of-range store; ``unrolled-matrix`` — 3x3 and 2x2
+#: values (column-major elements, row-major boxes), a 2-D element store,
+#: a rotation of all four elements of a matrix in a loop, and an
+#: elementwise op with a boxed formal of the same shape; ``unrolled-maybe-undefined`` — a vector assigned on
+#: one path only stays a variable that may be unset, and reading it
+#: unset raises the interpreter's error, location and all (compiled code
+#: said ``unknown function 'v'``); ``unrolled-zero-nan`` — −0.0 and NaN
+#: elements keep their bits.  Sign facts (a real value times itself is
+#: ≥ 0): ``sign-complex`` — ``z*z`` of a complex ``z`` may be negative;
+#: ``sign-nan`` — a NaN square stays NaN; ``sign-store`` — ``t * r(1)``
+#: after a store to ``r(1)`` is not a square; ``sign-subscript`` — a NaN
+#: square as a subscript raises the interpreter's error (compiled code
+#: failed converting NaN to an integer).  ``rand-draws``: ``rand``,
+#: ``rand(1)`` and ``rand(1, 1)`` drawn as host floats, in order, none
+#: skipped (``&`` draws its right operand whatever the left one is).
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -298,6 +376,29 @@ PROBES = {
     "deep-expression": Program((DEEP_SUM,), "deep", _scalar(2.0)),
     "store-operand-order": Program((STORE_ORDER,), "so", _scalar(3.0)),
     "colon-all-column": Program((COLON_ALL,), "ca", _scalar(3.0)),
+    "unrolled-alias-literal": Program((ALIAS_LITERAL,), "al", _scalar(3.0)),
+    "unrolled-alias-op": Program((ALIAS_OP,), "ao", _scalar(3.0)),
+    "unrolled-swap": Program((SWAP,), "sw", _scalar(1.5)),
+    "unrolled-escapes": Program((ESCAPES,), "esc", _scalar(2.0)),
+    "unrolled-matrix": Program(
+        (UNROLLED_MATRIX,), "mx",
+        lambda: [from_python(1.5),
+                 from_ndarray(np.array([[1.0, -2.0], [0.5, 4.0]]))],
+    ),
+    "unrolled-maybe-undefined": Program(
+        (MAYBE_UNDEFINED,), "mu", _scalar(-1.0)
+    ),
+    "unrolled-zero-nan": Program(
+        (ZERO_NAN,), "zn",
+        lambda: [from_python(-0.0), from_python(float("nan"))],
+    ),
+    "sign-complex": Program((SIGN_COMPLEX,), "sc", _scalar(2.0)),
+    "sign-nan": Program((SIGN_NAN,), "sn", _scalar(float("nan"))),
+    "sign-store": Program((SIGN_STORE,), "ss", _scalar(5.0)),
+    "sign-subscript": Program(
+        (SIGN_SUBSCRIPT,), "sx", _scalar(float("nan"))
+    ),
+    "rand-draws": Program((RAND_DRAWS,), "rd", _scalar(3.0)),
 }
 
 

@@ -36,10 +36,12 @@ function y = axpy(a, x, b)
 y = a .* x + b ./ (x + 1.0) - abs(x);
 """
 
-ARGS = [2.0, [[1.0, 2.0, 3.0]], 5.0]
+#: Ten elements: past the unroll limit, so the JIT fuses the tree.
+XS = [float(x) for x in range(1, 11)]
+ARGS = [2.0, [XS], 5.0]
 
 #: 2*x + 5/(x+1) - |x| evaluated with the same host float ops.
-EXPECTED = [[2.0 * x + 5.0 / (x + 1.0) - abs(x) for x in (1.0, 2.0, 3.0)]]
+EXPECTED = [[2.0 * x + 5.0 / (x + 1.0) - abs(x) for x in XS]]
 
 
 def call_axpy(session) -> list:

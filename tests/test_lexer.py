@@ -1,8 +1,5 @@
 """Scanner tests: token kinds, MATLAB's context-sensitive quirks."""
 
-import re
-import sys
-
 import pytest
 
 from repro.errors import LexError
@@ -227,13 +224,13 @@ class TestPinnedStreams:
     and CRLF, continuations, and error locations."""
 
     @pytest.mark.parametrize("source,expected", [
-        # Non-ASCII letters and digits follow ``str.isalpha`` /
-        # ``str.isdigit`` / ``\w``.
+        # Non-ASCII letters follow ``str.isalpha`` / ``\w``; digits are
+        # the decimal ones ``\d`` matches (``²`` is an error, below).
         ("é", [("IDENT", "é", 1, 1), ("EOF", "", 1, 2)]),
         ("xé1", [("IDENT", "xé1", 1, 1), ("EOF", "", 1, 4)]),
-        ("²", [("NUMBER", "²", 1, 1), ("EOF", "", 1, 2)]),
+        ("x½", [("IDENT", "x½", 1, 1), ("EOF", "", 1, 3)]),
         ("٣", [("NUMBER", "٣", 1, 1), ("EOF", "", 1, 2)]),
-        ("1²", [("NUMBER", "1²", 1, 1), ("EOF", "", 1, 3)]),
+        ("٣.٥", [("NUMBER", "٣.٥", 1, 1), ("EOF", "", 1, 4)]),
         ("x²", [("IDENT", "x²", 1, 1), ("EOF", "", 1, 3)]),
         (".5i", [("IMAGINARY", ".5", 1, 1), ("EOF", "", 1, 4)]),
         ("3ix", [("NUMBER", "3", 1, 1), ("IDENT", "ix", 1, 2),
@@ -294,6 +291,10 @@ class TestPinnedStreams:
         ("1.e3", "unexpected character '.'", 1, 2),
         ("1..2", "unexpected character '.'", 1, 2),
         ("x = ½", "unexpected character '½'", 1, 5),
+        # Non-decimal digits are not digits: no NUMBER for ``float`` to
+        # refuse with a bare ValueError.
+        ("²", "unexpected character '²'", 1, 1),
+        ("1²", "unexpected character '²'", 1, 2),
         ("a = 1 + ...\n2;\nb = ...\n  c $", "unexpected character '$'", 4, 5),
         ("a = ...\n1;\nb = 'oops\n", "unterminated string literal", 3, 5),
         ("a = ...\n1;\nb = 'it''s\nc = 1;", "unterminated string literal",
@@ -307,15 +308,12 @@ class TestPinnedStreams:
         assert (location.line, location.column) == (line, column)
 
 
-def test_digit_class_is_str_isdigit():
-    """The scanner's digit class is ``str.isdigit``, code point for code
-    point, on the running Python's Unicode tables."""
-    # A private name, imported here so the pinned rows above run against
-    # any scanner.
-    from repro.frontend.lexer import _DIGIT
+def test_non_decimal_digit_is_a_lex_error_when_parsing():
+    from repro.frontend.parser import parse
 
-    every = "".join(map(chr, range(sys.maxunicode + 1)))
-    assert re.findall(_DIGIT, every) == [c for c in every if c.isdigit()]
+    with pytest.raises(LexError) as info:
+        parse("function y = f()\ny = 1²;\n")
+    assert str(info.value) == "<input>:2:6: unexpected character '²'"
 
 
 def test_kind_globals_name_their_own_members():

@@ -133,7 +133,7 @@ def _serial_history(tmp_path_factory):
     skip, a watchdog timeout, fused kernels with a kernel-cache hit, miss
     and eviction, persistent-cache misses — then hits, in a warm session."""
     cache_dir = tmp_path_factory.mktemp("ledger-cache")
-    x = np.arange(1.0, 9.0)
+    x = np.arange(1.0, 13.0)  # past the unroll limit: fused kernels
     KERNEL_CACHE.clear()
     capacity, KERNEL_CACHE.capacity = KERNEL_CACHE.capacity, 1
     try:
@@ -149,7 +149,7 @@ def _serial_history(tmp_path_factory):
             cold.add_source(text)
         cold.call("spin", 10.0)              # hangs -> watchdog -> deopt
         for _ in range(4):                   # 2 deopts -> quarantined
-            cold.call("msum", x.reshape(2, 4))
+            cold.call("msum", x.reshape(3, 4))
         cold.call("axpy", 2.0, x, 3.0)       # kernel miss
         cold.call("axmy", 2.0, x, 3.0)       # miss; evicts axpy's kernel
         cold.call("axmy", 2.0, x + 1.0, 3.0)  # range-widened recompile: hit
@@ -235,13 +235,14 @@ def _native_history(tmp_path_factory):
         return []
     session = MajicSession(
         metrics=True, native=True, sync=True, native_hot_threshold=1,
-        native_min_elems=4, cache_dir=tmp_path_factory.mktemp("ledger-native"),
+        native_min_elems=16, cache_dir=tmp_path_factory.mktemp("ledger-native"),
     )
     session.add_source(AXPY)
-    x = np.arange(1.0, 9.0)
+    x = np.arange(1.0, 21.0)
     for _ in range(3):
         session.call("axpy", 2.0, x, 3.0)    # compile, then native runs
-    session.call("axpy", 2.0, x[:2], 3.0)    # below the cutoff: fallback
+    # Below the cutoff but past the unroll limit (a kernel): fallback.
+    session.call("axpy", 2.0, x[:12], 3.0)
     session.close()
     return [session]
 

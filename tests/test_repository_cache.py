@@ -206,10 +206,10 @@ def test_background_speculation_populates_cache(tmp_path):
     assert warm.stats.cache_hits == 2
 
 
-@pytest.mark.parametrize("name", ["orbec", "dirich"])
+@pytest.mark.parametrize("name", ["orbec", "dirich", "sor"])
 def test_warm_first_call_compiles_no_python(tmp_path, monkeypatch, name):
     """A warm first call binds the entry's bytecode — the function's and,
-    on ``orbec``, its fused kernels' — so it runs with ``compile``
+    on ``sor``, its fused kernels' — so it runs with ``compile``
     unavailable, and its observation is the interpreter's."""
     from repro import backends
     from repro.backends import Program
@@ -223,7 +223,7 @@ def test_warm_first_call_compiles_no_python(tmp_path, monkeypatch, name):
             kernel for version in cold.session.repository.versions_of(name)
             for kernel in version.kernel_sources
         }
-    assert bool(kernels) == (name == "orbec")
+    assert bool(kernels) == (name == "sor")
     # As in a fresh process: a kernel comes back only from an entry.
     KERNEL_CACHE.clear()
 
@@ -517,8 +517,28 @@ def test_fresh_stores_write_current_format_frames(tmp_path):
 
     cache = RepositoryCache(tmp_path)
     assert cache.put("d" * 64, _cached_object())
-    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC5\n")
-    assert frame_payload(b"x").startswith(b"MAJC5\n")
+    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC6\n")
+    assert frame_payload(b"x").startswith(b"MAJC6\n")
+
+
+def test_format_5_entry_is_not_served(tmp_path):
+    """Format 5 code kept unrolled results in per-site buffers, which
+    aliased; a warm session must compile afresh, not revive it."""
+    cold = MajicSession(cache_dir=tmp_path)
+    cold.add_source(POLY)
+    cold.speculate_all()
+    [name] = _entries(tmp_path)
+    path = tmp_path / name
+    data = path.read_bytes()
+    assert data.startswith(b"MAJC6\n")
+    path.write_bytes(b"MAJC5" + data[5:])  # the same entry, framed as 5
+
+    warm = MajicSession(cache_dir=tmp_path)
+    warm.add_source(POLY)
+    warm.speculate_all()
+    assert warm.stats.cache_hits == 0
+    assert warm.stats.speculative_compiles == 1
+    assert warm.call("poly5", 4) == 1038.0
 
 
 def test_partial_write_race_detected_on_next_load(tmp_path):

@@ -25,8 +25,9 @@ from repro.repository.diagnostics import (
 )
 
 POLY = "function p = poly(x)\np = x.^5 + 3*x + 2;\n"
-#: Compiles with a pre-allocated site buffer, so every compiled invocation
-#: is guaranteed to hit at least one runtime helper (``rt.alloc``).
+#: Compiles to a scalar-replaced ``v`` boxed for ``sum``, so every compiled
+#: invocation is guaranteed to hit at least one runtime helper
+#: (``rt.pack``).
 USEVEC = "function y = usevec(x)\nv = [x, 2*x];\ny = sum(v);\n"
 
 
@@ -259,7 +260,7 @@ class TestDifferentialHarness:
         spec compile (the JIT then serves), a failed kernel run deopts."""
         lanes = [lane for lane in default_lanes()
                  if lane.label.startswith("spec-kernel")]
-        outcomes = run_lanes(lanes, names=["orbrk"])
+        outcomes = run_lanes(lanes, names=["orbit12"])
         assert [o.plan for o in outcomes] == [
             "spec-kernel-compile", "spec-kernel-run",
         ]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.codegen import runtime_support as rts
 from repro.errors import RuntimeMatlabError
-from repro.runtime.mxarray import MxArray
+from repro.runtime.mxarray import IntrinsicClass, MxArray
 from repro.runtime.values import from_python, make_matrix, make_scalar, to_python
 
 
@@ -114,9 +114,15 @@ class TestIterationConstruction:
         mat = rts.vcat(row, row)
         assert mat.shape == (2, 3)
 
-    def test_alloc(self):
-        buf = rts.alloc(2, 3)
-        assert buf.shape == (2, 3) and np.all(buf.view() == 0)
+    def test_pack(self):
+        # Row-major elements into a fresh array whose class is answered
+        # from the data.
+        mat = rts.pack(2, 3, 1, 2, 3, 4.5, 5, 6)
+        assert mat.shape == (2, 3) and mat.data.dtype == np.float64
+        assert np.array_equal(to_python(mat), [[1, 2, 3], [4.5, 5, 6]])
+        assert mat.klass is IntrinsicClass.REAL
+        assert rts.pack(1, 2, 1, 0).klass is IntrinsicClass.INT
+        assert rts.pack(1, 2, 1, 2) is not rts.pack(1, 2, 1, 2)
 
 
 class TestDgemv:
@@ -184,3 +190,21 @@ class TestRuntimeSupportInstance:
         assert rts.m_rem(-1.0, 3.0) == -1.0
         assert rts.m_sign(-7.0) == -1.0
         assert rts.m_fix(-2.7) == -2.0
+
+
+def test_rand_scalar_is_the_builtins_draw():
+    """``rand`` in a raw-real position: the value and the stream step of
+    the builtin's ``uniform(1, 1)``, and a snapshot taken before it is
+    not the state after it."""
+    from repro.runtime.builtins import GLOBAL_RANDOM
+
+    GLOBAL_RANDOM.seed(7)
+    boxed = [GLOBAL_RANDOM.uniform(1, 1)[0, 0] for _ in range(1000)]
+    state = GLOBAL_RANDOM.snapshot()
+    GLOBAL_RANDOM.seed(7)
+    raw = [rts.rand_scalar() for _ in range(1000)]
+    assert all(type(value) is float for value in raw)
+    assert raw == boxed
+    assert GLOBAL_RANDOM.snapshot() == state
+    rts.rand_scalar()
+    assert GLOBAL_RANDOM.snapshot() != state

@@ -19,6 +19,7 @@ from repro import MajicSession, backends
 from repro.backends import Program
 from repro.baselines.falcon import FalconCompilerEngine
 from repro.codegen.select import _BINOP_HELPER, _UNARY_HELPER
+from repro.faults.harness import WIDE_ORBIT
 from repro.kernels import KERNEL_CACHE
 
 #: The generic (raw-or-boxed) operator helpers fusion replaces.
@@ -26,7 +27,32 @@ GENERIC = sorted(
     name for name in {*_BINOP_HELPER.values(), *_UNARY_HELPER.values()}
     if name.startswith("g_")
 )
-ORBITS = ("orbec", "orbrk")
+
+#: ``orbit12`` is ``orbec`` over twelve coordinates (the fault sweep's
+#: kernel program), ``orbit12rk`` a two-stage ``orbrk`` of the same width:
+#: 1x12 vectors are past the unroll limit, so both compilers fuse their
+#: update trees.  ``orbec`` and ``orbrk`` themselves hold 1x2 and 1x4
+#: vectors, which are scalar-replaced: no kernel and no generic helper,
+#: on either tier.
+ORBIT12_RK = (
+    "function R = orbit12rk(nstep, tau)\n"
+    "s = 1:12;\nR = zeros(nstep, 12);\n"
+    "for istep = 1:nstep\n"
+    "  f1 = deriv12(s);\n  s1 = s + 0.5 * tau * f1;\n"
+    "  f2 = deriv12(s1);\n  s = s + tau * f2;\n"
+    "  R(istep, :) = s;\nend\n"
+    "function d = deriv12(s)\nd = -s ./ (s .* s + 1);\n"
+)
+
+
+ORBITS = {
+    "orbec": Program.benchmark("orbec"),
+    "orbrk": Program.benchmark("orbrk"),
+    "orbit12": WIDE_ORBIT,
+    "orbit12rk": Program((ORBIT12_RK,), "orbit12rk", WIDE_ORBIT.make_args),
+}
+#: The programs whose versions fuse.
+FUSING = ("orbit12", "orbit12rk")
 
 
 @contextlib.contextmanager
@@ -55,7 +81,7 @@ def counted_helpers(rt):
 
 def steady_calls(name: str, row: str) -> collections.Counter:
     """Helper and kernel calls of one steady call of ``name`` on ``row``."""
-    with backends.open(Program.benchmark(name), row) as handle:
+    with backends.open(ORBITS[name], row) as handle:
         handle.call()
         handle.call()
         stats = handle.session.stats
@@ -69,13 +95,14 @@ def steady_calls(name: str, row: str) -> collections.Counter:
 
 @pytest.mark.parametrize("name", ORBITS)
 def test_steady_spec_call_runs_the_jits_kernels(name):
-    """At the parent a steady ``orbec`` spec call made 4 ``g_add`` /
-    ``g_mul`` calls per loop iteration and no kernel call."""
+    """Before fusion was a hook of the shared walk, a steady ``orbec``
+    spec call made 4 ``g_add`` / ``g_mul`` calls per loop iteration and
+    no kernel call."""
     spec, jit = steady_calls(name, "spec"), steady_calls(name, "fused")
     generic = {n: c for n, c in spec.items() if n.startswith("g_")}
     assert generic == {}, generic
     kernels = sum(c for n, c in spec.items() if n.startswith("kernel_"))
-    assert kernels > 0
+    assert (kernels > 0) == (name in FUSING)
     assert kernels == sum(c for n, c in jit.items() if n.startswith("kernel_"))
 
 
@@ -89,11 +116,12 @@ def _spec_versions(session):
 
 @pytest.mark.parametrize("name", ORBITS)
 def test_spec_versions_carry_their_kernels(name):
-    with backends.open(Program.benchmark(name), "spec") as handle:
+    with backends.open(ORBITS[name], "spec") as handle:
         handle.call()
         versions = _spec_versions(handle.session)
     fused = [v for v in versions if v.kernel_sources]
-    assert fused
+    assert bool(fused) == (name in FUSING)
+    assert all("rt.kernel_" not in v.source for v in versions if v not in fused)
     for version in fused:
         assert version.kernel_keys.keys() == version.kernel_sources.keys()
         for kernel in version.kernel_sources:
@@ -104,20 +132,20 @@ def test_fusion_off_spec_version_has_no_kernels_and_its_own_key(tmp_path):
     keys = {}
     for fusion in (True, False):
         session = MajicSession(fusion=fusion, cache_dir=tmp_path / str(fusion))
-        for source in Program.benchmark("orbec").sources:
+        for source in ORBITS["orbit12"].sources:
             session.add_source(source)
         session.speculate_all()
         [version] = _spec_versions(session)
         assert bool(version.kernel_sources) == fusion
         assert ("rt.kernel_" in version.source) == fusion
-        keys[fusion] = session.repository.profile_key("orbec", "spec")
+        keys[fusion] = session.repository.profile_key("orbit12", "spec")
         session.close()
     assert keys[True] != keys[False]
 
 
 @pytest.mark.parametrize("name", ORBITS)
 def test_falcon_stays_unfused(name):
-    program = Program.benchmark(name)
+    program = ORBITS[name]
     engine = FalconCompilerEngine()
     for source in program.sources:
         engine.add_source(source)
@@ -127,7 +155,7 @@ def test_falcon_stays_unfused(name):
 
 @pytest.mark.parametrize("name", ORBITS)
 def test_spec_version_revives_from_disk_with_its_kernels(name, tmp_path):
-    program = Program.benchmark(name)
+    program = ORBITS[name]
     want = backends.reference(program)
     with backends.open(program, "spec", cache_dir=tmp_path) as handle:
         assert not want.diff(handle.call())
@@ -138,5 +166,7 @@ def test_spec_version_revives_from_disk_with_its_kernels(name, tmp_path):
         assert stats.speculative_compiles == stats.jit_compiles == 0
         assert stats.cache_hits > 0 and stats.calls_spec > 0
         assert stats.deopts == 0
-        assert any(v.kernel_sources for v in _spec_versions(handle.session))
+        assert any(
+            v.kernel_sources for v in _spec_versions(handle.session)
+        ) == (name in FUSING)
     assert KERNEL_CACHE.stats()["misses"] == 0
