@@ -554,16 +554,17 @@ class RuntimeSupport:
 
     def __init__(
         self,
+        *,
+        knows,
         call_user=None,
         sink: display.OutputSink | None = None,
         fault_plan=None,
         obs=None,
         native=None,
-        knows=None,
     ):
         self.sink = sink if sink is not None else display.OutputSink()
         self._call_user = call_user
-        # Whether a user function exists (None: assume it does).
+        # Whether a user function of this name exists.
         self._knows = knows
         self.fault_plan = fault_plan
         self.obs = obs
@@ -676,7 +677,7 @@ class RuntimeSupport:
         label = name.text if isinstance(name, MxArray) else str(name)
         if rt_builtins.is_builtin(label):
             return self.builtin1(label)
-        if self._knows is not None and not self._knows(label):
+        if not self._knows(label):
             raise UndefinedSymbolError(
                 f"undefined function or variable '{label}'", where
             )

@@ -187,7 +187,8 @@ class Selector:
     def scalar_replaced(self, dis: DisambiguationResult) -> dict:
         """``name -> (rows, cols)`` for the variables that live as one raw
         real per element: locals (no formal, output, global or ``ans``)
-        whose every definition has the same :meth:`small_shape`, that are
+        whose every definition is INT / REAL with the same
+        :meth:`small_shape`, that are
         definitely assigned wherever read or stored into, and that are
         stored into only one element at a time, at constant subscripts in
         range.  A ``for`` variable, a multi-assignment target and a
@@ -221,11 +222,22 @@ class Selector:
             if isinstance(stmt, ast.Assign):
                 target = stmt.target
                 shape = shapes.get(target.name)
-                if shape is not None and target.is_indexed and (
-                    id(stmt) not in defined_stores
-                    or self.element_position(target.indices, shape, dis) is None
-                    or not self._real_scalar(stmt.value)
+                if shape is None:
+                    continue
+                if target.is_indexed:
+                    if (
+                        id(stmt) not in defined_stores
+                        or self.element_position(target.indices, shape, dis)
+                        is None
+                        or not self._real_scalar(stmt.value)
+                    ):
+                        del shapes[target.name]
+                elif (
+                    self.annotations.type_of(stmt.value).intrinsic
+                    not in _UNROLLED
                 ):
+                    # The join hides a logical definition (BOOL ⊔ INT is
+                    # INT), and a logical value's class is its tag.
                     del shapes[target.name]
             elif isinstance(stmt, ast.MultiAssign):
                 for target in stmt.targets:
@@ -651,7 +663,7 @@ class Walk:
             position = self.selector.element_position(
                 target.indices, shape, self.dis
             )
-            values[position] = self.real(stmt.value)
+            values[position] = self.element_real(stmt.value)
             self.assign_elements(target.name, values)
         elif shape is not None:
             self.assign_elements(
@@ -1023,7 +1035,7 @@ class Walk:
         if isinstance(node, ast.MatrixLit):
             rows, cols = shape
             cells = [
-                [self.settle(self.real(item)) for item in row]
+                [self.settle(self.element_real(item)) for item in row]
                 for row in node.rows
             ]
             return [cells[r][c] for c in range(cols) for r in range(rows)]
@@ -1052,6 +1064,55 @@ class Walk:
         return [
             self.element(array, r, c) for c in range(cols) for r in range(rows)
         ]
+
+    def element_real(self, node: ast.Expr):
+        """Scalar ``node`` as an element value: always a host float, as
+        an element read from a boxed array is.  A host int has no −0.0,
+        Inf or NaN (``-[0 1]``, ``v .* v`` growing past the largest
+        double); an operation with one element operand yields a float
+        already, so only values that become elements as they are need
+        this."""
+        if isinstance(node, ast.Number):
+            return self.const(float(node.value), RAW_REAL)
+        if (
+            isinstance(node, ast.UnaryOp)
+            and node.op is ast.UnaryKind.NEG
+            and isinstance(node.operand, ast.Number)
+        ):
+            return self.const(-float(node.operand.value), RAW_REAL)
+        value, kind = self.expr(node)
+        if kind in (RAW_REAL, RAW_INT) and not self._is_host_float(node):
+            return self.host_float(value)
+        return self.coerce(value, kind, RAW_REAL)  # unbox_real: a float
+
+    def host_float(self, value):
+        """``value`` as a host float, bits kept (−0.0 and NaN included)."""
+        return self.binary("*", value, self.const(1.0, RAW_REAL), RAW_REAL)
+
+    def _is_host_float(self, node: ast.Expr) -> bool:
+        """The raw value of scalar ``node`` is a host float for certain:
+        a non-integral literal, an element of a scalar-replaced variable,
+        a quotient, or arithmetic with such an operand."""
+        if isinstance(node, ast.Number):
+            return node.value != int(node.value)
+        if isinstance(node, ast.Apply) and node.kind is ast.ApplyKind.INDEX:
+            shape = self.replaced.get(node.name)
+            return shape is not None and self.selector.element_position(
+                node.args, shape, self.dis
+            ) is not None
+        if isinstance(node, ast.UnaryOp):
+            return node.op is ast.UnaryKind.NEG and self._is_host_float(
+                node.operand
+            )
+        if isinstance(node, ast.BinaryOp) and node.op in _NUMERIC_PY:
+            return node.op in ("/", "./") or (
+                node.op not in ("^", ".^")
+                and (
+                    self._is_host_float(node.left)
+                    or self._is_host_float(node.right)
+                )
+            )
+        return False
 
     def _var_elements(self, name: str) -> list:
         rows, cols = self.replaced[name]

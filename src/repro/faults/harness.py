@@ -92,7 +92,6 @@ WIDE_ORBIT = Program(
     "orbit12",
     lambda: [from_python(30.0), from_python(0.001)],
 )
-EXTRA_PROGRAMS = {WIDE_ORBIT.entry: WIDE_ORBIT}
 
 #: The ``--smoke`` subset: recursion, scalar loops, a builtin solver, the
 #: one ``rand`` user, ``orbrk`` — two functions, so a second worker task
@@ -100,15 +99,6 @@ EXTRA_PROGRAMS = {WIDE_ORBIT.entry: WIDE_ORBIT}
 #: reach the native tier, so that every lane of every sweep has a program
 #: it can fire on.
 SMOKE_NAMES = ("fibonacci", "dirich", "cgopt", "fractal", "orbrk", "orbit12")
-
-
-def sweep_names() -> list[str]:
-    """The default programs of a sweep: Table 1, then the extra ones."""
-    return benchmark_names() + list(EXTRA_PROGRAMS)
-
-
-def sweep_program(name: str) -> Program:
-    return EXTRA_PROGRAMS.get(name) or Program.benchmark(name)
 
 
 @dataclass
@@ -320,8 +310,11 @@ def run_lanes(
     — results must stay bit-identical with spans being recorded, or
     observability is changing behaviour."""
     outcomes: list[DifferentialOutcome] = []
-    for name in names or sweep_names():
-        program = sweep_program(name)
+    for name in names or benchmark_names() + [WIDE_ORBIT.entry]:
+        program = (
+            WIDE_ORBIT if name == WIDE_ORBIT.entry
+            else Program.benchmark(name)
+        )
         expected = reference(program)
         for lane in lanes:
             plan = lane.plan()
@@ -481,9 +474,13 @@ def main(argv: list[str] | None = None) -> int:
     if trace or metrics:
         # One fault-free observed pass (background so worker spans show),
         # then the one-screen health report and the requested exports.
-        observed = (names or sweep_names())[0]
+        observed = (names or benchmark_names())[0]
+        program = (
+            WIDE_ORBIT if observed == WIDE_ORBIT.entry
+            else Program.benchmark(observed)
+        )
         with backends.open(
-            sweep_program(observed), "background",
+            program, "background",
             trace=trace, metrics=metrics,
         ) as handle:
             handle.call()

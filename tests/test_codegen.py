@@ -30,7 +30,7 @@ def compile_src(source, *values, options=None):
 
 
 def run(obj, args, nargout=1):
-    outs = obj.invoke(args, nargout, RuntimeSupport())
+    outs = obj.invoke(args, nargout, RuntimeSupport(knows=lambda name: False))
     values = [to_python(o) for o in outs]
     return values[0] if nargout == 1 else values
 

@@ -217,6 +217,15 @@ ZERO_NAN = (
     "s = v .* v;\nz = [w(1), u(2), s(1)];\nz(2) = u(1);\n"
     "r = [v, w, u, s, z];\n"
 )
+LOGICAL_DEF = (
+    "function r = ld(x)\nm = [0, 0];\nm = [x, x] > 0;\nv = [10, 20];\n"
+    "r = v(m);\n"
+)
+INT_ELEMENTS = (
+    "function r = ie(x)\nv = [0, 1];\nu = -v;\nk = 0;\nq = -[k, 1];\n"
+    "w = [2, 3];\nfor j = 1:12\n  w = w .* w;\nend\n"
+    "r = [u(1), q(1), w(1) - w(1)];\n"
+)
 SIGN_COMPLEX = "function r = sc(x)\nz = x * 1i;\nr = sqrt(z * z);\n"
 SIGN_NAN = "function r = sn(x)\nt = x * x;\nr = [sqrt(t), sqrt(x .* x)];\n"
 SIGN_STORE = (
@@ -321,7 +330,15 @@ def _scalar(value):
 #: one path only stays a variable that may be unset, and reading it
 #: unset raises the interpreter's error, location and all (compiled code
 #: said ``unknown function 'v'``); ``unrolled-zero-nan`` — −0.0 and NaN
-#: elements keep their bits.  Sign facts (a real value times itself is
+#: elements keep their bits; ``unrolled-logical-def`` — a variable with a
+#: logical and a numeric definition of one shape stays boxed, so ``v(m)``
+#: is a logical subscript (the joined type said INT, and the replaced
+#: ``m`` indexed with doubles: ``[10 10]`` for ``[10 20]``);
+#: ``unrolled-int-elements`` — elements from integral literals and a
+#: host-int counter are host floats, so ``-[0 1]`` gives −0.0 and a
+#: squared ``[2 3]`` overflows to Inf (and Inf − Inf to NaN) as the
+#: interpreter's doubles do (host ints gave 0.0 and exact big ints).
+#: Sign facts (a real value times itself is
 #: ≥ 0): ``sign-complex`` — ``z*z`` of a complex ``z`` may be negative;
 #: ``sign-nan`` — a NaN square stays NaN; ``sign-store`` — ``t * r(1)``
 #: after a store to ``r(1)`` is not a square; ``sign-subscript`` — a NaN
@@ -392,6 +409,8 @@ PROBES = {
         (ZERO_NAN,), "zn",
         lambda: [from_python(-0.0), from_python(float("nan"))],
     ),
+    "unrolled-logical-def": Program((LOGICAL_DEF,), "ld", _scalar(1.0)),
+    "unrolled-int-elements": Program((INT_ELEMENTS,), "ie", _scalar(0.0)),
     "sign-complex": Program((SIGN_COMPLEX,), "sc", _scalar(2.0)),
     "sign-nan": Program((SIGN_NAN,), "sn", _scalar(float("nan"))),
     "sign-store": Program((SIGN_STORE,), "ss", _scalar(5.0)),

@@ -262,7 +262,7 @@ def test_missing_kernel_deopts_to_interpreter(fresh_session):
 def test_unknown_kernel_attribute_error():
     from repro.codegen.runtime_support import RuntimeSupport
 
-    rt = RuntimeSupport()
+    rt = RuntimeSupport(knows=lambda name: False)
     with pytest.raises(AttributeError, match="kernel_feedbeefdeadbeef"):
         rt.kernel_feedbeefdeadbeef
 

@@ -320,7 +320,7 @@ def test_put_compiles_a_kernel_the_kernel_cache_dropped(tmp_path):
     from repro.codegen.runtime_support import RuntimeSupport
     from repro.runtime.values import from_python, to_python
 
-    rt = RuntimeSupport(call_user=None, sink=session.sink)
+    rt = RuntimeSupport(knows=session.repository.knows, sink=session.sink)
     out = revived.invoke([from_python(v) for v in (2.0, x, 3.0)], 1, rt)
     assert np.array_equal(to_python(out[0]), expected)
 def test_serialized_object_round_trips_and_executes(tmp_path):
@@ -338,7 +338,7 @@ def test_serialized_object_round_trips_and_executes(tmp_path):
     from repro.codegen.runtime_support import RuntimeSupport
     from repro.runtime.values import from_python, to_python
 
-    rt = RuntimeSupport(call_user=None, sink=session.sink)
+    rt = RuntimeSupport(knows=session.repository.knows, sink=session.sink)
     out = revived.invoke([from_python(4)], 1, rt)
     assert to_python(out[0]) == 1038.0
 

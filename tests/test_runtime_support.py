@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codegen import runtime_support as rts
-from repro.errors import RuntimeMatlabError
+from repro.errors import RuntimeMatlabError, UndefinedSymbolError
 from repro.runtime.mxarray import IntrinsicClass, MxArray
 from repro.runtime.values import from_python, make_matrix, make_scalar, to_python
 
@@ -155,32 +155,39 @@ class TestDgemv:
 
 class TestRuntimeSupportInstance:
     def test_builtin_dispatch(self):
-        rt = rts.RuntimeSupport()
+        rt = rts.RuntimeSupport(knows=lambda name: False)
         (result,) = rt.builtin("size", 1, make_matrix([[1, 2, 3]]))
         assert np.array_equal(to_python(result), [[1, 3]])
 
     def test_builtin1(self):
-        rt = rts.RuntimeSupport()
+        rt = rts.RuntimeSupport(knows=lambda name: False)
         assert to_python(rt.builtin1("sum", make_matrix([[1, 2, 3]]))) == 6.0
 
     def test_call_user_without_dispatcher_raises(self):
-        rt = rts.RuntimeSupport()
+        rt = rts.RuntimeSupport(knows=lambda name: False)
         with pytest.raises(RuntimeMatlabError):
             rt.call_user("nothing", 1)
 
     def test_ambiguous_lookup_prefers_variable(self):
-        rt = rts.RuntimeSupport()
+        rt = rts.RuntimeSupport(knows=lambda name: False)
         assert rt.ambiguous_lookup("pi", 42.0) == 42.0
 
     def test_ambiguous_lookup_falls_back_to_builtin(self):
         import math
 
-        rt = rts.RuntimeSupport()
+        rt = rts.RuntimeSupport(knows=lambda name: False)
         value = rt.ambiguous_lookup("pi", None)
         assert to_python(value) == pytest.approx(math.pi)
 
+    def test_ambiguous_lookup_of_an_unknown_name_raises(self):
+        rt = rts.RuntimeSupport(knows=lambda name: False)
+        with pytest.raises(
+            UndefinedSymbolError, match="undefined function or variable 'v'"
+        ):
+            rt.ambiguous_lookup("v", None)
+
     def test_display_value_writes_sink(self):
-        rt = rts.RuntimeSupport()
+        rt = rts.RuntimeSupport(knows=lambda name: False)
         rt.display_value("x", 7.0)
         assert "x =" in rt.sink.getvalue()
 

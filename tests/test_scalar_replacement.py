@@ -106,6 +106,10 @@ def replaced(source: str, *types: MType, unroll: bool = True) -> dict:
     ("v = [x, 1];\nclear v\ny = 1;\n", {}),
     ("v = [x, 1];\ny = v(2);\nclear\n", {}),
     ("v = [x > 1, x > 2];\ny = v(1);\n", {}),
+    # One logical and one numeric definition: the join says INT, but the
+    # logical value's class must survive.
+    ("m = [0, 0];\nm = [x, x] > 0;\ny = m(1);\n", {}),
+    ("m = x > [0, 0];\nm(1) = 1;\ny = m(1);\n", {}),
     # A for variable, even a column of exact shape.
     ("y = 0;\nfor c = [1 2; 3 4], y = y + c(1); end\n", {}),
     # A maybe-undefined read.
