@@ -26,6 +26,7 @@ from repro.analysis.cfg import (
 from repro.analysis.reaching import AssignmentSets, assignment_analysis
 from repro.analysis.symtab import SymbolInfo, SymbolKind, SymbolTable
 from repro.frontend import ast_nodes as ast
+from repro.runtime.builtins import is_builtin
 
 
 @dataclass
@@ -49,16 +50,7 @@ class DisambiguationResult:
 class Disambiguator:
     """Resolves every symbol occurrence in one function or script body."""
 
-    def __init__(
-        self,
-        is_user_function: Callable[[str], bool],
-        is_builtin: Callable[[str], bool] | None = None,
-    ):
-        if is_builtin is None:
-            from repro.runtime.builtins import is_builtin as runtime_is_builtin
-
-            is_builtin = runtime_is_builtin
-        self.is_builtin = is_builtin
+    def __init__(self, is_user_function: Callable[[str], bool]):
         self.is_user_function = is_user_function
 
     # ------------------------------------------------------------------
@@ -105,16 +97,12 @@ class Disambiguator:
 
         def resolve_uses(expr: ast.Expr) -> None:
             for node in ast.walk_expr(expr):
-                if isinstance(node, ast.Ident):
-                    kind = self._resolve(node.name, must, may, is_apply=False)
+                if isinstance(node, (ast.Ident, ast.Apply)):
+                    kind = self._resolve(
+                        node.name, must, may,
+                        is_apply=isinstance(node, ast.Apply),
+                    )
                     result.resolution[id(node)] = kind
-                    info = result.symbols.ensure(node.name)
-                    info.kinds.add(kind)
-                    info.read = True
-                elif isinstance(node, ast.Apply):
-                    kind = self._resolve(node.name, must, may, is_apply=True)
-                    result.resolution[id(node)] = kind
-                    node.kind = _APPLY_KIND[kind]
                     info = result.symbols.ensure(node.name)
                     info.kinds.add(kind)
                     info.read = True
@@ -169,7 +157,7 @@ class Disambiguator:
         if name in may:
             # Defined on some paths only: Figure 2's deferred case.
             return SymbolKind.AMBIGUOUS
-        if self.is_builtin(name):
+        if is_builtin(name):
             return SymbolKind.BUILTIN
         if self.is_user_function(name):
             return SymbolKind.USER_FUNCTION
@@ -178,14 +166,6 @@ class Disambiguator:
             # the function before execution reaches this site.
             return SymbolKind.USER_FUNCTION
         return SymbolKind.AMBIGUOUS
-
-
-_APPLY_KIND = {
-    SymbolKind.VARIABLE: ast.ApplyKind.INDEX,
-    SymbolKind.BUILTIN: ast.ApplyKind.BUILTIN,
-    SymbolKind.USER_FUNCTION: ast.ApplyKind.USER_FUNCTION,
-    SymbolKind.AMBIGUOUS: ast.ApplyKind.AMBIGUOUS,
-}
 
 
 def disambiguate_function(

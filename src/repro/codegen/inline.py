@@ -22,8 +22,6 @@ from repro.frontend import ast_nodes as ast
 
 MAX_INLINE_LINES = 200
 MAX_RECURSION_DEPTH = 3
-# The call kinds the inliner may substitute.
-_DYNAMIC = (ast.ApplyKind.USER_FUNCTION, ast.ApplyKind.UNRESOLVED)
 
 
 class Inliner:
@@ -47,8 +45,8 @@ class Inliner:
 
     # ------------------------------------------------------------------
     def run(self, fn: ast.FunctionDef) -> ast.FunctionDef:
-        """Return a copy of ``fn`` with eligible calls inlined."""
-        clone = ast.clone(fn)
+        """``fn`` with eligible calls inlined: a rewritten copy, or ``fn``
+        itself when no call is eligible."""
         # Names assigned in the caller may shadow function names at
         # runtime; the inliner runs before disambiguation, so it must not
         # inline anything a local assignment could shadow.
@@ -56,12 +54,14 @@ class Inliner:
         depth_map = {fn.name: 1}
         # With no eligible callee the rewrite maps every node to itself:
         # skip it, asking only about the calls it would ask about (a lookup
-        # may parse a unit).  The copy stays: disambiguation annotates it.
+        # may parse a unit).
         asked: list[ast.Apply] = []
         _asked(fn.body, asked)
-        if any(self._eligible(call.name, len(call.args), depth_map)
-               for call in asked):
-            clone.body = self._inline_body(clone.body, depth_map)
+        if not any(self._eligible(call.name, len(call.args), depth_map)
+                   for call in asked):
+            return fn
+        clone = ast.clone(fn)
+        clone.body = self._inline_body(clone.body, depth_map)
         return clone
 
     # ------------------------------------------------------------------
@@ -185,8 +185,6 @@ class Inliner:
         """Inline ``x = f(...)`` without a temporary."""
         if stmt.target.is_indexed or not isinstance(value, ast.Apply):
             return None
-        if value.kind not in _DYNAMIC:
-            return None
         callee = self._eligible(value.name, len(value.args), depth_map)
         if callee is None or not callee.outputs:
             return None
@@ -230,7 +228,7 @@ class Inliner:
         def rewrite(node: ast.Expr, is_top: bool, frozen: bool = False) -> ast.Expr:
             if isinstance(node, ast.Apply):
                 node.args = each(node.args, frozen)
-                if not frozen and not is_top and node.kind in _DYNAMIC:
+                if not frozen and not is_top:
                     callee = self._eligible(node.name, len(node.args), depth_map)
                     if callee is not None and callee.outputs:
                         temp = self._fresh(f"t_{node.name}")
@@ -352,8 +350,7 @@ def _asked(body: list[ast.Stmt], out: list[ast.Apply]) -> None:
             _asked_in(stmt.value, out, top=True)
             for index in stmt.target.indices or ():
                 _asked_in(index, out)
-            if (not stmt.target.is_indexed and isinstance(stmt.value, ast.Apply)
-                    and stmt.value.kind in _DYNAMIC):
+            if not stmt.target.is_indexed and isinstance(stmt.value, ast.Apply):
                 out.append(stmt.value)  # ``_try_direct_inline``
         elif isinstance(stmt, ast.MultiAssign):
             if isinstance(stmt.call, ast.Apply):
@@ -392,8 +389,7 @@ def _asked_in(expr: ast.Expr, out: list[ast.Apply], top: bool = False,
     for operand in operands:
         if operand is not None:  # a range without a step
             positional |= _asked_in(operand, out, False, frozen or positional)
-    if (isinstance(expr, ast.Apply) and not frozen and not top
-            and expr.kind in _DYNAMIC):
+    if isinstance(expr, ast.Apply) and not frozen and not top:
         out.append(expr)
     return positional
 

@@ -257,10 +257,10 @@ def plan_versioning(
                 )
         for expr in ast.stmt_exprs(stmt):
             for node in ast.walk_expr(expr):
+                # Only an index load has a safety on record.
                 if (
                     isinstance(node, ast.Apply)
-                    and node.kind is ast.ApplyKind.INDEX
-                    and annotations.safety_of_load(node)
+                    and annotations.load_safety.get(id(node), SubscriptSafety.SAFE)
                     is not SubscriptSafety.SAFE
                 ):
                     element = annotations.type_of(node)

@@ -664,24 +664,26 @@ class RuntimeSupport:
         label = name.text if isinstance(name, MxArray) else str(name)
         self.sink.write(display.format_value(box(value), label))
 
-    def ambiguous_lookup(self, name, current, where=None):
-        """Runtime resolution of an ambiguous symbol (Section 2.1).
+    def ambiguous_lookup(self, name, current, where=None, *args):
+        """Runtime resolution of an ambiguous symbol (Section 2.1), read
+        bare or in call form with the (boxed) ``args``.
 
         If the variable register holds a value, the symbol is a variable
-        on this execution path; otherwise fall back to builtin, then user
-        function — exactly the interpreter's dynamic rule, and its error
-        (at source location ``where``) when there is neither.
+        on this execution path, indexed by ``args``; otherwise fall back
+        to builtin, then user function — exactly the interpreter's dynamic
+        rule, and its error (at source location ``where``) when there is
+        neither.
         """
         if current is not None:
-            return current
+            return ew.mlf_index(current, *args) if args else current
         label = name.text if isinstance(name, MxArray) else str(name)
         if rt_builtins.is_builtin(label):
-            return self.builtin1(label)
+            return self.builtin1(label, *args)
         if not self._knows(label):
             raise UndefinedSymbolError(
                 f"undefined function or variable '{label}'", where
             )
-        return self.call_user(label, 1)[0]
+        return self.call_user(label, 1, *args)[0]
 
     # ------------------------------------------------------------------
     def builtin(self, name: str, nargout: int, *args):

@@ -734,12 +734,11 @@ class Walk:
 
     def multi_assign(self, stmt: ast.MultiAssign) -> None:
         call = stmt.call
-        if not isinstance(call, ast.Apply) or call.kind is ast.ApplyKind.INDEX:
+        kind = self.dis.kind_of(call)
+        if not isinstance(call, ast.Apply) or kind is SymbolKind.VARIABLE:
             raise CodegenError("multi-assignment requires a function call")
         args = [self.boxed(arg) for arg in call.args]
-        helper = (
-            "builtin" if call.kind is ast.ApplyKind.BUILTIN else "call_user"
-        )
+        helper = "builtin" if kind is SymbolKind.BUILTIN else "call_user"
         head = [
             self.const(call.name, BOXED),
             self.const(len(stmt.targets), RAW_INT),
@@ -836,11 +835,13 @@ class Walk:
             dim = self.const(end_dim, RAW_INT)
             return self.call("end_dim", [arr, dim], RAW_INT), RAW_INT
         if isinstance(node, ast.Apply):
-            if node.kind is ast.ApplyKind.INDEX:
+            kind = self.dis.kind_of(node)
+            if kind is SymbolKind.VARIABLE:
                 return self.index_load(node)
-            if node.kind is ast.ApplyKind.BUILTIN:
+            if kind is SymbolKind.BUILTIN:
                 return self.builtin_call(node)
-            # User function (or ambiguous call — resolved as late-bound user).
+            if kind is SymbolKind.AMBIGUOUS:
+                return self.ambiguous(node, node.args)
             return self.user_call(node, [self.boxed(arg) for arg in node.args])
         if isinstance(node, ast.ColonAll):
             raise CodegenError("':' subscript outside an index expression")
@@ -873,10 +874,19 @@ class Walk:
             )
         if kind is SymbolKind.USER_FUNCTION:
             return self.user_call(node, [])
-        # Ambiguous: resolved at runtime from the variable if it was
-        # assigned on the executed path, else by dynamic lookup.  The
-        # symbol table does not see the implicit ``ans`` of an expression
-        # statement; the walk has (its kind is on record).
+        return self.ambiguous(node, [])
+
+    def ambiguous(self, node: ast.Ident | ast.Apply, args: list[ast.Expr]):
+        """A name assigned on some paths only, read bare or in call form:
+        resolved at run time from the variable if it was assigned on the
+        executed path (indexed by the call form's arguments), else by
+        dynamic lookup.  The symbol table does not see the implicit
+        ``ans`` of an expression statement; the walk has (its kind is on
+        record)."""
+        if any(isinstance(sub, (ast.EndMarker, ast.ColonAll))
+               for arg in args for sub in ast.walk_expr(arg)):
+            # Only a subscript of a known variable gives them a meaning.
+            raise CodegenError(f"'end' or ':' in ambiguous '{node.name}(...)'")
         info = self.dis.symbols.lookup(node.name)
         name = self.const(node.name, BOXED)
         if node.name in self.var_kinds or (info is not None and info.assigned):
@@ -886,8 +896,9 @@ class Walk:
         else:
             current = self.const(None, BOXED)
         where = self.const(str(node.location), BOXED)
+        args = [self.boxed(arg) for arg in args]
         return self.call(
-            "ambiguous_lookup", [name, current, where], BOXED
+            "ambiguous_lookup", [name, current, where, *args], BOXED
         ), BOXED
 
     # ------------------------------------------------------------------
@@ -1095,7 +1106,10 @@ class Walk:
         a quotient, or arithmetic with such an operand."""
         if isinstance(node, ast.Number):
             return node.value != int(node.value)
-        if isinstance(node, ast.Apply) and node.kind is ast.ApplyKind.INDEX:
+        if (
+            isinstance(node, ast.Apply)
+            and self.dis.kind_of(node) is SymbolKind.VARIABLE
+        ):
             shape = self.replaced.get(node.name)
             return shape is not None and self.selector.element_position(
                 node.args, shape, self.dis

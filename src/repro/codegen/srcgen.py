@@ -461,10 +461,8 @@ class _SrcEmitter(Walk):
                 return  # a cleared array has no data pointer to keep
             for expr in ast.stmt_exprs(inner):
                 for node in ast.walk_expr(expr):
-                    if (
-                        isinstance(node, ast.Apply)
-                        and node.kind is ast.ApplyKind.INDEX
-                    ):
+                    if isinstance(node, ast.Apply):
+                        # A call has no load safety on record: CHECKED.
                         safety = self.ann.safety_of_load(node)
                         if id(node) in self.forced_safe:
                             safety = SubscriptSafety.SAFE

@@ -8,7 +8,10 @@ remain distinguishable.
 ``Apply`` deserves a note: at parse time ``f(x)`` is syntactically ambiguous
 between array indexing, a builtin call and a user-function call (Section
 2.1).  The parser always produces an ``Apply`` node; the disambiguator
-resolves its :attr:`Apply.kind`.
+records its resolution in a side table
+(:meth:`~repro.analysis.disambiguate.DisambiguationResult.kind_of`).  No
+pass writes into a tree after the parser builds it; the inliner rewrites
+only its own copies.
 """
 
 from __future__ import annotations
@@ -110,23 +113,12 @@ class MatrixLit(Expr):
     rows: list[list[Expr]]
 
 
-class ApplyKind(enum.Enum):
-    """Resolution state of an ``f(x)`` form (set by the disambiguator)."""
-
-    UNRESOLVED = "unresolved"
-    INDEX = "index"                  # f is a variable: array subscript
-    BUILTIN = "builtin"              # f is a builtin primitive
-    USER_FUNCTION = "user_function"  # f is a user function on the path
-    AMBIGUOUS = "ambiguous"          # defer resolution to runtime (§2.1)
-
-
 @dataclass(eq=False)
 class Apply(Expr):
-    """``name(arg, ...)`` — indexing or a call, per :attr:`kind`."""
+    """``name(arg, ...)`` — indexing or a call, as disambiguation decides."""
 
     name: str
     args: list[Expr]
-    kind: ApplyKind = ApplyKind.UNRESOLVED
 
 
 # ======================================================================

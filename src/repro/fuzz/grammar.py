@@ -19,8 +19,8 @@ a callee), side effects *before* a failure — text already displayed, a
 draw already taken — which a failing backend must neither lose nor repeat,
 multi-value assignments into subscripted targets (``end`` included),
 whose stores every compiler routes through its generic path, and builtin
-names assigned on one path only, which compiled code must resolve at run
-time the way the interpreter does.
+names assigned on one path only, read bare or in call form, which
+compiled code must resolve at run time the way the interpreter does.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ RAND_FUNCS = ("rand", "randn")
 SCALAR_VARS = ("s", "t", "u")
 #: Zero-argument builtins a program may shadow on one path only.
 SHADOWED_BUILTINS = ("pi", "eps")
+#: One-argument builtins shadowed the same way and read in call form,
+#: ``name(1)``: an index if the branch ran, a builtin call if not.
+SHADOWED_UNARY = ("exp", "sqrt")
 MATRIX_VARS = ("A", "B")
 
 #: Callee bodies (``{name}`` is the program's): a draw inside a callee,
@@ -200,9 +203,14 @@ class _Gen:
             self.features.append("ambiguous-builtin")
             name, var = r.choice(SHADOWED_BUILTINS), r.choice(SCALAR_VARS)
             cond = f"{self.scalar_expr(1)} > {self.scalar_expr(0)}"
+            value, read = self.scalar_expr(0), name
+            if r.random() < 0.5:
+                self.features.append("ambiguous-call")
+                name = r.choice(SHADOWED_UNARY)
+                read = f"{name}(1)"
             return (
-                f"if {cond},\n  {name} = {self.scalar_expr(0)};\nend\n"
-                f"{var} = {var} + {name};"
+                f"if {cond},\n  {name} = {value};\nend\n"
+                f"{var} = {var} + {read};"
             )
         if kind == "multi":
             return self.multi_assign()

@@ -590,22 +590,17 @@ class TypeInferenceEngine:
         """Do ``a`` and ``b``, the operands of one operator, read the same
         value: the same variable, or the same variable at identical
         constant subscripts?  Nothing can store between the two reads."""
-        if a.__class__ is ast.Ident:
-            return (
-                b.__class__ is ast.Ident
-                and a.name == b.name
-                and self._dis is not None
-                and self._dis.kind_of(a) is SymbolKind.VARIABLE
-                and self._dis.kind_of(b) is SymbolKind.VARIABLE
-            )
         if (
-            a.__class__ is not ast.Apply
-            or b.__class__ is not ast.Apply
-            or a.kind is not ast.ApplyKind.INDEX
-            or b.kind is not ast.ApplyKind.INDEX
+            a.__class__ is not b.__class__
+            or a.__class__ not in (ast.Ident, ast.Apply)
             or a.name != b.name
-            or len(a.args) != len(b.args)
+            or self._dis.kind_of(a) is not SymbolKind.VARIABLE
+            or self._dis.kind_of(b) is not SymbolKind.VARIABLE
         ):
+            return False
+        if a.__class__ is ast.Ident:
+            return True
+        if len(a.args) != len(b.args):
             return False
         for x, y in zip(a.args, b.args):
             tx, ty = record.type_of(x), record.type_of(y)
@@ -651,7 +646,7 @@ class TypeInferenceEngine:
         )[0]
 
     def _type_ident(self, expr, env, record, end_context) -> MType:
-        kind = self._dis.kind_of(expr) if self._dis else None
+        kind = self._dis.kind_of(expr)
         if kind is SymbolKind.VARIABLE or expr.name in env:
             return env.get(expr.name, MType.top())
         if kind is SymbolKind.BUILTIN:
@@ -683,8 +678,8 @@ class TypeInferenceEngine:
             return [self._type_expr(expr, env, record)] + [
                 MType.top() for _ in range(nargout - 1)
             ]
-        kind = expr.kind
-        if kind is ast.ApplyKind.INDEX:
+        kind = self._dis.kind_of(expr)
+        if kind is SymbolKind.VARIABLE:
             array = env.get(expr.name, MType.top())
             index_types = [
                 self._type_index_arg(arg, array, i, len(expr.args), env, record)
@@ -696,7 +691,7 @@ class TypeInferenceEngine:
                 key, self._ctx([array] + index_types)
             )
             out = [result[0]]
-        elif kind is ast.ApplyKind.BUILTIN:
+        elif kind is SymbolKind.BUILTIN:
             arg_types = [
                 self._type_expr(arg, env, record) for arg in expr.args
             ]

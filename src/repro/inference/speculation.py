@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.cfg import CondAtom, ForIterAtom, StmtAtom
 from repro.analysis.disambiguate import DisambiguationResult, Disambiguator
+from repro.analysis.symtab import SymbolKind
 from repro.analysis.usedef import UseDefChains, build_use_def
 from repro.frontend import ast_nodes as ast
 from repro.inference.annotations import Annotations
@@ -89,7 +90,7 @@ class Speculator:
         # likely context is a real scalar; with array evidence but no type
         # evidence it stays ⊤ — the generic complex-matrix default, which
         # is exactly the paper's mei/qmr failure mode.
-        array_evidence = self._array_evidence(fn, annotations)
+        array_evidence = self._array_evidence(fn, disambiguation, annotations)
         narrowed: dict[str, bool] = {}
         for name, mtype in param_types.items():
             if mtype.is_bottom:
@@ -122,7 +123,9 @@ class Speculator:
         }
     )
 
-    def _array_evidence(self, fn: ast.FunctionDef, annotations) -> set[str]:
+    def _array_evidence(
+        self, fn: ast.FunctionDef, dis: DisambiguationResult, annotations
+    ) -> set[str]:
         """Parameters the body treats as arrays (matrix ops, transposes,
         array-oriented builtins, loop iterables)."""
         params = set(fn.params)
@@ -146,7 +149,7 @@ class Speculator:
                             evidence.add(name)
                     elif isinstance(node, ast.Apply):
                         if (
-                            node.kind is ast.ApplyKind.BUILTIN
+                            dis.kind_of(node) is SymbolKind.BUILTIN
                             and node.name in self._ARRAY_BUILTINS
                             and node.args
                         ):
@@ -177,6 +180,7 @@ class Speculator:
     ) -> bool:
         """Visit every hint site; returns True if any parameter narrowed."""
         self._changed = False
+        self._dis = disambiguation
         self._params = set(fn.params)
         self._chains = chains
         self._annotations = annotations
@@ -207,10 +211,11 @@ class Speculator:
             flat = [item for row in expr.rows for item in row]
             self._apply_hints(("matrix", "[]"), flat)
         elif isinstance(expr, ast.Apply):
-            if expr.kind is ast.ApplyKind.INDEX:
+            kind = self._dis.kind_of(expr)
+            if kind is SymbolKind.VARIABLE:
                 key = ("index", "linear" if len(expr.args) == 1 else "2d")
                 self._apply_hints(key, [expr] + list(expr.args), base_is_array=True)
-            elif expr.kind is ast.ApplyKind.BUILTIN:
+            elif kind is SymbolKind.BUILTIN:
                 self._apply_hints(("builtin", expr.name), list(expr.args))
         for child in _children(expr):
             self._visit(child)

@@ -208,7 +208,7 @@ def match_typed(expr, ann, dis) -> TypedPlan | None:
         if isinstance(node, ast.UnaryOp) and node.op is ast.UnaryKind.POS:
             # mlf_uplus is a plain copy; transparent inside a fresh tree.
             return build(node.operand, is_root)
-        op = _typed_op(node, scalar_typed)
+        op = _typed_op(node, scalar_typed, dis)
         if op is not None and numeric_array(node):
             ops += 1
             if ops > MAX_OPS:
@@ -228,7 +228,7 @@ def match_typed(expr, ann, dis) -> TypedPlan | None:
     return TypedPlan(root=root, leaves=leaves, op_count=ops)
 
 
-def _typed_op(node, scalar_typed) -> str | None:
+def _typed_op(node, scalar_typed, dis) -> str | None:
     """The fused-op spelling for ``node``, or ``None`` if not fusible."""
     if isinstance(node, ast.BinaryOp):
         if node.op in FUSIBLE_BINOPS:
@@ -248,7 +248,7 @@ def _typed_op(node, scalar_typed) -> str | None:
         return None
     if (
         isinstance(node, ast.Apply)
-        and node.kind is ast.ApplyKind.BUILTIN
+        and dis.kind_of(node) is SymbolKind.BUILTIN
         and node.name in FUSIBLE_UNARY_BUILTINS
         and len(node.args) == 1
     ):
@@ -270,19 +270,11 @@ def _leaf_pure(node, dis) -> bool:
     from repro.runtime.builtins import BUILTINS
 
     for sub in ast.walk_expr(node):
-        if isinstance(sub, ast.Ident):
+        if isinstance(sub, (ast.Ident, ast.Apply)):
             kind = dis.kind_of(sub)
             if kind is SymbolKind.VARIABLE:
                 continue
             if kind is SymbolKind.BUILTIN:
-                entry = BUILTINS.get(sub.name)
-                if entry is not None and entry.pure:
-                    continue
-            return False
-        if isinstance(sub, ast.Apply):
-            if sub.kind is ast.ApplyKind.INDEX:
-                continue
-            if sub.kind is ast.ApplyKind.BUILTIN:
                 entry = BUILTINS.get(sub.name)
                 if entry is not None and entry.pure:
                     continue

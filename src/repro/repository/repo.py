@@ -336,9 +336,9 @@ class CodeRepository:
         # Thread safety: background speculation workers mutate the same
         # tables the foreground session reads.  ``_lock`` (reentrant)
         # guards every shared dict/set; compilation itself runs outside it
-        # under a per-function lock (prepared ASTs are per-name clones, so
-        # distinct names can compile in parallel, but two compiles of one
-        # name share AST nodes the disambiguator annotates in place).
+        # under a per-function lock (distinct names compile in parallel;
+        # two compiles of one name take turns, so each one's widening
+        # check and cache probe see what the other stored).
         self._lock = threading.RLock()
         self._compile_locks: dict[str, threading.Lock] = {}
         # Monotonic per-name redefinition counters: an in-flight background
@@ -580,8 +580,9 @@ class CodeRepository:
             cached = self._inlined.get(name)
             if cached is not None:
                 return cached
-        # Parsing and inlining (a deep copy + transform) run outside the
-        # state lock; a concurrent redefinition wins the re-check below.
+        # Parsing and inlining (a transform of a copy, if anything is
+        # inlined) run outside the state lock; a concurrent redefinition
+        # wins the re-check below.
         fn = self._parsed(unit)[name]
         if self.inline_enabled:
             inliner = Inliner(
@@ -602,8 +603,9 @@ class CodeRepository:
 
     def _compile_lock(self, name: str) -> threading.Lock:
         """Per-name compile lock: one compile of a given function at a
-        time (its prepared AST is annotated in place by disambiguation),
-        while distinct functions compile in parallel."""
+        time (its range-widening check and cache probe read the versions
+        and entries an earlier compile of it stored), while distinct
+        functions compile in parallel."""
         with self._lock:
             return self._compile_locks.setdefault(name, threading.Lock())
 

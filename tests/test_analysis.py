@@ -158,18 +158,18 @@ class TestDisambiguation:
         result = disambiguate("y = mystery(3);")
         assert SymbolKind.USER_FUNCTION in result.symbols.lookup("mystery").kinds
 
-    def test_apply_kind_set_on_nodes(self):
+    def test_apply_kind_recorded_per_node(self):
         program = parse("function y = f(a)\ny = a(2) + zeros(1);\n")
-        Disambiguator(lambda n: False).run_function(program.primary)
+        result = Disambiguator(lambda n: False).run_function(program.primary)
         applies = {
-            node.name: node.kind
+            node.name: result.kind_of(node)
             for stmt in ast.walk_stmts(program.primary.body)
             for e in ast.stmt_exprs(stmt)
             for node in ast.walk_expr(e)
             if isinstance(node, ast.Apply)
         }
-        assert applies["a"] is ast.ApplyKind.INDEX
-        assert applies["zeros"] is ast.ApplyKind.BUILTIN
+        assert applies["a"] is SymbolKind.VARIABLE
+        assert applies["zeros"] is SymbolKind.BUILTIN
 
     def test_indexed_store_defines_variable(self):
         result = disambiguate("A(3) = 1; x = A(1);")

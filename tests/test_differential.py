@@ -61,7 +61,7 @@ def test_fuzz_grammar_reaches_key_features():
         seen.update(generate_program(seed).features)
     for feature in ("elementwise", "slice", "store", "while", "display",
                     "error", "reduce", "multi-assign-indexed",
-                    "ambiguous-builtin"):
+                    "ambiguous-builtin", "ambiguous-call"):
         assert feature in seen, f"grammar never produced {feature!r}"
 
 

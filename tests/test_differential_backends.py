@@ -212,6 +212,7 @@ UNROLLED_MATRIX = (
     "r = [A(:)', C(:)', D(:)', G(:)', H(:)', k];\n"
 )
 MAYBE_UNDEFINED = "function r = mu(x)\nif x > 0, v = [x, 1]; end\nr = v + 1;\n"
+MAYBE_UNDEFINED_CALL = "function r = mc(x)\nif x > 0, v = [x, 1]; end\nr = v(1);\n"
 ZERO_NAN = (
     "function r = zn(x, y)\nv = [x, y, 1];\nw = v * 2;\nu = -v;\n"
     "s = v .* v;\nz = [w(1), u(2), s(1)];\nz(2) = u(1);\n"
@@ -329,7 +330,11 @@ def _scalar(value):
 #: elementwise op with a boxed formal of the same shape; ``unrolled-maybe-undefined`` — a vector assigned on
 #: one path only stays a variable that may be unset, and reading it
 #: unset raises the interpreter's error, location and all (compiled code
-#: said ``unknown function 'v'``); ``unrolled-zero-nan`` — −0.0 and NaN
+#: said ``unknown function 'v'``); ``maybe-undefined-call`` /
+#: ``maybe-undefined-call-unset`` — the same vector read in call form,
+#: ``v(1)``, is indexed when set and raises that error when unset
+#: (compiled code called a user function ``v``: ``unknown function 'v'``,
+#: or ``KeyError`` on ``falcon`` / ``mcc``); ``unrolled-zero-nan`` — −0.0 and NaN
 #: elements keep their bits; ``unrolled-logical-def`` — a variable with a
 #: logical and a numeric definition of one shape stays boxed, so ``v(m)``
 #: is a logical subscript (the joined type said INT, and the replaced
@@ -404,6 +409,10 @@ PROBES = {
     ),
     "unrolled-maybe-undefined": Program(
         (MAYBE_UNDEFINED,), "mu", _scalar(-1.0)
+    ),
+    "maybe-undefined-call": Program((MAYBE_UNDEFINED_CALL,), "mc", _scalar(1.0)),
+    "maybe-undefined-call-unset": Program(
+        (MAYBE_UNDEFINED_CALL,), "mc", _scalar(-1.0)
     ),
     "unrolled-zero-nan": Program(
         (ZERO_NAN,), "zn",

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from repro.backends import Program, observe, reference
+from repro.benchsuite.registry import benchmark_names, sources_of
 from repro.codegen.inline import MAX_INLINE_LINES, Inliner, inline_function
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
@@ -184,8 +185,6 @@ class TestInputUntouched:
     def test_run_leaves_its_input_as_it_found_it(self):
         """``Inliner.run`` rewrites a copy: the repository keeps handing
         the original to the interpreter and to later compiles."""
-        from repro.analysis.disambiguate import disambiguate_function
-        from repro.benchsuite.registry import benchmark_names, sources_of
         from repro.frontend.pretty import pretty_function
         from repro.fuzz import generate_program
 
@@ -194,17 +193,9 @@ class TestInputUntouched:
         inlined = 0
         for sources in programs:
             table = table_of(*sources)
-            for fn in table.values():
-                disambiguate_function(fn, table.__contains__)  # sets kinds
 
             def state():
-                return [
-                    (pretty_function(fn),
-                     [node.kind for stmt in ast.walk_stmts(fn.body)
-                      for e in ast.stmt_exprs(stmt) for node in ast.walk_expr(e)
-                      if isinstance(node, ast.Apply)])
-                    for fn in table.values()
-                ]
+                return [pretty_function(fn) for fn in table.values()]
 
             before = state()
             for fn in table.values():
@@ -213,6 +204,31 @@ class TestInputUntouched:
                 inlined += inliner.inlined_calls
             assert state() == before
         assert inlined >= 40  # the check above saw real rewriting
+
+
+class TestParsedTreesStayPut:
+    """After parse nothing writes into a tree: disambiguation keeps its
+    resolutions in a side table, so a function with nothing to inline is
+    compiled from the parsed tree itself, and the inliner writes only
+    into its own copies."""
+
+    @pytest.mark.parametrize("row", ["jit", "spec", "falcon", "mcc"])
+    def test_compiling_leaves_every_parsed_tree_as_parsed(self, row):
+        from repro import backends
+
+        for name in benchmark_names():
+            program = Program.benchmark(name)
+            fresh = [fn for text in program.sources
+                     for fn in parse(text).functions]
+            with backends.open(program, row) as handle:
+                assert handle.call().error is None
+                if handle.session is not None:
+                    held = handle.session.repository.lookup_function
+                else:
+                    held = handle.engine._functions.get
+                parsed = [held(fn.name) for fn in fresh]
+            assert [dump(fn) for fn in parsed] == [dump(fn) for fn in fresh], (
+                f"compiling {name} on {row} wrote into a parsed tree")
 
 
 class TestEvaluationOrder:
@@ -245,8 +261,8 @@ class TestEvaluationOrder:
 
 
 class TestNothingEligible:
-    """With no eligible callee ``run`` returns a plain copy: the rewrite,
-    which would map every node to itself, never runs."""
+    """With no eligible callee ``run`` returns its input, uncopied: the
+    rewrite, which would map every node to itself, never runs."""
 
     BIG = "\n".join(f"a{i} = {i};" for i in range(MAX_INLINE_LINES + 50))
 
@@ -259,18 +275,21 @@ class TestNothingEligible:
          f"function z = big(a)\n{BIG}\nz = a;\n"),
         ("function y = main(x)\ny = helper(x);\n",
          "function z = helper(a)\nglobal g\nz = a + g;\n"),
-    ], ids=["no-call", "unknown-callees", "shadowed", "too-long", "blocker"])
-    def test_skip_returns_a_copy_of_the_parse(self, sources, monkeypatch):
+        sources_of("dirich"),
+    ], ids=["no-call", "unknown-callees", "shadowed", "too-long", "blocker",
+            "dirich"])
+    def test_skip_returns_the_parse_itself(self, sources, monkeypatch):
         table = table_of(*sources)
+        name = next(iter(table))
 
         def entered(*args):
             raise AssertionError("the rewrite ran")
 
         monkeypatch.setattr(Inliner, "_inline_body", entered)
         inliner = Inliner(table.get)
-        result = inliner.run(table["main"])
-        assert result is not table["main"]
-        assert dump(result) == dump(table_of(*sources)["main"])
+        result = inliner.run(table[name])
+        assert result is table[name]
+        assert dump(result) == dump(table_of(*sources)[name])
         assert inliner.inlined_calls == 0
         assert inliner.inlined_names == set()
 

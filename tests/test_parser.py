@@ -278,10 +278,10 @@ class TestClone:
 
     def test_clone_copies_whatever_fields_a_node_carries(self):
         node = parse_expression("a(end)")
-        node.kind = ast.ApplyKind.INDEX
+        node.note = "undeclared"
         marker = node.args[0]
         marker.__class__, marker.value = ast.Number, 3.0  # as the interpreter
         twin = ast.clone(node)
-        assert twin.kind is ast.ApplyKind.INDEX
+        assert twin.note == "undeclared"
         assert type(twin.args[0]) is ast.Number and twin.args[0].value == 3.0
         assert twin.location is node.location  # immutable: shared

@@ -171,6 +171,10 @@ class TestRuntimeSupportInstance:
     def test_ambiguous_lookup_prefers_variable(self):
         rt = rts.RuntimeSupport(knows=lambda name: False)
         assert rt.ambiguous_lookup("pi", 42.0) == 42.0
+        # The call form indexes it.
+        row = make_matrix([[5, 6, 7]])
+        value = rt.ambiguous_lookup("v", row, None, make_scalar(2))
+        assert to_python(value) == 6.0
 
     def test_ambiguous_lookup_falls_back_to_builtin(self):
         import math
@@ -178,6 +182,9 @@ class TestRuntimeSupportInstance:
         rt = rts.RuntimeSupport(knows=lambda name: False)
         value = rt.ambiguous_lookup("pi", None)
         assert to_python(value) == pytest.approx(math.pi)
+        # The call form passes its arguments.
+        value = rt.ambiguous_lookup("abs", None, None, make_scalar(-3))
+        assert to_python(value) == 3.0
 
     def test_ambiguous_lookup_of_an_unknown_name_raises(self):
         rt = rts.RuntimeSupport(knows=lambda name: False)
