@@ -22,12 +22,45 @@ from repro.frontend import ast_nodes as ast
 
 @dataclass(eq=False)
 class Atom:
-    """Base class for execution points stored in basic blocks."""
+    """An execution point of the statement ``stmt``.
+
+    What the point does with names is stated here, once, when the CFG is
+    built; every pass reads it from these fields:
+
+    * ``exprs`` — the top-level expressions it evaluates, target
+      subscripts first (the order disambiguation resolves them in);
+    * ``uses`` — the ``Ident`` / ``Apply`` nodes of ``exprs``, preorder;
+    * ``defs`` — the names it assigns (a ``global`` declaration assigns);
+    * ``kills`` — the names it clears; ``None`` for a bare ``clear``.
+    """
+
+    stmt: ast.Stmt
+    exprs: list[ast.Expr] = field(init=False)
+    uses: list[ast.Ident | ast.Apply] = field(init=False)
+    defs: list[str] = field(init=False)
+    kills: list[str] | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.uses = [
+            node
+            for expr in self.exprs
+            for node in ast.walk_expr(expr)
+            if isinstance(node, (ast.Ident, ast.Apply))
+        ]
 
 
 @dataclass(eq=False)
 class StmtAtom(Atom):
-    stmt: ast.Stmt
+    def __post_init__(self) -> None:
+        stmt = self.stmt
+        self.exprs = list(ast.stmt_exprs(stmt))
+        self.defs = [target.name for target in ast.targets(stmt)]
+        self.kills = []
+        if isinstance(stmt, ast.Global):
+            self.defs = list(stmt.names)
+        elif isinstance(stmt, ast.Clear):
+            self.kills = list(stmt.names) or None
+        super().__post_init__()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StmtAtom({type(self.stmt).__name__})"
@@ -35,10 +68,13 @@ class StmtAtom(Atom):
 
 @dataclass(eq=False)
 class CondAtom(Atom):
-    """Condition evaluation of an if/while statement."""
+    """Condition evaluation of an if/while statement ``stmt``."""
 
     cond: ast.Expr
-    owner: ast.Stmt
+
+    def __post_init__(self) -> None:
+        self.exprs, self.defs, self.kills = [self.cond], [], []
+        super().__post_init__()
 
     def __repr__(self) -> str:  # pragma: no cover
         return "CondAtom"
@@ -49,6 +85,11 @@ class ForIterAtom(Atom):
     """The per-iteration definition of a ``for`` loop variable."""
 
     stmt: ast.For
+
+    def __post_init__(self) -> None:
+        self.exprs, self.defs = [self.stmt.iterable], [self.stmt.var]
+        self.kills = []
+        super().__post_init__()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ForIterAtom({self.stmt.var})"
@@ -82,6 +123,11 @@ class CFG:
         block = BasicBlock(index=len(self.blocks))
         self.blocks.append(block)
         return block
+
+    def atoms(self):
+        """Every atom, in block order."""
+        for block in self.blocks:
+            yield from block.atoms
 
     def reverse_postorder(self) -> list[BasicBlock]:
         """Blocks in reverse postorder from the entry (good worklist order)."""
@@ -159,7 +205,7 @@ class _Builder:
     def _add_if(self, stmt: ast.If) -> None:
         after = self.cfg.new_block()
         for cond, body in stmt.branches:
-            self.current.atoms.append(CondAtom(cond=cond, owner=stmt))
+            self.current.atoms.append(CondAtom(stmt, cond))
             cond_block = self.current
             taken = self.cfg.new_block()
             cond_block.link(taken)
@@ -178,7 +224,7 @@ class _Builder:
         header = self.cfg.new_block()
         after = self.cfg.new_block()
         self.current.link(header)
-        header.atoms.append(CondAtom(cond=stmt.cond, owner=stmt))
+        header.atoms.append(CondAtom(stmt, stmt.cond))
         body_block = self.cfg.new_block()
         header.link(body_block)
         header.link(after)
@@ -195,7 +241,7 @@ class _Builder:
         header = self.cfg.new_block()
         after = self.cfg.new_block()
         self.current.link(header)
-        header.atoms.append(ForIterAtom(stmt=stmt))
+        header.atoms.append(ForIterAtom(stmt))
         body_block = self.cfg.new_block()
         header.link(body_block)
         header.link(after)  # zero-trip exit

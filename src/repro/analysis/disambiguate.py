@@ -15,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.analysis.cfg import (
-    CFG,
-    Atom,
-    CondAtom,
-    ForIterAtom,
-    StmtAtom,
-    build_cfg,
-)
+from repro.analysis.cfg import CFG, Atom, build_cfg
 from repro.analysis.reaching import AssignmentSets, assignment_analysis
 from repro.analysis.symtab import SymbolInfo, SymbolKind, SymbolTable
 from repro.frontend import ast_nodes as ast
@@ -82,9 +75,8 @@ class Disambiguator:
         for name in outputs:
             result.symbols.ensure(name).is_output = True
 
-        for block in cfg.blocks:
-            for atom in block.atoms:
-                self._process_atom(atom, result)
+        for atom in cfg.atoms():
+            self._process_atom(atom, result)
         return result
 
     def run_function(self, fn: ast.FunctionDef) -> DisambiguationResult:
@@ -94,55 +86,19 @@ class Disambiguator:
     def _process_atom(self, atom: Atom, result: DisambiguationResult) -> None:
         must = result.assignments.must_before(atom)
         may = result.assignments.may_before(atom)
-
-        def resolve_uses(expr: ast.Expr) -> None:
-            for node in ast.walk_expr(expr):
-                if isinstance(node, (ast.Ident, ast.Apply)):
-                    kind = self._resolve(
-                        node.name, must, may,
-                        is_apply=isinstance(node, ast.Apply),
-                    )
-                    result.resolution[id(node)] = kind
-                    info = result.symbols.ensure(node.name)
-                    info.kinds.add(kind)
-                    info.read = True
-
-        if isinstance(atom, StmtAtom):
-            stmt = atom.stmt
-            if isinstance(stmt, ast.Assign):
-                if stmt.target.indices:
-                    for index in stmt.target.indices:
-                        resolve_uses(index)
-                resolve_uses(stmt.value)
-                self._record_def(stmt.target, result)
-            elif isinstance(stmt, ast.MultiAssign):
-                for target in stmt.targets:
-                    if target.indices:
-                        for index in target.indices:
-                            resolve_uses(index)
-                resolve_uses(stmt.call)
-                for target in stmt.targets:
-                    self._record_def(target, result)
-            elif isinstance(stmt, ast.ExprStmt):
-                resolve_uses(stmt.value)
-            elif isinstance(stmt, ast.Global):
-                for name in stmt.names:
-                    info = result.symbols.ensure(name)
-                    info.is_global = True
-                    info.assigned = True
-                    info.kinds.add(SymbolKind.VARIABLE)
-        elif isinstance(atom, CondAtom):
-            resolve_uses(atom.cond)
-        elif isinstance(atom, ForIterAtom):
-            resolve_uses(atom.stmt.iterable)
-            info = result.symbols.ensure(atom.stmt.var)
+        symbols = result.symbols
+        for node in atom.uses:
+            kind = self._resolve(
+                node.name, must, may, is_apply=isinstance(node, ast.Apply)
+            )
+            result.resolution[id(node)] = kind
+            info = symbols.ensure(node.name)
+            info.kinds.add(kind)
+            info.read = True
+        for name in atom.defs:
+            info = symbols.ensure(name)
             info.assigned = True
             info.kinds.add(SymbolKind.VARIABLE)
-
-    def _record_def(self, target: ast.LValue, result: DisambiguationResult) -> None:
-        info = result.symbols.ensure(target.name)
-        info.assigned = True
-        info.kinds.add(SymbolKind.VARIABLE)
 
     # ------------------------------------------------------------------
     def _resolve(

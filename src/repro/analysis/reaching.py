@@ -17,32 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.cfg import CFG, Atom, CondAtom, ForIterAtom, StmtAtom
+from repro.analysis.cfg import CFG, Atom
 from repro.analysis.dataflow import DataflowProblem, DataflowResult, solve_forward
-from repro.frontend import ast_nodes as ast
-
-
-def atom_defs(atom: Atom) -> list[str]:
-    """Names defined (assigned) by one atom."""
-    if isinstance(atom, StmtAtom):
-        stmt = atom.stmt
-        if isinstance(stmt, ast.Assign):
-            return [stmt.target.name]
-        if isinstance(stmt, ast.MultiAssign):
-            return [target.name for target in stmt.targets]
-        if isinstance(stmt, ast.Global):
-            return list(stmt.names)
-        return []
-    if isinstance(atom, ForIterAtom):
-        return [atom.stmt.var]
-    return []
-
-
-def atom_kills(atom: Atom) -> list[str] | None:
-    """Names killed by one atom; ``None`` means *all* names (bare clear)."""
-    if isinstance(atom, StmtAtom) and isinstance(atom.stmt, ast.Clear):
-        return atom.stmt.names or None
-    return []
 
 
 @dataclass
@@ -60,14 +36,13 @@ class AssignmentSets:
 
 
 def _transfer_assigned(atom: Atom, state: frozenset[str]) -> frozenset[str]:
-    kills = atom_kills(atom)
+    kills = atom.kills
     if kills is None:
         state = frozenset()
     elif kills:
         state = state - frozenset(kills)
-    defs = atom_defs(atom)
-    if defs:
-        state = state | frozenset(defs)
+    if atom.defs:
+        state = state | frozenset(atom.defs)
     return state
 
 
@@ -161,15 +136,14 @@ def reaching_definitions(
     entry = frozenset((name, 0) for name in params)
 
     def transfer(atom: Atom, state: frozenset[DefSite]) -> frozenset[DefSite]:
-        kills = atom_kills(atom)
+        kills = atom.kills
         if kills is None:
             state = frozenset()
         elif kills:
             killed = frozenset(kills)
             state = frozenset(d for d in state if d[0] not in killed)
-        defs = atom_defs(atom)
-        if defs:
-            defined = frozenset(defs)
+        if atom.defs:
+            defined = frozenset(atom.defs)
             state = frozenset(d for d in state if d[0] not in defined)
             state = state | frozenset((name, id(atom)) for name in defined)
         return state

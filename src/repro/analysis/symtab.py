@@ -22,7 +22,6 @@ class SymbolInfo:
     name: str
     is_param: bool = False
     is_output: bool = False
-    is_global: bool = False
     # Kinds observed across all occurrences of the name.
     kinds: set[SymbolKind] = field(default_factory=set)
     # True if the symbol is ever assigned (incl. for-loop variables).

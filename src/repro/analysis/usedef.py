@@ -9,13 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.cfg import (
-    CFG,
-    Atom,
-    CondAtom,
-    ForIterAtom,
-    StmtAtom,
-)
+from repro.analysis.cfg import CFG, Atom
 from repro.analysis.reaching import reaching_definitions
 from repro.frontend import ast_nodes as ast
 
@@ -30,8 +24,6 @@ class UseDefChains:
     chains: dict[int, frozenset[int]] = field(default_factory=dict)
     # atom id -> atom, to let clients look the definitions back up
     atoms: dict[int, Atom] = field(default_factory=dict)
-    # variable name -> all def atom ids
-    defs_of: dict[str, set[int]] = field(default_factory=dict)
 
     def definitions_for(self, node: ast.Expr) -> frozenset[int]:
         return self.chains.get(id(node), frozenset())
@@ -55,39 +47,13 @@ def build_use_def(cfg: CFG, params: list[str]) -> UseDefChains:
     reaching = reaching_definitions(cfg, params)
     chains = UseDefChains()
 
-    for block in cfg.blocks:
-        for atom in block.atoms:
-            chains.atoms[id(atom)] = atom
-            state = reaching.state_before(atom)
-            by_name: dict[str, set[int]] = {}
-            for name, site in state:
-                by_name.setdefault(name, set()).add(site)
-
-            def record(expr: ast.Expr) -> None:
-                for node in ast.walk_expr(expr):
-                    if isinstance(node, (ast.Ident, ast.Apply)):
-                        name = node.name
-                        sites = by_name.get(name)
-                        if sites:
-                            chains.chains[id(node)] = frozenset(sites)
-
-            if isinstance(atom, StmtAtom):
-                stmt = atom.stmt
-                for expr in ast.stmt_exprs(stmt):
-                    record(expr)
-                for name in _atom_def_names(stmt):
-                    chains.defs_of.setdefault(name, set()).add(id(atom))
-            elif isinstance(atom, CondAtom):
-                record(atom.cond)
-            elif isinstance(atom, ForIterAtom):
-                record(atom.stmt.iterable)
-                chains.defs_of.setdefault(atom.stmt.var, set()).add(id(atom))
+    for atom in cfg.atoms():
+        chains.atoms[id(atom)] = atom
+        by_name: dict[str, set[int]] = {}
+        for name, site in reaching.state_before(atom):
+            by_name.setdefault(name, set()).add(site)
+        for node in atom.uses:
+            sites = by_name.get(node.name)
+            if sites:
+                chains.chains[id(node)] = frozenset(sites)
     return chains
-
-
-def _atom_def_names(stmt: ast.Stmt) -> list[str]:
-    if isinstance(stmt, ast.Assign):
-        return [stmt.target.name]
-    if isinstance(stmt, ast.MultiAssign):
-        return [target.name for target in stmt.targets]
-    return []

@@ -50,7 +50,7 @@ class Inliner:
         # Names assigned in the caller may shadow function names at
         # runtime; the inliner runs before disambiguation, so it must not
         # inline anything a local assignment could shadow.
-        self._caller_assigned = _assigned_names(fn.body) | set(fn.params)
+        self._caller_assigned = ast.assigned(fn.body) | set(fn.params)
         depth_map = {fn.name: 1}
         # With no eligible callee the rewrite maps every node to itself:
         # skip it, asking only about the calls it would ask about (a lookup
@@ -267,7 +267,6 @@ class Inliner:
         self.inlined_names.add(callee.name)
         body = ast.clone(callee.body)
         rename: dict[str, str] = {}
-        mutated = _mutated_names(callee.body)
 
         out: list[ast.Stmt] = []
         # Bind parameters.  Call-by-value requires copies of the actuals,
@@ -287,7 +286,7 @@ class Inliner:
             rename[extra] = self._fresh(extra)
 
         # Rename every other local.
-        locals_ = _assigned_names(callee.body) - set(callee.params)
+        locals_ = ast.assigned(callee.body) - set(callee.params)
         for name in sorted(locals_):
             rename[name] = self._fresh(name)
         for output, target in zip(callee.outputs, targets):
@@ -402,28 +401,6 @@ def _positional(expr: ast.Expr) -> bool:
     )
 
 
-def _assigned_names(body: list[ast.Stmt]) -> set[str]:
-    names: set[str] = set()
-    for stmt in ast.walk_stmts(body):
-        if isinstance(stmt, ast.Assign):
-            names.add(stmt.target.name)
-        elif isinstance(stmt, ast.MultiAssign):
-            names.update(t.name for t in stmt.targets)
-        elif isinstance(stmt, ast.For):
-            names.add(stmt.var)
-    return names
-
-
-def _mutated_names(body: list[ast.Stmt]) -> set[str]:
-    names: set[str] = set()
-    for stmt in ast.walk_stmts(body):
-        if isinstance(stmt, ast.Assign) and stmt.target.is_indexed:
-            names.add(stmt.target.name)
-        elif isinstance(stmt, ast.MultiAssign):
-            names.update(t.name for t in stmt.targets if t.is_indexed)
-    return names
-
-
 def _rename_expr(expr: ast.Expr, rename: dict[str, str]) -> None:
     for node in ast.walk_expr(expr):
         if isinstance(node, (ast.Ident, ast.Apply)) and node.name in rename:
@@ -432,35 +409,13 @@ def _rename_expr(expr: ast.Expr, rename: dict[str, str]) -> None:
 
 def _rename_body(body: list[ast.Stmt], rename: dict[str, str]) -> None:
     for stmt in ast.walk_stmts(body):
-        if isinstance(stmt, ast.Assign):
-            if stmt.target.name in rename:
-                stmt.target.name = rename[stmt.target.name]
-            if stmt.target.indices:
-                for index in stmt.target.indices:
-                    _rename_expr(index, rename)
-            _rename_expr(stmt.value, rename)
-        elif isinstance(stmt, ast.MultiAssign):
-            for target in stmt.targets:
-                if target.name in rename:
-                    target.name = rename[target.name]
-                if target.indices:
-                    for index in target.indices:
-                        _rename_expr(index, rename)
-            _rename_expr(stmt.call, rename)
-        elif isinstance(stmt, ast.ExprStmt):
-            _rename_expr(stmt.value, rename)
-        elif isinstance(stmt, ast.If):
-            for cond, _ in stmt.branches:
-                _rename_expr(cond, rename)
-        elif isinstance(stmt, ast.While):
-            _rename_expr(stmt.cond, rename)
-        elif isinstance(stmt, ast.For):
-            if stmt.var in rename:
-                stmt.var = rename[stmt.var]
-            _rename_expr(stmt.iterable, rename)
-        elif isinstance(stmt, ast.Global):
-            stmt.names = [rename.get(n, n) for n in stmt.names]
-        elif isinstance(stmt, ast.Clear):
+        for expr in ast.stmt_exprs(stmt):
+            _rename_expr(expr, rename)
+        for target in ast.targets(stmt):
+            target.name = rename.get(target.name, target.name)
+        if isinstance(stmt, ast.For):
+            stmt.var = rename.get(stmt.var, stmt.var)
+        elif isinstance(stmt, (ast.Global, ast.Clear)):
             stmt.names = [rename.get(n, n) for n in stmt.names]
 
 

@@ -31,19 +31,6 @@ from repro.inference.annotations import Annotations, SubscriptSafety
 # ----------------------------------------------------------------------
 # Purity and loop-variance
 # ----------------------------------------------------------------------
-def assigned_in(body: list[ast.Stmt]) -> set[str]:
-    """All names assigned anywhere in a statement list."""
-    names: set[str] = set()
-    for stmt in ast.walk_stmts(body):
-        if isinstance(stmt, ast.Assign):
-            names.add(stmt.target.name)
-        elif isinstance(stmt, ast.MultiAssign):
-            names.update(t.name for t in stmt.targets)
-        elif isinstance(stmt, ast.For):
-            names.add(stmt.var)
-    return names
-
-
 def is_pure_scalar(
     expr: ast.Expr, annotations: Annotations, variant: set[str]
 ) -> bool:
@@ -214,16 +201,18 @@ def plan_versioning(
     var_type = annotations.var_type(loop.var)
     if not var_type.is_integer_like:
         return plan
-    variant = assigned_in(loop.body) | {loop.var}
-    reassigned = {
-        stmt.target.name
+    variant = ast.assigned(loop.body) | {loop.var}
+    # Arrays the loop replaces as a whole: their extents may change.
+    rebound = {
+        target.name
         for stmt in ast.walk_stmts(loop.body)
-        if isinstance(stmt, ast.Assign) and not stmt.target.is_indexed
+        for target in ast.targets(stmt)
+        if not target.is_indexed
     }
 
-    def consider(array: str, indices: list[ast.Expr], node_id: int, is_store: bool):
-        if array in variant and array in reassigned:
-            return  # the array object itself changes inside the loop
+    def consider(array: str, indices: list[ast.Expr], node_id: int):
+        if array in rebound:
+            return
         terms: list[GuardTerm] = []
         if len(indices) == 1:
             array_type = annotations.var_type(array)
@@ -252,9 +241,7 @@ def plan_versioning(
     for stmt in ast.walk_stmts(loop.body):
         if isinstance(stmt, ast.Assign) and stmt.target.is_indexed:
             if annotations.safety_of_store(stmt.target) is not SubscriptSafety.SAFE:
-                consider(
-                    stmt.target.name, stmt.target.indices, id(stmt.target), True
-                )
+                consider(stmt.target.name, stmt.target.indices, id(stmt.target))
         for expr in ast.stmt_exprs(stmt):
             for node in ast.walk_expr(expr):
                 # Only an index load has a safety on record.
@@ -265,5 +252,5 @@ def plan_versioning(
                 ):
                     element = annotations.type_of(node)
                     if element.is_scalar and element.is_real_like:
-                        consider(node.name, node.args, id(node), False)
+                        consider(node.name, node.args, id(node))
     return plan

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.cfg import StmtAtom
 from repro.analysis.disambiguate import DisambiguationResult
 from repro.analysis.symtab import SymbolKind
 from repro.codegen.runtime_support import SCALAR_MATH
@@ -94,20 +93,8 @@ class Selector:
         self.annotations = annotations
         self.unroll_enabled = unroll_enabled
         self.dgemv_enabled = dgemv_enabled
-        self.mutated_names = self._collect_mutated()
-
-    # ------------------------------------------------------------------
-    def _collect_mutated(self) -> set[str]:
-        """Names whose storage may be written in place."""
-        mutated: set[str] = set()
-        for stmt in ast.walk_stmts(self.fn.body):
-            if isinstance(stmt, ast.Assign) and stmt.target.is_indexed:
-                mutated.add(stmt.target.name)
-            elif isinstance(stmt, ast.MultiAssign):
-                for target in stmt.targets:
-                    if target.is_indexed:
-                        mutated.add(target.name)
-        return mutated
+        #: Names whose storage may be written in place.
+        self.mutated_names = ast.stored(fn.body)
 
     # ------------------------------------------------------------------
     # Representations
@@ -186,19 +173,20 @@ class Selector:
     # ------------------------------------------------------------------
     def scalar_replaced(self, dis: DisambiguationResult) -> dict:
         """``name -> (rows, cols)`` for the variables that live as one raw
-        real per element: locals (no formal, output, global or ``ans``)
+        real per element: locals (no formal, output or ``ans``)
         whose every definition is INT / REAL with the same
         :meth:`small_shape`, that are
         definitely assigned wherever read or stored into, and that are
         stored into only one element at a time, at constant subscripts in
-        range.  A ``for`` variable, a multi-assignment target and a
-        ``clear``ed name never qualify."""
+        range.  A ``for`` variable, a multi-assignment target, a
+        ``global`` and a ``clear``ed name never qualify: an atom that
+        defines or kills a name other than by assignment drops it."""
         if not self.unroll_enabled:
             return {}
         shapes = {}
         for info in dis.symbols:
             if (
-                info.is_param or info.is_output or info.is_global
+                info.is_param or info.is_output
                 or info.name == "ans"
                 or info.kinds != {SymbolKind.VARIABLE}
             ):
@@ -208,47 +196,34 @@ class Selector:
                 shapes[info.name] = shape
         if not shapes:
             return shapes
-        # Element stores into a name assigned on every path to them.
-        defined_stores = {
-            id(atom.stmt)
-            for block in dis.cfg.blocks
-            for atom in block.atoms
-            if isinstance(atom, StmtAtom)
-            and isinstance(atom.stmt, ast.Assign)
-            and atom.stmt.target.name in shapes
-            and atom.stmt.target.name in dis.assignments.must_before(atom)
-        }
-        for stmt in ast.walk_stmts(self.fn.body):
-            if isinstance(stmt, ast.Assign):
-                target = stmt.target
-                shape = shapes.get(target.name)
-                if shape is None:
-                    continue
-                if target.is_indexed:
-                    if (
-                        id(stmt) not in defined_stores
-                        or self.element_position(target.indices, shape, dis)
-                        is None
-                        or not self._real_scalar(stmt.value)
-                    ):
-                        del shapes[target.name]
-                elif (
-                    self.annotations.type_of(stmt.value).intrinsic
-                    not in _UNROLLED
-                ):
-                    # The join hides a logical definition (BOOL ⊔ INT is
-                    # INT), and a logical value's class is its tag.
-                    del shapes[target.name]
-            elif isinstance(stmt, ast.MultiAssign):
-                for target in stmt.targets:
-                    shapes.pop(target.name, None)
-            elif isinstance(stmt, ast.For):
-                shapes.pop(stmt.var, None)
-            elif isinstance(stmt, ast.Clear):
-                if not stmt.names:
-                    return {}
-                for name in stmt.names:
+        for atom in dis.cfg.atoms():
+            if atom.kills is None:
+                return {}
+            stmt = atom.stmt
+            if not isinstance(stmt, ast.Assign):
+                for name in atom.defs + atom.kills:
                     shapes.pop(name, None)
+                continue
+            target = stmt.target
+            shape = shapes.get(target.name)
+            if shape is None:
+                continue
+            if target.is_indexed:
+                # An element store into a name assigned on every path to it.
+                if (
+                    target.name not in dis.assignments.must_before(atom)
+                    or self.element_position(target.indices, shape, dis)
+                    is None
+                    or not self._real_scalar(stmt.value)
+                ):
+                    del shapes[target.name]
+            elif (
+                self.annotations.type_of(stmt.value).intrinsic
+                not in _UNROLLED
+            ):
+                # The join hides a logical definition (BOOL ⊔ INT is
+                # INT), and a logical value's class is its tag.
+                del shapes[target.name]
         return shapes
 
     def _real_scalar(self, node: ast.Expr) -> bool:
@@ -487,6 +462,15 @@ class Walk:
         self.kernel_sources: dict[str, str] = {}
         self.kernel_keys: dict[str, str] = {}
         self._int_counters = self._find_int_loop_counters()
+        #: Element stores that a path reaches with their array unset: they
+        #: grow it from empty, as the interpreter does (target id -> name).
+        self.unset_stores = {
+            id(target): target.name
+            for atom in disambiguation.cfg.atoms()
+            for target in ast.targets(atom.stmt)
+            if target.is_indexed
+            and target.name not in disambiguation.assignments.must_before(atom)
+        }
         #: Scalar-replaced variables: name -> (rows, cols).
         self.replaced = self.selector.scalar_replaced(disambiguation)
 
@@ -503,8 +487,10 @@ class Walk:
             else:
                 kind = self.selector.var_repr(name)
                 info = self.dis.symbols.lookup(name)
-                if info is not None and info.is_ambiguous:
-                    kind = BOXED
+                if name in self.unset_stores.values() or (
+                    info is not None and info.is_ambiguous
+                ):
+                    kind = BOXED  # it may hold None: no value yet
             self.var_kinds[name] = kind
         return kind
 
@@ -513,7 +499,8 @@ class Walk:
         stay host ints, so subscripts built from them need no conversion."""
         loop_names: set[str] = set()
         other_defs: set[str] = set()
-        for stmt in ast.walk_stmts(self.fn.body):
+        for atom in self.dis.cfg.atoms():
+            stmt = atom.stmt
             if isinstance(stmt, ast.For):
                 var_type = self.ann.var_type(stmt.var)
                 simple_range = isinstance(stmt.iterable, ast.Range) and (
@@ -527,12 +514,8 @@ class Walk:
                     and self.ann.type_of(stmt.iterable).is_integer_like
                 ):
                     loop_names.add(stmt.var)
-                else:
-                    other_defs.add(stmt.var)
-            elif isinstance(stmt, ast.Assign):
-                other_defs.add(stmt.target.name)
-            elif isinstance(stmt, ast.MultiAssign):
-                other_defs.update(t.name for t in stmt.targets)
+                    continue
+            other_defs.update(atom.defs)
         return loop_names - other_defs - set(self.fn.params)
 
     def const_int_step(self, step_expr) -> int | None:
@@ -606,10 +589,14 @@ class Walk:
                 copy=kind == BOXED and not self.selector.is_read_only(name),
             )
         self.output_reprs = [self.var_kind(name) for name in self.fn.outputs]
-        # rt.ambiguous_lookup(name, current) takes "no assignment has
-        # executed yet" as None: an ambiguous symbol's variable starts so.
+        # rt.ambiguous_lookup(name, current) and g_store* take "no
+        # assignment has executed yet" as None: an ambiguous symbol's
+        # variable, and an array a store may grow from empty, start so.
+        unset = set(self.unset_stores.values())
         for info in self.dis.symbols:
-            if info.is_ambiguous and info.assigned and not info.is_param:
+            if info.name in unset or (
+                info.is_ambiguous and info.assigned and not info.is_param
+            ):
                 self.assign(info.name, self.const(None, BOXED))
 
     # ------------------------------------------------------------------
@@ -695,6 +682,7 @@ class Walk:
             self.var_kind(name) == BOXED
             and value_kind in _RAW_KINDS
             and self._scalar_subscripts(indices)
+            and id(target) not in self.unset_stores
         ):
             # Subscript inlining: a scalar store goes straight to the
             # buffer, guarded only as far as inference could not prove.
@@ -737,15 +725,26 @@ class Walk:
         kind = self.dis.kind_of(call)
         if not isinstance(call, ast.Apply) or kind is SymbolKind.VARIABLE:
             raise CodegenError("multi-assignment requires a function call")
-        args = [self.boxed(arg) for arg in call.args]
-        helper = "builtin" if kind is SymbolKind.BUILTIN else "call_user"
-        head = [
-            self.const(call.name, BOXED),
-            self.const(len(stmt.targets), RAW_INT),
-        ]
-        values = self.bind(self.call(helper, head + args, BOXED), "m")
-        for position, target in enumerate(stmt.targets):
-            element = self.unpack(values, position)
+        if kind is SymbolKind.AMBIGUOUS:
+            # `[r] = v(1)`: indexes the variable if a path assigned it.
+            if len(stmt.targets) > 1:
+                raise CodegenError(
+                    f"multi-assignment from maybe-assigned '{call.name}'"
+                )
+            elements = [self.ambiguous(call, call.args)[0]]
+        else:
+            args = [self.boxed(arg) for arg in call.args]
+            helper = "builtin" if kind is SymbolKind.BUILTIN else "call_user"
+            head = [
+                self.const(call.name, BOXED),
+                self.const(len(stmt.targets), RAW_INT),
+            ]
+            values = self.bind(self.call(helper, head + args, BOXED), "m")
+            elements = (
+                self.unpack(values, position)
+                for position in range(len(stmt.targets))
+            )
+        for target, element in zip(stmt.targets, elements):
             if target.is_indexed:
                 # Route through the generic store with the boxed element.
                 self._generic_store(

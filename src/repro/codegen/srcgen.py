@@ -39,7 +39,6 @@ from repro.codegen.jitgen import CompiledObject, compile_function
 from repro.codegen.select import BOXED, RAW_INT, RAW_REAL, Walk
 from repro.codegen.optimizations import (
     VersioningPlan,
-    assigned_in,
     find_hoistable,
     plan_versioning,
 )
@@ -374,7 +373,7 @@ class _SrcEmitter(Walk):
         # Loop-invariant hoisting (strong native backend only).
         saved_hoisted = dict(self.hoisted)
         if self.options.native_opt_level >= 2:
-            variant = assigned_in(stmt.body) | {stmt.var}
+            variant = ast.assigned(stmt.body) | {stmt.var}
             for expr in find_hoistable(stmt.body, self.ann, variant):
                 if id(expr) not in self.hoisted:
                     self.hoisted[id(expr)] = self.bind(self.expr(expr)[0], "inv")
@@ -441,24 +440,18 @@ class _SrcEmitter(Walk):
         unstable: set[str] = set()
         accessed: set[str] = set()
         for inner in ast.walk_stmts(stmt.body):
-            if isinstance(inner, ast.Assign):
-                if inner.target.is_indexed:
-                    safety = self.ann.safety_of_store(inner.target)
-                    if id(inner.target) in self.forced_safe:
-                        safety = SubscriptSafety.SAFE
-                    if safety is not SubscriptSafety.SAFE:
-                        unstable.add(inner.target.name)
-                    else:
-                        accessed.add(inner.target.name)
-                else:
-                    reassigned.add(inner.target.name)
-            elif isinstance(inner, ast.MultiAssign):
-                for target in inner.targets:
-                    (unstable if target.is_indexed else reassigned).add(
-                        target.name
-                    )
-            elif isinstance(inner, ast.Clear):
+            if isinstance(inner, ast.Clear):
                 return  # a cleared array has no data pointer to keep
+            for target in ast.targets(inner):
+                if not target.is_indexed:
+                    reassigned.add(target.name)
+                elif isinstance(inner, ast.Assign) and (
+                    id(target) in self.forced_safe
+                    or self.ann.safety_of_store(target) is SubscriptSafety.SAFE
+                ):
+                    accessed.add(target.name)
+                else:  # a checked, growing or multi-assignment store
+                    unstable.add(target.name)
             for expr in ast.stmt_exprs(inner):
                 for node in ast.walk_expr(expr):
                     if isinstance(node, ast.Apply):

@@ -44,7 +44,7 @@ class AnnotationEngine(BaselineEngine):
         fn = self.prepared(name)
         compiler = SourceCompiler(self.options)
         invocation_sig = signature_of_values(example_args)
-        if _has_dynamic_calls(fn, self.knows):
+        if any(self.knows(name) for name in ast.called_names(fn)):
             invocation_sig = Signature.of(
                 t.widen_range() for t in invocation_sig.types
             )
@@ -74,15 +74,6 @@ def _pad(signature: Signature, arity: int) -> Signature:
         list(signature.types)
         + [MType.bottom() for _ in range(arity - len(signature))]
     )
-
-
-def _has_dynamic_calls(fn: ast.FunctionDef, knows) -> bool:
-    for stmt in ast.walk_stmts(fn.body):
-        for expr in ast.stmt_exprs(stmt):
-            for node in ast.walk_expr(expr):
-                if isinstance(node, ast.Apply) and knows(node.name):
-                    return True
-    return False
 
 
 #: engine name -> a one-off row for the shared timing loop (not in

@@ -317,6 +317,35 @@ def stmt_exprs(stmt: Stmt):
         yield stmt.iterable
 
 
+def targets(stmt: Stmt) -> list[LValue]:
+    """The assignment targets of ``stmt``, in source order."""
+    if isinstance(stmt, Assign):
+        return [stmt.target]
+    if isinstance(stmt, MultiAssign):
+        return stmt.targets
+    return []
+
+
+def assigned(body: list[Stmt]) -> set[str]:
+    """Every name an assignment or a ``for`` loop in ``body`` writes."""
+    names: set[str] = set()
+    for stmt in walk_stmts(body):
+        names.update(target.name for target in targets(stmt))
+        if isinstance(stmt, For):
+            names.add(stmt.var)
+    return names
+
+
+def stored(body: list[Stmt]) -> set[str]:
+    """The names ``body`` writes in place (subscripted targets)."""
+    return {
+        target.name
+        for stmt in walk_stmts(body)
+        for target in targets(stmt)
+        if target.is_indexed
+    }
+
+
 def called_names(fn: "FunctionDef") -> set[str]:
     """Every name ``fn``'s body applies (calls or indexes)."""
     return {

@@ -314,13 +314,13 @@ class TypeInferenceEngine:
             stmt = atom.stmt
             if isinstance(stmt, ast.Assign):
                 value = self._type_expr(stmt.value, env, record)
-                self._assign(stmt.target, value, env, record)
+                self._assign(atom, stmt.target, value, env, record)
             elif isinstance(stmt, ast.MultiAssign):
                 results = self._type_call(
                     stmt.call, env, record, nargout=len(stmt.targets)
                 )
                 for target, mtype in zip(stmt.targets, results):
-                    self._assign(target, mtype, env, record)
+                    self._assign(atom, target, mtype, env, record)
             elif isinstance(stmt, ast.ExprStmt):
                 value = self._type_expr(stmt.value, env, record)
                 env["ans"] = value
@@ -373,6 +373,7 @@ class TypeInferenceEngine:
     # ------------------------------------------------------------------
     def _assign(
         self,
+        atom: Atom,
         target: ast.LValue,
         value: MType,
         env: Env,
@@ -384,10 +385,10 @@ class TypeInferenceEngine:
             return
 
         array = env.get(target.name)
-        creating = array is None
-        if creating:
-            # Store into an undefined name creates a zero-filled array.
-            array = MType(
+        if array is None or target.name not in self._dis.assignments.must_before(atom):
+            # A store into a name a path leaves unset creates a
+            # zero-filled array on that path.
+            created = MType(
                 value.intrinsic.join(Intrinsic.INT),
                 Shape.bottom(),
                 Shape.bottom(),
@@ -395,13 +396,14 @@ class TypeInferenceEngine:
                 if value.is_real_like
                 else Interval.top(),
             )
+            array = created if array is None else array.join(created)
         index_types = [
             self._type_index_arg(arg, array, position, len(target.indices), env, record)
             for position, arg in enumerate(target.indices)
         ]
         record.store_safety[id(target)] = self._classify_store(array, index_types)
 
-        new_type = self._array_after_store(array, value, index_types, creating)
+        new_type = self._array_after_store(array, value, index_types)
         env[target.name] = new_type
         record.note_var(target.name, new_type)
 
@@ -410,7 +412,6 @@ class TypeInferenceEngine:
         array: MType,
         value: MType,
         index_types: list[MType],
-        creating: bool,
     ) -> MType:
         intrinsic = array.intrinsic.join(value.intrinsic)
         if not intrinsic.leq(Intrinsic.COMPLEX):
@@ -751,32 +752,17 @@ def _memo_slot(atom: Atom) -> list | None:
     """``[reads, writes, None, None]`` for an atom whose transfer reads
     the state only at ``reads`` and writes (and notes) each of ``writes``
     once, in order; ``None`` for an atom to transfer every time."""
-    targets: list[ast.LValue] = []
-    if isinstance(atom, CondAtom):
-        exprs, writes = [atom.cond], []
-    elif isinstance(atom, ForIterAtom):
-        exprs, writes = [atom.stmt.iterable], [atom.stmt.var]
-    elif isinstance(atom.stmt, ast.ExprStmt):
-        exprs, writes = [atom.stmt.value], ["ans"]
-    elif isinstance(atom.stmt, ast.Assign):
-        exprs, targets = [atom.stmt.value], [atom.stmt.target]
-    elif isinstance(atom.stmt, ast.MultiAssign):
-        exprs, targets = [atom.stmt.call], atom.stmt.targets
-    else:
-        return None  # clear / global: the whole state is read and written
-    reads: dict[str, None] = {}
-    for target in targets:
-        if target.is_indexed:  # a store reads the array it grows
-            reads[target.name] = None
-            exprs.extend(target.indices)
-    if targets:
-        writes = [target.name for target in targets]
-        if len(set(writes)) < len(writes):
-            return None  # `[a, a] = f()` notes two types for one name
-    for expr in exprs:
-        for node in ast.walk_expr(expr):
-            if node.__class__ is ast.Ident or node.__class__ is ast.Apply:
-                reads[node.name] = None
+    stmt = atom.stmt
+    if isinstance(stmt, (ast.Clear, ast.Global)):
+        return None  # the whole state is read and written
+    writes = ["ans"] if isinstance(stmt, ast.ExprStmt) else atom.defs
+    if len(set(writes)) < len(writes):
+        return None  # `[a, a] = f()` notes two types for one name
+    # A store reads the array it grows.
+    reads = dict.fromkeys(
+        target.name for target in ast.targets(stmt) if target.is_indexed
+    )
+    reads.update(dict.fromkeys(node.name for node in atom.uses))
     return [tuple(reads), tuple(writes), None, None]
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.cfg import CondAtom, ForIterAtom, StmtAtom
+from repro.analysis.cfg import CondAtom
 from repro.analysis.disambiguate import DisambiguationResult, Disambiguator
 from repro.analysis.symtab import SymbolKind
 from repro.analysis.usedef import UseDefChains, build_use_def
@@ -136,12 +136,12 @@ class Speculator:
                 return expr.name
             return None
 
-        for stmt in ast.walk_stmts(fn.body):
-            if isinstance(stmt, ast.For):
-                name = param_of(stmt.iterable)
+        for atom in dis.cfg.atoms():
+            if isinstance(atom.stmt, ast.For):
+                name = param_of(atom.stmt.iterable)
                 if name:
                     evidence.add(name)
-            for top in ast.stmt_exprs(stmt):
+            for top in atom.exprs:
                 for node in ast.walk_expr(top):
                     if isinstance(node, ast.Transpose):
                         name = param_of(node.operand)
@@ -186,17 +186,12 @@ class Speculator:
         self._annotations = annotations
         self._param_types = param_types
 
-        for block in disambiguation.cfg.blocks:
-            for atom in block.atoms:
-                if isinstance(atom, StmtAtom):
-                    for expr in ast.stmt_exprs(atom.stmt):
-                        self._visit(expr)
-                elif isinstance(atom, CondAtom):
-                    kind = "while" if isinstance(atom.owner, ast.While) else "if"
-                    self._apply_hints(("cond", kind), [atom.cond])
-                    self._visit(atom.cond)
-                elif isinstance(atom, ForIterAtom):
-                    self._visit(atom.stmt.iterable)
+        for atom in disambiguation.cfg.atoms():
+            if isinstance(atom, CondAtom):
+                kind = "while" if isinstance(atom.stmt, ast.While) else "if"
+                self._apply_hints(("cond", kind), [atom.cond])
+            for expr in atom.exprs:
+                self._visit(expr)
         return self._changed
 
     def _visit(self, expr: ast.Expr) -> None:

@@ -1,12 +1,20 @@
 """CFG, dataflow, disambiguation and U/D chain tests (Section 2.1)."""
 
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
 from repro.analysis.cfg import CondAtom, ForIterAtom, StmtAtom, build_cfg
 from repro.analysis.disambiguate import Disambiguator
 from repro.analysis.reaching import assignment_analysis
 from repro.analysis.symtab import SymbolKind
 from repro.analysis.usedef import build_use_def
+from repro.benchsuite.registry import programs_dir
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
+from repro.fuzz.grammar import generate_program
 
 
 def script(source):
@@ -240,3 +248,102 @@ class TestUseDef:
             if isinstance(node, ast.Ident) and node.name == "a"
         )
         assert len(chains.definitions_for(use)) == 2
+
+
+# ----------------------------------------------------------------------
+# What an atom evaluates, reads, defines and kills is stated once
+# ----------------------------------------------------------------------
+_BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "programs"
+
+
+def _corpus():
+    """Table-1 sources and helpers, the benchmark's programs, fuzz cases."""
+    for path in sorted(programs_dir().glob("*.m")):
+        yield pytest.param(path.read_text(), id=path.stem)
+    for path in sorted(_BENCH_DIR.glob("*.m")):
+        yield pytest.param(path.read_text(), id=f"perfbench-{path.stem}")
+    for seed in range(112):
+        yield pytest.param(generate_program(seed).source, id=f"fuzz-{seed}")
+
+
+def _reference(atom):
+    """``(uses, defs, kills)`` of one atom, walked from its statement."""
+    stmt = atom.stmt
+    if isinstance(atom, CondAtom):
+        exprs = [atom.cond]
+    elif isinstance(atom, ForIterAtom):
+        exprs = [stmt.iterable]
+    else:
+        exprs = list(ast.stmt_exprs(stmt))
+    uses = [
+        node
+        for expr in exprs
+        for node in ast.walk_expr(expr)
+        if isinstance(node, (ast.Ident, ast.Apply))
+    ]
+    defs, kills = [], []
+    if isinstance(atom, ForIterAtom):
+        defs = [stmt.var]
+    elif isinstance(atom, CondAtom):
+        pass
+    elif isinstance(stmt, ast.Assign):
+        defs = [stmt.target.name]
+    elif isinstance(stmt, ast.MultiAssign):
+        defs = [target.name for target in stmt.targets]
+    elif isinstance(stmt, ast.Global):
+        defs = list(stmt.names)
+    elif isinstance(stmt, ast.Clear):
+        kills = list(stmt.names) or None
+    return uses, defs, kills
+
+
+class TestAtomFields:
+    @pytest.mark.parametrize("source", _corpus())
+    def test_fields_match_a_reference_walk(self, source):
+        program = parse(source)
+        bodies = [fn.body for fn in program.functions] or [program.script]
+        for atom in (a for body in bodies for a in build_cfg(body).atoms()):
+            uses, defs, kills = _reference(atom)
+            assert [id(node) for node in atom.uses] == [id(n) for n in uses]
+            assert (atom.defs, atom.kills) == (defs, kills)
+
+    def test_clear_and_global(self):
+        atoms = list(build_cfg(script("global g h\nclear x\nclear")).atoms())
+        assert [(a.defs, a.kills) for a in atoms] == [
+            (["g", "h"], []), ([], ["x"]), ([], None),
+        ]
+
+    def test_assigned_and_stored(self):
+        body = script(
+            "a = 1; v(2) = a;\nfor i = 1:3, [p, q(i)] = size(v); end\n"
+            "if a, w = 2; end"
+        )
+        assert ast.assigned(body) == {"a", "v", "i", "p", "q", "w"}
+        assert ast.stored(body) == {"v", "q"}
+
+
+#: The ``src/`` modules that walk statements or expressions themselves.
+#: What an execution point evaluates, reads, defines and kills is its CFG
+#: atom's (``exprs`` / ``uses`` / ``defs`` / ``kills``), and what a loop
+#: body assigns is ``ast.assigned`` / ``ast.stored``: a module that starts
+#: deriving names again has to be added here.
+WALKERS = {
+    "repro/analysis/cfg.py",
+    "repro/codegen/inline.py",
+    "repro/codegen/optimizations.py",
+    "repro/codegen/select.py",
+    "repro/codegen/srcgen.py",
+    "repro/inference/speculation.py",
+    "repro/interp/interpreter.py",
+    "repro/kernels/fusion.py",
+}
+
+
+def test_only_allowlisted_modules_walk_the_tree():
+    root = Path(repro.__file__).resolve().parent.parent
+    walkers = {
+        path.relative_to(root).as_posix()
+        for path in (root / "repro").rglob("*.py")
+        if re.search(r"\bast\.walk_(expr|stmts)\(", path.read_text())
+    }
+    assert walkers == WALKERS

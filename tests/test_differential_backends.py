@@ -213,6 +213,13 @@ UNROLLED_MATRIX = (
 )
 MAYBE_UNDEFINED = "function r = mu(x)\nif x > 0, v = [x, 1]; end\nr = v + 1;\n"
 MAYBE_UNDEFINED_CALL = "function r = mc(x)\nif x > 0, v = [x, 1]; end\nr = v(1);\n"
+MAYBE_UNDEFINED_MULTI = (
+    "function r = mm(x)\nif x > 0, v = [x, 1]; end\n[r] = v(1);\n"
+)
+MAYBE_UNSET_STORE = (
+    "function r = ms(x)\nif x > 0, v = [x, 1, 2]; end\nv(2) = 3;\n"
+    "r = [v(end), v + 1];\n"
+)
 ZERO_NAN = (
     "function r = zn(x, y)\nv = [x, y, 1];\nw = v * 2;\nu = -v;\n"
     "s = v .* v;\nz = [w(1), u(2), s(1)];\nz(2) = u(1);\n"
@@ -334,7 +341,12 @@ def _scalar(value):
 #: ``maybe-undefined-call-unset`` — the same vector read in call form,
 #: ``v(1)``, is indexed when set and raises that error when unset
 #: (compiled code called a user function ``v``: ``unknown function 'v'``,
-#: or ``KeyError`` on ``falcon`` / ``mcc``); ``unrolled-zero-nan`` — −0.0 and NaN
+#: or ``KeyError`` on ``falcon`` / ``mcc``), and in multi-assignment form,
+#: ``[r] = v(1)``, likewise (``maybe-undefined-multi``);
+#: ``maybe-unset-store`` — an element store into that vector, unset,
+#: grows it from empty as the interpreter does (compiled code stored into
+#: the unset variable and deopted, and its type kept the assigned path's
+#: three elements); ``unrolled-zero-nan`` — −0.0 and NaN
 #: elements keep their bits; ``unrolled-logical-def`` — a variable with a
 #: logical and a numeric definition of one shape stays boxed, so ``v(m)``
 #: is a logical subscript (the joined type said INT, and the replaced
@@ -414,6 +426,10 @@ PROBES = {
     "maybe-undefined-call-unset": Program(
         (MAYBE_UNDEFINED_CALL,), "mc", _scalar(-1.0)
     ),
+    "maybe-undefined-multi": Program(
+        (MAYBE_UNDEFINED_MULTI,), "mm", _scalar(1.0)
+    ),
+    "maybe-unset-store": Program((MAYBE_UNSET_STORE,), "ms", _scalar(-1.0)),
     "unrolled-zero-nan": Program(
         (ZERO_NAN,), "zn",
         lambda: [from_python(-0.0), from_python(float("nan"))],

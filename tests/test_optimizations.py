@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.codegen.optimizations import (
-    assigned_in,
     find_hoistable,
     is_pure_scalar,
     match_affine,
@@ -39,7 +38,7 @@ class TestPurity:
         loop = first_loop(fn)
         body_assign = loop.body[0]
         # `c * 2` is pure and loop-invariant; `s + ...` is not (s varies).
-        variant = assigned_in(loop.body) | {loop.var}
+        variant = ast.assigned(loop.body) | {loop.var}
         rhs = body_assign.value
         assert not is_pure_scalar(rhs, ann, variant)       # mentions s
         assert is_pure_scalar(rhs.right, ann, variant)     # c * 2
@@ -50,7 +49,7 @@ class TestPurity:
             np.ones((1, 4)),
         )
         loop = first_loop(fn)
-        variant = assigned_in(loop.body) | {loop.var}
+        variant = ast.assigned(loop.body) | {loop.var}
         rhs = loop.body[0].value.right   # v(1) * 2
         assert not is_pure_scalar(rhs, ann, variant)
 
@@ -61,7 +60,7 @@ class TestPurity:
             10, 2.0,
         )
         loop = first_loop(fn)
-        variant = assigned_in(loop.body) | {loop.var}
+        variant = ast.assigned(loop.body) | {loop.var}
         found = find_hoistable(loop.body, ann, variant)
         assert len(found) == 1  # the maximal c*c*3.0, not its subtrees
 
@@ -76,7 +75,7 @@ class TestAffine:
     def test_match_var_plus_const(self):
         fn, ann = annotated(self.source(), 0)
         loop = first_loop(fn)
-        variant = assigned_in(loop.body) | {loop.var}
+        variant = ast.assigned(loop.body) | {loop.var}
         load = next(
             node
             for e in ast.stmt_exprs(loop.body[0])
@@ -90,7 +89,7 @@ class TestAffine:
     def test_invariant_constant_index(self):
         fn, ann = annotated(self.source(), 0)
         loop = first_loop(fn)
-        variant = assigned_in(loop.body) | {loop.var}
+        variant = ast.assigned(loop.body) | {loop.var}
         target = loop.body[0].target
         affine = match_affine(target.indices[1], "i", ann, variant)
         assert affine is not None and not affine.uses_var
@@ -102,7 +101,7 @@ class TestAffine:
             0,
         )
         loop = first_loop(fn)
-        variant = assigned_in(loop.body) | {loop.var}
+        variant = ast.assigned(loop.body) | {loop.var}
         target = loop.body[0].target
         assert match_affine(target.indices[0], "i", ann, variant) is None
 
