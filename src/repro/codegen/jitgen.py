@@ -421,8 +421,8 @@ class _Lowerer(Walk):
         dst = self.fresh(kind) if kind is not None else None
         return self.emit("CALLRT", dst, args, helper)
 
-    def unpack(self, values: int, position: int) -> int:
-        return self.emit("UNPACK", self.fresh(BOXED), (values,), position)
+    def unpack(self, values: int, position: int, kind: str) -> int:
+        return self.emit("UNPACK", self.fresh(kind), (values,), position)
 
     def unary(self, op: str, a: int, kind: str) -> int:
         return self.emit("UN", self.fresh(kind), (a,), op)

@@ -289,35 +289,49 @@ def pack(rows: int, cols: int, *elements) -> MxArray:
     return MxArray(None, np.array(elements, dtype=np.float64).reshape(rows, cols))
 
 
+def mtimes_elements(rows: int, inner: int, cols: int, *operands) -> list:
+    """The column-major elements of a small matrix product, as host
+    floats (an unrolled ``A * B``, Section 2.6.1).  Each operand is one
+    boxed MxArray, multiplied as its own array, or its raw elements in
+    row-major order, which become a fresh array as :func:`pack` builds
+    one: BLAS results depend on the layout of what it multiplies."""
+    left = operands[0]
+    if isinstance(left, MxArray):
+        a, rest = left.view(), operands[1:]
+    else:
+        split = rows * inner
+        a = np.array(operands[:split], dtype=np.float64).reshape(rows, inner)
+        rest = operands[split:]
+    if len(rest) == 1:
+        b = rest[0].view()
+    else:
+        b = np.array(rest, dtype=np.float64).reshape(inner, cols)
+    return (a @ b).ravel("F").tolist()
+
+
 def dgemv(alpha, a, x, beta, y) -> MxArray:
-    """Fused ``alpha*A*x + beta*y`` (code-selection rule of Section 2.6.1).
+    """Fused ``alpha*A*x + beta*y`` (code-selection rule of Section 2.6.1);
+    ``y`` is None when the expression has no addend.
 
     Code selection fires this on the *likely* dgemv shape; when the actual
-    operands do not conform as matrix × column-vector (annotations are
-    conservative guesses, and the Figure 7 ablations weaken them), the
-    kernel falls back to the generic operator chain, preserving MATLAB
-    semantics exactly.
+    operands do not conform as matrix × column-vector plus a conforming
+    column (annotations are conservative guesses, and the Figure 7
+    ablations weaken them), the kernel falls back to the generic operator
+    chain, preserving MATLAB semantics exactly.
     """
     a_boxed, x_boxed = box(a), box(x)
-    alpha_scalar = not isinstance(alpha, MxArray) or alpha.is_scalar
-    beta_scalar = not isinstance(beta, MxArray) or beta.is_scalar
+    y_boxed = box(y) if y is not None else None
     if (
-        alpha_scalar
-        and beta_scalar
+        (not isinstance(alpha, MxArray) or alpha.is_scalar)
+        and (not isinstance(beta, MxArray) or beta.is_scalar)
         and a_boxed.cols == x_boxed.rows
         and x_boxed.cols == 1
         and not a_boxed.is_scalar
+        and (y_boxed is None or y_boxed.shape == (a_boxed.rows, 1))
     ):
-        y_boxed = box(y) if y is not None else None
-        beta_raw = unbox_real(beta)
-        if y_boxed is None or (
-            beta_raw != 0.0
-            and y_boxed.shape == (a_boxed.rows, 1)
-        ) or beta_raw == 0.0:
-            return linalg.dgemv(
-                unbox_real(alpha), a_boxed, x_boxed, beta_raw,
-                y_boxed if y_boxed is not None else box(0.0),
-            )
+        return linalg.dgemv(
+            unbox_real(alpha), a_boxed, x_boxed, unbox_real(beta), y_boxed
+        )
     # Generic fallback.
     product = g_mul(alpha, g_mul(a, x))
     if y is None:
@@ -519,6 +533,7 @@ class RuntimeSupport:
     columns = staticmethod(columns)
     build_matrix = staticmethod(build_matrix)
     pack = staticmethod(pack)
+    mtimes_elements = staticmethod(mtimes_elements)
     dgemv = staticmethod(dgemv)
     COLON = COLON
     m_sqrt = staticmethod(m_sqrt)

@@ -20,7 +20,8 @@ are the paper's selection rules:
   with exactly known small real shapes (≤ 3×3) are completely unrolled,
   and a local variable that only ever holds such a shape lives as one raw
   host scalar per element; a fresh array is built only where a value
-  escapes (a call, a display, a matrix product, a non-constant subscript);
+  escapes (a call, a display, a non-constant subscript); a matrix product
+  of such shapes is one library call that returns host floats;
 * **dgemv fusion** — expression trees of the form ``a*X + b*C*Y`` collapse
   into a single BLAS call;
 * **elementwise fusion** — a whole array-typed elementwise tree becomes
@@ -70,9 +71,8 @@ def repr_of_type(mtype: MType) -> str:
 
 @dataclass
 class DgemvMatch:
-    """``alpha*A*x + beta*y`` pieces extracted from an expression tree."""
+    """``A*x + beta*y`` pieces extracted from an expression tree."""
 
-    alpha: ast.Expr | None     # None = 1.0
     matrix: ast.Expr
     vector: ast.Expr
     beta: ast.Expr | None      # None = 1.0
@@ -135,6 +135,10 @@ class Selector:
             ):
                 return shape
             return None
+        if isinstance(node, ast.BinaryOp):
+            shapes = self.product_shapes(node)
+            if shapes is not None and (shapes[0][0], shapes[1][1]) == shape:
+                return shape
         if isinstance(node, ast.BinaryOp) and (
             node.op in _ELEMENTWISE_OPS
             or (node.op in ("*", "/") and self._one_side_scalar(node))
@@ -147,6 +151,28 @@ class Selector:
             if self._unrollable_operand(node.operand, shape):
                 return shape
         return None
+
+    def product_shapes(self, node: ast.BinaryOp):
+        """``((rows, inner), (inner, cols))`` if ``node`` is a matrix
+        product of two INT / REAL operands of exact shapes, neither a
+        scalar and neither past UNROLL_LIMIT elements, else None.  Its
+        result is unrolled when it has 2..UNROLL_LIMIT elements too."""
+        if node.op != "*":
+            return None
+        shapes = []
+        for operand in (node.left, node.right):
+            mtype = self.annotations.type_of(operand)
+            if (
+                mtype.is_scalar
+                or not mtype.has_exact_shape
+                or mtype.intrinsic not in _UNROLLED
+                or mtype.exact_shape.numel > UNROLL_LIMIT
+            ):
+                return None
+            shapes.append((mtype.exact_shape.rows, mtype.exact_shape.cols))
+        if shapes[0][1] != shapes[1][0]:
+            return None
+        return tuple(shapes)
 
     def _one_side_scalar(self, node: ast.BinaryOp) -> bool:
         left = self.annotations.type_of(node.left)
@@ -257,64 +283,41 @@ class Selector:
     # dgemv fusion
     # ------------------------------------------------------------------
     def match_dgemv(self, node: ast.Expr) -> DgemvMatch | None:
-        """Match ``alpha*A*x [+ beta*y]`` patterns (Section 2.6.1)."""
+        """Match ``A*x [+ beta*y]`` patterns (Section 2.6.1).  A scaled
+        matrix ``(a*A)*x`` matches as the matrix ``a*A``: the interpreter
+        scales ``A`` before the product, and so does this."""
         if not self.dgemv_enabled or not isinstance(node, ast.BinaryOp):
             return None
-        if node.op == "+":
-            left = self._match_ax(node.left)
-            if left is not None:
-                beta, addend = self._match_scaled_vector(node.right)
-                if addend is not None:
-                    return DgemvMatch(
-                        alpha=left[0], matrix=left[1], vector=left[2],
-                        beta=beta, addend=addend,
-                    )
-            right = self._match_ax(node.right)
-            if right is not None:
-                beta, addend = self._match_scaled_vector(node.left)
-                if addend is not None:
-                    return DgemvMatch(
-                        alpha=right[0], matrix=right[1], vector=right[2],
-                        beta=beta, addend=addend,
-                    )
-            return None
-        if node.op == "-":
-            left = self._match_ax(node.left)
-            if left is not None:
-                beta, addend = self._match_scaled_vector(node.right)
-                if addend is not None and beta is None:
-                    # a*A*x - y  =>  dgemv(alpha, A, x, -1, y)
-                    return DgemvMatch(
-                        alpha=left[0], matrix=left[1], vector=left[2],
-                        beta=_NEG_ONE, addend=addend,
-                    )
+        if node.op in ("+", "-"):
+            sides = [(node.left, node.right)]
+            if node.op == "+":
+                sides.append((node.right, node.left))
+            for product, other in sides:
+                matched = self._match_ax(product)
+                if matched is None:
+                    continue
+                beta, addend = self._match_scaled_vector(other)
+                if addend is None:
+                    continue
+                if node.op == "-":
+                    if beta is not None:
+                        return None
+                    beta = _NEG_ONE  # A*x - y  =>  dgemv(1, A, x, -1, y)
+                return DgemvMatch(*matched, beta=beta, addend=addend)
             return None
         matched = self._match_ax(node)
         if matched is not None:
-            return DgemvMatch(
-                alpha=matched[0], matrix=matched[1], vector=matched[2],
-                beta=None, addend=None,
-            )
+            return DgemvMatch(*matched, beta=None, addend=None)
         return None
 
     def _match_ax(self, node: ast.Expr):
-        """Match ``A*x`` or ``alpha*A*x`` where A is a matrix, x a vector."""
+        """Match ``A*x`` where A is a matrix, x a vector: ``(A, x)``."""
         if not isinstance(node, ast.BinaryOp) or node.op != "*":
             return None
-        right_type = self.annotations.type_of(node.right)
-        if not self._is_vector_type(right_type):
-            return None
-        left = node.left
-        left_type = self.annotations.type_of(left)
-        if self._is_matrix_type(left_type):
-            return (None, left, node.right)
-        if (
-            isinstance(left, ast.BinaryOp)
-            and left.op == "*"
-            and self.annotations.type_of(left.left).is_scalar
-            and self._is_matrix_type(self.annotations.type_of(left.right))
-        ):
-            return (left.left, left.right, node.right)
+        if self._is_vector_type(
+            self.annotations.type_of(node.right)
+        ) and self._is_matrix_type(self.annotations.type_of(node.left)):
+            return (node.left, node.right)
         return None
 
     def _match_scaled_vector(self, node: ast.Expr):
@@ -348,6 +351,12 @@ _NEG_ONE = ast.Number(value=-1.0)
 
 #: Element classes of unrolled values and scalar-replaced variables.
 _UNROLLED = (Intrinsic.INT, Intrinsic.REAL)
+
+
+def _row_major(values: list, shape) -> list:
+    """Column-major element ``values`` of ``shape`` in row-major order."""
+    rows, cols = shape
+    return [values[r + c * rows] for r in range(rows) for c in range(cols)]
 
 
 def _pure(node: ast.Expr, dis: DisambiguationResult) -> bool:
@@ -415,7 +424,7 @@ class Walk:
 
     * values — ``var(name)``, ``const(value, kind)``, ``call(helper, args,
       kind)`` (``kind=None``: called for effect), ``unpack(values,
-      position)``, ``unary``/``binary(op, ..., kind)`` on raw scalars,
+      position, kind)``, ``unary``/``binary(op, ..., kind)`` on raw scalars,
       ``bind(value, base, reused=False)`` (evaluate here, exactly once);
     * memory — ``load``/``store(name, indices, ..., mode)`` for scalar
       subscripts with their safety mode, ``element(array, r, c)`` at a
@@ -741,7 +750,7 @@ class Walk:
             ]
             values = self.bind(self.call(helper, head + args, BOXED), "m")
             elements = (
-                self.unpack(values, position)
+                self.unpack(values, position, BOXED)
                 for position in range(len(stmt.targets))
             )
         for target, element in zip(stmt.targets, elements):
@@ -849,7 +858,7 @@ class Walk:
     def user_call(self, node: ast.Expr, args: list):
         head = [self.const(node.name, BOXED), self.const(1, RAW_INT)]
         values = self.call("call_user", head + args, BOXED)
-        return self.annotated(self.unpack(values, 0), BOXED, node)
+        return self.annotated(self.unpack(values, 0, BOXED), BOXED, node)
 
     def ident(self, node: ast.Ident):
         kind = self.dis.kind_of(node)
@@ -950,12 +959,12 @@ class Walk:
     def binary_op(self, node: ast.BinaryOp, end_array, end_dim):
         if node.op in ("&&", "||"):
             return self.short_circuit(node)
-        match = self.selector.match_dgemv(node)
-        if match is not None:
-            return self.dgemv(match)
         shape = self.selector.unroll_shape(node)
         if shape is not None:
             return self.pack(self.elements(node), shape), BOXED
+        match = self.selector.match_dgemv(node)
+        if match is not None:
+            return self.dgemv(match)
         fused = self.try_fuse(node, end_array, end_dim)
         if fused is not None:
             return fused
@@ -1010,11 +1019,8 @@ class Walk:
         return self.call("vcat", rows, BOXED), BOXED
 
     def dgemv(self, match: DgemvMatch):
-        """``alpha*A*x + beta*y`` as a single BLAS-style call."""
-        alpha = (
-            self.const(1.0, RAW_REAL) if match.alpha is None
-            else self.real(match.alpha)
-        )
+        """``A*x + beta*y`` as a single BLAS-style call."""
+        alpha = self.const(1.0, RAW_REAL)
         matrix = self.boxed(match.matrix)
         vector = self.boxed(match.vector)
         if match.addend is None:
@@ -1054,6 +1060,9 @@ class Walk:
                 self.unary("-", value, RAW_REAL)
                 for value in self._operand_elements(node.operand, shape)
             ]
+        shapes = self.selector.product_shapes(node)
+        if shapes is not None:
+            return self._product_elements(node, shapes)
         left = self._operand_elements(node.left, shape)
         right = self._operand_elements(node.right, shape)
         op = _NUMERIC_PY[node.op]
@@ -1073,6 +1082,28 @@ class Walk:
         rows, cols = shape
         return [
             self.element(array, r, c) for c in range(cols) for r in range(rows)
+        ]
+
+    def _product_elements(self, node: ast.BinaryOp, shapes) -> list:
+        """A small matrix product: one helper runs the interpreter's ``@``
+        and returns the result's elements as host floats.  BLAS results
+        depend on the operands' layout, so each operand is what the
+        interpreter multiplies: an unrolled one goes in as its elements
+        (a fresh C-ordered array, as :meth:`pack` builds), a boxed one as
+        its own array, never repacked.  The helper has no effect, so
+        naming its result here moves none."""
+        (rows, inner), (_, cols) = shapes
+        args = [self.const(n, RAW_INT) for n in (rows, inner, cols)]
+        for operand, shape in zip((node.left, node.right), shapes):
+            values = self.elements(operand)
+            if values is None:
+                args.append(self.boxed(operand))
+            else:
+                args.extend(_row_major(values, shape))
+        product = self.bind(self.call("mtimes_elements", args, BOXED), "p")
+        return [
+            self.unpack(product, position, RAW_REAL)
+            for position in range(rows * cols)
         ]
 
     def element_real(self, node: ast.Expr):
@@ -1135,9 +1166,8 @@ class Walk:
         """A fresh array of column-major ``values`` (where an unrolled
         value escapes)."""
         rows, cols = shape
-        row_major = [values[r + c * rows] for r in range(rows) for c in range(cols)]
         head = [self.const(rows, RAW_INT), self.const(cols, RAW_INT)]
-        return self.call("pack", head + row_major, BOXED)
+        return self.call("pack", head + _row_major(values, shape), BOXED)
 
     def settle(self, value):
         """``value``, evaluated here if evaluating it later could move an

@@ -207,7 +207,7 @@ class _SrcEmitter(Walk):
         self.line(code)
         return None
 
-    def unpack(self, values: str, position: int) -> str:
+    def unpack(self, values: str, position: int, kind: str) -> str:
         return f"{values}[{position}]"
 
     def unary(self, op: str, a: str, kind: str) -> str:

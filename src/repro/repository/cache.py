@@ -92,8 +92,10 @@ from repro.vcode.emit import bind_function
 #: as expression trees (single-use temporaries folded), so an entry of
 #: the three-address emitter misses rather than being served; format 6
 #: stores code with small vectors scalar-replaced, so the per-site
-#: buffers of format 5 code (which aliased) are never revived.
-CACHE_FORMAT_VERSION = "6"
+#: buffers of format 5 code (which aliased) are never revived; format 7
+#: stores small matrix products as ``rt.mtimes_elements`` calls, which
+#: an older runtime lacks.
+CACHE_FORMAT_VERSION = "7"
 
 #: The signature slot of a parse record's key.
 UNIT_TAG = "source-unit"

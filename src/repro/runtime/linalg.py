@@ -17,13 +17,18 @@ from repro.runtime.mxarray import IntrinsicClass, MxArray
 from repro.runtime.values import box_result, from_ndarray
 
 
-def dgemv(alpha: float, a: MxArray, x: MxArray, beta: float, y: MxArray) -> MxArray:
-    """``alpha*A*x + beta*y`` as one fused kernel (BLAS dgemv)."""
-    av, xv, yv = a.view(), x.view(), y.view()
+def dgemv(
+    alpha: float, a: MxArray, x: MxArray, beta: float, y: MxArray | None
+) -> MxArray:
+    """``alpha*A*x + beta*y`` as one fused kernel (BLAS dgemv); no addend
+    when ``y`` is None.  A zero ``beta`` still reads ``y``: ``0*Inf`` and
+    ``0*NaN`` are NaN."""
+    av, xv = a.view(), x.view()
     if av.shape[1] != xv.shape[0]:
         raise DimensionError("dgemv: inner dimensions must agree")
-    if beta == 0.0:
+    if y is None:
         return box_result(alpha * (av @ xv))
+    yv = y.view()
     if (av.shape[0], xv.shape[1]) != yv.shape:
         raise DimensionError("dgemv: result and y dimensions must agree")
     return box_result(alpha * (av @ xv) + beta * yv)

@@ -64,15 +64,19 @@ def empty() -> MxArray:
 
 def from_ndarray(data: np.ndarray, klass: IntrinsicClass | None = None) -> MxArray:
     """Box a numpy array of unknown provenance: always a copy, as 2-D
-    ``float64`` / ``complex128``.  Unless a class is forced, real data is
-    boxed with INT-vs-REAL unanswered (``MxArray.klass`` asks the data)."""
+    ``float64`` / ``complex128`` in C order.  Unless a class is forced,
+    real data is boxed with INT-vs-REAL unanswered (``MxArray.klass`` asks
+    the data).  C order because a matrix product's BLAS sums depend on
+    its operands' layout: the interpreter copies every value it assigns
+    in C order, and compiled code, which elides those copies, must see
+    the same layout (a caller's or ``reshape``'s column-major array)."""
     data = np.atleast_2d(np.asarray(data))
     if data.dtype == np.bool_:
         klass = IntrinsicClass.BOOL
     elif klass is None and data.dtype.kind == "c":
         klass = IntrinsicClass.COMPLEX
     dtype = np.complex128 if klass is IntrinsicClass.COMPLEX else np.float64
-    return MxArray(klass, data.astype(dtype))
+    return MxArray(klass, data.astype(dtype, order="C"))
 
 
 _FLOAT64 = np.dtype(np.float64)

@@ -143,11 +143,37 @@ class TestJitSelection:
         assert np.array_equal(run(obj, args), [[2.0, 3.0]])
 
     def test_dgemv_fusion(self):
+        # 4x4 operands: past the unroll limit, so A*x + b*z is one dgemv.
+        src = "function y = f(a, A, x, b, z)\ny = a*A*x + b*z;\n"
+        A = np.arange(1.0, 17.0).reshape(4, 4)
+        x = np.ones((4, 1))
+        z = np.full((4, 1), 10.0)
+        obj, args = compile_jit(src, 2.0, A, x, 1.0, z)
+        assert "dgemv" in obj.source
+        assert np.array_equal(run(obj, args), [[30.0], [62.0], [94.0], [126.0]])
+
+    @pytest.mark.parametrize("compile_fn", [compile_jit, compile_src])
+    def test_small_product_returns_host_floats(self, compile_fn):
+        # 2x2 operands: the product is one helper call returning its
+        # elements, and the sum is unrolled.
         src = "function y = f(a, A, x, b, z)\ny = a*A*x + b*z;\n"
         A = np.array([[1.0, 2.0], [3.0, 4.0]])
         x = np.array([[1.0], [1.0]])
         z = np.array([[10.0], [10.0]])
-        obj, args = compile_jit(src, 2.0, A, x, 1.0, z)
+        obj, args = compile_fn(src, 2.0, A, x, 1.0, z)
+        assert "mtimes_elements" in obj.source
+        assert "dgemv" not in obj.source
+        assert np.array_equal(run(obj, args), [[16.0], [24.0]])
+
+    def test_small_product_is_dgemv_without_unrolling(self):
+        src = "function y = f(a, A, x, b, z)\ny = a*A*x + b*z;\n"
+        A = np.array([[1.0, 2.0], [3.0, 4.0]])
+        x = np.array([[1.0], [1.0]])
+        z = np.array([[10.0], [10.0]])
+        obj, args = compile_jit(
+            src, 2.0, A, x, 1.0, z, options=JitOptions(unroll_enabled=False)
+        )
+        assert "mtimes_elements" not in obj.source
         assert "dgemv" in obj.source
         assert np.array_equal(run(obj, args), [[16.0], [24.0]])
 

@@ -250,9 +250,35 @@ RAND_DRAWS = (
     "end\n"
 )
 
+SMALL_PRODUCT = (
+    "function [r, d] = sp(F, x)\nA = [x, 2; -1, x + 1];\nv = [1; x];\n"
+    "t = [0.5; -0.25];\nfor k = 1:3\n  v = A * v + t;\nend\n"
+    "B = [1, 2, 3] * [x, 0; 1, x; -x, 2]\nw = [x; 1; 2];\nu = F * w;\n"
+    "s = [x, 1, 2] * w;\nG = reshape(F(:)' - x, 3, 3);\n"
+    "g = [reshape(F(:)', 3, 3) * w; G * w];\nd = twice(A, v);\n"
+    "r = [v', B, u', s, g'];\n"
+    "function y = twice(A, v)\nif A(1) < -1e9, y = v; return; end\n"
+    "y = A * v;\n"
+)
+DGEMV_ZERO_BETA = "function r = zb(A, x, y)\nr = A * x + 0 * y;\n"
+
 
 def _scalar(value):
     return lambda: [from_python(value)]
+
+
+def _fortran_3x3():
+    """A caller's column-major 3x3 array, boxed."""
+    data = np.random.default_rng(1).standard_normal((3, 3))
+    return from_ndarray(np.asfortranarray(data))
+
+
+def _dgemv_zero_beta():
+    rng = np.random.default_rng(2)
+    y = rng.standard_normal((12, 1))
+    y[3], y[7] = np.inf, np.nan
+    return [from_ndarray(rng.standard_normal((12, 12))),
+            from_ndarray(rng.standard_normal((12, 1))), from_ndarray(y)]
 
 
 #: name -> program.  What each must do is whatever the interpreter does:
@@ -363,6 +389,19 @@ def _scalar(value):
 #: failed converting NaN to an integer).  ``rand-draws``: ``rand``,
 #: ``rand(1)`` and ``rand(1, 1)`` drawn as host floats, in order, none
 #: skipped (``&`` draws its right operand whatever the left one is).
+#: ``small-product``: a matrix product of exact small real shapes is one
+#: helper call returning host floats (``v = A * v + t`` over replaced
+#: operands, a 1x3 · 3x2 product displayed, a boxed formal times a
+#: replaced vector, a product returned from a callee; a row · column
+#: product, a scalar, stays out), bit for bit the interpreter's ``@``.
+#: BLAS sums depend on the operands' layout, and the interpreter copies
+#: every value it binds in C order: a formal the caller passed
+#: column-major and ``reshape``'s column-major result gave other last
+#: bits on every compiled row, which elide those copies, until
+#: ``from_ndarray`` boxed in C order.
+#: ``dgemv-zero-beta``: ``A*x + 0*y`` with an Inf and a NaN in ``y`` is
+#: NaN where they are (dgemv dropped a zero-scaled addend, and answered
+#: finite values).
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -443,6 +482,11 @@ PROBES = {
         (SIGN_SUBSCRIPT,), "sx", _scalar(float("nan"))
     ),
     "rand-draws": Program((RAND_DRAWS,), "rd", _scalar(3.0)),
+    "small-product": Program(
+        (SMALL_PRODUCT,), "sp",
+        lambda: [_fortran_3x3(), from_python(0.7)], nargout=2,
+    ),
+    "dgemv-zero-beta": Program((DGEMV_ZERO_BETA,), "zb", _dgemv_zero_beta),
 }
 
 

@@ -22,6 +22,7 @@ from repro.runtime.display import format_value
 from repro.runtime.mxarray import IntrinsicClass, MxArray, classify_ndarray
 from repro.runtime.values import (
     empty,
+    from_ndarray,
     from_python,
     make_bool,
     make_matrix,
@@ -484,6 +485,36 @@ def test_no_result_aliases_an_operand_or_another_result(pair):
         ]
         assert not moved, f"mutating {name} through set2 moved {moved}"
         before[name] = _bytes(box)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pair=_square_pair())
+def test_every_result_is_c_ordered(pair):
+    """The layout property: a box holds C-ordered data, as the
+    interpreter's copy of every value it assigns does, so compiled code
+    (which elides those copies) hands BLAS what the interpreter does.  A
+    matrix product's last bit depends on its operands' layout."""
+    a, b = pair
+    with np.errstate(all="ignore"):
+        for name, produce in PRODUCERS.items():
+            try:
+                box = produce(a, b)
+            except MatlabError:
+                continue
+            assert box.data.flags.c_contiguous, name
+
+
+def test_column_major_sources_box_c_ordered():
+    # A caller's column-major array, and reshape's column-major result.
+    fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    assert from_ndarray(fortran).data.flags.c_contiguous
+    assert from_python(fortran).data.flags.c_contiguous
+    shaped = _builtin(
+        "reshape", from_python(np.arange(9.0).reshape(1, 9)),
+        make_scalar(3), make_scalar(3),
+    )
+    assert shaped.data.flags.c_contiguous
+    assert np.array_equal(shaped.view(), np.arange(9.0).reshape(3, 3).T)
 
 
 #: program -> classify_ndarray calls in one steady JIT call at the

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from repro.codegen import runtime_support as rts
+from repro.codegen.select import UNROLL_LIMIT
 from repro.errors import RuntimeMatlabError, UndefinedSymbolError
+from repro.runtime import elementwise as ew
 from repro.runtime.mxarray import IntrinsicClass, MxArray
-from repro.runtime.values import from_python, make_matrix, make_scalar, to_python
+from repro.runtime.values import (
+    from_ndarray,
+    from_python,
+    make_matrix,
+    make_scalar,
+    to_python,
+)
 
 
 class TestPolymorphicOps:
@@ -151,6 +159,106 @@ class TestDgemv:
         bad_y = make_matrix([[1, 2, 3]])
         with pytest.raises(Exception):
             rts.dgemv(1.0, a, x, 1.0, bad_y)
+
+    def test_zero_beta_reads_the_addend(self):
+        # 0*Inf and 0*NaN are NaN: a zero-scaled addend still counts.
+        a = make_matrix([[1, 2], [3, 4]])
+        x = make_matrix([[1], [1]])
+        y = from_ndarray(np.array([[np.inf], [np.nan]]))
+        result = rts.dgemv(1.0, a, x, 0.0, y).view()
+        assert np.isnan(result).all()
+
+    def test_zero_beta_checks_the_addend_shape(self):
+        a = make_matrix([[1, 2], [3, 4]])
+        x = make_matrix([[1], [1]])
+        with pytest.raises(RuntimeMatlabError):
+            rts.dgemv(1.0, a, x, 0.0, make_matrix([[1, 2, 3]]))
+
+
+#: Every ``(rows, inner, cols)`` an unrolled product admits: two
+#: operands, neither a scalar and neither past the unroll limit, and a
+#: result of 2..UNROLL_LIMIT elements.
+PRODUCT_SHAPES = [
+    (rows, inner, cols)
+    for rows in range(1, UNROLL_LIMIT + 1)
+    for inner in range(UNROLL_LIMIT + 1)
+    for cols in range(1, UNROLL_LIMIT + 1)
+    if (rows, inner) != (1, 1) and (inner, cols) != (1, 1)
+    and rows * inner <= UNROLL_LIMIT and inner * cols <= UNROLL_LIMIT
+    and 2 <= rows * cols <= UNROLL_LIMIT
+]
+
+#: Element values: ordinary and integral reals, signed zeros, infinities
+#: and NaN.
+_POOL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1.0, -3.0, 0.1])
+
+
+def _literal(values: np.ndarray) -> MxArray:
+    """``values`` as the interpreter builds a matrix literal."""
+    return ew.mlf_vertcat([
+        ew.mlf_horzcat([make_scalar(float(v)) for v in row]) for row in values
+    ])
+
+
+class TestMtimesElements:
+    """An unrolled product is the interpreter's ``A * B``, bit for bit:
+    for unrolled operands (row-major elements) and boxed ones alike."""
+
+    CASES = 100_000
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bit_identical_to_mtimes(self):
+        rng = np.random.default_rng(0)
+        per_shape = -(-self.CASES // len(PRODUCT_SHAPES))
+        count = 0
+        for rows, inner, cols in PRODUCT_SHAPES:
+            lefts, rights = (
+                np.where(
+                    rng.random(shape) < 0.1,
+                    rng.choice(_POOL, shape),
+                    rng.standard_normal(shape),
+                )
+                for shape in ((per_shape, rows, inner), (per_shape, inner, cols))
+            )
+            for case, (a, b) in enumerate(zip(lefts, rights)):
+                if case % 10:
+                    left, right = from_ndarray(a), from_ndarray(b)
+                else:
+                    left, right = _literal(a), _literal(b)
+                expected = ew.mlf_mtimes(left, right).view().ravel("F").tobytes()
+                forms = [((left,), (right,))]
+                if inner:
+                    unrolled = (a.ravel().tolist(), b.ravel().tolist())
+                    forms += [
+                        unrolled, (unrolled[0], (right,)), ((left,), unrolled[1]),
+                    ]
+                for left_form, right_form in forms:
+                    got = rts.mtimes_elements(
+                        rows, inner, cols, *left_form, *right_form
+                    )
+                    assert np.array(got).tobytes() == expected, (
+                        rows, inner, cols, a, b,
+                    )
+                count += 1
+        assert count >= self.CASES
+
+    def test_elements_are_host_floats(self):
+        got = rts.mtimes_elements(2, 2, 1, 1.0, 2.0, 3.0, 4.0, 1, 0)
+        assert got == [1.0, 3.0]
+        assert all(type(value) is float for value in got)
+
+    def test_boxed_operand_keeps_its_layout(self):
+        # A boxed operand is multiplied as it is, as the interpreter's
+        # ``A * x`` multiplies it: repacked in the other order, about half
+        # of these products can differ in the last bit (BLAS sums in a
+        # layout-dependent order).
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            boxed = MxArray(None, np.asfortranarray(rng.standard_normal((3, 3))))
+            x = rng.standard_normal((3, 1))
+            expected = ew.mlf_mtimes(boxed, from_ndarray(x)).view()
+            got = rts.mtimes_elements(3, 3, 1, boxed, *x.ravel().tolist())
+            assert np.array(got).tobytes() == expected.ravel("F").tobytes()
 
 
 class TestRuntimeSupportInstance:

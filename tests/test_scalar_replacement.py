@@ -9,7 +9,7 @@ facts (a real value times itself is ≥ 0) type the orbit programs'
 run on host floats at all.  Pinned here as facts about emitted text and
 about the selector's and the engine's answers; bit-identity with the
 interpreter is ``test_differential_backends.py``'s (its ``unrolled-*``,
-``sign-*`` and ``rand-draws`` probes).
+``sign-*``, ``rand-draws`` and ``small-product`` probes).
 """
 
 from __future__ import annotations
@@ -69,6 +69,17 @@ def test_fractal_draws_raw_floats(row):
     loop = _loop(version.source)
     assert "builtin1('rand'" not in loop
     assert "_h_rand_scalar()" in loop
+
+
+@pytest.mark.parametrize("row", ["jit", "spec"])
+def test_fractal_product_returns_host_floats(row):
+    # v = A * v + t: one helper returns A * v's elements; no array is
+    # built and none is read back.
+    [version] = [v for v in _versions("fractal", row) if v.mode == row]
+    loop = _loop(version.source)
+    assert "_h_mtimes_elements(2, 2, 1, " in loop
+    for text in ("_h_dgemv", "_h_pack", ".data.item"):
+        assert text not in loop, f"{text} in {row}:\n{loop}"
 
 
 def test_no_table1_program_allocates_site_buffers():
