@@ -76,33 +76,13 @@ def find_hoistable(
             for node in ast.walk_expr(expr):
                 seen_ids.add(id(node))
             return
-        for child in _children(expr):
+        for child in ast.children(expr):
             visit(child)
 
     for stmt in ast.walk_stmts(body):
         for expr in ast.stmt_exprs(stmt):
             visit(expr)
     return found
-
-
-def _children(expr: ast.Expr):
-    if isinstance(expr, ast.UnaryOp):
-        yield expr.operand
-    elif isinstance(expr, ast.BinaryOp):
-        yield expr.left
-        yield expr.right
-    elif isinstance(expr, ast.Transpose):
-        yield expr.operand
-    elif isinstance(expr, ast.Range):
-        yield expr.start
-        if expr.step is not None:
-            yield expr.step
-        yield expr.stop
-    elif isinstance(expr, ast.MatrixLit):
-        for row in expr.rows:
-            yield from row
-    elif isinstance(expr, ast.Apply):
-        yield from expr.args
 
 
 # ----------------------------------------------------------------------

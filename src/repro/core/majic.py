@@ -139,7 +139,7 @@ class MajicSession:
             )
             native = True
         # The native (C) tier: native=True probes for a toolchain and, if
-        # one exists, compiles hot fused kernels to autotuned ``.so``s
+        # one exists, compiles hot fused kernels to ``-O3`` ``.so``s
         # out-of-band (sync=True compiles inline — deterministic
         # tests and the faults harness).  Artifacts live next to the
         # repository cache when one is configured, else under

@@ -259,28 +259,28 @@ class Program:
         return self.functions[0]
 
 
+def children(expr: Expr) -> tuple:
+    """The direct subexpressions of ``expr``, in source order."""
+    if isinstance(expr, BinaryOp):
+        return (expr.left, expr.right)
+    if isinstance(expr, Apply):
+        return tuple(expr.args)
+    if isinstance(expr, (UnaryOp, Transpose)):
+        return (expr.operand,)
+    if isinstance(expr, Range):
+        if expr.step is None:
+            return (expr.start, expr.stop)
+        return (expr.start, expr.step, expr.stop)
+    if isinstance(expr, MatrixLit):
+        return tuple(item for row in expr.rows for item in row)
+    return ()
+
+
 def walk_expr(node: Expr):
     """Yield ``node`` and every expression beneath it, preorder."""
     yield node
-    if isinstance(node, UnaryOp):
-        yield from walk_expr(node.operand)
-    elif isinstance(node, BinaryOp):
-        yield from walk_expr(node.left)
-        yield from walk_expr(node.right)
-    elif isinstance(node, Transpose):
-        yield from walk_expr(node.operand)
-    elif isinstance(node, Range):
-        yield from walk_expr(node.start)
-        if node.step is not None:
-            yield from walk_expr(node.step)
-        yield from walk_expr(node.stop)
-    elif isinstance(node, MatrixLit):
-        for row in node.rows:
-            for item in row:
-                yield from walk_expr(item)
-    elif isinstance(node, Apply):
-        for arg in node.args:
-            yield from walk_expr(arg)
+    for child in children(node):
+        yield from walk_expr(child)
 
 
 def walk_stmts(body: list[Stmt]):

@@ -212,7 +212,7 @@ class Speculator:
                 self._apply_hints(key, [expr] + list(expr.args), base_is_array=True)
             elif kind is SymbolKind.BUILTIN:
                 self._apply_hints(("builtin", expr.name), list(expr.args))
-        for child in _children(expr):
+        for child in ast.children(expr):
             self._visit(child)
 
     def _apply_hints(
@@ -258,26 +258,6 @@ class Speculator:
         if met != current:
             self._param_types[name] = met
             self._changed = True
-
-
-def _children(expr: ast.Expr):
-    if isinstance(expr, ast.UnaryOp):
-        yield expr.operand
-    elif isinstance(expr, ast.BinaryOp):
-        yield expr.left
-        yield expr.right
-    elif isinstance(expr, ast.Transpose):
-        yield expr.operand
-    elif isinstance(expr, ast.Range):
-        yield expr.start
-        if expr.step is not None:
-            yield expr.step
-        yield expr.stop
-    elif isinstance(expr, ast.MatrixLit):
-        for row in expr.rows:
-            yield from row
-    elif isinstance(expr, ast.Apply):
-        yield from expr.args
 
 
 def speculate_signature(

@@ -213,8 +213,9 @@ def match_typed(expr, ann, dis) -> TypedPlan | None:
             ops += 1
             if ops > MAX_OPS:
                 raise _NoFusion
-            children = _operands(node)
-            return Node(op, tuple(build(child, False) for child in children))
+            return Node(
+                op, tuple(build(child, False) for child in ast.children(node))
+            )
         if is_root:
             raise _NoFusion
         return leaf_of(node)
@@ -254,14 +255,6 @@ def _typed_op(node, scalar_typed, dis) -> str | None:
     ):
         return node.name
     return None
-
-
-def _operands(node) -> tuple:
-    if isinstance(node, ast.BinaryOp):
-        return (node.left, node.right)
-    if isinstance(node, ast.UnaryOp):
-        return (node.operand,)
-    return tuple(node.args)
 
 
 def _leaf_pure(node, dis) -> bool:
@@ -363,7 +356,7 @@ def match_dynamic(expr) -> DynamicPlan | None:
             ops += 1
             if ops > MAX_OPS:
                 raise _NoFusion
-            return Node(op, tuple(build(c, False) for c in _operands(node)))
+            return Node(op, tuple(build(c, False) for c in ast.children(node)))
         if is_root:
             raise _NoFusion
         return leaf_of(node)

@@ -2,8 +2,8 @@
 
 MaJIC's fourth tier: fused elementwise kernel trees — the compute cores
 of the hottest JIT functions and interpreter expressions — are lowered
-to C, compiled out-of-band by a detected toolchain, autotuned over a
-small variant menu, cached content-addressed on disk, loaded through
+to C, compiled out-of-band by a detected toolchain (one ``-O3`` build
+per kernel), cached content-addressed on disk, loaded through
 ``ctypes``, and dispatched in front of the Python fused kernels behind
 the existing guarded-deopt chain.  No toolchain, an ineligible tree, or
 any compile/load/run fault simply leaves the Python kernels serving the
@@ -15,7 +15,7 @@ Layout:
 * :mod:`repro.native.clower` — fused tree → C lowering (IEEE-exact subset);
 * :mod:`repro.native.artifacts` — content-addressed ``.so`` store with
   digest verification and quarantine healing;
-* :mod:`repro.native.engine` — hotness promotion, autotune loop, forked
+* :mod:`repro.native.engine` — hotness promotion, the build, forked
   first-run trial, and the guarded per-call dispatcher.
 """
 
@@ -28,7 +28,6 @@ from repro.native.artifacts import (
 from repro.native.clower import (
     NATIVE_BINOPS,
     NATIVE_UNARY,
-    VARIANTS,
     generate_c,
     native_eligible,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "NativeArtifactStore",
     "NativeEngine",
     "Toolchain",
-    "VARIANTS",
     "artifact_key",
     "detect_toolchain",
     "generate_c",

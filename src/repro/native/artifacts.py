@@ -9,11 +9,10 @@ machine code:
   descriptor vector — and, via the dispatch guard, fixes the dtype to
   ``float64``);
 * the toolchain identity (compiler name + exact version banner);
-* the shared safety flag set.
+* the build flags (:data:`~repro.native.toolchain.BUILD_FLAGS`).
 
-The autotuner's *winning* variant and flags are recorded in the meta —
-they are an output of the first compile, not an input to the key, which
-is what lets a warm session find the artifact before knowing the winner.
+The meta keeps provenance only (kernel name and key, toolchain), plus
+the digest below: nothing in it decides how an artifact is loaded.
 
 Integrity: the meta stores the ``.so``'s SHA-256; a load whose bytes
 disagree (bit rot, torn write, a truncated copy) fails the decode, which
@@ -28,11 +27,11 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.native.toolchain import SAFETY_FLAGS
+from repro.native.toolchain import BUILD_FLAGS
 from repro.repository.store import DiskStore
 
 #: Bumped whenever the C lowering or the artifact layout changes shape.
-NATIVE_FORMAT_VERSION = 1
+NATIVE_FORMAT_VERSION = 2
 
 #: Default artifact directory when the session has no repository cache.
 DEFAULT_NATIVE_DIR = "~/.pymajic/native"
@@ -45,7 +44,7 @@ def artifact_key(kernel_key: str, toolchain_ident: str) -> str:
         f"native-v{NATIVE_FORMAT_VERSION}",
         kernel_key,
         toolchain_ident,
-        " ".join(SAFETY_FLAGS),
+        " ".join(BUILD_FLAGS),
     ):
         digest.update(part.encode("utf-8", "surrogatepass"))
         digest.update(b"\x00")

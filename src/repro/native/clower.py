@@ -23,8 +23,7 @@ bit" is exactly what the bit-identity contract forbids.
 Operands arrive as ``(const double*, stride)`` pairs — stride 0 for a
 scalar broadcast, 1 for a conforming contiguous array — plus plain
 ``double`` parameters for raw-scalar leaves, so one compiled kernel
-serves every conforming shape.  The autotuner's source-level variant
-knob is the unroll factor (see :func:`generate_c`).
+serves every conforming shape.
 """
 
 from __future__ import annotations
@@ -137,57 +136,28 @@ def c_signature(name: str, descs) -> str:
     return f"int {name}({', '.join(params)})"
 
 
-def generate_c(name: str, root: Node, descs, unroll: int = 1) -> str:
-    """C source for one fused kernel.
+def generate_c(name: str, root: Node, descs) -> str:
+    """C source for one fused kernel: one loop, one statement per node.
 
-    ``unroll`` > 1 repeats the (brace-scoped) element body that many
-    times per iteration with a scalar remainder loop — the autotuner's
-    source-level variant.  Returns 0 on success, nonzero when the run
-    must be abandoned to the Python kernel (sqrt negative-domain).
+    The kernel returns 0 on success, nonzero when the run must be
+    abandoned to the Python kernel (sqrt negative-domain).
     """
     if not native_eligible(root):
         raise ValueError("tree contains natively ineligible operators")
     emitter = _CEmitter(descs)
     result = emitter.emit(root)
-    body: list[str] = [f"long j = {{index}};"]
-    for index, desc in enumerate(descs):
-        if desc == DESC_BOXED:
-            body.append(f"double x{index} = v{index}[j * s{index}];")
-    body.extend(emitter.lines)
-    body.append(f"out[j] = {result};")
-
-    def block(index_expr: str, pad: str) -> str:
-        lines = [pad + "{"]
-        for line in body:
-            lines.append(pad + "    " + line.format(index=index_expr))
-        lines.append(pad + "}")
-        return "\n".join(lines)
-
     out = [
         "#include <math.h>",
         "",
         c_signature(name, descs) + " {",
-        "    long i = 0;",
+        "    for (long j = 0; j < n; ++j) {",
     ]
-    if unroll > 1:
-        out.append(f"    for (; i + {unroll} <= n; i += {unroll}) {{")
-        for k in range(unroll):
-            out.append(block(f"i + {k}", "        "))
-        out.append("    }")
-    out.append("    for (; i < n; ++i) {")
-    out.append(block("i", "        "))
+    for index, desc in enumerate(descs):
+        if desc == DESC_BOXED:
+            out.append(f"        double x{index} = v{index}[j * s{index}];")
+    out.extend("        " + line for line in emitter.lines)
+    out.append(f"        out[j] = {result};")
     out.append("    }")
     out.append("    return 0;")
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-#: The autotuned variant menu: (tag, unroll factor, extra flags).  All
-#: variants share :data:`~repro.native.toolchain.SAFETY_FLAGS`, so every
-#: one is bit-identical — the tuner only picks the fastest, never a
-#: different answer.
-VARIANTS = (
-    ("base", 1, ("-O2",)),
-    ("unroll4", 4, ("-O2",)),
-    ("o3", 1, ("-O3",)),
-)

@@ -1,4 +1,4 @@
-"""The native execution tier: compile, autotune, cache, dispatch, fall back.
+"""The native execution tier: compile, cache, dispatch, fall back.
 
 A :class:`NativeEngine` sits *in front of* the Python fused kernels: both
 consumers (the interpreter's fused fast path and the ``rt.kernel_<hash>``
@@ -19,13 +19,13 @@ Lifecycle of one kernel:
    ``sync=True`` compiles inline for deterministic tests).
 2. The compile decodes the canonical key back into a tree, checks
    eligibility, and probes the content-addressed artifact store — a warm
-   session loads the previously autotuned ``.so`` and compiles nothing.
-3. On a cold miss the autotuner builds the 2–3 variants of
-   :data:`~repro.native.clower.VARIANTS` (all bit-identical by
-   construction), times them on synthetic data, persists the winner's
-   ``.so`` and flags, and loads it.
+   session loads the previously built ``.so`` and compiles nothing.
+3. On a cold miss one compiler call builds the ``.so`` with
+   :data:`~repro.native.toolchain.BUILD_FLAGS`; it is persisted and
+   loaded.
 4. Before first in-process use the fresh ``.so`` runs once in a forked
-   trial child (:func:`~repro.resilience.sandbox.fork_call`): an artifact
+   trial child (:func:`~repro.resilience.sandbox.fork_call`) on
+   synthetic boxed operands, marshalled as real calls are: an artifact
    that crashes, hangs or computes garbage kills only the fork, is
    evicted from the store, and the kernel is marked failed.
 5. Ready dispatches revalidate operands per call (float64, conforming
@@ -52,8 +52,8 @@ from repro.faults.plan import (
 from repro.kernels.codegen import _scal
 from repro.kernels.fusion import DESC_BOXED, decode
 from repro.native.artifacts import NativeArtifactStore, artifact_key
-from repro.native.clower import VARIANTS, generate_c, native_eligible
-from repro.native.toolchain import Toolchain, detect_toolchain
+from repro.native.clower import generate_c, native_eligible
+from repro.native.toolchain import CompileTimeout, Toolchain, detect_toolchain
 from repro.obs import DISABLED as DISABLED_OBS
 from repro.repository.background import run_out_of_band
 from repro.resilience.sandbox import FORK_AVAILABLE, fork_call
@@ -69,10 +69,6 @@ MAX_RUN_STRIKES = 3
 #: watchdog for work that happens in a child process.
 COMPILE_DEADLINE = 60.0
 
-#: Element count and repetitions for the autotune timing loop.
-AUTOTUNE_N = 4096
-AUTOTUNE_REPS = 5
-
 #: Default size cutoff for native dispatch.  Measured on the qmr-style
 #: AXPY chain: below ~8k elements the per-call overhead (operand guard,
 #: ctypes marshalling, result boxing) exceeds what the single-pass loop
@@ -86,19 +82,17 @@ class _ReadyKernel:
 
     __slots__ = (
         "name", "key", "descs", "bool_root", "cfn", "lib",
-        "variant", "flags", "artifact", "strikes", "observe",
+        "artifact", "strikes", "observe",
     )
 
-    def __init__(self, name, key, descs, bool_root, cfn, lib,
-                 variant, flags, artifact, observe=None):
+    def __init__(self, name, key, descs, bool_root, cfn, lib, artifact,
+                 observe=None):
         self.name = name
         self.key = key
         self.descs = descs
         self.bool_root = bool_root
         self.cfn = cfn
         self.lib = lib          # keep the CDLL alive with the binding
-        self.variant = variant
-        self.flags = flags
         self.artifact = artifact
         self.strikes = 0
         self.observe = observe  # run-latency push; None with metrics off
@@ -108,8 +102,10 @@ def _trial_child(conn, cfn, descs) -> None:
     """The trial child: run a fresh kernel once on synthetic operands and
     report whether it returned a known status and no infinities."""
     try:
-        args_np, out = NativeEngine._synthetic_args(descs, 8)
-        status = cfn(*NativeEngine._argv(descs, args_np, 8, out))
+        argv, out, _buffers = NativeEngine._prepare(
+            descs, NativeEngine._synthetic_args(descs)
+        )
+        status = cfn(*argv)
         ok = status in (0, 1) and bool(np.all(np.isfinite(out) | np.isnan(out)))
     except Exception:  # noqa: BLE001 - a failed trial is a verdict
         ok = False
@@ -244,19 +240,13 @@ class NativeEngine:
             bool_root = root.op in _BOOL_OPS
             cached = self.store.load(akey) if self.store is not None else None
             if cached is not None:
-                so_path, meta = cached
                 record = self._load(
-                    name, key, descs, bool_root, os.fspath(so_path),
-                    meta.get("variant", "?"),
-                    tuple(meta.get("flags", ())), akey, fresh=False,
+                    name, key, descs, bool_root, os.fspath(cached[0]), akey,
+                    fresh=False,
                 )
                 self._go_ready(name, record, "cached")
                 return True
-            so_path, variant, flags = self._autotune(name, key, root, descs, akey)
-            record = self._load(
-                name, key, descs, bool_root, so_path, variant, flags, akey,
-                fresh=True,
-            )
+            record = self._build(name, key, root, descs, bool_root, akey)
             self._go_ready(name, record, "compiled")
             return True
         except Exception as exc:  # noqa: BLE001 - every failure is a fallback
@@ -276,108 +266,49 @@ class NativeEngine:
             self.compiles[state] += 1
 
     # ------------------------------------------------------------------
-    def _autotune(self, name, key, root, descs, akey):
-        """Build every variant, time them, persist and return the winner.
+    def _build(self, name, key, root, descs, bool_root, akey):
+        """Compile, persist and load one fresh ``.so``.
 
-        All variants are bit-identical by construction (shared IEEE
-        safety flags), so the tuner is free to pick purely on speed.
+        It loads from the store when the store took it, else from the
+        build directory, which goes once the library is mapped (or the
+        load failed): POSIX keeps a mapping past its file's unlink.
         """
         with tempfile.TemporaryDirectory(prefix="majic-native-") as tmp:
-            candidates = []
-            for tag, unroll, flags in VARIANTS:
-                c_path = os.path.join(tmp, f"{name}-{tag}.c")
-                so_path = os.path.join(tmp, f"{name}-{tag}.so")
-                with open(c_path, "w") as handle:
-                    handle.write(generate_c(name, root, descs, unroll=unroll))
-                try:
-                    self.toolchain.compile_shared(
-                        c_path, so_path, flags=flags, timeout=COMPILE_DEADLINE
-                    )
-                except Exception as exc:  # noqa: BLE001 - variant-local failure
-                    from repro.native.toolchain import CompileTimeout
-
-                    if isinstance(exc, CompileTimeout):
-                        self.compile_timeouts["native-compile"] += 1
-                    continue
-                candidates.append((tag, flags, so_path))
-            if not candidates:
-                raise RuntimeError(f"all native variants failed for {name}")
-            winner_tag, winner_flags, winner_so, timings = self._pick(
-                name, descs, candidates
-            )
-            with open(winner_so, "rb") as handle:
-                so_bytes = handle.read()
+            c_path = os.path.join(tmp, f"{name}.c")
+            so_path = os.path.join(tmp, f"{name}.so")
+            with open(c_path, "w") as handle:
+                handle.write(generate_c(name, root, descs))
+            try:
+                self.toolchain.compile_shared(
+                    c_path, so_path, timeout=COMPILE_DEADLINE
+                )
+            except CompileTimeout:
+                self.compile_timeouts["native-compile"] += 1
+                raise
             stored = None
             if self.store is not None:
-                stored = self.store.store(akey, so_bytes, {
-                    "kernel": name,
-                    "kernel_key": key,
-                    "toolchain": self.toolchain.ident,
-                    "variant": winner_tag,
-                    "flags": list(winner_flags),
-                    "timings": timings,
-                })
+                with open(so_path, "rb") as handle:
+                    stored = self.store.store(akey, handle.read(), {
+                        "kernel": name,
+                        "kernel_key": key,
+                        "toolchain": self.toolchain.ident,
+                    })
             if stored is not None:
-                return os.fspath(stored), winner_tag, winner_flags
-            # No store (or store IO failure): load from a private copy
-            # that outlives the temporary directory.
-            fd, keep = tempfile.mkstemp(prefix=f"majic-{name}-", suffix=".so")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(so_bytes)
-            return keep, winner_tag, winner_flags
-
-    def _pick(self, name, descs, candidates):
-        """Time each candidate ``.so`` on synthetic data; return the best."""
-        args_np, out = self._synthetic_args(descs, AUTOTUNE_N)
-        timings = {}
-        best = None
-        for tag, flags, so_path in candidates:
-            try:
-                lib = ctypes.CDLL(so_path)
-                cfn = self._bind(lib, name, descs)
-            except OSError:
-                continue
-            argv = self._argv(descs, args_np, AUTOTUNE_N, out)
-            elapsed = float("inf")
-            for _ in range(AUTOTUNE_REPS):
-                start = time.perf_counter()
-                status = cfn(*argv)
-                elapsed = min(elapsed, time.perf_counter() - start)
-                if status != 0:
-                    elapsed = float("inf")
-                    break
-            timings[tag] = None if elapsed == float("inf") else elapsed
-            if best is None or elapsed < best[0]:
-                best = (elapsed, tag, flags, so_path)
-        if best is None or best[0] == float("inf"):
-            raise RuntimeError(f"no native variant of {name} survived tuning")
-        return best[1], best[2], best[3], timings
+                so_path = os.fspath(stored)
+            return self._load(
+                name, key, descs, bool_root, so_path, akey, fresh=True
+            )
 
     @staticmethod
-    def _synthetic_args(descs, n):
-        """Positive operand data (keeps sqrt in-domain during tuning)."""
+    def _synthetic_args(descs):
+        """Boxed positive 1x8 operands (keeps sqrt in-domain) and raw
+        scalars: what the trial run feeds a fresh kernel."""
         rng = np.random.default_rng(12345)
-        args = []
-        for desc in descs:
-            if desc == DESC_BOXED:
-                args.append(
-                    np.ascontiguousarray(rng.uniform(0.5, 1.5, size=(1, n)))
-                )
-            else:
-                args.append(1.25)
-        return args, np.empty((1, n), dtype=np.float64)
-
-    @staticmethod
-    def _argv(descs, args_np, n, out):
-        argv = [n]
-        for desc, value in zip(descs, args_np):
-            if desc == DESC_BOXED:
-                argv.append(value.ctypes.data)
-                argv.append(0 if value.size == 1 else 1)
-            else:
-                argv.append(value)
-        argv.append(out.ctypes.data)
-        return argv
+        return [
+            MxArray(None, rng.uniform(0.5, 1.5, size=(1, 8)))
+            if desc == DESC_BOXED else 1.25
+            for desc in descs
+        ]
 
     @staticmethod
     def _bind(lib, name, descs):
@@ -397,8 +328,8 @@ class NativeEngine:
         return cfn
 
     # ------------------------------------------------------------------
-    def _load(self, name, key, descs, bool_root, so_path, variant, flags,
-              akey, fresh: bool) -> _ReadyKernel:
+    def _load(self, name, key, descs, bool_root, so_path, akey,
+              fresh: bool) -> _ReadyKernel:
         """dlopen + bind + (for fresh artifacts) the forked trial run."""
         if self.fault_plan is not None:
             self.fault_plan.check(SITE_NATIVE_LOAD, name)
@@ -414,7 +345,7 @@ class NativeEngine:
         if fresh:
             self._trial(name, cfn, descs, akey)
         return _ReadyKernel(
-            name, key, descs, bool_root, cfn, lib, variant, flags, akey,
+            name, key, descs, bool_root, cfn, lib, akey,
             observe=self.obs.push("majic_native_run_seconds", kernel=name),
         )
 
@@ -447,17 +378,7 @@ class NativeEngine:
             if prepared is None:
                 self.fallbacks["guard"] += 1
                 return None
-            buffers, shape = prepared
-            n = shape[0] * shape[1]
-            out = np.empty(shape, dtype=np.float64)
-            argv = [n]
-            for kind, value, stride in buffers:
-                if kind == "b":
-                    argv.append(value.ctypes.data)
-                    argv.append(stride)
-                else:
-                    argv.append(value)
-            argv.append(out.ctypes.data)
+            argv, out, _buffers = prepared
             observe = record.observe
             if observe is not None:
                 start = time.perf_counter()
@@ -497,16 +418,20 @@ class NativeEngine:
 
     @staticmethod
     def _prepare(descs, args):
-        """Per-call operand validation; ``None`` falls back to Python.
+        """Per-call operand validation and marshalling; ``None`` falls
+        back to Python.
 
         Native kernels only handle real float64 data with conforming
         (equal or scalar-broadcast) shapes; anything else — complex,
         strings, shape mismatches (which must raise the Python kernel's
         exact DimensionError), all-scalar trees — is not served natively.
+        Returns the kernel's argv, its output array, and the operand
+        buffers the argv points into (held until the call returns).
         """
         if len(args) != len(descs):
             return None
         shape = None
+        argv = [0]
         buffers = []
         for desc, value in zip(descs, args):
             if desc == DESC_BOXED:
@@ -518,23 +443,29 @@ class NativeEngine:
                 if not view.flags.c_contiguous:
                     view = np.ascontiguousarray(view)
                 if value.is_scalar:
-                    buffers.append(("b", view, 0))
+                    stride = 0
                 else:
                     if shape is None:
                         shape = view.shape
                     elif view.shape != shape:
                         return None
-                    buffers.append(("b", view, 1))
+                    stride = 1
+                buffers.append(view)
+                argv.append(view.ctypes.data)
+                argv.append(stride)
             else:
                 if isinstance(value, MxArray):
                     return None
                 scal = _scal(value)
                 if isinstance(scal, complex):
                     return None
-                buffers.append(("s", scal, None))
+                argv.append(scal)
         if shape is None:
             return None
-        return buffers, shape
+        out = np.empty(shape, dtype=np.float64)
+        argv[0] = shape[0] * shape[1]
+        argv.append(out.ctypes.data)
+        return argv, out, buffers
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -10,9 +10,10 @@ without disabling anything else.
 Compiles run in a child process with a hard timeout
 (``engine.COMPILE_DEADLINE``) — the watchdog for work
 that cannot be cancelled by in-process exception injection.  Every
-invocation carries :data:`SAFETY_FLAGS`: the fused Python kernels are the
-bit-identity reference, so the C side must stay plain IEEE-754 — no
-reassociation, no FMA contraction, no errno-driven libm wrappers.
+kernel is built with the one flag set :data:`BUILD_FLAGS`, which carries
+:data:`SAFETY_FLAGS`: the fused Python kernels are the bit-identity
+reference, so the C side must stay plain IEEE-754 — no reassociation, no
+FMA contraction, no errno-driven libm wrappers.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ import shutil
 import subprocess
 from dataclasses import dataclass
 
-#: Flags present on every variant: IEEE-754-exact code generation.
+#: IEEE-754-exact code generation.
 #: ``-fno-fast-math`` forbids value-changing reassociation,
 #: ``-ffp-contract=off`` forbids fusing ``a*b+c`` into an FMA (a different
 #: rounding), ``-fno-math-errno`` merely lets ``sqrt`` lower to the
 #: (correctly rounded) hardware instruction.
 SAFETY_FLAGS = ("-fno-fast-math", "-ffp-contract=off", "-fno-math-errno")
+
+#: The flags every kernel is built with (and part of its artifact key).
+BUILD_FLAGS = SAFETY_FLAGS + ("-O3",)
 
 #: Probe order when ``MAJIC_CC`` names nothing.
 DEFAULT_CANDIDATES = ("cc", "gcc", "clang")
@@ -63,12 +67,11 @@ class Toolchain:
         self,
         c_path: str,
         so_path: str,
-        flags: tuple[str, ...] = (),
         timeout: float | None = 60.0,
     ) -> None:
         """Compile one C file into a shared object; raise on any failure."""
         command = [
-            self.path, "-shared", "-fPIC", *SAFETY_FLAGS, *flags,
+            self.path, "-shared", "-fPIC", *BUILD_FLAGS,
             "-o", so_path, c_path, "-lm",
         ]
         try:

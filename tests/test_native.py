@@ -9,6 +9,8 @@ kernel answer.  The suite covers:
 * hypothesis bit-identity of native sessions against the interpreter
   and the non-native JIT over random shapes, real/complex/bool operands
   and NaN/Inf payloads (skipped cleanly when no C toolchain exists),
+* one compiler call per cold kernel, with the IEEE safety flags and
+  ``-O3``, and no build file left behind when the store declines it,
 * deterministic ``.so``-cache revival across sessions (a warm session
   compiles nothing) and corrupted-artifact quarantine-and-rebuild,
 * graceful no-toolchain fallback (``MAJIC_NATIVE_DISABLE``),
@@ -20,8 +22,11 @@ kernel answer.  The suite covers:
 from __future__ import annotations
 
 import glob
+import json
 import multiprocessing
 import os
+import subprocess
+import tempfile
 import time
 
 import numpy as np
@@ -38,8 +43,16 @@ from repro.faults.plan import (
     SITE_NATIVE_RUN,
 )
 from repro.kernels.fusion import Leaf, Node, decode, encode
-from repro.native import detect_toolchain, generate_c, native_eligible
+from repro.native import (
+    NATIVE_FORMAT_VERSION,
+    NativeArtifactStore,
+    Toolchain,
+    detect_toolchain,
+    native_eligible,
+)
 from repro.native import engine as native_engine
+from repro.native import toolchain as native_toolchain
+from repro.native.toolchain import SAFETY_FLAGS
 from repro.resilience import ResiliencePolicy
 from repro.resilience.sandbox import FORK_AVAILABLE
 from repro.runtime.values import from_python
@@ -181,12 +194,20 @@ def _operands():
     "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
 )
 def test_so_cache_revival_across_sessions(tmp_path):
-    """Session two loads session one's autotuned ``.so`` and compiles
-    nothing — the warm-start acceptance gate."""
+    """Session two loads session one's ``.so`` and compiles nothing —
+    the warm-start acceptance gate.  The sidecar holds the digest and
+    provenance only: nothing in it chooses how the artifact loads."""
     store = str(tmp_path)
     _, cold, stats1 = run_native(NATIVE_SRC, _operands(), store)
     assert stats1["compiled"] == 1 and stats1["cached"] == 0, stats1
     assert stats1["runs"] >= 1, stats1
+    (sidecar,) = glob.glob(os.path.join(store, "native", "*.json"))
+    with open(sidecar) as handle:
+        meta = json.load(handle)
+    assert set(meta) == {
+        "format", "kernel", "kernel_key", "so_sha256", "toolchain",
+    }, meta
+    assert meta["format"] == NATIVE_FORMAT_VERSION == 2, meta
 
     _, warm, stats2 = run_native(NATIVE_SRC, _operands(), store)
     assert stats2["compiled"] == 0 and stats2["cached"] == 1, stats2
@@ -195,22 +216,75 @@ def test_so_cache_revival_across_sessions(tmp_path):
 
 
 @needs_cc
-def test_corrupted_artifact_quarantined_and_rebuilt(tmp_path):
-    """Flipping bytes in a stored ``.so`` must not change results: the
-    digest check quarantines it and the kernel recompiles."""
+@pytest.mark.parametrize("suffix", [".so", ".json"])
+def test_corrupted_artifact_quarantined_and_rebuilt(tmp_path, suffix):
+    """Overwriting bytes of a stored ``.so`` or of its sidecar must not
+    change results: the load quarantines it and the kernel recompiles."""
     store = str(tmp_path)
     _, clean, stats1 = run_native(NATIVE_SRC, _operands(), store)
     assert stats1["compiled"] == 1, stats1
 
-    so_files = glob.glob(os.path.join(store, "native", "*.so"))
-    assert so_files, "expected a persisted .so artifact"
-    with open(so_files[0], "r+b") as handle:
+    files = glob.glob(os.path.join(store, "native", f"*{suffix}"))
+    assert len(files) == 1, f"expected one persisted {suffix} file"
+    with open(files[0], "r+b") as handle:
         handle.write(b"\x00garbage\x00")
 
     _, healed, stats2 = run_native(NATIVE_SRC, _operands(), store)
     assert stats2["store"]["corruption_detected"] >= 1, stats2
     assert stats2["compiled"] == 1 and stats2["cached"] == 0, stats2
     assert bits(healed) == bits(clean)
+
+
+@needs_cc
+def test_cold_kernel_costs_one_compiler_call(tmp_path, monkeypatch):
+    """A cold kernel is one ``compile_shared`` call whose command line
+    carries every IEEE safety flag and ``-O3``; a warm session makes
+    none."""
+    calls = []
+    commands = []
+    compile_shared = Toolchain.compile_shared
+    run = subprocess.run
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return compile_shared(self, *args, **kwargs)
+
+    def recording(command, *args, **kwargs):
+        if "-shared" in command:
+            commands.append(list(command))
+        return run(command, *args, **kwargs)
+
+    monkeypatch.setattr(Toolchain, "compile_shared", counting)
+    monkeypatch.setattr(native_toolchain.subprocess, "run", recording)
+    _, _, stats = run_native(NATIVE_SRC, _operands(), str(tmp_path))
+    assert stats["compiled"] == 1 and stats["runs"] >= 1, stats
+    assert len(calls) == 1 and len(commands) == 1, (calls, commands)
+    for flag in (*SAFETY_FLAGS, "-O3"):
+        assert flag in commands[0], (flag, commands[0])
+
+    _, _, warm = run_native(NATIVE_SRC, _operands(), str(tmp_path))
+    assert warm["cached"] == 1 and len(calls) == 1, (warm, calls)
+
+
+@needs_cc
+def test_unstored_build_leaves_no_file(tmp_path, monkeypatch):
+    """When the store declines the artifact (an IO failure), the kernel
+    loads from its build directory and still serves; no ``.so`` stays
+    behind in the temporary directory."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    monkeypatch.setattr(
+        NativeArtifactStore, "store", lambda self, key, so_bytes, meta: None
+    )
+    _, served, stats = run_native(
+        NATIVE_SRC, _operands(), str(tmp_path / "cache")
+    )
+    assert stats["compiled"] == 1 and stats["runs"] >= 1, stats
+    assert stats["store"]["artifacts"] == 0, stats
+    assert sorted(p.name for p in scratch.iterdir()) == []
+    truth = run_interp(NATIVE_SRC, _operands(), fusion=False)
+    assert canon_bits(served) == canon_bits(truth)
 
 
 def test_no_toolchain_graceful_fallback(tmp_path, monkeypatch):
@@ -361,15 +435,3 @@ def test_native_eligibility_excludes_inexact_ops():
         children = (Leaf(0), Leaf(1)) if op == ".^" else (Leaf(0),)
         inexact = Node("+", (Node(op, children), Leaf(1)))
         assert not native_eligible(inexact), op
-
-
-def test_generate_c_unrolled_variants_share_body():
-    """Unrolled variants duplicate the same brace-scoped body — the
-    source-level transform the autotuner is allowed to pick between."""
-    root = Node("+", (Node(".*", (Leaf(0), Leaf(1))), Leaf(2)))
-    descs = ("b", "b", "b")
-    base = generate_c("k", root, descs, unroll=1)
-    unrolled = generate_c("k", root, descs, unroll=4)
-    assert "#include <math.h>" in base
-    assert base.count("out[j]") == 1          # single stride-1 loop
-    assert unrolled.count("out[j]") == 5      # 4 unrolled + remainder

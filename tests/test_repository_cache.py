@@ -431,12 +431,12 @@ def _native_view(suffix=".so"):
         return (
             found is not None
             and found[0].read_bytes() == so_bytes
-            and found[1]["variant"] == "plain"
+            and found[1]["kernel"] == "plain"
         )
 
     return (
         NativeArtifactStore,
-        lambda store, key: store.store(key, so_bytes, {"variant": "plain"}),
+        lambda store, key: store.store(key, so_bytes, {"kernel": "plain"}),
         load,
         suffix,
     )

@@ -96,13 +96,16 @@ def test_no_table1_program_allocates_site_buffers():
 REAL = MType.scalar()
 
 
-def replaced(source: str, *types: MType, unroll: bool = True) -> dict:
+def replaced(
+    source: str, *types: MType, unroll_enabled: bool = True
+) -> dict:
     fn = parse(source).primary
     dis = disambiguate_function(fn)
     annotations = infer_function(
         fn, Signature.of(types), disambiguation=dis
     )
-    return Selector(fn, annotations, unroll_enabled=unroll).scalar_replaced(dis)
+    selector = Selector(fn, annotations, unroll_enabled=unroll_enabled)
+    return selector.scalar_replaced(dis)
 
 
 @pytest.mark.parametrize("body,expected", [
@@ -141,7 +144,7 @@ def test_formals_and_outputs_stay_boxed():
 def test_no_replacement_without_unrolling():
     source = "function y = f(x)\nv = [x, 1];\ny = v(1);\n"
     assert replaced(source, REAL) == {"v": (1, 2)}
-    assert replaced(source, REAL, unroll=False) == {}
+    assert replaced(source, REAL, unroll_enabled=False) == {}
 
 
 # ----------------------------------------------------------------------
