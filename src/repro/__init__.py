@@ -32,7 +32,6 @@ Subpackages
 from repro.core.majic import MajicSession, ensure_recursion_limit
 from repro.core.platformcfg import AblationFlags, MIPS, SPARC, platform_by_name
 from repro.faults import FaultPlan, InjectedFault
-from repro.repository.repo import CompileBudget
 from repro.resilience import ResiliencePolicy
 from repro.tiering import TieringPolicy
 
@@ -44,7 +43,6 @@ __all__ = [
     "SPARC",
     "MIPS",
     "platform_by_name",
-    "CompileBudget",
     "FaultPlan",
     "InjectedFault",
     "ResiliencePolicy",

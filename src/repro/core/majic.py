@@ -31,7 +31,7 @@ from repro.obs import (
 )
 from repro.repository.background import SpeculationEngine
 from repro.repository.cache import DEFAULT_CACHE_DIR, RepositoryCache
-from repro.repository.repo import CodeRepository, CompileBudget
+from repro.repository.repo import CodeRepository
 from repro.runtime.builtins import GLOBAL_RANDOM
 from repro.runtime.display import OutputSink
 from repro.resilience import DEFAULT_POLICY, ResiliencePolicy
@@ -55,8 +55,7 @@ class MajicSession:
 
     Each setting has one spelling (DESIGN.md, *Session knobs*): the
     platform carries the JIT's tuning and the recursion headroom, a
-    :class:`ResiliencePolicy` the supervision deadlines and the sandbox,
-    ``speculate_all(budget=)`` the compile budget.
+    :class:`ResiliencePolicy` the supervision deadlines and the sandbox.
     """
 
     def __init__(
@@ -65,7 +64,6 @@ class MajicSession:
         ablation: AblationFlags | None = None,
         inline_enabled: bool = True,
         seed: int | None = 0,
-        max_strikes: int = 3,
         fault_plan=None,
         cache_dir=None,
         background: bool = False,
@@ -164,17 +162,12 @@ class MajicSession:
                 sync=sync,
                 hot_threshold=native_hot_threshold,
                 min_elems=native_min_elems,
-                hotness=(
-                    self.tiering.kernel_hotness
-                    if self.tiering is not None else None
-                ),
             )
         self.repository = CodeRepository(
             jit_options=jit_options,
             src_options=platform.src_options(ablation=self.ablation),
             sink=self.sink,
             inline_enabled=inline_enabled,
-            max_strikes=max_strikes,
             fault_plan=fault_plan,
             cache=cache,
             obs=self.obs,
@@ -242,17 +235,11 @@ class MajicSession:
         """Re-snoop the path, picking up changed files."""
         return self.repository.rescan()
 
-    def speculate_all(self, budget: float | CompileBudget | None = None):
-        """Run the speculative ahead-of-time compiler over everything.
-
-        ``budget`` (seconds, or a
-        :class:`~repro.repository.repo.CompileBudget`) bounds the pass:
-        functions that don't fit are skipped and reported, never raised.
-        Returns the list of compiled names (a
-        :class:`~repro.repository.repo.SpeculationReport` carrying
-        ``skipped`` / ``failed`` / ``elapsed`` as well).
-        """
-        return self.repository.speculate_all(budget=budget)
+    def speculate_all(self) -> list[str]:
+        """Run the speculative ahead-of-time compiler over everything;
+        returns the names compiled (a failure is a ``compile_failure``
+        event, never raised)."""
+        return self.repository.speculate_all()
 
     # ------------------------------------------------------------------
     # Background speculation (the hidden-compile-time machinery)
@@ -277,7 +264,6 @@ class MajicSession:
                 workers=self._workers,
                 fault_plan=self._fault_plan,
                 obs=self.obs,
-                policy=self.resilience,
             )
         return self.engine
 
@@ -386,8 +372,8 @@ class MajicSession:
 
     @property
     def diagnostics(self):
-        """The robustness event log (deopts, quarantines, budget skips,
-        compile failures) — see :mod:`repro.repository.diagnostics`."""
+        """The robustness event log (deopts, quarantines, compile
+        failures) — see :mod:`repro.repository.diagnostics`."""
         return self.repository.diagnostics
 
     # ------------------------------------------------------------------
@@ -465,8 +451,7 @@ class MajicSession:
                 else ""
             ),
             f"degradations     {stats.deopts} deopts, "
-            f"{stats.quarantines} quarantines, "
-            f"{stats.budget_skips} budget skips",
+            f"{stats.quarantines} quarantines",
             f"diagnostics      {len(self.diagnostics)} events recorded, "
             f"{self.diagnostics.dropped} dropped"
             + (f" ({', '.join(f'{k}={v}' for k, v in sorted(counts.items()))})"
@@ -486,8 +471,7 @@ class MajicSession:
                 f"tiering          adaptive: {per_tier}; "
                 f"{report['promotions']} promotions "
                 f"({report['profile_restores']} profiles restored), "
-                f"{report['demotions']} demotions, "
-                f"{report['kernels_tracked']} kernels tracked"
+                f"{report['demotions']} demotions"
             )
         lines += [
             f"observability    trace={'on' if self.obs.tracer.enabled else 'off'}, "

@@ -69,10 +69,9 @@ class Interpreter:
         self._fusion_plans: dict[int, tuple] = {}
         # Native tier (repro.native): offered each fused dispatch first.
         self.native = native
-        # Adaptive tiering: a HotnessCounter recording fused-kernel
-        # dispatches when no native engine is counting them (the engine
-        # shares the same counter, so only one side records per call).
-        self.kernel_hotness = None
+        # (array, position, arity) of each subscript being evaluated,
+        # innermost last: ``end`` is the extent of the top entry.
+        self._ends: list[tuple[MxArray, int, int]] = []
 
     # ------------------------------------------------------------------
     # Entry points
@@ -312,6 +311,8 @@ class Interpreter:
             if not outputs:
                 return empty()
             return outputs[0]
+        if isinstance(expr, ast.EndMarker):
+            return self._end()
         raise RuntimeMatlabError(f"cannot interpret {type(expr).__name__}")
 
     def _eval_fused(self, expr: ast.BinaryOp, env: Environment):
@@ -341,6 +342,8 @@ class Interpreter:
                     return None
             elif isinstance(leaf, ast.Number):
                 value = make_scalar(leaf.value)
+            elif isinstance(leaf, ast.EndMarker):
+                value = self._end()
             else:
                 value = make_scalar(complex(0.0, leaf.value))
             values.append(value)
@@ -356,10 +359,6 @@ class Interpreter:
             result = self.native.dispatch(kernel, values)
             if result is not None:
                 return result
-        # Set only while no native engine counts dispatches itself (none
-        # exists, or the one that does is disabled).
-        if self.kernel_hotness is not None:
-            self.kernel_hotness.record(kernel.name)
         return kernel.fn(*values)
 
     def _eval_ident(self, expr: ast.Ident, env: Environment) -> MxArray:
@@ -385,17 +384,21 @@ class Interpreter:
         env: Environment,
     ) -> MxArray:
         if isinstance(index, ast.ColonAll):
-            if arity == 1:
-                count = array.numel
-            else:
-                count = array.rows if position == 0 else array.cols
+            count = _extent(array, position, arity)
             return ew.mlf_colon(make_scalar(1), make_scalar(count))
-        return self.eval_expr(
-            _EndSubstituted(index, array, position, arity, self).value(env)
-            if _contains_end(index)
-            else index,
-            env,
-        )
+        ends = self._ends
+        ends.append((array, position, arity))
+        try:
+            return self.eval_expr(index, env)
+        finally:
+            ends.pop()
+
+    def _end(self) -> MxArray:
+        """``end``: the extent of the innermost array being indexed, in
+        the dimension its subscript addresses."""
+        if not self._ends:
+            raise RuntimeMatlabError("'end' is only valid inside a subscript")
+        return make_scalar(float(_extent(*self._ends[-1])))
 
     def _eval_call(
         self, expr: ast.Apply, env: Environment, nargout: int
@@ -431,6 +434,15 @@ class Interpreter:
     def _call_user(
         self, name: str, args: list[MxArray], nargout: int
     ) -> list[MxArray] | None:
+        ends = self._ends
+        if ends:
+            # The callee indexes nothing of its caller's: its ``end``
+            # sees only its own subscripts.
+            self._ends = []
+            try:
+                return self._call_user(name, args, nargout)
+            finally:
+                self._ends = ends
         if self.call_dispatcher is not None:
             result = self.call_dispatcher(name, args, nargout)
             if result is not None:
@@ -447,26 +459,8 @@ def _bool(value: bool) -> MxArray:
     return make_bool(value)
 
 
-def _contains_end(expr: ast.Expr) -> bool:
-    return any(isinstance(n, ast.EndMarker) for n in ast.walk_expr(expr))
-
-
-class _EndSubstituted:
-    """Rewrites ``end`` markers in a subscript to their numeric value."""
-
-    def __init__(self, index, array, position, arity, interp):
-        self.index = ast.clone(index)
-        if arity == 1:
-            end_value = array.numel
-        else:
-            end_value = array.rows if position == 0 else array.cols
-        self._substitute(self.index, end_value)
-
-    def _substitute(self, expr, end_value: int) -> None:
-        for node in ast.walk_expr(expr):
-            if isinstance(node, ast.EndMarker):
-                node.__class__ = ast.Number
-                node.value = float(end_value)
-
-    def value(self, env):
-        return self.index
+def _extent(array: MxArray, position: int, arity: int) -> int:
+    """How many elements subscript ``position`` of ``arity`` can address."""
+    if arity == 1:
+        return array.numel
+    return array.rows if position == 0 else array.cols

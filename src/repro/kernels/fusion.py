@@ -316,9 +316,9 @@ def _scalarness(node, values):
 def match_dynamic(expr) -> DynamicPlan | None:
     """Structural match with no type information (interpreter side).
 
-    Leaves are variables and numeric literals only — anything else (calls,
-    indexing, strings) bails to the generic path, keeping evaluation
-    order and dynamic resolution observably identical.
+    Leaves are variables, numeric literals and ``end`` only — anything
+    else (calls, indexing, strings) bails to the generic path, keeping
+    evaluation order and dynamic resolution observably identical.
     """
     leaves: list[ast.Expr] = []
     leaf_index: dict = {}
@@ -328,7 +328,7 @@ def match_dynamic(expr) -> DynamicPlan | None:
     def leaf_of(node) -> Leaf:
         if isinstance(node, ast.Ident):
             key = ("var", node.name)
-        elif isinstance(node, (ast.Number, ast.ImagNumber)):
+        elif isinstance(node, (ast.Number, ast.ImagNumber, ast.EndMarker)):
             key = ("expr", id(node))
         else:
             raise _NoFusion

@@ -25,8 +25,9 @@ Lifecycle of one kernel:
    loaded.
 4. Before first in-process use the fresh ``.so`` runs once in a forked
    trial child (:func:`~repro.resilience.sandbox.fork_call`) on
-   synthetic boxed operands, marshalled as real calls are: an artifact
-   that crashes, hangs or computes garbage kills only the fork, is
+   synthetic boxed operands, marshalled as real calls are, beside the
+   Python kernel on the same operands: an artifact that crashes, hangs
+   or answers other bits than the Python kernel kills only the fork, is
    evicted from the store, and the kernel is marked failed.
 5. Ready dispatches revalidate operands per call (float64, conforming
    shapes, real scalars) and fall back on any mismatch — a shape error
@@ -49,7 +50,12 @@ from repro.faults.plan import (
     SITE_NATIVE_LOAD,
     SITE_NATIVE_RUN,
 )
-from repro.kernels.codegen import _scal
+from repro.kernels.codegen import (
+    _scal,
+    bind_kernel,
+    compile_kernel,
+    generate_source,
+)
 from repro.kernels.fusion import DESC_BOXED, decode
 from repro.native.artifacts import NativeArtifactStore, artifact_key
 from repro.native.clower import generate_c, native_eligible
@@ -98,15 +104,27 @@ class _ReadyKernel:
         self.observe = observe  # run-latency push; None with metrics off
 
 
-def _trial_child(conn, cfn, descs) -> None:
+def _trial_child(conn, cfn, key) -> None:
     """The trial child: run a fresh kernel once on synthetic operands and
-    report whether it returned a known status and no infinities."""
+    report whether it declined them (status 1, the domain fallback) or
+    answered the Python kernel's bits on the same operands."""
     try:
-        argv, out, _buffers = NativeEngine._prepare(
-            descs, NativeEngine._synthetic_args(descs)
-        )
+        root, descs = decode(key)
+        args = NativeEngine._synthetic_args(descs)
+        argv, out, _buffers = NativeEngine._prepare(descs, args)
         status = cfn(*argv)
-        ok = status in (0, 1) and bool(np.all(np.isfinite(out) | np.isnan(out)))
+        if status == 0:
+            python = bind_kernel("trial", compile_kernel(
+                "trial", generate_source("trial", root, descs)
+            ))
+            expected = python(*args).view()
+            ok = (
+                expected.dtype == out.dtype
+                and expected.shape == out.shape
+                and expected.tobytes() == out.tobytes()
+            )
+        else:
+            ok = status == 1
     except Exception:  # noqa: BLE001 - a failed trial is a verdict
         ok = False
     conn.send(ok)
@@ -127,7 +145,6 @@ class NativeEngine:
         hot_threshold: int = 2,
         min_elems: int | None = None,
         probe: bool = True,
-        hotness=None,
     ):
         if toolchain is None and probe:
             toolchain = detect_toolchain()
@@ -154,15 +171,8 @@ class NativeEngine:
         #: kernel name -> "queued" | "ready" | "failed" | "ineligible"
         self._state: dict[str, str] = {}
         self._ready: dict[str, _ReadyKernel] = {}
-        # Per-kernel dispatch hotness.  The session passes the adaptive
-        # controller's shared kernel counter here (repro.tiering); a
-        # standalone engine builds a private one with no decay horizon
-        # worth tuning (the old ad-hoc dict behaved the same way).
-        if hotness is None:
-            from repro.tiering.hotness import HotnessCounter
-
-            hotness = HotnessCounter()
-        self.hotness = hotness
+        # kernel name -> dispatches counted before it was queued
+        self._hits: dict[str, int] = {}
         # Outcome tallies, the one count of each fact: ``stats()`` and
         # the session's ``majic_native_*`` / watchdog views read them
         # ("cached" loads in a warm session must be > 0 with zero
@@ -200,13 +210,9 @@ class NativeEngine:
             # so perpetually-tiny kernels cost no compile.
             return None
         with self._lock:
-            state = self._state.get(name)
-            if state is not None:
-                return None
-        count = self.hotness.record(name)
-        with self._lock:
             if self._state.get(name) is not None:
                 return None
+            count = self._hits[name] = self._hits.get(name, 0) + 1
             if count < self.hot_threshold or not kernel.key:
                 return None
             self._state[name] = "queued"
@@ -343,18 +349,18 @@ class NativeEngine:
                 self.store.evict(akey)
             raise RuntimeError(f"native load of {name} failed: {exc}") from exc
         if fresh:
-            self._trial(name, cfn, descs, akey)
+            self._trial(name, cfn, key, akey)
         return _ReadyKernel(
             name, key, descs, bool_root, cfn, lib, akey,
             observe=self.obs.push("majic_native_run_seconds", kernel=name),
         )
 
-    def _trial(self, name, cfn, descs, akey) -> None:
+    def _trial(self, name, cfn, key, akey) -> None:
         """Sandbox the first run of a fresh ``.so`` in a forked child."""
         if not FORK_AVAILABLE:
             return
         passed, exitcode = fork_call(
-            _trial_child, (cfn, descs), self.policy.sandbox_timeout,
+            _trial_child, (cfn, key), self.policy.sandbox_timeout,
             f"majic-native-trial-{name}",
         )
         if passed:

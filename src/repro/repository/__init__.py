@@ -7,12 +7,7 @@ end's requests for compiled code through the function locator's
 type-signature matching (Section 2.2.1).
 """
 
-from repro.repository.repo import (
-    CodeRepository,
-    CompileBudget,
-    RepositoryStats,
-    SpeculationReport,
-)
+from repro.repository.repo import CodeRepository, RepositoryStats
 from repro.repository.background import SpeculationEngine
 from repro.repository.cache import RepositoryCache
 from repro.repository.diagnostics import DiagnosticEvent, DiagnosticsLog
@@ -21,9 +16,7 @@ from repro.repository.depgraph import DependencyGraph
 
 __all__ = [
     "CodeRepository",
-    "CompileBudget",
     "RepositoryStats",
-    "SpeculationReport",
     "SpeculationEngine",
     "RepositoryCache",
     "DiagnosticEvent",

@@ -41,9 +41,9 @@ detector the rest of the session already uses for it.
 * **A crashed worker restarts in place.**  A
   :class:`~repro.faults.plan.SimulatedCrash` escaping a task is caught
   by the worker loop, which requeues the task (one that has killed
-  ``policy.worker_max_task_retries + 1`` workers is quarantined as
-  **poison** instead) and carries on as the restarted worker.  After
-  ``policy.worker_max_restarts`` restarts the engine degrades to
+  ``WORKER_MAX_TASK_RETRIES + 1`` workers is quarantined as **poison**
+  instead) and carries on as the restarted worker.  After
+  ``WORKER_MAX_RESTARTS`` restarts the engine degrades to
   foreground-only compilation; queued tasks are cancelled as the
   workers reach them, so :meth:`drain` stays bounded.
 
@@ -72,6 +72,15 @@ _STOP = object()
 #: Default worker-pool width when neither the session nor the platform
 #: configuration names one.
 DEFAULT_WORKERS = 2
+
+#: Total in-place restarts of crashed workers paid for before the engine
+#: degrades to foreground-only compilation.  (A hung worker task is
+#: cancelled by the compile watchdog instead.)
+WORKER_MAX_RESTARTS = 8
+
+#: How many times a task that killed its worker is retried before it is
+#: quarantined as poison.
+WORKER_MAX_TASK_RETRIES = 2
 
 
 class _Task:
@@ -132,17 +141,11 @@ class SpeculationEngine:
         workers: int = DEFAULT_WORKERS,
         fault_plan=None,
         obs=None,
-        policy=None,
     ):
         if workers < 1:
             raise ValueError("SpeculationEngine needs at least one worker")
-        if policy is None:
-            from repro.resilience import DEFAULT_POLICY
-
-            policy = DEFAULT_POLICY
         self.repository = repository
         self.fault_plan = fault_plan
-        self.policy = policy
         # Observability: default to the repository's switchboard so the
         # workers and the foreground share one tracer/registry.
         if obs is None:
@@ -320,9 +323,9 @@ class SpeculationEngine:
     def _restart(self, index: int, task: _Task, exc) -> None:
         """A task killed worker ``index``: requeue the task (bounded) or
         poison it, then restart the worker in place — or, once
-        ``worker_max_restarts`` restarts are spent, degrade the engine."""
-        policy = self.policy
-        if task.attempts < policy.worker_max_task_retries and not self._shutdown:
+        :data:`WORKER_MAX_RESTARTS` restarts are spent, degrade the
+        engine."""
+        if task.attempts < WORKER_MAX_TASK_RETRIES and not self._shutdown:
             task.attempts += 1
             with self._lock:
                 self._queued[task.label] = task
@@ -338,7 +341,7 @@ class SpeculationEngine:
             )
             task.finish(False)
         with self._lock:
-            spent = self.restarts >= policy.worker_max_restarts
+            spent = self.restarts >= WORKER_MAX_RESTARTS
             if not spent:
                 self.restarts += 1
                 count = self.restarts
@@ -348,7 +351,7 @@ class SpeculationEngine:
         self.repository.diagnostics.record(
             WORKER_RESTART, f"worker-{index}",
             detail=f"dead worker restarted in place (restart {count}/"
-            f"{policy.worker_max_restarts})",
+            f"{WORKER_MAX_RESTARTS})",
         )
 
     def _enter_degraded(self) -> None:

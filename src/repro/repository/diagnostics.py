@@ -7,8 +7,8 @@ into a user-visible crash.  That only works in production if the
 degradations are *observable* — a session that silently interprets
 everything is indistinguishable from a healthy one until the latency graphs
 say otherwise.  :class:`DiagnosticsLog` records them: every
-deoptimization, quarantine, budget skip and compile failure lands here as a
-structured event that tests and operators can assert on.  A parallel
+deoptimization, quarantine and compile failure lands here as a structured
+event that tests and operators can assert on.  A parallel
 session's worker ranks ship their new events back with each reply, and
 :meth:`DiagnosticsLog.surface` records them here with the ``rank``
 attached.
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 #: Event kinds recorded by the repository.
 DEOPT = "deopt"                      # compiled object raised unexpectedly
 QUARANTINE = "quarantine"            # function demoted to interpreter-only
-BUDGET_SKIP = "budget_skip"          # compile skipped/flagged by a budget
 COMPILE_FAILURE = "compile_failure"  # a compiler raised (expected or not)
 #: Responsiveness events (background speculation + persistent cache).
 SPECULATE_ASYNC = "speculate_async"  # a background compile landed

@@ -26,8 +26,8 @@ version** it cannot lose — its source, run by the interpreter — so
 the one path every version runs through, its deopt net armed for compiled
 modes only; :meth:`jit_compile` and :meth:`speculate` are two spellings of
 one entry that never raises, because :meth:`compile_failed` is the one
-verdict on a failed compile; budgets skip-and-record; and every
-degradation lands in :attr:`diagnostics` as a structured event.
+verdict on a failed compile; and every degradation lands in
+:attr:`diagnostics` as a structured event.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from repro.runtime.mxarray import MxArray
 from repro.repository.depgraph import DependencyGraph
 from repro.repository.cache import cache_key, options_fingerprint, source_digest
 from repro.repository.diagnostics import (
-    BUDGET_SKIP,
     CACHE_EVICT,
     CACHE_HIT,
     CACHE_LOAD,
@@ -108,13 +107,7 @@ class RepositoryStats:
 
     deopts = property(lambda self: self.events.local(DEOPT))
     quarantines = property(lambda self: self.events.local(QUARANTINE))
-    budget_skips = property(lambda self: self.events.local(BUDGET_SKIP))
     compile_failures = property(lambda self: self.events.local(COMPILE_FAILURE))
-
-    @property
-    def fallback_interpreted(self) -> int:
-        """Calls the bottom version served (one count, two names)."""
-        return self.calls_interpreted
 
     @property
     def calls_by_tier(self) -> dict[str, int]:
@@ -125,45 +118,14 @@ class RepositoryStats:
         }
 
 
-@dataclass(frozen=True)
-class CompileBudget:
-    """Wall-clock compile budgets (seconds; ``None`` = unlimited).
-
-    ``per_pass`` bounds a whole :meth:`CodeRepository.speculate_all` sweep;
-    ``per_function`` bounds one compile.  Compilation cannot be preempted
-    mid-function, so both are enforced *between* compiles: a pass stops
-    before the first function that would start past its budget (± one
-    function), and a function whose compile overruns ``per_function`` is
-    flagged so future speculative passes skip it up front.
-    """
-
-    per_pass: float | None = None
-    per_function: float | None = None
-
-
-def _as_budget(budget) -> CompileBudget:
-    if budget is None:
-        return CompileBudget()
-    if isinstance(budget, CompileBudget):
-        return budget
-    return CompileBudget(per_pass=float(budget))
-
-
 def _widened(signature: Signature) -> Signature:
     """The signature with every value range widened to ⊤."""
     return Signature.of(t.widen_range() for t in signature)
 
 
-class SpeculationReport(list):
-    """Names compiled by a speculative pass (list subclass for backward
-    compatibility) plus what the pass *didn't* do and why."""
-
-    def __init__(self):
-        super().__init__()
-        self.skipped: list[tuple[str, str]] = []  # (function, reason)
-        self.failed: list[str] = []
-        self.elapsed: float = 0.0
-
+#: Deopt strikes (crashed compiled runs or JIT compiles) after which a
+#: function is quarantined to its bottom version.
+MAX_STRIKES = 3
 
 #: Compile mode -> the error class that is an *expected* rejection there
 #: ("cannot compile this construct") rather than a compiler crash.
@@ -250,7 +212,6 @@ class CodeRepository:
         src_options: SrcOptions | None = None,
         sink: OutputSink | None = None,
         inline_enabled: bool = True,
-        max_strikes: int = 3,
         fault_plan=None,
         cache=None,
         obs=None,
@@ -261,7 +222,6 @@ class CodeRepository:
         self.src_options = src_options or SrcOptions()
         self.sink = sink if sink is not None else OutputSink()
         self.inline_enabled = inline_enabled
-        self.max_strikes = max_strikes
         self.fault_plan = fault_plan
         # Observability switchboard (tracing + metrics; a shared null
         # facade when the session didn't ask for either).
@@ -329,10 +289,8 @@ class CodeRepository:
         # set, it supplies _resolve()'s miss policy (interpret now, promote
         # out-of-band) and execute()'s post-call hook.
         self.tiering = None
-        # Deopt strike counts per function (quarantine at max_strikes).
+        # Deopt strike counts per function (quarantine at MAX_STRIKES).
         self._strikes: dict[str, int] = {}
-        # Functions whose compile overran the per-function budget.
-        self._budget_flagged: set[str] = set()
         # Thread safety: background speculation workers mutate the same
         # tables the foreground session reads.  ``_lock`` (reentrant)
         # guards every shared dict/set; compilation itself runs outside it
@@ -449,7 +407,7 @@ class CodeRepository:
             self._bottom.pop(name, None)
             # Same purge as _register: a removed function must not keep
             # serving a stale cached object, stay wrongly blacklisted, or
-            # carry strike and budget state over to an unrelated future
+            # carry strike state over to an unrelated future
             # function of the same name — and neither may anything that
             # inlined it.
             for stale in self.depgraph.dependents_of(name):
@@ -465,7 +423,6 @@ class CodeRepository:
             self._uncompilable.discard(name)
             self._fast_cache.pop(name, None)
             self._strikes.pop(name, None)
-            self._budget_flagged.discard(name)
             self._generations[name] = self._generations.get(name, 0) + 1
 
     def generation_of(self, name: str) -> int:
@@ -489,12 +446,9 @@ class CodeRepository:
 
     def compile_verdict(self, name: str) -> str | None:
         """Why ``name`` should not be compiled now, or ``None`` (ask):
-        ``"uncompilable"`` (a compiler rejected it or its versions struck
-        out; final until redefined) or ``"over-budget"`` (speculative
-        passes and foreground misses skip it)."""
-        if name in self._uncompilable:
-            return "uncompilable"
-        return "over-budget" if name in self._budget_flagged else None
+        ``"uncompilable"`` — a compiler rejected it or its versions struck
+        out; final until redefined."""
+        return "uncompilable" if name in self._uncompilable else None
 
     def compile_failed(self, name: str, mode: str, exc, signature="") -> None:
         """The one verdict on a failed compile: always recorded; an
@@ -530,12 +484,8 @@ class CodeRepository:
             return None
 
     def attach(self, controller) -> None:
-        """Install the adaptive-tiering controller.  With no native
-        engine counting fused-kernel dispatches, the interpreter feeds
-        the controller's kernel counter instead."""
+        """Install the adaptive-tiering controller."""
         self.tiering = controller
-        if self.native is None or not self.native.enabled:
-            self._interpreter.kernel_hotness = controller.kernel_hotness
 
     def disarm(self) -> None:
         """Session close: later calls run unsupervised — no watchdog
@@ -758,10 +708,7 @@ class CodeRepository:
     # Compilation
     # ------------------------------------------------------------------
     def jit_compile(
-        self,
-        name: str,
-        signature: Signature,
-        budget: float | None = None,
+        self, name: str, signature: Signature
     ) -> CompiledObject | None:
         """Compile one function for one signature with the JIT pipeline.
 
@@ -769,14 +716,8 @@ class CodeRepository:
         compile: the function was redefined while it compiled (the result
         describes dead source and is dropped), or the compile failed
         (:meth:`compile_failed` has recorded the verdict).
-
-        ``budget`` (seconds; default: none) is a wall-clock target, not a
-        hard deadline: the compile it bounds has already run by the time it
-        can be measured, so an overrun stores and returns the object (this
-        call needs it) but records the event and flags the function so
-        speculative passes skip it up front.
         """
-        return self._compile(name, "jit", signature, budget=budget)
+        return self._compile(name, "jit", signature)
 
     def speculate(
         self, name: str, generation: int | None = None
@@ -793,7 +734,7 @@ class CodeRepository:
         return self._compile(name, "spec", generation=generation)
 
     def _compile(
-        self, name, mode, signature=None, generation=None, budget=None
+        self, name, mode, signature=None, generation=None
     ) -> CompiledObject | None:
         """The one compile entry (foreground miss, speculative pass,
         background worker, tier promotion).  ``None`` means "not now" —
@@ -855,7 +796,7 @@ class CodeRepository:
                             tracer=self.obs.tracer,
                             fusion=self.jit_options.fusion,
                         ), mode
-                    obj, duration = self._compile_and_store(
+                    return self._compile_and_store(
                         name, mode, self._cache_key(name, tag), generation,
                         lambda: compiler.compile(
                             fn, signature, mode=mode,
@@ -865,23 +806,6 @@ class CodeRepository:
             except Exception as exc:  # noqa: BLE001 - rejection or compiler crash
                 self.compile_failed(name, mode, exc, signature)
                 return None
-            # duration is None when the result was dropped.
-            if budget is not None and duration is not None and duration > budget:
-                self._budget_skip(
-                    name,
-                    f"jit compile took {duration:.4f}s (budget {budget:.4f}s); "
-                    "flagged for speculative skips",
-                    signature, flag=True,
-                )
-            return obj
-
-    def _budget_skip(self, name, detail, signature="", flag=False) -> None:
-        """Record one budget skip; ``flag`` also marks ``name`` as over the
-        per-function budget, to be skipped up front from now on."""
-        if flag:
-            with self._lock:
-                self._budget_flagged.add(name)
-        self.diagnostics.record(BUDGET_SKIP, name, detail=detail, signature=signature)
 
     def _admit_cached(
         self, name: str, mode: str, generation: int, obj: CompiledObject,
@@ -907,16 +831,15 @@ class CodeRepository:
 
     def _compile_and_store(
         self, name: str, mode: str, key: str | None, generation: int, build
-    ) -> tuple[CompiledObject | None, float | None]:
+    ) -> CompiledObject | None:
         """The one tail behind :meth:`jit_compile` and :meth:`speculate`
         once the persistent cache missed: ``build()`` under the compile
-        deadline; account, store, persist.  Returns the object and the
-        seconds its compile took.
+        deadline; account, store, persist.
 
         ``generation`` is the function's redefinition counter from before
         its source was read: if it moved, the object describes dead source
-        and is dropped — ``(None, None)`` — instead of stored (the new
-        source gets its own compile).
+        and is dropped — ``None`` — instead of stored (the new source gets
+        its own compile).
         """
         start = time.perf_counter()
         # One deadline covers the whole pipeline: the analysis phases
@@ -926,7 +849,7 @@ class CodeRepository:
         seconds = time.perf_counter() - start
         with self._lock:
             if self._generations.get(name, 0) != generation:
-                return None, None
+                return None
             if mode == "jit":
                 self.stats.jit_compiles += 1
                 self.stats.jit_compile_seconds += seconds
@@ -940,70 +863,18 @@ class CodeRepository:
             self.store(obj)
         self.obs.record_compile(mode, obj.phase_times)
         self._cache_store(key, obj)
-        return obj, seconds
+        return obj
 
-    def speculate_all(
-        self, budget: float | CompileBudget | None = None
-    ) -> SpeculationReport:
-        """Ahead-of-time pass over every known function.
-
-        ``budget`` (seconds, or a :class:`CompileBudget`) keeps the pass
-        "hidden": once the per-pass budget is spent the remaining
-        functions are skipped and recorded, never raised; a per-function
-        budget discards (and flags) any single compile that overran it.
-        Returns a list of the compiled names; the
-        :class:`SpeculationReport` subclass also carries ``skipped``,
-        ``failed`` and ``elapsed``.
-        """
-        budget = _as_budget(budget)
-        report = SpeculationReport()
-        names = self.function_names()
-        start = time.perf_counter()
+    def speculate_all(self) -> list[str]:
+        """Ahead-of-time pass over every known function; returns the names
+        compiled.  A failure is a ``compile_failure`` event, never raised:
+        the "hidden" pass survives any one function."""
+        compiled = []
         with self.obs.tracer.span("speculate_all", "speculation"):
-            for position, name in enumerate(names):
-                elapsed = time.perf_counter() - start
-                if budget.per_pass is not None and elapsed >= budget.per_pass:
-                    for skipped in names[position:]:
-                        report.skipped.append((skipped, "pass-budget"))
-                        self._budget_skip(
-                            skipped,
-                            f"speculative pass budget ({budget.per_pass:.4f}s) "
-                            f"exhausted after {elapsed:.4f}s",
-                        )
-                    break
-                if name in self._budget_flagged:
-                    report.skipped.append((name, "function-budget"))
-                    self._budget_skip(
-                        name,
-                        "previously flagged as over the per-function compile "
-                        "budget",
-                    )
-                    continue
-                fn_start = time.perf_counter()
-                obj = self.speculate(name)
-                fn_elapsed = time.perf_counter() - fn_start
-                if obj is None:
-                    report.failed.append(name)
-                    continue
-                if (
-                    budget.per_function is not None
-                    and fn_elapsed > budget.per_function
-                ):
-                    # The compile finished but proved pathological: drop the
-                    # object (a persisted copy may stay, it is cheap to reload)
-                    # and flag the function so the pass stays cheap.
-                    self._remove_version(name, obj, evict=False)
-                    report.skipped.append((name, "function-budget"))
-                    self._budget_skip(
-                        name,
-                        f"speculative compile took {fn_elapsed:.4f}s "
-                        f"(budget {budget.per_function:.4f}s); discarded",
-                        obj.signature, flag=True,
-                    )
-                    continue
-                report.append(name)
-        report.elapsed = time.perf_counter() - start
-        return report
+            for name in self.function_names():
+                if self.speculate(name) is not None:
+                    compiled.append(name)
+        return compiled
 
     # ------------------------------------------------------------------
     # Execution
@@ -1072,12 +943,6 @@ class CodeRepository:
         version = self.locate(invocation)
         if version is None:
             if controller is not None:
-                return bottom
-            if name in self._budget_flagged:
-                # Over-budget function with no usable version: stay in the
-                # interpreter rather than stall this call on a compile
-                # known to be pathological.
-                self._budget_skip(name, "jit skipped: function over compile budget")
                 return bottom
             version = self.jit_compile(name, invocation.signature)
             if version is None:
@@ -1206,7 +1071,7 @@ class CodeRepository:
         with self._lock:
             strikes = self._strikes[name] = self._strikes.get(name, 0) + 1
             quarantine = (
-                strikes >= self.max_strikes and name not in self._uncompilable
+                strikes >= MAX_STRIKES and name not in self._uncompilable
             )
             if quarantine:
                 self._uncompilable.add(name)

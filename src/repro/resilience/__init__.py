@@ -11,15 +11,15 @@
 * worker supervision lives in
   :mod:`repro.repository.background` and adds no detector of its own: a
   hung task is cancelled by the compile watchdog, a crashed worker
-  restarts in place (its task retried, then quarantined as poison), and
-  cache self-healing lives in :mod:`repro.repository.cache` (corruption
-  detection, IO retries, quarantine-and-rebuild) — both are steered by
-  the :class:`ResiliencePolicy` knobs defined here.
+  restarts in place (its task retried, then quarantined as poison, both
+  counts constants there), and cache self-healing lives in
+  :mod:`repro.repository.cache` (corruption detection, IO retries,
+  quarantine-and-rebuild).
 
-Everything is policy-driven: a single frozen :class:`ResiliencePolicy`
-carries the deadlines and the restart and retry budgets, and a session
-passes one policy down through the repository, the speculation engine
-and the disk cache.
+A single frozen :class:`ResiliencePolicy` carries the deadlines, the
+sandbox switch and the parallel backend's budgets, and a session passes
+one policy down through the repository, the native engine and the
+parallel driver.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class ResiliencePolicy:
 
     Defaults are chosen so an undisturbed session pays (nearly) nothing:
     the compile watchdog is armed but generous, the run watchdog and the
-    sandbox tier are opt-in, and the worker/cache healing parameters only
-    matter once something actually dies.
+    sandbox tier are opt-in, and the parallel restart budget only
+    matters once a rank actually dies.
     """
 
     #: Wall-clock deadline on one compile (None disables the guard).  A
@@ -62,13 +62,6 @@ class ResiliencePolicy:
     sandbox: bool = False
     #: Hard timeout on one sandbox trial before the child is killed.
     sandbox_timeout: float = 30.0
-    #: Total in-place restarts of crashed speculation workers paid for
-    #: before the engine degrades to foreground-only compilation.  (A hung
-    #: worker task is cancelled by ``compile_deadline``.)
-    worker_max_restarts: int = 8
-    #: How many times a task that killed its worker is retried before it
-    #: is quarantined as poison.
-    worker_max_task_retries: int = 2
     #: How long the parallel driver waits for one worker rank's reply
     #: before declaring the message lost and falling back to serial
     #: execution (:mod:`repro.parallel`).

@@ -1,7 +1,6 @@
 """Profile-guided adaptive tiering (``MajicSession(adaptive=True)``).
 
-The unified hotness substrate (:class:`HotnessCounter`, shared by the
-function-tier controller and the native kernel tier) plus the online
+The decayed hotness counter (:class:`HotnessCounter`) plus the online
 :class:`TierController` that promotes hot functions up the ladder
 interpreter → JIT → optimizing srcgen in the background, demotes measured
 regressions, and persists learned profiles so warm sessions skip the

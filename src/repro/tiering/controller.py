@@ -10,7 +10,7 @@ it took — and drives functions up the tier ladder
     interpreter  →  JIT  →  optimizing srcgen (spec)
 
 in the background, out-of-band on the :class:`SpeculationEngine` worker
-pool, while the native C kernel tier rides the same hotness substrate
+pool, while the native C kernel tier counts its own kernel dispatches
 inside :class:`~repro.native.engine.NativeEngine`.  Demotion is measured,
 not assumed: a compiled tier whose EWMA latency is worse than the
 interpreter's is suppressed.
@@ -135,7 +135,6 @@ class TierController:
         interval = self.policy.decay_interval
         factor = self.policy.decay_factor
         self.hotness = HotnessCounter(interval, factor)
-        self.kernel_hotness = HotnessCounter(interval, factor)
         self.repo = None
         self._states: dict[str, _FunctionState] = {}
         self._lock = threading.RLock()
@@ -430,5 +429,4 @@ class TierController:
             "promotions": self.promotions,
             "demotions": self.demotions,
             "profile_restores": self.profile_restores,
-            "kernels_tracked": len(self.kernel_hotness),
         }

@@ -1,12 +1,10 @@
-"""Shared hotness substrate for adaptive tiering.
+"""The adaptive controller's per-function hotness.
 
-A :class:`HotnessCounter` tracks a per-key activity score.  Every call site
-that wants to measure "how hot is this function/kernel?" records into one of
-these counters instead of keeping a private dict (the native engine's old
-ad-hoc counter lived in ``native/engine.py``).  Scores decay deterministically:
-after every ``decay_interval`` recorded observations *all* scores are halved
-(multiplied by ``decay_factor``), so a function that was hot an hour ago but
-has gone quiet cools off and will not be promoted on stale evidence.
+A :class:`HotnessCounter` tracks a per-key activity score.  Scores decay
+deterministically: after every ``decay_interval`` recorded observations
+*all* scores are halved (multiplied by ``decay_factor``), so a function
+that was hot an hour ago but has gone quiet cools off and will not be
+promoted on stale evidence.
 
 The decay schedule is driven by the observation count, not wall-clock time,
 which keeps the counter fully deterministic — the same call sequence always

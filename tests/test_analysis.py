@@ -334,7 +334,6 @@ WALKERS = {
     "repro/codegen/select.py",
     "repro/codegen/srcgen.py",
     "repro/inference/speculation.py",
-    "repro/interp/interpreter.py",
     "repro/kernels/fusion.py",
 }
 

@@ -261,6 +261,10 @@ SMALL_PRODUCT = (
     "y = A * v;\n"
 )
 DGEMV_ZERO_BETA = "function r = zb(A, x, y)\nr = A * x + 0 * y;\n"
+NESTED_END = (
+    "function [a, b, c] = nend(n)\nx = [10 20 30 40 50] * n;\ny = [1 2];\n"
+    "a = x(y(end));\nb = x(1, y(end));\nc = x(y(end) + end - 5);\n"
+)
 
 
 def _scalar(value):
@@ -402,6 +406,9 @@ def _dgemv_zero_beta():
 #: ``dgemv-zero-beta``: ``A*x + 0*y`` with an Inf and a NaN in ``y`` is
 #: NaN where they are (dgemv dropped a zero-scaled addend, and answered
 #: finite values).
+#: ``nested-end``: ``end`` is the extent of the innermost array being
+#: indexed, so ``x(y(end))`` reads ``x(2)`` (the interpreter gave every
+#: ``end`` in a subscript the outer array's extent and raised).
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -487,6 +494,7 @@ PROBES = {
         lambda: [_fortran_3x3(), from_python(0.7)], nargout=2,
     ),
     "dgemv-zero-beta": Program((DGEMV_ZERO_BETA,), "zb", _dgemv_zero_beta),
+    "nested-end": Program((NESTED_END,), "nend", _scalar(1.0), nargout=3),
 }
 
 

@@ -50,6 +50,34 @@ class TestExpressions:
         env = run_script("v = [10 20 30]; x = v(end); y = v(end-1);")
         assert value(env, "x") == 30.0 and value(env, "y") == 20.0
 
+    def test_end_is_the_innermost_arrays_extent(self):
+        env = run_script(
+            "x = [10 20 30 40 50]; y = [1 2];\n"
+            "a = x(y(end)); b = x(1, y(end)); c = x(y(end) + end - 5);\n"
+            "x(end + 1) = y(end);"
+        )
+        assert [value(env, name) for name in "abc"] == [20.0, 20.0, 20.0]
+        assert value(env, "x")[0][-1] == 2.0
+
+    def test_end_in_a_call_that_indexes_nothing_raises(self):
+        with pytest.raises(RuntimeMatlabError, match="'end'"):
+            run_script("x = [1 2]; y = sin(end);")
+        # A callee's ``end`` never reads the caller's subscript.
+        table = make_functions("function y = g(n)\ny = sin(end);\n")
+        with pytest.raises(RuntimeMatlabError, match="'end'"):
+            run_script("x = [1 2]; y = x(g(1));", table)
+
+    def test_end_in_a_loop_keeps_one_fusion_plan(self):
+        """``end`` is evaluated in place, so a subscript holding it is
+        one expression node however often it runs: its fusion plan is
+        made once (a rewritten copy per evaluation left 1,001 plans)."""
+        interp = Interpreter()
+        env = interp.run_script(parse(
+            "x = 1:50;\ns = 0;\nfor k = 1:1000\n  s = s + x(end - 2 * 3 + 1);\nend\n"
+        ))
+        assert value(env, "s") == 45000.0
+        assert len(interp._fusion_plans) <= 2
+
     def test_colon_slice(self):
         env = run_script("m = [1 2; 3 4]; c = m(:, 2);")
         assert np.array_equal(value(env, "c"), [[2], [4]])

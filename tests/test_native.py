@@ -354,10 +354,9 @@ def test_repeated_run_faults_demote_kernel(tmp_path):
 needs_fork = pytest.mark.skipif(not FORK_AVAILABLE, reason="no fork")
 
 
-def _assert_trial_failure_falls_back(tmp_path, monkeypatch, child):
-    """Run the kernel with ``child`` as its trial; the trial must fail
-    the kernel, evict its artifact and leave no child process."""
-    monkeypatch.setattr(native_engine, "_trial_child", child)
+def _assert_trial_failure_falls_back(tmp_path):
+    """Run the kernel; its trial must fail the kernel, evict its
+    artifact and leave no child process."""
     session = MajicSession(
         native=True, sync=True, native_hot_threshold=1, native_min_elems=1,
         cache_dir=str(tmp_path),
@@ -384,19 +383,52 @@ def _assert_trial_failure_falls_back(tmp_path, monkeypatch, child):
 @needs_cc
 @needs_fork
 def test_dying_trial_child_fails_the_kernel(tmp_path, monkeypatch):
-    def dies(conn, cfn, descs):
+    def dies(conn, cfn, key):
         os._exit(3)
 
-    _assert_trial_failure_falls_back(tmp_path, monkeypatch, dies)
+    monkeypatch.setattr(native_engine, "_trial_child", dies)
+    _assert_trial_failure_falls_back(tmp_path)
 
 
 @needs_cc
 @needs_fork
 def test_hung_trial_child_is_killed_at_the_timeout(tmp_path, monkeypatch):
-    def hangs(conn, cfn, descs):
+    def hangs(conn, cfn, key):
         time.sleep(60)
 
-    _assert_trial_failure_falls_back(tmp_path, monkeypatch, hangs)
+    monkeypatch.setattr(native_engine, "_trial_child", hangs)
+    _assert_trial_failure_falls_back(tmp_path)
+
+
+@needs_cc
+@needs_fork
+def test_trial_fails_a_kernel_answering_other_bits(tmp_path, monkeypatch):
+    """A ``.so`` whose finite answer differs from the Python kernel's
+    (here C that doubles every element) fails its trial."""
+    generate_c = native_engine.generate_c
+    monkeypatch.setattr(
+        native_engine, "generate_c",
+        lambda name, root, descs: generate_c(name, root, descs).replace(
+            "out[j] = ", "out[j] = 2.0 * "
+        ),
+    )
+    _assert_trial_failure_falls_back(tmp_path)
+
+
+INF_SRC = "function y = f(a, b, c)\ny = b ./ (a - a) + 1.5 .* b;\n"
+
+
+@needs_cc
+@needs_fork
+def test_trial_passes_a_kernel_whose_answer_is_infinite(tmp_path):
+    """The trial holds a fresh ``.so`` to the Python kernel's bits, not
+    to finiteness: ``b ./ (a - a)`` is +Inf everywhere and goes native."""
+    first, second, stats = run_native(INF_SRC, _operands(), str(tmp_path))
+    assert stats["failed"] == 0 and stats["runs"] == 1, stats
+    truth = run_interp(INF_SRC, _operands(), fusion=False)
+    assert np.isposinf(truth.view()).all()
+    assert canon_bits(first) == canon_bits(truth)
+    assert bits(first) == bits(second)
 
 
 # ----------------------------------------------------------------------

@@ -129,32 +129,30 @@ SPIN = "function s = spin(n)\ns = 0;\nfor k = 1:n\n  s = s + k;\nend\n"
 
 
 def _serial_history(tmp_path_factory):
-    """JIT + spec + interpreted calls, a deopt -> quarantine, a budget
-    skip, a watchdog timeout, fused kernels with a kernel-cache hit, miss
-    and eviction, persistent-cache misses — then hits, in a warm session."""
+    """JIT + spec + interpreted calls, deopts -> quarantine, a watchdog
+    timeout, fused kernels with a kernel-cache hit, miss and eviction,
+    persistent-cache misses — then hits, in a warm session."""
     cache_dir = tmp_path_factory.mktemp("ledger-cache")
     x = np.arange(1.0, 13.0)  # past the unroll limit: fused kernels
     KERNEL_CACHE.clear()
     capacity, KERNEL_CACHE.capacity = KERNEL_CACHE.capacity, 1
     try:
         cold = MajicSession(
-            metrics=True, cache_dir=cache_dir, max_strikes=2,
-            run_deadline=0.2,
+            metrics=True, cache_dir=cache_dir, run_deadline=0.2,
             fault_plan=FaultPlan([
-                FaultSpec("rt.*", hits=(1, 2)),
+                FaultSpec("rt.*", hits=(1, 2, 3)),
                 FaultSpec("hang", hits=(1,), behavior="hang"),
             ]),
         )
         for text in (POLY, MSUM, AXPY, AXMY, SPIN):
             cold.add_source(text)
         cold.call("spin", 10.0)              # hangs -> watchdog -> deopt
-        for _ in range(4):                   # 2 deopts -> quarantined
+        for _ in range(4):                   # 3 deopts -> quarantined
             cold.call("msum", x.reshape(3, 4))
         cold.call("axpy", 2.0, x, 3.0)       # kernel miss
         cold.call("axmy", 2.0, x, 3.0)       # miss; evicts axpy's kernel
         cold.call("axmy", 2.0, x + 1.0, 3.0)  # range-widened recompile: hit
         cold.call("poly", 2.0)
-        cold.speculate_all(budget=0.0)       # budget skips
         cold.speculate_all()
         cold.call("poly", 3.0)               # served by the spec version
         cold.close()
@@ -189,9 +187,9 @@ def _adaptive_history(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("ledger-profiles")
     policy = TieringPolicy(jit_threshold=2.0, spec_threshold=4.0, min_samples=2)
     sessions = []
-    for faults in (FaultPlan([FaultSpec("rt.*", hits=(1, 2, 3))]), None):
+    for faults in (FaultPlan([FaultSpec("rt.*", hits=(1, 2, 3, 4, 5))]), None):
         session = MajicSession(
-            metrics=True, adaptive=True, sync=True, max_strikes=2,
+            metrics=True, adaptive=True, sync=True,
             cache_dir=cache_dir, tiering=policy, fault_plan=faults,
         )
         for text in (POLY, MSUM, SPIN):
@@ -376,7 +374,7 @@ def test_design_catalogue_lists_every_diagnostic_kind():
         value for name, value in vars(diagnostics).items()
         if name.isupper() and isinstance(value, str)
     }
-    assert len(kinds) == 21
+    assert len(kinds) == 20
     design = (Path(__file__).parent.parent / "DESIGN.md").read_text()
     begin, end = "<!-- diagnostics:begin -->\n", "\n<!-- diagnostics:end -->"
     rows = design[design.index(begin) + len(begin):design.index(end)]

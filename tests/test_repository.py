@@ -198,4 +198,4 @@ class TestFallback:
         )
         out = repo.execute(invoke("withglobal", 1.0))
         assert to_python(out[0]) == 2.0
-        assert repo.stats.fallback_interpreted == 1
+        assert repo.stats.calls_interpreted == 1

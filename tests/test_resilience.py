@@ -27,6 +27,7 @@ from repro.faults.plan import (
     SITE_OOM,
     SITE_WORKER,
 )
+from repro.repository import background, repo
 from repro.repository.diagnostics import (
     POISON_TASK,
     SANDBOX_FAILURE,
@@ -187,10 +188,7 @@ class TestWorkerSupervision:
         plan = FaultPlan([FaultSpec(site=SITE_WORKER, hits=(1, 2, 3, 4, 5),
                                     behavior=BEHAVIOR_CRASH,
                                     function="poly5")])
-        session = MajicSession(
-            fault_plan=plan, background=True, workers=1,
-            resilience=ResiliencePolicy(worker_max_task_retries=2),
-        )
+        session = MajicSession(fault_plan=plan, background=True, workers=1)
         session.add_source(POLY)
         session.add_source(INC)
         try:
@@ -205,16 +203,13 @@ class TestWorkerSupervision:
         finally:
             session.close()
 
-    def test_restart_budget_exhaustion_enters_degraded_mode(self):
+    def test_restart_budget_exhaustion_enters_degraded_mode(self, monkeypatch):
+        monkeypatch.setattr(background, "WORKER_MAX_RESTARTS", 2)
+        monkeypatch.setattr(background, "WORKER_MAX_TASK_RETRIES", 50)
         hits = tuple(range(1, 40))
         plan = FaultPlan([FaultSpec(site=SITE_WORKER, hits=hits,
                                     behavior=BEHAVIOR_CRASH)])
-        session = MajicSession(
-            fault_plan=plan, background=True, workers=1,
-            resilience=ResiliencePolicy(
-                worker_max_restarts=2, worker_max_task_retries=50,
-            ),
-        )
+        session = MajicSession(fault_plan=plan, background=True, workers=1)
         session.add_source(POLY)
         try:
             session.speculate_async()
@@ -282,22 +277,19 @@ class TestWorkerSupervision:
         finally:
             session.close()
 
-    def test_concurrent_crashes_count_every_restart(self):
+    def test_concurrent_crashes_count_every_restart(self, monkeypatch):
         """More workers than cores, crashing under a short switch
         interval: every crash is one restart and one event (no lost
         update), and every task still lands."""
         crashes = 6
+        monkeypatch.setattr(background, "WORKER_MAX_RESTARTS", crashes)
+        monkeypatch.setattr(background, "WORKER_MAX_TASK_RETRIES", crashes)
         plan = FaultPlan([FaultSpec(site=SITE_WORKER,
                                     hits=tuple(range(1, crashes + 1)),
                                     behavior=BEHAVIOR_CRASH)])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
-        session = MajicSession(
-            fault_plan=plan, background=True, workers=4,
-            resilience=ResiliencePolicy(
-                worker_max_restarts=crashes, worker_max_task_retries=crashes,
-            ),
-        )
+        session = MajicSession(fault_plan=plan, background=True, workers=4)
         try:
             names = [f"f{i}" for i in range(4)]
             for i, name in enumerate(names):
@@ -378,12 +370,13 @@ class TestPolicyAndTeardown:
 # Resilience metrics (majic_deopt_total & co.)
 # ----------------------------------------------------------------------
 class TestResilienceMetrics:
-    def test_deopt_and_quarantine_counters(self):
+    def test_deopt_and_quarantine_counters(self, monkeypatch):
         # USEVEC's compiled form always calls a runtime helper, so the
         # injected helper fault is guaranteed to fire a deopt.
+        monkeypatch.setattr(repo, "MAX_STRIKES", 1)
         usevec = "function y = usevec(x)\nv = [x, 2*x];\ny = sum(v);\n"
         plan = FaultPlan.at("rt.*")
-        session = MajicSession(fault_plan=plan, metrics=True, max_strikes=1)
+        session = MajicSession(fault_plan=plan, metrics=True)
         session.add_source(usevec)
         assert session.call("usevec", 3.0) == 9.0
         assert session.stats.deopts == 1

@@ -224,7 +224,7 @@ class TestHotCacheStaleness:
 
     def test_deopt_then_quarantine(self, twin):
         plan = FaultPlan([FaultSpec(site="rt.*", hits=(10, 25, 45))])
-        duo = twin(fault_plan=plan, max_strikes=3)
+        duo = twin(fault_plan=plan)
         duo.add_source(USEVEC)
         repo, stats = duo.session.repository, duo.session.stats
         deopts = []

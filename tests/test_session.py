@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import MajicSession, MIPS, SPARC, platform_by_name
+from repro.repository.repo import CodeRepository
 from repro.resilience import ResiliencePolicy
 
 POLY = "function p = poly(x)\np = x.^5 + 3*x + 2;\n"
@@ -145,7 +146,7 @@ class TestSurface:
     not an option."""
 
     SESSION_KWARGS = [
-        "platform", "ablation", "inline_enabled", "seed", "max_strikes",
+        "platform", "ablation", "inline_enabled", "seed",
         "fault_plan", "cache_dir", "background", "workers", "trace",
         "metrics", "fusion", "native", "sync", "native_hot_threshold",
         "native_min_elems", "adaptive", "tiering", "resilience",
@@ -153,7 +154,6 @@ class TestSurface:
     ]
     POLICY_FIELDS = [
         "compile_deadline", "run_deadline", "sandbox", "sandbox_timeout",
-        "worker_max_restarts", "worker_max_task_retries",
         "parallel_recv_timeout", "parallel_max_restarts",
     ]
 
@@ -166,3 +166,12 @@ class TestSurface:
         assert [f.name for f in dataclasses.fields(ResiliencePolicy)] == (
             self.POLICY_FIELDS
         )
+
+    def test_compile_entries_take_no_budget(self):
+        def parameters(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert parameters(MajicSession.speculate_all) == ["self"]
+        assert parameters(CodeRepository.jit_compile) == [
+            "self", "name", "signature",
+        ]

@@ -151,7 +151,7 @@ class FakeRepo:
         self.held.setdefault(name, set()).add(mode)
         return object()
 
-    def jit_compile(self, name, signature, budget=None):
+    def jit_compile(self, name, signature):
         self.jit_calls.append((name, signature))
         return self._compile(name, TIER_JIT, self.jit_ok)
 
@@ -160,7 +160,7 @@ class FakeRepo:
         return self._compile(name, TIER_SPEC, self.spec_ok)
 
     def quarantine(self, name):
-        """What CodeRepository._note_strike does at ``max_strikes``."""
+        """What CodeRepository._note_strike does at ``MAX_STRIKES``."""
         self.uncompilable.add(name)
         self.held.pop(name, None)
         self.diagnostics.record(QUARANTINE, name, detail="strike chain")
@@ -416,49 +416,6 @@ class TestAdaptiveSession:
         )
         with pytest.raises(RepositoryError):
             session.call_boxed("nonesuch", [])
-
-    def test_kernel_hotness_is_shared_with_native_engine(self, fresh_session):
-        session = fresh_session(adaptive=True, sync=True)
-        if session.native is not None and session.native.enabled:
-            assert session.native.hotness is session.tiering.kernel_hotness
-        else:
-            assert (
-                session.repository._interpreter.kernel_hotness
-                is session.tiering.kernel_hotness
-            )
-
-    def test_interpreter_feeds_kernel_counter_without_toolchain(
-        self, fresh_session, monkeypatch
-    ):
-        monkeypatch.setenv("MAJIC_NATIVE_DISABLE", "1")
-        session = fresh_session(
-            adaptive=True, sync=True, tiering=AGGRESSIVE
-        )
-        session.add_source(POLY)
-        import numpy as np
-
-        x = np.arange(1.0, 200.0)
-        session.call("poly", x)
-        assert (
-            session.repository._interpreter.kernel_hotness
-            is session.tiering.kernel_hotness
-        )
-
-    def test_interpreter_feeds_kernel_counter_past_a_disabled_native_engine(
-        self, fresh_session, monkeypatch
-    ):
-        """``native=True`` without a toolchain leaves an engine that
-        declines every dispatch: the interpreter's fused fast path must
-        count the kernels it then runs itself."""
-        monkeypatch.setenv("MAJIC_NATIVE_DISABLE", "1")
-        session = fresh_session(adaptive=True, sync=True, native=True)
-        assert session.native is not None and not session.native.enabled
-        session.add_source(POLY)
-        import numpy as np
-
-        session.call("poly", np.arange(1.0, 200.0))
-        assert session.stats.calls_interpreted == 1
-        assert session.tiering.report()["kernels_tracked"] == 1
 
     def test_promotion_fault_leaves_results_bit_identical(self, fresh_session):
         plan = FaultPlan.at("tiering.promote")
