@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.analysis.disambiguate import DisambiguationResult, Disambiguator
-from repro.errors import CodegenError
+from repro.errors import RuntimeMatlabError
 from repro.frontend import ast_nodes as ast
 from repro.inference.annotations import Annotations
 from repro.inference.engine import InferenceOptions, TypeInferenceEngine
@@ -101,6 +101,13 @@ class CompiledObject:
     #: trees for disk-revived kernels, so warm sessions can still promote
     #: them to C.
     kernel_keys: dict = field(default_factory=dict)
+    #: The function's output names, in order (error texts name them).
+    outputs: tuple = ()
+    #: Every direct call site the emitted code references
+    #: (``rt.site_<hash>``), keyed by helper name: rides the persistent
+    #: cache entry so a fresh process can register them
+    #: (``runtime_support.CALL_SITES``).
+    call_sites: dict = field(default_factory=dict)
 
     @property
     def source(self) -> str:
@@ -220,11 +227,17 @@ class CompiledObject:
         outputs = []
         for value in results[: nargout if nargout > 1 else 1]:
             if value is None:
-                raise CodegenError(
-                    f"output of '{self.name}' was never assigned"
-                )
+                raise self.unassigned(results.index(None))
             outputs.append(box(value))
         return outputs
+
+    def unassigned(self, position: int) -> RuntimeMatlabError:
+        """The interpreter's error for output ``position`` left unset by
+        a run of this version."""
+        return RuntimeMatlabError(
+            f"output argument '{self.outputs[position]}' of {self.name} "
+            "not assigned"
+        )
 
 
 def _dim(dim) -> float:
@@ -250,6 +263,7 @@ def compile_function(
     disambiguation: DisambiguationResult | None = None,
     annotations: Annotations | None = None,
     is_user_function=None,
+    callees=None,
 ) -> CompiledObject:
     """The one compile pipeline behind both compilers.
 
@@ -259,6 +273,8 @@ def compile_function(
     the finished walk and its :class:`EmittedFunction`) →
     :class:`CompiledObject`.  Each analysis phase runs unless its result is
     passed in, and every phase is timed and traced here, once.
+    ``callees`` is the repository's call binder (``None``: every user
+    call goes through ``rt.call_user``; see ``TypeInferenceEngine.infer``).
     """
     if fault_plan is not None:
         fault_plan.check(site, fn.name)
@@ -278,12 +294,12 @@ def compile_function(
                          function=fn.name, mode=mode):
             if signature is None:
                 guess = Speculator(options=inference).speculate(
-                    fn, disambiguation
+                    fn, disambiguation, callees
                 )
                 signature, annotations = guess.signature, guess.annotations
             else:
                 annotations = TypeInferenceEngine(options=inference).infer(
-                    fn, signature, disambiguation
+                    fn, signature, disambiguation, callees
                 )
     times.type_inference = time.perf_counter() - start
 
@@ -303,6 +319,8 @@ def compile_function(
         phase_times=times,
         kernel_sources=dict(walk.kernel_sources),
         kernel_keys=dict(walk.kernel_keys),
+        outputs=tuple(fn.outputs),
+        call_sites=dict(walk.call_sites),
     )
 
 
@@ -327,13 +345,14 @@ class JitCompiler:
         annotations: Annotations | None = None,
         mode: str = "jit",
         is_user_function=None,
+        callees=None,
     ) -> CompiledObject:
         return compile_function(
             fn, signature, site="jit", mode=mode,
             inference=self.options.inference, build=self._build,
             tracer=self.tracer, fault_plan=self.fault_plan,
             disambiguation=disambiguation, annotations=annotations,
-            is_user_function=is_user_function,
+            is_user_function=is_user_function, callees=callees,
         )
 
     def _build(self, fn, annotations, disambiguation):

@@ -37,7 +37,12 @@ from dataclasses import dataclass
 
 from repro.analysis.disambiguate import DisambiguationResult
 from repro.analysis.symtab import SymbolKind
-from repro.codegen.runtime_support import SCALAR_MATH
+from repro.codegen.runtime_support import (
+    CALL_SITES,
+    SCALAR_MATH,
+    SITE_ARITY,
+    CallSite,
+)
 from repro.errors import CodegenError
 from repro.frontend import ast_nodes as ast
 from repro.inference.annotations import Annotations, SubscriptSafety
@@ -470,6 +475,9 @@ class Walk:
         self.forcing_used = False
         self.kernel_sources: dict[str, str] = {}
         self.kernel_keys: dict[str, str] = {}
+        #: Direct call sites the code references, by helper name.
+        self.call_sites: dict[str, CallSite] = {}
+        self._site_helpers: dict[tuple, str] = {}
         self._int_counters = self._find_int_loop_counters()
         #: Element stores that a path reaches with their array unset: they
         #: grow it from empty, as the interpreter does (target id -> name).
@@ -740,29 +748,38 @@ class Walk:
                 raise CodegenError(
                     f"multi-assignment from maybe-assigned '{call.name}'"
                 )
-            elements = [self.ambiguous(call, call.args)[0]]
-        else:
+            elements = [self.ambiguous(call, call.args)]
+        elif kind is SymbolKind.BUILTIN:
             args = [self.boxed(arg) for arg in call.args]
-            helper = "builtin" if kind is SymbolKind.BUILTIN else "call_user"
             head = [
                 self.const(call.name, BOXED),
                 self.const(len(stmt.targets), RAW_INT),
             ]
-            values = self.bind(self.call(helper, head + args, BOXED), "m")
+            values = self.bind(self.call("builtin", head + args, BOXED), "m")
             elements = (
-                self.unpack(values, position, BOXED)
+                (self.unpack(values, position, BOXED), BOXED)
                 for position in range(len(stmt.targets))
             )
-        for target, element in zip(stmt.targets, elements):
+        else:
+            values, kinds = self.call_user_function(call, len(stmt.targets))
+            values = self.bind(values, "m")
+            elements = (
+                self.result(values, position, kinds[position])
+                for position in range(len(stmt.targets))
+            )
+        for target, (element, element_kind) in zip(stmt.targets, elements):
             if target.is_indexed:
                 # Route through the generic store with the boxed element.
                 self._generic_store(
-                    target.name, self._store_subscripts(target), element
+                    target.name, self._store_subscripts(target),
+                    self.coerce(element, element_kind, BOXED),
                 )
             else:
                 self.assign(
                     target.name,
-                    self.coerce(element, BOXED, self.var_kind(target.name)),
+                    self.coerce(
+                        element, element_kind, self.var_kind(target.name)
+                    ),
                 )
 
     def for_stmt(self, stmt: ast.For) -> None:
@@ -839,9 +856,14 @@ class Walk:
                 rows, cols = shape
                 extent = {1: rows, 2: cols}.get(end_dim, rows * cols)
                 return self.const(extent, RAW_INT), RAW_INT
-            arr = self.var(end_array) if end_array else self.const(None, BOXED)
+            if end_array is None:
+                # No subscript encloses it: the interpreter's error, raised
+                # where the interpreter raises it.
+                return self.call("end_outside", [], RAW_INT), RAW_INT
             dim = self.const(end_dim, RAW_INT)
-            return self.call("end_dim", [arr, dim], RAW_INT), RAW_INT
+            return self.call(
+                "end_dim", [self.var(end_array), dim], RAW_INT
+            ), RAW_INT
         if isinstance(node, ast.Apply):
             kind = self.dis.kind_of(node)
             if kind is SymbolKind.VARIABLE:
@@ -850,15 +872,69 @@ class Walk:
                 return self.builtin_call(node)
             if kind is SymbolKind.AMBIGUOUS:
                 return self.ambiguous(node, node.args)
-            return self.user_call(node, [self.boxed(arg) for arg in node.args])
+            return self.user_call(node)
         if isinstance(node, ast.ColonAll):
             raise CodegenError("':' subscript outside an index expression")
         raise CodegenError(f"cannot compile {type(node).__name__}")
 
-    def user_call(self, node: ast.Expr, args: list):
-        head = [self.const(node.name, BOXED), self.const(1, RAW_INT)]
-        values = self.call("call_user", head + args, BOXED)
-        return self.annotated(self.unpack(values, 0, BOXED), BOXED, node)
+    def user_call(self, node: ast.Expr):
+        values, kinds = self.call_user_function(node, 1)
+        return self.annotated(*self.result(values, 0, kinds[0]), node)
+
+    def call_user_function(self, call: ast.Expr, nargout: int):
+        """Call user function ``call`` for ``nargout`` results: ``(values,
+        kinds)``, a tuple of results and each one's representation.
+
+        A site inference bound (``Annotations.binding_of``), with at most
+        ``SITE_ARITY`` arguments, calls the bound version's emitted
+        function through ``rt.site_<hash>``
+        (:class:`~repro.codegen.runtime_support.CallSite`): arguments go
+        in that version's parameter representations, results come back
+        in its output representations.  Any other site re-enters the
+        repository through ``rt.call_user`` with boxed arguments."""
+        args = call.args if isinstance(call, ast.Apply) else []
+        binding = self.ann.binding_of(call)
+        if binding is None or len(args) > SITE_ARITY:
+            head = [self.const(call.name, BOXED), self.const(nargout, RAW_INT)]
+            boxed = [self.boxed(arg) for arg in args]
+            values = self.call("call_user", head + boxed, BOXED)
+            return values, [BOXED] * max(nargout, 1)
+        params, outputs = binding.param_reprs, binding.output_reprs
+        if params is None:
+            params, outputs = self.param_reprs, self.output_reprs
+        key = binding.signature, tuple(params), tuple(outputs[: max(nargout, 1)])
+        helper = self._site_helpers.get((call.name, nargout, key))
+        if helper is None:
+            site = CallSite(call.name, *key, nargout)
+            helper = self._site_helpers[call.name, nargout, key] = site.helper
+            self.call_sites[helper] = CALL_SITES.setdefault(helper, site)
+        values = [self.call_arg(arg, kind) for arg, kind in zip(args, params)]
+        return self.call(helper, values, BOXED), key[2]
+
+    def call_arg(self, node: ast.Expr, kind: str):
+        """An argument of a direct call, in its parameter's representation
+        and as the version's boxed entry would receive it: ``invoke``
+        unboxes a boxed scalar to a host float, or a complex one whose
+        imaginary part is nonzero."""
+        if kind == RAW_REAL:
+            return self.element_real(node)
+        if kind == RAW_COMPLEX:
+            value, value_kind = self.expr(node)
+            if value_kind == BOXED:
+                return self.coerce(value, BOXED, RAW_COMPLEX)
+            return self.call("scalar_value", [value], RAW_COMPLEX)
+        return self.boxed(node)
+
+    def result(self, values, position: int, kind: str):
+        """Result ``position`` of a call, ``(value, kind)``: a raw one as
+        the boxed entry would hand it over (a host float, or a complex
+        whose imaginary part is nonzero)."""
+        value = self.unpack(values, position, kind)
+        if kind in (RAW_REAL, RAW_INT):
+            return self.host_float(value), RAW_REAL
+        if kind == RAW_COMPLEX:
+            return self.call("scalar_value", [value], RAW_COMPLEX), kind
+        return value, kind
 
     def ident(self, node: ast.Ident):
         kind = self.dis.kind_of(node)
@@ -881,7 +957,7 @@ class Walk:
                 self.call("builtin1", [name], BOXED), BOXED, node
             )
         if kind is SymbolKind.USER_FUNCTION:
-            return self.user_call(node, [])
+            return self.user_call(node)
         return self.ambiguous(node, [])
 
     def ambiguous(self, node: ast.Ident | ast.Apply, args: list[ast.Expr]):
@@ -1133,9 +1209,12 @@ class Walk:
     def _is_host_float(self, node: ast.Expr) -> bool:
         """The raw value of scalar ``node`` is a host float for certain:
         a non-integral literal, an element of a scalar-replaced variable,
-        a quotient, or arithmetic with such an operand."""
+        a direct call's result (:meth:`result`), a quotient, or
+        arithmetic with such an operand."""
         if isinstance(node, ast.Number):
             return node.value != int(node.value)
+        if isinstance(node, ast.Apply) and self.ann.binding_of(node):
+            return True
         if (
             isinstance(node, ast.Apply)
             and self.dis.kind_of(node) is SymbolKind.VARIABLE

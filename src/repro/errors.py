@@ -71,3 +71,13 @@ class DimensionError(RuntimeMatlabError):
 
 class RepositoryError(MatlabError):
     """Raised by the code repository (missing function, bad invocation)."""
+
+
+class RecursionLimitError(RuntimeMatlabError):
+    """User-function recursion ran past the host's recursion limit.  Every
+    tier raises it with one text, wherever the host limit was reached."""
+
+    MESSAGE = "maximum recursion depth exceeded"
+
+    def __init__(self):
+        super().__init__(self.MESSAGE)

@@ -55,6 +55,7 @@ from repro.faults.plan import (
     SITE_CACHE_CORRUPT,
     SITE_CACHE_PARTIAL,
     SITE_CRASH,
+    SITE_DIRECT_CALL,
     SITE_HANG,
     SITE_JIT,
     SITE_KERNEL_COMPILE,
@@ -157,14 +158,17 @@ class Lane:
 
 def default_lanes() -> list[Lane]:
     """The standard sweep: one compile-time and one runtime fault each,
-    against both tiers of the compiled path, plus faults in the fused
-    elementwise kernel compiler and the kernels it emits — for JIT code
-    and, since both code generators fuse, for speculative code."""
+    against both tiers of the compiled path, a callee failing inside a
+    direct call (mid-recursion: the callee is deoptimized, its compiled
+    caller goes on), plus faults in the fused elementwise kernel
+    compiler and the kernels it emits — for JIT code and, since both
+    code generators fuse, for speculative code."""
     return [
         Lane("jit-compile", (FaultSpec(SITE_JIT),)),
         Lane("spec-compile", (FaultSpec(SITE_SPEC),), backend="spec"),
         Lane("runtime-hit1", (FaultSpec(RT_ANY),)),
         Lane("runtime-hit7", (FaultSpec(RT_ANY, hits=(7,)),)),
+        Lane("direct-call", (FaultSpec(SITE_DIRECT_CALL, hits=(3,)),)),
     ] + [
         Lane(f"{prefix}kernel-{what}", (FaultSpec(site),), backend=backend)
         for prefix, backend in (("", "fused"), ("spec-", "spec"))

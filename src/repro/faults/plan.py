@@ -66,6 +66,13 @@ SITE_PARALLEL_WORKER = "parallel.worker"
 #: attempt — the function keeps serving from its current tier, so results
 #: stay bit-identical to the interpreter.
 SITE_TIERING_PROMOTE = "tiering.promote"
+#: Direct-call site: a compiled version run straight from a bound call
+#: site of compiled code (not through the repository's serve path).
+#: Checked only in sessions whose plan names it, as the callee returns:
+#: a fault here fails the callee after every effect it had, so it is
+#: deoptimized and its effects rolled back while its caller's code goes
+#: on.
+SITE_DIRECT_CALL = "direct.call"
 #: Prefix for runtime-helper sites; ``rt.*`` wraps every helper.
 RT_PREFIX = "rt."
 RT_ANY = "rt.*"

@@ -31,7 +31,7 @@ from repro.analysis.cfg import Atom, BasicBlock, CondAtom, ForIterAtom, StmtAtom
 from repro.analysis.disambiguate import DisambiguationResult, Disambiguator
 from repro.analysis.symtab import SymbolKind
 from repro.frontend import ast_nodes as ast
-from repro.inference.annotations import Annotations, SubscriptSafety
+from repro.inference.annotations import Annotations, CallBinding, SubscriptSafety
 from repro.inference.calculator import RuleContext, TypeCalculator, default_calculator
 from repro.inference.rules_indexing import COLON_MARKER
 from repro.typesys.intrinsic import Intrinsic
@@ -55,8 +55,34 @@ class InferenceOptions:
     widen_after: int = 3
 
 
+#: Solves of a body that calls itself before its own results are taken
+#: as ⊤ (seeded ⊥, a stable body needs two; seeded right, one).
+_OWN_ROUNDS = 3
+
+_UNSEEN = object()
+_NO_OWN = ("", None, ())
+
+
+def fits(signature: Signature, arg_types, nargout: int, outputs: int) -> bool:
+    """Can a call with these argument types, asking for ``nargout``
+    results, run the version of ``signature`` (with ``outputs`` outputs)
+    directly: one actual per formal, each of a type ⊑ the formal's, and
+    a result for every output asked (at least one)."""
+    return (
+        len(arg_types) == len(signature)
+        and max(nargout, 1) <= outputs
+        and all(a.leq(t) for a, t in zip(arg_types, signature.types))
+    )
+
+
 class TypeInferenceEngine:
     """Runs forward type inference over one function body."""
+
+    #: The call binder of the running ``infer`` (None: every call ⊤), and
+    #: the function's own ``(name, signature, output types)`` while a
+    #: body that calls itself is solved.
+    _callees = None
+    _own = _NO_OWN
 
     def __init__(
         self,
@@ -74,20 +100,62 @@ class TypeInferenceEngine:
         fn: ast.FunctionDef,
         signature: Signature,
         disambiguation: DisambiguationResult | None = None,
+        callees=None,
     ) -> Annotations:
-        """Infer types for ``fn`` under the given parameter signature."""
+        """Infer types for ``fn`` under the given parameter signature.
+
+        ``callees`` locates user calls at compile time:
+        ``callees.bind(name, arg_types, nargout) -> CallBinding | None``;
+        a call it binds is typed with the bound version's output types.
+        With it, a call of ``fn`` itself whose argument types are ⊑
+        ``signature`` is bound to the version being compiled.  Its results
+        are assumed to be ``callees.own_outputs(fn, signature, options)``
+        (``None``: ⊥) and the body is solved again, the assumption joined
+        with what it produced, until what it produces is ⊑ what was
+        assumed — a post-fixpoint, so the assumption holds of every call
+        — else the call's results are ⊤, as every user call's are without
+        ``callees``."""
         if disambiguation is None:
             disambiguation = Disambiguator(lambda name: False).run_function(fn)
         entry: Env = {}
         for name, mtype in zip(fn.params, signature):
             entry[name] = self._sanitize(mtype)
-        annotations = self._solve(disambiguation, entry)
+        self._callees = callees
+        self._bindings = {}
+        self._own = _NO_OWN
+        info = disambiguation.symbols.lookup(fn.name)
+        if (
+            callees is None or info is None
+            or SymbolKind.USER_FUNCTION not in info.kinds
+        ):
+            annotations = self._solve(disambiguation, entry)
+        else:
+            own = callees.own_outputs(fn, signature, self.options) or (
+                (MType.bottom(),) * len(fn.outputs)
+            )
+            for _ in range(_OWN_ROUNDS):
+                self._own = fn.name, signature, own
+                self._bindings = {}
+                annotations = self._solve(disambiguation, entry)
+                produced = self._outputs(fn)
+                if all(p.leq(o) for p, o in zip(produced, own)) or not any(
+                    binding is not None and binding.param_reprs is None
+                    for binding in self._bindings.values()
+                ):
+                    break  # stable, or no call of its own was bound
+                own = tuple(o.join(p) for o, p in zip(own, produced))
+            else:
+                self._own = fn.name, signature, (MType.top(),) * len(own)
+                self._bindings = {}
+                annotations = self._solve(disambiguation, entry)
         for name, mtype in entry.items():
             annotations.note_var(name, mtype)
-        exit_env = self._exit_env
-        for output in fn.outputs:
-            annotations.output_types[output] = exit_env.get(output, MType.top())
+        annotations.output_types.update(zip(fn.outputs, self._outputs(fn)))
         return annotations
+
+    def _outputs(self, fn: ast.FunctionDef) -> tuple[MType, ...]:
+        exit_env = self._exit_env
+        return tuple(exit_env.get(output, MType.top()) for output in fn.outputs)
 
     def _sanitize(self, mtype: MType) -> MType:
         if not self.options.range_propagation:
@@ -199,6 +267,7 @@ class TypeInferenceEngine:
             annotations.expr_types.update(record.expr_types)
             annotations.load_safety.update(record.load_safety)
             annotations.store_safety.update(record.store_safety)
+            annotations.bound_calls.update(record.bound_calls)
             for name, mtype in record.var_types.items():
                 annotations.note_var(name, mtype)
         self._exit_env = block_in.get(cfg.exit.index, {})
@@ -537,6 +606,17 @@ class TypeInferenceEngine:
     # ------------------------------------------------------------------
     # Expressions
     # ------------------------------------------------------------------
+    def _forward(self, key, args: list[MType], nargout: int = 1) -> list[MType]:
+        """The calculator's rule ``key`` over ``args``.  While a body that
+        calls itself is solved, an operand of type ⊥ — a result of its
+        own call before its outputs are known — makes every result ⊥: the
+        operation never runs (and the colon marker is no operand)."""
+        if self._own is not _NO_OWN:
+            for arg in args:
+                if arg.is_bottom and arg is not COLON_MARKER:
+                    return [MType.bottom()] * max(nargout, 1)
+        return self.calculator.forward(key, self._ctx(args, nargout))
+
     def _ctx(self, args: list[MType], nargout: int = 1) -> RuleContext:
         return RuleContext(
             args=args,
@@ -566,16 +646,12 @@ class TypeInferenceEngine:
     # end_context)`` from ``_EXPR_TYPERS``.
     def _type_unary(self, expr, env, record, end_context) -> MType:
         operand = self._type_expr(expr.operand, env, record, end_context)
-        return self.calculator.forward(
-            ("unary", expr.op.value), self._ctx([operand])
-        )[0]
+        return self._forward(("unary", expr.op.value), [operand])[0]
 
     def _type_binary(self, expr, env, record, end_context) -> MType:
         left = self._type_expr(expr.left, env, record, end_context)
         right = self._type_expr(expr.right, env, record, end_context)
-        result = self.calculator.forward(
-            ("binop", expr.op), self._ctx([left, right])
-        )[0]
+        result = self._forward(("binop", expr.op), [left, right])[0]
         if (
             (expr.op == ".*" or expr.op == "*" and left.is_scalar)
             and left.is_real_like
@@ -615,14 +691,14 @@ class TypeInferenceEngine:
     def _type_transpose(self, expr, env, record, end_context) -> MType:
         operand = self._type_expr(expr.operand, env, record, end_context)
         mark = "'" if expr.conjugate else ".'"
-        return self.calculator.forward(("transpose", mark), self._ctx([operand]))[0]
+        return self._forward(("transpose", mark), [operand])[0]
 
     def _type_range(self, expr, env, record, end_context) -> MType:
         parts = [self._type_expr(expr.start, env, record, end_context)]
         if expr.step is not None:
             parts.append(self._type_expr(expr.step, env, record, end_context))
         parts.append(self._type_expr(expr.stop, env, record, end_context))
-        return self.calculator.forward(("colon", ":"), self._ctx(parts))[0]
+        return self._forward(("colon", ":"), parts)[0]
 
     def _type_matrix(self, expr, env, record, end_context) -> MType:
         flat = [
@@ -631,29 +707,21 @@ class TypeInferenceEngine:
             for item in row
         ]
         if not flat:
-            return self.calculator.forward(
-                ("matrix", "[]"), self._ctx([], nargout=1)
-            )[0]
-        return self.calculator.forward(
-            ("matrix", "[]"), self._ctx(flat, nargout=len(expr.rows))
-        )[0]
+            return self._forward(("matrix", "[]"), [])[0]
+        return self._forward(("matrix", "[]"), flat, len(expr.rows))[0]
 
     def _type_end(self, expr, env, record, end_context) -> MType:
         if end_context is None:
             return MType.scalar(Intrinsic.INT, Interval.of(0.0, math.inf))
         array, dim = end_context
-        return self.calculator.forward(
-            ("index", "end"), self._ctx([array], nargout=dim)
-        )[0]
+        return self._forward(("index", "end"), [array], dim)[0]
 
     def _type_ident(self, expr, env, record, end_context) -> MType:
         kind = self._dis.kind_of(expr)
         if kind is SymbolKind.VARIABLE or expr.name in env:
             return env.get(expr.name, MType.top())
         if kind is SymbolKind.BUILTIN:
-            return self.calculator.forward(
-                ("builtin", expr.name), self._ctx([])
-            )[0]
+            return self._forward(("builtin", expr.name), [])[0]
         return MType.top()
 
     def _type_index_arg(
@@ -688,26 +756,43 @@ class TypeInferenceEngine:
             ]
             record.load_safety[id(expr)] = self._classify_load(array, index_types)
             key = ("index", "linear" if len(expr.args) == 1 else "2d")
-            result = self.calculator.forward(
-                key, self._ctx([array] + index_types)
-            )
+            result = self._forward(key, [array] + index_types)
             out = [result[0]]
         elif kind is SymbolKind.BUILTIN:
             arg_types = [
                 self._type_expr(arg, env, record) for arg in expr.args
             ]
-            out = self.calculator.forward(
-                ("builtin", expr.name), self._ctx(arg_types, nargout=nargout)
-            )
+            out = self._forward(("builtin", expr.name), arg_types, nargout)
         else:
-            for arg in expr.args:
-                self._type_expr(arg, env, record)  # annotates the arguments
-            out = [MType.top() for _ in range(nargout)]
+            arg_types = [self._type_expr(arg, env, record) for arg in expr.args]
+            binding = None
+            if self._callees is not None and kind is SymbolKind.USER_FUNCTION:
+                binding = self._bind(expr.name, arg_types, nargout)
+                record.bound_calls[id(expr)] = binding
+            out = (
+                [MType.top() for _ in range(nargout)] if binding is None
+                else list(binding.output_types[:nargout])
+            )
         while len(out) < nargout:
             out.append(MType.top())
         out = [self._sanitize(t) for t in out]
         record.set_type(expr, out[0])
         return out
+
+    def _bind(self, name: str, arg_types: list[MType], nargout: int):
+        """The binding of a user call with these argument types, decided
+        once per solve: a call of the function being compiled goes to
+        this version, any other to what ``callees`` locates."""
+        key = name, tuple(arg_types), nargout
+        binding = self._bindings.get(key, _UNSEEN)
+        if binding is _UNSEEN:
+            own_name, signature, own = self._own
+            if name == own_name and fits(signature, arg_types, nargout, len(own)):
+                binding = CallBinding(name, signature, own)
+            else:
+                binding = self._callees.bind(name, arg_types, nargout)
+            self._bindings[key] = binding
+        return binding
 
 
 #: ``_type_expr`` by node class (``Apply`` is ``_type_call``'s).  The

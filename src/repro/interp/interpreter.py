@@ -19,7 +19,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.errors import RuntimeMatlabError, UndefinedSymbolError
+from repro.errors import (
+    RecursionLimitError,
+    RuntimeMatlabError,
+    UndefinedSymbolError,
+)
 from repro.frontend import ast_nodes as ast
 from repro.runtime import builtins as rt_builtins
 from repro.runtime import display
@@ -105,6 +109,10 @@ class Interpreter:
             self.exec_block(fn.body, env)
         except _Return:
             pass
+        except RecursionError:
+            # Raised in whatever frame met the host limit; the first
+            # handler with room to build the error turns it into MATLAB's.
+            raise RecursionLimitError() from None
         outputs: list[MxArray] = []
         wanted = max(nargout, 1) if fn.outputs else 0
         for name in fn.outputs[:wanted]:

@@ -50,7 +50,8 @@ kernel cache has dropped it).  The pickled object keeps its generated
 source (explain, the goldens and tests read it), its signature and
 kernel tables, and from its annotations ``var_types``, ``output_types``,
 ``converged`` and ``iterations``.  The identity-keyed tables
-(``expr_types``, ``load_safety``, ``store_safety``) are stored empty:
+(``expr_types``, ``load_safety``, ``store_safety``, ``bound_calls``) are
+stored empty:
 they are keyed by ``id`` of the compiling process's AST nodes, which
 means nothing in another process.  Entries are *framed*: a magic +
 format-version header and a SHA-256 digest of the payload precede it, so
@@ -79,6 +80,7 @@ import pickle
 from dataclasses import replace
 
 from repro.codegen.jitgen import CompiledObject
+from repro.codegen.runtime_support import CALL_SITES
 from repro.kernels.cache import KERNEL_CACHE
 from repro.kernels.codegen import compile_kernel
 from repro.repository.store import DiskStore
@@ -94,8 +96,9 @@ from repro.vcode.emit import bind_function
 #: stores code with small vectors scalar-replaced, so the per-site
 #: buffers of format 5 code (which aliased) are never revived; format 7
 #: stores small matrix products as ``rt.mtimes_elements`` calls, which
-#: an older runtime lacks.
-CACHE_FORMAT_VERSION = "7"
+#: an older runtime lacks; format 8 stores code that calls other compiled
+#: code directly (``rt.site_<hash>``) with its call-site table.
+CACHE_FORMAT_VERSION = "8"
 
 #: The signature slot of a parse record's key.
 UNIT_TAG = "source-unit"
@@ -209,7 +212,8 @@ def serialize_object(obj: CompiledObject) -> bytes:
         obj,
         emitted=replace(obj.emitted, code=None, callable=None),
         annotations=replace(
-            obj.annotations, expr_types={}, load_safety={}, store_safety={}
+            obj.annotations, expr_types={}, load_safety={}, store_safety={},
+            bound_calls={},
         ),
     )
     return serialize_payload((stripped, code))
@@ -217,14 +221,17 @@ def serialize_object(obj: CompiledObject) -> bytes:
 
 def deserialize_object(payload: bytes) -> CompiledObject:
     """Unpickle and revive: bind the callable from the stored module code
-    and re-register the kernels the emitted code references, so the
-    ``rt.kernel_<hash>`` dispatch never misses in a fresh process."""
+    and re-register the kernels and call sites the emitted code
+    references, so neither ``rt.kernel_<hash>`` nor ``rt.site_<hash>``
+    misses in a fresh process."""
     obj, code = deserialize_payload(payload)
     emitted = obj.emitted
     emitted.code, kernels = marshal.loads(code)
     emitted.callable = bind_function(emitted.code, emitted.name)
     for name, source in obj.kernel_sources.items():
         KERNEL_CACHE.register(name, obj.kernel_keys[name], source, kernels[name])
+    for name, site in obj.call_sites.items():
+        CALL_SITES.setdefault(name, site)
     return obj
 
 

@@ -39,19 +39,32 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.errors import CodegenError, MatlabError, RepositoryError
+from repro.errors import (
+    CodegenError,
+    MatlabError,
+    RecursionLimitError,
+    RepositoryError,
+)
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
 from repro.frontend.pretty import pretty_function
 from repro.codegen import inline
 from repro.codegen.inline import Inliner
 from repro.codegen.jitgen import CompiledObject, JitCompiler, JitOptions
-from repro.codegen.runtime_support import RuntimeSupport
+from repro.codegen.runtime_support import (
+    RuntimeSupport,
+    box,
+    called_through,
+    site_results,
+)
+from repro.inference.annotations import CallBinding
+from repro.analysis.disambiguate import Disambiguator
+from repro.inference.engine import TypeInferenceEngine, fits
 from repro.codegen.srcgen import SourceCompiler, SrcOptions
 from repro.interp.frontend import Invocation
 from repro.interp.interpreter import Interpreter
 from repro.kernels.cache import KERNEL_CACHE
-from repro.faults.plan import SITE_HANG, SITE_OOM
+from repro.faults.plan import SITE_DIRECT_CALL, SITE_HANG, SITE_OOM
 from repro.obs import DISABLED as DISABLED_OBS
 from repro.obs import TIER_INTERPRETER, TIER_JIT, TIER_SPEC
 from repro.resilience import (
@@ -97,7 +110,9 @@ class RepositoryStats:
     cache_stores: int = 0
     # Persistent-cache probes by result ("hit" / "miss"), first seen first.
     cache_requests: Counter = field(default_factory=Counter)
-    # Observability: executions by tier (summary()/profiler cross-checks).
+    # Observability: executions by tier (summary()/profiler cross-checks)
+    # — the calls the repository serves; a direct call between compiled
+    # versions is part of its caller's execution and counts nowhere.
     calls_jit: int = 0
     calls_spec: int = 0
     calls_interpreted: int = 0
@@ -299,6 +314,9 @@ class CodeRepository:
         # check and cache probe see what the other stored).
         self._lock = threading.RLock()
         self._compile_locks: dict[str, threading.Lock] = {}
+        # name -> the epoch of its held versions: moved by every store,
+        # removal and purge; a direct call site checks it before each call.
+        self._held: dict[str, _Held] = {}
         # Monotonic per-name redefinition counters: an in-flight background
         # compile captures the generation at enqueue time and its result is
         # dropped if the function was redefined (or removed) meanwhile.
@@ -316,6 +334,7 @@ class CodeRepository:
         self._rt = RuntimeSupport(
             call_user=self._call_user, sink=self.sink, fault_plan=fault_plan,
             obs=self.obs, native=native, knows=self.knows,
+            link=self._link_site,
         )
 
     # ------------------------------------------------------------------
@@ -424,6 +443,7 @@ class CodeRepository:
             self._fast_cache.pop(name, None)
             self._strikes.pop(name, None)
             self._generations[name] = self._generations.get(name, 0) + 1
+            self._held_set(name).epoch += 1
 
     def generation_of(self, name: str) -> int:
         """Redefinition counter for ``name``: what was learned about it
@@ -486,6 +506,7 @@ class CodeRepository:
     def attach(self, controller) -> None:
         """Install the adaptive-tiering controller."""
         self.tiering = controller
+        self._rt._unlink_sites()
 
     def disarm(self) -> None:
         """Session close: later calls run unsupervised — no watchdog
@@ -494,6 +515,7 @@ class CodeRepository:
         self.guard.run_deadline = None
         self._watched = self._chaos_run_checks
         self.sandbox = None
+        self._rt._unlink_sites()
 
     def knows(self, name: str) -> bool:
         return name in self._units
@@ -583,6 +605,7 @@ class CodeRepository:
         repository using a better compiler").
         """
         with self._lock:
+            self._held_set(obj.name).epoch += 1
             versions = self._objects.setdefault(obj.name, [])
             for index, existing in enumerate(versions):
                 if existing.signature == obj.signature:
@@ -801,6 +824,7 @@ class CodeRepository:
                         lambda: compiler.compile(
                             fn, signature, mode=mode,
                             is_user_function=self.knows,
+                            callees=_Callees(self, guess=name in applied),
                         ),
                     )
             except Exception as exc:  # noqa: BLE001 - rejection or compiler crash
@@ -1000,6 +1024,9 @@ class CodeRepository:
             return version.invoke(invocation.args, invocation.nargout, self._rt)
         except MatlabError:
             raise
+        except RecursionError:
+            # The program's own depth, not a fault of this version.
+            raise RecursionLimitError() from None
         except Exception as exc:  # noqa: BLE001 - this is the safety net
             return self._deoptimize(invocation, version, exc, rng_state, sink_mark)
 
@@ -1088,6 +1115,7 @@ class CodeRepository:
         """The one way a version leaves: out of the function's list and
         the hot-call cache and — ``evict`` — the persistent cache."""
         with self._lock:
+            self._held_set(name).epoch += 1
             remaining = [v for v in self._objects.get(name, ()) if v is not obj]
             if remaining:
                 self._objects[name] = remaining
@@ -1136,9 +1164,207 @@ class CodeRepository:
         """Re-entry point for compiled code calling user functions."""
         return self.execute(Invocation(name, args, nargout))
 
+    # ------------------------------------------------------------------
+    # Direct calls: a user call site located at compile time
+    # ------------------------------------------------------------------
+    def _held_set(self, name: str) -> "_Held":
+        held = self._held.get(name)
+        if held is None:
+            with self._lock:
+                held = self._held.setdefault(name, _Held())
+        return held
+
+    def _bind_call(self, name: str, arg_types, nargout: int):
+        """The compile-time binding of a user call with these argument
+        types: the held version of ``name`` nearest to them whose
+        signature they are ⊑ (None: no such version; the site re-enters
+        through ``rt.call_user``)."""
+        with self._lock:
+            versions = tuple(self._objects.get(name, ()))
+        found = [
+            v for v in versions
+            if fits(v.signature, arg_types, nargout, len(v.output_reprs))
+        ]
+        if not found:
+            return None
+        actual = Signature.of(arg_types)
+        version = min(found, key=lambda v: v.signature.distance(actual))
+        return CallBinding(
+            name, version.signature,
+            tuple(version.annotations.output_types.values()),
+            tuple(version.param_reprs), tuple(version.output_reprs),
+        )
+
+    @property
+    def _serves_direct(self) -> bool:
+        """Whether call sites may bypass :meth:`execute` in this session:
+        not when a run watchdog or the sandbox supervises every served
+        call, an adaptive controller observes them, or a fault plan arms
+        a runtime helper (the fault sweeps count those calls)."""
+        return not (
+            self._watched
+            or self.sandbox is not None
+            or self.tiering is not None
+            or self.fault_plan is not None and self.fault_plan.runtime_helpers()
+        )
+
+    def _link_site(self, site):
+        """What ``rt.<site.helper>`` calls in this session: the site served
+        directly (:class:`_DirectSite`), or ``None`` — it calls through."""
+        if not self._serves_direct:
+            return None
+        return _DirectSite(self, site).closure()
+
+    def _call_failed(self, site, version, exc, rng_state, sink_mark, args):
+        """A version a direct call ran raised a non-MATLAB exception: the
+        callee is deoptimized and struck (never its caller, whose code
+        goes on), its half-run effects rolled back, and the call served
+        by its bottom version; the results come back as the site reads
+        them."""
+        invocation = Invocation(site.callee, [box(a) for a in args], site.nargout)
+        return site_results(site, self._deoptimize(
+            invocation, version, exc, rng_state, sink_mark
+        ))
+
     def _interp_dispatch(self, name, args, nargout):
         """The fallback interpreter also routes calls through us, so a
         single uncompilable function doesn't drag its callees down."""
         if not self.knows(name):
             return None
         return self.execute(Invocation(name, args, nargout))
+
+
+class _Callees:
+    """What inference asks the repository about the user calls of a
+    function it compiles (``TypeInferenceEngine.infer``'s ``callees``)."""
+
+    def __init__(self, repository: CodeRepository, guess: bool):
+        # ``guess``: the function calls itself and was inlined into
+        # itself, so a guess at its own outputs is worth making.
+        self.repository, self.guess = repository, guess
+
+    def bind(self, name: str, arg_types, nargout: int):
+        return self.repository._bind_call(name, arg_types, nargout)
+
+    def own_outputs(self, fn: ast.FunctionDef, signature, options):
+        """A first guess at what ``fn``'s calls of itself return: the
+        outputs of its definition as written — a body the inliner has not
+        multiplied — solved the same way, from ⊥.  The compile's own solve
+        then usually confirms it at once.  ``None``: no guess."""
+        repository = self.repository
+        original = repository.lookup_function(fn.name) if self.guess else None
+        if original is None or original is fn:
+            return None
+        annotations = TypeInferenceEngine(options=options).infer(
+            original, signature,
+            Disambiguator(repository.knows).run_function(original),
+            _Callees(repository, guess=False),
+        )
+        return tuple(annotations.output_types.values())
+
+
+class _Held:
+    """The epoch of one name's set of held versions."""
+
+    __slots__ = ("epoch",)
+
+    def __init__(self):
+        self.epoch = 0
+
+
+#: Arity -> how a direct site calls a version's emitted function: a plain
+#: positional call, so a deep recursion stays in the host's frame stack
+#: rather than the C stack (``runtime_support.SITE_ARITY``).
+_INVOKE = {
+    0: lambda entry, rt, a, b, c, d: entry(rt),
+    1: lambda entry, rt, a, b, c, d: entry(a, rt),
+    2: lambda entry, rt, a, b, c, d: entry(a, b, rt),
+    3: lambda entry, rt, a, b, c, d: entry(a, b, c, rt),
+    4: lambda entry, rt, a, b, c, d: entry(a, b, c, d, rt),
+}
+
+
+class _DirectSite:
+    """One call site served straight from the version it was compiled to
+    call (DESIGN.md, *Robustness layer*, direct call).
+
+    Before each call it checks one thing: that the callee's held
+    versions are the ones it last looked at.  When they moved it looks
+    again for the version of the site's signature and calling
+    convention; with none held, the call re-enters the repository
+    (:func:`~repro.codegen.runtime_support.called_through`), which
+    locates or compiles as for any call.  The call itself runs under the
+    same net as :meth:`CodeRepository._serve`, with the callee's version
+    as the one that failed."""
+
+    __slots__ = ("repository", "site", "held", "epoch", "link", "fallback")
+
+    def __init__(self, repository: CodeRepository, site):
+        self.repository, self.site = repository, site
+        self.held = repository._held_set(site.callee)
+        self.epoch = -1
+        self.link = None, None
+        self.fallback = called_through(repository._rt, site)
+
+    def relink(self) -> None:
+        repository, site = self.repository, self.site
+        with repository._lock:
+            self.epoch = self.held.epoch
+            version = next((
+                v for v in repository._objects.get(site.callee, ())
+                if v.signature == site.signature
+                and tuple(v.param_reprs) == site.param_reprs
+                and tuple(v.output_reprs[:len(site.output_reprs)])
+                == site.output_reprs
+            ), None)
+        if version is None:
+            self.link = None, None
+            return
+        entry = version.emitted.callable
+        plan = repository.fault_plan
+        if plan is not None and any(
+            spec.site == SITE_DIRECT_CALL for spec in plan.specs
+        ):
+            def entry(*args, _entry=entry, _name=site.callee):
+                results = _entry(*args)
+                plan.check(SITE_DIRECT_CALL, _name)
+                return results
+
+        self.link = entry, version
+
+    def closure(self):
+        """The function ``rt.<site.helper>`` is: the site's arguments in,
+        its results out, as the site reads them."""
+        repository, site = self.repository, self.site
+        held, invoke = self.held, _INVOKE[len(site.param_reprs)]
+        rt, fallback = repository._rt, self.fallback
+        snapshot, mark = GLOBAL_RANDOM.snapshot, repository.sink.mark
+        failed, arity = repository._call_failed, len(site.param_reprs)
+        count = len(site.output_reprs)
+
+        def call(a=None, b=None, c=None, d=None):
+            if held.epoch != self.epoch:
+                self.relink()
+            entry, version = self.link
+            if entry is None:
+                return fallback(a, b, c, d)
+            rng_state, sink_mark = snapshot(), mark()
+            try:
+                results = invoke(entry, rt, a, b, c, d)
+            except MatlabError:
+                raise
+            except RecursionError:
+                raise RecursionLimitError() from None
+            except Exception as exc:  # noqa: BLE001 - the callee's net
+                return failed(
+                    site, version, exc, rng_state, sink_mark,
+                    (a, b, c, d)[:arity],
+                )
+            if results[0] is None:
+                raise version.unassigned(0)
+            for position in range(1, count):
+                if results[position] is None:
+                    raise version.unassigned(position)
+            return results
+
+        return call

@@ -56,9 +56,9 @@ def recorded_inference():
         transfers[0] += 1
         return transfer(self, *args, **kwargs)
 
-    def recording_infer(self, fn, signature, disambiguation=None):
+    def recording_infer(self, fn, signature, disambiguation=None, *rest):
         before = transfers[0]
-        annotations = infer(self, fn, signature, disambiguation)
+        annotations = infer(self, fn, signature, disambiguation, *rest)
         runs.append((fn, signature, disambiguation, annotations,
                      transfers[0] - before))
         return annotations

@@ -118,11 +118,15 @@ class TestJitBasics:
         assert np.iscomplexobj(result)
 
     def test_output_never_assigned_raises(self):
-        from repro.errors import CodegenError
+        """The interpreter's error, text included (it was a CodegenError
+        saying "output of 'f' was never assigned")."""
+        from repro.errors import RuntimeMatlabError
 
         src = "function y = f(x)\nif x > 0, y = 1; end\n"
         obj, args = compile_jit(src, -1.0)
-        with pytest.raises(CodegenError):
+        with pytest.raises(
+            RuntimeMatlabError, match="output argument 'y' of f not assigned"
+        ):
             run(obj, args)
 
 

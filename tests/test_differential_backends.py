@@ -25,7 +25,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.backends import BACKENDS, Program, check, observation
+from repro.backends import BACKENDS, Program, check, observation, observe
+from repro.backends import open as open_backend
+from repro.faults.plan import SITE_DIRECT_CALL, FaultPlan, FaultSpec
+from repro.repository.diagnostics import DEOPT
 from repro.benchsuite.registry import benchmark_names
 from repro.core.platformcfg import MIPS, SPARC
 from repro.runtime.builtins import GLOBAL_RANDOM
@@ -267,6 +270,27 @@ NESTED_END = (
 )
 
 
+END_OUTSIDE = "function y = eo(n)\nx = [1 2 3] * n;\ny = sin(end);\n"
+#: Recursion whose every level prints and draws, called from a loop: the
+#: calls of ``step`` from ``step`` are direct calls in compiled code
+#: (past the three levels the inliner expands, in ``drw`` and in ``step``).
+DIRECT_EFFECTS = (
+    "function r = drw(n)\nr = 0;\nfor k = 1:2\n  r = r + step(n);\nend\n"
+    "function s = step(n)\ndisp(n);\ns = rand(1, 1);\n"
+    "if n > 0\n  s = s + step(n - 1);\nend\n"
+)
+#: A call of ``mp`` by ``mp`` whose actual is a scalar on most paths and
+#: a 1x2 matrix or a complex on others: its type is no scalar's, so the
+#: site is not bound to the scalar version the call runs on.
+OUTSIDE_SIGNATURE = (
+    "function r = mp(x, n)\nif n == 0, r = sum(x); return; end\n"
+    "if n == 2, y = [x 1]; elseif n == 3, y = x + 2i; else y = x; end\n"
+    "r = mp(y, n - 1) + n;\n"
+)
+DEEP = "function r = deep(n)\nif n == 0, r = 0; else r = 1 + deep(n - 1); end\n"
+UNASSIGNED = "function y = un(x)\nif x > 0, y = 1; end\n"
+
+
 def _scalar(value):
     return lambda: [from_python(value)]
 
@@ -409,6 +433,18 @@ def _dgemv_zero_beta():
 #: ``nested-end``: ``end`` is the extent of the innermost array being
 #: indexed, so ``x(y(end))`` reads ``x(2)`` (the interpreter gave every
 #: ``end`` in a subscript the outer array's extent and raised).
+#: ``end-outside-subscript``: an ``end`` no subscript encloses raises the
+#: interpreter's error where the interpreter does (compiled code called
+#: ``end_dim(None, …)``: a host ``TypeError``, a deopt on jit and spec,
+#: a crash on falcon and mcc).
+#: ``direct-call-effects``: a recursion that prints and draws at every
+#: level, through direct calls.  ``direct-call-outside-signature``: an
+#: actual a maybe-path makes a matrix or a complex leaves its call site
+#: unbound.  ``recursion-past-limit``: past the host's recursion limit
+#: every tier raises the interpreter's error (every tier raised a host
+#: ``RecursionError``, and compiled code deoptimized at every level on
+#: the way out).  ``output-unassigned``: an output a path leaves unset
+#: is the interpreter's error, text included.
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -495,7 +531,23 @@ PROBES = {
     ),
     "dgemv-zero-beta": Program((DGEMV_ZERO_BETA,), "zb", _dgemv_zero_beta),
     "nested-end": Program((NESTED_END,), "nend", _scalar(1.0), nargout=3),
+    "end-outside-subscript": Program((END_OUTSIDE,), "eo", _scalar(2.0)),
+    "direct-call-effects": Program((DIRECT_EFFECTS,), "drw", _scalar(12.0)),
+    "direct-call-outside-signature": Program(
+        (OUTSIDE_SIGNATURE,), "mp",
+        lambda: [from_python(1.5), from_python(5.0)],
+    ),
+    "recursion-past-limit": Program((DEEP,), "deep", _scalar(1e6)),
+    "output-unassigned": Program((UNASSIGNED,), "un", _scalar(-1.0)),
 }
+
+#: The probes whose compiled calls are direct calls where nothing
+#: supervises the session (the probe matrix runs under a run watchdog,
+#: which sends every call through the repository).
+DIRECT_PROBES = (
+    "direct-call-effects", "direct-call-outside-signature",
+    "recursion-past-limit",
+)
 
 
 def _relapse(signum, frame):
@@ -521,6 +573,81 @@ def test_probe_bit_identical_to_interpreter(probe, backend, overrides):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert not problems, f"{backend} run of {probe}: {problems}"
+
+
+# ----------------------------------------------------------------------
+# Direct calls: compiled code calling compiled code
+# ----------------------------------------------------------------------
+SESSION_ROWS = [
+    pytest.param(label, kw, id=f"{label}{suffix}")
+    for label, kw, suffix in ROWS if BACKENDS[label].session is not None
+]
+
+
+@pytest.mark.parametrize(("backend", "overrides"), SESSION_ROWS)
+@pytest.mark.parametrize("probe", DIRECT_PROBES)
+def test_direct_call_probe_unsupervised(probe, backend, overrides):
+    """The direct-call probes with no run watchdog, where bound sites call
+    the versions they were compiled for (an alarm bounds a hang)."""
+    previous = signal.signal(signal.SIGALRM, _relapse)
+    signal.alarm(60)
+    try:
+        problems = check(PROBES[probe], backend, **overrides)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not problems, f"{backend} run of {probe}: {problems}"
+
+
+#: ``rc`` calls itself and ``leaf``; ``leaf``'s early return keeps it a
+#: call (the inliner embeds no function that returns early).
+REDEFINED = (
+    "function r = rc(n)\nif n <= 0, r = leaf(n); return; end\n"
+    "r = rc(n - 1) + leaf(n);\n",
+    "function y = leaf(x)\nif x < 0, y = -x; return; end\ny = 2 * x;\n",
+)
+LEAF_V2 = "function y = leaf(x)\nif x < 0, y = x; return; end\ny = x * x + 1;\n"
+RC_V2 = "function r = rc(n)\nif n <= 0, r = 7; return; end\nr = 3 * rc(n - 1);\n"
+
+
+@pytest.mark.parametrize("backend", sorted(set(BACKENDS) - {"interpreter"}))
+def test_redefinition_between_calls_of_a_compiled_caller(backend):
+    """Call, redefine the callee, call, redefine the caller itself, call:
+    every call sees the definitions of its moment (on the ``spec`` row
+    ``rc``'s calls of ``leaf`` are bound: ``leaf`` is compiled first)."""
+    program = Program(REDEFINED, "rc", _scalar(4.0))
+    with open_backend(program, backend) as handle:
+        target = handle.session or handle.engine
+        sources = list(REDEFINED)
+        for redefinition in (None, LEAF_V2, RC_V2, REDEFINED[1]):
+            if redefinition is not None:
+                target.add_source(redefinition)
+                sources.append(redefinition)
+            want = observe(Program(tuple(sources), "rc", _scalar(4.0)),
+                           "interpreter")
+            assert not want.diff(handle.call()), (backend, redefinition)
+            assert not handle.fallbacks()
+
+
+@pytest.mark.parametrize("backend", ["jit", "fused", "spec", "background"])
+def test_callee_fault_in_a_direct_call_rolls_back_the_callee(backend):
+    """A callee failing as it returns from a direct call, after it printed
+    and drew (``direct.call``): the callee is deoptimized and struck, its
+    effects rolled back and re-run by the interpreter, and its compiled
+    caller goes on — the observation is the interpreter's."""
+    program = PROBES["direct-call-effects"]
+    want = observe(program, "interpreter")
+    fired = 0
+    for hit in (1, 2, 4):
+        plan = FaultPlan([FaultSpec(SITE_DIRECT_CALL, hits=(hit,))])
+        with open_backend(program, backend, fault_plan=plan) as handle:
+            assert not want.diff(handle.call()), hit
+            fired += len(plan.fired)
+            deopts = handle.session.diagnostics.events(DEOPT)
+            assert len(deopts) == len(plan.fired), hit
+            assert all(event.function == "step" for event in deopts)
+            assert not want.diff(handle.call()), hit     # and once more
+    assert fired == 3
 
 
 # ----------------------------------------------------------------------

@@ -182,8 +182,15 @@ class TestDifferentialHarness:
         session records the corresponding events."""
         outcomes = run_differential(names=["fibonacci", "dirich", "sor"])
         assert outcomes and all(o.matches for o in outcomes)
-        kernel_fired = 0
+        kernel_fired = direct_fired = 0
         for outcome in outcomes:
+            if outcome.plan == "direct-call":
+                # Only a direct call reaches the site: fibonacci's calls
+                # of itself do; dirich and sor call no user function.
+                direct_fired += outcome.faults_fired
+                if outcome.faults_fired:
+                    assert outcome.events.get(DEOPT, 0) >= 1
+                continue
             if "kernel" in outcome.plan:
                 # Kernel sites exist only where the matcher fuses a tree
                 # (sor's JIT code does; fibonacci/dirich have no
@@ -204,7 +211,7 @@ class TestDifferentialHarness:
                 assert outcome.events.get("tier_promote", 0) >= 1
             else:
                 assert outcome.events.get(COMPILE_FAILURE, 0) >= 1
-        assert kernel_fired >= 1
+        assert kernel_fired >= 1 and direct_fired >= 1
 
     def test_speculative_kernels_are_fault_sites(self):
         """Speculative code fuses like JIT code, so both kernel sites fire

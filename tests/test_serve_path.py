@@ -15,7 +15,9 @@ that cache, so what keeps it right is tested here as sequences:
 * the rollback capture equals a fresh read of the generator whatever the
   interleaving, and a faulted call leaves stream and transcript exactly
   where the interpreter does;
-* the work of one steady call, as counts that repeat exactly.
+* the work of one steady call, as counts that repeat exactly — and that
+  a compiled call of compiled code enters neither ``execute`` nor
+  ``rt.call_user`` unless the session must see every call.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from hypothesis import strategies as st
 from repro import FaultPlan, MajicSession, TieringPolicy
 from repro import backends
 from repro.backends import Program, canon_value
-from repro.benchsuite.registry import benchmark_names
+from repro.benchsuite.registry import benchmark_names, sources_of
 from repro.errors import MatlabError
 from repro.faults.plan import FaultSpec
 from repro.frontend.parser import parse
@@ -496,3 +498,61 @@ def test_steady_call_is_a_table_hit(name, program):
         served = stats.calls_jit - before[1]
         assert len(reads) <= (served if name in DRAWING else 0)
         assert stats.deopts == 0
+
+
+# ----------------------------------------------------------------------
+# Direct calls: compiled code calls compiled code without the serve path
+# ----------------------------------------------------------------------
+FIBONACCI = Program(
+    sources_of("fibonacci"), "fibonacci", lambda: [from_python(10.0)]
+)
+
+#: Session -> (``execute`` entries, ``rt.call_user`` entries) of one steady
+#: ``fibonacci(10)``.  62 is every call the three inlined levels leave, as
+#: before direct calls: where a watchdog, an adaptive controller or a
+#: runtime-helper fault plan must see each call, every one is served.
+SERVE_PATH_ENTRIES = {
+    "plain": ({}, (1, 0)),
+    "run-watchdog": (
+        {"resilience": ResiliencePolicy(run_deadline=30.0)}, (63, 62)
+    ),
+    "adaptive": (
+        {"adaptive": True, "sync": True,
+         "tiering": TieringPolicy(jit_threshold=1.0, spec_threshold=2.0)},
+        (63, 62),
+    ),
+    "rt-fault-plan": (
+        {"fault_plan": FaultPlan([FaultSpec(site="rt.*", hits=(10**9,))])},
+        (63, 62),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", SERVE_PATH_ENTRIES)
+def test_direct_calls_skip_the_serve_path(label, fresh_session):
+    kwargs, (executes, call_users) = SERVE_PATH_ENTRIES[label]
+    session = fresh_session(seed=None, **kwargs)
+    for text in FIBONACCI.sources:
+        session.add_source(text)
+    args = FIBONACCI.make_args()
+    for _ in range(4):
+        session.call_boxed("fibonacci", args, nargout=1)
+    repo = session.repository
+    counts = {"execute": 0, "call_user": 0}
+    execute, call_user = repo.execute, repo._rt.call_user
+
+    def counted_execute(invocation):
+        counts["execute"] += 1
+        return execute(invocation)
+
+    def counted_call_user(*call):
+        counts["call_user"] += 1
+        return call_user(*call)
+
+    repo.execute, repo._rt.call_user = counted_execute, counted_call_user
+    want = backends.reference(FIBONACCI)
+    assert canon_value(
+        session.call_boxed("fibonacci", args, nargout=1)[0]
+    ) == want.outputs[0]
+    assert (counts["execute"], counts["call_user"]) == (executes, call_users)
+    assert session.stats.deopts == 0
