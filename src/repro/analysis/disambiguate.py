@@ -31,6 +31,9 @@ class DisambiguationResult:
     assignments: AssignmentSets
     # id(Ident or Apply node) -> resolution of that occurrence
     resolution: dict[int, SymbolKind] = field(default_factory=dict)
+    # Names called that were no function at resolution (bound late, as
+    # USER_FUNCTION: compiled code asks again when the call runs)
+    unknown: set[str] = field(default_factory=set)
 
     def kind_of(self, node: ast.Expr) -> SymbolKind | None:
         return self.resolution.get(id(node))
@@ -89,7 +92,8 @@ class Disambiguator:
         symbols = result.symbols
         for node in atom.uses:
             kind = self._resolve(
-                node.name, must, may, is_apply=isinstance(node, ast.Apply)
+                node.name, must, may, is_apply=isinstance(node, ast.Apply),
+                unknown=result.unknown,
             )
             result.resolution[id(node)] = kind
             info = symbols.ensure(node.name)
@@ -107,6 +111,7 @@ class Disambiguator:
         must: frozenset[str],
         may,
         is_apply: bool,
+        unknown: set[str],
     ) -> SymbolKind:
         if name in must:
             return SymbolKind.VARIABLE
@@ -120,6 +125,7 @@ class Disambiguator:
         if is_apply:
             # Unknown call target: bind late; the repository may learn about
             # the function before execution reaches this site.
+            unknown.add(name)
             return SymbolKind.USER_FUNCTION
         return SymbolKind.AMBIGUOUS
 

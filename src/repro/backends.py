@@ -205,11 +205,12 @@ class Handle:
         return observation(outputs, self.sink.getvalue()[shown:], error)
 
     def fallbacks(self) -> tuple[str, ...]:
-        """Every deopt and failed compile the session recorded, cause
-        included.  The interpreter rescues both, so the observation stays
-        right while a tier is lost; a fault-free run must leave none."""
+        """Every deopt and failed compile the session recorded (every
+        rescued run, for a batch compiler), cause included.  The
+        interpreter rescues them, so the observation stays right while a
+        tier is lost; a fault-free run must leave none."""
         if self.session is None:
-            return ()
+            return tuple(getattr(self.engine, "rescues", ()))
         return tuple(
             str(event) for event in self.session.diagnostics.events()
             if event.kind in (DEOPT, COMPILE_FAILURE)

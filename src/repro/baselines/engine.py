@@ -4,7 +4,10 @@ A :class:`BaselineEngine` owns a function table, compiles whole programs
 ahead of time (batch), and executes invocations against its compiled
 objects.  Unlike the MaJIC repository there is no locator ladder: a batch
 compiler produces exactly one version per function, and a call that
-version's signature does not accept runs in the interpreter.
+version's signature does not accept runs in the interpreter.  A compiled
+run that fails with a non-MATLAB exception is rescued as a session
+rescues one: its transcript and random draws are rolled back and the
+interpreter runs the call (each rescue is listed in ``rescues``).
 """
 
 from __future__ import annotations
@@ -12,10 +15,16 @@ from __future__ import annotations
 from repro.codegen.inline import Inliner
 from repro.codegen.jitgen import CompiledObject
 from repro.codegen.runtime_support import RuntimeSupport
-from repro.errors import CodegenError, RepositoryError
+from repro.errors import (
+    CodegenError,
+    MatlabError,
+    RecursionLimitError,
+    RepositoryError,
+)
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
 from repro.interp.interpreter import Interpreter
+from repro.runtime.builtins import GLOBAL_RANDOM
 from repro.runtime.display import OutputSink
 from repro.runtime.mxarray import MxArray
 
@@ -32,6 +41,8 @@ class BaselineEngine:
         self._objects: dict[str, CompiledObject] = {}
         self._uncompilable: set[str] = set()
         self.compile_seconds = 0.0
+        #: Every compiled run the interpreter rescued: ``name: cause``.
+        self.rescues: list[str] = []
         self._interpreter = Interpreter(
             function_lookup=self._functions.get,
             sink=self.sink,
@@ -101,7 +112,18 @@ class BaselineEngine:
                 obj = None
         if obj is None:
             return self._interpreter.call_function(fn, args, nargout)
-        return obj.invoke(args, nargout, self._rt)
+        rng_state, sink_mark = GLOBAL_RANDOM.snapshot(), self.sink.mark()
+        try:
+            return obj.invoke(args, nargout, self._rt)
+        except MatlabError:
+            raise
+        except RecursionError:
+            raise RecursionLimitError() from None
+        except Exception as exc:  # noqa: BLE001 - the baseline's net
+            self.rescues.append(f"{name}: {exc!r}")
+            GLOBAL_RANDOM.restore(rng_state)
+            self.sink.truncate(sink_mark)
+            return self._interpreter.call_function(fn, args, nargout)
 
     def _call_user(self, name: str, args: list[MxArray], nargout: int):
         return tuple(self.execute(name, args, nargout))

@@ -108,6 +108,10 @@ class CompiledObject:
     #: cache entry so a fresh process can register them
     #: (``runtime_support.CALL_SITES``).
     call_sites: dict = field(default_factory=dict)
+    #: Whether the emitted code calls itself by its module-level name
+    #: (``select.Walk.call_own``): what that name is bound to is the
+    #: repository's choice (``CodeRepository._link_own``).
+    own_calls: bool = False
 
     @property
     def source(self) -> str:
@@ -321,6 +325,7 @@ def compile_function(
         kernel_keys=dict(walk.kernel_keys),
         outputs=tuple(fn.outputs),
         call_sites=dict(walk.call_sites),
+        own_calls=walk.own_calls,
     )
 
 
@@ -439,6 +444,9 @@ class _Lowerer(Walk):
     def call(self, helper: str, args, kind: str | None) -> int | None:
         dst = self.fresh(kind) if kind is not None else None
         return self.emit("CALLRT", dst, args, helper)
+
+    def call_own(self, args) -> int:
+        return self.emit("CALLSELF", self.fresh(BOXED), args)
 
     def unpack(self, values: int, position: int, kind: str) -> int:
         return self.emit("UNPACK", self.fresh(kind), (values,), position)

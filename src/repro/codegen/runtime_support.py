@@ -567,6 +567,41 @@ def called_through(rt, site: CallSite):
     return call
 
 
+#: Arity -> a version's call of itself for one result through
+#: ``rt.call_user``, in its emitted function's convention (the arguments,
+#: then ``rt``); ``first`` reads the boxed results.
+_OWN_THROUGH = {
+    0: lambda name, first: lambda rt: first(rt.call_user(name, 1)),
+    1: lambda name, first: lambda a, rt: first(rt.call_user(name, 1, a)),
+    2: lambda name, first: lambda a, b, rt: first(rt.call_user(name, 1, a, b)),
+    3: lambda name, first: lambda a, b, c, rt: first(
+        rt.call_user(name, 1, a, b, c)),
+    4: lambda name, first: lambda a, b, c, d, rt: first(
+        rt.call_user(name, 1, a, b, c, d)),
+}
+
+
+def own_called_through(name: str, arity: int, output_kind: str):
+    """What a version's calls of itself (``select.Walk.call_own``) run
+    where a call must re-enter the repository: ``rt.call_user`` for one
+    result, returned as the emitted function returns it (raw when the
+    version's first output is raw)."""
+    first = (lambda outputs: outputs) if output_kind == "b" else (
+        lambda outputs: (unbox(outputs[0]),)
+    )
+    return _OWN_THROUGH[arity](name, first)
+
+
+def own_result(results, function: str, output: str):
+    """The results of a version's call of itself, whose first output no
+    analysis proved assigned: the interpreter's error if it is unset."""
+    if results[0] is None:
+        raise RuntimeMatlabError(
+            f"output argument '{output}' of {function} not assigned"
+        )
+    return results
+
+
 class RuntimeSupport:
     """Per-execution ``rt`` namespace.
 
@@ -643,6 +678,7 @@ class RuntimeSupport:
     make_string = staticmethod(make_string_value)
     scalar_value = staticmethod(scalar_value)
     end_outside = staticmethod(end_outside)
+    own_result = staticmethod(own_result)
     rand_scalar = staticmethod(rand_scalar)
     to_int = staticmethod(to_int)
     end_dim = staticmethod(end_dim)
@@ -820,6 +856,16 @@ class RuntimeSupport:
         boxed = [box(a) for a in args]
         result = rt_builtins.call_builtin(name, boxed, 1, sink=self.sink)
         return result[0] if result else empty_matrix()
+
+    def call_unknown(self, name: str, where, nargout: int, *args):
+        """A call of a name that was no function when the code was
+        compiled: the interpreter's error at source location ``where``,
+        unless one is defined by now."""
+        if not self._knows(name):
+            raise UndefinedSymbolError(
+                f"undefined function or variable '{name}'", where
+            )
+        return self.call_user(name, nargout, *args)
 
     def call_user(self, name: str, nargout: int, *args):
         """Re-enter the execution engine for a user-function call."""

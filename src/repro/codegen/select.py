@@ -33,6 +33,7 @@ are the paper's selection rules:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.analysis.disambiguate import DisambiguationResult
@@ -428,8 +429,10 @@ class Walk:
     implements:
 
     * values — ``var(name)``, ``const(value, kind)``, ``call(helper, args,
-      kind)`` (``kind=None``: called for effect), ``unpack(values,
-      position, kind)``, ``unary``/``binary(op, ..., kind)`` on raw scalars,
+      kind)`` (``kind=None``: called for effect), ``call_own(args)`` (the
+      function's own emitted function, for its tuple of results),
+      ``unpack(values, position, kind)``, ``unary``/``binary(op, ...,
+      kind)`` on raw scalars,
       ``bind(value, base, reused=False)`` (evaluate here, exactly once);
     * memory — ``load``/``store(name, indices, ..., mode)`` for scalar
       subscripts with their safety mode, ``element(array, r, c)`` at a
@@ -478,6 +481,8 @@ class Walk:
         #: Direct call sites the code references, by helper name.
         self.call_sites: dict[str, CallSite] = {}
         self._site_helpers: dict[tuple, str] = {}
+        #: Whether the code calls its own emitted function (:meth:`call_own`).
+        self.own_calls = False
         self._int_counters = self._find_int_loop_counters()
         #: Element stores that a path reaches with their array unset: they
         #: grow it from empty, as the interpreter does (target id -> name).
@@ -886,22 +891,44 @@ class Walk:
         kinds)``, a tuple of results and each one's representation.
 
         A site inference bound (``Annotations.binding_of``), with at most
-        ``SITE_ARITY`` arguments, calls the bound version's emitted
-        function through ``rt.site_<hash>``
-        (:class:`~repro.codegen.runtime_support.CallSite`): arguments go
-        in that version's parameter representations, results come back
-        in its output representations.  Any other site re-enters the
-        repository through ``rt.call_user`` with boxed arguments."""
+        ``SITE_ARITY`` arguments, passes them in the parameter
+        representations of the version it calls and reads results in its
+        output representations.  A call of the function being compiled,
+        at the signature being compiled, for one result, is a plain call
+        of this version's own emitted function (:meth:`call_own`): the
+        version that runs is the one being compiled, so nothing is
+        located or checked per call.  Any other bound site calls its
+        version through ``rt.site_<hash>``
+        (:class:`~repro.codegen.runtime_support.CallSite`).  An unbound
+        site re-enters the repository through ``rt.call_user`` with boxed
+        arguments, or — a name that was no function when this one was
+        disambiguated — through ``rt.call_unknown``, which raises the
+        interpreter's error at the call's location."""
         args = call.args if isinstance(call, ast.Apply) else []
         binding = self.ann.binding_of(call)
         if binding is None or len(args) > SITE_ARITY:
             head = [self.const(call.name, BOXED), self.const(nargout, RAW_INT)]
+            helper = "call_user"
+            if call.name in self.dis.unknown:
+                helper = "call_unknown"
+                head.insert(1, self.const(str(call.location), BOXED))
             boxed = [self.boxed(arg) for arg in args]
-            values = self.call("call_user", head + boxed, BOXED)
+            values = self.call(helper, head + boxed, BOXED)
             return values, [BOXED] * max(nargout, 1)
         params, outputs = binding.param_reprs, binding.output_reprs
         if params is None:
             params, outputs = self.param_reprs, self.output_reprs
+            if nargout <= 1:
+                self.own_calls = True
+                values = self.call_own([
+                    self.call_arg(arg, kind) for arg, kind in zip(args, params)
+                ])
+                if not self._first_output_assigned:
+                    values = self.call("own_result", [
+                        values, self.const(self.fn.name, BOXED),
+                        self.const(self.fn.outputs[0], BOXED),
+                    ], BOXED)
+                return values, outputs[:1]
         key = binding.signature, tuple(params), tuple(outputs[: max(nargout, 1)])
         helper = self._site_helpers.get((call.name, nargout, key))
         if helper is None:
@@ -910,6 +937,15 @@ class Walk:
             self.call_sites[helper] = CALL_SITES.setdefault(helper, site)
         values = [self.call_arg(arg, kind) for arg, kind in zip(args, params)]
         return self.call(helper, values, BOXED), key[2]
+
+    @functools.cached_property
+    def _first_output_assigned(self) -> bool:
+        """Whether every path to the function's exit assigns its first
+        output (the converged must-assignment state at the CFG's exit), so
+        a run of this version never returns it unset."""
+        must = self.dis.assignments.must
+        state = must.block_in.get(self.dis.cfg.exit.index)
+        return must.converged and state is not None and self.fn.outputs[0] in state
 
     def call_arg(self, node: ast.Expr, kind: str):
         """An argument of a direct call, in its parameter's representation

@@ -208,6 +208,14 @@ class _SrcEmitter(Walk):
         self.line(code)
         return None
 
+    def call_own(self, args) -> str:
+        return f"{self.fn_name}({', '.join([*args, 'rt'])})"
+
+    def calls(self, code: str) -> bool:
+        """Whether evaluating ``code`` calls something: a helper, or this
+        function itself."""
+        return "_h_" in code or f"{self.fn_name}(" in code
+
     def unpack(self, values: str, position: int, kind: str) -> str:
         return f"{values}[{position}]"
 
@@ -216,7 +224,7 @@ class _SrcEmitter(Walk):
 
     def binary(self, op: str, a: str, b: str, kind: str) -> str:
         if op in _LOGICAL_SRC:
-            if "_h_" in b:
+            if self.calls(b):
                 # ``&`` / ``|`` evaluate both operands: the host's lazy
                 # ``and`` / ``or`` would skip a call (a draw, a display,
                 # a checked load's error) in the right one.
@@ -290,7 +298,7 @@ class _SrcEmitter(Walk):
     def store(self, name: str, indices, value: str, mode: str) -> None:
         if not mode.startswith("unchecked"):
             codes = [code for code, _ in indices]
-            if "_h_" in value and any("_h_" in code for code in codes):
+            if self.calls(value) and any(self.calls(code) for code in codes):
                 # The value was selected first and is evaluated first,
                 # as in the interpreter, not after the helper's index
                 # arguments.
@@ -335,7 +343,7 @@ class _SrcEmitter(Walk):
 
     def settle(self, value: str) -> str:
         # A host expression runs where its text lands: name a call here.
-        return self.bind(value, "e") if "_h_" in value else value
+        return self.bind(value, "e") if self.calls(value) else value
 
     # ------------------------------------------------------------------
     # Control primitives

@@ -94,12 +94,42 @@ WIDE_ORBIT = Program(
     lambda: [from_python(30.0), from_python(0.001)],
 )
 
+#: A compiled call of another compiled function that stays a call site
+#: (``rt.site_<hash>``), which the ``direct-call`` lane fires on: each
+#: callee returns early, so the inliner embeds neither, and ``relay``
+#: calls ``hop`` on two values (its version is widened to any integer)
+#: before ``leg`` compiles, so ``leg``'s call of ``hop`` is bound to that
+#: version.  (A function's calls of itself are plain host calls, with no
+#: site.)
+RELAY = Program(
+    (
+        "function r = relay(n)\nr = hop(n) + hop(n + 1);\n"
+        "for k = 1:3\n  r = r + leg(n);\nend\n"
+        "function y = leg(x)\nif x < 0, y = 0; return; end\n"
+        "y = hop(x) + 1;\n"
+        "function y = hop(x)\nif x < 0, y = -x; return; end\n"
+        "y = 2 * x;\n",
+    ),
+    "relay",
+    lambda: [from_python(2.0)],
+)
+
+#: The sweep's programs outside Table 1, by entry name.
+EXTRA_PROGRAMS = {program.entry: program for program in (WIDE_ORBIT, RELAY)}
+
 #: The ``--smoke`` subset: recursion, scalar loops, a builtin solver, the
 #: one ``rand`` user, ``orbrk`` — two functions, so a second worker task
-#: exists — and ``orbit12``, whose fused kernels (JIT and speculative)
-#: reach the native tier, so that every lane of every sweep has a program
+#: exists — ``orbit12``, whose fused kernels (JIT and speculative) reach
+#: the native tier, and ``relay``, whose call sites reach the
+#: ``direct-call`` lane, so that every lane of every sweep has a program
 #: it can fire on.
-SMOKE_NAMES = ("fibonacci", "dirich", "cgopt", "fractal", "orbrk", "orbit12")
+SMOKE_NAMES = (
+    "fibonacci", "dirich", "cgopt", "fractal", "orbrk", "orbit12", "relay",
+)
+
+
+def _program(name: str) -> Program:
+    return EXTRA_PROGRAMS.get(name) or Program.benchmark(name)
 
 
 @dataclass
@@ -314,11 +344,8 @@ def run_lanes(
     — results must stay bit-identical with spans being recorded, or
     observability is changing behaviour."""
     outcomes: list[DifferentialOutcome] = []
-    for name in names or benchmark_names() + [WIDE_ORBIT.entry]:
-        program = (
-            WIDE_ORBIT if name == WIDE_ORBIT.entry
-            else Program.benchmark(name)
-        )
+    for name in names or benchmark_names() + list(EXTRA_PROGRAMS):
+        program = _program(name)
         expected = reference(program)
         for lane in lanes:
             plan = lane.plan()
@@ -479,10 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         # One fault-free observed pass (background so worker spans show),
         # then the one-screen health report and the requested exports.
         observed = (names or benchmark_names())[0]
-        program = (
-            WIDE_ORBIT if observed == WIDE_ORBIT.entry
-            else Program.benchmark(observed)
-        )
+        program = _program(observed)
         with backends.open(
             program, "background",
             trace=trace, metrics=metrics,

@@ -56,7 +56,7 @@ class InferenceOptions:
 
 
 #: Solves of a body that calls itself before its own results are taken
-#: as ⊤ (seeded ⊥, a stable body needs two; seeded right, one).
+#: as ⊤ (seeded ⊥, a stable body needs two).
 _OWN_ROUNDS = 3
 
 _UNSEEN = object()
@@ -105,12 +105,11 @@ class TypeInferenceEngine:
         """Infer types for ``fn`` under the given parameter signature.
 
         ``callees`` locates user calls at compile time:
-        ``callees.bind(name, arg_types, nargout) -> CallBinding | None``;
+        ``callees(name, arg_types, nargout) -> CallBinding | None``;
         a call it binds is typed with the bound version's output types.
         With it, a call of ``fn`` itself whose argument types are ⊑
         ``signature`` is bound to the version being compiled.  Its results
-        are assumed to be ``callees.own_outputs(fn, signature, options)``
-        (``None``: ⊥) and the body is solved again, the assumption joined
+        are assumed ⊥ and the body is solved again, the assumption joined
         with what it produced, until what it produces is ⊑ what was
         assumed — a post-fixpoint, so the assumption holds of every call
         — else the call's results are ⊤, as every user call's are without
@@ -130,9 +129,7 @@ class TypeInferenceEngine:
         ):
             annotations = self._solve(disambiguation, entry)
         else:
-            own = callees.own_outputs(fn, signature, self.options) or (
-                (MType.bottom(),) * len(fn.outputs)
-            )
+            own = (MType.bottom(),) * len(fn.outputs)
             for _ in range(_OWN_ROUNDS):
                 self._own = fn.name, signature, own
                 self._bindings = {}
@@ -790,7 +787,7 @@ class TypeInferenceEngine:
             if name == own_name and fits(signature, arg_types, nargout, len(own)):
                 binding = CallBinding(name, signature, own)
             else:
-                binding = self._callees.bind(name, arg_types, nargout)
+                binding = self._callees(name, arg_types, nargout)
             self._bindings[key] = binding
         return binding
 

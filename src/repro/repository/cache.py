@@ -97,8 +97,10 @@ from repro.vcode.emit import bind_function
 #: buffers of format 5 code (which aliased) are never revived; format 7
 #: stores small matrix products as ``rt.mtimes_elements`` calls, which
 #: an older runtime lacks; format 8 stores code that calls other compiled
-#: code directly (``rt.site_<hash>``) with its call-site table.
-CACHE_FORMAT_VERSION = "8"
+#: code directly (``rt.site_<hash>``) with its call-site table; format 9
+#: stores code that calls itself by its own module-level name, with the
+#: ``own_calls`` flag the repository relinks that name by.
+CACHE_FORMAT_VERSION = "9"
 
 #: The signature slot of a parse record's key.
 UNIT_TAG = "source-unit"

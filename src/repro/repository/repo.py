@@ -55,11 +55,11 @@ from repro.codegen.runtime_support import (
     RuntimeSupport,
     box,
     called_through,
+    own_called_through,
     site_results,
 )
 from repro.inference.annotations import CallBinding
-from repro.analysis.disambiguate import Disambiguator
-from repro.inference.engine import TypeInferenceEngine, fits
+from repro.inference.engine import fits
 from repro.codegen.srcgen import SourceCompiler, SrcOptions
 from repro.interp.frontend import Invocation
 from repro.interp.interpreter import Interpreter
@@ -141,6 +141,14 @@ def _widened(signature: Signature) -> Signature:
 #: Deopt strikes (crashed compiled runs or JIT compiles) after which a
 #: function is quarantined to its bottom version.
 MAX_STRIKES = 3
+
+#: How deep the repository inlines a function into itself: once, as the
+#: compiled function, so never into a copy of itself (the paper inlines
+#: recursion three levels deep, ``inline.MAX_RECURSION_DEPTH``, which
+#: the batch baselines keep).  A function's own calls stay calls, which
+#: compiled code makes as plain host calls (``select.Walk.call_own``),
+#: and mutual recursion stops where it re-enters.
+_INLINE_DEPTH = 1
 
 #: Compile mode -> the error class that is an *expected* rejection there
 #: ("cannot compile this construct") rather than a compiler crash.
@@ -306,6 +314,8 @@ class CodeRepository:
         self.tiering = None
         # Deopt strike counts per function (quarantine at MAX_STRIKES).
         self._strikes: dict[str, int] = {}
+        # Functions whose deoptimized call the interpreter is re-running.
+        self._rerunning: set[str] = set()
         # Thread safety: background speculation workers mutate the same
         # tables the foreground session reads.  ``_lock`` (reentrant)
         # guards every shared dict/set; compilation itself runs outside it
@@ -506,7 +516,7 @@ class CodeRepository:
     def attach(self, controller) -> None:
         """Install the adaptive-tiering controller."""
         self.tiering = controller
-        self._rt._unlink_sites()
+        self._relink()
 
     def disarm(self) -> None:
         """Session close: later calls run unsupervised — no watchdog
@@ -515,7 +525,7 @@ class CodeRepository:
         self.guard.run_deadline = None
         self._watched = self._chaos_run_checks
         self.sandbox = None
-        self._rt._unlink_sites()
+        self._relink()
 
     def knows(self, name: str) -> bool:
         return name in self._units
@@ -558,8 +568,7 @@ class CodeRepository:
         fn = self._parsed(unit)[name]
         if self.inline_enabled:
             inliner = Inliner(
-                self.lookup_function,
-                inline.MAX_INLINE_LINES, inline.MAX_RECURSION_DEPTH,
+                self.lookup_function, inline.MAX_INLINE_LINES, _INLINE_DEPTH
             )
             prepared, embedded = inliner.run(fn), inliner.inlined_names
         else:
@@ -604,6 +613,7 @@ class CodeRepository:
         ("the generated code can later be recompiled and replaced in the
         repository using a better compiler").
         """
+        self._link_own(obj)
         with self._lock:
             self._held_set(obj.name).epoch += 1
             versions = self._objects.setdefault(obj.name, [])
@@ -672,7 +682,7 @@ class CodeRepository:
             *(f"{callee} {units[callee].digest}"
               for callee in sorted(identifiers & units.keys())),
             f"inline={self.inline_enabled} lines={inline.MAX_INLINE_LINES} "
-            f"depth={inline.MAX_RECURSION_DEPTH}",
+            f"depth={_INLINE_DEPTH}",
         ])
         return identity, identifiers - {name}
 
@@ -824,7 +834,7 @@ class CodeRepository:
                         lambda: compiler.compile(
                             fn, signature, mode=mode,
                             is_user_function=self.knows,
-                            callees=_Callees(self, guess=name in applied),
+                            callees=self._bind_call,
                         ),
                     )
             except Exception as exc:  # noqa: BLE001 - rejection or compiler crash
@@ -959,7 +969,10 @@ class CodeRepository:
             controller.prepare(name)
             if controller.suppressed(name):
                 return bottom
-        if name in self._uncompilable or len(invocation.args) != bottom.formals:
+        if (
+            name in self._uncompilable or name in self._rerunning
+            or len(invocation.args) != bottom.formals
+        ):
             # More actuals than formals is the interpreter's to refuse, with
             # its error text; fewer is the interpreter's to run (emitted
             # code takes every formal), neither is compiled for.
@@ -1092,7 +1105,15 @@ class CodeRepository:
         self._note_strike(name)
         GLOBAL_RANDOM.restore(rng_state)
         self.sink.truncate(sink_mark)
-        return self._serve(invocation, self._bottom[name])
+        # The interpreter re-runs all of the call: the calls of ``name``
+        # it makes meanwhile are its own too, not a fresh compile each.
+        outermost = name not in self._rerunning
+        self._rerunning.add(name)
+        try:
+            return self._serve(invocation, self._bottom[name])
+        finally:
+            if outermost:
+                self._rerunning.discard(name)
 
     def _note_strike(self, name: str) -> None:
         with self._lock:
@@ -1178,7 +1199,9 @@ class CodeRepository:
         """The compile-time binding of a user call with these argument
         types: the held version of ``name`` nearest to them whose
         signature they are ⊑ (None: no such version; the site re-enters
-        through ``rt.call_user``)."""
+        through ``rt.call_user``).  Inference asks it about every user
+        call of a function the repository compiles
+        (``TypeInferenceEngine.infer``'s ``callees``)."""
         with self._lock:
             versions = tuple(self._objects.get(name, ()))
         found = [
@@ -1208,6 +1231,29 @@ class CodeRepository:
             or self.fault_plan is not None and self.fault_plan.runtime_helpers()
         )
 
+    def _link_own(self, version: CompiledObject) -> None:
+        """Bind the name by which ``version``'s code calls itself (its
+        emitted function's, in the module that defines it): to that
+        function, or where calls must pass through :meth:`execute`, to a
+        call of ``rt.call_user``."""
+        if not version.own_calls:
+            return
+        entry = version.emitted.callable
+        entry.__globals__[entry.__name__] = entry if self._serves_direct else (
+            own_called_through(
+                version.name, len(version.param_reprs), version.output_reprs[0]
+            )
+        )
+
+    def _relink(self) -> None:
+        """The direct-call conditions changed: every call site links
+        again on its next use, and every held version's own calls now."""
+        self._rt._unlink_sites()
+        with self._lock:
+            versions = [v for held in self._objects.values() for v in held]
+        for version in versions:
+            self._link_own(version)
+
     def _link_site(self, site):
         """What ``rt.<site.helper>`` calls in this session: the site served
         directly (:class:`_DirectSite`), or ``None`` — it calls through."""
@@ -1232,35 +1278,6 @@ class CodeRepository:
         if not self.knows(name):
             return None
         return self.execute(Invocation(name, args, nargout))
-
-
-class _Callees:
-    """What inference asks the repository about the user calls of a
-    function it compiles (``TypeInferenceEngine.infer``'s ``callees``)."""
-
-    def __init__(self, repository: CodeRepository, guess: bool):
-        # ``guess``: the function calls itself and was inlined into
-        # itself, so a guess at its own outputs is worth making.
-        self.repository, self.guess = repository, guess
-
-    def bind(self, name: str, arg_types, nargout: int):
-        return self.repository._bind_call(name, arg_types, nargout)
-
-    def own_outputs(self, fn: ast.FunctionDef, signature, options):
-        """A first guess at what ``fn``'s calls of itself return: the
-        outputs of its definition as written — a body the inliner has not
-        multiplied — solved the same way, from ⊥.  The compile's own solve
-        then usually confirms it at once.  ``None``: no guess."""
-        repository = self.repository
-        original = repository.lookup_function(fn.name) if self.guess else None
-        if original is None or original is fn:
-            return None
-        annotations = TypeInferenceEngine(options=options).infer(
-            original, signature,
-            Disambiguator(repository.knows).run_function(original),
-            _Callees(repository, guess=False),
-        )
-        return tuple(annotations.output_types.values())
 
 
 class _Held:

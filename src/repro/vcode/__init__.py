@@ -5,10 +5,10 @@ tcc's ICODE intermediate language and a re-implementation of the
 linear-scan register allocator [19].  This package is the Python analogue:
 
 * :mod:`~repro.vcode.icode` — an ICODE-style instruction set over infinite
-  virtual registers (``CONST`` ``MOV`` ``BIN`` ``UN`` ``CALLRT`` ``UNPACK``
-  ``LOAD1`` ``LOAD2`` ``STORE1`` ``STORE2``: exactly what the JIT lowering
-  emits), organized into structured regions (host emission has no goto,
-  so control flow stays structured);
+  virtual registers (``CONST`` ``MOV`` ``BIN`` ``UN`` ``CALLRT``
+  ``CALLSELF`` ``UNPACK`` ``LOAD1`` ``LOAD2`` ``STORE1`` ``STORE2``:
+  exactly what the JIT lowering emits), organized into structured regions
+  (host emission has no goto, so control flow stays structured);
 * :mod:`~repro.vcode.liveness` — live-interval construction over the
   linearized instruction stream, with loop-extent extension; the same
   walk marks the temporaries that can fold (defined once and read once,

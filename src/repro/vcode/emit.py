@@ -84,6 +84,7 @@ _EAGER = {
     "BIN": slice(None),
     "UN": slice(None),
     "CALLRT": slice(None),
+    "CALLSELF": slice(None),
     "UNPACK": slice(None),
     "LOAD1": slice(None),
     "LOAD2": slice(None),
@@ -302,6 +303,10 @@ class _Emitter:
                 self.define(instr.dst, f"{helper}({args})")
             else:
                 self.line(f"{helper}({args})")
+            return
+        if op == "CALLSELF":
+            args = ", ".join([*(self.loc(r) for r in instr.args), "rt"])
+            self.define(instr.dst, f"{self.ir.name}({args})")
             return
         if op == "UNPACK":
             self.define(instr.dst, f"{self.loc(instr.args[0])}[{instr.aux}]")

@@ -15,6 +15,8 @@ Instruction set (op → operands), exactly what the JIT lowering emits:
             comparisons, ``&`` ``|``)
 ``UN``      dst, (a,), aux=operator (``-``, ``+``, ``~``, ``abs``)
 ``CALLRT``  dst?, args, aux=helper name — call a runtime-support helper
+``CALLSELF`` dst, args — call the function being compiled, by its own
+            module-level name, for its tuple of results
 ``UNPACK``  dst, (values,), aux=position — one element of a helper's
             multiple results
 ``LOAD1``   dst, (arr, i), aux=mode — linear element load

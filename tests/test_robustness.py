@@ -180,13 +180,16 @@ class TestDifferentialHarness:
         """Acceptance: benchsuite programs under injected compile- and
         run-time faults match the pure interpreter exactly, and the
         session records the corresponding events."""
-        outcomes = run_differential(names=["fibonacci", "dirich", "sor"])
+        outcomes = run_differential(
+            names=["fibonacci", "dirich", "sor", "relay"]
+        )
         assert outcomes and all(o.matches for o in outcomes)
         kernel_fired = direct_fired = 0
         for outcome in outcomes:
             if outcome.plan == "direct-call":
-                # Only a direct call reaches the site: fibonacci's calls
-                # of itself do; dirich and sor call no user function.
+                # Only a call site reaches it: relay's call of hop from
+                # leg is one; fibonacci's calls of itself are plain host
+                # calls, and dirich and sor call no user function.
                 direct_fired += outcome.faults_fired
                 if outcome.faults_fired:
                     assert outcome.events.get(DEOPT, 0) >= 1

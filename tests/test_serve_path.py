@@ -508,32 +508,30 @@ FIBONACCI = Program(
 )
 
 #: Session -> (``execute`` entries, ``rt.call_user`` entries) of one steady
-#: ``fibonacci(10)``.  62 is every call the three inlined levels leave, as
-#: before direct calls: where a watchdog, an adaptive controller or a
-#: runtime-helper fault plan must see each call, every one is served.
+#: ``fibonacci(10)``.  176 is every call it makes of itself (the
+#: repository inlines no function into itself): where a watchdog, an
+#: adaptive controller or a runtime-helper fault plan must see each call,
+#: every one is served; unsupervised, each is a plain host call.
 SERVE_PATH_ENTRIES = {
     "plain": ({}, (1, 0)),
     "run-watchdog": (
-        {"resilience": ResiliencePolicy(run_deadline=30.0)}, (63, 62)
+        {"resilience": ResiliencePolicy(run_deadline=30.0)}, (177, 176)
     ),
     "adaptive": (
         {"adaptive": True, "sync": True,
          "tiering": TieringPolicy(jit_threshold=1.0, spec_threshold=2.0)},
-        (63, 62),
+        (177, 176),
     ),
     "rt-fault-plan": (
         {"fault_plan": FaultPlan([FaultSpec(site="rt.*", hits=(10**9,))])},
-        (63, 62),
+        (177, 176),
     ),
 }
 
 
-@pytest.mark.parametrize("label", SERVE_PATH_ENTRIES)
-def test_direct_calls_skip_the_serve_path(label, fresh_session):
-    kwargs, (executes, call_users) = SERVE_PATH_ENTRIES[label]
-    session = fresh_session(seed=None, **kwargs)
-    for text in FIBONACCI.sources:
-        session.add_source(text)
+def _steady_fibonacci_entries(session) -> tuple[int, int]:
+    """(``execute``, ``rt.call_user``) entries of one steady
+    ``fibonacci(10)`` on ``session``, whose answer is the interpreter's."""
     args = FIBONACCI.make_args()
     for _ in range(4):
         session.call_boxed("fibonacci", args, nargout=1)
@@ -550,9 +548,38 @@ def test_direct_calls_skip_the_serve_path(label, fresh_session):
         return call_user(*call)
 
     repo.execute, repo._rt.call_user = counted_execute, counted_call_user
-    want = backends.reference(FIBONACCI)
-    assert canon_value(
-        session.call_boxed("fibonacci", args, nargout=1)[0]
-    ) == want.outputs[0]
-    assert (counts["execute"], counts["call_user"]) == (executes, call_users)
+    try:
+        want = backends.reference(FIBONACCI)
+        assert canon_value(
+            session.call_boxed("fibonacci", args, nargout=1)[0]
+        ) == want.outputs[0]
+    finally:
+        repo.execute, repo._rt.call_user = execute, call_user
+    return counts["execute"], counts["call_user"]
+
+
+@pytest.mark.parametrize("label", SERVE_PATH_ENTRIES)
+def test_direct_calls_skip_the_serve_path(label, fresh_session):
+    kwargs, entries = SERVE_PATH_ENTRIES[label]
+    session = fresh_session(seed=None, **kwargs)
+    for text in FIBONACCI.sources:
+        session.add_source(text)
+    assert _steady_fibonacci_entries(session) == entries
+    assert session.stats.deopts == 0
+
+
+def test_own_calls_relink_when_supervision_ends(fresh_session):
+    """The name compiled code calls itself by is bound per version, not
+    baked in: under a run watchdog every call of ``fibonacci`` is served,
+    and once ``close()`` disarms the watchdog the same version's calls of
+    itself are host calls."""
+    kwargs, entries = SERVE_PATH_ENTRIES["run-watchdog"]
+    session = fresh_session(seed=None, **kwargs)
+    for text in FIBONACCI.sources:
+        session.add_source(text)
+    assert _steady_fibonacci_entries(session) == entries
+    (version,) = session.repository.versions_of("fibonacci")
+    session.close()
+    assert _steady_fibonacci_entries(session) == SERVE_PATH_ENTRIES["plain"][1]
+    assert session.repository.versions_of("fibonacci") == [version]
     assert session.stats.deopts == 0

@@ -27,6 +27,7 @@ from repro.faults.plan import SITE_KERNEL_RUN
 from repro.frontend.lexer import Lexer
 from repro.frontend.parser import Parser
 from repro.kernels import KERNEL_CACHE
+from repro.repository import repo as repo_module
 from repro.repository.cache import UNIT_TAG, cache_key, source_digest
 from repro.repository.diagnostics import CACHE_CORRUPT
 from repro.runtime.values import from_python
@@ -149,7 +150,7 @@ def test_inline_switch_and_limits_are_in_the_key(tmp_path, monkeypatch):
     monkeypatch.setattr(inline, "MAX_INLINE_LINES", inline.MAX_INLINE_LINES - 1)
     assert repo._cache_key("outer", "spec") != key
     monkeypatch.undo()
-    monkeypatch.setattr(inline, "MAX_RECURSION_DEPTH", inline.MAX_RECURSION_DEPTH + 1)
+    monkeypatch.setattr(repo_module, "_INLINE_DEPTH", repo_module._INLINE_DEPTH + 1)
     assert repo._cache_key("outer", "spec") != key
 
 
