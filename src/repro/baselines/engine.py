@@ -54,12 +54,14 @@ class BaselineEngine:
 
     # ------------------------------------------------------------------
     def add_source(self, text: str) -> list[str]:
+        """Register definitions.  Any redefinition drops every compiled
+        object and every verdict: a caller may have inlined the old
+        definition, and the engine keeps no record of who inlined what."""
         program = parse(text)
-        names = []
-        for fn in program.functions:
-            self._functions[fn.name] = fn
-            self._objects.pop(fn.name, None)
-            names.append(fn.name)
+        names = [fn.name for fn in program.functions]
+        self._functions.update(zip(names, program.functions))
+        self._objects.clear()
+        self._uncompilable.clear()
         return names
 
     def knows(self, name: str) -> bool:

@@ -350,7 +350,7 @@ class MajicSession:
         """
         if self.parallel is not None and self.parallel.enabled:
             return self.parallel.call(name, list(args), nargout=nargout)
-        return self.frontend.call(name, args, nargout)
+        return self.repository.execute(name, args, nargout)
 
     def get(self, name: str):
         """Read a workspace variable as a host value."""

@@ -8,7 +8,8 @@ is precisely the overhead compilation removes.
 :mod:`~repro.interp.frontend` wraps it into the MaJIC front end of
 Section 2: a compatible interpreter that executes top-level code itself but
 *defers computationally complex tasks (function calls) to the code
-repository* by building invocations.
+repository* (name, argument values and ``nargout`` — the invocation —
+handed to its ``execute``).
 """
 
 from repro.interp.environment import Environment

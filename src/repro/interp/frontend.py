@@ -2,16 +2,18 @@
 
 Users interact with a MATLAB-compatible interpreter that executes top-level
 code at roughly interpreter speed, but *defers computationally complex
-tasks — function calls — to the code repository*: the front end builds an
-:class:`Invocation` (function name + parameter values) and hands it to the
-repository, which locates or compiles suitable code.
+tasks — function calls — to the code repository*: the front end hands the
+repository the invocation — function name, parameter values, ``nargout``
+— as the three arguments of ``CodeRepository.execute``, which locates or
+compiles suitable code.  An :class:`Invocation` is the same triple as one
+value, built only where the repository keeps or ranks it (a miss, a
+deopt, a supervised call).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
 from repro.interp.environment import Environment
 from repro.interp.interpreter import Interpreter
@@ -42,10 +44,12 @@ class MajicFrontEnd:
         self.repository = repository
         self.sink = sink if sink is not None else OutputSink()
         self.workspace = Environment()
+        # A user call of top-level code is deferred to the repository
+        # through its own interpreter hook.
         self.interpreter = Interpreter(
-            function_lookup=self._lookup_source,
+            function_lookup=repository.lookup_function,
             sink=self.sink,
-            call_dispatcher=self._dispatch,
+            call_dispatcher=repository.dispatch,
         )
 
     # ------------------------------------------------------------------
@@ -58,20 +62,3 @@ class MajicFrontEnd:
                 "use repository.add_source/add_path"
             )
         self.interpreter.run_statements(program.script, self.workspace)
-
-    def call(self, name: str, args: list[MxArray], nargout: int = 1):
-        """Invoke a function by name through the repository (which gets
-        its own list of the arguments)."""
-        return self.repository.execute(Invocation(name, list(args), nargout))
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, name: str, args: list[MxArray], nargout: int):
-        """Front-end deferral hook: route user calls to the repository."""
-        if self.repository is None or not self.repository.knows(name):
-            return None
-        return self.repository.execute(Invocation(name, args, nargout))
-
-    def _lookup_source(self, name: str) -> ast.FunctionDef | None:
-        if self.repository is None:
-            return None
-        return self.repository.lookup_function(name)

@@ -10,9 +10,9 @@ variable if it is bound in the dynamic symbol table, else a builtin
 primitive, else a user function, else an error.
 
 The ``call_dispatcher`` hook is how the MaJIC front end differs from the
-stock interpreter: when set, user-function calls are handed to it (it
-builds an invocation against the code repository) instead of being
-interpreted recursively.
+stock interpreter: when set, user-function calls are handed to it (the
+code repository's ``dispatch``, which serves the invocation) instead of
+being interpreted recursively.
 """
 
 from __future__ import annotations

@@ -316,7 +316,7 @@ class ParallelExecutor:
     # Call routing
     # ------------------------------------------------------------------
     def _serial(self, name, args, nargout):
-        return self.session.frontend.call(name, list(args), nargout=nargout)
+        return self.session.repository.execute(name, args, nargout)
 
     def call(self, name: str, args, nargout: int = 1):
         """Execute one function call, sharded when a plan applies."""

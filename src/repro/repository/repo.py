@@ -22,8 +22,8 @@ Compiled code is an optimization, never a semantic requirement, and the
 repository is the one place that knows what a function holds (DESIGN.md,
 *Robustness layer*, is the full account): every function has a **bottom
 version** it cannot lose — its source, run by the interpreter — so
-:meth:`_resolve` always finds something to serve and :meth:`_serve` is
-the one path every version runs through, its deopt net armed for compiled
+:meth:`_resolve` always finds something to serve and :meth:`execute` is
+the one function that runs a version, its deopt net armed for compiled
 modes only; :meth:`jit_compile` and :meth:`speculate` are two spellings of
 one entry that never raises, because :meth:`compile_failed` is the one
 verdict on a failed compile; and every degradation lands in
@@ -285,8 +285,8 @@ class CodeRepository:
                 spec.site in (SITE_HANG, SITE_OOM) for spec in fault_plan.specs
             )
         )
-        # Precomputed hot-path switch: the common no-supervision call
-        # pays one attribute check for the watchdog, nothing more.
+        # Whether served calls run under the watchdog (or the in-process
+        # chaos probes).
         self._watched = (
             self.resilience.run_deadline is not None or self._chaos_run_checks
         )
@@ -310,7 +310,7 @@ class CodeRepository:
         self._fast_cache: dict[str, CompiledObject] = {}
         # Adaptive-tiering controller (repro.tiering); see attach().  When
         # set, it supplies _resolve()'s miss policy (interpret now, promote
-        # out-of-band) and execute()'s post-call hook.
+        # out-of-band) and _supervise()'s post-call hook.
         self.tiering = None
         # Deopt strike counts per function (quarantine at MAX_STRIKES).
         self._strikes: dict[str, int] = {}
@@ -337,15 +337,16 @@ class CodeRepository:
         self._interpreter = Interpreter(
             function_lookup=self.lookup_function,
             sink=self.sink,
-            call_dispatcher=self._interp_dispatch,
+            call_dispatcher=self.dispatch,
             fusion=self.jit_options.fusion,
             native=native,
         )
         self._rt = RuntimeSupport(
-            call_user=self._call_user, sink=self.sink, fault_plan=fault_plan,
+            call_user=self.execute, sink=self.sink, fault_plan=fault_plan,
             obs=self.obs, native=native, knows=self.knows,
             link=self._link_site,
         )
+        self._relink()
 
     # ------------------------------------------------------------------
     # Source management
@@ -911,41 +912,78 @@ class CodeRepository:
         return compiled
 
     # ------------------------------------------------------------------
-    # Execution
+    # Execution: the one entry, and guarded deoptimization
     # ------------------------------------------------------------------
-    def execute(self, invocation) -> list[MxArray]:
-        """Serve one invocation: the hot-call cache or :meth:`_resolve`
-        picks a version, :meth:`_serve` runs it.  An adaptive controller
-        also observes every served call — the mode that answered plus
-        wall time — which is its entire input signal."""
-        name, args = invocation.name, invocation.args
-        version = self._fast_cache.get(name)
-        if (
-            version is None
-            or not version.accepts(args)
-            # The version served is the one locate() would choose: that is
-            # the cached one when it is the only one held, or at distance 0.
-            or (
-                len(self._objects.get(name, ())) > 1
-                and not version.exact_for(args)
+    def execute(self, name: str, args, nargout: int = 1, version=None):
+        """Serve one call of ``name`` — the paper's invocation, passed as
+        its three parts — and the only function that invokes a version.
+
+        The hot-call cache or :meth:`_resolve` picks the version.  In an
+        unsupervised session the call is served right here: a count, the
+        rollback capture, a transcript mark, ``invoke``.  Every *compiled*
+        execution is guarded: an unexpected (non-MATLAB) exception
+        deoptimizes.  MATLAB-level errors (``error(...)``, subscript
+        violations) are the program's own behaviour and propagate
+        unchanged; so does anything the bottom version raises: there is
+        nothing below the interpreter.
+
+        A watched, sandboxed, traced or adaptive session hands the chosen
+        version to :meth:`_supervise`, which re-enters here with it as
+        ``version`` (that entry is :meth:`_serve`); the run then goes
+        through :meth:`_guarded_invoke`.  An :class:`Invocation` is built
+        only on those paths, on a miss and on a deopt.
+        """
+        guarded = version is not None
+        if not guarded:
+            version = self._fast_cache.get(name)
+            invocation = None
+            if (
+                version is None
+                or not version.accepts(args)
+                # The version served is the one locate() would choose: the
+                # cached one when it is the only one held, or at distance 0.
+                or (
+                    len(self._objects.get(name, ())) > 1
+                    and not version.exact_for(args)
+                )
+            ):
+                invocation = Invocation(name, args, nargout)
+                version = self._resolve(invocation)
+            if self._supervised or self.obs.tracer.enabled:
+                return self._supervise(
+                    invocation or Invocation(name, args, nargout), version
+                )
+        mode = version.mode
+        if mode == TIER_INTERPRETER:
+            self.stats.calls_interpreted += 1
+            return version.invoke(args, nargout, self._rt)
+        if mode == TIER_SPEC:
+            self.stats.calls_spec += 1
+        else:
+            self.stats.calls_jit += 1
+        rng_state = GLOBAL_RANDOM.snapshot()
+        sink_mark = self.sink.mark()
+        try:
+            if guarded:
+                return self._guarded_invoke(
+                    name, args, nargout, version, rng_state
+                )
+            return version.invoke(args, nargout, self._rt)
+        except MatlabError:
+            raise
+        except RecursionError:
+            # The program's own depth, not a fault of this version.
+            raise RecursionLimitError() from None
+        except Exception as exc:  # noqa: BLE001 - this is the safety net
+            return self._deoptimize(
+                Invocation(name, args, nargout), version, exc, rng_state,
+                sink_mark,
             )
-        ):
-            version = self._resolve(invocation)
-        controller = self.tiering
-        if controller is None:
-            return self._serve(invocation, version)
-        totals = self.diagnostics.totals
-        deopts_before = totals.get(DEOPT)
-        start = time.perf_counter()
-        results = self._serve(invocation, version)
-        seconds = time.perf_counter() - start
-        # A deopt mid-call means the bottom version produced the answer;
-        # attribute the observation to the mode that served it.
-        served = totals.get(DEOPT) == deopts_before
-        controller.observe(
-            invocation, version.mode if served else TIER_INTERPRETER, seconds
-        )
-        return results
+
+    #: :meth:`execute` entered with the version already chosen (by the
+    #: supervised serve, or a deopt's bottom version): the same function,
+    #: so a wrapper of ``execute`` sees one entry per call.
+    _serve = execute
 
     def _resolve(self, invocation):
         """The hot-call cache missed: choose the version to serve — there
@@ -987,68 +1025,65 @@ class CodeRepository:
         self._fast_cache[name] = version
         return version
 
-    # ------------------------------------------------------------------
-    # The one serve path, and guarded deoptimization
-    # ------------------------------------------------------------------
-    def _serve(self, invocation, version, spanned=False) -> list[MxArray]:
-        """Run one version — the only function that invokes one.
+    def _supervise(self, invocation, version) -> list[MxArray]:
+        """Serve the chosen version in a supervised session, inside its
+        execution span.  An adaptive controller also observes the call —
+        the mode that answered plus wall time, its entire input signal."""
+        controller = self.tiering
+        if controller is None:
+            return self._spanned(invocation, version)
+        totals = self.diagnostics.totals
+        deopts_before = totals.get(DEOPT)
+        start = time.perf_counter()
+        results = self._spanned(invocation, version)
+        seconds = time.perf_counter() - start
+        # A deopt mid-call means the bottom version produced the answer;
+        # attribute the observation to the mode that served it.
+        served = totals.get(DEOPT) == deopts_before
+        controller.observe(
+            invocation, version.mode if served else TIER_INTERPRETER, seconds
+        )
+        return results
 
-        Every *compiled* execution is guarded: an unexpected (non-MATLAB)
-        exception deoptimizes.  MATLAB-level errors (``error(...)``,
-        subscript violations) are the program's own behaviour and
-        propagate unchanged; so does anything the bottom version raises:
-        there is nothing below the interpreter.
-        """
-        mode = version.mode
+    def _spanned(self, invocation, version) -> list[MxArray]:
+        """:meth:`_serve` one version, in an ``execution`` span when the
+        session traces."""
+        name, args = invocation.name, invocation.args
         tracer = self.obs.tracer
-        supervised = tracer.enabled or self._watched or self.sandbox is not None
-        if supervised and not spanned and tracer.enabled:
-            with tracer.span(invocation.name, "execution", tier=mode):
-                return self._serve(invocation, version, spanned=True)
-        if mode == TIER_INTERPRETER:
-            self.stats.calls_interpreted += 1
-            return version.invoke(invocation.args, invocation.nargout, self._rt)
-        if mode == TIER_SPEC:
-            self.stats.calls_spec += 1
-        else:
-            self.stats.calls_jit += 1
-        rng_state = GLOBAL_RANDOM.snapshot()
-        sink_mark = self.sink.mark()
-        try:
-            if supervised:
-                if self.sandbox is not None and not getattr(
-                    version, "sandbox_promoted", False
-                ):
-                    outputs = self._sandbox_trial(invocation, version, rng_state)
-                    if outputs is not None:
-                        return outputs
-                if self._watched:
-                    # The chaos probes live *inside* the guard: an injected
-                    # hang must be cancelled by the watchdog exactly like a
-                    # miscompiled infinite loop.  A fired DeadlineExceeded
-                    # lands in the net below and deoptimizes.
-                    with self.guard.run_guard(invocation.name):
-                        if self._chaos_run_checks:
-                            self.fault_plan.check(SITE_HANG, invocation.name)
-                            self.fault_plan.check(SITE_OOM, invocation.name)
-                        return version.invoke(
-                            invocation.args, invocation.nargout, self._rt
-                        )
-            return version.invoke(invocation.args, invocation.nargout, self._rt)
-        except MatlabError:
-            raise
-        except RecursionError:
-            # The program's own depth, not a fault of this version.
-            raise RecursionLimitError() from None
-        except Exception as exc:  # noqa: BLE001 - this is the safety net
-            return self._deoptimize(invocation, version, exc, rng_state, sink_mark)
+        if not tracer.enabled:
+            return self._serve(name, args, invocation.nargout, version)
+        with tracer.span(name, "execution", tier=version.mode):
+            return self._serve(name, args, invocation.nargout, version)
+
+    def _guarded_invoke(self, name, args, nargout, version, rng_state):
+        """The run step of a supervised call, inside :meth:`execute`'s
+        net: a fresh compile's first run as a sandbox trial, then the
+        version under the run watchdog."""
+        if self.sandbox is not None and not getattr(
+            version, "sandbox_promoted", False
+        ):
+            outputs = self._sandbox_trial(
+                Invocation(name, args, nargout), version, rng_state
+            )
+            if outputs is not None:
+                return outputs
+        if not self._watched:
+            return version.invoke(args, nargout, self._rt)
+        # The chaos probes live *inside* the guard: an injected hang must
+        # be cancelled by the watchdog exactly like a miscompiled infinite
+        # loop.  A fired DeadlineExceeded lands in the net and deoptimizes.
+        with self.guard.run_guard(name):
+            if self._chaos_run_checks:
+                self.fault_plan.check(SITE_HANG, name)
+                self.fault_plan.check(SITE_OOM, name)
+            return version.invoke(args, nargout, self._rt)
 
     def _sandbox_trial(self, invocation, obj: CompiledObject, rng_state):
         """First run of a fresh compile, supervised in a forked child.
 
         Success applies the child's side effects (transcript, RNG
         advance) and promotes the object in-process; a sandbox death
-        raises into :meth:`_serve`'s net — the session never sees the
+        raises into :meth:`execute`'s net — the session never sees the
         crash.  ``None``: no fork here, promoted untried, caller runs it.
         """
         name = invocation.name
@@ -1110,7 +1145,7 @@ class CodeRepository:
         outermost = name not in self._rerunning
         self._rerunning.add(name)
         try:
-            return self._serve(invocation, self._bottom[name])
+            return self._spanned(invocation, self._bottom[name])
         finally:
             if outermost:
                 self._rerunning.discard(name)
@@ -1181,10 +1216,6 @@ class CodeRepository:
                 return version
         return None
 
-    def _call_user(self, name: str, args: list[MxArray], nargout: int):
-        """Re-entry point for compiled code calling user functions."""
-        return self.execute(Invocation(name, args, nargout))
-
     # ------------------------------------------------------------------
     # Direct calls: a user call site located at compile time
     # ------------------------------------------------------------------
@@ -1225,9 +1256,7 @@ class CodeRepository:
         call, an adaptive controller observes them, or a fault plan arms
         a runtime helper (the fault sweeps count those calls)."""
         return not (
-            self._watched
-            or self.sandbox is not None
-            or self.tiering is not None
+            self._supervised
             or self.fault_plan is not None and self.fault_plan.runtime_helpers()
         )
 
@@ -1246,8 +1275,15 @@ class CodeRepository:
         )
 
     def _relink(self) -> None:
-        """The direct-call conditions changed: every call site links
+        """The supervision changed (construction, ``attach``, ``disarm``):
+        set the hot-path switch — does every served call go through
+        :meth:`_supervise`?  (A live tracer is tested per call instead,
+        since ``profile("on")`` swaps one in.)  Every call site links
         again on its next use, and every held version's own calls now."""
+        self._supervised = (
+            self._watched or self.sandbox is not None
+            or self.tiering is not None
+        )
         self._rt._unlink_sites()
         with self._lock:
             versions = [v for held in self._objects.values() for v in held]
@@ -1272,12 +1308,14 @@ class CodeRepository:
             invocation, version, exc, rng_state, sink_mark
         ))
 
-    def _interp_dispatch(self, name, args, nargout):
-        """The fallback interpreter also routes calls through us, so a
-        single uncompilable function doesn't drag its callees down."""
-        if not self.knows(name):
+    def dispatch(self, name, args, nargout):
+        """The interpreters' call hook (``Interpreter(call_dispatcher=)``,
+        the front end's and the bottom version's): a user function's call
+        is served by :meth:`execute`, so an interpreted caller still runs
+        compiled callees; ``None`` for any other name."""
+        if name not in self._units:
             return None
-        return self.execute(Invocation(name, args, nargout))
+        return self.execute(name, args, nargout)
 
 
 class _Held:
@@ -1311,7 +1349,7 @@ class _DirectSite:
     convention; with none held, the call re-enters the repository
     (:func:`~repro.codegen.runtime_support.called_through`), which
     locates or compiles as for any call.  The call itself runs under the
-    same net as :meth:`CodeRepository._serve`, with the callee's version
+    same net as :meth:`CodeRepository.execute`, with the callee's version
     as the one that failed."""
 
     __slots__ = ("repository", "site", "held", "epoch", "link", "fallback")

@@ -88,12 +88,9 @@ def test_redefinition_cancels_in_flight_work():
         assert engine.drain(timeout=30)
         # The stale object must not serve the new source.
         assert engine.compiled == [] or repo.versions_of("inc") == []
-        from repro.interp.frontend import Invocation
         from repro.runtime.values import from_python, to_python
 
-        out = repo.execute(
-            Invocation(name="inc", args=[from_python(5)], nargout=1)
-        )
+        out = repo.execute("inc", [from_python(5)])
         assert to_python(out[0]) == 15.0
     finally:
         release.set()
@@ -105,7 +102,6 @@ def test_redefinition_during_jit_compile_drops_the_stale_version(monkeypatch):
     adaptive session's promotion worker can meet) must not land after the
     purge: the object describes the dead source."""
     from repro.codegen.jitgen import JitCompiler
-    from repro.interp.frontend import Invocation
     from repro.runtime.values import from_python, to_python
     from repro.typesys.signature import signature_of_values
 
@@ -139,7 +135,7 @@ def test_redefinition_during_jit_compile_drops_the_stale_version(monkeypatch):
     assert not worker.is_alive()
     monkeypatch.undo()
     assert repo.versions_of("f") == []
-    out = repo.execute(Invocation(name="f", args=args, nargout=1))
+    out = repo.execute("f", args)
     assert to_python(out[0]) == 102.0
     assert results == [None], "a dropped compile returns None"
     assert repo.stats.deopts == 0 and repo.stats.compile_failures == 0

@@ -732,6 +732,34 @@ def test_redefinition_between_calls_of_a_compiled_caller(backend):
             assert not handle.fallbacks()
 
 
+#: ``f`` calls ``g``, which the inliners embed (no early return): a
+#: compiled ``f`` holds a copy of ``g``'s body.
+INLINED = (
+    "function y = f(x)\ny = g(x) + 1;\n",
+    "function y = g(x)\ny = 2 * x;\n",
+)
+INLINED_G_V2 = "function y = g(x)\ny = 3 * x;\n"
+
+
+@pytest.mark.parametrize("backend", ["falcon", "mcc", "fused"])
+def test_redefinition_of_an_inlined_callee(backend):
+    """Call, redefine the callee a compiled caller embedded, call: the
+    caller answers with the new callee (FALCON kept serving ``f`` with the
+    old ``g`` inlined, 5 where the interpreter answers 7)."""
+    program = Program(INLINED, "f", _scalar(2.0))
+    with open_backend(program, backend) as handle:
+        target = handle.session or handle.engine
+        sources = list(INLINED)
+        for redefinition in (None, INLINED_G_V2, INLINED[1]):
+            if redefinition is not None:
+                target.add_source(redefinition)
+                sources.append(redefinition)
+            want = observe(Program(tuple(sources), "f", _scalar(2.0)),
+                           "interpreter")
+            assert not want.diff(handle.call()), (backend, redefinition)
+            assert not handle.fallbacks()
+
+
 @pytest.mark.parametrize("backend", ["jit", "fused", "spec", "background"])
 def test_callee_fault_in_a_direct_call_rolls_back_the_callee(backend):
     """A callee failing as it returns from a direct call, after it printed

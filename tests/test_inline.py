@@ -133,7 +133,6 @@ class TestLimits:
 class TestSemantics:
     def test_inlined_result_matches_dynamic(self):
         """Differential check through the repository."""
-        from repro.interp.frontend import Invocation
         from repro.repository.repo import CodeRepository
         from repro.runtime.values import from_python, to_python
 
@@ -146,15 +145,12 @@ class TestSemantics:
         for source in sources:
             with_inline.add_source(source)
             without.add_source(source)
-        call = Invocation(name="main", args=[from_python(3.0)], nargout=1)
-        a = to_python(with_inline.execute(call)[0])
-        call2 = Invocation(name="main", args=[from_python(3.0)], nargout=1)
-        b = to_python(without.execute(call2)[0])
+        a = to_python(with_inline.execute("main", [from_python(3.0)])[0])
+        b = to_python(without.execute("main", [from_python(3.0)])[0])
         assert a == b == 25.0
 
     def test_call_by_value_preserved(self):
         """The callee mutates its parameter; the caller's copy survives."""
-        from repro.interp.frontend import Invocation
         from repro.repository.repo import CodeRepository
         from repro.runtime.values import from_python, to_python
         import numpy as np
@@ -166,10 +162,8 @@ class TestSemantics:
         repo.add_source(
             "function y = main(a)\nr = clobber(a);\ny = r + a(1);\n"
         )
-        call = Invocation(
-            name="main", args=[from_python(np.array([[1.0, 2.0]]))], nargout=1
-        )
-        assert to_python(repo.execute(call)[0]) == 100.0  # 99 + 1
+        args = [from_python(np.array([[1.0, 2.0]]))]
+        assert to_python(repo.execute("main", args)[0]) == 100.0  # 99 + 1
 
     def test_inlined_names_recorded(self):
         table = table_of(

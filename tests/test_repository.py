@@ -21,12 +21,17 @@ def invoke(name, *values, nargout=1):
     )
 
 
+def execute(repo, invocation):
+    """Serve one invocation: ``repo.execute`` takes its three parts."""
+    return repo.execute(invocation.name, invocation.args, invocation.nargout)
+
+
 class TestLocator:
     def test_miss_then_hit(self):
         repo = CodeRepository()
         repo.add_source(POLY)
         assert repo.locate(invoke("poly", 4.0)) is None
-        repo.execute(invoke("poly", 4.0))
+        execute(repo, invoke("poly", 4.0))
         assert repo.locate(invoke("poly", 4.0)) is not None
 
     def test_value_specialized_versions(self):
@@ -34,14 +39,14 @@ class TestLocator:
         assumptions coexist."""
         repo = CodeRepository()
         repo.add_source(POLY)
-        repo.execute(invoke("poly", 4.0))
-        repo.execute(invoke("poly", np.array([[1.0, 2.0]])))
+        execute(repo, invoke("poly", 4.0))
+        execute(repo, invoke("poly", np.array([[1.0, 2.0]])))
         assert len(repo.versions_of("poly")) == 2
 
     def test_safety_check_rejects_wider_invocation(self):
         repo = CodeRepository()
         repo.add_source(POLY)
-        repo.execute(invoke("poly", 4.0))  # scalar-specialized
+        execute(repo, invoke("poly", 4.0))  # scalar-specialized
         # A matrix invocation cannot reuse scalar code.
         matrix_args = invoke("poly", np.array([[1.0, 2.0]]))
         located = repo.locate(matrix_args)
@@ -50,7 +55,7 @@ class TestLocator:
     def test_best_match_prefers_specialized(self):
         repo = CodeRepository()
         repo.add_source(POLY)
-        jit = repo.execute(invoke("poly", 4.0))
+        jit = execute(repo, invoke("poly", 4.0))
         repo.speculate_all()  # adds a wide speculative version
         # Exact invocation should still pick the specialized version.
         best = repo.locate(invoke("poly", 4.0))
@@ -60,7 +65,7 @@ class TestLocator:
         repo = CodeRepository()
         repo.add_source(POLY)
         repo.speculate_all()
-        out = repo.execute(invoke("poly", 5.0))
+        out = execute(repo, invoke("poly", 5.0))
         assert to_python(out[0]) == 3142.0
         assert repo.stats.jit_compiles == 0  # no JIT was needed
 
@@ -74,7 +79,7 @@ class TestLocator:
     def test_unknown_function(self):
         repo = CodeRepository()
         with pytest.raises(RepositoryError):
-            repo.execute(invoke("nope", 1.0))
+            execute(repo, invoke("nope", 1.0))
 
 
 class TestRecursion:
@@ -86,14 +91,14 @@ class TestRecursion:
     def test_recursive_execution(self):
         repo = CodeRepository()
         repo.add_source(self.FIB)
-        out = repo.execute(invoke("fib", 12))
+        out = execute(repo, invoke("fib", 12))
         assert to_python(out[0]) == 144.0
 
     def test_recursion_compiles_once(self):
         """Widened signatures stop per-constant recompilation."""
         repo = CodeRepository()
         repo.add_source(self.FIB)
-        repo.execute(invoke("fib", 12))
+        execute(repo, invoke("fib", 12))
         assert repo.stats.jit_compiles == 1
 
     def test_mutual_calls(self):
@@ -106,8 +111,8 @@ class TestRecursion:
             "function y = odd(n)\nif n == 0, y = 0; else "
             "y = even(n-1); end\n"
         )
-        assert to_python(repo.execute(invoke("even", 10))[0]) == 1.0
-        assert to_python(repo.execute(invoke("odd", 10))[0]) == 0.0
+        assert to_python(execute(repo, invoke("even", 10))[0]) == 1.0
+        assert to_python(execute(repo, invoke("odd", 10))[0]) == 0.0
 
 
 class TestInliningIntegration:
@@ -115,7 +120,7 @@ class TestInliningIntegration:
         repo = CodeRepository()
         repo.add_source("function y = helper(x)\ny = x * 2;\n")
         repo.add_source("function y = main(x)\ny = helper(x) + 1;\n")
-        out = repo.execute(invoke("main", 5.0))
+        out = execute(repo, invoke("main", 5.0))
         assert to_python(out[0]) == 11.0
         obj = repo.versions_of("main")[0]
         assert "call_user" not in obj.source  # call was inlined away
@@ -124,12 +129,12 @@ class TestInliningIntegration:
         repo = CodeRepository()
         repo.add_source("function y = helper(x)\ny = x * 2;\n")
         repo.add_source("function y = main(x)\ny = helper(x) + 1;\n")
-        repo.execute(invoke("main", 5.0))
+        execute(repo, invoke("main", 5.0))
         assert repo.versions_of("main")
         # Changing the helper invalidates main's compiled code.
         repo.add_source("function y = helper(x)\ny = x * 3;\n")
         assert not repo.versions_of("main")
-        out = repo.execute(invoke("main", 5.0))
+        out = execute(repo, invoke("main", 5.0))
         assert to_python(out[0]) == 16.0
 
 
@@ -141,21 +146,21 @@ class TestSnooping:
         repo = CodeRepository()
         names = repo.add_path(tmp_path)
         assert "addone" in names
-        assert to_python(repo.execute(invoke("addone", 1.0))[0]) == 2.0
+        assert to_python(execute(repo, invoke("addone", 1.0))[0]) == 2.0
 
     def test_rescan_picks_up_changes(self, tmp_path):
         path = tmp_path / "g.m"
         path.write_text("function y = g(x)\ny = x + 1;\n")
         repo = CodeRepository()
         repo.add_path(tmp_path)
-        assert to_python(repo.execute(invoke("g", 1.0))[0]) == 2.0
+        assert to_python(execute(repo, invoke("g", 1.0))[0]) == 2.0
         time.sleep(0.02)
         path.write_text("function y = g(x)\ny = x + 10;\n")
         import os
 
         os.utime(path, (time.time() + 5, time.time() + 5))
         repo.rescan()
-        assert to_python(repo.execute(invoke("g", 1.0))[0]) == 11.0
+        assert to_python(execute(repo, invoke("g", 1.0))[0]) == 11.0
 
     def test_snoop_reports_added(self, tmp_path):
         (tmp_path / "a.m").write_text("function a\nx = 1;\n")
@@ -196,6 +201,6 @@ class TestFallback:
         repo.add_source(
             "function y = withglobal(x)\nglobal g\ny = x + 1;\n"
         )
-        out = repo.execute(invoke("withglobal", 1.0))
+        out = execute(repo, invoke("withglobal", 1.0))
         assert to_python(out[0]) == 2.0
         assert repo.stats.calls_interpreted == 1

@@ -241,7 +241,8 @@ class TestInterpreterFallbackPaths:
         )
         assert session.call("caller", 3.0) == 7.0
         assert session.stats.calls_interpreted >= 1
-        # The callee was still served by compiled code via _interp_dispatch.
+        # The callee was still served by compiled code, through the
+        # repository's dispatch hook.
         assert session.repository.versions_of("callee")
 
     def test_uncompilable_construct_falls_back(self, session):

@@ -1,8 +1,8 @@
 """The steady serve path (DESIGN.md, *What one steady call does*).
 
-A steady call is a hot-call cache hit: one exact acceptance test on the
-values, a count, an O(1) rollback capture, a transcript mark, the emitted
-code.  JIT versions — compiled for the *observed* value ranges — live in
+A steady call is a hot-call cache hit, served in ``execute``'s own frame:
+one exact acceptance test on the values, a count, an O(1) rollback
+capture, a transcript mark, the emitted code.  JIT versions — compiled for the *observed* value ranges — live in
 that cache, so what keeps it right is tested here as sequences:
 
 * the version served is the one ``locate`` would choose, after every call
@@ -12,10 +12,14 @@ that cache, so what keeps it right is tested here as sequences:
   adaptive demotion, a same-signature replacement, a cleared disk cache,
   too many actuals after a hit — each compared with the interpreter
   after every step;
+* supervision switched mid-session (``profile`` on and off, a watched
+  session's ``close``) holds from the next call, and an adaptive
+  controller observes each host call once;
 * the rollback capture equals a fresh read of the generator whatever the
-  interleaving, and a faulted call leaves stream and transcript exactly
-  where the interpreter does;
-* the work of one steady call, as counts that repeat exactly — and that
+  interleaving, and a faulted call — a hot hit too — leaves stream and
+  transcript exactly where the interpreter does;
+* the work of one steady call, as counts that repeat exactly (no locate,
+  no ``import``, no ``Invocation``) — and that
   a compiled call of compiled code enters neither ``execute`` nor
   ``rt.call_user`` unless the session must see every call.
 """
@@ -35,11 +39,15 @@ from repro import FaultPlan, MajicSession, TieringPolicy
 from repro import backends
 from repro.backends import Program, canon_value
 from repro.benchsuite.registry import benchmark_names, sources_of
+from repro.codegen.jitgen import CompiledObject
 from repro.errors import MatlabError
 from repro.faults.plan import FaultSpec
 from repro.frontend.parser import parse
+from repro.interp.frontend import Invocation
 from repro.interp.interpreter import Interpreter
 from repro.obs import TIER_INTERPRETER
+from repro.repository import repo as repo_module
+from repro.repository.repo import _Interpreted
 from repro.resilience import ResiliencePolicy
 from repro.runtime.builtins import GLOBAL_RANDOM, MatlabRandom
 from repro.runtime.display import OutputSink
@@ -96,15 +104,18 @@ def twin(fresh_session):
     return lambda **kwargs: Twin(fresh_session(seed=None, **kwargs))
 
 
-def served_by(repo):
-    """Record ``(invocation, version)`` for everything ``_serve`` runs."""
-    served, original = [], repo._serve
+def served_by(patch):
+    """Record ``(invocation, version)`` for every version a call runs:
+    ``execute`` invokes the version it serves — a hot-call hit in place,
+    a miss after ``_resolve`` — through its ``invoke``, compiled or the
+    bottom version's.  ``patch`` is a ``MonkeyPatch``."""
+    served = []
+    for owner in (CompiledObject, _Interpreted):
+        def invoke(version, args, nargout, rt, _original=owner.invoke):
+            served.append((Invocation(version.name, list(args), nargout), version))
+            return _original(version, args, nargout, rt)
 
-    def _serve(invocation, version, spanned=False):
-        served.append((invocation, version))
-        return original(invocation, version, spanned)
-
-    repo._serve = _serve
+        patch.setattr(owner, "invoke", invoke)
     return served
 
 
@@ -123,11 +134,11 @@ STEPS = st.lists(
 )
 
 
-def _check_history(session, steps):
+def _check_history(session, steps, patch):
     duo = Twin(session)
     duo.add_source(SPECIAL)
     repo = duo.session.repository
-    served = served_by(repo)
+    served = served_by(patch)
     for step in steps:
         if step == "speculate":
             duo.session.speculate_all()
@@ -141,13 +152,13 @@ def _check_history(session, steps):
 
 
 class TestServedIsLocated:
-    def test_widening_history(self, twin):
+    def test_widening_history(self, twin, monkeypatch):
         """f(5), f(6) widens the ranges (``_range_only_miss``); f(5) again
         must come back to the constant version, at distance 0."""
         duo = twin()
         duo.add_source(SPECIAL)
         repo, stats = duo.session.repository, duo.session.stats
-        served = served_by(repo)
+        served = served_by(monkeypatch)
         duo.call("sp", 5.0)
         constant = served[-1][1]
         duo.call("sp", 6.0)
@@ -167,10 +178,10 @@ class TestServedIsLocated:
         duo.call("sp", 5.0)
         assert served[-1][1] is constant
 
-    def test_array_values_leaving_the_compiled_range(self, twin):
+    def test_array_values_leaving_the_compiled_range(self, twin, monkeypatch):
         duo = twin()
         duo.add_source(SPECIAL)
-        served = served_by(duo.session.repository)
+        served = served_by(monkeypatch)
         duo.call("sp", np.array([[1.0, 2.0, 3.0]]))
         first = served[-1][1]
         assert not first.signature[0].range.is_top
@@ -181,13 +192,13 @@ class TestServedIsLocated:
         duo.call("sp", np.array([[1.0, np.nan, 3.0]]))   # NaN: range is ⊤
         assert served[-1][1] is not first
 
-    def test_bool_after_int_constant(self, twin):
+    def test_bool_after_int_constant(self, twin, monkeypatch):
         """``true`` fits INT<1,1> but its own BOOL<1,1> version is closer:
         accepting is not enough for the cache to keep a version."""
         duo = twin()
         duo.add_source(SPECIAL)
         repo = duo.session.repository
-        served = served_by(repo)
+        served = served_by(monkeypatch)
         duo.call("sp", True)
         as_bool = served[-1][1]
         duo.call("sp", 1.0)
@@ -199,8 +210,9 @@ class TestServedIsLocated:
     @settings(max_examples=40, deadline=None)
     @given(steps=STEPS)
     def test_any_history(self, steps):
-        with MajicSession(seed=None) as session:
-            _check_history(session, steps)
+        with MajicSession(seed=None) as session, \
+                pytest.MonkeyPatch.context() as patch:
+            _check_history(session, steps, patch)
 
 
 # ----------------------------------------------------------------------
@@ -259,11 +271,11 @@ class TestHotCacheStaleness:
         report = session.tiering.report()
         assert report["demotions"] >= 1 and report["promotions"] >= 2
 
-    def test_same_signature_replacement_is_served(self, twin):
+    def test_same_signature_replacement_is_served(self, twin, monkeypatch):
         duo = twin()
         duo.add_source(SPECIAL)
         repo = duo.session.repository
-        served = served_by(repo)
+        served = served_by(monkeypatch)
         duo.call("sp", 5.0)
         duo.call("sp", 5.0)
         old = served[-1][1]
@@ -327,6 +339,92 @@ class TestHotCacheStaleness:
             duo.call("short", 2.0, 3.0)
         assert duo.session.tiering.tier_of("short") == "jit"
         assert duo.session.stats.calls_jit >= 1
+
+
+# ----------------------------------------------------------------------
+# Supervision switched mid-session holds from the next call
+# ----------------------------------------------------------------------
+def _entered(patch, owner, attr):
+    """Count the calls of ``owner.attr`` (an instance attribute wrap)."""
+    calls, original = [], getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    patch.setattr(owner, attr, counted)
+    return calls
+
+
+class TestSupervisionChanges:
+    """``execute`` decides per call whether the call is supervised: a
+    switch takes effect on the very next call, hot-call hit or not, and
+    every step answers as the interpreter does."""
+
+    def test_profile_on_then_off(self, twin, monkeypatch):
+        duo = twin()
+        duo.add_source(SPECIAL)
+        session = duo.session
+        stats = session.stats
+        for _ in range(3):
+            duo.call("sp", 5.0)                     # compile, then hits
+        supervised = _entered(monkeypatch, session.repository, "_supervise")
+        lookups = stats.lookups
+        session.profile("on")
+        duo.call("sp", 5.0)
+        executions = [
+            span for span in session.profile_spans()
+            if span.category == "execution" and span.name == "sp"
+        ]
+        assert len(executions) == 1 and supervised == [1]
+        session.profile("off")
+        duo.call("sp", 5.0)
+        assert supervised == [1]
+        assert sum(
+            span.category == "execution" for span in session.profile_spans()
+        ) == 1
+        assert stats.lookups == lookups and stats.deopts == 0
+
+    def test_watchdog_close_takes_the_plain_path(self, twin, monkeypatch):
+        duo = twin(resilience=ResiliencePolicy(run_deadline=30.0))
+        duo.add_source(SPECIAL)
+        session = duo.session
+        repo = session.repository
+        guarded = _entered(monkeypatch, repo.guard, "run_guard")
+        supervised = _entered(monkeypatch, repo, "_supervise")
+        for _ in range(3):
+            duo.call("sp", 5.0)
+        assert len(guarded) == 3 and len(supervised) == 3
+        session.close()
+        lookups = session.stats.lookups
+        duo.call("sp", 5.0)
+        duo.call("sp", 5.0)
+        assert len(guarded) == 3 and len(supervised) == 3
+        assert session.stats.lookups == lookups
+        assert session.stats.calls_jit >= 5 and session.stats.deopts == 0
+
+    def test_adaptive_observes_every_host_call_once(self, twin, monkeypatch):
+        """Interpreted, promoted and steady calls alike: one observation
+        per host call, never one per re-entry."""
+        duo = twin(
+            adaptive=True, sync=True,
+            tiering=TieringPolicy(jit_threshold=2.0, spec_threshold=4.0),
+        )
+        duo.add_source(SPECIAL)
+        duo.add_source(CALLER)
+        session = duo.session
+        observed = _entered(monkeypatch, session.tiering, "observe")
+        calls = 0
+        for value in (5.0, 5.0, 5.0, 6.0, 5.0, 5.0, 5.0):
+            duo.call("sp", value)
+            calls += 1
+            assert len(observed) == calls
+        # ``caller``'s two calls of ``sp`` are served (an adaptive session
+        # binds no direct call), so each is observed too.
+        before = len(observed)
+        duo.call("caller", 5.0)
+        assert len(observed) == before + 3
+        assert session.stats.calls_jit + session.stats.calls_spec >= 1
 
 
 # ----------------------------------------------------------------------
@@ -405,6 +503,36 @@ class TestRollbackCapture:
                 assert not want.diff(handle.call()), hit    # and once more
         assert fired >= 4 and deopts_after_draw >= 2
 
+    def test_fault_on_a_hot_hit_rolls_back_stream_and_transcript(self, twin):
+        """The faults of the test above, on a steady call: ``outer`` and
+        ``drawing`` are hot-call hits served in place by ``execute`` (a
+        runtime-helper plan turns direct calls off, so ``drawing`` is
+        served too).  Each helper call of the third call is faulted in
+        turn; its deopt rolls stream and transcript back and the
+        interpreter's answer is served, with no locate."""
+        probe = FaultPlan([FaultSpec(site="rt.*", hits=(10**9,))])
+        duo = twin(fault_plan=probe)
+        duo.add_source(self.NESTED)
+        duo.call("outer", 2.0)
+        first = probe._hits["rt.*"]
+        duo.call("outer", 2.0)
+        per_call = probe._hits["rt.*"] - first
+        assert per_call >= 4
+        third = first + per_call        # helper hits before the third call
+        for hit in range(third + 1, third + per_call + 1):
+            plan = FaultPlan([FaultSpec(site="rt.*", hits=(hit,))])
+            duo = twin(fault_plan=plan)
+            duo.add_source(self.NESTED)
+            duo.call("outer", 2.0)
+            duo.call("outer", 2.0)
+            stats = duo.session.stats
+            lookups = stats.lookups
+            assert not plan.fired and stats.deopts == 0
+            duo.call("outer", 2.0)                      # the faulted hit
+            assert len(plan.fired) == 1, hit
+            assert stats.deopts == 1 and stats.lookups == lookups, hit
+            duo.call("outer", 2.0)                      # and once more
+
     def test_sandbox_verdict_applies_the_childs_stream(self):
         program = Program((self.NESTED,), "outer", lambda: [from_python(2.0)])
         want = backends.reference(program)
@@ -472,14 +600,21 @@ def _steady_programs():
     ("name", "program"), list(_steady_programs()),
     ids=[name for name, _ in _steady_programs()],
 )
-def test_steady_call_is_a_table_hit(name, program):
+def test_steady_call_is_a_table_hit(name, program, monkeypatch):
     """One steady call, all 16 Table-1 programs and the empty function:
-    the locator does not run (at the parent it ran once per call on 14 of
-    the 16), no ``import`` statement executes (2+ per compiled call at the
-    parent) and the generator's state is read at most once per compiled
-    call of a program that draws (``fractal``), never for one that does
-    not (once per compiled call at the parent).  Counts, so they repeat
-    exactly."""
+    the locator does not run (before steady calls were table hits it ran
+    once per call on 14 of the 16), no ``import`` statement executes (2+
+    per compiled call then), no ``Invocation`` is built (one per served
+    call while ``execute`` took one), and the generator's state is read at
+    most once per compiled call of a program that draws (``fractal``),
+    never for one that does not (once per compiled call then).  Counts,
+    so they repeat exactly."""
+    built = []
+
+    def counted_invocation(*fields):
+        built.append(fields[0])
+        return Invocation(*fields)
+
     with backends.open(program, "fused") as handle:
         handle.call()
         handle.call()
@@ -487,12 +622,15 @@ def test_steady_call_is_a_table_hit(name, program):
         GLOBAL_RANDOM.seed(backends.RNG_SEED)
         args = program.make_args()
         GLOBAL_RANDOM.snapshot()                # the capture seeding dropped
+        monkeypatch.setattr(repo_module, "Invocation", counted_invocation)
         with counted_state_reads() as reads, counted_imports() as imports:
             before = stats.lookups, stats.calls_jit
             handle.invoke(args)
+        monkeypatch.undo()
         assert stats.calls_jit > before[1], "not served compiled"
         assert stats.lookups == before[0]
         assert imports == []
+        assert built == []
         # A capture per served compiled call at most, and only where the
         # stream moved since the last one.
         served = stats.calls_jit - before[1]
@@ -531,30 +669,37 @@ SERVE_PATH_ENTRIES = {
 
 def _steady_fibonacci_entries(session) -> tuple[int, int]:
     """(``execute``, ``rt.call_user``) entries of one steady
-    ``fibonacci(10)`` on ``session``, whose answer is the interpreter's."""
+    ``fibonacci(10)`` on ``session``, whose answer is the interpreter's.
+    ``execute`` is entered from the host (``call_boxed``) and from
+    ``rt.call_user``, which hands its boxed arguments straight to it; a
+    supervised call's re-entry with the version chosen (``_serve``) is
+    not a second entry."""
     args = FIBONACCI.make_args()
     for _ in range(4):
         session.call_boxed("fibonacci", args, nargout=1)
-    repo = session.repository
+    repo, rt = session.repository, session.repository._rt
     counts = {"execute": 0, "call_user": 0}
-    execute, call_user = repo.execute, repo._rt.call_user
+    execute, call_user = repo.execute, rt.call_user
+    assert rt._call_user == execute
 
-    def counted_execute(invocation):
+    def counted_execute(*call):
         counts["execute"] += 1
-        return execute(invocation)
+        return execute(*call)
 
     def counted_call_user(*call):
         counts["call_user"] += 1
         return call_user(*call)
 
-    repo.execute, repo._rt.call_user = counted_execute, counted_call_user
+    repo.execute = rt._call_user = counted_execute
+    rt.call_user = counted_call_user
     try:
         want = backends.reference(FIBONACCI)
         assert canon_value(
             session.call_boxed("fibonacci", args, nargout=1)[0]
         ) == want.outputs[0]
     finally:
-        repo.execute, repo._rt.call_user = execute, call_user
+        del repo.execute
+        rt._call_user, rt.call_user = execute, call_user
     return counts["execute"], counts["call_user"]
 
 
