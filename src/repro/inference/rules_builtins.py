@@ -21,7 +21,7 @@ from repro.inference.rules_arith import (
 from repro.typesys.intrinsic import Intrinsic
 from repro.typesys.mtype import MType
 from repro.typesys.ranges import Interval
-from repro.typesys.shape import Shape
+from repro.typesys.shape import INF, Shape
 
 
 def _dims_from_types(ctx: RuleContext) -> tuple[Shape, Shape]:
@@ -568,15 +568,23 @@ def register(calc: TypeCalculator) -> None:
     )
 
     def diag_rule(ctx: RuleContext) -> list[MType]:
+        # diag(v) of a vector of n >= 1 elements is n x n, v on the
+        # diagonal and zeros off it; diag(A) of anything else (an empty
+        # included) is A's diagonal, a min(r, c) x 1 column.
         a = ctx.arg(0)
-        return [
-            MType(
-                a.intrinsic,
-                Shape.bottom(),
-                Shape.top(),
-                a.range if a.is_real_like else Interval.top(),
-            )
-        ]
+        rng = a.range if a.is_real_like else Interval.top()
+        lo, hi = a.minshape, a.maxshape
+        if (lo.rows is not INF and lo.rows <= 1 and Shape(1, 2).leq(hi)) or (
+            lo.cols is not INF and lo.cols <= 1 and Shape(2, 1).leq(hi)
+        ):
+            rng = rng.join(Interval.constant(0.0))   # a vector of >= 2
+        shape = a.exact_shape
+        if shape is None:
+            return [MType(a.intrinsic, Shape.bottom(), Shape.top(), rng)]
+        rows, cols = shape.rows, shape.cols
+        if rows * cols and 1 in (rows, cols):
+            return [MType.exact(a.intrinsic, rows * cols, rows * cols, rng)]
+        return [MType.exact(a.intrinsic, min(rows, cols), 1, rng)]
 
     calc.rule(("builtin", "diag"), "diag:numeric", lambda ctx: is_numeric(ctx.arg(0)), diag_rule)
     calc.rule(("builtin", "diag"), "diag:generic", lambda ctx: True, lambda ctx: [MType.top()])

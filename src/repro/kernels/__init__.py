@@ -6,7 +6,10 @@ JIT removed that overhead for *scalars* (raw host representation); this
 package removes it for *arrays* by collapsing whole elementwise expression
 trees — ``+ - .* ./ .^``, comparisons, logical ops and shape-preserving
 unary builtins — into single generated-Python NumPy kernels with no
-intermediate ``MxArray`` boxing.
+intermediate ``MxArray`` boxing.  The ``ndarray`` temporaries stay, one
+per operator, except that a large dead one (an earlier node's result of
+at least 32,768 elements) takes the result of the exact op (``+ - .* *
+./ /``) that reads it.
 
 Layout:
 
@@ -16,7 +19,8 @@ Layout:
   ``match_dynamic`` is the structural matcher behind the interpreter's
   fast path (descriptors resolved per call).
 * :mod:`repro.kernels.codegen` — turns a matched tree into Python source
-  that replays :mod:`repro.runtime.elementwise` semantics bit-for-bit.
+  that replays :mod:`repro.runtime.elementwise` semantics bit-for-bit,
+  writing into dead temporaries where that changes no bit.
 * :mod:`repro.kernels.cache` — the process-wide content-addressed
   :class:`KernelCache` (SHA-256 of tree structure + operand descriptors);
   compiled functions persist across sessions and, via

@@ -34,7 +34,7 @@ from repro.kernels.fusion import Node, encode
 
 #: Bumped whenever generated kernel code changes shape — keys (and thus
 #: the names embedded in persisted compiled objects) change with it.
-KERNEL_FORMAT_VERSION = 1
+KERNEL_FORMAT_VERSION = 2
 
 #: Default bound on live kernels per cache.  Long fuzz runs mint an
 #: unbounded stream of distinct trees; past this the least recently used

@@ -2,8 +2,15 @@
 
 Turns a matched fusion tree into one Python function that evaluates the
 whole tree over raw ``ndarray`` views — no intermediate ``MxArray``
-boxing, one output allocation at the end.  The generated code must be
-**bit-identical** to the unfused chain through
+boxing, and one box at the end.  Each operator still allocates its
+result, except where a large temporary dies at it: a ``+ - .* * ./ /``
+node with an operand that is an earlier node's fresh result of at least
+:data:`REUSE_MIN_ELEMENTS` elements, of the result's dtype, writes into
+that operand's buffer (``out=``).  Every temporary is read once, by its
+parent, so it is dead there; the six ops are correctly rounded, so the
+bits are the same either way.  ``crnich_step``'s
+``0.5 .* (u + uold) + c .* (uold - u)`` holds two buffers, not five.
+The generated code must be **bit-identical** to the unfused chain through
 :mod:`repro.runtime.elementwise`, so every statement mirrors the
 corresponding ``mlf_*`` helper exactly:
 
@@ -63,6 +70,18 @@ _UNARY_NP = {
 #: Builtins that widen to complex on negative input (``_NEGATIVE_DOMAIN``).
 _WIDEN_BUILTINS = {"sqrt": 0.0, "log": 0.0}
 
+#: The exact ops whose ufunc may write into a dead temporary operand.
+_REUSE_UFUNC = {
+    "+": "np.add", "-": "np.subtract",
+    ".*": "np.multiply", "*": "np.multiply",
+    "./": "np.true_divide", "/": "np.true_divide",
+}
+
+#: A temporary this large (256 KiB of ``float64``, NumPy's own
+#: temporary-elision size) takes its parent's result; a smaller one is
+#: left to the allocator, which serves it faster than the test costs.
+REUSE_MIN_ELEMENTS = 32768
+
 
 def _cc(a, b, opname: str) -> None:
     """The ``_binary_views`` conformance rule, over views/raw scalars."""
@@ -87,6 +106,8 @@ KERNEL_GLOBALS = {
     "DimensionError": DimensionError,
     "_cc": _cc,
     "_scal": _scal,
+    "_f8": np.dtype(np.float64),
+    "_c16": np.dtype(np.complex128),
 }
 
 
@@ -114,15 +135,44 @@ class _Emitter:
         op = node.op
         if len(refs) == 2:
             x, y = refs
-            if not (
-                self.static_scalar(node.children[0])
-                or self.static_scalar(node.children[1])
-            ):
+            scalar = [self.static_scalar(child) for child in node.children]
+            if not any(scalar):
                 self.lines.append(f"_cc({x}, {y}, {_OPNAME[op]!r})")
-            self._emit_binary(op, out, x, y)
+            if op in _REUSE_UFUNC:
+                # A temporary is an earlier node's fresh ufunc result: an
+                # array unless its whole subtree is raw scalars.
+                temps = [
+                    (ref, other)
+                    for ref, other, child, static in zip(
+                        refs, refs[::-1], node.children, scalar)
+                    if isinstance(child, Node) and not static
+                ]
+                self._emit_reusing(op, out, x, y, temps)
+            else:
+                self._emit_binary(op, out, x, y)
         else:
             self._emit_unary(op, out, refs[0])
         return out
+
+    def _emit_reusing(self, op, out, x, y, temps) -> None:
+        """``out = x op y``, written into the first temporary in ``temps``
+        that is large enough and whose dtype is the result's; today's
+        statement when none is (or there is none)."""
+        if not temps:
+            self._emit_binary(op, out, x, y)
+            return
+        ufunc = _REUSE_UFUNC[op]
+        branches = []
+        for keyword, (temp, other) in zip(("if", "elif"), temps):
+            branches.append(
+                f"{keyword} {temp}.size >= {REUSE_MIN_ELEMENTS} and"
+                f" ({temp}.dtype is _c16 or {temp}.dtype is _f8"
+                f" and not np.iscomplexobj({other})):\n"
+                f"    {out} = {ufunc}({x}, {y}, out={temp})"
+            )
+        self._emit_binary(op, out, x, y)
+        branches.append("else:\n    " + self.lines.pop())
+        self.lines.append("\n".join(branches))
 
     def _emit_binary(self, op, out, x, y) -> None:
         lines = self.lines

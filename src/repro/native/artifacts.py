@@ -5,6 +5,9 @@ record.  The key is a SHA-256 over everything that could change the
 machine code:
 
 * the native format version (this module's layout / lowering scheme);
+* the symbol the ``.so`` exports: the kernel's name, which carries the
+  kernel format version, so a bump of that version cannot load an
+  artifact built under the old name (``undefined symbol``);
 * the kernel's canonical tree encoding (which embeds the operand
   descriptor vector — and, via the dispatch guard, fixes the dtype to
   ``float64``);
@@ -27,6 +30,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from repro.kernels.cache import kernel_name
 from repro.native.toolchain import BUILD_FLAGS
 from repro.repository.store import DiskStore
 
@@ -42,6 +46,7 @@ def artifact_key(kernel_key: str, toolchain_ident: str) -> str:
     digest = hashlib.sha256()
     for part in (
         f"native-v{NATIVE_FORMAT_VERSION}",
+        kernel_name(kernel_key),
         kernel_key,
         toolchain_ident,
         " ".join(BUILD_FLAGS),

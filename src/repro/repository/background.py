@@ -16,7 +16,11 @@ Lifecycle of one work item
 --------------------------
 * :meth:`submit` enqueues a function under its *current* repository
   generation; a name already queued or in flight at the same generation
-  is deduplicated.
+  is deduplicated.  :meth:`submit_all` queues callees before callers
+  (the repository's :class:`~repro.repository.depgraph.DependencyGraph`
+  gives the edges), and a task queued ``after`` others is held back
+  until they settle: a caller compiles once its callees' versions are
+  stored, so it binds its call sites to them whatever the thread timing.
 * A worker dequeues the task, whose body re-checks the generation (a
   redefinition while queued cancels it) and runs the repository's
   speculative pipeline.  The repository re-checks the generation once
@@ -91,9 +95,14 @@ class _Task:
     so a redefined function may re-queue; everything else passes
     ``None``).  ``parent`` is the submitting thread's innermost span and
     ``attempts`` how many workers the task has already killed.
+    ``blockers`` counts the unsettled tasks it was queued after, and
+    ``dependents`` lists the held tasks queued after it.
     """
 
-    __slots__ = ("label", "fn", "token", "on_done", "parent", "attempts")
+    __slots__ = (
+        "label", "fn", "token", "on_done", "parent", "attempts",
+        "blockers", "dependents",
+    )
 
     def __init__(self, label, fn, token, on_done, parent):
         self.label = label
@@ -102,6 +111,8 @@ class _Task:
         self.on_done = on_done
         self.parent = parent
         self.attempts = 0
+        self.blockers = 0
+        self.dependents: list[_Task] = []
 
     def finish(self, success: bool) -> None:
         """Fire the completion callback exactly once (then disarm it)."""
@@ -158,8 +169,11 @@ class SpeculationEngine:
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._quiet = threading.Condition(self._lock)
-        # label -> queued task (dedup of identical submissions)
+        # label -> queued task (dedup of identical submissions); a task
+        # held back behind unsettled ones is queued but not on _queue yet
         self._queued: dict[str, _Task] = {}
+        # label -> the latest task under it not yet settled
+        self._unsettled: dict[str, _Task] = {}
         self._in_flight = 0
         self._shutdown = False
         # Outcome tallies (inspected by tests and the experiment report).
@@ -183,8 +197,9 @@ class SpeculationEngine:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, name: str) -> bool:
-        """Queue one function for background speculation.
+    def submit(self, name: str, after=()) -> bool:
+        """Queue one function for background speculation, to start once
+        every task already queued under a label in ``after`` has settled.
 
         Returns False when the submission was deduplicated (already
         queued or compiling at the same generation) or the engine is
@@ -210,9 +225,12 @@ class SpeculationEngine:
             )
             return None
 
-        return self.submit_task(speculation, name, token=generation)
+        return self.submit_task(speculation, name, token=generation,
+                                after=after)
 
-    def submit_task(self, fn, label: str, on_done=None, token=None) -> bool:
+    def submit_task(
+        self, fn, label: str, on_done=None, token=None, after=()
+    ) -> bool:
         """Queue one callable on the supervised worker pool.
 
         Returns False when the engine is shut down or degraded, or when
@@ -223,7 +241,9 @@ class SpeculationEngine:
         on; any other value means it completed.  ``on_done`` (if given) is
         invoked
         with ``True``/``False`` once the task finishes or is abandoned
-        (failure, cancellation, poison quarantine).
+        (failure, cancellation, poison quarantine).  The task is held
+        back until every task queued earlier under a label in ``after``
+        has settled (finished, failed, been cancelled or poisoned).
         """
         # Capture the submitting thread's innermost span (typically the
         # session's ``speculate_async`` span) so the worker's spans hang
@@ -236,14 +256,30 @@ class SpeculationEngine:
             if queued is not None and queued.token == token:
                 return False
             self._queued[label] = task
-        self._queue.put(task)
+            for name in after:
+                blocker = self._unsettled.get(name)
+                if blocker is not None:
+                    blocker.dependents.append(task)
+                    task.blockers += 1
+            self._unsettled[label] = task
+            if not task.blockers:
+                self._queue.put(task)
         if self._push_depth is not None:
             self._push_depth(self.pending())
         return True
 
     def submit_all(self) -> int:
-        """Queue every function the repository knows; returns how many."""
-        return sum(1 for name in self.repository.function_names() if self.submit(name))
+        """Queue every function the repository knows, callees before
+        callers, each held back until the callees queued ahead of it have
+        settled; returns how many."""
+        repo = self.repository
+        names = repo.function_names()
+        known = set(names)
+        callees = {name: repo.dependencies(name) & known for name in names}
+        return sum(
+            1 for name in repo.depgraph.callees_first(names)
+            if self.submit(name, after=callees[name])
+        )
 
     # ------------------------------------------------------------------
     # Observation
@@ -297,6 +333,7 @@ class SpeculationEngine:
                 if self._queued.get(task.label) is task:
                     del self._queued[task.label]
                 self._in_flight += 1
+            requeued = False
             try:
                 if self.degraded:
                     # The restart budget is spent: queued work is dropped
@@ -309,10 +346,12 @@ class SpeculationEngine:
                 # Only a SimulatedCrash gets past _run_one's net: this
                 # worker died.  Settle its task, then carry on as the
                 # restarted worker.
-                self._restart(index, task, exc)
+                requeued = self._restart(index, task, exc)
             finally:
                 with self._quiet:
                     self._in_flight -= 1
+                    if not requeued:
+                        self._settle(task)
                     # Gauge update inside the lock, *before* notifying:
                     # a drained foreground must observe the settled depth.
                     if self._push_depth is not None:
@@ -320,12 +359,26 @@ class SpeculationEngine:
                     if not self._queued and not self._in_flight:
                         self._quiet.notify_all()
 
-    def _restart(self, index: int, task: _Task, exc) -> None:
+    def _settle(self, task: _Task) -> None:
+        """``task`` is done with (under the lock): release each held task
+        it was the last blocker of onto the queue."""
+        if self._unsettled.get(task.label) is task:
+            del self._unsettled[task.label]
+        for dependent in task.dependents:
+            dependent.blockers -= 1
+            if not dependent.blockers:
+                self._queue.put(dependent)
+        task.dependents = []
+
+    def _restart(self, index: int, task: _Task, exc) -> bool:
         """A task killed worker ``index``: requeue the task (bounded) or
         poison it, then restart the worker in place — or, once
         :data:`WORKER_MAX_RESTARTS` restarts are spent, degrade the
-        engine."""
-        if task.attempts < WORKER_MAX_TASK_RETRIES and not self._shutdown:
+        engine.  Returns whether the task was requeued."""
+        requeued = (
+            task.attempts < WORKER_MAX_TASK_RETRIES and not self._shutdown
+        )
+        if requeued:
             task.attempts += 1
             with self._lock:
                 self._queued[task.label] = task
@@ -347,12 +400,13 @@ class SpeculationEngine:
                 count = self.restarts
         if spent:
             self._enter_degraded()
-            return
+            return requeued
         self.repository.diagnostics.record(
             WORKER_RESTART, f"worker-{index}",
             detail=f"dead worker restarted in place (restart {count}/"
             f"{WORKER_MAX_RESTARTS})",
         )
+        return requeued
 
     def _enter_degraded(self) -> None:
         """The restart budget is spent: stop accepting work (what is still

@@ -583,6 +583,19 @@ class CodeRepository:
             self.depgraph.set_dependencies(name, (embedded | applied) - {name})
         return prepared, applied
 
+    def dependencies(self, name: str) -> set[str]:
+        """What ``name``'s compiled code depends on — the functions it
+        embeds and every name it applies — as :attr:`depgraph` records it
+        once ``name`` is prepared (the parse and inlining its compile
+        would do, done once).  Empty when it cannot be prepared: its
+        compile records why."""
+        try:
+            self._prepared(name)
+        except Exception:  # noqa: BLE001 - the compile records the failure
+            return set()
+        with self._lock:
+            return self.depgraph.dependencies_of(name)
+
     def _compile_lock(self, name: str) -> threading.Lock:
         """Per-name compile lock: one compile of a given function at a
         time (its range-widening check and cache probe read the versions

@@ -318,6 +318,9 @@ EAGER_OWN = (
     "function r = chain(n)\ndisp(n);\nif n <= 0, r = 1; return; end\n"
     "r = (n > 100) & chain(n - 1);\n"
 )
+#: ``diag`` of a vector holds zeros off the diagonal, outside the vector's
+#: own range: ``sqrt(0 - 1)`` is imaginary.
+DIAG_ZEROS = "function r = dg(a)\nD = diag([a 3]);\nr = sqrt(D(1,2) - 1);\n"
 
 
 def _scalar(value):
@@ -487,6 +490,10 @@ def _dgemv_zero_beta():
 #: ``undefined-function``: a call of a name no function has raises the
 #: interpreter's error at its location (``jit`` / ``spec`` said
 #: ``unknown function``, ``falcon`` / ``mcc`` raised a host ``KeyError``).
+#: ``diag-zeros``: ``diag`` of a vector is zero off its diagonal, so a
+#: ``sqrt`` of an off-diagonal element less one is imaginary (inference
+#: gave ``diag([a 3])`` the range of ``[a 3]``: the real ``sqrt`` raised
+#: a domain error, a deopt on ``jit`` / ``fused``, a rescue on ``falcon``).
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -588,6 +595,7 @@ PROBES = {
     "mutual-recursion": Program((MUTUAL,), "iseven", _scalar(7.0)),
     "own-call-eager-and": Program((EAGER_OWN,), "chain", _scalar(4.0)),
     "undefined-function": Program((UNDEFINED,), "ud", _scalar(2.0)),
+    "diag-zeros": Program((DIAG_ZEROS,), "dg", _scalar(2.0)),
 }
 
 #: Probes that fault in compiled code by design, with the one cause each

@@ -25,6 +25,7 @@ from repro import SPARC, MajicSession
 from repro.errors import MatlabError
 from repro.frontend.parser import parse
 from repro.interp.interpreter import Interpreter
+from repro.kernels.codegen import REUSE_MIN_ELEMENTS
 from repro.runtime.display import OutputSink
 from repro.runtime.values import from_python, make_string
 
@@ -245,3 +246,85 @@ def test_empty_and_scalar_fixed_points(expr, a, b):
     truth = run_engine(run_interp, source, [a, b, b], fusion=False)
     fused = run_engine(run_jit, source, [a, b, b], fusion=True)
     assert digest(fused, canonical=True) == digest(truth, canonical=True)
+
+
+# ----------------------------------------------------------------------
+# Buffer reuse: a large dead temporary takes its parent's result
+# ----------------------------------------------------------------------
+#: Trees whose ``+ - .* * ./ /`` nodes take temporaries on either side
+#: (on the right of ``-`` and ``./`` too), temporaries that ``.^``, a
+#: builtin and a comparison produced, and temporaries beside raw scalars.
+REUSE_TEMPLATES = (
+    "a - b .* c",
+    "a ./ (b + c)",
+    "(a + b) .* (c - a)",
+    "(a .* b) ./ c + a",
+    "2.0 ./ (a - b) - c .* 3.0",
+    "(a + b) * 0.5 - c / 2.0",
+    "(a - b) .^ 2.0 - c",
+    "abs(a - b) ./ (c + a)",
+    "(a < b) - c .* a",
+    "0.5 .* (a + b) + c .* (b - a)",
+)
+
+#: The smallest temporary the kernels reuse, and a matrix of that size.
+REUSE_SHAPES = ((1, REUSE_MIN_ELEMENTS), (128, REUSE_MIN_ELEMENTS // 128))
+
+REUSE_SPECIALS = np.array(
+    [0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf], dtype=np.float64)
+
+
+def large_operand(kind: str, shape, seed: int):
+    """Random payloads with the specials sprinkled in; a complex
+    operand's imaginary parts are never zero."""
+    rng = np.random.default_rng(seed)
+    count = shape[0] * shape[1]
+
+    def payload():
+        values = rng.standard_normal(count) * 4.0
+        spots = rng.integers(0, count, size=16)
+        values[spots] = rng.choice(REUSE_SPECIALS, size=16)
+        return values.reshape(shape)
+
+    if kind == "real":
+        return from_python(payload())
+    imags = rng.uniform(0.5, 2.0, size=shape) * rng.choice([-1.0, 1.0], shape)
+    return from_python(payload() + 1j * imags)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_reused_buffers_bit_identical_and_private(data):
+    """At and past the reuse size, every engine answers the unfused
+    interpreter's bits, leaves every operand's buffer as it was, and
+    returns a buffer no operand shares."""
+    template = data.draw(st.sampled_from(REUSE_TEMPLATES), label="template")
+    shape = data.draw(st.sampled_from(REUSE_SHAPES), label="shape")
+    args = []
+    for slot in "abc":
+        kind = data.draw(st.sampled_from(["real", "complex"]),
+                         label=f"{slot}_kind")
+        # A 1x1 operand on either side of an op, now and then.
+        here = data.draw(st.sampled_from([shape, shape, (1, 1)]),
+                         label=f"{slot}_shape")
+        args.append(large_operand(kind, here, data.draw(
+            st.integers(0, 2**16), label=f"{slot}_seed")))
+    before = [arg.view().tobytes() for arg in args]
+    source = SOURCE_TEMPLATE.format(expr=template)
+
+    truth = run_engine(run_interp, source, args, fusion=False)
+    assert truth[0] == "ok", truth
+    for label, runner, kwargs in (
+        ("interpreter fast path", run_interp, {"fusion": True}),
+        ("fused JIT", run_jit, {"fusion": True}),
+    ):
+        outcome = run_engine(runner, source, args, **kwargs)
+        assert digest(outcome) == digest(truth), (
+            f"{label} diverged on {template}")
+        result = outcome[1].view()
+        assert not any(
+            np.shares_memory(result, arg.view()) for arg in args
+        ), f"{label} returned an operand's buffer on {template}"
+        assert [arg.view().tobytes() for arg in args] == before, (
+            f"{label} wrote into an operand on {template}")

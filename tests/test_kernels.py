@@ -10,6 +10,7 @@ two kernel sites, and the metrics wiring.
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,39 @@ def test_generated_source_shape():
     assert "def kernel_test(a0, a1, a2):" in source
     assert "a0.view()" in source and "_scal(a1)" in source
     assert "from_ndarray" in source
+
+
+#: ``crnich_step``'s update (the ``large_vector`` workload's Crank-Nicholson
+#: core): four operators over two 1x65536 operands and two scalars.
+CRNICH = """
+function u = crnich(u, uold, c)
+u = 0.5 .* (u + uold) + c .* (uold - u);
+"""
+
+
+def test_kernel_reuses_dead_temporaries(fresh_session):
+    """One call of ``crnich``'s kernel on 1x65536 operands holds two
+    512 KiB buffers at its peak — ``u + uold`` and ``uold - u``, each of
+    which takes the next op's result — not one per operator (five,
+    2,560 KiB).  ``tracemalloc`` counts bytes, so the bound holds on any
+    machine."""
+    session = fresh_session()
+    session.add_source(CRNICH)
+    rng = np.random.default_rng(0)
+    u, uold = (from_python(rng.random((1, 65536))) for _ in range(2))
+    session.call_boxed("crnich", [u, uold, from_python(0.25)], nargout=1)
+    (name,) = session.repository._objects["crnich"][0].kernel_sources
+    kernel = KERNEL_CACHE.lookup(name).fn
+    args = (0.5, u, uold, 0.25)        # leaves in first-reached order
+    expected = kernel(*args).view().tobytes()
+    tracemalloc.start()
+    try:
+        result = kernel(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.view().tobytes() == expected
+    assert peak <= 1100 * 1024, f"peak {peak / 1024:.0f} KiB"
 
 
 # ----------------------------------------------------------------------

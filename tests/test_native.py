@@ -42,6 +42,8 @@ from repro.faults.plan import (
     SITE_NATIVE_LOAD,
     SITE_NATIVE_RUN,
 )
+from repro.kernels import KERNEL_CACHE
+from repro.kernels import cache as kernel_cache
 from repro.kernels.fusion import Leaf, Node, decode, encode
 from repro.native import (
     NATIVE_FORMAT_VERSION,
@@ -213,6 +215,29 @@ def test_so_cache_revival_across_sessions(tmp_path):
     assert stats2["compiled"] == 0 and stats2["cached"] == 1, stats2
     assert stats2["runs"] >= 1, stats2
     assert bits(cold) == bits(warm)
+
+
+@needs_cc
+def test_kernel_format_bump_builds_a_new_artifact(tmp_path, monkeypatch):
+    """An artifact exports its kernel's name, which carries the kernel
+    format version: after a bump, the store holds nothing under the new
+    name's key, so the kernel builds and runs (keyed by the tree alone,
+    the old ``.so`` was found and failed its load: ``undefined symbol``)."""
+    store = str(tmp_path)
+    run_native(NATIVE_SRC, _operands(), store)
+    # Drop the compiled objects (which name the old kernels), keep the
+    # artifacts under native/.
+    for path in glob.glob(os.path.join(store, "*.*")):
+        os.remove(path)
+    monkeypatch.setattr(kernel_cache, "KERNEL_FORMAT_VERSION",
+                        kernel_cache.KERNEL_FORMAT_VERSION + 1)
+    KERNEL_CACHE.clear()
+    try:
+        _, _, stats = run_native(NATIVE_SRC, _operands(), store)
+    finally:
+        KERNEL_CACHE.clear()
+    assert stats["compiled"] == 1 and stats["cached"] == 0, stats
+    assert stats["failed"] == 0 and stats["runs"] >= 1, stats
 
 
 @needs_cc
