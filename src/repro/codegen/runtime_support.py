@@ -355,8 +355,6 @@ m_sin = math.sin
 m_cos = math.cos
 m_tan = math.tan
 m_atan = math.atan
-m_floor = math.floor
-m_ceil = math.ceil
 c_exp = cmath.exp
 c_abs = abs
 
@@ -376,13 +374,27 @@ def c_log(x):
     return x if _real_nan(x) else cmath.log(x)
 
 
-def m_round(x: float) -> float:
-    """MATLAB rounding: halves away from zero."""
-    return math.copysign(math.floor(abs(x) + 0.5), x)
+# The four integer roundings answer NumPy's bits (the interpreter's):
+# a float, the argument's sign on a zero result (``ceil(-0.4)`` is -0),
+# and ``Inf`` / ``NaN`` unchanged where ``math`` would raise.
+def m_floor(x: float) -> float:
+    return math.copysign(math.floor(x), x) if math.isfinite(x) else x
+
+
+def m_ceil(x: float) -> float:
+    return math.copysign(math.ceil(x), x) if math.isfinite(x) else x
 
 
 def m_fix(x: float) -> float:
-    return math.trunc(x)
+    return math.copysign(math.trunc(x), x) if math.isfinite(x) else x
+
+
+def m_round(x: float) -> float:
+    """MATLAB rounding: halves away from zero, as the interpreter's
+    ``sign(x) * floor(abs(x) + 0.5)`` (so ``round(-0.0)`` is +0)."""
+    if not math.isfinite(x):
+        return x
+    return math.copysign(math.floor(abs(x) + 0.5), x) if x else 0.0
 
 
 def m_sign(x: float) -> float:

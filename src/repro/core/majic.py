@@ -55,7 +55,8 @@ class MajicSession:
 
     Each setting has one spelling (DESIGN.md, *Session knobs*): the
     platform carries the JIT's tuning and the recursion headroom, a
-    :class:`ResiliencePolicy` the supervision deadlines and the sandbox.
+    :class:`ResiliencePolicy` the supervision deadlines and the parallel
+    budgets.
     """
 
     def __init__(
@@ -157,7 +158,6 @@ class MajicSession:
                 store=NativeArtifactStore(native_dir),
                 fault_plan=fault_plan,
                 obs=self.obs,
-                policy=policy,
                 submit=self._submit_background_task,
                 sync=sync,
                 hot_threshold=native_hot_threshold,
@@ -285,11 +285,10 @@ class MajicSession:
     def close(self) -> None:
         """Tear the session down; idempotent.
 
-        Stops the background workers, disarms the
-        repository's watchdog deadlines (no registrations leak into the
-        process-wide monitor after close) and disables the sandbox tier.
-        A closed session can still evaluate code — it simply runs without
-        supervision or background compilation.
+        Stops the background workers and disarms the repository's
+        watchdog deadlines (no registrations leak into the process-wide
+        monitor after close).  A closed session can still evaluate code
+        — it simply runs without supervision or background compilation.
         """
         if self._closed:
             return

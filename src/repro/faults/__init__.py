@@ -20,7 +20,6 @@ from repro.faults.plan import (
     RT_ANY,
     SITE_CACHE_CORRUPT,
     SITE_CACHE_PARTIAL,
-    SITE_CRASH,
     SITE_HANG,
     SITE_JIT,
     SITE_OOM,
@@ -38,7 +37,6 @@ __all__ = [
     "SITE_JIT",
     "SITE_SPEC",
     "SITE_HANG",
-    "SITE_CRASH",
     "SITE_OOM",
     "SITE_CACHE_CORRUPT",
     "SITE_CACHE_PARTIAL",

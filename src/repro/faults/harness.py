@@ -18,11 +18,11 @@ neither change results nor deadlock the work queue (every drain is
 bounded and asserted).
 
 The **chaos sweep** (``--chaos``) exercises the supervision tier
-(:mod:`repro.resilience`): injected hangs cancelled by the watchdog,
-crashes and OOM kills absorbed by the sandbox trial, corrupted and torn
-cache entries healed by quarantine-and-rebuild.  Same contract — every
-run must stay bit-identical to the interpreter, because every recovery
-path ends in interpreter re-execution.
+(:mod:`repro.resilience`): injected hangs cancelled by the watchdog, an
+injected ``MemoryError`` absorbed by the in-process deopt net, corrupted
+and torn cache entries healed by quarantine-and-rebuild.  Same contract
+— every run must stay bit-identical to the interpreter, because every
+recovery path ends in interpreter re-execution.
 
 Usage::
 
@@ -54,7 +54,6 @@ from repro.faults.plan import (
     FaultSpec,
     SITE_CACHE_CORRUPT,
     SITE_CACHE_PARTIAL,
-    SITE_CRASH,
     SITE_DIRECT_CALL,
     SITE_HANG,
     SITE_JIT,
@@ -266,8 +265,8 @@ def native_lanes() -> list[Lane]:
 
 
 def chaos_scenarios() -> list[Lane]:
-    """The chaos sweep: hang/crash/oom/corruption against every recovery
-    tier.  Deadlines are short so the 64-run sweep stays CI-sized."""
+    """The chaos sweep: hang/oom/corruption against every recovery tier.
+    Deadlines are short so the sweep stays CI-sized."""
     return [
         Lane(
             label="hang-run",
@@ -281,13 +280,8 @@ def chaos_scenarios() -> list[Lane]:
                 "resilience": ResiliencePolicy(compile_deadline=0.25)},
         ),
         Lane(
-            label="sandbox-crash-oom",
-            specs=(
-                FaultSpec(site=SITE_CRASH, hits=(1,), behavior=BEHAVIOR_CRASH),
-                FaultSpec(site=SITE_OOM, hits=(2,), behavior=BEHAVIOR_OOM),
-            ),
-            session_kwargs={"resilience": ResiliencePolicy(
-                sandbox=True, sandbox_timeout=15.0)},
+            label="oom-run",
+            specs=(FaultSpec(site=SITE_OOM, hits=(1,), behavior=BEHAVIOR_OOM),),
         ),
         Lane(
             label="cache-corrupt",
@@ -410,9 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--chaos", action="store_true",
-        help="run the supervision chaos sweep (hang/crash/oom/cache "
-             "corruption against the watchdog, sandbox and self-healing "
-             "cache)",
+        help="run the supervision chaos sweep (hang/oom/cache "
+             "corruption against the watchdog, the deopt net and the "
+             "self-healing cache)",
     )
     parser.add_argument(
         "--parallel", action="store_true",

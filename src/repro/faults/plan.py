@@ -35,12 +35,12 @@ SITE_CACHE_LOAD = "cache.load"
 SITE_KERNEL_COMPILE = "kernel.compile"
 SITE_KERNEL_RUN = "kernel.run"
 #: Resilience (chaos) sites — see :mod:`repro.resilience`.  ``hang`` and
-#: ``oom`` are checked on the guarded run path of compiled objects and
-#: inside the sandbox trial child; ``crash`` only fires where a real
-#: process/thread death is survivable (the sandbox child and the
-#: background worker loop).
+#: ``oom`` are checked on the guarded run path of compiled objects, in
+#: process: a run watchdog cancels the hang, and the deopt net absorbs
+#: the ``MemoryError``.  A simulated crash fires only where a real
+#: thread death is survivable: the ``worker`` site with the ``crash``
+#: behaviour, in the background worker loop.
 SITE_HANG = "hang"
-SITE_CRASH = "crash"
 SITE_OOM = "oom"
 #: Self-healing cache sites: a corrupted entry read back from disk, and a
 #: torn (partial) write that bypasses the atomic-rename protocol.
@@ -95,7 +95,6 @@ HANG_LIMIT_SECONDS = 15.0
 #: :meth:`FaultPlan.at`); absent sites raise.
 _NATURAL_BEHAVIOR = {
     SITE_HANG: BEHAVIOR_HANG,
-    SITE_CRASH: BEHAVIOR_CRASH,
     SITE_OOM: BEHAVIOR_OOM,
     SITE_CACHE_CORRUPT: BEHAVIOR_CORRUPT,
 }
@@ -110,8 +109,8 @@ class SimulatedCrash(BaseException):
 
     Deliberately a :class:`BaseException`: it must escape the ``except
     Exception`` safety nets the way a real segfault or ``os._exit`` would,
-    so only supervised failure domains (the sandbox trial child, the
-    background worker loop) can absorb it.
+    so only a supervised failure domain (the background worker loop, or
+    a parallel rank's process) can absorb it.
     """
 
 
@@ -279,8 +278,8 @@ class FaultPlan:
         return bytes(mutated)
 
     def absorb_fired(self, records) -> None:
-        """Merge fired-fault records reported by another process (the
-        sandbox trial child) into this plan's tally."""
+        """Merge fired-fault records reported by another process (a
+        parallel rank) into this plan's tally."""
         with self._lock:
             self.fired.extend(records)
 

@@ -24,7 +24,7 @@ Lifecycle of one kernel:
    :data:`~repro.native.toolchain.BUILD_FLAGS`; it is persisted and
    loaded.
 4. Before first in-process use the fresh ``.so`` runs once in a forked
-   trial child (:func:`~repro.resilience.sandbox.fork_call`) on
+   trial child (:func:`fork_call`) on
    synthetic boxed operands, marshalled as real calls are, beside the
    Python kernel on the same operands: an artifact that crashes, hangs
    or answers other bits than the Python kernel kills only the fork, is
@@ -37,6 +37,7 @@ Lifecycle of one kernel:
 from __future__ import annotations
 
 import ctypes
+import multiprocessing
 import os
 import tempfile
 import threading
@@ -62,7 +63,6 @@ from repro.native.clower import generate_c, native_eligible
 from repro.native.toolchain import CompileTimeout, Toolchain, detect_toolchain
 from repro.obs import DISABLED as DISABLED_OBS
 from repro.repository.background import run_out_of_band
-from repro.resilience.sandbox import FORK_AVAILABLE, fork_call
 from repro.runtime.mxarray import IntrinsicClass, MxArray
 
 #: Operators whose result is logical (mirrors the Python codegen).
@@ -74,6 +74,10 @@ MAX_RUN_STRIKES = 3
 #: Hard subprocess timeout (seconds) on one out-of-band C compile: the
 #: watchdog for work that happens in a child process.
 COMPILE_DEADLINE = 60.0
+
+#: Hard timeout (seconds) on one forked trial run of a fresh ``.so``
+#: before the child is killed.
+TRIAL_TIMEOUT = 30.0
 
 #: Default size cutoff for native dispatch.  Measured on the qmr-style
 #: AXPY chain: below ~8k elements the per-call overhead (operand guard,
@@ -102,6 +106,40 @@ class _ReadyKernel:
         self.artifact = artifact
         self.strikes = 0
         self.observe = observe  # run-latency push; None with metrics off
+
+
+#: Whether this platform can fork a trial child at all.
+FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
+
+
+def fork_call(target, args, timeout: float, name: str):
+    """Run ``target(conn, *args)`` in a forked child; kill it at ``timeout``.
+
+    Returns ``(message, exitcode)``: what the child sent over ``conn``
+    (``None`` if it sent nothing) and its exit code (``None`` if it had
+    to be killed).  The child is always reaped.
+    """
+    ctx = multiprocessing.get_context("fork")
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    process = ctx.Process(
+        target=target, args=(child_conn, *args), daemon=True, name=name
+    )
+    process.start()
+    child_conn.close()
+    message = None
+    try:
+        if parent_conn.poll(timeout):
+            message = parent_conn.recv()
+    except (EOFError, OSError):
+        pass  # the child died mid-send (crash exit)
+    finally:
+        parent_conn.close()
+        process.join(timeout=1.0)
+        killed = process.is_alive()
+        if killed:
+            process.kill()
+            process.join(timeout=5.0)
+    return message, None if killed else process.exitcode
 
 
 def _trial_child(conn, cfn, key) -> None:
@@ -139,7 +177,6 @@ class NativeEngine:
         store: NativeArtifactStore | None = None,
         fault_plan=None,
         obs=None,
-        policy=None,
         submit=None,
         sync: bool = False,
         hot_threshold: int = 2,
@@ -148,15 +185,10 @@ class NativeEngine:
     ):
         if toolchain is None and probe:
             toolchain = detect_toolchain()
-        if policy is None:
-            from repro.resilience import DEFAULT_POLICY
-
-            policy = DEFAULT_POLICY
         self.toolchain = toolchain
         self.store = store
         self.fault_plan = fault_plan
         self.obs = obs if obs is not None else DISABLED_OBS
-        self.policy = policy
         self.submit = submit
         self.sync = sync
         self.hot_threshold = max(1, int(hot_threshold))
@@ -356,11 +388,11 @@ class NativeEngine:
         )
 
     def _trial(self, name, cfn, key, akey) -> None:
-        """Sandbox the first run of a fresh ``.so`` in a forked child."""
+        """Trial the first run of a fresh ``.so`` in a forked child."""
         if not FORK_AVAILABLE:
             return
         passed, exitcode = fork_call(
-            _trial_child, (cfn, key), self.policy.sandbox_timeout,
+            _trial_child, (cfn, key), TRIAL_TIMEOUT,
             f"majic-native-trial-{name}",
         )
         if passed:

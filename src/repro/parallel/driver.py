@@ -25,10 +25,10 @@ executor degrades to serial-only for the rest of the session
 (:data:`PARALLEL_DEGRADED`).
 
 Worker ranks are forked *disarmed*: each child builds a fresh
-``MajicSession`` whose policy has no compile deadline and no sandbox,
-with no background pool and a platform that leaves the recursion limit
-alone (``host_recursion_limit=0``), so it never touches the parent's
-watchdog monitor or sandbox machinery inherited across ``fork()``; the
+``MajicSession`` whose policy has no compile deadline, with no
+background pool and a platform that leaves the recursion limit alone
+(``host_recursion_limit=0``), so it never touches the parent's watchdog
+monitor inherited across ``fork()``; the
 in-memory ``KERNEL_CACHE`` and any shared disk ``RepositoryCache``
 directory *are* inherited, so children start with warm caches.  Ranks
 record no spans and keep no metrics: a reply carries the result, the RNG

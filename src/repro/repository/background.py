@@ -272,13 +272,9 @@ class SpeculationEngine:
         """Queue every function the repository knows, callees before
         callers, each held back until the callees queued ahead of it have
         settled; returns how many."""
-        repo = self.repository
-        names = repo.function_names()
-        known = set(names)
-        callees = {name: repo.dependencies(name) & known for name in names}
         return sum(
-            1 for name in repo.depgraph.callees_first(names)
-            if self.submit(name, after=callees[name])
+            1 for name, callees in self.repository.compile_order()
+            if self.submit(name, after=callees)
         )
 
     # ------------------------------------------------------------------

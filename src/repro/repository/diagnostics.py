@@ -31,10 +31,8 @@ CACHE_HIT = "cache_hit"              # compile served from the disk cache
 CACHE_LOAD = "cache_load"            # cache entry deserialized (or refused)
 CACHE_STORE = "cache_store"          # compiled object persisted to disk
 CACHE_EVICT = "cache_evict"          # cached entry removed (deopt/quarantine)
-#: Supervision events (repro.resilience: watchdog / sandbox / healing).
+#: Supervision events (repro.resilience: watchdog / healing).
 WATCHDOG_TIMEOUT = "watchdog_timeout"  # a deadline fired; operation cancelled
-SANDBOX_TRIAL = "sandbox_trial"        # first run executed in a sandbox fork
-SANDBOX_FAILURE = "sandbox_failure"    # the sandbox died; session survived
 WORKER_RESTART = "worker_restart"      # a crashed worker restarted in place
 POISON_TASK = "poison_task"            # a task quarantined after killing workers
 CACHE_CORRUPT = "cache_corrupt"        # a corrupted cache entry quarantined

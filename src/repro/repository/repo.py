@@ -71,8 +71,6 @@ from repro.resilience import (
     DEFAULT_POLICY,
     ExecutionGuard,
     ResiliencePolicy,
-    SandboxExecutor,
-    SandboxFailure,
 )
 from repro.runtime.builtins import GLOBAL_RANDOM
 from repro.runtime.display import OutputSink
@@ -87,8 +85,6 @@ from repro.repository.diagnostics import (
     COMPILE_FAILURE,
     DEOPT,
     QUARANTINE,
-    SANDBOX_FAILURE,
-    SANDBOX_TRIAL,
     DiagnosticsLog,
 )
 from repro.repository.snoop import DirectorySnoop
@@ -261,26 +257,16 @@ class CodeRepository:
         self.obs.attach(repository=self, kernels=KERNEL_CACHE)
         self.obs.bind_diagnostics(self.diagnostics)
         # Supervision tier (repro.resilience): watchdog deadlines around
-        # compiles/runs, and optionally a sandbox for first runs.
+        # compiles and runs.
         self.resilience = resilience if resilience is not None else DEFAULT_POLICY
         self.guard = ExecutionGuard(
             compile_deadline=self.resilience.compile_deadline,
             run_deadline=self.resilience.run_deadline,
             diagnostics=self.diagnostics,
         )
-        self.sandbox = (
-            SandboxExecutor(
-                timeout=self.resilience.sandbox_timeout,
-                fault_plan=fault_plan,
-            )
-            if self.resilience.sandbox else None
-        )
-        # In-process chaos probes (hang/oom on the guarded run path); when
-        # the sandbox tier is on, first runs check these sites in the
-        # child instead, so the in-process probe stays off.
+        # In-process chaos probes (hang/oom on the guarded run path).
         self._chaos_run_checks = (
             fault_plan is not None
-            and self.sandbox is None
             and any(
                 spec.site in (SITE_HANG, SITE_OOM) for spec in fault_plan.specs
             )
@@ -521,11 +507,10 @@ class CodeRepository:
 
     def disarm(self) -> None:
         """Session close: later calls run unsupervised — no watchdog
-        registration leaks into the process-wide monitor, no child forks."""
+        registration leaks into the process-wide monitor."""
         self.guard.compile_deadline = None
         self.guard.run_deadline = None
         self._watched = self._chaos_run_checks
-        self.sandbox = None
         self._relink()
 
     def knows(self, name: str) -> bool:
@@ -595,6 +580,18 @@ class CodeRepository:
             return set()
         with self._lock:
             return self.depgraph.dependencies_of(name)
+
+    def compile_order(self) -> list[tuple[str, set[str]]]:
+        """Every known function, callees before callers, each with the
+        known functions it depends on: the order an ahead-of-time pass
+        compiles in, so a caller's call sites find their callees'
+        versions already held."""
+        names = self.function_names()
+        known = set(names)
+        callees = {name: self.dependencies(name) & known for name in names}
+        return [
+            (name, callees[name]) for name in self.depgraph.callees_first(names)
+        ]
 
     def _compile_lock(self, name: str) -> threading.Lock:
         """Per-name compile lock: one compile of a given function at a
@@ -914,12 +911,13 @@ class CodeRepository:
         return obj
 
     def speculate_all(self) -> list[str]:
-        """Ahead-of-time pass over every known function; returns the names
-        compiled.  A failure is a ``compile_failure`` event, never raised:
-        the "hidden" pass survives any one function."""
+        """Ahead-of-time pass over every known function, callees first;
+        returns the names compiled.  A failure is a ``compile_failure``
+        event, never raised: the "hidden" pass survives any one
+        function."""
         compiled = []
         with self.obs.tracer.span("speculate_all", "speculation"):
-            for name in self.function_names():
+            for name, _ in self.compile_order():
                 if self.speculate(name) is not None:
                     compiled.append(name)
         return compiled
@@ -940,7 +938,7 @@ class CodeRepository:
         unchanged; so does anything the bottom version raises: there is
         nothing below the interpreter.
 
-        A watched, sandboxed, traced or adaptive session hands the chosen
+        A watched, traced or adaptive session hands the chosen
         version to :meth:`_supervise`, which re-enters here with it as
         ``version`` (that entry is :meth:`_serve`); the run then goes
         through :meth:`_guarded_invoke`.  An :class:`Invocation` is built
@@ -978,9 +976,7 @@ class CodeRepository:
         sink_mark = self.sink.mark()
         try:
             if guarded:
-                return self._guarded_invoke(
-                    name, args, nargout, version, rng_state
-                )
+                return self._guarded_invoke(name, args, nargout, version)
             return version.invoke(args, nargout, self._rt)
         except MatlabError:
             raise
@@ -1068,18 +1064,9 @@ class CodeRepository:
         with tracer.span(name, "execution", tier=version.mode):
             return self._serve(name, args, invocation.nargout, version)
 
-    def _guarded_invoke(self, name, args, nargout, version, rng_state):
+    def _guarded_invoke(self, name, args, nargout, version):
         """The run step of a supervised call, inside :meth:`execute`'s
-        net: a fresh compile's first run as a sandbox trial, then the
-        version under the run watchdog."""
-        if self.sandbox is not None and not getattr(
-            version, "sandbox_promoted", False
-        ):
-            outputs = self._sandbox_trial(
-                Invocation(name, args, nargout), version, rng_state
-            )
-            if outputs is not None:
-                return outputs
+        net: the version under the run watchdog."""
         if not self._watched:
             return version.invoke(args, nargout, self._rt)
         # The chaos probes live *inside* the guard: an injected hang must
@@ -1090,50 +1077,6 @@ class CodeRepository:
                 self.fault_plan.check(SITE_HANG, name)
                 self.fault_plan.check(SITE_OOM, name)
             return version.invoke(args, nargout, self._rt)
-
-    def _sandbox_trial(self, invocation, obj: CompiledObject, rng_state):
-        """First run of a fresh compile, supervised in a forked child.
-
-        Success applies the child's side effects (transcript, RNG
-        advance) and promotes the object in-process; a sandbox death
-        raises into :meth:`execute`'s net — the session never sees the
-        crash.  ``None``: no fork here, promoted untried, caller runs it.
-        """
-        name = invocation.name
-        # The child interprets user callees from this table, so every
-        # unit is parsed first (outside the state lock).
-        functions = {
-            callee: self.lookup_function(callee)
-            for callee in self.function_names()
-        }
-        with self.obs.tracer.span("sandbox_trial", "execution", function=name):
-            verdict = self.sandbox.trial(
-                obj, functions, invocation.args, invocation.nargout, rng_state
-            )
-        if not verdict.ok:
-            self.diagnostics.record(
-                SANDBOX_FAILURE, name,
-                detail=verdict.reason,
-                signature=obj.signature,
-            )
-            raise SandboxFailure(verdict.reason)
-        obj.sandbox_promoted = True
-        self.diagnostics.record(
-            SANDBOX_TRIAL, name,
-            detail=verdict.reason
-            or "first run succeeded in the sandbox; promoted in-process",
-            signature=obj.signature,
-        )
-        if not verdict.executed:
-            return None
-        if verdict.rng_state is not None:
-            GLOBAL_RANDOM.restore(verdict.rng_state)
-        if verdict.sink_text:
-            self.sink.write(verdict.sink_text)
-        if verdict.matlab_error is not None:
-            # The program's own error, replayed with its transcript.
-            raise verdict.matlab_error
-        return verdict.outputs
 
     def _deoptimize(
         self, invocation, obj: CompiledObject, exc, rng_state, sink_mark
@@ -1265,9 +1208,10 @@ class CodeRepository:
     @property
     def _serves_direct(self) -> bool:
         """Whether call sites may bypass :meth:`execute` in this session:
-        not when a run watchdog or the sandbox supervises every served
-        call, an adaptive controller observes them, or a fault plan arms
-        a runtime helper (the fault sweeps count those calls)."""
+        not with a run watchdog, an adaptive controller, or a runtime-helper
+        fault plan (the watchdog supervises every served call, the
+        controller observes them, the fault sweeps count the helper
+        calls)."""
         return not (
             self._supervised
             or self.fault_plan is not None and self.fault_plan.runtime_helpers()
@@ -1290,13 +1234,12 @@ class CodeRepository:
     def _relink(self) -> None:
         """The supervision changed (construction, ``attach``, ``disarm``):
         set the hot-path switch — does every served call go through
-        :meth:`_supervise`?  (A live tracer is tested per call instead,
-        since ``profile("on")`` swaps one in.)  Every call site links
-        again on its next use, and every held version's own calls now."""
-        self._supervised = (
-            self._watched or self.sandbox is not None
-            or self.tiering is not None
-        )
+        :meth:`_supervise`?  Yes when runs are watched (a run deadline,
+        or the in-process chaos probes) or an adaptive controller is
+        attached.  (A live tracer is tested per call instead, since
+        ``profile("on")`` swaps one in.)  Every call site links again on
+        its next use, and every held version's own calls now."""
+        self._supervised = self._watched or self.tiering is not None
         self._rt._unlink_sites()
         with self._lock:
             versions = [v for held in self._objects.values() for v in held]

@@ -1,13 +1,10 @@
-"""Execution supervision: watchdogs, sandbox trials, self-healing.
+"""Execution supervision: watchdogs and self-healing.
 
 ``repro.resilience`` is the robustness tier layered over the repository:
 
 * :mod:`~repro.resilience.watchdog` — wall-clock deadlines on compiles
   and compiled runs, cancelled by asynchronous exception injection from a
   single process-wide monitor thread;
-* :mod:`~repro.resilience.sandbox` — a freshly compiled object's first
-  run (and a fresh native ``.so``'s) executes in a supervised fork; a
-  crash/OOM/hang kills the sandbox, never the session;
 * worker supervision lives in
   :mod:`repro.repository.background` and adds no detector of its own: a
   hung task is cancelled by the compile watchdog, a crashed worker
@@ -16,21 +13,22 @@
   :mod:`repro.repository.cache` (corruption detection, IO retries,
   quarantine-and-rebuild).
 
-A single frozen :class:`ResiliencePolicy` carries the deadlines, the
-sandbox switch and the parallel backend's budgets, and a session passes
-one policy down through the repository, the native engine and the
-parallel driver.
+A fresh compile's first run needs no tier of its own: every version the
+repository serves is host bytecode, so whatever its first run raises
+(``MemoryError`` included) lands in the repository's in-process deopt
+net, and a run watchdog cancels a hang.  The one tier that runs foreign
+machine code, a fresh native ``.so``, trials its first run in a forked
+child (:func:`repro.native.engine.fork_call`).
+
+A single frozen :class:`ResiliencePolicy` carries the deadlines and the
+parallel backend's budgets, and a session passes one policy down
+through the repository and the parallel driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.resilience.sandbox import (
-    SandboxExecutor,
-    SandboxFailure,
-    SandboxVerdict,
-)
 from repro.resilience.watchdog import (
     DeadlineExceeded,
     ExecutionGuard,
@@ -45,9 +43,9 @@ class ResiliencePolicy:
     """The supervision knobs, in one immutable bundle.
 
     Defaults are chosen so an undisturbed session pays (nearly) nothing:
-    the compile watchdog is armed but generous, the run watchdog and the
-    sandbox tier are opt-in, and the parallel restart budget only
-    matters once a rank actually dies.
+    the compile watchdog is armed but generous, the run watchdog is
+    opt-in, and the parallel restart budget only matters once a rank
+    actually dies.
     """
 
     #: Wall-clock deadline on one compile (None disables the guard).  A
@@ -58,10 +56,6 @@ class ResiliencePolicy:
     #: arming it costs a registration per top-level call, and MaJIC
     #: cannot know how long a legitimate user computation should take.
     run_deadline: float | None = None
-    #: Run every fresh compile's first invocation in a forked sandbox.
-    sandbox: bool = False
-    #: Hard timeout on one sandbox trial before the child is killed.
-    sandbox_timeout: float = 30.0
     #: How long the parallel driver waits for one worker rank's reply
     #: before declaring the message lost and falling back to serial
     #: execution (:mod:`repro.parallel`).
@@ -82,7 +76,4 @@ __all__ = [
     "KIND_RUN",
     "MONITOR",
     "ResiliencePolicy",
-    "SandboxExecutor",
-    "SandboxFailure",
-    "SandboxVerdict",
 ]

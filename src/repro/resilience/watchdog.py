@@ -30,8 +30,10 @@ syscall.
 Cancellation is cooperative-asynchronous, not preemptive: a hang inside a
 single C call (one giant BLAS operation) is only cancelled when it
 returns to the interpreter loop.  That is the honest best available
-in-process; the sandbox tier (:mod:`repro.resilience.sandbox`) covers the
-remainder with real OS process isolation.
+in-process.  Every version the repository serves is host bytecode; the
+one tier that runs foreign machine code, a fresh native ``.so``, trials
+its first run in a forked child under a hard timeout
+(:func:`repro.native.engine.fork_call`).
 
 Nested guards collapse onto the outermost one (per thread): a compiled
 call re-entering ``execute`` for a callee does not stack a second

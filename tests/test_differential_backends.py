@@ -321,6 +321,15 @@ EAGER_OWN = (
 #: ``diag`` of a vector holds zeros off the diagonal, outside the vector's
 #: own range: ``sqrt(0 - 1)`` is imaginary.
 DIAG_ZEROS = "function r = dg(a)\nD = diag([a 3]);\nr = sqrt(D(1,2) - 1);\n"
+#: The integer roundings answer NumPy's bits: a zero keeps the argument's
+#: sign (``round`` excepted: ``round(-0.0)`` is +0), and ``Inf`` / ``NaN``
+#: pass through where Python's ``math`` raises.
+ROUNDINGS = (
+    "function r = fc(a, b, c)\n"
+    "r = [floor(a) + ceil(a .* 0.5), ceil(a - 0.4), fix(a - 0.4), "
+    "round(a - 0.4), round(a), floor(b) + ceil(b .* 0.5), fix(b), "
+    "round(b), floor(c) + ceil(c .* 0.5), fix(c), round(c)];\n"
+)
 
 
 def _scalar(value):
@@ -596,6 +605,11 @@ PROBES = {
     "own-call-eager-and": Program((EAGER_OWN,), "chain", _scalar(4.0)),
     "undefined-function": Program((UNDEFINED,), "ud", _scalar(2.0)),
     "diag-zeros": Program((DIAG_ZEROS,), "dg", _scalar(2.0)),
+    "rounding-zero-inf-nan": Program(
+        (ROUNDINGS,), "fc",
+        lambda: [from_python(-0.0), from_python(float("inf")),
+                 from_python(float("nan"))],
+    ),
 }
 
 #: Probes that fault in compiled code by design, with the one cause each
@@ -694,6 +708,24 @@ def test_own_calls_are_plain_host_calls(name, backend):
         assert "site_" not in source and "__il" not in source
         assert not version.call_sites and version.own_calls
         assert source.count(f"{version.emitted.name}(") == 1 + calls
+
+
+@pytest.mark.parametrize("backend", ["spec", "background"])
+def test_ahead_of_time_pass_binds_every_callee(backend):
+    """Both ahead-of-time passes compile callees before callers, so each
+    caller's spec version binds its sites to the callees' versions."""
+    program = PROBES["direct-call-site-effects"]
+    with open_backend(program, backend) as handle:
+        assert not _diff(program, handle)
+        repository = handle.session.repository
+        bound = {
+            name: sorted(
+                site.callee for version in repository.versions_of(name)
+                for site in version.call_sites.values()
+            )
+            for name in ("relay", "leg", "step")
+        }
+    assert bound == {"relay": ["leg", "step"], "leg": ["step"], "step": []}
 
 
 @pytest.mark.parametrize("backend", ["jit", "fused", "spec"])

@@ -55,8 +55,6 @@ from repro.native import (
 from repro.native import engine as native_engine
 from repro.native import toolchain as native_toolchain
 from repro.native.toolchain import SAFETY_FLAGS
-from repro.resilience import ResiliencePolicy
-from repro.resilience.sandbox import FORK_AVAILABLE
 from repro.runtime.values import from_python
 
 from .test_kernel_props import (
@@ -376,16 +374,18 @@ def test_repeated_run_faults_demote_kernel(tmp_path):
 # ----------------------------------------------------------------------
 # The first-run trial of a fresh ``.so`` (a forked child)
 # ----------------------------------------------------------------------
-needs_fork = pytest.mark.skipif(not FORK_AVAILABLE, reason="no fork")
+needs_fork = pytest.mark.skipif(
+    not native_engine.FORK_AVAILABLE, reason="no fork"
+)
 
 
-def _assert_trial_failure_falls_back(tmp_path):
+def _assert_trial_failure_falls_back(tmp_path, monkeypatch):
     """Run the kernel; its trial must fail the kernel, evict its
     artifact and leave no child process."""
+    monkeypatch.setattr(native_engine, "TRIAL_TIMEOUT", 0.5)
     session = MajicSession(
         native=True, sync=True, native_hot_threshold=1, native_min_elems=1,
         cache_dir=str(tmp_path),
-        resilience=ResiliencePolicy(sandbox_timeout=0.5),
     )
     session.add_source(NATIVE_SRC)
     try:
@@ -412,7 +412,7 @@ def test_dying_trial_child_fails_the_kernel(tmp_path, monkeypatch):
         os._exit(3)
 
     monkeypatch.setattr(native_engine, "_trial_child", dies)
-    _assert_trial_failure_falls_back(tmp_path)
+    _assert_trial_failure_falls_back(tmp_path, monkeypatch)
 
 
 @needs_cc
@@ -422,7 +422,7 @@ def test_hung_trial_child_is_killed_at_the_timeout(tmp_path, monkeypatch):
         time.sleep(60)
 
     monkeypatch.setattr(native_engine, "_trial_child", hangs)
-    _assert_trial_failure_falls_back(tmp_path)
+    _assert_trial_failure_falls_back(tmp_path, monkeypatch)
 
 
 @needs_cc
@@ -437,7 +437,7 @@ def test_trial_fails_a_kernel_answering_other_bits(tmp_path, monkeypatch):
             "out[j] = ", "out[j] = 2.0 * "
         ),
     )
-    _assert_trial_failure_falls_back(tmp_path)
+    _assert_trial_failure_falls_back(tmp_path, monkeypatch)
 
 
 INF_SRC = "function y = f(a, b, c)\ny = b ./ (a - a) + 1.5 .* b;\n"

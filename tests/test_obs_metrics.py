@@ -374,7 +374,7 @@ def test_design_catalogue_lists_every_diagnostic_kind():
         value for name, value in vars(diagnostics).items()
         if name.isupper() and isinstance(value, str)
     }
-    assert len(kinds) == 20
+    assert len(kinds) == 18
     design = (Path(__file__).parent.parent / "DESIGN.md").read_text()
     begin, end = "<!-- diagnostics:begin -->\n", "\n<!-- diagnostics:end -->"
     rows = design[design.index(begin) + len(begin):design.index(end)]

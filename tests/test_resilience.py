@@ -1,4 +1,4 @@
-"""The execution-supervision tier: watchdog, sandbox, worker self-healing.
+"""The execution-supervision tier: watchdog, deopt net, worker self-healing.
 
 Every test drives a real fault through the public session API and asserts
 two things at once: the mechanism fired (diagnostics/counters) and the
@@ -21,7 +21,6 @@ from repro.faults.plan import (
     BEHAVIOR_HANG,
     BEHAVIOR_OOM,
     FaultSpec,
-    SITE_CRASH,
     SITE_HANG,
     SITE_JIT,
     SITE_OOM,
@@ -30,8 +29,6 @@ from repro.faults.plan import (
 from repro.repository import background, repo
 from repro.repository.diagnostics import (
     POISON_TASK,
-    SANDBOX_FAILURE,
-    SANDBOX_TRIAL,
     WATCHDOG_TIMEOUT,
     WORKER_RESTART,
 )
@@ -44,7 +41,6 @@ from repro.resilience import (
 
 POLY = "function p = poly5(x)\np = x.^5 + 3*x + 2;\n"
 INC = "function y = inc(x)\ny = x + 1;\n"
-SANDBOXED = ResiliencePolicy(sandbox=True)
 
 
 # ----------------------------------------------------------------------
@@ -110,56 +106,34 @@ class TestWatchdog:
 
 
 # ----------------------------------------------------------------------
-# Sandbox trial tier
+# A fresh version's first run, in process
 # ----------------------------------------------------------------------
-class TestSandbox:
-    def test_clean_first_run_promotes(self):
-        session = MajicSession(resilience=SANDBOXED)
-        session.add_source(POLY)
-        assert session.call("poly5", 3.0) == 254.0
-        sandbox = session.repository.sandbox
-        if not sandbox.available:  # pragma: no cover - fork-less platform
-            pytest.skip("no fork start method")
-        assert sandbox.trials >= 1 and sandbox.failures == 0
-        assert session.diagnostics.events(SANDBOX_TRIAL)
-        (obj,) = session.repository.versions_of("poly5")
-        assert obj.sandbox_promoted
-        trials = sandbox.trials
-        # Promoted objects run in-process: no second trial.
-        assert session.call("poly5", 3.0) == 254.0
-        assert sandbox.trials == trials
-
-    @pytest.mark.parametrize("site,behavior", [
-        (SITE_CRASH, BEHAVIOR_CRASH),
-        (SITE_OOM, BEHAVIOR_OOM),
-        (SITE_HANG, BEHAVIOR_HANG),
+class TestFirstRun:
+    @pytest.mark.parametrize("site,behavior,run_deadline", [
+        (SITE_OOM, BEHAVIOR_OOM, None),
+        (SITE_HANG, BEHAVIOR_HANG, 0.25),
     ])
-    def test_dying_trial_deopts_and_session_survives(self, site, behavior):
+    def test_failing_first_run_deopts_once_and_session_serves(
+        self, site, behavior, run_deadline
+    ):
+        """An injected ``MemoryError`` lands in the deopt net; a hang is
+        cancelled by the run watchdog.  Either way: one deopt, the
+        interpreter's answer, and the session keeps serving."""
         plan = FaultPlan([FaultSpec(site=site, hits=(1,), behavior=behavior)])
-        session = MajicSession(
-            fault_plan=plan,
-            resilience=ResiliencePolicy(sandbox=True, sandbox_timeout=2.0),
-        )
+        session = MajicSession(fault_plan=plan, run_deadline=run_deadline)
         session.add_source(POLY)
-        if not session.repository.sandbox.available:  # pragma: no cover
-            pytest.skip("no fork start method")
         assert session.call("poly5", 3.0) == 254.0
         assert session.stats.deopts == 1
-        assert session.diagnostics.events(SANDBOX_FAILURE)
-        assert session.repository.sandbox.failures == 1
-        # The session keeps serving calls after the child died.
+        assert len(plan.fired) == 1
         assert session.call("poly5", 4.0) == 1038.0
+        assert session.stats.deopts == 1
 
-    def test_matlab_error_in_trial_is_the_programs_own(self):
+    def test_matlab_error_in_first_run_is_the_programs_own(self):
         source = "function y = boom(x)\nerror('bad thing');\ny = x;\n"
-        session = MajicSession(resilience=SANDBOXED)
+        session = MajicSession()
         session.add_source(source)
-        if not session.repository.sandbox.available:  # pragma: no cover
-            pytest.skip("no fork start method")
         with pytest.raises(MatlabError, match="bad thing"):
             session.call("boom", 1.0)
-        # A MATLAB error is correct behaviour, not a sandbox failure.
-        assert session.repository.sandbox.failures == 0
         assert session.stats.deopts == 0
 
 
@@ -313,7 +287,6 @@ class TestPolicyAndTeardown:
     def test_default_policy_values(self):
         assert DEFAULT_POLICY.compile_deadline == 60.0
         assert DEFAULT_POLICY.run_deadline is None
-        assert not DEFAULT_POLICY.sandbox
 
     def test_replace_returns_new_policy(self):
         tweaked = replace(DEFAULT_POLICY, run_deadline=1.5)
@@ -324,17 +297,16 @@ class TestPolicyAndTeardown:
     def test_session_kwargs_build_the_policy(self):
         session = MajicSession(
             resilience=ResiliencePolicy(
-                compile_deadline=7.0, sandbox=True, sandbox_timeout=3.0,
+                compile_deadline=7.0, parallel_max_restarts=2,
             ),
             run_deadline=2.0,
         )
         policy = session.resilience
         assert policy.run_deadline == 2.0
         assert policy.compile_deadline == 7.0
-        assert policy.sandbox and policy.sandbox_timeout == 3.0
+        assert policy.parallel_max_restarts == 2
         guard = session.repository.guard
         assert guard.run_deadline == 2.0 and guard.compile_deadline == 7.0
-        assert session.repository.sandbox is not None
 
     def test_explicit_none_disarms_compile_deadline(self):
         session = MajicSession(
@@ -346,7 +318,7 @@ class TestPolicyAndTeardown:
     def test_close_is_idempotent_and_tears_down(self):
         session = MajicSession(
             background=True, workers=1,
-            resilience=ResiliencePolicy(sandbox=True, run_deadline=5.0),
+            resilience=ResiliencePolicy(run_deadline=5.0),
         )
         session.add_source(INC)
         session.speculate_async()
@@ -354,7 +326,6 @@ class TestPolicyAndTeardown:
         session.close()
         assert session.closed
         assert session.engine is None
-        assert session.repository.sandbox is None
         assert session.repository.guard.run_deadline is None
         assert session.repository.guard.compile_deadline is None
         session.close()  # second close is a no-op, not an error
@@ -419,9 +390,7 @@ def test_chaos_scenarios_cover_every_new_fault_site():
     for scenario in chaos_scenarios():
         for spec in scenario.specs:
             sites.add(spec.site)
-    assert {"hang", "crash", "oom", "cache.corrupt",
-            "cache.partial_write", "jit_compile"} <= sites | {"jit_compile"}
-    assert {"hang", "crash", "oom", "cache.corrupt",
+    assert {"hang", "oom", "jit", "cache.corrupt",
             "cache.partial_write"} <= sites
 
 

@@ -533,15 +533,6 @@ class TestRollbackCapture:
             assert stats.deopts == 1 and stats.lookups == lookups, hit
             duo.call("outer", 2.0)                      # and once more
 
-    def test_sandbox_verdict_applies_the_childs_stream(self):
-        program = Program((self.NESTED,), "outer", lambda: [from_python(2.0)])
-        want = backends.reference(program)
-        sandboxed = ResiliencePolicy(sandbox=True)
-        with backends.open(program, "fused", resilience=sandboxed) as handle:
-            for _ in range(3):      # the trial, then two in-process hits
-                assert not want.diff(handle.call())
-            assert handle.session.stats.deopts == 0
-
 
 # ----------------------------------------------------------------------
 # Pin the work, not the time

@@ -153,7 +153,7 @@ class TestSurface:
         "run_deadline", "parallel",
     ]
     POLICY_FIELDS = [
-        "compile_deadline", "run_deadline", "sandbox", "sandbox_timeout",
+        "compile_deadline", "run_deadline",
         "parallel_recv_timeout", "parallel_max_restarts",
     ]
 
