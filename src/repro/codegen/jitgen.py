@@ -103,11 +103,6 @@ class CompiledObject:
     kernel_keys: dict = field(default_factory=dict)
     #: The function's output names, in order (error texts name them).
     outputs: tuple = ()
-    #: Every direct call site the emitted code references
-    #: (``rt.site_<hash>``), keyed by helper name: rides the persistent
-    #: cache entry so a fresh process can register them
-    #: (``runtime_support.CALL_SITES``).
-    call_sites: dict = field(default_factory=dict)
     #: Whether the emitted code calls itself by its module-level name
     #: (``select.Walk.call_own``): what that name is bound to is the
     #: repository's choice (``CodeRepository._link_own``).
@@ -123,10 +118,12 @@ class CompiledObject:
     # class of an actual at distance 0, or 0 — no class — when the formal
     # admits none (:meth:`exact_for`).  ``_unbox``: per formal, whether the
     # emitted code takes the argument as a raw host scalar; empty when it
-    # takes every one boxed.
+    # takes every one boxed.  ``_call``: how :meth:`invoke` calls the
+    # emitted function (``_POSITIONAL``).
     _formals = None
     _pins = None
     _unbox = None
+    _call = None
 
     def _bind(self) -> None:
         formals, pins = [], []
@@ -154,6 +151,7 @@ class CompiledObject:
             )
             pins.append(pin if pinned else 0)
         self._pins = tuple(pins)
+        self._call = _POSITIONAL.get(len(self.param_reprs), _spread)
         unbox_flags = tuple(
             kind in (RAW_REAL, RAW_INT, RAW_COMPLEX) for kind in self.param_reprs
         )
@@ -227,7 +225,7 @@ class CompiledObject:
                 unbox(value) if raw else value
                 for value, raw in zip(arg_values, flags)
             ]
-        results = self.emitted.callable(*arg_values, rt)
+        results = self._call(self.emitted.callable, arg_values, rt)
         outputs = []
         for value in results[: nargout if nargout > 1 else 1]:
             if value is None:
@@ -253,6 +251,23 @@ def _dim(dim) -> float:
 #: ⊤) are COMPLEX and, above it in the enum, STRING: ``klass >= _COMPLEX``.
 _COMPLEX = IntrinsicClass.COMPLEX
 
+#: Arity -> how :meth:`CompiledObject.invoke` calls an emitted function:
+#: a plain positional call, so a recursion through the repository (``pa``
+#: calling ``pb`` calling ``pa`` ...) takes no C-level frame per call and
+#: ends at the host's recursion limit, not in a C stack overflow; past
+#: ``SITE_ARITY`` arguments, a spread call.
+_POSITIONAL = {
+    0: lambda fn, a, rt: fn(rt),
+    1: lambda fn, a, rt: fn(a[0], rt),
+    2: lambda fn, a, rt: fn(a[0], a[1], rt),
+    3: lambda fn, a, rt: fn(a[0], a[1], a[2], rt),
+    4: lambda fn, a, rt: fn(a[0], a[1], a[2], a[3], rt),
+}
+
+
+def _spread(fn, a, rt):
+    return fn(*a, rt)
+
 
 def compile_function(
     fn: ast.FunctionDef,
@@ -267,7 +282,7 @@ def compile_function(
     disambiguation: DisambiguationResult | None = None,
     annotations: Annotations | None = None,
     is_user_function=None,
-    callees=None,
+    bind_own: bool = False,
 ) -> CompiledObject:
     """The one compile pipeline behind both compilers.
 
@@ -277,8 +292,9 @@ def compile_function(
     the finished walk and its :class:`EmittedFunction`) →
     :class:`CompiledObject`.  Each analysis phase runs unless its result is
     passed in, and every phase is timed and traced here, once.
-    ``callees`` is the repository's call binder (``None``: every user
-    call goes through ``rt.call_user``; see ``TypeInferenceEngine.infer``).
+    ``bind_own`` binds the function's calls of itself to the version
+    being compiled (the repository's compiles; every other user call goes
+    through ``rt.call_user``; see ``TypeInferenceEngine.infer``).
     """
     if fault_plan is not None:
         fault_plan.check(site, fn.name)
@@ -298,12 +314,12 @@ def compile_function(
                          function=fn.name, mode=mode):
             if signature is None:
                 guess = Speculator(options=inference).speculate(
-                    fn, disambiguation, callees
+                    fn, disambiguation, bind_own
                 )
                 signature, annotations = guess.signature, guess.annotations
             else:
                 annotations = TypeInferenceEngine(options=inference).infer(
-                    fn, signature, disambiguation, callees
+                    fn, signature, disambiguation, bind_own
                 )
     times.type_inference = time.perf_counter() - start
 
@@ -324,7 +340,6 @@ def compile_function(
         kernel_sources=dict(walk.kernel_sources),
         kernel_keys=dict(walk.kernel_keys),
         outputs=tuple(fn.outputs),
-        call_sites=dict(walk.call_sites),
         own_calls=walk.own_calls,
     )
 
@@ -350,14 +365,14 @@ class JitCompiler:
         annotations: Annotations | None = None,
         mode: str = "jit",
         is_user_function=None,
-        callees=None,
+        bind_own: bool = False,
     ) -> CompiledObject:
         return compile_function(
             fn, signature, site="jit", mode=mode,
             inference=self.options.inference, build=self._build,
             tracer=self.tracer, fault_plan=self.fault_plan,
             disambiguation=disambiguation, annotations=annotations,
-            is_user_function=is_user_function, callees=callees,
+            is_user_function=is_user_function, bind_own=bind_own,
         )
 
     def _build(self, fn, annotations, disambiguation):

@@ -15,10 +15,8 @@ operation.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import math
 import time
-from dataclasses import dataclass
 
 from repro.errors import (
     RecursionLimitError,
@@ -514,69 +512,13 @@ def empty_matrix() -> MxArray:
     return MxArray(IntrinsicClass.REAL, np.zeros((0, 0)))
 
 
-@dataclass(frozen=True)
-class CallSite:
-    """A user call site located at compile time: the caller's code calls
-    ``rt.<helper>`` with arguments in ``param_reprs`` and reads
-    ``nargout`` results in ``output_reprs``, the convention of the
-    callee's version of ``signature``.  The repository serves the site
-    straight from that version while the callee's held versions have not
-    changed since it looked; anything else calls through
-    :func:`called_through`."""
-
-    callee: str
-    signature: object
-    param_reprs: tuple[str, ...]
-    output_reprs: tuple[str, ...]
-    nargout: int
-
-    @property
-    def helper(self) -> str:
-        digest = hashlib.sha256(repr(self).encode("utf-8")).hexdigest()
-        return f"site_{digest[:16]}"
-
-
-#: Every call site compiled or revived in this process, by helper name
-#: (the call-site analogue of ``kernels.KERNEL_CACHE``): what
-#: ``rt.site_<hash>`` resolves against.
-CALL_SITES: dict[str, CallSite] = {}
-
-#: The most arguments a call site passes.  A site's function takes them
-#: as plain positional parameters with defaults, never ``*args``: the host
-#: runs such a call without a C-level frame, so a deep recursion through
-#: sites ends at the host's recursion limit, not in a C stack overflow.
+#: The most arguments a version's call of itself passes as a plain
+#: positional call (``select.Walk.call_own``); a call with more goes
+#: through ``rt.call_user``.  The emitted function takes them as plain
+#: parameters, never ``*args``: the host runs such a call without a
+#: C-level frame, so a deep recursion ends at the host's recursion
+#: limit, not in a C stack overflow.
 SITE_ARITY = 4
-
-def site_results(site: CallSite, outputs) -> list:
-    """Boxed ``outputs`` of a call as ``site`` reads them: a raw output
-    (``select.RAW_REAL`` / ``RAW_INT`` / ``RAW_COMPLEX``) unboxed."""
-    return [
-        value if kind == "b" else unbox(value)
-        for value, kind in zip(outputs, site.output_reprs)
-    ]
-
-
-#: Arity -> ``rt.call_user`` with that many arguments, as plain calls
-#: (see :data:`SITE_ARITY`).
-_CALL_USER = {
-    0: lambda rt, name, n, a, b, c, d: rt.call_user(name, n),
-    1: lambda rt, name, n, a, b, c, d: rt.call_user(name, n, a),
-    2: lambda rt, name, n, a, b, c, d: rt.call_user(name, n, a, b),
-    3: lambda rt, name, n, a, b, c, d: rt.call_user(name, n, a, b, c),
-    4: lambda rt, name, n, a, b, c, d: rt.call_user(name, n, a, b, c, d),
-}
-
-
-def called_through(rt, site: CallSite):
-    """``site`` served by re-entering the repository (``rt.call_user``):
-    boxed arguments, and raw results unboxed as the site expects them."""
-    name, nargout = site.callee, site.nargout
-    call_user = _CALL_USER[len(site.param_reprs)]
-
-    def call(a=None, b=None, c=None, d=None):
-        return site_results(site, call_user(rt, name, nargout, a, b, c, d))
-
-    return call
 
 
 #: Arity -> a version's call of itself for one result through
@@ -593,7 +535,7 @@ _OWN_THROUGH = {
 }
 
 
-def own_called_through(name: str, arity: int, output_kind: str):
+def own_call_through(name: str, arity: int, output_kind: str):
     """What a version's calls of itself (``select.Walk.call_own``) run
     where a call must re-enter the repository: ``rt.call_user`` for one
     result, returned as the emitted function returns it (raw when the
@@ -712,13 +654,9 @@ class RuntimeSupport:
         fault_plan=None,
         obs=None,
         native=None,
-        link=None,
     ):
         self.sink = sink if sink is not None else display.OutputSink()
         self._call_user = call_user
-        # ``link(site)``: the repository's direct entry for a call site,
-        # or None where it serves none (then the site calls through).
-        self._link = link
         # Whether a user function of this name exists.
         self._knows = knows
         self.fault_plan = fault_plan
@@ -742,24 +680,9 @@ class RuntimeSupport:
             fn = self._bind_kernel(name)
             setattr(self, name, fn)
             return fn
-        if name.startswith("site_"):
-            site = CALL_SITES.get(name)
-            if site is None:
-                raise AttributeError(f"unknown call site '{name}'")
-            fn = self._link(site) if self._link is not None else None
-            if fn is None:
-                fn = called_through(self, site)
-            setattr(self, name, fn)
-            return fn
         raise AttributeError(
             f"'{type(self).__name__}' object has no attribute '{name}'"
         )
-
-    def _unlink_sites(self) -> None:
-        """Forget every call-site binding: the next use of each links
-        again (the repository's direct-call conditions changed)."""
-        for name in [name for name in vars(self) if name.startswith("site_")]:
-            delattr(self, name)
 
     def _bind_kernel(self, name: str):
         from repro.faults.plan import SITE_KERNEL_RUN

@@ -38,12 +38,7 @@ from dataclasses import dataclass
 
 from repro.analysis.disambiguate import DisambiguationResult
 from repro.analysis.symtab import SymbolKind
-from repro.codegen.runtime_support import (
-    CALL_SITES,
-    SCALAR_MATH,
-    SITE_ARITY,
-    CallSite,
-)
+from repro.codegen.runtime_support import SCALAR_MATH, SITE_ARITY
 from repro.errors import CodegenError
 from repro.frontend import ast_nodes as ast
 from repro.inference.annotations import Annotations, SubscriptSafety
@@ -478,9 +473,6 @@ class Walk:
         self.forcing_used = False
         self.kernel_sources: dict[str, str] = {}
         self.kernel_keys: dict[str, str] = {}
-        #: Direct call sites the code references, by helper name.
-        self.call_sites: dict[str, CallSite] = {}
-        self._site_helpers: dict[tuple, str] = {}
         #: Whether the code calls its own emitted function (:meth:`call_own`).
         self.own_calls = False
         self._int_counters = self._find_int_loop_counters()
@@ -890,23 +882,23 @@ class Walk:
         """Call user function ``call`` for ``nargout`` results: ``(values,
         kinds)``, a tuple of results and each one's representation.
 
-        A site inference bound (``Annotations.binding_of``), with at most
-        ``SITE_ARITY`` arguments, passes them in the parameter
-        representations of the version it calls and reads results in its
-        output representations.  A call of the function being compiled,
-        at the signature being compiled, for one result, is a plain call
-        of this version's own emitted function (:meth:`call_own`): the
-        version that runs is the one being compiled, so nothing is
-        located or checked per call.  Any other bound site calls its
-        version through ``rt.site_<hash>``
-        (:class:`~repro.codegen.runtime_support.CallSite`).  An unbound
-        site re-enters the repository through ``rt.call_user`` with boxed
+        A call of the function being compiled that inference bound to
+        the signature being compiled (``Annotations.binding_of``), for
+        one result and with at most ``SITE_ARITY`` arguments, is a plain
+        call of this version's own emitted function (:meth:`call_own`):
+        its arguments in this version's parameter representations, its
+        result in its first output's; the version that runs is the one
+        being compiled, so nothing is located or checked per call.  Any
+        other user call re-enters the repository, which locates or
+        compiles its callee, through ``rt.call_user`` with boxed
         arguments, or — a name that was no function when this one was
         disambiguated — through ``rt.call_unknown``, which raises the
         interpreter's error at the call's location."""
         args = call.args if isinstance(call, ast.Apply) else []
-        binding = self.ann.binding_of(call)
-        if binding is None or len(args) > SITE_ARITY:
+        if (
+            self.ann.binding_of(call) is None or nargout > 1
+            or len(args) > SITE_ARITY
+        ):
             head = [self.const(call.name, BOXED), self.const(nargout, RAW_INT)]
             helper = "call_user"
             if call.name in self.dis.unknown:
@@ -915,28 +907,16 @@ class Walk:
             boxed = [self.boxed(arg) for arg in args]
             values = self.call(helper, head + boxed, BOXED)
             return values, [BOXED] * max(nargout, 1)
-        params, outputs = binding.param_reprs, binding.output_reprs
-        if params is None:
-            params, outputs = self.param_reprs, self.output_reprs
-            if nargout <= 1:
-                self.own_calls = True
-                values = self.call_own([
-                    self.call_arg(arg, kind) for arg, kind in zip(args, params)
-                ])
-                if not self._first_output_assigned:
-                    values = self.call("own_result", [
-                        values, self.const(self.fn.name, BOXED),
-                        self.const(self.fn.outputs[0], BOXED),
-                    ], BOXED)
-                return values, outputs[:1]
-        key = binding.signature, tuple(params), tuple(outputs[: max(nargout, 1)])
-        helper = self._site_helpers.get((call.name, nargout, key))
-        if helper is None:
-            site = CallSite(call.name, *key, nargout)
-            helper = self._site_helpers[call.name, nargout, key] = site.helper
-            self.call_sites[helper] = CALL_SITES.setdefault(helper, site)
-        values = [self.call_arg(arg, kind) for arg, kind in zip(args, params)]
-        return self.call(helper, values, BOXED), key[2]
+        self.own_calls = True
+        values = self.call_own([
+            self.call_arg(arg, kind) for arg, kind in zip(args, self.param_reprs)
+        ])
+        if not self._first_output_assigned:
+            values = self.call("own_result", [
+                values, self.const(self.fn.name, BOXED),
+                self.const(self.fn.outputs[0], BOXED),
+            ], BOXED)
+        return values, self.output_reprs[:1]
 
     @functools.cached_property
     def _first_output_assigned(self) -> bool:
@@ -948,7 +928,7 @@ class Walk:
         return must.converged and state is not None and self.fn.outputs[0] in state
 
     def call_arg(self, node: ast.Expr, kind: str):
-        """An argument of a direct call, in its parameter's representation
+        """An argument of an own call, in its parameter's representation
         and as the version's boxed entry would receive it: ``invoke``
         unboxes a boxed scalar to a host float, or a complex one whose
         imaginary part is nonzero."""
@@ -1245,11 +1225,14 @@ class Walk:
     def _is_host_float(self, node: ast.Expr) -> bool:
         """The raw value of scalar ``node`` is a host float for certain:
         a non-integral literal, an element of a scalar-replaced variable,
-        a direct call's result (:meth:`result`), a quotient, or
+        an own call's result (:meth:`result`), a quotient, or
         arithmetic with such an operand."""
         if isinstance(node, ast.Number):
             return node.value != int(node.value)
-        if isinstance(node, ast.Apply) and self.ann.binding_of(node):
+        if (
+            isinstance(node, ast.Apply)
+            and self.ann.binding_of(node) is not None
+        ):
             return True
         if (
             isinstance(node, ast.Apply)

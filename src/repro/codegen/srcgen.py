@@ -97,7 +97,7 @@ class SourceCompiler:
         annotations: Annotations | None = None,
         mode: str = "spec",
         is_user_function=None,
-        callees=None,
+        bind_own: bool = False,
     ) -> CompiledObject:
         """Compile for ``signature``; ``None`` speculates one (Section 2.5)."""
         return compile_function(
@@ -105,7 +105,7 @@ class SourceCompiler:
             inference=self.options.inference, build=self._build,
             tracer=self.tracer, fault_plan=self.fault_plan,
             disambiguation=disambiguation, annotations=annotations,
-            is_user_function=is_user_function, callees=callees,
+            is_user_function=is_user_function, bind_own=bind_own,
         )
 
     def _build(self, fn, annotations, disambiguation):

@@ -48,13 +48,15 @@ from repro.benchsuite.registry import benchmark_names
 from repro.faults.plan import (
     BEHAVIOR_CRASH,
     BEHAVIOR_HANG,
+    BEHAVIOR_IO,
     BEHAVIOR_OOM,
     RT_ANY,
     FaultPlan,
     FaultSpec,
     SITE_CACHE_CORRUPT,
+    SITE_CACHE_LOAD,
     SITE_CACHE_PARTIAL,
-    SITE_DIRECT_CALL,
+    SITE_CACHE_STORE,
     SITE_HANG,
     SITE_JIT,
     SITE_KERNEL_COMPILE,
@@ -63,6 +65,7 @@ from repro.faults.plan import (
     SITE_NATIVE_LOAD,
     SITE_NATIVE_RUN,
     SITE_OOM,
+    SITE_PARALLEL_RECV,
     SITE_PARALLEL_SEND,
     SITE_PARALLEL_WORKER,
     SITE_SPEC,
@@ -93,13 +96,11 @@ WIDE_ORBIT = Program(
     lambda: [from_python(30.0), from_python(0.001)],
 )
 
-#: A compiled call of another compiled function that stays a call site
-#: (``rt.site_<hash>``), which the ``direct-call`` lane fires on: each
-#: callee returns early, so the inliner embeds neither, and ``relay``
-#: calls ``hop`` on two values (its version is widened to any integer)
-#: before ``leg`` compiles, so ``leg``'s call of ``hop`` is bound to that
-#: version.  (A function's calls of itself are plain host calls, with no
-#: site.)
+#: The sweep's one program whose compiled code calls another compiled
+#: function: each callee returns early, so the inliner embeds neither,
+#: and every call of ``leg`` and ``hop`` re-enters the repository through
+#: ``rt.call_user`` — under every lane, that path is faulted too.  (A
+#: function's calls of itself are plain host calls instead.)
 RELAY = Program(
     (
         "function r = relay(n)\nr = hop(n) + hop(n + 1);\n"
@@ -119,9 +120,9 @@ EXTRA_PROGRAMS = {program.entry: program for program in (WIDE_ORBIT, RELAY)}
 #: The ``--smoke`` subset: recursion, scalar loops, a builtin solver, the
 #: one ``rand`` user, ``orbrk`` — two functions, so a second worker task
 #: exists — ``orbit12``, whose fused kernels (JIT and speculative) reach
-#: the native tier, and ``relay``, whose call sites reach the
-#: ``direct-call`` lane, so that every lane of every sweep has a program
-#: it can fire on.
+#: the native tier, so that every lane of every sweep has a program it
+#: can fire on — and ``relay``, whose compiled calls of other compiled
+#: functions go through ``rt.call_user``.
 SMOKE_NAMES = (
     "fibonacci", "dirich", "cgopt", "fractal", "orbrk", "orbit12", "relay",
 )
@@ -187,17 +188,14 @@ class Lane:
 
 def default_lanes() -> list[Lane]:
     """The standard sweep: one compile-time and one runtime fault each,
-    against both tiers of the compiled path, a callee failing inside a
-    direct call (mid-recursion: the callee is deoptimized, its compiled
-    caller goes on), plus faults in the fused elementwise kernel
-    compiler and the kernels it emits — for JIT code and, since both
-    code generators fuse, for speculative code."""
+    against both tiers of the compiled path, plus faults in the fused
+    elementwise kernel compiler and the kernels it emits — for JIT code
+    and, since both code generators fuse, for speculative code."""
     return [
         Lane("jit-compile", (FaultSpec(SITE_JIT),)),
         Lane("spec-compile", (FaultSpec(SITE_SPEC),), backend="spec"),
         Lane("runtime-hit1", (FaultSpec(RT_ANY),)),
         Lane("runtime-hit7", (FaultSpec(RT_ANY, hits=(7,)),)),
-        Lane("direct-call", (FaultSpec(SITE_DIRECT_CALL, hits=(3,)),)),
     ] + [
         Lane(f"{prefix}kernel-{what}", (FaultSpec(site),), backend=backend)
         for prefix, backend in (("", "fused"), ("spec-", "spec"))
@@ -265,7 +263,9 @@ def native_lanes() -> list[Lane]:
 
 
 def chaos_scenarios() -> list[Lane]:
-    """The chaos sweep: hang/oom/corruption against every recovery tier.
+    """The chaos sweep: hang/oom/corruption against every recovery tier,
+    and a transient IO fault on each side of the persistent cache (a
+    retried read; a store that is dropped, the version still served).
     Deadlines are short so the sweep stays CI-sized."""
     return [
         Lane(
@@ -292,20 +292,35 @@ def chaos_scenarios() -> list[Lane]:
             backend="spec",
             warm_cache=True,
         ),
+        Lane(
+            label="cache-load-io",
+            specs=(FaultSpec(site=SITE_CACHE_LOAD, behavior=BEHAVIOR_IO),),
+            backend="spec",
+            warm_cache=True,
+        ),
+        # The warm pass stored spec versions: the JIT compiles miss and
+        # store.
+        Lane(
+            label="cache-store-io",
+            specs=(FaultSpec(site=SITE_CACHE_STORE, behavior=BEHAVIOR_IO),),
+            warm_cache=True,
+        ),
     ]
 
 
 def parallel_scenarios() -> list[Lane]:
     """The parallel sweep: MatlabMPI-backend faults against every
     benchmark with two worker ranks.  Dropped messages surface as recv
-    timeouts, hung ranks are killed and respawned, crashed ranks die for
-    real (``os._exit``) and OOM kills are absorbed as error replies —
-    all four must degrade into the serial fallback bit-identically."""
+    timeouts, a failed receive on the driver side is a lost reply, hung
+    ranks are killed and respawned, crashed ranks die for real
+    (``os._exit``) and OOM kills are absorbed as error replies — all five
+    must degrade into the serial fallback bit-identically."""
     policy = ResiliencePolicy(parallel_recv_timeout=1.5)
     return [
         Lane(label, (spec,), {"resilience": policy}, backend="parallel")
         for label, spec in (
             ("msg-dropped", FaultSpec(site=SITE_PARALLEL_SEND, hits=(1,))),
+            ("recv-failed", FaultSpec(site=SITE_PARALLEL_RECV, hits=(1,))),
             ("worker-hang", FaultSpec(site=SITE_PARALLEL_WORKER, hits=(1,),
                                       behavior=BEHAVIOR_HANG)),
             ("worker-crash", FaultSpec(site=SITE_PARALLEL_WORKER, hits=(1,),

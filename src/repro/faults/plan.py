@@ -5,7 +5,10 @@ each spec names a site (``"jit"``, ``"spec"``, a runtime helper such as
 ``"rt.g_add"``, or the wildcard ``"rt.*"``) and either an explicit set of
 hit numbers or a seeded probability.  The same plan replayed against the
 same call sequence fires the same faults — crash reports from the
-differential harness are therefore reproducible bit-for-bit.
+differential harness are therefore reproducible bit-for-bit.  Every
+``SITE_*`` declared here is the site of some lane of
+:data:`repro.faults.harness.SWEEPS`, so no site goes unfired by every
+sweep.
 
 Injected faults deliberately do **not** derive from
 :class:`~repro.errors.MatlabError`: they model host-level defects
@@ -66,13 +69,6 @@ SITE_PARALLEL_WORKER = "parallel.worker"
 #: attempt — the function keeps serving from its current tier, so results
 #: stay bit-identical to the interpreter.
 SITE_TIERING_PROMOTE = "tiering.promote"
-#: Direct-call site: a compiled version run straight from a bound call
-#: site of compiled code (not through the repository's serve path).
-#: Checked only in sessions whose plan names it, as the callee returns:
-#: a fault here fails the callee after every effect it had, so it is
-#: deoptimized and its effects rolled back while its caller's code goes
-#: on.
-SITE_DIRECT_CALL = "direct.call"
 #: Prefix for runtime-helper sites; ``rt.*`` wraps every helper.
 RT_PREFIX = "rt."
 RT_ANY = "rt.*"

@@ -3,8 +3,8 @@
 ``S`` in the paper — one conservative type per expression node — plus the
 derived facts the code generators consume: per-variable summaries,
 subscript-safety classifications (Section 2.4, "Subscript check removal"),
-the inferred output types and the user call sites bound to a callee
-version at compile time.
+the inferred output types and the function's calls of itself bound to
+the version being compiled.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from repro.frontend import ast_nodes as ast
 from repro.typesys.mtype import MType
-from repro.typesys.signature import Signature
 
 
 class SubscriptSafety(enum.Enum):
@@ -23,22 +22,6 @@ class SubscriptSafety(enum.Enum):
     CHECKED = "checked"        # full MATLAB checks
     GROW_ONLY = "grow_only"    # index proven positive+integral; may grow
     SAFE = "safe"              # proven in bounds: direct access
-
-
-@dataclass(frozen=True)
-class CallBinding:
-    """A user call site located at compile time: its argument types are ⊑
-    ``signature``, so the call may go straight to the callee's version of
-    that signature, whose results have ``output_types``.  The calling
-    convention (``param_reprs`` / ``output_reprs``) is the held version's;
-    ``None`` for a call of the function being compiled, whose convention
-    its own code generator decides."""
-
-    callee: str
-    signature: Signature
-    output_types: tuple[MType, ...]
-    param_reprs: tuple[str, ...] | None = None
-    output_reprs: tuple[str, ...] | None = None
 
 
 @dataclass
@@ -54,8 +37,11 @@ class Annotations:
     store_safety: dict[int, SubscriptSafety] = field(default_factory=dict)
     # inferred types of the declared outputs at function exit
     output_types: dict[str, MType] = field(default_factory=dict)
-    # id(Apply of a user function) -> its compile-time binding, or None
-    bound_calls: dict[int, CallBinding | None] = field(default_factory=dict)
+    # id(Apply of the function's own name) -> the output types of the
+    # version being compiled, where the call is bound to it, or None
+    bound_calls: dict[int, tuple[MType, ...] | None] = field(
+        default_factory=dict
+    )
     converged: bool = True
     iterations: int = 0
 
@@ -79,7 +65,7 @@ class Annotations:
     def safety_of_store(self, target: ast.LValue) -> SubscriptSafety:
         return self.store_safety.get(id(target), SubscriptSafety.CHECKED)
 
-    def binding_of(self, node: ast.Expr) -> CallBinding | None:
+    def binding_of(self, node: ast.Expr) -> tuple[MType, ...] | None:
         return self.bound_calls.get(id(node))
 
     # ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.analysis.cfg import Atom, BasicBlock, CondAtom, ForIterAtom, StmtAtom
 from repro.analysis.disambiguate import DisambiguationResult, Disambiguator
 from repro.analysis.symtab import SymbolKind
 from repro.frontend import ast_nodes as ast
-from repro.inference.annotations import Annotations, CallBinding, SubscriptSafety
+from repro.inference.annotations import Annotations, SubscriptSafety
 from repro.inference.calculator import RuleContext, TypeCalculator, default_calculator
 from repro.inference.rules_indexing import COLON_MARKER
 from repro.typesys.intrinsic import Intrinsic
@@ -59,14 +59,13 @@ class InferenceOptions:
 #: as ⊤ (seeded ⊥, a stable body needs two).
 _OWN_ROUNDS = 3
 
-_UNSEEN = object()
 _NO_OWN = ("", None, ())
 
 
 def fits(signature: Signature, arg_types, nargout: int, outputs: int) -> bool:
     """Can a call with these argument types, asking for ``nargout``
-    results, run the version of ``signature`` (with ``outputs`` outputs)
-    directly: one actual per formal, each of a type ⊑ the formal's, and
+    results, be a call of the version of ``signature`` (with ``outputs``
+    outputs): one actual per formal, each of a type ⊑ the formal's, and
     a result for every output asked (at least one)."""
     return (
         len(arg_types) == len(signature)
@@ -78,11 +77,11 @@ def fits(signature: Signature, arg_types, nargout: int, outputs: int) -> bool:
 class TypeInferenceEngine:
     """Runs forward type inference over one function body."""
 
-    #: The call binder of the running ``infer`` (None: every call ⊤), and
-    #: the function's own ``(name, signature, output types)`` while a
-    #: body that calls itself is solved.
-    _callees = None
+    #: The function's own ``(name, signature, output types)`` while a
+    #: body that calls itself is solved with its own calls bound, and
+    #: whether the running solve bound one.
     _own = _NO_OWN
+    _bound = False
 
     def __init__(
         self,
@@ -100,31 +99,26 @@ class TypeInferenceEngine:
         fn: ast.FunctionDef,
         signature: Signature,
         disambiguation: DisambiguationResult | None = None,
-        callees=None,
+        bind_own: bool = False,
     ) -> Annotations:
         """Infer types for ``fn`` under the given parameter signature.
 
-        ``callees`` locates user calls at compile time:
-        ``callees(name, arg_types, nargout) -> CallBinding | None``;
-        a call it binds is typed with the bound version's output types.
-        With it, a call of ``fn`` itself whose argument types are ⊑
-        ``signature`` is bound to the version being compiled.  Its results
-        are assumed ⊥ and the body is solved again, the assumption joined
-        with what it produced, until what it produces is ⊑ what was
-        assumed — a post-fixpoint, so the assumption holds of every call
-        — else the call's results are ⊤, as every user call's are without
-        ``callees``."""
+        With ``bind_own``, a call of ``fn`` itself whose argument types
+        are ⊑ ``signature`` is bound to the version being compiled
+        (``Annotations.bound_calls``).  Its results are assumed ⊥ and the
+        body is solved again, the assumption joined with what it
+        produced, until what it produces is ⊑ what was assumed — a
+        post-fixpoint, so the assumption holds of every call — else the
+        call's results are ⊤, as every other user call's are."""
         if disambiguation is None:
             disambiguation = Disambiguator(lambda name: False).run_function(fn)
         entry: Env = {}
         for name, mtype in zip(fn.params, signature):
             entry[name] = self._sanitize(mtype)
-        self._callees = callees
-        self._bindings = {}
         self._own = _NO_OWN
         info = disambiguation.symbols.lookup(fn.name)
         if (
-            callees is None or info is None
+            not bind_own or info is None
             or SymbolKind.USER_FUNCTION not in info.kinds
         ):
             annotations = self._solve(disambiguation, entry)
@@ -132,18 +126,16 @@ class TypeInferenceEngine:
             own = (MType.bottom(),) * len(fn.outputs)
             for _ in range(_OWN_ROUNDS):
                 self._own = fn.name, signature, own
-                self._bindings = {}
+                self._bound = False
                 annotations = self._solve(disambiguation, entry)
                 produced = self._outputs(fn)
-                if all(p.leq(o) for p, o in zip(produced, own)) or not any(
-                    binding is not None and binding.param_reprs is None
-                    for binding in self._bindings.values()
+                if not self._bound or all(
+                    p.leq(o) for p, o in zip(produced, own)
                 ):
-                    break  # stable, or no call of its own was bound
+                    break  # no call of its own was bound, or stable
                 own = tuple(o.join(p) for o, p in zip(own, produced))
             else:
                 self._own = fn.name, signature, (MType.top(),) * len(own)
-                self._bindings = {}
                 annotations = self._solve(disambiguation, entry)
         for name, mtype in entry.items():
             annotations.note_var(name, mtype)
@@ -763,12 +755,12 @@ class TypeInferenceEngine:
         else:
             arg_types = [self._type_expr(arg, env, record) for arg in expr.args]
             binding = None
-            if self._callees is not None and kind is SymbolKind.USER_FUNCTION:
-                binding = self._bind(expr.name, arg_types, nargout)
+            if kind is SymbolKind.USER_FUNCTION and expr.name == self._own[0]:
+                binding = self._bind(arg_types, nargout)
                 record.bound_calls[id(expr)] = binding
             out = (
                 [MType.top() for _ in range(nargout)] if binding is None
-                else list(binding.output_types[:nargout])
+                else list(binding[:nargout])
             )
         while len(out) < nargout:
             out.append(MType.top())
@@ -776,20 +768,15 @@ class TypeInferenceEngine:
         record.set_type(expr, out[0])
         return out
 
-    def _bind(self, name: str, arg_types: list[MType], nargout: int):
-        """The binding of a user call with these argument types, decided
-        once per solve: a call of the function being compiled goes to
-        this version, any other to what ``callees`` locates."""
-        key = name, tuple(arg_types), nargout
-        binding = self._bindings.get(key, _UNSEEN)
-        if binding is _UNSEEN:
-            own_name, signature, own = self._own
-            if name == own_name and fits(signature, arg_types, nargout, len(own)):
-                binding = CallBinding(name, signature, own)
-            else:
-                binding = self._callees(name, arg_types, nargout)
-            self._bindings[key] = binding
-        return binding
+    def _bind(self, arg_types: list[MType], nargout: int):
+        """The output types of the version being compiled, for a call of
+        the function being compiled with these argument types; None (⊤
+        results) where they do not fit its signature."""
+        _, signature, own = self._own
+        if not fits(signature, arg_types, nargout, len(own)):
+            return None
+        self._bound = True
+        return own
 
 
 #: ``_type_expr`` by node class (``Apply`` is ``_type_call``'s).  The

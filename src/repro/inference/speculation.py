@@ -64,11 +64,11 @@ class Speculator:
         self,
         fn: ast.FunctionDef,
         disambiguation: DisambiguationResult | None = None,
-        callees=None,
+        bind_own: bool = False,
     ) -> SpeculationResult:
-        """Guess ``fn``'s signature and infer under it; ``callees`` binds
-        user calls in that last inference only (``TypeInferenceEngine.
-        infer``), so the guess itself never depends on what is held."""
+        """Guess ``fn``'s signature and infer under it; ``bind_own`` binds
+        the function's calls of itself in that last inference only
+        (``TypeInferenceEngine.infer``)."""
         if disambiguation is None:
             disambiguation = Disambiguator(lambda name: False).run_function(fn)
         chains = build_use_def(disambiguation.cfg, fn.params)
@@ -110,7 +110,7 @@ class Speculator:
                 narrowed[name] = True
 
         signature = Signature.of(param_types[p] for p in fn.params)
-        annotations = engine.infer(fn, signature, disambiguation, callees)
+        annotations = engine.infer(fn, signature, disambiguation, bind_own)
         return SpeculationResult(
             signature=signature,
             annotations=annotations,

@@ -16,11 +16,10 @@ Lifecycle of one work item
 --------------------------
 * :meth:`submit` enqueues a function under its *current* repository
   generation; a name already queued or in flight at the same generation
-  is deduplicated.  :meth:`submit_all` queues callees before callers
-  (the repository's :class:`~repro.repository.depgraph.DependencyGraph`
-  gives the edges), and a task queued ``after`` others is held back
-  until they settle: a caller compiles once its callees' versions are
-  stored, so it binds its call sites to them whatever the thread timing.
+  is deduplicated.  :meth:`submit_all` queues every function in name
+  order and no task waits for another: compiled code calls another
+  function through the repository, so no compile order decides what
+  any call runs.
 * A worker dequeues the task, whose body re-checks the generation (a
   redefinition while queued cancels it) and runs the repository's
   speculative pipeline.  The repository re-checks the generation once
@@ -95,14 +94,9 @@ class _Task:
     so a redefined function may re-queue; everything else passes
     ``None``).  ``parent`` is the submitting thread's innermost span and
     ``attempts`` how many workers the task has already killed.
-    ``blockers`` counts the unsettled tasks it was queued after, and
-    ``dependents`` lists the held tasks queued after it.
     """
 
-    __slots__ = (
-        "label", "fn", "token", "on_done", "parent", "attempts",
-        "blockers", "dependents",
-    )
+    __slots__ = ("label", "fn", "token", "on_done", "parent", "attempts")
 
     def __init__(self, label, fn, token, on_done, parent):
         self.label = label
@@ -111,8 +105,6 @@ class _Task:
         self.on_done = on_done
         self.parent = parent
         self.attempts = 0
-        self.blockers = 0
-        self.dependents: list[_Task] = []
 
     def finish(self, success: bool) -> None:
         """Fire the completion callback exactly once (then disarm it)."""
@@ -169,11 +161,8 @@ class SpeculationEngine:
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._quiet = threading.Condition(self._lock)
-        # label -> queued task (dedup of identical submissions); a task
-        # held back behind unsettled ones is queued but not on _queue yet
+        # label -> queued task (dedup of identical submissions)
         self._queued: dict[str, _Task] = {}
-        # label -> the latest task under it not yet settled
-        self._unsettled: dict[str, _Task] = {}
         self._in_flight = 0
         self._shutdown = False
         # Outcome tallies (inspected by tests and the experiment report).
@@ -197,9 +186,8 @@ class SpeculationEngine:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, name: str, after=()) -> bool:
-        """Queue one function for background speculation, to start once
-        every task already queued under a label in ``after`` has settled.
+    def submit(self, name: str) -> bool:
+        """Queue one function for background speculation.
 
         Returns False when the submission was deduplicated (already
         queued or compiling at the same generation) or the engine is
@@ -225,12 +213,9 @@ class SpeculationEngine:
             )
             return None
 
-        return self.submit_task(speculation, name, token=generation,
-                                after=after)
+        return self.submit_task(speculation, name, token=generation)
 
-    def submit_task(
-        self, fn, label: str, on_done=None, token=None, after=()
-    ) -> bool:
+    def submit_task(self, fn, label: str, on_done=None, token=None) -> bool:
         """Queue one callable on the supervised worker pool.
 
         Returns False when the engine is shut down or degraded, or when
@@ -241,9 +226,7 @@ class SpeculationEngine:
         on; any other value means it completed.  ``on_done`` (if given) is
         invoked
         with ``True``/``False`` once the task finishes or is abandoned
-        (failure, cancellation, poison quarantine).  The task is held
-        back until every task queued earlier under a label in ``after``
-        has settled (finished, failed, been cancelled or poisoned).
+        (failure, cancellation, poison quarantine).
         """
         # Capture the submitting thread's innermost span (typically the
         # session's ``speculate_async`` span) so the worker's spans hang
@@ -256,26 +239,14 @@ class SpeculationEngine:
             if queued is not None and queued.token == token:
                 return False
             self._queued[label] = task
-            for name in after:
-                blocker = self._unsettled.get(name)
-                if blocker is not None:
-                    blocker.dependents.append(task)
-                    task.blockers += 1
-            self._unsettled[label] = task
-            if not task.blockers:
-                self._queue.put(task)
+        self._queue.put(task)
         if self._push_depth is not None:
             self._push_depth(self.pending())
         return True
 
     def submit_all(self) -> int:
-        """Queue every function the repository knows, callees before
-        callers, each held back until the callees queued ahead of it have
-        settled; returns how many."""
-        return sum(
-            1 for name, callees in self.repository.compile_order()
-            if self.submit(name, after=callees)
-        )
+        """Queue every function the repository knows; returns how many."""
+        return sum(1 for name in self.repository.function_names() if self.submit(name))
 
     # ------------------------------------------------------------------
     # Observation
@@ -329,7 +300,6 @@ class SpeculationEngine:
                 if self._queued.get(task.label) is task:
                     del self._queued[task.label]
                 self._in_flight += 1
-            requeued = False
             try:
                 if self.degraded:
                     # The restart budget is spent: queued work is dropped
@@ -342,12 +312,10 @@ class SpeculationEngine:
                 # Only a SimulatedCrash gets past _run_one's net: this
                 # worker died.  Settle its task, then carry on as the
                 # restarted worker.
-                requeued = self._restart(index, task, exc)
+                self._restart(index, task, exc)
             finally:
                 with self._quiet:
                     self._in_flight -= 1
-                    if not requeued:
-                        self._settle(task)
                     # Gauge update inside the lock, *before* notifying:
                     # a drained foreground must observe the settled depth.
                     if self._push_depth is not None:
@@ -355,26 +323,12 @@ class SpeculationEngine:
                     if not self._queued and not self._in_flight:
                         self._quiet.notify_all()
 
-    def _settle(self, task: _Task) -> None:
-        """``task`` is done with (under the lock): release each held task
-        it was the last blocker of onto the queue."""
-        if self._unsettled.get(task.label) is task:
-            del self._unsettled[task.label]
-        for dependent in task.dependents:
-            dependent.blockers -= 1
-            if not dependent.blockers:
-                self._queue.put(dependent)
-        task.dependents = []
-
-    def _restart(self, index: int, task: _Task, exc) -> bool:
+    def _restart(self, index: int, task: _Task, exc) -> None:
         """A task killed worker ``index``: requeue the task (bounded) or
         poison it, then restart the worker in place — or, once
         :data:`WORKER_MAX_RESTARTS` restarts are spent, degrade the
-        engine.  Returns whether the task was requeued."""
-        requeued = (
-            task.attempts < WORKER_MAX_TASK_RETRIES and not self._shutdown
-        )
-        if requeued:
+        engine."""
+        if task.attempts < WORKER_MAX_TASK_RETRIES and not self._shutdown:
             task.attempts += 1
             with self._lock:
                 self._queued[task.label] = task
@@ -396,13 +350,12 @@ class SpeculationEngine:
                 count = self.restarts
         if spent:
             self._enter_degraded()
-            return requeued
+            return
         self.repository.diagnostics.record(
             WORKER_RESTART, f"worker-{index}",
             detail=f"dead worker restarted in place (restart {count}/"
             f"{WORKER_MAX_RESTARTS})",
         )
-        return requeued
 
     def _enter_degraded(self) -> None:
         """The restart budget is spent: stop accepting work (what is still

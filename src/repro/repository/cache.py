@@ -80,7 +80,6 @@ import pickle
 from dataclasses import replace
 
 from repro.codegen.jitgen import CompiledObject
-from repro.codegen.runtime_support import CALL_SITES
 from repro.kernels.cache import KERNEL_CACHE
 from repro.kernels.codegen import compile_kernel
 from repro.repository.store import DiskStore
@@ -99,8 +98,10 @@ from repro.vcode.emit import bind_function
 #: an older runtime lacks; format 8 stores code that calls other compiled
 #: code directly (``rt.site_<hash>``) with its call-site table; format 9
 #: stores code that calls itself by its own module-level name, with the
-#: ``own_calls`` flag the repository relinks that name by.
-CACHE_FORMAT_VERSION = "9"
+#: ``own_calls`` flag the repository relinks that name by; format 10
+#: drops the call-site table, so no entry that calls ``rt.site_<hash>``
+#: is revived by a runtime that has no call sites.
+CACHE_FORMAT_VERSION = "10"
 
 #: The signature slot of a parse record's key.
 UNIT_TAG = "source-unit"
@@ -223,17 +224,14 @@ def serialize_object(obj: CompiledObject) -> bytes:
 
 def deserialize_object(payload: bytes) -> CompiledObject:
     """Unpickle and revive: bind the callable from the stored module code
-    and re-register the kernels and call sites the emitted code
-    references, so neither ``rt.kernel_<hash>`` nor ``rt.site_<hash>``
-    misses in a fresh process."""
+    and re-register the kernels the emitted code references, so
+    ``rt.kernel_<hash>`` never misses in a fresh process."""
     obj, code = deserialize_payload(payload)
     emitted = obj.emitted
     emitted.code, kernels = marshal.loads(code)
     emitted.callable = bind_function(emitted.code, emitted.name)
     for name, source in obj.kernel_sources.items():
         KERNEL_CACHE.register(name, obj.kernel_keys[name], source, kernels[name])
-    for name, site in obj.call_sites.items():
-        CALL_SITES.setdefault(name, site)
     return obj
 
 

@@ -40,30 +40,6 @@ class DependencyGraph:
             frontier.extend(self._reverse.get(current, ()))
         return result
 
-    def dependencies_of(self, name: str) -> set[str]:
-        """The names ``name`` embeds or applies (direct edges only)."""
-        return set(self._deps.get(name, ()))
-
-    def callees_first(self, names) -> list[str]:
-        """``names`` ordered so that each comes after every other one it
-        depends on (transitively); a cycle is cut where the walk re-enters
-        it, and otherwise ``names``' own order is kept."""
-        wanted = set(names)
-        order: list[str] = []
-        seen: set[str] = set()
-
-        def visit(name: str) -> None:
-            seen.add(name)
-            for dep in sorted(self._deps.get(name, ())):
-                if dep in wanted and dep not in seen:
-                    visit(dep)
-            order.append(name)
-
-        for name in names:
-            if name not in seen:
-                visit(name)
-        return order
-
     def drop(self, name: str) -> None:
         self.set_dependencies(name, set())
         self._deps.pop(name, None)

@@ -51,20 +51,12 @@ from repro.frontend.pretty import pretty_function
 from repro.codegen import inline
 from repro.codegen.inline import Inliner
 from repro.codegen.jitgen import CompiledObject, JitCompiler, JitOptions
-from repro.codegen.runtime_support import (
-    RuntimeSupport,
-    box,
-    called_through,
-    own_called_through,
-    site_results,
-)
-from repro.inference.annotations import CallBinding
-from repro.inference.engine import fits
+from repro.codegen.runtime_support import RuntimeSupport, own_call_through
 from repro.codegen.srcgen import SourceCompiler, SrcOptions
 from repro.interp.frontend import Invocation
 from repro.interp.interpreter import Interpreter
 from repro.kernels.cache import KERNEL_CACHE
-from repro.faults.plan import SITE_DIRECT_CALL, SITE_HANG, SITE_OOM
+from repro.faults.plan import SITE_HANG, SITE_OOM
 from repro.obs import DISABLED as DISABLED_OBS
 from repro.obs import TIER_INTERPRETER, TIER_JIT, TIER_SPEC
 from repro.resilience import (
@@ -107,8 +99,8 @@ class RepositoryStats:
     # Persistent-cache probes by result ("hit" / "miss"), first seen first.
     cache_requests: Counter = field(default_factory=Counter)
     # Observability: executions by tier (summary()/profiler cross-checks)
-    # — the calls the repository serves; a direct call between compiled
-    # versions is part of its caller's execution and counts nowhere.
+    # — the calls the repository serves; a version's direct call of
+    # itself is part of its caller's execution and counts nowhere.
     calls_jit: int = 0
     calls_spec: int = 0
     calls_interpreted: int = 0
@@ -310,9 +302,6 @@ class CodeRepository:
         # check and cache probe see what the other stored).
         self._lock = threading.RLock()
         self._compile_locks: dict[str, threading.Lock] = {}
-        # name -> the epoch of its held versions: moved by every store,
-        # removal and purge; a direct call site checks it before each call.
-        self._held: dict[str, _Held] = {}
         # Monotonic per-name redefinition counters: an in-flight background
         # compile captures the generation at enqueue time and its result is
         # dropped if the function was redefined (or removed) meanwhile.
@@ -330,7 +319,6 @@ class CodeRepository:
         self._rt = RuntimeSupport(
             call_user=self.execute, sink=self.sink, fault_plan=fault_plan,
             obs=self.obs, native=native, knows=self.knows,
-            link=self._link_site,
         )
         self._relink()
 
@@ -440,7 +428,6 @@ class CodeRepository:
             self._fast_cache.pop(name, None)
             self._strikes.pop(name, None)
             self._generations[name] = self._generations.get(name, 0) + 1
-            self._held_set(name).epoch += 1
 
     def generation_of(self, name: str) -> int:
         """Redefinition counter for ``name``: what was learned about it
@@ -568,31 +555,6 @@ class CodeRepository:
             self.depgraph.set_dependencies(name, (embedded | applied) - {name})
         return prepared, applied
 
-    def dependencies(self, name: str) -> set[str]:
-        """What ``name``'s compiled code depends on — the functions it
-        embeds and every name it applies — as :attr:`depgraph` records it
-        once ``name`` is prepared (the parse and inlining its compile
-        would do, done once).  Empty when it cannot be prepared: its
-        compile records why."""
-        try:
-            self._prepared(name)
-        except Exception:  # noqa: BLE001 - the compile records the failure
-            return set()
-        with self._lock:
-            return self.depgraph.dependencies_of(name)
-
-    def compile_order(self) -> list[tuple[str, set[str]]]:
-        """Every known function, callees before callers, each with the
-        known functions it depends on: the order an ahead-of-time pass
-        compiles in, so a caller's call sites find their callees'
-        versions already held."""
-        names = self.function_names()
-        known = set(names)
-        callees = {name: self.dependencies(name) & known for name in names}
-        return [
-            (name, callees[name]) for name in self.depgraph.callees_first(names)
-        ]
-
     def _compile_lock(self, name: str) -> threading.Lock:
         """Per-name compile lock: one compile of a given function at a
         time (its range-widening check and cache probe read the versions
@@ -626,7 +588,6 @@ class CodeRepository:
         """
         self._link_own(obj)
         with self._lock:
-            self._held_set(obj.name).epoch += 1
             versions = self._objects.setdefault(obj.name, [])
             for index, existing in enumerate(versions):
                 if existing.signature == obj.signature:
@@ -844,8 +805,7 @@ class CodeRepository:
                         name, mode, self._cache_key(name, tag), generation,
                         lambda: compiler.compile(
                             fn, signature, mode=mode,
-                            is_user_function=self.knows,
-                            callees=self._bind_call,
+                            is_user_function=self.knows, bind_own=True,
                         ),
                     )
             except Exception as exc:  # noqa: BLE001 - rejection or compiler crash
@@ -911,13 +871,13 @@ class CodeRepository:
         return obj
 
     def speculate_all(self) -> list[str]:
-        """Ahead-of-time pass over every known function, callees first;
-        returns the names compiled.  A failure is a ``compile_failure``
+        """Ahead-of-time pass over every known function; returns the
+        names compiled.  A failure is a ``compile_failure``
         event, never raised: the "hidden" pass survives any one
         function."""
         compiled = []
         with self.obs.tracer.span("speculate_all", "speculation"):
-            for name, _ in self.compile_order():
+            for name in self.function_names():
                 if self.speculate(name) is not None:
                     compiled.append(name)
         return compiled
@@ -1127,7 +1087,6 @@ class CodeRepository:
         """The one way a version leaves: out of the function's list and
         the hot-call cache and — ``evict`` — the persistent cache."""
         with self._lock:
-            self._held_set(name).epoch += 1
             remaining = [v for v in self._objects.get(name, ()) if v is not obj]
             if remaining:
                 self._objects[name] = remaining
@@ -1173,45 +1132,15 @@ class CodeRepository:
         return None
 
     # ------------------------------------------------------------------
-    # Direct calls: a user call site located at compile time
+    # Own calls: a version's calls of itself
     # ------------------------------------------------------------------
-    def _held_set(self, name: str) -> "_Held":
-        held = self._held.get(name)
-        if held is None:
-            with self._lock:
-                held = self._held.setdefault(name, _Held())
-        return held
-
-    def _bind_call(self, name: str, arg_types, nargout: int):
-        """The compile-time binding of a user call with these argument
-        types: the held version of ``name`` nearest to them whose
-        signature they are ⊑ (None: no such version; the site re-enters
-        through ``rt.call_user``).  Inference asks it about every user
-        call of a function the repository compiles
-        (``TypeInferenceEngine.infer``'s ``callees``)."""
-        with self._lock:
-            versions = tuple(self._objects.get(name, ()))
-        found = [
-            v for v in versions
-            if fits(v.signature, arg_types, nargout, len(v.output_reprs))
-        ]
-        if not found:
-            return None
-        actual = Signature.of(arg_types)
-        version = min(found, key=lambda v: v.signature.distance(actual))
-        return CallBinding(
-            name, version.signature,
-            tuple(version.annotations.output_types.values()),
-            tuple(version.param_reprs), tuple(version.output_reprs),
-        )
-
     @property
-    def _serves_direct(self) -> bool:
-        """Whether call sites may bypass :meth:`execute` in this session:
-        not with a run watchdog, an adaptive controller, or a runtime-helper
-        fault plan (the watchdog supervises every served call, the
-        controller observes them, the fault sweeps count the helper
-        calls)."""
+    def _own_calls_direct(self) -> bool:
+        """Whether a version's calls of itself may bypass :meth:`execute`
+        in this session: not with a run watchdog, an adaptive controller,
+        or a runtime-helper fault plan (the watchdog supervises every
+        served call, the controller observes them, the fault sweeps count
+        the helper calls)."""
         return not (
             self._supervised
             or self.fault_plan is not None and self.fault_plan.runtime_helpers()
@@ -1225,8 +1154,8 @@ class CodeRepository:
         if not version.own_calls:
             return
         entry = version.emitted.callable
-        entry.__globals__[entry.__name__] = entry if self._serves_direct else (
-            own_called_through(
+        entry.__globals__[entry.__name__] = entry if self._own_calls_direct else (
+            own_call_through(
                 version.name, len(version.param_reprs), version.output_reprs[0]
             )
         )
@@ -1237,32 +1166,13 @@ class CodeRepository:
         :meth:`_supervise`?  Yes when runs are watched (a run deadline,
         or the in-process chaos probes) or an adaptive controller is
         attached.  (A live tracer is tested per call instead, since
-        ``profile("on")`` swaps one in.)  Every call site links again on
-        its next use, and every held version's own calls now."""
+        ``profile("on")`` swaps one in.)  Every held version's own calls
+        link again now."""
         self._supervised = self._watched or self.tiering is not None
-        self._rt._unlink_sites()
         with self._lock:
             versions = [v for held in self._objects.values() for v in held]
         for version in versions:
             self._link_own(version)
-
-    def _link_site(self, site):
-        """What ``rt.<site.helper>`` calls in this session: the site served
-        directly (:class:`_DirectSite`), or ``None`` — it calls through."""
-        if not self._serves_direct:
-            return None
-        return _DirectSite(self, site).closure()
-
-    def _call_failed(self, site, version, exc, rng_state, sink_mark, args):
-        """A version a direct call ran raised a non-MATLAB exception: the
-        callee is deoptimized and struck (never its caller, whose code
-        goes on), its half-run effects rolled back, and the call served
-        by its bottom version; the results come back as the site reads
-        them."""
-        invocation = Invocation(site.callee, [box(a) for a in args], site.nargout)
-        return site_results(site, self._deoptimize(
-            invocation, version, exc, rng_state, sink_mark
-        ))
 
     def dispatch(self, name, args, nargout):
         """The interpreters' call hook (``Interpreter(call_dispatcher=)``,
@@ -1272,110 +1182,3 @@ class CodeRepository:
         if name not in self._units:
             return None
         return self.execute(name, args, nargout)
-
-
-class _Held:
-    """The epoch of one name's set of held versions."""
-
-    __slots__ = ("epoch",)
-
-    def __init__(self):
-        self.epoch = 0
-
-
-#: Arity -> how a direct site calls a version's emitted function: a plain
-#: positional call, so a deep recursion stays in the host's frame stack
-#: rather than the C stack (``runtime_support.SITE_ARITY``).
-_INVOKE = {
-    0: lambda entry, rt, a, b, c, d: entry(rt),
-    1: lambda entry, rt, a, b, c, d: entry(a, rt),
-    2: lambda entry, rt, a, b, c, d: entry(a, b, rt),
-    3: lambda entry, rt, a, b, c, d: entry(a, b, c, rt),
-    4: lambda entry, rt, a, b, c, d: entry(a, b, c, d, rt),
-}
-
-
-class _DirectSite:
-    """One call site served straight from the version it was compiled to
-    call (DESIGN.md, *Robustness layer*, direct call).
-
-    Before each call it checks one thing: that the callee's held
-    versions are the ones it last looked at.  When they moved it looks
-    again for the version of the site's signature and calling
-    convention; with none held, the call re-enters the repository
-    (:func:`~repro.codegen.runtime_support.called_through`), which
-    locates or compiles as for any call.  The call itself runs under the
-    same net as :meth:`CodeRepository.execute`, with the callee's version
-    as the one that failed."""
-
-    __slots__ = ("repository", "site", "held", "epoch", "link", "fallback")
-
-    def __init__(self, repository: CodeRepository, site):
-        self.repository, self.site = repository, site
-        self.held = repository._held_set(site.callee)
-        self.epoch = -1
-        self.link = None, None
-        self.fallback = called_through(repository._rt, site)
-
-    def relink(self) -> None:
-        repository, site = self.repository, self.site
-        with repository._lock:
-            self.epoch = self.held.epoch
-            version = next((
-                v for v in repository._objects.get(site.callee, ())
-                if v.signature == site.signature
-                and tuple(v.param_reprs) == site.param_reprs
-                and tuple(v.output_reprs[:len(site.output_reprs)])
-                == site.output_reprs
-            ), None)
-        if version is None:
-            self.link = None, None
-            return
-        entry = version.emitted.callable
-        plan = repository.fault_plan
-        if plan is not None and any(
-            spec.site == SITE_DIRECT_CALL for spec in plan.specs
-        ):
-            def entry(*args, _entry=entry, _name=site.callee):
-                results = _entry(*args)
-                plan.check(SITE_DIRECT_CALL, _name)
-                return results
-
-        self.link = entry, version
-
-    def closure(self):
-        """The function ``rt.<site.helper>`` is: the site's arguments in,
-        its results out, as the site reads them."""
-        repository, site = self.repository, self.site
-        held, invoke = self.held, _INVOKE[len(site.param_reprs)]
-        rt, fallback = repository._rt, self.fallback
-        snapshot, mark = GLOBAL_RANDOM.snapshot, repository.sink.mark
-        failed, arity = repository._call_failed, len(site.param_reprs)
-        count = len(site.output_reprs)
-
-        def call(a=None, b=None, c=None, d=None):
-            if held.epoch != self.epoch:
-                self.relink()
-            entry, version = self.link
-            if entry is None:
-                return fallback(a, b, c, d)
-            rng_state, sink_mark = snapshot(), mark()
-            try:
-                results = invoke(entry, rt, a, b, c, d)
-            except MatlabError:
-                raise
-            except RecursionError:
-                raise RecursionLimitError() from None
-            except Exception as exc:  # noqa: BLE001 - the callee's net
-                return failed(
-                    site, version, exc, rng_state, sink_mark,
-                    (a, b, c, d)[:arity],
-                )
-            if results[0] is None:
-                raise version.unassigned(0)
-            for position in range(1, count):
-                if results[position] is None:
-                    raise version.unassigned(position)
-            return results
-
-        return call

@@ -3,15 +3,12 @@ fault absorption and foreground fall-through."""
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
 
 import pytest
 
 from repro import FaultPlan, MajicSession
-from repro.faults.plan import BEHAVIOR_CRASH, SITE_WORKER, FaultSpec
-from repro.repository import background
 from repro.repository.background import SpeculationEngine
 from repro.repository.diagnostics import COMPILE_FAILURE, SPECULATE_ASYNC
 from repro.repository.repo import CodeRepository
@@ -273,89 +270,3 @@ def test_background_matches_synchronous_results():
             session.call("tri", 3),
         ]
     assert actual == expected
-
-
-#: ``relay`` calls ``leg`` and ``step``; ``leg`` calls ``step``.
-RELAY = (
-    "function r = relay(n)\nr = step(n) + leg(n);\n"
-    "function y = leg(x)\nif x < 0, y = 0; return; end\ny = step(x) + 1;\n"
-    "function s = step(n)\nif n < 0, s = 0; return; end\ns = n * 2;\n"
-)
-
-
-def test_submit_all_compiles_callees_first(monkeypatch):
-    """Queued in name order, ``relay`` could compile before the versions
-    it calls exist and bind none of its calls.  Callees go first, and a
-    caller's compile starts only once its callees' have ended, however
-    many workers are free: every call site binds."""
-    starts, ends = {}, {}
-    original = CodeRepository.speculate
-
-    def timed(self, name, generation=None):
-        starts[name] = time.perf_counter()
-        try:
-            return original(self, name, generation=generation)
-        finally:
-            ends[name] = time.perf_counter()
-
-    monkeypatch.setattr(CodeRepository, "speculate", timed)
-    with MajicSession(background=True, workers=3) as session:
-        session.add_source(RELAY)
-        assert session.speculate_async() == 3
-        assert session.drain_speculation(timeout=30)
-        repo = session.repository
-        sites = {
-            name: sum(len(v.call_sites) for v in repo.versions_of(name))
-            for name in ("relay", "leg", "step")
-        }
-        assert session.call("relay", 3) == 6.0 + 7.0
-    assert starts["leg"] >= ends["step"]
-    assert starts["relay"] >= max(ends["leg"], ends["step"])
-    assert sites == {"relay": 2, "leg": 1, "step": 0}
-
-
-def test_held_tasks_start_after_their_blockers_under_crashes(monkeypatch):
-    """More workers than cores under a short switch interval, with the
-    first tasks killing their workers (each is requeued): no task starts
-    before every task it was queued after has finished, and all land."""
-    crashes = 3
-    monkeypatch.setattr(background, "WORKER_MAX_RESTARTS", crashes)
-    monkeypatch.setattr(background, "WORKER_MAX_TASK_RETRIES", crashes)
-    plan = FaultPlan([FaultSpec(site=SITE_WORKER, hits=(1, 2, 3),
-                                behavior=BEHAVIOR_CRASH)])
-    lock = threading.Lock()
-    log: list[tuple[str, str]] = []
-
-    def task(label, seconds):
-        def run():
-            with lock:
-                log.append(("start", label))
-            time.sleep(seconds)
-            with lock:
-                log.append(("end", label))
-        return run
-
-    # Four layers of three; each task is queued after the whole layer
-    # before it.  The first layer, whose tasks the crashes hit, runs
-    # longest: a dependent released early would start inside it.
-    layers = [[f"t{k}{i}" for i in range(3)] for k in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    engine = SpeculationEngine(CodeRepository(), workers=4, fault_plan=plan)
-    try:
-        for k, layer in enumerate(layers):
-            for label in layer:
-                assert engine.submit_task(
-                    task(label, 0.001 if k else 0.02), label,
-                    after=layers[k - 1] if k else ())
-        assert engine.drain(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-        engine.shutdown()
-    assert engine.restarts == crashes
-    assert sorted(engine.compiled) == sorted(sum(layers, []))
-    position = {event: index for index, event in enumerate(log)}
-    for k in range(1, len(layers)):
-        for label in layers[k]:
-            for blocker in layers[k - 1]:
-                assert position[("start", label)] > position[("end", blocker)]

@@ -29,7 +29,7 @@ from repro.backends import (
     BACKENDS, Program, check, observation, observe, reference,
 )
 from repro.backends import open as open_backend
-from repro.faults.plan import SITE_DIRECT_CALL, FaultPlan, FaultSpec
+from repro.faults.plan import SITE_OOM, FaultPlan, FaultSpec
 from repro.repository.diagnostics import DEOPT
 from repro.benchsuite.registry import benchmark_names
 from repro.core.platformcfg import MIPS, SPARC
@@ -281,10 +281,9 @@ DIRECT_EFFECTS = (
     "function s = step(n)\ndisp(n);\ns = rand(1, 1);\n"
     "if n > 0\n  s = s + step(n - 1);\nend\n"
 )
-#: A callee that prints and draws, called through a call site: each
-#: callee returns early, so neither is inlined, and ``relay`` calls
-#: ``step`` on two values (its version widens to any integer) before
-#: ``leg`` compiles, so ``leg``'s calls of ``step`` are bound to it.
+#: A callee that prints and draws, called by compiled code: each callee
+#: returns early, so neither is inlined, and every call of ``leg`` and
+#: ``step`` re-enters the repository through ``rt.call_user``.
 SITE_EFFECTS = (
     "function r = relay(n)\nr = step(n) + step(n + 1);\n"
     "for k = 1:5\n  r = r + leg(n);\nend\n"
@@ -312,6 +311,13 @@ OWN_FAULT = (
 MUTUAL = (
     "function r = iseven(n)\nif n == 0, r = 1; else r = isodd(n - 1); end\n"
     "function r = isodd(n)\nif n == 0, r = 0; else r = iseven(n - 1); end\n"
+)
+#: Mutual recursion that stays two functions: each returns early, so
+#: neither is inlined into the other, and every call of one by the other
+#: re-enters the repository.
+MUTUAL_CALLS = (
+    "function r = pa(n)\nif n <= 0, r = 0; return; end\nr = pb(n - 1) + 1;\n"
+    "function r = pb(n)\nif n <= 0, r = 1; return; end\nr = pa(n - 1) + 2;\n"
 )
 UNDEFINED = "function y = ud(x)\ndisp(x);\ny = x + nosuchfn(x, 0.7);\n"
 EAGER_OWN = (
@@ -480,7 +486,8 @@ def _dgemv_zero_beta():
 #: a crash on falcon and mcc).
 #: ``direct-call-effects``: a recursion that prints and draws at every
 #: level, through host calls of itself.  ``direct-call-site-effects``: a
-#: callee that prints and draws, through a call site.
+#: callee that prints and draws, called by compiled code through the
+#: repository.
 #: ``direct-call-outside-signature``: an actual a maybe-path makes a
 #: matrix or a complex leaves its call site unbound.  ``recursion-past-limit``: past the host's recursion limit
 #: every tier raises the interpreter's error (every tier raised a host
@@ -492,7 +499,10 @@ def _dgemv_zero_beta():
 #: zero) unwinds to the outermost compiled call, which deopts once; the
 #: interpreter re-runs all of it, draws and transcript included.
 #: ``mutual-recursion``: ``iseven`` embeds ``isodd`` once, whose call of
-#: ``iseven`` is then a call of itself.  ``own-call-eager-and``: ``&``
+#: ``iseven`` is then a call of itself.  ``mutual-recursion-through-calls``:
+#: ``pa`` and ``pb`` call each other through the repository at every
+#: level, whichever compiled first, and ``-past-limit`` recurses past the
+#: host's limit that way (positional calls: no C stack overflow).  ``own-call-eager-and``: ``&``
 #: evaluates a right operand that is a call of the function itself (and
 #: displays) whatever the left one is; optimized code must not take the
 #: call for a plain value and fold it into the host's lazy ``and``.
@@ -602,6 +612,12 @@ PROBES = {
     "output-unassigned": Program((UNASSIGNED,), "un", _scalar(-1.0)),
     "own-call-fault-at-depth": Program((OWN_FAULT,), "fz", _scalar(6.0)),
     "mutual-recursion": Program((MUTUAL,), "iseven", _scalar(7.0)),
+    "mutual-recursion-through-calls": Program(
+        (MUTUAL_CALLS,), "pa", _scalar(50.0)
+    ),
+    "mutual-recursion-through-calls-past-limit": Program(
+        (MUTUAL_CALLS,), "pa", _scalar(1e6)
+    ),
     "own-call-eager-and": Program((EAGER_OWN,), "chain", _scalar(4.0)),
     "undefined-function": Program((UNDEFINED,), "ud", _scalar(2.0)),
     "diag-zeros": Program((DIAG_ZEROS,), "dg", _scalar(2.0)),
@@ -617,13 +633,16 @@ PROBES = {
 #: at the outermost compiled call, and the interpreter re-runs all of it.
 FAULTING_PROBES = {"own-call-fault-at-depth": "ZeroDivisionError"}
 
-#: The probes whose compiled calls are direct calls where nothing
-#: supervises the session (the probe matrix runs under a run watchdog,
-#: which sends every call through the repository).
-DIRECT_PROBES = (
+#: The probes whose compiled code calls itself as a plain host call where
+#: nothing supervises the session (the probe matrix runs under a run
+#: watchdog, which sends every call through the repository), and the
+#: probes whose compiled calls of other functions go through the
+#: repository at every level.
+OWN_CALL_PROBES = (
     "direct-call-effects", "direct-call-site-effects",
     "direct-call-outside-signature", "recursion-past-limit",
-    "own-call-fault-at-depth",
+    "own-call-fault-at-depth", "mutual-recursion-through-calls",
+    "mutual-recursion-through-calls-past-limit",
 )
 
 
@@ -663,7 +682,8 @@ def test_probe_bit_identical_to_interpreter(probe, backend, overrides):
 
 
 # ----------------------------------------------------------------------
-# Direct calls: compiled code calling compiled code
+# Compiled code calling compiled code: itself directly, others through
+# the repository
 # ----------------------------------------------------------------------
 SESSION_ROWS = [
     pytest.param(label, kw, id=f"{label}{suffix}")
@@ -672,10 +692,10 @@ SESSION_ROWS = [
 
 
 @pytest.mark.parametrize(("backend", "overrides"), SESSION_ROWS)
-@pytest.mark.parametrize("probe", DIRECT_PROBES)
-def test_direct_call_probe_unsupervised(probe, backend, overrides):
-    """The direct-call probes with no run watchdog, where bound sites call
-    the versions they were compiled for (an alarm bounds a hang)."""
+@pytest.mark.parametrize("probe", OWN_CALL_PROBES)
+def test_own_call_probe_unsupervised(probe, backend, overrides):
+    """The own-call probes with no run watchdog, where a version's calls
+    of itself call its own emitted function (an alarm bounds a hang)."""
     previous = signal.signal(signal.SIGALRM, _relapse)
     signal.alarm(60)
     try:
@@ -695,8 +715,8 @@ def _diff(program: Program, handle) -> tuple[str, ...]:
 @pytest.mark.parametrize("name", ["fibonacci", "ackermann"])
 def test_own_calls_are_plain_host_calls(name, backend):
     """The compiled recursive benchmarks call themselves by their own
-    emitted function's name, once per call the source makes: no call
-    site, and no copy of the function inlined into itself."""
+    emitted function's name, once per call the source makes: no
+    ``rt.call_user``, and no copy of the function inlined into itself."""
     program = Program.benchmark(name)
     calls = sum(text.count(f"{name}(") - 1 for text in program.sources)
     with open_backend(program, backend) as handle:
@@ -705,27 +725,9 @@ def test_own_calls_are_plain_host_calls(name, backend):
     assert {v.mode for v in versions} == {backend}
     for version in versions:
         source = version.source
-        assert "site_" not in source and "__il" not in source
-        assert not version.call_sites and version.own_calls
+        assert "call_user" not in source and "__il" not in source
+        assert version.own_calls
         assert source.count(f"{version.emitted.name}(") == 1 + calls
-
-
-@pytest.mark.parametrize("backend", ["spec", "background"])
-def test_ahead_of_time_pass_binds_every_callee(backend):
-    """Both ahead-of-time passes compile callees before callers, so each
-    caller's spec version binds its sites to the callees' versions."""
-    program = PROBES["direct-call-site-effects"]
-    with open_backend(program, backend) as handle:
-        assert not _diff(program, handle)
-        repository = handle.session.repository
-        bound = {
-            name: sorted(
-                site.callee for version in repository.versions_of(name)
-                for site in version.call_sites.values()
-            )
-            for name in ("relay", "leg", "step")
-        }
-    assert bound == {"relay": ["leg", "step"], "leg": ["step"], "step": []}
 
 
 @pytest.mark.parametrize("backend", ["jit", "fused", "spec"])
@@ -756,8 +758,7 @@ RC_V2 = "function r = rc(n)\nif n <= 0, r = 7; return; end\nr = 3 * rc(n - 1);\n
 @pytest.mark.parametrize("backend", sorted(set(BACKENDS) - {"interpreter"}))
 def test_redefinition_between_calls_of_a_compiled_caller(backend):
     """Call, redefine the callee, call, redefine the caller itself, call:
-    every call sees the definitions of its moment (on the ``spec`` row
-    ``rc``'s calls of ``leaf`` are bound: ``leaf`` is compiled first)."""
+    every call sees the definitions of its moment."""
     program = Program(REDEFINED, "rc", _scalar(4.0))
     with open_backend(program, backend) as handle:
         target = handle.session or handle.engine
@@ -800,27 +801,39 @@ def test_redefinition_of_an_inlined_callee(backend):
             assert not handle.fallbacks()
 
 
+#: ``direct-call-site-effects``'s compiled runs, in the order the
+#: repository serves them: ``relay``, its two calls of ``step``, then
+#: five times ``leg`` and the call of ``step`` it makes.  A function the
+#: ``oom`` site is scoped to fires on the hits that are its own.
+SERVED = ["relay", "step", "step"] + ["leg", "step"] * 5
+
+
 @pytest.mark.parametrize("backend", ["jit", "fused", "spec", "background"])
-def test_callee_fault_in_a_direct_call_rolls_back_the_callee(backend):
-    """A callee failing as it returns from a direct call, after it printed
-    and drew (``direct.call``): the callee is deoptimized and struck, its
-    effects rolled back and re-run by the interpreter, and its compiled
-    caller goes on — the observation is the interpreter's."""
+def test_callee_fault_in_a_call_rolls_back_the_callee(backend):
+    """A compiled callee of compiled code failing as it runs (an
+    in-process ``oom`` scoped to ``leg`` or ``step``): the call re-entered
+    the repository, so the callee is deoptimized and struck, its failed
+    run rolled back and its prints and draws made once, by the
+    interpreter, and its compiled caller goes on — the observation is the
+    interpreter's.  Which run a hit is follows from the program alone."""
     program = PROBES["direct-call-site-effects"]
     want = observe(program, "interpreter")
     fired = 0
-    for hit in (1, 2, 4):
-        plan = FaultPlan([FaultSpec(SITE_DIRECT_CALL, hits=(hit,))])
+    for callee, hit in (("leg", 4), ("leg", 12), ("step", 3), ("step", 13),
+                        ("leg", 5)):
+        plan = FaultPlan([FaultSpec(SITE_OOM, hits=(hit,), function=callee)])
         with open_backend(program, backend, fault_plan=plan) as handle:
-            assert not want.diff(handle.call()), hit
+            assert not want.diff(handle.call()), (callee, hit)
+            expected = [callee] if SERVED[hit - 1] == callee else []
+            assert [f.function for f in plan.fired] == expected, (callee, hit)
             fired += len(plan.fired)
+            repository = handle.session.repository
             deopts = handle.session.diagnostics.events(DEOPT)
-            assert len(deopts) == len(plan.fired), hit
-            # Callees only (``relay``'s call of ``leg`` is a site too where
-            # ``leg`` was speculated first); the outermost caller goes on.
-            assert all(event.function in ("leg", "step") for event in deopts)
-            assert not want.diff(handle.call()), hit     # and once more
-    assert fired == 3
+            assert [event.function for event in deopts] == expected
+            assert repository._strikes == dict.fromkeys(expected, 1)
+            assert repository.versions_of("relay")
+            assert not want.diff(handle.call()), (callee, hit)
+    assert fired == 4
 
 
 # ----------------------------------------------------------------------

@@ -389,7 +389,7 @@ def test_frame_round_trip_and_failure_modes():
     with pytest.raises(CacheCorruption, match="header"):
         unframe_payload(b"PKL1\njunk")
     with pytest.raises(CacheCorruption, match="stale cache format"):
-        unframe_payload(b"MAJC1" + framed[5:])
+        unframe_payload(b"MAJC1" + framed[framed.index(b"\n"):])
     with pytest.raises(CacheCorruption, match="truncated"):
         unframe_payload(framed.split(b"\n", 1)[0] + b"\n" + b"x" * 64)
     flipped = bytearray(framed)
@@ -451,7 +451,7 @@ VIEWS = pytest.mark.parametrize(
 CORRUPTIONS = {
     "torn-write": lambda data: data[:40],
     "garbage": lambda data: b"\x00\xffnot a frame at all",
-    "stale-format": lambda data: b"MAJC1" + data[5:],
+    "stale-format": lambda data: b"MAJC1" + data[data.index(b"\n"):],
     "digest-flip": lambda data: data[:-1] + bytes([data[-1] ^ 0xFF]),
 }
 
@@ -517,8 +517,8 @@ def test_fresh_stores_write_current_format_frames(tmp_path):
 
     cache = RepositoryCache(tmp_path)
     assert cache.put("d" * 64, _cached_object())
-    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC9\n")
-    assert frame_payload(b"x").startswith(b"MAJC9\n")
+    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC10\n")
+    assert frame_payload(b"x").startswith(b"MAJC10\n")
 
 
 def test_format_5_entry_is_not_served(tmp_path):
@@ -530,8 +530,8 @@ def test_format_5_entry_is_not_served(tmp_path):
     [name] = _entries(tmp_path)
     path = tmp_path / name
     data = path.read_bytes()
-    assert data.startswith(b"MAJC9\n")
-    path.write_bytes(b"MAJC5" + data[5:])  # the same entry, framed as 5
+    assert data.startswith(b"MAJC10\n")
+    path.write_bytes(b"MAJC5" + data[6:])  # the same entry, framed as 5
 
     warm = MajicSession(cache_dir=tmp_path)
     warm.add_source(POLY)
