@@ -103,10 +103,6 @@ class CompiledObject:
     kernel_keys: dict = field(default_factory=dict)
     #: The function's output names, in order (error texts name them).
     outputs: tuple = ()
-    #: Whether the emitted code calls itself by its module-level name
-    #: (``select.Walk.call_own``): what that name is bound to is the
-    #: repository's choice (``CodeRepository._link_own``).
-    own_calls: bool = False
 
     @property
     def source(self) -> str:
@@ -340,7 +336,6 @@ def compile_function(
         kernel_sources=dict(walk.kernel_sources),
         kernel_keys=dict(walk.kernel_keys),
         outputs=tuple(fn.outputs),
-        own_calls=walk.own_calls,
     )
 
 

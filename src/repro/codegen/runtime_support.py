@@ -521,31 +521,6 @@ def empty_matrix() -> MxArray:
 SITE_ARITY = 4
 
 
-#: Arity -> a version's call of itself for one result through
-#: ``rt.call_user``, in its emitted function's convention (the arguments,
-#: then ``rt``); ``first`` reads the boxed results.
-_OWN_THROUGH = {
-    0: lambda name, first: lambda rt: first(rt.call_user(name, 1)),
-    1: lambda name, first: lambda a, rt: first(rt.call_user(name, 1, a)),
-    2: lambda name, first: lambda a, b, rt: first(rt.call_user(name, 1, a, b)),
-    3: lambda name, first: lambda a, b, c, rt: first(
-        rt.call_user(name, 1, a, b, c)),
-    4: lambda name, first: lambda a, b, c, d, rt: first(
-        rt.call_user(name, 1, a, b, c, d)),
-}
-
-
-def own_call_through(name: str, arity: int, output_kind: str):
-    """What a version's calls of itself (``select.Walk.call_own``) run
-    where a call must re-enter the repository: ``rt.call_user`` for one
-    result, returned as the emitted function returns it (raw when the
-    version's first output is raw)."""
-    first = (lambda outputs: outputs) if output_kind == "b" else (
-        lambda outputs: (unbox(outputs[0]),)
-    )
-    return _OWN_THROUGH[arity](name, first)
-
-
 def own_result(results, function: str, output: str):
     """The results of a version's call of itself, whose first output no
     analysis proved assigned: the interpreter's error if it is unset."""
@@ -809,9 +784,14 @@ class RuntimeSupport:
                 f"undefined function or variable '{name}'"
             )
         try:
-            return self._call_user(name, [box(a) for a in args], nargout)
+            results = self._call_user(name, [box(a) for a in args], nargout)
         except RecursionError:
             raise RecursionLimitError() from None
+        if nargout > 1 and len(results) < nargout:
+            # The caller's multi-assignment asks for more outputs than
+            # the callee has: the interpreter's error, after the call.
+            raise RuntimeMatlabError(f"{name}: not enough output arguments")
+        return results
 
 
 def _faultable_helpers() -> list[str]:

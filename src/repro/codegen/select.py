@@ -473,8 +473,6 @@ class Walk:
         self.forcing_used = False
         self.kernel_sources: dict[str, str] = {}
         self.kernel_keys: dict[str, str] = {}
-        #: Whether the code calls its own emitted function (:meth:`call_own`).
-        self.own_calls = False
         self._int_counters = self._find_int_loop_counters()
         #: Element stores that a path reaches with their array unset: they
         #: grow it from empty, as the interpreter does (target id -> name).
@@ -907,7 +905,6 @@ class Walk:
             boxed = [self.boxed(arg) for arg in args]
             values = self.call(helper, head + boxed, BOXED)
             return values, [BOXED] * max(nargout, 1)
-        self.own_calls = True
         values = self.call_own([
             self.call_arg(arg, kind) for arg, kind in zip(args, self.param_reprs)
         ])

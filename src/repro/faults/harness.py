@@ -215,9 +215,10 @@ def default_lanes() -> list[Lane]:
 
 def background_lanes() -> list[Lane]:
     """The worker-thread sweep: faults firing inside (or around) the
-    background speculation pool.  ``worker-crash`` kills the worker that
-    picks up the first task (it restarts in place and retries the task);
-    ``worker-hang`` wedges it until the compile watchdog cancels it."""
+    background speculation pool.  ``worker-crash`` crashes the first task
+    (a failed task: one ``compile_failure`` event, and the worker takes
+    the next one); ``worker-hang`` wedges it until the compile watchdog
+    cancels it."""
     hang_deadline = {"resilience": ResiliencePolicy(compile_deadline=0.25)}
     return [
         Lane(label, (spec,), kwargs, backend="background")
@@ -265,7 +266,7 @@ def native_lanes() -> list[Lane]:
 def chaos_scenarios() -> list[Lane]:
     """The chaos sweep: hang/oom/corruption against every recovery tier,
     and a transient IO fault on each side of the persistent cache (a
-    retried read; a store that is dropped, the version still served).
+    retried read; a retried store).
     Deadlines are short so the sweep stays CI-sized."""
     return [
         Lane(

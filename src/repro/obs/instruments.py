@@ -70,8 +70,6 @@ INSTRUMENTS = tuple(Instrument(*row) for row in (
      "interpreter)."),
     ("majic_quarantine_total", "counter", (), "diagnostics.totals.quarantine",
      "Functions demoted to interpreter-only after repeated strikes."),
-    ("majic_worker_restarts_total", "counter", (), "speculation.restarts",
-     "Crashed speculation workers restarted in place."),
     ("majic_watchdog_timeouts_total", "counter", ("kind",),
      "repository.guard.timeouts_by_kind + native.compile_timeouts",
      "Watchdog deadline cancellations by operation kind."),

@@ -9,8 +9,7 @@ keeps interpreting and JIT-compiling.  Every work item is a task — a
 labelled callable; a speculation is the task whose body compiles one
 function through :meth:`CodeRepository.speculate` unless its generation
 went stale, and native C compiles and tier promotions ride the same
-queue — so dedup, deadlines, requeue, poison quarantine and completion
-callbacks exist once.
+queue — so dedup, deadlines and completion callbacks exist once.
 
 Lifecycle of one work item
 --------------------------
@@ -25,9 +24,9 @@ Lifecycle of one work item
   speculative pipeline.  The repository re-checks the generation once
   more before storing, so a redefinition *mid-compile* discards the
   stale object rather than letting it serve the new source's calls.
-* Any exception inside a worker — injected faults included — is absorbed
-  and recorded; the function simply stays interpreter/JIT-served.  A
-  worker can fail, the queue cannot deadlock.
+* Anything a task raises — injected faults included — is absorbed and
+  recorded; the function simply stays interpreter/JIT-served.  A task
+  can fail, the queue cannot deadlock.
 
 Failures
 --------
@@ -41,14 +40,10 @@ detector the rest of the session already uses for it.
   absorbs as an ordinary failed compile: one ``watchdog_timeout`` event,
   one ``majic_watchdog_timeouts_total`` count.  An injection that fired
   but never landed is revoked when the guard exits.
-* **A crashed worker restarts in place.**  A
-  :class:`~repro.faults.plan.SimulatedCrash` escaping a task is caught
-  by the worker loop, which requeues the task (one that has killed
-  ``WORKER_MAX_TASK_RETRIES + 1`` workers is quarantined as **poison**
-  instead) and carries on as the restarted worker.  After
-  ``WORKER_MAX_RESTARTS`` restarts the engine degrades to
-  foreground-only compilation; queued tasks are cancelled as the
-  workers reach them, so :meth:`drain` stays bounded.
+* **A crash is a failed task.**  A task that raises anything, a
+  :class:`~repro.faults.plan.SimulatedCrash` (a ``BaseException``)
+  included, is one failed task: one ``compile_failure`` event, its label
+  in ``failed``, and the worker takes the next task.
 
 The foreground can :meth:`drain` (bounded wait for quiet), poll
 :meth:`pending`, or simply keep calling functions: an invocation arriving
@@ -64,26 +59,13 @@ import threading
 import time
 
 from repro.obs import DISABLED as DISABLED_OBS
-from repro.repository.diagnostics import (
-    POISON_TASK,
-    SPECULATE_ASYNC,
-    WORKER_RESTART,
-)
+from repro.repository.diagnostics import SPECULATE_ASYNC
 
 _STOP = object()
 
 #: Default worker-pool width when neither the session nor the platform
 #: configuration names one.
 DEFAULT_WORKERS = 2
-
-#: Total in-place restarts of crashed workers paid for before the engine
-#: degrades to foreground-only compilation.  (A hung worker task is
-#: cancelled by the compile watchdog instead.)
-WORKER_MAX_RESTARTS = 8
-
-#: How many times a task that killed its worker is retried before it is
-#: quarantined as poison.
-WORKER_MAX_TASK_RETRIES = 2
 
 
 class _Task:
@@ -92,11 +74,10 @@ class _Task:
     ``token`` scopes deduplication — a label already queued under an
     equal token is not queued again (a speculation passes its generation,
     so a redefined function may re-queue; everything else passes
-    ``None``).  ``parent`` is the submitting thread's innermost span and
-    ``attempts`` how many workers the task has already killed.
+    ``None``).  ``parent`` is the submitting thread's innermost span.
     """
 
-    __slots__ = ("label", "fn", "token", "on_done", "parent", "attempts")
+    __slots__ = ("label", "fn", "token", "on_done", "parent")
 
     def __init__(self, label, fn, token, on_done, parent):
         self.label = label
@@ -104,7 +85,6 @@ class _Task:
         self.token = token
         self.on_done = on_done
         self.parent = parent
-        self.attempts = 0
 
     def finish(self, success: bool) -> None:
         """Fire the completion callback exactly once (then disarm it)."""
@@ -123,8 +103,8 @@ def run_out_of_band(submit, sync: bool, fn, label: str, on_done=None) -> None:
     ``submit`` is the session's bridge to the supervised worker pool.
     The work runs inline — at the decision point, which the
     deterministic harnesses rely on — when ``sync`` is set or there is no
-    bridge, and also when the pool refuses it (shut down, degraded,
-    duplicate label): a dead pool must not lose the work.
+    bridge, and also when the pool refuses it (shut down, duplicate
+    label): a dead pool must not lose the work.
     """
     if not sync and submit is not None:
         try:
@@ -154,9 +134,7 @@ class SpeculationEngine:
         if obs is None:
             obs = getattr(repository, "obs", None) or DISABLED_OBS
         self.obs = obs
-        # ``restarts`` below is what majic_worker_restarts_total reads;
-        # the queue depth is a level, so it is pushed (bound once, here).
-        obs.attach(speculation=self)
+        # The queue depth is a level, so it is pushed (bound once, here).
         self._push_depth = obs.push("majic_speculation_queue_depth")
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
@@ -169,14 +147,9 @@ class SpeculationEngine:
         self.compiled: list[str] = []
         self.failed: list[str] = []
         self.cancelled: list[str] = []
-        self.poisoned: list[str] = []
-        # In-place restarts paid so far (majic_worker_restarts_total).
-        self.restarts = 0
-        self.degraded = False
         self._threads = [
             threading.Thread(
-                target=self._worker, args=(index,),
-                name=f"majic-spec-{index}", daemon=True,
+                target=self._worker, name=f"majic-spec-{index}", daemon=True,
             )
             for index in range(workers)
         ]
@@ -218,22 +191,22 @@ class SpeculationEngine:
     def submit_task(self, fn, label: str, on_done=None, token=None) -> bool:
         """Queue one callable on the supervised worker pool.
 
-        Returns False when the engine is shut down or degraded, or when
-        ``label`` is already queued under an equal ``token`` (callers
-        then run the work inline or drop it).  ``label`` names the task
-        in diagnostics, dedup and poison quarantine.  ``fn`` may return
+        Returns False when the engine is shut down, or when ``label`` is
+        already queued under an equal ``token`` (callers then run the
+        work inline or drop it).  ``label`` names the task in
+        diagnostics and dedup.  ``fn`` may return
         the tally (``self.cancelled`` / ``self.failed``) its label belongs
         on; any other value means it completed.  ``on_done`` (if given) is
         invoked
         with ``True``/``False`` once the task finishes or is abandoned
-        (failure, cancellation, poison quarantine).
+        (failure, cancellation).
         """
         # Capture the submitting thread's innermost span (typically the
         # session's ``speculate_async`` span) so the worker's spans hang
         # off it in the trace tree despite running on another thread.
         task = _Task(label, fn, token, on_done, self.obs.tracer.current_id())
         with self._lock:
-            if self._shutdown or self.degraded:
+            if self._shutdown:
                 return False
             queued = self._queued.get(label)
             if queued is not None and queued.token == token:
@@ -291,7 +264,7 @@ class SpeculationEngine:
     # ------------------------------------------------------------------
     # The worker loop
     # ------------------------------------------------------------------
-    def _worker(self, index: int) -> None:
+    def _worker(self) -> None:
         while True:
             task = self._queue.get()
             if task is _STOP:
@@ -301,18 +274,7 @@ class SpeculationEngine:
                     del self._queued[task.label]
                 self._in_flight += 1
             try:
-                if self.degraded:
-                    # The restart budget is spent: queued work is dropped
-                    # as the workers reach it, so drain() stays bounded.
-                    self.cancelled.append(task.label)
-                    task.finish(False)
-                else:
-                    self._run_one(task)
-            except BaseException as exc:  # noqa: BLE001 - simulated worker death
-                # Only a SimulatedCrash gets past _run_one's net: this
-                # worker died.  Settle its task, then carry on as the
-                # restarted worker.
-                self._restart(index, task, exc)
+                self._run_one(task)
             finally:
                 with self._quiet:
                     self._in_flight -= 1
@@ -322,54 +284,6 @@ class SpeculationEngine:
                         self._push_depth(len(self._queued) + self._in_flight)
                     if not self._queued and not self._in_flight:
                         self._quiet.notify_all()
-
-    def _restart(self, index: int, task: _Task, exc) -> None:
-        """A task killed worker ``index``: requeue the task (bounded) or
-        poison it, then restart the worker in place — or, once
-        :data:`WORKER_MAX_RESTARTS` restarts are spent, degrade the
-        engine."""
-        if task.attempts < WORKER_MAX_TASK_RETRIES and not self._shutdown:
-            task.attempts += 1
-            with self._lock:
-                self._queued[task.label] = task
-            self._queue.put(task)
-        else:
-            self.failed.append(task.label)
-            self.poisoned.append(task.label)
-            self.repository.diagnostics.record(
-                POISON_TASK, task.label,
-                detail=f"task killed {task.attempts + 1} worker(s); "
-                "quarantined as poison",
-                cause=exc,
-            )
-            task.finish(False)
-        with self._lock:
-            spent = self.restarts >= WORKER_MAX_RESTARTS
-            if not spent:
-                self.restarts += 1
-                count = self.restarts
-        if spent:
-            self._enter_degraded()
-            return
-        self.repository.diagnostics.record(
-            WORKER_RESTART, f"worker-{index}",
-            detail=f"dead worker restarted in place (restart {count}/"
-            f"{WORKER_MAX_RESTARTS})",
-        )
-
-    def _enter_degraded(self) -> None:
-        """The restart budget is spent: stop accepting work (what is still
-        queued is cancelled as the workers reach it); the session
-        continues with foreground JIT compilation only."""
-        with self._lock:
-            if self.degraded:
-                return
-            self.degraded = True
-        self.repository.diagnostics.record(
-            WORKER_RESTART, "engine",
-            detail="restart budget exhausted; speculation degraded to "
-            "foreground-only",
-        )
 
     def _run_one(self, task: _Task) -> None:
         """One task body, under the submitter's span; failures are
@@ -388,7 +302,7 @@ class SpeculationEngine:
                         # dying or wedged worker rather than a compiler bug.
                         self.fault_plan.check("worker", task.label)
                     tally = task.fn()
-            except Exception as exc:  # noqa: BLE001 - workers must not die loudly
+            except BaseException as exc:  # noqa: BLE001 - a crash is a failed task
                 tally = self.failed
                 repo.compile_failed(task.label, "worker", exc)
         if tally is not self.cancelled and tally is not self.failed:

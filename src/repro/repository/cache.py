@@ -100,8 +100,10 @@ from repro.vcode.emit import bind_function
 #: stores code that calls itself by its own module-level name, with the
 #: ``own_calls`` flag the repository relinks that name by; format 10
 #: drops the call-site table, so no entry that calls ``rt.site_<hash>``
-#: is revived by a runtime that has no call sites.
-CACHE_FORMAT_VERSION = "10"
+#: is revived by a runtime that has no call sites; format 11 drops the
+#: ``own_calls`` flag: an own call is always the plain call the module
+#: binds, so no pickle that carries the flag is revived.
+CACHE_FORMAT_VERSION = "11"
 
 #: The signature slot of a parse record's key.
 UNIT_TAG = "source-unit"

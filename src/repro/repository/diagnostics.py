@@ -30,11 +30,10 @@ SPECULATE_ASYNC = "speculate_async"  # a background compile landed
 CACHE_HIT = "cache_hit"              # compile served from the disk cache
 CACHE_LOAD = "cache_load"            # cache entry deserialized (or refused)
 CACHE_STORE = "cache_store"          # compiled object persisted to disk
+CACHE_STORE_FAILURE = "cache_store_failure"  # persisting one failed
 CACHE_EVICT = "cache_evict"          # cached entry removed (deopt/quarantine)
 #: Supervision events (repro.resilience: watchdog / healing).
 WATCHDOG_TIMEOUT = "watchdog_timeout"  # a deadline fired; operation cancelled
-WORKER_RESTART = "worker_restart"      # a crashed worker restarted in place
-POISON_TASK = "poison_task"            # a task quarantined after killing workers
 CACHE_CORRUPT = "cache_corrupt"        # a corrupted cache entry quarantined
 CACHE_RETRY = "cache_retry"            # a transient cache IO fault retried
 #: Parallel-backend events (repro.parallel: MatlabMPI-style ranks).

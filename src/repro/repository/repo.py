@@ -51,7 +51,7 @@ from repro.frontend.pretty import pretty_function
 from repro.codegen import inline
 from repro.codegen.inline import Inliner
 from repro.codegen.jitgen import CompiledObject, JitCompiler, JitOptions
-from repro.codegen.runtime_support import RuntimeSupport, own_call_through
+from repro.codegen.runtime_support import RuntimeSupport
 from repro.codegen.srcgen import SourceCompiler, SrcOptions
 from repro.interp.frontend import Invocation
 from repro.interp.interpreter import Interpreter
@@ -74,6 +74,7 @@ from repro.repository.diagnostics import (
     CACHE_HIT,
     CACHE_LOAD,
     CACHE_STORE,
+    CACHE_STORE_FAILURE,
     COMPILE_FAILURE,
     DEOPT,
     QUARANTINE,
@@ -586,7 +587,6 @@ class CodeRepository:
         ("the generated code can later be recompiled and replaced in the
         repository using a better compiler").
         """
-        self._link_own(obj)
         with self._lock:
             versions = self._objects.setdefault(obj.name, [])
             for index, existing in enumerate(versions):
@@ -703,11 +703,14 @@ class CodeRepository:
         if stored:
             with self._lock:
                 self.stats.cache_stores += 1
-            self.diagnostics.record(
-                CACHE_STORE, obj.name,
-                detail=f"persisted {obj.mode} version as cache entry {key[:12]}",
-                signature=obj.signature,
-            )
+            kind, verb = CACHE_STORE, "persisted"
+        else:
+            kind, verb = CACHE_STORE_FAILURE, "could not persist"
+        self.diagnostics.record(
+            kind, obj.name,
+            detail=f"{verb} {obj.mode} version as cache entry {key[:12]}",
+            signature=obj.signature,
+        )
 
     # ------------------------------------------------------------------
     # Compilation
@@ -1131,48 +1134,14 @@ class CodeRepository:
                 return version
         return None
 
-    # ------------------------------------------------------------------
-    # Own calls: a version's calls of itself
-    # ------------------------------------------------------------------
-    @property
-    def _own_calls_direct(self) -> bool:
-        """Whether a version's calls of itself may bypass :meth:`execute`
-        in this session: not with a run watchdog, an adaptive controller,
-        or a runtime-helper fault plan (the watchdog supervises every
-        served call, the controller observes them, the fault sweeps count
-        the helper calls)."""
-        return not (
-            self._supervised
-            or self.fault_plan is not None and self.fault_plan.runtime_helpers()
-        )
-
-    def _link_own(self, version: CompiledObject) -> None:
-        """Bind the name by which ``version``'s code calls itself (its
-        emitted function's, in the module that defines it): to that
-        function, or where calls must pass through :meth:`execute`, to a
-        call of ``rt.call_user``."""
-        if not version.own_calls:
-            return
-        entry = version.emitted.callable
-        entry.__globals__[entry.__name__] = entry if self._own_calls_direct else (
-            own_call_through(
-                version.name, len(version.param_reprs), version.output_reprs[0]
-            )
-        )
-
     def _relink(self) -> None:
         """The supervision changed (construction, ``attach``, ``disarm``):
         set the hot-path switch — does every served call go through
         :meth:`_supervise`?  Yes when runs are watched (a run deadline,
         or the in-process chaos probes) or an adaptive controller is
         attached.  (A live tracer is tested per call instead, since
-        ``profile("on")`` swaps one in.)  Every held version's own calls
-        link again now."""
+        ``profile("on")`` swaps one in.)"""
         self._supervised = self._watched or self.tiering is not None
-        with self._lock:
-            versions = [v for held in self._objects.values() for v in held]
-        for version in versions:
-            self._link_own(version)
 
     def dispatch(self, name, args, nargout):
         """The interpreters' call hook (``Interpreter(call_dispatcher=)``,

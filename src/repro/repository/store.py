@@ -140,8 +140,6 @@ class DiskStore:
         """Persist ``encode()`` — a ``{suffix: bytes}`` mapping — as one
         entry; failures are recorded (``False``), not raised."""
         try:
-            if self.fault_plan is not None:
-                self.fault_plan.check("cache.store", label)
             files = {
                 self._path(key, suffix): payload
                 for suffix, payload in encode().items()
@@ -155,10 +153,16 @@ class DiskStore:
                 path, payload = next(iter(files.items()))
                 path.write_bytes(payload[: max(1, len(payload) // 2)])
                 return True
-            self._with_retry(
-                key, "store",
-                lambda: [self._write_atomic(*item) for item in files.items()],
-            )
+
+            def write():
+                if self.fault_plan is not None:
+                    # Inside the retried action, as on the load side: a
+                    # transient IO fault on a write is retried.
+                    self.fault_plan.check("cache.store", label)
+                for item in files.items():
+                    self._write_atomic(*item)
+
+            self._with_retry(key, "store", write)
         except Exception:  # noqa: BLE001 - persistence is best-effort
             return False
         with self._lock:

@@ -5,11 +5,10 @@
 * :mod:`~repro.resilience.watchdog` — wall-clock deadlines on compiles
   and compiled runs, cancelled by asynchronous exception injection from a
   single process-wide monitor thread;
-* worker supervision lives in
-  :mod:`repro.repository.background` and adds no detector of its own: a
-  hung task is cancelled by the compile watchdog, a crashed worker
-  restarts in place (its task retried, then quarantined as poison, both
-  counts constants there), and cache self-healing lives in
+* the speculation pool (:mod:`repro.repository.background`) adds no
+  detector of its own: a hung task is cancelled by the compile watchdog,
+  and a task that raises anything, a simulated crash included, is one
+  failed task; cache self-healing lives in
   :mod:`repro.repository.cache` (corruption detection, IO retries,
   quarantine-and-rebuild).
 

@@ -324,6 +324,12 @@ EAGER_OWN = (
     "function r = chain(n)\ndisp(n);\nif n <= 0, r = 1; return; end\n"
     "r = (n > 100) & chain(n - 1);\n"
 )
+#: A multi-assignment that asks ``one`` for more outputs than it has; the
+#: callee displays, so its run before the error shows in the transcript.
+FEWER_OUTPUTS = (
+    "function r = mo(a)\ndisp(a);\n[p, q] = one(a);\nr = p + q;\n"
+    "function y = one(x)\ndisp(x + 1);\ny = x + 1;\n"
+)
 #: ``diag`` of a vector holds zeros off the diagonal, outside the vector's
 #: own range: ``sqrt(0 - 1)`` is imaginary.
 DIAG_ZEROS = "function r = dg(a)\nD = diag([a 3]);\nr = sqrt(D(1,2) - 1);\n"
@@ -513,6 +519,11 @@ def _dgemv_zero_beta():
 #: ``sqrt`` of an off-diagonal element less one is imaginary (inference
 #: gave ``diag([a 3])`` the range of ``[a 3]``: the real ``sqrt`` raised
 #: a domain error, a deopt on ``jit`` / ``fused``, a rescue on ``falcon``).
+#: ``fewer-outputs``: ``[p, q] = one(a)`` where ``one`` has one output
+#: raises the interpreter's "one: not enough output arguments" after the
+#: callee ran, whether ``one`` would be inlined or, with an early return,
+#: stays a call (``jit`` / ``spec`` deopted on a host ``IndexError``,
+#: ``falcon`` / ``mcc`` rescued one).
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -621,6 +632,12 @@ PROBES = {
     "own-call-eager-and": Program((EAGER_OWN,), "chain", _scalar(4.0)),
     "undefined-function": Program((UNDEFINED,), "ud", _scalar(2.0)),
     "diag-zeros": Program((DIAG_ZEROS,), "dg", _scalar(2.0)),
+    "fewer-outputs": Program((FEWER_OUTPUTS,), "mo", _scalar(2.0)),
+    "fewer-outputs-called": Program(
+        (FEWER_OUTPUTS.replace(
+            "disp(x + 1);", "if x < -1e9, y = 0; return; end\ndisp(x + 1);"),),
+        "mo", _scalar(2.0),
+    ),
     "rounding-zero-inf-nan": Program(
         (ROUNDINGS,), "fc",
         lambda: [from_python(-0.0), from_python(float("inf")),
@@ -633,10 +650,8 @@ PROBES = {
 #: at the outermost compiled call, and the interpreter re-runs all of it.
 FAULTING_PROBES = {"own-call-fault-at-depth": "ZeroDivisionError"}
 
-#: The probes whose compiled code calls itself as a plain host call where
-#: nothing supervises the session (the probe matrix runs under a run
-#: watchdog, which sends every call through the repository), and the
-#: probes whose compiled calls of other functions go through the
+#: The probes whose compiled code calls itself as a plain host call, and
+#: the probes whose compiled calls of other functions go through the
 #: repository at every level.
 OWN_CALL_PROBES = (
     "direct-call-effects", "direct-call-site-effects",
@@ -694,8 +709,9 @@ SESSION_ROWS = [
 @pytest.mark.parametrize(("backend", "overrides"), SESSION_ROWS)
 @pytest.mark.parametrize("probe", OWN_CALL_PROBES)
 def test_own_call_probe_unsupervised(probe, backend, overrides):
-    """The own-call probes with no run watchdog, where a version's calls
-    of itself call its own emitted function (an alarm bounds a hang)."""
+    """The own-call probes through the unsupervised serve path, with no
+    run watchdog (an alarm bounds a hang): the probe matrix runs every
+    session row under one, so only this test serves them unwatched."""
     previous = signal.signal(signal.SIGALRM, _relapse)
     signal.alarm(60)
     try:
@@ -726,18 +742,29 @@ def test_own_calls_are_plain_host_calls(name, backend):
     for version in versions:
         source = version.source
         assert "call_user" not in source and "__il" not in source
-        assert version.own_calls
         assert source.count(f"{version.emitted.name}(") == 1 + calls
 
 
-@pytest.mark.parametrize("backend", ["jit", "fused", "spec"])
-def test_a_fault_at_depth_deopts_the_outermost_call_once(backend):
-    """Unsupervised, every level of ``fz`` is a host call of one version:
-    the fault at the deepest level deopts the outermost call, once, and
-    the interpreter re-runs every level; a second call compiles again and
-    deopts again, with the same observation."""
+@pytest.mark.parametrize(("backend", "overrides", "warmup"), [
+    pytest.param("jit", {}, 0, id="jit"),
+    pytest.param("fused", {}, 0, id="fused"),
+    pytest.param("spec", {}, 0, id="spec"),
+    pytest.param("jit", {"run_deadline": 5.0}, 0, id="jit-run_deadline"),
+    # The controller interprets the first call and promotes from it.
+    pytest.param("adaptive", {}, 1, id="adaptive"),
+])
+def test_a_fault_at_depth_deopts_the_outermost_call_once(
+    backend, overrides, warmup
+):
+    """Every level of ``fz`` is a host call of one version, supervised or
+    not: the fault at the deepest level deopts the outermost call, once,
+    and the interpreter re-runs every level; a second call compiles again
+    and deopts again, with the same observation."""
     program = PROBES["own-call-fault-at-depth"]
-    with open_backend(program, backend) as handle:
+    with open_backend(program, backend, **overrides) as handle:
+        for _ in range(warmup):
+            assert not _diff(program, handle)
+        assert not handle.session.diagnostics.events(DEOPT)
         for rounds in (1, 2):
             assert not _diff(program, handle)
             deopts = handle.session.diagnostics.events(DEOPT)

@@ -10,7 +10,6 @@ background-speculation load (hypothesis).
 from __future__ import annotations
 
 import threading
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -172,11 +171,9 @@ def _background_history():
     )
     session.add_source(POLY)
     session.add_source(AXPY)
-    deadline = time.monotonic() + 30
-    while session.engine.restarts == 0 and time.monotonic() < deadline:
-        session.speculate_async()
-        assert session.drain_speculation(timeout=30)
-        time.sleep(0.05)
+    session.speculate_async()
+    assert session.drain_speculation(timeout=30)
+    assert len(session.engine.failed) == 1  # the crashed task
     session.close()
     return [session]
 
@@ -296,7 +293,6 @@ PUBLIC = {
     "majic_native_fallback_total": None,
     "majic_deopt_total": lambda s: _unlabelled(s.stats.deopts),
     "majic_quarantine_total": lambda s: _unlabelled(s.stats.quarantines),
-    "majic_worker_restarts_total": None,
     "majic_watchdog_timeouts_total": lambda s: _labelled(
         Counter(kind for _, kind, _ in s.repository.guard.timeouts)),
     "majic_parallel_calls_total": None,
@@ -374,7 +370,7 @@ def test_design_catalogue_lists_every_diagnostic_kind():
         value for name, value in vars(diagnostics).items()
         if name.isupper() and isinstance(value, str)
     }
-    assert len(kinds) == 18
+    assert len(kinds) == 17
     design = (Path(__file__).parent.parent / "DESIGN.md").read_text()
     begin, end = "<!-- diagnostics:begin -->\n", "\n<!-- diagnostics:end -->"
     rows = design[design.index(begin) + len(begin):design.index(end)]

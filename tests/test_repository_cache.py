@@ -21,7 +21,9 @@ from repro.repository.diagnostics import (
     CACHE_CORRUPT,
     CACHE_EVICT,
     CACHE_HIT,
+    CACHE_RETRY,
     CACHE_STORE,
+    CACHE_STORE_FAILURE,
 )
 
 INC = "function y = inc(x)\ny = x + 1;\n"
@@ -171,6 +173,29 @@ def test_cache_store_fault_is_absorbed(tmp_path):
     assert len(plan.fired) == 1
     assert _entries(tmp_path) == []  # store failed, nothing persisted
     assert session.call("inc", 1) == 2.0  # ...and nothing broke
+
+
+def test_a_store_that_runs_out_of_retries_is_recorded(tmp_path):
+    """Transient IO faults on every attempt to persist the compiled
+    object: each one is retried, and the store that still fails is one
+    ``cache_store_failure`` event, not silence."""
+    from repro.faults.plan import BEHAVIOR_IO, FaultSpec
+
+    # Store attempt 1 is add_source's parse record; 2-5 the compiled
+    # object's first try and its three retries.
+    spec = FaultSpec(site="cache.store", hits=(2, 3, 4, 5), behavior=BEHAVIOR_IO)
+    plan = FaultPlan([spec])
+    session = MajicSession(cache_dir=tmp_path, fault_plan=plan)
+    session.add_source(INC)
+    session.speculate_all()
+    assert len(plan.fired) == 4
+    assert len(session.diagnostics.events(CACHE_RETRY)) == 3
+    (event,) = session.diagnostics.events(CACHE_STORE_FAILURE)
+    assert event.function == "inc"
+    assert not session.diagnostics.events(CACHE_STORE)
+    assert session.stats.cache_stores == 0
+    assert _entries(tmp_path) == []
+    assert session.call("inc", 1) == 2.0
 
 
 def test_cache_load_fault_is_absorbed(tmp_path):
@@ -512,13 +537,36 @@ def test_transient_io_faults_are_retried_never_condemned(tmp_path, view):
     assert load(make(tmp_path), key)
 
 
+@VIEWS
+def test_transient_io_faults_on_a_store_are_retried(tmp_path, view):
+    from repro.faults.plan import BEHAVIOR_IO, FaultPlan, FaultSpec
+
+    make, put, load, suffix = view()
+    key = "f" * 64
+
+    def faulty(hits, **kwargs):
+        spec = FaultSpec(site="cache.store", hits=hits, behavior=BEHAVIOR_IO)
+        return make(tmp_path, fault_plan=FaultPlan([spec]),
+                    io_backoff=0.001, **kwargs)
+
+    store = faulty((1, 2, 3), io_retries=2)
+    assert not put(store, key)
+    assert store.io_retried == 2 and store.stores == 0
+    assert not (tmp_path / f"{key}{suffix}").exists()
+
+    store = faulty((1, 2))
+    assert put(store, key), "third write attempt must succeed"
+    assert store.io_retried == 2 and store.stores == 1
+    assert load(make(tmp_path), key)
+
+
 def test_fresh_stores_write_current_format_frames(tmp_path):
     from repro.repository.cache import frame_payload
 
     cache = RepositoryCache(tmp_path)
     assert cache.put("d" * 64, _cached_object())
-    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC10\n")
-    assert frame_payload(b"x").startswith(b"MAJC10\n")
+    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC11\n")
+    assert frame_payload(b"x").startswith(b"MAJC11\n")
 
 
 def test_format_5_entry_is_not_served(tmp_path):
@@ -530,7 +578,7 @@ def test_format_5_entry_is_not_served(tmp_path):
     [name] = _entries(tmp_path)
     path = tmp_path / name
     data = path.read_bytes()
-    assert data.startswith(b"MAJC10\n")
+    assert data.startswith(b"MAJC11\n")
     path.write_bytes(b"MAJC5" + data[6:])  # the same entry, framed as 5
 
     warm = MajicSession(cache_dir=tmp_path)

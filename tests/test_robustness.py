@@ -14,6 +14,8 @@ import sys
 import pytest
 
 from repro import FaultPlan, InjectedFault, MajicSession, SPARC
+from repro.backends import Program
+from repro.backends import open as open_backend
 from repro.errors import CodegenError, MatlabError, SubscriptError
 from repro.faults import plan as faults_plan
 from repro.faults.harness import (
@@ -185,7 +187,9 @@ class TestDifferentialHarness:
     def test_benchmarks_bit_identical_under_faults(self):
         """Acceptance: benchsuite programs under injected compile- and
         run-time faults match the pure interpreter exactly, and the
-        session records the corresponding events."""
+        session records the corresponding events.  ``fibonacci``'s
+        compiled code calls only itself, so no ``runtime-*`` lane can
+        fire on it; the lanes fire, and deopt, on the other three."""
         outcomes = run_differential(
             names=["fibonacci", "dirich", "sor", "relay"]
         )
@@ -203,16 +207,29 @@ class TestDifferentialHarness:
                            else DEOPT)
                     assert outcome.events.get(key, 0) >= 1
                 continue
-            assert outcome.faults_fired >= 1
             if outcome.plan.startswith("runtime"):
+                if outcome.benchmark == "fibonacci":
+                    assert outcome.faults_fired == 0, outcome
+                    assert outcome.events == {}, outcome
+                    continue
+                assert outcome.faults_fired >= 1, outcome
                 assert outcome.events.get(DEOPT, 0) >= 1
-            elif outcome.plan.startswith("tier"):
+                continue
+            assert outcome.faults_fired >= 1
+            if outcome.plan.startswith("tier"):
                 # An aborted adaptive promotion is recorded as its own
                 # diagnostic; the function simply stays on its tier.
                 assert outcome.events.get("tier_promote", 0) >= 1
             else:
                 assert outcome.events.get(COMPILE_FAILURE, 0) >= 1
         assert kernel_fired >= 1
+        program = Program.benchmark("fibonacci")
+        for backend in ("jit", "spec"):
+            with open_backend(program, backend) as handle:
+                handle.call()
+                versions = handle.session.repository.versions_of("fibonacci")
+            assert versions
+            assert not [v for v in versions if "rt." in v.source]
 
     def test_every_declared_fault_site_is_in_a_sweep_lane(self):
         """No fault site that no sweep fires: every ``SITE_*`` that

@@ -586,7 +586,7 @@ class TestSubmitTaskCallbacks:
         assert session.engine.drain(10)
         assert results == [True, False]
         assert session.engine.compiled == ["task-ok"]
-        assert session.engine.restarts == 0 and session.engine.poisoned == []
+        assert session.engine.failed == ["task-boom"]
 
 
 # ----------------------------------------------------------------------
