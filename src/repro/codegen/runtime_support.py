@@ -751,7 +751,7 @@ class RuntimeSupport:
             raise UndefinedSymbolError(
                 f"undefined function or variable '{label}'", where
             )
-        return self.call_user(label, 1, *args)[0]
+        return self.call_user(label, 0, *args)[0]
 
     # ------------------------------------------------------------------
     def builtin(self, name: str, nargout: int, *args):
@@ -778,20 +778,33 @@ class RuntimeSupport:
         return self.call_user(name, nargout, *args)
 
     def call_user(self, name: str, nargout: int, *args):
-        """Re-enter the execution engine for a user-function call."""
+        """Re-enter the execution engine for a user-function call, for
+        its first ``nargout`` results.  ``nargout == 0`` is a call in an
+        expression: one result, which is the interpreter's ``[]`` when
+        the callee has no outputs."""
         if self._call_user is None:
             raise RuntimeMatlabError(
                 f"undefined function or variable '{name}'"
             )
         try:
-            results = self._call_user(name, [box(a) for a in args], nargout)
+            results = self._call_user(
+                name, [box(a) for a in args], max(nargout, 1)
+            )
         except RecursionError:
             raise RecursionLimitError() from None
-        if nargout > 1 and len(results) < nargout:
+        if len(results) < nargout:
             # The caller's multi-assignment asks for more outputs than
             # the callee has: the interpreter's error, after the call.
             raise RuntimeMatlabError(f"{name}: not enough output arguments")
-        return results
+        return results or (empty_matrix(),)
+
+
+# The builtins' typed entries (``Builtin.host``) are helpers under their
+# own names; the registry is the one list of them.
+for _builtin in rt_builtins.BUILTINS.values():
+    if _builtin.host is not None:
+        setattr(RuntimeSupport, _builtin.host.__name__,
+                staticmethod(_builtin.host))
 
 
 def _faultable_helpers() -> list[str]:

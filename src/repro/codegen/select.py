@@ -873,12 +873,14 @@ class Walk:
         raise CodegenError(f"cannot compile {type(node).__name__}")
 
     def user_call(self, node: ast.Expr):
-        values, kinds = self.call_user_function(node, 1)
+        values, kinds = self.call_user_function(node, 0)
         return self.annotated(*self.result(values, 0, kinds[0]), node)
 
     def call_user_function(self, call: ast.Expr, nargout: int):
         """Call user function ``call`` for ``nargout`` results: ``(values,
-        kinds)``, a tuple of results and each one's representation.
+        kinds)``, a tuple of results and each one's representation
+        (``nargout == 0``: a call in an expression, which has one result,
+        ``[]`` from a function with no outputs).
 
         A call of the function being compiled that inference bound to
         the signature being compiled (``Annotations.binding_of``), for
@@ -895,7 +897,7 @@ class Walk:
         args = call.args if isinstance(call, ast.Apply) else []
         if (
             self.ann.binding_of(call) is None or nargout > 1
-            or len(args) > SITE_ARITY
+            or len(args) > SITE_ARITY or not self.fn.outputs
         ):
             head = [self.const(call.name, BOXED), self.const(nargout, RAW_INT)]
             helper = "call_user"
@@ -1434,6 +1436,19 @@ class Walk:
                 values = [self.real(a) for a in node.args]
                 helper = "m_mod" if node.name == "mod" else "m_rem"
                 return self.call(helper, values, RAW_REAL), RAW_REAL
+        # A typed entry on host numbers, for arguments inference typed
+        # exact real scalars (``zeros(1, n)``: no boxes, no name lookup).
+        if (
+            entry is not None and entry.host is not None
+            and 1 <= len(node.args) <= 2
+            and all(
+                t.is_scalar and t.is_real_like
+                for t in map(self.ann.type_of, node.args)
+            )
+        ):
+            values = [self.real(arg) for arg in node.args]
+            value = self.call(entry.host.__name__, values, BOXED)
+            return self.annotated(value, BOXED, node)
         # Generic builtin dispatch.
         args = [self.boxed(arg) for arg in node.args]
         name = self.const(node.name, BOXED)

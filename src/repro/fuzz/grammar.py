@@ -40,6 +40,9 @@ MATRIX_FUNCS = ("abs", "floor", "round", "cos", "sin", "sign")
 #: Reductions folding a matrix into a scalar-ish value.
 REDUCE_FUNCS = ("sum", "numel", "length", "min", "max")
 
+#: Constructors of the row ``v`` (each has a typed entry).
+CONSTRUCTORS = ("zeros", "ones", "eye")
+
 #: Builtins reading the shared random stream.
 RAND_FUNCS = ("rand", "randn")
 
@@ -276,7 +279,13 @@ class _Gen:
             f"function [r1, r2] = {name}(x, y, M)",
             "s = x + 1; t = y - 1; u = x * y;",
             "A = M; B = M';" if r.random() < 0.3 else "A = M; B = M .* 2;",
-            "v = zeros(1, 5);",
+            # A row of 5..10 elements (``v(1)`` .. ``v(5)`` stay in
+            # range), its size computed from a scalar input: the
+            # constructors' typed entries on host numbers.  The seed picks
+            # the constructor, so the rest of the program is drawn as
+            # before.
+            f"v = {CONSTRUCTORS[self.seed % len(CONSTRUCTORS)]}"
+            "(1, floor(abs(x)) + 5);",
         ]
         if "'" in lines[2]:
             self.features.append("transpose")

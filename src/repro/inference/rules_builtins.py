@@ -31,11 +31,15 @@ def _dims_from_types(ctx: RuleContext) -> tuple[Shape, Shape]:
         return Shape.scalar(), Shape.scalar()
 
     def bounds(t: MType) -> tuple[int, int | None]:
+        # A negative size is an extent of 0; a NaN or infinite one raises,
+        # so an infinite end of the range bounds nothing.
         if not ctx.range_propagation or t.range.is_top or t.range.is_bottom:
             return 0, None
-        lo = max(int(math.floor(t.range.lo)), 0)
-        hi = int(math.ceil(t.range.hi)) if math.isfinite(t.range.hi) else None
-        return lo, hi
+        lo, hi = t.range.lo, t.range.hi
+        return (
+            max(math.floor(lo), 0) if math.isfinite(lo) else 0,
+            max(math.ceil(hi), 0) if math.isfinite(hi) else None,
+        )
 
     if len(args) == 1:
         lo, hi = bounds(args[0])

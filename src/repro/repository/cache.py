@@ -102,8 +102,10 @@ from repro.vcode.emit import bind_function
 #: drops the call-site table, so no entry that calls ``rt.site_<hash>``
 #: is revived by a runtime that has no call sites; format 11 drops the
 #: ``own_calls`` flag: an own call is always the plain call the module
-#: binds, so no pickle that carries the flag is revived.
-CACHE_FORMAT_VERSION = "11"
+#: binds, so no pickle that carries the flag is revived; format 12 stores
+#: code that calls builtins' typed entries (``rt.zeros_of`` / ``ones_of``
+#: / ``eye_of``), which an older runtime lacks.
+CACHE_FORMAT_VERSION = "12"
 
 #: The signature slot of a parse record's key.
 UNIT_TAG = "source-unit"

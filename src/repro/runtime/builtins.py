@@ -6,10 +6,16 @@ implementation used by every engine, plus metadata the compiler passes
 consult (arity, purity, and whether its arguments have the "integer scalar
 affinity" that feeds the speculator of Section 2.5).
 
-All implementations operate on and return boxed MxArray values; they are
-called identically from the interpreter and from generated code (compiled
-code cannot speed up library internals — the paper's explanation for why
-builtin-heavy benchmarks barely benefit from compilation).
+Every entry's ``impl`` takes and returns boxed MxArray values; the
+interpreter calls it, and so does generated code whenever inference has
+not typed the arguments (compiled code cannot speed up library internals
+— the paper's explanation for why builtin-heavy benchmarks barely benefit
+from compilation).  A builtin may also carry a *typed entry*
+(``Builtin.host``): one implementation on host numbers, which its boxed
+``impl`` wraps.  Code selection calls it directly, without boxes, when
+inference types every argument an exact real scalar.  ``zeros``, ``ones``
+and ``eye`` have one (``zeros_of`` / ``ones_of`` / ``eye_of``, on their
+host size arguments).
 """
 
 from __future__ import annotations
@@ -97,6 +103,10 @@ class Builtin:
     # integer scalars" — the hint the backward speculation rules exploit.
     int_scalar_affinity: bool = False
     doc: str = ""
+    # The typed entry: the implementation on host numbers that ``impl``
+    # wraps, called by compiled code whose arguments inference typed
+    # exact real scalars (exposed on RuntimeSupport under its own name).
+    host: Callable | None = None
 
 
 BUILTINS: dict[str, Builtin] = {}
@@ -110,6 +120,7 @@ def register(
     pure: bool = True,
     int_scalar_affinity: bool = False,
     doc: str = "",
+    host: Callable | None = None,
 ):
     """Decorator adding a builtin implementation to the registry."""
 
@@ -123,6 +134,7 @@ def register(
             pure=pure,
             int_scalar_affinity=int_scalar_affinity,
             doc=doc or (fn.__doc__ or "").strip(),
+            host=host,
         )
         return fn
 
@@ -159,19 +171,45 @@ _SINK_BUILTINS = {"disp", "fprintf"}
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _dims_from_args(args: list[MxArray], default=(1, 1)) -> tuple[int, int]:
+def _dims_from_args(args: list[MxArray], default=(1, 1)) -> tuple:
+    """The two size arguments of a call, as host numbers: a two-element
+    vector is both, a scalar is a square's side."""
     if not args:
         return default
     if len(args) == 1:
         if args[0].numel == 2:
             flat = args[0].view().ravel()
-            return int(np.real(flat[0])), int(np.real(flat[1]))
-        n = int(np.real(args[0].scalar()))
+            return flat[0], flat[1]
+        n = args[0].scalar()
         return n, n
-    return (
-        int(np.real(args[0].scalar())),
-        int(np.real(args[1].scalar())),
-    )
+    return args[0].scalar(), args[1].scalar()
+
+
+def _size_int(size) -> int:
+    """One size argument as an integer: its real part truncated toward
+    zero.  MATLAB's sizes are integer values
+    (https://www.mathworks.com/help/matlab/ref/zeros.html: "specified as
+    an integer value"), so a NaN or Inf size is an error; the message
+    text is this project's own.  A fractional size is truncated, not
+    refused, as the boxed builtins always did."""
+    try:
+        return int(size.real)
+    except (ValueError, OverflowError):
+        raise RuntimeMatlabError(
+            "Size inputs must be integer values, not NaN or Inf."
+        ) from None
+
+
+def _shape(rows, cols=None) -> tuple[int, int]:
+    """The shape of a constructor's result for host size arguments
+    (``cols`` omitted: a square).  A negative size is treated as 0 (the
+    same reference page)."""
+    rows = _size_int(rows)
+    rows = rows if rows > 0 else 0
+    if cols is None:
+        return rows, rows
+    cols = _size_int(cols)
+    return rows, cols if cols > 0 else 0
 
 
 def _unary_math(name: str, fn, needs_complex_for_negative: bool = False):
@@ -196,22 +234,37 @@ _NEGATIVE_DOMAIN = {"sqrt": 0.0, "log": 0.0, "log2": 0.0, "log10": 0.0, "asin": 
 # ----------------------------------------------------------------------
 # Array constructors
 # ----------------------------------------------------------------------
-@register("zeros", 0, 2, int_scalar_affinity=True, doc="matrix of zeros")
+def zeros_of(rows, cols=None) -> MxArray:
+    """``zeros(rows, cols)`` on host numbers (``zeros(n)``: no ``cols``)."""
+    return MxArray(None, np.zeros(_shape(rows, cols)))
+
+
+def ones_of(rows, cols=None) -> MxArray:
+    """``ones(rows, cols)`` on host numbers (``ones(n)``: no ``cols``)."""
+    return MxArray(None, np.ones(_shape(rows, cols)))
+
+
+def eye_of(rows, cols=None) -> MxArray:
+    """``eye(rows, cols)`` on host numbers (``eye(n)``: no ``cols``)."""
+    return MxArray(None, np.eye(*_shape(rows, cols)))
+
+
+@register("zeros", 0, 2, int_scalar_affinity=True, doc="matrix of zeros",
+          host=zeros_of)
 def _zeros(args, nargout):
-    r, c = _dims_from_args(args)
-    return [MxArray(None, np.zeros((max(r, 0), max(c, 0))))]
+    return [zeros_of(*_dims_from_args(args))]
 
 
-@register("ones", 0, 2, int_scalar_affinity=True, doc="matrix of ones")
+@register("ones", 0, 2, int_scalar_affinity=True, doc="matrix of ones",
+          host=ones_of)
 def _ones(args, nargout):
-    r, c = _dims_from_args(args)
-    return [MxArray(None, np.ones((max(r, 0), max(c, 0))))]
+    return [ones_of(*_dims_from_args(args))]
 
 
-@register("eye", 0, 2, int_scalar_affinity=True, doc="identity matrix")
+@register("eye", 0, 2, int_scalar_affinity=True, doc="identity matrix",
+          host=eye_of)
 def _eye(args, nargout):
-    r, c = _dims_from_args(args)
-    return [MxArray(None, np.eye(max(r, 0), max(c, 0)))]
+    return [eye_of(*_dims_from_args(args))]
 
 
 @register("rand", 0, 2, pure=False, int_scalar_affinity=True,
@@ -221,15 +274,15 @@ def _rand(args, nargout):
         if len(args) == 2:
             GLOBAL_RANDOM.seed(int(np.real(args[1].scalar())))
         return [empty()]
-    r, c = _dims_from_args(args)
-    return [MxArray(IntrinsicClass.REAL, GLOBAL_RANDOM.uniform(max(r, 0), max(c, 0)))]
+    return [MxArray(IntrinsicClass.REAL, GLOBAL_RANDOM.uniform(
+        *_shape(*_dims_from_args(args))))]
 
 
 @register("randn", 0, 2, pure=False, int_scalar_affinity=True,
           doc="normal random matrix")
 def _randn(args, nargout):
-    r, c = _dims_from_args(args)
-    return [MxArray(IntrinsicClass.REAL, GLOBAL_RANDOM.normal(max(r, 0), max(c, 0)))]
+    return [MxArray(IntrinsicClass.REAL, GLOBAL_RANDOM.normal(
+        *_shape(*_dims_from_args(args))))]
 
 
 @register("linspace", 2, 3, int_scalar_affinity=True, doc="linearly spaced vector")
@@ -243,10 +296,7 @@ def _linspace(args, nargout):
 @register("reshape", 2, 3, doc="reshape preserving column-major order")
 def _reshape(args, nargout):
     a = args[0]
-    if len(args) == 2:
-        r, c = _dims_from_args([args[1]])
-    else:
-        r, c = _dims_from_args(args[1:])
+    r, c = map(_size_int, _dims_from_args(args[1:]))
     if r * c != a.numel:
         raise DimensionError("reshape: element counts must match")
     return [from_ndarray(a.view().T.reshape(c, r).T)]

@@ -32,6 +32,31 @@ class TestConstructors:
         (e,) = call("eye", 3)
         assert np.array_equal(e, np.eye(3))
 
+    @pytest.mark.parametrize("name", ["zeros", "ones", "eye"])
+    def test_sizes_truncate_and_clamp(self, name):
+        (a,) = call(name, 2.7, -1.5)
+        assert a.shape == (2, 0)
+        (b,) = call(name, -3)
+        assert b.shape == (0, 0)
+
+    @pytest.mark.parametrize("name", ["zeros", "ones", "eye", "rand"])
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_size_is_a_matlab_error(self, name, size):
+        with pytest.raises(RuntimeMatlabError, match="Size inputs must be"):
+            call(name, 1, size)
+        with pytest.raises(RuntimeMatlabError, match="Size inputs must be"):
+            call(name, size)
+
+    @pytest.mark.parametrize("name", ["zeros", "ones", "eye"])
+    def test_typed_entry_is_the_boxed_builtin(self, name):
+        host = BUILTINS[name].host
+        for dims in [(3,), (2, 4), (2.5, 0), (-1, 2), (1, 1)]:
+            (boxed,) = call_builtin(name, [from_python(d) for d in dims], 1)
+            typed = host(*dims)
+            assert typed.shape == boxed.shape
+            assert typed.view().tobytes() == boxed.view().tobytes()
+            assert typed.klass is boxed.klass
+
     def test_rand_range(self):
         (r,) = call("rand", 5, 5)
         assert np.all((r >= 0) & (r < 1))

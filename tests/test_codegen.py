@@ -218,6 +218,69 @@ class TestJitSelection:
         assert run(obj, args) == sum(range(1, 13))
 
 
+class TestTypedBuiltinEntries:
+    """A builtin with a typed entry, called on arguments typed exact real
+    scalars, is one call of that entry on host numbers."""
+
+    PROGRAMS = ("dirich", "finedif", "icn", "mandel", "crnich", "galrkn")
+
+    @pytest.mark.parametrize("compile_fn", [compile_jit, compile_src])
+    def test_typed_arguments_call_the_entry(self, compile_fn):
+        src = "function z = f(n)\nz = eye(n + 1) + ones(n + 1, 3);\n"
+        obj, args = compile_fn(src, 2.0)
+        assert "eye_of(" in obj.source and "ones_of(" in obj.source
+        assert "builtin1" not in obj.source
+        assert np.array_equal(run(obj, args), np.eye(3) + 1.0)
+
+    @pytest.mark.parametrize("row", ["jit", "spec"])
+    def test_one_argument_form_evaluates_its_argument_once(self, row):
+        from repro.backends import Program, check
+
+        src = "function z = f(n)\nz = eye(floor(rand * n) + 2);\n"
+        program = Program((src,), "f", lambda: [from_python(9.0)])
+        assert check(program, row) == []
+
+    def test_untyped_arguments_keep_the_boxed_path(self):
+        src = "function z = f(v)\nz = zeros(v);\n"
+        obj, args = compile_jit(src, np.array([[2.0, 3.0]]))
+        assert "builtin1('zeros'" in obj.source
+        assert run(obj, args).shape == (2, 3)
+
+    @pytest.mark.parametrize("name", PROGRAMS)
+    def test_table1_constructors_skip_boxing(self, name):
+        from repro import backends
+        from repro.backends import Program
+
+        for row in ("jit", "spec"):
+            with backends.open(Program.benchmark(name), row) as handle:
+                handle.call()
+                repo = handle.session.repository
+                sources = [
+                    obj.source for function in repo.function_names()
+                    for obj in repo.versions_of(function)
+                    if obj.mode == row
+                ]
+            assert sources, f"{name} left no {row} version"
+            assert not any("builtin1('zeros'" in src for src in sources)
+
+    def test_steady_crnich_makes_no_boxed_builtin_call(self, monkeypatch):
+        from repro import backends
+        from repro.backends import Program
+
+        calls = []
+        boxed = RuntimeSupport.builtin1
+
+        def counted(self, name, *args):
+            calls.append(name)
+            return boxed(self, name, *args)
+
+        with backends.open(Program.benchmark("crnich"), "jit") as handle:
+            first = handle.call()
+            monkeypatch.setattr(RuntimeSupport, "builtin1", counted)
+            assert handle.call() == first
+        assert calls == []
+
+
 class TestSourceGenerator:
     def test_same_results_as_jit(self):
         src = (

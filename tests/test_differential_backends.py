@@ -343,6 +343,25 @@ ROUNDINGS = (
     "round(b), floor(c) + ceil(c .* 0.5), fix(c), round(c)];\n"
 )
 
+#: The typed constructor entries on host sizes: a fraction truncates, a
+#: negative size is 0 and a NaN or Inf one raises the interpreter's error.
+TYPED_CONSTRUCTORS = (
+    "function [a, b, c, d] = tc(n)\na = zeros(1, n);\nb = ones(n, 2);\n"
+    "c = eye(n);\nd = zeros(n, n - 1);\n"
+)
+#: ``g`` has no outputs, and an early return keeps it a call.
+ZERO_OUTPUT = (
+    "function r = zo(a)\nr = g(a);\ndisp(size(r));\ng(a)\nr = 1;\n"
+    "function g(x)\nif x < -1e9, return; end\ndisp(x);\n"
+)
+ZERO_OUTPUT_MULTI = (
+    "function r = zm(a)\n[r] = g(a);\n"
+    "function g(x)\nif x < -1e9, return; end\ndisp(x);\n"
+)
+ZERO_OUTPUT_OWN = (
+    "function zw(a)\nif a > 0, y = zw(a - 1); disp(size(y)); end\ndisp(a);\n"
+)
+
 
 def _scalar(value):
     return lambda: [from_python(value)]
@@ -524,6 +543,17 @@ def _dgemv_zero_beta():
 #: callee ran, whether ``one`` would be inlined or, with an early return,
 #: stays a call (``jit`` / ``spec`` deopted on a host ``IndexError``,
 #: ``falcon`` / ``mcc`` rescued one).
+#: ``typed-constructors-*``: ``zeros`` / ``ones`` / ``eye`` of sizes typed
+#: exact real scalars call the builtins' typed entries on host numbers;
+#: each run must be the boxed builtins' (the interpreter raised a host
+#: ``ValueError`` / ``OverflowError`` on a NaN / Inf size, and inference
+#: raised on an Inf one).
+#: ``zero-output-*``: a function with no outputs, called in an expression,
+#: answers ``[]`` (and echoes ``ans = []`` as a statement), called for one
+#: output by ``[r] = g(a)`` raises "g: not enough output arguments", and
+#: called by itself in an expression answers ``[]`` too (``jit`` /
+#: ``spec`` deopted on a host ``IndexError``, ``falcon`` / ``mcc``
+#: rescued one).
 PROBES = {
     "ambiguous-builtin": Program((AMBIGUOUS,), "amb", _scalar(0.0)),
     "ambiguous-variable": Program((AMBIGUOUS,), "amb", _scalar(1.0)),
@@ -637,6 +667,20 @@ PROBES = {
         (FEWER_OUTPUTS.replace(
             "disp(x + 1);", "if x < -1e9, y = 0; return; end\ndisp(x + 1);"),),
         "mo", _scalar(2.0),
+    ),
+    **{
+        f"typed-constructors-{label}": Program(
+            (TYPED_CONSTRUCTORS,), "tc", _scalar(n), nargout=4
+        )
+        for label, n in (
+            ("3", 3.0), ("0", 0.0), ("negative", -2.0), ("fraction", 2.5),
+            ("nan", float("nan")), ("inf", float("inf")),
+        )
+    },
+    "zero-output-call": Program((ZERO_OUTPUT,), "zo", _scalar(2.0)),
+    "zero-output-multi": Program((ZERO_OUTPUT_MULTI,), "zm", _scalar(2.0)),
+    "zero-output-own-call": Program(
+        (ZERO_OUTPUT_OWN,), "zw", _scalar(2.0), nargout=0
     ),
     "rounding-zero-inf-nan": Program(
         (ROUNDINGS,), "fc",
