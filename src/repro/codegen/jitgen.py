@@ -571,6 +571,8 @@ class _Lowerer(Walk):
         ))
 
     def counted_for(self, stmt: ast.For, start, stop, step, direction) -> None:
+        step = None if step is None else step[0]
+        start, stop = start[0], stop[0]
         if direction == 0 or self.var_kind(stmt.var) != RAW_INT:
             # Real-stepped (or unknown-sign) loop: the frange helper
             # yields the interpreter's values.
@@ -579,20 +581,13 @@ class _Lowerer(Walk):
             iterable = self.call("frange", [start, step, stop], BOXED)
             self.for_each(stmt, iterable, raw=True)
             return
-        # Integer counters iterate host range(): integral operands.
-        if step is not None:
-            step = self._to_int(step)
-        start, stop = self._to_int(start), self._to_int(stop)
+        # Integer counters iterate host range(); the emitter converts a
+        # bound held in a raw real, as it does a subscript.
         body = self._body(stmt.body)
         self._region(ForRegion(
             var=self.var(stmt.var), start=start, stop=stop,
             step=step, body=body, descending=direction < 0,
         ))
-
-    def _to_int(self, reg: int) -> int:
-        if self.reg_kinds.get(reg) == RAW_INT:
-            return reg
-        return self.call("to_int", [reg], RAW_INT)
 
     def jump(self, stmt: ast.Stmt) -> None:
         self._region({

@@ -24,7 +24,7 @@ from repro.errors import (
     UndefinedSymbolError,
 )
 from repro.runtime import builtins as rt_builtins
-from repro.runtime import checks, display, elementwise as ew, linalg
+from repro.runtime import display, elementwise as ew, linalg
 from repro.runtime.mxarray import IntrinsicClass, MxArray
 from repro.runtime.values import (
     box_result,
@@ -154,41 +154,28 @@ def g_ctranspose(a):
 # ----------------------------------------------------------------------
 COLON = object()  # marker for a bare ':' subscript in generic index paths
 
-checked_load1 = checks.checked_load1
-checked_load2 = checks.checked_load2
-checked_store1 = checks.checked_store1
-checked_store2 = checks.checked_store2
-grow_store1 = checks.unchecked_store_grow1
-grow_store2 = checks.unchecked_store_grow2
+
+def _real(index):
+    """A raw subscript's real part, which MATLAB indexes by."""
+    return index.real if isinstance(index, complex) else index
 
 
 def g_index1(a, idx):
-    """Generic ``A(idx)`` where idx may be raw, boxed or ':'."""
+    """Generic ``A(idx)`` where idx may be raw or boxed (``A(:)`` is
+    ``index_all``)."""
     a = box(a)
-    if idx is COLON:
-        return ew.mlf_index_all(a)
     if isinstance(idx, Raw):
-        return a.get_linear(idx.real if isinstance(idx, complex) else idx)
+        return a.get_linear(_real(idx))
     return ew.mlf_index(a, idx)
 
 
 def g_index2(a, i, j):
+    """Generic ``A(i, j)`` where each may be raw or boxed (a ``:`` is
+    ``index_row`` / ``index_col`` / ``index_whole``)."""
     a = box(a)
-    if i is COLON or j is COLON or not (
-        isinstance(i, Raw) and isinstance(j, Raw)
-    ):
-        from repro.runtime.elementwise import mlf_colon
-
-        def normalize(idx, dim_size):
-            if idx is COLON:
-                return mlf_colon(make_scalar(1), make_scalar(dim_size))
-            return box(idx)
-
-        return ew.mlf_index(a, normalize(i, a.rows), normalize(j, a.cols))
-    return a.get2(
-        i.real if isinstance(i, complex) else i,
-        j.real if isinstance(j, complex) else j,
-    )
+    if isinstance(i, Raw) and isinstance(j, Raw):
+        return a.get2(_real(i), _real(j))
+    return ew.mlf_index(a, box(i), box(j))
 
 
 def g_store1(a, idx, value) -> MxArray:
@@ -198,14 +185,13 @@ def g_store1(a, idx, value) -> MxArray:
     a = box(a)
     if idx is COLON:
         return ew.mlf_store(a, box(value), _full_range(a.numel))
-    if isinstance(idx, Raw) and isinstance(value, Raw):
-        a.set_linear(idx.real if isinstance(idx, complex) else idx, value)
-        return a
-    if isinstance(idx, Raw) and isinstance(value, MxArray) and value.is_scalar:
-        a.set_linear(
-            idx.real if isinstance(idx, complex) else idx, value.data[0, 0]
-        )
-        return a
+    if isinstance(idx, Raw):
+        if isinstance(value, MxArray) and value.is_scalar \
+                and not value.is_string:
+            value = value.data[0, 0]
+        if isinstance(value, Raw):
+            a.set_linear(_real(idx), value)
+            return a
     return ew.mlf_store(a, box(value), box(idx))
 
 
@@ -213,13 +199,8 @@ def g_store2(a, i, j, value) -> MxArray:
     if a is None:
         a = empty_matrix()
     a = box(a)
-    raw_scalar = isinstance(i, Raw) and isinstance(j, Raw)
-    if raw_scalar and isinstance(value, Raw):
-        a.set2(
-            i.real if isinstance(i, complex) else i,
-            j.real if isinstance(j, complex) else j,
-            value,
-        )
+    if isinstance(i, Raw) and isinstance(j, Raw) and isinstance(value, Raw):
+        a.set2(_real(i), _real(j), value)
         return a
     if i is COLON:
         i = _full_range(a.rows)
@@ -435,14 +416,6 @@ def make_string_value(text: str) -> MxArray:
     return MxArray(IntrinsicClass.STRING, text=text)
 
 
-def to_int(value) -> int:
-    if isinstance(value, MxArray):
-        value = value.scalar()
-    if isinstance(value, complex):
-        value = value.real
-    return int(value)
-
-
 def end_outside() -> int:
     """``end`` where no subscript encloses it: the interpreter's error."""
     raise RuntimeMatlabError("'end' is only valid inside a subscript")
@@ -478,12 +451,14 @@ def index_all(a) -> MxArray:
 
 def index_col(a, j) -> MxArray:
     """``A(:, j)``"""
-    return g_index2(a, COLON, j)
+    a = box(a)
+    return ew.mlf_index(a, _full_range(a.rows), box(j))
 
 
 def index_row(a, i) -> MxArray:
     """``A(i, :)``"""
-    return g_index2(a, i, COLON)
+    a = box(a)
+    return ew.mlf_index(a, box(i), _full_range(a.cols))
 
 
 def index_whole(a) -> MxArray:
@@ -570,12 +545,12 @@ class RuntimeSupport:
     g_index2 = staticmethod(g_index2)
     g_store1 = staticmethod(g_store1)
     g_store2 = staticmethod(g_store2)
-    checked_load1 = staticmethod(checked_load1)
-    checked_load2 = staticmethod(checked_load2)
-    checked_store1 = staticmethod(checked_store1)
-    checked_store2 = staticmethod(checked_store2)
-    grow_store1 = staticmethod(grow_store1)
-    grow_store2 = staticmethod(grow_store2)
+    # The checked element accesses are MxArray's own (1-based,
+    # column-major, growing on a store as MATLAB does).
+    checked_load1 = staticmethod(MxArray.get_linear)
+    checked_load2 = staticmethod(MxArray.get2)
+    checked_store1 = staticmethod(MxArray.set_linear)
+    checked_store2 = staticmethod(MxArray.set2)
     colon2 = staticmethod(colon2)
     colon3 = staticmethod(colon3)
     colon_real = staticmethod(colon_real)
@@ -609,7 +584,6 @@ class RuntimeSupport:
     end_outside = staticmethod(end_outside)
     own_result = staticmethod(own_result)
     rand_scalar = staticmethod(rand_scalar)
-    to_int = staticmethod(to_int)
     end_dim = staticmethod(end_dim)
     colon_marker = staticmethod(colon_marker)
     index_all = staticmethod(index_all)

@@ -397,11 +397,6 @@ _BINOP_HELPER = {
     ">": "g_gt", ">=": "g_ge", "&": "g_and", "|": "g_or",
 }
 _UNARY_HELPER = {"-": "g_neg", "+": "box", "~": "g_not"}
-_STORE_MODE = {
-    SubscriptSafety.SAFE: "unchecked",
-    SubscriptSafety.GROW_ONLY: "grow",
-    SubscriptSafety.CHECKED: "checked",
-}
 _RAW_KINDS = (RAW_REAL, RAW_INT, RAW_COMPLEX)
 
 
@@ -579,13 +574,13 @@ class Walk:
         return self.coerce(*self.expr(node, end_array, end_dim), RAW_REAL)
 
     def colon_operand(self, node: ast.Expr, end_array=None, end_dim=0):
-        """A ``:`` operand as a raw real.  MATLAB reads the real part of
-        its first element (``mlf_colon``), so a complex or boxed operand is
-        not an error here, as it is under :meth:`real`."""
+        """A ``:`` operand as a raw real, ``(value, kind)``.  MATLAB reads
+        the real part of its first element (``mlf_colon``), so a complex or
+        boxed operand is not an error here, as it is under :meth:`real`."""
         value, kind = self.expr(node, end_array, end_dim)
         if kind in (RAW_REAL, RAW_INT):
-            return value
-        return self.call("colon_real", [value], RAW_REAL)
+            return value, kind
+        return self.call("colon_real", [value], RAW_REAL), RAW_REAL
 
     # ------------------------------------------------------------------
     # Function entry
@@ -697,26 +692,13 @@ class Walk:
             and id(target) not in self.unset_stores
         ):
             # Subscript inlining: a scalar store goes straight to the
-            # buffer, guarded only as far as inference could not prove.
-            def store_mode(safety):
-                mode = _STORE_MODE[safety]
-                if value_kind == RAW_COMPLEX and mode == "unchecked":
-                    # Complex stores may need to widen the buffer; the
-                    # checked and grow helpers handle that, the direct
-                    # path cannot.
-                    mode = "checked"
-                return mode
-
+            # buffer where inference proved it in range, and is MxArray's
+            # checked, growing store everywhere else.  A complex store may
+            # need to widen the buffer, which only the checked store does.
             mode = self.subscript_mode(
-                target, self.ann.safety_of_store(target), store_mode
+                target, name, len(indices), self.ann.safety_of_store(target),
+                direct=value_kind != RAW_COMPLEX,
             )
-            if mode == "unchecked" and len(indices) == 1:
-                # Orientation lets the target index without divmod.
-                shape = self.ann.var_type(name).maxshape
-                if shape.rows == 1:
-                    mode = "unchecked_row"
-                elif shape.cols == 1:
-                    mode = "unchecked_col"
             self.store(name, self._scalar_indices(name, indices), value, mode)
             return
         # Generic store: returns the (possibly reallocated/new) array.
@@ -786,17 +768,21 @@ class Walk:
             self.for_each(stmt, self.boxed(rng))
             return
         # A numeric loop over raw scalars; bounds are evaluated once, in
-        # source order (start, step, stop).
-        start = self.bind(self.colon_operand(rng.start), "lo")
+        # source order (start, step, stop), each a ``(value, kind)``.
+        def bound(node, base):
+            value, kind = self.colon_operand(node)
+            return self.bind(value, base), kind
+
+        start = bound(rng.start, "lo")
         step, direction = None, 1
         if rng.step is not None:
-            step = self.bind(self.colon_operand(rng.step), "st")
+            step = bound(rng.step, "st")
             step_type = self.ann.type_of(rng.step)
             if not step_type.is_constant or step_type.constant_value == 0:
                 direction = 0  # unknown sign: the target iterates frange()
             elif step_type.constant_value < 0:
                 direction = -1
-        stop = self.bind(self.colon_operand(rng.stop), "hi")
+        stop = bound(rng.stop, "hi")
         self.counted_for(stmt, start, stop, step, direction)
 
     def condition(self, cond: ast.Expr):
@@ -840,7 +826,9 @@ class Walk:
             parts = [node.start] + (
                 [node.step] if node.step is not None else []
             ) + [node.stop]
-            values = [self.colon_operand(p, end_array, end_dim) for p in parts]
+            values = [
+                self.colon_operand(p, end_array, end_dim)[0] for p in parts
+            ]
             helper = "colon3" if len(values) == 3 else "colon2"
             return self.call(helper, values, BOXED), BOXED
         if isinstance(node, ast.MatrixLit):
@@ -1275,18 +1263,30 @@ class Walk:
     # ------------------------------------------------------------------
     # Subscripts
     # ------------------------------------------------------------------
-    def subscript_mode(self, node, safety: SubscriptSafety, mode_of) -> str:
-        """The access mode ``mode_of(safety)`` selects for the subscript
-        at ``node``, or the proven-safe one where a loop-entry guard put it
-        in ``forced_safe``; ``forcing_used`` records that the guard
-        changed a selection."""
-        mode = mode_of(safety)
-        if id(node) in self.forced_safe:
-            forced = mode_of(SubscriptSafety.SAFE)
-            if forced != mode:
-                self.forcing_used = True
-                return forced
-        return mode
+    def subscript_mode(
+        self, node, name: str, arity: int, safety: SubscriptSafety,
+        direct: bool = True,
+    ) -> str:
+        """The access mode of the ``arity`` scalar subscripts of ``name``
+        at ``node`` (``vcode.emit`` spells each): unchecked where
+        inference proved them in range or a loop-entry guard put them in
+        ``forced_safe`` (``forcing_used`` records that the guard changed
+        the selection), in the form that needs no ``divmod`` for a linear
+        subscript of an array inferred a row or a column; checked
+        everywhere else, and always when not ``direct`` (a complex store,
+        which may have to widen the buffer)."""
+        safe = direct and safety is SubscriptSafety.SAFE
+        if direct and not safe and id(node) in self.forced_safe:
+            self.forcing_used = safe = True
+        if not safe:
+            return "checked"
+        if arity == 1:
+            shape = self.ann.var_type(name).maxshape
+            if shape.rows == 1:
+                return "unchecked_row"
+            if shape.cols == 1:
+                return "unchecked_col"
+        return "unchecked"
 
     def _scalar_subscripts(self, indices) -> bool:
         return all(
@@ -1340,10 +1340,7 @@ class Walk:
             # Subscript inlining: proven-safe scalar loads are direct
             # buffer accesses, the rest keep their bounds check.
             mode = self.subscript_mode(
-                node, self.ann.safety_of_load(node),
-                lambda safety: (
-                    "unchecked" if safety is SubscriptSafety.SAFE else "checked"
-                ),
+                node, name, len(indices), self.ann.safety_of_load(node)
             )
             return self.load(
                 name, self._scalar_indices(name, indices), mode, kind

@@ -44,7 +44,13 @@ from repro.codegen.optimizations import (
 )
 from repro.obs.trace import NULL_TRACER
 from repro.typesys.signature import Signature
-from repro.vcode.emit import EmittedFunction, bind_function
+from repro.vcode.emit import (
+    EmittedFunction,
+    bind_function,
+    element_load,
+    element_store,
+    loop_header,
+)
 
 _UNARY_SRC = {
     "-": "(-{a})", "+": "{a}", "~": "(0.0 if {a} != 0 else 1.0)",
@@ -279,48 +285,28 @@ class _SrcEmitter(Walk):
     def _data(self, name: str) -> str:
         return self.data_alias.get(name, f"{self.var(name)}.data")
 
-    @staticmethod
-    def _zero_based(indices) -> list[str]:
-        """Host int expressions for raw one-based subscripts."""
-        return [
-            f"{code} - 1" if kind == RAW_INT else f"int({code}) - 1"
-            for code, kind in indices
-        ]
-
     def load(self, name: str, indices, mode: str, kind: str) -> str:
-        if mode == "unchecked":
-            return f"{self._data(name)}.item({', '.join(self._zero_based(indices))})"
-        codes = [code for code, _ in indices]
-        return self.call(
-            f"checked_load{len(indices)}", [self.var(name), *codes], kind
+        return element_load(
+            self.var(name), self._data(name), indices, mode, self.helper
         )
 
     def store(self, name: str, indices, value: str, mode: str) -> None:
-        if not mode.startswith("unchecked"):
-            codes = [code for code, _ in indices]
-            if self.calls(value) and any(self.calls(code) for code in codes):
-                # The value was selected first and is evaluated first,
-                # as in the interpreter, not after the helper's index
-                # arguments.
-                value = self.bind(value, "v")
-            self.call(
-                f"{mode}_store{len(indices)}",
-                [self.var(name), *codes, value], None,
-            )
-            return
-        at = self._zero_based(indices)
-        if len(at) == 2:
-            where = f"{at[0]}, {at[1]}"
-        elif mode == "unchecked_row":
-            where = f"0, {at[0]}"
-        elif mode == "unchecked_col":
-            where = f"{at[0]}, 0"
-        else:
-            where = f"divmod({at[0]}, {self.var(name)}.rows)[::-1]"
-        self.line(f"{self._data(name)}[{where}] = {value}")
+        if mode == "checked" and self.calls(value) and any(
+            self.calls(code) for code, _ in indices
+        ):
+            # The value was selected first and is evaluated first, as in
+            # the interpreter, not after the helper's index arguments.
+            value = self.bind(value, "v")
+        self.line(element_store(
+            self.var(name), self._data(name), indices, value, mode,
+            self.helper,
+        ))
 
     def element(self, array: str, r: int, c: int) -> str:
-        return f"{array}.data.item({r}, {c})"
+        at = [(str(r + 1), RAW_INT), (str(c + 1), RAW_INT)]
+        return element_load(
+            array, f"{array}.data", at, "unchecked", self.helper
+        )
 
     def elem(self, name: str, position: int) -> str:
         # Temporaries are ``_<base><n>``: no base starts with ``x``.
@@ -389,7 +375,9 @@ class _SrcEmitter(Walk):
 
         plan = plan_versioning(stmt, self.ann)
         if plan.worthwhile:
-            lo, hi = (stop, start) if direction < 0 else (start, stop)
+            lo, hi = start[0], stop[0]
+            if direction < 0:
+                lo, hi = hi, lo
             mark = (
                 len(self.lines), len(self.prologue), self._temp,
                 set(self.helpers),
@@ -428,19 +416,15 @@ class _SrcEmitter(Walk):
             # yields the interpreter's values.
             self.line(
                 f"for {var} in {self.helper('frange')}"
-                f"({start}, {'1.0' if step is None else step}, {stop}):"
+                f"({start[0]}, {'1.0' if step is None else step[0]}, "
+                f"{stop[0]}):"
             )
-            self._suite(stmt.body)
         else:
             # Integer counters iterate host range() with an immediate step.
-            edge = f" + {direction}"
-            stride = "" if step is None else (
-                f", {self.const_int_step(stmt.iterable.step)}"
-            )
-            self.line(
-                f"for {var} in range(int({start}), int({stop}){edge}{stride}):"
-            )
-            self._suite(stmt.body)
+            if step is not None:
+                step = str(self.const_int_step(stmt.iterable.step)), RAW_INT
+            self.line(loop_header(var, start, stop, step, direction < 0))
+        self._suite(stmt.body)
         self.data_alias = saved_alias
 
     def _hoist_data_pointers(self, stmt: ast.For) -> None:
@@ -457,9 +441,10 @@ class _SrcEmitter(Walk):
                 elif isinstance(inner, ast.Assign) and (
                     id(target) in self.forced_safe
                     or self.ann.safety_of_store(target) is SubscriptSafety.SAFE
-                ):
+                ) and self.ann.type_of(inner.value).is_real_like:
                     accessed.add(target.name)
-                else:  # a checked, growing or multi-assignment store
+                else:  # a checked store (one of a complex value may widen
+                    # the buffer), a growing or a multi-assignment store
                     unstable.add(target.name)
             for expr in ast.stmt_exprs(inner):
                 for node in ast.walk_expr(expr):

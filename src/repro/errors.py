@@ -40,16 +40,8 @@ class ParseError(MatlabError):
     """Raised by the parser on a syntactically invalid program."""
 
 
-class AnalysisError(MatlabError):
-    """Raised when a static analysis meets a program it cannot handle."""
-
-
 class UndefinedSymbolError(MatlabError):
     """A symbol could not be resolved as variable, builtin or function."""
-
-
-class TypeInferenceError(MatlabError):
-    """Raised by the type-inference engine on internal inconsistencies."""
 
 
 class CodegenError(MatlabError):

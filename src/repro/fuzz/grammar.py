@@ -18,9 +18,12 @@ shared random stream (scalar, matrix, inside an elementwise chain, inside
 a callee), side effects *before* a failure — text already displayed, a
 draw already taken — which a failing backend must neither lose nor repeat,
 multi-value assignments into subscripted targets (``end`` included),
-whose stores every compiler routes through its generic path, and builtin
+whose stores every compiler routes through its generic path, builtin
 names assigned on one path only, read bare or in call form, which
-compiled code must resolve at run time the way the interpreter does.
+compiled code must resolve at run time the way the interpreter does, and
+linear subscripts of matrices in counted loops — reads over ``1:numel``
+(column-major order) and stores running past ``numel`` (a matrix cannot
+grow that way: the interpreter's resize error).
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ class GeneratedProgram:
 class _Gen:
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
+        #: The linear-subscript loops draw from a stream of their own, so
+        #: the rest of every program is drawn as before they existed.
+        self.linear_rng = random.Random(f"linear{seed}")
         self.seed = seed
         self.name = f"fuzz{seed}"
         self.features: list[str] = []
@@ -254,6 +260,22 @@ class _Gen:
         body = self.statement(0)
         return f"for k = 1:{stop},\n  {body}\n  s = s + k;\nend"
 
+    def linear_loop(self) -> str:
+        """A loop over linear subscripts of a matrix, or nothing: reads
+        for ``k = 1:numel(M)``, or stores running past ``numel(M)``."""
+        r = self.linear_rng
+        roll, matrix = r.random(), r.choice((MATRIX_PARAM,) + MATRIX_VARS)
+        if roll < 0.12:
+            self.features.append("linear-load")
+            var = r.choice(SCALAR_VARS)
+            body = f"{var} = {var} * 0.5 + {matrix}(k) * k;"
+            return f"for k = 1:numel({matrix}),\n  {body}\nend"
+        if roll < 0.2:
+            self.features.append("linear-grow")
+            stop = f"numel({matrix}) + {r.randrange(1, 3)}"
+            return f"for k = 1:{stop},\n  {matrix}(k) = k / 4;\nend"
+        return ""
+
     def failure(self, oob: str) -> str:
         """A guaranteed MATLAB error — the bare out-of-range read ``oob``,
         or one raised after a side effect."""
@@ -294,7 +316,10 @@ class _Gen:
         self.shape = f"{rows}, {cols}"
         for _ in range(r.randrange(2, 7)):
             lines.append(self.statement())
-        expects_error = r.random() < 0.2
+        linear = self.linear_loop()
+        if linear:
+            lines.append(linear)
+        expects_error = r.random() < 0.2 or "linear-grow" in self.features
         if expects_error:
             self.features.append("error")
             # Every backend must raise the same MATLAB error text, having

@@ -21,6 +21,7 @@ class SubscriptSafety(enum.Enum):
 
     CHECKED = "checked"        # full MATLAB checks
     GROW_ONLY = "grow_only"    # index proven positive+integral; may grow
+                               # (compiled as CHECKED: MxArray's store)
     SAFE = "safe"              # proven in bounds: direct access
 
 
@@ -82,7 +83,7 @@ class Annotations:
             "safe_stores": sum(
                 1 for s in self.store_safety.values() if s is SubscriptSafety.SAFE
             ),
-            "grow_stores": sum(
+            "grow_only_stores": sum(
                 1 for s in self.store_safety.values()
                 if s is SubscriptSafety.GROW_ONLY
             ),

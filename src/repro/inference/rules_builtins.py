@@ -596,15 +596,19 @@ def register(calc: TypeCalculator) -> None:
     # ------------------------------------------------------------------
     # Construction / reshaping
     # ------------------------------------------------------------------
+    def const_size(ctx: RuleContext, t: MType) -> int | None:
+        """A constant size argument as the builtin converts it (truncated,
+        a negative one 0), or None: not a constant, or NaN or Inf, which
+        the builtin refuses."""
+        if not (ctx.range_propagation and t.is_constant):
+            return None
+        value = t.constant_value
+        return max(int(value), 0) if math.isfinite(value) else None
+
     def linspace_rule(ctx: RuleContext) -> list[MType]:
         count: int | None = 100
         if len(ctx.args) > 2:
-            n = ctx.arg(2)
-            count = (
-                int(n.constant_value)
-                if ctx.range_propagation and n.is_constant
-                else None
-            )
+            count = const_size(ctx, ctx.arg(2))
         rng = Interval.top()
         if ctx.range_propagation:
             rng = ctx.arg(0).range.join(ctx.arg(1).range)
@@ -616,15 +620,11 @@ def register(calc: TypeCalculator) -> None:
 
     def reshape_rule(ctx: RuleContext) -> list[MType]:
         a = ctx.arg(0)
-        if (
-            ctx.range_propagation
-            and len(ctx.args) == 3
-            and ctx.arg(1).is_constant
-            and ctx.arg(2).is_constant
-        ):
-            rows = int(ctx.arg(1).constant_value)
-            cols = int(ctx.arg(2).constant_value)
-            return [MType.exact(a.intrinsic, rows, cols, a.range)]
+        if len(ctx.args) == 3:
+            rows = const_size(ctx, ctx.arg(1))
+            cols = const_size(ctx, ctx.arg(2))
+            if rows is not None and cols is not None:
+                return [MType.exact(a.intrinsic, rows, cols, a.range)]
         return [MType(a.intrinsic, Shape.bottom(), Shape.top(), a.range)]
 
     calc.rule(("builtin", "reshape"), "reshape:dims", lambda ctx: True, reshape_rule)

@@ -164,10 +164,6 @@ class DistributedMx:
     rank: int
     local: MxArray
 
-    @property
-    def global_range(self) -> tuple[int, int]:
-        return self.map.local_range(self.rank)
-
     # ------------------------------------------------------------------
     def halo_exchange(self, comm, timeout: float | None = None) -> MxArray:
         """Swap ``halo``-wide boundary slabs with neighbouring ranks.

@@ -104,8 +104,11 @@ from repro.vcode.emit import bind_function
 #: ``own_calls`` flag: an own call is always the plain call the module
 #: binds, so no pickle that carries the flag is revived; format 12 stores
 #: code that calls builtins' typed entries (``rt.zeros_of`` / ``ones_of``
-#: / ``eye_of``), which an older runtime lacks.
-CACHE_FORMAT_VERSION = "12"
+#: / ``eye_of``), which an older runtime lacks; format 13 stores code
+#: whose loop bounds are host ``int()`` and whose growing stores are
+#: MxArray's checked ones (older code calls helpers this runtime lacks),
+#: and whose linear loads of a matrix are column-major.
+CACHE_FORMAT_VERSION = "13"
 
 #: The signature slot of a parse record's key.
 UNIT_TAG = "source-unit"

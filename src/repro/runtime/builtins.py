@@ -272,7 +272,16 @@ def _eye(args, nargout):
 def _rand(args, nargout):
     if args and args[0].is_string:
         if len(args) == 2:
-            GLOBAL_RANDOM.seed(int(np.real(args[1].scalar())))
+            # The legacy ``rand('seed', s)``: the reference page
+            # (https://www.mathworks.com/help/matlab/ref/rand.html) says
+            # nothing of the seed's values, so a NaN or Inf one raises
+            # ``_size_int``'s error and a negative one this project's own.
+            seed = _size_int(args[1].scalar())
+            if seed < 0:
+                raise RuntimeMatlabError(
+                    "The seed must be a nonnegative integer."
+                )
+            GLOBAL_RANDOM.seed(seed)
         return [empty()]
     return [MxArray(IntrinsicClass.REAL, GLOBAL_RANDOM.uniform(
         *_shape(*_dims_from_args(args))))]
@@ -287,16 +296,27 @@ def _randn(args, nargout):
 
 @register("linspace", 2, 3, int_scalar_affinity=True, doc="linearly spaced vector")
 def _linspace(args, nargout):
+    # https://www.mathworks.com/help/matlab/ref/linspace.html, on ``n``:
+    # "If n is 1, linspace returns x2.  If n is zero or negative, linspace
+    # returns an empty 1-by-0 matrix.  If n is not an integer, linspace
+    # rounds down and returns floor(n) points."  The page says nothing of
+    # a NaN or Inf ``n``: ``_size_int``'s error.
     lo = float(np.real(args[0].scalar()))
     hi = float(np.real(args[1].scalar()))
-    n = int(np.real(args[2].scalar())) if len(args) > 2 else 100
+    n = max(_size_int(args[2].scalar()), 0) if len(args) > 2 else 100
+    if n == 1:
+        return [make_scalar(hi)]
     return [from_ndarray(np.linspace(lo, hi, n).reshape(1, -1))]
 
 
 @register("reshape", 2, 3, doc="reshape preserving column-major order")
 def _reshape(args, nargout):
+    # https://www.mathworks.com/help/matlab/ref/reshape.html: the sizes
+    # are integers whose product is numel(A).  A negative size is an
+    # extent of 0, as for the constructors, so it fails that product
+    # unless A is empty.
     a = args[0]
-    r, c = map(_size_int, _dims_from_args(args[1:]))
+    r, c = _shape(*_dims_from_args(args[1:]))
     if r * c != a.numel:
         raise DimensionError("reshape: element counts must match")
     return [from_ndarray(a.view().T.reshape(c, r).T)]
@@ -304,10 +324,13 @@ def _reshape(args, nargout):
 
 @register("repmat", 3, 3, int_scalar_affinity=True, doc="tile a matrix")
 def _repmat(args, nargout):
+    # https://www.mathworks.com/help/matlab/ref/repmat.html: a repetition
+    # factor is an integer value, and "if n is 0 or negative, the result
+    # is an empty array".
     a = args[0]
-    r = int(np.real(args[1].scalar()))
-    c = int(np.real(args[2].scalar()))
-    return [from_ndarray(np.tile(a.view(), (r, c)))]
+    return [from_ndarray(np.tile(a.view(), _shape(
+        args[1].scalar(), args[2].scalar()
+    )))]
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +341,13 @@ def _repmat(args, nargout):
 def _size(args, nargout):
     a = args[0]
     if len(args) == 2:
-        dim = int(np.real(args[1].scalar()))
+        # https://www.mathworks.com/help/matlab/ref/size.html: "dim —
+        # Queried dimension, specified as a positive integer scalar".
+        dim = np.real(args[1].scalar())
+        if not (dim >= 1 and float(dim).is_integer()):
+            raise RuntimeMatlabError(
+                "Dimension argument must be a positive integer scalar."
+            )
         if dim == 1:
             return [make_scalar(a.rows)]
         if dim == 2:

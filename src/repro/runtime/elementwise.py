@@ -353,14 +353,7 @@ def mlf_store(a: MxArray, value: MxArray, *indices: MxArray) -> MxArray:
             return a
         top = int(positions.max())
         if top > a.numel:
-            if a.rows > 1 and a.cols > 1:
-                raise RuntimeMatlabError(
-                    "in an assignment A(I) = B, a matrix A cannot be resized"
-                )
-            if a.rows > 1:
-                a._grow(top, max(a.cols, 1))
-            else:
-                a._grow(max(a.rows, 1), top)
+            a._grow_linear(top)
         values = _store_values(value, positions.size)
         if np.iscomplexobj(values) and a.tag is not IntrinsicClass.COMPLEX:
             a._widen_to_complex()

@@ -274,14 +274,7 @@ class MxArray:
         """
         index = self._check_subscript(k, self.numel, grow=True)
         if index > self.numel:
-            if self.rows > 1 and self.cols > 1:
-                raise SubscriptError(
-                    "in an assignment A(I) = B, a matrix A cannot be resized"
-                )
-            if self.rows > 1:  # column vector
-                self._grow(index, max(self.cols, 1))
-            else:  # row vector, scalar or empty
-                self._grow(max(self.rows, 1), index)
+            self._grow_linear(index)
         index -= 1
         self._store(index % self.rows, index // self.rows, value)
 
@@ -315,6 +308,18 @@ class MxArray:
     # ------------------------------------------------------------------
     # Growth with oversizing (Section 2.6.1)
     # ------------------------------------------------------------------
+    def _grow_linear(self, index: int) -> None:
+        """Room for a linear store at ``index`` past the end: a vector
+        grows along its length, a true matrix cannot grow this way."""
+        if self.rows > 1 and self.cols > 1:
+            raise SubscriptError(
+                "in an assignment A(I) = B, a matrix A cannot be resized"
+            )
+        if self.rows > 1:  # column vector
+            self._grow(index, max(self.cols, 1))
+        else:  # row vector, scalar or empty
+            self._grow(max(self.rows, 1), index)
+
     def _grow(self, new_rows: int, new_cols: int) -> None:
         cap_rows, cap_cols = self.data.shape
         if new_rows <= cap_rows and new_cols <= cap_cols:

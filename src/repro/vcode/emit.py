@@ -18,6 +18,11 @@ that decide it.
 Runtime-support helpers are hoisted into locals at the top of the emitted
 function (``_h_g_add = rt.g_add``), the host equivalent of keeping
 library entry points in registers.
+
+The host text of an element load, an element store, a zero-based
+subscript and a counted-loop header is written here once
+(:func:`element_load`, :func:`element_store`, :func:`zero_based`,
+:func:`loop_header`), for this emitter and the source-text target alike.
 """
 
 from __future__ import annotations
@@ -76,8 +81,8 @@ _UN = {
 #: and in operand order: the only places a folded def may stand.  The
 #: right operand of ``&`` / ``|`` is evaluated lazily; a store's array
 #: and index are not eager, because the host evaluates an assignment's
-#: value before its target and the unchecked linear store reads the
-#: array twice.
+#: value before its target, and an access's array is not, because the
+#: unchecked linear access of a matrix reads it twice.
 _EAGER = {
     "CONST": slice(0),
     "MOV": slice(None),
@@ -86,7 +91,7 @@ _EAGER = {
     "CALLRT": slice(None),
     "CALLSELF": slice(None),
     "UNPACK": slice(None),
-    "LOAD1": slice(None),
+    "LOAD1": slice(1, None),
     "LOAD2": slice(None),
     "STORE1": slice(2, None),
     "STORE2": slice(3, None),
@@ -100,6 +105,74 @@ def eager_operands(instr: Instr) -> tuple[int, ...]:
     if instr.op == "BIN" and instr.aux in _LAZY_RIGHT:
         return instr.args[:1]
     return instr.args[_EAGER[instr.op]]
+
+
+# ----------------------------------------------------------------------
+# Element access and counted loops: the one host spelling of each, which
+# this emitter and the source target (``codegen.srcgen._SrcEmitter``)
+# both write.  A raw subscript or bound is ``(text, kind)``: kind ``"i"``
+# is a host int, anything else a raw real that ``int()`` truncates.  An
+# access ``mode`` is ``"checked"`` (MxArray's own checked method, through
+# its ``rt`` name), ``"unchecked"``, or, for a linear access of an array
+# inference proves a row or a column, ``"unchecked_row"`` /
+# ``"unchecked_col"``.  ``arr`` is the array's text, ``data`` its
+# buffer's and ``helper(name)`` the text that calls a runtime helper.
+# ----------------------------------------------------------------------
+def _host_int(text: str, kind: str) -> str:
+    return text if kind == "i" else f"int({text})"
+
+
+def zero_based(index) -> str:
+    """A one-based raw subscript ``(text, kind)`` as a host int
+    expression, zero-based."""
+    return f"{_host_int(*index)} - 1"
+
+
+def _checked(helper, op: str, arr: str, indices, *rest: str) -> str:
+    args = ", ".join([arr, *(text for text, _ in indices), *rest])
+    return f"{helper(f'checked_{op}{len(indices)}')}({args})"
+
+
+def _position(arr: str, indices, mode: str) -> str:
+    """The (row, column) an unchecked access reaches, column-major."""
+    at = [zero_based(index) for index in indices]
+    if len(at) == 2:
+        return f"{at[0]}, {at[1]}"
+    if mode == "unchecked_row":
+        return f"0, {at[0]}"
+    if mode == "unchecked_col":
+        return f"{at[0]}, 0"
+    return f"divmod({at[0]}, {arr}.rows)[::-1]"
+
+
+def element_load(arr: str, data: str, indices, mode: str, helper) -> str:
+    """The host expression reading ``arr(indices)``."""
+    if mode == "checked":
+        return _checked(helper, "load", arr, indices)
+    if mode != "unchecked":  # a row's or a column's buffer is flat
+        return f"{data}.item({zero_based(indices[0])})"
+    return f"{data}.item({_position(arr, indices, mode)})"
+
+
+def element_store(
+    arr: str, data: str, indices, value: str, mode: str, helper
+) -> str:
+    """The host statement writing ``value`` to ``arr(indices)``."""
+    if mode == "checked":
+        return _checked(helper, "store", arr, indices, value)
+    return f"{data}[{_position(arr, indices, mode)}] = {value}"
+
+
+def loop_header(var: str, start, stop, step=None, descending=False) -> str:
+    """The header of a counted loop of the host int ``var`` from raw
+    bound ``start`` to ``stop`` inclusive, by ``step`` (one when
+    ``None``)."""
+    edge = "-" if descending else "+"
+    stride = "" if step is None else f", {_host_int(*step)}"
+    return (
+        f"for {var} in range({_host_int(*start)}, "
+        f"{_host_int(*stop)} {edge} 1{stride}):"
+    )
 
 
 @dataclass
@@ -149,11 +222,9 @@ class _Emitter:
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
 
-    def idx(self, reg: int) -> str:
-        """An index operand as a host int expression."""
-        if self.ir_kind(reg) == "i":
-            return self.loc(reg)
-        return f"int({self.loc(reg)})"
+    def raw(self, reg: int) -> tuple[str, str]:
+        """A subscript or bound operand: its text and its kind."""
+        return self.loc(reg), self.ir_kind(reg)
 
     def ir_kind(self, reg: int) -> str:
         return self.ir.reg_kinds.get(reg, "f")
@@ -252,17 +323,11 @@ class _Emitter:
         self.line(f"return ({rets}{',' if len(self.ir.outputs) == 1 else ''})")
 
     def emit_for(self, region: ForRegion) -> None:
-        var = self.loc(region.var)
-        start, stop = self.loc(region.start), self.loc(region.stop)
-        if region.step is None:
-            header = f"for {var} in range({start}, {stop} + 1):"
-        else:
-            edge = "- 1" if region.descending else "+ 1"
-            header = (
-                f"for {var} in range({start}, {stop} {edge}, "
-                f"{self.loc(region.step)}):"
-            )
-        self.line(header)
+        step = None if region.step is None else self.raw(region.step)
+        self.line(loop_header(
+            self.loc(region.var), self.raw(region.start),
+            self.raw(region.stop), step, region.descending,
+        ))
         self.emit_suite(region.body)
 
     # ------------------------------------------------------------------
@@ -311,83 +376,20 @@ class _Emitter:
         if op == "UNPACK":
             self.define(instr.dst, f"{self.loc(instr.args[0])}[{instr.aux}]")
             return
-        if op == "LOAD1":
-            arr, index = instr.args
-            if instr.aux == "unchecked":
-                self.define(
-                    instr.dst,
-                    f"{self.loc(arr)}.data.item({self.idx(index)} - 1)",
-                )
-            else:
-                helper = self.helper("checked_load1")
-                self.define(
-                    instr.dst, f"{helper}({self.loc(arr)}, {self.loc(index)})"
-                )
+        if op in ("LOAD1", "LOAD2"):
+            arr, *indices = instr.args
+            self.define(instr.dst, element_load(
+                self.loc(arr), f"{self.loc(arr)}.data",
+                [self.raw(reg) for reg in indices], instr.aux, self.helper,
+            ))
             return
-        if op == "LOAD2":
-            arr, i, j = instr.args
-            if instr.aux == "unchecked":
-                self.define(
-                    instr.dst,
-                    f"{self.loc(arr)}.data.item("
-                    f"{self.idx(i)} - 1, {self.idx(j)} - 1)",
-                )
-            else:
-                helper = self.helper("checked_load2")
-                self.define(
-                    instr.dst,
-                    f"{helper}({self.loc(arr)}, {self.loc(i)}, {self.loc(j)})",
-                )
-            return
-        if op == "STORE1":
-            arr, index, value = instr.args
-            if instr.aux == "unchecked_row":
-                self.line(
-                    f"{self.loc(arr)}.data[0, {self.idx(index)} - 1] "
-                    f"= {self.loc(value)}"
-                )
-            elif instr.aux == "unchecked_col":
-                self.line(
-                    f"{self.loc(arr)}.data[{self.idx(index)} - 1, 0] "
-                    f"= {self.loc(value)}"
-                )
-            elif instr.aux == "unchecked":
-                self.line(
-                    f"{self.loc(arr)}.data[divmod({self.idx(index)} - 1, "
-                    f"{self.loc(arr)}.rows)[::-1]] = {self.loc(value)}"
-                )
-            elif instr.aux == "grow":
-                helper = self.helper("grow_store1")
-                self.line(
-                    f"{helper}({self.loc(arr)}, {self.loc(index)}, "
-                    f"{self.loc(value)})"
-                )
-            else:
-                helper = self.helper("checked_store1")
-                self.line(
-                    f"{helper}({self.loc(arr)}, {self.loc(index)}, "
-                    f"{self.loc(value)})"
-                )
-            return
-        if op == "STORE2":
-            arr, i, j, value = instr.args
-            if instr.aux == "unchecked":
-                self.line(
-                    f"{self.loc(arr)}.data[{self.idx(i)} - 1, "
-                    f"{self.idx(j)} - 1] = {self.loc(value)}"
-                )
-            elif instr.aux == "grow":
-                helper = self.helper("grow_store2")
-                self.line(
-                    f"{helper}({self.loc(arr)}, {self.loc(i)}, "
-                    f"{self.loc(j)}, {self.loc(value)})"
-                )
-            else:
-                helper = self.helper("checked_store2")
-                self.line(
-                    f"{helper}({self.loc(arr)}, {self.loc(i)}, "
-                    f"{self.loc(j)}, {self.loc(value)})"
-                )
+        if op in ("STORE1", "STORE2"):
+            arr, *indices, value = instr.args
+            self.line(element_store(
+                self.loc(arr), f"{self.loc(arr)}.data",
+                [self.raw(reg) for reg in indices], self.loc(value),
+                instr.aux, self.helper,
+            ))
             return
         raise CodegenError(f"unknown ICODE op {op!r}")
 

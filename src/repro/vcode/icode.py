@@ -25,10 +25,11 @@ Instruction set (op → operands), exactly what the JIT lowering emits:
 ``STORE2``  None, (arr, i, j, val), aux=mode
 ======== ====================================================================
 
-Load/store ``mode`` is ``"checked"``, ``"grow"`` or ``"unchecked"`` — the
+Load/store ``mode`` is ``"checked"`` or ``"unchecked"`` — the
 materialization of the subscript-safety classes of Section 2.4 (a linear
-unchecked store also has ``"unchecked_row"`` / ``"unchecked_col"`` forms
-for operands known to be a row or a column).
+unchecked access also has ``"unchecked_row"`` / ``"unchecked_col"`` forms
+for operands known to be a row or a column); :mod:`repro.vcode.emit`
+spells each mode.
 
 Every literal is a ``CONST`` and every result has a register of its own:
 the lowering stays three-address.  Which temporaries the host sees as

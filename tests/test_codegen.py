@@ -1,5 +1,7 @@
 """Code-generator tests: JIT and optimizing pipelines, selection rules."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -425,3 +427,66 @@ class TestSelector:
         selector = Selector(fn, ann)
         literal = fn.body[0].value
         assert selector.unroll_shape(literal) is None  # 10 > limit of 9
+
+
+# ----------------------------------------------------------------------
+# One element-access spelling for both code generators
+# ----------------------------------------------------------------------
+ACCESS_SOURCES = {
+    "load": (
+        "function r = f(A)\nr = 0;\n"
+        "for k = 1:numel(A), x = A(k); r = r * 0.5 + x; end\n"
+    ),
+    "store": "function A = f(A)\nfor k = 1:numel(A), A(k) = k; end\n",
+}
+ACCESS_SHAPES = {
+    "row": np.array([[1.0, 2.0, 3.0, 4.0]]),
+    "column": np.array([[1.0], [2.0], [3.0], [4.0]]),
+    "matrix": np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+}
+#: A register or spill slot of JIT code, a variable of source code.
+_NAME = re.compile(r"\bpr\d+\b|\bsp\[\d+\]|\bv_\w+\b")
+
+
+def access_text(source: str) -> str:
+    """The one line of ``source`` that touches an array buffer, each name
+    replaced by its order of first appearance in the line."""
+    (line,) = [text.strip() for text in source.splitlines() if ".data" in text]
+    names: dict[str, str] = {}
+    return _NAME.sub(
+        lambda m: names.setdefault(m.group(), f"n{len(names)}"), line
+    )
+
+
+@pytest.mark.parametrize("shape", ACCESS_SHAPES)
+@pytest.mark.parametrize("access", ACCESS_SOURCES)
+def test_jit_and_spec_spell_an_access_alike(access, shape):
+    source, value = ACCESS_SOURCES[access], ACCESS_SHAPES[shape]
+    jit, args = compile_jit(source, value)
+    spec, _ = compile_src(source, value)
+    text = access_text(jit.source)
+    assert text == access_text(spec.source)
+    # Only a matrix's linear subscript needs its row count.
+    assert ("divmod" in text) == (shape == "matrix")
+    assert np.array_equal(run(jit, args), run(spec, args))
+
+
+def test_table1_sources_call_no_bound_or_grow_helper():
+    """Loop bounds are host ``int()`` and a growing store is MxArray's
+    checked one, in every version the Table-1 programs leave."""
+    from repro import backends
+    from repro.backends import Program
+    from repro.benchsuite.registry import benchmark_names
+
+    sources = 0
+    for name in benchmark_names():
+        for row in ("jit", "fused", "spec"):
+            with backends.open(Program.benchmark(name), row) as handle:
+                handle.call()
+                repo = handle.session.repository
+                for function in repo.function_names():
+                    for obj in repo.versions_of(function):
+                        sources += 1
+                        assert "to_int" not in obj.source, obj.source
+                        assert "grow_store" not in obj.source, obj.source
+    assert sources >= 16

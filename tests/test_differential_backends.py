@@ -361,6 +361,56 @@ ZERO_OUTPUT_MULTI = (
 ZERO_OUTPUT_OWN = (
     "function zw(a)\nif a > 0, y = zw(a - 1); disp(size(y)); end\ndisp(a);\n"
 )
+#: A linear subscript of a matrix is column-major: read from a formal and
+#: from a local built by 2-D stores, and a store past ``numel`` of a
+#: matrix is the interpreter's resize error.
+LINEAR_LOAD = (
+    "function r = llm(A)\nr = zeros(1, numel(A));\n"
+    "for k = 1:numel(A), r(k) = A(k); end\n"
+)
+LINEAR_LOAD_LOCAL = (
+    "function r = lll(x)\nA = zeros(2, 3);\n"
+    "for i = 1:2, for j = 1:3, A(i, j) = 3 * (i - 1) + j + x; end, end\n"
+    "r = zeros(1, 6);\nfor k = 1:6, r(k) = A(k); end\n"
+)
+LINEAR_GROW = (
+    "function A = lgm(n)\nA = zeros(2, 2);\nfor k = 1:n, A(k) = k; end\n"
+)
+#: A one-character string stored into a numeric array stores its code
+#: (compiled code read the string box's empty buffer and fell back).
+CHAR_STORE = "function r = st(x)\nA = zeros(1, 3);\nA(2) = 'x';\nr = A + x;\n"
+#: A complex store into a real array widens its buffer, so the source
+#: target (MIPS: data pointers hoisted) must not read it through an alias
+#: of the old one (``spec-mips`` answered 0).
+COMPLEX_STORE = (
+    "function r = cz(n)\nA = zeros(1, 4);\nr = 0;\n"
+    "for k = 1:4, A(k) = k + sqrt(-n); r = r + A(k); end\n"
+)
+#: Size arguments of the other size-taking builtins: what each reference
+#: page says (cited in ``runtime/builtins.py``), then a NaN, which raises.
+SIZE_ARGS = {
+    "reshape": ("rs", (
+        "function r = rs(n)\ndisp(size(reshape([], n, 0)));\n"
+        "r = reshape([1 2 3 4], n, n);\n"
+    )),
+    "repmat": ("rp", (
+        "function r = rp(n)\ndisp(size(repmat([1 2], n, 1)));\n"
+        "disp(repmat([1 2], 1, -n));\nr = repmat([1 2], n * NaN, 1);\n"
+    )),
+    "linspace": ("ls", (
+        "function r = ls(n)\ndisp(size(linspace(0, 1, n)));\n"
+        "disp(linspace(0, 1, n + 3));\ndisp(linspace(0, 1, n + 5.5));\n"
+        "r = linspace(0, 1, n * NaN);\n"
+    )),
+    "size": ("sz", (
+        "function r = sz(n)\ndisp(size([1 2], -n));\n"
+        "disp(size([1 2], -n + 1));\nr = size([1 2], n * NaN);\n"
+    )),
+    "rand-seed": ("sd", (
+        "function r = sd(n)\nrand('seed', -n);\nr = rand;\ndisp(r);\n"
+        "rand('seed', n * NaN);\n"
+    )),
+}
 
 
 def _scalar(value):
@@ -687,6 +737,20 @@ PROBES = {
         lambda: [from_python(-0.0), from_python(float("inf")),
                  from_python(float("nan"))],
     ),
+    "linear-load-matrix": Program(
+        (LINEAR_LOAD,), "llm",
+        lambda: [from_ndarray(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))],
+    ),
+    "linear-load-matrix-local": Program(
+        (LINEAR_LOAD_LOCAL,), "lll", _scalar(1.0)
+    ),
+    "linear-grow-matrix": Program((LINEAR_GROW,), "lgm", _scalar(7.0)),
+    "char-store": Program((CHAR_STORE,), "st", _scalar(1.0)),
+    "complex-store-widens": Program((COMPLEX_STORE,), "cz", _scalar(4.0)),
+    **{
+        f"size-args-{label}": Program((source,), entry, _scalar(-2.0))
+        for label, (entry, source) in SIZE_ARGS.items()
+    },
 }
 
 #: Probes that fault in compiled code by design, with the one cause each

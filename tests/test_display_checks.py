@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SubscriptError
-from repro.runtime import checks
+from repro.codegen.runtime_support import RuntimeSupport
 from repro.runtime.display import OutputSink, format_scalar, format_value, sprintf
+from repro.runtime.mxarray import IntrinsicClass, MxArray
 from repro.runtime.values import from_python, make_matrix, make_scalar, make_string
 
 
@@ -65,36 +66,58 @@ class TestSprintf:
 
 
 class TestCheckedHelpers:
+    """Compiled code's checked accesses are MxArray's own methods, under
+    their ``rt`` names."""
+
+    def test_rt_names_are_mxarray_methods(self):
+        assert RuntimeSupport.checked_load1 is MxArray.get_linear
+        assert RuntimeSupport.checked_load2 is MxArray.get2
+        assert RuntimeSupport.checked_store1 is MxArray.set_linear
+        assert RuntimeSupport.checked_store2 is MxArray.set2
+
     def test_checked_load_bounds(self):
         v = make_matrix([[1.0, 2.0]])
-        assert checks.checked_load1(v, 2) == 2.0
+        assert RuntimeSupport.checked_load1(v, 2) == 2.0
         with pytest.raises(SubscriptError):
-            checks.checked_load1(v, 3)
+            RuntimeSupport.checked_load1(v, 3)
+
+    def test_checked_load_is_column_major(self):
+        m = make_matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        assert [RuntimeSupport.checked_load1(m, k) for k in range(1, 7)] \
+            == [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]
 
     def test_checked_store_grows(self):
         v = make_matrix([[1.0]])
-        checks.checked_store1(v, 3, 9.0)
+        RuntimeSupport.checked_store1(v, 3, 9.0)
         assert v.shape == (1, 3)
 
-    def test_grow_store_skips_error_check(self):
-        v = make_matrix([[1.0, 2.0]])
-        checks.unchecked_store_grow1(v, 5, 7.0)
-        assert v.get_linear(5) == 7.0
+    def test_checked_store_refuses_to_resize_a_matrix(self):
+        m = make_matrix([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(SubscriptError, match="cannot be resized"):
+            RuntimeSupport.checked_store1(m, 5, 7.0)
+        assert m.shape == (2, 2)
 
-    def test_grow_store_2d(self):
+    def test_checked_store_2d_grows(self):
         m = make_matrix([[1.0]])
-        checks.unchecked_store_grow2(m, 2, 3, 5.0)
+        RuntimeSupport.checked_store2(m, 2, 3, 5.0)
+        assert m.shape == (2, 3)
         assert m.get2(2, 3) == 5.0
 
-    def test_grow_store_complex_widens(self):
+    def test_checked_store_complex_widens(self):
         m = make_matrix([[1.0]])
-        checks.unchecked_store_grow2(m, 1, 1, 1 + 1j)
+        RuntimeSupport.checked_store2(m, 1, 1, 1 + 1j)
         assert m.get2(1, 1) == 1 + 1j
 
-    def test_require_scalar_index(self):
-        assert checks.require_scalar_index(3.0) == 2
-        with pytest.raises(SubscriptError):
-            checks.require_scalar_index(0.5)
+    def test_checked_store_keeps_the_class_tag(self):
+        m = make_matrix([[1.0, 2.0]])
+        assert m.klass is IntrinsicClass.INT
+        RuntimeSupport.checked_store1(m, 3, 0.5)
+        assert m.klass is IntrinsicClass.REAL
+
+    def test_fractional_subscript_refused(self):
+        v = make_matrix([[1.0, 2.0]])
+        with pytest.raises(SubscriptError, match="positive integers"):
+            RuntimeSupport.checked_load1(v, 0.5)
 
 
 class TestOutputSink:

@@ -11,6 +11,7 @@ as a host-level error.
 import dataclasses
 import sys
 
+import numpy as np
 import pytest
 
 from repro import FaultPlan, InjectedFault, MajicSession, SPARC
@@ -187,9 +188,12 @@ class TestDifferentialHarness:
     def test_benchmarks_bit_identical_under_faults(self):
         """Acceptance: benchsuite programs under injected compile- and
         run-time faults match the pure interpreter exactly, and the
-        session records the corresponding events.  ``fibonacci``'s
-        compiled code calls only itself, so no ``runtime-*`` lane can
-        fire on it; the lanes fire, and deopt, on the other three."""
+        session records the corresponding events.  A ``runtime-hit<n>``
+        lane fires on a run whose compiled code makes ``n`` helper calls:
+        ``fibonacci``'s makes none (it calls only itself) and ``dirich``'s
+        one (``rt.zeros_of``), so those lanes stay silent there; they
+        fire, and deopt, everywhere else."""
+        helper_calls = {"fibonacci": 0, "dirich": 1}
         outcomes = run_differential(
             names=["fibonacci", "dirich", "sor", "relay"]
         )
@@ -208,7 +212,8 @@ class TestDifferentialHarness:
                     assert outcome.events.get(key, 0) >= 1
                 continue
             if outcome.plan.startswith("runtime"):
-                if outcome.benchmark == "fibonacci":
+                hit = int(outcome.plan.rpartition("hit")[2])
+                if helper_calls.get(outcome.benchmark, hit) < hit:
                     assert outcome.faults_fired == 0, outcome
                     assert outcome.events == {}, outcome
                     continue
@@ -230,6 +235,27 @@ class TestDifferentialHarness:
                 versions = handle.session.repository.versions_of("fibonacci")
             assert versions
             assert not [v for v in versions if "rt." in v.source]
+
+    @pytest.mark.parametrize("helper", [
+        "checked_load1", "checked_load2", "checked_store1", "checked_store2",
+    ])
+    def test_runtime_lane_wraps_checked_accesses(self, helper):
+        """A checked access is MxArray's own method under its ``rt``
+        name, and a fault at that name fires and deopts like any
+        helper's."""
+        source = (  # inference cannot bound ``k``: every access checked
+            "function r = acc(A, n)\nk = 1;\nwhile k < n, k = k + 1; end\n"
+            "A(k) = A(k) + 1;\nA(k, 1) = A(k, 1) * 2;\nr = A(k) + A(k + 1);\n"
+        )
+        args = (np.array([[1.0, 2.0, 3.0]]).T, 2.0)
+        plain = MajicSession()
+        plain.add_source(source)
+        plan = FaultPlan([FaultSpec(f"rt.{helper}")])
+        faulty = MajicSession(fault_plan=plan)
+        faulty.add_source(source)
+        assert faulty.call("acc", *args) == plain.call("acc", *args) == 9.0
+        assert [record.site for record in plan.fired] == [f"rt.{helper}"]
+        assert faulty.stats.deopts == 1
 
     def test_every_declared_fault_site_is_in_a_sweep_lane(self):
         """No fault site that no sweep fires: every ``SITE_*`` that
