@@ -90,16 +90,12 @@ class CompiledObject:
     output_reprs: list[str]
     mode: str = "jit"
     phase_times: PhaseTimes = field(default_factory=PhaseTimes)
-    #: Source of every fused kernel the emitted code references, keyed by
-    #: kernel name — rides the persistent cache entry, beside each
-    #: kernel's module code, so a fresh process can re-register them
-    #: (``rt.kernel_<hash>`` dispatch must never miss for disk-revived
-    #: objects).
-    kernel_sources: dict = field(default_factory=dict)
-    #: Canonical tree encoding of each referenced kernel (same keys as
-    #: ``kernel_sources``) — the native tier decodes these to rebuild
-    #: trees for disk-revived kernels, so warm sessions can still promote
-    #: them to C.
+    #: Canonical tree encoding of every fused kernel the emitted code
+    #: references, keyed by kernel name.  It rides the persistent cache
+    #: entry, beside each kernel's module code, so a fresh process can
+    #: re-register them (``rt.kernel_<hash>`` dispatch must never miss
+    #: for disk-revived objects); the native tier decodes it to rebuild
+    #: the trees, so warm sessions can still promote them to C.
     kernel_keys: dict = field(default_factory=dict)
     #: The function's output names, in order (error texts name them).
     outputs: tuple = ()
@@ -107,6 +103,14 @@ class CompiledObject:
     @property
     def source(self) -> str:
         return self.emitted.source
+
+    @property
+    def kernel_sources(self) -> dict:
+        """Each referenced kernel's Python source, rebuilt from its key."""
+        from repro.kernels import decode, generate_source
+
+        return {name: generate_source(name, *decode(key))
+                for name, key in self.kernel_keys.items()}
 
     # Built once per version, on first use (never pickled: the disk cache
     # stores a field-by-field copy).  ``_formals``: per formal, what
@@ -333,7 +337,6 @@ def compile_function(
         output_reprs=walk.output_reprs,
         mode=mode,
         phase_times=times,
-        kernel_sources=dict(walk.kernel_sources),
         kernel_keys=dict(walk.kernel_keys),
         outputs=tuple(fn.outputs),
     )

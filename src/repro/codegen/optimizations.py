@@ -9,7 +9,7 @@ Three pieces:
   (v the loop variable, c loop-invariant), whose extreme values over the
   loop range are expressible as code;
 * **loop versioning** — given a unit-step ``for`` loop, determine which
-  CHECKED/GROW subscript accesses can run unchecked behind a single
+  CHECKED subscript accesses can run unchecked behind a single
   entry guard, and build that guard's ingredients.
 
 Versioning is the static-compiler counterpart of the JIT's range-based

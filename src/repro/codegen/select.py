@@ -435,11 +435,11 @@ class Walk:
 
     Elementwise fusion is part of the walk, for both targets: with
     ``fusion`` on, :meth:`try_fuse` collapses an elementwise tree into one
-    kernel call and records the kernel in ``kernel_sources`` /
-    ``kernel_keys``.  The loop hook's state is empty unless a target fills
-    it: ``hoisted`` (loop-invariant expressions already named) and
-    ``forced_safe`` (subscripts a loop-entry guard has proven in range;
-    ``forcing_used`` records whether that proof changed a selected mode).
+    kernel call and records the kernel's key in ``kernel_keys``.  The loop
+    hook's state is empty unless a target fills it: ``hoisted``
+    (loop-invariant expressions already named) and ``forced_safe``
+    (subscripts a loop-entry guard has proven in range; ``forcing_used``
+    records whether that proof changed a selected mode).
     """
 
     def __init__(
@@ -466,7 +466,6 @@ class Walk:
         self.hoisted: dict[int, object] = {}
         self.forced_safe: set[int] = set()
         self.forcing_used = False
-        self.kernel_sources: dict[str, str] = {}
         self.kernel_keys: dict[str, str] = {}
         self._int_counters = self._find_int_loop_counters()
         #: Element stores that a path reaches with their array unset: they
@@ -1017,7 +1016,6 @@ class Walk:
                 plan.root, tuple(descs),
                 fault_plan=self.fault_plan,
             )
-        self.kernel_sources[kernel.name] = kernel.source
         self.kernel_keys[kernel.name] = kernel.key
         return self.annotated(self.call(kernel.name, leaves, BOXED), BOXED, node)
 

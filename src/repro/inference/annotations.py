@@ -19,9 +19,7 @@ from repro.typesys.mtype import MType
 class SubscriptSafety(enum.Enum):
     """How much checking a compiled array access still needs."""
 
-    CHECKED = "checked"        # full MATLAB checks
-    GROW_ONLY = "grow_only"    # index proven positive+integral; may grow
-                               # (compiled as CHECKED: MxArray's store)
+    CHECKED = "checked"        # full MATLAB checks (a store may grow)
     SAFE = "safe"              # proven in bounds: direct access
 
 
@@ -82,10 +80,6 @@ class Annotations:
             ),
             "safe_stores": sum(
                 1 for s in self.store_safety.values() if s is SubscriptSafety.SAFE
-            ),
-            "grow_only_stores": sum(
-                1 for s in self.store_safety.values()
-                if s is SubscriptSafety.GROW_ONLY
             ),
             "checked_stores": sum(
                 1 for s in self.store_safety.values()

@@ -15,7 +15,7 @@ inference.
 The solver sweeps the blocks round-robin in reverse postorder, but only
 re-evaluates a block whose input state differs from the one it was last
 evaluated with.  Every evaluation records per-expression types and
-classifies every subscript as SAFE / GROW_ONLY / CHECKED (Section 2.4,
+classifies every subscript as SAFE / CHECKED (Section 2.4,
 "Subscript check removal"); a block's last record was made on its final
 input state, so the records of all blocks together are the annotations.
 Within a re-evaluated block, an atom whose read names kept their types
@@ -459,7 +459,7 @@ class TypeInferenceEngine:
             self._type_index_arg(arg, array, position, len(target.indices), env, record)
             for position, arg in enumerate(target.indices)
         ]
-        record.store_safety[id(target)] = self._classify_store(array, index_types)
+        record.store_safety[id(target)] = self._classify(array, index_types)
 
         new_type = self._array_after_store(array, value, index_types)
         env[target.name] = new_type
@@ -549,7 +549,10 @@ class TypeInferenceEngine:
             self.options.range_propagation and t.range.is_integral_constant
         )
 
-    def _classify_load(self, array: MType, index_types: list[MType]) -> SubscriptSafety:
+    def _classify(self, array: MType, index_types: list[MType]) -> SubscriptSafety:
+        """SAFE when the subscript is proven in range of ``array`` (a
+        load's and a store's rule alike: a store that may grow the array
+        is CHECKED, and MxArray's checked store grows it)."""
         if any(
             t.intrinsic is Intrinsic.BOTTOM and t.maxshape.is_top
             for t in index_types
@@ -578,18 +581,6 @@ class TypeInferenceEngine:
             and index_types[1].range.hi <= col_limit
         ):
             return SubscriptSafety.SAFE
-        return SubscriptSafety.CHECKED
-
-    def _classify_store(self, array: MType, index_types: list[MType]) -> SubscriptSafety:
-        load_class = self._classify_load(array, index_types)
-        if load_class is SubscriptSafety.SAFE:
-            return SubscriptSafety.SAFE
-        if not all(self._index_is_integral(t) for t in index_types):
-            return SubscriptSafety.CHECKED
-        if not self.options.range_propagation:
-            return SubscriptSafety.CHECKED
-        if all(not t.range.is_bottom and t.range.lo >= 1.0 for t in index_types):
-            return SubscriptSafety.GROW_ONLY
         return SubscriptSafety.CHECKED
 
     # ------------------------------------------------------------------
@@ -743,7 +734,7 @@ class TypeInferenceEngine:
                 self._type_index_arg(arg, array, i, len(expr.args), env, record)
                 for i, arg in enumerate(expr.args)
             ]
-            record.load_safety[id(expr)] = self._classify_load(array, index_types)
+            record.load_safety[id(expr)] = self._classify(array, index_types)
             key = ("index", "linear" if len(expr.args) == 1 else "2d")
             result = self._forward(key, [array] + index_types)
             out = [result[0]]

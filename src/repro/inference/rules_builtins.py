@@ -18,6 +18,7 @@ from repro.inference.rules_arith import (
     is_numeric,
     is_real_scalar,
 )
+from repro.runtime.builtins import BUILTINS
 from repro.typesys.intrinsic import Intrinsic
 from repro.typesys.mtype import MType
 from repro.typesys.ranges import Interval
@@ -90,15 +91,15 @@ def _unary_elementwise_rules(
     result_range,
     complex_in_complex_out: bool = True,
     result_intrinsic=None,
-    domain_needs_nonneg: float | None = None,
 ):
     """Rules for a shape-preserving elementwise builtin.
 
     ``result_range(arg_range)`` maps input to output interval for real
-    arguments.  ``domain_needs_nonneg`` marks functions (sqrt, log) that go
-    complex when the argument may dip below the given threshold.
+    arguments.  A builtin with a ``domain`` (sqrt, log) goes complex when
+    the argument may dip below it.
     """
     key = ("builtin", name)
+    domain = BUILTINS[name].domain
 
     def real_result(ctx: RuleContext) -> list[MType]:
         a = ctx.arg(0)
@@ -115,10 +116,10 @@ def _unary_elementwise_rules(
         a = ctx.arg(0)
         if not a.is_real_like:
             return False
-        if domain_needs_nonneg is None:
+        if domain is None:
             return True
         return ctx.range_propagation and not a.range.is_bottom and (
-            a.range.lo >= domain_needs_nonneg
+            a.range.lo >= domain
         )
 
     calc.rule(key, f"{name}:real", real_ok, real_result)
@@ -227,7 +228,6 @@ def register(calc: TypeCalculator) -> None:
         lambda r: Interval.of(math.sqrt(max(r.lo, 0.0)), math.sqrt(max(r.hi, 0.0)))
         if not r.is_bottom and r.hi >= 0
         else Interval.top(),
-        domain_needs_nonneg=0.0,
     )
     _unary_elementwise_rules(
         calc, "exp",
@@ -235,15 +235,8 @@ def register(calc: TypeCalculator) -> None:
         if not r.is_bottom
         else Interval.top(),
     )
-    _unary_elementwise_rules(
-        calc, "log", lambda r: Interval.top(), domain_needs_nonneg=0.0
-    )
-    _unary_elementwise_rules(
-        calc, "log2", lambda r: Interval.top(), domain_needs_nonneg=0.0
-    )
-    _unary_elementwise_rules(
-        calc, "log10", lambda r: Interval.top(), domain_needs_nonneg=0.0
-    )
+    for name in ("log", "log2", "log10"):
+        _unary_elementwise_rules(calc, name, lambda r: Interval.top())
     for name in ("sin", "cos"):
         _unary_elementwise_rules(
             calc, name, lambda r: Interval.of(-1.0, 1.0)
@@ -255,8 +248,7 @@ def register(calc: TypeCalculator) -> None:
     )
     for name in ("asin", "acos"):
         _unary_elementwise_rules(
-            calc, name, lambda r: Interval.of(-math.pi, math.pi),
-            domain_needs_nonneg=-1.0,
+            calc, name, lambda r: Interval.of(-math.pi, math.pi)
         )
     for name in ("sinh", "cosh", "tanh"):
         _unary_elementwise_rules(calc, name, lambda r: Interval.top())

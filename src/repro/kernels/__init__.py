@@ -13,7 +13,10 @@ at least 32,768 elements) takes the result of the exact op (``+ - .* *
 
 Layout:
 
-* :mod:`repro.kernels.fusion` — tree matchers.  ``match_typed`` walks a
+* :mod:`repro.kernels.fusion` — the tree types, the operator table
+  (:data:`OPS`: one row per fused operator, which the matchers, this
+  package's NumPy emitter and :mod:`repro.native.clower`'s C emitter
+  all read) and the tree matchers.  ``match_typed`` walks a
   type-annotated expression after inference (the code-selection walk,
   for both code generators);
   ``match_dynamic`` is the structural matcher behind the interpreter's
@@ -24,7 +27,7 @@ Layout:
 * :mod:`repro.kernels.cache` — the process-wide content-addressed
   :class:`KernelCache` (SHA-256 of tree structure + operand descriptors);
   compiled functions persist across sessions and, via
-  ``CompiledObject.kernel_sources``, through the disk-backed
+  ``CompiledObject.kernel_keys``, through the disk-backed
   :class:`~repro.repository.cache.RepositoryCache`.
 """
 
@@ -33,9 +36,10 @@ from repro.kernels.fusion import (
     DESC_BOXED,
     DESC_SCALAR,
     DynamicPlan,
-    FUSIBLE_UNARY_BUILTINS,
     Leaf,
     Node,
+    OPS,
+    Op,
     TypedPlan,
     decode,
     match_dynamic,
@@ -50,9 +54,10 @@ __all__ = [
     "DESC_BOXED",
     "DESC_SCALAR",
     "DynamicPlan",
-    "FUSIBLE_UNARY_BUILTINS",
     "Leaf",
     "Node",
+    "OPS",
+    "Op",
     "TypedPlan",
     "decode",
     "match_dynamic",

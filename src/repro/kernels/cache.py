@@ -6,10 +6,10 @@ and a format version, so two textually different expressions with the same
 fused structure share one compiled function — across functions, sessions
 and both consumers (JIT and interpreter).
 
-Persistence: both code generators record every kernel a compiled object
-references in ``CompiledObject.kernel_sources``; the disk-backed
-:class:`~repro.repository.cache.RepositoryCache` stores each kernel's
-module code beside it and re-registers the kernels through
+Persistence: both code generators record the key of every kernel a
+compiled object references in ``CompiledObject.kernel_keys``; the
+disk-backed :class:`~repro.repository.cache.RepositoryCache` stores each
+kernel's module code beside it and re-registers the kernels through
 :meth:`KernelCache.register` when it revives an object in a fresh
 process, so ``rt.kernel_<hash>`` dispatch never misses for disk-cached
 code and reviving one compiles nothing.
@@ -46,12 +46,11 @@ DEFAULT_KERNEL_CACHE_CAPACITY = 256
 
 @dataclass
 class CompiledKernel:
-    """One cached kernel: content key, source text, its module code and
-    the live function."""
+    """One cached kernel: content key, its module code and the live
+    function."""
 
     name: str
     key: str
-    source: str
     code: object
     fn: object
 
@@ -124,11 +123,9 @@ class KernelCache:
             self.misses += 1
         if fault_plan is not None:
             fault_plan.check(SITE_KERNEL_COMPILE, name)
-        source = generate_source(name, root, descs)
-        code = compile_kernel(name, source)
+        code = compile_kernel(name, generate_source(name, root, descs))
         kernel = CompiledKernel(
-            name=name, key=key, source=source, code=code,
-            fn=bind_kernel(name, code),
+            name=name, key=key, code=code, fn=bind_kernel(name, code),
         )
         with self._lock:
             return self._insert(name, kernel)
@@ -141,16 +138,15 @@ class KernelCache:
                 self._touch(name, kernel)
             return kernel
 
-    def register(self, name: str, key: str, source: str, code) -> None:
+    def register(self, name: str, key: str, code) -> None:
         """Revive a kernel from a disk-cache entry — its canonical tree
-        encoding (which the native tier decodes), source and module code —
-        without compiling anything."""
+        encoding (which the native tier decodes) and module code —
+        without generating or compiling anything."""
         with self._lock:
             if name in self._kernels:
                 return
         kernel = CompiledKernel(
-            name=name, key=key, source=source, code=code,
-            fn=bind_kernel(name, code),
+            name=name, key=key, code=code, fn=bind_kernel(name, code),
         )
         with self._lock:
             self._insert(name, kernel)

@@ -2,31 +2,33 @@
 
 Turns a matched fusion tree into one Python function that evaluates the
 whole tree over raw ``ndarray`` views — no intermediate ``MxArray``
-boxing, and one box at the end.  Each operator still allocates its
-result, except where a large temporary dies at it: a ``+ - .* * ./ /``
-node with an operand that is an earlier node's fresh result of at least
-:data:`REUSE_MIN_ELEMENTS` elements, of the result's dtype, writes into
-that operand's buffer (``out=``).  Every temporary is read once, by its
-parent, so it is dead there; the six ops are correctly rounded, so the
-bits are the same either way.  ``crnich_step``'s
-``0.5 .* (u + uold) + c .* (uold - u)`` holds two buffers, not five.
-The generated code must be **bit-identical** to the unfused chain through
-:mod:`repro.runtime.elementwise`, so every statement mirrors the
-corresponding ``mlf_*`` helper exactly:
+boxing, and one box at the end.  Each node's statement is its row of the
+operator table, :data:`repro.kernels.fusion.OPS`; this module adds what
+the table does not hold: the conformance checks, the complex widening
+guard of a row with a ``domain``, and buffer reuse.  Each operator still
+allocates its result, except where a large temporary dies at it: a node
+whose row names an ``out=`` ufunc, with an operand that is an earlier
+node's fresh result of at least :data:`REUSE_MIN_ELEMENTS` elements, of
+the result's dtype, writes into that operand's buffer.  Every temporary
+is read once, by its parent, so it is dead there; those ufuncs are
+correctly rounded, so the bits are the same either way.
+``crnich_step``'s ``0.5 .* (u + uold) + c .* (uold - u)`` holds two
+buffers, not five.  The generated code must be **bit-identical** to the
+unfused chain through :mod:`repro.runtime.elementwise`:
 
 * conformance checks raise the same :class:`DimensionError` message, in
   the same (postorder) position the unfused chain would raise it;
-* relational/logical results pass through ``astype(np.float64)`` at each
-  node, exactly where the unfused chain boxes them;
-* ``.^`` replays ``mlf_power``'s value-dependent complex widening, and
-  ``sqrt``/``log`` replay ``_unary_math``'s negative-domain widening;
+* a logical row's result passes through ``astype(np.float64)`` at each
+  node, exactly where the unfused chain boxes it;
+* a row's value-dependent complex widening (``.^``'s, and a builtin's
+  below its ``Builtin.domain``) replays the unfused one;
 * raw scalar operands are normalized the way ``make_scalar`` would
   normalize them before boxing (so NumPy dtype promotion is unchanged).
 
-Intermediate relational/logical ``float64`` temporaries carry the same
-payloads the unfused chain's boxed intermediates would (``from_ndarray``
-preserves ``float64``/``complex128`` data verbatim), so skipping the box
-is value-transparent.
+Intermediate logical ``float64`` temporaries carry the same payloads the
+unfused chain's boxed intermediates would (``from_ndarray`` preserves
+``float64``/``complex128`` data verbatim), so skipping the box is
+value-transparent.
 """
 
 from __future__ import annotations
@@ -34,48 +36,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DimensionError
-from repro.kernels.fusion import DESC_SCALAR, Leaf, Node
+from repro.kernels.fusion import DESC_SCALAR, OPS, Leaf, Node
 from repro.runtime.mxarray import IntrinsicClass
 from repro.runtime.values import box_result, scalar_payload as _scal
-
-#: Operators whose result is logical (boxed with ``klass = BOOL``).
-_BOOL_OPS = {"==", "~=", "<", "<=", ">", ">=", "&", "|", "u~"}
-
-#: Operators whose unfused helper runs under ``np.errstate`` — the whole
-#: kernel body is wrapped once when any of these appears (values are
-#: unaffected; only FP warnings are suppressed, as the helpers do).
-_ERRSTATE_OPS = {"./", "/", ".^"}
-
-#: ``opname`` used in the unfused conformance error message, per op.
-_OPNAME = {
-    "+": "plus", "-": "minus",
-    ".*": "times", "*": "times",
-    "./": "rdivide", "/": "rdivide",
-    ".^": "power",
-    "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
-    "==": "eq", "~=": "ne", "&": "and", "|": "or",
-}
-
-_CMP_FN = {
-    "<": "np.less", "<=": "np.less_equal",
-    ">": "np.greater", ">=": "np.greater_equal",
-}
-
-_UNARY_NP = {
-    "abs": "np.abs", "sqrt": "np.sqrt", "exp": "np.exp", "log": "np.log",
-    "sin": "np.sin", "cos": "np.cos", "tan": "np.tan",
-    "floor": "np.floor", "ceil": "np.ceil", "conj": "np.conj",
-}
-
-#: Builtins that widen to complex on negative input (``_NEGATIVE_DOMAIN``).
-_WIDEN_BUILTINS = {"sqrt": 0.0, "log": 0.0}
-
-#: The exact ops whose ufunc may write into a dead temporary operand.
-_REUSE_UFUNC = {
-    "+": "np.add", "-": "np.subtract",
-    ".*": "np.multiply", "*": "np.multiply",
-    "./": "np.true_divide", "/": "np.true_divide",
-}
 
 #: A temporary this large (256 KiB of ``float64``, NumPy's own
 #: temporary-elision size) takes its parent's result; a smaller one is
@@ -132,117 +95,66 @@ class _Emitter:
             return f"v{node.index}"
         refs = [self.emit(child) for child in node.children]
         out = self.fresh()
-        op = node.op
+        row = OPS[node.op]
         if len(refs) == 2:
             x, y = refs
             scalar = [self.static_scalar(child) for child in node.children]
             if not any(scalar):
-                self.lines.append(f"_cc({x}, {y}, {_OPNAME[op]!r})")
-            if op in _REUSE_UFUNC:
-                # A temporary is an earlier node's fresh ufunc result: an
-                # array unless its whole subtree is raw scalars.
-                temps = [
-                    (ref, other)
-                    for ref, other, child, static in zip(
-                        refs, refs[::-1], node.children, scalar)
-                    if isinstance(child, Node) and not static
-                ]
-                self._emit_reusing(op, out, x, y, temps)
+                self.lines.append(f"_cc({x}, {y}, {row.opname!r})")
+            # A temporary is an earlier node's fresh ufunc result: an
+            # array unless its whole subtree is raw scalars.
+            temps = [
+                (ref, other)
+                for ref, other, child, static in zip(
+                    refs, refs[::-1], node.children, scalar)
+                if isinstance(child, Node) and not static
+            ]
+            if row.ufunc and temps:
+                self._emit_reusing(row, out, x, y, temps)
             else:
-                self._emit_binary(op, out, x, y)
+                self._emit(row, out, x, y)
+        elif row.domain is not None:
+            # ``_unary_math``'s widening of a real operand below the
+            # builtin's domain.
+            arg = self.fresh()
+            self.lines.append(
+                f"{arg} = {refs[0]}\n"
+                f"if (not np.iscomplexobj({arg}) and {arg}.size"
+                f" and np.any({arg} < {row.domain!r})):\n"
+                f"    {arg} = {arg}.astype(np.complex128)"
+            )
+            self._emit(row, out, arg)
         else:
-            self._emit_unary(op, out, refs[0])
+            self._emit(row, out, refs[0])
         return out
 
-    def _emit_reusing(self, op, out, x, y, temps) -> None:
+    def _emit(self, row, out, x, y=None) -> None:
+        fields = {"out": out, "x": x, "y": y}
+        if "{t}" in row.numpy:
+            fields["t"] = self.fresh()
+        self.lines.append(row.numpy.format(**fields))
+
+    def _emit_reusing(self, row, out, x, y, temps) -> None:
         """``out = x op y``, written into the first temporary in ``temps``
-        that is large enough and whose dtype is the result's; today's
-        statement when none is (or there is none)."""
-        if not temps:
-            self._emit_binary(op, out, x, y)
-            return
-        ufunc = _REUSE_UFUNC[op]
+        that is large enough and whose dtype is the result's; the plain
+        statement when none is."""
         branches = []
         for keyword, (temp, other) in zip(("if", "elif"), temps):
             branches.append(
                 f"{keyword} {temp}.size >= {REUSE_MIN_ELEMENTS} and"
                 f" ({temp}.dtype is _c16 or {temp}.dtype is _f8"
                 f" and not np.iscomplexobj({other})):\n"
-                f"    {out} = {ufunc}({x}, {y}, out={temp})"
+                f"    {out} = {row.ufunc}({x}, {y}, out={temp})"
             )
-        self._emit_binary(op, out, x, y)
+        self._emit(row, out, x, y)
         branches.append("else:\n    " + self.lines.pop())
         self.lines.append("\n".join(branches))
-
-    def _emit_binary(self, op, out, x, y) -> None:
-        lines = self.lines
-        if op == "+":
-            lines.append(f"{out} = {x} + {y}")
-        elif op == "-":
-            lines.append(f"{out} = {x} - {y}")
-        elif op in (".*", "*"):
-            lines.append(f"{out} = {x} * {y}")
-        elif op in ("./", "/"):
-            lines.append(f"{out} = np.true_divide({x}, {y})")
-        elif op == ".^":
-            base = self.fresh()
-            lines.append(f"{base} = {x}")
-            lines.append(
-                f"if (np.any(np.real({base}) < 0)"
-                f" and not np.iscomplexobj({base})"
-                f" and np.any({y} != np.floor(np.real({y})))):\n"
-                f"    {base} = ({base}.astype(np.complex128)"
-                f" if isinstance({base}, np.ndarray) else complex({base}))"
-            )
-            lines.append(f"{out} = np.power({base}, {y})")
-        elif op in _CMP_FN:
-            lines.append(
-                f"{out} = {_CMP_FN[op]}(np.real({x}), np.real({y}))"
-                f".astype(np.float64)"
-            )
-        elif op == "==":
-            lines.append(f"{out} = np.equal({x}, {y}).astype(np.float64)")
-        elif op == "~=":
-            lines.append(f"{out} = np.not_equal({x}, {y}).astype(np.float64)")
-        elif op == "&":
-            lines.append(
-                f"{out} = np.logical_and({x} != 0, {y} != 0)"
-                f".astype(np.float64)"
-            )
-        elif op == "|":
-            lines.append(
-                f"{out} = np.logical_or({x} != 0, {y} != 0)"
-                f".astype(np.float64)"
-            )
-        else:
-            raise ValueError(f"unknown fused binary op {op!r}")
-
-    def _emit_unary(self, op, out, x) -> None:
-        lines = self.lines
-        if op == "u-":
-            lines.append(f"{out} = -({x})")
-        elif op == "u~":
-            lines.append(f"{out} = np.equal({x}, 0).astype(np.float64)")
-        elif op in _WIDEN_BUILTINS:
-            arg = self.fresh()
-            domain = _WIDEN_BUILTINS[op]
-            lines.append(f"{arg} = {x}")
-            lines.append(
-                f"if (not np.iscomplexobj({arg}) and {arg}.size"
-                f" and np.any({arg} < {domain!r})):\n"
-                f"    {arg} = {arg}.astype(np.complex128)"
-            )
-            lines.append(f"{out} = {_UNARY_NP[op]}({arg})")
-        elif op in _UNARY_NP:
-            lines.append(f"{out} = {_UNARY_NP[op]}({x})")
-        else:
-            raise ValueError(f"unknown fused unary op {op!r}")
 
 
 def _needs_errstate(node) -> bool:
     if isinstance(node, Leaf):
         return False
-    if node.op in _ERRSTATE_OPS or node.op in _UNARY_NP:
+    if OPS[node.op].errstate:
         return True
     return any(_needs_errstate(child) for child in node.children)
 
@@ -266,7 +178,7 @@ def generate_source(name: str, root: Node, descs) -> str:
         for line in stmt.split("\n"):
             out.append(indent + line)
     out.append(f"    out = from_ndarray({result})")
-    if root.op in _BOOL_OPS:
+    if OPS[root.op].logical:
         out.append("    out.klass = IntrinsicClass.BOOL")
     out.append("    return out")
     return "\n".join(out) + "\n"

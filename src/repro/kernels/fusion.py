@@ -32,25 +32,11 @@ from dataclasses import dataclass, field
 from repro.analysis.symtab import SymbolKind
 from repro.codegen.select import BOXED, repr_of_type
 from repro.frontend import ast_nodes as ast
+from repro.runtime.builtins import BUILTINS
 
 #: Leaf descriptors: a boxed MxArray operand vs a raw host scalar.
 DESC_BOXED = "b"
 DESC_SCALAR = "s"
-
-#: Elementwise binary operators fused unconditionally (when array-typed).
-FUSIBLE_BINOPS = {
-    "+", "-", ".*", "./", ".^",
-    "==", "~=", "<", "<=", ">", ">=",
-    "&", "|",
-}
-
-#: Shape-preserving unary math builtins whose runtime implementation is a
-#: single ``np`` call under ``_unary_math`` (see ``runtime/builtins.py``).
-#: ``sqrt``/``log`` carry the same runtime complex-widening check there.
-FUSIBLE_UNARY_BUILTINS = {
-    "abs", "sqrt", "exp", "log", "sin", "cos", "tan",
-    "floor", "ceil", "conj",
-}
 
 #: Tree-size guardrails: a fused kernel needs at least two collapsed
 #: operators to beat a helper call, and very wide trees would generate
@@ -80,6 +66,105 @@ class Node:
 
     op: str
     children: tuple
+
+
+@dataclass(frozen=True)
+class Op:
+    """One fused operator: what the matchers and both kernel emitters
+    know about it.
+
+    ``numpy`` and ``c`` are statement templates over ``{out}``, ``{x}``
+    and, for a binary op, ``{y}`` (``{t}``: a fresh temporary).  Each
+    NumPy statement mirrors the op's unfused ``mlf_*`` helper or
+    ``_unary_math`` builtin bit for bit; a C statement is an IEEE-754
+    exact match for that ufunc over ``double``, and ``None`` where C has
+    none (libm and NumPy disagree in the last ulp on ``.^``, ``exp``,
+    ``log`` and trig), so a tree holding the op is not native-eligible.
+    """
+
+    #: The op's name in the conformance error text; ``None``: a unary op.
+    opname: str | None
+    numpy: str
+    c: str | None = None
+    #: The result is logical (boxed with ``klass = BOOL``); the NumPy
+    #: statement yields it as ``float64``, where the unfused chain boxes.
+    logical: bool = False
+    #: The unfused helper runs under ``np.errstate``: the kernel body is
+    #: wrapped once (values are unaffected, only FP warnings).
+    errstate: bool = False
+    #: The ufunc that may write the result into a dead temporary operand.
+    ufunc: str | None = None
+    #: ``Builtin.domain``: below it a real operand widens to complex in
+    #: NumPy and makes the C kernel return nonzero.
+    domain: float | None = None
+
+
+def _logical(opname, numpy, c) -> Op:
+    return Op(opname, f"{{out}} = {numpy}.astype(np.float64)",
+              f"double {{out}} = ({c}) ? 1.0 : 0.0;", logical=True)
+
+
+def _math(name, c=None) -> Op:
+    """A shape-preserving builtin that is one ``np`` call under
+    ``_unary_math``."""
+    return Op(None, f"{{out}} = np.{name}({{x}})",
+              c and f"double {{out}} = {c};", errstate=True,
+              domain=BUILTINS[name].domain)
+
+
+_TIMES = Op("times", "{out} = {x} * {y}", "double {out} = {x} * {y};",
+            ufunc="np.multiply")
+_RDIVIDE = Op("rdivide", "{out} = np.true_divide({x}, {y})",
+              "double {out} = {x} / {y};", errstate=True,
+              ufunc="np.true_divide")
+
+#: Every fusible operator, keyed by its ``Node.op`` spelling.  ``*`` and
+#: ``/`` fuse only with a scalar operand (their ``mlf_*`` helpers then
+#: delegate to ``.*`` and ``./``); ``.^`` replays ``mlf_power``'s
+#: value-dependent complex widening.
+OPS: dict[str, Op] = {
+    "+": Op("plus", "{out} = {x} + {y}", "double {out} = {x} + {y};",
+            ufunc="np.add"),
+    "-": Op("minus", "{out} = {x} - {y}", "double {out} = {x} - {y};",
+            ufunc="np.subtract"),
+    ".*": _TIMES,
+    "*": _TIMES,
+    "./": _RDIVIDE,
+    "/": _RDIVIDE,
+    ".^": Op("power", "{t} = {x}\n"
+             "if (np.any(np.real({t}) < 0) and not np.iscomplexobj({t})"
+             " and np.any({y} != np.floor(np.real({y})))):\n"
+             "    {t} = ({t}.astype(np.complex128)"
+             " if isinstance({t}, np.ndarray) else complex({t}))\n"
+             "{out} = np.power({t}, {y})", errstate=True),
+    "<": _logical("lt", "np.less(np.real({x}), np.real({y}))", "{x} < {y}"),
+    "<=": _logical("le", "np.less_equal(np.real({x}), np.real({y}))",
+                   "{x} <= {y}"),
+    ">": _logical("gt", "np.greater(np.real({x}), np.real({y}))",
+                  "{x} > {y}"),
+    ">=": _logical("ge", "np.greater_equal(np.real({x}), np.real({y}))",
+                   "{x} >= {y}"),
+    "==": _logical("eq", "np.equal({x}, {y})", "{x} == {y}"),
+    "~=": _logical("ne", "np.not_equal({x}, {y})", "{x} != {y}"),
+    # NaN is nonzero for ``&`` / ``|``, in NumPy and in C.
+    "&": _logical("and", "np.logical_and({x} != 0, {y} != 0)",
+                  "{x} != 0.0 && {y} != 0.0"),
+    "|": _logical("or", "np.logical_or({x} != 0, {y} != 0)",
+                  "{x} != 0.0 || {y} != 0.0"),
+    "u-": Op(None, "{out} = -({x})", "double {out} = -({x});"),
+    "u~": _logical(None, "np.equal({x}, 0)", "{x} == 0.0"),
+    "abs": _math("abs", "fabs({x})"),
+    "sqrt": _math("sqrt", "sqrt({x})"),
+    "exp": _math("exp"),
+    "log": _math("log"),
+    "sin": _math("sin"),
+    "cos": _math("cos"),
+    "tan": _math("tan"),
+    "floor": _math("floor", "floor({x})"),
+    "ceil": _math("ceil", "ceil({x})"),
+    # Real data only in C: the native dispatch guard rejects complex.
+    "conj": _math("conj", "{x}"),
+}
 
 
 def encode(node, descs) -> str:
@@ -232,15 +317,13 @@ def match_typed(expr, ann, dis) -> TypedPlan | None:
 def _typed_op(node, scalar_typed, dis) -> str | None:
     """The fused-op spelling for ``node``, or ``None`` if not fusible."""
     if isinstance(node, ast.BinaryOp):
-        if node.op in FUSIBLE_BINOPS:
-            return node.op
-        if node.op == "*" and (
-            scalar_typed(node.left) or scalar_typed(node.right)
-        ):
-            return "*"               # mlf_mtimes delegates to mlf_times
-        if node.op == "/" and scalar_typed(node.right):
-            return "/"               # mlf_mrdivide delegates to mlf_rdivide
-        return None
+        if node.op == "*":
+            fusible = scalar_typed(node.left) or scalar_typed(node.right)
+        elif node.op == "/":
+            fusible = scalar_typed(node.right)
+        else:
+            fusible = node.op in OPS
+        return node.op if fusible else None
     if isinstance(node, ast.UnaryOp):
         if node.op is ast.UnaryKind.NEG:
             return "u-"
@@ -250,7 +333,7 @@ def _typed_op(node, scalar_typed, dis) -> str | None:
     if (
         isinstance(node, ast.Apply)
         and dis.kind_of(node) is SymbolKind.BUILTIN
-        and node.name in FUSIBLE_UNARY_BUILTINS
+        and node.name in OPS
         and len(node.args) == 1
     ):
         return node.name
@@ -260,8 +343,6 @@ def _typed_op(node, scalar_typed, dis) -> str | None:
 def _leaf_pure(node, dis) -> bool:
     """True when evaluating ``node`` cannot produce an observable side
     effect (output, RNG draw, user-function re-entry)."""
-    from repro.runtime.builtins import BUILTINS
-
     for sub in ast.walk_expr(node):
         if isinstance(sub, (ast.Ident, ast.Apply)):
             kind = dis.kind_of(sub)
@@ -347,7 +428,7 @@ def match_dynamic(expr) -> DynamicPlan | None:
             return build(node.operand, is_root)
         op = None
         if isinstance(node, ast.BinaryOp):
-            if node.op in FUSIBLE_BINOPS or node.op in ("*", "/"):
+            if node.op in OPS:
                 op = node.op
                 has_matmul = has_matmul or node.op in ("*", "/")
         elif isinstance(node, ast.UnaryOp):

@@ -25,12 +25,7 @@ from repro.native.artifacts import (
     NativeArtifactStore,
     artifact_key,
 )
-from repro.native.clower import (
-    NATIVE_BINOPS,
-    NATIVE_UNARY,
-    generate_c,
-    native_eligible,
-)
+from repro.native.clower import generate_c, native_eligible
 from repro.native.engine import DEFAULT_MIN_ELEMS, NativeEngine
 from repro.native.toolchain import (
     CompileError,
@@ -44,9 +39,7 @@ __all__ = [
     "CompileTimeout",
     "DEFAULT_MIN_ELEMS",
     "DEFAULT_NATIVE_DIR",
-    "NATIVE_BINOPS",
     "NATIVE_FORMAT_VERSION",
-    "NATIVE_UNARY",
     "NativeArtifactStore",
     "NativeEngine",
     "Toolchain",

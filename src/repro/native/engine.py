@@ -57,16 +57,13 @@ from repro.kernels.codegen import (
     compile_kernel,
     generate_source,
 )
-from repro.kernels.fusion import DESC_BOXED, decode
+from repro.kernels.fusion import DESC_BOXED, OPS, decode
 from repro.native.artifacts import NativeArtifactStore, artifact_key
 from repro.native.clower import generate_c, native_eligible
 from repro.native.toolchain import CompileTimeout, Toolchain, detect_toolchain
 from repro.obs import DISABLED as DISABLED_OBS
 from repro.repository.background import run_out_of_band
 from repro.runtime.mxarray import IntrinsicClass, MxArray
-
-#: Operators whose result is logical (mirrors the Python codegen).
-from repro.kernels.codegen import _BOOL_OPS
 
 #: How many consecutive run failures demote a ready kernel to failed.
 MAX_RUN_STRIKES = 3
@@ -275,7 +272,7 @@ class NativeEngine:
                 self._finish(name, "ineligible")
                 return False
             akey = artifact_key(key, self.toolchain.ident)
-            bool_root = root.op in _BOOL_OPS
+            bool_root = OPS[root.op].logical
             cached = self.store.load(akey) if self.store is not None else None
             if cached is not None:
                 record = self._load(

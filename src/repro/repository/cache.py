@@ -45,10 +45,11 @@ An entry is a pickle of the :class:`~repro.codegen.jitgen.CompiledObject`
 beside a :mod:`marshal` of compiled bytecode: the module code of the
 emitted function and of every fused kernel it references.  Loading
 executes that code to bind the callable and re-register the kernels; it
-never compiles (``put`` compiles a kernel only if the process-wide
-kernel cache has dropped it).  The pickled object keeps its generated
+never generates or compiles (``put`` rebuilds a kernel's source from its
+key and compiles it only if the process-wide kernel cache has dropped
+it).  The pickled object keeps its generated
 source (explain, the goldens and tests read it), its signature and
-kernel tables, and from its annotations ``var_types``, ``output_types``,
+kernel keys, and from its annotations ``var_types``, ``output_types``,
 ``converged`` and ``iterations``.  The identity-keyed tables
 (``expr_types``, ``load_safety``, ``store_safety``, ``bound_calls``) are
 stored empty:
@@ -81,7 +82,8 @@ from dataclasses import replace
 
 from repro.codegen.jitgen import CompiledObject
 from repro.kernels.cache import KERNEL_CACHE
-from repro.kernels.codegen import compile_kernel
+from repro.kernels.codegen import compile_kernel, generate_source
+from repro.kernels.fusion import decode
 from repro.repository.store import DiskStore
 from repro.vcode.emit import bind_function
 
@@ -107,8 +109,9 @@ from repro.vcode.emit import bind_function
 #: / ``eye_of``), which an older runtime lacks; format 13 stores code
 #: whose loop bounds are host ``int()`` and whose growing stores are
 #: MxArray's checked ones (older code calls helpers this runtime lacks),
-#: and whose linear loads of a matrix are column-major.
-CACHE_FORMAT_VERSION = "13"
+#: and whose linear loads of a matrix are column-major; format 14 stores
+#: each kernel once, by its key (no source text beside it).
+CACHE_FORMAT_VERSION = "14"
 
 #: The signature slot of a parse record's key.
 UNIT_TAG = "source-unit"
@@ -210,11 +213,10 @@ def serialize_object(obj: CompiledObject) -> bytes:
     identity-keyed annotation tables emptied — beside a ``marshal`` of
     the module code of its function and of each of its kernels."""
     kernels = {}
-    for name, source in obj.kernel_sources.items():
+    for name, key in obj.kernel_keys.items():
         kernel = KERNEL_CACHE.lookup(name)
-        kernels[name] = (
-            kernel.code if kernel is not None else compile_kernel(name, source)
-        )
+        kernels[name] = kernel.code if kernel is not None else compile_kernel(
+            name, generate_source(name, *decode(key)))
     code = marshal.dumps((obj.emitted.code, kernels))
     # ``replace`` copies fields only: what a version binds lazily for the
     # serve path (``CompiledObject._bind``) never reaches the payload.
@@ -237,8 +239,8 @@ def deserialize_object(payload: bytes) -> CompiledObject:
     emitted = obj.emitted
     emitted.code, kernels = marshal.loads(code)
     emitted.callable = bind_function(emitted.code, emitted.name)
-    for name, source in obj.kernel_sources.items():
-        KERNEL_CACHE.register(name, obj.kernel_keys[name], source, kernels[name])
+    for name, key in obj.kernel_keys.items():
+        KERNEL_CACHE.register(name, key, kernels[name])
     return obj
 
 

@@ -15,7 +15,10 @@ from compilation).  A builtin may also carry a *typed entry*
 ``impl`` wraps.  Code selection calls it directly, without boxes, when
 inference types every argument an exact real scalar.  ``zeros``, ``ones``
 and ``eye`` have one (``zeros_of`` / ``ones_of`` / ``eye_of``, on their
-host size arguments).
+host size arguments).  A math builtin whose result turns complex on
+part of the real line carries that bound (``Builtin.domain``): its
+``impl``, the fused kernels' widening guard, the C kernels' bail-out and
+the inference rules all read it.
 """
 
 from __future__ import annotations
@@ -107,6 +110,10 @@ class Builtin:
     # wraps, called by compiled code whose arguments inference typed
     # exact real scalars (exposed on RuntimeSupport under its own name).
     host: Callable | None = None
+    # The real bound below which an elementwise math builtin's result is
+    # complex (``sqrt``, ``log``: 0); ``None`` when a real argument always
+    # gives a real result.
+    domain: float | None = None
 
 
 BUILTINS: dict[str, Builtin] = {}
@@ -121,6 +128,7 @@ def register(
     int_scalar_affinity: bool = False,
     doc: str = "",
     host: Callable | None = None,
+    domain: float | None = None,
 ):
     """Decorator adding a builtin implementation to the registry."""
 
@@ -135,6 +143,7 @@ def register(
             int_scalar_affinity=int_scalar_affinity,
             doc=doc or (fn.__doc__ or "").strip(),
             host=host,
+            domain=domain,
         )
         return fn
 
@@ -212,23 +221,21 @@ def _shape(rows, cols=None) -> tuple[int, int]:
     return rows, cols if cols > 0 else 0
 
 
-def _unary_math(name: str, fn, needs_complex_for_negative: bool = False):
-    @register(name, min_args=1, max_args=1, doc=f"elementwise {name}")
+def _unary_math(name: str, fn, domain: float | None = None):
+    @register(name, min_args=1, max_args=1, doc=f"elementwise {name}",
+              domain=domain)
     def impl(args: list[MxArray], nargout: int) -> list[MxArray]:
         a = args[0]
         view = a.view()
         if a.is_string:
             view = np.array([[float(ord(c)) for c in a.text]])
-        if needs_complex_for_negative and not np.iscomplexobj(view):
-            if view.size and np.any(view < _NEGATIVE_DOMAIN[name]):
+        if domain is not None and not np.iscomplexobj(view):
+            if view.size and np.any(view < domain):
                 view = view.astype(np.complex128)
         with np.errstate(divide="ignore", invalid="ignore"):
             return [from_ndarray(fn(view))]
 
     return impl
-
-
-_NEGATIVE_DOMAIN = {"sqrt": 0.0, "log": 0.0, "log2": 0.0, "log10": 0.0, "asin": -1.0, "acos": -1.0}
 
 
 # ----------------------------------------------------------------------
@@ -392,16 +399,16 @@ def _isscalar(args, nargout):
 # Elementary elementwise math
 # ----------------------------------------------------------------------
 _unary_math("abs", np.abs)
-_unary_math("sqrt", np.sqrt, needs_complex_for_negative=True)
+_unary_math("sqrt", np.sqrt, domain=0.0)
 _unary_math("exp", np.exp)
-_unary_math("log", np.log, needs_complex_for_negative=True)
-_unary_math("log2", np.log2, needs_complex_for_negative=True)
-_unary_math("log10", np.log10, needs_complex_for_negative=True)
+_unary_math("log", np.log, domain=0.0)
+_unary_math("log2", np.log2, domain=0.0)
+_unary_math("log10", np.log10, domain=0.0)
 _unary_math("sin", np.sin)
 _unary_math("cos", np.cos)
 _unary_math("tan", np.tan)
-_unary_math("asin", np.arcsin, needs_complex_for_negative=False)
-_unary_math("acos", np.arccos, needs_complex_for_negative=False)
+_unary_math("asin", np.arcsin)
+_unary_math("acos", np.arccos)
 _unary_math("atan", np.arctan)
 _unary_math("sinh", np.sinh)
 _unary_math("cosh", np.cosh)

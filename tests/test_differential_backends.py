@@ -386,6 +386,16 @@ COMPLEX_STORE = (
     "function r = cz(n)\nA = zeros(1, 4);\nr = 0;\n"
     "for k = 1:4, A(k) = k + sqrt(-n); r = r + A(k); end\n"
 )
+#: ``asin`` / ``acos`` of a real operand outside [-1, 1] are a real NaN
+#: (``Builtin.domain`` is ``None``), so no compiled row may type them
+#: complex: scalar and vector operands, literal and formal.
+ASIN_ACOS = (
+    "function [a, b, c, d] = ad(x)\na = asin(x) + acos(-x);\n"
+    "b = [asin(2), acos(-2)];\nc = asin([x, 0.5, -x]) + acos([-x, 1, x]);\n"
+    "v = zeros(1, 20) - x;\nd = acos(v) .* 2 + asin(-v) ./ 2;\n"
+    "disp(asin(-x)); disp(acos(x));\n"
+    "for k = 1:3, d(k) = acos(-x * k); end\n"
+)
 #: Size arguments of the other size-taking builtins: what each reference
 #: page says (cited in ``runtime/builtins.py``), then a NaN, which raises.
 SIZE_ARGS = {
@@ -747,6 +757,9 @@ PROBES = {
     "linear-grow-matrix": Program((LINEAR_GROW,), "lgm", _scalar(7.0)),
     "char-store": Program((CHAR_STORE,), "st", _scalar(1.0)),
     "complex-store-widens": Program((COMPLEX_STORE,), "cz", _scalar(4.0)),
+    "asin-acos-outside-domain": Program(
+        (ASIN_ACOS,), "ad", _scalar(2.0), nargout=4
+    ),
     **{
         f"size-args-{label}": Program((source,), entry, _scalar(-2.0))
         for label, (entry, source) in SIZE_ARGS.items()

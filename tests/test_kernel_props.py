@@ -25,9 +25,17 @@ from repro import SPARC, MajicSession
 from repro.errors import MatlabError
 from repro.frontend.parser import parse
 from repro.interp.interpreter import Interpreter
-from repro.kernels.codegen import REUSE_MIN_ELEMENTS
+from repro.kernels.codegen import (
+    REUSE_MIN_ELEMENTS,
+    bind_kernel,
+    compile_kernel,
+    generate_source,
+)
+from repro.kernels.fusion import OPS, Leaf, Node
+from repro.runtime import elementwise as ew
+from repro.runtime.builtins import call_builtin
 from repro.runtime.display import OutputSink
-from repro.runtime.values import from_python, make_string
+from repro.runtime.values import from_python, make_scalar, make_string
 
 # ----------------------------------------------------------------------
 # Expression templates over three operands.  Each covers a different
@@ -328,3 +336,90 @@ def test_reused_buffers_bit_identical_and_private(data):
         ), f"{label} returned an operand's buffer on {template}"
         assert [arg.view().tobytes() for arg in args] == before, (
             f"{label} wrote into an operand on {template}")
+
+
+# ----------------------------------------------------------------------
+# The operator table, one row at a time
+# ----------------------------------------------------------------------
+#: Signed zeros, infinities, NaN, negatives, halves and integers.
+ROW_REALS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -3.0, -1.0, -0.5, 0.5, 1.0, 1.5,
+     2.0, -2.5, 3.0])
+
+#: Every ordered pair of ``ROW_REALS``, as two 1xN operands.
+PAIR_X = np.repeat(ROW_REALS, ROW_REALS.size).reshape(1, -1)
+PAIR_Y = np.tile(ROW_REALS, ROW_REALS.size).reshape(1, -1)
+
+#: Imaginary parts for the complex operands: never zero, so the operands
+#: stay complex once boxed.
+ROW_IMAGS = np.array([1.0, -1.0, 0.5, -2.5, np.inf, np.nan, 3.0])
+
+
+def _complex(reals):
+    imags = np.resize(ROW_IMAGS, reals.size).reshape(reals.shape)
+    return reals + 1j * imags
+
+
+def row_tree(op):
+    """The one-node tree of a row, over boxed leaves."""
+    arity = 1 if OPS[op].opname is None else 2
+    return Node(op, tuple(Leaf(i) for i in range(arity)))
+
+
+def row_kernel(op, descs):
+    """The row's NumPy kernel, built outside the process-wide cache."""
+    source = generate_source("row", row_tree(op), descs)
+    return bind_kernel("row", compile_kernel("row", source))
+
+
+def unfused(op, *args):
+    """What the interpreter's unfused chain computes for ``op``."""
+    if op == "u-":
+        return ew.mlf_uminus(*args)
+    if op == "u~":
+        return ew.mlf_not(*args)
+    if OPS[op].opname is None:
+        return call_builtin(op, list(args))[0]
+    return Interpreter._BINOPS[op](*args)
+
+
+def outcome_of(call, *args):
+    try:
+        return ("ok",) + bits(call(*args))
+    except Exception as exc:  # noqa: BLE001 - raising is an outcome
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def row_cases(op):
+    """``(descs, kernel operands, unfused operands)`` for one row: real
+    and complex operands, arrays against arrays and against every
+    special as a 1x1 box and as a raw scalar.  ``*`` and ``/`` fuse only
+    with a scalar on the right, so they get no array pair."""
+    if OPS[op].opname is None:
+        for x in (ROW_REALS.reshape(1, -1), _complex(ROW_REALS.reshape(1, -1))):
+            yield ("b",), [from_python(x)], [from_python(x)]
+        return
+    for x, y in ((PAIR_X, PAIR_Y), (_complex(PAIR_X), _complex(PAIR_Y[:, ::-1]))):
+        if op not in ("*", "/"):
+            yield ("b", "b"), [from_python(x), from_python(y)], [
+                from_python(x), from_python(y)]
+        x = x[:, :ROW_REALS.size]
+        for value in y.ravel()[:ROW_REALS.size]:
+            value = value.item()
+            yield ("b", "b"), [from_python(x), from_python(value)], [
+                from_python(x), from_python(value)]
+            yield ("b", "s"), [from_python(x), value], [
+                from_python(x), make_scalar(value)]
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_table_row_bit_identical_to_unfused_chain(op):
+    """Each row's NumPy statement answers the unfused ``mlf_*`` helper's
+    or the builtin's bits, or raises what it raises."""
+    kernels = {}
+    for descs, fused_args, plain_args in row_cases(op):
+        kernel = kernels.get(descs) or kernels.setdefault(
+            descs, row_kernel(op, descs))
+        want = outcome_of(unfused, op, *plain_args)
+        got = outcome_of(kernel, *fused_args)
+        assert got == want, (op, descs, fused_args)

@@ -166,7 +166,7 @@ def test_kernel_reuses_dead_temporaries(fresh_session):
     rng = np.random.default_rng(0)
     u, uold = (from_python(rng.random((1, 65536))) for _ in range(2))
     session.call_boxed("crnich", [u, uold, from_python(0.25)], nargout=1)
-    (name,) = session.repository._objects["crnich"][0].kernel_sources
+    (name,) = session.repository._objects["crnich"][0].kernel_keys
     kernel = KERNEL_CACHE.lookup(name).fn
     args = (0.5, u, uold, 0.25)        # leaves in first-reached order
     expected = kernel(*args).view().tobytes()
@@ -191,9 +191,9 @@ def test_jit_emits_fused_kernel_call(fresh_session):
     source = jit_source(session)
     names = set(re.findall(r"kernel_[0-9a-f]{16}", source))
     assert names, f"no fused kernel call in:\n{source}"
-    # The generated kernel source rides along on the compiled object.
+    # Each kernel's key rides along on the compiled object.
     obj = session.repository._objects["axpy"][0]
-    assert names <= set(obj.kernel_sources)
+    assert names <= set(obj.kernel_keys)
     assert result == EXPECTED
 
 
@@ -260,7 +260,7 @@ def test_disk_cache_revives_kernels(tmp_path, fresh_session):
     first = fresh_session(cache_dir=tmp_path)
     first.add_source(AXPY)
     expected = call_axpy(first)
-    kernels = set(first.repository._objects["axpy"][0].kernel_sources)
+    kernels = set(first.repository._objects["axpy"][0].kernel_keys)
     assert kernels
     first.close()
 

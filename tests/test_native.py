@@ -44,10 +44,11 @@ from repro.faults.plan import (
 )
 from repro.kernels import KERNEL_CACHE
 from repro.kernels import cache as kernel_cache
-from repro.kernels.fusion import Leaf, Node, decode, encode
+from repro.kernels.fusion import OPS, Leaf, Node, decode, encode
 from repro.native import (
     NATIVE_FORMAT_VERSION,
     NativeArtifactStore,
+    NativeEngine,
     Toolchain,
     detect_toolchain,
     native_eligible,
@@ -59,12 +60,15 @@ from repro.runtime.values import from_python
 
 from .test_kernel_props import (
     NO_UNROLL,
+    ROW_REALS,
     SPECIALS,
     NONZERO_SPECIALS,
     bits,
     canon_bits,
     digest,
     make_operand,
+    row_cases,
+    row_tree,
     run_engine,
     run_interp,
     shapes,
@@ -492,3 +496,37 @@ def test_native_eligibility_excludes_inexact_ops():
         children = (Leaf(0), Leaf(1)) if op == ".^" else (Leaf(0),)
         inexact = Node("+", (Node(op, children), Leaf(1)))
         assert not native_eligible(inexact), op
+
+
+# ----------------------------------------------------------------------
+# The operator table, one row at a time: C against NumPy
+# ----------------------------------------------------------------------
+@needs_cc
+@pytest.mark.parametrize(
+    "op", [op for op, row in OPS.items() if row.c is not None])
+def test_table_row_c_kernel_bit_identical_to_numpy_kernel(op):
+    """Each row with a C statement answers its NumPy kernel's bits on
+    real operands; a complex operand, or an element below the row's
+    domain, is declined, and the NumPy kernel answers."""
+    domain = OPS[op].domain
+    cases = list(row_cases(op))
+    if domain is not None:
+        inside = ROW_REALS[~(ROW_REALS < domain)].reshape(1, -1)
+        cases.append((("b",), [from_python(inside)], None))
+    engine = NativeEngine(sync=True, hot_threshold=1, min_elems=1)
+    kernels = {}
+    for descs, args, _ in cases:
+        kernel = kernels.get(descs)
+        if kernel is None:
+            kernel = kernels[descs] = KERNEL_CACHE.get_or_compile(
+                row_tree(op), descs)
+            assert engine.compile_now(kernel.name, kernel.key), engine.errors
+        got = engine.dispatch(kernel, args)
+        values = [np.asarray(a.view() if hasattr(a, "view") else a)
+                  for a in args]
+        if any(np.iscomplexobj(v) for v in values) or (
+                domain is not None and np.any(values[0] < domain)):
+            assert got is None, (op, descs, args)
+        else:
+            assert got is not None, (op, descs, args)
+            assert bits(got) == bits(kernel.fn(*args)), (op, descs, args)

@@ -234,11 +234,13 @@ def test_background_speculation_populates_cache(tmp_path):
 @pytest.mark.parametrize("name", ["orbec", "dirich", "sor"])
 def test_warm_first_call_compiles_no_python(tmp_path, monkeypatch, name):
     """A warm first call binds the entry's bytecode — the function's and,
-    on ``sor``, its fused kernels' — so it runs with ``compile``
-    unavailable, and its observation is the interpreter's."""
+    on ``sor``, its fused kernels' — so it runs with ``compile`` and
+    kernel source generation unavailable, and its observation is the
+    interpreter's."""
     from repro import backends
     from repro.backends import Program
     from repro.kernels import KERNEL_CACHE
+    from repro.kernels.codegen import _Emitter
 
     program = Program.benchmark(name)
     expected = backends.reference(program)
@@ -246,7 +248,7 @@ def test_warm_first_call_compiles_no_python(tmp_path, monkeypatch, name):
         assert cold.call() == expected
         kernels = {
             kernel for version in cold.session.repository.versions_of(name)
-            for kernel in version.kernel_sources
+            for kernel in version.kernel_keys
         }
     assert bool(kernels) == (name == "sor")
     # As in a fresh process: a kernel comes back only from an entry.
@@ -255,9 +257,13 @@ def test_warm_first_call_compiles_no_python(tmp_path, monkeypatch, name):
     def no_compile(*args, **kwargs):
         raise AssertionError("a warm first call compiled Python source")
 
+    def no_generate(*args, **kwargs):
+        raise AssertionError("a warm first call generated kernel source")
+
     with backends.open(program, "fused", cache_dir=tmp_path) as warm:
         with monkeypatch.context() as patch:
             patch.setattr(builtins, "compile", no_compile)
+            patch.setattr(_Emitter, "emit", no_generate)
             observed = warm.call()
         stats = warm.session.stats
         assert warm.fallbacks() == ()
@@ -333,14 +339,14 @@ def test_put_compiles_a_kernel_the_kernel_cache_dropped(tmp_path):
     x = np.arange(1.0, 65.0).reshape(1, 64)
     expected = session.call("axpy", 2.0, x, 3.0)
     (obj,) = session.repository.versions_of("axpy")
-    assert obj.kernel_sources
+    assert obj.kernel_keys
     KERNEL_CACHE.clear()
     cache = RepositoryCache(tmp_path)
     assert cache.put("c" * 64, obj)
 
     KERNEL_CACHE.clear()
     revived = cache.get("c" * 64)
-    assert all(KERNEL_CACHE.lookup(name) for name in obj.kernel_sources)
+    assert all(KERNEL_CACHE.lookup(name) for name in obj.kernel_keys)
     assert KERNEL_CACHE.stats()["misses"] == 0
     from repro.codegen.runtime_support import RuntimeSupport
     from repro.runtime.values import from_python, to_python
@@ -565,8 +571,8 @@ def test_fresh_stores_write_current_format_frames(tmp_path):
 
     cache = RepositoryCache(tmp_path)
     assert cache.put("d" * 64, _cached_object())
-    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC13\n")
-    assert frame_payload(b"x").startswith(b"MAJC13\n")
+    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC14\n")
+    assert frame_payload(b"x").startswith(b"MAJC14\n")
 
 
 def test_format_5_entry_is_not_served(tmp_path):
@@ -578,7 +584,7 @@ def test_format_5_entry_is_not_served(tmp_path):
     [name] = _entries(tmp_path)
     path = tmp_path / name
     data = path.read_bytes()
-    assert data.startswith(b"MAJC13\n")
+    assert data.startswith(b"MAJC14\n")
     path.write_bytes(b"MAJC5" + data[6:])  # the same entry, framed as 5
 
     warm = MajicSession(cache_dir=tmp_path)

@@ -119,12 +119,11 @@ def test_spec_versions_carry_their_kernels(name):
     with backends.open(ORBITS[name], "spec") as handle:
         handle.call()
         versions = _spec_versions(handle.session)
-    fused = [v for v in versions if v.kernel_sources]
+    fused = [v for v in versions if v.kernel_keys]
     assert bool(fused) == (name in FUSING)
     assert all("rt.kernel_" not in v.source for v in versions if v not in fused)
     for version in fused:
-        assert version.kernel_keys.keys() == version.kernel_sources.keys()
-        for kernel in version.kernel_sources:
+        for kernel in version.kernel_keys:
             assert f"rt.{kernel}" in version.source
 
 
@@ -136,7 +135,7 @@ def test_fusion_off_spec_version_has_no_kernels_and_its_own_key(tmp_path):
             session.add_source(source)
         session.speculate_all()
         [version] = _spec_versions(session)
-        assert bool(version.kernel_sources) == fusion
+        assert bool(version.kernel_keys) == fusion
         assert ("rt.kernel_" in version.source) == fusion
         keys[fusion] = session.repository.profile_key("orbit12", "spec")
         session.close()
@@ -150,7 +149,7 @@ def test_falcon_stays_unfused(name):
     for source in program.sources:
         engine.add_source(source)
     obj = engine.compile_function(program.entry, program.make_args())
-    assert obj.kernel_sources == {} and "kernel_" not in obj.source
+    assert obj.kernel_keys == {} and "kernel_" not in obj.source
 
 
 @pytest.mark.parametrize("name", ORBITS)
@@ -167,6 +166,6 @@ def test_spec_version_revives_from_disk_with_its_kernels(name, tmp_path):
         assert stats.cache_hits > 0 and stats.calls_spec > 0
         assert stats.deopts == 0
         assert any(
-            v.kernel_sources for v in _spec_versions(handle.session)
+            v.kernel_keys for v in _spec_versions(handle.session)
         ) == (name in FUSING)
     assert KERNEL_CACHE.stats()["misses"] == 0
