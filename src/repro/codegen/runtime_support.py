@@ -14,7 +14,6 @@ operation.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 
@@ -324,88 +323,6 @@ def dgemv(alpha, a, x, beta, y) -> MxArray:
     return g_add(product, g_mul(beta, y))
 
 
-# ----------------------------------------------------------------------
-# Raw scalar math (inlined elementary functions)
-# ----------------------------------------------------------------------
-m_sqrt = math.sqrt
-m_exp = math.exp
-m_log = math.log
-m_sin = math.sin
-m_cos = math.cos
-m_tan = math.tan
-m_atan = math.atan
-c_exp = cmath.exp
-c_abs = abs
-
-
-def _real_nan(x) -> bool:
-    """A real NaN must stay real under the complex-widening helpers: the
-    interpreter widens on ``view < 0``, which is false for NaN, where
-    ``cmath`` alone would answer ``nan+nanj``."""
-    return x != x and not isinstance(x, complex)
-
-
-def c_sqrt(x):
-    return x if _real_nan(x) else cmath.sqrt(x)
-
-
-def c_log(x):
-    return x if _real_nan(x) else cmath.log(x)
-
-
-# The four integer roundings answer NumPy's bits (the interpreter's):
-# a float, the argument's sign on a zero result (``ceil(-0.4)`` is -0),
-# and ``Inf`` / ``NaN`` unchanged where ``math`` would raise.
-def m_floor(x: float) -> float:
-    return math.copysign(math.floor(x), x) if math.isfinite(x) else x
-
-
-def m_ceil(x: float) -> float:
-    return math.copysign(math.ceil(x), x) if math.isfinite(x) else x
-
-
-def m_fix(x: float) -> float:
-    return math.copysign(math.trunc(x), x) if math.isfinite(x) else x
-
-
-def m_round(x: float) -> float:
-    """MATLAB rounding: halves away from zero, as the interpreter's
-    ``sign(x) * floor(abs(x) + 0.5)`` (so ``round(-0.0)`` is +0)."""
-    if not math.isfinite(x):
-        return x
-    return math.copysign(math.floor(abs(x) + 0.5), x) if x else 0.0
-
-
-def m_sign(x: float) -> float:
-    return 0.0 if x == 0 else math.copysign(1.0, x)
-
-
-def m_mod(x: float, m: float) -> float:
-    return math.fmod(math.fmod(x, m) + m, m) if m != 0 else x
-
-
-def m_rem(x: float, m: float) -> float:
-    return math.fmod(x, m) if m != 0 else float("nan")
-
-
-#: Raw-math fast paths for scalar builtin calls: name -> (real, complex).
-SCALAR_MATH = {
-    "abs": ("abs", "c_abs"),
-    "sqrt": ("m_sqrt", "c_sqrt"),
-    "exp": ("m_exp", "c_exp"),
-    "log": ("m_log", "c_log"),
-    "sin": ("m_sin", None),
-    "cos": ("m_cos", None),
-    "tan": ("m_tan", None),
-    "atan": ("m_atan", None),
-    "floor": ("m_floor", None),
-    "ceil": ("m_ceil", None),
-    "round": ("m_round", None),
-    "fix": ("m_fix", None),
-    "sign": ("m_sign", None),
-}
-
-
 def rand_scalar() -> float:
     """``rand`` / ``rand(1)`` / ``rand(1, 1)`` in a raw-real position: the
     draw the builtin makes, without its boxes."""
@@ -561,24 +478,6 @@ class RuntimeSupport:
     mtimes_elements = staticmethod(mtimes_elements)
     dgemv = staticmethod(dgemv)
     COLON = COLON
-    m_sqrt = staticmethod(m_sqrt)
-    m_exp = staticmethod(m_exp)
-    m_log = staticmethod(m_log)
-    m_sin = staticmethod(m_sin)
-    m_cos = staticmethod(m_cos)
-    m_tan = staticmethod(m_tan)
-    m_atan = staticmethod(m_atan)
-    m_floor = staticmethod(m_floor)
-    m_ceil = staticmethod(m_ceil)
-    m_round = staticmethod(m_round)
-    m_fix = staticmethod(m_fix)
-    m_sign = staticmethod(m_sign)
-    m_mod = staticmethod(m_mod)
-    m_rem = staticmethod(m_rem)
-    c_sqrt = staticmethod(c_sqrt)
-    c_exp = staticmethod(c_exp)
-    c_log = staticmethod(c_log)
-    c_abs = staticmethod(c_abs)
     make_string = staticmethod(make_string_value)
     scalar_value = staticmethod(scalar_value)
     end_outside = staticmethod(end_outside)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from repro.analysis.disambiguate import DisambiguationResult
 from repro.analysis.symtab import SymbolKind
-from repro.codegen.runtime_support import SCALAR_MATH, SITE_ARITY
+from repro.codegen.runtime_support import SITE_ARITY
 from repro.errors import CodegenError
 from repro.frontend import ast_nodes as ast
 from repro.inference.annotations import Annotations, SubscriptSafety
@@ -1399,51 +1399,25 @@ class Walk:
         fused = self.try_fuse(node)
         if fused is not None:
             return fused
-        # Elementary math on a raw scalar: one host call, no boxing.
-        fast = SCALAR_MATH.get(node.name)
-        if fast is not None and len(node.args) == 1:
-            real_helper, complex_helper = fast
-            arg_type = self.ann.type_of(node.args[0])
-            if arg_type.is_scalar and arg_type.is_real_like and mtype.is_scalar:
-                if mtype.is_real_like:
-                    value = self.real(node.args[0])
-                    if real_helper == "abs":
-                        return self.unary("abs", value, RAW_REAL), RAW_REAL
-                    return self.call(real_helper, [value], RAW_REAL), RAW_REAL
-                if complex_helper is not None:
-                    # e.g. sqrt of a possibly negative real.
-                    value = self.real(node.args[0])
-                    return (
-                        self.call(complex_helper, [value], RAW_COMPLEX),
-                        RAW_COMPLEX,
-                    )
-            elif (
-                arg_type.is_scalar
-                and arg_type.intrinsic is Intrinsic.COMPLEX
-                and complex_helper is not None
-            ):
-                value = self.coerce(*self.expr(node.args[0]), RAW_COMPLEX)
-                kind = RAW_REAL if node.name == "abs" else RAW_COMPLEX
-                return self.call(complex_helper, [value], kind), kind
-        if node.name in ("mod", "rem") and len(node.args) == 2:
-            types = [self.ann.type_of(a) for a in node.args]
-            if all(t.is_scalar and t.is_real_like for t in types):
-                values = [self.real(a) for a in node.args]
-                helper = "m_mod" if node.name == "mod" else "m_rem"
-                return self.call(helper, values, RAW_REAL), RAW_REAL
         # A typed entry on host numbers, for arguments inference typed
-        # exact real scalars (``zeros(1, n)``: no boxes, no name lookup).
+        # scalars (``zeros(1, n)``, ``sqrt(x)``: no boxes, no name
+        # lookup).  A constructor's entry (its arguments are sizes:
+        # ``int_scalar_affinity``) answers a box; any other entry answers
+        # a host number, of the representation its inferred result names.
         if (
             entry is not None and entry.host is not None
-            and 1 <= len(node.args) <= 2
-            and all(
-                t.is_scalar and t.is_real_like
-                for t in map(self.ann.type_of, node.args)
-            )
+            and 1 <= len(node.args) <= entry.max_args
         ):
-            values = [self.real(arg) for arg in node.args]
-            value = self.call(entry.host.__name__, values, BOXED)
-            return self.annotated(value, BOXED, node)
+            kinds = [repr_of_type(self.ann.type_of(arg)) for arg in node.args]
+            boxes = entry.int_scalar_affinity
+            kind = BOXED if boxes else repr_of_type(mtype)
+            if BOXED not in kinds and (boxes or kind != BOXED):
+                values = [
+                    self.coerce(*self.expr(arg), arg_kind)
+                    for arg, arg_kind in zip(node.args, kinds)
+                ]
+                value = self.call(entry.host.__name__, values, kind)
+                return self.annotated(value, kind, node)
         # Generic builtin dispatch.
         args = [self.boxed(arg) for arg in node.args]
         name = self.const(node.name, BOXED)

@@ -54,7 +54,6 @@ from repro.vcode.emit import (
 
 _UNARY_SRC = {
     "-": "(-{a})", "+": "{a}", "~": "(0.0 if {a} != 0 else 1.0)",
-    "abs": "abs({a})",
 }
 _LOGICAL_SRC = {"&": "and", "|": "or"}
 _COMPARE_SRC = ("==", "!=", "<", "<=", ">", ">=")

@@ -38,6 +38,11 @@ MATRIX_PARAM = "M"
 
 #: Builtins applied to scalar expressions.
 SCALAR_FUNCS = ("abs", "floor", "ceil", "round", "sign", "cos", "sin")
+#: Half of the :data:`SCALAR_FUNCS` draws become one of these, drawn from
+#: a stream of their own (``math_rng``) so the rest of every program is
+#: drawn as before; ``mod`` / ``rem`` take one of :data:`DIVISORS`.
+MORE_SCALAR_FUNCS = ("exp", "log", "sqrt", "tan", "atan", "fix", "mod", "rem")
+DIVISORS = ("3", "-2.5", "0", "0.75", "x", "y")
 #: Builtins applied to matrix expressions (shape-preserving).
 MATRIX_FUNCS = ("abs", "floor", "round", "cos", "sin", "sign")
 #: Reductions folding a matrix into a scalar-ish value.
@@ -84,6 +89,7 @@ class _Gen:
         #: The linear-subscript loops draw from a stream of their own, so
         #: the rest of every program is drawn as before they existed.
         self.linear_rng = random.Random(f"linear{seed}")
+        self.math_rng = random.Random(f"math{seed}")
         self.seed = seed
         self.name = f"fuzz{seed}"
         self.features: list[str] = []
@@ -135,7 +141,12 @@ class _Gen:
             return self.scalar_atom()
         if r.random() < 0.2:
             fn = r.choice(SCALAR_FUNCS)
-            return f"{fn}({self.scalar_expr(depth - 1)})"
+            if self.math_rng.random() < 0.5:
+                fn = self.math_rng.choice(MORE_SCALAR_FUNCS)
+            arg = self.scalar_expr(depth - 1)
+            if fn in ("mod", "rem"):
+                return f"{fn}({arg}, {self.math_rng.choice(DIVISORS)})"
+            return f"{fn}({arg})"
         op = r.choice(("+", "-", "*", "/"))
         left = self.scalar_expr(depth - 1)
         right = self.scalar_expr(depth - 1)

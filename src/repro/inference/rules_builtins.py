@@ -12,12 +12,7 @@ from __future__ import annotations
 import math
 
 from repro.inference.calculator import RuleContext, TypeCalculator
-from repro.inference.rules_arith import (
-    ablate_min,
-    is_int_scalar,
-    is_numeric,
-    is_real_scalar,
-)
+from repro.inference.rules_arith import ablate_min, is_numeric
 from repro.runtime.builtins import BUILTINS
 from repro.typesys.intrinsic import Intrinsic
 from repro.typesys.mtype import MType
@@ -325,9 +320,22 @@ def register(calc: TypeCalculator) -> None:
         lambda ctx: ctx.arg(0).is_real_like and ctx.arg(1).is_real_like, mod_rule,
     )
     calc.rule(("builtin", "mod"), "mod:generic", lambda ctx: True, lambda ctx: [MType.top()])
+
+    def rem_rule(ctx: RuleContext) -> list[MType]:
+        # ``rem(a, b)`` has ``a``'s sign and ``|rem(a, b)| <= |a|, < |b|``;
+        # a divisor that may be 0 may make NaN, which only ⊤ holds.
+        [mtype] = mod_rule(ctx)
+        a, b = ctx.arg(0).range, ctx.arg(1).range
+        if not ctx.range_propagation or b.is_bottom or b.contains(0.0):
+            return [mtype.with_range(Interval.top())]
+        bound = min(a.abs().hi, b.abs().hi)
+        return [mtype.with_range(Interval.of(
+            -bound if a.lo < 0 else 0.0, bound if a.hi > 0 else 0.0
+        ))]
+
     calc.rule(
         ("builtin", "rem"), "rem:real",
-        lambda ctx: ctx.arg(0).is_real_like and ctx.arg(1).is_real_like, mod_rule,
+        lambda ctx: ctx.arg(0).is_real_like and ctx.arg(1).is_real_like, rem_rule,
     )
     calc.rule(("builtin", "rem"), "rem:generic", lambda ctx: True, lambda ctx: [MType.top()])
     calc.rule(

@@ -110,8 +110,11 @@ from repro.vcode.emit import bind_function
 #: whose loop bounds are host ``int()`` and whose growing stores are
 #: MxArray's checked ones (older code calls helpers this runtime lacks),
 #: and whose linear loads of a matrix are column-major; format 14 stores
-#: each kernel once, by its key (no source text beside it).
-CACHE_FORMAT_VERSION = "14"
+#: each kernel once, by its key (no source text beside it); format 15
+#: stores code whose scalar math calls the math builtins' typed entries
+#: (``rt.sqrt_of``, ``rt.mod_of``, ...), where older code calls
+#: ``rt.m_*`` / ``rt.c_*`` helpers this runtime lacks.
+CACHE_FORMAT_VERSION = "15"
 
 #: The signature slot of a parse record's key.
 UNIT_TAG = "source-unit"

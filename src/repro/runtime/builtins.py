@@ -11,19 +11,21 @@ interpreter calls it, and so does generated code whenever inference has
 not typed the arguments (compiled code cannot speed up library internals
 — the paper's explanation for why builtin-heavy benchmarks barely benefit
 from compilation).  A builtin may also carry a *typed entry*
-(``Builtin.host``): one implementation on host numbers, which its boxed
-``impl`` wraps.  Code selection calls it directly, without boxes, when
-inference types every argument an exact real scalar.  ``zeros``, ``ones``
-and ``eye`` have one (``zeros_of`` / ``ones_of`` / ``eye_of``, on their
-host size arguments).  A math builtin whose result turns complex on
-part of the real line carries that bound (``Builtin.domain``): its
-``impl``, the fused kernels' widening guard, the C kernels' bail-out and
+(``Builtin.host``): its implementation on host numbers, which code
+selection calls directly, without boxes, when inference types every
+argument a scalar.  ``zeros`` / ``ones`` / ``eye`` have one on their
+sizes, answering a box.  Each elementwise math builtin has one built from
+its ``impl``'s own NumPy function, answering the impl's bits on a 1x1 as
+a host number.  A math builtin whose result turns complex on part of
+the real line carries that bound (``Builtin.domain``): its ``impl`` and
+entry, the fused kernels' widening guard, the C kernels' bail-out and
 the inference rules all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -106,9 +108,9 @@ class Builtin:
     # integer scalars" — the hint the backward speculation rules exploit.
     int_scalar_affinity: bool = False
     doc: str = ""
-    # The typed entry: the implementation on host numbers that ``impl``
-    # wraps, called by compiled code whose arguments inference typed
-    # exact real scalars (exposed on RuntimeSupport under its own name).
+    # The typed entry on host numbers (exposed on RuntimeSupport under
+    # its own name).  A builtin whose arguments are sizes
+    # (``int_scalar_affinity``) answers a box; any other, a host number.
     host: Callable | None = None
     # The real bound below which an elementwise math builtin's result is
     # complex (``sqrt``, ``log``: 0); ``None`` when a real argument always
@@ -221,9 +223,32 @@ def _shape(rows, cols=None) -> tuple[int, int]:
     return rows, cols if cols > 0 else 0
 
 
-def _unary_math(name: str, fn, domain: float | None = None):
+def _unary_math(
+    name: str, fn, domain: float | None = None, fast=None, host=None
+):
+    """Register an elementwise math builtin computing ``fn``, and its
+    typed entry ``<name>_of``: ``fn`` on one host number as the impl on a
+    1x1 (a real below ``domain`` widened to complex, no warning, a host
+    ``float`` or ``complex``).  ``fast``, a host function with ``fn``'s
+    bits wherever it returns, is tried first.  ``host`` replaces the
+    entry (``abs``: Python's, exempt on complex; DESIGN *Known gaps*)."""
+
+    def entry(x):
+        if fast is not None:
+            try:
+                return fast(x)
+            except (TypeError, ValueError):
+                pass
+        if domain is not None and not isinstance(x, complex) and x < domain:
+            x = complex(x)
+        with np.errstate(all="ignore"):
+            value = fn(x)
+        return complex(value) if value.dtype.kind == "c" else float(value)
+
+    entry.__name__ = entry.__qualname__ = f"{name}_of"
+
     @register(name, min_args=1, max_args=1, doc=f"elementwise {name}",
-              domain=domain)
+              host=host or entry, domain=domain)
     def impl(args: list[MxArray], nargout: int) -> list[MxArray]:
         a = args[0]
         view = a.view()
@@ -232,10 +257,25 @@ def _unary_math(name: str, fn, domain: float | None = None):
         if domain is not None and not np.iscomplexobj(view):
             if view.size and np.any(view < domain):
                 view = view.astype(np.complex128)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             return [from_ndarray(fn(view))]
 
-    return impl
+
+def _binary_math(name: str, fn, doc: str):
+    """Register ``fn`` on the real parts of two arguments, and its typed
+    entry ``<name>_of``, answering a host ``float``."""
+
+    def entry(a, b) -> float:
+        with np.errstate(all="ignore"):
+            return float(fn(float(a.real), float(b.real)))
+
+    entry.__name__ = entry.__qualname__ = f"{name}_of"
+
+    @register(name, 2, 2, doc=doc, host=entry)
+    def impl(args: list[MxArray], nargout: int) -> list[MxArray]:
+        a, b = np.real(args[0].view()), np.real(args[1].view())
+        with np.errstate(all="ignore"):
+            return [from_ndarray(fn(a, b))]
 
 
 # ----------------------------------------------------------------------
@@ -398,13 +438,13 @@ def _isscalar(args, nargout):
 # ----------------------------------------------------------------------
 # Elementary elementwise math
 # ----------------------------------------------------------------------
-_unary_math("abs", np.abs)
-_unary_math("sqrt", np.sqrt, domain=0.0)
+_unary_math("abs", np.abs, host=abs)
+_unary_math("sqrt", np.sqrt, domain=0.0, fast=math.sqrt)
 _unary_math("exp", np.exp)
 _unary_math("log", np.log, domain=0.0)
 _unary_math("log2", np.log2, domain=0.0)
 _unary_math("log10", np.log10, domain=0.0)
-_unary_math("sin", np.sin)
+_unary_math("sin", np.sin, fast=math.sin)
 _unary_math("cos", np.cos)
 _unary_math("tan", np.tan)
 _unary_math("asin", np.arcsin)
@@ -414,8 +454,11 @@ _unary_math("sinh", np.sinh)
 _unary_math("cosh", np.cosh)
 _unary_math("tanh", np.tanh)
 def _matlab_round(data):
-    """MATLAB rounds halves away from zero; numpy rounds halves to even."""
-    return np.sign(data) * np.floor(np.abs(data) + 0.5)
+    """MATLAB rounds halves away from zero; numpy rounds halves to even.
+    The sign is copied, not multiplied in: ``sign(x) * ...`` of a NaN is
+    a product of two NaNs, whose sign NumPy's array and scalar loops pick
+    from different operands."""
+    return np.copysign(np.floor(np.abs(data) + 0.5), np.sign(data))
 
 
 _unary_math("floor", np.floor)
@@ -446,18 +489,17 @@ def _atan2(args, nargout):
     return [from_ndarray(np.arctan2(np.real(args[0].view()), np.real(args[1].view())))]
 
 
-@register("mod", 2, 2, doc="modulus after flooring division")
-def _mod(args, nargout):
-    a, b = args[0].view(), args[1].view()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return [from_ndarray(np.mod(np.real(a), np.real(b)))]
+def _matlab_mod(a, b):
+    """MATLAB's ``mod``: the remainder after flooring division, and
+    ``mod(a, 0)`` is ``a`` (https://www.mathworks.com/help/matlab/ref/
+    mod.html: "mod(a,0) returns a"), where ``np.mod`` answers NaN."""
+    return np.where(b == 0, a, np.mod(a, b))
 
 
-@register("rem", 2, 2, doc="remainder after truncating division")
-def _rem(args, nargout):
-    a, b = np.real(args[0].view()), np.real(args[1].view())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return [from_ndarray(np.fmod(a, b))]
+_binary_math("mod", _matlab_mod, "modulus after flooring division")
+# https://www.mathworks.com/help/matlab/ref/rem.html: "rem(a,0) is NaN",
+# as ``np.fmod`` answers.
+_binary_math("rem", np.fmod, "remainder after truncating division")
 
 
 # ----------------------------------------------------------------------

@@ -74,7 +74,6 @@ _UN = {
     "-": "(-{a})",
     "+": "({a})",
     "~": "(0.0 if {a} != 0 else 1.0)",
-    "abs": "abs({a})",
 }
 
 #: Operand positions that the templates evaluate exactly once, eagerly

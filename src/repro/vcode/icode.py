@@ -13,7 +13,7 @@ Instruction set (op → operands), exactly what the JIT lowering emits:
 ``MOV``     dst, (src,)
 ``BIN``     dst, (a, b), aux=operator — raw scalar op (``+ - * / **``,
             comparisons, ``&`` ``|``)
-``UN``      dst, (a,), aux=operator (``-``, ``+``, ``~``, ``abs``)
+``UN``      dst, (a,), aux=operator (``-``, ``+``, ``~``)
 ``CALLRT``  dst?, args, aux=helper name — call a runtime-support helper
 ``CALLSELF`` dst, args — call the function being compiled, by its own
             module-level name, for its tuple of results

@@ -396,6 +396,56 @@ ASIN_ACOS = (
     "disp(asin(-x)); disp(acos(x));\n"
     "for k = 1:3, d(k) = acos(-x * k); end\n"
 )
+#: Scalar math through the builtins' typed entries (NumPy's functions, as
+#: the interpreter computes them), at the edges where the hand-written
+#: host helpers they replaced answered other bits or raised.  Each
+#: ``(source, entry, arguments, nargout)``.
+SCALAR_MATH_EDGES = {
+    # ``sign`` of a NaN is NaN (the helper answered ±1).
+    "sign-nan": (
+        "function [a, b] = sgn(x)\na = sign(x);\nb = sign(-x);\n",
+        "sgn", (float("nan"),), 2,
+    ),
+    # ``mod`` rounds a tiny negative dividend up to the divisor.
+    "mod-tiny": ("function r = mt(x)\nr = mod(x, 3);\n", "mt", (-1e-20,), 1),
+    # ``rem(a, 0)`` is NaN, with NumPy's sign bit.
+    "rem-zero": (
+        "function r = rz(x, y)\nr = rem(x, y);\n", "rz", (5.0, 0.0), 1,
+    ),
+    # ``mod(a, 0)`` is ``a`` (the interpreter answered NaN).
+    "mod-zero": (
+        "function r = mz(x, y)\nr = mod(x, y);\n", "mz", (5.0, 0.0), 1,
+    ),
+    # ``sqrt(-0)`` is −0 (the complex helper answered +0).
+    "sqrt-negative-zero": ("function r = sz(x)\nr = sqrt(x);\n", "sz", (-0.0,), 1),
+    # Arguments on which Python's ``math`` / ``cmath`` round otherwise.
+    "last-bit": (
+        "function r = lb(a, b, c, d, e, z)\n"
+        "r = [exp(a), log(b), log(c), tan(d), atan(e), real(log(z)), "
+        "imag(log(z))];\n",
+        "lb", (-0.13953962536514908, 0.7855794916373942, 1.2666589564869462,
+               -6.726116787994954, -0.6168868858561858,
+               complex(-1.060846195795964, -1.1222327233199518)), 1,
+    ),
+    # Inf / −Inf where ``math`` raised (deopts and rescues).
+    "overflow-pole": (
+        "function r = op(x, y)\nr = [exp(x), log(y), log(-y)];\n",
+        "op", (1000.0, 0.0), 1,
+    ),
+    "trig-inf": (
+        "function r = ti(x)\n"
+        "r = [sin(x), cos(x), tan(x), sin(-x), cos(-x), tan(-x)];\n",
+        "ti", (float("inf"),), 1,
+    ),
+    "inf-divisor": (
+        "function r = id(x, y)\n"
+        "r = [mod(x, y), mod(x, -y), rem(y, 3), rem(-y, 3)];\n",
+        "id", (5.0, float("inf")), 1,
+    ),
+}
+#: ``rem`` has its dividend's sign, so ``sqrt(rem(x, 3))`` of a negative
+#: ``x`` is imaginary (inference typed ``rem`` like ``mod``, [0, 3]).
+REM_NEGATIVE = "function r = rn(x)\nr = sqrt(rem(x, 3));\n"
 #: Size arguments of the other size-taking builtins: what each reference
 #: page says (cited in ``runtime/builtins.py``), then a NaN, which raises.
 SIZE_ARGS = {
@@ -764,6 +814,16 @@ PROBES = {
         f"size-args-{label}": Program((source,), entry, _scalar(-2.0))
         for label, (entry, source) in SIZE_ARGS.items()
     },
+    **{
+        f"scalar-math-edges-{label}": Program(
+            (source,), entry,
+            lambda values=values: [from_python(v) for v in values],
+            nargout=nargout,
+        )
+        for label, (source, entry, values, nargout)
+        in SCALAR_MATH_EDGES.items()
+    },
+    "rem-negative-range": Program((REM_NEGATIVE,), "rn", _scalar(-1.0)),
 }
 
 #: Probes that fault in compiled code by design, with the one cause each

@@ -239,8 +239,8 @@ FIXED_POINTS = [
                              ((2, 2), (1, 1)), ((1, 1), (1, 1))]
 ] + [
     # A real scalar NaN whose sign range inference cannot prove: the
-    # complex-widening scalar helpers (rt.c_log / rt.c_sqrt) must answer
-    # the interpreter's real NaN, not cmath's nan+nanj.
+    # typed entries (rt.log_of / rt.sqrt_of) must answer the
+    # interpreter's real NaN, not a complex nan+nanj.
     ("log(abs(a) + 1.0) .* b - c", float("nan"), 0.0),
     ("log(a) + sqrt(a) .* b", float("nan"), 0.0),
 ]

@@ -571,8 +571,8 @@ def test_fresh_stores_write_current_format_frames(tmp_path):
 
     cache = RepositoryCache(tmp_path)
     assert cache.put("d" * 64, _cached_object())
-    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC14\n")
-    assert frame_payload(b"x").startswith(b"MAJC14\n")
+    assert (tmp_path / f"{'d' * 64}.pkl").read_bytes().startswith(b"MAJC15\n")
+    assert frame_payload(b"x").startswith(b"MAJC15\n")
 
 
 def test_format_5_entry_is_not_served(tmp_path):
@@ -584,7 +584,7 @@ def test_format_5_entry_is_not_served(tmp_path):
     [name] = _entries(tmp_path)
     path = tmp_path / name
     data = path.read_bytes()
-    assert data.startswith(b"MAJC14\n")
+    assert data.startswith(b"MAJC15\n")
     path.write_bytes(b"MAJC5" + data[6:])  # the same entry, framed as 5
 
     warm = MajicSession(cache_dir=tmp_path)

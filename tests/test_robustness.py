@@ -190,10 +190,11 @@ class TestDifferentialHarness:
         run-time faults match the pure interpreter exactly, and the
         session records the corresponding events.  A ``runtime-hit<n>``
         lane fires on a run whose compiled code makes ``n`` helper calls:
-        ``fibonacci``'s makes none (it calls only itself) and ``dirich``'s
-        one (``rt.zeros_of``), so those lanes stay silent there; they
-        fire, and deopt, everywhere else."""
-        helper_calls = {"fibonacci": 0, "dirich": 1}
+        ``fibonacci``'s makes none (it calls only itself), so those lanes
+        stay silent there; they fire, and deopt, everywhere else
+        (``dirich``'s code calls ``rt.zeros_of`` once and ``rt.abs`` in its
+        loop)."""
+        helper_calls = {"fibonacci": 0}
         outcomes = run_differential(
             names=["fibonacci", "dirich", "sor", "relay"]
         )

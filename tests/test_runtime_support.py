@@ -306,12 +306,16 @@ class TestRuntimeSupportInstance:
         rt.display_value("x", 7.0)
         assert "x =" in rt.sink.getvalue()
 
-    def test_scalar_math_helpers(self):
-        assert rts.m_round(-2.5) == -3.0
-        assert rts.m_mod(-1.0, 3.0) == 2.0
-        assert rts.m_rem(-1.0, 3.0) == -1.0
-        assert rts.m_sign(-7.0) == -1.0
-        assert rts.m_fix(-2.7) == -2.0
+    def test_scalar_math_entries_are_helpers(self):
+        # The builtins' typed entries, set on RuntimeSupport by the one
+        # registry loop (their bits: tests/test_builtins.py).
+        rt = rts.RuntimeSupport(knows=lambda name: False)
+        assert rt.round_of(-2.5) == -3.0
+        assert rt.mod_of(-1.0, 3.0) == 2.0
+        assert rt.rem_of(-1.0, 3.0) == -1.0
+        assert rt.sign_of(-7.0) == -1.0
+        assert rt.fix_of(-2.7) == -2.0
+        assert rt.sqrt_of(-4.0) == 2j
 
 
 def test_rand_scalar_is_the_builtins_draw():
